@@ -7,14 +7,15 @@
 //! numeric engines in which the level-schedule / point-to-point walk,
 //! the counter resets, the team regions and the per-row
 //! sparse-accumulator loads are shared, and only the per-entry
-//! arithmetic loops over the `k` value-sets (through the
-//! [`Lanes`](javelin_sparse::lanes::Lanes) layer — see
-//! [`crate::numeric::batch`]). [`FactorsBatch::refactor_batch`] redoes
+//! arithmetic loops over the `k` value-sets (the numeric engine of
+//! [`crate::numeric`] at width `k` — the same driver, walks and kernels
+//! the scalar [`IluFactors::refactor`] runs at width 1).
+//! [`FactorsBatch::refactor_batch`] redoes
 //! the numeric phase for the next sweep step with **zero heap
 //! allocations and zero thread spawns** on the persistent team.
 //!
 //! Per-scenario breakdown semantics: every scenario carries its own
-//! [`ZeroPivotPolicy`] state. Under
+//! [`ZeroPivotPolicy`](crate::ZeroPivotPolicy) state. Under
 //! `ShiftRetry`, a singular corner escalates **its own** sticky
 //! diagonal shift across full re-runs of the batch while never-failed
 //! neighbours rerun unshifted — and because the engines are
@@ -27,21 +28,16 @@
 //!
 //! Bit-identity: scenario `c` of any batch run is bit-identical to the
 //! scalar `refactor` of matrix `c` alone — per lane, the kernels
-//! execute the scalar operation order on lane-`c` data only, and the
-//! retry loop applies the same reload + shift sequence the scalar
-//! policy would. The differential proptests in
+//! execute the width-1 operation order on lane-`c` data only, and the
+//! driver applies the same reload + shift sequence to every lane
+//! whatever the width. The differential proptests in
 //! `crates/core/tests/batch_differential.rs` enforce this across
 //! engines × threads × k × pivot policies.
 
 use crate::factors::IluFactors;
-use crate::numeric::batch::{
-    factor_batch_lower_er_planned, factor_batch_serial_ws, factor_batch_upper_p2p_planned,
-    BatchNumericCtx,
-};
 use crate::numeric::kernel::LuVals;
-use crate::options::ZeroPivotPolicy;
 use crate::precond::ScenarioPrecond;
-use crate::symbolic_ilu::{NumericScratch, SymCore, SymbolicIlu, FILL};
+use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
 use crate::SolveEngine;
 use javelin_sparse::{with_lanes, CsrMatrix, Scalar, SparseError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,8 +62,6 @@ pub struct FactorsBatch<T: Scalar> {
     failed: Vec<AtomicUsize>,
     /// Failed sweeps per scenario (ShiftRetry bookkeeping).
     failures: Vec<usize>,
-    /// Last failing row per scenario.
-    fail_rows: Vec<usize>,
     /// Last absolute diagonal shift applied per scenario.
     shifts: Vec<f64>,
     factors: Vec<IluFactors<T>>,
@@ -134,7 +128,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             dropped: (0..k).map(|_| AtomicUsize::new(0)).collect(),
             failed: (0..k).map(|_| AtomicUsize::new(usize::MAX)).collect(),
             failures: vec![0; k],
-            fail_rows: vec![0; k],
             shifts: vec![0.0; k],
             factors,
             statuses: (0..k).map(|_| Ok(())).collect(),
@@ -216,242 +209,44 @@ impl<T: Scalar> FactorsBatch<T> {
             self.sym.check_pattern(a)?;
         }
         let t2 = Instant::now();
-        let Self {
-            sym,
-            k,
-            lu_vals,
-            drop_thresh,
-            replaced,
-            dropped,
-            failed,
-            failures,
-            fail_rows,
-            shifts,
-            factors,
-            statuses,
-        } = self;
-        let k = *k;
-        let c = sym.core();
+        let c = self.sym.core();
         {
-            let mut num = c.numeric.lock();
-            for lane in 0..k {
-                failures[lane] = 0;
-                fail_rows[lane] = 0;
-                shifts[lane] = 0.0;
-                statuses[lane] = Ok(());
-                replaced[lane].store(0, Ordering::Relaxed);
-                dropped[lane].store(0, Ordering::Relaxed);
-            }
-            let (initial, growth, max_attempts) = match c.opts.zero_pivot {
-                ZeroPivotPolicy::ShiftRetry {
-                    initial,
-                    growth,
-                    max_attempts,
-                } => (initial, growth, max_attempts),
-                _ => (0.0, 0.0, 0),
+            let num = c.numeric.lock();
+            let run = NumericRun {
+                mats,
+                vals: &self.lu_vals,
+                drop_thresh: &mut self.drop_thresh,
+                row_ws: &num.row_ws,
+                progress: &num.progress,
+                replaced: &self.replaced,
+                dropped: &self.dropped,
+                failed: &self.failed,
+                failures: &mut self.failures,
+                shifts: &mut self.shifts,
+                statuses: &mut self.statuses,
             };
-            // Sweep loop. Non-ShiftRetry policies run exactly one
-            // sweep; ShiftRetry re-runs the whole batch while any
-            // non-exhausted scenario still fails, with per-scenario
-            // sticky shifts. Deterministic engines make re-runs of
-            // already-succeeding scenarios bit-identical, so the loop
-            // cannot perturb them.
-            loop {
-                load_batch(c, k, lu_vals, drop_thresh, mats);
-                for lane in 0..k {
-                    if failures[lane] > 0 && failures[lane] <= max_attempts {
-                        // Same escalation the scalar retry loop applies
-                        // on its `failures[lane]`-th retry.
-                        let rel = initial * growth.powi(failures[lane] as i32 - 1);
-                        shifts[lane] = shift_lane(c, k, lu_vals, lane, rel);
-                    }
-                    failed[lane].store(usize::MAX, Ordering::Relaxed);
-                }
-                run_batch_engines(
-                    c,
-                    &mut num,
-                    k,
-                    lu_vals,
-                    drop_thresh,
-                    replaced,
-                    dropped,
-                    failed,
-                );
-                let mut retry = false;
-                for lane in 0..k {
-                    let f = failed[lane].load(Ordering::Relaxed);
-                    if f == usize::MAX || statuses[lane].is_err() {
-                        continue;
-                    }
-                    let row = f - 1;
-                    failures[lane] += 1;
-                    fail_rows[lane] = row;
-                    match c.opts.zero_pivot {
-                        ZeroPivotPolicy::ShiftRetry { .. } => {
-                            if failures[lane] > max_attempts {
-                                // Budget exhausted: typed per-scenario
-                                // breakdown, factors stay as they were.
-                                statuses[lane] = Err(SparseError::Breakdown {
-                                    row: fail_rows[lane],
-                                    attempts: max_attempts + 1,
-                                    shift: shifts[lane],
-                                });
-                            } else {
-                                retry = true;
-                            }
-                        }
-                        _ => statuses[lane] = Err(SparseError::ZeroPivot { row }),
-                    }
-                }
-                if !retry {
-                    break;
-                }
-            }
+            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, None, false));
         }
         // Commit phase: de-interleave every successful scenario into
         // its factor object and complete its statistics; failed
         // scenarios keep the previous factorization.
         let t_numeric = t2.elapsed();
-        let nnz = c.colidx.len();
-        for lane in 0..k {
-            if statuses[lane].is_err() {
+        for (lane, factors) in self.factors.iter_mut().enumerate() {
+            if self.statuses[lane].is_err() {
                 continue;
             }
-            let out = factors[lane].lu_vals_mut();
-            for (e, slot) in out.iter_mut().enumerate().take(nnz) {
-                *slot = lu_vals.get(e * k + lane);
+            for (e, slot) in factors.lu_vals_mut().iter_mut().enumerate() {
+                *slot = self.lu_vals.get(e * self.k + lane);
             }
-            let stats = factors[lane].stats_mut();
-            stats.replaced_pivots = replaced[lane].load(Ordering::Relaxed);
-            stats.dropped_entries = dropped[lane].load(Ordering::Relaxed);
-            stats.shift_attempts = failures[lane] + 1;
-            stats.diag_shift = shifts[lane];
+            let stats = factors.stats_mut();
+            stats.replaced_pivots = self.replaced[lane].load(Ordering::Relaxed);
+            stats.dropped_entries = self.dropped[lane].load(Ordering::Relaxed);
+            stats.shift_attempts = self.failures[lane] + 1;
+            stats.diag_shift = self.shifts[lane];
             stats.t_numeric = t_numeric;
         }
         Ok(())
     }
-}
-
-/// Loads every scenario's values into the interleaved batch buffer
-/// through the precomputed source map (fill positions get zero) and
-/// recomputes the per-scenario τ thresholds — the batched
-/// `load_values`. Allocation-free.
-fn load_batch<T: Scalar>(
-    c: &SymCore<T>,
-    k: usize,
-    lu_vals: &LuVals<T>,
-    drop_thresh: &mut [T],
-    mats: &[&CsrMatrix<T>],
-) {
-    for (e, &src) in c.a_src.iter().enumerate() {
-        for (lane, a) in mats.iter().enumerate() {
-            lu_vals.set(
-                e * k + lane,
-                if src == FILL { T::ZERO } else { a.vals()[src] },
-            );
-        }
-    }
-    if c.opts.drop_tol > 0.0 {
-        let new_to_old = c.perm.new_to_old();
-        for new_r in 0..c.n {
-            let old_r = new_to_old[new_r];
-            for (lane, a) in mats.iter().enumerate() {
-                let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
-                drop_thresh[new_r * k + lane] = T::from_f64(c.opts.drop_tol) * norm;
-            }
-        }
-    }
-}
-
-/// Boosts scenario `lane`'s diagonal away from zero by
-/// `relative_shift · max|aᵢᵢ|` of **that scenario's** freshly loaded
-/// diagonal — the per-lane `apply_diag_shift`, bit-identical to the
-/// scalar one run on matrix `lane` alone. Returns the absolute shift.
-fn shift_lane<T: Scalar>(
-    c: &SymCore<T>,
-    k: usize,
-    lu_vals: &LuVals<T>,
-    lane: usize,
-    relative_shift: f64,
-) -> f64 {
-    let mut scale = 0.0f64;
-    for &dp in c.diag_pos.iter() {
-        scale = scale.max(lu_vals.get(dp * k + lane).abs().to_f64());
-    }
-    if scale == 0.0 {
-        scale = 1.0;
-    }
-    let shift = relative_shift * scale;
-    let shift_t = T::from_f64(shift);
-    for &dp in c.diag_pos.iter() {
-        let d = lu_vals.get(dp * k + lane);
-        lu_vals.set(
-            dp * k + lane,
-            if d < T::ZERO {
-                d - shift_t
-            } else {
-                d + shift_t
-            },
-        );
-    }
-    shift
-}
-
-/// One batched numeric sweep over the loaded interleaved buffer on the
-/// planned engines: serial when single-threaded, otherwise the
-/// point-to-point upper stage plus the Even-Rows lower stage as regions
-/// on the persistent team — the batch analogue of the scalar
-/// `NumericPath::Planned`. Breakdown policy inside the kernels is
-/// forced to flag-only (`record_failure`); the retry/error policy is
-/// applied per scenario by the caller.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_engines<T: Scalar>(
-    c: &SymCore<T>,
-    num: &mut NumericScratch<T>,
-    k: usize,
-    lu_vals: &LuVals<T>,
-    drop_thresh: &[T],
-    replaced: &[AtomicUsize],
-    dropped: &[AtomicUsize],
-    failed: &[AtomicUsize],
-) {
-    let ctx = BatchNumericCtx {
-        rowptr: &c.rowptr,
-        colidx: &c.colidx,
-        diag_pos: &c.diag_pos,
-        vals: lu_vals,
-        drop_thresh,
-        milu_omega: T::from_f64(c.opts.milu_omega),
-        pivot_threshold: T::from_f64(c.opts.pivot_threshold),
-        zero_pivot: match c.opts.zero_pivot {
-            ZeroPivotPolicy::Replace { replacement } => ZeroPivotPolicy::Replace { replacement },
-            // Error and ShiftRetry both record per-lane failure flags;
-            // the caller turns them into errors or retries.
-            _ => ZeroPivotPolicy::Error,
-        },
-        replaced,
-        dropped,
-        failed_row: failed,
-    };
-    let n_upper = c.plan.n_upper;
-    let n_lower = c.n - n_upper;
-    with_lanes!(k, lanes => {
-        if c.nthreads == 1 {
-            factor_batch_serial_ws(lanes, &ctx, &mut num.row_ws[0].lock());
-        } else {
-            factor_batch_upper_p2p_planned(
-                lanes,
-                &ctx,
-                &c.plan.fwd,
-                &c.exec,
-                &num.progress,
-                &num.row_ws,
-            );
-            if n_lower > 0 {
-                factor_batch_lower_er_planned(lanes, &ctx, n_upper, &c.exec, &num.row_ws);
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Numeric factor objects — the value-carrying half of the two-phase
-//! symbolic/numeric API (see [`crate::symbolic_ilu`]) — plus the legacy
-//! one-shot pipeline entry.
+//! symbolic/numeric API (see [`crate::symbolic_ilu`]) — plus the
+//! one-shot [`factorize`] entry.
 
 use crate::options::SolveEngine;
 use crate::stats::FactorStats;
@@ -80,24 +80,6 @@ pub fn factorize<T: Scalar>(
     SymbolicIlu::analyze(a, opts)?.factor(a)
 }
 
-/// The legacy fused entry point (symbolic + numeric in one call,
-/// no refactorization).
-///
-/// # Errors
-/// See [`factorize`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SymbolicIlu::analyze` + `SymbolicIlu::factor` (or the one-shot \
-            `factorize`) so pattern-stable workloads can call `IluFactors::refactor`; \
-            applications should prefer the `javelin::Session` façade"
-)]
-pub fn compute<T: Scalar>(
-    a: &CsrMatrix<T>,
-    opts: &crate::options::IluOptions,
-) -> Result<IluFactors<T>, SparseError> {
-    factorize(a, opts)
-}
-
 impl<T: Scalar> IluFactors<T> {
     /// Assembles a factor object (numeric-phase internal constructor).
     pub(crate) fn from_parts(sym: SymbolicIlu<T>, lu: CsrMatrix<T>, stats: FactorStats) -> Self {
@@ -132,7 +114,7 @@ impl<T: Scalar> IluFactors<T> {
     ///   factorization, so the old preconditioner stays usable.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         self.sym
-            .refactor_into(a, self.lu.vals_mut(), &mut self.stats)
+            .factor_into(a, self.lu.vals_mut(), &mut self.stats, None, false)
     }
 
     /// Like [`IluFactors::refactor`], but unconditionally boosts the
@@ -150,8 +132,9 @@ impl<T: Scalar> IluFactors<T> {
         a: &CsrMatrix<T>,
         relative_shift: f64,
     ) -> Result<(), SparseError> {
+        let shift = Some(relative_shift);
         self.sym
-            .refactor_shifted_into(a, self.lu.vals_mut(), &mut self.stats, relative_shift)
+            .factor_into(a, self.lu.vals_mut(), &mut self.stats, shift, false)
     }
 
     /// Mutable factor-value storage — the batched-refactor commit path
@@ -734,19 +717,6 @@ mod tests {
 
     fn compute_factors(a: &CsrMatrix<f64>, o: &IluOptions) -> IluFactors<f64> {
         factorize(a, o).expect("factorization succeeds")
-    }
-
-    #[test]
-    fn deprecated_compute_still_works() {
-        // The legacy fused entry stays available (deprecated, not
-        // removed) and produces the same factors.
-        let a = laplace_2d(6, 6);
-        #[allow(deprecated)]
-        let old = compute(&a, &IluOptions::default()).unwrap();
-        let new = compute_factors(&a, &IluOptions::default());
-        let ob: Vec<u64> = old.lu().vals().iter().map(|v| v.to_bits()).collect();
-        let nb: Vec<u64> = new.lu().vals().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ob, nb);
     }
 
     #[test]

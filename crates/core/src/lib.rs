@@ -38,9 +38,9 @@
 //!   two-stage split and permutation, the forward/backward
 //!   point-to-point schedules, the [`factors::SolvePlan`], a reusable
 //!   [`SolveScratch`] (progress counters, barrier, flat tiled-gather
-//!   partials, the bit-packed in-place solve buffer), the numeric
-//!   scratch, and a `javelin_sync::Exec` — by default a persistent
-//!   worker team whose threads park between calls.
+//!   partials, the in-place solve buffer), the numeric scratch, and a
+//!   `javelin_sync::Exec` — by default a persistent worker team whose
+//!   threads park between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
 //!   numeric up-looking elimination through the full engine set and
 //!   returns [`IluFactors`], which shares the analysis handle.
@@ -71,10 +71,9 @@
 //!   that contract with per-column convergence masking.
 //!
 //! The one-shot [`factorize`] fuses analyze + factor for callers that
-//! factor a pattern exactly once; the legacy
-//! [`IluFactorization::compute`] entry is deprecated in its favor.
-//! Applications should usually sit one level higher still, on the
-//! `javelin::Session` façade, which owns the workspaces too.
+//! factor a pattern exactly once. Applications should usually sit one
+//! level higher still, on the `javelin::Session` façade, which owns
+//! the workspaces too.
 //!
 //! ## Quick start
 //!
@@ -131,42 +130,3 @@ pub use spmv::SpmvPlan;
 pub use stats::FactorStats;
 pub use symbolic_ilu::SymbolicIlu;
 pub use trisolve::engines::SolveScratch;
-
-use javelin_sparse::{CsrMatrix, Scalar, SparseError};
-
-/// Legacy entry point: computes an incomplete LU factorization with the
-/// full Javelin pipeline in one fused call.
-///
-/// Superseded by the two-phase API ([`SymbolicIlu::analyze`] +
-/// [`SymbolicIlu::factor`], with [`IluFactors::refactor`] for
-/// pattern-stable re-factorization) and the one-shot [`factorize`].
-pub struct IluFactorization;
-
-impl IluFactorization {
-    /// Computes `A ≈ P·L·U·Pᵀ` (with `P` the internal two-stage level
-    /// permutation) according to `opts`.
-    ///
-    /// The input is used as given — Javelin assumes the caller has
-    /// already applied any fill-reducing or iteration-friendly
-    /// preordering (the paper uses Dulmage–Mendelsohn + nested
-    /// dissection; see `javelin-order`).
-    ///
-    /// # Errors
-    /// * [`SparseError::NotSquare`] for rectangular inputs;
-    /// * [`SparseError::MissingDiagonal`] when a structural diagonal
-    ///   entry is absent;
-    /// * [`SparseError::ZeroPivot`] under
-    ///   [`ZeroPivotPolicy::Error`] when a pivot collapses.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SymbolicIlu::analyze` + `SymbolicIlu::factor` (or the one-shot \
-                `factorize`) so pattern-stable workloads can call `IluFactors::refactor`; \
-                applications should prefer the `javelin::Session` façade"
-    )]
-    pub fn compute<T: Scalar>(
-        a: &CsrMatrix<T>,
-        opts: &IluOptions,
-    ) -> Result<IluFactors<T>, SparseError> {
-        factors::factorize(a, opts)
-    }
-}

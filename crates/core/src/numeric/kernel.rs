@@ -7,34 +7,35 @@
 //! engines' synchronization protocols guarantee race freedom (see
 //! `docs/ARCHITECTURE.md` §7 "Memory model"):
 //!
-//! * every entry belongs to exactly one row, and a row's values are
-//!   written only by the worker that currently *owns* the row;
+//! * every entry belongs to exactly one row, and a row's values (all
+//!   `k` interleaved lanes of them) are written only by the worker that
+//!   currently *owns* the row;
 //! * ownership is handed off through a release-bump of a progress
-//!   counter (or barrier arrival / task-graph edge / team-region join)
-//!   after the row's last write, and acquired through the matching
-//!   acquire-wait before any dependent read — the same happens-before
-//!   edges that previously ordered the relaxed-atomic accesses;
+//!   counter (`factor_upper_p2p_planned`, `factor_corner_parallel`), a
+//!   task-graph edge (`factor_lower_sr`) or a team-region join
+//!   (`factor_lower_er_planned`, then `factor_rows_serial_ws` on the
+//!   corner) after the row's last write, and acquired through the
+//!   matching acquire-wait before any dependent read;
 //! * Segmented-Rows tiles that share a row write disjoint entry
 //!   subranges, chained per block, so exclusivity holds at entry
 //!   granularity there too.
 //!
-//! Under that protocol the hot kernels can check out a whole row (or a
-//! tile of one) as an exclusive `&mut [T]` via [`LuVals::view_mut`] and
-//! read finalized rows as `&[T]` via [`LuVals::view`] — contiguous
-//! loads/stores the compiler can vectorize, instead of per-element
-//! atomic round-trips that block coalescing. This is what an earlier
-//! revision's bit-packed `AtomicU64` representation (all `Relaxed`)
-//! could not offer: atomics pessimize vectorization even though they
-//! compile to plain moves on x86, and bit-packing made `&mut [f32]`
-//! views impossible.
+//! Under that protocol [`eliminate_columns`] and [`finalize_row`] check
+//! out a whole row (or, for an SR tile, a subrange of one) as an
+//! exclusive `&mut [T]` via [`LuVals::view_mut`] and read finalized
+//! rows as `&[T]` via [`LuVals::view`] — contiguous loads/stores the
+//! compiler can vectorize, instead of per-element atomic round-trips
+//! that block coalescing.
 //!
-//! The safe `get`/`set` accessors remain for cold paths; they are plain
+//! The safe `get`/`set` accessors remain for cold paths (value load,
+//! diagonal shift, commit, SR `Apply` deltas); they are plain
 //! reads/writes bound by the same protocol.
 
 #![allow(unsafe_code)] // LuVals views; soundness argument in the module docs above.
 
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
+use javelin_sparse::lanes::{lane_fnma, Lanes};
 use javelin_sparse::Scalar;
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -245,115 +246,167 @@ impl RowWorkspace {
 
 /// Processes the L-columns of row `r` with `col_lo <= c < min(col_hi, r)`
 /// — the up-looking elimination steps of the paper's Fig. 1, restricted
-/// to a column window so the two-stage engines can split a row's work.
+/// to a column window so the two-stage engines can split a row's work —
+/// with the per-entry arithmetic looped over the `k` lanes. The pattern
+/// walk (entry scan, window clipping, U-row traversal, `ws` lookups)
+/// runs once and serves every lane; at `FixedLanes<1>` the lane loops
+/// fold away and this *is* the scalar kernel.
 ///
 /// Requires `ws` to hold row `r` (see [`RowWorkspace::load_row`]) and
 /// every row `c` in the window to be finalized. The caller must own row
 /// `r` exclusively (all engines call this only inside the row's
-/// ownership window; tiles that share a row use their own subrange
-/// kernels instead).
+/// ownership window; SR tiles that share a row run their own subrange
+/// loop in `lower.rs` instead).
 #[inline]
-pub fn eliminate_columns<T: Scalar>(
+pub fn eliminate_columns<T: Scalar, L: Lanes>(
+    lanes: L,
     ctx: &NumericCtx<'_, T>,
     ws: &RowWorkspace,
     r: usize,
     col_lo: usize,
     col_hi: usize,
 ) {
+    let k = lanes.width();
     let hi = col_hi.min(r);
     let dropping = !ctx.drop_thresh.is_empty();
-    let range = ctx.row_range(r);
-    let base = range.start;
+    let erange = ctx.row_range(r);
+    let base = erange.start;
     // Safety: row `r` is exclusively owned by this worker between its
-    // ready- and retire-signal (function contract above).
-    let vr = unsafe { ctx.vals.view_mut(range.clone()) };
-    let cols = &ctx.colidx[range];
-    for (kr, &c) in cols.iter().enumerate() {
+    // ready- and retire-signal (function contract above), so its `k`
+    // interleaved lanes are private.
+    let vr = unsafe { ctx.vals.view_mut(base * k..erange.end * k) };
+    for e in erange {
+        let c = ctx.colidx[e];
         if c >= hi {
             break;
         }
         if c < col_lo {
             continue;
         }
-        let piv = ctx.vals.get(ctx.diag_pos[c]);
-        let l = vr[kr] / piv;
-        if dropping && l.abs() < ctx.drop_thresh[r] {
-            // Treat as zero immediately: skip the update sweep. The
-            // position stays in the pattern so schedules remain valid.
-            vr[kr] = T::ZERO;
-            ctx.dropped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        vr[kr] = l;
-        // a[r, j] -= l * u[c, j] for every j > c stored in both rows.
-        let u_lo = ctx.diag_pos[c] + 1;
+        let dp = ctx.diag_pos[c];
+        let u_hi = ctx.rowptr[c + 1];
         // Safety: row `c < r` is finalized (function contract), hence
-        // quiescent for the remainder of the factorization.
-        let uc = unsafe { ctx.vals.view(u_lo..ctx.rowptr[c + 1]) };
-        for (off, &ucv) in uc.iter().enumerate() {
-            let j = ctx.colidx[u_lo + off];
-            if let Some(p) = ws.entry_of(j) {
-                vr[p - base] -= l * ucv;
+        // quiescent for the remainder of the factorization; its lanes
+        // (diagonal included) are read-only from here on.
+        let uc = unsafe { ctx.vals.view(dp * k..u_hi * k) };
+        let (piv, urow) = uc.split_at(k);
+        let ucols = &ctx.colidx[dp + 1..u_hi];
+        let le = (e - base) * k;
+        if dropping {
+            // τ-dropping is per-lane control flow (each lane decides
+            // independently whether to zero the entry and skip its
+            // sweep), so walk lane-major.
+            for lane in 0..k {
+                let l = vr[le + lane] / piv[lane];
+                if l.abs() < ctx.drop_thresh[lanes.idx(r, lane)] {
+                    // Treat as zero immediately: skip the update sweep.
+                    // The position stays in the (shared) pattern so
+                    // schedules remain valid.
+                    vr[le + lane] = T::ZERO;
+                    ctx.dropped[lane].fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                vr[le + lane] = l;
+                // a[r, j] -= l * u[c, j] for every j > c stored in both rows.
+                for (off, &j) in ucols.iter().enumerate() {
+                    if let Some(p) = ws.entry_of(j) {
+                        vr[(p - base) * k + lane] -= l * urow[off * k + lane];
+                    }
+                }
+            }
+        } else {
+            // Fused path: no lane can drop, so compute every lane's
+            // multiplier first, then retire the update sweep one entry
+            // at a time through the k-lane `lane_fnma` micro-op.
+            // Entry-major vs lane-major is bit-identical: each
+            // (entry, lane) location is updated exactly once per
+            // eliminated column, in the same per-location order, with
+            // the same multiply-then-subtract expression.
+            //
+            // Columns are sorted within a row, so every update position
+            // `p` lies strictly past entry `e`; splitting at the end of
+            // `e`'s lane block lets the stored multipliers serve as
+            // `lane_fnma`'s per-lane coefficients.
+            let (head, tail) = vr.split_at_mut(le + k);
+            let lrow = &mut head[le..];
+            for lane in 0..k {
+                lrow[lane] /= piv[lane];
+            }
+            for (off, &j) in ucols.iter().enumerate() {
+                if let Some(p) = ws.entry_of(j) {
+                    let pe = (p - base) * k - (le + k);
+                    lane_fnma(lanes, lrow, &urow[off * k..][..k], &mut tail[pe..][..k]);
+                }
             }
         }
     }
 }
 
-/// Finalizes row `r`: applies the τ drop rule to the strict U part,
-/// MILU compensation, and the pivot breakdown policy. Must be called
-/// exactly once per row, after its last elimination step and before any
-/// dependent row reads it.
+/// Finalizes row `r`, per lane: applies the τ drop rule to the strict U
+/// part, MILU compensation, and the pivot breakdown policy. Must be
+/// called exactly once per row, after its last elimination step and
+/// before any dependent row reads it. A collapsing pivot marks (or,
+/// under [`ZeroPivotPolicy::Replace`], repairs) **only its own lane**;
+/// neighbours finalize untouched. The `numeric.pivot` failpoint fires
+/// once per lane, so chaos tests can poison a single scenario column.
 #[inline]
-pub fn finalize_row<T: Scalar>(ctx: &NumericCtx<'_, T>, r: usize) {
-    let range = ctx.row_range(r);
-    let dp = ctx.diag_pos[r] - range.start;
-    // Safety: finalize runs exactly once, inside row `r`'s exclusive
-    // ownership window, before any dependent row reads it.
-    let vr = unsafe { ctx.vals.view_mut(range) };
-    let mut dropped_sum = T::ZERO;
-    if !ctx.drop_thresh.is_empty() {
-        let thresh = ctx.drop_thresh[r];
-        for v in vr[dp + 1..].iter_mut() {
-            if *v != T::ZERO && v.abs() < thresh {
-                dropped_sum += *v;
-                *v = T::ZERO;
-                ctx.dropped.fetch_add(1, Ordering::Relaxed);
+pub fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T>, r: usize) {
+    let k = lanes.width();
+    let dp = ctx.diag_pos[r];
+    let dropping = !ctx.drop_thresh.is_empty();
+    // Safety: finalize runs exactly once per row, inside row `r`'s
+    // exclusive ownership window, before any dependent row reads it.
+    let vr = unsafe { ctx.vals.view_mut(dp * k..ctx.rowptr[r + 1] * k) };
+    for lane in 0..k {
+        let mut dropped_sum = T::ZERO;
+        if dropping {
+            let thresh = ctx.drop_thresh[lanes.idx(r, lane)];
+            for v in vr.iter_mut().skip(k + lane).step_by(k) {
+                if *v != T::ZERO && v.abs() < thresh {
+                    dropped_sum += *v;
+                    *v = T::ZERO;
+                    ctx.dropped[lane].fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
-    }
-    let mut d = vr[dp];
-    if ctx.milu_omega != T::ZERO {
-        d += ctx.milu_omega * dropped_sum;
-    }
-    match javelin_sparse::fault::fire("numeric.pivot") {
-        Some(javelin_sparse::fault::FaultAction::Zero) => d = T::ZERO,
-        Some(javelin_sparse::fault::FaultAction::Nan) => d = T::from_f64(f64::NAN),
-        Some(javelin_sparse::fault::FaultAction::Panic) => {
-            panic!("fault injected at numeric.pivot")
+        let mut d = vr[lane];
+        if ctx.milu_omega != T::ZERO {
+            d += ctx.milu_omega * dropped_sum;
         }
-        None => {}
-    }
-    // A non-finite pivot is a breakdown too: NaN/Inf compares false
-    // against the threshold but would poison every dependent row.
-    if d.abs() < ctx.pivot_threshold || !d.is_finite() {
-        match ctx.zero_pivot {
-            // ShiftRetry attempts run with Error semantics per sweep;
-            // the retry loop above the engines applies the shifts.
-            ZeroPivotPolicy::Error | ZeroPivotPolicy::ShiftRetry { .. } => ctx.record_failure(r),
-            ZeroPivotPolicy::Replace { replacement } => {
-                let rep = T::from_f64(replacement);
-                d = if d < T::ZERO { -rep } else { rep };
-                ctx.replaced.fetch_add(1, Ordering::Relaxed);
+        match javelin_sparse::fault::fire("numeric.pivot") {
+            Some(javelin_sparse::fault::FaultAction::Zero) => d = T::ZERO,
+            Some(javelin_sparse::fault::FaultAction::Nan) => d = T::from_f64(f64::NAN),
+            Some(javelin_sparse::fault::FaultAction::Panic) => {
+                panic!("fault injected at numeric.pivot")
+            }
+            None => {}
+        }
+        // A non-finite pivot is a breakdown too: NaN/Inf compares false
+        // against the threshold but would poison every dependent row.
+        if d.abs() < ctx.pivot_threshold || !d.is_finite() {
+            match ctx.zero_pivot {
+                // ShiftRetry attempts run with Error semantics per
+                // sweep; the driver above the engines applies the
+                // per-lane shifts.
+                ZeroPivotPolicy::Error | ZeroPivotPolicy::ShiftRetry { .. } => {
+                    ctx.record_failure(lane, r)
+                }
+                ZeroPivotPolicy::Replace { replacement } => {
+                    let rep = T::from_f64(replacement);
+                    d = if d < T::ZERO { -rep } else { rep };
+                    ctx.replaced[lane].fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
+        vr[lane] = d;
     }
-    vr[dp] = d;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::numeric::CtxFixture;
+    use javelin_sparse::lanes::{DynLanes, FixedLanes};
 
     #[test]
     fn luvals_roundtrip_f64() {
@@ -385,82 +438,43 @@ mod tests {
         assert_eq!(ws.entry_of(1), Some(3));
     }
 
+    const ONE: FixedLanes<1> = FixedLanes::<1>;
+
     /// 2x2 dense: A = [[4, 2], [1, 3]]; LU: l21 = 1/4, u22 = 3 - 2/4.
     #[test]
     fn eliminates_a_2x2_row() {
-        let rowptr = vec![0, 2, 4];
-        let colidx = vec![0, 1, 0, 1];
-        let diag_pos = vec![0, 3];
-        let vals = LuVals::from_values(&[4.0, 2.0, 1.0, 3.0]);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
+        let fx = CtxFixture::dense(2, &[vec![4.0, 2.0, 1.0, 3.0]]);
+        let ctx = fx.ctx();
         let mut ws = RowWorkspace::new(2);
-        finalize_row(&ctx, 0);
-        ws.load_row(&rowptr, &colidx, 1);
-        eliminate_columns(&ctx, &ws, 1, 0, 2);
-        finalize_row(&ctx, 1);
-        let out = vals.into_values();
-        assert_eq!(out, vec![4.0, 2.0, 0.25, 2.5]);
-        assert_eq!(failed.load(Ordering::Relaxed), usize::MAX);
+        finalize_row(ONE, &ctx, 0);
+        ws.load_row(&fx.rowptr, &fx.colidx, 1);
+        eliminate_columns(ONE, &ctx, &ws, 1, 0, 2);
+        finalize_row(ONE, &ctx, 1);
+        assert_eq!(fx.lane(0), vec![4.0, 2.0, 0.25, 2.5]);
+        assert_eq!(fx.failed_row[0].load(Ordering::Relaxed), usize::MAX);
     }
 
     #[test]
     fn window_split_equals_full_sweep() {
         // Row 2 of a dense 3x3 processed as [0,1) then [1,2) must equal
         // one [0,2) sweep.
-        let a = [[4.0, 1.0, 2.0], [1.0, 5.0, 1.0], [2.0, 1.0, 6.0]];
-        let build = || {
-            let rowptr = vec![0, 3, 6, 9];
-            let colidx = vec![0, 1, 2, 0, 1, 2, 0, 1, 2];
-            let diag_pos = vec![0, 4, 8];
-            let flat: Vec<f64> = a.iter().flatten().copied().collect();
-            (rowptr, colidx, diag_pos, LuVals::from_values(&flat))
-        };
+        let a = vec![4.0, 1.0, 2.0, 1.0, 5.0, 1.0, 2.0, 1.0, 6.0];
         let run = |windows: &[(usize, usize)]| -> Vec<f64> {
-            let (rowptr, colidx, diag_pos, vals) = build();
-            let replaced = AtomicUsize::new(0);
-            let dropped = AtomicUsize::new(0);
-            let failed = AtomicUsize::new(usize::MAX);
-            let ctx = NumericCtx {
-                rowptr: &rowptr,
-                colidx: &colidx,
-                diag_pos: &diag_pos,
-                vals: &vals,
-                drop_thresh: &[],
-                milu_omega: 0.0,
-                pivot_threshold: 1e-14,
-                zero_pivot: ZeroPivotPolicy::Error,
-                replaced: &replaced,
-                dropped: &dropped,
-                failed_row: &failed,
-            };
+            let fx = CtxFixture::dense(3, std::slice::from_ref(&a));
+            let ctx = fx.ctx();
             let mut ws = RowWorkspace::new(3);
             for r in 0..3 {
-                ws.load_row(&rowptr, &colidx, r);
+                ws.load_row(&fx.rowptr, &fx.colidx, r);
                 if r < 2 {
-                    eliminate_columns(&ctx, &ws, r, 0, 3);
+                    eliminate_columns(ONE, &ctx, &ws, r, 0, 3);
                 } else {
                     for &(lo, hi) in windows {
-                        eliminate_columns(&ctx, &ws, r, lo, hi);
+                        eliminate_columns(ONE, &ctx, &ws, r, lo, hi);
                     }
                 }
-                finalize_row(&ctx, r);
+                finalize_row(ONE, &ctx, r);
             }
-            vals.into_values()
+            fx.lane(0)
         };
         let full = run(&[(0, 3)]);
         let split = run(&[(0, 1), (1, 3)]);
@@ -470,85 +484,92 @@ mod tests {
     #[test]
     fn pivot_replacement_policy() {
         // Diagonal becomes exactly zero: 1x1 matrix with value 0.
-        let rowptr = vec![0, 1];
-        let colidx = vec![0];
-        let diag_pos = vec![0];
-        let vals = LuVals::from_values(&[0.0]);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Replace { replacement: 1e-6 },
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        finalize_row(&ctx, 0);
-        assert_eq!(replaced.load(Ordering::Relaxed), 1);
-        assert_eq!(vals.get(0), 1e-6);
+        let mut fx = CtxFixture::dense(1, &[vec![0.0]]);
+        fx.zero_pivot = ZeroPivotPolicy::Replace { replacement: 1e-6 };
+        finalize_row(ONE, &fx.ctx(), 0);
+        assert_eq!(fx.replaced[0].load(Ordering::Relaxed), 1);
+        assert_eq!(fx.vals.get(0), 1e-6);
     }
 
     #[test]
     fn pivot_error_policy_records_row() {
-        let rowptr = vec![0, 1];
-        let colidx = vec![0];
-        let diag_pos = vec![0];
-        let vals = LuVals::from_values(&[0.0f64]);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        finalize_row(&ctx, 0);
-        assert_eq!(failed.load(Ordering::Relaxed), 1); // row 0 + 1
+        let fx = CtxFixture::dense(1, &[vec![0.0]]);
+        finalize_row(ONE, &fx.ctx(), 0);
+        assert_eq!(fx.failed_row[0].load(Ordering::Relaxed), 1); // row 0 + 1
     }
 
     #[test]
     fn dropping_zeroes_small_u_entries_and_milu_compensates() {
         // Row 0: diag 2.0 with tiny U neighbour 1e-9.
-        let rowptr = vec![0, 2, 3];
-        let colidx = vec![0, 1, 1];
-        let diag_pos = vec![0, 2];
-        let vals = LuVals::from_values(&[2.0, 1e-9, 1.0]);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let thresh = vec![1e-6, 1e-6];
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &thresh,
-            milu_omega: 1.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        finalize_row(&ctx, 0);
-        assert_eq!(dropped.load(Ordering::Relaxed), 1);
-        assert_eq!(vals.get(1), 0.0);
+        let mut fx = CtxFixture::new(vec![0, 2, 3], vec![0, 1, 1], &[vec![2.0, 1e-9, 1.0]]);
+        fx.drop_thresh = vec![1e-6, 1e-6];
+        fx.milu_omega = 1.0;
+        finalize_row(ONE, &fx.ctx(), 0);
+        assert_eq!(fx.dropped[0].load(Ordering::Relaxed), 1);
+        assert_eq!(fx.vals.get(1), 0.0);
         // MILU: diag absorbed the dropped value.
-        assert_eq!(vals.get(0), 2.0 + 1e-9);
+        assert_eq!(fx.vals.get(0), 2.0 + 1e-9);
+    }
+
+    /// Dense 4x4 nonsymmetric value-set, perturbed per `scale`.
+    fn dense4(scale: f64) -> Vec<f64> {
+        let a = [
+            [10.0, 1.0, 2.0, 0.5],
+            [1.5, 9.0, 0.5, 1.0],
+            [2.0, 0.5, 8.0, 1.5],
+            [0.5, 1.0, 1.5, 7.0],
+        ];
+        a.iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, v)| v * scale + i as f64 * 0.01 * (scale - 1.0))
+            .collect()
+    }
+
+    /// Full serial sweep of `scenarios` at width `lanes`.
+    fn sweep<L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> CtxFixture {
+        assert_eq!(scenarios.len(), lanes.width());
+        let fx = CtxFixture::dense(4, scenarios);
+        let mut ws = RowWorkspace::new(4);
+        for r in 0..4 {
+            ws.load_row(&fx.rowptr, &fx.colidx, r);
+            eliminate_columns(lanes, &fx.ctx(), &ws, r, 0, 4);
+            finalize_row(lanes, &fx.ctx(), r);
+        }
+        fx
+    }
+
+    #[test]
+    fn every_lane_matches_the_width_one_kernel_bitwise() {
+        let scenarios: Vec<Vec<f64>> = [1.0, 1.25, 0.8, 2.0].map(dense4).to_vec();
+        let fixed = sweep(FixedLanes::<4>, &scenarios);
+        let dynamic = sweep(DynLanes(4), &scenarios);
+        for (c, s) in scenarios.iter().enumerate() {
+            let scalar = sweep(ONE, std::slice::from_ref(s));
+            assert_eq!(scalar.failed_row[0].load(Ordering::Relaxed), usize::MAX);
+            assert_eq!(fixed.lane_bits(c), scalar.lane_bits(0), "fixed lane {c}");
+            assert_eq!(dynamic.lane_bits(c), scalar.lane_bits(0), "dyn lane {c}");
+        }
+    }
+
+    #[test]
+    fn one_singular_lane_fails_without_perturbing_neighbours() {
+        // Lane 1's row 2 is zeroed so its pivot collapses there; the
+        // other lanes' factors and flags must be exactly those of a
+        // clean run.
+        let clean: Vec<Vec<f64>> = [1.0, 1.25, 0.8].map(dense4).to_vec();
+        let reference = sweep(DynLanes(3), &clean);
+        let mut poisoned = clean.clone();
+        poisoned[1][8..12].fill(0.0);
+        let got = sweep(DynLanes(3), &poisoned);
+        let failed: Vec<usize> = got
+            .failed_row
+            .iter()
+            .map(|f| f.load(Ordering::Relaxed))
+            .collect();
+        assert_eq!(failed, [usize::MAX, 3, usize::MAX]); // lane 1: row 2 + 1
+        for c in [0usize, 2] {
+            assert_eq!(got.lane_bits(c), reference.lane_bits(c), "lane {c}");
+        }
     }
 }

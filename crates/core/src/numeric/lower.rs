@@ -5,10 +5,11 @@
 //! columns cross into the corner, so all trailing rows' sub-corner work
 //! is mutually independent.
 //!
-//! * **Even-Rows** ([`factor_lower_er`], Figs. 7–8): threads take
-//!   contiguous chunks of whole trailing rows and run `FACTOR_L` against
-//!   the finished upper stage; good when there are clearly more demoted
-//!   rows than threads.
+//! * **Even-Rows** ([`factor_lower_er_planned`], Figs. 7–8): threads
+//!   take contiguous chunks of whole trailing rows and run `FACTOR_L`
+//!   against the finished upper stage; good when there are clearly more
+//!   demoted rows than threads. Lane-generic and allocation-free — the
+//!   sweep every refactorization and every batch uses.
 //! * **Segmented-Rows** ([`factor_lower_sr`], Figs. 5–6): each trailing
 //!   row's sub-corner entries are segmented into per-level *blocks*
 //!   (contiguous column ranges, independent within a block thanks to the
@@ -16,11 +17,13 @@
 //!   *tiles* whose updates accumulate into private delta buffers, and
 //!   the whole thing runs as a DAG on the lightweight task graph —
 //!   DIVIDE_COLUMNS / UPDATE_BLOCK in the paper's terms. Chosen when
-//!   the demoted rows are few but heavy.
+//!   the demoted rows are few but heavy; width 1 only, and it builds
+//!   its task graph per call, so only the first factorization runs it.
 //!
-//! Both finish with `FACTOR_LU` on the corner ([`factor_corner`]),
-//! serial by default ("for most matrices, serial seems to be good
-//! enough" — §III-B), optionally point-to-point parallel.
+//! Both are followed by `FACTOR_LU` on the corner: serial
+//! ([`factor_rows_serial_ws`] over the trailing rows — "for most matrices, serial seems to be good
+//! enough", §III-B) or, on the first factorization, optionally
+//! point-to-point parallel ([`factor_corner_parallel`]).
 //!
 //! Every path preserves the serial within-row operation order, so
 //! results are bit-identical to the serial sweep.
@@ -30,61 +33,31 @@
 #![allow(unsafe_code)]
 
 use crate::numeric::kernel::{eliminate_columns, finalize_row, RowWorkspace};
-use crate::numeric::parallel::{factor_rows_serial, factor_rows_serial_ws};
+use crate::numeric::parallel::factor_rows_serial_ws;
 use crate::numeric::NumericCtx;
+use javelin_level::P2PSchedule;
+use javelin_sparse::lanes::{FixedLanes, Lanes};
 use javelin_sparse::Scalar;
-use javelin_sync::{pool, Exec, TaskGraph};
+use javelin_sync::{Exec, ProgressCounters, TaskGraph};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 
-/// Even-Rows: factors trailing rows `n_upper..n` against the finished
-/// upper stage, then the corner.
-pub fn factor_lower_er<T: Scalar>(
-    ctx: &NumericCtx<'_, T>,
-    n_upper: usize,
-    nthreads: usize,
-    parallel_corner: bool,
-) {
-    let n = ctx.rowptr.len() - 1;
-    let n_lower = n - n_upper;
-    if n_lower == 0 {
-        return;
-    }
-    pool::parallel_chunks(nthreads, n_lower, |_tid, range| {
-        let mut ws = RowWorkspace::new(n);
-        for off in range {
-            let r = n_upper + off;
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
-            // FACTOR_L: everything left of the corner.
-            eliminate_columns(ctx, &ws, r, 0, n_upper);
-        }
-    });
-    if parallel_corner {
-        factor_corner_parallel(ctx, n_upper, nthreads);
-    } else {
-        factor_corner(ctx, n_upper);
-    }
-}
+/// The width Segmented-Rows and the parallel corner run at.
+const SCALAR: FixedLanes<1> = FixedLanes::<1>;
 
-/// Even-Rows on pre-built execution state: the `FACTOR_L` sweep over
-/// trailing rows runs as one region on `exec` (a persistent worker team
-/// by default) with each participant borrowing its preallocated
-/// [`RowWorkspace`], then the corner is factored serially through
-/// participant 0's workspace — zero heap allocations, zero thread
-/// spawns. The numeric-refactorization path; bit-identical to
-/// [`factor_lower_er`] (and, by the engines' determinism contract, to
-/// Segmented-Rows and the parallel corner).
-pub fn factor_lower_er_planned<T: Scalar>(
+/// Even-Rows: the `FACTOR_L` sweep of trailing rows `n_upper..n`
+/// against the finished upper stage, as one region on `exec` (a
+/// persistent worker team by default) with each participant borrowing
+/// its preallocated [`RowWorkspace`] — all lanes retired per row under
+/// one chunking and one workspace load.
+pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
+    lanes: L,
     ctx: &NumericCtx<'_, T>,
     n_upper: usize,
     exec: &Exec,
     workspaces: &[Mutex<RowWorkspace>],
 ) {
-    let n = ctx.rowptr.len() - 1;
-    let n_lower = n - n_upper;
-    if n_lower == 0 {
-        return;
-    }
+    let n_lower = ctx.n() - n_upper;
     let nthreads = exec.nthreads();
     debug_assert_eq!(workspaces.len(), nthreads);
     let chunk = n_lower.div_ceil(nthreads.max(1)).max(1);
@@ -95,13 +68,12 @@ pub fn factor_lower_er_planned<T: Scalar>(
             return;
         }
         let mut ws = workspaces[tid].lock();
-        for off in start..end {
-            let r = n_upper + off;
+        for r in n_upper + start..n_upper + end {
             ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns(ctx, &ws, r, 0, n_upper);
+            // FACTOR_L: everything left of the corner.
+            eliminate_columns(lanes, ctx, &ws, r, 0, n_upper);
         }
     });
-    factor_rows_serial_ws(ctx, n_upper, n, n_upper, &mut workspaces[0].lock());
 }
 
 /// One Segmented-Rows work item.
@@ -125,8 +97,10 @@ enum SrNode {
     Apply { bufs: std::ops::Range<usize> },
 }
 
-/// Segmented-Rows: factors trailing rows via per-(row, level-block)
-/// segments with tiled updates on the task graph, then the corner.
+/// Segmented-Rows: the `FACTOR_L` sweep of trailing rows via
+/// per-(row, level-block) segments with tiled updates on the task graph
+/// (one worker per entry of `workspaces`). `ctx` must be a width-1
+/// context.
 ///
 /// Requires the factorization to have been scheduled on the
 /// `lower(A+Aᵀ)` pattern (columns within one level block are then
@@ -135,15 +109,10 @@ pub fn factor_lower_sr<T: Scalar>(
     ctx: &NumericCtx<'_, T>,
     n_upper: usize,
     upper_level_ptr: &[usize],
-    nthreads: usize,
     tile_size: usize,
-    parallel_corner: bool,
+    workspaces: &[Mutex<RowWorkspace>],
 ) {
-    let n = ctx.rowptr.len() - 1;
-    let n_lower = n - n_upper;
-    if n_lower == 0 {
-        return;
-    }
+    let n = ctx.n();
     let tile_size = tile_size.max(4);
 
     // Enumerate nodes row by row, chaining each row's blocks.
@@ -217,18 +186,15 @@ pub fn factor_lower_sr<T: Scalar>(
 
     let bufs: Vec<Mutex<Vec<(usize, T)>>> = (0..n_bufs).map(|_| Mutex::new(Vec::new())).collect();
     let graph = TaskGraph::new(nodes.len(), &deps);
-    let workspaces: Vec<Mutex<RowWorkspace>> = (0..nthreads)
-        .map(|_| Mutex::new(RowWorkspace::new(n)))
-        .collect();
     let dropping = !ctx.drop_thresh.is_empty();
-    graph.execute_with_tid(nthreads, |tid, node| {
+    graph.execute_with_tid(workspaces.len(), |tid, node| {
         match &nodes[node] {
             SrNode::Seg { row, k_lo, k_hi } => {
                 let mut ws = workspaces[tid].lock();
                 ws.load_row(ctx.rowptr, ctx.colidx, *row);
                 let col_lo = ctx.colidx[*k_lo];
                 let col_hi = ctx.colidx[*k_hi - 1] + 1;
-                eliminate_columns(ctx, &ws, *row, col_lo, col_hi);
+                eliminate_columns(SCALAR, ctx, &ws, *row, col_lo, col_hi);
             }
             SrNode::Tile {
                 row,
@@ -254,7 +220,7 @@ pub fn factor_lower_sr<T: Scalar>(
                     let l = vt[i] / uc[0];
                     if dropping && l.abs() < ctx.drop_thresh[*row] {
                         vt[i] = T::ZERO;
-                        ctx.dropped.fetch_add(1, Ordering::Relaxed);
+                        ctx.dropped[0].fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     vt[i] = l;
@@ -279,36 +245,27 @@ pub fn factor_lower_sr<T: Scalar>(
             }
         }
     });
-    if parallel_corner {
-        factor_corner_parallel(ctx, n_upper, nthreads);
-    } else {
-        factor_corner(ctx, n_upper);
-    }
 }
 
-/// FACTOR_LU on the corner: up-looking over trailing rows restricted to
-/// corner columns, in row order.
-pub fn factor_corner<T: Scalar>(ctx: &NumericCtx<'_, T>, n_upper: usize) {
-    let n = ctx.rowptr.len() - 1;
-    factor_rows_serial(ctx, n_upper, n, n_upper);
-}
-
-/// Point-to-point parallel FACTOR_LU on the corner — the paper's
+/// Point-to-point parallel `FACTOR_LU` on the corner — the paper's
 /// optional variant ("the factorization of the corner can be done in
 /// serial or parallel"; §III-B). Levels are computed on the corner's
 /// own dependency sub-pattern, then the standard pruned-wait machinery
-/// runs. Bit-identical to [`factor_corner`].
-pub fn factor_corner_parallel<T: Scalar>(ctx: &NumericCtx<'_, T>, n_upper: usize, nthreads: usize) {
-    use javelin_level::P2PSchedule;
-    use javelin_sync::ProgressCounters;
-
-    let n = ctx.rowptr.len() - 1;
+/// runs as one region on `exec`. Bit-identical to the serial corner.
+/// `ctx` must be a width-1 context; `exec`, `progress` and `workspaces`
+/// must agree on the participant count.
+pub fn factor_corner_parallel<T: Scalar>(
+    ctx: &NumericCtx<'_, T>,
+    n_upper: usize,
+    exec: &Exec,
+    progress: &ProgressCounters,
+    workspaces: &[Mutex<RowWorkspace>],
+) {
+    let n = ctx.n();
     let m = n - n_upper;
-    if m == 0 {
-        return;
-    }
+    let nthreads = exec.nthreads();
     if nthreads <= 1 || m < 2 {
-        factor_corner(ctx, n_upper);
+        factor_rows_serial_ws(SCALAR, ctx, n_upper, n, n_upper, &mut workspaces[0].lock());
         return;
     }
     // Corner levels: dep = corner column c (n_upper <= c < r).
@@ -353,15 +310,15 @@ pub fn factor_corner_parallel<T: Scalar>(ctx: &NumericCtx<'_, T>, n_upper: usize
             }
         }
     });
-    let progress = ProgressCounters::new(nthreads);
-    pool::run_on_threads(nthreads, |tid| {
-        let mut ws = RowWorkspace::new(n);
+    progress.reset();
+    exec.run(|tid| {
+        let mut ws = workspaces[tid].lock();
         for &task in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(task));
             let r = row_of_task[task];
             ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns(ctx, &ws, r, n_upper, n);
-            finalize_row(ctx, r);
+            eliminate_columns(SCALAR, ctx, &ws, r, n_upper, n);
+            finalize_row(SCALAR, ctx, r);
             progress.bump(tid);
         }
     });
@@ -370,16 +327,12 @@ pub fn factor_corner_parallel<T: Scalar>(ctx: &NumericCtx<'_, T>, n_upper: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::kernel::LuVals;
-    use crate::numeric::parallel::factor_serial;
-    use crate::options::ZeroPivotPolicy;
-    use std::sync::atomic::AtomicUsize;
+    use crate::numeric::CtxFixture;
 
-    /// Builds a small system with a wide level-0 block (cols 0..6) and
-    /// two heavy trailing rows (6, 7) that depend on all of it.
-    fn two_stage_case() -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<f64>, Vec<usize>) {
-        // Rows 0..6: diagonal only (level 0). Rows 6..8: full lower
-        // coupling + corner 2x2.
+    /// A small system with a wide level-0 block (rows 0..6, diagonal
+    /// only) and two heavy trailing rows (6, 7) that depend on all of it
+    /// plus a 2x2 corner. Upper level structure: one level, cols 0..6.
+    fn two_stage_case() -> CtxFixture {
         let n = 8;
         let mut rowptr = vec![0usize];
         let mut colidx = Vec::new();
@@ -402,50 +355,39 @@ mod tests {
             vals.push(20.0 + r as f64);
             rowptr.push(colidx.len());
         }
-        let diag_pos = (0..n)
-            .map(|r| {
-                let lo = rowptr[r];
-                lo + colidx[lo..rowptr[r + 1]].binary_search(&r).unwrap()
-            })
-            .collect();
-        // Upper level structure: single level covering cols 0..6.
-        let upper_level_ptr = vec![0, 6];
-        (rowptr, colidx, diag_pos, vals, upper_level_ptr)
+        CtxFixture::new(rowptr, colidx, &[vals])
     }
 
+    fn workspaces(nthreads: usize) -> Vec<Mutex<RowWorkspace>> {
+        (0..nthreads)
+            .map(|_| Mutex::new(RowWorkspace::new(8)))
+            .collect()
+    }
+
+    /// Upper stage serially, then the named lower sweep and corner.
     fn run_engine(which: &str, nthreads: usize, tile: usize) -> Vec<u64> {
-        let (rowptr, colidx, diag_pos, flat, upper_level_ptr) = two_stage_case();
-        let vals = LuVals::from_values(&flat);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
+        let fx = two_stage_case();
+        let ctx = fx.ctx();
+        let wss = workspaces(nthreads);
+        let exec = Exec::spawn(nthreads);
+        let serial_rows = |lo, hi, col_lo| {
+            factor_rows_serial_ws(SCALAR, &ctx, lo, hi, col_lo, &mut wss[0].lock())
         };
         match which {
-            "serial" => factor_serial(&ctx),
+            "serial" => serial_rows(0, 8, 0),
             "er" => {
-                // Upper stage: rows 0..6 are diagonal-only; finalize them.
-                factor_rows_serial(&ctx, 0, 6, 0);
-                factor_lower_er(&ctx, 6, nthreads, false);
+                serial_rows(0, 6, 0);
+                factor_lower_er_planned(SCALAR, &ctx, 6, &exec, &wss);
+                serial_rows(6, 8, 6);
             }
             "sr" => {
-                factor_rows_serial(&ctx, 0, 6, 0);
-                factor_lower_sr(&ctx, 6, &upper_level_ptr, nthreads, tile, false);
+                serial_rows(0, 6, 0);
+                factor_lower_sr(&ctx, 6, &[0, 6], tile, &wss);
+                factor_corner_parallel(&ctx, 6, &exec, &ProgressCounters::new(nthreads), &wss);
             }
             other => panic!("unknown engine {other}"),
         }
-        vals.into_values().iter().map(|v| v.to_bits()).collect()
+        fx.lane_bits(0)
     }
 
     #[test]
@@ -461,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn sr_matches_serial_bitwise_across_tiles_and_threads() {
+    fn sr_and_parallel_corner_match_serial_bitwise_across_tiles_and_threads() {
         let reference = run_engine("serial", 1, 4);
         for nthreads in [1, 2, 3] {
             for tile in [4, 5, 64] {
@@ -476,28 +418,11 @@ mod tests {
 
     #[test]
     fn empty_lower_stage_is_noop() {
-        let (rowptr, colidx, diag_pos, flat, upper_level_ptr) = two_stage_case();
-        let vals = LuVals::from_values(&flat);
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        let n = rowptr.len() - 1;
-        factor_lower_er(&ctx, n, 2, false);
-        factor_lower_sr(&ctx, n, &upper_level_ptr, 2, 8, false);
-        // Values untouched.
-        assert_eq!(vals.into_values(), flat);
+        let fx = two_stage_case();
+        let before = fx.lane_bits(0);
+        let wss = workspaces(2);
+        factor_lower_er_planned(SCALAR, &fx.ctx(), 8, &Exec::spawn(2), &wss);
+        factor_lower_sr(&fx.ctx(), 8, &[0, 6], 8, &wss);
+        assert_eq!(fx.lane_bits(0), before, "values untouched");
     }
 }

@@ -1,12 +1,25 @@
 //! Numeric up-looking incomplete factorization (paper Fig. 1, §III).
 //!
-//! All engines execute the *same* per-row kernel in the *same*
-//! within-row operation order, so the serial, point-to-point,
-//! Even-Rows and Segmented-Rows paths produce **bit-identical**
-//! factors — a property the test suite enforces. Engine choice affects
-//! only who executes which row when.
+//! There is **one** numeric engine, generic over a
+//! [`Lanes`](javelin_sparse::lanes::Lanes) width `k`: the pattern
+//! machinery (schedule walk, point-to-point waits, counter resets, team
+//! regions, per-row sparse-accumulator loads) runs once per row and the
+//! per-entry arithmetic loops over `k` value-sets. Scalar
+//! factorization is the `FixedLanes<1>` instantiation; a batch of `k`
+//! pattern-identical scenario matrices is the same code at width `k`.
+//!
+//! Layout: lane `c` of LU entry `e` lives at `e·k + c` (the
+//! `Lanes::idx` convention), per-lane τ thresholds at `r·k + c`.
+//!
+//! Determinism: all engines execute the *same* per-row kernel in the
+//! *same* within-row operation order, and lane arithmetic touches only
+//! lane-`c` positions and lane-`c` counters. So the serial,
+//! point-to-point, Even-Rows and Segmented-Rows paths produce
+//! **bit-identical** factors, and lane `c` of any width is
+//! bit-identical to a width-1 run on matrix `c` alone — properties the
+//! test suite enforces. Engine choice affects only who executes which
+//! row when.
 
-pub mod batch;
 pub mod kernel;
 pub mod lower;
 pub mod parallel;
@@ -16,8 +29,9 @@ pub use kernel::{LuVals, RowWorkspace};
 use crate::options::ZeroPivotPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Shared mutable state of a numeric factorization run: the bit-packed
-/// values plus the counters every engine updates.
+/// Shared state of one numeric sweep: the lane-interleaved values plus
+/// **per-lane** counters, so one scenario's breakdown or drop
+/// statistics never bleed into its neighbours.
 pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     /// Combined-LU pattern row pointers (permuted).
     pub rowptr: &'a [usize],
@@ -25,9 +39,11 @@ pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub colidx: &'a [usize],
     /// Diagonal entry position of each row.
     pub diag_pos: &'a [usize],
-    /// Bit-packed values (initialized from `A`, overwritten in place).
+    /// Lane-interleaved values (initialized from `A`, overwritten in
+    /// place): lane `c` of entry `e` at `e·k + c`.
     pub vals: &'a LuVals<T>,
-    /// Per-row τ drop thresholds (empty slice disables dropping).
+    /// Lane-interleaved per-row τ drop thresholds (`r·k + c`); an empty
+    /// slice disables dropping for every lane.
     pub drop_thresh: &'a [T],
     /// MILU compensation factor ω.
     pub milu_omega: T,
@@ -35,14 +51,13 @@ pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub pivot_threshold: T,
     /// Breakdown policy.
     pub zero_pivot: ZeroPivotPolicy,
-    /// Replaced-pivot counter (all engines).
-    pub replaced: &'a AtomicUsize,
-    /// Dropped-entry counter.
-    pub dropped: &'a AtomicUsize,
-    /// Breakdown flag for [`ZeroPivotPolicy::Error`]: initialized to
-    /// `usize::MAX` (= ok), lowered to `row + 1` of the smallest failing
-    /// row.
-    pub failed_row: &'a AtomicUsize,
+    /// Per-lane replaced-pivot counters.
+    pub replaced: &'a [AtomicUsize],
+    /// Per-lane dropped-entry counters.
+    pub dropped: &'a [AtomicUsize],
+    /// Per-lane breakdown flags: `usize::MAX` = ok, else the smallest
+    /// failing row + 1 of that lane.
+    pub failed_row: &'a [AtomicUsize],
 }
 
 impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
@@ -52,10 +67,100 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
         self.rowptr[r]..self.rowptr[r + 1]
     }
 
-    /// Records a pivot breakdown at `row`.
+    /// Matrix dimension.
+    #[inline(always)]
+    pub(crate) fn n(&self) -> usize {
+        self.rowptr.len() - 1
+    }
+
+    /// Records a pivot breakdown of `lane` at `row`.
     #[inline]
-    pub fn record_failure(&self, row: usize) {
+    pub fn record_failure(&self, lane: usize, row: usize) {
         // Keep the smallest failing row for a deterministic error.
-        self.failed_row.fetch_min(row + 1, Ordering::AcqRel);
+        self.failed_row[lane].fetch_min(row + 1, Ordering::AcqRel);
+    }
+}
+
+/// Test fixture owning everything a [`NumericCtx`] borrows: `k`
+/// value-sets over one pattern, interleaved, with fresh per-lane
+/// counters.
+#[cfg(test)]
+pub(crate) struct CtxFixture {
+    pub rowptr: Vec<usize>,
+    pub colidx: Vec<usize>,
+    pub diag_pos: Vec<usize>,
+    pub vals: LuVals<f64>,
+    pub drop_thresh: Vec<f64>,
+    pub milu_omega: f64,
+    pub zero_pivot: ZeroPivotPolicy,
+    pub replaced: Vec<AtomicUsize>,
+    pub dropped: Vec<AtomicUsize>,
+    pub failed_row: Vec<AtomicUsize>,
+}
+
+#[cfg(test)]
+impl CtxFixture {
+    /// Fixture over the CSR pattern `(rowptr, colidx)` with one lane per
+    /// value-set in `scenarios`.
+    pub fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
+        let k = scenarios.len();
+        let diag_pos = (0..rowptr.len() - 1)
+            .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
+            .collect();
+        let vals = LuVals::zeroed(colidx.len() * k);
+        for (c, s) in scenarios.iter().enumerate() {
+            for (e, &v) in s.iter().enumerate() {
+                vals.set(e * k + c, v);
+            }
+        }
+        let counters = |init| (0..k).map(|_| AtomicUsize::new(init)).collect();
+        CtxFixture {
+            rowptr,
+            colidx,
+            diag_pos,
+            vals,
+            drop_thresh: Vec::new(),
+            milu_omega: 0.0,
+            zero_pivot: ZeroPivotPolicy::Error,
+            replaced: counters(0),
+            dropped: counters(0),
+            failed_row: counters(usize::MAX),
+        }
+    }
+
+    /// Dense `n×n` pattern, one lane per flattened row-major value-set.
+    pub fn dense(n: usize, scenarios: &[Vec<f64>]) -> Self {
+        let rowptr = (0..=n).map(|i| i * n).collect();
+        let colidx = (0..n).flat_map(|_| 0..n).collect();
+        Self::new(rowptr, colidx, scenarios)
+    }
+
+    pub fn ctx(&self) -> NumericCtx<'_, f64> {
+        NumericCtx {
+            rowptr: &self.rowptr,
+            colidx: &self.colidx,
+            diag_pos: &self.diag_pos,
+            vals: &self.vals,
+            drop_thresh: &self.drop_thresh,
+            milu_omega: self.milu_omega,
+            pivot_threshold: 1e-14,
+            zero_pivot: self.zero_pivot,
+            replaced: &self.replaced,
+            dropped: &self.dropped,
+            failed_row: &self.failed_row,
+        }
+    }
+
+    /// Lane `c`'s values, de-interleaved.
+    pub fn lane(&self, c: usize) -> Vec<f64> {
+        let k = self.replaced.len();
+        (0..self.colidx.len())
+            .map(|e| self.vals.get(e * k + c))
+            .collect()
+    }
+
+    /// Lane `c`'s values as bit patterns.
+    pub fn lane_bits(&self, c: usize) -> Vec<u64> {
+        self.lane(c).iter().map(|v| v.to_bits()).collect()
     }
 }

@@ -1,92 +1,51 @@
-//! Engine orchestration: serial sweep and the point-to-point upper
-//! stage.
+//! The serial row walk and the point-to-point upper stage — each
+//! generic over the lane width and run on caller-owned state
+//! (workspaces, counters, execution context), so every call is
+//! allocation- and spawn-free.
 
 use crate::numeric::kernel::{eliminate_columns, finalize_row, RowWorkspace};
 use crate::numeric::NumericCtx;
 use javelin_level::P2PSchedule;
+use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
-use javelin_sync::{pool, Exec, ProgressCounters};
+use javelin_sync::{Exec, ProgressCounters};
 use parking_lot::Mutex;
 
-/// Serial up-looking factorization of rows `0..n` — the reference every
-/// parallel engine must match bit-for-bit.
-pub fn factor_serial<T: Scalar>(ctx: &NumericCtx<'_, T>) {
-    let n = ctx.rowptr.len() - 1;
-    let mut ws = RowWorkspace::new(n);
-    factor_serial_ws(ctx, &mut ws);
-}
-
-/// [`factor_serial`] with a caller-owned workspace — the allocation-free
-/// form the numeric-refactorization path uses.
-pub fn factor_serial_ws<T: Scalar>(ctx: &NumericCtx<'_, T>, ws: &mut RowWorkspace) {
-    let n = ctx.rowptr.len() - 1;
-    factor_rows_serial_ws(ctx, 0, n, 0, ws);
-}
-
-/// Serial up-looking factorization restricted to rows `lo..hi`
-/// (used for the lower-stage corner).
-pub fn factor_rows_serial<T: Scalar>(ctx: &NumericCtx<'_, T>, lo: usize, hi: usize, col_lo: usize) {
-    let n = ctx.rowptr.len() - 1;
-    let mut ws = RowWorkspace::new(n);
-    factor_rows_serial_ws(ctx, lo, hi, col_lo, &mut ws);
-}
-
-/// [`factor_rows_serial`] with a caller-owned workspace.
-pub fn factor_rows_serial_ws<T: Scalar>(
+/// Serial up-looking factorization of rows `lo..hi` against columns
+/// `col_lo..` — one `load_row` per row serves all lanes. Over `0..n`
+/// this is the reference every parallel engine must match bit-for-bit;
+/// over `n_upper..n` with `col_lo = n_upper` it is `FACTOR_LU` on the
+/// corner.
+pub fn factor_rows_serial_ws<T: Scalar, L: Lanes>(
+    lanes: L,
     ctx: &NumericCtx<'_, T>,
     lo: usize,
     hi: usize,
     col_lo: usize,
     ws: &mut RowWorkspace,
 ) {
-    let n = ctx.rowptr.len() - 1;
+    let n = ctx.n();
     for r in lo..hi {
         ws.load_row(ctx.rowptr, ctx.colidx, r);
-        eliminate_columns(ctx, ws, r, col_lo, n);
-        finalize_row(ctx, r);
+        eliminate_columns(lanes, ctx, ws, r, col_lo, n);
+        finalize_row(lanes, ctx, r);
     }
 }
 
 /// Point-to-point upper-stage factorization: each thread walks its
 /// static task sequence, spin-waits on the pruned `(thread, progress)`
 /// list, factors the row, and release-bumps its counter — the paper's
-/// replacement for inter-level barriers (§III-A).
+/// replacement for inter-level barriers (§III-A). Every row's waits,
+/// workspace load and bump are performed once for all lanes.
 ///
 /// Rows are the first `schedule.n_tasks()` rows of the permuted matrix
-/// (execution index = row index).
-pub fn factor_upper_p2p<T: Scalar>(ctx: &NumericCtx<'_, T>, schedule: &P2PSchedule) {
-    let nthreads = schedule.nthreads();
-    if nthreads == 1 {
-        // Degenerate single-thread run: plain sweep over the upper rows.
-        factor_rows_serial(ctx, 0, schedule.n_tasks(), 0);
-        return;
-    }
-    let n = ctx.rowptr.len() - 1;
-    let progress = ProgressCounters::new(nthreads);
-    pool::run_on_threads(nthreads, |tid| {
-        // Workspace allocated inside the worker: first-touch local, as
-        // the paper's copy-fill-in phase recommends.
-        let mut ws = RowWorkspace::new(n);
-        for &row in schedule.thread_tasks(tid) {
-            progress.wait_all(schedule.waits(row));
-            ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns(ctx, &ws, row, 0, n);
-            finalize_row(ctx, row);
-            progress.bump(tid);
-        }
-    });
-}
-
-/// [`factor_upper_p2p`] on pre-built execution state: the region runs on
-/// `exec` (a persistent worker team by default), the progress counters
-/// are reset and reused, and each participant borrows its preallocated
-/// [`RowWorkspace`] — zero heap allocations and zero thread spawns. This
-/// is the numeric-refactorization path; results are bit-identical to
-/// [`factor_upper_p2p`].
-///
-/// `exec`, `progress` and `workspaces` must all carry
+/// (execution index = row index). The region runs on `exec` (a
+/// persistent worker team by default) with the progress counters reset
+/// and reused and each participant borrowing its preallocated
+/// [`RowWorkspace`]; `exec`, `progress` and `workspaces` must all carry
 /// `schedule.nthreads()` participants.
-pub fn factor_upper_p2p_planned<T: Scalar>(
+pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
+    lanes: L,
     ctx: &NumericCtx<'_, T>,
     schedule: &P2PSchedule,
     exec: &Exec,
@@ -97,19 +56,15 @@ pub fn factor_upper_p2p_planned<T: Scalar>(
     debug_assert_eq!(exec.nthreads(), nthreads);
     debug_assert_eq!(progress.len(), nthreads);
     debug_assert_eq!(workspaces.len(), nthreads);
-    if nthreads == 1 {
-        factor_rows_serial_ws(ctx, 0, schedule.n_tasks(), 0, &mut workspaces[0].lock());
-        return;
-    }
     progress.reset();
-    let n = ctx.rowptr.len() - 1;
+    let n = ctx.n();
     exec.run(|tid| {
         let mut ws = workspaces[tid].lock();
         for &row in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(row));
             ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns(ctx, &ws, row, 0, n);
-            finalize_row(ctx, row);
+            eliminate_columns(lanes, ctx, &ws, row, 0, n);
+            finalize_row(lanes, ctx, row);
             progress.bump(tid);
         }
     });
@@ -118,122 +73,138 @@ pub fn factor_upper_p2p_planned<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::kernel::LuVals;
-    use crate::options::ZeroPivotPolicy;
-    use std::sync::atomic::AtomicUsize;
-
-    /// Dense 4x4 SPD-ish matrix stored as CSR.
-    fn dense4() -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<f64>) {
-        let a = [
-            [10.0, 1.0, 2.0, 0.5],
-            [1.0, 9.0, 0.5, 1.0],
-            [2.0, 0.5, 8.0, 1.5],
-            [0.5, 1.0, 1.5, 7.0],
-        ];
-        let rowptr = (0..=4).map(|i| i * 4).collect();
-        let colidx = (0..4).flat_map(|_| 0..4).collect();
-        let diag_pos = (0..4).map(|i| i * 4 + i).collect();
-        let vals = a.iter().flatten().copied().collect();
-        (rowptr, colidx, diag_pos, vals)
-    }
-
-    fn ctx_parts() -> (AtomicUsize, AtomicUsize, AtomicUsize) {
-        (
-            AtomicUsize::new(0),
-            AtomicUsize::new(0),
-            AtomicUsize::new(usize::MAX),
-        )
-    }
-
-    #[test]
-    fn serial_dense4_matches_dense_lu() {
-        let (rowptr, colidx, diag_pos, flat) = dense4();
-        let vals = LuVals::from_values(&flat);
-        let (replaced, dropped, failed) = ctx_parts();
-        let ctx = NumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        factor_serial(&ctx);
-        let lu = vals.into_values();
-        // Dense Doolittle reference.
-        let mut a = [
-            [10.0, 1.0, 2.0, 0.5],
-            [1.0, 9.0, 0.5, 1.0],
-            [2.0, 0.5, 8.0, 1.5],
-            [0.5, 1.0, 1.5, 7.0],
-        ];
-        for i in 1..4 {
-            for c in 0..i {
-                let l = a[i][c] / a[c][c];
-                a[i][c] = l;
-                for j in (c + 1)..4 {
-                    a[i][j] -= l * a[c][j];
-                }
-            }
-        }
-        let reference: Vec<f64> = a.iter().flatten().copied().collect();
-        for (got, want) in lu.iter().zip(reference.iter()) {
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
-    }
+    use crate::numeric::CtxFixture;
+    use crate::{IluOptions, SymbolicIlu};
+    use javelin_sparse::lanes::FixedLanes;
+    use javelin_sparse::{CooMatrix, CsrMatrix};
+    use proptest::prelude::*;
 
     #[test]
     fn p2p_matches_serial_bitwise() {
-        let (rowptr, colidx, diag_pos, flat) = dense4();
-        let run_serial = {
-            let vals = LuVals::from_values(&flat);
-            let (replaced, dropped, failed) = ctx_parts();
-            let ctx = NumericCtx {
-                rowptr: &rowptr,
-                colidx: &colidx,
-                diag_pos: &diag_pos,
-                vals: &vals,
-                drop_thresh: &[],
-                milu_omega: 0.0,
-                pivot_threshold: 1e-14,
-                zero_pivot: ZeroPivotPolicy::Error,
-                replaced: &replaced,
-                dropped: &dropped,
-                failed_row: &failed,
-            };
-            factor_serial(&ctx);
-            vals.into_values()
-        };
+        let flat: Vec<f64> = [
+            [10.0, 1.0, 2.0, 0.5],
+            [1.0, 9.0, 0.5, 1.0],
+            [2.0, 0.5, 8.0, 1.5],
+            [0.5, 1.0, 1.5, 7.0],
+        ]
+        .concat();
+        let lanes = FixedLanes::<1>;
+        let serial = CtxFixture::dense(4, std::slice::from_ref(&flat));
+        factor_rows_serial_ws(lanes, &serial.ctx(), 0, 4, 0, &mut RowWorkspace::new(4));
         for nthreads in [1, 2, 3] {
-            let vals = LuVals::from_values(&flat);
-            let (replaced, dropped, failed) = ctx_parts();
-            let ctx = NumericCtx {
-                rowptr: &rowptr,
-                colidx: &colidx,
-                diag_pos: &diag_pos,
-                vals: &vals,
-                drop_thresh: &[],
-                milu_omega: 0.0,
-                pivot_threshold: 1e-14,
-                zero_pivot: ZeroPivotPolicy::Error,
-                replaced: &replaced,
-                dropped: &dropped,
-                failed_row: &failed,
-            };
+            let fx = CtxFixture::dense(4, std::slice::from_ref(&flat));
             // Dense lower triangle: each row is its own level.
             let level_ptr: Vec<usize> = (0..=4).collect();
             let deps = |r: usize, out: &mut Vec<usize>| out.extend(0..r);
             let schedule = P2PSchedule::build(4, nthreads, &level_ptr, deps);
-            factor_upper_p2p(&ctx, &schedule);
-            let lu = vals.into_values();
-            let same: Vec<u64> = lu.iter().map(|v| v.to_bits()).collect();
-            let expect: Vec<u64> = run_serial.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(same, expect, "nthreads = {nthreads}");
+            let workspaces: Vec<_> = (0..nthreads)
+                .map(|_| Mutex::new(RowWorkspace::new(4)))
+                .collect();
+            factor_upper_p2p_planned(
+                lanes,
+                &fx.ctx(),
+                &schedule,
+                &Exec::spawn(nthreads),
+                &ProgressCounters::new(nthreads),
+                &workspaces,
+            );
+            assert_eq!(
+                fx.lane_bits(0),
+                serial.lane_bits(0),
+                "nthreads = {nthreads}"
+            );
+        }
+    }
+
+    /// Random strictly diagonally dominant matrix, n ≤ 12.
+    fn arb_dominant() -> impl Strategy<Value = CsrMatrix<f64>> {
+        (2usize..13).prop_flat_map(|n| {
+            proptest::collection::vec((0..n, 0..n, 0.05..1.0f64), n..n * 4).prop_map(move |trips| {
+                let mut coo = CooMatrix::new(n, n);
+                let mut rowsum = vec![0.0f64; n];
+                for &(r, c, v) in &trips {
+                    if r != c {
+                        coo.push(r, c, -v).unwrap();
+                        rowsum[r] += v;
+                    }
+                }
+                for (r, s) in rowsum.iter().enumerate() {
+                    coo.push(r, r, s + 1.0).unwrap();
+                }
+                coo.to_csr()
+            })
+        })
+    }
+
+    /// Dense Doolittle LU without pivoting of `P·A·Pᵀ`, row-major.
+    fn dense_lu(a: &CsrMatrix<f64>, new_to_old: &[usize]) -> Vec<Vec<f64>> {
+        let n = a.nrows();
+        let mut old = vec![vec![0.0; n]; n];
+        for r in 0..n {
+            for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
+                old[r][c] += v;
+            }
+        }
+        let mut m: Vec<Vec<f64>> = (0..n)
+            .map(|i| (0..n).map(|j| old[new_to_old[i]][new_to_old[j]]).collect())
+            .collect();
+        for i in 1..n {
+            for c in 0..i {
+                let l = m[i][c] / m[c][c];
+                m[i][c] = l;
+                for j in (c + 1)..n {
+                    m[i][j] -= l * m[c][j];
+                }
+            }
+        }
+        m
+    }
+
+    fn assert_is_dense_lu(f: &crate::IluFactors<f64>, a: &CsrMatrix<f64>, what: &str) {
+        let want = dense_lu(a, f.perm().new_to_old());
+        let lu = f.lu();
+        for (r, want_row) in want.iter().enumerate() {
+            let mut got_row = vec![0.0; want_row.len()];
+            for (&c, &v) in lu.row_cols(r).iter().zip(lu.row_vals(r)) {
+                got_row[c] = v;
+            }
+            for (c, (got, want)) in got_row.iter().zip(want_row).enumerate() {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "{what}: LU[{r},{c}] = {got}, dense LU says {want}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Independent oracle: with `fill_level ≥ n` the ILU pattern is
+        /// the full LU pattern, so every entry point must reproduce a
+        /// dense no-pivot LU of the permuted matrix — whatever the
+        /// thread count or lane width.
+        #[test]
+        fn full_fill_ilu_is_dense_lu(a in arb_dominant(), seed in 0.2..2.0f64) {
+            let a2 = javelin_synth::util::revalue(&a, seed, 0.05);
+            for nthreads in 1..=3usize {
+                let mut opts = IluOptions::ilu0(nthreads).with_fill(a.nrows());
+                opts.split.min_rows_per_level = 2;
+                opts.split.location_frac = 0.0;
+                let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+                let mut f = sym.factor(&a).unwrap();
+                assert_is_dense_lu(&f, &a, "factor");
+                f.refactor(&a2).unwrap();
+                assert_is_dense_lu(&f, &a2, "refactor");
+                for k in [4usize, 5] {
+                    let mut mats = vec![&a; k];
+                    mats[k - 1] = &a2;
+                    let batch = sym.factor_batch(&mats).unwrap();
+                    prop_assert!(batch.all_ok());
+                    assert_is_dense_lu(batch.factor(0), &a, "factor_batch lane 0");
+                    assert_is_dense_lu(batch.factor(k - 1), &a2, "factor_batch lane k-1");
+                }
+            }
         }
     }
 }

@@ -30,12 +30,14 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::numeric::kernel::{LuVals, RowWorkspace};
-use crate::numeric::{lower, parallel, NumericCtx};
+use crate::numeric::parallel::{factor_rows_serial_ws, factor_upper_p2p_planned};
+use crate::numeric::{lower, NumericCtx};
 use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
+use javelin_sparse::lanes::{FixedLanes, Lanes};
 use javelin_sparse::pattern::{
     level_pattern_of, lower_of_pattern, upper_of_pattern, LevelPattern, SparsityPattern,
 };
@@ -51,15 +53,15 @@ pub(crate) const FILL: usize = usize::MAX;
 
 /// Reusable working state of the numeric phase, sized at analysis time
 /// so a steady-state [`IluFactors::refactor`] allocates nothing: the
-/// bit-packed value buffer, the τ thresholds, one sparse-accumulator
-/// workspace per participant and the resettable progress counters of
-/// the planned point-to-point upper stage.
+/// width-1 value buffer and τ thresholds of the scalar path, plus one
+/// sparse-accumulator workspace per participant and the resettable
+/// progress counters of the point-to-point stages. The last two are
+/// pattern-only, so they serve every lane width
+/// ([`FactorsBatch`](crate::FactorsBatch) brings its own width-`k`
+/// value buffers).
 pub(crate) struct NumericScratch<T> {
     lu_vals: LuVals<T>,
     drop_thresh: Vec<T>,
-    /// Shared with the batched-refactor engines (`crate::batch_factor`):
-    /// the sparse-accumulator loads are pattern-only, so one workspace
-    /// set serves the scalar path and every lane width.
     pub(crate) row_ws: Vec<Mutex<RowWorkspace>>,
     pub(crate) progress: ProgressCounters,
 }
@@ -522,8 +524,9 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// Numeric factorization of `a` through the precomputed symbolic
     /// analysis: the full engine set of the paper (point-to-point upper
     /// stage, Even-Rows or Segmented-Rows lower stage, serial or
-    /// parallel corner). `a` must have exactly the analyzed pattern —
-    /// only its values are read.
+    /// parallel corner) on the analysis's execution context and
+    /// preallocated workspaces. `a` must have exactly the analyzed
+    /// pattern — only its values are read.
     ///
     /// The returned factors share this handle's plans, worker team and
     /// scratch; call [`IluFactors::refactor`] on them for subsequent
@@ -533,176 +536,237 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// * [`SparseError::PatternMismatch`] when `a`'s pattern differs
     ///   from the analyzed one;
     /// * [`SparseError::ZeroPivot`] under
-    ///   [`crate::ZeroPivotPolicy::Error`] when a pivot collapses.
+    ///   [`crate::ZeroPivotPolicy::Error`] when a pivot collapses;
+    /// * [`SparseError::Breakdown`] when
+    ///   [`crate::ZeroPivotPolicy::ShiftRetry`] runs out of attempts.
     pub fn factor(&self, a: &CsrMatrix<T>) -> Result<IluFactors<T>, SparseError> {
-        self.check_pattern(a)?;
         let c = &*self.core;
         let mut stats = c.stats.clone();
-        let t2 = Instant::now();
         let mut vals = vec![T::ZERO; c.colidx.len()];
-        {
-            let mut num = self.core.numeric.lock();
-            let outcome = self.run_numeric_policy(a, &mut num, NumericPath::Fresh)?;
-            stats.replaced_pivots = outcome.replaced;
-            stats.dropped_entries = outcome.dropped;
-            stats.shift_attempts = outcome.attempts;
-            stats.diag_shift = outcome.shift;
-            num.lu_vals.store_to(&mut vals);
-        }
-        stats.t_numeric = t2.elapsed();
+        self.factor_into(a, &mut vals, &mut stats, None, true)?;
         let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
         Ok(IluFactors::from_parts(self.clone(), lu, stats))
     }
 
-    /// Redoes the numeric phase for a pattern-identical `a`, writing the
-    /// factor values into `out` — the engine behind
-    /// [`IluFactors::refactor`]. Runs the planned allocation-free path:
-    /// point-to-point upper stage on the persistent execution context,
-    /// Even-Rows lower sweep, serial corner — bit-identical to
-    /// [`SymbolicIlu::factor`] by the engines' determinism contract.
+    /// The scalar numeric phase — the width-1 instantiation of
+    /// [`SymbolicIlu::run_numeric`] behind [`SymbolicIlu::factor`]
+    /// (`first_factor`), [`IluFactors::refactor`] and
+    /// [`IluFactors::refactor_with_shift`] (`forced_shift`): factors a
+    /// pattern-identical `a` in the reusable value buffer and, on
+    /// success only, commits values into `out` and counters into
+    /// `stats` — a failed run leaves both untouched. Allocation-free
+    /// (per-lane state lives on the stack) unless `first_factor`
+    /// selects Segmented-Rows or the parallel corner.
     ///
     /// # Errors
-    /// See [`IluFactors::refactor`].
-    pub(crate) fn refactor_into(
+    /// See [`SymbolicIlu::factor`].
+    pub(crate) fn factor_into(
         &self,
         a: &CsrMatrix<T>,
         out: &mut [T],
         stats: &mut FactorStats,
+        forced_shift: Option<f64>,
+        first_factor: bool,
     ) -> Result<(), SparseError> {
         self.check_pattern(a)?;
         let t2 = Instant::now();
-        {
-            let mut num = self.core.numeric.lock();
-            // Counters are committed only on success: a failed refactor
-            // leaves both the factor values and their stats untouched.
-            let outcome = self.run_numeric_policy(a, &mut num, NumericPath::Planned)?;
-            stats.replaced_pivots = outcome.replaced;
-            stats.dropped_entries = outcome.dropped;
-            stats.shift_attempts = outcome.attempts;
-            stats.diag_shift = outcome.shift;
-            num.lu_vals.store_to(out);
-        }
+        let mut num = self.core.numeric.lock();
+        let num = &mut *num;
+        let [replaced, dropped, failed] = [0, 0, usize::MAX].map(AtomicUsize::new);
+        let (mut failures, mut shift, mut status) = (0, 0.0, Ok(()));
+        self.run_numeric(
+            FixedLanes::<1>,
+            NumericRun {
+                mats: &[a],
+                vals: &num.lu_vals,
+                drop_thresh: &mut num.drop_thresh,
+                row_ws: &num.row_ws,
+                progress: &num.progress,
+                replaced: std::slice::from_ref(&replaced),
+                dropped: std::slice::from_ref(&dropped),
+                failed: std::slice::from_ref(&failed),
+                failures: std::slice::from_mut(&mut failures),
+                shifts: std::slice::from_mut(&mut shift),
+                statuses: std::slice::from_mut(&mut status),
+            },
+            forced_shift,
+            first_factor,
+        );
+        status?;
+        stats.replaced_pivots = replaced.into_inner();
+        stats.dropped_entries = dropped.into_inner();
+        stats.shift_attempts = failures + 1;
+        stats.diag_shift = shift;
+        num.lu_vals.store_to(out);
         stats.t_numeric = t2.elapsed();
         Ok(())
     }
 
-    /// Loads `a`'s values into the reusable bit-packed buffer through
-    /// the precomputed source map (fill positions get zero) and
-    /// recomputes the τ drop thresholds in place. Allocation-free.
-    fn load_values(&self, a: &CsrMatrix<T>, num: &mut NumericScratch<T>) {
+    /// The one numeric driver: load through `a_src` → per-lane sticky
+    /// shift → engines → per-lane outcome, for `lanes.width()`
+    /// pattern-checked matrices at once. Every numeric entry point —
+    /// [`SymbolicIlu::factor`], [`IluFactors::refactor`],
+    /// [`IluFactors::refactor_with_shift`],
+    /// [`FactorsBatch::refactor_batch`](crate::FactorsBatch::refactor_batch)
+    /// — is this function at some width. Allocation-free.
+    ///
+    /// Breakdown policy is applied **per lane**: a failing lane gets
+    /// [`SparseError::ZeroPivot`] under `Error` (and under any policy
+    /// when `forced_shift` is set — the shift is then applied
+    /// unconditionally and the single sweep is final); under
+    /// `ShiftRetry` all lanes re-sweep while any lane still has retry
+    /// budget, each failed lane reloading with its own escalated
+    /// diagonal shift, until every lane succeeds or ends in
+    /// [`SparseError::Breakdown`]. Deterministic engines make re-sweeps
+    /// of healthy lanes bit-identical, so the loop cannot perturb them.
+    ///
+    /// On return `run.statuses[c]` holds lane `c`'s outcome; for `Ok`
+    /// lanes the factor is in `run.vals` and `run.replaced` /
+    /// `run.dropped` / `run.failures` (failed sweeps; attempts − 1) /
+    /// `run.shifts` describe the successful sweep.
+    pub(crate) fn run_numeric<L: Lanes>(
+        &self,
+        lanes: L,
+        run: NumericRun<'_, T>,
+        forced_shift: Option<f64>,
+        first_factor: bool,
+    ) {
         let c = &*self.core;
-        let a_vals = a.vals();
-        for (k, &src) in c.a_src.iter().enumerate() {
-            num.lu_vals
-                .set(k, if src == FILL { T::ZERO } else { a_vals[src] });
+        let k = lanes.width();
+        assert_eq!(run.mats.len(), k, "one matrix per lane");
+        run.failures.fill(0);
+        run.shifts.fill(0.0);
+        run.statuses.fill(Ok(()));
+        let retry_policy = match c.opts.zero_pivot {
+            ZeroPivotPolicy::ShiftRetry {
+                initial,
+                growth,
+                max_attempts,
+            } if forced_shift.is_none() => Some((initial, growth, max_attempts)),
+            _ => None,
+        };
+        loop {
+            // (Re)load: a failed sweep left the buffer partially
+            // factored.
+            self.load_values(lanes, run.mats, run.vals, run.drop_thresh);
+            for lane in 0..k {
+                let relative = match (forced_shift, retry_policy) {
+                    (Some(relative), _) => Some(relative),
+                    (None, Some((initial, growth, _)))
+                        if run.failures[lane] > 0 && run.statuses[lane].is_ok() =>
+                    {
+                        Some(initial * growth.powi(run.failures[lane] as i32 - 1))
+                    }
+                    _ => None,
+                };
+                if let Some(relative) = relative {
+                    run.shifts[lane] = self.shift_lane(lanes, run.vals, lane, relative);
+                }
+                run.replaced[lane].store(0, Ordering::Relaxed);
+                run.dropped[lane].store(0, Ordering::Relaxed);
+                run.failed[lane].store(usize::MAX, Ordering::Relaxed);
+            }
+            let ctx = NumericCtx {
+                rowptr: &c.rowptr,
+                colidx: &c.colidx,
+                diag_pos: &c.diag_pos,
+                vals: run.vals,
+                drop_thresh: run.drop_thresh,
+                milu_omega: T::from_f64(c.opts.milu_omega),
+                pivot_threshold: T::from_f64(c.opts.pivot_threshold),
+                zero_pivot: c.opts.zero_pivot,
+                replaced: run.replaced,
+                dropped: run.dropped,
+                failed_row: run.failed,
+            };
+            self.run_engines(lanes, &ctx, run.row_ws, run.progress, first_factor);
+            let mut retry = false;
+            for lane in 0..k {
+                let failed = run.failed[lane].load(Ordering::Relaxed);
+                if failed == usize::MAX || run.statuses[lane].is_err() {
+                    continue;
+                }
+                let row = failed - 1;
+                run.failures[lane] += 1;
+                match retry_policy {
+                    Some((_, _, max_attempts)) if run.failures[lane] <= max_attempts => {
+                        retry = true
+                    }
+                    Some((_, _, max_attempts)) => {
+                        run.statuses[lane] = Err(SparseError::Breakdown {
+                            row,
+                            attempts: max_attempts + 1,
+                            shift: run.shifts[lane],
+                        })
+                    }
+                    None => run.statuses[lane] = Err(SparseError::ZeroPivot { row }),
+                }
+            }
+            if !retry {
+                return;
+            }
+        }
+    }
+
+    /// Loads every lane's matrix values into the interleaved buffer
+    /// through the precomputed source map (fill positions get zero) and
+    /// recomputes the per-lane τ drop thresholds in place.
+    fn load_values<L: Lanes>(
+        &self,
+        lanes: L,
+        mats: &[&CsrMatrix<T>],
+        vals: &LuVals<T>,
+        drop_thresh: &mut [T],
+    ) {
+        let c = &*self.core;
+        let k = lanes.width();
+        assert_eq!(mats.len(), k);
+        for (e, &src) in c.a_src.iter().enumerate() {
+            for lane in 0..k {
+                let v = if src == FILL {
+                    T::ZERO
+                } else {
+                    mats[lane].vals()[src]
+                };
+                vals.set(e * k + lane, v);
+            }
         }
         // τ drop thresholds, relative to the original row norms (Saad's
         // ILUT convention).
         if c.opts.drop_tol > 0.0 {
             let new_to_old = c.perm.new_to_old();
-            for (new_r, thresh) in num.drop_thresh.iter_mut().enumerate() {
-                let old_r = new_to_old[new_r];
-                let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
-                *thresh = T::from_f64(c.opts.drop_tol) * norm;
-            }
-        }
-    }
-
-    /// Loads `a`'s values and runs the numeric engines under the
-    /// configured breakdown policy. For [`ZeroPivotPolicy::ShiftRetry`]
-    /// this is the retry loop of the graceful-degradation layer: each
-    /// failed sweep reloads the values (allocation-free), boosts the
-    /// diagonal by the escalating relative shift and re-runs on the
-    /// planned zero-allocation path, until the factorization succeeds
-    /// or the attempt budget is exhausted.
-    ///
-    /// # Errors
-    /// * [`SparseError::ZeroPivot`] under [`ZeroPivotPolicy::Error`];
-    /// * [`SparseError::Breakdown`] when `ShiftRetry` runs out of
-    ///   attempts.
-    fn run_numeric_policy(
-        &self,
-        a: &CsrMatrix<T>,
-        num: &mut NumericScratch<T>,
-        path: NumericPath,
-    ) -> Result<NumericOutcome, SparseError> {
-        let c = &*self.core;
-        self.load_values(a, num);
-        let first = self.run_numeric(num, path);
-        let ZeroPivotPolicy::ShiftRetry {
-            initial,
-            growth,
-            max_attempts,
-        } = c.opts.zero_pivot
-        else {
-            let (replaced, dropped) = first?;
-            return Ok(NumericOutcome {
-                replaced,
-                dropped,
-                attempts: 1,
-                shift: 0.0,
-            });
-        };
-        let mut last_row = match first {
-            Ok((replaced, dropped)) => {
-                return Ok(NumericOutcome {
-                    replaced,
-                    dropped,
-                    attempts: 1,
-                    shift: 0.0,
-                })
-            }
-            Err(SparseError::ZeroPivot { row }) => row,
-            Err(e) => return Err(e),
-        };
-        let mut shift = 0.0f64;
-        for attempt in 1..=max_attempts {
-            // Reload through the precomputed source map — the failed
-            // sweep left the buffer partially factored — then boost the
-            // diagonal away from zero. Both steps are allocation-free,
-            // as is the planned numeric path below.
-            self.load_values(a, num);
-            shift = self.apply_diag_shift(num, initial * growth.powi(attempt as i32 - 1));
-            match self.run_numeric(num, NumericPath::Planned) {
-                Ok((replaced, dropped)) => {
-                    return Ok(NumericOutcome {
-                        replaced,
-                        dropped,
-                        attempts: attempt + 1,
-                        shift,
-                    })
+            for (new_r, &old_r) in new_to_old.iter().enumerate() {
+                for (lane, a) in mats.iter().enumerate() {
+                    let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
+                    drop_thresh[lanes.idx(new_r, lane)] = T::from_f64(c.opts.drop_tol) * norm;
                 }
-                Err(SparseError::ZeroPivot { row }) => last_row = row,
-                Err(e) => return Err(e),
             }
         }
-        Err(SparseError::Breakdown {
-            row: last_row,
-            attempts: max_attempts + 1,
-            shift,
-        })
     }
 
-    /// Boosts every diagonal away from zero by
-    /// `relative_shift · max|aᵢᵢ|` (falling back to an absolute shift
-    /// when the diagonal is entirely zero), signed to move each entry
-    /// away from the origin. Operates on the loaded value buffer;
-    /// allocation-free. Returns the absolute shift applied.
-    fn apply_diag_shift(&self, num: &mut NumericScratch<T>, relative_shift: f64) -> f64 {
-        let c = &*self.core;
-        let mut scale = 0.0f64;
-        for &k in c.diag_pos.iter() {
-            scale = scale.max(num.lu_vals.get(k).abs().to_f64());
-        }
+    /// Boosts `lane`'s freshly loaded diagonal away from zero by
+    /// `relative_shift · max|aᵢᵢ|` of **that lane** (falling back to an
+    /// absolute shift when its diagonal is entirely zero), signed to
+    /// move each entry away from the origin. Returns the absolute shift
+    /// applied.
+    fn shift_lane<L: Lanes>(
+        &self,
+        lanes: L,
+        vals: &LuVals<T>,
+        lane: usize,
+        relative_shift: f64,
+    ) -> f64 {
+        let diag = || self.core.diag_pos.iter().map(|&dp| lanes.idx(dp, lane));
+        let mut scale = diag().fold(0.0f64, |m, i| m.max(vals.get(i).abs().to_f64()));
         if scale == 0.0 {
             scale = 1.0;
         }
         let shift = relative_shift * scale;
         let shift_t = T::from_f64(shift);
-        for &k in c.diag_pos.iter() {
-            let d = num.lu_vals.get(k);
-            num.lu_vals.set(
-                k,
+        for i in diag() {
+            let d = vals.get(i);
+            vals.set(
+                i,
                 if d < T::ZERO {
                     d - shift_t
                 } else {
@@ -713,137 +777,71 @@ impl<T: Scalar> SymbolicIlu<T> {
         shift
     }
 
-    /// Like [`SymbolicIlu::refactor_into`], but unconditionally boosts
-    /// the diagonal by `relative_shift · max|aᵢᵢ|` before the numeric
-    /// sweep — the engine behind breakdown-aware solve retries, which
-    /// need a *more* stable (if slightly less accurate) preconditioner
-    /// even when the unshifted factorization completed without a zero
-    /// pivot. Runs the planned allocation-free path; the applied shift
-    /// is recorded in `stats.diag_shift`.
-    ///
-    /// # Errors
-    /// See [`IluFactors::refactor`].
-    pub(crate) fn refactor_shifted_into(
+    /// One numeric sweep over the loaded buffer: serial when
+    /// single-threaded, otherwise the point-to-point upper stage, the
+    /// lower-stage sweep and the corner as regions on the analysis's
+    /// execution context. `first_factor` (width 1 only) selects the
+    /// analysis's Segmented-Rows / parallel-corner choices, which build
+    /// per-call schedules; otherwise Even-Rows and the serial corner
+    /// run allocation-free. All combinations are bit-identical.
+    fn run_engines<L: Lanes>(
         &self,
-        a: &CsrMatrix<T>,
-        out: &mut [T],
-        stats: &mut FactorStats,
-        relative_shift: f64,
-    ) -> Result<(), SparseError> {
-        self.check_pattern(a)?;
-        let t2 = Instant::now();
-        {
-            let mut num = self.core.numeric.lock();
-            self.load_values(a, &mut num);
-            let shift = self.apply_diag_shift(&mut num, relative_shift);
-            let (replaced, dropped) = self.run_numeric(&num, NumericPath::Planned)?;
-            stats.replaced_pivots = replaced;
-            stats.dropped_entries = dropped;
-            stats.shift_attempts = 1;
-            stats.diag_shift = shift;
-            num.lu_vals.store_to(out);
-        }
-        stats.t_numeric = t2.elapsed();
-        Ok(())
-    }
-
-    /// Runs the numeric engines over the loaded value buffer, returning
-    /// the `(replaced_pivots, dropped_entries)` outcome counters.
-    fn run_numeric(
-        &self,
-        num: &NumericScratch<T>,
-        path: NumericPath,
-    ) -> Result<(usize, usize), SparseError> {
+        lanes: L,
+        ctx: &NumericCtx<'_, T>,
+        row_ws: &[Mutex<RowWorkspace>],
+        progress: &ProgressCounters,
+        first_factor: bool,
+    ) {
         let c = &*self.core;
-        let replaced = AtomicUsize::new(0);
-        let dropped = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(usize::MAX);
-        let ctx = NumericCtx {
-            rowptr: &c.rowptr,
-            colidx: &c.colidx,
-            diag_pos: &c.diag_pos,
-            vals: &num.lu_vals,
-            drop_thresh: &num.drop_thresh,
-            milu_omega: T::from_f64(c.opts.milu_omega),
-            pivot_threshold: T::from_f64(c.opts.pivot_threshold),
-            zero_pivot: c.opts.zero_pivot,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
-        };
-        let n_upper = c.plan.n_upper;
-        let n_lower = c.n - n_upper;
+        debug_assert!(!first_factor || lanes.width() == 1);
+        let (n, n_upper) = (c.n, c.plan.n_upper);
         if c.nthreads == 1 {
-            parallel::factor_serial_ws(&ctx, &mut num.row_ws[0].lock());
+            factor_rows_serial_ws(lanes, ctx, 0, n, 0, &mut row_ws[0].lock());
+            return;
+        }
+        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, progress, row_ws);
+        if n_upper == n {
+            return;
+        }
+        if first_factor && c.lower_method == LowerMethod::SegmentedRows {
+            let levels = &c.plan.upper_level_ptr;
+            lower::factor_lower_sr(ctx, n_upper, levels, c.tile_size, row_ws);
         } else {
-            match path {
-                NumericPath::Fresh => {
-                    parallel::factor_upper_p2p(&ctx, &c.plan.fwd);
-                    if n_lower > 0 {
-                        match c.lower_method {
-                            LowerMethod::SegmentedRows => lower::factor_lower_sr(
-                                &ctx,
-                                n_upper,
-                                &c.plan.upper_level_ptr,
-                                c.nthreads,
-                                c.tile_size,
-                                c.opts.parallel_corner,
-                            ),
-                            LowerMethod::EvenRows => lower::factor_lower_er(
-                                &ctx,
-                                n_upper,
-                                c.nthreads,
-                                c.opts.parallel_corner,
-                            ),
-                            LowerMethod::Auto => unreachable!("resolved at analysis"),
-                        }
-                    }
-                }
-                NumericPath::Planned => {
-                    parallel::factor_upper_p2p_planned(
-                        &ctx,
-                        &c.plan.fwd,
-                        &c.exec,
-                        &num.progress,
-                        &num.row_ws,
-                    );
-                    if n_lower > 0 {
-                        lower::factor_lower_er_planned(&ctx, n_upper, &c.exec, &num.row_ws);
-                    }
-                }
-            }
+            lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec, row_ws);
         }
-        let failed_row = failed.load(Ordering::Relaxed);
-        if failed_row != usize::MAX {
-            return Err(SparseError::ZeroPivot {
-                row: failed_row - 1,
-            });
+        if first_factor && c.opts.parallel_corner {
+            lower::factor_corner_parallel(ctx, n_upper, &c.exec, progress, row_ws);
+        } else {
+            factor_rows_serial_ws(lanes, ctx, n_upper, n, n_upper, &mut row_ws[0].lock());
         }
-        Ok((
-            replaced.load(Ordering::Relaxed),
-            dropped.load(Ordering::Relaxed),
-        ))
     }
 }
 
-/// Outcome of a (possibly retried) numeric phase.
-struct NumericOutcome {
-    replaced: usize,
-    dropped: usize,
-    /// Numeric sweeps performed (1 = no retry needed).
-    attempts: usize,
-    /// Absolute diagonal shift of the successful sweep.
-    shift: f64,
-}
-
-/// Which numeric execution shape to run (see [`SymbolicIlu::factor`] /
-/// [`SymbolicIlu::refactor_into`]). Both are bit-identical; they differ
-/// only in who allocates and who spawns.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum NumericPath {
-    /// The full paper engine set (may allocate per-call state and spawn
-    /// scoped threads for SR/ER/parallel-corner).
-    Fresh,
-    /// The preplanned allocation-free, spawn-free path for refactor.
-    Planned,
+/// Everything one [`SymbolicIlu::run_numeric`] call works on, all
+/// caller-owned so no width allocates: the scalar path points at the
+/// analysis's width-1 buffers and stack-resident per-lane state,
+/// [`FactorsBatch`](crate::FactorsBatch) at its own width-`k` vectors.
+/// Per-lane slices have one element per lane.
+pub(crate) struct NumericRun<'a, T> {
+    /// One pattern-checked matrix per lane.
+    pub mats: &'a [&'a CsrMatrix<T>],
+    /// Lane-interleaved value buffer (`nnz·k`).
+    pub vals: &'a LuVals<T>,
+    /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
+    pub drop_thresh: &'a mut [T],
+    /// The analysis's per-participant sparse accumulators and p2p
+    /// counters (pattern-only, shared by every width), borrowed under
+    /// the `SymCore::numeric` lock.
+    pub row_ws: &'a [Mutex<RowWorkspace>],
+    pub progress: &'a ProgressCounters,
+    /// Kernel counters of the latest sweep.
+    pub replaced: &'a [AtomicUsize],
+    pub dropped: &'a [AtomicUsize],
+    pub failed: &'a [AtomicUsize],
+    /// Failed sweeps per lane.
+    pub failures: &'a mut [usize],
+    /// Absolute diagonal shift last applied per lane.
+    pub shifts: &'a mut [f64],
+    /// Per-lane outcome.
+    pub statuses: &'a mut [Result<(), SparseError>],
 }

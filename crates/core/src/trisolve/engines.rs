@@ -98,7 +98,7 @@ pub enum LowerTiles {
 ///   the per-call `Vec<Mutex<Vec<…>>>` and the per-tile
 ///   `partition_point` searches);
 /// * the trailing-block combination buffer `z`;
-/// * `xbuf`, the bit-packed in-place solution panel the engines operate
+/// * `xbuf`, the in-place solution panel the engines operate
 ///   on, loaded/stored by the caller.
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`

@@ -192,6 +192,13 @@ pub fn lane_axpy<T: Scalar, L: Lanes>(lanes: L, alpha: &[T], x: &[T], y: &mut [T
 /// to hardware FMA: like [`Scalar::mul_add`], both the scalar body and
 /// the SIMD paths compute multiply-then-subtract in two rounded steps,
 /// so every lane stays bit-identical to the scalar kernels.
+///
+/// Always inlined: the numeric factorization calls this once per
+/// updated entry with a single `k`-lane row, so at `FixedLanes<1>` an
+/// out-of-line call (which a downstream crate's codegen-unit split
+/// otherwise produces, `#[inline]` hint or not — measured at +13% on a
+/// whole width-1 sweep) costs more than the one multiply-subtract.
+#[inline(always)]
 pub fn lane_fnma<T: Scalar, L: Lanes>(lanes: L, l: &[T], x: &[T], y: &mut [T]) {
     let k = lanes.width();
     debug_assert_eq!(l.len(), k, "lane_fnma: multiplier length");

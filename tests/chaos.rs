@@ -182,6 +182,52 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
     fault::clear();
 }
 
+/// The numeric twin of `region_panics_are_contained_for_every_engine`:
+/// the first `factor` runs its upper stage as a region on the shared
+/// team, so a panic inside the row kernel must unwind out of `factor`,
+/// poison the team, and leave the analysis handle fully reusable.
+#[test]
+fn numeric_panic_in_the_first_factor_is_contained_and_the_team_recovers() {
+    let _g = scenario();
+    let a = healthy(120);
+
+    let team = Arc::new(WorkerTeam::new(2));
+    let opts = IluOptions::ilu0(2).with_shared_team(Arc::clone(&team));
+    let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+
+    // The fourth row finalized — well inside the point-to-point stage.
+    fault::arm("numeric.pivot", FaultAction::Panic, 3);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        let _ = sym.factor(&a);
+    }));
+    assert!(caught.is_err(), "the injected panic must propagate");
+    assert!(!fault::is_armed("numeric.pivot"), "failpoint is one-shot");
+    assert!(
+        team.is_poisoned(),
+        "factor must have unwound out of a region on the shared team"
+    );
+
+    // `run` auto-repairs at its next entry — no explicit repair — and
+    // the same handle on the same team then factors and refactors
+    // bit-identically to a brand-new team.
+    let mut f_same = sym.factor(&a).expect("factor on the auto-repaired team");
+    assert!(!team.is_poisoned());
+    let fresh_opts = IluOptions::ilu0(2).with_shared_team(Arc::new(WorkerTeam::new(2)));
+    let f_fresh = factorize(&a, &fresh_opts).unwrap();
+    assert_eq!(
+        bits(f_same.lu().vals()),
+        bits(f_fresh.lu().vals()),
+        "post-panic factor must match a fresh team bit-for-bit"
+    );
+    f_same.refactor(&a).expect("refactor on the repaired team");
+    assert_eq!(
+        bits(f_same.lu().vals()),
+        bits(f_fresh.lu().vals()),
+        "post-panic refactor must match a fresh team bit-for-bit"
+    );
+    fault::clear();
+}
+
 #[test]
 fn service_contains_pivot_breakdown_to_one_tenant_and_keeps_serving() {
     use javelin::service::{EngineConfig, ServiceConfig, ServiceError, SolveRequest, SolveService};
