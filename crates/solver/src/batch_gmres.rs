@@ -11,37 +11,47 @@
 //! over the stacked Arnoldi slot `j`, while the Hessenberg, Givens and
 //! least-squares state stay strictly per column. Column `c` of the
 //! batch is **bit-identical** to a standalone [`crate::gmres_with`] run
-//! on that column: same iterates, same iteration counts, same residual
-//! histories.
+//! on that column (which is this code at width 1): same iterates, same
+//! iteration counts, same residual histories.
 //!
 //! ## Masking at restart boundaries
 //!
 //! A column that converges (or exhausts its iteration cap) mid-cycle
 //! finalizes immediately — back-substitution, one single-column
-//! correction apply `x += M⁻¹(V·y)`, exactly where the scalar solver
-//! would have stopped — and then *freezes in its panel slot*: later
+//! correction apply `x += M⁻¹(V·y)`, exactly where a standalone solve
+//! of that column stops — and then *freezes in its panel slot*: later
 //! shared applies simply carry its stale basis column along without
 //! reading the result. A column that hits the happy-breakdown case
 //! (`h_{j+1,j} = 0` with the residual still above tolerance) finalizes
 //! its cycle the same way and then *pauses* until the panel's next
 //! restart boundary, where it re-enters with a fresh residual — the
-//! same arithmetic the scalar solver performs immediately, deferred to
-//! the shared boundary so the panel applies keep a single shape.
+//! arithmetic of an immediate restart, deferred to the shared boundary
+//! so the panel applies keep a single shape.
+//!
+//! ## One Arnoldi process: scalar, panel, flexible
+//!
+//! The core below is the only Arnoldi / Givens / back-substitution
+//! loop in the crate. [`crate::gmres_with`] and [`crate::fgmres_with`]
+//! are its `FixedLanes<1>` instantiations (a vector viewed as a width-1
+//! panel), and FGMRES is its `flexible` mode, which differs in two
+//! places only: step `j`'s shared apply keeps `zⱼ = M⁻¹vⱼ` in a stacked
+//! slot instead of a transient panel, and a column leaving its cycle
+//! updates `x += Z·y` with no trailing apply. [`crate::Method::Fgmres`]
+//! panels therefore run in the same lockstep as GMRES panels.
 //!
 //! ## Allocation discipline
 //!
-//! The stacked basis (`restart + 1` panels of `n × k`) and all
-//! per-column small state live in the caller's [`SolverWorkspace`]
-//! (`ensure_panel_gmres`, grow-only): after the first solve at a given
-//! `(n, k, restart)` the whole batch runs with zero steady-state heap
-//! allocations, with the `Vec<SolverResult>` on entry and opt-in
-//! residual histories as the documented exceptions.
+//! The stacked basis (`restart + 1` panels of `n × k`, plus `restart`
+//! more for FGMRES) and all per-column small state live in the
+//! caller's [`SolverWorkspace`] (`ensure_gmres`, grow-only): after the
+//! first solve at a given `(n, k, restart)` the whole batch runs with
+//! zero steady-state heap allocations, with the `Vec<SolverResult>` on
+//! entry and opt-in residual histories as the documented exceptions.
 
 use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_core::ApplyScratch;
-use javelin_sparse::lanes::{Lanes, LANE_ACTIVE, LANE_DONE, LANE_HALTED, LANE_PENDING};
-use javelin_sparse::{vecops, with_lanes, LaneMask, Panel, PanelMut, Scalar};
+use javelin_sparse::lanes::{FixedLanes, Lanes, LANE_ACTIVE, LANE_DONE, LANE_HALTED, LANE_PENDING};
+use javelin_sparse::{vecops, with_lanes, CsrMatrix, LaneMask, Panel, PanelMut, Scalar};
 
 /// Batched right-preconditioned restarted GMRES(m) over an RHS panel,
 /// allocating a fresh workspace. Repeated callers should hold a
@@ -117,6 +127,23 @@ pub fn gmres_batch_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     ws: &mut SolverWorkspace<T>,
     results: &mut [SolverResult],
 ) {
+    gmres_panel_into(false, a, b, x, m, opts, ws, results);
+}
+
+/// Width dispatch of the one Arnoldi core for both flavours:
+/// `flexible = false` is [`gmres_batch_into`], `flexible = true` the
+/// panel form of FGMRES behind [`crate::Method::Fgmres`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gmres_panel_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
+    flexible: bool,
+    a: &A,
+    b: Panel<'_, T>,
+    x: PanelMut<'_, T>,
+    m: &P,
+    opts: &SolverOptions,
+    ws: &mut SolverWorkspace<T>,
+    results: &mut [SolverResult],
+) {
     let k = b.ncols();
     assert_eq!(b.nrows(), a.nrows(), "gmres_batch: rhs panel rows");
     assert_eq!(x.nrows(), a.nrows(), "gmres_batch: solution panel rows");
@@ -125,14 +152,53 @@ pub fn gmres_batch_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     if k == 0 {
         return;
     }
-    with_lanes!(k, lanes => gmres_batch_lanes(lanes, a, b, x, m, opts, ws, results));
+    with_lanes!(k, lanes => gmres_batch_lanes(lanes, flexible, a, b, x, m, opts, ws, results));
 }
 
-/// The width-generic lockstep-restart GMRES driver core, dispatched by
-/// the entry points above.
+/// The scalar form of both flavours ([`crate::gmres_with`],
+/// [`crate::fgmres_with`]): one column through the core at
+/// `FixedLanes<1>`, results on the stack.
+pub(crate) fn gmres_scalar<T: Scalar, P: Preconditioner<T>>(
+    flexible: bool,
+    a: &CsrMatrix<T>,
+    b: &[T],
+    x: &mut [T],
+    m: &P,
+    opts: &SolverOptions,
+    ws: &mut SolverWorkspace<T>,
+) -> SolverResult {
+    let n = a.nrows();
+    assert_eq!(b.len(), n, "gmres: rhs length");
+    assert_eq!(x.len(), n, "gmres: solution length");
+    let mut results = [SolverResult::default()];
+    gmres_batch_lanes(
+        FixedLanes::<1>,
+        flexible,
+        a,
+        Panel::from_col(b),
+        PanelMut::from_col(x),
+        m,
+        opts,
+        ws,
+        &mut results,
+    );
+    let [res] = results;
+    res
+}
+
+/// The width-generic lockstep-restart Arnoldi core — the only Arnoldi /
+/// Givens / back-substitution loop in the crate. `gmres_with` and
+/// `fgmres_with` *are* this function at `FixedLanes<1>`; the panel
+/// entry points dispatch it per width.
+///
+/// `flexible` selects FGMRES, which differs in exactly two places: the
+/// shared apply of step `j` stores `zⱼ = M⁻¹vⱼ` in the stacked slot
+/// `z_basis[j]` instead of the transient `pz` panel, and a column
+/// leaving its cycle updates `x += Z·y` instead of `x += M⁻¹(V·y)`.
 #[allow(clippy::too_many_arguments)]
 fn gmres_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>, L: Lanes>(
     lanes: L,
+    flexible: bool,
     a: &A,
     b: Panel<'_, T>,
     mut x: PanelMut<'_, T>,
@@ -152,15 +218,16 @@ fn gmres_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>, L: La
         *r = SolverResult::default();
     }
     let restart = opts.restart.max(1).min(n.max(1));
-    ws.ensure_panel_gmres(n, k, restart);
+    ws.ensure_gmres(n, k, restart, flexible);
     // Rearm every lane to ACTIVE for this solve (storage pre-sized).
     ws.mask.reset(k);
     let SolverWorkspace {
         precond,
         pz,
         pq,
-        pv,
         pu,
+        v_basis,
+        z_basis,
         ph,
         pcs,
         psn,
@@ -170,110 +237,79 @@ fn gmres_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>, L: La
         col_relres,
         mask,
         col_iters,
-        col_jused,
         ..
     } = ws;
+    let nk = n * k;
     // Per-column strides into the flat small-state arrays.
     let hs = (restart + 1) * restart;
     let gs = restart + 1;
 
-    // ---- Per-column setup, mirroring `gmres_with` exactly. ----------
-    let mut any_pending = false;
+    // ---- Per-column setup. ------------------------------------------
     for c in 0..k {
-        let rc = c * n..(c + 1) * n;
         col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
         col_iters[c] = 0;
-        col_jused[c] = 0;
+        if col_bnorm[c] != 0.0 && col_bnorm[c].is_finite() {
+            mask.set(c, LANE_PENDING);
+            continue;
+        }
+        // The column never enters a cycle; zero its basis slots so the
+        // shared applies carry finite data along.
+        for slot in v_basis[..=restart].iter_mut() {
+            slot[c * n..(c + 1) * n].fill(T::ZERO);
+        }
         if col_bnorm[c] == 0.0 {
-            // Trivial column: x = 0, converged in 0 iterations. Keep its
-            // panel slots finite for the shared applies.
+            // Trivial column: x = 0, converged in 0 iterations.
             x.col_mut(c).fill(T::ZERO);
-            for buf in [&mut *pz, &mut *pq, &mut *pu] {
-                buf[rc.clone()].fill(T::ZERO);
-            }
-            for slot in 0..=restart {
-                pv[slot * n * k + c * n..slot * n * k + (c + 1) * n].fill(T::ZERO);
-            }
             mask.set(c, LANE_DONE);
             results[c].converged = true;
             results[c].status = SolverStatus::Converged;
-        } else if !col_bnorm[c].is_finite() {
-            // Hostile RHS (NaN/∞): freeze at the initial guess with
-            // zeroed panel slots so the shared applies stay finite.
-            for buf in [&mut *pz, &mut *pq, &mut *pu] {
-                buf[rc.clone()].fill(T::ZERO);
-            }
-            for slot in 0..=restart {
-                pv[slot * n * k + c * n..slot * n * k + (c + 1) * n].fill(T::ZERO);
-            }
-            mask.set(c, LANE_HALTED);
-            results[c].relative_residual = f64::NAN;
-            results[c].status = SolverStatus::NumericalBreakdown;
         } else {
-            mask.set(c, LANE_PENDING);
-            any_pending = true;
+            // Hostile RHS (NaN/∞): freeze at the initial guess.
+            retire(c, 0, f64::NAN, opts, mask, results);
         }
-    }
-    if !any_pending {
-        return;
     }
 
     // ---- Lockstep restart cycles. -----------------------------------
     loop {
         // Cycle start: every pending column computes its true residual
         // and either finishes or (re-)enters the shared cycle.
-        let mut in_cycle = false;
         for c in 0..k {
             if !mask.is(c, LANE_PENDING) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
             // r = b - A x (into u).
-            a.col_matrix(c).spmv_into(x.col(c), &mut pu[rc.clone()]);
-            let bc = b.col(c);
-            for i in 0..n {
-                pu[c * n + i] = bc[i] - pu[c * n + i];
+            let u = &mut pu[rc.clone()];
+            a.col_matrix(c).spmv_into(x.col(c), u);
+            for (ui, bi) in u.iter_mut().zip(b.col(c)) {
+                *ui = *bi - *ui;
             }
-            let beta = vecops::norm2(&pu[rc.clone()]);
+            let beta = vecops::norm2(u);
             col_relres[c] = beta.to_f64() / col_bnorm[c];
             if opts.record_history && results[c].history.is_empty() {
                 results[c].history.push(col_relres[c]);
             }
-            if !col_relres[c].is_finite() {
-                // Per-restart guard: the true residual turned NaN/∞
-                // (poisoned preconditioner or matrix values) — freeze
-                // the column instead of re-entering the cycle.
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = col_iters[c];
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
-                continue;
-            }
-            if col_relres[c] < opts.tol || col_iters[c] >= opts.max_iters {
-                let done = col_relres[c] < opts.tol;
-                mask.set(c, if done { LANE_DONE } else { LANE_HALTED });
-                results[c].converged = done;
-                results[c].iterations = col_iters[c];
-                results[c].relative_residual = col_relres[c];
-                results[c].status = if done {
-                    SolverStatus::Converged
-                } else {
-                    SolverStatus::MaxIters
-                };
+            // Converged, out of iterations, or the per-restart guard:
+            // the true residual turned NaN/∞ (poisoned preconditioner
+            // or matrix values) — freeze the column instead of spinning
+            // every remaining cycle on NaNs.
+            if !col_relres[c].is_finite()
+                || col_relres[c] < opts.tol
+                || col_iters[c] >= opts.max_iters
+            {
+                retire(c, col_iters[c], col_relres[c], opts, mask, results);
                 continue;
             }
             // v₀ = r / β; reset the rotated RHS g.
-            let v0 = &mut pv[c * n..(c + 1) * n];
-            v0.copy_from_slice(&pu[rc]);
+            let v0 = &mut v_basis[0][rc];
+            v0.copy_from_slice(u);
             vecops::scale(T::ONE / beta, v0);
             let g = &mut pg[c * gs..(c + 1) * gs];
-            g.iter_mut().for_each(|gi| *gi = T::ZERO);
+            g.fill(T::ZERO);
             g[0] = beta;
-            col_jused[c] = 0;
             mask.set(c, LANE_ACTIVE);
-            in_cycle = true;
         }
-        if !in_cycle {
+        if !mask.any_active() {
             break; // every column is DONE or HALTED
         }
 
@@ -282,305 +318,247 @@ fn gmres_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>, L: La
             if !mask.any_active() {
                 break;
             }
-            // z = M⁻¹ vⱼ: ONE panel apply over the stacked basis slot j
+            // zⱼ = M⁻¹ vⱼ: ONE panel apply over the stacked basis slot j
             // serves every active column; masked columns carry stale
             // (finite-or-not, column-independent) data along.
+            let zj = if flexible { &mut z_basis[j] } else { &mut *pz };
             m.apply_panel_with(
                 precond,
-                Panel::new(&pv[j * n * k..(j + 1) * n * k], n, k),
-                PanelMut::new(&mut pz[..n * k], n, k),
+                Panel::new(&v_basis[j][..nk], n, k),
+                PanelMut::new(&mut zj[..nk], n, k),
             );
             for c in 0..k {
                 if !mask.is_active(c) {
                     continue;
                 }
-                if col_iters[c] >= opts.max_iters {
-                    // The scalar solver leaves the inner loop here and
-                    // finalizes what it has.
-                    finalize_column(
-                        c,
-                        n,
-                        k,
-                        restart,
-                        col_jused[c],
-                        ph,
-                        pg,
-                        pyk,
-                        pv,
-                        pu,
-                        pz,
-                        precond,
-                        m,
-                        &mut x,
-                    );
-                    dispose(c, opts, col_relres, col_iters, mask, results);
-                    continue;
-                }
                 col_iters[c] += 1;
                 let rc = c * n..(c + 1) * n;
+                let h = &mut ph[c * hs..(c + 1) * hs];
+                let cs = &mut pcs[c * restart..(c + 1) * restart];
+                let sn = &mut psn[c * restart..(c + 1) * restart];
+                let g = &mut pg[c * gs..(c + 1) * gs];
                 // w = A zⱼ (w lives in this column's pq slot).
-                a.col_matrix(c)
-                    .spmv_into(&pz[rc.clone()], &mut pq[rc.clone()]);
+                let zc = if flexible { &z_basis[j] } else { &*pz };
+                let w = &mut pq[rc.clone()];
+                a.col_matrix(c).spmv_into(&zc[rc.clone()], w);
                 // Modified Gram–Schmidt against this column's basis.
                 for i in 0..=j {
-                    let vi = &pv[i * n * k + c * n..i * n * k + (c + 1) * n];
-                    let hij = vecops::dot(&pq[rc.clone()], vi);
-                    ph[c * hs + i * restart + j] = hij;
-                    vecops::axpy(-hij, vi, &mut pq[rc.clone()]);
+                    let vi = &v_basis[i][rc.clone()];
+                    let hij = vecops::dot(w, vi);
+                    h[i * restart + j] = hij;
+                    vecops::axpy(-hij, vi, w);
                 }
-                let hjp = vecops::norm2(&pq[rc.clone()]);
-                ph[c * hs + (j + 1) * restart + j] = hjp;
+                let hjp = vecops::norm2(w);
+                h[(j + 1) * restart + j] = hjp;
                 // Apply existing Givens rotations to the new column.
                 for i in 0..j {
-                    let hi = ph[c * hs + i * restart + j];
-                    let hi1 = ph[c * hs + (i + 1) * restart + j];
-                    let (ci, si) = (pcs[c * restart + i], psn[c * restart + i]);
-                    ph[c * hs + i * restart + j] = ci * hi + si * hi1;
-                    ph[c * hs + (i + 1) * restart + j] = -si * hi + ci * hi1;
+                    let hi = h[i * restart + j];
+                    let hi1 = h[(i + 1) * restart + j];
+                    h[i * restart + j] = cs[i] * hi + sn[i] * hi1;
+                    h[(i + 1) * restart + j] = -sn[i] * hi + cs[i] * hi1;
                 }
                 // New rotation to kill h[j+1, j].
-                let hjj = ph[c * hs + j * restart + j];
+                let hjj = h[j * restart + j];
                 let denom = (hjj * hjj + hjp * hjp).sqrt();
                 let (cj, sj) = if denom == T::ZERO {
                     (T::ONE, T::ZERO)
                 } else {
                     (hjj / denom, hjp / denom)
                 };
-                pcs[c * restart + j] = cj;
-                psn[c * restart + j] = sj;
-                ph[c * hs + j * restart + j] = cj * hjj + sj * hjp;
-                ph[c * hs + (j + 1) * restart + j] = T::ZERO;
-                pg[c * gs + j + 1] = -sj * pg[c * gs + j];
-                pg[c * gs + j] = cj * pg[c * gs + j];
-                col_jused[c] = j + 1;
-                col_relres[c] = pg[c * gs + j + 1].abs().to_f64() / col_bnorm[c];
+                cs[j] = cj;
+                sn[j] = sj;
+                h[j * restart + j] = cj * hjj + sj * hjp;
+                h[(j + 1) * restart + j] = T::ZERO;
+                g[j + 1] = -sj * g[j];
+                g[j] = cj * g[j];
+                col_relres[c] = g[j + 1].abs().to_f64() / col_bnorm[c];
                 if opts.record_history {
                     results[c].history.push(col_relres[c]);
                 }
-                if col_relres[c] < opts.tol {
-                    // Converged mid-cycle: finalize and freeze.
-                    finalize_column(
-                        c,
-                        n,
-                        k,
-                        restart,
-                        col_jused[c],
-                        ph,
-                        pg,
-                        pyk,
-                        pv,
-                        pu,
-                        pz,
-                        precond,
-                        m,
-                        &mut x,
-                    );
-                    dispose(c, opts, col_relres, col_iters, mask, results);
-                    continue;
+                // The column stays in the cycle unless it converged,
+                // broke down happily (h_{j+1,j} = 0: the Krylov space
+                // closed), ran out of iterations, or the cycle is full.
+                let capped = col_iters[c] >= opts.max_iters;
+                if !(col_relres[c] < opts.tol || hjp == T::ZERO || capped) {
+                    // v_{j+1} = w / h_{j+1,j}.
+                    let vnext = &mut v_basis[j + 1][rc.clone()];
+                    vnext.copy_from_slice(w);
+                    vecops::scale(T::ONE / hjp, vnext);
+                    if j + 1 < restart {
+                        continue;
+                    }
                 }
-                if hjp == T::ZERO {
-                    // Happy breakdown: finalize the cycle now, pause
-                    // until the panel's next restart boundary.
-                    finalize_column(
-                        c,
-                        n,
-                        k,
-                        restart,
-                        col_jused[c],
-                        ph,
-                        pg,
-                        pyk,
-                        pv,
-                        pu,
-                        pz,
-                        precond,
-                        m,
-                        &mut x,
-                    );
-                    dispose(c, opts, col_relres, col_iters, mask, results);
-                    continue;
+                // Leaving the cycle, exactly where this column's
+                // standalone recurrence does: back-substitute y from the
+                // triangularized Hessenberg and correct x.
+                let yk = &mut pyk[c * restart..(c + 1) * restart];
+                for i in (0..=j).rev() {
+                    let mut s = g[i];
+                    for kk in (i + 1)..=j {
+                        s -= h[i * restart + kk] * yk[kk];
+                    }
+                    yk[i] = s / h[i * restart + i];
                 }
-                // v_{j+1} = w / h_{j+1,j}.
-                let (src, dst) = (rc.clone(), (j + 1) * n * k + c * n);
-                let vnext = &mut pv[dst..dst + n];
-                vnext.copy_from_slice(&pq[src]);
-                vecops::scale(T::ONE / hjp, vnext);
+                if flexible {
+                    // x += Z y — Z already holds the preconditioned
+                    // directions (the "flexible" difference).
+                    for (kk, y) in yk[..=j].iter().enumerate() {
+                        vecops::axpy(*y, &z_basis[kk][rc.clone()], x.col_mut(c));
+                    }
+                } else {
+                    // x += M⁻¹ (V y): one single-column apply into
+                    // this column's pz slot.
+                    let u = &mut pu[rc.clone()];
+                    u.fill(T::ZERO);
+                    for (kk, y) in yk[..=j].iter().enumerate() {
+                        vecops::axpy(*y, &v_basis[kk][rc.clone()], u);
+                    }
+                    let z = &mut pz[rc];
+                    m.apply_column_with(precond, c, u, z);
+                    for (xi, zi) in x.col_mut(c).iter_mut().zip(z.iter()) {
+                        *xi += *zi;
+                    }
+                }
+                if col_relres[c] < opts.tol || capped {
+                    retire(c, col_iters[c], col_relres[c], opts, mask, results);
+                } else {
+                    // Re-enter at the panel's next restart boundary,
+                    // where the cycle-start residual check decides: an
+                    // immediate restart, deferred to the shared
+                    // boundary so the applies keep one shape.
+                    mask.set(c, LANE_PENDING);
+                }
             }
-        }
-        // Restart boundary: columns that used the full cycle update x
-        // and either finish or re-enter pending.
-        for c in 0..k {
-            if !mask.is_active(c) {
-                continue;
-            }
-            finalize_column(
-                c,
-                n,
-                k,
-                restart,
-                col_jused[c],
-                ph,
-                pg,
-                pyk,
-                pv,
-                pu,
-                pz,
-                precond,
-                m,
-                &mut x,
-            );
-            dispose(c, opts, col_relres, col_iters, mask, results);
         }
     }
 }
 
-/// End-of-cycle update for one column, exactly as the scalar solver
-/// performs it: back-substitute `y` from the triangularized Hessenberg,
-/// assemble `u = V·y`, apply the preconditioner once (single column —
-/// the scalar code path, bit for bit) and add the correction to `x`.
-#[allow(clippy::too_many_arguments)]
-fn finalize_column<T: Scalar, P: Preconditioner<T>>(
+/// Freezes column `c` with its final statistics. The status follows
+/// from the last residual estimate: below tolerance → converged;
+/// non-finite → breakdown; otherwise the iteration cap ran out.
+fn retire(
     c: usize,
-    n: usize,
-    k: usize,
-    restart: usize,
-    j_used: usize,
-    ph: &[T],
-    pg: &[T],
-    pyk: &mut [T],
-    pv: &[T],
-    pu: &mut [T],
-    pz: &mut [T],
-    precond: &mut ApplyScratch<T>,
-    m: &P,
-    x: &mut PanelMut<'_, T>,
-) {
-    let hs = (restart + 1) * restart;
-    let h = &ph[c * hs..(c + 1) * hs];
-    let g = &pg[c * (restart + 1)..(c + 1) * (restart + 1)];
-    let yk = &mut pyk[c * restart..(c + 1) * restart];
-    for i in (0..j_used).rev() {
-        let mut s = g[i];
-        for kk in (i + 1)..j_used {
-            s -= h[i * restart + kk] * yk[kk];
-        }
-        yk[i] = s / h[i * restart + i];
-    }
-    // x += M⁻¹ (V y)
-    let u = &mut pu[c * n..(c + 1) * n];
-    u.iter_mut().for_each(|ui| *ui = T::ZERO);
-    for (kk, y) in yk[..j_used].iter().enumerate() {
-        let v = &pv[kk * n * k + c * n..kk * n * k + (c + 1) * n];
-        vecops::axpy(*y, v, u);
-    }
-    let z = &mut pz[c * n..(c + 1) * n];
-    m.apply_column_with(precond, c, u, z);
-    for (xi, zi) in x.col_mut(c).iter_mut().zip(z.iter()) {
-        *xi += *zi;
-    }
-}
-
-/// Post-finalization disposition, mirroring the scalar solver's exit
-/// checks: below tolerance → converged and frozen; iteration cap hit →
-/// frozen unconverged; otherwise the column re-enters at the panel's
-/// next restart boundary.
-fn dispose(
-    c: usize,
+    iterations: usize,
+    relres: f64,
     opts: &SolverOptions,
-    col_relres: &[f64],
-    col_iters: &[usize],
     mask: &mut LaneMask,
     results: &mut [SolverResult],
 ) {
-    if col_relres[c] < opts.tol {
-        mask.set(c, LANE_DONE);
-        results[c].converged = true;
-        results[c].iterations = col_iters[c];
-        results[c].relative_residual = col_relres[c];
-        results[c].status = SolverStatus::Converged;
-    } else if col_iters[c] >= opts.max_iters {
-        mask.set(c, LANE_HALTED);
-        results[c].iterations = col_iters[c];
-        results[c].relative_residual = col_relres[c];
-        results[c].status = if col_relres[c].is_finite() {
-            SolverStatus::MaxIters
-        } else {
-            SolverStatus::NumericalBreakdown
-        };
+    let converged = relres < opts.tol;
+    mask.set(c, if converged { LANE_DONE } else { LANE_HALTED });
+    results[c].converged = converged;
+    results[c].iterations = iterations;
+    results[c].relative_residual = relres;
+    results[c].status = if converged {
+        SolverStatus::Converged
+    } else if relres.is_finite() {
+        SolverStatus::MaxIters
     } else {
-        // Not converged, cap not hit: re-enter at the panel's next
-        // restart boundary, where the cycle-start residual check (and
-        // its non-finite guard) decides this column's fate — exactly
-        // the scalar solver's control flow.
-        mask.set(c, LANE_PENDING);
-    }
+        SolverStatus::NumericalBreakdown
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gmres_with;
+    use crate::{fgmres_with, gmres_with, krylov_panel_with, Method, ScenarioMatrices};
     use javelin_core::precond::IdentityPrecond;
-    use javelin_core::{factorize, IluOptions};
-    use javelin_sparse::CsrMatrix;
+    use javelin_core::{factorize, IluOptions, SolveEngine, SymbolicIlu};
     use javelin_synth::grid::convection_diffusion_2d;
-    use javelin_synth::util::rhs_panel;
+    use javelin_synth::util::{revalue, rhs_panel};
 
-    fn assert_columns_bitwise(
-        a: &CsrMatrix<f64>,
+    /// Both flavours of the one core: every lockstep test below runs
+    /// GMRES and FGMRES through the same assertions.
+    const FLAVOURS: [Method; 2] = [Method::Gmres, Method::Fgmres];
+
+    fn panel_solve(
+        method: Method,
+        a: &impl PanelMatrices<f64>,
         b: &[f64],
         k: usize,
-        batch_x: &[f64],
-        batch_res: &[SolverResult],
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) -> (Vec<f64>, Vec<SolverResult>) {
+        let n = a.nrows();
+        let mut x = vec![0.0; n * k];
+        let results = krylov_panel_with(
+            method,
+            a,
+            Panel::new(b, n, k),
+            PanelMut::new(&mut x, n, k),
+            m,
+            opts,
+            &mut SolverWorkspace::new(),
+        );
+        (x, results)
+    }
+
+    /// Column `c` of the panel solve ≡ the scalar solver on column `c`
+    /// (`a(c)` / `m(c)` name that column's operator and preconditioner).
+    fn assert_column_bitwise(
+        method: Method,
+        c: usize,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        (batch_x, batch_res): &(Vec<f64>, Vec<SolverResult>),
         m: &impl Preconditioner<f64>,
         opts: &SolverOptions,
     ) {
         let n = a.nrows();
+        let mut x = vec![0.0; n];
+        let scalar = if method == Method::Fgmres {
+            fgmres_with
+        } else {
+            gmres_with
+        };
+        let bc = &b[c * n..(c + 1) * n];
+        let r = scalar(a, bc, &mut x, m, opts, &mut SolverWorkspace::new());
+        let br = &batch_res[c];
+        assert_eq!(br.converged, r.converged, "{method} col {c}");
+        assert_eq!(br.status, r.status, "{method} col {c}");
+        assert_eq!(br.iterations, r.iterations, "{method} col {c}");
+        assert_eq!(
+            br.relative_residual.to_bits(),
+            r.relative_residual.to_bits(),
+            "{method} col {c}"
+        );
+        assert_eq!(br.history, r.history, "{method} col {c}");
+        let bb: Vec<u64> = batch_x[c * n..(c + 1) * n]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bb, sb, "{method} col {c}");
+    }
+
+    fn assert_columns_bitwise(
+        method: Method,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        k: usize,
+        batch: &(Vec<f64>, Vec<SolverResult>),
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) {
         for c in 0..k {
-            let mut x = vec![0.0; n];
-            let r = gmres_with(
-                a,
-                &b[c * n..(c + 1) * n],
-                &mut x,
-                m,
-                opts,
-                &mut SolverWorkspace::new(),
-            );
-            assert_eq!(batch_res[c].converged, r.converged, "col {c}");
-            assert_eq!(batch_res[c].iterations, r.iterations, "col {c}");
-            assert_eq!(
-                batch_res[c].relative_residual.to_bits(),
-                r.relative_residual.to_bits(),
-                "col {c}"
-            );
-            assert_eq!(batch_res[c].history.len(), r.history.len(), "col {c}");
-            let bb: Vec<u64> = batch_x[c * n..(c + 1) * n]
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bb, sb, "col {c}");
+            assert_column_bitwise(method, c, a, b, batch, m, opts);
         }
     }
 
     #[test]
-    fn batch_is_bitwise_identical_to_independent_gmres() {
+    fn batch_is_bitwise_identical_to_independent_scalar_runs() {
         let a = convection_diffusion_2d(13, 11, 0.4, 0.2);
         let n = a.nrows();
         let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
         let opts = SolverOptions::default();
-        for k in [1usize, 3, 8] {
-            let b = rhs_panel(n, k, 23);
-            let mut xb = vec![0.0; n * k];
-            let results = gmres_batch(
-                &a,
-                Panel::new(&b, n, k),
-                PanelMut::new(&mut xb, n, k),
-                &f,
-                &opts,
-            );
-            assert!(results.iter().all(|r| r.converged), "k={k}");
-            assert_columns_bitwise(&a, &b, k, &xb, &results, &f, &opts);
+        for method in FLAVOURS {
+            // Fixed-lane widths 1, 4, 8 and the DynLanes width 3.
+            for k in [1usize, 3, 4, 8] {
+                let b = rhs_panel(n, k, 23);
+                let batch = panel_solve(method, &a, &b, k, &f, &opts);
+                assert!(batch.1.iter().all(|r| r.converged), "{method} k={k}");
+                assert_columns_bitwise(method, &a, &b, k, &batch, &f, &opts);
+            }
         }
     }
 
@@ -597,22 +575,47 @@ mod tests {
             record_history: true,
             ..Default::default()
         };
-        for k in [2usize, 5] {
-            let b = rhs_panel(n, k, 31);
-            let mut xb = vec![0.0; n * k];
-            let results = gmres_batch(
-                &a,
-                Panel::new(&b, n, k),
-                PanelMut::new(&mut xb, n, k),
-                &IdentityPrecond,
-                &opts,
-            );
-            assert!(results.iter().all(|r| r.converged), "k={k}");
-            assert!(
-                results.iter().any(|r| r.iterations > 7),
-                "k={k}: want at least one column past the first restart"
-            );
-            assert_columns_bitwise(&a, &b, k, &xb, &results, &IdentityPrecond, &opts);
+        for method in FLAVOURS {
+            for k in [2usize, 5, 8] {
+                let b = rhs_panel(n, k, 31);
+                let batch = panel_solve(method, &a, &b, k, &IdentityPrecond, &opts);
+                assert!(batch.1.iter().all(|r| r.converged), "{method} k={k}");
+                assert!(
+                    batch.1.iter().any(|r| r.iterations > 7),
+                    "{method} k={k}: want at least one column past the first restart"
+                );
+                assert_columns_bitwise(method, &a, &b, k, &batch, &IdentityPrecond, &opts);
+            }
+        }
+    }
+
+    #[test]
+    fn scenario_columns_iterate_on_their_own_operator_and_factors() {
+        // One matrix and one preconditioner per column: every
+        // single-column apply of the core (the GMRES correction) must
+        // dispatch on the column too.
+        let base = convection_diffusion_2d(9, 8, 0.4, 0.2);
+        let n = base.nrows();
+        let k = 4;
+        let mats: Vec<_> = (0..k)
+            .map(|c| revalue(&base, 0.1 + c as f64, 0.05))
+            .collect();
+        let refs: Vec<_> = mats.iter().collect();
+        let sym = SymbolicIlu::analyze(&base, &IluOptions::ilu0(1)).unwrap();
+        let factors = sym.factor_batch(&refs).unwrap();
+        let m = factors.precond(SolveEngine::Serial);
+        let opts = SolverOptions {
+            restart: 5,
+            ..Default::default()
+        };
+        let b = rhs_panel(n, k, 41);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &ScenarioMatrices(&refs), &b, k, &m, &opts);
+            assert!(batch.1.iter().all(|r| r.converged), "{method}");
+            for c in 0..k {
+                let fc = factors.factor(c).with_engine(SolveEngine::Serial);
+                assert_column_bitwise(method, c, &mats[c], &b, &batch, &fc, &opts);
+            }
         }
     }
 
@@ -627,46 +630,63 @@ mod tests {
         for i in 0..n {
             b[n + i] = ((i * 17 % 31) as f64 - 15.0) * 0.4;
         }
-        let mut x = vec![0.0; n * 2];
-        let res = gmres_batch(
-            &a,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-            &f,
-            &opts,
-        );
-        assert!(res[0].converged && res[1].converged);
-        assert!(
-            res[0].iterations <= res[1].iterations,
-            "easy column {} vs hard column {}",
-            res[0].iterations,
-            res[1].iterations
-        );
-        assert_columns_bitwise(&a, &b, 2, &x, &res, &f, &opts);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &f, &opts);
+            let res = &batch.1;
+            assert!(res[0].converged && res[1].converged);
+            assert!(
+                res[0].iterations <= res[1].iterations,
+                "{method}: easy column {} vs hard column {}",
+                res[0].iterations,
+                res[1].iterations
+            );
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &f, &opts);
+        }
     }
 
     #[test]
-    fn zero_rhs_columns_are_trivially_converged() {
+    fn zero_and_nan_rhs_columns_freeze_without_touching_their_neighbours() {
         let a = convection_diffusion_2d(6, 6, 0.3, 0.3);
         let n = a.nrows();
         let f = factorize(&a, &IluOptions::default()).unwrap();
-        let mut b = vec![0.0; n * 3];
+        let opts = SolverOptions::default();
+        // Columns: zero, healthy, NaN, healthy.
+        let mut b = vec![0.0; n * 4];
         for i in 0..n {
             b[n + i] = 1.0;
+            b[2 * n + i] = 0.5;
+            b[3 * n + i] = ((i * 7 % 11) as f64) - 5.0;
         }
-        let mut x = vec![5.0; n * 3];
-        let res = gmres_batch(
-            &a,
-            Panel::new(&b, n, 3),
-            PanelMut::new(&mut x, n, 3),
-            &f,
-            &SolverOptions::default(),
-        );
-        assert!(res[0].converged && res[0].iterations == 0);
-        assert!(res[2].converged && res[2].iterations == 0);
-        assert!(x[..n].iter().all(|&v| v == 0.0));
-        assert!(x[2 * n..].iter().all(|&v| v == 0.0));
-        assert!(res[1].converged && res[1].iterations > 0);
+        b[2 * n + 4] = f64::NAN;
+        for method in FLAVOURS {
+            // The frozen columns start from a visible guess; the healthy
+            // ones from zero, like the scalar reference runs.
+            let mut x = vec![0.0; n * 4];
+            x[..n].fill(5.0);
+            x[2 * n..3 * n].fill(5.0);
+            let res = krylov_panel_with(
+                method,
+                &a,
+                Panel::new(&b, n, 4),
+                PanelMut::new(&mut x, n, 4),
+                &f,
+                &opts,
+                &mut SolverWorkspace::new(),
+            );
+            assert!(res[0].converged && res[0].iterations == 0, "{method}");
+            assert!(x[..n].iter().all(|&v| v == 0.0), "{method}");
+            assert_eq!(res[2].status, SolverStatus::NumericalBreakdown);
+            assert_eq!(res[2].iterations, 0, "{method}");
+            assert!(
+                x[2 * n..3 * n].iter().all(|&v| v == 5.0),
+                "{method}: a NaN column stays at its initial guess"
+            );
+            let batch = (x, res);
+            for c in [1usize, 3] {
+                assert!(batch.1[c].iterations > 0, "{method} col {c}");
+                assert_column_bitwise(method, c, &a, &b, &batch, &f, &opts);
+            }
+        }
     }
 
     #[test]
@@ -679,19 +699,14 @@ mod tests {
         let opts = SolverOptions::default();
         let k = 4;
         let b = rhs_panel(n, k, 13);
-        let mut x = vec![0.0; n * k];
-        let res = gmres_batch(
-            &a,
-            Panel::new(&b, n, k),
-            PanelMut::new(&mut x, n, k),
-            &f,
-            &opts,
-        );
-        for r in &res {
-            assert!(r.converged);
-            assert!(r.iterations <= 2, "took {} iterations", r.iterations);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, k, &f, &opts);
+            for r in &batch.1 {
+                assert!(r.converged);
+                assert!(r.iterations <= 2, "took {} iterations", r.iterations);
+            }
+            assert_columns_bitwise(method, &a, &b, k, &batch, &f, &opts);
         }
-        assert_columns_bitwise(&a, &b, k, &x, &res, &f, &opts);
     }
 
     #[test]
@@ -705,19 +720,44 @@ mod tests {
             restart: 3, // cap lands mid-cycle: 5 = 3 + 2
             record_history: true,
         };
-        let mut x = vec![0.0; n * 2];
-        let res = gmres_batch(
-            &a,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-            &IdentityPrecond,
-            &opts,
-        );
-        for r in &res {
-            assert!(!r.converged);
-            assert_eq!(r.iterations, 5);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &IdentityPrecond, &opts);
+            for r in &batch.1 {
+                assert!(!r.converged);
+                assert_eq!(r.iterations, 5);
+            }
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &IdentityPrecond, &opts);
         }
-        assert_columns_bitwise(&a, &b, 2, &x, &res, &IdentityPrecond, &opts);
+    }
+
+    #[test]
+    fn happy_breakdown_pauses_one_column_until_the_shared_boundary() {
+        // Column 0 closes its Krylov space exactly (b = β·e₄ on a
+        // diagonal operator; reachable only with tol = 0) while column 1
+        // keeps iterating: column 0 pauses to the next shared restart
+        // boundary and re-enters there, bit for bit the scalar run.
+        let n = 6;
+        let mut coo = javelin_sparse::CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 3.0 + i as f64).unwrap();
+        }
+        let a = coo.to_csr();
+        let mut b = vec![0.0; 2 * n];
+        b[4] = 0.9;
+        for i in 0..n {
+            b[n + i] = 1.0 + i as f64;
+        }
+        let opts = SolverOptions {
+            tol: 0.0,
+            max_iters: 2,
+            restart: 4,
+            record_history: true,
+        };
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &IdentityPrecond, &opts);
+            assert_eq!(batch.1[0].iterations, 2, "{method}");
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &IdentityPrecond, &opts);
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! refreshed mid-solve, or polynomial/SSOR preconditioning with varying
 //! sweep counts. The cost over GMRES is storing the preconditioned
 //! basis `Z` alongside `V`.
+//!
+//! FGMRES is the `flexible` mode of the one lockstep Arnoldi core in
+//! [`crate::batch_gmres`]: [`fgmres_with`] is that core at
+//! `FixedLanes<1>`, [`crate::Method::Fgmres`] panels run it at any width.
 
-use crate::{SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
+use crate::{SolverOptions, SolverResult, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::vecops;
 use javelin_sparse::{CsrMatrix, Scalar};
 
 /// Flexible restarted GMRES: like [`crate::gmres()`], but applies the
@@ -34,7 +37,8 @@ pub fn fgmres<T: Scalar, P: Preconditioner<T>>(
 
 /// [`fgmres`] with caller-owned working memory (both Arnoldi bases,
 /// Hessenberg/Givens state, preconditioner scratch): allocation-free
-/// once the workspace has seen this `(n, restart)` size.
+/// once the workspace has seen this `(n, restart)` size, and from the
+/// first solve after [`SolverWorkspace::reserve`].
 ///
 /// # Panics
 /// On dimension mismatches.
@@ -46,157 +50,7 @@ pub fn fgmres_with<T: Scalar, P: Preconditioner<T>>(
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
 ) -> SolverResult {
-    let n = a.nrows();
-    assert_eq!(b.len(), n, "fgmres: rhs length");
-    assert_eq!(x.len(), n, "fgmres: solution length");
-    let restart = opts.restart.max(1).min(n.max(1));
-    let b_norm = vecops::norm2(b).to_f64();
-    if b_norm == 0.0 {
-        x.fill(T::ZERO);
-        return SolverResult {
-            converged: true,
-            iterations: 0,
-            relative_residual: 0.0,
-            history: Vec::new(),
-            status: SolverStatus::Converged,
-            retried: false,
-        };
-    }
-    if !b_norm.is_finite() {
-        // Hostile RHS: refuse to iterate on NaN/∞ data.
-        return SolverResult {
-            converged: false,
-            iterations: 0,
-            relative_residual: f64::NAN,
-            history: Vec::new(),
-            status: SolverStatus::NumericalBreakdown,
-            retried: false,
-        };
-    }
-    let mut history = Vec::new();
-    let mut total_iters = 0usize;
-    let mut broke_down = false;
-    #[allow(unused_assignments)]
-    let mut relres = f64::INFINITY;
-
-    ws.ensure_krylov(n, restart, true);
-    let SolverWorkspace {
-        precond,
-        u,
-        w,
-        v_basis,
-        z_basis,
-        h,
-        cs,
-        sn,
-        g,
-        yk,
-        ..
-    } = ws;
-
-    loop {
-        // r = b - A x (into u).
-        a.spmv_into(x, u);
-        for i in 0..n {
-            u[i] = b[i] - u[i];
-        }
-        let beta = vecops::norm2(u);
-        relres = beta.to_f64() / b_norm;
-        if opts.record_history && history.is_empty() {
-            history.push(relres);
-        }
-        if !relres.is_finite() {
-            // Per-restart guard: non-finite true residual — stop now.
-            broke_down = true;
-            break;
-        }
-        if relres < opts.tol || total_iters >= opts.max_iters {
-            break;
-        }
-        v_basis[0].copy_from_slice(u);
-        vecops::scale(T::ONE / beta, &mut v_basis[0]);
-        g.iter_mut().for_each(|gi| *gi = T::ZERO);
-        g[0] = beta;
-        let mut j_used = 0usize;
-        for j in 0..restart {
-            if total_iters >= opts.max_iters {
-                break;
-            }
-            total_iters += 1;
-            // z_j = M_j^{-1} v_j (stored); w = A z_j.
-            m.apply_with(precond, &v_basis[j], &mut z_basis[j]);
-            a.spmv_into(&z_basis[j], w);
-            for i in 0..=j {
-                let hij = vecops::dot(w, &v_basis[i]);
-                h[i * restart + j] = hij;
-                vecops::axpy(-hij, &v_basis[i], w);
-            }
-            let hjp = vecops::norm2(w);
-            h[(j + 1) * restart + j] = hjp;
-            for i in 0..j {
-                let hi = h[i * restart + j];
-                let hi1 = h[(i + 1) * restart + j];
-                h[i * restart + j] = cs[i] * hi + sn[i] * hi1;
-                h[(i + 1) * restart + j] = -sn[i] * hi + cs[i] * hi1;
-            }
-            let hjj = h[j * restart + j];
-            let denom = (hjj * hjj + hjp * hjp).sqrt();
-            let (c, s) = if denom == T::ZERO {
-                (T::ONE, T::ZERO)
-            } else {
-                (hjj / denom, hjp / denom)
-            };
-            cs[j] = c;
-            sn[j] = s;
-            h[j * restart + j] = c * hjj + s * hjp;
-            h[(j + 1) * restart + j] = T::ZERO;
-            g[j + 1] = -s * g[j];
-            g[j] = c * g[j];
-            j_used = j + 1;
-            relres = g[j + 1].abs().to_f64() / b_norm;
-            if opts.record_history {
-                history.push(relres);
-            }
-            if relres < opts.tol || hjp == T::ZERO {
-                break;
-            }
-            v_basis[j + 1].copy_from_slice(w);
-            vecops::scale(T::ONE / hjp, &mut v_basis[j + 1]);
-        }
-        if j_used == 0 {
-            break;
-        }
-        for i in (0..j_used).rev() {
-            let mut s = g[i];
-            for k in (i + 1)..j_used {
-                s -= h[i * restart + k] * yk[k];
-            }
-            yk[i] = s / h[i * restart + i];
-        }
-        // x += Z y — no trailing M^{-1}: Z already holds the
-        // preconditioned directions (the "flexible" difference).
-        for (k, y) in yk[..j_used].iter().enumerate() {
-            vecops::axpy(*y, &z_basis[k], x);
-        }
-        if relres < opts.tol || total_iters >= opts.max_iters {
-            break;
-        }
-    }
-    let converged = relres < opts.tol;
-    SolverResult {
-        converged,
-        iterations: total_iters,
-        relative_residual: relres,
-        history,
-        status: if converged {
-            SolverStatus::Converged
-        } else if broke_down || !relres.is_finite() {
-            SolverStatus::NumericalBreakdown
-        } else {
-            SolverStatus::MaxIters
-        },
-        retried: false,
-    }
+    crate::batch_gmres::gmres_scalar(true, a, b, x, m, opts, ws)
 }
 
 #[cfg(test)]

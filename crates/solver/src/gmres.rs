@@ -5,10 +5,16 @@
 //! methods like GMRES that use ILU" (§VI). Right preconditioning keeps
 //! the *true* residual observable: we solve `A·M⁻¹·u = b`, `x = M⁻¹·u`,
 //! so the least-squares residual equals the unpreconditioned one.
+//!
+//! The Arnoldi process lives in one place: the width-generic lockstep
+//! core in [`crate::batch_gmres`]. [`gmres_with`] is its
+//! `FixedLanes<1>` instantiation — a plain vector viewed as a width-1
+//! panel — so restart boundaries, happy breakdown, the non-finite
+//! guards and the iteration-cap exits are the same code for the
+//! scalar, panel and flexible ([`crate::fgmres_with`]) solvers.
 
-use crate::{SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
+use crate::{SolverOptions, SolverResult, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::vecops;
 use javelin_sparse::{CsrMatrix, Scalar};
 
 /// Right-preconditioned restarted GMRES(m).
@@ -34,7 +40,12 @@ pub fn gmres<T: Scalar, P: Preconditioner<T>>(
 
 /// [`gmres`] with caller-owned working memory (Arnoldi basis,
 /// Hessenberg/Givens state, preconditioner scratch): allocation-free
-/// once the workspace has seen this `(n, restart)` size.
+/// once the workspace has seen this `(n, restart)` size, and from the
+/// first solve after [`SolverWorkspace::reserve`].
+///
+/// This is the `FixedLanes<1>` instantiation of the lockstep Arnoldi
+/// core ([`crate::gmres_batch_with`] at width 1) — bit-identical
+/// iterates, iteration counts, histories and statuses.
 ///
 /// # Panics
 /// On dimension mismatches.
@@ -46,175 +57,13 @@ pub fn gmres_with<T: Scalar, P: Preconditioner<T>>(
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
 ) -> SolverResult {
-    let n = a.nrows();
-    assert_eq!(b.len(), n, "gmres: rhs length");
-    assert_eq!(x.len(), n, "gmres: solution length");
-    let restart = opts.restart.max(1).min(n.max(1));
-    let b_norm = vecops::norm2(b).to_f64();
-    if b_norm == 0.0 {
-        x.fill(T::ZERO);
-        return SolverResult {
-            converged: true,
-            iterations: 0,
-            relative_residual: 0.0,
-            history: Vec::new(),
-            status: SolverStatus::Converged,
-            retried: false,
-        };
-    }
-    if !b_norm.is_finite() {
-        // Hostile RHS: refuse to iterate on NaN/∞ data.
-        return SolverResult {
-            converged: false,
-            iterations: 0,
-            relative_residual: f64::NAN,
-            history: Vec::new(),
-            status: SolverStatus::NumericalBreakdown,
-            retried: false,
-        };
-    }
-    let mut history = Vec::new();
-    let mut total_iters = 0usize;
-    let mut broke_down = false;
-    #[allow(unused_assignments)]
-    let mut relres = f64::INFINITY;
-
-    ws.ensure_krylov(n, restart, false);
-    let SolverWorkspace {
-        precond,
-        z,
-        u,
-        w,
-        v_basis,
-        h,
-        cs,
-        sn,
-        g,
-        yk,
-        ..
-    } = ws;
-
-    'outer: loop {
-        // r = b - A x (into u).
-        a.spmv_into(x, u);
-        for i in 0..n {
-            u[i] = b[i] - u[i];
-        }
-        let beta = vecops::norm2(u);
-        relres = beta.to_f64() / b_norm;
-        if opts.record_history && history.is_empty() {
-            history.push(relres);
-        }
-        if !relres.is_finite() {
-            // Per-restart guard: the true residual turned NaN/∞
-            // (poisoned preconditioner or matrix values) — stop now
-            // rather than spinning every remaining cycle on NaNs.
-            broke_down = true;
-            break;
-        }
-        if relres < opts.tol || total_iters >= opts.max_iters {
-            break;
-        }
-        v_basis[0].copy_from_slice(u);
-        vecops::scale(T::ONE / beta, &mut v_basis[0]);
-        g.iter_mut().for_each(|gi| *gi = T::ZERO);
-        g[0] = beta;
-        let mut j_used = 0usize;
-        for j in 0..restart {
-            if total_iters >= opts.max_iters {
-                break;
-            }
-            total_iters += 1;
-            // w = A M^{-1} v_j
-            m.apply_with(precond, &v_basis[j], z);
-            a.spmv_into(z, w);
-            // Modified Gram–Schmidt.
-            for i in 0..=j {
-                let hij = vecops::dot(w, &v_basis[i]);
-                h[i * restart + j] = hij;
-                vecops::axpy(-hij, &v_basis[i], w);
-            }
-            let hjp = vecops::norm2(w);
-            h[(j + 1) * restart + j] = hjp;
-            // Apply existing Givens rotations to the new column.
-            for i in 0..j {
-                let hi = h[i * restart + j];
-                let hi1 = h[(i + 1) * restart + j];
-                h[i * restart + j] = cs[i] * hi + sn[i] * hi1;
-                h[(i + 1) * restart + j] = -sn[i] * hi + cs[i] * hi1;
-            }
-            // New rotation to kill h[j+1, j].
-            let hjj = h[j * restart + j];
-            let denom = (hjj * hjj + hjp * hjp).sqrt();
-            let (c, s) = if denom == T::ZERO {
-                (T::ONE, T::ZERO)
-            } else {
-                (hjj / denom, hjp / denom)
-            };
-            cs[j] = c;
-            sn[j] = s;
-            h[j * restart + j] = c * hjj + s * hjp;
-            h[(j + 1) * restart + j] = T::ZERO;
-            g[j + 1] = -s * g[j];
-            g[j] = c * g[j];
-            j_used = j + 1;
-            relres = g[j + 1].abs().to_f64() / b_norm;
-            if opts.record_history {
-                history.push(relres);
-            }
-            if relres < opts.tol {
-                break;
-            }
-            if hjp == T::ZERO {
-                break; // happy breakdown: exact solution in the space
-            }
-            v_basis[j + 1].copy_from_slice(w);
-            vecops::scale(T::ONE / hjp, &mut v_basis[j + 1]);
-        }
-        if j_used == 0 {
-            break 'outer; // no progress possible
-        }
-        // Back-substitute y from the triangularized H, update x.
-        for i in (0..j_used).rev() {
-            let mut s = g[i];
-            for k in (i + 1)..j_used {
-                s -= h[i * restart + k] * yk[k];
-            }
-            yk[i] = s / h[i * restart + i];
-        }
-        // x += M^{-1} (V y)
-        u.iter_mut().for_each(|ui| *ui = T::ZERO);
-        for (k, y) in yk[..j_used].iter().enumerate() {
-            vecops::axpy(*y, &v_basis[k], u);
-        }
-        m.apply_with(precond, u, z);
-        for (xi, zi) in x.iter_mut().zip(z.iter()) {
-            *xi += *zi;
-        }
-        if relres < opts.tol || total_iters >= opts.max_iters {
-            break;
-        }
-    }
-    let converged = relres < opts.tol;
-    SolverResult {
-        converged,
-        iterations: total_iters,
-        relative_residual: relres,
-        history,
-        status: if converged {
-            SolverStatus::Converged
-        } else if broke_down || !relres.is_finite() {
-            SolverStatus::NumericalBreakdown
-        } else {
-            SolverStatus::MaxIters
-        },
-        retried: false,
-    }
+    crate::batch_gmres::gmres_scalar(false, a, b, x, m, opts, ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverStatus;
     use javelin_core::precond::IdentityPrecond;
     use javelin_core::{factorize, IluOptions};
     use javelin_sparse::CooMatrix;
@@ -339,5 +188,326 @@ mod tests {
         let res = gmres(&a, &b, &mut x, &IdentityPrecond, &opts);
         assert!(!res.converged);
         assert_eq!(res.iterations, 5);
+    }
+
+    // ---- Golden pin -------------------------------------------------
+    // Recorded from the hand-written scalar `gmres_with` / `fgmres_with`
+    // at the commit before they became `FixedLanes<1>` instantiations of
+    // the lockstep core. The panel-vs-scalar bitwise grids now compare
+    // one implementation with itself, so the historical bits are pinned
+    // here: (iterations, status, relative_residual bits, history
+    // length, FNV-1a over the bits of x).
+    type Golden = (usize, SolverStatus, u64, usize, u64);
+
+    fn fnv1a(x: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in x.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Integer-arithmetic right-hand side (no libm, so the pins do not
+    /// depend on the platform's `sin`).
+    fn rhs(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 13 % 29) as f64 - 14.0) * 0.21)
+            .collect()
+    }
+
+    fn run<P: Preconditioner<f64>>(
+        flexible: bool,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        x0: f64,
+        m: &P,
+        opts: SolverOptions,
+    ) -> Golden {
+        let mut x = vec![x0; a.nrows()];
+        let solver = if flexible {
+            crate::fgmres_with
+        } else {
+            gmres_with
+        };
+        let res = solver(a, b, &mut x, m, &opts, &mut SolverWorkspace::new());
+        (
+            res.iterations,
+            res.status,
+            res.relative_residual.to_bits(),
+            res.history.len(),
+            fnv1a(&x),
+        )
+    }
+
+    fn golden_run(fixture: usize, flexible: bool) -> Golden {
+        use javelin_synth::grid::convection_diffusion_2d as cd;
+        let ilu = |a: &CsrMatrix<f64>, fill: usize| {
+            factorize(a, &IluOptions::ilu0(1).with_fill(fill)).unwrap()
+        };
+        let hist = SolverOptions {
+            record_history: true,
+            ..Default::default()
+        };
+        match fixture {
+            // ILU(0), default restart 50, history on.
+            0 => {
+                let a = cd(13, 11, 0.4, 0.2);
+                run(flexible, &a, &rhs(a.nrows()), 0.0, &ilu(&a, 0), hist)
+            }
+            // Unpreconditioned, several full cycles of 7, warm start.
+            1 => {
+                let a = cd(12, 12, 0.6, 0.3);
+                let opts = SolverOptions { restart: 7, ..hist };
+                run(flexible, &a, &rhs(a.nrows()), 0.5, &IdentityPrecond, opts)
+            }
+            // GMRES(1): a restart boundary after every step.
+            2 => {
+                let a = cd(6, 6, 0.3, 0.3);
+                let opts = SolverOptions {
+                    restart: 1,
+                    max_iters: 10_000,
+                    ..Default::default()
+                };
+                run(flexible, &a, &rhs(a.nrows()), 0.0, &IdentityPrecond, opts)
+            }
+            // ILU(0) with a short restart and a tight tolerance.
+            3 => {
+                let a = cd(14, 9, 0.2, 0.5);
+                let opts = SolverOptions {
+                    restart: 3,
+                    tol: 1e-12,
+                    ..hist
+                };
+                run(flexible, &a, &rhs(a.nrows()), 0.0, &ilu(&a, 0), opts)
+            }
+            // Iteration cap lands mid-cycle: 5 = 3 + 2.
+            4 => {
+                let a = cd(14, 14, 0.6, 0.2);
+                let opts = SolverOptions {
+                    max_iters: 5,
+                    tol: 1e-14,
+                    restart: 3,
+                    record_history: true,
+                };
+                run(flexible, &a, &rhs(a.nrows()), 0.0, &IdentityPrecond, opts)
+            }
+            // Full fill = exact LU: the Krylov space closes at once.
+            5 => {
+                let a = cd(7, 7, 0.4, 0.2);
+                run(
+                    flexible,
+                    &a,
+                    &rhs(a.nrows()),
+                    0.0,
+                    &ilu(&a, a.nrows()),
+                    hist,
+                )
+            }
+            // Zero right-hand side: x is overwritten with zeros.
+            6 => {
+                let a = cd(4, 4, 0.3, 0.3);
+                run(flexible, &a, &[0.0; 16], 3.0, &IdentityPrecond, hist)
+            }
+            // NaN right-hand side: frozen at the initial guess.
+            7 => {
+                let a = cd(5, 4, 0.3, 0.3);
+                let mut b = rhs(a.nrows());
+                b[7] = f64::NAN;
+                run(flexible, &a, &b, 0.25, &IdentityPrecond, hist)
+            }
+            // True happy breakdown (h_{j+1,j} == 0 exactly, reachable
+            // only with tol = 0): b = β·e₄ on a diagonal operator
+            // (β = 0.9, d = 7 leaves a one-ulp true residual, so the second
+            // cycle breaks down again and the cap ends the solve finite).
+            8 => {
+                let mut coo = CooMatrix::new(6, 6);
+                for i in 0..6 {
+                    coo.push(i, i, 3.0 + i as f64).unwrap();
+                }
+                let a = coo.to_csr();
+                let mut b = [0.0; 6];
+                b[4] = 0.9;
+                let opts = SolverOptions {
+                    tol: 0.0,
+                    max_iters: 2,
+                    ..hist
+                };
+                run(flexible, &a, &b, 0.0, &IdentityPrecond, opts)
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    /// `[fixture] = (gmres_with, fgmres_with)`, see `golden_run`.
+    const GOLDEN: [(Golden, Golden); 9] = [
+        // 0: ILU(0), restart 50
+        (
+            (
+                12,
+                SolverStatus::Converged,
+                0x3ea09285c76dc091,
+                13,
+                0x7d7cc91c226ece0f,
+            ),
+            (
+                12,
+                SolverStatus::Converged,
+                0x3ea09285c76dc091,
+                13,
+                0x3c5340b49c9231a5,
+            ),
+        ),
+        // 1: identity, restart 7, warm start
+        (
+            (
+                67,
+                SolverStatus::Converged,
+                0x3eacdb077625d416,
+                68,
+                0x8b2d8a29fdd0f006,
+            ),
+            (
+                67,
+                SolverStatus::Converged,
+                0x3eacdb077626ad5b,
+                68,
+                0xff494c3088ab8b20,
+            ),
+        ),
+        // 2: identity, restart 1
+        (
+            (
+                98,
+                SolverStatus::Converged,
+                0x3eb029998500ed04,
+                0,
+                0xbf9d2e707545d16a,
+            ),
+            (
+                98,
+                SolverStatus::Converged,
+                0x3eb029998500ed04,
+                0,
+                0xbf9d2e707545d16a,
+            ),
+        ),
+        // 3: ILU(0), restart 3, tol 1e-12
+        (
+            (
+                37,
+                SolverStatus::Converged,
+                0x3d6bbc8f84d82fd0,
+                38,
+                0xd189f11116df8d54,
+            ),
+            (
+                37,
+                SolverStatus::Converged,
+                0x3d6bbca1ff1fa5df,
+                38,
+                0x9bfe3ba1d04d189d,
+            ),
+        ),
+        // 4: cap mid-cycle
+        (
+            (
+                5,
+                SolverStatus::MaxIters,
+                0x3fadc7cda575e773,
+                6,
+                0x6b8bc295fb417bbd,
+            ),
+            (
+                5,
+                SolverStatus::MaxIters,
+                0x3fadc7cda575e773,
+                6,
+                0x7071a48463bbf684,
+            ),
+        ),
+        // 5: full-fill ILU
+        (
+            (
+                1,
+                SolverStatus::Converged,
+                0x3cb3158802b7ddf5,
+                2,
+                0xa6d8857a39d31bf9,
+            ),
+            (
+                1,
+                SolverStatus::Converged,
+                0x3cb3158802b7ddf5,
+                2,
+                0xce0a43b483cecb8d,
+            ),
+        ),
+        // 6: zero rhs
+        (
+            (
+                0,
+                SolverStatus::Converged,
+                0x0000000000000000,
+                0,
+                0x8421ae126c7ced25,
+            ),
+            (
+                0,
+                SolverStatus::Converged,
+                0x0000000000000000,
+                0,
+                0x8421ae126c7ced25,
+            ),
+        ),
+        // 7: NaN rhs
+        (
+            (
+                0,
+                SolverStatus::NumericalBreakdown,
+                0x7ff8000000000000,
+                0,
+                0xe1ca3f76156a6965,
+            ),
+            (
+                0,
+                SolverStatus::NumericalBreakdown,
+                0x7ff8000000000000,
+                0,
+                0xe1ca3f76156a6965,
+            ),
+        ),
+        // 8: happy breakdown twice
+        (
+            (
+                2,
+                SolverStatus::MaxIters,
+                0x0000000000000000,
+                3,
+                0xf1eefede8beb5e5c,
+            ),
+            (
+                2,
+                SolverStatus::MaxIters,
+                0x0000000000000000,
+                3,
+                0xf1eefede8beb5e5c,
+            ),
+        ),
+    ];
+
+    #[test]
+    fn width_one_instantiations_reproduce_the_historical_scalar_bits() {
+        for (fixture, (plain, flexible)) in GOLDEN.iter().enumerate() {
+            assert_eq!(
+                golden_run(fixture, false),
+                *plain,
+                "gmres fixture {fixture}"
+            );
+            assert_eq!(
+                golden_run(fixture, true),
+                *flexible,
+                "fgmres fixture {fixture}"
+            );
+        }
     }
 }

@@ -15,13 +15,14 @@
 //!   driver);
 //! * [`bicgstab_batch`] / [`gmres_batch`] — the nonsymmetric batch
 //!   drivers: lockstep BiCGSTAB with per-column breakdown masking, and
-//!   lockstep-restart GMRES with per-column Hessenberg/Givens state.
+//!   lockstep-restart GMRES with per-column Hessenberg/Givens state
+//!   (FGMRES panels run the same core through [`Method::Fgmres`]).
 //!
 //! All solvers share [`SolverOptions`] / [`SolverResult`] and take any
 //! [`javelin_core::Preconditioner`]; the [`Method`] enum plus
-//! [`krylov_with`] / [`krylov_panel_with`] give a single dispatched
-//! entry over all of them — the method axis of the `javelin::Session`
-//! façade.
+//! [`krylov_with`] / [`krylov_panel_with`] / [`krylov_panel_into`]
+//! give a single dispatched entry over all of them — the method axis
+//! of the `javelin::Session` façade.
 //!
 //! Every solver comes in two forms: the plain entry point (`pcg`,
 //! `gmres`, …) that allocates its own working vectors, and a `_with`
@@ -37,13 +38,18 @@
 //!
 //! ## One convergence loop per method — the lane layer
 //!
-//! The short-recurrence drivers are **width-generic** over
-//! [`javelin_sparse::lanes::Lanes`]: [`fn@pcg`] / [`fn@bicgstab`] are
-//! the `FixedLanes<1>` instantiations of the batch cores (there is no
-//! separate scalar convergence loop to keep in sync), panel widths
-//! `k ∈ {4, 8}` monomorphize the drivers' per-lane bookkeeping loops,
-//! and every other width runs the bit-identical `DynLanes` fallback.
-//! (The SIMD-relevant inner loops live below the drivers, in the
+//! Every driver is **width-generic** over
+//! [`javelin_sparse::lanes::Lanes`], and every scalar solver is the
+//! `FixedLanes<1>` instantiation of its lockstep core: [`fn@pcg`] of
+//! [`solve_batch`], [`fn@bicgstab`] of [`bicgstab_batch`], and
+//! [`fn@gmres`] / [`fn@fgmres`] of the one Arnoldi core in
+//! [`batch_gmres`] (FGMRES is its `flexible` mode). There is no
+//! separate scalar convergence loop to keep in sync — restart
+//! boundaries, happy breakdown, the non-finite guards and the
+//! iteration-cap exits exist once. Panel widths `k ∈ {4, 8}`
+//! monomorphize the drivers' per-lane bookkeeping loops, and every
+//! other width runs the bit-identical `DynLanes` fallback. (The
+//! SIMD-relevant inner loops live below the drivers, in the
 //! preconditioner's trisolve and spmv kernels, which pick their own
 //! fixed-lane instantiation from the panel width.) Column `c` of any
 //! width is bit-identical to the scalar solve of that column.
@@ -137,8 +143,14 @@ impl<T: Scalar> PanelMatrices<T> for ScenarioMatrices<'_, T> {
 }
 
 /// Which Krylov method a dispatched solve runs — the method axis of the
-/// unified `javelin::Session` façade (each variant maps onto one of the
-/// dedicated entry points below).
+/// unified `javelin::Session` façade.
+///
+/// Every variant is a lockstep panel driver: [`krylov_panel_into`]
+/// advances all `k` columns together and [`krylov_with`] runs the same
+/// driver at width 1. The scalar names and their `Batch*` synonyms are
+/// therefore the same code (kept as separate variants for callers that
+/// name one or the other); [`Method::Fgmres`] is the flexible mode of
+/// the GMRES core and is its own panel entry.
 ///
 /// ```
 /// use javelin_core::{factorize, IluOptions};
@@ -147,7 +159,7 @@ impl<T: Scalar> PanelMatrices<T> for ScenarioMatrices<'_, T> {
 /// let a = javelin_synth::grid::convection_diffusion_2d(10, 10, 0.4, 0.2);
 /// let f = factorize(&a, &IluOptions::ilu0(1)).unwrap();
 /// let b = vec![1.0; a.nrows()];
-/// for method in [Method::Gmres, Method::Bicgstab, Method::BatchGmres] {
+/// for method in [Method::Gmres, Method::Fgmres, Method::Bicgstab] {
 ///     let mut x = vec![0.0; a.nrows()];
 ///     let res = krylov(method, &a, &b, &mut x, &f, &SolverOptions::default());
 ///     assert!(res.converged, "{method}");
@@ -155,25 +167,29 @@ impl<T: Scalar> PanelMatrices<T> for ScenarioMatrices<'_, T> {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
-    /// Preconditioned conjugate gradients ([`pcg`]) — SPD systems.
+    /// Preconditioned conjugate gradients ([`pcg`] / [`solve_batch`]) —
+    /// SPD systems.
     Pcg,
-    /// Restarted GMRES with right preconditioning ([`fn@gmres`]).
+    /// Restarted GMRES with right preconditioning ([`fn@gmres`] /
+    /// [`gmres_batch`]).
     Gmres,
-    /// Flexible GMRES ([`fn@fgmres`]) — iteration-varying preconditioners.
+    /// Flexible GMRES ([`fn@fgmres`]) — iteration-varying
+    /// preconditioners; on a panel, `k` FGMRES systems in lockstep with
+    /// one shared apply per inner step, each column bit-identical to
+    /// [`fgmres_with`].
     Fgmres,
-    /// BiCGSTAB ([`fn@bicgstab`]) — nonsymmetric systems.
+    /// BiCGSTAB ([`fn@bicgstab`] / [`bicgstab_batch`]) — nonsymmetric
+    /// systems.
     Bicgstab,
-    /// Lockstep batched PCG ([`solve_batch`]); on a single right-hand
-    /// side this runs the panel driver at width 1, which is
-    /// bit-identical to [`pcg`] by the panel contract.
+    /// Synonym of [`Method::Pcg`] (lockstep batched PCG,
+    /// [`solve_batch`]).
     BatchPcg,
-    /// Lockstep batched BiCGSTAB ([`bicgstab_batch`]) — nonsymmetric
-    /// panels with per-column convergence/breakdown masking; width 1 is
-    /// bit-identical to [`fn@bicgstab`].
+    /// Synonym of [`Method::Bicgstab`] (lockstep batched BiCGSTAB with
+    /// per-column convergence/breakdown masking, [`bicgstab_batch`]).
     BatchBicgstab,
-    /// Lockstep-restart batched GMRES ([`gmres_batch`]) — shared panel
-    /// applies per inner step, per-column Hessenberg/Givens state;
-    /// width 1 is bit-identical to [`fn@gmres`].
+    /// Synonym of [`Method::Gmres`] (lockstep-restart batched GMRES —
+    /// shared panel applies per inner step, per-column
+    /// Hessenberg/Givens state, [`gmres_batch`]).
     BatchGmres,
 }
 
@@ -191,12 +207,16 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// Runs the chosen Krylov [`Method`] with caller-owned working memory —
-/// the dispatch behind `javelin::Session::krylov`. Allocation behavior
-/// and semantics are those of the underlying `_with` entry point.
+/// Runs the chosen Krylov [`Method`] on one right-hand side with
+/// caller-owned working memory — the dispatch behind
+/// `javelin::Session::krylov`. This is [`krylov_panel_into`] over the
+/// vector viewed as a width-1 panel (a stack `[SolverResult; 1]`, so
+/// nothing is allocated on the way): every method's scalar solver *is*
+/// its lockstep driver at `FixedLanes<1>`, so the result is
+/// bit-identical to the dedicated `_with` entry point.
 ///
 /// # Panics
-/// On dimension mismatches (as the underlying solvers do).
+/// On dimension mismatches.
 pub fn krylov_with<T: Scalar, P: Preconditioner<T>>(
     method: Method,
     a: &CsrMatrix<T>,
@@ -206,27 +226,22 @@ pub fn krylov_with<T: Scalar, P: Preconditioner<T>>(
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
 ) -> SolverResult {
-    match method {
-        Method::Pcg => pcg_with(a, b, x, m, opts, ws),
-        Method::Gmres => gmres_with(a, b, x, m, opts, ws),
-        Method::Fgmres => fgmres_with(a, b, x, m, opts, ws),
-        Method::Bicgstab => bicgstab_with(a, b, x, m, opts, ws),
-        Method::BatchPcg | Method::BatchBicgstab | Method::BatchGmres => {
-            let n = a.nrows();
-            assert_eq!(b.len(), n, "krylov: rhs length");
-            assert_eq!(x.len(), n, "krylov: solution length");
-            let results = krylov_panel_with(
-                method,
-                a,
-                Panel::new(b, n, 1),
-                PanelMut::new(x, n, 1),
-                m,
-                opts,
-                ws,
-            );
-            results.into_iter().next().expect("one column")
-        }
-    }
+    let n = a.nrows();
+    assert_eq!(b.len(), n, "krylov: rhs length");
+    assert_eq!(x.len(), n, "krylov: solution length");
+    let mut results = [SolverResult::default()];
+    krylov_panel_into(
+        method,
+        a,
+        Panel::from_col(b),
+        PanelMut::from_col(x),
+        m,
+        opts,
+        ws,
+        &mut results,
+    );
+    let [res] = results;
+    res
 }
 
 /// [`krylov_with`] allocating a fresh workspace — convenience for
@@ -244,18 +259,9 @@ pub fn krylov<T: Scalar, P: Preconditioner<T>>(
 
 /// Runs the chosen Krylov [`Method`] over a whole RHS panel with
 /// caller-owned working memory — the dispatch behind
-/// `javelin::Session::krylov_panel`. The three batch methods (and their
-/// scalar synonyms: [`Method::Pcg`] routes to [`solve_batch_with`],
-/// [`Method::Bicgstab`] to [`bicgstab_batch_with`], [`Method::Gmres`]
-/// to [`gmres_batch_with`]) run `k` systems in lockstep sharing one
-/// preconditioner schedule walk per apply; [`Method::Fgmres`], which
-/// has no batch variant, loops the scalar solver over the columns.
-/// Panel widths `k ∈ {1, 4, 8}` pick the monomorphized fixed-lane
-/// instantiations (and the preconditioner's trisolve/spmv kernels pick
-/// theirs from the same width); every other width runs the
-/// bit-identical dynamic fallback.
-/// Either way column `c` of the result is bit-identical to the scalar
-/// solve of column `c`. Returns one [`SolverResult`] per column.
+/// `javelin::Session::krylov_panel`; [`krylov_panel_into`] with a
+/// freshly allocated result vector. Returns one [`SolverResult`] per
+/// column.
 ///
 /// # Panics
 /// On panel shape mismatches.
@@ -263,34 +269,38 @@ pub fn krylov_panel_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     method: Method,
     a: &A,
     b: Panel<'_, T>,
-    mut x: PanelMut<'_, T>,
+    x: PanelMut<'_, T>,
     m: &P,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
 ) -> Vec<SolverResult> {
-    match method {
-        Method::Pcg | Method::BatchPcg => solve_batch_with(a, b, x, m, opts, ws),
-        Method::Bicgstab | Method::BatchBicgstab => bicgstab_batch_with(a, b, x, m, opts, ws),
-        Method::Gmres | Method::BatchGmres => gmres_batch_with(a, b, x, m, opts, ws),
-        Method::Fgmres => {
-            let n = a.nrows();
-            let k = b.ncols();
-            assert_eq!(b.nrows(), n, "krylov_panel: rhs panel rows");
-            assert_eq!(x.nrows(), n, "krylov_panel: solution panel rows");
-            assert_eq!(x.ncols(), k, "krylov_panel: panel widths differ");
-            (0..k)
-                .map(|c| fgmres_with(a.col_matrix(c), b.col(c), x.col_mut(c), m, opts, ws))
-                .collect()
-        }
-    }
+    let mut results = vec![SolverResult::default(); b.ncols()];
+    krylov_panel_into(method, a, b, x, m, opts, ws, &mut results);
+    results
 }
 
-/// [`krylov_panel_with`] writing per-column results into a caller
-/// slice instead of returning a fresh `Vec` — the fully
-/// allocation-free dispatched panel entry (the service hot path). Each
-/// result slot is reset to [`SolverResult::default`] before the solve,
-/// so stale state (including a previous `retried` stamp) never leaks
-/// through. `results.len()` must equal the panel width.
+/// The one [`Method`] dispatch of the crate: runs the chosen method
+/// over an RHS panel, writing per-column results into a caller slice —
+/// the fully allocation-free entry (the service hot path), which
+/// [`krylov_with`] and [`krylov_panel_with`] wrap.
+///
+/// Every method is a lockstep panel driver: `k` systems advance
+/// together, sharing one preconditioner schedule walk per apply, with
+/// per-column convergence/breakdown masking. The scalar names and
+/// their `Batch*` synonyms run the same driver ([`Method::Pcg`] ≡
+/// [`Method::BatchPcg`] → [`solve_batch_into`], [`Method::Bicgstab`] ≡
+/// [`Method::BatchBicgstab`] → [`bicgstab_batch_into`],
+/// [`Method::Gmres`] ≡ [`Method::BatchGmres`] → [`gmres_batch_into`]),
+/// and [`Method::Fgmres`] runs the same Arnoldi core as GMRES in its
+/// flexible mode. Panel widths `k ∈ {1, 4, 8}` pick the monomorphized
+/// fixed-lane instantiations (and the preconditioner's trisolve/spmv
+/// kernels pick theirs from the same width); every other width runs
+/// the bit-identical dynamic fallback. Either way column `c` of the
+/// result is bit-identical to the scalar solve of column `c`.
+///
+/// Each result slot is reset to [`SolverResult::default`] before the
+/// solve, so stale state (including a previous `retried` stamp) never
+/// leaks through. `results.len()` must equal the panel width.
 ///
 /// # Panics
 /// On panel shape mismatches or a wrong `results` length.
@@ -299,7 +309,7 @@ pub fn krylov_panel_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     method: Method,
     a: &A,
     b: Panel<'_, T>,
-    mut x: PanelMut<'_, T>,
+    x: PanelMut<'_, T>,
     m: &P,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
@@ -311,17 +321,7 @@ pub fn krylov_panel_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             bicgstab_batch_into(a, b, x, m, opts, ws, results)
         }
         Method::Gmres | Method::BatchGmres => gmres_batch_into(a, b, x, m, opts, ws, results),
-        Method::Fgmres => {
-            let n = a.nrows();
-            let k = b.ncols();
-            assert_eq!(b.nrows(), n, "krylov_panel: rhs panel rows");
-            assert_eq!(x.nrows(), n, "krylov_panel: solution panel rows");
-            assert_eq!(x.ncols(), k, "krylov_panel: panel widths differ");
-            assert_eq!(results.len(), k, "krylov_panel: results length");
-            for (c, r) in results.iter_mut().enumerate() {
-                *r = fgmres_with(a.col_matrix(c), b.col(c), x.col_mut(c), m, opts, ws);
-            }
-        }
+        Method::Fgmres => batch_gmres::gmres_panel_into(true, a, b, x, m, opts, ws, results),
     }
 }
 
@@ -528,7 +528,12 @@ mod tests {
         }
         b[n + 4] = f64::NAN;
         let opts = SolverOptions::default();
-        for method in [Method::BatchPcg, Method::BatchBicgstab, Method::BatchGmres] {
+        for method in [
+            Method::BatchPcg,
+            Method::BatchBicgstab,
+            Method::BatchGmres,
+            Method::Fgmres,
+        ] {
             let mut xb = vec![0.0; n * k];
             let res = krylov_panel_with(
                 method,

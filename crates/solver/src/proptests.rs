@@ -2,13 +2,13 @@
 //! contract — column `c` of any batch solve is **bit-identical** to
 //! the scalar solver run on that column — must hold across random
 //! nonsymmetric matrices, every trisolve engine, thread counts and
-//! panel widths, for BiCGSTAB, GMRES and PCG alike.
+//! panel widths, for BiCGSTAB, GMRES, FGMRES and PCG alike.
 
 #![cfg(test)]
 
 use crate::{
-    bicgstab_with, gmres_with, krylov_panel_with, pcg_with, Method, SolverOptions, SolverResult,
-    SolverWorkspace,
+    bicgstab_with, fgmres_with, gmres_with, krylov_panel_with, pcg_with, Method, SolverOptions,
+    SolverResult, SolverWorkspace,
 };
 use javelin_core::{factorize, IluOptions, SolveEngine};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut};
@@ -25,6 +25,14 @@ const ENGINES: [SolveEngine; 4] = [
 /// The issue's width matrix: the monomorphized lane widths (1, 4, 8)
 /// and the `DynLanes` fallback widths (2, 3, 5).
 const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
+/// Every lockstep driver (`Fgmres` is the flexible mode of the GMRES
+/// core; it has no `Batch*` synonym).
+const METHODS: [Method; 4] = [
+    Method::BatchBicgstab,
+    Method::BatchGmres,
+    Method::Fgmres,
+    Method::BatchPcg,
+];
 
 /// Deterministic panel with visibly different columns.
 fn panel(n: usize, k: usize, seed: u64) -> Vec<f64> {
@@ -43,8 +51,9 @@ fn scalar_reference(
     match method {
         Method::BatchBicgstab => bicgstab_with(a, b, x, m, opts, &mut ws),
         Method::BatchGmres => gmres_with(a, b, x, m, opts, &mut ws),
+        Method::Fgmres => fgmres_with(a, b, x, m, opts, &mut ws),
         Method::BatchPcg => pcg_with(a, b, x, m, opts, &mut ws),
-        _ => unreachable!("batch methods only"),
+        _ => unreachable!("METHODS only"),
     }
 }
 
@@ -59,11 +68,11 @@ proptest! {
         engine_idx in 0usize..4,
         k_idx in 0usize..6,
         seed in 1u64..500,
-        method_idx in 0usize..3,
+        method_idx in 0usize..4,
     ) {
         let engine = ENGINES[engine_idx];
         let k = WIDTHS[k_idx];
-        let method = [Method::BatchBicgstab, Method::BatchGmres, Method::BatchPcg][method_idx];
+        let method = METHODS[method_idx];
         // PCG needs SPD; the nonsymmetric drivers get a convection
         // operator with seeded value drift (pattern-stable revalue).
         let base = if method == Method::BatchPcg {
@@ -118,11 +127,11 @@ proptest! {
         engine_idx in 0usize..4,
         k_idx in 0usize..2,
         seed in 1u64..300,
-        method_idx in 0usize..3,
+        method_idx in 0usize..4,
     ) {
         let engine = ENGINES[engine_idx];
         let k = [5usize, 7][k_idx];
-        let method = [Method::BatchBicgstab, Method::BatchGmres, Method::BatchPcg][method_idx];
+        let method = METHODS[method_idx];
         let a = if method == Method::BatchPcg {
             laplace_2d(8, 9)
         } else {
@@ -160,9 +169,9 @@ proptest! {
     fn width_one_dispatch_matches_scalar(
         nthreads in 1usize..3,
         seed in 1u64..200,
-        method_idx in 0usize..3,
+        method_idx in 0usize..4,
     ) {
-        let method = [Method::BatchBicgstab, Method::BatchGmres, Method::BatchPcg][method_idx];
+        let method = METHODS[method_idx];
         let a = if method == Method::BatchPcg {
             laplace_2d(8, 8)
         } else {

@@ -1,20 +1,24 @@
 //! Caller-owned solver working memory.
 //!
 //! A [`SolverWorkspace`] holds every buffer a Krylov solver needs —
-//! residual/direction panels, the Arnoldi bases, the small
-//! Hessenberg/Givens arrays, the per-column [`LaneMask`] — plus the
-//! [`ApplyScratch`] forwarded to
-//! [`javelin_core::Preconditioner::apply_with`]. Buffers are grown on
-//! first use for a given `(n, restart, k)` and then reused verbatim, so
-//! a steady-state solve allocates nothing. One workspace can serve many
-//! consecutive solves (and mixed solver kinds); it simply keeps the
-//! high-water-mark buffers alive.
+//! residual/direction panels, the stacked Arnoldi bases, the small
+//! per-column Hessenberg/Givens arrays, the per-column [`LaneMask`] —
+//! plus the [`ApplyScratch`] forwarded to
+//! [`javelin_core::Preconditioner::apply_with`]. Every buffer is
+//! **grow-only**: it is extended (zero-filled) when a solve needs more
+//! than the workspace has ever held and otherwise left alone — a
+//! narrower panel or a smaller system simply uses a prefix, so
+//! alternating shapes neither reallocate nor re-zero anything, and the
+//! drivers never read a slot they have not written in the same solve.
+//! One workspace can serve many consecutive solves of mixed kinds,
+//! widths and sizes; it keeps the high-water-mark buffers alive, and a
+//! steady-state solve allocates nothing.
 //!
-//! Since the lane refactor the scalar short-recurrence drivers
-//! ([`crate::pcg_with`], [`crate::bicgstab_with`]) are the
-//! `FixedLanes<1>` instantiations of the batch drivers, so they solve
-//! out of the same panel buffers at width 1 — one buffer family, one
-//! sizing rule, every width.
+//! Every scalar driver is the `FixedLanes<1>` instantiation of its
+//! lockstep panel driver ([`crate::pcg_with`], [`crate::bicgstab_with`],
+//! [`crate::gmres_with`], [`crate::fgmres_with`]), so there is one
+//! buffer family per method and one sizing rule for every width: the
+//! scalar solvers run out of the same panels at `k = 1`.
 
 use javelin_core::ApplyScratch;
 use javelin_sparse::{LaneMask, Scalar};
@@ -24,25 +28,10 @@ use javelin_sparse::{LaneMask, Scalar};
 pub struct SolverWorkspace<T> {
     /// Scratch handed to `Preconditioner::apply_with`.
     pub precond: ApplyScratch<T>,
-    // Length-`n` vectors for the Arnoldi-process solvers.
-    pub(crate) z: Vec<T>,
-    pub(crate) u: Vec<T>,
-    pub(crate) w: Vec<T>,
-    // Arnoldi bases: `restart + 1` (resp. `restart`) vectors of length `n`.
-    pub(crate) v_basis: Vec<Vec<T>>,
-    pub(crate) z_basis: Vec<Vec<T>>,
-    // Small least-squares state: `(restart + 1) × restart` Hessenberg,
-    // Givens rotations, the rotated rhs, and the solved coefficients.
-    pub(crate) h: Vec<T>,
-    pub(crate) cs: Vec<T>,
-    pub(crate) sn: Vec<T>,
-    pub(crate) g: Vec<T>,
-    pub(crate) yk: Vec<T>,
     // Lane-driver panels: column-major `n × k` blocks (stride `n`) for
     // residuals/preconditioned residuals/directions/matvecs, plus
-    // per-column iteration state. Sized by `ensure_panel`, grow-only
-    // across solves like every other buffer here; the scalar drivers
-    // use them at width 1.
+    // per-column iteration state. Sized by `ensure_panel`; the scalar
+    // drivers use them at width 1.
     pub(crate) pr: Vec<T>,
     pub(crate) pz: Vec<T>,
     pub(crate) pp: Vec<T>,
@@ -62,11 +51,14 @@ pub struct SolverWorkspace<T> {
     pub(crate) col_rho: Vec<T>,
     pub(crate) col_alpha: Vec<T>,
     pub(crate) col_omega: Vec<T>,
-    // Lockstep-restart GMRES (`gmres_batch`): a stacked Arnoldi basis
-    // of `restart + 1` panels (layout `[j][c][i]`, so step `j`'s basis
-    // vectors form one contiguous `n × k` panel), a correction panel,
-    // and per-column Hessenberg/Givens/least-squares state.
-    pub(crate) pv: Vec<T>,
+    // The Arnoldi family (GMRES and FGMRES, every width): the stacked
+    // bases as one `n × k` panel per Arnoldi slot — `restart + 1` slots
+    // of `V`, and for FGMRES `restart` slots of `Z = M⁻¹V` — so step
+    // `j`'s vectors form one contiguous panel for the shared apply; a
+    // residual/correction panel; and per-column Hessenberg / Givens /
+    // rotated-rhs / least-squares-solution arrays.
+    pub(crate) v_basis: Vec<Vec<T>>,
+    pub(crate) z_basis: Vec<Vec<T>>,
     pub(crate) pu: Vec<T>,
     pub(crate) ph: Vec<T>,
     pub(crate) pcs: Vec<T>,
@@ -74,13 +66,24 @@ pub struct SolverWorkspace<T> {
     pub(crate) pg: Vec<T>,
     pub(crate) pyk: Vec<T>,
     pub(crate) col_iters: Vec<usize>,
-    pub(crate) col_jused: Vec<usize>,
 }
 
-fn ensure<T: Scalar>(v: &mut Vec<T>, n: usize) {
-    if v.len() != n {
-        v.clear();
-        v.resize(n, T::ZERO);
+/// Grow-only sizing: extends `v` (zero-filled) to at least `n` entries
+/// and never shrinks, moves or re-zeroes a buffer that is big enough.
+fn ensure<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+    if v.len() < n {
+        v.resize(n, T::default());
+    }
+}
+
+/// [`ensure`] for a stacked basis: at least `slots` panels of at least
+/// `len` entries each.
+fn ensure_slots<T: Copy + Default>(basis: &mut Vec<Vec<T>>, slots: usize, len: usize) {
+    if basis.len() < slots {
+        basis.resize_with(slots, Vec::new);
+    }
+    for slot in &mut basis[..slots] {
+        ensure(slot, len);
     }
 }
 
@@ -90,52 +93,24 @@ impl<T: Scalar> SolverWorkspace<T> {
         Self::default()
     }
 
-    /// Sizes the Arnoldi-process buffers (GMRES / FGMRES) for `n` and
-    /// restart length `m`; `with_z_basis` additionally sizes the stored
-    /// preconditioned basis FGMRES needs.
-    pub(crate) fn ensure_krylov(&mut self, n: usize, m: usize, with_z_basis: bool) {
-        for buf in [&mut self.z, &mut self.u, &mut self.w] {
-            ensure(buf, n);
-        }
-        if self.v_basis.len() != m + 1 {
-            self.v_basis.resize_with(m + 1, Vec::new);
-        }
-        for v in self.v_basis.iter_mut() {
-            ensure(v, n);
-        }
-        if with_z_basis {
-            if self.z_basis.len() != m {
-                self.z_basis.resize_with(m, Vec::new);
-            }
-            for z in self.z_basis.iter_mut() {
-                ensure(z, n);
-            }
-        }
-        ensure(&mut self.h, (m + 1) * m);
-        ensure(&mut self.cs, m);
-        ensure(&mut self.sn, m);
-        ensure(&mut self.g, m + 1);
-        ensure(&mut self.yk, m);
-    }
-
     /// Pre-grows every buffer family a session-style caller may hit —
-    /// the Arnoldi state for `restart` and the lane panels (PCG and
-    /// BiCGSTAB, which the scalar drivers share at width 1) for `k`
-    /// columns — plus the preconditioner scratch at panel width, so the
-    /// first solve of those kinds is already allocation-free. The
-    /// lockstep-restart GMRES driver's stacked `(restart + 1) × n × k`
-    /// Arnoldi basis is deliberately **not** pre-grown here: it dwarfs
+    /// the scalar Arnoldi state for `restart` (GMRES and FGMRES at
+    /// width 1: `restart + 1` plus `restart` basis vectors of length
+    /// `n`) and the lane panels (PCG and BiCGSTAB) for `k` columns —
+    /// plus the preconditioner scratch at panel width, so the first
+    /// solve of those kinds is already allocation-free. The panel
+    /// GMRES drivers' stacked `(restart + 1) × n × k` Arnoldi basis is
+    /// deliberately **not** pre-grown to width `k` here: it dwarfs
     /// every other buffer (gigabytes for large `n·k`) and would tax
     /// every session whether or not it ever runs batched GMRES — opt in
     /// with [`SolverWorkspace::reserve_gmres_basis`] when the workload
-    /// does, otherwise `gmres_batch` grows it on first use (grow-only;
-    /// allocation-free from the second solve on). Growing is
-    /// idempotent; steady-state callers never need this.
+    /// does, otherwise the first panel solve widens the slots
+    /// (grow-only; allocation-free from the second solve on). Growing
+    /// is idempotent; steady-state callers never need this.
     pub fn reserve(&mut self, n: usize, restart: usize, k: usize) {
         let k = k.max(1);
-        self.ensure_krylov(n, restart.max(1), true);
-        self.ensure_panel(n, k);
         self.ensure_panel_bicgstab(n, k);
+        self.ensure_gmres(n, 1, restart.max(1), true);
         self.precond.buffer(n * k);
     }
 
@@ -149,7 +124,7 @@ impl<T: Scalar> SolverWorkspace<T> {
     pub fn reserve_gmres_basis(&mut self, n: usize, restart: usize, k: usize) {
         let k = k.max(1);
         let m = restart.max(1).min(n.max(1));
-        self.ensure_panel_gmres(n, k, m);
+        self.ensure_gmres(n, k, m, false);
         self.precond.buffer(n * k);
     }
 
@@ -162,10 +137,10 @@ impl<T: Scalar> SolverWorkspace<T> {
         ensure(&mut self.col_rz, k);
         ensure(&mut self.col_bnorm, k);
         ensure(&mut self.col_relres, k);
-        // Size the mask storage only (grow-only, like every buffer
-        // here) so the drivers' explicit `mask.reset(k)` at solve entry
-        // — the one semantic rearm — never allocates after a reserve.
-        if self.mask.len() != k {
+        // Size the mask storage only, so the drivers' explicit
+        // `mask.reset(k)` at solve entry — the one semantic rearm —
+        // never allocates after a reserve.
+        if self.mask.len() < k {
             self.mask.reset(k);
         }
     }
@@ -183,29 +158,34 @@ impl<T: Scalar> SolverWorkspace<T> {
         ensure(&mut self.col_omega, k);
     }
 
-    /// Sizes the stacked Arnoldi basis and per-column least-squares
-    /// state `gmres_batch` needs for `k` columns at restart length `m`.
-    pub(crate) fn ensure_panel_gmres(&mut self, n: usize, k: usize, m: usize) {
+    /// Sizes the Arnoldi family for `k` columns at restart length `m`
+    /// — the one GMRES sizing rule, scalar solvers included (`k = 1`).
+    /// `flexible` additionally sizes the stored preconditioned basis
+    /// FGMRES needs.
+    pub(crate) fn ensure_gmres(&mut self, n: usize, k: usize, m: usize, flexible: bool) {
         self.ensure_panel(n, k);
-        ensure(&mut self.pv, (m + 1) * n * k);
+        ensure_slots(&mut self.v_basis, m + 1, n * k);
+        if flexible {
+            ensure_slots(&mut self.z_basis, m, n * k);
+        }
         ensure(&mut self.pu, n * k);
         ensure(&mut self.ph, (m + 1) * m * k);
         ensure(&mut self.pcs, m * k);
         ensure(&mut self.psn, m * k);
         ensure(&mut self.pg, (m + 1) * k);
         ensure(&mut self.pyk, m * k);
-        for buf in [&mut self.col_iters, &mut self.col_jused] {
-            if buf.len() != k {
-                buf.clear();
-                buf.resize(k, 0);
-            }
-        }
+        ensure(&mut self.col_iters, k);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{krylov_panel_with, Method, SolverOptions};
+    use javelin_core::{factorize, IluOptions};
+    use javelin_sparse::{Panel, PanelMut};
+    use javelin_synth::grid::convection_diffusion_2d;
+    use javelin_synth::util::rhs_panel;
 
     #[test]
     fn buffers_grow_and_stabilize() {
@@ -214,11 +194,28 @@ mod tests {
         assert_eq!(ws.pr.len(), 10);
         let ptr = ws.pr.as_ptr();
         ws.ensure_panel(10, 1); // same size: no reallocation
-        assert_eq!(ws.pr.as_ptr(), ptr);
-        ws.ensure_krylov(10, 5, true);
+        ws.ensure_panel(6, 1); // smaller: a prefix of the same buffer
+        assert_eq!((ws.pr.as_ptr(), ws.pr.len()), (ptr, 10));
+        ws.ensure_gmres(10, 1, 5, true);
         assert_eq!(ws.v_basis.len(), 6);
         assert_eq!(ws.z_basis.len(), 5);
-        assert_eq!(ws.h.len(), 30);
+        assert_eq!(ws.ph.len(), 30);
+    }
+
+    #[test]
+    fn reserve_keeps_the_scalar_arnoldi_bases_as_separate_n_vectors() {
+        // What `reserve` pre-grows at width 1 is measured, not guessed
+        // (it doubles as `Session::build`'s resident free pool): the
+        // GMRES and FGMRES bases as `restart + 1` plus `restart`
+        // separate n-vectors, whatever panel width the caller names.
+        let (n, restart, k) = (40usize, 7usize, 8usize);
+        let mut ws = SolverWorkspace::<f64>::new();
+        ws.reserve(n, restart, k);
+        assert_eq!(ws.v_basis.len(), restart + 1);
+        assert_eq!(ws.z_basis.len(), restart);
+        assert!(ws.v_basis.iter().chain(&ws.z_basis).all(|s| s.len() == n));
+        assert_eq!(ws.pr.len(), n * k);
+        assert_eq!(ws.pt.len(), n * k);
     }
 
     #[test]
@@ -226,13 +223,109 @@ mod tests {
         let (n, restart, k) = (20usize, 50usize, 3usize);
         let mut ws = SolverWorkspace::<f64>::new();
         ws.reserve_gmres_basis(n, restart, k);
-        // The driver clamps restart to n; the reserved basis must match
-        // that clamped shape exactly so the first solve never regrows.
+        // The driver clamps restart to n; the reserved basis must cover
+        // that clamped shape so the first solve never regrows.
         let m = restart.min(n);
-        assert_eq!(ws.pv.len(), (m + 1) * n * k);
+        assert_eq!(ws.v_basis.len(), m + 1);
+        assert!(ws.v_basis.iter().all(|s| s.len() == n * k));
         assert_eq!(ws.ph.len(), (m + 1) * m * k);
-        let ptr = ws.pv.as_ptr();
-        ws.ensure_panel_gmres(n, k, m);
-        assert_eq!(ws.pv.as_ptr(), ptr, "reserve must pre-grow the basis");
+        let ptrs: Vec<_> = ws.v_basis.iter().map(|s| s.as_ptr()).collect();
+        ws.ensure_gmres(n, k, m, false);
+        let after: Vec<_> = ws.v_basis.iter().map(|s| s.as_ptr()).collect();
+        assert_eq!(ptrs, after, "reserve must pre-grow the basis");
+    }
+
+    /// Address and length of every buffer a solve can touch.
+    fn buffer_extents(ws: &SolverWorkspace<f64>) -> Vec<(*const u8, usize)> {
+        fn extent<E>(v: &[E]) -> (*const u8, usize) {
+            (v.as_ptr().cast(), v.len())
+        }
+        let mut extents: Vec<_> = [
+            &ws.pr,
+            &ws.pz,
+            &ws.pp,
+            &ws.pq,
+            &ws.col_rz,
+            &ws.prhat,
+            &ws.py,
+            &ws.pt,
+            &ws.col_rho,
+            &ws.col_alpha,
+            &ws.col_omega,
+            &ws.pu,
+            &ws.ph,
+            &ws.pcs,
+            &ws.psn,
+            &ws.pg,
+            &ws.pyk,
+        ]
+        .into_iter()
+        .chain(&ws.v_basis)
+        .chain(&ws.z_basis)
+        .map(|v| extent(v))
+        .collect();
+        extents.push(extent(&ws.col_bnorm));
+        extents.push(extent(&ws.col_relres));
+        extents.push(extent(&ws.col_iters));
+        extents
+    }
+
+    #[test]
+    fn grow_only_reuse_across_shapes_is_bitwise_fresh_and_pointer_stable() {
+        // One workspace driven wide → narrow → wide over two different
+        // n, every method: each solve must return the bits of a
+        // fresh-workspace solve (nothing may depend on a buffer having
+        // been re-zeroed or being exactly n·k long), and once the
+        // high-water mark is reached no buffer moves or shrinks again —
+        // not even after the narrowest solve, which ends each round.
+        let big = convection_diffusion_2d(11, 10, 0.4, 0.2);
+        let small = convection_diffusion_2d(7, 6, 0.3, 0.5);
+        let f_big = factorize(&big, &IluOptions::ilu0(1)).unwrap();
+        let f_small = factorize(&small, &IluOptions::ilu0(1)).unwrap();
+        let opts = SolverOptions {
+            restart: 9,
+            ..Default::default()
+        };
+        let schedule = [
+            (&big, &f_big, 8usize),
+            (&small, &f_small, 1),
+            (&big, &f_big, 3),
+            (&small, &f_small, 8),
+            (&big, &f_big, 8),
+            (&small, &f_small, 1),
+        ];
+        let methods = [Method::Gmres, Method::Fgmres, Method::Bicgstab];
+        let mut ws = SolverWorkspace::new();
+        let mut high_water = Vec::new();
+        for round in 0..2 {
+            for (step, &(a, f, k)) in schedule.iter().enumerate() {
+                let n = a.nrows();
+                let b = rhs_panel(n, k, 17 + step as u64);
+                for method in methods {
+                    let solve = |ws: &mut SolverWorkspace<f64>| {
+                        let mut x = vec![0.0; n * k];
+                        let res = krylov_panel_with(
+                            method,
+                            a,
+                            Panel::new(&b, n, k),
+                            PanelMut::new(&mut x, n, k),
+                            f,
+                            &opts,
+                            ws,
+                        );
+                        assert!(res.iter().all(|r| r.converged), "{method} step {step}");
+                        let iters: Vec<usize> = res.iter().map(|r| r.iterations).collect();
+                        (x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), iters)
+                    };
+                    let reused = solve(&mut ws);
+                    let fresh = solve(&mut SolverWorkspace::new());
+                    assert_eq!(reused, fresh, "{method} round {round} step {step}");
+                }
+            }
+            if round == 0 {
+                high_water = buffer_extents(&ws);
+            }
+        }
+        assert_eq!(buffer_extents(&ws), high_water, "a buffer moved");
     }
 }

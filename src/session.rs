@@ -149,8 +149,8 @@ impl SessionBuilder {
     /// first [`Session::solve_panel`] / [`Session::krylov_panel`] at
     /// width ≤ `k` is already allocation-free (default 1). Exception:
     /// the batched-GMRES stacked Arnoldi basis — by far the largest
-    /// buffer, `(restart + 1) × n × k` — is grown on the first
-    /// `BatchGmres` panel solve instead of at build time, so sessions
+    /// buffer, `(restart + 1) × n × k` — is grown on the first GMRES
+    /// or FGMRES panel solve instead of at build time, so sessions
     /// that never batch GMRES never pay for it; opt in with
     /// [`SessionBuilder::warm_gmres_basis`] when the workload does
     /// batch GMRES, otherwise from the second such solve on it too is
@@ -338,11 +338,11 @@ impl<T: Scalar> Session<T> {
 
     /// Batched Krylov solve: `k` systems of the chosen [`Method`] in
     /// lockstep over one RHS panel, sharing one preconditioner schedule
-    /// walk per panel apply with per-column convergence (and, for
-    /// BiCGSTAB, breakdown) masking. `Pcg`/`BatchPcg` run the batched
-    /// CG driver, `Bicgstab`/`BatchBicgstab` the batched BiCGSTAB,
-    /// `Gmres`/`BatchGmres` the lockstep-restart block GMRES; `Fgmres`
-    /// loops the scalar solver column by column. Column `c` of the
+    /// walk per panel apply with per-column convergence and breakdown
+    /// masking. `Pcg`/`BatchPcg` run the batched CG driver,
+    /// `Bicgstab`/`BatchBicgstab` the batched BiCGSTAB, and
+    /// `Gmres`/`BatchGmres` and `Fgmres` the lockstep-restart Arnoldi
+    /// core (in its plain and flexible mode). Column `c` of the
     /// result is always bit-identical to the scalar solve of column
     /// `c`. Returns one result per column.
     ///

@@ -1,15 +1,20 @@
 //! Steady-state `refactor` performs **zero heap allocations**, and a
 //! **first** `gmres_batch` solve through a reserved workspace
 //! ([`SolverWorkspace::reserve`] + [`SolverWorkspace::reserve_gmres_basis`])
-//! performs zero heap allocations too — the acceptance contracts of the
-//! two-phase API and the lane-layer reserve path. A counting global
+//! performs zero heap allocations too, as do the first scalar
+//! `gmres_with` / `fgmres_with` solves after `reserve` alone — the
+//! acceptance contracts of the two-phase API and the lane-layer reserve
+//! path. A counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
 //! threads are counted too, which is the point: the planned numeric
 //! path must not allocate on any thread).
 
 use javelin::core::{IluOptions, SymbolicIlu, ZeroPivotPolicy};
-use javelin::solver::{gmres_batch_into, SolverOptions, SolverResult, SolverWorkspace};
+use javelin::solver::{
+    fgmres_with, gmres_batch_into, gmres_with, krylov_panel_into, Method, SolverOptions,
+    SolverResult, SolverWorkspace,
+};
 use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut, SparseError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,6 +50,14 @@ fn snapshot() -> (usize, usize) {
 }
 
 /// Irregular matrix with a structural diagonal, two-stage-splittable.
+/// `(allocations, bytes)` performed while `f` runs.
+fn counted(f: impl FnOnce()) -> (usize, usize) {
+    let (allocs, bytes) = snapshot();
+    f();
+    let (allocs_after, bytes_after) = snapshot();
+    (allocs_after - allocs, bytes_after - bytes)
+}
+
 fn irregular(n: usize) -> CsrMatrix<f64> {
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -159,6 +172,46 @@ fn steady_state_refactor_allocates_zero_bytes() {
     assert!(
         results.iter().all(|r| r.converged),
         "reserved gmres_batch must still converge: {results:?}"
+    );
+
+    // ---- Phase 2b: the scalar Arnoldi solvers are the width-1 ----
+    // instantiations of the same core, and `reserve` alone (no
+    // `reserve_gmres_basis`) covers them: the FIRST `gmres_with` and
+    // the FIRST `fgmres_with` through a reserved workspace allocate
+    // zero bytes. A `Method::Fgmres` panel widens the stacked `Z`
+    // basis on first use and is allocation-free from its second solve.
+    let mut ws1 = SolverWorkspace::new();
+    ws1.reserve(n, opts_s.restart, 1);
+    let mut x1 = vec![0.0; n];
+    for (name, flexible) in [("gmres_with", false), ("fgmres_with", true)] {
+        let scalar = if flexible { fgmres_with } else { gmres_with };
+        x1.fill(0.0);
+        let mut converged = false;
+        let cost = counted(|| {
+            converged = scalar(&last, &b[..n], &mut x1, &factors, &opts_s, &mut ws1).converged;
+        });
+        assert_eq!(cost, (0, 0), "first reserved {name} solve allocated");
+        assert!(converged, "reserved {name} must still converge");
+    }
+    let mut fgmres_panel = |x: &mut [f64], results: &mut [SolverResult]| {
+        x.fill(0.0);
+        krylov_panel_into(
+            Method::Fgmres,
+            &last,
+            Panel::new(&b, n, k),
+            PanelMut::new(x, n, k),
+            &factors,
+            &opts_s,
+            &mut ws,
+            results,
+        );
+    };
+    fgmres_panel(&mut x, &mut results);
+    let cost = counted(|| fgmres_panel(&mut x, &mut results));
+    assert_eq!(cost, (0, 0), "second FGMRES panel solve allocated");
+    assert!(
+        results.iter().all(|r| r.converged),
+        "FGMRES panel must converge: {results:?}"
     );
 
     // ---- Phase 3: shift-and-retry recovery reuses the planned ----

@@ -120,11 +120,12 @@ fn preconditioning_never_hurts_iteration_counts_much() {
 #[test]
 fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
     // The PR-4 acceptance surface end to end: a nonsymmetric suite
-    // matrix solved through `Session::krylov_panel` with both batch
-    // methods must reproduce, bit for bit, the scalar solver run on
-    // each column with the same pinned-engine preconditioner.
+    // matrix solved through `Session::krylov_panel` with every
+    // nonsymmetric method must reproduce, bit for bit, the scalar
+    // solver run on each column with the same pinned-engine
+    // preconditioner.
     use javelin::prelude::*;
-    use javelin::solver::{bicgstab_with, gmres_with};
+    use javelin::solver::{bicgstab_with, fgmres_with, gmres_with};
 
     let meta = &paper_suite()[5]; // trans4-like (group B)
     let a = preorder_dm_nd(&meta.build_tiny());
@@ -140,7 +141,7 @@ fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
         .unwrap();
     let engine = session.engine();
     let opts = *session.solver_options();
-    for method in [Method::BatchBicgstab, Method::BatchGmres] {
+    for method in [Method::BatchBicgstab, Method::BatchGmres, Method::Fgmres] {
         let mut xp = vec![0.0; n * k];
         let results = session
             .krylov_panel(method, Panel::new(&b, n, k), PanelMut::new(&mut xp, n, k))
@@ -154,24 +155,13 @@ fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
         let m = f.with_engine(engine);
         for c in 0..k {
             let mut x = vec![0.0; n];
-            let r = match method {
-                Method::BatchBicgstab => bicgstab_with(
-                    &a,
-                    &b[c * n..(c + 1) * n],
-                    &mut x,
-                    &m,
-                    &opts,
-                    &mut SolverWorkspace::new(),
-                ),
-                _ => gmres_with(
-                    &a,
-                    &b[c * n..(c + 1) * n],
-                    &mut x,
-                    &m,
-                    &opts,
-                    &mut SolverWorkspace::new(),
-                ),
+            let scalar = match method {
+                Method::BatchBicgstab => bicgstab_with,
+                Method::Fgmres => fgmres_with,
+                _ => gmres_with,
             };
+            let bc = &b[c * n..(c + 1) * n];
+            let r = scalar(&a, bc, &mut x, &m, &opts, &mut SolverWorkspace::new());
             assert_eq!(results[c].iterations, r.iterations, "{method} col {c}");
             assert_eq!(
                 xp[c * n..(c + 1) * n]
