@@ -1,5 +1,5 @@
 //! The WSMP-class comparator: blocked, supernodal-style incomplete
-//! factorization with heavy data movement (DESIGN.md §4.3).
+//! factorization with heavy data movement.
 //!
 //! The paper's Fig. 9 point is architectural, not numerical: packages
 //! built around supernodal/panel data structures perform "too many data

@@ -10,7 +10,7 @@
 //! * [`heavy`] — the WSMP-class comparator: a blocked,
 //!   supernodal-style ILU that gathers panels into dense working
 //!   buffers and scatters results back. WSMP itself is proprietary;
-//!   per DESIGN.md §4.3 this code reproduces the *architectural*
+//!   this code reproduces the *architectural*
 //!   behaviour Fig. 9 measures — many data-movement operations per
 //!   flop and coarse panel-level synchronization that stops scaling by
 //!   ~8 cores — plus the stricter breakdown behaviour that produced the

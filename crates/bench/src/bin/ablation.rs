@@ -1,4 +1,4 @@
-//! Regenerates the ablation study (DESIGN.md §7).
+//! Regenerates the ablation study (`javelin_bench::experiments::ablation`).
 fn main() {
     let scale = javelin_bench::harness::scale_from_env();
     let report = javelin_bench::experiments::ablation::run(scale);

@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig9 (see DESIGN.md §5).
+//! Regenerates the paper's fig9 (index: `javelin_bench` crate docs).
 fn main() {
     let scale = javelin_bench::harness::scale_from_env();
     let report = javelin_bench::experiments::fig9::run(scale);

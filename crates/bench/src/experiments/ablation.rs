@@ -1,5 +1,5 @@
-//! Ablation study — the design choices DESIGN.md §7 calls out,
-//! quantified on three representative matrices:
+//! Ablation study — the pipeline's design choices, quantified on
+//! three representative matrices:
 //!
 //! 1. **Level pattern**: `lower(A+Aᵀ)` (default; SR-capable) vs
 //!    `lower(A)` (more levels for nonsymmetric patterns, ER-only) —
@@ -182,7 +182,7 @@ pub fn run(scale: Scale) -> String {
     }
     out.push_str("\nAblation 4 — split sensitivity A (simulated ER factor time @14 threads)\n\n");
     out.push_str(&t.render());
-    format!("Ablation study (DESIGN.md §7 design choices)\n\n{out}")
+    format!("Ablation study (design choices)\n\n{out}")
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! Bars: `LS` (level scheduling with point-to-point synchronization
 //! only) and `LS+Lower` (best lower-stage method), speedup relative to
 //! the serial factorization. Scaling curves come from the machine-model
-//! simulator replaying the real schedules (DESIGN.md §4.1); the NUMA
+//! simulator replaying the real schedules (`javelin_machine`); the NUMA
 //! penalty of the two-socket model reproduces the paper's cross-socket
 //! falloff.
 

@@ -3,7 +3,8 @@
 //!
 //! The heavy comparator is factored for real (measuring its actual
 //! gather/scatter traffic); scaling beyond one worker uses the
-//! simulator's saturating model (DESIGN.md §4.3). Breakdowns under the
+//! simulator's saturating model
+//! (`javelin_machine::sim::sim_heavy_factor_time`). Breakdowns under the
 //! strict pivot rule are printed as 'x', reproducing the failed columns
 //! of the paper. A measured serial wall-clock ratio accompanies the
 //! simulated columns.

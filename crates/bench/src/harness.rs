@@ -41,7 +41,8 @@ pub fn preorder_dm_nd(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
     let a = a
         .permute(&rowp, &Perm::identity(a.ncols()))
         .expect("row permutation fits");
-    // Fill-reducing ND (the paper uses METIS; see DESIGN.md §4.5).
+    // Fill-reducing ND (the paper uses METIS; `javelin_order` is the
+    // in-repo substitute).
     let nd = nested_dissection_order(&a, 64);
     a.permute_sym(&nd).expect("nd permutation fits")
 }

@@ -1,7 +1,7 @@
 //! # javelin-bench
 //!
 //! The benchmark harness that regenerates **every table and figure** of
-//! the paper's evaluation (see DESIGN.md §5 for the experiment index):
+//! the paper's evaluation. The experiment index:
 //!
 //! | Target | Paper content |
 //! |--------|---------------|
@@ -21,7 +21,8 @@
 //! matrices.
 //!
 //! Scaling numbers are produced by the machine-model simulator driven
-//! by the real schedules (DESIGN.md §4.1); measured single-core numbers
+//! by the real schedules (see the `javelin_machine` crate docs);
+//! measured single-core numbers
 //! accompany them where meaningful.
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@ use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
 use crate::trisolve::{engines, serial};
 use javelin_level::{LevelSets, P2PSchedule};
-use javelin_sparse::lanes::{DynLanes, Lanes};
+use javelin_sparse::lanes::Lanes;
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
 use javelin_sync::Exec;
 
@@ -51,7 +51,7 @@ pub struct SolvePlan {
 /// one analysis: the [`SolvePlan`] (schedules, levels, the
 /// trailing-block layout), a reusable solve scratch (counters, barrier,
 /// tiled-gather partials, the in-place solve buffer) and an
-/// [`Exec`] — by default a persistent worker team — so that after the
+/// [`Exec`] — a persistent worker team — so that after the
 /// numeric phase returns, every solve runs with zero heap allocations
 /// and zero thread spawns. The scratch is mutex-guarded: concurrent
 /// applies from different threads serialize instead of racing.
@@ -247,23 +247,7 @@ impl<T: Scalar> IluFactors<T> {
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve_with(&self, engine: SolveEngine, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        let n = self.n();
-        if b.len() != n || x.len() != n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "solve: rhs/solution lengths ({}, {}) != {}",
-                b.len(),
-                x.len(),
-                n
-            )));
-        }
-        // Permuted RHS.
-        let mut z = self.perm().apply_vec(b);
-        self.solve_permuted_inplace(engine, &mut z);
-        // Un-permute into x.
-        for (i, &o) in self.perm().new_to_old().iter().enumerate() {
-            x[o] = z[i];
-        }
-        Ok(())
+        self.solve_with_buffer(engine, &mut Vec::new(), b, x)
     }
 
     /// Like [`IluFactors::solve_with`], but the permutation buffer is
@@ -302,7 +286,7 @@ impl<T: Scalar> IluFactors<T> {
         Ok(())
     }
 
-    /// The execution context solves run on (persistent team by default).
+    /// The execution context solves run on (a persistent worker team).
     pub fn exec(&self) -> &Exec {
         &self.sym.core().exec
     }
@@ -312,8 +296,8 @@ impl<T: Scalar> IluFactors<T> {
     /// permutation overhead, mirroring the paper's Fig. 12 measurement.
     ///
     /// Allocation-free: the parallel engines run through the reusable
-    /// solve scratch on the analysis's [`Exec`] (a persistent team by
-    /// default). Concurrent callers serialize on the scratch mutex.
+    /// solve scratch on the analysis's [`Exec`] (a persistent team).
+    /// Concurrent callers serialize on the scratch mutex.
     pub fn solve_permuted_inplace(&self, engine: SolveEngine, z: &mut [T]) {
         match engine {
             SolveEngine::Serial => {
@@ -427,36 +411,7 @@ impl<T: Scalar> IluFactors<T> {
         engine: SolveEngine,
         perm_buf: &mut Vec<T>,
         b: Panel<'_, T>,
-        x: PanelMut<'_, T>,
-    ) -> Result<(), SparseError> {
-        self.solve_panel_buffered_impl(engine, perm_buf, b, x, false)
-    }
-
-    /// [`IluFactors::solve_panel_with_buffer`] pinned to the
-    /// dynamic-width lane fallback regardless of `k` — a measurement
-    /// aid so benchmarks can quantify what the fixed-width lane
-    /// monomorphizations buy at `k ∈ {4, 8}`. Bit-identical to the
-    /// dispatched path.
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on shape mismatches.
-    pub fn solve_panel_dynwidth_with_buffer(
-        &self,
-        engine: SolveEngine,
-        perm_buf: &mut Vec<T>,
-        b: Panel<'_, T>,
-        x: PanelMut<'_, T>,
-    ) -> Result<(), SparseError> {
-        self.solve_panel_buffered_impl(engine, perm_buf, b, x, true)
-    }
-
-    fn solve_panel_buffered_impl(
-        &self,
-        engine: SolveEngine,
-        perm_buf: &mut Vec<T>,
-        b: Panel<'_, T>,
         mut x: PanelMut<'_, T>,
-        dynwidth: bool,
     ) -> Result<(), SparseError> {
         let n = self.n();
         let k = b.ncols();
@@ -486,11 +441,7 @@ impl<T: Scalar> IluFactors<T> {
                 zc[old_to_new[o]] = bo;
             }
         }
-        if dynwidth {
-            self.solve_permuted_panel_lanes(engine, DynLanes(k), &mut z);
-        } else {
-            self.solve_permuted_panel_inplace(engine, &mut z);
-        }
+        self.solve_permuted_panel_inplace(engine, &mut z);
         for c in 0..k {
             let zc = z.col(c);
             let xc = x.col_mut(c);
@@ -658,6 +609,7 @@ impl<T: Scalar> IluFactors<T> {
 mod tests {
     use super::*;
     use crate::options::{IluOptions, LowerMethod, ZeroPivotPolicy};
+    use javelin_sparse::lanes::DynLanes;
     use javelin_sparse::pattern::LevelPattern;
     use javelin_sparse::CooMatrix;
 
@@ -911,60 +863,30 @@ mod tests {
         // Repeated solves through one factorization reuse its scratch
         // (progress counters, barrier, gather partials, xbuf); a second
         // factorization's first solve is the fresh-allocation path.
-        // Both must produce identical bits, for every engine and with
-        // the persistent team on or off.
+        // Both must produce identical bits, for every engine.
         let a = irregular(150);
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.31).cos()).collect();
-        for persistent in [true, false] {
-            let mut opts = IluOptions::ilu0(3);
-            opts.split.min_rows_per_level = 8;
-            opts.split.location_frac = 0.0;
-            opts.persistent_team = persistent;
-            let reused = compute_factors(&a, &opts);
-            let fresh = compute_factors(&a, &opts);
-            for engine in [
-                SolveEngine::BarrierLevel,
-                SolveEngine::PointToPoint,
-                SolveEngine::PointToPointLower,
-            ] {
-                let fresh_bits = {
-                    let mut x = vec![0.0; 150];
-                    fresh.solve_with(engine, &b, &mut x).unwrap();
-                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                };
-                for rep in 0..4 {
-                    let mut x = vec![0.0; 150];
-                    reused.solve_with(engine, &b, &mut x).unwrap();
-                    let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        bits, fresh_bits,
-                        "engine={engine} rep={rep} persistent={persistent}"
-                    );
-                }
+        let mut opts = IluOptions::ilu0(3);
+        opts.split.min_rows_per_level = 8;
+        opts.split.location_frac = 0.0;
+        let reused = compute_factors(&a, &opts);
+        let fresh = compute_factors(&a, &opts);
+        for engine in [
+            SolveEngine::BarrierLevel,
+            SolveEngine::PointToPoint,
+            SolveEngine::PointToPointLower,
+        ] {
+            let fresh_bits = {
+                let mut x = vec![0.0; 150];
+                fresh.solve_with(engine, &b, &mut x).unwrap();
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            for rep in 0..4 {
+                let mut x = vec![0.0; 150];
+                reused.solve_with(engine, &b, &mut x).unwrap();
+                let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, fresh_bits, "engine={engine} rep={rep}");
             }
-        }
-    }
-
-    #[test]
-    fn team_and_spawn_execution_agree_bitwise() {
-        let a = laplace_2d(12, 11);
-        let n = a.nrows();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 23) as f64) - 11.0).collect();
-        let mut team_opts = IluOptions::ilu0(4);
-        team_opts.split.min_rows_per_level = 8;
-        team_opts.split.location_frac = 0.0;
-        let mut spawn_opts = team_opts.clone();
-        spawn_opts.persistent_team = false;
-        let ft = compute_factors(&a, &team_opts);
-        let fs = compute_factors(&a, &spawn_opts);
-        for engine in [SolveEngine::PointToPoint, SolveEngine::PointToPointLower] {
-            let mut xt = vec![0.0; n];
-            let mut xs = vec![0.0; n];
-            ft.solve_with(engine, &b, &mut xt).unwrap();
-            fs.solve_with(engine, &b, &mut xs).unwrap();
-            let bt: Vec<u64> = xt.iter().map(|v| v.to_bits()).collect();
-            let bs: Vec<u64> = xs.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bt, bs, "engine={engine}");
         }
     }
 
@@ -1004,20 +926,20 @@ mod tests {
                     let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(pb, sb, "engine={engine} k={k} col={c}");
                 }
-                // The forced dynamic-width fallback is bit-identical to
-                // whatever the dispatch table picked.
-                let mut xd = vec![0.0; n * k];
-                let mut dbuf = Vec::new();
-                f.solve_panel_dynwidth_with_buffer(
+                // The dynamic-width lane fallback is bit-identical to
+                // whatever the dispatch table picked (any panel is a
+                // valid permuted right-hand side).
+                let mut z_fixed = b.clone();
+                f.solve_permuted_panel_inplace(engine, &mut PanelMut::new(&mut z_fixed, n, k));
+                let mut z_dyn = b.clone();
+                f.solve_permuted_panel_lanes(
                     engine,
-                    &mut dbuf,
-                    Panel::new(&b, n, k),
-                    PanelMut::new(&mut xd, n, k),
-                )
-                .unwrap();
-                let pb: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
-                let db: Vec<u64> = xd.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(pb, db, "dynwidth engine={engine} k={k}");
+                    DynLanes(k),
+                    &mut PanelMut::new(&mut z_dyn, n, k),
+                );
+                let fb: Vec<u64> = z_fixed.iter().map(|v| v.to_bits()).collect();
+                let db: Vec<u64> = z_dyn.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(fb, db, "fixed vs dyn lanes engine={engine} k={k}");
             }
         }
     }
@@ -1140,6 +1062,26 @@ mod tests {
             compute_factors(&a, &IluOptions::default()).default_engine(),
             SolveEngine::Serial
         );
+    }
+
+    #[test]
+    fn serial_analysis_never_pins_its_caller() {
+        // `pin_threads` binds a team's tid 0 — the calling thread — to
+        // core 0. With `nthreads == 1` there is no team to place, so
+        // the caller's affinity mask (what `available_parallelism`
+        // reads on Linux) must come back untouched. On a scratch thread
+        // so a regression cannot pin the test harness either.
+        let cores = || std::thread::available_parallelism().map(|c| c.get());
+        let (before, after) = std::thread::spawn(move || {
+            let before = cores().ok();
+            let mut opts = IluOptions::ilu0(1);
+            opts.pin_threads = true;
+            SymbolicIlu::analyze(&laplace_2d(6, 5), &opts).expect("analyze");
+            (before, cores().ok())
+        })
+        .join()
+        .expect("scratch thread");
+        assert_eq!(before, after, "a serial analysis pinned its caller");
     }
 
     #[test]

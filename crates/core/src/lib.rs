@@ -22,8 +22,9 @@
 //!    four engines — serial, barriered level sets (the paper's CSR-LS
 //!    baseline), point-to-point level scheduling, and point-to-point
 //!    plus the tiled lower-stage block.
-//! 5. **spmv** ([`spmv`]): serial, row-parallel, and CSR5-inspired
-//!    tiled segmented-sum kernels.
+//! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
+//!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
+//!    `javelin-sparse`.
 //!
 //! ## The two-phase API: analyze → factor → refactor → solve
 //!
@@ -39,8 +40,8 @@
 //!   point-to-point schedules, the [`factors::SolvePlan`], a reusable
 //!   [`SolveScratch`] (progress counters, barrier, flat tiled-gather
 //!   partials, the in-place solve buffer), the numeric scratch, and a
-//!   `javelin_sync::Exec` — by default a persistent worker team whose
-//!   threads park between calls.
+//!   `javelin_sync::Exec` — the persistent worker team every later
+//!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
 //!   numeric up-looking elimination through the full engine set and
 //!   returns [`IluFactors`], which shares the analysis handle.

@@ -369,7 +369,7 @@ mod tests {
         let fx = two_stage_case();
         let ctx = fx.ctx();
         let wss = workspaces(nthreads);
-        let exec = Exec::spawn(nthreads);
+        let exec = Exec::team(nthreads);
         let serial_rows = |lo, hi, col_lo| {
             factor_rows_serial_ws(SCALAR, &ctx, lo, hi, col_lo, &mut wss[0].lock())
         };
@@ -421,7 +421,7 @@ mod tests {
         let fx = two_stage_case();
         let before = fx.lane_bits(0);
         let wss = workspaces(2);
-        factor_lower_er_planned(SCALAR, &fx.ctx(), 8, &Exec::spawn(2), &wss);
+        factor_lower_er_planned(SCALAR, &fx.ctx(), 8, &Exec::team(2), &wss);
         factor_lower_sr(&fx.ctx(), 8, &[0, 6], 8, &wss);
         assert_eq!(fx.lane_bits(0), before, "values untouched");
     }

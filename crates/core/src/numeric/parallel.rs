@@ -104,7 +104,7 @@ mod tests {
                 lanes,
                 &fx.ctx(),
                 &schedule,
-                &Exec::spawn(nthreads),
+                &Exec::team(nthreads),
                 &ProgressCounters::new(nthreads),
                 &workspaces,
             );

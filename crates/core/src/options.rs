@@ -157,20 +157,16 @@ pub struct IluOptions {
     /// scheduling instead of serially ("for most matrices, serial seems
     /// to be good enough" — paper §III-B — so this defaults off).
     pub parallel_corner: bool,
-    /// Run triangular solves on a persistent worker team owned by the
-    /// factorization (parked threads, woken per region) instead of
-    /// spawning threads per solve. Defaults on — the Krylov hot loop is
-    /// what the factors exist for; disable for one-shot solves or when
-    /// resident threads are unwanted.
-    pub persistent_team: bool,
-    /// Pin the persistent team's participants to cores (compact
-    /// placement: tid `i` → core `i % n_cores`) and first-touch the
-    /// factor-value pages from the pinned threads, so NUMA page
-    /// placement follows the threads that traverse the pages in the
-    /// Krylov loop. Best-effort — ignored when the kernel rejects the
-    /// mask or when `persistent_team` is off (spawned threads are
-    /// short-lived, pinning them buys nothing). Placement never affects
-    /// results: factorization and solves stay bit-identical either way.
+    /// Pin the factorization's worker team to cores (compact
+    /// placement: tid `i` → core `i % n_cores`, see
+    /// [`javelin_sync::TeamAffinity::Compact`] for what that does
+    /// today) and first-touch the factor-value pages from the pinned
+    /// threads, so page placement follows the threads that traverse the
+    /// pages in the Krylov loop. Best-effort — ignored when the kernel
+    /// rejects the mask, when `nthreads == 1` (a serial analysis never
+    /// pins its caller), and when a `shared_team` is given (its owner
+    /// chose its placement). Placement never affects results:
+    /// factorization and solves stay bit-identical either way.
     /// Defaults off.
     pub pin_threads: bool,
     /// A caller-owned worker team the factorization's solves run on
@@ -178,8 +174,8 @@ pub struct IluOptions {
     /// many factorizations (each parks between regions, so idle
     /// sharers cost nothing). The team's participant count must equal
     /// `nthreads` — the solve schedules are built for it.
-    /// `None` (the default) keeps the per-factorization team selected
-    /// by `persistent_team`.
+    /// `None` (the default) gives the factorization a team of its own,
+    /// parked between regions.
     pub shared_team: Option<Arc<WorkerTeam>>,
 }
 
@@ -199,7 +195,6 @@ impl Default for IluOptions {
             pivot_threshold: 1e-14,
             parallel_symbolic: false,
             parallel_corner: false,
-            persistent_team: true,
             pin_threads: false,
             shared_team: None,
         }

@@ -1,22 +1,18 @@
-//! Sparse matrix–vector products.
+//! Sparse matrix–vector products: the planned tiled kernel.
 //!
-//! Three kernels, mirroring the landscape the paper builds on:
+//! The plain CSR loop is [`CsrMatrix::spmv_into`] in `javelin-sparse`;
+//! this module holds the one parallel kernel, [`SpmvPlan`] — a
+//! CSR5-inspired tiled segmented sum: fixed-size tiles over the *entry*
+//! stream (so wildly unbalanced rows cannot skew one thread), per-tile
+//! partial sums, deterministic tile-order combination. This is the
+//! kernel shape the SR layout is co-designed with (paper §II, §III-B).
 //!
-//! * [`spmv_serial`] — the plain CSR loop (re-exported from
-//!   `javelin-sparse`);
-//! * [`spmv_parallel`] — contiguous row chunks per thread;
-//! * [`SpmvPlan`] / [`spmv_csr5lite`] — a CSR5-inspired tiled
-//!   segmented-sum kernel: fixed-size tiles over the *entry* stream (so
-//!   wildly unbalanced rows cannot skew one thread), per-tile partial
-//!   sums, deterministic tile-order combination. This is the kernel
-//!   shape the SR layout is co-designed with (paper §II, §III-B).
-//!
-//! The tiled kernel follows the crate's plan/execute split:
-//! [`SpmvPlan::new`] derives every tile descriptor (first row, partial
-//! slot range, thread ownership) from the sparsity pattern once, and
-//! [`SpmvPlan::execute`] then runs without heap allocation or searches
-//! — the per-iteration shape the Krylov loop needs. [`spmv_csr5lite`]
-//! wraps plan + execute for one-shot callers.
+//! It follows the crate's plan/execute split: [`SpmvPlan::new`] derives
+//! every tile descriptor (first row, partial slot range, thread
+//! ownership) from the sparsity pattern once and builds the worker
+//! team, and [`SpmvPlan::execute`] then runs without heap allocation,
+//! thread spawns or searches — the per-iteration shape the Krylov loop
+//! needs.
 //!
 //! Both execution entry points are thin wrappers over **one**
 //! width-generic lane core (`execute_lanes`): [`SpmvPlan::execute`] is
@@ -28,33 +24,9 @@
 #![allow(unsafe_code)] // LuVals tile views; protocol documented in numeric/kernel.rs.
 
 use crate::numeric::LuVals;
-use javelin_sparse::lanes::{for_each_chunk, DynLanes, FixedLanes, Lanes, LANE_CHUNK};
+use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
-use javelin_sync::{pool, Exec};
-
-/// Serial CSR spmv: `y = A·x`.
-pub fn spmv_serial<T: Scalar>(a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
-    a.spmv_into(x, y);
-}
-
-/// Row-chunked parallel spmv: `y = A·x` with contiguous row blocks.
-pub fn spmv_parallel<T: Scalar>(a: &CsrMatrix<T>, x: &[T], y: &mut [T], nthreads: usize) {
-    assert_eq!(x.len(), a.ncols(), "spmv: x length mismatch");
-    assert_eq!(y.len(), a.nrows(), "spmv: y length mismatch");
-    let vals = a.vals();
-    let colidx = a.colidx();
-    let rowptr = a.rowptr();
-    pool::parallel_slices(nthreads, y, |_tid, offset, slice| {
-        for (i, out) in slice.iter_mut().enumerate() {
-            let r = offset + i;
-            let mut acc = T::ZERO;
-            for k in rowptr[r]..rowptr[r + 1] {
-                acc += vals[k] * x[colidx[k]];
-            }
-            *out = acc;
-        }
-    });
-}
+use javelin_sync::Exec;
 
 /// A precomputed execution plan for the CSR5-inspired tiled spmv.
 ///
@@ -64,8 +36,8 @@ pub fn spmv_parallel<T: Scalar>(a: &CsrMatrix<T>, x: &[T], y: &mut [T], nthreads
 /// execution writes tile partials into those ranges (each slot owned by
 /// exactly one thread — no locks) and combines them in deterministic
 /// tile order. After construction, [`execute`](SpmvPlan::execute)
-/// performs **zero heap allocations** and, when built on a persistent
-/// team, **zero thread spawns**.
+/// performs **zero heap allocations** and **zero thread spawns** (the
+/// plan's team parks between executes).
 ///
 /// The plan is tied to the *pattern* of the matrix it was built from
 /// (`nrows`/`nnz` are checked; entry values are read fresh on every
@@ -88,20 +60,10 @@ pub struct SpmvPlan<T> {
 
 impl<T: Scalar> SpmvPlan<T> {
     /// Plans the tiled spmv for `a` on a persistent worker team of
-    /// `nthreads` (spawned here, parked between executes). `tile_size`
-    /// is in entries.
+    /// `nthreads` (spawned here, parked between executes; one thread
+    /// spawns nothing). `tile_size` is in entries.
     pub fn new(a: &CsrMatrix<T>, nthreads: usize, tile_size: usize) -> Self {
-        let exec = if nthreads.max(1) == 1 {
-            Exec::spawn(1)
-        } else {
-            Exec::team(nthreads)
-        };
-        Self::with_exec(a, exec, tile_size)
-    }
-
-    /// Plans the tiled spmv with an explicit execution context (e.g.
-    /// [`Exec::spawn`] for one-shot use, or a shared team).
-    pub fn with_exec(a: &CsrMatrix<T>, exec: Exec, tile_size: usize) -> Self {
+        let exec = Exec::team(nthreads.max(1));
         let nnz = a.nnz();
         let tile = tile_size.max(1);
         let n_tiles = nnz.div_ceil(tile);
@@ -180,7 +142,7 @@ impl<T: Scalar> SpmvPlan<T> {
     /// Widths `k ∈ {1, 4, 8}` dispatch to the monomorphized
     /// [`FixedLanes`] kernels (compile-time lane trip counts — the
     /// SIMD-friendly form); every other width runs the bit-identical
-    /// [`DynLanes`] fallback.
+    /// [`javelin_sparse::DynLanes`] fallback.
     ///
     /// Column `c` of the result is bit-identical to
     /// [`SpmvPlan::execute`] on column `c`: same tiles, same segment
@@ -196,24 +158,6 @@ impl<T: Scalar> SpmvPlan<T> {
         }
         self.grow_partials(k);
         with_lanes!(k, lanes => self.execute_lanes(lanes, a, x, &mut y));
-    }
-
-    /// [`SpmvPlan::execute_panel`] pinned to the [`DynLanes`] fallback
-    /// regardless of width — a measurement aid so benchmarks can
-    /// quantify what the fixed-width monomorphizations buy at
-    /// `k ∈ {4, 8}`. Bit-identical to [`SpmvPlan::execute_panel`].
-    pub fn execute_panel_dynwidth(
-        &mut self,
-        a: &CsrMatrix<T>,
-        x: Panel<'_, T>,
-        mut y: PanelMut<'_, T>,
-    ) {
-        let k = self.check_panel_shapes(a, &x, &y);
-        if k == 0 {
-            return;
-        }
-        self.grow_partials(k);
-        self.execute_lanes(DynLanes(k), a, x, &mut y);
     }
 
     /// The single shape validator behind every execute entry point
@@ -328,9 +272,9 @@ impl<T: Scalar> SpmvPlan<T> {
         // order per lane matches the single-RHS execute, so the bits do
         // too). This reduction stays on the safe `get` accessor on
         // purpose: it reads one scattered strided element per slot (no
-        // contiguous run to vectorize), and benchmarks showed a
-        // whole-buffer `view` here costing ~40% on the k = 1 one-shot
-        // path — only the tile writers above profit from slices.
+        // contiguous run to vectorize), and a whole-buffer `view` here
+        // measured ~40% slower at k = 1 — only the tile writers above
+        // profit from slices.
         for c in 0..k {
             let yc = y.col_mut(c);
             yc.fill(T::ZERO);
@@ -347,26 +291,10 @@ impl<T: Scalar> SpmvPlan<T> {
     }
 }
 
-/// CSR5-inspired tiled spmv: `y = A·x` via entry-stream tiles and
-/// segmented partial sums. `tile_size` is in entries.
-///
-/// One-shot convenience wrapper: plans on every call and executes with
-/// spawn-per-region threads. Repeated callers (Krylov loops) should
-/// build a [`SpmvPlan`] once and call [`SpmvPlan::execute`] instead.
-pub fn spmv_csr5lite<T: Scalar>(
-    a: &CsrMatrix<T>,
-    x: &[T],
-    y: &mut [T],
-    nthreads: usize,
-    tile_size: usize,
-) {
-    let plan = SpmvPlan::with_exec(a, Exec::spawn(nthreads.max(1)), tile_size);
-    plan.execute(a, x, y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use javelin_sparse::lanes::DynLanes;
     use javelin_sparse::CooMatrix;
 
     fn skewed(n: usize) -> CsrMatrix<f64> {
@@ -387,29 +315,22 @@ mod tests {
         coo.to_csr()
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let a = skewed(57);
-        let x: Vec<f64> = (0..57).map(|i| (i as f64 * 0.1).cos()).collect();
-        let mut y_ref = vec![0.0; 57];
-        spmv_serial(&a, &x, &mut y_ref);
-        for nthreads in [1, 2, 4] {
-            let mut y = vec![0.0; 57];
-            spmv_parallel(&a, &x, &mut y, nthreads);
-            assert_eq!(y, y_ref, "nthreads={nthreads}");
-        }
+    /// One planned execute of `y = A·x`.
+    fn planned(a: &CsrMatrix<f64>, x: &[f64], nthreads: usize, tile: usize) -> Vec<f64> {
+        let mut y = vec![f64::NAN; a.nrows()];
+        SpmvPlan::new(a, nthreads, tile).execute(a, x, &mut y);
+        y
     }
 
     #[test]
-    fn csr5lite_matches_serial_for_many_tilings() {
+    fn plan_matches_serial_for_many_tilings() {
         let a = skewed(64);
         let x: Vec<f64> = (0..64).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut y_ref = vec![0.0; 64];
-        spmv_serial(&a, &x, &mut y_ref);
+        a.spmv_into(&x, &mut y_ref);
         for nthreads in [1, 3] {
             for tile in [1, 3, 8, 64, 1024] {
-                let mut y = vec![0.0; 64];
-                spmv_csr5lite(&a, &x, &mut y, nthreads, tile);
+                let y = planned(&a, &x, nthreads, tile);
                 for (g, w) in y.iter().zip(y_ref.iter()) {
                     assert!(
                         (g - w).abs() < 1e-12,
@@ -421,27 +342,20 @@ mod tests {
     }
 
     #[test]
-    fn csr5lite_handles_empty_rows_and_matrix() {
+    fn plan_handles_empty_rows_and_matrix() {
         let mut coo = CooMatrix::new(5, 5);
         coo.push(0, 0, 1.0).unwrap();
         coo.push(4, 4, 2.0).unwrap();
         let a = coo.to_csr();
-        let x = vec![1.0; 5];
-        let mut y = vec![9.0; 5];
-        spmv_csr5lite(&a, &x, &mut y, 2, 1);
-        assert_eq!(y, vec![1.0, 0.0, 0.0, 0.0, 2.0]);
+        assert_eq!(planned(&a, &[1.0; 5], 2, 1), vec![1.0, 0.0, 0.0, 0.0, 2.0]);
         let empty = CooMatrix::<f64>::new(3, 3).to_csr();
-        let mut y0 = vec![5.0; 3];
-        spmv_csr5lite(&empty, &[1.0, 1.0, 1.0], &mut y0, 2, 4);
-        assert_eq!(y0, vec![0.0; 3]);
+        assert_eq!(planned(&empty, &[1.0; 3], 2, 4), vec![0.0; 3]);
     }
 
     #[test]
-    fn plan_reuse_is_bitwise_stable_and_matches_one_shot() {
+    fn plan_reuse_is_bitwise_stable_and_matches_a_fresh_plan() {
         let a = skewed(80);
         let x: Vec<f64> = (0..80).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y_once = vec![0.0; 80];
-        spmv_csr5lite(&a, &x, &mut y_once, 3, 16);
         let plan = SpmvPlan::new(&a, 3, 16);
         let mut y1 = vec![0.0; 80];
         plan.execute(&a, &x, &mut y1);
@@ -453,7 +367,8 @@ mod tests {
             let bits2: Vec<u64> = y2.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits1, bits2);
         }
-        // And identical to the one-shot wrapper (same tile order).
+        // And identical to a plan built from scratch (same tile order).
+        let y_once = planned(&a, &x, 3, 16);
         let bits0: Vec<u64> = y_once.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits0, bits1);
     }
@@ -499,8 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn dynwidth_fallback_matches_dispatched_kernels_bitwise() {
-        // The measurement aid (and the DynLanes arm generally) must be
+    fn dyn_lanes_match_dispatched_kernels_bitwise() {
+        // The DynLanes instantiation of the lane core must be
         // bit-identical to whatever the dispatch table picks, at the
         // monomorphized widths especially.
         let a = skewed(66);
@@ -511,7 +426,13 @@ mod tests {
             let mut y_fixed = vec![0.0; n * k];
             plan.execute_panel(&a, Panel::new(&x, n, k), PanelMut::new(&mut y_fixed, n, k));
             let mut y_dyn = vec![0.0; n * k];
-            plan.execute_panel_dynwidth(&a, Panel::new(&x, n, k), PanelMut::new(&mut y_dyn, n, k));
+            // `execute_panel` above already grew the partials to width k.
+            plan.execute_lanes(
+                DynLanes(k),
+                &a,
+                Panel::new(&x, n, k),
+                &mut PanelMut::new(&mut y_dyn, n, k),
+            );
             let fb: Vec<u64> = y_fixed.iter().map(|v| v.to_bits()).collect();
             let db: Vec<u64> = y_dyn.iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, db, "k={k}");
@@ -602,7 +523,7 @@ mod proptests {
             let n = a.nrows();
             let x: Vec<f64> = (0..n).map(|i| 0.25 + (i % 5) as f64).collect();
             let mut y_ref = vec![0.0; n];
-            spmv_serial(&a, &x, &mut y_ref);
+            a.spmv_into(&x, &mut y_ref);
             for nthreads in [1usize, 2, 3, 8] {
                 for tile in [1usize, 3, 8, 64, 1024] {
                     let plan = SpmvPlan::new(&a, nthreads, tile);

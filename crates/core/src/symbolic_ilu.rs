@@ -152,8 +152,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// Runs the symbolic phase of the pipeline on the *pattern* of `a`:
     /// ILU(k) fill, level analysis, two-stage split, permutation, the
     /// forward/backward point-to-point schedules, the trailing-block
-    /// layout, the execution context (persistent worker team by
-    /// default) and all reusable numeric/solve scratch.
+    /// layout, the execution context (a persistent worker team) and
+    /// all reusable numeric/solve scratch.
     ///
     /// The values of `a` are not read; [`SymbolicIlu::factor`] accepts
     /// any matrix with this exact pattern.
@@ -348,14 +348,13 @@ impl<T: Scalar> SymbolicIlu<T> {
         };
 
         // Solve/refactor execution state, built once: a caller-shared
-        // team if one was provided, else a persistent team (or the
-        // scoped spawn fallback), plus the allocation-free engine and
-        // numeric scratch.
+        // team if one was provided, else a team of this analysis's own
+        // (a one-participant team spawns nothing), plus the
+        // allocation-free engine and numeric scratch. A serial analysis
+        // never pins: `team_pinned` would bind the *caller* to core 0.
         let exec = if let Some(team) = &opts.shared_team {
             Exec::with_team(Arc::clone(team))
-        } else if nthreads == 1 || !opts.persistent_team {
-            Exec::spawn(nthreads)
-        } else if opts.pin_threads {
+        } else if opts.pin_threads && nthreads > 1 {
             Exec::team_pinned(nthreads)
         } else {
             Exec::team(nthreads)
@@ -471,7 +470,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     }
 
     /// The execution context numeric refactorizations and solves run on
-    /// (persistent team by default).
+    /// (a persistent worker team).
     pub fn exec(&self) -> &Exec {
         &self.core.exec
     }

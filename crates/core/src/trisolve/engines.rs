@@ -1,15 +1,16 @@
 //! Parallel triangular-solve engines (paper Fig. 12), generic over the
 //! RHS panel width.
 //!
-//! * `CSR-LS` ([`forward_barrier`] / [`backward_barrier`]): the
-//!   traditional level-set solve with a spin barrier between levels —
-//!   the baseline the paper measures against;
-//! * `LS` ([`forward_p2p`] / [`backward_p2p`] with
-//!   `LowerTiles::Off`): point-to-point level scheduling with pruned
-//!   waits — same schedule machinery as the factorization;
-//! * `LS + Lower` (`LowerTiles::On`): the trailing-block rows are
-//!   evaluated as a tiled segmented gather (the spmv-like update the SR
-//!   layout was designed for) before the small corner solve.
+//! * `CSR-LS` ([`solve_barrier_fused`]): the traditional level-set
+//!   solve with a spin barrier between levels — the baseline the paper
+//!   measures against;
+//! * `LS` ([`solve_p2p_fused`] with `LowerTiles::Off`): point-to-point
+//!   level scheduling with pruned waits — same schedule machinery as
+//!   the factorization;
+//! * `LS + Lower` ([`solve_p2p_fused`] with `LowerTiles::On`): the
+//!   trailing-block rows are evaluated as a tiled segmented gather (the
+//!   spmv-like update the SR layout was designed for) before the small
+//!   corner solve.
 //!
 //! Solution storage is the shared-memory [`LuVals`]: threads check out
 //! exclusive column-window slices of the rows they own and shared
@@ -55,17 +56,14 @@
 //! combination buffer) lives in a [`SolveScratch`] built once per
 //! factorization and resized grow-only when a wider panel first
 //! arrives ([`SolveScratch::ensure_width`]). The parallel region runs
-//! on whatever [`Exec`] the plan was built with — a persistent team in
-//! the steady state. The scratch is reset at engine entry, so one
-//! scratch serves any number of solves at any widths (caller guarantees
-//! solves on one scratch are not concurrent; `IluFactors` does so with
-//! a mutex).
+//! on the persistent team behind the plan's [`Exec`]. The scratch is
+//! reset at engine entry, so one scratch serves any number of solves
+//! at any widths (caller guarantees solves on one scratch are not
+//! concurrent; `IluFactors` does so with a mutex).
 //!
-//! The hot path is the *fused* pair [`solve_p2p_fused`] /
-//! [`solve_barrier_fused`]: forward and backward substitution in one
-//! parallel region, so a full preconditioner apply costs a single team
-//! wake-up instead of two. The separate forward/backward entry points
-//! remain for callers that interleave other work between the sweeps.
+//! Both entry points are *fused*: forward and backward substitution
+//! run in one parallel region, so a full preconditioner apply costs a
+//! single team wake-up.
 
 #![allow(unsafe_code)] // LuVals views; protocol documented in numeric/kernel.rs.
 
@@ -88,8 +86,7 @@ pub enum LowerTiles {
 }
 
 /// Reusable per-factorization scratch for the parallel solve engines:
-/// everything `forward_p2p`/`backward_p2p`/`*_barrier` previously
-/// allocated per call, built once from the [`SolvePlan`].
+/// every buffer a solve needs, built once from the [`SolvePlan`].
 ///
 /// * forward/backward progress counters and the barrier, reset per
 ///   engine entry;
@@ -296,27 +293,34 @@ fn retire_row_lower<T: Scalar, L: Lanes>(
 ) {
     let vals = lu.vals();
     let colidx = lu.colidx();
-    for_each_chunk(cols, |c0, cw| {
-        let mut sums = [T::ZERO; LANE_CHUNK];
-        for e in lu.rowptr()[r]..diag_pos[r] {
-            let v = vals[e];
-            let xb = lanes.idx(colidx[e], c0);
-            // Safety: row colidx[e] retired before this row was released
-            // (schedule order), and the view stays inside this thread's
-            // column window.
-            let xs = unsafe { x.view(xb..xb + cw) };
-            for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
-                *s += v * xv;
+    // The chunk body must be inlined into the sweep: left to the
+    // heuristic it was outlined at k = 1 (a call per row with a spilled
+    // capture block) and the p2p apply measured 5–10 % slower.
+    for_each_chunk(
+        cols,
+        #[inline(always)]
+        |c0, cw| {
+            let mut sums = [T::ZERO; LANE_CHUNK];
+            for e in lu.rowptr()[r]..diag_pos[r] {
+                let v = vals[e];
+                let xb = lanes.idx(colidx[e], c0);
+                // Safety: row colidx[e] retired before this row was released
+                // (schedule order), and the view stays inside this thread's
+                // column window.
+                let xs = unsafe { x.view(xb..xb + cw) };
+                for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
+                    *s += v * xv;
+                }
             }
-        }
-        let xb = lanes.idx(r, c0);
-        // Safety: this thread owns row `r`'s `cols` window until its
-        // retire-signal (counter bump / barrier / region join).
-        let xr = unsafe { x.view_mut(xb..xb + cw) };
-        for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-            *xv -= *s;
-        }
-    });
+            let xb = lanes.idx(r, c0);
+            // Safety: this thread owns row `r`'s `cols` window until its
+            // retire-signal (counter bump / barrier / region join).
+            let xr = unsafe { x.view_mut(xb..xb + cw) };
+            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
+                *xv -= *s;
+            }
+        },
+    );
 }
 
 /// Retires the upper part of row `r` for panel lanes `cols`:
@@ -333,26 +337,31 @@ fn retire_row_upper<T: Scalar, L: Lanes>(
     let vals = lu.vals();
     let colidx = lu.colidx();
     let d = vals[diag_pos[r]];
-    for_each_chunk(cols, |c0, cw| {
-        let mut sums = [T::ZERO; LANE_CHUNK];
-        for e in (diag_pos[r] + 1)..lu.rowptr()[r + 1] {
-            let v = vals[e];
-            let xb = lanes.idx(colidx[e], c0);
-            // Safety: row colidx[e] retired first (backward schedule
-            // order); the view stays inside this thread's column window.
-            let xs = unsafe { x.view(xb..xb + cw) };
-            for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
-                *s += v * xv;
+    // Forced inline: see `retire_row_lower`.
+    for_each_chunk(
+        cols,
+        #[inline(always)]
+        |c0, cw| {
+            let mut sums = [T::ZERO; LANE_CHUNK];
+            for e in (diag_pos[r] + 1)..lu.rowptr()[r + 1] {
+                let v = vals[e];
+                let xb = lanes.idx(colidx[e], c0);
+                // Safety: row colidx[e] retired first (backward schedule
+                // order); the view stays inside this thread's column window.
+                let xs = unsafe { x.view(xb..xb + cw) };
+                for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
+                    *s += v * xv;
+                }
             }
-        }
-        let xb = lanes.idx(r, c0);
-        // Safety: exclusive `cols` window of row `r` (as in the lower
-        // retire).
-        let xr = unsafe { x.view_mut(xb..xb + cw) };
-        for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-            *xv = (*xv - *s) / d;
-        }
-    });
+            let xb = lanes.idx(r, c0);
+            // Safety: exclusive `cols` window of row `r` (as in the lower
+            // retire).
+            let xr = unsafe { x.view_mut(xb..xb + cw) };
+            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
+                *xv = (*xv - *s) / d;
+            }
+        },
+    );
 }
 
 /// One thread's share of the barriered forward level sweep.
@@ -416,52 +425,9 @@ fn region_failpoint(tid: usize) {
     }
 }
 
-/// Barriered level-set forward solve (CSR-LS baseline), in place.
-/// Width-generic: `lanes.width()` must equal the scratch's current
-/// panel width.
-pub fn forward_barrier<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    levels: &LevelSets,
-    scratch: &SolveScratch<T>,
-    exec: &Exec,
-    x: &LuVals<T>,
-) {
-    let nthreads = exec.nthreads();
-    debug_assert_eq!(nthreads, scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
-    scratch.barrier.reset();
-    exec.run(|tid| {
-        region_failpoint(tid);
-        forward_barrier_phase(lanes, lu, diag_pos, levels, scratch, nthreads, tid, x);
-    });
-}
-
-/// Barriered level-set backward solve (CSR-LS baseline), in place.
-/// Width-generic like [`forward_barrier`].
-pub fn backward_barrier<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    levels: &LevelSets,
-    scratch: &SolveScratch<T>,
-    exec: &Exec,
-    x: &LuVals<T>,
-) {
-    let nthreads = exec.nthreads();
-    debug_assert_eq!(nthreads, scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
-    scratch.barrier.reset();
-    exec.run(|tid| {
-        region_failpoint(tid);
-        backward_barrier_phase(lanes, lu, diag_pos, levels, scratch, nthreads, tid, x);
-    });
-}
-
 /// Fused CSR-LS solve: forward then backward level sweeps in a single
 /// parallel region (the per-level barriers already order the
-/// transition), halving the region count of the barriered baseline.
+/// transition).
 /// One barrier protocol per panel: a level costs the same wait count
 /// whether it retires 1 or `k` columns — and one kernel body serves
 /// every width through `lanes`.
@@ -697,60 +663,6 @@ fn backward_p2p_phase<T: Scalar, L: Lanes>(
         retire_row_upper(lanes, lu, diag_pos, x, 0..k, plan.bwd_row_of_task[task]);
         scratch.bwd_progress.bump(tid);
     }
-}
-
-/// Point-to-point forward solve, in place: upper-stage rows through the
-/// pruned-wait schedule, trailing rows column-split (`LowerTiles::Off`)
-/// or via the tiled segmented gather plus corner solve
-/// (`LowerTiles::On`). Width-generic over `lanes`.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_p2p<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    plan: &SolvePlan,
-    scratch: &SolveScratch<T>,
-    exec: &Exec,
-    tiles: LowerTiles,
-    x: &LuVals<T>,
-) {
-    let nthreads = exec.nthreads();
-    debug_assert_eq!(nthreads, scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
-    scratch.progress.reset();
-    scratch.barrier.reset();
-    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles > 0;
-    exec.run(|tid| {
-        region_failpoint(tid);
-        forward_p2p_phase(
-            lanes, lu, diag_pos, plan, scratch, nthreads, use_tiles, tid, x,
-        );
-        // Region join publishes the trailing writes to the caller.
-    });
-}
-
-/// Point-to-point backward solve, in place: corner first (on the
-/// caller, all columns), then upper-stage rows through the backward
-/// pruned-wait schedule. Width-generic over `lanes`.
-pub fn backward_p2p<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    plan: &SolvePlan,
-    scratch: &SolveScratch<T>,
-    exec: &Exec,
-    x: &LuVals<T>,
-) {
-    let n_upper = plan.n_upper;
-    debug_assert_eq!(exec.nthreads(), scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
-    let k = lanes.width();
-    corner_backward_cols(lanes, lu, diag_pos, n_upper, x, 0..k);
-    scratch.bwd_progress.reset();
-    exec.run(|tid| {
-        region_failpoint(tid);
-        backward_p2p_phase(lanes, lu, diag_pos, plan, scratch, tid, x);
-    });
 }
 
 /// Fused point-to-point solve: forward substitution, corner, and

@@ -1,7 +1,7 @@
 //! # javelin-machine
 //!
 //! Machine models and a discrete-event simulator for Javelin's
-//! schedules — the hardware substitution documented in DESIGN.md §4.1.
+//! schedules — this repository's substitute for the paper's hardware.
 //!
 //! The paper evaluates on a 2×14-core Intel Haswell node and a 68-core
 //! Intel Knights Landing node. Neither is available here, so the

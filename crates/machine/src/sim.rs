@@ -389,7 +389,8 @@ pub fn sim_trisolve_time<T: Scalar>(
 /// 8× the streaming rate (indirect, cache-hostile copies), with
 /// panel-level synchronization and scaling that saturates at ~8 workers
 /// — the paper's observation. WSMP's additional symbolic/allocation
-/// overheads are not modeled (DESIGN.md §4.3), so the absolute gap is
+/// overheads are not modeled (see `javelin-baseline`'s `heavy` module
+/// docs for what the comparator reproduces), so the absolute gap is
 /// understated relative to the paper's multiple magnitudes; the shape
 /// (always slower, stops scaling) is preserved.
 pub fn sim_heavy_factor_time(

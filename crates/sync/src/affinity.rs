@@ -28,6 +28,16 @@ pub enum TeamAffinity {
     /// placement. The calling thread (tid 0) is pinned too when it
     /// enters the team constructor — callers that must keep their main
     /// thread free should construct the team from a worker thread.
+    ///
+    /// Caveat (measured, not yet fixed): the caller is pinned to core 0
+    /// *before* the workers are spawned, so they inherit its one-core
+    /// mask, their own [`n_cores`] answers 1, and `tid % 1` puts
+    /// **every participant on core 0** — a compact team time-shares one
+    /// core today. Reading the core count before any pinning spreads
+    /// the threads, but the point-to-point engines then pay true
+    /// cross-core handoffs and the reference benchmark's `pde3d-team2`
+    /// `solve_s` gets 3.6× slower; placement and handoff granularity
+    /// have to be fixed together (ROADMAP, first open item).
     Compact,
 }
 

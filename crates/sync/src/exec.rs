@@ -1,54 +1,38 @@
 //! Execution context for parallel regions: how a plan runs its SPMD
 //! closures.
 //!
-//! Plans (factorizations, spmv plans, solver workspaces) pick their
-//! execution strategy once at construction time:
+//! There is one way to run a region: on a persistent [`WorkerTeam`].
+//! Plans (factorizations, spmv plans) build their [`Exec`] once at
+//! construction time and every region afterwards reuses the same parked
+//! threads with stable tids — the paper's single OpenMP parallel
+//! region, amortized across the whole Krylov loop. A one-participant
+//! team spawns nothing and runs regions inline on the caller, so serial
+//! plans pay no thread cost either.
 //!
-//! * [`Exec::team`] — a persistent [`WorkerTeam`]; regions reuse parked
-//!   threads with stable tids. The right choice for anything executed
-//!   repeatedly (the Krylov hot loop).
-//! * [`Exec::spawn`] — scoped spawn-per-region
-//!   ([`crate::pool::run_on_threads`]); no resident threads. The right
-//!   choice for one-shot phases or callers that must not keep threads
-//!   alive.
-//!
-//! Both run `f(tid)` for `tid ∈ 0..nthreads` with the caller
-//! participating as tid 0 and full fork-join semantics (all memory
-//! writes of the region happen-before `run` returns).
+//! [`Exec::run`] executes `f(tid)` for `tid ∈ 0..nthreads` with the
+//! caller participating as tid 0 and full fork-join semantics (all
+//! memory writes of the region happen-before `run` returns).
 
-use crate::pool;
 use crate::team::WorkerTeam;
 use std::sync::Arc;
 
-/// How parallel regions are executed (see module docs).
+/// A cloneable handle on the persistent team a plan's parallel regions
+/// run on (see module docs). Clones share the workers.
 #[derive(Debug, Clone)]
-pub enum Exec {
-    /// Scoped spawn-per-region fallback.
-    Spawn {
-        /// Number of participants per region.
-        nthreads: usize,
-    },
-    /// Persistent parked worker team.
-    Team(Arc<WorkerTeam>),
-}
+pub struct Exec(Arc<WorkerTeam>);
 
 impl Exec {
-    /// Spawn-per-region execution with `nthreads` participants.
-    pub fn spawn(nthreads: usize) -> Self {
-        assert!(nthreads >= 1, "need at least one thread");
-        Exec::Spawn { nthreads }
-    }
-
-    /// Persistent-team execution with `nthreads` participants.
+    /// A team of `nthreads` participants owned by this handle (and its
+    /// clones).
     pub fn team(nthreads: usize) -> Self {
-        Exec::Team(Arc::new(WorkerTeam::new(nthreads)))
+        Exec(Arc::new(WorkerTeam::new(nthreads)))
     }
 
-    /// Persistent-team execution with compact core pinning: participant
+    /// Like [`Exec::team`], with compact core pinning: participant
     /// `tid` binds to core `tid % n_cores` (best-effort; see
     /// [`crate::affinity`]). The calling thread is pinned as tid 0.
     pub fn team_pinned(nthreads: usize) -> Self {
-        Exec::Team(Arc::new(WorkerTeam::with_affinity(
+        Exec(Arc::new(WorkerTeam::with_affinity(
             nthreads,
             crate::affinity::TeamAffinity::Compact,
         )))
@@ -56,15 +40,12 @@ impl Exec {
 
     /// Wraps an existing team.
     pub fn with_team(team: Arc<WorkerTeam>) -> Self {
-        Exec::Team(team)
+        Exec(team)
     }
 
     /// Number of participants per region.
     pub fn nthreads(&self) -> usize {
-        match self {
-            Exec::Spawn { nthreads } => *nthreads,
-            Exec::Team(team) => team.nthreads(),
-        }
+        self.0.nthreads()
     }
 
     /// Runs one fork-join region: `f(tid)` for every tid.
@@ -73,10 +54,7 @@ impl Exec {
     where
         F: Fn(usize) + Sync,
     {
-        match self {
-            Exec::Spawn { nthreads } => pool::run_on_threads(*nthreads, f),
-            Exec::Team(team) => team.run(f),
-        }
+        self.0.run(f)
     }
 }
 
@@ -86,17 +64,16 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn both_variants_run_all_tids() {
-        for exec in [Exec::spawn(3), Exec::team(3)] {
-            assert_eq!(exec.nthreads(), 3);
-            let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-            for _ in 0..4 {
-                exec.run(|tid| {
-                    hits[tid].fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 4));
+    fn runs_all_tids_every_region() {
+        let exec = Exec::team(3);
+        assert_eq!(exec.nthreads(), 3);
+        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+        for _ in 0..4 {
+            exec.run(|tid| {
+                hits[tid].fetch_add(1, Ordering::Relaxed);
+            });
         }
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 4));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * [`team`] — the persistent [`WorkerTeam`]: parked workers with
 //!   stable tids executing borrowed SPMD regions (the OpenMP parallel
 //!   region, amortized across the whole Krylov loop);
-//! * [`exec`] — [`Exec`], the per-plan choice between the team and
-//!   spawn-per-region execution;
-//! * [`pool`] — scoped spawn-per-region fork-join (the fallback for
-//!   one-shot phases);
+//! * [`exec`] — [`Exec`], the cloneable handle on the team a plan's
+//!   regions run on (the one way to run a region);
+//! * [`pool`] — scoped spawn-per-region fork-join for the
+//!   once-per-pattern phases (parallel symbolic fill, the task graph);
 //! * [`progress`] — cache-padded monotone progress counters with
 //!   acquire/release semantics: the runtime half of the sparsified
 //!   point-to-point schedule;

@@ -2,20 +2,18 @@
 //!
 //! The paper runs inside an OpenMP parallel region: a fixed team of
 //! threads, each knowing its id, executing the same SPMD function. This
-//! module is the *spawn-per-region* Rust analogue, built on
+//! module is the *spawn-per-region* form of that, built on
 //! `std::thread::scope` so worker closures can borrow the matrix, the
 //! schedule and the progress counters directly.
 //!
-//! Design note: spawn-per-region is no longer the deliberate choice for
-//! hot paths — it remains as the fallback for one-shot callers (the
-//! symbolic and numeric factorization phases, run once per matrix) and
-//! for code that must not keep resident threads. Anything executed
-//! repeatedly (triangular solves and spmv inside a Krylov iteration)
-//! runs on the persistent [`crate::team::WorkerTeam`] through
-//! [`crate::exec::Exec`], which amortizes thread startup across the
-//! whole solve exactly the way the paper amortizes its symbolic phase
-//! across numeric re-factorizations. The two are interchangeable at
-//! every call site: same tid semantics, same fork-join memory ordering.
+//! It serves the once-per-pattern phases only — the parallel symbolic
+//! fill search ([`parallel_chunks`]) and the Segmented-Rows task graph
+//! ([`crate::taskgraph::TaskGraph`]) — where a thread spawn is noise
+//! next to the work. Everything executed repeatedly (numeric
+//! refactorization, triangular solves and spmv inside a Krylov
+//! iteration) runs on the persistent [`crate::team::WorkerTeam`]
+//! through [`crate::exec::Exec`]. Both give the same tid semantics and
+//! the same fork-join memory ordering.
 
 use crate::abort::{self, RegionAbort};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -91,43 +89,6 @@ where
         let start = (tid * chunk).min(len);
         let end = ((tid + 1) * chunk).min(len);
         f(tid, start..end);
-    });
-}
-
-/// Parallel element-wise map over mutable data: partitions `data` into
-/// at most `nthreads` contiguous slices and hands slice `tid` to
-/// `f(tid, offset, slice)`.
-///
-/// Each thread owns exactly one precomputed slice — there is no shared
-/// work queue to contend on, and the `(tid, offset)` association is
-/// deterministic. Threads without a slice are not started.
-pub fn parallel_slices<T: Send, F>(nthreads: usize, data: &mut [T], f: F)
-where
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = len.div_ceil(nthreads.max(1)).max(1);
-    // Pre-partition into per-tid cells; each cell is taken exactly once
-    // by its owning thread (one uncontended lock apiece).
-    let mut parts: Vec<std::sync::Mutex<Option<(usize, &mut [T])>>> = Vec::new();
-    let mut rest = data;
-    let mut offset = 0usize;
-    while !rest.is_empty() {
-        let take = chunk.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        parts.push(std::sync::Mutex::new(Some((offset, head))));
-        offset += take;
-        rest = tail;
-    }
-    let active = parts.len();
-    run_on_threads(active, |tid| {
-        let item = parts[tid].lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some((off, slice)) = item {
-            f(tid, off, slice);
-        }
     });
 }
 
@@ -212,31 +173,6 @@ mod tests {
         parallel_chunks(4, 0, |_tid, _range| {
             panic!("must not be called for len == 0");
         });
-    }
-
-    #[test]
-    fn slices_partition_mutable_data() {
-        let mut data = vec![0usize; 23];
-        parallel_slices(4, &mut data, |_tid, offset, slice| {
-            for (k, v) in slice.iter_mut().enumerate() {
-                *v = offset + k;
-            }
-        });
-        let expect: Vec<usize> = (0..23).collect();
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn slices_tid_matches_partition_order() {
-        // Thread tid must receive the tid-th contiguous slice.
-        let mut data = vec![0usize; 10];
-        parallel_slices(3, &mut data, |tid, offset, slice| {
-            assert_eq!(offset, tid * 4);
-            for v in slice.iter_mut() {
-                *v = tid;
-            }
-        });
-        assert_eq!(data, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! structural class (PDE grid, finite-element mesh, circuit graph, power
 //! network) matched on pattern symmetry, approximate row density, and
 //! qualitative level structure, scaled to workstation size. The mapping
-//! and rationale are documented in `DESIGN.md` §4.2; users with the real
-//! matrices can substitute them through `javelin_sparse::io`.
+//! is the [`suite`] module (one entry per Table-I matrix); users with
+//! the real matrices can substitute them through `javelin_sparse::io`.
 //!
 //! Generators are deterministic: every randomized builder takes an
 //! explicit seed.

@@ -60,7 +60,7 @@ fn main() {
         }
     }
     println!(
-        "\n(Simulated from the real schedules; see DESIGN.md §4.1 for the\n\
-         machine-model substitution rationale.)"
+        "\n(Simulated from the real schedules; see the javelin-machine crate\n\
+         docs for the machine-model substitution rationale.)"
     );
 }

@@ -22,8 +22,9 @@
 //!
 //! The workload is deterministic (fixed seeds, fixed counts); only the
 //! wall-clock varies run to run. With `--json PATH` the numbers land as
-//! a machine-readable snapshot that `scripts/bench_json.sh` folds into
-//! the benchmark trajectory (`BENCH_results.json`).
+//! a machine-readable snapshot. The gated service numbers
+//! (`requests_per_s`, `request_latency_p50_ms`) come from the
+//! `service-panel` workload of `benchmark/run.sh`, not from here.
 
 use javelin::service::{ServiceConfig, SolveRequest, SolveService};
 use javelin::solver::Method;

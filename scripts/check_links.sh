@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Markdown link check for the docs layer (README.md + docs/), so the
 # prose can't rot silently: every relative link target must exist in
-# the repository. External (http/https) links are skipped — CI has no
-# network. Run from the repository root:
+# the repository, and so must every `NAME.md` a rustdoc comment points
+# at. External (http/https) links are skipped — CI has no network. Run
+# from the repository root:
 #
 #   bash scripts/check_links.sh
 set -euo pipefail
@@ -31,8 +32,22 @@ for md in "$root"/README.md "$root"/docs/*.md; do
     done < <(grep -o '\](\([^)]*\))' "$md" | sed 's/^](\(.*\))$/\1/')
 done
 
+# Rustdoc pointers: a `NAME.md` named in a `//!` / `///` line of `src/`
+# or `crates/*/src` must exist at the repository root or under `docs/`.
+while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    name="${hit##*:}"
+    checked=$((checked + 1))
+    if [ ! -e "$root/$name" ] && [ ! -e "$root/docs/$name" ]; then
+        echo "BROKEN: ${hit%:*} -> $name (rustdoc)"
+        fail=1
+    fi
+done < <(cd "$root" && grep -rnE --include='*.rs' '^[[:space:]]*//[/!]' src crates/*/src |
+    grep -oE '^[^:]+:[0-9]+:|[A-Za-z0-9_-]+\.md\b' |
+    awk '/^[^:]+:[0-9]+:$/ { loc = $0; next } { print loc $0 }')
+
 if [ "$fail" -ne 0 ]; then
     echo "markdown link check failed"
     exit 1
 fi
-echo "markdown link check: $checked relative links OK"
+echo "markdown link check: $checked relative links and rustdoc file pointers OK"

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Prints per-crate *code* lines: the unit ROADMAP's size targets and
-# the simplicity PRs' acceptance criteria are stated in. A line counts
-# when it is not blank, not a comment-only line (`//`, `///`, `//!`),
-# and not inside a `#[cfg(test)] mod … { … }` block (or a file that is
-# `#![cfg(test)]` as a whole). Only `src/` trees are counted, so
-# integration tests, benches and examples never inflate a crate.
+# Prints, per crate, *code* lines and `pub` items: the units ROADMAP's
+# size targets and the simplicity PRs' acceptance criteria are stated
+# in. A line counts as code when it is not blank, not a comment-only
+# line (`//`, `///`, `//!`), and not inside a `#[cfg(test)] mod … { … }`
+# block (or a file that is `#![cfg(test)]` as a whole). A code line
+# counts as a `pub` item when it opens with `pub fn|struct|enum|trait|
+# type|const|mod` (plain `pub` only — `pub(crate)` is not surface).
+# Only `src/` trees are counted, so integration tests and examples
+# never inflate a crate.
 #
 # Usage: scripts/loc.sh [ROOT]   (ROOT defaults to this checkout; pass
 #        another checkout to compare two commits)
@@ -12,7 +15,7 @@ set -euo pipefail
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
-count() { # count DIR -> code lines of every .rs file under DIR
+count() { # count DIR -> "code-lines pub-items" of every .rs file under DIR
     find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { pending = 0; depth = 0; whole_file = 0 }
         whole_file { next }
@@ -31,18 +34,21 @@ count() { # count DIR -> code lines of every .rs file under DIR
         { pending = 0 }
         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { n++ }
-        END { print n + 0 }
+        /^[[:space:]]*pub (unsafe )?(fn|struct|enum|trait|type|const|mod) / { p++ }
+        END { print n + 0, p + 0 }
     '
 }
 
 total=0
-printf '%-22s %8s\n' "crate" "code"
+total_pub=0
+printf '%-22s %8s %8s\n' "crate" "code" "pub"
 for src in src crates/*/src; do
     [ -d "$src" ] || continue
     name=$(dirname "$src")
     [ "$name" = "." ] && name="javelin (facade)"
-    lines=$(count "$src")
+    read -r lines pubs < <(count "$src")
     total=$((total + lines))
-    printf '%-22s %8d\n' "${name#crates/}" "$lines"
+    total_pub=$((total_pub + pubs))
+    printf '%-22s %8d %8d\n' "${name#crates/}" "$lines" "$pubs"
 done
-printf '%-22s %8d\n' "total" "$total"
+printf '%-22s %8d %8d\n' "total" "$total" "$total_pub"
