@@ -54,6 +54,9 @@ pub struct FactorsBatch<T: Scalar> {
     /// Interleaved batch value buffer: scenario `c` of LU entry `e` at
     /// `e·k + c`.
     lu_vals: LuVals<T>,
+    /// Interleaved Segmented-Rows delta slots (empty unless the
+    /// analysis planned SR).
+    sr_deltas: LuVals<T>,
     /// Interleaved per-scenario τ thresholds (`r·k + c`); empty when
     /// dropping is off.
     drop_thresh: Vec<T>,
@@ -119,6 +122,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             // `LuVals::zeroed_on`) — the batch buffer is k× the scalar
             // one, so placement matters most here.
             lu_vals: LuVals::zeroed_on(nnz * k, self.exec()),
+            sr_deltas: LuVals::zeroed(c.sr.as_ref().map_or(0, |sr| sr.n_delta_slots() * k)),
             drop_thresh: if c.opts.drop_tol > 0.0 {
                 vec![T::ZERO; c.n * k]
             } else {
@@ -215,6 +219,7 @@ impl<T: Scalar> FactorsBatch<T> {
             let run = NumericRun {
                 mats,
                 vals: &self.lu_vals,
+                sr_deltas: &self.sr_deltas,
                 drop_thresh: &mut self.drop_thresh,
                 row_ws: &num.row_ws,
                 progress: &num.progress,
@@ -225,7 +230,7 @@ impl<T: Scalar> FactorsBatch<T> {
                 shifts: &mut self.shifts,
                 statuses: &mut self.statuses,
             };
-            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, None, false));
+            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, None));
         }
         // Commit phase: de-interleave every successful scenario into
         // its factor object and complete its statistics; failed

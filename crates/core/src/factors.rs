@@ -114,7 +114,7 @@ impl<T: Scalar> IluFactors<T> {
     ///   factorization, so the old preconditioner stays usable.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         self.sym
-            .factor_into(a, self.lu.vals_mut(), &mut self.stats, None, false)
+            .factor_into(a, self.lu.vals_mut(), &mut self.stats, None)
     }
 
     /// Like [`IluFactors::refactor`], but unconditionally boosts the
@@ -134,7 +134,7 @@ impl<T: Scalar> IluFactors<T> {
     ) -> Result<(), SparseError> {
         let shift = Some(relative_shift);
         self.sym
-            .factor_into(a, self.lu.vals_mut(), &mut self.stats, shift, false)
+            .factor_into(a, self.lu.vals_mut(), &mut self.stats, shift)
     }
 
     /// Mutable factor-value storage — the batched-refactor commit path
@@ -1341,14 +1341,83 @@ mod tests {
         let b1: Vec<u64> = f1.lu().vals().iter().map(|v| v.to_bits()).collect();
         let b2: Vec<u64> = f2.lu().vals().iter().map(|v| v.to_bits()).collect();
         assert_eq!(b1, b2);
-        // And refactor through the parallel-corner analysis matches too
-        // (the planned path substitutes the serial corner — identical
-        // bits by the determinism contract).
+        // And refactor through the parallel-corner analysis (the same
+        // planned walk) matches too.
         let sym = SymbolicIlu::analyze(&a, &pc).unwrap();
         let mut f3 = sym.factor(&a).unwrap();
         f3.refactor(&a).unwrap();
         let b3: Vec<u64> = f3.lu().vals().iter().map(|v| v.to_bits()).collect();
         assert_eq!(b1, b3);
+    }
+
+    #[test]
+    fn lower_stage_plans_are_built_only_when_selected_and_able_to_run() {
+        let a = javelin_synth::util::bordered(&laplace_2d(12, 12), 6);
+        let analyze = |nthreads: usize, method, parallel_corner| {
+            let mut opts = IluOptions::ilu0(nthreads);
+            opts.lower_method = method;
+            opts.parallel_corner = parallel_corner;
+            opts.tile_size = 4;
+            SymbolicIlu::analyze(&a, &opts).unwrap()
+        };
+        let planned = analyze(2, LowerMethod::SegmentedRows, true);
+        assert!(planned.stats().n_lower_rows >= 6);
+        let sr = planned.core().sr.as_ref().expect("SR selected, 2 threads");
+        assert!(sr.n_delta_slots() > 0, "border rows must be tiled");
+        assert!(planned.core().corner.is_some());
+        // Not selected, or nothing to run it on: no plan.
+        for sym in [
+            analyze(2, LowerMethod::EvenRows, false),
+            analyze(1, LowerMethod::SegmentedRows, true),
+        ] {
+            assert!(sym.core().sr.is_none() && sym.core().corner.is_none());
+        }
+        let mut no_lower = IluOptions::level_scheduling_only(2);
+        no_lower.lower_method = LowerMethod::SegmentedRows;
+        no_lower.parallel_corner = true;
+        let sym = SymbolicIlu::analyze(&a, &no_lower).unwrap();
+        assert!(sym.core().sr.is_none() && sym.core().corner.is_none());
+    }
+
+    #[test]
+    fn every_numeric_entry_point_runs_the_planned_lower_stage_bit_identically() {
+        // Tiled Segmented-Rows + parallel corner vs Even-Rows + serial
+        // corner vs the serial sweep: factor, refactor, shifted refactor
+        // and every lane of a batch, with τ-dropping on.
+        let a = javelin_synth::util::bordered(&laplace_2d(12, 12), 6);
+        let a2 = revalue(&a, 0.37);
+        let bits = |f: &IluFactors<f64>| -> Vec<u64> {
+            f.lu().vals().iter().map(|v| v.to_bits()).collect()
+        };
+        let run = |nthreads: usize, planned: bool| {
+            let mut opts = IluOptions::ilu0(nthreads).with_drop_tol(1e-3);
+            opts.tile_size = 4;
+            if planned {
+                opts.lower_method = LowerMethod::SegmentedRows;
+                opts.parallel_corner = true;
+            } else {
+                opts.lower_method = LowerMethod::EvenRows;
+            }
+            let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+            assert_eq!(sym.core().sr.is_some(), planned && nthreads > 1);
+            let mut f = sym.factor(&a).unwrap();
+            let mut out = vec![bits(&f)];
+            f.refactor(&a2).unwrap();
+            out.push(bits(&f));
+            f.refactor_with_shift(&a2, 1e-3).unwrap();
+            out.push(bits(&f));
+            let batch = sym.factor_batch(&[&a, &a2, &a, &a2, &a2]).unwrap();
+            assert!(batch.all_ok());
+            out.extend(batch.factors().iter().map(bits));
+            assert!(f.stats().dropped_entries > 0, "τ must drop something");
+            out
+        };
+        let reference = run(1, false);
+        assert_eq!(reference[1], reference[4], "batch lane 1 is refactor(a2)");
+        for nthreads in [2usize, 3] {
+            assert_eq!(run(nthreads, false), reference, "ER, {nthreads} threads");
+            assert_eq!(run(nthreads, true), reference, "SR, {nthreads} threads");
+        }
     }
 
     #[test]

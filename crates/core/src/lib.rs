@@ -7,9 +7,8 @@
 //!
 //! ## Pipeline
 //!
-//! 1. **Symbolic** ([`symbolic`]): the ILU(k) fill pattern of `A` —
-//!    serial row-merge or the embarrassingly parallel Hysom–Pothen
-//!    fill-path search.
+//! 1. **Symbolic** ([`symbolic`]): the ILU(k) fill pattern of `A`, by
+//!    the serial row-merge recurrence.
 //! 2. **Level analysis** (`javelin-level`): level sets of `lower(S)` or
 //!    `lower(S+Sᵀ)`, the two-stage split, and the sparsified
 //!    point-to-point schedule.
@@ -37,13 +36,15 @@
 //! * **Analyze (once per pattern).** [`SymbolicIlu::analyze`] computes
 //!   everything pattern-dependent: the ILU(k) fill, level sets, the
 //!   two-stage split and permutation, the forward/backward
-//!   point-to-point schedules, the [`factors::SolvePlan`], a reusable
+//!   point-to-point schedules, the lower stage's Segmented-Rows task
+//!   graph and parallel-corner schedule where selected, the
+//!   [`factors::SolvePlan`], a reusable
 //!   [`SolveScratch`] (progress counters, barrier, flat tiled-gather
 //!   partials, the in-place solve buffer), the numeric scratch, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
-//!   numeric up-looking elimination through the full engine set and
+//!   numeric up-looking elimination through the planned engines and
 //!   returns [`IluFactors`], which shares the analysis handle.
 //! * **Refactor (every time step).** [`IluFactors::refactor`] redoes
 //!   *only* the numeric phase in place for a pattern-identical matrix:

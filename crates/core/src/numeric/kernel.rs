@@ -12,13 +12,16 @@
 //!   currently *owns* the row;
 //! * ownership is handed off through a release-bump of a progress
 //!   counter (`factor_upper_p2p_planned`, `factor_corner_parallel`), a
-//!   task-graph edge (`factor_lower_sr`) or a team-region join
-//!   (`factor_lower_er_planned`, then `factor_rows_serial_ws` on the
-//!   corner) after the row's last write, and acquired through the
-//!   matching acquire-wait before any dependent read;
+//!   task-graph edge (`factor_lower_sr`) or a team-region join (between
+//!   the stages: after the upper stage, after `factor_lower_er_planned`
+//!   or the task graph, before `factor_rows_serial_ws` on the corner)
+//!   after the row's last write, and acquired through the matching
+//!   acquire-wait before any dependent read;
 //! * Segmented-Rows tiles that share a row write disjoint entry
-//!   subranges, chained per block, so exclusivity holds at entry
-//!   granularity there too.
+//!   subranges and disjoint slots of the SR delta buffer (a second
+//!   `LuVals`, read by the block's `Apply` task after a graph edge),
+//!   chained per block, so exclusivity holds at entry granularity
+//!   there too.
 //!
 //! Under that protocol [`eliminate_columns`] and [`finalize_row`] check
 //! out a whole row (or, for an SR tile, a subrange of one) as an

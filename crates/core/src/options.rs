@@ -150,9 +150,6 @@ pub struct IluOptions {
     /// Breakdown detection threshold: a pivot counts as collapsed when
     /// its magnitude is below this value.
     pub pivot_threshold: f64,
-    /// Use the parallel (Hysom–Pothen) symbolic phase instead of the
-    /// serial row-merge when `fill_level > 0`.
-    pub parallel_symbolic: bool,
     /// Factor the lower-stage corner with point-to-point level
     /// scheduling instead of serially ("for most matrices, serial seems
     /// to be good enough" — paper §III-B — so this defaults off).
@@ -193,7 +190,6 @@ impl Default for IluOptions {
             nthreads: 1,
             zero_pivot: ZeroPivotPolicy::default(),
             pivot_threshold: 1e-14,
-            parallel_symbolic: false,
             parallel_corner: false,
             pin_threads: false,
             shared_team: None,

@@ -1,26 +1,20 @@
 //! Symbolic ILU(k): computing the fill pattern.
 //!
-//! Two implementations:
-//!
-//! * [`iluk_pattern_serial`] — the classic row-merge recurrence
-//!   `lev(i,j) = min over c < min(i,j) of lev(i,c) + lev(c,j) + 1`
-//!   (levels of original entries are 0; entries with `lev ≤ k` are
-//!   kept), processed row by row with a sorted linked-list workspace.
-//! * [`iluk_pattern_parallel`] — the Hysom–Pothen formulation: a fill
-//!   entry `(i,j)` of level `ℓ` corresponds to a shortest *fill path*
-//!   `i ⇝ j` of length `ℓ+1` in the digraph of `A` whose interior
-//!   vertices are all smaller than `min(i,j)`. Each row's bounded
-//!   search is independent, so rows parallelize embarrassingly — this
-//!   is the approach the paper points to for parallel preprocessing
-//!   (its reference \[6\]).
-//!
-//! Both return identical patterns (property-tested); `ILU(0)`
+//! [`iluk_pattern_serial`] is the classic row-merge recurrence
+//! `lev(i,j) = min over c < min(i,j) of lev(i,c) + lev(c,j) + 1`
+//! (levels of original entries are 0; entries with `lev ≤ k` are kept),
+//! processed row by row with a sorted linked-list workspace; `ILU(0)`
 //! short-circuits to the input pattern.
+//!
+//! Its test oracle is the Hysom–Pothen formulation (the paper's
+//! reference \[6\]): a fill entry `(i,j)` of level `ℓ` corresponds to a
+//! shortest *fill path* `i ⇝ j` of length `ℓ+1` in the digraph of `A`
+//! whose interior vertices are all smaller than `min(i,j)`, found by an
+//! independent bounded search per row. Both must return identical
+//! patterns (property-tested).
 
 use javelin_sparse::pattern::SparsityPattern;
 use javelin_sparse::{CsrMatrix, Scalar, SparseError};
-use javelin_sync::pool;
-use parking_lot::Mutex;
 
 /// Computes the ILU(k) fill pattern of `a` (which must have a full
 /// structural diagonal). The returned pattern always contains every
@@ -118,151 +112,6 @@ pub fn iluk_pattern_serial<T: Scalar>(
     Ok(SparsityPattern::from_raw(n, n, rowptr, colidx))
 }
 
-/// Parallel ILU(k) pattern via per-row fill-path searches
-/// (Hysom–Pothen). Produces exactly the same pattern as
-/// [`iluk_pattern_serial`].
-///
-/// # Errors
-/// [`SparseError::NotSquare`] / [`SparseError::MissingDiagonal`].
-pub fn iluk_pattern_parallel<T: Scalar>(
-    a: &CsrMatrix<T>,
-    k: usize,
-    nthreads: usize,
-) -> Result<SparsityPattern, SparseError> {
-    validate(a)?;
-    if k == 0 {
-        return Ok(SparsityPattern::of(a));
-    }
-    let n = a.nrows();
-    let rows_out: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::with_capacity(n));
-    pool::parallel_chunks(nthreads.max(1), n, |_tid, range| {
-        let mut ws = RowSearch::new(n, k);
-        let mut local: Vec<(usize, Vec<usize>)> = Vec::with_capacity(range.len());
-        for i in range {
-            local.push((i, ws.row_pattern(a, i)));
-        }
-        rows_out.lock().extend(local);
-    });
-    let mut rows = rows_out.into_inner();
-    rows.sort_unstable_by_key(|&(i, _)| i);
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for (i, cols) in rows {
-        colidx.extend_from_slice(&cols);
-        rowptr[i + 1] = colidx.len();
-    }
-    Ok(SparsityPattern::from_raw(n, n, rowptr, colidx))
-}
-
-/// Per-row fill-path search workspace.
-///
-/// Encoding: `m_enc` is "one plus the largest interior vertex" of the
-/// best path so far (0 = no interiors). A path ending at `w` is a fill
-/// path for `(i, w)` iff `m_enc ≤ min(i, w)`.
-struct RowSearch {
-    k: usize,
-    /// Best-known level per column for the current row; MAX = absent.
-    lev: Vec<usize>,
-    touched: Vec<usize>,
-    /// Best-known `m_enc` per (depth, vertex); MAX = unvisited.
-    m_best: Vec<usize>,
-    m_touched: Vec<usize>,
-    frontier: Vec<(usize, usize)>,
-    next_frontier: Vec<(usize, usize)>,
-}
-
-impl RowSearch {
-    fn new(n: usize, k: usize) -> Self {
-        RowSearch {
-            k,
-            lev: vec![usize::MAX; n],
-            touched: Vec::new(),
-            m_best: vec![usize::MAX; n * k.max(1)],
-            m_touched: Vec::new(),
-            frontier: Vec::new(),
-            next_frontier: Vec::new(),
-        }
-    }
-
-    fn row_pattern<T: Scalar>(&mut self, a: &CsrMatrix<T>, i: usize) -> Vec<usize> {
-        let k = self.k;
-        // Depth 1: the original entries (level 0); interiors: none.
-        for &c in a.row_cols(i) {
-            self.set_lev(c, 0);
-            if c < i {
-                self.frontier.push((c, 0));
-            }
-        }
-        // Depths 2..=k+1: expand through interior vertices (< i).
-        for len in 2..=(k + 1) {
-            self.next_frontier.clear();
-            // Drain the frontier without holding a borrow across the
-            // mutation of `self` state.
-            let frontier = std::mem::take(&mut self.frontier);
-            for &(v, m_enc) in &frontier {
-                let m_new = m_enc.max(v + 1);
-                for &w in a.row_cols(v) {
-                    if w == i {
-                        continue;
-                    }
-                    let fill_lev = len - 1;
-                    if m_new <= i.min(w) && self.lev_of(w) > fill_lev {
-                        self.set_lev(w, fill_lev);
-                    }
-                    if w < i && len < k + 1 {
-                        let slot = (len - 1) * a.nrows() + w;
-                        if self.m_best[slot] > m_new {
-                            if self.m_best[slot] == usize::MAX {
-                                self.m_touched.push(slot);
-                            }
-                            self.m_best[slot] = m_new;
-                            self.next_frontier.push((w, m_new));
-                        }
-                    }
-                }
-            }
-            self.frontier = frontier; // reuse allocation
-            self.frontier.clear();
-            std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-            if self.frontier.is_empty() {
-                break;
-            }
-        }
-        // Collect, sort, reset.
-        let mut cols: Vec<usize> = self
-            .touched
-            .iter()
-            .copied()
-            .filter(|&c| self.lev[c] <= k)
-            .collect();
-        cols.sort_unstable();
-        for &c in &self.touched {
-            self.lev[c] = usize::MAX;
-        }
-        self.touched.clear();
-        for &s in &self.m_touched {
-            self.m_best[s] = usize::MAX;
-        }
-        self.m_touched.clear();
-        self.frontier.clear();
-        self.next_frontier.clear();
-        cols
-    }
-
-    #[inline]
-    fn lev_of(&self, c: usize) -> usize {
-        self.lev[c]
-    }
-
-    #[inline]
-    fn set_lev(&mut self, c: usize, l: usize) {
-        if self.lev[c] == usize::MAX {
-            self.touched.push(c);
-        }
-        self.lev[c] = self.lev[c].min(l);
-    }
-}
-
 fn validate<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), SparseError> {
     if !a.is_square() {
         return Err(SparseError::NotSquare {
@@ -273,8 +122,144 @@ fn validate<T: Scalar>(a: &CsrMatrix<T>) -> Result<(), SparseError> {
     a.diag_positions().map(|_| ())
 }
 
+/// The fill-path oracle of [`iluk_pattern_serial`] (see module docs).
+#[cfg(test)]
+mod fill_path {
+    use super::*;
+
+    /// ILU(k) pattern via per-row fill-path searches (Hysom–Pothen).
+    pub fn iluk_pattern_fill_path<T: Scalar>(
+        a: &CsrMatrix<T>,
+        k: usize,
+    ) -> Result<SparsityPattern, SparseError> {
+        validate(a)?;
+        if k == 0 {
+            return Ok(SparsityPattern::of(a));
+        }
+        let n = a.nrows();
+        let mut ws = RowSearch::new(n, k);
+        let mut rowptr = vec![0usize; n + 1];
+        let mut colidx = Vec::new();
+        for i in 0..n {
+            colidx.extend(ws.row_pattern(a, i));
+            rowptr[i + 1] = colidx.len();
+        }
+        Ok(SparsityPattern::from_raw(n, n, rowptr, colidx))
+    }
+
+    /// Per-row fill-path search workspace.
+    ///
+    /// Encoding: `m_enc` is "one plus the largest interior vertex" of the
+    /// best path so far (0 = no interiors). A path ending at `w` is a fill
+    /// path for `(i, w)` iff `m_enc ≤ min(i, w)`.
+    struct RowSearch {
+        k: usize,
+        /// Best-known level per column for the current row; MAX = absent.
+        lev: Vec<usize>,
+        touched: Vec<usize>,
+        /// Best-known `m_enc` per (depth, vertex); MAX = unvisited.
+        m_best: Vec<usize>,
+        m_touched: Vec<usize>,
+        frontier: Vec<(usize, usize)>,
+        next_frontier: Vec<(usize, usize)>,
+    }
+
+    impl RowSearch {
+        fn new(n: usize, k: usize) -> Self {
+            RowSearch {
+                k,
+                lev: vec![usize::MAX; n],
+                touched: Vec::new(),
+                m_best: vec![usize::MAX; n * k.max(1)],
+                m_touched: Vec::new(),
+                frontier: Vec::new(),
+                next_frontier: Vec::new(),
+            }
+        }
+
+        fn row_pattern<T: Scalar>(&mut self, a: &CsrMatrix<T>, i: usize) -> Vec<usize> {
+            let k = self.k;
+            // Depth 1: the original entries (level 0); interiors: none.
+            for &c in a.row_cols(i) {
+                self.set_lev(c, 0);
+                if c < i {
+                    self.frontier.push((c, 0));
+                }
+            }
+            // Depths 2..=k+1: expand through interior vertices (< i).
+            for len in 2..=(k + 1) {
+                self.next_frontier.clear();
+                // Drain the frontier without holding a borrow across the
+                // mutation of `self` state.
+                let frontier = std::mem::take(&mut self.frontier);
+                for &(v, m_enc) in &frontier {
+                    let m_new = m_enc.max(v + 1);
+                    for &w in a.row_cols(v) {
+                        if w == i {
+                            continue;
+                        }
+                        let fill_lev = len - 1;
+                        if m_new <= i.min(w) && self.lev_of(w) > fill_lev {
+                            self.set_lev(w, fill_lev);
+                        }
+                        if w < i && len < k + 1 {
+                            let slot = (len - 1) * a.nrows() + w;
+                            if self.m_best[slot] > m_new {
+                                if self.m_best[slot] == usize::MAX {
+                                    self.m_touched.push(slot);
+                                }
+                                self.m_best[slot] = m_new;
+                                self.next_frontier.push((w, m_new));
+                            }
+                        }
+                    }
+                }
+                self.frontier = frontier; // reuse allocation
+                self.frontier.clear();
+                std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+                if self.frontier.is_empty() {
+                    break;
+                }
+            }
+            // Collect, sort, reset.
+            let mut cols: Vec<usize> = self
+                .touched
+                .iter()
+                .copied()
+                .filter(|&c| self.lev[c] <= k)
+                .collect();
+            cols.sort_unstable();
+            for &c in &self.touched {
+                self.lev[c] = usize::MAX;
+            }
+            self.touched.clear();
+            for &s in &self.m_touched {
+                self.m_best[s] = usize::MAX;
+            }
+            self.m_touched.clear();
+            self.frontier.clear();
+            self.next_frontier.clear();
+            cols
+        }
+
+        #[inline]
+        fn lev_of(&self, c: usize) -> usize {
+            self.lev[c]
+        }
+
+        #[inline]
+        fn set_lev(&mut self, c: usize, l: usize) {
+            if self.lev[c] == usize::MAX {
+                self.touched.push(c);
+            }
+            self.lev[c] = self.lev[c].min(l);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::fill_path::iluk_pattern_fill_path;
     use super::*;
     use javelin_sparse::CooMatrix;
 
@@ -310,7 +295,7 @@ mod tests {
         let p = iluk_pattern_serial(&a, 0).unwrap();
         assert_eq!(p.rowptr(), a.rowptr());
         assert_eq!(p.colidx(), a.colidx());
-        let pp = iluk_pattern_parallel(&a, 0, 2).unwrap();
+        let pp = iluk_pattern_fill_path(&a, 0).unwrap();
         assert_eq!(pp, p);
     }
 
@@ -387,14 +372,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_on_structured_cases() {
+    fn fill_path_oracle_matches_serial_on_structured_cases() {
         for k in 0..4usize {
             for a in [tridiag(15), arrow(9)] {
                 let s = iluk_pattern_serial(&a, k).unwrap();
-                for nthreads in [1, 3] {
-                    let p = iluk_pattern_parallel(&a, k, nthreads).unwrap();
-                    assert_eq!(p, s, "k={k}");
-                }
+                assert_eq!(iluk_pattern_fill_path(&a, k).unwrap(), s, "k={k}");
             }
         }
     }
@@ -426,7 +408,7 @@ mod tests {
             iluk_pattern_serial(&a, 1),
             Err(SparseError::MissingDiagonal { row: 1 })
         ));
-        assert!(iluk_pattern_parallel(&a, 1, 2).is_err());
+        assert!(iluk_pattern_fill_path(&a, 1).is_err());
     }
 
     #[test]
@@ -441,6 +423,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::fill_path::iluk_pattern_fill_path;
     use super::*;
     use javelin_sparse::CooMatrix;
     use proptest::prelude::*;
@@ -463,9 +446,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
-        fn parallel_equals_serial(a in arb_diag_matrix(20), k in 0usize..4) {
+        fn fill_path_oracle_equals_serial(a in arb_diag_matrix(20), k in 0usize..4) {
             let s = iluk_pattern_serial(&a, k).unwrap();
-            let p = iluk_pattern_parallel(&a, k, 3).unwrap();
+            let p = iluk_pattern_fill_path(&a, k).unwrap();
             prop_assert_eq!(s, p);
         }
 

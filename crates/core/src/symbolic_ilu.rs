@@ -30,8 +30,9 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::numeric::kernel::{LuVals, RowWorkspace};
+use crate::numeric::lower::{self, CornerPlan, SrPlan};
 use crate::numeric::parallel::{factor_rows_serial_ws, factor_upper_p2p_planned};
-use crate::numeric::{lower, NumericCtx};
+use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
 use crate::symbolic;
@@ -53,14 +54,15 @@ pub(crate) const FILL: usize = usize::MAX;
 
 /// Reusable working state of the numeric phase, sized at analysis time
 /// so a steady-state [`IluFactors::refactor`] allocates nothing: the
-/// width-1 value buffer and τ thresholds of the scalar path, plus one
-/// sparse-accumulator workspace per participant and the resettable
-/// progress counters of the point-to-point stages. The last two are
-/// pattern-only, so they serve every lane width
-/// ([`FactorsBatch`](crate::FactorsBatch) brings its own width-`k`
-/// value buffers).
+/// width-1 value buffer, Segmented-Rows delta slots and τ thresholds of
+/// the scalar path, plus one sparse-accumulator workspace per
+/// participant and the resettable progress counters of the
+/// point-to-point stages. The last two are pattern-only, so they serve
+/// every lane width ([`FactorsBatch`](crate::FactorsBatch) brings its
+/// own width-`k` value buffers).
 pub(crate) struct NumericScratch<T> {
     lu_vals: LuVals<T>,
+    sr_deltas: LuVals<T>,
     drop_thresh: Vec<T>,
     pub(crate) row_ws: Vec<Mutex<RowWorkspace>>,
     pub(crate) progress: ProgressCounters,
@@ -89,6 +91,11 @@ pub(crate) struct SymCore<T> {
     pub(crate) a_src: Vec<usize>,
     pub(crate) perm: Perm,
     pub(crate) plan: SolvePlan,
+    /// The lower stage's plans, present iff selected and able to run
+    /// (a team of more than one, a non-empty lower stage): without
+    /// them the numeric phase runs Even-Rows and the serial corner.
+    pub(crate) sr: Option<SrPlan>,
+    pub(crate) corner: Option<CornerPlan>,
     /// Symbolic/analysis statistics — the template every numeric phase
     /// completes with its own counters and timing.
     pub(crate) stats: FactorStats,
@@ -151,9 +158,10 @@ fn resolve_lower_method(opts: &IluOptions, n_lower: usize, nthreads: usize) -> L
 impl<T: Scalar> SymbolicIlu<T> {
     /// Runs the symbolic phase of the pipeline on the *pattern* of `a`:
     /// ILU(k) fill, level analysis, two-stage split, permutation, the
-    /// forward/backward point-to-point schedules, the trailing-block
-    /// layout, the execution context (a persistent worker team) and
-    /// all reusable numeric/solve scratch.
+    /// forward/backward point-to-point schedules, the lower stage's
+    /// Segmented-Rows and parallel-corner plans where selected, the
+    /// trailing-block layout, the execution context (a persistent
+    /// worker team) and all reusable numeric/solve scratch.
     ///
     /// The values of `a` are not read; [`SymbolicIlu::factor`] accepts
     /// any matrix with this exact pattern.
@@ -191,11 +199,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         // ---- Symbolic: the ILU(k) pattern (paper: "predetermining the
         // sparsity pattern"). -------------------------------------------
         let t0 = Instant::now();
-        let s: SparsityPattern = if opts.parallel_symbolic {
-            symbolic::iluk_pattern_parallel(a, opts.fill_level, nthreads)?
-        } else {
-            symbolic::iluk_pattern_serial(a, opts.fill_level)?
-        };
+        let s: SparsityPattern = symbolic::iluk_pattern_serial(a, opts.fill_level)?;
         stats.t_symbolic = t0.elapsed();
         stats.nnz_lu = s.nnz();
 
@@ -333,6 +337,16 @@ impl<T: Scalar> SymbolicIlu<T> {
 
         let lower_method = resolve_lower_method(opts, n_lower, nthreads);
         stats.lower_method = lower_method;
+        // The lower stage's own schedules, planned here like everything
+        // else pattern-dependent — when there is a team and a lower
+        // stage to run them on.
+        let can_plan = nthreads > 1 && n_lower > 0;
+        let sr = (can_plan && lower_method == LowerMethod::SegmentedRows).then(|| {
+            let levels = &plan0.upper_level_ptr;
+            SrPlan::build(&rowptr, &colidx, &diag_pos, n_upper, levels, opts.tile_size)
+        });
+        let corner = (can_plan && opts.parallel_corner)
+            .then(|| CornerPlan::build(&rowptr, &colidx, &diag_pos, n_upper, nthreads));
 
         let plan = SolvePlan {
             n_upper,
@@ -386,6 +400,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             // in (chunked by tid) so page placement matches the workers
             // that later fill and solve with them.
             lu_vals: LuVals::zeroed_on(colidx.len(), &exec),
+            sr_deltas: LuVals::zeroed(sr.as_ref().map_or(0, SrPlan::n_delta_slots)),
             drop_thresh: if opts.drop_tol > 0.0 {
                 vec![T::ZERO; n]
             } else {
@@ -420,6 +435,8 @@ impl<T: Scalar> SymbolicIlu<T> {
                 a_src,
                 perm,
                 plan,
+                sr,
+                corner,
                 stats,
                 exec,
                 scratch,
@@ -458,7 +475,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         &self.core.opts
     }
 
-    /// Lower-stage method a fresh [`SymbolicIlu::factor`] uses
+    /// Lower-stage method every numeric phase of this analysis uses
     /// (`Auto` resolved at analysis time).
     pub fn lower_method(&self) -> LowerMethod {
         self.core.lower_method
@@ -542,20 +559,18 @@ impl<T: Scalar> SymbolicIlu<T> {
         let c = &*self.core;
         let mut stats = c.stats.clone();
         let mut vals = vec![T::ZERO; c.colidx.len()];
-        self.factor_into(a, &mut vals, &mut stats, None, true)?;
+        self.factor_into(a, &mut vals, &mut stats, None)?;
         let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
         Ok(IluFactors::from_parts(self.clone(), lu, stats))
     }
 
     /// The scalar numeric phase — the width-1 instantiation of
-    /// [`SymbolicIlu::run_numeric`] behind [`SymbolicIlu::factor`]
-    /// (`first_factor`), [`IluFactors::refactor`] and
-    /// [`IluFactors::refactor_with_shift`] (`forced_shift`): factors a
-    /// pattern-identical `a` in the reusable value buffer and, on
-    /// success only, commits values into `out` and counters into
-    /// `stats` — a failed run leaves both untouched. Allocation-free
-    /// (per-lane state lives on the stack) unless `first_factor`
-    /// selects Segmented-Rows or the parallel corner.
+    /// [`SymbolicIlu::run_numeric`] behind [`SymbolicIlu::factor`],
+    /// [`IluFactors::refactor`] and [`IluFactors::refactor_with_shift`]
+    /// (`forced_shift`): factors a pattern-identical `a` in the
+    /// reusable value buffer and, on success only, commits values into
+    /// `out` and counters into `stats` — a failed run leaves both
+    /// untouched. Allocation-free (per-lane state lives on the stack).
     ///
     /// # Errors
     /// See [`SymbolicIlu::factor`].
@@ -565,7 +580,6 @@ impl<T: Scalar> SymbolicIlu<T> {
         out: &mut [T],
         stats: &mut FactorStats,
         forced_shift: Option<f64>,
-        first_factor: bool,
     ) -> Result<(), SparseError> {
         self.check_pattern(a)?;
         let t2 = Instant::now();
@@ -578,6 +592,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             NumericRun {
                 mats: &[a],
                 vals: &num.lu_vals,
+                sr_deltas: &num.sr_deltas,
                 drop_thresh: &mut num.drop_thresh,
                 row_ws: &num.row_ws,
                 progress: &num.progress,
@@ -589,7 +604,6 @@ impl<T: Scalar> SymbolicIlu<T> {
                 statuses: std::slice::from_mut(&mut status),
             },
             forced_shift,
-            first_factor,
         );
         status?;
         stats.replaced_pivots = replaced.into_inner();
@@ -628,7 +642,6 @@ impl<T: Scalar> SymbolicIlu<T> {
         lanes: L,
         run: NumericRun<'_, T>,
         forced_shift: Option<f64>,
-        first_factor: bool,
     ) {
         let c = &*self.core;
         let k = lanes.width();
@@ -678,7 +691,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 dropped: run.dropped,
                 failed_row: run.failed,
             };
-            self.run_engines(lanes, &ctx, run.row_ws, run.progress, first_factor);
+            self.run_engines(lanes, &ctx, &run);
             let mut retry = false;
             for lane in 0..k {
                 let failed = run.failed[lane].load(Ordering::Relaxed);
@@ -779,20 +792,12 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// One numeric sweep over the loaded buffer: serial when
     /// single-threaded, otherwise the point-to-point upper stage, the
     /// lower-stage sweep and the corner as regions on the analysis's
-    /// execution context. `first_factor` (width 1 only) selects the
-    /// analysis's Segmented-Rows / parallel-corner choices, which build
-    /// per-call schedules; otherwise Even-Rows and the serial corner
-    /// run allocation-free. All combinations are bit-identical.
-    fn run_engines<L: Lanes>(
-        &self,
-        lanes: L,
-        ctx: &NumericCtx<'_, T>,
-        row_ws: &[Mutex<RowWorkspace>],
-        progress: &ProgressCounters,
-        first_factor: bool,
-    ) {
+    /// execution context — Segmented-Rows and the parallel corner where
+    /// the analysis planned them, Even-Rows and the serial corner where
+    /// it did not. All combinations are bit-identical, at every width.
+    fn run_engines<L: Lanes>(&self, lanes: L, ctx: &NumericCtx<'_, T>, run: &NumericRun<'_, T>) {
         let c = &*self.core;
-        debug_assert!(!first_factor || lanes.width() == 1);
+        let (row_ws, progress) = (run.row_ws, run.progress);
         let (n, n_upper) = (c.n, c.plan.n_upper);
         if c.nthreads == 1 {
             factor_rows_serial_ws(lanes, ctx, 0, n, 0, &mut row_ws[0].lock());
@@ -802,16 +807,15 @@ impl<T: Scalar> SymbolicIlu<T> {
         if n_upper == n {
             return;
         }
-        if first_factor && c.lower_method == LowerMethod::SegmentedRows {
-            let levels = &c.plan.upper_level_ptr;
-            lower::factor_lower_sr(ctx, n_upper, levels, c.tile_size, row_ws);
-        } else {
-            lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec, row_ws);
+        match &c.sr {
+            Some(sr) => lower::factor_lower_sr(lanes, ctx, sr, run.sr_deltas, &c.exec, row_ws),
+            None => lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec, row_ws),
         }
-        if first_factor && c.opts.parallel_corner {
-            lower::factor_corner_parallel(ctx, n_upper, &c.exec, progress, row_ws);
-        } else {
-            factor_rows_serial_ws(lanes, ctx, n_upper, n, n_upper, &mut row_ws[0].lock());
+        match &c.corner {
+            Some(corner) => lower::factor_corner_parallel(
+                lanes, ctx, corner, n_upper, &c.exec, progress, row_ws,
+            ),
+            None => factor_rows_serial_ws(lanes, ctx, n_upper, n, n_upper, &mut row_ws[0].lock()),
         }
     }
 }
@@ -826,6 +830,9 @@ pub(crate) struct NumericRun<'a, T> {
     pub mats: &'a [&'a CsrMatrix<T>],
     /// Lane-interleaved value buffer (`nnz·k`).
     pub vals: &'a LuVals<T>,
+    /// Lane-interleaved Segmented-Rows delta slots
+    /// (`SrPlan::n_delta_slots·k`; empty without an SR plan).
+    pub sr_deltas: &'a LuVals<T>,
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
     pub drop_thresh: &'a mut [T],
     /// The analysis's per-participant sparse accumulators and p2p

@@ -1,20 +1,21 @@
 //! The batched-refactor differential-test layer: every column of a
 //! `factor_batch` / `refactor_batch` must carry **exactly the bits** of
 //! a scalar `refactor` of that column's matrix — across thread counts
-//! (serial and the planned p2p engines), batch widths (the
-//! SIMD-specialized `k ∈ {1, 4, 8}` and the `DynLanes` fallback widths
-//! in between), pivot policies (plain, shift-and-retry,
-//! drop-tolerance) and, for the factors' downstream applies, every
-//! triangular-solve engine.
+//! (serial and the planned p2p engines), lower-stage plans (Even-Rows
+//! with the serial corner, tiled Segmented-Rows with the parallel
+//! corner), batch widths (the SIMD-specialized `k ∈ {1, 4, 8}` and the
+//! `DynLanes` fallback widths in between), pivot policies (plain,
+//! shift-and-retry, drop-tolerance) and, for the factors' downstream
+//! applies, every triangular-solve engine.
 //!
 //! A deterministic full grid pins the exact configuration matrix the
 //! contract names; a proptest sweeps random matrices, widths, thread
 //! counts and policies over the same bitwise check.
 
-use javelin_core::{IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy};
+use javelin_core::{IluOptions, LowerMethod, SolveEngine, SymbolicIlu, ZeroPivotPolicy};
 use javelin_sparse::{CooMatrix, CsrMatrix};
 use javelin_synth::grid::laplace_2d;
-use javelin_synth::util::revalue;
+use javelin_synth::util::{bordered, revalue};
 use proptest::prelude::*;
 
 fn bits(vals: &[f64]) -> Vec<u64> {
@@ -27,11 +28,18 @@ fn corners(a: &CsrMatrix<f64>, k: usize, seed: f64) -> Vec<CsrMatrix<f64>> {
         .collect()
 }
 
-/// The three policy corners the contract names.
-fn policy_opts(nthreads: usize, policy: usize) -> IluOptions {
+/// The three policy corners the contract names, on either lower-stage
+/// plan: Even-Rows + serial corner, or (`sr`) Segmented-Rows with small
+/// tiles + the parallel corner.
+fn policy_opts(nthreads: usize, policy: usize, sr: bool) -> IluOptions {
     let mut opts = IluOptions::ilu0(nthreads);
     opts.split.min_rows_per_level = 4;
     opts.split.location_frac = 0.0;
+    if sr {
+        opts.lower_method = LowerMethod::SegmentedRows;
+        opts.parallel_corner = true;
+        opts.tile_size = 4;
+    }
     match policy {
         1 => opts.zero_pivot = ZeroPivotPolicy::shift_retry(),
         2 => opts.drop_tol = 0.05,
@@ -87,36 +95,46 @@ fn check_batch_vs_looped(
     Ok(())
 }
 
-/// The pinned grid: threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies
-/// {plain, ShiftRetry, drop-tolerance}, with the solve-engine axis
-/// {Serial, BarrierLevel, PointToPoint} checked on every cell, and a
-/// second `refactor_batch` step (new values, same handle) on top.
+/// The pinned grid: lower-stage plans {ER + serial corner on a grid,
+/// tiled SR + parallel corner on the grid with heavy border rows} ×
+/// threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies {plain, ShiftRetry,
+/// drop-tolerance}, with the solve-engine axis {Serial, BarrierLevel,
+/// PointToPoint} checked on every cell, and a second `refactor_batch`
+/// step (new values, same handle) on top.
 #[test]
 fn pinned_grid_batch_columns_bitwise_equal_scalar_refactor() {
-    let a = laplace_2d(13, 13);
+    for sr in [false, true] {
+        let grid = laplace_2d(13, 13);
+        let a = if sr { bordered(&grid, 6) } else { grid };
+        pinned_grid(&a, sr);
+    }
+}
+
+fn pinned_grid(a: &CsrMatrix<f64>, sr: bool) {
     for nthreads in 1..=3usize {
         for k in [1usize, 2, 4, 5, 8] {
             for policy in 0..3 {
-                let opts = policy_opts(nthreads, policy);
-                let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
-                let cs = corners(&a, k, 0.3);
+                let opts = policy_opts(nthreads, policy, sr);
+                let sym = SymbolicIlu::analyze(a, &opts).unwrap();
+                let cs = corners(a, k, 0.3);
                 let mats: Vec<&CsrMatrix<f64>> = cs.iter().collect();
-                check_batch_vs_looped(&sym, &mats, true)
-                    .unwrap_or_else(|e| panic!("nthreads={nthreads} k={k} policy={policy}: {e}"));
+                check_batch_vs_looped(&sym, &mats, true).unwrap_or_else(|e| {
+                    panic!("sr={sr} nthreads={nthreads} k={k} policy={policy}: {e}")
+                });
                 // Second step through the same batch handle: the
                 // numeric-only refactor_batch path.
                 let mut batch = sym.factor_batch(&mats).unwrap();
-                let cs2 = corners(&a, k, 7.3);
+                let cs2 = corners(a, k, 7.3);
                 let mats2: Vec<&CsrMatrix<f64>> = cs2.iter().collect();
                 batch.refactor_batch(&mats2).unwrap();
                 assert!(batch.all_ok());
-                let mut scalar = sym.factor(&a).unwrap();
+                let mut scalar = sym.factor(a).unwrap();
                 for (c, m) in mats2.iter().enumerate() {
                     scalar.refactor(m).unwrap();
                     assert_eq!(
                         bits(batch.factor(c).lu().vals()),
                         bits(scalar.lu().vals()),
-                        "refactor_batch nthreads={nthreads} k={k} policy={policy} column {c}"
+                        "refactor_batch sr={sr} nthreads={nthreads} k={k} policy={policy} column {c}"
                     );
                 }
             }
@@ -150,22 +168,24 @@ proptest! {
 
     /// Random matrices through the same differential check: batch
     /// column c carries the bits of a scalar refactor of matrix c,
-    /// whatever the width, thread count or pivot policy.
+    /// whatever the width, thread count, lower-stage plan or pivot
+    /// policy.
     #[test]
     fn batch_columns_bitwise_equal_scalar_refactor(
         a in arb_matrix(24),
         nthreads in 1usize..4,
         k_idx in 0usize..5,
         policy in 0usize..3,
+        sr in proptest::bool::ANY,
         seed in 0.1..2.0f64,
     ) {
         let k = [1usize, 2, 4, 5, 8][k_idx];
-        let opts = policy_opts(nthreads, policy);
+        let opts = policy_opts(nthreads, policy, sr);
         let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
         let cs = corners(&a, k, seed);
         let mats: Vec<&CsrMatrix<f64>> = cs.iter().collect();
         if let Err(e) = check_batch_vs_looped(&sym, &mats, false) {
-            prop_assert!(false, "nthreads={} k={} policy={}: {}", nthreads, k, policy, e);
+            prop_assert!(false, "sr={} nthreads={} k={} policy={}: {}", sr, nthreads, k, policy, e);
         }
     }
 }

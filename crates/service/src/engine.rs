@@ -6,7 +6,8 @@
 //! testable without channels or threads. One `process` call takes a
 //! batch of requests (whatever the admission queue held when the
 //! dispatcher woke), groups them by *(pattern fingerprint, value
-//! fingerprint, method)*, brings the cached factors for each group up
+//! fingerprint, Krylov driver)* — verified, member by member, against
+//! the group's actual matrix — brings the cached factors for each group up
 //! to date (full symbolic analysis only on a genuinely new pattern;
 //! numeric-only refactor when just the values moved), fuses each
 //! group's right-hand sides into `k ∈ {8, 4}` panels for the lockstep
@@ -15,7 +16,12 @@
 //!
 //! Grouping by the **value** fingerprint too is what makes coalescing
 //! exact: a fused panel shares one operator and one preconditioner, so
-//! only requests whose matrices are bit-identical may ride in one
+//! only requests whose matrices are identical may ride in one panel.
+//! The fingerprints are a fast filter, not proof, so a request joins a
+//! group only if its matrix *is* the group's (the same `Arc`, the
+//! handle-sharing client's case, or an equal copy); a colliding
+//! stranger starts a group of its own. Methods are grouped by the
+//! driver that runs them, so `Pcg` and its synonym `BatchPcg` share a
 //! panel. Pattern-identical requests with *different* values still win
 //! — they share the symbolic analysis and pay only a numeric refactor —
 //! they just solve in separate panels.
@@ -160,16 +166,23 @@ pub struct Engine<T: Scalar> {
     stats: EngineStats,
 }
 
+/// Coalescing tag of a method: the panel driver `krylov_panel_into`
+/// runs for it, so a scalar name and its `Batch*` synonym fuse.
 fn method_tag(m: Method) -> u8 {
     match m {
-        Method::Pcg => 0,
-        Method::Gmres => 1,
+        Method::Pcg | Method::BatchPcg => 0,
+        Method::Gmres | Method::BatchGmres => 1,
         Method::Fgmres => 2,
-        Method::Bicgstab => 3,
-        Method::BatchPcg => 4,
-        Method::BatchBicgstab => 5,
-        Method::BatchGmres => 6,
+        Method::Bicgstab | Method::BatchBicgstab => 3,
     }
+}
+
+/// Whether two requests carry the same system matrix — what a fused
+/// panel, solved against its first member's matrix, needs of every
+/// member. Pointer identity answers for shared handles at no cost;
+/// separately built matrices compare in full.
+fn same_matrix<T: Scalar>(x: &Arc<CsrMatrix<T>>, y: &Arc<CsrMatrix<T>>) -> bool {
+    Arc::ptr_eq(x, y) || **x == **y
 }
 
 impl<T: Scalar> Engine<T> {
@@ -266,15 +279,19 @@ impl<T: Scalar> Engine<T> {
         }
         self.keys.sort_unstable();
 
-        // Walk the (pattern, values, method) groups. `keys` is moved
-        // out during the walk so group slices and the engine's other
-        // fields can be borrowed simultaneously.
+        // Walk the (pattern, values, driver) groups, extending a group
+        // only by requests for its first member's matrix. `keys` is
+        // moved out during the walk so group slices and the engine's
+        // other fields can be borrowed simultaneously.
         let keys = std::mem::take(&mut self.keys);
         let mut g = 0;
         while g < keys.len() {
-            let (pfp, vfp, tag, _) = keys[g];
+            let (pfp, vfp, tag, first) = keys[g];
             let mut end = g + 1;
-            while end < keys.len() && (keys[end].0, keys[end].1, keys[end].2) == (pfp, vfp, tag) {
+            while end < keys.len()
+                && (keys[end].0, keys[end].1, keys[end].2) == (pfp, vfp, tag)
+                && same_matrix(&requests[first].a, &requests[keys[end].3].a)
+            {
                 end += 1;
             }
             self.dispatch_group(requests, &keys[g..end], pfp);
@@ -303,8 +320,8 @@ impl<T: Scalar> Engine<T> {
         }
     }
 
-    /// Solves one coalescing group (pattern-, value- and
-    /// method-identical requests) through the cached factors.
+    /// Solves one coalescing group (requests for one matrix and one
+    /// Krylov driver) through the cached factors.
     fn dispatch_group(
         &mut self,
         requests: &mut [SolveRequest<T>],
@@ -458,6 +475,75 @@ impl<T: Scalar> Engine<T> {
                     };
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use javelin_synth::grid::laplace_2d;
+
+    /// `‖A·x − b‖∞`.
+    fn residual(a: &CsrMatrix<f64>, x: &[f64], b: &[f64]) -> f64 {
+        let mut ax = vec![0.0; b.len()];
+        a.spmv_into(x, &mut ax);
+        ax.iter()
+            .zip(b)
+            .map(|(p, q)| (p - q).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn colliding_fingerprints_never_fuse_different_matrices() {
+        // Forge the memo so two strangers — one with the first matrix's
+        // pattern but other values, one with another pattern altogether
+        // — carry the first matrix's fingerprints, as a hash collision
+        // would have it. Each request must still get the solution of
+        // its own system.
+        let a1 = Arc::new(laplace_2d(8, 8));
+        let same_pattern = Arc::new(a1.map_values(|v| v * 3.0 + 0.5));
+        let other_pattern = Arc::new(laplace_2d(4, 16));
+        assert_eq!(other_pattern.nrows(), a1.nrows());
+        assert_ne!(other_pattern.colidx(), a1.colidx());
+        let mut engine = Engine::<f64>::new(EngineConfig::default());
+        let (pattern_fp, value_fp) = engine.fingerprints(&a1);
+        for stranger in [&same_pattern, &other_pattern] {
+            engine.memo.push(MemoEntry {
+                weak: Arc::downgrade(stranger),
+                pattern_fp,
+                value_fp,
+            });
+        }
+        let n = a1.nrows();
+        let mats = [&a1, &a1, &same_pattern, &other_pattern];
+        let mut requests: Vec<SolveRequest<f64>> = mats
+            .iter()
+            .enumerate()
+            .map(|(i, a)| SolveRequest {
+                a: Arc::clone(a),
+                b: (0..n).map(|r| 1.0 + ((r + i) % 7) as f64).collect(),
+                x: vec![0.0; n],
+                method: Method::Gmres,
+            })
+            .collect();
+        let mut replies = Vec::new();
+        engine.process(&mut requests, &mut replies);
+        let widths: Vec<usize> = replies
+            .iter()
+            .map(|r| r.as_ref().expect("solved").panel_width)
+            .collect();
+        assert_eq!(widths, [2, 2, 1, 1], "only the shared handle may fuse");
+        for (reply, a) in replies.iter().zip(mats) {
+            let reply = reply.as_ref().expect("solved");
+            assert!(reply.result.converged);
+            let r = residual(a, &reply.x, &reply.b);
+            // A converged solve leaves ~1e-6; another system's solution
+            // leaves O(1).
+            assert!(
+                r < 1e-3,
+                "request solved against a stranger's matrix: {r:e}"
+            );
         }
     }
 }

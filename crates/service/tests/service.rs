@@ -148,6 +148,34 @@ fn mixed_tenants_group_by_pattern_and_values() {
 }
 
 #[test]
+fn method_synonyms_coalesce_into_one_panel_bit_identically() {
+    // `Pcg` and `BatchPcg` name one driver: two requests on one handle
+    // must share a width-2 panel, each column carrying exactly the bits
+    // of its solo solve.
+    let a = Arc::new(laplace_2d(12, 12));
+    let mut batch = requests(&a, 2, 7, Method::Pcg);
+    batch[1].method = Method::BatchPcg;
+    let mut replies = Vec::new();
+    Engine::new(EngineConfig::default()).process(&mut batch.clone(), &mut replies);
+    for (c, reply) in replies.iter().enumerate() {
+        let reply = reply.as_ref().unwrap();
+        assert!(reply.result.converged, "column {c}");
+        assert_eq!(reply.panel_width, 2, "column {c}");
+        let mut solo = Vec::new();
+        Engine::new(EngineConfig::default()).process(&mut vec![batch[c].clone()], &mut solo);
+        let solo = solo[0].as_ref().unwrap();
+        assert_eq!(solo.panel_width, 1);
+        assert_eq!(
+            bits(&reply.x),
+            bits(&solo.x),
+            "{} column {c}",
+            batch[c].method
+        );
+        assert_eq!(reply.result.iterations, solo.result.iterations);
+    }
+}
+
+#[test]
 fn malformed_requests_get_typed_rejections_without_perturbing_the_batch() {
     let a = Arc::new(laplace_2d(8, 8));
     let mut engine = Engine::new(EngineConfig::default());

@@ -9,8 +9,8 @@
 //! before it can propagate the panic. The fix is a per-region abort
 //! flag:
 //!
-//! 1. the executor ([`crate::team`] / [`crate::pool`]) installs the
-//!    region's flag in a thread-local for each participant;
+//! 1. the executor ([`crate::team`]) installs the region's flag in a
+//!    thread-local for each participant;
 //! 2. whichever participant panics has its unwind caught at the region
 //!    edge, which sets the flag before recording completion;
 //! 3. every spin wait polls the flag on its slow path and *panics* with

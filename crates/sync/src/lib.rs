@@ -12,9 +12,8 @@
 //!   stable tids executing borrowed SPMD regions (the OpenMP parallel
 //!   region, amortized across the whole Krylov loop);
 //! * [`exec`] — [`Exec`], the cloneable handle on the team a plan's
-//!   regions run on (the one way to run a region);
-//! * [`pool`] — scoped spawn-per-region fork-join for the
-//!   once-per-pattern phases (parallel symbolic fill, the task graph);
+//!   regions run on (the one way to run a region), and [`col_range`],
+//!   the in-region column partitioner;
 //! * [`progress`] — cache-padded monotone progress counters with
 //!   acquire/release semantics: the runtime half of the sparsified
 //!   point-to-point schedule;
@@ -23,10 +22,8 @@
 //! * [`backoff`] — bounded spinning that escalates to `yield_now`, so
 //!   oversubscribed runs (more threads than cores) always make progress;
 //! * [`taskgraph`] — the lightweight dependency-counting task executor
-//!   (the paper's future-work tasking library);
-//! * [`segscan`] — segmented sums/scans used by the CSR5-style tiled
-//!   kernels;
-//! * [`atomicf`] — atomic floating-point accumulators;
+//!   (the paper's future-work tasking library): a planned DAG with
+//!   resettable counters, executed as one region on the team;
 //! * [`affinity`] — best-effort core pinning for team participants
 //!   (`OMP_PROC_BIND`-style placement, Linux `sched_setaffinity`).
 //!
@@ -41,21 +38,17 @@
 
 pub mod abort;
 pub mod affinity;
-pub mod atomicf;
 pub mod backoff;
 pub mod barrier;
 pub mod exec;
-pub mod pool;
 pub mod progress;
-pub mod segscan;
 pub mod taskgraph;
 pub mod team;
 
 pub use affinity::TeamAffinity;
 pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
-pub use exec::Exec;
-pub use pool::{col_range, run_on_threads};
+pub use exec::{col_range, Exec};
 pub use progress::ProgressCounters;
 pub use taskgraph::TaskGraph;
 pub use team::WorkerTeam;

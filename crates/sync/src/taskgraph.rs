@@ -4,21 +4,36 @@
 //! as the limiting factor on KNL ("a specialized light weight tasking
 //! library is currently being constructed in Javelin for this reason").
 //! This module is that library: a task DAG with atomic indegree
-//! counters, a shared ready stack, and spin/yield workers — no futures,
-//! no allocations on the execution path beyond the ready stack.
+//! counters, a shared ready stack, and spin/yield workers — no futures.
+//! A graph is a *plan*: the counters and the ready stack are allocated
+//! with it and reset at the start of every [`TaskGraph::execute`], which
+//! runs as one region on a persistent team — so executing allocates
+//! nothing and spawns nothing.
 
 use crate::backoff::Backoff;
+use crate::exec::Exec;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// An immutable task DAG. Tasks are `0..n`; edges point from a task to
-/// the tasks that depend on it.
-#[derive(Debug, Clone)]
+/// A task DAG with its resettable execution state. Tasks are `0..n`;
+/// edges point from a task to the tasks that depend on it.
+#[derive(Debug)]
 pub struct TaskGraph {
     n: usize,
     succ_ptr: Vec<usize>,
     succ: Vec<usize>,
     indegree: Vec<usize>,
+    /// Unfinished dependencies per task; reloaded from `indegree`.
+    remaining_deps: Vec<AtomicUsize>,
+    /// Runnable tasks. Capacity `n`, and every task is pushed at most
+    /// once per execution, so a push never reallocates.
+    ready: Mutex<Vec<usize>>,
+    /// Tasks not yet retired.
+    remaining: AtomicUsize,
+    /// Tasks claimed and not yet retired.
+    in_flight: AtomicUsize,
+    /// Serializes executions: the state above is per graph.
+    running: Mutex<()>,
 }
 
 impl TaskGraph {
@@ -51,6 +66,11 @@ impl TaskGraph {
             succ_ptr,
             succ,
             indegree,
+            remaining_deps: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            ready: Mutex::new(Vec::with_capacity(n)),
+            remaining: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
+            running: Mutex::new(()),
         }
     }
 
@@ -69,41 +89,38 @@ impl TaskGraph {
         &self.succ[self.succ_ptr[t]..self.succ_ptr[t + 1]]
     }
 
-    /// Executes the DAG on `nthreads` workers, calling `run(task)` for
-    /// every task exactly once, respecting all dependencies.
+    /// Executes the DAG as one region on `exec`, calling
+    /// `run(tid, task)` for every task exactly once, respecting all
+    /// dependencies. Which participant runs which task is decided at
+    /// run time (workers pop the shared ready stack). Concurrent calls
+    /// on one graph queue behind each other.
     ///
     /// # Panics
     /// When the graph contains a cycle (no runnable task while tasks
-    /// remain).
-    pub fn execute<F>(&self, nthreads: usize, run: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.execute_with_tid(nthreads, |_tid, task| run(task));
-    }
-
-    /// Like [`TaskGraph::execute`], but also hands workers their thread
-    /// id — needed when tasks use per-thread workspaces.
-    ///
-    /// # Panics
-    /// When the graph contains a cycle.
-    pub fn execute_with_tid<F>(&self, nthreads: usize, run: F)
+    /// remain), and when `run` panics — the team then repairs itself at
+    /// its next region, and the next `execute` starts from reset state.
+    pub fn execute<F>(&self, exec: &Exec, run: F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        let remaining_deps: Vec<AtomicUsize> =
-            self.indegree.iter().map(|&d| AtomicUsize::new(d)).collect();
-        let ready: Mutex<Vec<usize>> =
-            Mutex::new((0..self.n).filter(|&t| self.indegree[t] == 0).collect());
-        let remaining = AtomicUsize::new(self.n);
-        let in_flight = AtomicUsize::new(0);
-        if self.n > 0 {
+        let _running = self.running.lock();
+        let (ready, remaining, in_flight) = (&self.ready, &self.remaining, &self.in_flight);
+        for (left, &d) in self.remaining_deps.iter().zip(&self.indegree) {
+            left.store(d, Ordering::Relaxed);
+        }
+        remaining.store(self.n, Ordering::Relaxed);
+        in_flight.store(0, Ordering::Relaxed);
+        {
+            let mut q = ready.lock();
+            q.clear();
+            q.extend((0..self.n).filter(|&t| self.indegree[t] == 0));
             assert!(
-                !ready.lock().is_empty(),
+                self.n == 0 || !q.is_empty(),
                 "task graph has no source task: cycle detected"
             );
         }
-        crate::pool::run_on_threads(nthreads, |tid| {
+        // The region fork publishes the reset state to every worker.
+        exec.run(|tid| {
             let mut backoff = Backoff::new();
             loop {
                 if remaining.load(Ordering::Acquire) == 0 {
@@ -124,7 +141,7 @@ impl TaskGraph {
                         backoff.reset();
                         run(tid, t);
                         for &s in self.successors(t) {
-                            if remaining_deps[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            if self.remaining_deps[s].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 ready.lock().push(s);
                             }
                         }
@@ -181,10 +198,11 @@ impl TaskGraph {
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn run_and_record(g: &TaskGraph, nthreads: usize) -> Vec<usize> {
+    fn run_and_record(g: &TaskGraph, exec: &Exec) -> Vec<usize> {
         let order = PMutex::new(Vec::new());
-        g.execute(nthreads, |t| order.lock().push(t));
+        g.execute(exec, |_tid, t| order.lock().push(t));
         order.into_inner()
     }
 
@@ -205,7 +223,7 @@ mod tests {
         let deps = [(0, 1), (0, 2), (1, 3), (2, 3)];
         let g = TaskGraph::new(4, &deps);
         for nthreads in 1..=4 {
-            let order = run_and_record(&g, nthreads);
+            let order = run_and_record(&g, &Exec::team(nthreads));
             assert_topological(&g, &order, &deps);
         }
     }
@@ -214,14 +232,14 @@ mod tests {
     fn chain_is_serialized() {
         let deps: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
         let g = TaskGraph::new(10, &deps);
-        let order = run_and_record(&g, 4);
+        let order = run_and_record(&g, &Exec::team(4));
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn independent_tasks_all_run() {
         let g = TaskGraph::new(20, &[]);
-        let order = run_and_record(&g, 3);
+        let order = run_and_record(&g, &Exec::team(3));
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..20).collect::<Vec<_>>());
@@ -230,21 +248,57 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = TaskGraph::new(0, &[]);
-        g.execute(2, |_| panic!("no tasks to run"));
+        g.execute(&Exec::team(2), |_, _| panic!("no tasks to run"));
     }
 
     #[test]
     fn more_threads_than_tasks() {
         let g = TaskGraph::new(2, &[(0, 1)]);
-        let order = run_and_record(&g, 8);
+        let order = run_and_record(&g, &Exec::team(8));
         assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
     #[should_panic(expected = "cycle")]
-    fn cycle_panics() {
+    fn sourceless_cycle_panics_before_the_region() {
         let g = TaskGraph::new(2, &[(0, 1), (1, 0)]);
-        g.execute(2, |_| {});
+        g.execute(&Exec::team(2), |_, _| {});
+    }
+
+    #[test]
+    fn cycle_panics_and_the_same_team_runs_the_next_graph() {
+        // Task 0 is a source, tasks 1 and 2 wait on each other: the
+        // cycle is only found inside the region, by whichever
+        // participant idles first.
+        let cyclic = TaskGraph::new(3, &[(0, 1), (1, 2), (2, 1)]);
+        let exec = Exec::team(3);
+        let ran = PMutex::new(Vec::new());
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            cyclic.execute(&exec, |_tid, t| ran.lock().push(t));
+        }));
+        assert!(caught.is_err(), "a cycle must panic, not hang");
+        assert_eq!(*ran.lock(), vec![0], "only the source may run");
+        // The team repairs itself at its next region.
+        let deps = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let g = TaskGraph::new(4, &deps);
+        assert_topological(&g, &run_and_record(&g, &exec), &deps);
+    }
+
+    #[test]
+    fn a_graph_is_reusable_even_after_a_task_panicked() {
+        // The execution state lives in the graph: every run must start
+        // from reset counters, whatever the previous run left behind.
+        let deps = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let g = TaskGraph::new(4, &deps);
+        let exec = Exec::team(2);
+        for _ in 0..3 {
+            assert_topological(&g, &run_and_record(&g, &exec), &deps);
+        }
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            g.execute(&exec, |_tid, t| assert_ne!(t, 1, "boom"));
+        }));
+        assert!(caught.is_err());
+        assert_topological(&g, &run_and_record(&g, &exec), &deps);
     }
 
     #[test]
@@ -263,7 +317,7 @@ mod tests {
         }
         let g = TaskGraph::new(layers * width, &deps);
         for nthreads in [1, 2, 4] {
-            let order = run_and_record(&g, nthreads);
+            let order = run_and_record(&g, &Exec::team(nthreads));
             assert_topological(&g, &order, &deps);
         }
     }
@@ -279,8 +333,9 @@ mod tests {
         // handoff.
         let deps: Vec<(usize, usize)> = (0..31).map(|i| (i, i + 1)).collect();
         let g = TaskGraph::new(32, &deps);
+        let exec = Exec::team(4);
         for _ in 0..100 {
-            let order = run_and_record(&g, 4);
+            let order = run_and_record(&g, &exec);
             assert_eq!(order, (0..32).collect::<Vec<_>>());
         }
     }

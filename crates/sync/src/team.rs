@@ -2,14 +2,13 @@
 //! tids that repeatedly execute *borrowed* SPMD closures.
 //!
 //! The paper's runtime is an OpenMP parallel region: the thread team is
-//! created once and every factorization/solve phase reuses it. The old
-//! `pool::run_on_threads` spawned fresh OS threads per region, which is
-//! fine for once-per-matrix phases but throws tens of microseconds away
-//! on every preconditioner apply inside a Krylov loop. `WorkerTeam` is
-//! the amortized analogue: construction spawns `nthreads - 1` workers
-//! that park between regions; [`WorkerTeam::run`] publishes a borrowed
-//! closure, wakes the team, participates as tid 0, and returns once
-//! every worker has finished the region.
+//! created once and every factorization/solve phase reuses it — a
+//! spawn per region would throw tens of microseconds away on every
+//! preconditioner apply inside a Krylov loop. Construction spawns
+//! `nthreads - 1` workers that park between regions;
+//! [`WorkerTeam::run`] publishes a borrowed closure, wakes the team,
+//! participates as tid 0, and returns once every worker has finished
+//! the region.
 //!
 //! ## Safety protocol
 //!
@@ -201,8 +200,7 @@ impl WorkerTeam {
     ///
     /// # Panics
     /// Propagates the caller's own panic after the region completes;
-    /// panics with a generic message when (only) a worker panicked —
-    /// matching [`crate::pool::run_on_threads`] semantics.
+    /// panics with a generic message when (only) a worker panicked.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,

@@ -98,6 +98,35 @@ pub fn revalue(a: &CsrMatrix<f64>, seed: f64, amplitude: f64) -> CsrMatrix<f64> 
     CsrMatrix::from_raw_unchecked(nr, nc, rp, ci, vs)
 }
 
+/// Appends `m` heavy border rows to a square `a`: row `n + i` holds
+/// two thirds of the base columns (`j % 3 != i % 3`), a coupling to
+/// border row `i − 2` and a dominant diagonal; the base rows are
+/// unchanged. Under level scheduling the border rows form a trailing
+/// suffix of two-row levels — the few-but-heavy lower stage (long
+/// per-level segments, a corner of two independent chains) that the
+/// Segmented-Rows sweep and the parallel corner exist for.
+pub fn bordered(a: &CsrMatrix<f64>, m: usize) -> CsrMatrix<f64> {
+    let n = a.nrows();
+    let mut coo = CooMatrix::with_capacity(n + m, n + m, a.nnz() + m * n);
+    for (r, c, v) in a.iter() {
+        coo.push_unchecked(r, c, v);
+    }
+    for i in 0..m {
+        let mut off = 0.0;
+        for j in (0..n).filter(|j| j % 3 != i % 3) {
+            let v = -0.02 * (1 + (i + j) % 5) as f64;
+            coo.push_unchecked(n + i, j, v);
+            off += v.abs();
+        }
+        if i >= 2 {
+            coo.push_unchecked(n + i, n + i - 2, -0.5);
+            off += 0.5;
+        }
+        coo.push_unchecked(n + i, n + i, off + 2.0);
+    }
+    coo.to_csr()
+}
+
 /// Random nonsymmetric perturbation of values (pattern preserved):
 /// `v ← v · (1 + amp·u)` with `u ∈ [-1, 1)`. Useful for turning a
 /// symmetric stencil into a "semiconductor-device-like" nonsymmetric
@@ -213,5 +242,22 @@ mod tests {
             assert!(b.get(r, r).is_some());
         }
         assert!(!b.is_pattern_symmetric());
+    }
+
+    #[test]
+    fn bordered_appends_heavy_dominant_rows_and_keeps_the_base() {
+        let a = ring(9);
+        let b = bordered(&a, 3);
+        assert_eq!((b.nrows(), b.ncols()), (12, 12));
+        for r in 0..9 {
+            assert_eq!(b.row_cols(r), a.row_cols(r));
+            assert_eq!(b.row_vals(r), a.row_vals(r));
+        }
+        // Border row 2: six base columns, border row 0, the diagonal.
+        assert_eq!(b.row_cols(11), [0, 1, 3, 4, 6, 7, 9, 11]);
+        let (vals, cols) = (b.row_vals(11), b.row_cols(11));
+        let diag = vals[cols.len() - 1];
+        let off: f64 = vals[..cols.len() - 1].iter().map(|v| v.abs()).sum();
+        assert!(diag > off + 1.0);
     }
 }

@@ -10,7 +10,7 @@
 //! threads are counted too, which is the point: the planned numeric
 //! path must not allocate on any thread).
 
-use javelin::core::{IluOptions, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{IluOptions, LowerMethod, SymbolicIlu, ZeroPivotPolicy};
 use javelin::solver::{
     fgmres_with, gmres_batch_into, gmres_with, krylov_panel_into, Method, SolverOptions,
     SolverResult, SolverWorkspace,
@@ -461,4 +461,87 @@ fn steady_state_refactor_allocates_zero_bytes() {
         0,
         "pinned refactor+solve allocated bytes"
     );
+
+    // ---- Phase 7: the planned Segmented-Rows sweep and parallel ----
+    // corner. A grid with heavy border rows on a 2-thread team, small
+    // tiles: the task graph, its counters, the per-tile update targets
+    // and the delta slots are all built by `analyze`, so every numeric
+    // entry point runs them on the team without touching the heap.
+    let a7 = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(14, 14), 6);
+    let mut opts7 = IluOptions::ilu0(2).with_drop_tol(1e-4);
+    opts7.lower_method = LowerMethod::SegmentedRows;
+    opts7.parallel_corner = true;
+    opts7.tile_size = 4;
+    let mut opts7_er = opts7.clone();
+    opts7_er.lower_method = LowerMethod::EvenRows;
+    opts7_er.parallel_corner = false;
+    let sym7 = SymbolicIlu::analyze(&a7, &opts7).expect("analysis (SR)");
+    let sym7_er = SymbolicIlu::analyze(&a7, &opts7_er).expect("analysis (ER)");
+    assert_eq!(sym7.lower_method(), LowerMethod::SegmentedRows);
+    assert!(
+        sym7.stats().n_lower_rows >= 6,
+        "border rows must be demoted"
+    );
+    let mut f7 = sym7.factor(&a7).expect("SR factor");
+    let mut f7_er = sym7_er.factor(&a7).expect("ER factor");
+    // The first factorization takes the same walks: it allocates its
+    // result — exactly what the Even-Rows analysis allocates — and
+    // nothing for the lower stage (no per-call graph, no spawn).
+    let cost_sr = counted(|| drop(sym7.factor(&a7).expect("SR factor")));
+    let cost_er = counted(|| drop(sym7_er.factor(&a7).expect("ER factor")));
+    assert_eq!(
+        cost_sr, cost_er,
+        "factor allocated for its lower-stage plan"
+    );
+    f7.refactor(&revalue(&a7, 0.37)).expect("warm-up refactor");
+    f7.refactor_with_shift(&revalue(&a7, 0.71), 1e-4)
+        .expect("warm-up shifted refactor");
+    let a7_t = revalue(&a7, 1.9);
+    let cost = counted(|| f7.refactor(&a7_t).expect("steady-state SR refactor"));
+    assert_eq!(cost, (0, 0), "SR + parallel-corner refactor allocated");
+    f7_er.refactor(&a7_t).unwrap();
+    let bits = |f: &javelin::core::IluFactors<f64>| -> Vec<u64> {
+        f.lu().vals().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&f7), bits(&f7_er), "SR refactor vs ER refactor");
+    let cost = counted(|| {
+        f7.refactor_with_shift(&a7_t, 1e-4)
+            .expect("steady-state shifted SR refactor")
+    });
+    assert_eq!(
+        cost,
+        (0, 0),
+        "SR + parallel-corner shifted refactor allocated"
+    );
+    f7_er.refactor_with_shift(&a7_t, 1e-4).unwrap();
+    assert_eq!(bits(&f7), bits(&f7_er), "shifted SR vs shifted ER");
+    let k7 = 4usize;
+    let corners7 = |seed: f64| -> Vec<CsrMatrix<f64>> {
+        (0..k7)
+            .map(|c| revalue(&a7, seed + c as f64 * 0.77))
+            .collect()
+    };
+    let warm7 = corners7(0.3);
+    let warm7: Vec<&CsrMatrix<f64>> = warm7.iter().collect();
+    let mut batch7 = sym7.factor_batch(&warm7).expect("SR batch factor");
+    batch7
+        .refactor_batch(&warm7)
+        .expect("warm-up refactor_batch");
+    let step7 = corners7(2.2);
+    let step7: Vec<&CsrMatrix<f64>> = step7.iter().collect();
+    let cost = counted(|| {
+        batch7
+            .refactor_batch(&step7)
+            .expect("steady-state SR refactor_batch")
+    });
+    assert_eq!(
+        cost,
+        (0, 0),
+        "SR + parallel-corner refactor_batch allocated"
+    );
+    assert!(batch7.all_ok());
+    for (c, m) in step7.iter().enumerate() {
+        f7_er.refactor(m).unwrap();
+        assert_eq!(bits(batch7.factor(c)), bits(&f7_er), "SR batch column {c}");
+    }
 }
