@@ -5,7 +5,7 @@
 use crate::options::SolveEngine;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use crate::trisolve::{engines, serial};
+use crate::trisolve::{engines, gather_permuted, scatter_permuted, serial};
 use javelin_level::{LevelSets, P2PSchedule};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
@@ -49,12 +49,14 @@ pub struct SolvePlan {
 /// Beyond the factor values, this holds a [`SymbolicIlu`] handle — the
 /// pattern-dependent execution state shared by every factor object of
 /// one analysis: the [`SolvePlan`] (schedules, levels, the
-/// trailing-block layout), a reusable solve scratch (counters, barrier,
-/// tiled-gather partials, the in-place solve buffer) and an
-/// [`Exec`] — a persistent worker team — so that after the
-/// numeric phase returns, every solve runs with zero heap allocations
-/// and zero thread spawns. The scratch is mutex-guarded: concurrent
-/// applies from different threads serialize instead of racing.
+/// trailing-block layout), the threaded engines' reusable solve scratch
+/// (counters, barrier, tiled-gather partials, the in-place solve
+/// buffer) and an [`Exec`] — a persistent worker team — so that after
+/// the numeric phase returns, every solve runs with zero heap
+/// allocations and zero thread spawns. The scratch is mutex-guarded:
+/// concurrent threaded applies serialize instead of racing. The Serial
+/// engine touches none of it — it works in the caller's buffer, so
+/// concurrent Serial applies run side by side.
 ///
 /// For time-stepping workloads, [`IluFactors::refactor`] redoes only
 /// the numeric phase in place when the values change but the pattern
@@ -149,9 +151,11 @@ impl<T: Scalar> IluFactors<T> {
         &mut self.stats
     }
 
-    /// Pre-grows the internal solve scratch to panel width `k`, so the
-    /// first width-`k` panel solve is already allocation-free. Widths
-    /// are grow-only; narrower panels reuse the wide buffers.
+    /// Pre-grows the threaded engines' solve scratch to panel width
+    /// `k`, so their first width-`k` panel solve is already
+    /// allocation-free (the Serial engine works in the caller's buffer
+    /// instead). Widths are grow-only; narrower panels reuse the wide
+    /// buffers.
     pub fn reserve_panel_width(&self, k: usize) {
         if k > 1 {
             self.sym.core().scratch.lock().ensure_width(k);
@@ -250,40 +254,20 @@ impl<T: Scalar> IluFactors<T> {
         self.solve_with_buffer(engine, &mut Vec::new(), b, x)
     }
 
-    /// Like [`IluFactors::solve_with`], but the permutation buffer is
-    /// caller-provided (resized on first use, reused after): together
-    /// with the internal scratch this makes the whole solve
-    /// allocation-free in the steady state — the path
-    /// [`crate::Preconditioner::apply_with`] takes inside Krylov loops.
+    /// [`IluFactors::solve_panel_with_buffer`] at width 1 — a vector is
+    /// a one-column panel. The path [`crate::Preconditioner::apply_with`]
+    /// takes inside Krylov loops.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve_with_buffer(
         &self,
         engine: SolveEngine,
-        perm_buf: &mut Vec<T>,
+        buf: &mut Vec<T>,
         b: &[T],
         x: &mut [T],
     ) -> Result<(), SparseError> {
-        let n = self.n();
-        if b.len() != n || x.len() != n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "solve: rhs/solution lengths ({}, {}) != {}",
-                b.len(),
-                x.len(),
-                n
-            )));
-        }
-        perm_buf.resize(n, T::ZERO);
-        let old_to_new = self.perm().old_to_new();
-        for (o, &bo) in b.iter().enumerate() {
-            perm_buf[old_to_new[o]] = bo;
-        }
-        self.solve_permuted_inplace(engine, perm_buf);
-        for (i, &o) in self.perm().new_to_old().iter().enumerate() {
-            x[o] = perm_buf[i];
-        }
-        Ok(())
+        self.solve_panel_with_buffer(engine, buf, Panel::from_col(b), PanelMut::from_col(x))
     }
 
     /// The execution context solves run on (a persistent worker team).
@@ -291,95 +275,8 @@ impl<T: Scalar> IluFactors<T> {
         &self.sym.core().exec
     }
 
-    /// Runs forward + backward substitution on an already-permuted
-    /// buffer (in place). Exposed for benchmarking `stri` without
-    /// permutation overhead, mirroring the paper's Fig. 12 measurement.
-    ///
-    /// Allocation-free: the parallel engines run through the reusable
-    /// solve scratch on the analysis's [`Exec`] (a persistent team).
-    /// Concurrent callers serialize on the scratch mutex.
-    pub fn solve_permuted_inplace(&self, engine: SolveEngine, z: &mut [T]) {
-        match engine {
-            SolveEngine::Serial => {
-                serial::forward_inplace(&self.lu, self.diag_positions(), z);
-                serial::backward_inplace(&self.lu, self.diag_positions(), z);
-            }
-            _ => {
-                let mut scratch = self.sym.core().scratch.lock();
-                scratch.ensure_width(1);
-                scratch.load_cols(Panel::from_col(z));
-                self.run_parallel_engine(engine, &scratch);
-                scratch.store_cols(&mut PanelMut::from_col(z));
-            }
-        }
-    }
-
-    /// Dispatches a non-serial engine over the scratch's loaded `xbuf`
-    /// at its current panel width: `k ∈ {1, 4, 8}` route to the
-    /// monomorphized fixed-lane kernels, everything else to the
-    /// bit-identical dynamic-width fallback (the lane layer's dispatch
-    /// table).
-    fn run_parallel_engine(
-        &self,
-        engine: SolveEngine,
-        scratch: &crate::trisolve::engines::SolveScratch<T>,
-    ) {
-        with_lanes!(scratch.width(), lanes => self.run_engine_lanes(lanes, engine, scratch));
-    }
-
-    /// The lane-generic engine dispatch behind
-    /// [`IluFactors::run_parallel_engine`].
-    fn run_engine_lanes<L: Lanes>(
-        &self,
-        lanes: L,
-        engine: SolveEngine,
-        scratch: &crate::trisolve::engines::SolveScratch<T>,
-    ) {
-        let core = self.sym.core();
-        match engine {
-            SolveEngine::Serial => unreachable!("serial substitution has no parallel scratch"),
-            SolveEngine::BarrierLevel => engines::solve_barrier_fused(
-                lanes,
-                &self.lu,
-                &core.diag_pos,
-                &core.plan.fwd_levels,
-                &core.plan.bwd_levels,
-                scratch,
-                &core.exec,
-                &scratch.xbuf,
-            ),
-            SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
-                let tiles = if engine == SolveEngine::PointToPointLower {
-                    engines::LowerTiles::On
-                } else {
-                    engines::LowerTiles::Off
-                };
-                engines::solve_p2p_fused(
-                    lanes,
-                    &self.lu,
-                    &core.diag_pos,
-                    &core.plan,
-                    scratch,
-                    &core.exec,
-                    tiles,
-                    &scratch.xbuf,
-                );
-            }
-        }
-    }
-
-    /// Solves `A·X ≈ B` for a whole panel of right-hand sides with the
-    /// default engine: one schedule walk retires all `k` columns (see
-    /// [`IluFactors::solve_permuted_panel_inplace`]).
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on shape mismatches.
-    pub fn solve_panel_into(&self, b: Panel<'_, T>, x: PanelMut<'_, T>) -> Result<(), SparseError> {
-        self.solve_panel_with(self.default_engine(), b, x)
-    }
-
-    /// Panel solve with an explicit engine (allocates the permutation
-    /// buffer; repeated callers should use
+    /// Panel solve with an explicit engine (a Serial solve allocates
+    /// its buffer; repeated callers should use
     /// [`IluFactors::solve_panel_with_buffer`]).
     ///
     /// # Errors
@@ -390,34 +287,41 @@ impl<T: Scalar> IluFactors<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        let mut perm_buf = Vec::new();
-        self.solve_panel_with_buffer(engine, &mut perm_buf, b, x)
+        self.solve_panel_with_buffer(engine, &mut Vec::new(), b, x)
     }
 
-    /// Panel analogue of [`IluFactors::solve_with_buffer`]: permutes a
-    /// whole `n × k` RHS panel into the caller-provided buffer (grown to
-    /// `n·k` on first use, reused after), runs one panel solve through
-    /// the chosen engine, and un-permutes into `x`. In the steady state
-    /// — buffer and internal scratch warmed at this width — the entire
-    /// panel solve is allocation-free.
+    /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides — the
+    /// one entry of the apply pipeline, at every width and for every
+    /// engine: one pass gathers `B` permuted and row-interleaved into
+    /// the engine's buffer, the engine retires all `k` columns in one
+    /// schedule walk (Serial: one stream over the factor), one pass
+    /// scatters the solution into `x`. Widths `k ∈ {1, 4, 8}` run the
+    /// monomorphized fixed-lane kernels, every other width the
+    /// bit-identical dynamic fallback.
     ///
-    /// Column `c` of the result is bit-identical to a single-RHS
-    /// [`IluFactors::solve_with_buffer`] of column `c`.
+    /// The Serial engine works in `buf` (grown to `n·k` when shorter,
+    /// never shrunk) and takes no lock; the threaded engines work in
+    /// the analysis's mutex-guarded scratch and leave `buf` alone. With
+    /// the buffer in use warmed at this width the whole solve is
+    /// allocation-free.
+    ///
+    /// Column `c` of the result is bit-identical to a single-RHS solve
+    /// of column `c`, through any engine.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
     pub fn solve_panel_with_buffer(
         &self,
         engine: SolveEngine,
-        perm_buf: &mut Vec<T>,
+        buf: &mut Vec<T>,
         b: Panel<'_, T>,
-        mut x: PanelMut<'_, T>,
+        x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
         let n = self.n();
         let k = b.ncols();
         if b.nrows() != n || x.nrows() != n || x.ncols() != k {
             return Err(SparseError::DimensionMismatch(format!(
-                "panel solve: rhs {}x{} / solution {}x{} against factors of dimension {}",
+                "solve: rhs {}x{} / solution {}x{} against factors of dimension {}",
                 b.nrows(),
                 b.ncols(),
                 x.nrows(),
@@ -425,70 +329,69 @@ impl<T: Scalar> IluFactors<T> {
                 n
             )));
         }
-        if k == 0 {
-            return Ok(());
-        }
-        if perm_buf.len() < n * k {
-            perm_buf.resize(n * k, T::ZERO);
-        }
-        let old_to_new = self.perm().old_to_new();
-        let new_to_old = self.perm().new_to_old();
-        let mut z = PanelMut::new(&mut perm_buf[..n * k], n, k);
-        for c in 0..k {
-            let bc = b.col(c);
-            let zc = z.col_mut(c);
-            for (o, &bo) in bc.iter().enumerate() {
-                zc[old_to_new[o]] = bo;
-            }
-        }
-        self.solve_permuted_panel_inplace(engine, &mut z);
-        for c in 0..k {
-            let zc = z.col(c);
-            let xc = x.col_mut(c);
-            for (i, &o) in new_to_old.iter().enumerate() {
-                xc[o] = zc[i];
-            }
+        if k > 0 {
+            with_lanes!(k, lanes => self.solve_lanes(lanes, engine, buf, b, x));
         }
         Ok(())
     }
 
-    /// Runs forward + backward substitution on an already-permuted
-    /// panel, in place: the multi-RHS analogue of
-    /// [`IluFactors::solve_permuted_inplace`]. The parallel engines
-    /// retire all `k` columns per row under **one** counter/barrier
-    /// protocol, so the schedule walk is paid once per panel; the
-    /// internal scratch grows (grow-only) to the widest panel seen.
-    /// Widths `k ∈ {1, 4, 8}` run the monomorphized fixed-lane
-    /// kernels; every other width the bit-identical dynamic fallback.
-    pub fn solve_permuted_panel_inplace(&self, engine: SolveEngine, z: &mut PanelMut<'_, T>) {
-        let k = z.ncols();
-        if k == 0 {
-            return;
-        }
-        with_lanes!(k, lanes => self.solve_permuted_panel_lanes(engine, lanes, z));
-    }
-
-    /// The lane-generic body of
-    /// [`IluFactors::solve_permuted_panel_inplace`].
-    fn solve_permuted_panel_lanes<L: Lanes>(
+    /// The lane-generic apply body behind
+    /// [`IluFactors::solve_panel_with_buffer`]; shapes already checked.
+    fn solve_lanes<L: Lanes>(
         &self,
-        engine: SolveEngine,
         lanes: L,
-        z: &mut PanelMut<'_, T>,
+        engine: SolveEngine,
+        buf: &mut Vec<T>,
+        b: Panel<'_, T>,
+        x: PanelMut<'_, T>,
     ) {
+        let core = self.sym.core();
+        let (lu, diag_pos, perm) = (&self.lu, &core.diag_pos[..], &core.perm);
         match engine {
             SolveEngine::Serial => {
-                serial::forward_panel_inplace(&self.lu, self.diag_positions(), z);
-                serial::backward_panel_inplace(&self.lu, self.diag_positions(), z);
+                let len = self.n() * lanes.width();
+                if buf.len() < len {
+                    buf.resize(len, T::ZERO);
+                }
+                let z = &mut buf[..len];
+                gather_permuted(lanes, perm.old_to_new(), b, z);
+                serial::forward_lanes_inplace(lanes, lu, diag_pos, z);
+                serial::backward_lanes_inplace(lanes, lu, diag_pos, z);
+                scatter_permuted(lanes, perm.new_to_old(), z, x);
             }
-            _ => {
-                let mut scratch = self.sym.core().scratch.lock();
-                scratch.ensure_lanes(lanes);
-                scratch.load_cols(z.as_panel());
-                self.run_engine_lanes(lanes, engine, &scratch);
-                scratch.store_cols(z);
+            SolveEngine::BarrierLevel => self.solve_threaded(lanes, b, x, |scratch| {
+                let (fwd, bwd) = (&core.plan.fwd_levels, &core.plan.bwd_levels);
+                engines::solve_barrier_fused(lanes, lu, diag_pos, fwd, bwd, scratch, &core.exec)
+            }),
+            SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
+                let tiles = if engine == SolveEngine::PointToPointLower {
+                    engines::LowerTiles::On
+                } else {
+                    engines::LowerTiles::Off
+                };
+                self.solve_threaded(lanes, b, x, |scratch| {
+                    let (plan, exec) = (&core.plan, &core.exec);
+                    engines::solve_p2p_fused(lanes, lu, diag_pos, plan, scratch, exec, tiles)
+                })
             }
         }
+    }
+
+    /// What the threaded engines share: the analysis's scratch, locked
+    /// for the whole apply (concurrent applies serialize), its solve
+    /// buffer loaded from `b` and stored to `x` around `region`.
+    fn solve_threaded<L: Lanes>(
+        &self,
+        lanes: L,
+        b: Panel<'_, T>,
+        x: PanelMut<'_, T>,
+        region: impl FnOnce(&engines::SolveScratch<T>),
+    ) {
+        let perm = self.perm();
+        let mut scratch = self.sym.core().scratch.lock();
+        scratch.load_permuted(lanes, perm.old_to_new(), b);
+        region(&scratch);
+        scratch.store_permuted(lanes, perm.new_to_old(), x);
     }
 
     /// Extracts the incomplete-Cholesky factor `L_c = L·D^{1/2}` for
@@ -892,54 +795,53 @@ mod tests {
 
     #[test]
     fn panel_solve_matches_single_rhs_bitwise_all_engines() {
-        // One panel solve retires k columns under one schedule walk;
-        // every column must carry exactly the bits of a single-RHS
-        // solve of that column, for every engine and width — including
-        // width changes against one reused scratch (8 → 1 exercises the
-        // grow-only narrowing path).
+        // One panel solve retires k columns under one schedule walk (on
+        // the Serial engine: one factor stream); every column must carry
+        // exactly the bits of a single-RHS solve of that column, for
+        // every engine, thread count and width — fixed-lane widths
+        // (1, 4, 8), DynLanes widths (2, 3, 5, 7) and 9, which spans two
+        // `LANE_CHUNK` blocks. Wide-first, so 8 → 1 narrows against the
+        // already-grown scratch.
         let a = irregular(150);
         let n = a.nrows();
-        let mut opts = IluOptions::ilu0(3);
-        opts.split.min_rows_per_level = 8;
-        opts.split.location_frac = 0.0;
-        let f = compute_factors(&a, &opts);
-        // Fixed-lane widths (1, 4, 8) and DynLanes widths (2, 3, 5, 7),
-        // wide-first so 8 → 1 exercises the grow-only narrowing path.
-        for k in [8usize, 1, 2, 3, 4, 5, 7] {
-            let b: Vec<f64> = (0..n * k)
-                .map(|i| ((i * 29 % 41) as f64 - 20.0) * 0.21)
-                .collect();
-            for engine in [
-                SolveEngine::Serial,
-                SolveEngine::BarrierLevel,
-                SolveEngine::PointToPoint,
-                SolveEngine::PointToPointLower,
-            ] {
-                let mut xp = vec![0.0; n * k];
-                f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut xp, n, k))
-                    .unwrap();
-                for c in 0..k {
-                    let mut x = vec![0.0; n];
-                    f.solve_with(engine, &b[c * n..(c + 1) * n], &mut x)
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for nthreads in [1usize, 2, 3] {
+            let mut opts = IluOptions::ilu0(nthreads);
+            opts.split.min_rows_per_level = 8;
+            opts.split.location_frac = 0.0;
+            let f = compute_factors(&a, &opts);
+            for k in [8usize, 1, 2, 3, 4, 5, 7, 9] {
+                let b: Vec<f64> = (0..n * k)
+                    .map(|i| ((i * 29 % 41) as f64 - 20.0) * 0.21)
+                    .collect();
+                for engine in [
+                    SolveEngine::Serial,
+                    SolveEngine::BarrierLevel,
+                    SolveEngine::PointToPoint,
+                    SolveEngine::PointToPointLower,
+                ] {
+                    let at = format!("engine={engine} threads={nthreads} k={k}");
+                    let mut xp = vec![0.0; n * k];
+                    f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut xp, n, k))
                         .unwrap();
-                    let pb: Vec<u64> = xp[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();
-                    let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(pb, sb, "engine={engine} k={k} col={c}");
+                    for c in 0..k {
+                        let mut x = vec![0.0; n];
+                        f.solve_with(engine, &b[c * n..(c + 1) * n], &mut x)
+                            .unwrap();
+                        assert_eq!(bits(&xp[c * n..(c + 1) * n]), bits(&x), "{at} col={c}");
+                    }
+                    // The dynamic-width lane fallback is bit-identical to
+                    // whatever the dispatch table picked.
+                    let mut x_dyn = vec![0.0; n * k];
+                    f.solve_lanes(
+                        DynLanes(k),
+                        engine,
+                        &mut Vec::new(),
+                        Panel::new(&b, n, k),
+                        PanelMut::new(&mut x_dyn, n, k),
+                    );
+                    assert_eq!(bits(&xp), bits(&x_dyn), "fixed vs dyn lanes {at}");
                 }
-                // The dynamic-width lane fallback is bit-identical to
-                // whatever the dispatch table picked (any panel is a
-                // valid permuted right-hand side).
-                let mut z_fixed = b.clone();
-                f.solve_permuted_panel_inplace(engine, &mut PanelMut::new(&mut z_fixed, n, k));
-                let mut z_dyn = b.clone();
-                f.solve_permuted_panel_lanes(
-                    engine,
-                    DynLanes(k),
-                    &mut PanelMut::new(&mut z_dyn, n, k),
-                );
-                let fb: Vec<u64> = z_fixed.iter().map(|v| v.to_bits()).collect();
-                let db: Vec<u64> = z_dyn.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fb, db, "fixed vs dyn lanes engine={engine} k={k}");
             }
         }
     }
@@ -951,37 +853,56 @@ mod tests {
         let f = compute_factors(&a, &IluOptions::ilu0(2));
         f.reserve_panel_width(2);
         let b: Vec<f64> = (0..n * 2).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut perm_buf = Vec::new();
+        let mut buf = Vec::new();
         let mut x = vec![0.0; n * 2];
         f.solve_panel_with_buffer(
             SolveEngine::Serial,
-            &mut perm_buf,
+            &mut buf,
             Panel::new(&b, n, 2),
             PanelMut::new(&mut x, n, 2),
         )
         .unwrap();
-        assert_eq!(perm_buf.len(), n * 2);
-        let cap = perm_buf.capacity();
+        assert_eq!(buf.len(), n * 2);
         // Narrower reuse keeps the wide buffer (grow-only).
         f.solve_panel_with_buffer(
             SolveEngine::Serial,
-            &mut perm_buf,
+            &mut buf,
             Panel::new(&b[..n], n, 1),
             PanelMut::new(&mut x[..n], n, 1),
         )
         .unwrap();
-        assert_eq!(perm_buf.capacity(), cap);
+        assert_eq!(buf.len(), n * 2);
+        // The threaded engines work in the analysis's scratch and leave
+        // the caller's buffer alone.
+        let mut unused = Vec::new();
+        f.solve_panel_with_buffer(
+            SolveEngine::PointToPointLower,
+            &mut unused,
+            Panel::new(&b, n, 2),
+            PanelMut::new(&mut x, n, 2),
+        )
+        .unwrap();
+        assert!(unused.is_empty());
         // Shape mismatches are reported, not panicked.
+        let engine = f.default_engine();
         let short = vec![0.0; n];
         let mut xs = vec![0.0; n * 2];
         assert!(f
-            .solve_panel_into(Panel::new(&short, n, 1), PanelMut::new(&mut xs, n, 2))
+            .solve_panel_with(
+                engine,
+                Panel::new(&short, n, 1),
+                PanelMut::new(&mut xs, n, 2)
+            )
             .is_err());
         // Zero-width panels are a no-op.
         let empty: [f64; 0] = [];
         let mut empty_x: [f64; 0] = [];
-        f.solve_panel_into(Panel::new(&empty, n, 0), PanelMut::new(&mut empty_x, n, 0))
-            .unwrap();
+        f.solve_panel_with(
+            engine,
+            Panel::new(&empty, n, 0),
+            PanelMut::new(&mut empty_x, n, 0),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1548,13 +1469,16 @@ mod proptests {
                 .collect();
             let mut xr = vec![0.0; n * k];
             let mut xf = vec![0.0; n * k];
-            f.solve_panel_into(
+            let engine = f.default_engine();
+            f.solve_panel_with(
+                engine,
                 javelin_sparse::Panel::new(&b, n, k),
                 javelin_sparse::PanelMut::new(&mut xr, n, k),
             )
             .unwrap();
             fresh
-                .solve_panel_into(
+                .solve_panel_with(
+                    engine,
                     javelin_sparse::Panel::new(&b, n, k),
                     javelin_sparse::PanelMut::new(&mut xf, n, k),
                 )
@@ -1572,10 +1496,10 @@ mod proptests {
         fn panel_solves_bitwise_match_looped_single_rhs(
             a in arb_matrix(24),
             nthreads in 1usize..4,
-            k_idx in 0usize..4,
+            k_idx in 0usize..5,
             tile_idx in 0usize..3,
         ) {
-            let k = [1usize, 2, 3, 8][k_idx];
+            let k = [1usize, 2, 3, 8, 9][k_idx];
             let n = a.nrows();
             let mut opts = IluOptions::ilu0(nthreads);
             opts.tile_size = [1usize, 3, 64][tile_idx];

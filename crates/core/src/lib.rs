@@ -20,7 +20,7 @@
 //! 4. **Solves** ([`trisolve`]): forward/backward substitution through
 //!    four engines — serial, barriered level sets (the paper's CSR-LS
 //!    baseline), point-to-point level scheduling, and point-to-point
-//!    plus the tiled lower-stage block.
+//!    plus the tiled lower-stage block — behind one apply pipeline.
 //! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
 //!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
 //!    `javelin-sparse`.
@@ -57,18 +57,22 @@
 //!   thread spawn, no `partition_point` searches — just loads, FMAs,
 //!   and point-to-point waits. Engine results stay bit-identical to
 //!   their serial references at every thread count.
-//! * **Workspaces.** Callers that need scratch (the permutation buffer
-//!   of an ILU apply, a Krylov solver's vectors) own it explicitly:
+//! * **Workspaces.** Callers that need scratch (the Serial engine's
+//!   solve buffer, a Krylov solver's vectors) own it explicitly:
 //!   [`ApplyScratch`] for preconditioner applies, `SolverWorkspace` in
-//!   `javelin-solver` for whole solves. Buffers grow on first use and
-//!   are reused verbatim afterwards.
+//!   `javelin-solver` for whole solves. Buffers are grow-only: sized
+//!   on first use, reused verbatim afterwards, at every narrower width
+//!   too.
 //! * **Panels (multi-RHS).** Every execute path is generic over an RHS
 //!   panel width `k`: [`IluFactors::solve_panel_with_buffer`] /
 //!   [`Preconditioner::apply_panel_with`] and
 //!   [`SpmvPlan::execute_panel`] retire a whole `k`-wide block of
-//!   vectors under **one** schedule walk. Column `c` of any panel
-//!   operation is **bit-identical** to the single-RHS path on that
-//!   column, and `k = 1` is bit-identical to the single-vector path.
+//!   vectors under **one** schedule walk (on the Serial engine: one
+//!   stream over the factor). The factor apply is one pipeline for
+//!   every engine and width — gather permuted and row-interleaved →
+//!   lane engine → scatter — and the single-vector entries are its
+//!   width-1 wrappers, so column `c` of any panel operation is
+//!   **bit-identical** to the single-RHS path on that column.
 //!   Batched Krylov drivers (`javelin_solver::solve_batch`) build on
 //!   that contract with per-column convergence masking.
 //!

@@ -4,10 +4,12 @@ use crate::factors::IluFactors;
 use crate::options::SolveEngine;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
 
-/// Caller-owned scratch for [`Preconditioner::apply_with`]: buffers an
-/// application may use instead of allocating. Grown on first use, then
-/// reused — a Krylov solver keeps one of these (inside its
-/// `SolverWorkspace`) for the whole solve.
+/// Caller-owned scratch for [`Preconditioner::apply_with`]: a buffer an
+/// application may work in instead of allocating (the ILU factors'
+/// Serial engine solves in it). Grow-only — sized by the widest apply
+/// seen, reused verbatim by every narrower one — so a Krylov solver
+/// keeps one of these (inside its `SolverWorkspace`) across solves of
+/// any widths.
 #[derive(Debug, Clone, Default)]
 pub struct ApplyScratch<T> {
     buf: Vec<T>,
@@ -39,7 +41,7 @@ pub trait Preconditioner<T: Scalar>: Sync {
 
     /// Applies the preconditioner with caller-owned scratch, so
     /// implementations that need working memory (e.g. the ILU factors'
-    /// permutation buffer) can run allocation-free in the steady state.
+    /// Serial solve buffer) can run allocation-free in the steady state.
     /// The default falls back to [`Preconditioner::apply`]; stateless
     /// implementations need not override it.
     fn apply_with(&self, scratch: &mut ApplyScratch<T>, r: &[T], z: &mut [T]) {
@@ -63,7 +65,8 @@ pub trait Preconditioner<T: Scalar>: Sync {
     /// Applies the preconditioner to a whole RHS panel: `Z ← M⁻¹ R`,
     /// column for column. Implementations with a genuine multi-RHS path
     /// (the ILU factors' panel trisolve) override this so one schedule
-    /// walk retires all `k` columns; the default simply loops
+    /// walk — or one factor stream — retires all `k` columns; the
+    /// default simply loops
     /// [`Preconditioner::apply_column_with`] over the columns, which is
     /// always correct because the contract requires column `c` of the
     /// panel result to be **bit-identical** to a single-RHS apply of
@@ -162,16 +165,17 @@ impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
             .expect("preconditioner buffers sized by the solver");
     }
 
+    // `buffer(0)`: the apply pipeline sizes the buffer itself, and only
+    // on the engine that works in it.
     fn apply_with(&self, scratch: &mut ApplyScratch<T>, r: &[T], z: &mut [T]) {
         self.factors
-            .solve_with_buffer(self.engine, scratch.buffer(self.factors.n()), r, z)
+            .solve_with_buffer(self.engine, scratch.buffer(0), r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 
     fn apply_panel_with(&self, scratch: &mut ApplyScratch<T>, r: Panel<'_, T>, z: PanelMut<'_, T>) {
-        let buf = scratch.buffer(self.factors.n() * r.ncols());
         self.factors
-            .solve_panel_with_buffer(self.engine, buf, r, z)
+            .solve_panel_with_buffer(self.engine, scratch.buffer(0), r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 }
@@ -357,6 +361,42 @@ mod tests {
         let mut z = vec![0.0; 3];
         f.apply(&[2.0, 4.0, 6.0], &mut z);
         assert_eq!(z, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn apply_scratch_is_grow_only_across_widths() {
+        // Serial engine, one scratch: a width-8 apply grows the buffer
+        // to 8n; a single-column apply after it (what the batched GMRES
+        // driver issues per column at every cycle exit) must neither
+        // shrink nor move it, and the next width-8 apply must not care.
+        let a = javelin_synth::grid::laplace_2d(12, 12);
+        let (n, k) = (a.nrows(), 8);
+        let f = crate::factorize(&a, &crate::IluOptions::default()).unwrap();
+        let m = f.with_engine(SolveEngine::Serial);
+        let r = javelin_synth::util::rhs_panel(n, k, 7);
+        let wide = |scratch: &mut ApplyScratch<f64>| {
+            let mut z = vec![0.0; n * k];
+            m.apply_panel_with(scratch, Panel::new(&r, n, k), PanelMut::new(&mut z, n, k));
+            z.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+        };
+        let mut scratch = ApplyScratch::new();
+        let fresh = wide(&mut scratch);
+        let (len, ptr) = (scratch.buffer(0).len(), scratch.buffer(0).as_ptr());
+        assert_eq!(len, n * k);
+        let mut z1 = vec![0.0; n];
+        m.apply_with(&mut scratch, &r[..n], &mut z1);
+        assert_eq!(
+            scratch.buffer(0).len(),
+            len,
+            "narrow apply shrank the buffer"
+        );
+        assert_eq!(
+            scratch.buffer(0).as_ptr(),
+            ptr,
+            "narrow apply moved the buffer"
+        );
+        assert_eq!(wide(&mut scratch), fresh, "reused vs fresh scratch");
+        assert_eq!(scratch.buffer(0).as_ptr(), ptr);
     }
 
     fn tridiag(n: usize) -> CsrMatrix<f64> {

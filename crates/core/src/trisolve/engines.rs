@@ -32,14 +32,15 @@
 //! layer ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
 //! [`Lanes::idx`]`(r, c) = r·k + c`, keeping the `k` columns of a row
 //! contiguous for the per-entry inner loops (callers see the
-//! column-major [`Panel`]/[`PanelMut`] layout; `SolveScratch::load_cols`
-//! / `SolveScratch::store_cols` transpose at the region boundary).
+//! column-major [`Panel`]/[`PanelMut`] layout;
+//! `SolveScratch::load_permuted` / `SolveScratch::store_permuted`
+//! permute and transpose in one pass each at the region boundary).
 //!
 //! Every engine entry point is **width-generic over [`Lanes`]**: the
 //! scalar protocol is literally the `FixedLanes<1>` instantiation of
 //! the panel protocol, `FixedLanes<4>`/`FixedLanes<8>` monomorphize the
 //! per-lane inner loops with compile-time trip counts (the
-//! SIMD-friendly form), and [`javelin_sparse::DynLanes`] runs the same
+//! vectorizer-friendly form), and [`javelin_sparse::DynLanes`] runs the same
 //! code at any other width. Column arithmetic is fully independent —
 //! column `c` of a panel solve is bit-identical to a single-RHS solve
 //! of that column through **any** lane instantiation, and `k = 1` is
@@ -67,6 +68,7 @@
 
 #![allow(unsafe_code)] // LuVals views; protocol documented in numeric/kernel.rs.
 
+use super::{gather_permuted, scatter_permuted};
 use crate::factors::SolvePlan;
 use crate::numeric::LuVals;
 use javelin_level::LevelSets;
@@ -95,8 +97,9 @@ pub enum LowerTiles {
 ///   the per-call `Vec<Mutex<Vec<…>>>` and the per-tile
 ///   `partition_point` searches);
 /// * the trailing-block combination buffer `z`;
-/// * `xbuf`, the in-place solution panel the engines operate
-///   on, loaded/stored by the caller.
+/// * `xbuf`, the in-place solution panel the engines operate on,
+///   loaded and stored around each region by
+///   `SolveScratch::load_permuted` / `SolveScratch::store_permuted`.
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
 /// entries (row-interleaved), `partials` and `z` gain the same column
@@ -133,24 +136,19 @@ pub struct SolveScratch<T> {
     /// Per-trailing-row combination buffer (`n_lower × width`).
     z: LuVals<T>,
     /// The in-place solve panel (`n × width`, row-interleaved).
-    pub(crate) xbuf: LuVals<T>,
+    xbuf: LuVals<T>,
 }
 
 impl<T: Scalar> SolveScratch<T> {
     /// Builds scratch for solving factors of dimension `n` under `plan`
     /// with `nthreads` workers and `tile_size`-entry gather tiles. The
     /// initial panel width is 1; wider solves grow the buffers on first
-    /// use via [`SolveScratch::ensure_width`].
-    pub fn new(plan: &SolvePlan, n: usize, nthreads: usize, tile_size: usize) -> Self {
-        Self::new_on(plan, n, nthreads, tile_size, None)
-    }
-
-    /// Like [`SolveScratch::new`], but when `exec` is given, the value
-    /// buffers (`partials`, `z`, `xbuf`) are zero-filled *inside a
+    /// use via [`SolveScratch::ensure_width`]. When `exec` is given, the
+    /// value buffers (`partials`, `z`, `xbuf`) are zero-filled *inside a
     /// parallel region* on `exec`'s own threads — first-touch page
     /// placement for pinned teams (see [`LuVals::zeroed_on`]). Width
-    /// regrowth via [`SolveScratch::ensure_width`] reallocates without
-    /// first-touch; size panels up front when placement matters.
+    /// regrowth reallocates without first-touch; size panels up front
+    /// when placement matters.
     pub fn new_on(
         plan: &SolvePlan,
         n: usize,
@@ -216,11 +214,6 @@ impl<T: Scalar> SolveScratch<T> {
         self.tile
     }
 
-    /// Current panel width `k`.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Sets the panel width for subsequent engine calls, growing the
     /// value buffers if `width` exceeds every width seen so far
     /// (grow-only: narrowing back is free and keeps the wider buffers
@@ -237,42 +230,36 @@ impl<T: Scalar> SolveScratch<T> {
         self.width = width;
     }
 
-    /// [`SolveScratch::ensure_width`] through a lane value: sizes the
-    /// value buffers for `lanes.width()` so the engines can be invoked
-    /// with that lane instantiation.
-    pub fn ensure_lanes<L: Lanes>(&mut self, lanes: L) {
+    /// The threaded engines' way in: sets the panel width to
+    /// `lanes.width()` and gathers the column-major panel `src`,
+    /// permuted and row-interleaved, straight into `xbuf` (see
+    /// [`gather_permuted`]).
+    pub(crate) fn load_permuted<L: Lanes>(
+        &mut self,
+        lanes: L,
+        old_to_new: &[usize],
+        src: Panel<'_, T>,
+    ) {
         self.ensure_width(lanes.width());
+        // Safety: `&mut self` — no region is running on this scratch —
+        // and `ensure_width` sized `xbuf` for `n × width`.
+        let xb = unsafe { self.xbuf.view_mut(0..self.n * self.width) };
+        gather_permuted(lanes, old_to_new, src, xb);
     }
 
-    /// Loads a column-major panel into the row-interleaved `xbuf`.
-    /// The panel must have `n` rows and exactly [`SolveScratch::width`]
-    /// columns.
-    pub(crate) fn load_cols(&self, src: Panel<'_, T>) {
-        let k = self.width;
-        debug_assert_eq!(src.nrows(), self.n, "panel rows vs factor dim");
-        debug_assert_eq!(src.ncols(), k, "panel width vs scratch width");
-        // Safety: the caller holds the scratch exclusively outside any
-        // parallel region (IluFactors guards the scratch with a mutex).
-        let xb = unsafe { self.xbuf.view_mut(0..self.n * k) };
-        for c in 0..k {
-            for (r, &v) in src.col(c).iter().enumerate() {
-                xb[r * k + c] = v;
-            }
-        }
-    }
-
-    /// Stores the row-interleaved `xbuf` back into a column-major panel.
-    pub(crate) fn store_cols(&self, dst: &mut PanelMut<'_, T>) {
-        let k = self.width;
-        debug_assert_eq!(dst.nrows(), self.n, "panel rows vs factor dim");
-        debug_assert_eq!(dst.ncols(), k, "panel width vs scratch width");
-        // Safety: as in `load_cols` — exclusive, outside any region.
-        let xb = unsafe { self.xbuf.view(0..self.n * k) };
-        for c in 0..k {
-            for (r, v) in dst.col_mut(c).iter_mut().enumerate() {
-                *v = xb[r * k + c];
-            }
-        }
+    /// The threaded engines' way out: scatters `xbuf` through the
+    /// permutation into the column-major panel `dst` (see
+    /// [`scatter_permuted`]). `lanes` is the width just loaded.
+    pub(crate) fn store_permuted<L: Lanes>(
+        &mut self,
+        lanes: L,
+        new_to_old: &[usize],
+        dst: PanelMut<'_, T>,
+    ) {
+        assert_eq!(lanes.width(), self.width, "lanes vs loaded width");
+        // Safety: as in `load_permuted` — exclusive, outside any region.
+        let xb = unsafe { self.xbuf.view(0..self.n * self.width) };
+        scatter_permuted(lanes, new_to_old, xb, dst);
     }
 }
 
@@ -431,7 +418,6 @@ fn region_failpoint(tid: usize) {
 /// One barrier protocol per panel: a level costs the same wait count
 /// whether it retires 1 or `k` columns — and one kernel body serves
 /// every width through `lanes`.
-#[allow(clippy::too_many_arguments)]
 pub fn solve_barrier_fused<T: Scalar, L: Lanes>(
     lanes: L,
     lu: &CsrMatrix<T>,
@@ -440,12 +426,12 @@ pub fn solve_barrier_fused<T: Scalar, L: Lanes>(
     bwd_levels: &LevelSets,
     scratch: &SolveScratch<T>,
     exec: &Exec,
-    x: &LuVals<T>,
 ) {
     let nthreads = exec.nthreads();
     debug_assert_eq!(nthreads, scratch.nthreads);
     debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
     scratch.barrier.reset();
+    let x = &scratch.xbuf;
     exec.run(|tid| {
         region_failpoint(tid);
         forward_barrier_phase(lanes, lu, diag_pos, fwd_levels, scratch, nthreads, tid, x);
@@ -671,7 +657,6 @@ fn backward_p2p_phase<T: Scalar, L: Lanes>(
 /// zero allocations, no `partition_point` searches; the whole panel
 /// rides a single schedule walk through one width-generic kernel body
 /// (`FixedLanes<1>` *is* the scalar protocol).
-#[allow(clippy::too_many_arguments)]
 pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
     lanes: L,
     lu: &CsrMatrix<T>,
@@ -680,8 +665,8 @@ pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
     scratch: &SolveScratch<T>,
     exec: &Exec,
     tiles: LowerTiles,
-    x: &LuVals<T>,
 ) {
+    let x = &scratch.xbuf;
     let n = lu.nrows();
     let n_upper = plan.n_upper;
     let nthreads = exec.nthreads();

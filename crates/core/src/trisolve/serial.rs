@@ -1,16 +1,18 @@
-//! Serial forward/backward substitution on the combined LU factor.
+//! Serial forward/backward substitution on the combined LU factor —
+//! the Serial engine of the apply pipeline, at every panel width.
 //!
 //! The substitution kernels are width-generic over the lane layer
 //! ([`javelin_sparse::lanes`]): [`forward_lanes_inplace`] /
 //! [`backward_lanes_inplace`] retire every lane of a row before moving
-//! to the next row over a row-interleaved buffer (`(r, c) → r·k + c`).
+//! to the next row over a row-interleaved buffer (`(r, c) → r·k + c`),
+//! so one stream over the factor serves all `k` right-hand sides.
 //! The classic scalar entry points [`forward_inplace`] /
 //! [`backward_inplace`] are the `FixedLanes<1>` instantiations — at
 //! width 1 a plain vector *is* the interleaved buffer, so the scalar
 //! path and the lane path are literally the same code, bit for bit.
 
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, PanelMut, Scalar};
+use javelin_sparse::{CsrMatrix, Scalar};
 
 /// In-place lane-generic forward substitution `L·X = Y` with implicit
 /// unit diagonal over a row-interleaved `n × k` buffer: on entry `x`
@@ -89,31 +91,6 @@ pub fn backward_inplace<T: Scalar>(lu: &CsrMatrix<T>, diag_pos: &[usize], x: &mu
     backward_lanes_inplace(FixedLanes::<1>, lu, diag_pos, x);
 }
 
-/// Column-by-column panel forward substitution: the looped single-RHS
-/// reference every parallel panel engine is measured against. Column
-/// `c` is bit-identical to [`forward_inplace`] on that column.
-pub fn forward_panel_inplace<T: Scalar>(
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    x: &mut PanelMut<'_, T>,
-) {
-    for c in 0..x.ncols() {
-        forward_inplace(lu, diag_pos, x.col_mut(c));
-    }
-}
-
-/// Column-by-column panel backward substitution (see
-/// [`forward_panel_inplace`]).
-pub fn backward_panel_inplace<T: Scalar>(
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    x: &mut PanelMut<'_, T>,
-) {
-    for c in 0..x.ncols() {
-        backward_inplace(lu, diag_pos, x.col_mut(c));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,28 +141,6 @@ mod tests {
         backward_inplace(&lu, &dp, &mut x);
         assert!((x[0] - x_true[0]).abs() < 1e-12);
         assert!((x[1] - x_true[1]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn panel_substitution_matches_looped_columns() {
-        let (lu, dp) = lu2();
-        let cols = [vec![2.0, 3.0], vec![-1.0, 5.0], vec![0.5, 0.25]];
-        // Reference: one column at a time.
-        let mut want = Vec::new();
-        for c in &cols {
-            let mut x = c.clone();
-            forward_inplace(&lu, &dp, &mut x);
-            backward_inplace(&lu, &dp, &mut x);
-            want.push(x);
-        }
-        // Panel: all three columns in one column-major block.
-        let mut data: Vec<f64> = cols.iter().flatten().copied().collect();
-        let mut p = PanelMut::new(&mut data, 2, 3);
-        forward_panel_inplace(&lu, &dp, &mut p);
-        backward_panel_inplace(&lu, &dp, &mut p);
-        for (c, w) in want.iter().enumerate() {
-            assert_eq!(p.col(c), w.as_slice(), "column {c}");
-        }
     }
 
     #[test]

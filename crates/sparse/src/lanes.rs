@@ -1,19 +1,17 @@
 //! The width-generic **lane layer**: one kernel core for scalar and
 //! panel execution paths.
 //!
-//! Every hot kernel in the workspace — the tiled spmv, the triangular
-//! solve engines' row retirement, the batched Krylov drivers — operates
-//! on a block of `k` right-hand-side *lanes* at once. Before this layer
-//! existed each kernel carried two hand-maintained copies: a scalar
-//! path and a dynamic-width panel path. A [`Lanes`] value collapses
-//! them into one generic core:
+//! The kernels that stream a sparse matrix or factor — the tiled spmv,
+//! the triangular-solve engines (serial and threaded), the numeric
+//! factorization — retire a block of `k` *lanes* (right-hand sides, or
+//! scenario value sets) per traversal. A [`Lanes`] value makes each of
+//! them one generic core instead of a scalar copy plus a panel copy:
 //!
 //! * [`FixedLanes<K>`](FixedLanes) — a zero-sized, const-generic width.
 //!   Monomorphizing a kernel at `FixedLanes<1>` *is* the scalar path
 //!   (every per-lane loop has compile-time trip count 1 and folds
 //!   away); `FixedLanes<4>` / `FixedLanes<8>` give the compiler exact
-//!   trip counts for its vectorizer — the SIMD panel kernels of the
-//!   roadmap, for free.
+//!   trip counts for its vectorizer.
 //! * [`DynLanes`] — the runtime-width fallback for arbitrary `k`,
 //!   running exactly the loops the fixed widths unroll. Bitwise, a
 //!   column computed through `DynLanes(k)` is identical to the same
@@ -30,29 +28,23 @@
 //! * **Row-interleaved element access**: lane `c` of row `r` lives at
 //!   [`Lanes::idx`]`(r, c) = r·k + c`, keeping a row's `k` lanes
 //!   contiguous for the per-entry inner loops (the layout of the solve
-//!   engines' `xbuf` and the spmv plan's panel partials).
+//!   engines' buffers, the spmv plan's panel partials and the batched
+//!   factor values).
 //! * **Column chunking**: [`for_each_chunk`] walks lane ranges in
 //!   blocks of at most [`LANE_CHUNK`] so accumulators stay in
 //!   fixed-size stack arrays for any runtime width; for `FixedLanes<K>`
 //!   with `K ≤ LANE_CHUNK` the walk collapses to a single
 //!   constant-width block.
 //!
-//! On top sit [`LaneMask`] — the per-column masking vocabulary of the
-//! lockstep batch solvers (a converged or broken-down lane freezes in
-//! place; the panel never changes shape) — and the per-lane micro-ops
-//! ([`lane_axpy`], [`lane_dot`], [`lane_scale`]) over row-interleaved
-//! buffers. The micro-ops are the reference semantics for the
-//! interleaved layout (pinned bitwise against the scalar path by this
-//! module's tests) and the substrate for future interleaved solver
-//! state; today's batch drivers keep their per-column state
-//! column-major and use `vecops` per lane instead.
+//! On top sit [`lane_fnma`], the per-lane elimination update of the
+//! numeric factorization, and [`LaneMask`] — the per-column masking
+//! vocabulary of the lockstep batch solvers (a converged or broken-down
+//! lane freezes in place; the panel never changes shape). Those Krylov
+//! drivers keep their vectors **column-major** ([`crate::Panel`]) and
+//! run `vecops` per column; only the kernels above interleave.
 
 use crate::scalar::Scalar;
 use std::ops::Range;
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)] // core::arch intrinsics; see lanes/simd.rs module docs.
-mod simd;
 
 /// Columns per stack-resident accumulator block: the chunk width lane
 /// kernels use so arbitrary dynamic widths run allocation-free. Fixed
@@ -83,7 +75,7 @@ pub trait Lanes: Copy + Send + Sync + std::fmt::Debug {
 }
 
 /// A compile-time panel width (see module docs). `FixedLanes<1>` is the
-/// scalar path; `FixedLanes<4>` / `FixedLanes<8>` are the SIMD-friendly
+/// scalar path; `FixedLanes<4>` / `FixedLanes<8>` are the constant-trip
 /// monomorphizations [`with_lanes!`](crate::with_lanes) dispatches to.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FixedLanes<const K: usize>;
@@ -115,8 +107,8 @@ impl Lanes for DynLanes {
 /// Dispatches a width-generic kernel: binds `$lanes` to the
 /// monomorphized [`FixedLanes`] for `k ∈ {1, 4, 8}` and to
 /// [`DynLanes`]`(k)` otherwise, then evaluates `$body` — the single
-/// dispatch table between the scalar path (`K = 1`), the SIMD panel
-/// kernels (`K = 4, 8`) and the dynamic fallback.
+/// dispatch table between the scalar path (`K = 1`), the fixed panel
+/// widths (`K = 4, 8`) and the dynamic fallback.
 ///
 /// ```
 /// use javelin_sparse::lanes::Lanes;
@@ -166,32 +158,13 @@ pub fn for_each_chunk(cols: Range<usize>, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// Per-lane axpy over row-interleaved buffers:
-/// `y[r·k + c] += alpha[c] · x[r·k + c]` for every row and lane.
-/// Lane `c` sees exactly the scalar `vecops::axpy` operation order.
-pub fn lane_axpy<T: Scalar, L: Lanes>(lanes: L, alpha: &[T], x: &[T], y: &mut [T]) {
-    let k = lanes.width();
-    debug_assert_eq!(alpha.len(), k, "lane_axpy: alpha length");
-    debug_assert_eq!(x.len(), y.len(), "lane_axpy: buffer lengths");
-    debug_assert_eq!(x.len() % k.max(1), 0, "lane_axpy: ragged buffer");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::axpy::<T, L>(alpha, x, y) {
-        return;
-    }
-    for (r, yrow) in y.chunks_exact_mut(k).enumerate() {
-        for c in 0..k {
-            yrow[c] += alpha[c] * x[lanes.idx(r, c)];
-        }
-    }
-}
-
 /// Per-lane fused negative multiply-add over row-interleaved buffers:
 /// `y[r·k + c] -= l[c] · x[r·k + c]` for every row and lane — the
 /// elimination inner-loop update `a[r,j] -= l·u[c,j]` with per-lane
-/// multipliers. "Fused" refers to the one-pass micro-op shape, **not**
-/// to hardware FMA: like [`Scalar::mul_add`], both the scalar body and
-/// the SIMD paths compute multiply-then-subtract in two rounded steps,
-/// so every lane stays bit-identical to the scalar kernels.
+/// multipliers. "Fused" refers to the one-pass shape, **not** to
+/// hardware FMA: like [`Scalar::mul_add`], the body computes
+/// multiply-then-subtract in two rounded steps, so every lane stays
+/// bit-identical to the scalar kernels.
 ///
 /// Always inlined: the numeric factorization calls this once per
 /// updated entry with a single `k`-lane row, so at `FixedLanes<1>` an
@@ -204,50 +177,9 @@ pub fn lane_fnma<T: Scalar, L: Lanes>(lanes: L, l: &[T], x: &[T], y: &mut [T]) {
     debug_assert_eq!(l.len(), k, "lane_fnma: multiplier length");
     debug_assert_eq!(x.len(), y.len(), "lane_fnma: buffer lengths");
     debug_assert_eq!(x.len() % k.max(1), 0, "lane_fnma: ragged buffer");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::fnma::<T, L>(l, x, y) {
-        return;
-    }
     for (r, yrow) in y.chunks_exact_mut(k).enumerate() {
         for c in 0..k {
             yrow[c] -= l[c] * x[lanes.idx(r, c)];
-        }
-    }
-}
-
-/// Per-lane dot products over row-interleaved buffers:
-/// `out[c] = Σ_r x[r·k + c] · y[r·k + c]`. Lane `c` accumulates in row
-/// order — the scalar `vecops::dot` order.
-pub fn lane_dot<T: Scalar, L: Lanes>(lanes: L, x: &[T], y: &[T], out: &mut [T]) {
-    let k = lanes.width();
-    debug_assert_eq!(out.len(), k, "lane_dot: out length");
-    debug_assert_eq!(x.len(), y.len(), "lane_dot: buffer lengths");
-    debug_assert_eq!(x.len() % k.max(1), 0, "lane_dot: ragged buffer");
-    out.fill(T::ZERO);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::dot::<T, L>(x, y, out) {
-        return;
-    }
-    for (xrow, yrow) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
-        for c in 0..k {
-            out[c] += xrow[c] * yrow[c];
-        }
-    }
-}
-
-/// Per-lane scaling over a row-interleaved buffer:
-/// `x[r·k + c] *= alpha[c]`.
-pub fn lane_scale<T: Scalar, L: Lanes>(lanes: L, alpha: &[T], x: &mut [T]) {
-    let k = lanes.width();
-    debug_assert_eq!(alpha.len(), k, "lane_scale: alpha length");
-    debug_assert_eq!(x.len() % k.max(1), 0, "lane_scale: ragged buffer");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::scale::<T, L>(alpha, x) {
-        return;
-    }
-    for xrow in x.chunks_exact_mut(k) {
-        for c in 0..k {
-            xrow[c] *= alpha[c];
         }
     }
 }
@@ -377,43 +309,26 @@ mod tests {
         }
     }
 
-    /// The defining bitwise contract: each micro-op's lane `c` is
-    /// bit-identical between every fixed instantiation and the dynamic
-    /// fallback, and to the scalar (`FixedLanes<1>`) run of that lane.
+    /// The defining bitwise contract: lane `c` of [`lane_fnma`] is
+    /// bit-identical between the dynamic fallback and the scalar
+    /// (`FixedLanes<1>`) run of that lane.
     #[test]
-    fn micro_ops_fixed_dyn_and_scalar_agree_bitwise() {
+    fn fnma_dyn_and_scalar_agree_bitwise() {
         let n = 13usize;
         for k in [1usize, 4, 5, 8] {
             let x: Vec<f64> = (0..n * k).map(|i| 0.3 + (i as f64 * 0.7).sin()).collect();
             let y0: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.11).cos()).collect();
-            let alpha: Vec<f64> = (0..k).map(|c| 0.5 - c as f64 * 0.125).collect();
-
-            let run_dyn = {
-                let lanes = DynLanes(k);
-                let mut y = y0.clone();
-                lane_axpy(lanes, &alpha, &x, &mut y);
-                lane_fnma(lanes, &alpha, &x, &mut y);
-                let mut d = vec![0.0; k];
-                lane_dot(lanes, &x, &y, &mut d);
-                lane_scale(lanes, &alpha, &mut y);
-                (y, d)
-            };
-            // Per lane, the scalar instantiation on the de-interleaved
-            // lane must agree bit for bit.
+            let l: Vec<f64> = (0..k).map(|c| 0.5 - c as f64 * 0.125).collect();
+            let mut y = y0.clone();
+            lane_fnma(DynLanes(k), &l, &x, &mut y);
             for c in 0..k {
-                let lanes1 = FixedLanes::<1>;
                 let xc: Vec<f64> = (0..n).map(|r| x[r * k + c]).collect();
                 let mut yc: Vec<f64> = (0..n).map(|r| y0[r * k + c]).collect();
-                lane_axpy(lanes1, &alpha[c..c + 1], &xc, &mut yc);
-                lane_fnma(lanes1, &alpha[c..c + 1], &xc, &mut yc);
-                let mut dc = [0.0f64];
-                lane_dot(lanes1, &xc, &yc, &mut dc);
-                lane_scale(lanes1, &alpha[c..c + 1], &mut yc);
-                assert_eq!(dc[0].to_bits(), run_dyn.1[c].to_bits(), "k={k} lane {c}");
+                lane_fnma(FixedLanes::<1>, &l[c..c + 1], &xc, &mut yc);
                 for r in 0..n {
                     assert_eq!(
                         yc[r].to_bits(),
-                        run_dyn.0[r * k + c].to_bits(),
+                        y[r * k + c].to_bits(),
                         "k={k} lane {c} row {r}"
                     );
                 }
@@ -422,13 +337,11 @@ mod tests {
     }
 
     /// Poisoned inputs (NaN, ±∞, signed zero, subnormals): the fixed
-    /// widths 4 and 8 — the explicit-SIMD instantiations when the
-    /// `simd` feature is on — must propagate specials bit-identically
-    /// to the dynamic (always-scalar) fallback. x86 `mulpd` quiets and
-    /// forwards NaNs exactly like `mulsd`, and the vector bodies keep
-    /// the scalar operand order, so even `∞·0 → NaN` lanes match.
+    /// widths 4 and 8 — constant-trip loops the compiler is free to
+    /// vectorize — must propagate specials bit-identically to the
+    /// dynamic fallback, `∞·0 → NaN` lanes included.
     #[test]
-    fn micro_ops_with_nan_and_inf_agree_bitwise() {
+    fn fnma_with_nan_and_inf_agrees_bitwise() {
         let n = 11usize;
         let specials = [
             f64::NAN,
@@ -446,37 +359,15 @@ mod tests {
             let y0: Vec<f64> = (0..n * k)
                 .map(|i| specials[(i * 3 + 1) % specials.len()])
                 .collect();
-            let alpha: Vec<f64> = (0..k).map(|c| specials[(c + 2) % specials.len()]).collect();
-
-            // Dynamic width: always the portable scalar body.
-            let dynl = DynLanes(k);
-            let (mut ya_d, mut yf_d, mut ys_d) = (y0.clone(), y0.clone(), x.clone());
-            lane_axpy(dynl, &alpha, &x, &mut ya_d);
-            lane_fnma(dynl, &alpha, &x, &mut yf_d);
-            let mut d_d = vec![0.0; k];
-            lane_dot(dynl, &x, &y0, &mut d_d);
-            lane_scale(dynl, &alpha, &mut ys_d);
-
-            // Fixed width: the SIMD path when built with `--features
-            // simd` on AVX2 hardware, the same scalar body otherwise.
-            let (ya_f, yf_f, d_f, ys_f) = with_lanes!(k, lanes => {
-                let (mut ya, mut yf, mut ys) = (y0.clone(), y0.clone(), x.clone());
-                lane_axpy(lanes, &alpha, &x, &mut ya);
-                lane_fnma(lanes, &alpha, &x, &mut yf);
-                let mut d = vec![0.0; k];
-                lane_dot(lanes, &x, &y0, &mut d);
-                lane_scale(lanes, &alpha, &mut ys);
-                (ya, yf, d, ys)
-            });
-
-            assert_eq!(bits(&ya_f), bits(&ya_d), "axpy k={k}");
-            assert_eq!(bits(&yf_f), bits(&yf_d), "fnma k={k}");
-            assert_eq!(bits(&d_f), bits(&d_d), "dot k={k}");
-            assert_eq!(bits(&ys_f), bits(&ys_d), "scale k={k}");
+            let l: Vec<f64> = (0..k).map(|c| specials[(c + 2) % specials.len()]).collect();
+            let mut y_dyn = y0.clone();
+            lane_fnma(DynLanes(k), &l, &x, &mut y_dyn);
+            let mut y_fixed = y0.clone();
+            with_lanes!(k, lanes => lane_fnma(lanes, &l, &x, &mut y_fixed));
+            assert_eq!(bits(&y_fixed), bits(&y_dyn), "k={k}");
             // And the poison actually reached the outputs: NaN lanes
             // must exist, or this test proves nothing.
-            assert!(ya_f.iter().any(|v| v.is_nan()), "axpy k={k} no NaN?");
-            assert!(d_f.iter().any(|v| v.is_nan()), "dot k={k} no NaN?");
+            assert!(y_fixed.iter().any(|v| v.is_nan()), "k={k} no NaN?");
         }
     }
 

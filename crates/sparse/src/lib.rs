@@ -23,7 +23,7 @@
 //!   multi-RHS execution paths;
 //! * [`lanes`] — the width-generic lane layer ([`FixedLanes`] /
 //!   [`DynLanes`] plus the [`with_lanes!`] dispatch table): one kernel
-//!   core serves the scalar path (`K = 1`), the SIMD-specialized panel
+//!   core serves the scalar path (`K = 1`), the monomorphized panel
 //!   widths (`K = 4, 8`) and arbitrary dynamic widths;
 //! * [`io`] — Matrix Market reading/writing so that the real SuiteSparse
 //!   inputs used by the paper can be substituted for the bundled synthetic
@@ -35,11 +35,7 @@
 //! never allocate, and construction routines take `Vec`s by value so the
 //! caller controls reuse.
 
-// `deny`, not `forbid`: the optional explicit-SIMD lane micro-ops
-// (`lanes/simd.rs`, behind the `simd` feature) need `core::arch`
-// intrinsics and opt back in per-module; everything else stays
-// unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coo;

@@ -145,7 +145,11 @@ fn main() {
     let short = vec![0.0; n];
     let mut bad_x = vec![0.0; n * 2];
     assert!(factors
-        .solve_panel_into(Panel::new(&short, n, 1), PanelMut::new(&mut bad_x, n, 2))
+        .solve_panel_with(
+            factors.default_engine(),
+            Panel::new(&short, n, 1),
+            PanelMut::new(&mut bad_x, n, 2)
+        )
         .is_err());
     println!("shape mismatches are rejected with Err, not a panic");
 

@@ -1,99 +1,128 @@
 //! Scenario sweep — the batched-refactorization consumer: a transient
-//! circuit stepped through `k` process corners at a time, where one
-//! `refactor_batch` schedule walk refactors all `k` value sets and one
-//! lockstep panel Krylov solve retires all `k` systems, measured
-//! against the classical looped refactor-per-corner baseline and
-//! cross-checked bitwise against it every step.
+//! circuit (DM + ND preordered, as in the paper) stepped through `k`
+//! process corners at a time. `Session::sweep` refactors all `k` value
+//! sets in one schedule walk and retires the `k` systems in one
+//! lockstep panel Krylov solve; the classical baseline loops
+//! `Session::refactor` + `Session::krylov` over the corners. Every step
+//! asserts the two agree bitwise and prints scenarios/s for both.
 //!
 //! ```text
 //! cargo run --release --example scenario_sweep            # full run
 //! cargo run --release --example scenario_sweep -- --smoke # CI-sized
 //! ```
 
+use javelin::order::{dm::dm_row_permutation, nested_dissection_order};
 use javelin::prelude::*;
-use javelin_sweep::{ScenarioSweep, SweepConfig};
+use javelin::synth::{circuit::transient_circuit, util::revalue};
+use std::time::Instant;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cfg = if smoke {
-        SweepConfig {
-            n: 600,
-            core_size: 24,
-            k: 4,
-            ..SweepConfig::default()
-        }
+    let (n, core_size, k, steps) = if smoke {
+        (600, 24, 4, 2)
     } else {
-        SweepConfig::default()
+        (2000, 40, 8, 5)
     };
-    let steps = if smoke { 2 } else { 5 };
-    let (k, method) = (cfg.k, cfg.method);
+    let (nthreads, method) = (2, Method::BatchGmres);
 
-    let mut sweep = ScenarioSweep::new(cfg).expect("sweep assembly");
+    let raw = transient_circuit(n, core_size, true, 0x5eed);
+    let rowp = dm_row_permutation(&raw).expect("DM row permutation");
+    let a = raw
+        .permute(&rowp, &Perm::identity(raw.ncols()))
+        .expect("row permutation fits");
+    let a = a
+        .permute_sym(&nested_dissection_order(&a, 64))
+        .expect("ND ordering fits");
     println!(
-        "scenario sweep: n = {}, nnz = {}, k = {k} corners/step, {method} @ {} threads",
-        sweep.matrix().nrows(),
-        sweep.matrix().nnz(),
-        sweep.config().nthreads,
+        "scenario sweep: n = {n}, nnz = {}, k = {k} corners/step, {method} @ {nthreads} threads",
+        a.nnz()
     );
 
-    let mut t_batched = std::time::Duration::ZERO;
-    let mut t_looped = std::time::Duration::ZERO;
-    for step in 0..steps {
-        let report = sweep.run_step(step).expect("sweep step");
-        assert!(
-            report.bitwise_equal,
-            "step {step}: batched and looped paths must agree bitwise"
-        );
-        assert!(report.batched.iter().all(|r| r.converged));
-        t_batched += report.t_refactor_batched;
-        t_looped += report.t_refactor_looped;
-        println!(
-            "step {step}: refactor {:.0} scen/s batched vs {:.0} scen/s looped ({:.2}x) | \
-             solve {:.2?} batched vs {:.2?} looped | iters {:?}",
-            report.scenarios_per_sec_batched(),
-            report.scenarios_per_sec_looped(),
-            report.refactor_speedup(),
-            report.t_solve_batched,
-            report.t_solve_looped,
-            report
-                .batched
-                .iter()
-                .map(|r| r.iterations)
-                .collect::<Vec<_>>(),
-        );
-    }
-    println!(
-        "total refactor time over {steps} steps: {t_batched:.2?} batched vs {t_looped:.2?} looped \
-         ({:.2}x)",
-        t_looped.as_secs_f64() / t_batched.as_secs_f64().max(1e-12)
-    );
-
-    // The same workload through the Session façade: `Session::sweep`
-    // caches the batch handle, so steady-state steps are numeric-only.
-    let a = sweep.matrix().clone();
-    let n = a.nrows();
-    let mut session = Session::builder()
-        .nthreads(sweep.config().nthreads)
-        .panel_width(k)
-        .solver_options(sweep.config().solver)
-        .build(&a)
-        .expect("session");
-    let corners = sweep.corner_matrices(0);
-    let mats: Vec<&CsrMatrix<f64>> = corners.iter().collect();
-    let b = sweep.rhs_panel(0);
-    let mut x = vec![0.0; n * k];
-    let results = session
+    let session = || {
+        Session::builder()
+            .nthreads(nthreads)
+            .panel_width(k)
+            .solver_options(SolverOptions {
+                tol: 1e-8,
+                ..SolverOptions::default()
+            })
+            .build(&a)
+            .expect("session")
+    };
+    let (mut batched, mut looped) = (session(), session());
+    // Step `s`: the base stamps drifted by the step and perturbed per
+    // corner — one pattern, `k` value sets — and one excitation each.
+    let corners = |s: usize| -> Vec<CsrMatrix<f64>> {
+        (0..k)
+            .map(|c| revalue(&a, 0.3 + s as f64 + c as f64 * 0.77, 0.05))
+            .collect()
+    };
+    let rhs = |s: usize| -> Vec<f64> {
+        (0..n * k)
+            .map(|i| ((i % n * 7 + i / n * 13 + s * 37) % 29) as f64 * 0.1 - 1.0)
+            .collect()
+    };
+    let (mut xb, mut xl) = (vec![0.0; n * k], vec![0.0; n * k]);
+    // The first sweep at width k allocates the batch handle; every
+    // later one is numeric-only. Seed it outside the clock.
+    let seed = corners(0);
+    batched
         .sweep(
             method,
-            &mats,
-            Panel::new(&b, n, k),
-            PanelMut::new(&mut x, n, k),
+            &seed.iter().collect::<Vec<_>>(),
+            Panel::new(&rhs(0), n, k),
+            PanelMut::new(&mut xb, n, k),
         )
-        .expect("session sweep");
-    assert!(results.iter().all(|r| r.converged));
+        .expect("warm-up sweep");
+
+    let (mut t_batched, mut t_looped) = (0.0, 0.0);
+    for step in 0..steps {
+        let corners = corners(step);
+        let mats: Vec<&CsrMatrix<f64>> = corners.iter().collect();
+        let b = rhs(step);
+        xb.fill(0.0);
+        xl.fill(0.0);
+
+        let t0 = Instant::now();
+        let results = batched
+            .sweep(
+                method,
+                &mats,
+                Panel::new(&b, n, k),
+                PanelMut::new(&mut xb, n, k),
+            )
+            .expect("batched sweep");
+        let dt_batched = t0.elapsed().as_secs_f64();
+
+        let t1 = Instant::now();
+        for (c, xc) in xl.chunks_exact_mut(n).enumerate() {
+            looped.refactor(mats[c]).expect("looped refactor");
+            let res = looped
+                .krylov(method, &b[c * n..(c + 1) * n], xc)
+                .expect("looped solve");
+            assert_eq!(res.iterations, results[c].iterations, "corner {c}");
+        }
+        let dt_looped = t1.elapsed().as_secs_f64();
+
+        assert!(results.iter().all(|r| r.converged), "step {step}");
+        assert!(
+            xb.iter().zip(&xl).all(|(p, q)| p.to_bits() == q.to_bits()),
+            "step {step}: batched and looped paths must agree bitwise"
+        );
+        println!(
+            "step {step}: {:.0} scen/s batched vs {:.0} scen/s looped ({:.2}x) | iters {:?}",
+            k as f64 / dt_batched,
+            k as f64 / dt_looped,
+            dt_looped / dt_batched,
+            results.iter().map(|r| r.iterations).collect::<Vec<_>>(),
+        );
+        t_batched += dt_batched;
+        t_looped += dt_looped;
+    }
     println!(
-        "Session::sweep: {} scenarios converged, batch cached = {}",
-        results.len(),
-        session.scenario_batch().is_some()
+        "total over {steps} steps: {t_batched:.3} s batched vs {t_looped:.3} s looped ({:.2}x); \
+         batch cached = {}",
+        t_looped / t_batched,
+        batched.scenario_batch().is_some()
     );
 }

@@ -2,8 +2,9 @@
 # Markdown link check for the docs layer (README.md + docs/), so the
 # prose can't rot silently: every relative link target must exist in
 # the repository, and so must every `NAME.md` a rustdoc comment points
-# at. External (http/https) links are skipped — CI has no network. Run
-# from the repository root:
+# at and every `crates/<name>` directory the prose or a rustdoc comment
+# names. External (http/https) links are skipped — CI has no network.
+# Run from the repository root:
 #
 #   bash scripts/check_links.sh
 set -euo pipefail
@@ -46,8 +47,25 @@ done < <(cd "$root" && grep -rnE --include='*.rs' '^[[:space:]]*//[/!]' src crat
     grep -oE '^[^:]+:[0-9]+:|[A-Za-z0-9_-]+\.md\b' |
     awk '/^[^:]+:[0-9]+:$/ { loc = $0; next } { print loc $0 }')
 
+# Crate pointers: a `crates/<name>` named in README.md, docs/*.md or a
+# rustdoc comment must be a directory of this repository.
+while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    dir="${hit##*:}"
+    checked=$((checked + 1))
+    if [ ! -d "$root/$dir" ]; then
+        echo "BROKEN: ${hit%:*} -> $dir (no such crate)"
+        fail=1
+    fi
+done < <(cd "$root" && {
+    grep -noE 'crates/[a-z0-9_-]+' README.md docs/*.md /dev/null
+    grep -rnE --include='*.rs' '^[[:space:]]*//[/!]' src crates/*/src |
+        grep -oE '^[^:]+:[0-9]+:|crates/[a-z0-9_-]+' |
+        awk '/^[^:]+:[0-9]+:$/ { loc = $0; next } { print loc $0 }'
+})
+
 if [ "$fail" -ne 0 ]; then
     echo "markdown link check failed"
     exit 1
 fi
-echo "markdown link check: $checked relative links and rustdoc file pointers OK"
+echo "markdown link check: $checked relative links, rustdoc file pointers and crate pointers OK"

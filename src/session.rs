@@ -208,7 +208,12 @@ impl SessionBuilder {
         let sym = SymbolicIlu::analyze(a, &self.opts)?;
         let factors = sym.factor(a)?;
         let engine = self.engine.unwrap_or_else(|| factors.default_engine());
-        factors.reserve_panel_width(self.panel_width);
+        // The threaded engines work in the analysis's scratch; the
+        // Serial pipeline works in the workspace's apply buffer, which
+        // `reserve` below grows to the panel width.
+        if engine != SolveEngine::Serial {
+            factors.reserve_panel_width(self.panel_width);
+        }
         let mut workspace = SolverWorkspace::new();
         workspace.reserve(a.nrows(), self.solver.restart, self.panel_width.max(1));
         if self.warm_gmres_basis {
@@ -221,7 +226,6 @@ impl SessionBuilder {
             engine,
             solver: self.solver,
             workspace,
-            perm_buf: Vec::new(),
         })
     }
 }
@@ -237,7 +241,6 @@ pub struct Session<T: Scalar> {
     engine: SolveEngine,
     solver: SolverOptions,
     workspace: SolverWorkspace<T>,
-    perm_buf: Vec<T>,
 }
 
 // `builder()` lives on a single concrete instantiation so that plain
@@ -255,23 +258,26 @@ impl Session<f64> {
 impl<T: Scalar> Session<T> {
     /// Applies the factorization once: `x ← (LU)⁻¹ b` through the
     /// session's engine — one forward + backward substitution, not an
-    /// iterative solve. Allocation-free after the first call.
+    /// iterative solve. Allocation-free: it runs in the buffers
+    /// [`SessionBuilder::build`] sized.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve(&mut self, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        self.factors
-            .solve_with_buffer(self.engine, &mut self.perm_buf, b, x)
+        let buf = self.workspace.precond.buffer(0);
+        self.factors.solve_with_buffer(self.engine, buf, b, x)
     }
 
-    /// Panel analogue of [`Session::solve`]: one schedule walk retires
-    /// all columns of the right-hand-side panel.
+    /// Panel analogue of [`Session::solve`]: one schedule walk (Serial
+    /// engine: one factor stream) retires all columns of the
+    /// right-hand-side panel. A panel wider than the built
+    /// [`SessionBuilder::panel_width`] grows the buffers once.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
     pub fn solve_panel(&mut self, b: Panel<'_, T>, x: PanelMut<'_, T>) -> Result<(), SparseError> {
-        self.factors
-            .solve_panel_with_buffer(self.engine, &mut self.perm_buf, b, x)
+        let buf = self.workspace.precond.buffer(0);
+        self.factors.solve_panel_with_buffer(self.engine, buf, b, x)
     }
 
     /// Full preconditioned iterative solve of `A·x = b` with the chosen

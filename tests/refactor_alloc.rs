@@ -4,13 +4,17 @@
 //! performs zero heap allocations too, as do the first scalar
 //! `gmres_with` / `fgmres_with` solves after `reserve` alone — the
 //! acceptance contracts of the two-phase API and the lane-layer reserve
-//! path. A counting global
+//! path — and the apply pipeline allocates nothing across panel widths
+//! (phase 8). A counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
 //! threads are counted too, which is the point: the planned numeric
 //! path must not allocate on any thread).
 
-use javelin::core::{IluOptions, LowerMethod, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{
+    ApplyScratch, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
+    ZeroPivotPolicy,
+};
 use javelin::solver::{
     fgmres_with, gmres_batch_into, gmres_with, krylov_panel_into, Method, SolverOptions,
     SolverResult, SolverWorkspace,
@@ -544,4 +548,53 @@ fn steady_state_refactor_allocates_zero_bytes() {
         f7_er.refactor(m).unwrap();
         assert_eq!(bits(batch7.factor(c)), bits(&f7_er), "SR batch column {c}");
     }
+
+    // ---- Phase 8: the apply pipeline across widths. One ----
+    // `ApplyScratch`, one warm-up at the widest panel, then widths
+    // 8 → 1 → 5 → 8 (fixed lanes, the scalar path, `DynLanes`): the
+    // Serial engine's caller buffer and the threaded engines' internal
+    // scratch are both grow-only, so narrowing and re-widening touch
+    // the heap on no thread.
+    let n8 = a6.nrows();
+    let r8 = javelin::synth::util::rhs_panel(n8, 8, 3);
+    let mut z8 = vec![0.0; n8 * 8];
+    for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
+        let m = f6.with_engine(engine);
+        let mut scratch = ApplyScratch::new();
+        let mut apply = |k: usize| {
+            let (r, z) = (&r8[..n8 * k], &mut z8[..n8 * k]);
+            m.apply_panel_with(&mut scratch, Panel::new(r, n8, k), PanelMut::new(z, n8, k));
+        };
+        apply(8);
+        let cost = counted(|| [8, 1, 5, 8].into_iter().for_each(&mut apply));
+        assert_eq!(cost, (0, 0), "{engine}: applies at widths 8, 1, 5, 8");
+    }
+    // And `panel_width(8)` keeps its promise on the Serial engine: the
+    // first panel apply allocates nothing, the first panel Krylov solve
+    // only the result vector it returns.
+    let mut session = javelin::Session::builder()
+        .engine(SolveEngine::Serial)
+        .panel_width(8)
+        .build(&a6)
+        .expect("session");
+    let cost = counted(|| {
+        session
+            .solve_panel(Panel::new(&r8, n8, 8), PanelMut::new(&mut z8, n8, 8))
+            .expect("first solve_panel")
+    });
+    assert_eq!(cost, (0, 0), "first Serial solve_panel at the built width");
+    z8.fill(0.0);
+    let mut results = Vec::new();
+    let cost = counted(|| {
+        results = session
+            .krylov_panel(
+                Method::BatchBicgstab,
+                Panel::new(&r8, n8, 8),
+                PanelMut::new(&mut z8, n8, 8),
+            )
+            .expect("first krylov_panel");
+    });
+    let returned = 8 * std::mem::size_of::<SolverResult>();
+    assert_eq!(cost, (1, returned), "first Serial krylov_panel at width 8");
+    assert!(results.iter().all(|r| r.converged), "{results:?}");
 }
