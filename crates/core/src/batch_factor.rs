@@ -3,7 +3,7 @@
 //!
 //! [`SymbolicIlu::factor_batch`] turns `k` pattern-identical matrices
 //! (the scenario corners of a parameter sweep) into a [`FactorsBatch`]:
-//! `k` independent [`IluFactors`] produced by a single pass of the
+//! `k` independent factorizations produced by a single pass of the
 //! numeric engines in which the level-schedule / point-to-point walk,
 //! the counter resets, the team regions and the per-row
 //! sparse-accumulator loads are shared, and only the per-entry
@@ -14,6 +14,16 @@
 //! the numeric phase for the next sweep step with **zero heap
 //! allocations and zero thread spawns** on the persistent team.
 //!
+//! Storage: the batch is stored **once**, in the layout it is applied
+//! from. All scenarios share the analysis's `rowptr` / `colidx`; their
+//! values live lane-interleaved (scenario `c` of LU entry `e` at
+//! `e·k + c`) in two `nnz·k` buffers — the work buffer the numeric
+//! engines fill, and the committed buffer [`FactorsBatch::precond`]
+//! applies from through the crate's one apply pipeline (per-lane
+//! addressing: panel column `c` against scenario `c`, one stream over
+//! `colidx` + values for the whole panel). There is no per-scenario
+//! CSR; [`FactorsBatch::to_factors`] copies one out on demand.
+//!
 //! Per-scenario breakdown semantics: every scenario carries its own
 //! [`ZeroPivotPolicy`](crate::ZeroPivotPolicy) state. Under
 //! `ShiftRetry`, a singular corner escalates **its own** sticky
@@ -23,7 +33,7 @@
 //! every sweep, so one bad corner cannot perturb the others. A corner
 //! that exhausts its attempt budget (or fails under `Error`) gets a
 //! **typed per-scenario error** in [`FactorsBatch::statuses`] and keeps
-//! its previous factors, exactly like the scalar
+//! its previous committed values, exactly like the scalar
 //! [`IluFactors::refactor`] contract.
 //!
 //! Bit-identity: scenario `c` of any batch run is bit-identical to the
@@ -37,23 +47,31 @@
 use crate::factors::IluFactors;
 use crate::numeric::kernel::LuVals;
 use crate::precond::ScenarioPrecond;
+use crate::stats::FactorStats;
 use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
+use crate::trisolve::{apply_panel, view::PerLane};
 use crate::SolveEngine;
-use javelin_sparse::{with_lanes, CsrMatrix, Scalar, SparseError};
+use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// `k` scenario factorizations of one symbolic analysis, produced and
-/// refreshed as a batch (see module docs). Obtain with
+/// refreshed as a batch and stored once, lane-interleaved, in the
+/// layout panel solves apply them from (see module docs). Obtain with
 /// [`SymbolicIlu::factor_batch`]; refresh each sweep step with
 /// [`FactorsBatch::refactor_batch`]; feed panel solves with
-/// [`FactorsBatch::precond`].
+/// [`FactorsBatch::precond`]; inspect a scenario with
+/// [`FactorsBatch::stats`] / [`FactorsBatch::to_factors`].
 pub struct FactorsBatch<T: Scalar> {
     sym: SymbolicIlu<T>,
     k: usize,
-    /// Interleaved batch value buffer: scenario `c` of LU entry `e` at
-    /// `e·k + c`.
+    /// The numeric engines' work buffer: scenario `c` of LU entry `e`
+    /// at `e·k + c`.
     lu_vals: LuVals<T>,
+    /// The values applies read, in the same layout: every scenario's
+    /// latest successful factorization (an identity-safe seed before
+    /// its first).
+    committed: Vec<T>,
     /// Interleaved Segmented-Rows delta slots (empty unless the
     /// analysis planned SR).
     sr_deltas: LuVals<T>,
@@ -67,7 +85,7 @@ pub struct FactorsBatch<T: Scalar> {
     failures: Vec<usize>,
     /// Last absolute diagonal shift applied per scenario.
     shifts: Vec<f64>,
-    factors: Vec<IluFactors<T>>,
+    stats: Vec<FactorStats>,
     statuses: Vec<Result<(), SparseError>>,
 }
 
@@ -99,22 +117,10 @@ impl<T: Scalar> SymbolicIlu<T> {
         // diagonal, zero off-diagonal): a corner that breaks down on
         // the very first batch still leaves a usable — if weak —
         // preconditioner, mirroring the scalar keep-previous contract.
-        let mut seed_vals = vec![T::ZERO; nnz];
+        let mut committed = vec![T::ZERO; nnz * k];
         for &dp in c.diag_pos.iter() {
-            seed_vals[dp] = T::from_f64(1.0);
+            committed[dp * k..(dp + 1) * k].fill(T::ONE);
         }
-        let factors = (0..k)
-            .map(|_| {
-                let lu = CsrMatrix::from_raw_unchecked(
-                    c.n,
-                    c.n,
-                    c.rowptr.clone(),
-                    c.colidx.clone(),
-                    seed_vals.clone(),
-                );
-                IluFactors::from_parts(self.clone(), lu, c.stats.clone())
-            })
-            .collect();
         let mut batch = FactorsBatch {
             sym: self.clone(),
             k,
@@ -122,6 +128,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             // `LuVals::zeroed_on`) — the batch buffer is k× the scalar
             // one, so placement matters most here.
             lu_vals: LuVals::zeroed_on(nnz * k, self.exec()),
+            committed,
             sr_deltas: LuVals::zeroed(c.sr.as_ref().map_or(0, |sr| sr.n_delta_slots() * k)),
             drop_thresh: if c.opts.drop_tol > 0.0 {
                 vec![T::ZERO; c.n * k]
@@ -133,7 +140,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             failed: (0..k).map(|_| AtomicUsize::new(usize::MAX)).collect(),
             failures: vec![0; k],
             shifts: vec![0.0; k],
-            factors,
+            stats: vec![c.stats.clone(); k],
             statuses: (0..k).map(|_| Ok(())).collect(),
         };
         batch.refactor_batch(mats)?;
@@ -147,19 +154,18 @@ impl<T: Scalar> FactorsBatch<T> {
         self.k
     }
 
-    /// The symbolic analysis shared by every scenario factor.
-    pub fn symbolic(&self) -> &SymbolicIlu<T> {
-        &self.sym
+    /// Scenario `c`'s factorization statistics (of its latest
+    /// successful batch).
+    pub fn stats(&self, c: usize) -> &FactorStats {
+        &self.stats[c]
     }
 
-    /// The `k` scenario factors, in input order.
-    pub fn factors(&self) -> &[IluFactors<T>] {
-        &self.factors
-    }
-
-    /// Scenario `c`'s factors.
-    pub fn factor(&self, c: usize) -> &IluFactors<T> {
-        &self.factors[c]
+    /// Copies scenario `c` out into a standalone [`IluFactors`] — for
+    /// tests, examples and diagnostics; solves go through
+    /// [`FactorsBatch::precond`], which needs no copy.
+    pub fn to_factors(&self, c: usize) -> IluFactors<T> {
+        let vals = self.committed[c..].iter().step_by(self.k).copied();
+        IluFactors::from_parts(self.sym.clone(), vals.collect(), self.stats[c].clone())
     }
 
     /// Per-scenario outcome of the latest batch: `Ok` when the
@@ -178,9 +184,39 @@ impl<T: Scalar> FactorsBatch<T> {
     }
 
     /// A per-scenario panel preconditioner: column `c` of a batched
-    /// Krylov solve is preconditioned by scenario `c`'s factors.
+    /// Krylov solve is preconditioned by scenario `c`'s factors, the
+    /// whole panel in one walk of `engine` over the batch's own
+    /// interleaved values.
     pub fn precond(&self, engine: SolveEngine) -> ScenarioPrecond<'_, T> {
-        ScenarioPrecond::new(&self.factors, engine)
+        ScenarioPrecond {
+            batch: self,
+            engine,
+        }
+    }
+
+    /// Solves column `j` of `b` against scenario `c0 + j`, for the whole
+    /// panel at once, through the crate's apply pipeline (per-lane
+    /// value addressing over the committed buffer).
+    ///
+    /// # Errors
+    /// [`SparseError::DimensionMismatch`] on shape mismatches.
+    ///
+    /// # Panics
+    /// When the panel reaches past scenario `k − 1`.
+    pub(crate) fn solve_scenarios(
+        &self,
+        engine: SolveEngine,
+        c0: usize,
+        buf: &mut Vec<T>,
+        b: Panel<'_, T>,
+        x: PanelMut<'_, T>,
+    ) -> Result<(), SparseError> {
+        assert!(c0 + b.ncols() <= self.k, "panel wider than the batch");
+        let vals = PerLane {
+            vals: &self.committed[c0..],
+            k: self.k,
+        };
+        apply_panel(self.sym.core(), vals, engine, buf, b, x)
     }
 
     /// Redoes the numeric phase of **all** `k` scenarios in one batched
@@ -192,7 +228,7 @@ impl<T: Scalar> FactorsBatch<T> {
     ///
     /// Scenario breakdowns are per-scenario: consult
     /// [`FactorsBatch::statuses`] (or [`FactorsBatch::all_ok`]) after
-    /// the call. A failed scenario keeps its previous factors and
+    /// the call. A failed scenario keeps its previous values and
     /// statistics; its neighbours are bit-identical to a run without
     /// the bad corner.
     ///
@@ -232,18 +268,21 @@ impl<T: Scalar> FactorsBatch<T> {
             };
             with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, None));
         }
-        // Commit phase: de-interleave every successful scenario into
-        // its factor object and complete its statistics; failed
-        // scenarios keep the previous factorization.
+        // Commit phase: one contiguous pass copies the lanes that
+        // succeeded from the work buffer and completes their
+        // statistics; failed scenarios keep the previous factorization.
         let t_numeric = t2.elapsed();
-        for (lane, factors) in self.factors.iter_mut().enumerate() {
+        for (e, lanes) in self.committed.chunks_exact_mut(self.k).enumerate() {
+            for (lane, slot) in lanes.iter_mut().enumerate() {
+                if self.statuses[lane].is_ok() {
+                    *slot = self.lu_vals.get(e * self.k + lane);
+                }
+            }
+        }
+        for (lane, stats) in self.stats.iter_mut().enumerate() {
             if self.statuses[lane].is_err() {
                 continue;
             }
-            for (e, slot) in factors.lu_vals_mut().iter_mut().enumerate() {
-                *slot = self.lu_vals.get(e * self.k + lane);
-            }
-            let stats = factors.stats_mut();
             stats.replaced_pivots = self.replaced[lane].load(Ordering::Relaxed);
             stats.dropped_entries = self.dropped[lane].load(Ordering::Relaxed);
             stats.shift_attempts = self.failures[lane] + 1;
@@ -272,6 +311,10 @@ mod tests {
         f.lu().vals().iter().map(|v| v.to_bits()).collect()
     }
 
+    fn all_bits(batch: &super::FactorsBatch<f64>) -> Vec<Vec<u64>> {
+        (0..batch.k()).map(|c| bits(&batch.to_factors(c))).collect()
+    }
+
     #[test]
     fn factor_batch_matches_looped_refactor_bitwise() {
         let a = laplace_2d(13, 13);
@@ -285,7 +328,7 @@ mod tests {
                 let mut scalar = sym.factor(&a).unwrap();
                 scalar.refactor(m).unwrap();
                 assert_eq!(
-                    bits(batch.factor(c)),
+                    bits(&batch.to_factors(c)),
                     bits(&scalar),
                     "scenario {c}, nthreads {nthreads}"
                 );
@@ -307,7 +350,7 @@ mod tests {
         for (c, m) in mats1.iter().enumerate() {
             let mut scalar = sym.factor(&a).unwrap();
             scalar.refactor(m).unwrap();
-            assert_eq!(bits(batch.factor(c)), bits(&scalar), "scenario {c}");
+            assert_eq!(bits(&batch.to_factors(c)), bits(&scalar), "scenario {c}");
         }
     }
 
@@ -318,7 +361,7 @@ mod tests {
         let mats = corners(&a, 2);
         let refs: Vec<&CsrMatrix<f64>> = mats.iter().collect();
         let mut batch = sym.factor_batch(&refs).unwrap();
-        let before: Vec<Vec<u64>> = batch.factors().iter().map(super::tests::bits).collect();
+        let before = all_bits(&batch);
         assert!(matches!(
             batch.refactor_batch(&refs[..1]),
             Err(SparseError::DimensionMismatch(_))
@@ -328,7 +371,7 @@ mod tests {
             batch.refactor_batch(&[&other, &other]),
             Err(SparseError::PatternMismatch(_))
         ));
-        let after: Vec<Vec<u64>> = batch.factors().iter().map(super::tests::bits).collect();
+        let after = all_bits(&batch);
         assert_eq!(before, after, "global errors must leave factors untouched");
         assert!(sym.factor_batch(&[]).is_err());
     }

@@ -5,10 +5,9 @@
 use crate::options::SolveEngine;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use crate::trisolve::{engines, gather_permuted, scatter_permuted, serial};
+use crate::trisolve::{apply_panel, view::Shared};
 use javelin_level::{LevelSets, P2PSchedule};
-use javelin_sparse::lanes::Lanes;
-use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
+use javelin_sparse::{CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
 use javelin_sync::Exec;
 
 /// Everything the triangular-solve engines need, precomputed once at
@@ -83,8 +82,11 @@ pub fn factorize<T: Scalar>(
 }
 
 impl<T: Scalar> IluFactors<T> {
-    /// Assembles a factor object (numeric-phase internal constructor).
-    pub(crate) fn from_parts(sym: SymbolicIlu<T>, lu: CsrMatrix<T>, stats: FactorStats) -> Self {
+    /// Assembles a factor object from values laid out on `sym`'s
+    /// combined-LU pattern (numeric-phase internal constructor).
+    pub(crate) fn from_parts(sym: SymbolicIlu<T>, vals: Vec<T>, stats: FactorStats) -> Self {
+        let c = sym.core();
+        let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
         IluFactors { sym, lu, stats }
     }
 
@@ -139,18 +141,6 @@ impl<T: Scalar> IluFactors<T> {
             .factor_into(a, self.lu.vals_mut(), &mut self.stats, shift)
     }
 
-    /// Mutable factor-value storage — the batched-refactor commit path
-    /// (`crate::batch_factor`) de-interleaves scenario lanes into it.
-    pub(crate) fn lu_vals_mut(&mut self) -> &mut [T] {
-        self.lu.vals_mut()
-    }
-
-    /// Mutable statistics — completed per scenario by the batched
-    /// numeric phase.
-    pub(crate) fn stats_mut(&mut self) -> &mut FactorStats {
-        &mut self.stats
-    }
-
     /// Pre-grows the threaded engines' solve scratch to panel width
     /// `k`, so their first width-`k` panel solve is already
     /// allocation-free (the Serial engine works in the caller's buffer
@@ -201,30 +191,6 @@ impl<T: Scalar> IluFactors<T> {
     /// Tile size used by Segmented-Rows and the tiled solve kernels.
     pub fn tile_size(&self) -> usize {
         self.sym.core().tile_size
-    }
-
-    /// Splits the combined factor into `(L, U)` with L's unit diagonal
-    /// stored explicitly.
-    pub fn split_lu(&self) -> (CsrMatrix<T>, CsrMatrix<T>) {
-        let n = self.n();
-        let mut l = self.lu.lower_triangular(false);
-        // Add the unit diagonal to L.
-        let (nr, nc, rp, ci, vs) = l.into_parts();
-        let mut rowptr = vec![0usize; n + 1];
-        let mut colidx = Vec::with_capacity(ci.len() + n);
-        let mut vals = Vec::with_capacity(vs.len() + n);
-        for r in 0..n {
-            for k in rp[r]..rp[r + 1] {
-                colidx.push(ci[k]);
-                vals.push(vs[k]);
-            }
-            colidx.push(r);
-            vals.push(T::ONE);
-            rowptr[r + 1] = colidx.len();
-        }
-        l = CsrMatrix::from_raw_unchecked(nr, nc, rowptr, colidx, vals);
-        let u = self.lu.upper_triangular(true);
-        (l, u)
     }
 
     /// The engine used when none is named: LS+Lower when threaded and
@@ -290,14 +256,14 @@ impl<T: Scalar> IluFactors<T> {
         self.solve_panel_with_buffer(engine, &mut Vec::new(), b, x)
     }
 
-    /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides — the
-    /// one entry of the apply pipeline, at every width and for every
-    /// engine: one pass gathers `B` permuted and row-interleaved into
-    /// the engine's buffer, the engine retires all `k` columns in one
-    /// schedule walk (Serial: one stream over the factor), one pass
-    /// scatters the solution into `x`. Widths `k ∈ {1, 4, 8}` run the
-    /// monomorphized fixed-lane kernels, every other width the
-    /// bit-identical dynamic fallback.
+    /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides through
+    /// the crate's one apply pipeline (`trisolve::apply_panel`, over
+    /// these factors' shared values): one pass gathers `B` permuted and
+    /// row-interleaved into the engine's buffer, the engine retires all
+    /// `k` columns in one schedule walk (Serial: one stream over the
+    /// factor), one pass scatters the solution into `x`. Widths
+    /// `k ∈ {1, 4, 8}` run the monomorphized fixed-lane kernels, every
+    /// other width the bit-identical dynamic fallback.
     ///
     /// The Serial engine works in `buf` (grown to `n·k` when shorter,
     /// never shrunk) and takes no lock; the threaded engines work in
@@ -317,149 +283,8 @@ impl<T: Scalar> IluFactors<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        let n = self.n();
-        let k = b.ncols();
-        if b.nrows() != n || x.nrows() != n || x.ncols() != k {
-            return Err(SparseError::DimensionMismatch(format!(
-                "solve: rhs {}x{} / solution {}x{} against factors of dimension {}",
-                b.nrows(),
-                b.ncols(),
-                x.nrows(),
-                x.ncols(),
-                n
-            )));
-        }
-        if k > 0 {
-            with_lanes!(k, lanes => self.solve_lanes(lanes, engine, buf, b, x));
-        }
-        Ok(())
-    }
-
-    /// The lane-generic apply body behind
-    /// [`IluFactors::solve_panel_with_buffer`]; shapes already checked.
-    fn solve_lanes<L: Lanes>(
-        &self,
-        lanes: L,
-        engine: SolveEngine,
-        buf: &mut Vec<T>,
-        b: Panel<'_, T>,
-        x: PanelMut<'_, T>,
-    ) {
-        let core = self.sym.core();
-        let (lu, diag_pos, perm) = (&self.lu, &core.diag_pos[..], &core.perm);
-        match engine {
-            SolveEngine::Serial => {
-                let len = self.n() * lanes.width();
-                if buf.len() < len {
-                    buf.resize(len, T::ZERO);
-                }
-                let z = &mut buf[..len];
-                gather_permuted(lanes, perm.old_to_new(), b, z);
-                serial::forward_lanes_inplace(lanes, lu, diag_pos, z);
-                serial::backward_lanes_inplace(lanes, lu, diag_pos, z);
-                scatter_permuted(lanes, perm.new_to_old(), z, x);
-            }
-            SolveEngine::BarrierLevel => self.solve_threaded(lanes, b, x, |scratch| {
-                let (fwd, bwd) = (&core.plan.fwd_levels, &core.plan.bwd_levels);
-                engines::solve_barrier_fused(lanes, lu, diag_pos, fwd, bwd, scratch, &core.exec)
-            }),
-            SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
-                let tiles = if engine == SolveEngine::PointToPointLower {
-                    engines::LowerTiles::On
-                } else {
-                    engines::LowerTiles::Off
-                };
-                self.solve_threaded(lanes, b, x, |scratch| {
-                    let (plan, exec) = (&core.plan, &core.exec);
-                    engines::solve_p2p_fused(lanes, lu, diag_pos, plan, scratch, exec, tiles)
-                })
-            }
-        }
-    }
-
-    /// What the threaded engines share: the analysis's scratch, locked
-    /// for the whole apply (concurrent applies serialize), its solve
-    /// buffer loaded from `b` and stored to `x` around `region`.
-    fn solve_threaded<L: Lanes>(
-        &self,
-        lanes: L,
-        b: Panel<'_, T>,
-        x: PanelMut<'_, T>,
-        region: impl FnOnce(&engines::SolveScratch<T>),
-    ) {
-        let perm = self.perm();
-        let mut scratch = self.sym.core().scratch.lock();
-        scratch.load_permuted(lanes, perm.old_to_new(), b);
-        region(&scratch);
-        scratch.store_permuted(lanes, perm.new_to_old(), x);
-    }
-
-    /// Extracts the incomplete-Cholesky factor `L_c = L·D^{1/2}` for
-    /// symmetric positive definite inputs, so `L_c·L_cᵀ ≈ P·A·Pᵀ` on the
-    /// pattern — the `M = L·Lᵀ` form that IC-preconditioned CG uses
-    /// (the paper's §II motivating case: "preconditioned CG using
-    /// incomplete Cholesky ... spends up to 70% of its execution time in
-    /// forward and backward stri").
-    ///
-    /// For a symmetric matrix, ILU(0) produces `U = D·Lᵀ` exactly, so no
-    /// separate IC factorization is needed.
-    ///
-    /// # Errors
-    /// [`SparseError::ZeroPivot`] when a pivot is not strictly positive
-    /// (input not SPD, or dropping destroyed definiteness).
-    pub fn to_incomplete_cholesky(&self) -> Result<CsrMatrix<T>, SparseError> {
-        let n = self.n();
-        let diag_pos = self.diag_positions();
-        // sqrt of pivots, validated.
-        let mut sqrt_d = Vec::with_capacity(n);
-        for (r, &dp) in diag_pos.iter().enumerate() {
-            let d = self.lu.vals()[dp];
-            if !(d > T::ZERO) {
-                return Err(SparseError::ZeroPivot { row: r });
-            }
-            sqrt_d.push(d.sqrt());
-        }
-        let mut rowptr = vec![0usize; n + 1];
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
-        for r in 0..n {
-            for k in self.lu.rowptr()[r]..diag_pos[r] {
-                let c = self.lu.colidx()[k];
-                colidx.push(c);
-                vals.push(self.lu.vals()[k] * sqrt_d[c]);
-            }
-            colidx.push(r);
-            vals.push(sqrt_d[r]);
-            rowptr[r + 1] = colidx.len();
-        }
-        Ok(CsrMatrix::from_raw_unchecked(n, n, rowptr, colidx, vals))
-    }
-
-    /// Pivot extrema `(min |uᵢᵢ|, max |uᵢᵢ|)` — the cheap local health
-    /// indicator the paper alludes to ("up-looking LU allows for local
-    /// estimates of resilience from soft-errors and the convergence
-    /// rate"): a collapsing minimum signals an unstable preconditioner
-    /// before any Krylov iteration is spent on it.
-    pub fn pivot_extrema(&self) -> (T, T) {
-        let mut lo = T::from_f64(f64::INFINITY);
-        let mut hi = T::ZERO;
-        for &dp in self.diag_positions() {
-            let d = self.lu.vals()[dp].abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        (lo, hi)
-    }
-
-    /// Ratio `max |uᵢᵢ| / min |uᵢᵢ|` — a one-number conditioning proxy
-    /// for the factors (∞ when a pivot was replaced by ~0).
-    pub fn pivot_spread(&self) -> f64 {
-        let (lo, hi) = self.pivot_extrema();
-        if lo == T::ZERO {
-            f64::INFINITY
-        } else {
-            (hi / lo).to_f64()
-        }
+        let vals = Shared(self.lu.vals());
+        apply_panel(self.sym.core(), vals, engine, buf, b, x)
     }
 
     /// Maximum absolute deviation of `(L·U)ᵢⱼ` from `(P·A·Pᵀ)ᵢⱼ` over the
@@ -833,7 +658,9 @@ mod tests {
                     // The dynamic-width lane fallback is bit-identical to
                     // whatever the dispatch table picked.
                     let mut x_dyn = vec![0.0; n * k];
-                    f.solve_lanes(
+                    crate::trisolve::apply_lanes(
+                        f.symbolic().core(),
+                        Shared(f.lu().vals()),
                         DynLanes(k),
                         engine,
                         &mut Vec::new(),
@@ -1030,26 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn split_lu_multiplies_back() {
-        let a = laplace_2d(6, 6);
-        let f = compute_factors(&a, &IluOptions::default());
-        let (l, u) = f.split_lu();
-        // L has unit diagonal.
-        for r in 0..l.nrows() {
-            assert_eq!(l.get(r, r), Some(1.0));
-        }
-        // L strictly lower + diag; U upper incl diag.
-        for (r, c, _) in l.iter() {
-            assert!(c <= r);
-        }
-        for (r, c, _) in u.iter() {
-            assert!(c >= r);
-        }
-        // nnz(L) + nnz(U) = nnz(LU) + n (unit diagonal added).
-        assert_eq!(l.nnz() + u.nnz(), f.lu().nnz() + a.nrows());
-    }
-
-    #[test]
     fn iluk_reduces_product_error_off_pattern() {
         // With k = n the factorization becomes exact: product error on
         // the (full) pattern stays ~0 and the solve is a direct solve.
@@ -1185,71 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_cholesky_reconstructs_spd_matrix() {
-        let a = laplace_2d(7, 7);
-        let f = compute_factors(&a, &IluOptions::default());
-        let lc = f.to_incomplete_cholesky().expect("SPD input");
-        // L_c is lower triangular with positive diagonal.
-        for (r, c, _) in lc.iter() {
-            assert!(c <= r);
-        }
-        for r in 0..lc.nrows() {
-            assert!(lc.get(r, r).unwrap() > 0.0);
-        }
-        // L_c·L_cᵀ == P·A·Pᵀ on the pattern (ILU(0) identity in IC form).
-        let pa = a.permute_sym(f.perm()).unwrap();
-        for (r, c, want) in pa.iter() {
-            // (L_c L_cᵀ)[r][c] = Σ_k L_c[r][k]·L_c[c][k]: sparse dot of
-            // two rows of L_c.
-            let (ra, rb) = (lc.row_cols(r), lc.row_cols(c));
-            let (va, vb) = (lc.row_vals(r), lc.row_vals(c));
-            let mut i = 0;
-            let mut j = 0;
-            let mut got = 0.0;
-            while i < ra.len() && j < rb.len() {
-                use std::cmp::Ordering::*;
-                match ra[i].cmp(&rb[j]) {
-                    Less => i += 1,
-                    Greater => j += 1,
-                    Equal => {
-                        got += va[i] * vb[j];
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            assert!((got - want).abs() < 1e-10, "({r},{c}): {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn incomplete_cholesky_rejects_indefinite() {
-        // A symmetric indefinite matrix: negative pivot appears.
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 1.0).unwrap();
-        coo.push(0, 1, 2.0).unwrap();
-        coo.push(1, 0, 2.0).unwrap();
-        coo.push(1, 1, 1.0).unwrap();
-        let a = coo.to_csr();
-        let f = compute_factors(&a, &IluOptions::default());
-        assert!(matches!(
-            f.to_incomplete_cholesky(),
-            Err(SparseError::ZeroPivot { .. })
-        ));
-    }
-
-    #[test]
-    fn pivot_diagnostics() {
-        let a = laplace_2d(8, 8);
-        let f = compute_factors(&a, &IluOptions::default());
-        let (lo, hi) = f.pivot_extrema();
-        assert!(lo > 0.0 && hi >= lo);
-        assert!(hi <= 4.0 + 1e-12, "pivots bounded by the diagonal of A");
-        let spread = f.pivot_spread();
-        assert!((1.0..100.0).contains(&spread), "spread = {spread}");
-    }
-
-    #[test]
     fn parallel_corner_matches_serial_corner() {
         let a = irregular(160);
         let mut base = IluOptions::ilu0(3);
@@ -1329,7 +1071,7 @@ mod tests {
             out.push(bits(&f));
             let batch = sym.factor_batch(&[&a, &a2, &a, &a2, &a2]).unwrap();
             assert!(batch.all_ok());
-            out.extend(batch.factors().iter().map(bits));
+            out.extend((0..batch.k()).map(|c| bits(&batch.to_factors(c))));
             assert!(f.stats().dropped_entries > 0, "τ must drop something");
             out
         };

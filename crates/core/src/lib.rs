@@ -70,9 +70,12 @@
 //!   vectors under **one** schedule walk (on the Serial engine: one
 //!   stream over the factor). The factor apply is one pipeline for
 //!   every engine and width — gather permuted and row-interleaved →
-//!   lane engine → scatter — and the single-vector entries are its
-//!   width-1 wrappers, so column `c` of any panel operation is
-//!   **bit-identical** to the single-RHS path on that column.
+//!   lane engine → scatter — shared by [`IluFactors`] (one factor
+//!   under every column) and [`FactorsBatch`] (column `c` against
+//!   scenario `c` of its lane-interleaved values), and the
+//!   single-vector entries are its width-1 wrappers, so column `c` of
+//!   any panel operation is **bit-identical** to the single-RHS path
+//!   on that column.
 //!   Batched Krylov drivers (`javelin_solver::solve_batch`) build on
 //!   that contract with per-column convergence masking.
 //!

@@ -201,8 +201,8 @@ mod tests {
                     mats[k - 1] = &a2;
                     let batch = sym.factor_batch(&mats).unwrap();
                     prop_assert!(batch.all_ok());
-                    assert_is_dense_lu(batch.factor(0), &a, "factor_batch lane 0");
-                    assert_is_dense_lu(batch.factor(k - 1), &a2, "factor_batch lane k-1");
+                    assert_is_dense_lu(&batch.to_factors(0), &a, "factor_batch lane 0");
+                    assert_is_dense_lu(&batch.to_factors(k - 1), &a2, "factor_batch lane k-1");
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! The preconditioner abstraction consumed by `javelin-solver`.
 
+use crate::batch_factor::FactorsBatch;
 use crate::factors::IluFactors;
 use crate::options::SolveEngine;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
@@ -181,58 +182,49 @@ impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
 }
 
 /// A **per-scenario** panel preconditioner: column `c` of a batched
-/// Krylov solve is preconditioned by `factors[c]` — the consumer shape
-/// of [`crate::FactorsBatch`](crate::batch_factor::FactorsBatch), where
-/// each panel column is a different scenario's linear system. All
-/// factors share one symbolic analysis, so they also share the solve
-/// scratch and worker team.
+/// Krylov solve is preconditioned by scenario `c` of a
+/// [`FactorsBatch`] — each panel column is a different scenario's
+/// linear system. Obtain with [`FactorsBatch::precond`].
+///
+/// A panel apply is **one** pass of the apply pipeline over the
+/// batch's own lane-interleaved values — one gather, one schedule walk
+/// (Serial: one stream over `colidx` + values for all `k` scenarios),
+/// one scatter — not `k` scalar solves; a single-column apply
+/// ([`Preconditioner::apply_column_with`], what batched GMRES's
+/// per-column finalization issues) reads scenario `col`'s lane of the
+/// same buffer. Column `c` carries exactly the bits of a scalar solve
+/// through scenario `c`'s factors either way.
 ///
 /// Single-vector applies ([`Preconditioner::apply`] /
 /// [`Preconditioner::apply_with`]) use scenario 0 — batched drivers
 /// never call them, but the trait requires a meaningful fallback.
 #[derive(Clone, Copy)]
-pub struct ScenarioPrecond<'a, T> {
-    factors: &'a [IluFactors<T>],
-    engine: SolveEngine,
-}
-
-impl<'a, T: Scalar> ScenarioPrecond<'a, T> {
-    /// Builds the per-scenario view; `factors[c]` preconditions panel
-    /// column `c`. Panics on an empty slice.
-    pub fn new(factors: &'a [IluFactors<T>], engine: SolveEngine) -> Self {
-        assert!(
-            !factors.is_empty(),
-            "ScenarioPrecond needs at least one scenario"
-        );
-        ScenarioPrecond { factors, engine }
-    }
-
-    /// The scenario count (maximum panel width this can precondition).
-    pub fn k(&self) -> usize {
-        self.factors.len()
-    }
+pub struct ScenarioPrecond<'a, T: Scalar> {
+    pub(crate) batch: &'a FactorsBatch<T>,
+    pub(crate) engine: SolveEngine,
 }
 
 impl<T: Scalar> Preconditioner<T> for ScenarioPrecond<'_, T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
-        self.factors[0].with_engine(self.engine).apply(r, z);
+        self.apply_with(&mut ApplyScratch::new(), r, z);
     }
 
     fn apply_with(&self, scratch: &mut ApplyScratch<T>, r: &[T], z: &mut [T]) {
-        self.factors[0]
-            .with_engine(self.engine)
-            .apply_with(scratch, r, z);
+        self.apply_column_with(scratch, 0, r, z);
     }
 
     fn apply_column_with(&self, scratch: &mut ApplyScratch<T>, col: usize, r: &[T], z: &mut [T]) {
-        self.factors[col]
-            .with_engine(self.engine)
-            .apply_with(scratch, r, z);
+        let (r, z) = (Panel::from_col(r), PanelMut::from_col(z));
+        self.batch
+            .solve_scenarios(self.engine, col, scratch.buffer(0), r, z)
+            .expect("preconditioner buffers sized by the solver");
     }
 
-    // The inherited `apply_panel_with` loops `apply_column_with`, which
-    // is exactly right here: the columns use *different* operators, so
-    // there is no shared panel trisolve to exploit.
+    fn apply_panel_with(&self, scratch: &mut ApplyScratch<T>, r: Panel<'_, T>, z: PanelMut<'_, T>) {
+        self.batch
+            .solve_scenarios(self.engine, 0, scratch.buffer(0), r, z)
+            .expect("preconditioner buffers sized by the solver");
+    }
 }
 
 /// Symmetric successive over-relaxation (SSOR) preconditioning:

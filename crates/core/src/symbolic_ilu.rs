@@ -560,8 +560,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let mut stats = c.stats.clone();
         let mut vals = vec![T::ZERO; c.colidx.len()];
         self.factor_into(a, &mut vals, &mut stats, None)?;
-        let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
-        Ok(IluFactors::from_parts(self.clone(), lu, stats))
+        Ok(IluFactors::from_parts(self.clone(), vals, stats))
     }
 
     /// The scalar numeric phase — the width-1 instantiation of

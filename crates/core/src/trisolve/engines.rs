@@ -1,13 +1,14 @@
 //! Parallel triangular-solve engines (paper Fig. 12), generic over the
 //! RHS panel width.
 //!
-//! * `CSR-LS` ([`solve_barrier_fused`]): the traditional level-set
+//! * `CSR-LS` (`solve_barrier_fused`): the traditional level-set
 //!   solve with a spin barrier between levels — the baseline the paper
 //!   measures against;
-//! * `LS` ([`solve_p2p_fused`] with `LowerTiles::Off`): point-to-point
-//!   level scheduling with pruned waits — same schedule machinery as
-//!   the factorization;
-//! * `LS + Lower` ([`solve_p2p_fused`] with `LowerTiles::On`): the
+//! * `LS` (`solve_p2p_fused` without tiles): point-to-point level
+//!   scheduling with pruned waits — same schedule machinery as the
+//!   factorization, trailing rows solved serially per column (exact
+//!   when the factors have no lower stage);
+//! * `LS + Lower` (`solve_p2p_fused` with `tiles`): the
 //!   trailing-block rows are evaluated as a tiled segmented gather (the
 //!   spmv-like update the SR layout was designed for) before the small
 //!   corner solve.
@@ -32,9 +33,9 @@
 //! layer ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
 //! [`Lanes::idx`]`(r, c) = r·k + c`, keeping the `k` columns of a row
 //! contiguous for the per-entry inner loops (callers see the
-//! column-major [`Panel`]/[`PanelMut`] layout;
-//! `SolveScratch::load_permuted` / `SolveScratch::store_permuted`
-//! permute and transpose in one pass each at the region boundary).
+//! column-major `Panel`/`PanelMut` layout; the apply pipeline's
+//! `gather_permuted` / `scatter_permuted` permute and transpose in one
+//! pass each at the region boundary).
 //!
 //! Every engine entry point is **width-generic over [`Lanes`]**: the
 //! scalar protocol is literally the `FixedLanes<1>` instantiation of
@@ -68,24 +69,14 @@
 
 #![allow(unsafe_code)] // LuVals views; protocol documented in numeric/kernel.rs.
 
-use super::{gather_permuted, scatter_permuted};
+use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
 use crate::numeric::LuVals;
 use javelin_level::LevelSets;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use javelin_sparse::Scalar;
 use javelin_sync::{col_range, Exec, ProgressCounters, SpinBarrier};
 use std::ops::Range;
-
-/// Whether the point-to-point engines use the tiled lower-stage path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LowerTiles {
-    /// Trailing rows solved serially by thread 0 (the paper's plain
-    /// "LS" configuration; exact when the factors have no lower stage).
-    Off,
-    /// Trailing-block gather runs tiled across all threads ("LS+Lower").
-    On,
-}
 
 /// Reusable per-factorization scratch for the parallel solve engines:
 /// every buffer a solve needs, built once from the [`SolvePlan`].
@@ -98,8 +89,8 @@ pub enum LowerTiles {
 ///   `partition_point` searches);
 /// * the trailing-block combination buffer `z`;
 /// * `xbuf`, the in-place solution panel the engines operate on,
-///   loaded and stored around each region by
-///   `SolveScratch::load_permuted` / `SolveScratch::store_permuted`.
+///   filled and emptied around each region by the apply pipeline
+///   (`SolveScratch::xbuf_mut`).
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
 /// entries (row-interleaved), `partials` and `z` gain the same column
@@ -230,36 +221,15 @@ impl<T: Scalar> SolveScratch<T> {
         self.width = width;
     }
 
-    /// The threaded engines' way in: sets the panel width to
-    /// `lanes.width()` and gathers the column-major panel `src`,
-    /// permuted and row-interleaved, straight into `xbuf` (see
-    /// [`gather_permuted`]).
-    pub(crate) fn load_permuted<L: Lanes>(
-        &mut self,
-        lanes: L,
-        old_to_new: &[usize],
-        src: Panel<'_, T>,
-    ) {
+    /// The in-place solve panel at width `lanes.width()` (grown first
+    /// when wider than any seen): the apply pipeline gathers the
+    /// right-hand sides into it before an engine's region and scatters
+    /// the solutions out of it afterwards.
+    pub(crate) fn xbuf_mut<L: Lanes>(&mut self, lanes: L) -> &mut [T] {
         self.ensure_width(lanes.width());
         // Safety: `&mut self` — no region is running on this scratch —
         // and `ensure_width` sized `xbuf` for `n × width`.
-        let xb = unsafe { self.xbuf.view_mut(0..self.n * self.width) };
-        gather_permuted(lanes, old_to_new, src, xb);
-    }
-
-    /// The threaded engines' way out: scatters `xbuf` through the
-    /// permutation into the column-major panel `dst` (see
-    /// [`scatter_permuted`]). `lanes` is the width just loaded.
-    pub(crate) fn store_permuted<L: Lanes>(
-        &mut self,
-        lanes: L,
-        new_to_old: &[usize],
-        dst: PanelMut<'_, T>,
-    ) {
-        assert_eq!(lanes.width(), self.width, "lanes vs loaded width");
-        // Safety: as in `load_permuted` — exclusive, outside any region.
-        let xb = unsafe { self.xbuf.view(0..self.n * self.width) };
-        scatter_permuted(lanes, new_to_old, xb, dst);
+        unsafe { self.xbuf.view_mut(0..self.n * self.width) }
     }
 }
 
@@ -270,16 +240,13 @@ impl<T: Scalar> SolveScratch<T> {
 /// the bits) matches the single-RHS kernel — which *is* this function
 /// at `FixedLanes<1>`.
 #[inline(always)]
-fn retire_row_lower<T: Scalar, L: Lanes>(
+fn retire_row_lower<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     x: &LuVals<T>,
     cols: Range<usize>,
     r: usize,
 ) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
     // The chunk body must be inlined into the sweep: left to the
     // heuristic it was outlined at k = 1 (a call per row with a spilled
     // capture block) and the p2p apply measured 5–10 % slower.
@@ -288,15 +255,15 @@ fn retire_row_lower<T: Scalar, L: Lanes>(
         #[inline(always)]
         |c0, cw| {
             let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in lu.rowptr()[r]..diag_pos[r] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
-                // Safety: row colidx[e] retired before this row was released
+            for e in f.lower(r) {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
+                // Safety: row f.col(e) retired before this row was released
                 // (schedule order), and the view stays inside this thread's
                 // column window.
                 let xs = unsafe { x.view(xb..xb + cw) };
-                for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
-                    *s += v * xv;
+                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
+                    *s += v.lane(c) * xv;
                 }
             }
             let xb = lanes.idx(r, c0);
@@ -313,39 +280,36 @@ fn retire_row_lower<T: Scalar, L: Lanes>(
 /// Retires the upper part of row `r` for panel lanes `cols`:
 /// `x[r, c] ← (x[r, c] − Σ_{j>r} U[r, j] · x[j, c]) / U[r, r]`.
 #[inline(always)]
-fn retire_row_upper<T: Scalar, L: Lanes>(
+fn retire_row_upper<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     x: &LuVals<T>,
     cols: Range<usize>,
     r: usize,
 ) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
-    let d = vals[diag_pos[r]];
     // Forced inline: see `retire_row_lower`.
     for_each_chunk(
         cols,
         #[inline(always)]
         |c0, cw| {
+            let d = f.pivot(r, c0, cw);
             let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in (diag_pos[r] + 1)..lu.rowptr()[r + 1] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
-                // Safety: row colidx[e] retired first (backward schedule
+            for e in f.upper(r) {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
+                // Safety: row f.col(e) retired first (backward schedule
                 // order); the view stays inside this thread's column window.
                 let xs = unsafe { x.view(xb..xb + cw) };
-                for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
-                    *s += v * xv;
+                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
+                    *s += v.lane(c) * xv;
                 }
             }
             let xb = lanes.idx(r, c0);
             // Safety: exclusive `cols` window of row `r` (as in the lower
             // retire).
             let xr = unsafe { x.view_mut(xb..xb + cw) };
-            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-                *xv = (*xv - *s) / d;
+            for (c, (xv, s)) in xr.iter_mut().zip(&sums[..cw]).enumerate() {
+                *xv = (*xv - *s) / d.lane(c);
             }
         },
     );
@@ -353,11 +317,9 @@ fn retire_row_upper<T: Scalar, L: Lanes>(
 
 /// One thread's share of the barriered forward level sweep.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn forward_barrier_phase<T: Scalar, L: Lanes>(
+fn forward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     levels: &LevelSets,
     scratch: &SolveScratch<T>,
     nthreads: usize,
@@ -369,7 +331,7 @@ fn forward_barrier_phase<T: Scalar, L: Lanes>(
         let rows = levels.level(l);
         let mut i = tid;
         while i < rows.len() {
-            retire_row_lower(lanes, lu, diag_pos, x, 0..k, rows[i]);
+            retire_row_lower(lanes, f, x, 0..k, rows[i]);
             i += nthreads;
         }
         scratch.barrier.wait();
@@ -378,11 +340,9 @@ fn forward_barrier_phase<T: Scalar, L: Lanes>(
 
 /// One thread's share of the barriered backward level sweep.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn backward_barrier_phase<T: Scalar, L: Lanes>(
+fn backward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     levels: &LevelSets,
     scratch: &SolveScratch<T>,
     nthreads: usize,
@@ -394,7 +354,7 @@ fn backward_barrier_phase<T: Scalar, L: Lanes>(
         let rows = levels.level(l);
         let mut i = tid;
         while i < rows.len() {
-            retire_row_upper(lanes, lu, diag_pos, x, 0..k, rows[i]);
+            retire_row_upper(lanes, f, x, 0..k, rows[i]);
             i += nthreads;
         }
         scratch.barrier.wait();
@@ -418,10 +378,9 @@ fn region_failpoint(tid: usize) {
 /// One barrier protocol per panel: a level costs the same wait count
 /// whether it retires 1 or `k` columns — and one kernel body serves
 /// every width through `lanes`.
-pub fn solve_barrier_fused<T: Scalar, L: Lanes>(
+pub(crate) fn solve_barrier_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     fwd_levels: &LevelSets,
     bwd_levels: &LevelSets,
     scratch: &SolveScratch<T>,
@@ -434,10 +393,10 @@ pub fn solve_barrier_fused<T: Scalar, L: Lanes>(
     let x = &scratch.xbuf;
     exec.run(|tid| {
         region_failpoint(tid);
-        forward_barrier_phase(lanes, lu, diag_pos, fwd_levels, scratch, nthreads, tid, x);
+        forward_barrier_phase(lanes, f, fwd_levels, scratch, nthreads, tid, x);
         // The barrier after the last forward level orders every forward
         // write before the first backward read.
-        backward_barrier_phase(lanes, lu, diag_pos, bwd_levels, scratch, nthreads, tid, x);
+        backward_barrier_phase(lanes, f, bwd_levels, scratch, nthreads, tid, x);
     });
 }
 
@@ -448,10 +407,9 @@ pub fn solve_barrier_fused<T: Scalar, L: Lanes>(
 /// decides what synchronization follows.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn forward_p2p_phase<T: Scalar, L: Lanes>(
+fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     plan: &SolvePlan,
     scratch: &SolveScratch<T>,
     nthreads: usize,
@@ -460,14 +418,14 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
     x: &LuVals<T>,
 ) {
     let k = lanes.width();
-    let n = lu.nrows();
+    let n = f.n();
     let n_upper = plan.n_upper;
     // Upper stage: point-to-point. A row's counter is bumped once per
     // panel — after all k columns retire — so the wait protocol is
     // amortized across the panel.
     for &row in plan.fwd.thread_tasks(tid) {
         scratch.progress.wait_all(plan.fwd.waits(row));
-        retire_row_lower(lanes, lu, diag_pos, x, 0..k, row);
+        retire_row_lower(lanes, f, x, 0..k, row);
         scratch.progress.bump(tid);
     }
     if n_upper == n {
@@ -513,13 +471,13 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
                     let mut accs = [T::ZERO; LANE_CHUNK];
                     for v in cursor..seg_hi {
                         let e = k_lo + (v - seg_base);
-                        let val = lu.vals()[e];
-                        let xb = lanes.idx(lu.colidx()[e], c0);
+                        let val = f.entry(e, c0, cw);
+                        let xb = lanes.idx(f.col(e), c0);
                         // Safety: the gathered columns are upper-stage
                         // rows, all retired before the barrier above.
                         let xs = unsafe { x.view(xb..xb + cw) };
-                        for (acc, &xv) in accs[..cw].iter_mut().zip(xs) {
-                            *acc += val * xv;
+                        for (c, (acc, &xv)) in accs[..cw].iter_mut().zip(xs).enumerate() {
+                            *acc += val.lane(c) * xv;
                         }
                     }
                     let slot = seg - first_seg;
@@ -587,14 +545,14 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
                 // back the combination written above).
                 let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
                 sums[..cw].copy_from_slice(zs);
-                for e in k_hi..diag_pos[r] {
-                    let v = lu.vals()[e];
-                    let xb = lanes.idx(lu.colidx()[e], c0);
+                for e in k_hi..f.lower(r).end {
+                    let v = f.entry(e, c0, cw);
+                    let xb = lanes.idx(f.col(e), c0);
                     // Safety: corner columns are upper-stage rows,
                     // retired before the gather barrier.
                     let xs = unsafe { x.view(xb..xb + cw) };
-                    for (s, &xv) in sums[..cw].iter_mut().zip(xs) {
-                        *s += v * xv;
+                    for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
+                        *s += v.lane(c) * xv;
                     }
                 }
                 let xb = lanes.idx(r, c0);
@@ -607,7 +565,7 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
         }
     } else {
         for r in n_upper..n {
-            retire_row_lower(lanes, lu, diag_pos, x, cols.clone(), r);
+            retire_row_lower(lanes, f, x, cols.clone(), r);
         }
     }
 }
@@ -616,10 +574,9 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
 /// `cols` (self-contained: trailing rows only reference corner columns
 /// in their U parts, and panel columns are mutually independent).
 #[inline]
-fn corner_backward_cols<T: Scalar, L: Lanes>(
+fn corner_backward_cols<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     n_upper: usize,
     x: &LuVals<T>,
     cols: Range<usize>,
@@ -627,17 +584,16 @@ fn corner_backward_cols<T: Scalar, L: Lanes>(
     if cols.is_empty() {
         return;
     }
-    for r in (n_upper..lu.nrows()).rev() {
-        retire_row_upper(lanes, lu, diag_pos, x, cols.clone(), r);
+    for r in (n_upper..f.n()).rev() {
+        retire_row_upper(lanes, f, x, cols.clone(), r);
     }
 }
 
 /// One thread's share of the backward point-to-point upper stage.
 #[inline]
-fn backward_p2p_phase<T: Scalar, L: Lanes>(
+fn backward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     plan: &SolvePlan,
     scratch: &SolveScratch<T>,
     tid: usize,
@@ -646,7 +602,7 @@ fn backward_p2p_phase<T: Scalar, L: Lanes>(
     let k = lanes.width();
     for &task in plan.bwd.thread_tasks(tid) {
         scratch.bwd_progress.wait_all(plan.bwd.waits(task));
-        retire_row_upper(lanes, lu, diag_pos, x, 0..k, plan.bwd_row_of_task[task]);
+        retire_row_upper(lanes, f, x, 0..k, plan.bwd_row_of_task[task]);
         scratch.bwd_progress.bump(tid);
     }
 }
@@ -656,18 +612,18 @@ fn backward_p2p_phase<T: Scalar, L: Lanes>(
 /// hot-loop entry point. One team wake-up per preconditioner apply,
 /// zero allocations, no `partition_point` searches; the whole panel
 /// rides a single schedule walk through one width-generic kernel body
-/// (`FixedLanes<1>` *is* the scalar protocol).
-pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
+/// (`FixedLanes<1>` *is* the scalar protocol). Under `tiles` the
+/// trailing-block gather runs tiled across all threads ("LS+Lower").
+pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     plan: &SolvePlan,
     scratch: &SolveScratch<T>,
     exec: &Exec,
-    tiles: LowerTiles,
+    tiles: bool,
 ) {
     let x = &scratch.xbuf;
-    let n = lu.nrows();
+    let n = f.n();
     let n_upper = plan.n_upper;
     let nthreads = exec.nthreads();
     debug_assert_eq!(nthreads, scratch.nthreads);
@@ -675,20 +631,18 @@ pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
     scratch.progress.reset();
     scratch.bwd_progress.reset();
     scratch.barrier.reset();
-    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles > 0;
+    let use_tiles = tiles && scratch.n_tiles > 0;
     let k = lanes.width();
     exec.run(|tid| {
         region_failpoint(tid);
-        forward_p2p_phase(
-            lanes, lu, diag_pos, plan, scratch, nthreads, use_tiles, tid, x,
-        );
+        forward_p2p_phase(lanes, f, plan, scratch, nthreads, use_tiles, tid, x);
         if n_upper < n {
             // The trailing forward rows finish above (column-split);
             // the corner backward solve is column-split the same way.
             // The barrier pair publishes the forward solution to
             // everyone and the corner to the backward stage.
             scratch.barrier.wait();
-            corner_backward_cols(lanes, lu, diag_pos, n_upper, x, col_range(k, nthreads, tid));
+            corner_backward_cols(lanes, f, n_upper, x, col_range(k, nthreads, tid));
             scratch.barrier.wait();
         } else {
             // Order every forward write before any backward read: the
@@ -696,7 +650,7 @@ pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
             // different threads.
             scratch.barrier.wait();
         }
-        backward_p2p_phase(lanes, lu, diag_pos, plan, scratch, tid, x);
+        backward_p2p_phase(lanes, f, plan, scratch, tid, x);
     });
 }
 
@@ -707,12 +661,6 @@ mod tests {
     //! substitution); the unit tests here cover the pieces with no
     //! factor pipeline.
     use super::*;
-
-    #[test]
-    fn lower_tiles_flag_equality() {
-        assert_eq!(LowerTiles::Off, LowerTiles::Off);
-        assert_ne!(LowerTiles::Off, LowerTiles::On);
-    }
 
     #[test]
     fn lane_chunk_handles_all_issue_widths() {

@@ -8,8 +8,9 @@
 //! dependency slots only after their final write). The buffer is
 //! row-interleaved and in the factor's permuted ordering; one fused
 //! gather fills it from the caller's column-major panel and one fused
-//! scatter empties it, the same two passes for every engine
-//! (`IluFactors::solve_panel_with_buffer` is the pipeline).
+//! scatter empties it, the same two passes for every engine and every
+//! factor storage (`apply_panel` is the pipeline; `view` is the only
+//! module that knows how factor values are addressed).
 //!
 //! * [`serial`] — the Serial engine: lane-generic substitution, one
 //!   stream over the factor for all `k` columns;
@@ -19,9 +20,108 @@
 
 pub mod engines;
 pub mod serial;
+pub(crate) mod view;
 
+use crate::options::SolveEngine;
+use crate::symbolic_ilu::SymCore;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::{Panel, PanelMut, Scalar};
+use javelin_sparse::{with_lanes, Panel, PanelMut, Scalar, SparseError};
+use view::{FactorView, LaneValues};
+
+/// Solves `A·X ≈ B` for an `n × k` panel through the factor values
+/// `vals` of analysis `core` — the one apply pipeline, at every width,
+/// for every engine and for every value addressing ([`view::Shared`]:
+/// [`crate::IluFactors`]; [`view::PerLane`]: [`crate::FactorsBatch`]):
+/// one pass gathers `B` permuted and row-interleaved into the engine's
+/// buffer, the engine retires all `k` columns in one schedule walk
+/// (Serial: one stream over the factor), one pass scatters the solution
+/// into `x`. Widths `k ∈ {1, 4, 8}` run the monomorphized fixed-lane
+/// kernels, every other width the bit-identical dynamic fallback.
+///
+/// The Serial engine works in `buf` (grown to `n·k` when shorter, never
+/// shrunk) and takes no lock; the threaded engines work in the
+/// analysis's mutex-guarded scratch (concurrent applies serialize) and
+/// leave `buf` alone.
+///
+/// # Errors
+/// [`SparseError::DimensionMismatch`] on shape mismatches.
+pub(crate) fn apply_panel<T: Scalar, V: LaneValues<Value = T>>(
+    core: &SymCore<T>,
+    vals: V,
+    engine: SolveEngine,
+    buf: &mut Vec<T>,
+    b: Panel<'_, T>,
+    x: PanelMut<'_, T>,
+) -> Result<(), SparseError> {
+    let (n, k) = (core.n, b.ncols());
+    if b.nrows() != n || x.nrows() != n || x.ncols() != k {
+        return Err(SparseError::DimensionMismatch(format!(
+            "solve: rhs {}x{} / solution {}x{} against factors of dimension {}",
+            b.nrows(),
+            b.ncols(),
+            x.nrows(),
+            x.ncols(),
+            n
+        )));
+    }
+    if k > 0 {
+        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, buf, b, x));
+    }
+    Ok(())
+}
+
+/// The lane-generic body of [`apply_panel`]; shapes already checked.
+pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
+    core: &SymCore<T>,
+    vals: V,
+    lanes: L,
+    engine: SolveEngine,
+    buf: &mut Vec<T>,
+    b: Panel<'_, T>,
+    x: PanelMut<'_, T>,
+) {
+    let f = FactorView::new(&core.rowptr, &core.colidx, &core.diag_pos, vals);
+    let (plan, exec, perm) = (&core.plan, &core.exec, &core.perm);
+    match engine {
+        SolveEngine::Serial => {
+            let len = core.n * lanes.width();
+            if buf.len() < len {
+                buf.resize(len, T::ZERO);
+            }
+            let z = &mut buf[..len];
+            gather_permuted(lanes, perm.old_to_new(), b, z);
+            serial::forward_lanes_inplace(lanes, f, z);
+            serial::backward_lanes_inplace(lanes, f, z);
+            scatter_permuted(lanes, perm.new_to_old(), z, x);
+        }
+        SolveEngine::BarrierLevel => in_scratch(core, lanes, b, x, |scratch| {
+            let (fwd, bwd) = (&plan.fwd_levels, &plan.bwd_levels);
+            engines::solve_barrier_fused(lanes, f, fwd, bwd, scratch, exec)
+        }),
+        SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
+            let tiles = engine == SolveEngine::PointToPointLower;
+            in_scratch(core, lanes, b, x, |scratch| {
+                engines::solve_p2p_fused(lanes, f, plan, scratch, exec, tiles)
+            })
+        }
+    }
+}
+
+/// What the threaded engines share: the analysis's scratch, locked for
+/// the whole apply, its solve buffer gathered from `b` and scattered to
+/// `x` around `region`.
+fn in_scratch<T: Scalar, L: Lanes>(
+    core: &SymCore<T>,
+    lanes: L,
+    b: Panel<'_, T>,
+    x: PanelMut<'_, T>,
+    region: impl FnOnce(&engines::SolveScratch<T>),
+) {
+    let mut scratch = core.scratch.lock();
+    gather_permuted(lanes, core.perm.old_to_new(), b, scratch.xbuf_mut(lanes));
+    region(&scratch);
+    scatter_permuted(lanes, core.perm.new_to_old(), scratch.xbuf_mut(lanes), x);
+}
 
 /// The apply pipeline's way in, for every engine: gathers the
 /// column-major panel `b` into the engine's buffer permuted **and**

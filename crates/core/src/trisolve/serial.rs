@@ -2,40 +2,42 @@
 //! the Serial engine of the apply pipeline, at every panel width.
 //!
 //! The substitution kernels are width-generic over the lane layer
-//! ([`javelin_sparse::lanes`]): [`forward_lanes_inplace`] /
-//! [`backward_lanes_inplace`] retire every lane of a row before moving
-//! to the next row over a row-interleaved buffer (`(r, c) → r·k + c`),
-//! so one stream over the factor serves all `k` right-hand sides.
+//! ([`javelin_sparse::lanes`]) and read the factor through a
+//! `FactorView`: `forward_lanes_inplace` / `backward_lanes_inplace`
+//! retire every lane of a row before moving to the next row over a
+//! row-interleaved buffer (`(r, c) → r·k + c`), so one stream over the
+//! factor serves all `k` right-hand sides — whether the lanes share
+//! one factor or each has its own scenario's values.
 //! The classic scalar entry points [`forward_inplace`] /
-//! [`backward_inplace`] are the `FixedLanes<1>` instantiations — at
-//! width 1 a plain vector *is* the interleaved buffer, so the scalar
-//! path and the lane path are literally the same code, bit for bit.
+//! [`backward_inplace`] are the `FixedLanes<1>` instantiations over the
+//! shared-value view — at width 1 a plain vector *is* the interleaved
+//! buffer, so the scalar path and the lane path are literally the same
+//! code, bit for bit.
 
+use super::view::{EntryLanes, FactorView, LaneValues, Shared};
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
 use javelin_sparse::{CsrMatrix, Scalar};
 
 /// In-place lane-generic forward substitution `L·X = Y` with implicit
 /// unit diagonal over a row-interleaved `n × k` buffer: on entry `x`
 /// holds the right-hand sides, on exit the solutions. Lane `c` carries
-/// exactly the bits of a scalar [`forward_inplace`] run on that lane.
-pub fn forward_lanes_inplace<T: Scalar, L: Lanes>(
+/// exactly the bits of a scalar [`forward_inplace`] run on that lane
+/// against that lane's values.
+pub(crate) fn forward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     x: &mut [T],
 ) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
     let k = lanes.width();
-    debug_assert_eq!(x.len(), lu.nrows() * k, "interleaved buffer size");
-    for r in 0..lu.nrows() {
+    debug_assert_eq!(x.len(), f.n() * k, "interleaved buffer size");
+    for r in 0..f.n() {
         for_each_chunk(0..k, |c0, cw| {
             let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in lu.rowptr()[r]..diag_pos[r] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
+            for e in f.lower(r) {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
                 for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v * x[xb + c];
+                    *s += v.lane(c) * x[xb + c];
                 }
             }
             let xb = lanes.idx(r, c0);
@@ -48,47 +50,52 @@ pub fn forward_lanes_inplace<T: Scalar, L: Lanes>(
 
 /// In-place lane-generic backward substitution `U·X = Y` over a
 /// row-interleaved buffer (see [`forward_lanes_inplace`]).
-pub fn backward_lanes_inplace<T: Scalar, L: Lanes>(
+pub(crate) fn backward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+    f: FactorView<'_, V>,
     x: &mut [T],
 ) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
     let k = lanes.width();
-    debug_assert_eq!(x.len(), lu.nrows() * k, "interleaved buffer size");
-    for r in (0..lu.nrows()).rev() {
-        let d = vals[diag_pos[r]];
+    debug_assert_eq!(x.len(), f.n() * k, "interleaved buffer size");
+    for r in (0..f.n()).rev() {
         for_each_chunk(0..k, |c0, cw| {
+            let d = f.pivot(r, c0, cw);
             let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in (diag_pos[r] + 1)..lu.rowptr()[r + 1] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
+            for e in f.upper(r) {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
                 for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v * x[xb + c];
+                    *s += v.lane(c) * x[xb + c];
                 }
             }
             let xb = lanes.idx(r, c0);
             for (c, s) in sums[..cw].iter().enumerate() {
-                x[xb + c] = (x[xb + c] - *s) / d;
+                x[xb + c] = (x[xb + c] - *s) / d.lane(c);
             }
         });
     }
 }
 
+/// The shared-value view of a standalone combined-LU matrix.
+fn shared_view<'a, T: Scalar>(
+    lu: &'a CsrMatrix<T>,
+    diag_pos: &'a [usize],
+) -> FactorView<'a, Shared<'a, T>> {
+    FactorView::new(lu.rowptr(), lu.colidx(), diag_pos, Shared(lu.vals()))
+}
+
 /// In-place forward substitution `L·x = y` with implicit unit diagonal:
 /// on entry `x` holds `y`, on exit the solution. The `FixedLanes<1>`
-/// instantiation of [`forward_lanes_inplace`].
+/// shared-value instantiation of the lane kernel.
 pub fn forward_inplace<T: Scalar>(lu: &CsrMatrix<T>, diag_pos: &[usize], x: &mut [T]) {
-    forward_lanes_inplace(FixedLanes::<1>, lu, diag_pos, x);
+    forward_lanes_inplace(FixedLanes::<1>, shared_view(lu, diag_pos), x);
 }
 
 /// In-place backward substitution `U·x = y`: on entry `x` holds `y`,
-/// on exit the solution. The `FixedLanes<1>` instantiation of
-/// [`backward_lanes_inplace`].
+/// on exit the solution. The `FixedLanes<1>` shared-value
+/// instantiation of the lane kernel.
 pub fn backward_inplace<T: Scalar>(lu: &CsrMatrix<T>, diag_pos: &[usize], x: &mut [T]) {
-    backward_lanes_inplace(FixedLanes::<1>, lu, diag_pos, x);
+    backward_lanes_inplace(FixedLanes::<1>, shared_view(lu, diag_pos), x);
 }
 
 #[cfg(test)]
@@ -164,8 +171,8 @@ mod tests {
             x
         };
         let dynamic = run(&|x| {
-            forward_lanes_inplace(DynLanes(3), &lu, &dp, x);
-            backward_lanes_inplace(DynLanes(3), &lu, &dp, x);
+            forward_lanes_inplace(DynLanes(3), shared_view(&lu, &dp), x);
+            backward_lanes_inplace(DynLanes(3), shared_view(&lu, &dp), x);
         });
         for (c, col) in cols.iter().enumerate() {
             let mut want = col.to_vec();

@@ -5,15 +5,20 @@
 //! with the serial corner, tiled Segmented-Rows with the parallel
 //! corner), batch widths (the SIMD-specialized `k ∈ {1, 4, 8}` and the
 //! `DynLanes` fallback widths in between), pivot policies (plain,
-//! shift-and-retry, drop-tolerance) and, for the factors' downstream
-//! applies, every triangular-solve engine.
+//! shift-and-retry, drop-tolerance) and, for the batch's own applies
+//! (one pipeline pass over its lane-interleaved values), every
+//! triangular-solve engine: panel column `c` ≡ the single-column apply
+//! of scenario `c` ≡ a scalar `refactor` + `solve_with`.
 //!
 //! A deterministic full grid pins the exact configuration matrix the
 //! contract names; a proptest sweeps random matrices, widths, thread
 //! counts and policies over the same bitwise check.
 
-use javelin_core::{IluOptions, LowerMethod, SolveEngine, SymbolicIlu, ZeroPivotPolicy};
-use javelin_sparse::{CooMatrix, CsrMatrix};
+use javelin_core::{
+    ApplyScratch, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
+    ZeroPivotPolicy,
+};
+use javelin_sparse::{CooMatrix, CsrMatrix, Panel, PanelMut};
 use javelin_synth::grid::laplace_2d;
 use javelin_synth::util::{bordered, revalue};
 use proptest::prelude::*;
@@ -48,47 +53,81 @@ fn policy_opts(nthreads: usize, policy: usize, sr: bool) -> IluOptions {
     opts
 }
 
-/// Batch columns vs looped scalar refactors, bitwise, plus the solve
-/// engines on top of both factor sets.
+const ENGINES: [SolveEngine; 4] = [
+    SolveEngine::Serial,
+    SolveEngine::BarrierLevel,
+    SolveEngine::PointToPoint,
+    SolveEngine::PointToPointLower,
+];
+
+/// Batch columns vs looped scalar refactors, bitwise, plus — under
+/// `check_engines` — the batch's own applies on every engine: the
+/// width-`k` panel apply, a panel narrower than `k` and the
+/// single-column apply must each carry, per column, the bits of a
+/// scalar solve through that scenario's scalar refactor.
 fn check_batch_vs_looped(
     sym: &SymbolicIlu<f64>,
     mats: &[&CsrMatrix<f64>],
     check_engines: bool,
 ) -> Result<(), String> {
+    let (n, k) = (mats[0].nrows(), mats.len());
     let batch = sym.factor_batch(mats).map_err(|e| format!("{e:?}"))?;
     let mut scalar = sym.factor(mats[0]).map_err(|e| format!("{e:?}"))?;
+    let b: Vec<f64> = (0..n * k)
+        .map(|i| ((i * 31 % 23) as f64 - 11.0) * 0.17)
+        .collect();
+    let narrow = k.div_ceil(2);
+    let mut scratch = ApplyScratch::new();
+    // Per engine: the full and the narrow panel apply.
+    let mut panels = Vec::new();
+    if check_engines {
+        for engine in ENGINES {
+            let m = batch.precond(engine);
+            let mut full = vec![0.0; n * k];
+            m.apply_panel_with(
+                &mut scratch,
+                Panel::new(&b, n, k),
+                PanelMut::new(&mut full, n, k),
+            );
+            let mut part = vec![0.0; n * narrow];
+            m.apply_panel_with(
+                &mut scratch,
+                Panel::new(&b[..n * narrow], n, narrow),
+                PanelMut::new(&mut part, n, narrow),
+            );
+            panels.push((engine, full, part));
+        }
+    }
     for (c, m) in mats.iter().enumerate() {
         scalar.refactor(m).map_err(|e| format!("{e:?}"))?;
-        let bb = bits(batch.factor(c).lu().vals());
+        let bb = bits(batch.to_factors(c).lu().vals());
         let sb = bits(scalar.lu().vals());
         if bb != sb {
             return Err(format!("column {c}: batch factor bits != scalar refactor"));
         }
-        if batch.factor(c).stats().shift_attempts != scalar.stats().shift_attempts {
+        if batch.stats(c).shift_attempts != scalar.stats().shift_attempts {
             return Err(format!("column {c}: shift_attempts diverged"));
         }
-        if check_engines {
-            let n = m.nrows();
-            let b: Vec<f64> = (0..n)
-                .map(|i| ((i * 31 % 23) as f64 - 11.0) * 0.17)
-                .collect();
-            for engine in [
-                SolveEngine::Serial,
-                SolveEngine::BarrierLevel,
-                SolveEngine::PointToPoint,
-            ] {
-                let mut xb = vec![0.0; n];
-                let mut xs = vec![0.0; n];
-                batch
-                    .factor(c)
-                    .solve_with(engine, &b, &mut xb)
-                    .map_err(|e| format!("{e:?}"))?;
-                scalar
-                    .solve_with(engine, &b, &mut xs)
-                    .map_err(|e| format!("{e:?}"))?;
-                if bits(&xb) != bits(&xs) {
-                    return Err(format!("column {c}: {engine:?} solve bits diverged"));
-                }
+        let col = c * n..(c + 1) * n;
+        for (engine, full, part) in &panels {
+            let mut xs = vec![0.0; n];
+            scalar
+                .solve_with(*engine, &b[col.clone()], &mut xs)
+                .map_err(|e| format!("{e:?}"))?;
+            let mut xc = vec![0.0; n];
+            batch
+                .precond(*engine)
+                .apply_column_with(&mut scratch, c, &b[col.clone()], &mut xc);
+            if bits(&xc) != bits(&xs) {
+                return Err(format!(
+                    "column {c}: {engine:?} single-column apply diverged"
+                ));
+            }
+            if bits(&full[col.clone()]) != bits(&xs) {
+                return Err(format!("column {c}: {engine:?} panel apply diverged"));
+            }
+            if c < narrow && bits(&part[col.clone()]) != bits(&xs) {
+                return Err(format!("column {c}: {engine:?} narrow panel diverged"));
             }
         }
     }
@@ -98,9 +137,9 @@ fn check_batch_vs_looped(
 /// The pinned grid: lower-stage plans {ER + serial corner on a grid,
 /// tiled SR + parallel corner on the grid with heavy border rows} ×
 /// threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies {plain, ShiftRetry,
-/// drop-tolerance}, with the solve-engine axis {Serial, BarrierLevel,
-/// PointToPoint} checked on every cell, and a second `refactor_batch`
-/// step (new values, same handle) on top.
+/// drop-tolerance}, with the batch's own applies checked on all four
+/// solve engines in every cell, and a second `refactor_batch` step
+/// (new values, same handle) on top.
 #[test]
 fn pinned_grid_batch_columns_bitwise_equal_scalar_refactor() {
     for sr in [false, true] {
@@ -132,7 +171,7 @@ fn pinned_grid(a: &CsrMatrix<f64>, sr: bool) {
                 for (c, m) in mats2.iter().enumerate() {
                     scalar.refactor(m).unwrap();
                     assert_eq!(
-                        bits(batch.factor(c).lu().vals()),
+                        bits(batch.to_factors(c).lu().vals()),
                         bits(scalar.lu().vals()),
                         "refactor_batch sr={sr} nthreads={nthreads} k={k} policy={policy} column {c}"
                     );

@@ -21,7 +21,7 @@
 
 use crate::error::ServiceError;
 use javelin_core::{IluFactors, IluOptions, SolveEngine, SymbolicIlu};
-use javelin_sparse::{value_fingerprint, CsrMatrix, Scalar};
+use javelin_sparse::{CsrMatrix, Scalar};
 
 /// One cached tenant: an analyzed pattern with its current factors.
 pub struct CacheEntry<T: Scalar> {
@@ -132,8 +132,10 @@ impl<T: Scalar> PatternCache<T> {
 
     /// Analyzes and factors `a`, files the result under `pattern_fp`,
     /// and returns its slot index — evicting the least recently used
-    /// entry when full. The entry's value fingerprint is taken from
-    /// `a`'s values; its engine is the analysis' default.
+    /// entry when full. `value_fp` is `value_fingerprint(a.vals())`, a
+    /// parameter for the same reason as in [`PatternCache::lookup`]:
+    /// the caller has it memoized per matrix handle. The entry's engine
+    /// is the analysis' default.
     ///
     /// # Errors
     /// [`ServiceError::Solve`] when analysis or factorization fails
@@ -141,6 +143,7 @@ impl<T: Scalar> PatternCache<T> {
     pub fn insert(
         &mut self,
         pattern_fp: u64,
+        value_fp: u64,
         a: &CsrMatrix<T>,
         opts: &IluOptions,
     ) -> Result<usize, ServiceError> {
@@ -150,7 +153,7 @@ impl<T: Scalar> PatternCache<T> {
         self.tick += 1;
         let entry = CacheEntry {
             pattern_fp,
-            value_fp: value_fingerprint(a.vals()),
+            value_fp,
             sym,
             factors,
             engine,
@@ -173,22 +176,27 @@ impl<T: Scalar> PatternCache<T> {
         }
     }
 
-    /// Brings slot `i`'s factors up to date with `a`'s values: a no-op
-    /// when the value fingerprint already matches, a numeric-only
+    /// Brings slot `i`'s factors up to date with `a`'s values
+    /// (`value_fp` is their memoized fingerprint): a no-op when the
+    /// entry's value fingerprint already matches, a numeric-only
     /// [`IluFactors::refactor`] (zero symbolic work, zero allocations)
     /// otherwise.
     ///
     /// # Errors
     /// [`ServiceError::Solve`] when the refactor fails; the entry keeps
     /// its previous (still consistent) factors and value fingerprint.
-    pub fn sync_values(&mut self, i: usize, a: &CsrMatrix<T>) -> Result<(), ServiceError> {
-        let vfp = value_fingerprint(a.vals());
+    pub fn sync_values(
+        &mut self,
+        i: usize,
+        value_fp: u64,
+        a: &CsrMatrix<T>,
+    ) -> Result<(), ServiceError> {
         let e = &mut self.entries[i];
-        if e.value_fp == vfp {
+        if e.value_fp == value_fp {
             return Ok(());
         }
         e.factors.refactor(a)?;
-        e.value_fp = vfp;
+        e.value_fp = value_fp;
         self.stats.refactors += 1;
         Ok(())
     }
@@ -203,8 +211,12 @@ impl<T: Scalar> PatternCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use javelin_sparse::pattern_fingerprint;
+    use javelin_sparse::{pattern_fingerprint, value_fingerprint};
     use javelin_synth::grid::laplace_2d;
+
+    fn vfp(a: &CsrMatrix<f64>) -> u64 {
+        value_fingerprint(a.vals())
+    }
 
     #[test]
     fn lru_evicts_least_recently_used_pattern() {
@@ -218,11 +230,11 @@ mod tests {
             pattern_fingerprint(&a3),
         );
         let mut cache = PatternCache::new(2);
-        cache.insert(f1, &a1, &opts).unwrap();
-        cache.insert(f2, &a2, &opts).unwrap();
+        cache.insert(f1, vfp(&a1), &a1, &opts).unwrap();
+        cache.insert(f2, vfp(&a2), &a2, &opts).unwrap();
         // Touch pattern 1 so pattern 2 becomes the LRU victim.
         assert!(cache.lookup(f1, &a1).is_some());
-        cache.insert(f3, &a3, &opts).unwrap();
+        cache.insert(f3, vfp(&a3), &a3, &opts).unwrap();
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup(f1, &a1).is_some(), "recently used survives");
@@ -241,12 +253,12 @@ mod tests {
         let a2 = laplace_2d(6, 6);
         let forced = 0xdead_beef_u64;
         let mut cache = PatternCache::new(4);
-        let s1 = cache.insert(forced, &a1, &opts).unwrap();
+        let s1 = cache.insert(forced, vfp(&a1), &a1, &opts).unwrap();
         // A colliding lookup for a2 must not return a1's analysis.
         assert!(cache.lookup(forced, &a2).is_none());
         assert_eq!(cache.stats().collisions, 1);
         assert_eq!(cache.stats().misses, 1);
-        let s2 = cache.insert(forced, &a2, &opts).unwrap();
+        let s2 = cache.insert(forced, vfp(&a2), &a2, &opts).unwrap();
         assert_ne!(s1, s2);
         // Both entries now share the key; each lookup resolves to its
         // own verified analysis.
@@ -261,13 +273,13 @@ mod tests {
         let a = laplace_2d(6, 6);
         let fp = pattern_fingerprint(&a);
         let mut cache = PatternCache::new(2);
-        let i = cache.insert(fp, &a, &opts).unwrap();
-        cache.sync_values(i, &a).unwrap();
+        let i = cache.insert(fp, vfp(&a), &a, &opts).unwrap();
+        cache.sync_values(i, vfp(&a), &a).unwrap();
         assert_eq!(cache.stats().refactors, 0, "identical values: no work");
         let a2 = a.map_values(|v| v * 1.5);
-        cache.sync_values(i, &a2).unwrap();
+        cache.sync_values(i, vfp(&a2), &a2).unwrap();
         assert_eq!(cache.stats().refactors, 1);
-        cache.sync_values(i, &a2).unwrap();
+        cache.sync_values(i, vfp(&a2), &a2).unwrap();
         assert_eq!(cache.stats().refactors, 1, "fingerprint now matches");
     }
 }

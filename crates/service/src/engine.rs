@@ -36,14 +36,11 @@ use crate::cache::{CacheStats, PatternCache};
 use crate::error::ServiceError;
 use javelin_core::options::SolveEngine;
 use javelin_core::IluOptions;
-use javelin_solver::{krylov_panel_into, Method, SolverOptions, SolverResult, SolverWorkspace};
+use javelin_solver::{
+    krylov_panel_into, Method, SolverOptions, SolverResult, SolverWorkspace, BREAKDOWN_RETRY_SHIFT,
+};
 use javelin_sparse::{pattern_fingerprint, value_fingerprint, CsrMatrix, PanelBuf, Scalar};
 use std::sync::{Arc, Weak};
-
-/// Relative diagonal shift the one automatic breakdown-retry applies
-/// (mirrors `javelin::Session`'s retry: stability over a sliver of
-/// preconditioner accuracy).
-pub const BREAKDOWN_RETRY_SHIFT: f64 = 1e-4;
 
 /// Fingerprint memo entries kept per engine (matrix handles seen
 /// recently); the memo is wiped, not grown, beyond this.
@@ -294,7 +291,7 @@ impl<T: Scalar> Engine<T> {
             {
                 end += 1;
             }
-            self.dispatch_group(requests, &keys[g..end], pfp);
+            self.dispatch_group(requests, &keys[g..end]);
             g = end;
         }
         self.keys = keys;
@@ -326,9 +323,8 @@ impl<T: Scalar> Engine<T> {
         &mut self,
         requests: &mut [SolveRequest<T>],
         group: &[(u64, u64, u8, usize)],
-        pattern_fp: u64,
     ) {
-        let first = group[0].3;
+        let (pattern_fp, value_fp, _, first) = group[0];
         let method = requests[first].method;
         let a = Arc::clone(&requests[first].a);
         let n = a.nrows();
@@ -338,7 +334,7 @@ impl<T: Scalar> Engine<T> {
         // only for a genuinely new pattern.
         let (slot, symbolic_reused) = match self.cache.lookup(pattern_fp, &a) {
             Some(slot) => (slot, true),
-            None => match self.cache.insert(pattern_fp, &a, &self.cfg.ilu) {
+            None => match self.cache.insert(pattern_fp, value_fp, &a, &self.cfg.ilu) {
                 Ok(slot) => {
                     if let Some(engine) = self.cfg.engine {
                         self.cache.entry_mut(slot).engine = engine;
@@ -353,7 +349,7 @@ impl<T: Scalar> Engine<T> {
                 }
             },
         };
-        if let Err(e) = self.cache.sync_values(slot, &a) {
+        if let Err(e) = self.cache.sync_values(slot, value_fp, &a) {
             for k in group {
                 self.outcomes[k.3] = Outcome::Failed(e.clone());
             }

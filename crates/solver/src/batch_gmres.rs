@@ -613,7 +613,8 @@ mod tests {
             let batch = panel_solve(method, &ScenarioMatrices(&refs), &b, k, &m, &opts);
             assert!(batch.1.iter().all(|r| r.converged), "{method}");
             for c in 0..k {
-                let fc = factors.factor(c).with_engine(SolveEngine::Serial);
+                let fc = factors.to_factors(c);
+                let fc = fc.with_engine(SolveEngine::Serial);
                 assert_column_bitwise(method, c, &mats[c], &b, &batch, &fc, &opts);
             }
         }

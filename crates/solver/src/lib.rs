@@ -409,6 +409,14 @@ pub struct SolverResult {
     pub retried: bool,
 }
 
+/// Relative diagonal shift a breakdown-retry layer (`Session::krylov`,
+/// the solve service) applies before re-running a solve that hit
+/// [`SolverStatus::NumericalBreakdown`]: the preconditioner is
+/// refactored with every diagonal boosted by `1e-4 · max|aᵢᵢ|`, trading
+/// a little accuracy (a few more Krylov iterations) for the stability
+/// the first attempt lacked.
+pub const BREAKDOWN_RETRY_SHIFT: f64 = 1e-4;
+
 impl SolverResult {
     /// True when the solve halted on a numerical breakdown rather than
     /// converging or exhausting its iteration cap.

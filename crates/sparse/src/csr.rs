@@ -7,7 +7,6 @@
 //! factorizations build *new* CSR structures (first-touch friendly) and
 //! never mutate the input.
 
-use crate::csc::CscMatrix;
 use crate::error::SparseError;
 use crate::perm::Perm;
 use crate::scalar::Scalar;
@@ -267,12 +266,6 @@ impl<T: Scalar> CsrMatrix<T> {
             colidx,
             vals,
         }
-    }
-
-    /// Column-major copy of the same matrix.
-    pub fn to_csc(&self) -> CscMatrix<T> {
-        let t = self.transpose();
-        CscMatrix::from_raw_unchecked(self.nrows, self.ncols, t.rowptr, t.colidx, t.vals)
     }
 
     /// `true` when the sparsity pattern is structurally symmetric — the

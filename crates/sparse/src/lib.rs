@@ -13,7 +13,6 @@
 //!   pattern algebra;
 //! * [`CooMatrix`] — a triplet builder used by the generators and by
 //!   Matrix Market I/O;
-//! * [`CscMatrix`] — a thin column-major companion;
 //! * [`Perm`] — permutations with composition and inversion;
 //! * [`Scalar`] — the "templated" numeric abstraction (the paper's C++
 //!   implementation is templated over the value type; we mirror that with
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod error;
 pub mod fault;
@@ -52,7 +50,6 @@ pub mod scalar;
 pub mod vecops;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use lanes::{DynLanes, FixedLanes, LaneMask, Lanes};

@@ -31,16 +31,11 @@ use javelin_core::{
 use javelin_solver::SolverWorkspace;
 use javelin_solver::{
     krylov_panel_with, krylov_with, Method, ScenarioMatrices, SolverOptions, SolverResult,
+    BREAKDOWN_RETRY_SHIFT,
 };
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use javelin_sync::WorkerTeam;
 use std::sync::Arc;
-
-/// Relative diagonal shift a breakdown-retry applies before re-running
-/// the solve: the preconditioner is refactored with every diagonal
-/// boosted by `1e-4 · max|aᵢᵢ|`, trading a little accuracy (a few more
-/// Krylov iterations) for the stability the first attempt lacked.
-pub(crate) const BREAKDOWN_RETRY_SHIFT: f64 = 1e-4;
 
 /// Builder for a [`Session`] (see [`Session::builder`]).
 ///
@@ -413,6 +408,13 @@ impl<T: Scalar> Session<T> {
     /// the batched Krylov iteration. Each column's bits are identical
     /// to a scalar `refactor` + `krylov` of that scenario alone.
     ///
+    /// The batch is stored once, lane-interleaved (two `nnz_lu·k` value
+    /// buffers beside the analysis's shared index arrays — no
+    /// per-scenario factor objects), and every preconditioner apply of
+    /// the iteration is one pass of the apply pipeline over it: one
+    /// stream over the column indices and the interleaved values
+    /// serves all `k` columns.
+    ///
     /// The session caches the batch handle: the first call at width `k`
     /// allocates it ([`SymbolicIlu::factor_batch`]); subsequent calls
     /// at the same `k` are numeric-only and allocation-free. The handle
@@ -426,9 +428,9 @@ impl<T: Scalar> Session<T> {
     ///   deviates from the analyzed pattern (nothing is touched);
     /// * the first per-scenario numeric error
     ///   ([`SparseError::ZeroPivot`] / [`SparseError::Breakdown`]) when
-    ///   a scenario's factorization fails — surviving scenarios keep
-    ///   their factors, and [`Session::scenario_batch`] exposes every
-    ///   per-scenario status.
+    ///   a scenario's factorization fails — every scenario keeps its
+    ///   latest successful factorization, and
+    ///   [`Session::scenario_batch`] exposes every per-scenario status.
     pub fn sweep(
         &mut self,
         method: Method,
@@ -472,8 +474,11 @@ impl<T: Scalar> Session<T> {
     }
 
     /// The cached scenario batch of the most recent [`Session::sweep`]
-    /// (None before the first sweep): per-scenario factors, statuses
-    /// and shift/breakdown bookkeeping.
+    /// (None before the first sweep): per-scenario statuses
+    /// ([`FactorsBatch::statuses`]), statistics with the
+    /// shift/breakdown bookkeeping ([`FactorsBatch::stats`]) and, on
+    /// demand, a copy of one scenario's factors
+    /// ([`FactorsBatch::to_factors`]).
     pub fn scenario_batch(&self) -> Option<&FactorsBatch<T>> {
         self.batch.as_ref()
     }

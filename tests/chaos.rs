@@ -404,8 +404,8 @@ fn injected_batch_pivot_fault_is_contained_to_one_scenario_column() {
     for c in (0..k).filter(|&c| c != target_lane) {
         assert!(injected.statuses()[c].is_ok(), "scenario {c} must survive");
         assert_eq!(
-            bits(injected.factor(c).lu().vals()),
-            bits(clean.factor(c).lu().vals()),
+            bits(injected.to_factors(c).lu().vals()),
+            bits(clean.to_factors(c).lu().vals()),
             "scenario {c} must be bit-identical to the uninjected batch"
         );
     }
@@ -425,20 +425,20 @@ fn injected_batch_pivot_fault_is_contained_to_one_scenario_column() {
         "shift-retry must absorb the injected fault"
     );
     assert_eq!(
-        healed.factor(target_lane).stats().shift_attempts,
+        healed.stats(target_lane).shift_attempts,
         2,
         "the injected scenario must record its shifted retry"
     );
-    assert!(healed.factor(target_lane).stats().diag_shift > 0.0);
+    assert!(healed.stats(target_lane).diag_shift > 0.0);
     for c in (0..k).filter(|&c| c != target_lane) {
         assert_eq!(
-            healed.factor(c).stats().shift_attempts,
+            healed.stats(c).shift_attempts,
             1,
             "scenario {c} must not be shifted"
         );
         assert_eq!(
-            bits(healed.factor(c).lu().vals()),
-            bits(clean_r.factor(c).lu().vals()),
+            bits(healed.to_factors(c).lu().vals()),
+            bits(clean_r.to_factors(c).lu().vals()),
             "scenario {c} must be bit-identical despite its neighbour's retry"
         );
     }

@@ -12,7 +12,7 @@
 //! path must not allocate on any thread).
 
 use javelin::core::{
-    ApplyScratch, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
+    ApplyScratch, FactorStats, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
     ZeroPivotPolicy,
 };
 use javelin::solver::{
@@ -416,7 +416,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     for (c, m) in last_mats.iter().enumerate() {
         scalar.refactor(m).unwrap();
         let bb: Vec<u64> = batch
-            .factor(c)
+            .to_factors(c)
             .lu()
             .vals()
             .iter()
@@ -425,6 +425,29 @@ fn steady_state_refactor_allocates_zero_bytes() {
         let sb: Vec<u64> = scalar.lu().vals().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bb, sb, "batched column {c} vs scalar refactor");
     }
+    // The batch is stored once: building it at k = 8 allocates the
+    // numeric work buffer and the committed buffer applies read
+    // (8 B × nnz_lu × k each), the τ thresholds and per-lane
+    // bookkeeping — no per-scenario CSR (which cost a third value copy
+    // plus k row-pointer and column-index arrays).
+    let k8 = 8usize;
+    let mats8: Vec<&CsrMatrix<f64>> = (0..k8).map(|c| mats[c % k5]).collect();
+    let (n5, nnz_lu) = (a5.nrows(), sym5.nnz());
+    let (_, bytes8) = counted(|| drop(sym5.factor_batch(&mats8).expect("k = 8 batch")));
+    let per_lane = 3 * size_of::<AtomicUsize>()
+        + size_of::<usize>()
+        + size_of::<f64>()
+        + size_of::<FactorStats>()
+        + size_of::<Result<(), SparseError>>();
+    assert_eq!(
+        bytes8,
+        16 * nnz_lu * k8 + 8 * n5 * k8 + per_lane * k8,
+        "factor_batch(k = 8) bytes: two interleaved value buffers + τ + bookkeeping"
+    );
+    assert!(
+        bytes8 < 20 * nnz_lu * k8,
+        "a third copy of the values is back"
+    );
 
     // ---- Phase 6: exclusive-slice kernels on a PINNED team. ----
     // `pin_threads` changes placement only (core binding + first-touch
@@ -546,7 +569,11 @@ fn steady_state_refactor_allocates_zero_bytes() {
     assert!(batch7.all_ok());
     for (c, m) in step7.iter().enumerate() {
         f7_er.refactor(m).unwrap();
-        assert_eq!(bits(batch7.factor(c)), bits(&f7_er), "SR batch column {c}");
+        assert_eq!(
+            bits(&batch7.to_factors(c)),
+            bits(&f7_er),
+            "SR batch column {c}"
+        );
     }
 
     // ---- Phase 8: the apply pipeline across widths. One ----
