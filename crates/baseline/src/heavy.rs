@@ -237,7 +237,7 @@ mod tests {
         let heavy = HeavyIlu::factor(&a, &HeavyOptions::default()).unwrap();
         let jav = factorize(&a, &IluOptions::default()).unwrap();
         // Javelin permutes internally; compare through the permutation.
-        let pa = a.permute_sym(jav.perm()).unwrap();
+        let pa = a.permute_sym(jav.symbolic().perm()).unwrap();
         let _ = pa;
         // Easier check: both are exact ILU(0); compare products on the
         // pattern against A.

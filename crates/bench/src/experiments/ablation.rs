@@ -25,8 +25,9 @@ const CASES: [&str; 3] = ["tsopf-like", "ecology2-like", "trans4-like"];
 /// the unit Segmented-Rows tiles subdivide.
 fn longest_sr_segment(f: &javelin_core::IluFactors<f64>) -> usize {
     let lu = f.lu();
-    let n_upper = f.plan().n_upper;
-    let level_ptr = &f.plan().upper_level_ptr;
+    let plan = f.symbolic().plan();
+    let n_upper = plan.n_upper;
+    let level_ptr = &plan.upper_level_ptr;
     let mut longest = 0usize;
     for r in n_upper..lu.nrows() {
         let cols = lu.row_cols(r);
@@ -94,12 +95,13 @@ pub fn run(scale: Scale) -> String {
         let f = factorize(&prep.matrix, &IluOptions::level_scheduling_only(1)).expect("factors");
         let lu = f.lu();
         let dp = f.diag_positions();
-        let n_upper = f.plan().n_upper;
+        let plan = f.symbolic().plan();
+        let n_upper = plan.n_upper;
         let build = |mapping: RowMapping| {
             P2PSchedule::build_with_mapping(
                 n_upper,
                 14,
-                &f.plan().upper_level_ptr,
+                &plan.upper_level_ptr,
                 mapping,
                 |r, out| {
                     for k in lu.rowptr()[r]..dp[r] {

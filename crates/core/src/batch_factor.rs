@@ -1,5 +1,5 @@
-//! Batched refactorization: `k` pattern-identical value-sets through
-//! **one** schedule walk.
+//! The factor storage: `k` pattern-identical value-sets factored
+//! through **one** schedule walk — and, at `k = 1`, the scalar factor.
 //!
 //! [`SymbolicIlu::factor_batch`] turns `k` pattern-identical matrices
 //! (the scenario corners of a parameter sweep) into a [`FactorsBatch`]:
@@ -8,21 +8,24 @@
 //! the counter resets, the team regions and the per-row
 //! sparse-accumulator loads are shared, and only the per-entry
 //! arithmetic loops over the `k` value-sets (the numeric engine of
-//! [`crate::numeric`] at width `k` — the same driver, walks and kernels
-//! the scalar [`IluFactors::refactor`] runs at width 1).
-//! [`FactorsBatch::refactor_batch`] redoes
-//! the numeric phase for the next sweep step with **zero heap
-//! allocations and zero thread spawns** on the persistent team.
+//! [`crate::numeric`] at width `k`). [`IluFactors`] is this type at
+//! `k = 1` plus the scalar error contract: [`SymbolicIlu::factor`],
+//! [`IluFactors::refactor`], [`IluFactors::refactor_with_shift`] and
+//! [`FactorsBatch::refactor_batch`] all run the same load → walk →
+//! masked commit → statistics code. Refreshing redoes the numeric
+//! phase with **zero heap allocations and zero thread spawns** on the
+//! persistent team.
 //!
-//! Storage: the batch is stored **once**, in the layout it is applied
+//! Storage: the factor is stored **once**, in the layout it is applied
 //! from. All scenarios share the analysis's `rowptr` / `colidx`; their
 //! values live lane-interleaved (scenario `c` of LU entry `e` at
 //! `e·k + c`) in two `nnz·k` buffers — the work buffer the numeric
-//! engines fill, and the committed buffer [`FactorsBatch::precond`]
-//! applies from through the crate's one apply pipeline (per-lane
-//! addressing: panel column `c` against scenario `c`, one stream over
-//! `colidx` + values for the whole panel). There is no per-scenario
-//! CSR; [`FactorsBatch::to_factors`] copies one out on demand.
+//! engines fill, and the committed buffer applies read through the
+//! crate's one apply pipeline (at `k = 1` one factor under every panel
+//! column, at `k > 1` panel column `c` against scenario `c`; one stream
+//! over `colidx` + values for the whole panel either way). There is no
+//! per-scenario CSR; [`FactorsBatch::to_factors`] copies one out on
+//! demand, [`IluFactors::lu`] builds one lazily for diagnostics.
 //!
 //! Per-scenario breakdown semantics: every scenario carries its own
 //! [`ZeroPivotPolicy`](crate::ZeroPivotPolicy) state. Under
@@ -33,8 +36,8 @@
 //! every sweep, so one bad corner cannot perturb the others. A corner
 //! that exhausts its attempt budget (or fails under `Error`) gets a
 //! **typed per-scenario error** in [`FactorsBatch::statuses`] and keeps
-//! its previous committed values, exactly like the scalar
-//! [`IluFactors::refactor`] contract.
+//! its previous committed values and statistics — the keep-previous
+//! contract [`IluFactors::refactor`] reports as its `Err`.
 //!
 //! Bit-identity: scenario `c` of any batch run is bit-identical to the
 //! scalar `refactor` of matrix `c` alone — per lane, the kernels
@@ -46,10 +49,10 @@
 
 use crate::factors::IluFactors;
 use crate::numeric::kernel::LuVals;
-use crate::precond::ScenarioPrecond;
+use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
-use crate::trisolve::{apply_panel, view::PerLane};
+use crate::trisolve::apply_panel;
 use crate::SolveEngine;
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,13 +60,14 @@ use std::time::Instant;
 
 /// `k` scenario factorizations of one symbolic analysis, produced and
 /// refreshed as a batch and stored once, lane-interleaved, in the
-/// layout panel solves apply them from (see module docs). Obtain with
-/// [`SymbolicIlu::factor_batch`]; refresh each sweep step with
+/// layout panel solves apply them from (see module docs) — the crate's
+/// only factor storage; [`IluFactors`] wraps one at `k = 1`. Obtain
+/// with [`SymbolicIlu::factor_batch`]; refresh each sweep step with
 /// [`FactorsBatch::refactor_batch`]; feed panel solves with
 /// [`FactorsBatch::precond`]; inspect a scenario with
 /// [`FactorsBatch::stats`] / [`FactorsBatch::to_factors`].
-pub struct FactorsBatch<T: Scalar> {
-    sym: SymbolicIlu<T>,
+pub struct FactorsBatch<T> {
+    pub(crate) sym: SymbolicIlu<T>,
     k: usize,
     /// The numeric engines' work buffer: scenario `c` of LU entry `e`
     /// at `e·k + c`.
@@ -71,7 +75,7 @@ pub struct FactorsBatch<T: Scalar> {
     /// The values applies read, in the same layout: every scenario's
     /// latest successful factorization (an identity-safe seed before
     /// its first).
-    committed: Vec<T>,
+    pub(crate) committed: Vec<T>,
     /// Interleaved Segmented-Rows delta slots (empty unless the
     /// analysis planned SR).
     sr_deltas: LuVals<T>,
@@ -102,32 +106,37 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// * [`SparseError::PatternMismatch`] when any matrix's pattern
     ///   differs from the analyzed one.
     pub fn factor_batch(&self, mats: &[&CsrMatrix<T>]) -> Result<FactorsBatch<T>, SparseError> {
-        let k = mats.len();
-        if k == 0 {
+        if mats.is_empty() {
             return Err(SparseError::DimensionMismatch(
                 "factor_batch needs at least one scenario matrix".to_string(),
             ));
         }
-        for a in mats {
-            self.check_pattern(a)?;
-        }
-        let c = self.core();
+        let mut batch = FactorsBatch::new(self, mats.len());
+        batch.refactor_lanes(mats, None)?;
+        Ok(batch)
+    }
+}
+
+impl<T: Scalar> FactorsBatch<T> {
+    /// Every buffer a width-`k` factor of `sym` needs, committed values
+    /// seeded with an identity-safe factor (unit diagonal, zero
+    /// off-diagonal): a corner that breaks down on the very first batch
+    /// still leaves a usable — if weak — preconditioner.
+    fn new(sym: &SymbolicIlu<T>, k: usize) -> Self {
+        let c = sym.core();
         let nnz = c.colidx.len();
-        // Seed every scenario with an identity-safe factor (unit
-        // diagonal, zero off-diagonal): a corner that breaks down on
-        // the very first batch still leaves a usable — if weak —
-        // preconditioner, mirroring the scalar keep-previous contract.
+        // First-touch on the factorization's own threads (see
+        // `LuVals::zeroed_on`), so page placement matches the workers
+        // that fill it.
+        let lu_vals = LuVals::zeroed_on(nnz * k, sym.exec());
         let mut committed = vec![T::ZERO; nnz * k];
         for &dp in c.diag_pos.iter() {
             committed[dp * k..(dp + 1) * k].fill(T::ONE);
         }
-        let mut batch = FactorsBatch {
-            sym: self.clone(),
+        FactorsBatch {
+            sym: sym.clone(),
             k,
-            // First-touch on the factorization's own threads (see
-            // `LuVals::zeroed_on`) — the batch buffer is k× the scalar
-            // one, so placement matters most here.
-            lu_vals: LuVals::zeroed_on(nnz * k, self.exec()),
+            lu_vals,
             committed,
             sr_deltas: LuVals::zeroed(c.sr.as_ref().map_or(0, |sr| sr.n_delta_slots() * k)),
             drop_thresh: if c.opts.drop_tol > 0.0 {
@@ -142,13 +151,9 @@ impl<T: Scalar> SymbolicIlu<T> {
             shifts: vec![0.0; k],
             stats: vec![c.stats.clone(); k],
             statuses: (0..k).map(|_| Ok(())).collect(),
-        };
-        batch.refactor_batch(mats)?;
-        Ok(batch)
+        }
     }
-}
 
-impl<T: Scalar> FactorsBatch<T> {
     /// Scenario count (the lane width of the batch).
     pub fn k(&self) -> usize {
         self.k
@@ -164,8 +169,13 @@ impl<T: Scalar> FactorsBatch<T> {
     /// tests, examples and diagnostics; solves go through
     /// [`FactorsBatch::precond`], which needs no copy.
     pub fn to_factors(&self, c: usize) -> IluFactors<T> {
-        let vals = self.committed[c..].iter().step_by(self.k).copied();
-        IluFactors::from_parts(self.sym.clone(), vals.collect(), self.stats[c].clone())
+        let mut one = Self::new(&self.sym, 1);
+        let lane = self.committed[c..].iter().step_by(self.k);
+        for (slot, &v) in one.committed.iter_mut().zip(lane) {
+            *slot = v;
+        }
+        one.stats[0] = self.stats[c].clone();
+        IluFactors::from_batch(one)
     }
 
     /// Per-scenario outcome of the latest batch: `Ok` when the
@@ -186,24 +196,25 @@ impl<T: Scalar> FactorsBatch<T> {
     /// A per-scenario panel preconditioner: column `c` of a batched
     /// Krylov solve is preconditioned by scenario `c`'s factors, the
     /// whole panel in one walk of `engine` over the batch's own
-    /// interleaved values.
-    pub fn precond(&self, engine: SolveEngine) -> ScenarioPrecond<'_, T> {
-        ScenarioPrecond {
+    /// interleaved values (see [`EnginePinned`]).
+    pub fn precond(&self, engine: SolveEngine) -> EnginePinned<'_, T> {
+        EnginePinned {
             batch: self,
             engine,
         }
     }
 
-    /// Solves column `j` of `b` against scenario `c0 + j`, for the whole
-    /// panel at once, through the crate's apply pipeline (per-lane
-    /// value addressing over the committed buffer).
+    /// The storage's one apply: solves column `j` of `b` against
+    /// scenario `c0 + j` — against the only factor when `k = 1`,
+    /// whatever `c0` — for the whole panel at once, through the crate's
+    /// apply pipeline over the committed values.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
     ///
     /// # Panics
-    /// When the panel reaches past scenario `k − 1`.
-    pub(crate) fn solve_scenarios(
+    /// When `k > 1` and the panel reaches past scenario `k − 1`.
+    pub(crate) fn solve(
         &self,
         engine: SolveEngine,
         c0: usize,
@@ -211,12 +222,13 @@ impl<T: Scalar> FactorsBatch<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        assert!(c0 + b.ncols() <= self.k, "panel wider than the batch");
-        let vals = PerLane {
-            vals: &self.committed[c0..],
-            k: self.k,
-        };
-        apply_panel(self.sym.core(), vals, engine, buf, b, x)
+        let c0 = if self.k == 1 { 0 } else { c0 };
+        assert!(
+            self.k == 1 || c0 + b.ncols() <= self.k,
+            "panel wider than the batch"
+        );
+        let vals = &self.committed[c0..];
+        apply_panel(self.sym.core(), vals, self.k, engine, buf, b, x)
     }
 
     /// Redoes the numeric phase of **all** `k` scenarios in one batched
@@ -238,6 +250,20 @@ impl<T: Scalar> FactorsBatch<T> {
     ///   differs from the analyzed one. In both cases no factor is
     ///   touched.
     pub fn refactor_batch(&mut self, mats: &[&CsrMatrix<T>]) -> Result<(), SparseError> {
+        self.refactor_lanes(mats, None)
+    }
+
+    /// The one numeric entry of every factor object, at every width:
+    /// load → planned walk ([`SymbolicIlu::run_numeric`], with
+    /// `forced_shift` applied to every lane when set) → masked commit →
+    /// statistics. Errs only globally (see
+    /// [`FactorsBatch::refactor_batch`]); per-scenario outcomes land in
+    /// [`FactorsBatch::statuses`].
+    pub(crate) fn refactor_lanes(
+        &mut self,
+        mats: &[&CsrMatrix<T>],
+        forced_shift: Option<f64>,
+    ) -> Result<(), SparseError> {
         if mats.len() != self.k {
             return Err(SparseError::DimensionMismatch(format!(
                 "refactor_batch got {} matrices, batch was built for k = {}",
@@ -266,16 +292,23 @@ impl<T: Scalar> FactorsBatch<T> {
                 shifts: &mut self.shifts,
                 statuses: &mut self.statuses,
             };
-            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, None));
+            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, forced_shift));
         }
-        // Commit phase: one contiguous pass copies the lanes that
-        // succeeded from the work buffer and completes their
-        // statistics; failed scenarios keep the previous factorization.
+        // Commit phase: the lanes that succeeded take the work buffer's
+        // values and complete their statistics; failed scenarios keep
+        // the previous factorization. With every lane ok — a scalar
+        // factor that succeeded — this is one straight copy.
         let t_numeric = t2.elapsed();
-        for (e, lanes) in self.committed.chunks_exact_mut(self.k).enumerate() {
-            for (lane, slot) in lanes.iter_mut().enumerate() {
-                if self.statuses[lane].is_ok() {
-                    *slot = self.lu_vals.get(e * self.k + lane);
+        if self.all_ok() {
+            for (slot, v) in self.committed.iter_mut().zip(self.lu_vals.values()) {
+                *slot = v;
+            }
+        } else {
+            for (e, lanes) in self.committed.chunks_exact_mut(self.k).enumerate() {
+                for (lane, slot) in lanes.iter_mut().enumerate() {
+                    if self.statuses[lane].is_ok() {
+                        *slot = self.lu_vals.get(e * self.k + lane);
+                    }
                 }
             }
         }

@@ -2,13 +2,14 @@
 //! symbolic/numeric API (see [`crate::symbolic_ilu`]) — plus the
 //! one-shot [`factorize`] entry.
 
+use crate::batch_factor::FactorsBatch;
 use crate::options::SolveEngine;
+use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use crate::trisolve::{apply_panel, view::Shared};
 use javelin_level::{LevelSets, P2PSchedule};
-use javelin_sparse::{CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
-use javelin_sync::Exec;
+use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
+use std::sync::OnceLock;
 
 /// Everything the triangular-solve engines need, precomputed once at
 /// analysis time — the co-design the paper stresses: the factor
@@ -43,27 +44,37 @@ pub struct SolvePlan {
 }
 
 /// An incomplete LU factorization `P·A·Pᵀ ≈ L·U` packaged for fast
-/// repeated triangular solves.
+/// repeated triangular solves: the crate's one factor storage,
+/// [`FactorsBatch`], at width 1, plus the scalar error contract
+/// (a failed numeric phase is an `Err`, not a per-scenario status).
 ///
-/// Beyond the factor values, this holds a [`SymbolicIlu`] handle — the
-/// pattern-dependent execution state shared by every factor object of
-/// one analysis: the [`SolvePlan`] (schedules, levels, the
-/// trailing-block layout), the threaded engines' reusable solve scratch
-/// (counters, barrier, tiled-gather partials, the in-place solve
-/// buffer) and an [`Exec`] — a persistent worker team — so that after
-/// the numeric phase returns, every solve runs with zero heap
-/// allocations and zero thread spawns. The scratch is mutex-guarded:
-/// concurrent threaded applies serialize instead of racing. The Serial
-/// engine touches none of it — it works in the caller's buffer, so
-/// concurrent Serial applies run side by side.
+/// What it stores is the factor *values* — a numeric work buffer and
+/// the committed values solves read, `nnz_lu` entries each — and a
+/// [`SymbolicIlu`] handle: the pattern-dependent execution state shared
+/// by every factor object of one analysis. That holds the LU pattern
+/// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
+/// the [`SolvePlan`] (schedules, levels, the trailing-block layout),
+/// the threaded engines' reusable solve scratch (counters, barrier,
+/// tiled-gather partials, the in-place solve buffer) and an [`Exec`]
+/// — a persistent worker team — so that after the numeric phase
+/// returns, every solve runs with zero heap allocations and zero
+/// thread spawns. The scratch is mutex-guarded: concurrent threaded
+/// applies serialize instead of racing. The Serial engine touches none
+/// of it — it works in the caller's buffer, so concurrent Serial
+/// applies run side by side.
+///
+/// [`IluFactors::lu`] is a diagnostic CSR copy of the factor, built
+/// lazily on first call and dropped by the next refactor; solves never
+/// read it.
 ///
 /// For time-stepping workloads, [`IluFactors::refactor`] redoes only
 /// the numeric phase in place when the values change but the pattern
 /// does not.
+///
+/// [`Exec`]: javelin_sync::Exec
 pub struct IluFactors<T> {
-    sym: SymbolicIlu<T>,
-    lu: CsrMatrix<T>,
-    stats: FactorStats,
+    batch: FactorsBatch<T>,
+    lu: OnceLock<CsrMatrix<T>>,
 }
 
 /// Runs the full pipeline in one call: symbolic analysis plus numeric
@@ -82,19 +93,21 @@ pub fn factorize<T: Scalar>(
 }
 
 impl<T: Scalar> IluFactors<T> {
-    /// Assembles a factor object from values laid out on `sym`'s
-    /// combined-LU pattern (numeric-phase internal constructor).
-    pub(crate) fn from_parts(sym: SymbolicIlu<T>, vals: Vec<T>, stats: FactorStats) -> Self {
-        let c = sym.core();
-        let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
-        IluFactors { sym, lu, stats }
+    /// The scalar view of a width-1 batch (numeric-phase internal
+    /// constructor).
+    pub(crate) fn from_batch(batch: FactorsBatch<T>) -> Self {
+        debug_assert_eq!(batch.k(), 1, "IluFactors wraps a width-1 batch");
+        IluFactors {
+            batch,
+            lu: OnceLock::new(),
+        }
     }
 
     /// The symbolic analysis these factors were produced from. Cloning
     /// the handle is cheap and shares the plans, worker team and
     /// scratch.
     pub fn symbolic(&self) -> &SymbolicIlu<T> {
-        &self.sym
+        &self.batch.sym
     }
 
     /// Redoes the **numeric phase only**, in place, for a matrix with
@@ -117,8 +130,7 @@ impl<T: Scalar> IluFactors<T> {
     ///   factor values and statistics then keep the previous successful
     ///   factorization, so the old preconditioner stays usable.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
-        self.sym
-            .factor_into(a, self.lu.vals_mut(), &mut self.stats, None)
+        self.refactor_scalar(a, None)
     }
 
     /// Like [`IluFactors::refactor`], but unconditionally boosts the
@@ -136,9 +148,15 @@ impl<T: Scalar> IluFactors<T> {
         a: &CsrMatrix<T>,
         relative_shift: f64,
     ) -> Result<(), SparseError> {
-        let shift = Some(relative_shift);
-        self.sym
-            .factor_into(a, self.lu.vals_mut(), &mut self.stats, shift)
+        self.refactor_scalar(a, Some(relative_shift))
+    }
+
+    /// The batch's refactor at width 1, its one status surfaced as the
+    /// result.
+    fn refactor_scalar(&mut self, a: &CsrMatrix<T>, shift: Option<f64>) -> Result<(), SparseError> {
+        self.batch.refactor_lanes(&[a], shift)?;
+        self.lu.take();
+        self.batch.statuses()[0].clone()
     }
 
     /// Pre-grows the threaded engines' solve scratch to panel width
@@ -148,49 +166,30 @@ impl<T: Scalar> IluFactors<T> {
     /// buffers.
     pub fn reserve_panel_width(&self, k: usize) {
         if k > 1 {
-            self.sym.core().scratch.lock().ensure_width(k);
+            self.batch.sym.core().scratch.lock().ensure_width(k);
         }
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.lu.nrows()
-    }
-
     /// The combined LU factor (unit L diagonal implicit) in the
-    /// permuted ordering.
+    /// permuted ordering — a diagnostic copy, built on first call from
+    /// the analysis's pattern and the committed values and dropped by
+    /// the next refactor.
     pub fn lu(&self) -> &CsrMatrix<T> {
-        &self.lu
+        self.lu.get_or_init(|| {
+            let c = self.batch.sym.core();
+            let vals = self.batch.committed.clone();
+            CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals)
+        })
     }
 
     /// Diagonal entry positions within the LU arrays.
     pub fn diag_positions(&self) -> &[usize] {
-        &self.sym.core().diag_pos
-    }
-
-    /// The two-stage level permutation `P` (`LU ≈ P·A·Pᵀ`).
-    pub fn perm(&self) -> &Perm {
-        &self.sym.core().perm
+        &self.batch.sym.core().diag_pos
     }
 
     /// Factorization statistics.
     pub fn stats(&self) -> &FactorStats {
-        &self.stats
-    }
-
-    /// The solve plan (schedules, levels, trailing-block layout).
-    pub fn plan(&self) -> &SolvePlan {
-        &self.sym.core().plan
-    }
-
-    /// Threads the factors were built for.
-    pub fn nthreads(&self) -> usize {
-        self.sym.core().nthreads
-    }
-
-    /// Tile size used by Segmented-Rows and the tiled solve kernels.
-    pub fn tile_size(&self) -> usize {
-        self.sym.core().tile_size
+        self.batch.stats(0)
     }
 
     /// The engine used when none is named: LS+Lower when threaded and
@@ -200,7 +199,14 @@ impl<T: Scalar> IluFactors<T> {
     /// point-to-point spin waits would churn against each other on
     /// shared cores.
     pub fn default_engine(&self) -> SolveEngine {
-        self.sym.core().engine_hint
+        self.batch.sym.default_engine()
+    }
+
+    /// A [`Preconditioner`](crate::Preconditioner) over these factors
+    /// that always applies through `engine` instead of
+    /// [`IluFactors::default_engine`].
+    pub fn with_engine(&self, engine: SolveEngine) -> EnginePinned<'_, T> {
+        self.batch.precond(engine)
     }
 
     /// Solves `A·x ≈ b` through the factors with the default engine
@@ -221,8 +227,7 @@ impl<T: Scalar> IluFactors<T> {
     }
 
     /// [`IluFactors::solve_panel_with_buffer`] at width 1 — a vector is
-    /// a one-column panel. The path [`crate::Preconditioner::apply_with`]
-    /// takes inside Krylov loops.
+    /// a one-column panel.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
@@ -234,11 +239,6 @@ impl<T: Scalar> IluFactors<T> {
         x: &mut [T],
     ) -> Result<(), SparseError> {
         self.solve_panel_with_buffer(engine, buf, Panel::from_col(b), PanelMut::from_col(x))
-    }
-
-    /// The execution context solves run on (a persistent worker team).
-    pub fn exec(&self) -> &Exec {
-        &self.sym.core().exec
     }
 
     /// Panel solve with an explicit engine (a Serial solve allocates
@@ -257,8 +257,8 @@ impl<T: Scalar> IluFactors<T> {
     }
 
     /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides through
-    /// the crate's one apply pipeline (`trisolve::apply_panel`, over
-    /// these factors' shared values): one pass gathers `B` permuted and
+    /// the crate's one apply pipeline (`trisolve::apply_panel`, one
+    /// factor under every column): one pass gathers `B` permuted and
     /// row-interleaved into the engine's buffer, the engine retires all
     /// `k` columns in one schedule walk (Serial: one stream over the
     /// factor), one pass scatters the solution into `x`. Widths
@@ -283,8 +283,7 @@ impl<T: Scalar> IluFactors<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        let vals = Shared(self.lu.vals());
-        apply_panel(self.sym.core(), vals, engine, buf, b, x)
+        self.batch.solve(engine, 0, buf, b, x)
     }
 
     /// Maximum absolute deviation of `(L·U)ᵢⱼ` from `(P·A·Pᵀ)ᵢⱼ` over the
@@ -292,35 +291,38 @@ impl<T: Scalar> IluFactors<T> {
     /// roundoff for ILU(k) without dropping). Test/diagnostic helper,
     /// O(Σ nnz(L row) · nnz(U row)).
     pub fn product_error_on_pattern(&self, a: &CsrMatrix<T>) -> T {
-        let n = self.n();
+        let lu = self.lu();
+        let n = lu.nrows();
         let diag_pos = self.diag_positions();
-        let pa = a.permute_sym(self.perm()).expect("factor perm fits A");
+        let pa = a
+            .permute_sym(self.symbolic().perm())
+            .expect("factor perm fits A");
         let mut acc: Vec<T> = vec![T::ZERO; n];
         let mut touched: Vec<usize> = Vec::new();
         let mut worst = T::ZERO;
         for i in 0..n {
             // (LU)(i, :) = Σ_{c < i} L[i,c]·U(c,:) + U(i,:)
-            for k in self.lu.rowptr()[i]..diag_pos[i] {
-                let c = self.lu.colidx()[k];
-                let lic = self.lu.vals()[k];
-                for kk in diag_pos[c]..self.lu.rowptr()[c + 1] {
-                    let j = self.lu.colidx()[kk];
+            for k in lu.rowptr()[i]..diag_pos[i] {
+                let c = lu.colidx()[k];
+                let lic = lu.vals()[k];
+                for kk in diag_pos[c]..lu.rowptr()[c + 1] {
+                    let j = lu.colidx()[kk];
                     if acc[j] == T::ZERO {
                         touched.push(j);
                     }
-                    acc[j] += lic * self.lu.vals()[kk];
+                    acc[j] += lic * lu.vals()[kk];
                 }
             }
-            for kk in diag_pos[i]..self.lu.rowptr()[i + 1] {
-                let j = self.lu.colidx()[kk];
+            for kk in diag_pos[i]..lu.rowptr()[i + 1] {
+                let j = lu.colidx()[kk];
                 if acc[j] == T::ZERO {
                     touched.push(j);
                 }
-                acc[j] += self.lu.vals()[kk];
+                acc[j] += lu.vals()[kk];
             }
             // Compare on the pattern of row i only.
-            for k in self.lu.rowptr()[i]..self.lu.rowptr()[i + 1] {
-                let j = self.lu.colidx()[k];
+            for k in lu.rowptr()[i]..lu.rowptr()[i + 1] {
+                let j = lu.colidx()[k];
                 let aij = pa.get(i, j).unwrap_or(T::ZERO);
                 worst = worst.max((acc[j] - aij).abs());
             }
@@ -521,8 +523,8 @@ mod tests {
         let f1 = sym.factor(&a).unwrap();
         let f2 = sym.factor(&revalue(&a, 0.5)).unwrap();
         // Same plan object behind both factor objects.
-        assert!(std::ptr::eq(f1.plan(), f2.plan()));
-        assert!(std::ptr::eq(f1.plan(), sym.plan()));
+        assert!(std::ptr::eq(f1.symbolic().plan(), f2.symbolic().plan()));
+        assert!(std::ptr::eq(f1.symbolic().plan(), sym.plan()));
         assert_eq!(sym.n(), 49);
         assert_eq!(sym.nnz(), a.nnz());
         assert_eq!(sym.nthreads(), 2);
@@ -557,7 +559,7 @@ mod tests {
     }
 
     fn serial_perm(f: &IluFactors<f64>) -> Vec<usize> {
-        f.perm().new_to_old().to_vec()
+        f.symbolic().perm().new_to_old().to_vec()
     }
 
     #[test]
@@ -660,7 +662,7 @@ mod tests {
                     let mut x_dyn = vec![0.0; n * k];
                     crate::trisolve::apply_lanes(
                         f.symbolic().core(),
-                        Shared(f.lu().vals()),
+                        crate::trisolve::view::Shared(f.lu().vals()),
                         DynLanes(k),
                         engine,
                         &mut Vec::new(),
@@ -964,7 +966,7 @@ mod tests {
         let a = laplace_2d(10, 10);
         let f = compute_factors(&a, &IluOptions::level_scheduling_only(2));
         assert_eq!(f.stats().n_lower_rows, 0);
-        assert_eq!(f.plan().n_upper, 100);
+        assert_eq!(f.symbolic().plan().n_upper, 100);
     }
 
     #[test]

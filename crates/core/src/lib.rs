@@ -134,7 +134,7 @@ pub mod trisolve;
 pub use batch_factor::FactorsBatch;
 pub use factors::{factorize, IluFactors};
 pub use options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
-pub use precond::{ApplyScratch, EnginePinned, Preconditioner, ScenarioPrecond};
+pub use precond::{ApplyScratch, EnginePinned, Preconditioner};
 pub use spmv::SpmvPlan;
 pub use stats::FactorStats;
 pub use symbolic_ilu::SymbolicIlu;

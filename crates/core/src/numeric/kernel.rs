@@ -31,8 +31,10 @@
 //! that block coalescing.
 //!
 //! The safe `get`/`set` accessors remain for cold paths (value load,
-//! diagonal shift, commit, SR `Apply` deltas); they are plain
-//! reads/writes bound by the same protocol.
+//! diagonal shift, the masked commit, SR `Apply` deltas); they are
+//! plain reads/writes bound by the same protocol. The straight-copy
+//! commit reads through `values`, which needs `&mut` — no protocol
+//! at all.
 
 #![allow(unsafe_code)] // LuVals views; soundness argument in the module docs above.
 
@@ -73,13 +75,6 @@ impl<T> std::fmt::Debug for LuVals<T> {
 }
 
 impl<T: Scalar> LuVals<T> {
-    /// Copies in a value slice.
-    pub fn from_values(vals: &[T]) -> Self {
-        LuVals {
-            cells: vals.iter().map(|&v| ValCell(UnsafeCell::new(v))).collect(),
-        }
-    }
-
     /// `n` zero-valued entries — the shape used by reusable plan/
     /// workspace buffers, which are loaded per call instead of built
     /// from a value slice.
@@ -127,24 +122,6 @@ impl<T: Scalar> LuVals<T> {
         LuVals { cells }
     }
 
-    /// Overwrites every entry from `vals` (lengths must match). Caller
-    /// must guarantee quiescence; used to load a reused workspace
-    /// buffer without reallocating.
-    pub fn load_from(&self, vals: &[T]) {
-        assert_eq!(vals.len(), self.cells.len(), "LuVals::load_from length");
-        for (i, &v) in vals.iter().enumerate() {
-            self.set(i, v);
-        }
-    }
-
-    /// Copies every entry into `out` (lengths must match).
-    pub fn store_to(&self, out: &mut [T]) {
-        assert_eq!(out.len(), self.cells.len(), "LuVals::store_to length");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i);
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -153,6 +130,13 @@ impl<T: Scalar> LuVals<T> {
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
+    }
+
+    /// Every entry in order. Exclusive access rules out a concurrent
+    /// writer, so these are plain reads the compiler can stream (the
+    /// factor storage's commit copies through this).
+    pub(crate) fn values(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.cells.iter_mut().map(|c| *c.0.get_mut())
     }
 
     /// Reads entry `i`. A plain load; the caller must not race a
@@ -202,11 +186,6 @@ impl<T: Scalar> LuVals<T> {
             self.cells.as_ptr().cast::<T>().cast_mut().add(range.start),
             range.len(),
         )
-    }
-
-    /// Unpacks into a plain vector.
-    pub fn into_values(self) -> Vec<T> {
-        self.cells.into_iter().map(|c| c.0.into_inner()).collect()
     }
 }
 
@@ -413,19 +392,23 @@ mod tests {
 
     #[test]
     fn luvals_roundtrip_f64() {
-        let v = LuVals::<f64>::from_values(&[1.5, -2.25, 0.0]);
+        let v = LuVals::<f64>::zeroed(3);
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
+        v.set(1, -2.25);
         assert_eq!(v.get(1), -2.25);
         v.set(1, 7.0);
-        assert_eq!(v.into_values(), vec![1.5, 7.0, 0.0]);
+        assert_eq!(
+            (0..3).map(|i| v.get(i)).collect::<Vec<_>>(),
+            [0.0, 7.0, 0.0]
+        );
     }
 
     #[test]
     fn luvals_roundtrip_f32() {
-        let v = LuVals::<f32>::from_values(&[0.5, 3.5]);
+        let v = LuVals::<f32>::zeroed(2);
         v.set(0, -1.25);
-        assert_eq!(v.into_values(), vec![-1.25f32, 3.5]);
+        assert_eq!([v.get(0), v.get(1)], [-1.25f32, 0.0]);
     }
 
     #[test]

@@ -161,7 +161,7 @@ mod tests {
     }
 
     fn assert_is_dense_lu(f: &crate::IluFactors<f64>, a: &CsrMatrix<f64>, what: &str) {
-        let want = dense_lu(a, f.perm().new_to_old());
+        let want = dense_lu(a, f.symbolic().perm().new_to_old());
         let lu = f.lu();
         for (r, want_row) in want.iter().enumerate() {
             let mut got_row = vec![0.0; want_row.len()];

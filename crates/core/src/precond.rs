@@ -54,10 +54,11 @@ pub trait Preconditioner<T: Scalar>: Sync {
     /// where `r` is column `col` of a batched solve. Most
     /// preconditioners are column-oblivious and the default simply
     /// forwards to [`Preconditioner::apply_with`]; per-scenario
-    /// preconditioners (one operator per batch column, see
-    /// [`ScenarioPrecond`]) override this to dispatch on `col`. Batched
-    /// solvers route every single-column apply through this method so
-    /// scenario dispatch reaches restart/finalization paths too.
+    /// preconditioners (one operator per batch column: an
+    /// [`EnginePinned`] from [`FactorsBatch::precond`]) override this
+    /// to dispatch on `col`. Batched solvers route every single-column
+    /// apply through this method so scenario dispatch reaches
+    /// restart/finalization paths too.
     fn apply_column_with(&self, scratch: &mut ApplyScratch<T>, col: usize, r: &[T], z: &mut [T]) {
         let _ = col;
         self.apply_with(scratch, r, z);
@@ -137,74 +138,34 @@ impl<T: Scalar> Preconditioner<T> for IluFactors<T> {
     }
 }
 
-/// A preconditioner view of [`IluFactors`] with an explicitly pinned
-/// triangular-solve engine (see [`IluFactors::with_engine`]). Borrowed,
-/// copyable and engine-stable — the form session-style callers hand to
-/// Krylov solvers when the engine choice must not follow
-/// [`IluFactors::default_engine`].
+/// A factor object applied through an explicitly pinned
+/// triangular-solve engine — the one [`Preconditioner`] view of the
+/// crate's factor storage. Obtain with [`IluFactors::with_engine`] (the
+/// form session-style callers hand to Krylov solvers when the engine
+/// choice must not follow [`IluFactors::default_engine`]) or
+/// [`FactorsBatch::precond`]. Borrowed, copyable and engine-stable.
+///
+/// Every apply is **one** pass of the apply pipeline over the stored
+/// values — one gather, one schedule walk (Serial: one stream over
+/// `colidx` + values for the whole panel), one scatter. Over
+/// [`IluFactors`] (`k = 1`) the one factor serves every panel column;
+/// over a [`FactorsBatch`] of `k > 1` scenarios, panel column `c` is
+/// preconditioned by scenario `c` — each column is a different
+/// scenario's linear system — and a single-column apply
+/// ([`Preconditioner::apply_column_with`], what batched GMRES's
+/// per-column finalization issues) reads scenario `col`'s lane. Column
+/// `c` carries exactly the bits of a scalar solve through its factors
+/// either way. Single-vector applies ([`Preconditioner::apply`] /
+/// [`Preconditioner::apply_with`]) use scenario 0 — batched drivers
+/// never call them on a batch, but the trait requires a meaningful
+/// fallback.
 #[derive(Clone, Copy)]
 pub struct EnginePinned<'a, T> {
-    factors: &'a IluFactors<T>,
-    engine: SolveEngine,
-}
-
-impl<T: Scalar> IluFactors<T> {
-    /// A [`Preconditioner`] over these factors that always applies
-    /// through `engine` instead of [`IluFactors::default_engine`].
-    pub fn with_engine(&self, engine: SolveEngine) -> EnginePinned<'_, T> {
-        EnginePinned {
-            factors: self,
-            engine,
-        }
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
-    fn apply(&self, r: &[T], z: &mut [T]) {
-        self.factors
-            .solve_with(self.engine, r, z)
-            .expect("preconditioner buffers sized by the solver");
-    }
-
-    // `buffer(0)`: the apply pipeline sizes the buffer itself, and only
-    // on the engine that works in it.
-    fn apply_with(&self, scratch: &mut ApplyScratch<T>, r: &[T], z: &mut [T]) {
-        self.factors
-            .solve_with_buffer(self.engine, scratch.buffer(0), r, z)
-            .expect("preconditioner buffers sized by the solver");
-    }
-
-    fn apply_panel_with(&self, scratch: &mut ApplyScratch<T>, r: Panel<'_, T>, z: PanelMut<'_, T>) {
-        self.factors
-            .solve_panel_with_buffer(self.engine, scratch.buffer(0), r, z)
-            .expect("preconditioner buffers sized by the solver");
-    }
-}
-
-/// A **per-scenario** panel preconditioner: column `c` of a batched
-/// Krylov solve is preconditioned by scenario `c` of a
-/// [`FactorsBatch`] — each panel column is a different scenario's
-/// linear system. Obtain with [`FactorsBatch::precond`].
-///
-/// A panel apply is **one** pass of the apply pipeline over the
-/// batch's own lane-interleaved values — one gather, one schedule walk
-/// (Serial: one stream over `colidx` + values for all `k` scenarios),
-/// one scatter — not `k` scalar solves; a single-column apply
-/// ([`Preconditioner::apply_column_with`], what batched GMRES's
-/// per-column finalization issues) reads scenario `col`'s lane of the
-/// same buffer. Column `c` carries exactly the bits of a scalar solve
-/// through scenario `c`'s factors either way.
-///
-/// Single-vector applies ([`Preconditioner::apply`] /
-/// [`Preconditioner::apply_with`]) use scenario 0 — batched drivers
-/// never call them, but the trait requires a meaningful fallback.
-#[derive(Clone, Copy)]
-pub struct ScenarioPrecond<'a, T: Scalar> {
     pub(crate) batch: &'a FactorsBatch<T>,
     pub(crate) engine: SolveEngine,
 }
 
-impl<T: Scalar> Preconditioner<T> for ScenarioPrecond<'_, T> {
+impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         self.apply_with(&mut ApplyScratch::new(), r, z);
     }
@@ -213,16 +174,18 @@ impl<T: Scalar> Preconditioner<T> for ScenarioPrecond<'_, T> {
         self.apply_column_with(scratch, 0, r, z);
     }
 
+    // `buffer(0)`: the apply pipeline sizes the buffer itself, and only
+    // on the engine that works in it.
     fn apply_column_with(&self, scratch: &mut ApplyScratch<T>, col: usize, r: &[T], z: &mut [T]) {
         let (r, z) = (Panel::from_col(r), PanelMut::from_col(z));
         self.batch
-            .solve_scenarios(self.engine, col, scratch.buffer(0), r, z)
+            .solve(self.engine, col, scratch.buffer(0), r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 
     fn apply_panel_with(&self, scratch: &mut ApplyScratch<T>, r: Panel<'_, T>, z: PanelMut<'_, T>) {
         self.batch
-            .solve_scenarios(self.engine, 0, scratch.buffer(0), r, z)
+            .solve(self.engine, 0, scratch.buffer(0), r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 }

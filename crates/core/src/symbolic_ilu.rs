@@ -24,9 +24,12 @@
 //! ```
 //!
 //! `SymbolicIlu` is a cheaply cloneable handle (`Arc` inside); every
-//! [`IluFactors`] produced by [`SymbolicIlu::factor`] keeps one, so the
+//! factor object — an [`IluFactors`] from [`SymbolicIlu::factor`], a
+//! [`FactorsBatch`](crate::FactorsBatch) from
+//! [`SymbolicIlu::factor_batch`] — keeps one, so the LU pattern, the
 //! solve plan, the persistent worker team and the grow-only scratch
-//! buffers are shared by all factor objects of one analysis.
+//! buffers are shared by all factor objects of one analysis; a factor
+//! object owns only its values.
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::numeric::kernel::{LuVals, RowWorkspace};
@@ -38,7 +41,7 @@ use crate::stats::FactorStats;
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
-use javelin_sparse::lanes::{FixedLanes, Lanes};
+use javelin_sparse::lanes::Lanes;
 use javelin_sparse::pattern::{
     level_pattern_of, lower_of_pattern, upper_of_pattern, LevelPattern, SparsityPattern,
 };
@@ -52,18 +55,14 @@ use std::time::Instant;
 /// Marks an LU position with no corresponding entry in `A` (fill).
 pub(crate) const FILL: usize = usize::MAX;
 
-/// Reusable working state of the numeric phase, sized at analysis time
-/// so a steady-state [`IluFactors::refactor`] allocates nothing: the
-/// width-1 value buffer, Segmented-Rows delta slots and τ thresholds of
-/// the scalar path, plus one sparse-accumulator workspace per
-/// participant and the resettable progress counters of the
-/// point-to-point stages. The last two are pattern-only, so they serve
-/// every lane width ([`FactorsBatch`](crate::FactorsBatch) brings its
-/// own width-`k` value buffers).
-pub(crate) struct NumericScratch<T> {
-    lu_vals: LuVals<T>,
-    sr_deltas: LuVals<T>,
-    drop_thresh: Vec<T>,
+/// The pattern-only working state of the numeric phase, sized at
+/// analysis time and shared by every factor object of the analysis
+/// under `SymCore::numeric`'s lock: one sparse-accumulator workspace
+/// per participant and the resettable progress counters of the
+/// point-to-point stages. Everything value-carrying — the work buffer,
+/// Segmented-Rows delta slots and τ thresholds, at the factor's width
+/// — lives in the [`FactorsBatch`](crate::FactorsBatch) itself.
+pub(crate) struct NumericScratch {
     pub(crate) row_ws: Vec<Mutex<RowWorkspace>>,
     pub(crate) progress: ProgressCounters,
 }
@@ -72,7 +71,6 @@ pub(crate) struct NumericScratch<T> {
 pub(crate) struct SymCore<T> {
     pub(crate) n: usize,
     pub(crate) nthreads: usize,
-    pub(crate) tile_size: usize,
     pub(crate) opts: IluOptions,
     pub(crate) lower_method: LowerMethod,
     pub(crate) engine_hint: SolveEngine,
@@ -101,7 +99,7 @@ pub(crate) struct SymCore<T> {
     pub(crate) stats: FactorStats,
     pub(crate) exec: Exec,
     pub(crate) scratch: Mutex<SolveScratch<T>>,
-    pub(crate) numeric: Mutex<NumericScratch<T>>,
+    pub(crate) numeric: Mutex<NumericScratch>,
 }
 
 /// The pattern-dependent phase of an incomplete factorization: ordering,
@@ -396,16 +394,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             Some(&exec),
         ));
         let numeric = Mutex::new(NumericScratch {
-            // First-touch: the team's own threads fault the value pages
-            // in (chunked by tid) so page placement matches the workers
-            // that later fill and solve with them.
-            lu_vals: LuVals::zeroed_on(colidx.len(), &exec),
-            sr_deltas: LuVals::zeroed(sr.as_ref().map_or(0, SrPlan::n_delta_slots)),
-            drop_thresh: if opts.drop_tol > 0.0 {
-                vec![T::ZERO; n]
-            } else {
-                Vec::new()
-            },
             row_ws: (0..nthreads)
                 .map(|_| Mutex::new(RowWorkspace::new(n)))
                 .collect(),
@@ -417,7 +405,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             core: Arc::new(SymCore {
                 n,
                 nthreads,
-                tile_size: opts.tile_size,
                 opts: opts.clone(),
                 lower_method,
                 engine_hint,
@@ -542,11 +529,13 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// stage, Even-Rows or Segmented-Rows lower stage, serial or
     /// parallel corner) on the analysis's execution context and
     /// preallocated workspaces. `a` must have exactly the analyzed
-    /// pattern — only its values are read.
+    /// pattern — only its values are read. This is
+    /// [`SymbolicIlu::factor_batch`] of `[a]`, its one scenario's
+    /// breakdown returned as the error.
     ///
-    /// The returned factors share this handle's plans, worker team and
-    /// scratch; call [`IluFactors::refactor`] on them for subsequent
-    /// value sets.
+    /// The returned factors share this handle's pattern, plans, worker
+    /// team and scratch; call [`IluFactors::refactor`] on them for
+    /// subsequent value sets.
     ///
     /// # Errors
     /// * [`SparseError::PatternMismatch`] when `a`'s pattern differs
@@ -556,62 +545,9 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// * [`SparseError::Breakdown`] when
     ///   [`crate::ZeroPivotPolicy::ShiftRetry`] runs out of attempts.
     pub fn factor(&self, a: &CsrMatrix<T>) -> Result<IluFactors<T>, SparseError> {
-        let c = &*self.core;
-        let mut stats = c.stats.clone();
-        let mut vals = vec![T::ZERO; c.colidx.len()];
-        self.factor_into(a, &mut vals, &mut stats, None)?;
-        Ok(IluFactors::from_parts(self.clone(), vals, stats))
-    }
-
-    /// The scalar numeric phase — the width-1 instantiation of
-    /// [`SymbolicIlu::run_numeric`] behind [`SymbolicIlu::factor`],
-    /// [`IluFactors::refactor`] and [`IluFactors::refactor_with_shift`]
-    /// (`forced_shift`): factors a pattern-identical `a` in the
-    /// reusable value buffer and, on success only, commits values into
-    /// `out` and counters into `stats` — a failed run leaves both
-    /// untouched. Allocation-free (per-lane state lives on the stack).
-    ///
-    /// # Errors
-    /// See [`SymbolicIlu::factor`].
-    pub(crate) fn factor_into(
-        &self,
-        a: &CsrMatrix<T>,
-        out: &mut [T],
-        stats: &mut FactorStats,
-        forced_shift: Option<f64>,
-    ) -> Result<(), SparseError> {
-        self.check_pattern(a)?;
-        let t2 = Instant::now();
-        let mut num = self.core.numeric.lock();
-        let num = &mut *num;
-        let [replaced, dropped, failed] = [0, 0, usize::MAX].map(AtomicUsize::new);
-        let (mut failures, mut shift, mut status) = (0, 0.0, Ok(()));
-        self.run_numeric(
-            FixedLanes::<1>,
-            NumericRun {
-                mats: &[a],
-                vals: &num.lu_vals,
-                sr_deltas: &num.sr_deltas,
-                drop_thresh: &mut num.drop_thresh,
-                row_ws: &num.row_ws,
-                progress: &num.progress,
-                replaced: std::slice::from_ref(&replaced),
-                dropped: std::slice::from_ref(&dropped),
-                failed: std::slice::from_ref(&failed),
-                failures: std::slice::from_mut(&mut failures),
-                shifts: std::slice::from_mut(&mut shift),
-                statuses: std::slice::from_mut(&mut status),
-            },
-            forced_shift,
-        );
-        status?;
-        stats.replaced_pivots = replaced.into_inner();
-        stats.dropped_entries = dropped.into_inner();
-        stats.shift_attempts = failures + 1;
-        stats.diag_shift = shift;
-        num.lu_vals.store_to(out);
-        stats.t_numeric = t2.elapsed();
-        Ok(())
+        let batch = self.factor_batch(&[a])?;
+        batch.statuses()[0].clone()?;
+        Ok(IluFactors::from_batch(batch))
     }
 
     /// The one numeric driver: load through `a_src` → per-lane sticky
@@ -620,7 +556,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// [`SymbolicIlu::factor`], [`IluFactors::refactor`],
     /// [`IluFactors::refactor_with_shift`],
     /// [`FactorsBatch::refactor_batch`](crate::FactorsBatch::refactor_batch)
-    /// — is this function at some width. Allocation-free.
+    /// — is this function at some width, called by the factor storage's
+    /// one refactor. Allocation-free.
     ///
     /// Breakdown policy is applied **per lane**: a failing lane gets
     /// [`SparseError::ZeroPivot`] under `Error` (and under any policy
@@ -820,10 +757,10 @@ impl<T: Scalar> SymbolicIlu<T> {
 }
 
 /// Everything one [`SymbolicIlu::run_numeric`] call works on, all
-/// caller-owned so no width allocates: the scalar path points at the
-/// analysis's width-1 buffers and stack-resident per-lane state,
-/// [`FactorsBatch`](crate::FactorsBatch) at its own width-`k` vectors.
-/// Per-lane slices have one element per lane.
+/// owned by the calling [`FactorsBatch`](crate::FactorsBatch) (its
+/// width-`k` buffers and per-lane state) or by the analysis (the
+/// pattern-only scratch), so no width allocates. Per-lane slices have
+/// one element per lane.
 pub(crate) struct NumericRun<'a, T> {
     /// One pattern-checked matrix per lane.
     pub mats: &'a [&'a CsrMatrix<T>],

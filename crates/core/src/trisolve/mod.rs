@@ -26,17 +26,21 @@ use crate::options::SolveEngine;
 use crate::symbolic_ilu::SymCore;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, Panel, PanelMut, Scalar, SparseError};
-use view::{FactorView, LaneValues};
+use view::{FactorView, LaneValues, PerLane, Shared};
 
 /// Solves `A·X ≈ B` for an `n × k` panel through the factor values
 /// `vals` of analysis `core` — the one apply pipeline, at every width,
-/// for every engine and for every value addressing ([`view::Shared`]:
-/// [`crate::IluFactors`]; [`view::PerLane`]: [`crate::FactorsBatch`]):
-/// one pass gathers `B` permuted and row-interleaved into the engine's
-/// buffer, the engine retires all `k` columns in one schedule walk
-/// (Serial: one stream over the factor), one pass scatters the solution
-/// into `x`. Widths `k ∈ {1, 4, 8}` run the monomorphized fixed-lane
-/// kernels, every other width the bit-identical dynamic fallback.
+/// for every engine and every stored factor width. `vals` holds
+/// `stride` factors lane-interleaved (a [`crate::FactorsBatch`]'s
+/// committed values, from the panel's first scenario on): one stored
+/// factor serves every panel column ([`view::Shared`], what
+/// [`crate::IluFactors`] is), otherwise column `c` reads factor `c`
+/// ([`view::PerLane`]). One pass gathers `B` permuted and
+/// row-interleaved into the engine's buffer, the engine retires all
+/// `k` columns in one schedule walk (Serial: one stream over the
+/// factor), one pass scatters the solution into `x`. Widths
+/// `k ∈ {1, 4, 8}` run the monomorphized fixed-lane kernels, every
+/// other width the bit-identical dynamic fallback.
 ///
 /// The Serial engine works in `buf` (grown to `n·k` when shorter, never
 /// shrunk) and takes no lock; the threaded engines work in the
@@ -45,9 +49,10 @@ use view::{FactorView, LaneValues};
 ///
 /// # Errors
 /// [`SparseError::DimensionMismatch`] on shape mismatches.
-pub(crate) fn apply_panel<T: Scalar, V: LaneValues<Value = T>>(
+pub(crate) fn apply_panel<T: Scalar>(
     core: &SymCore<T>,
-    vals: V,
+    vals: &[T],
+    stride: usize,
     engine: SolveEngine,
     buf: &mut Vec<T>,
     b: Panel<'_, T>,
@@ -64,7 +69,14 @@ pub(crate) fn apply_panel<T: Scalar, V: LaneValues<Value = T>>(
             n
         )));
     }
-    if k > 0 {
+    if k == 0 {
+        return Ok(());
+    }
+    if stride == 1 {
+        let vals = Shared(vals);
+        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, buf, b, x));
+    } else {
+        let vals = PerLane { vals, k: stride };
         with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, buf, b, x));
     }
     Ok(())

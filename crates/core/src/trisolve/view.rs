@@ -44,8 +44,8 @@ pub(crate) trait LaneValues: Copy + Sync {
     fn entry(self, e: usize, c0: usize, cw: usize) -> Self::Entry;
 }
 
-/// `vals[e]` — one factor under every lane: [`crate::IluFactors`] at any
-/// panel width.
+/// `vals[e]` — one factor under every lane: a width-1
+/// [`crate::FactorsBatch`] ([`crate::IluFactors`]) at any panel width.
 #[derive(Clone, Copy)]
 pub(crate) struct Shared<'a, T>(pub &'a [T]);
 

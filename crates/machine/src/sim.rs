@@ -90,7 +90,7 @@ fn factor_touches<T: Scalar>(f: &IluFactors<T>) -> Vec<f64> {
 fn trailing_split<T: Scalar>(f: &IluFactors<T>, r: usize) -> (f64, f64) {
     let lu = f.lu();
     let dp = f.diag_positions();
-    let n_upper = f.plan().n_upper;
+    let n_upper = f.symbolic().plan().n_upper;
     let row_nnz = (lu.rowptr()[r + 1] - lu.rowptr()[r]) as f64;
     let mut pre = 0.0;
     let mut corner = 0.0;
@@ -118,7 +118,8 @@ pub fn sim_factor_time<T: Scalar>(
     let nthreads = nthreads.clamp(1, machine.max_threads());
     let lu = f.lu();
     let n = lu.nrows();
-    let n_upper = f.plan().n_upper;
+    let plan = f.symbolic().plan();
+    let n_upper = plan.n_upper;
     let touches = factor_touches(f);
     let cost = |r: usize| machine.row_factor_base_ns + machine.row_factor_per_nnz_ns * touches[r];
     let speed = machine.thread_speed(nthreads);
@@ -127,12 +128,11 @@ pub fn sim_factor_time<T: Scalar>(
     let (upper_s, blocked) = if nthreads == 1 {
         ((0..n_upper).map(&cost).sum::<f64>() * NS, 0)
     } else {
-        let schedule =
-            P2PSchedule::build(n_upper, nthreads, &f.plan().upper_level_ptr, |r, out| {
-                for k in lu.rowptr()[r]..f.diag_positions()[r] {
-                    out.push(lu.colidx()[k]);
-                }
-            });
+        let schedule = P2PSchedule::build(n_upper, nthreads, &plan.upper_level_ptr, |r, out| {
+            for k in lu.rowptr()[r]..f.diag_positions()[r] {
+                out.push(lu.colidx()[k]);
+            }
+        });
         sim_p2p_schedule(&schedule, machine, nthreads, cost)
     };
 
@@ -191,12 +191,13 @@ fn sim_sr_taskgraph<T: Scalar>(
     nthreads: usize,
     _splits: &[(f64, f64)],
 ) -> f64 {
-    let tile = f.tile_size().max(4);
+    let tile = f.symbolic().options().tile_size.max(4);
     let lu = f.lu();
     let dp = f.diag_positions();
     let n = lu.nrows();
-    let n_upper = f.plan().n_upper;
-    let level_ptr = &f.plan().upper_level_ptr;
+    let plan = f.symbolic().plan();
+    let n_upper = plan.n_upper;
+    let level_ptr = &plan.upper_level_ptr;
     let speed = machine.thread_speed(nthreads);
     // Build per-row segment cost chains.
     let mut chains: Vec<Vec<f64>> = Vec::new();
@@ -283,7 +284,8 @@ pub fn sim_trisolve_time<T: Scalar>(
     let lu = f.lu();
     let dp = f.diag_positions();
     let n = lu.nrows();
-    let n_upper = f.plan().n_upper;
+    let plan = f.symbolic().plan();
+    let n_upper = plan.n_upper;
     let speed = machine.thread_speed(nthreads);
     let fwd_cost = |r: usize| machine.row_solve_cost(dp[r] - lu.rowptr()[r]);
     let bwd_cost = |r: usize| machine.row_solve_cost(lu.rowptr()[r + 1] - dp[r]);
@@ -295,8 +297,8 @@ pub fn sim_trisolve_time<T: Scalar>(
         SolveEngine::BarrierLevel => {
             let mut t = 0.0;
             for (levels, cost) in [
-                (&f.plan().fwd_levels, &fwd_cost as &dyn Fn(usize) -> f64),
-                (&f.plan().bwd_levels, &bwd_cost as &dyn Fn(usize) -> f64),
+                (&plan.fwd_levels, &fwd_cost as &dyn Fn(usize) -> f64),
+                (&plan.bwd_levels, &bwd_cost as &dyn Fn(usize) -> f64),
             ] {
                 for l in 0..levels.n_levels() {
                     let rows = levels.level(l);
@@ -318,7 +320,7 @@ pub fn sim_trisolve_time<T: Scalar>(
             }
             // Forward: p2p over the upper stage.
             let fwd_sched =
-                P2PSchedule::build(n_upper, nthreads, &f.plan().upper_level_ptr, |r, out| {
+                P2PSchedule::build(n_upper, nthreads, &plan.upper_level_ptr, |r, out| {
                     for k in lu.rowptr()[r]..dp[r] {
                         let c = lu.colidx()[k];
                         if c < n_upper {
@@ -330,10 +332,10 @@ pub fn sim_trisolve_time<T: Scalar>(
             // Trailing forward part.
             if n_upper < n {
                 fwd_s += machine.barrier_ns * NS;
-                let block_entries = *f.plan().block_seg_ptr.last().unwrap_or(&0) as f64;
+                let block_entries = *plan.block_seg_ptr.last().unwrap_or(&0) as f64;
                 let corner_cost: f64 = (n_upper..n)
                     .map(|r| {
-                        let (k_lo, k_hi) = f.plan().block_rows[r - n_upper];
+                        let (k_lo, k_hi) = plan.block_rows[r - n_upper];
                         let corner_l = (dp[r] - k_lo) - (k_hi - k_lo);
                         machine.row_solve_cost(corner_l)
                     })
@@ -354,14 +356,13 @@ pub fn sim_trisolve_time<T: Scalar>(
             // Backward: corner first (serial), then p2p.
             let corner_bwd: f64 = (n_upper..n).map(bwd_cost).sum::<f64>() * NS;
             let bwd_sched =
-                P2PSchedule::build(n_upper, nthreads, &f.plan().bwd_level_ptr, |task, out| {
-                    let r = f.plan().bwd_row_of_task[task];
+                P2PSchedule::build(n_upper, nthreads, &plan.bwd_level_ptr, |task, out| {
+                    let r = plan.bwd_row_of_task[task];
                     for k in (dp[r] + 1)..lu.rowptr()[r + 1] {
                         let c = lu.colidx()[k];
                         if c < n_upper {
                             // Map row -> backward execution index.
-                            let dep_task = f
-                                .plan()
+                            let dep_task = plan
                                 .bwd_row_of_task
                                 .iter()
                                 .position(|&x| x == c)
@@ -371,7 +372,7 @@ pub fn sim_trisolve_time<T: Scalar>(
                     }
                 });
             let (bwd_s, _) = sim_p2p_schedule(&bwd_sched, machine, nthreads, |task| {
-                bwd_cost(f.plan().bwd_row_of_task[task])
+                bwd_cost(plan.bwd_row_of_task[task])
             });
             fwd_s + corner_bwd + bwd_s
         }

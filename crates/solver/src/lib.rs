@@ -128,7 +128,7 @@ impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::s
 }
 
 /// One matrix per panel column — the scenario-sweep consumer shape
-/// (pair with [`javelin_core::ScenarioPrecond`] for per-scenario
+/// (pair with [`javelin_core::FactorsBatch::precond`] for per-scenario
 /// preconditioning). The matrices must agree in shape; the solve
 /// asserts the slice covers the panel width.
 pub struct ScenarioMatrices<'a, T>(pub &'a [&'a CsrMatrix<T>]);

@@ -131,7 +131,7 @@ pub mod prelude {
     pub use javelin_core::factors::IluFactors;
     pub use javelin_core::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
     pub use javelin_core::symbolic_ilu::SymbolicIlu;
-    pub use javelin_core::{FactorsBatch, ScenarioPrecond};
+    pub use javelin_core::FactorsBatch;
     pub use javelin_solver::{
         bicgstab, bicgstab_batch, cg, fgmres, gmres, gmres_batch, krylov, krylov_panel, pcg,
         solve_batch, Method, PanelMatrices, ScenarioMatrices, SolverOptions, SolverResult,

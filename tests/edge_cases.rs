@@ -178,7 +178,7 @@ fn everything_demoted_to_lower_stage_is_prevented() {
     opts.split.location_frac = 0.0;
     opts.split.max_lower_frac = 1.0;
     let f = factorize(&a, &opts).unwrap();
-    assert!(f.plan().n_upper >= 1, "level 0 must survive");
+    assert!(f.symbolic().plan().n_upper >= 1, "level 0 must survive");
     solve_roundtrip(&a, &opts);
 }
 
@@ -257,4 +257,54 @@ fn tiny_tile_size_still_correct() {
     let bp: Vec<u64> = f_par.lu().vals().iter().map(|v| v.to_bits()).collect();
     assert_eq!(bs, bp);
     let _ = want;
+}
+
+#[test]
+fn failed_refactor_keeps_previous_factor_and_lu_tracks_success() {
+    // The scalar keep-previous contract, carried by the factor storage's
+    // masked commit: a refactor whose pivot collapses under the strict
+    // policy leaves the committed values (and the lazy `lu()` view of
+    // them) and every statistic exactly as they were; the next
+    // successful refactor refreshes a view read before it. On both
+    // lower-stage plans: Even-Rows + serial corner, and Segmented-Rows +
+    // parallel corner over heavy border rows.
+    let a = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(12, 12), 6);
+    let a2 = javelin::synth::util::revalue(&a, 0.37, 0.01);
+    // Pattern-identical, every diagonal zero: whatever the ordering, the
+    // first row's pivot is its own diagonal and collapses.
+    let mut singular = a.clone();
+    for p in a.diag_positions().unwrap() {
+        singular.vals_mut()[p] = 0.0;
+    }
+    let bits = |f: &javelin::core::IluFactors<f64>| -> Vec<u64> {
+        f.lu().vals().iter().map(|v| v.to_bits()).collect()
+    };
+    for nthreads in [1usize, 2, 3] {
+        for planned in [false, true] {
+            let at = format!("threads={nthreads} planned={planned}");
+            let mut opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
+            opts.tile_size = 4;
+            opts.lower_method = if planned {
+                LowerMethod::SegmentedRows
+            } else {
+                LowerMethod::EvenRows
+            };
+            opts.parallel_corner = planned;
+            let sym = javelin::core::SymbolicIlu::analyze(&a, &opts).unwrap();
+            let mut f = sym.factor(&a).unwrap();
+            let (before, stats) = (bits(&f), format!("{:?}", f.stats()));
+            assert!(
+                matches!(f.refactor(&singular), Err(SparseError::ZeroPivot { .. })),
+                "{at}"
+            );
+            assert_eq!(bits(&f), before, "{at}: failed refactor changed lu()");
+            assert_eq!(format!("{:?}", f.stats()), stats, "{at}: stats changed");
+            f.refactor(&a2).unwrap();
+            assert_eq!(
+                bits(&f),
+                bits(&sym.factor(&a2).unwrap()),
+                "{at}: stale lu()"
+            );
+        }
+    }
 }

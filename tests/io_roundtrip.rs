@@ -34,7 +34,10 @@ fn factorization_identical_after_roundtrip() {
     // most the last ulp through decimal formatting; we print with {:e}
     // which is exact for f64 -> decimal -> f64? Not guaranteed — allow
     // tiny drift).
-    assert_eq!(fa.perm().new_to_old(), fb.perm().new_to_old());
+    assert_eq!(
+        fa.symbolic().perm().new_to_old(),
+        fb.symbolic().perm().new_to_old()
+    );
     assert!(fa.lu().approx_eq(fb.lu(), 1e-9));
 }
 

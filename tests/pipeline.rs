@@ -119,6 +119,6 @@ fn stats_consistency_across_suite() {
         assert!(s.n_upper_levels <= s.n_levels);
         assert!(s.n_lower_rows < s.n);
         assert!(s.n_waits <= s.n_raw_deps);
-        assert_eq!(f.plan().n_upper + s.n_lower_rows, s.n);
+        assert_eq!(f.symbolic().plan().n_upper + s.n_lower_rows, s.n);
     }
 }

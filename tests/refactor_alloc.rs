@@ -448,6 +448,18 @@ fn steady_state_refactor_allocates_zero_bytes() {
         bytes8 < 20 * nnz_lu * k8,
         "a third copy of the values is back"
     );
+    // The scalar factor is that storage at k = 1: `factor` allocates
+    // exactly what `factor_batch(&[a])` does — phase 5's formula at
+    // k = 1, with no private copy of the LU pattern and no work buffer
+    // borrowed from the analysis.
+    let cost_scalar = counted(|| drop(sym5.factor(&a5).expect("scalar factor")));
+    let cost_one = counted(|| drop(sym5.factor_batch(&[&a5]).expect("k = 1 batch")));
+    assert_eq!(cost_scalar, cost_one, "factor vs factor_batch(&[a])");
+    assert_eq!(
+        cost_one.1,
+        16 * nnz_lu + 8 * n5 + per_lane,
+        "factor_batch(k = 1) bytes: two value buffers + τ + bookkeeping"
+    );
 
     // ---- Phase 6: exclusive-slice kernels on a PINNED team. ----
     // `pin_threads` changes placement only (core binding + first-touch
@@ -511,15 +523,21 @@ fn steady_state_refactor_allocates_zero_bytes() {
     );
     let mut f7 = sym7.factor(&a7).expect("SR factor");
     let mut f7_er = sym7_er.factor(&a7).expect("ER factor");
-    // The first factorization takes the same walks: it allocates its
-    // result — exactly what the Even-Rows analysis allocates — and
-    // nothing for the lower stage (no per-call graph, no spawn).
+    // The first factorization takes the same walks and allocates only
+    // its result — nothing for the lower stage (no per-call graph, no
+    // spawn). The result is the factor storage at k = 1, which owns its
+    // Segmented-Rows delta slots as every batch does: the SR factor
+    // costs exactly the ER one plus one allocation, those slots (8 B
+    // each).
     let cost_sr = counted(|| drop(sym7.factor(&a7).expect("SR factor")));
     let cost_er = counted(|| drop(sym7_er.factor(&a7).expect("ER factor")));
+    let slot_bytes = cost_sr.1 - cost_er.1;
     assert_eq!(
-        cost_sr, cost_er,
-        "factor allocated for its lower-stage plan"
+        (cost_sr.0, slot_bytes % 8),
+        (cost_er.0 + 1, 0),
+        "SR factor allocated more than its delta slots"
     );
+    assert!(slot_bytes > 0, "border rows must be tiled");
     f7.refactor(&revalue(&a7, 0.37)).expect("warm-up refactor");
     f7.refactor_with_shift(&revalue(&a7, 0.71), 1e-4)
         .expect("warm-up shifted refactor");

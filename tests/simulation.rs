@@ -81,8 +81,8 @@ fn barrier_engine_pays_per_level() {
         // The engine barriers once per forward (lower-pattern) level and
         // once per backward (upper-pattern) level — these differ from
         // the scheduling pattern's count on nonsymmetric matrices.
-        let n_barriers =
-            (f.ls.plan().fwd_levels.n_levels() + f.ls.plan().bwd_levels.n_levels()) as f64;
+        let plan = f.ls.symbolic().plan();
+        let n_barriers = (plan.fwd_levels.n_levels() + plan.bwd_levels.n_levels()) as f64;
         assert!(
             barrier >= n_barriers * h.barrier_ns * 1e-9,
             "{}: barrier {barrier:.3e} vs {} barrier points",
