@@ -5,8 +5,8 @@
 //! (the scenario corners of a parameter sweep) into a [`FactorsBatch`]:
 //! `k` independent factorizations produced by a single pass of the
 //! numeric engines in which the level-schedule / point-to-point walk,
-//! the counter resets, the team regions and the per-row
-//! sparse-accumulator loads are shared, and only the per-entry
+//! the counter resets, the team regions and the stream of the
+//! analysis's update list are shared, and only the per-entry
 //! arithmetic loops over the `k` value-sets (the numeric engine of
 //! [`crate::numeric`] at width `k`). [`IluFactors`] is this type at
 //! `k = 1` plus the scalar error contract: [`SymbolicIlu::factor`],
@@ -233,7 +233,7 @@ impl<T: Scalar> FactorsBatch<T> {
 
     /// Redoes the numeric phase of **all** `k` scenarios in one batched
     /// pass — the sweep-stepping entry point. The schedule walk, team
-    /// regions, counter resets and row loads run once; the per-row
+    /// regions, counter resets and update-list stream run once; the per-row
     /// arithmetic loops over the scenario lanes. In the steady state
     /// this performs **zero heap allocations and zero thread spawns**
     /// (enforced by `tests/refactor_alloc.rs`).
@@ -277,14 +277,13 @@ impl<T: Scalar> FactorsBatch<T> {
         let t2 = Instant::now();
         let c = self.sym.core();
         {
-            let num = c.numeric.lock();
+            let progress = c.progress.lock();
             let run = NumericRun {
                 mats,
                 vals: &self.lu_vals,
                 sr_deltas: &self.sr_deltas,
                 drop_thresh: &mut self.drop_thresh,
-                row_ws: &num.row_ws,
-                progress: &num.progress,
+                progress: &progress,
                 replaced: &self.replaced,
                 dropped: &self.dropped,
                 failed: &self.failed,

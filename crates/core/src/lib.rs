@@ -35,12 +35,13 @@
 //!
 //! * **Analyze (once per pattern).** [`SymbolicIlu::analyze`] computes
 //!   everything pattern-dependent: the ILU(k) fill, level sets, the
-//!   two-stage split and permutation, the forward/backward
-//!   point-to-point schedules, the lower stage's Segmented-Rows task
-//!   graph and parallel-corner schedule where selected, the
-//!   [`factors::SolvePlan`], a reusable
-//!   [`SolveScratch`] (progress counters, barrier, flat tiled-gather
-//!   partials, the in-place solve buffer), the numeric scratch, and a
+//!   two-stage split and permutation, the update list (every
+//!   elimination update of the numeric phase, resolved once), the
+//!   forward/backward point-to-point schedules, the lower stage's
+//!   Segmented-Rows task graph and parallel-corner schedule where
+//!   selected, the [`factors::SolvePlan`], a reusable [`SolveScratch`]
+//!   (progress counters, barrier, flat tiled-gather partials, the
+//!   in-place solve buffer), the numeric progress counters, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the

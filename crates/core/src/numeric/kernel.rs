@@ -1,4 +1,17 @@
-//! The up-looking row kernel and its workspaces.
+//! The up-looking row kernel, the update list it streams, and the
+//! value buffer it works in.
+//!
+//! ## The update list
+//!
+//! The pattern intersection the kernel needs — for L entry `(r, c)`,
+//! which entries `u(c, j)` of the finished row `c` update which entries
+//! `(r, j)` of row `r` — depends on the pattern only. `update_list`
+//! resolves it once, at `SymbolicIlu::analyze`, into one `u32` pair per
+//! update (the refactorization codes' precomputed elimination, as in
+//! KLU's refactor and NICSLU). [`eliminate_columns`] then divides by
+//! the pivot and streams the entry's pairs: no per-row column map, no
+//! probe of a column that row `r` does not store. Segmented-Rows tiles
+//! read the same list (`lower.rs`).
 //!
 //! ## `LuVals` and the row-ownership protocol
 //!
@@ -14,7 +27,7 @@
 //!   counter (`factor_upper_p2p_planned`, `factor_corner_parallel`), a
 //!   task-graph edge (`factor_lower_sr`) or a team-region join (between
 //!   the stages: after the upper stage, after `factor_lower_er_planned`
-//!   or the task graph, before `factor_rows_serial_ws` on the corner)
+//!   or the task graph, before `factor_rows_serial` on the corner)
 //!   after the row's last write, and acquired through the matching
 //!   acquire-wait before any dependent read;
 //! * Segmented-Rows tiles that share a row write disjoint entry
@@ -41,7 +54,7 @@
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
 use javelin_sparse::lanes::{lane_fnma, Lanes};
-use javelin_sparse::Scalar;
+use javelin_sparse::{Scalar, SparseError};
 use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -189,61 +202,95 @@ impl<T: Scalar> LuVals<T> {
     }
 }
 
-/// Per-thread sparse-accumulator workspace: an epoch-stamped map from
-/// column to entry index of the currently loaded row. Loading is O(row
-/// length); clearing is free (epoch bump).
-pub struct RowWorkspace {
-    pos: Vec<usize>,
-    epoch: Vec<u64>,
-    cur: u64,
+/// Converts a pattern index or count to the `u32` the analysis stores
+/// it as.
+///
+/// # Errors
+/// [`SparseError::InvalidStructure`] when `i` exceeds `u32::MAX`.
+pub(crate) fn index_u32(i: usize, what: &str) -> Result<u32, SparseError> {
+    u32::try_from(i).map_err(|_| {
+        SparseError::InvalidStructure(format!("{what} = {i} exceeds the u32 index range"))
+    })
 }
 
-impl RowWorkspace {
-    /// Workspace for matrices of dimension `n`.
-    pub fn new(n: usize) -> Self {
-        RowWorkspace {
-            pos: vec![0; n],
-            epoch: vec![0; n],
-            cur: 0,
+/// The update list of an LU pattern: every elimination update the
+/// up-looking kernel performs, resolved once from the pattern.
+///
+/// For LU entry `e = (r, c)` with `c < r`, `list[ptr[e]..ptr[e + 1]]`
+/// holds one `[dst, src]` pair per column `j > c` stored in both rows
+/// `r` and `c`, in U-row column order: `dst` is the entry `(r, j)`,
+/// `src` the entry `u(c, j)`. Every other entry's range is empty, so
+/// the list is ordered by L entry in row order.
+///
+/// One branch-free pass: a column → entry map of row `r` with a `NONE`
+/// sentinel, every candidate written and the cursor advanced by
+/// whether it hit; the map is reset after the row.
+///
+/// # Errors
+/// [`SparseError::InvalidStructure`] when the entry count or the update
+/// count does not fit in `u32`.
+pub(crate) fn update_list(
+    rowptr: &[usize],
+    colidx: &[usize],
+    diag_pos: &[usize],
+) -> Result<(Vec<u32>, Vec<[u32; 2]>), SparseError> {
+    const NONE: u32 = u32::MAX;
+    let n = rowptr.len() - 1;
+    // Every entry index is then below `NONE`.
+    index_u32(colidx.len(), "nnz_lu")?;
+    let mut pos = vec![NONE; n];
+    let mut ptr = Vec::with_capacity(colidx.len() + 1);
+    ptr.push(0u32);
+    let mut list: Vec<[u32; 2]> = Vec::new();
+    let mut len = 0usize;
+    for r in 0..n {
+        let (lo, dp, hi) = (rowptr[r], diag_pos[r], rowptr[r + 1]);
+        for (e, &c) in (index_u32(lo, "entry")?..).zip(&colidx[lo..hi]) {
+            pos[c] = e;
+        }
+        let candidates: usize = colidx[lo..dp]
+            .iter()
+            .map(|&c| rowptr[c + 1] - diag_pos[c] - 1)
+            .sum();
+        list.resize(len + candidates, [0; 2]);
+        for &c in &colidx[lo..dp] {
+            let u_lo = index_u32(diag_pos[c] + 1, "entry")?;
+            let u_hi = index_u32(rowptr[c + 1], "entry")?;
+            for src in u_lo..u_hi {
+                let dst = pos[colidx[src as usize]];
+                list[len] = [dst, src];
+                len += usize::from(dst != NONE);
+            }
+            ptr.push(index_u32(len, "n_updates")?);
+        }
+        // The diagonal and U entries eliminate nothing.
+        ptr.resize(ptr.len() + hi - dp, index_u32(len, "n_updates")?);
+        for &c in &colidx[lo..hi] {
+            pos[c] = NONE;
         }
     }
-
-    /// Loads the column→entry map of row `r`.
-    #[inline]
-    pub fn load_row(&mut self, rowptr: &[usize], colidx: &[usize], r: usize) {
-        self.cur += 1;
-        for k in rowptr[r]..rowptr[r + 1] {
-            let c = colidx[k];
-            self.pos[c] = k;
-            self.epoch[c] = self.cur;
-        }
-    }
-
-    /// Entry index of column `c` in the loaded row, if present.
-    #[inline(always)]
-    pub fn entry_of(&self, c: usize) -> Option<usize> {
-        (self.epoch[c] == self.cur).then(|| self.pos[c])
-    }
+    list.truncate(len);
+    list.shrink_to_fit();
+    Ok((ptr, list))
 }
 
 /// Processes the L-columns of row `r` with `col_lo <= c < min(col_hi, r)`
 /// — the up-looking elimination steps of the paper's Fig. 1, restricted
 /// to a column window so the two-stage engines can split a row's work —
-/// with the per-entry arithmetic looped over the `k` lanes. The pattern
-/// walk (entry scan, window clipping, U-row traversal, `ws` lookups)
-/// runs once and serves every lane; at `FixedLanes<1>` the lane loops
+/// with the per-entry arithmetic looped over the `k` lanes. Per L entry
+/// it divides by the pivot and streams that entry's pairs of the
+/// analysis's update list (module docs): no pattern search, no miss.
+/// The list walk serves every lane; at `FixedLanes<1>` the lane loops
 /// fold away and this *is* the scalar kernel.
 ///
-/// Requires `ws` to hold row `r` (see [`RowWorkspace::load_row`]) and
-/// every row `c` in the window to be finalized. The caller must own row
-/// `r` exclusively (all engines call this only inside the row's
-/// ownership window; SR tiles that share a row run their own subrange
-/// loop in `lower.rs` instead).
+/// Requires every row `c` in the window to be finalized. The caller
+/// must own row `r` exclusively (all engines call this only inside the
+/// row's ownership window; SR tiles that share a row run their own
+/// subrange loop in `lower.rs` instead).
 #[inline]
 pub fn eliminate_columns<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
-    ws: &RowWorkspace,
     r: usize,
     col_lo: usize,
     col_hi: usize,
@@ -266,20 +313,20 @@ pub fn eliminate_columns<T: Scalar, L: Lanes>(
             continue;
         }
         let dp = ctx.diag_pos[c];
-        let u_hi = ctx.rowptr[c + 1];
         // Safety: row `c < r` is finalized (function contract), hence
         // quiescent for the remainder of the factorization; its lanes
         // (diagonal included) are read-only from here on.
-        let uc = unsafe { ctx.vals.view(dp * k..u_hi * k) };
-        let (piv, urow) = uc.split_at(k);
-        let ucols = &ctx.colidx[dp + 1..u_hi];
+        let uc = unsafe { ctx.vals.view(dp * k..ctx.rowptr[c + 1] * k) };
+        // a[r, j] -= l * u[c, j] for every j > c stored in both rows:
+        // `dst` is (r, j), `src` is u(c, j).
+        let upd = ctx.updates_of(e);
         let le = (e - base) * k;
         if dropping {
             // τ-dropping is per-lane control flow (each lane decides
             // independently whether to zero the entry and skip its
             // sweep), so walk lane-major.
             for lane in 0..k {
-                let l = vr[le + lane] / piv[lane];
+                let l = vr[le + lane] / uc[lane];
                 if l.abs() < ctx.drop_thresh[lanes.idx(r, lane)] {
                     // Treat as zero immediately: skip the update sweep.
                     // The position stays in the (shared) pattern so
@@ -289,11 +336,9 @@ pub fn eliminate_columns<T: Scalar, L: Lanes>(
                     continue;
                 }
                 vr[le + lane] = l;
-                // a[r, j] -= l * u[c, j] for every j > c stored in both rows.
-                for (off, &j) in ucols.iter().enumerate() {
-                    if let Some(p) = ws.entry_of(j) {
-                        vr[(p - base) * k + lane] -= l * urow[off * k + lane];
-                    }
+                for &[dst, src] in upd {
+                    let (p, u) = (dst as usize - base, src as usize - dp);
+                    vr[p * k + lane] -= l * uc[u * k + lane];
                 }
             }
         } else {
@@ -305,20 +350,18 @@ pub fn eliminate_columns<T: Scalar, L: Lanes>(
             // eliminated column, in the same per-location order, with
             // the same multiply-then-subtract expression.
             //
-            // Columns are sorted within a row, so every update position
-            // `p` lies strictly past entry `e`; splitting at the end of
-            // `e`'s lane block lets the stored multipliers serve as
+            // Columns are sorted within a row, so every `dst` lies
+            // strictly past entry `e`; splitting at the end of `e`'s
+            // lane block lets the stored multipliers serve as
             // `lane_fnma`'s per-lane coefficients.
             let (head, tail) = vr.split_at_mut(le + k);
             let lrow = &mut head[le..];
             for lane in 0..k {
-                lrow[lane] /= piv[lane];
+                lrow[lane] /= uc[lane];
             }
-            for (off, &j) in ucols.iter().enumerate() {
-                if let Some(p) = ws.entry_of(j) {
-                    let pe = (p - base) * k - (le + k);
-                    lane_fnma(lanes, lrow, &urow[off * k..][..k], &mut tail[pe..][..k]);
-                }
+            for &[dst, src] in upd {
+                let (p, u) = (dst as usize - e - 1, src as usize - dp);
+                lane_fnma(lanes, lrow, &uc[u * k..][..k], &mut tail[p * k..][..k]);
             }
         }
     }
@@ -412,16 +455,25 @@ mod tests {
     }
 
     #[test]
-    fn workspace_maps_current_row_only() {
-        let rowptr = vec![0, 2, 4];
-        let colidx = vec![0, 1, 0, 1];
-        let mut ws = RowWorkspace::new(2);
-        ws.load_row(&rowptr, &colidx, 0);
-        assert_eq!(ws.entry_of(0), Some(0));
-        assert_eq!(ws.entry_of(1), Some(1));
-        ws.load_row(&rowptr, &colidx, 1);
-        assert_eq!(ws.entry_of(0), Some(2));
-        assert_eq!(ws.entry_of(1), Some(3));
+    fn index_conversion_accepts_u32_max_and_rejects_past_it() {
+        let max = u32::MAX as usize;
+        assert_eq!(index_u32(max, "nnz_lu").unwrap(), u32::MAX);
+        assert!(matches!(
+            index_u32(max + 1, "nnz_lu"),
+            Err(SparseError::InvalidStructure(_))
+        ));
+    }
+
+    #[test]
+    fn update_list_pairs_each_l_entry_with_its_shared_u_columns() {
+        // Rows: 0 = {0, 2}, 1 = {1, 2}, 2 = {0, 1, 2}. L entry (2, 0)
+        // is updated through u(0, 2) into (2, 2); L entry (2, 1)
+        // through u(1, 2) into (2, 2). No other entry eliminates.
+        let (rowptr, colidx) = (vec![0, 2, 4, 7], vec![0, 2, 1, 2, 0, 1, 2]);
+        let diag_pos = vec![0, 2, 6];
+        let (ptr, list) = update_list(&rowptr, &colidx, &diag_pos).unwrap();
+        assert_eq!(ptr, [0, 0, 0, 0, 0, 1, 2, 2]);
+        assert_eq!(list, [[6, 1], [6, 3]]);
     }
 
     const ONE: FixedLanes<1> = FixedLanes::<1>;
@@ -431,10 +483,8 @@ mod tests {
     fn eliminates_a_2x2_row() {
         let fx = CtxFixture::dense(2, &[vec![4.0, 2.0, 1.0, 3.0]]);
         let ctx = fx.ctx();
-        let mut ws = RowWorkspace::new(2);
         finalize_row(ONE, &ctx, 0);
-        ws.load_row(&fx.rowptr, &fx.colidx, 1);
-        eliminate_columns(ONE, &ctx, &ws, 1, 0, 2);
+        eliminate_columns(ONE, &ctx, 1, 0, 2);
         finalize_row(ONE, &ctx, 1);
         assert_eq!(fx.lane(0), vec![4.0, 2.0, 0.25, 2.5]);
         assert_eq!(fx.failed_row[0].load(Ordering::Relaxed), usize::MAX);
@@ -448,14 +498,12 @@ mod tests {
         let run = |windows: &[(usize, usize)]| -> Vec<f64> {
             let fx = CtxFixture::dense(3, std::slice::from_ref(&a));
             let ctx = fx.ctx();
-            let mut ws = RowWorkspace::new(3);
             for r in 0..3 {
-                ws.load_row(&fx.rowptr, &fx.colidx, r);
                 if r < 2 {
-                    eliminate_columns(ONE, &ctx, &ws, r, 0, 3);
+                    eliminate_columns(ONE, &ctx, r, 0, 3);
                 } else {
                     for &(lo, hi) in windows {
-                        eliminate_columns(ONE, &ctx, &ws, r, lo, hi);
+                        eliminate_columns(ONE, &ctx, r, lo, hi);
                     }
                 }
                 finalize_row(ONE, &ctx, r);
@@ -516,10 +564,8 @@ mod tests {
     fn sweep<L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> CtxFixture {
         assert_eq!(scenarios.len(), lanes.width());
         let fx = CtxFixture::dense(4, scenarios);
-        let mut ws = RowWorkspace::new(4);
         for r in 0..4 {
-            ws.load_row(&fx.rowptr, &fx.colidx, r);
-            eliminate_columns(lanes, &fx.ctx(), &ws, r, 0, 4);
+            eliminate_columns(lanes, &fx.ctx(), r, 0, 4);
             finalize_row(lanes, &fx.ctx(), r);
         }
         fx

@@ -19,17 +19,19 @@
 //!   paper's terms. Chosen when the demoted rows are few but heavy.
 //!
 //! Both are followed by `FACTOR_LU` on the corner: serial
-//! ([`factor_rows_serial_ws`](crate::numeric::parallel::factor_rows_serial_ws)
+//! ([`factor_rows_serial`](crate::numeric::parallel::factor_rows_serial)
 //! over the trailing rows — "for most matrices, serial seems to be good
 //! enough", §III-B) or point-to-point parallel (`CornerPlan` /
 //! `factor_corner_parallel`).
 //!
-//! Everything pattern-dependent — the SR node list, task graph and
-//! per-tile update targets, the corner's levels and pruned waits — is
-//! decided once, by `SymbolicIlu::analyze`; the functions here only
-//! execute a plan. They are lane-generic, run as regions on the
-//! analysis's team and allocate nothing, so every numeric entry point
-//! (first factorization, refactorization, batch) takes the same walks.
+//! Everything pattern-dependent — the SR node list and task graph, the
+//! corner's levels and pruned waits, and the update list every walk
+//! streams (which also names each tile delta slot's `U` entry and
+//! target) — is decided once, by `SymbolicIlu::analyze`; the functions
+//! here only execute a plan. They are lane-generic, run as regions on
+//! the analysis's team and allocate nothing, so every numeric entry
+//! point (first factorization, refactorization, batch) takes the same
+//! walks.
 //!
 //! Every path preserves the serial within-row operation order, so
 //! results are bit-identical to the serial sweep.
@@ -39,43 +41,34 @@
 // `kernel.rs`.
 #![allow(unsafe_code)]
 
-use crate::numeric::kernel::{eliminate_columns, finalize_row, LuVals, RowWorkspace};
+use crate::numeric::kernel::{eliminate_columns, finalize_row, LuVals};
 use crate::numeric::NumericCtx;
 use javelin_level::P2PSchedule;
 use javelin_sparse::fault::{self, FaultAction};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
 use javelin_sync::{Exec, ProgressCounters, TaskGraph};
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 /// Even-Rows: the `FACTOR_L` sweep of trailing rows `n_upper..n`
-/// against the finished upper stage, as one region on `exec` with each
-/// participant borrowing its preallocated [`RowWorkspace`] — all lanes
-/// retired per row under one chunking and one workspace load.
+/// against the finished upper stage, as one region on `exec` — all
+/// lanes retired per row under one chunking and one update-list stream.
 pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     n_upper: usize,
     exec: &Exec,
-    workspaces: &[Mutex<RowWorkspace>],
 ) {
     let n_lower = ctx.n() - n_upper;
     let nthreads = exec.nthreads();
-    debug_assert_eq!(workspaces.len(), nthreads);
     let chunk = n_lower.div_ceil(nthreads.max(1)).max(1);
     exec.run(|tid| {
         let start = (tid * chunk).min(n_lower);
         let end = ((tid + 1) * chunk).min(n_lower);
-        if start >= end {
-            return;
-        }
-        let mut ws = workspaces[tid].lock();
         for r in n_upper + start..n_upper + end {
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
             // FACTOR_L: everything left of the corner.
-            eliminate_columns(lanes, ctx, &ws, r, 0, n_upper);
+            eliminate_columns(lanes, ctx, r, 0, n_upper);
         }
     });
 }
@@ -91,20 +84,26 @@ enum SrNode {
         col_hi: usize,
     },
     /// Tile of a large segment: divides its `entries` of `row` and
-    /// writes one update delta per slot of `slots`.
+    /// writes one update delta per pair of the entries' update-list
+    /// range, into consecutive delta slots from `slot_lo`.
     Tile {
         row: usize,
         entries: Range<usize>,
-        slots: Range<usize>,
+        slot_lo: usize,
     },
-    /// Applies the delta `slots` of a segment's tiles, in order.
-    Apply { slots: Range<usize> },
+    /// Applies the delta slots of a segment's tiles (its `entries`'
+    /// update-list range, slots from `slot_lo`), in order.
+    Apply {
+        entries: Range<usize>,
+        slot_lo: usize,
+    },
 }
 
-/// The Segmented-Rows plan of one analysis: the work items, their task
-/// DAG, and — per delta slot of every tile — which finished `U` entry
-/// it multiplies and which entry of the tile's row it updates, all
-/// resolved from the pattern once.
+/// The Segmented-Rows plan of one analysis: the work items and their
+/// task DAG, resolved from the pattern once. A tile's delta slots are
+/// its entries' range of the analysis's update list, so the list alone
+/// says which finished `U` entry each slot multiplies and which entry
+/// of the tile's row it updates.
 ///
 /// Requires the factorization to have been scheduled on the
 /// `lower(A+Aᵀ)` pattern (columns within one level block are then
@@ -113,34 +112,32 @@ enum SrNode {
 pub(crate) struct SrPlan {
     nodes: Vec<SrNode>,
     graph: TaskGraph,
-    /// Per delta slot: the entry `u[c, j]` of a finished upper row.
-    delta_src: Vec<usize>,
-    /// Per delta slot: the entry `(row, j)` the delta is subtracted from.
-    delta_dst: Vec<usize>,
+    n_slots: usize,
 }
 
 impl SrPlan {
     /// Plans the `FACTOR_L` sweep of rows `n_upper..n` of the permuted
-    /// LU pattern: per-(row, level-block) segments, those longer than
-    /// `tile_size` entries cut into tiles.
+    /// LU pattern with update-list offsets `upd_ptr`: per-(row,
+    /// level-block) segments, those longer than `tile_size` entries cut
+    /// into tiles.
     pub(crate) fn build(
         rowptr: &[usize],
         colidx: &[usize],
-        diag_pos: &[usize],
+        upd_ptr: &[u32],
         n_upper: usize,
         upper_level_ptr: &[usize],
         tile_size: usize,
     ) -> Self {
         let n = rowptr.len() - 1;
         let tile_size = tile_size.max(4);
-        let mut ws = RowWorkspace::new(n);
         let mut nodes: Vec<SrNode> = Vec::new();
         let mut deps: Vec<(usize, usize)> = Vec::new();
-        let (mut delta_src, mut delta_dst) = (Vec::new(), Vec::new());
+        let mut n_slots = 0usize;
+        let n_pairs =
+            |entries: Range<usize>| (upd_ptr[entries.end] - upd_ptr[entries.start]) as usize;
         // Enumerate nodes row by row, chaining each row's blocks.
         for r in n_upper..n {
             let (rs, re) = (rowptr[r], rowptr[r + 1]);
-            ws.load_row(rowptr, colidx, r);
             // Sub-corner entries: columns < n_upper form a sorted prefix.
             let sub_end = rs + colidx[rs..re].partition_point(|&c| c < n_upper);
             let mut k = rs;
@@ -164,29 +161,21 @@ impl SrPlan {
                     });
                 } else {
                     // DIVIDE_COLUMNS over tiles, then one UPDATE apply.
-                    let slot_lo = delta_dst.len();
+                    let slot_lo = n_slots;
                     for t in (k..seg_end).step_by(tile_size) {
                         let entries = t..(t + tile_size).min(seg_end);
-                        let tile_slot_lo = delta_dst.len();
-                        for e in entries.clone() {
-                            let c = colidx[e];
-                            for uk in (diag_pos[c] + 1)..rowptr[c + 1] {
-                                if let Some(p) = ws.entry_of(colidx[uk]) {
-                                    delta_src.push(uk);
-                                    delta_dst.push(p);
-                                }
-                            }
-                        }
                         nodes.push(SrNode::Tile {
                             row: r,
-                            entries,
-                            slots: tile_slot_lo..delta_dst.len(),
+                            entries: entries.clone(),
+                            slot_lo: n_slots,
                         });
+                        n_slots += n_pairs(entries);
                     }
                     let apply = nodes.len();
                     deps.extend((first_node..apply).map(|tile| (tile, apply)));
                     nodes.push(SrNode::Apply {
-                        slots: slot_lo..delta_dst.len(),
+                        entries: k..seg_end,
+                        slot_lo,
                     });
                 }
                 let last_node = nodes.len() - 1;
@@ -208,22 +197,20 @@ impl SrPlan {
         SrPlan {
             graph: TaskGraph::new(nodes.len(), &deps),
             nodes,
-            delta_src,
-            delta_dst,
+            n_slots,
         }
     }
 
     /// Delta slots the plan's tiles write: [`factor_lower_sr`] needs a
     /// `deltas` buffer of this many entries per lane.
     pub(crate) fn n_delta_slots(&self) -> usize {
-        self.delta_dst.len()
+        self.n_slots
     }
 }
 
 /// Segmented-Rows: the `FACTOR_L` sweep of the trailing rows, executing
-/// `plan` on the task graph as one region on `exec` (one
-/// [`RowWorkspace`] per participant), every lane retired per task.
-/// `deltas` is the caller's lane-interleaved delta storage
+/// `plan` on the task graph as one region on `exec`, every lane retired
+/// per task. `deltas` is the caller's lane-interleaved delta storage
 /// (`plan.n_delta_slots() · k` entries); its contents on entry are
 /// irrelevant — every slot is rewritten before it is read.
 pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
@@ -232,13 +219,11 @@ pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
     plan: &SrPlan,
     deltas: &LuVals<T>,
     exec: &Exec,
-    workspaces: &[Mutex<RowWorkspace>],
 ) {
     let k = lanes.width();
     assert_eq!(deltas.len(), plan.n_delta_slots() * k, "SR delta storage");
-    debug_assert_eq!(workspaces.len(), exec.nthreads());
     let dropping = !ctx.drop_thresh.is_empty();
-    plan.graph.execute(exec, |tid, node| {
+    plan.graph.execute(exec, |_, node| {
         if let Some(FaultAction::Panic) = fault::fire("numeric.sr_task") {
             panic!("fault injected at numeric.sr_task");
         }
@@ -247,17 +232,16 @@ pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
                 row,
                 col_lo,
                 col_hi,
-            } => {
-                let mut ws = workspaces[tid].lock();
-                ws.load_row(ctx.rowptr, ctx.colidx, *row);
-                eliminate_columns(lanes, ctx, &ws, *row, *col_lo, *col_hi);
-            }
+            } => eliminate_columns(lanes, ctx, *row, *col_lo, *col_hi),
             SrNode::Tile {
                 row,
                 entries,
-                slots,
+                slot_lo,
             } => {
-                // DIVIDE_COLUMNS + delta collection.
+                // DIVIDE_COLUMNS + delta collection: slot `slot_lo + i`
+                // holds the delta of the tile's `i`-th update pair.
+                let span = ctx.update_span(entries.clone());
+                let slots = *slot_lo..slot_lo + span.len();
                 // Safety: concurrent tiles of one block own disjoint
                 // entry subranges and disjoint delta slots, same-row
                 // blocks are chained through the task graph, and the
@@ -266,22 +250,16 @@ pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
                 // successors run.
                 let vt = unsafe { ctx.vals.view_mut(entries.start * k..entries.end * k) };
                 let dt = unsafe { deltas.view_mut(slots.start * k..slots.end * k) };
-                let mut s = slots.start;
                 for (i, e) in entries.clone().enumerate() {
                     let lrow = &mut vt[i * k..][..k];
                     let c = ctx.colidx[e];
-                    let (dp, u_hi) = (ctx.diag_pos[c], ctx.rowptr[c + 1]);
+                    let dp = ctx.diag_pos[c];
                     // Safety: row `c` is an upper-stage row, finalized
                     // before the lower stage started.
-                    let uc = unsafe { ctx.vals.view(dp * k..u_hi * k) };
-                    // This entry's slots: `delta_src` ascends across a
-                    // tile, and row `c`'s entries end at `u_hi`.
-                    let s_lo = s;
-                    while s < slots.end && plan.delta_src[s] < u_hi {
-                        s += 1;
-                    }
-                    let slot_of = |t: usize| (t - slots.start) * k;
-                    let u_of = |t: usize| (plan.delta_src[t] - dp) * k;
+                    let uc = unsafe { ctx.vals.view(dp * k..ctx.rowptr[c + 1] * k) };
+                    let upd = ctx.updates_of(e);
+                    let d_lo = (ctx.update_span(e..e + 1).start - span.start) * k;
+                    let de = &mut dt[d_lo..][..upd.len() * k];
                     if dropping {
                         // Per-lane control flow, as in `eliminate_columns`.
                         // A dropped lane contributes exact zeros:
@@ -295,11 +273,11 @@ pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
                                 ctx.dropped[lane].fetch_add(1, Ordering::Relaxed);
                             }
                             lrow[lane] = l;
-                            for t in s_lo..s {
-                                dt[slot_of(t) + lane] = if dropped {
+                            for (t, &[_, src]) in upd.iter().enumerate() {
+                                de[t * k + lane] = if dropped {
                                     T::ZERO
                                 } else {
-                                    l * uc[u_of(t) + lane]
+                                    l * uc[(src as usize - dp) * k + lane]
                                 };
                             }
                         }
@@ -307,22 +285,21 @@ pub(crate) fn factor_lower_sr<T: Scalar, L: Lanes>(
                         for lane in 0..k {
                             lrow[lane] /= uc[lane];
                         }
-                        for t in s_lo..s {
-                            let u = &uc[u_of(t)..][..k];
-                            let d = &mut dt[slot_of(t)..][..k];
+                        for (d, &[_, src]) in de.chunks_exact_mut(k).zip(upd) {
+                            let u = &uc[(src as usize - dp) * k..][..k];
                             for lane in 0..k {
                                 d[lane] = lrow[lane] * u[lane];
                             }
                         }
                     }
                 }
-                debug_assert_eq!(s, slots.end);
             }
-            SrNode::Apply { slots } => {
+            SrNode::Apply { entries, slot_lo } => {
                 // UPDATE_BLOCK: subtract the deltas in tile order —
                 // exactly the serial left-to-right accumulation.
-                for s in slots.clone() {
-                    let p = plan.delta_dst[s];
+                let upd = &ctx.upd[ctx.update_span(entries.clone())];
+                for (s, &[dst, _]) in (*slot_lo..).zip(upd) {
+                    let p = dst as usize;
                     for lane in 0..k {
                         let (x, d) = (ctx.vals.get(p * k + lane), deltas.get(s * k + lane));
                         ctx.vals.set(p * k + lane, x - d);
@@ -402,8 +379,8 @@ impl CornerPlan {
 /// optional variant ("the factorization of the corner can be done in
 /// serial or parallel"; §III-B): the standard pruned-wait walk over
 /// `plan`, as one region on `exec`. Bit-identical to the serial corner.
-/// `exec`, `progress` and `workspaces` must carry the participant count
-/// the plan was built for.
+/// `exec` and `progress` must carry the participant count the plan was
+/// built for.
 pub(crate) fn factor_corner_parallel<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
@@ -411,19 +388,16 @@ pub(crate) fn factor_corner_parallel<T: Scalar, L: Lanes>(
     n_upper: usize,
     exec: &Exec,
     progress: &ProgressCounters,
-    workspaces: &[Mutex<RowWorkspace>],
 ) {
     let schedule = &plan.schedule;
     debug_assert_eq!(exec.nthreads(), schedule.nthreads());
     let n = ctx.n();
     progress.reset();
     exec.run(|tid| {
-        let mut ws = workspaces[tid].lock();
         for &task in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(task));
             let r = plan.row_of_task[task];
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns(lanes, ctx, &ws, r, n_upper, n);
+            eliminate_columns(lanes, ctx, r, n_upper, n);
             finalize_row(lanes, ctx, r);
             progress.bump(tid);
         }
@@ -433,7 +407,7 @@ pub(crate) fn factor_corner_parallel<T: Scalar, L: Lanes>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::parallel::factor_rows_serial_ws;
+    use crate::numeric::parallel::factor_rows_serial;
     use crate::numeric::CtxFixture;
     use javelin_sparse::lanes::{DynLanes, FixedLanes};
 
@@ -475,12 +449,6 @@ mod tests {
         CtxFixture::new(rowptr, colidx, &scenarios)
     }
 
-    fn workspaces(nthreads: usize) -> Vec<Mutex<RowWorkspace>> {
-        (0..nthreads)
-            .map(|_| Mutex::new(RowWorkspace::new(8)))
-            .collect()
-    }
-
     /// Upper stage serially, then the named lower sweep and corner, at
     /// the width of `scales`, with per-lane absolute τ thresholds
     /// `taus` (empty = no dropping); returns every lane's bits.
@@ -495,25 +463,23 @@ mod tests {
         let mut fx = two_stage_case(scales);
         fx.drop_thresh = (0..8).flat_map(|_| taus.iter().copied()).collect();
         let ctx = fx.ctx();
-        let wss = workspaces(nthreads);
         let exec = Exec::team(nthreads);
-        let serial_rows =
-            |lo, hi, col_lo| factor_rows_serial_ws(lanes, &ctx, lo, hi, col_lo, &mut wss[0].lock());
+        let serial_rows = |lo, hi, col_lo| factor_rows_serial(lanes, &ctx, lo, hi, col_lo);
         match which {
             "serial" => serial_rows(0, 8, 0),
             "er" => {
                 serial_rows(0, 6, 0);
-                factor_lower_er_planned(lanes, &ctx, 6, &exec, &wss);
+                factor_lower_er_planned(lanes, &ctx, 6, &exec);
                 serial_rows(6, 8, 6);
             }
             "sr" => {
                 serial_rows(0, 6, 0);
-                let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.diag_pos, 6, &[0, 6], tile);
+                let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.upd_ptr, 6, &[0, 6], tile);
                 let deltas = LuVals::zeroed(sr.n_delta_slots() * scales.len());
-                factor_lower_sr(lanes, &ctx, &sr, &deltas, &exec, &wss);
+                factor_lower_sr(lanes, &ctx, &sr, &deltas, &exec);
                 let corner = CornerPlan::build(&fx.rowptr, &fx.colidx, &fx.diag_pos, 6, nthreads);
                 let progress = ProgressCounters::new(nthreads);
-                factor_corner_parallel(lanes, &ctx, &corner, 6, &exec, &progress, &wss);
+                factor_corner_parallel(lanes, &ctx, &corner, 6, &exec, &progress);
             }
             other => panic!("unknown engine {other}"),
         }
@@ -576,13 +542,12 @@ mod tests {
         // (a refactorization) must reproduce the first.
         let sweep = |sr: &SrPlan, deltas: &LuVals<f64>| {
             let fx = two_stage_case(&[1.0]);
-            let wss = workspaces(2);
-            factor_rows_serial_ws(ONE, &fx.ctx(), 0, 6, 0, &mut wss[0].lock());
-            factor_lower_sr(ONE, &fx.ctx(), sr, deltas, &Exec::team(2), &wss);
+            factor_rows_serial(ONE, &fx.ctx(), 0, 6, 0);
+            factor_lower_sr(ONE, &fx.ctx(), sr, deltas, &Exec::team(2));
             fx.lane_bits(0)
         };
         let fx = two_stage_case(&[1.0]);
-        let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.diag_pos, 6, &[0, 6], 4);
+        let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.upd_ptr, 6, &[0, 6], 4);
         assert!(sr.n_delta_slots() > 0, "tile = 4 must cut the 6-entry rows");
         let deltas = LuVals::zeroed(sr.n_delta_slots());
         let first = sweep(&sr, &deltas);
@@ -593,12 +558,11 @@ mod tests {
     fn empty_lower_stage_is_noop() {
         let fx = two_stage_case(&[1.0]);
         let before = fx.lane_bits(0);
-        let wss = workspaces(2);
         let exec = Exec::team(2);
-        factor_lower_er_planned(ONE, &fx.ctx(), 8, &exec, &wss);
-        let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.diag_pos, 8, &[0, 6], 8);
+        factor_lower_er_planned(ONE, &fx.ctx(), 8, &exec);
+        let sr = SrPlan::build(&fx.rowptr, &fx.colidx, &fx.upd_ptr, 8, &[0, 6], 8);
         assert_eq!(sr.n_delta_slots(), 0);
-        factor_lower_sr(ONE, &fx.ctx(), &sr, &LuVals::zeroed(0), &exec, &wss);
+        factor_lower_sr(ONE, &fx.ctx(), &sr, &LuVals::zeroed(0), &exec);
         assert_eq!(fx.lane_bits(0), before, "values untouched");
     }
 }

@@ -3,10 +3,17 @@
 //! There is **one** numeric engine, generic over a
 //! [`Lanes`](javelin_sparse::lanes::Lanes) width `k`: the pattern
 //! machinery (schedule walk, point-to-point waits, counter resets, team
-//! regions, per-row sparse-accumulator loads) runs once per row and the
-//! per-entry arithmetic loops over `k` value-sets. Scalar
-//! factorization is the `FixedLanes<1>` instantiation; a batch of `k`
-//! pattern-identical scenario matrices is the same code at width `k`.
+//! regions, the update-list stream) runs once per row and the per-entry
+//! arithmetic loops over `k` value-sets. Scalar factorization is the
+//! `FixedLanes<1>` instantiation; a batch of `k` pattern-identical
+//! scenario matrices is the same code at width `k`.
+//!
+//! No walk searches the pattern: every elimination update — which
+//! entry of a finished row updates which entry of the current row — is
+//! resolved by `SymbolicIlu::analyze` into one `u32` update list
+//! ([`NumericCtx::upd`]; see [`kernel`]), which the serial,
+//! point-to-point, Even-Rows, corner and Segmented-Rows walks all
+//! stream. A walk therefore needs no per-thread workspace.
 //!
 //! Layout: lane `c` of LU entry `e` lives at `e·k + c` (the
 //! `Lanes::idx` convention), per-lane τ thresholds at `r·k + c`.
@@ -24,7 +31,7 @@ pub mod kernel;
 pub mod lower;
 pub mod parallel;
 
-pub use kernel::{LuVals, RowWorkspace};
+pub use kernel::LuVals;
 
 use crate::options::ZeroPivotPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,6 +46,11 @@ pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub colidx: &'a [usize],
     /// Diagonal entry position of each row.
     pub diag_pos: &'a [usize],
+    /// Update-list range of each LU entry (`nnz + 1` offsets).
+    pub upd_ptr: &'a [u32],
+    /// The update list: per elimination update, the `[dst, src]`
+    /// entries of `a[r, j] -= l[r, c]·u[c, j]`.
+    pub upd: &'a [[u32; 2]],
     /// Lane-interleaved values (initialized from `A`, overwritten in
     /// place): lane `c` of entry `e` at `e·k + c`.
     pub vals: &'a LuVals<T>,
@@ -67,6 +79,19 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
         self.rowptr[r]..self.rowptr[r + 1]
     }
 
+    /// Update-list positions of the updates entries `entries` perform.
+    #[inline(always)]
+    pub(crate) fn update_span(&self, entries: std::ops::Range<usize>) -> std::ops::Range<usize> {
+        self.upd_ptr[entries.start] as usize..self.upd_ptr[entries.end] as usize
+    }
+
+    /// The `[dst, src]` update pairs of L entry `e`, in U-row column
+    /// order (empty for diagonal and U entries).
+    #[inline(always)]
+    pub(crate) fn updates_of(&self, e: usize) -> &'a [[u32; 2]] {
+        &self.upd[self.update_span(e..e + 1)]
+    }
+
     /// Matrix dimension.
     #[inline(always)]
     pub(crate) fn n(&self) -> usize {
@@ -89,6 +114,8 @@ pub(crate) struct CtxFixture {
     pub rowptr: Vec<usize>,
     pub colidx: Vec<usize>,
     pub diag_pos: Vec<usize>,
+    pub upd_ptr: Vec<u32>,
+    pub upd: Vec<[u32; 2]>,
     pub vals: LuVals<f64>,
     pub drop_thresh: Vec<f64>,
     pub milu_omega: f64,
@@ -104,9 +131,10 @@ impl CtxFixture {
     /// value-set in `scenarios`.
     pub fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
         let k = scenarios.len();
-        let diag_pos = (0..rowptr.len() - 1)
+        let diag_pos: Vec<usize> = (0..rowptr.len() - 1)
             .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
             .collect();
+        let (upd_ptr, upd) = kernel::update_list(&rowptr, &colidx, &diag_pos).unwrap();
         let vals = LuVals::zeroed(colidx.len() * k);
         for (c, s) in scenarios.iter().enumerate() {
             for (e, &v) in s.iter().enumerate() {
@@ -118,6 +146,8 @@ impl CtxFixture {
             rowptr,
             colidx,
             diag_pos,
+            upd_ptr,
+            upd,
             vals,
             drop_thresh: Vec::new(),
             milu_omega: 0.0,
@@ -140,6 +170,8 @@ impl CtxFixture {
             rowptr: &self.rowptr,
             colidx: &self.colidx,
             diag_pos: &self.diag_pos,
+            upd_ptr: &self.upd_ptr,
+            upd: &self.upd,
             vals: &self.vals,
             drop_thresh: &self.drop_thresh,
             milu_omega: self.milu_omega,

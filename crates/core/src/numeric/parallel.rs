@@ -1,33 +1,30 @@
 //! The serial row walk and the point-to-point upper stage — each
-//! generic over the lane width and run on caller-owned state
-//! (workspaces, counters, execution context), so every call is
+//! generic over the lane width and run on caller-owned state (counters,
+//! execution context) plus the analysis's update list, so every call is
 //! allocation- and spawn-free.
 
-use crate::numeric::kernel::{eliminate_columns, finalize_row, RowWorkspace};
+use crate::numeric::kernel::{eliminate_columns, finalize_row};
 use crate::numeric::NumericCtx;
 use javelin_level::P2PSchedule;
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
 use javelin_sync::{Exec, ProgressCounters};
-use parking_lot::Mutex;
 
 /// Serial up-looking factorization of rows `lo..hi` against columns
-/// `col_lo..` — one `load_row` per row serves all lanes. Over `0..n`
-/// this is the reference every parallel engine must match bit-for-bit;
-/// over `n_upper..n` with `col_lo = n_upper` it is `FACTOR_LU` on the
-/// corner.
-pub fn factor_rows_serial_ws<T: Scalar, L: Lanes>(
+/// `col_lo..` — one stream of each row's update lists serves all
+/// lanes. Over `0..n` this is the reference every parallel engine must
+/// match bit-for-bit; over `n_upper..n` with `col_lo = n_upper` it is
+/// `FACTOR_LU` on the corner.
+pub fn factor_rows_serial<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     lo: usize,
     hi: usize,
     col_lo: usize,
-    ws: &mut RowWorkspace,
 ) {
     let n = ctx.n();
     for r in lo..hi {
-        ws.load_row(ctx.rowptr, ctx.colidx, r);
-        eliminate_columns(lanes, ctx, ws, r, col_lo, n);
+        eliminate_columns(lanes, ctx, r, col_lo, n);
         finalize_row(lanes, ctx, r);
     }
 }
@@ -36,13 +33,12 @@ pub fn factor_rows_serial_ws<T: Scalar, L: Lanes>(
 /// static task sequence, spin-waits on the pruned `(thread, progress)`
 /// list, factors the row, and release-bumps its counter — the paper's
 /// replacement for inter-level barriers (§III-A). Every row's waits,
-/// workspace load and bump are performed once for all lanes.
+/// update-list stream and bump are performed once for all lanes.
 ///
 /// Rows are the first `schedule.n_tasks()` rows of the permuted matrix
 /// (execution index = row index). The region runs on `exec` (a
 /// persistent worker team by default) with the progress counters reset
-/// and reused and each participant borrowing its preallocated
-/// [`RowWorkspace`]; `exec`, `progress` and `workspaces` must all carry
+/// and reused; `exec` and `progress` must both carry
 /// `schedule.nthreads()` participants.
 pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     lanes: L,
@@ -50,20 +46,16 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     schedule: &P2PSchedule,
     exec: &Exec,
     progress: &ProgressCounters,
-    workspaces: &[Mutex<RowWorkspace>],
 ) {
     let nthreads = schedule.nthreads();
     debug_assert_eq!(exec.nthreads(), nthreads);
     debug_assert_eq!(progress.len(), nthreads);
-    debug_assert_eq!(workspaces.len(), nthreads);
     progress.reset();
     let n = ctx.n();
     exec.run(|tid| {
-        let mut ws = workspaces[tid].lock();
         for &row in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(row));
-            ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns(lanes, ctx, &ws, row, 0, n);
+            eliminate_columns(lanes, ctx, row, 0, n);
             finalize_row(lanes, ctx, row);
             progress.bump(tid);
         }
@@ -90,23 +82,19 @@ mod tests {
         .concat();
         let lanes = FixedLanes::<1>;
         let serial = CtxFixture::dense(4, std::slice::from_ref(&flat));
-        factor_rows_serial_ws(lanes, &serial.ctx(), 0, 4, 0, &mut RowWorkspace::new(4));
+        factor_rows_serial(lanes, &serial.ctx(), 0, 4, 0);
         for nthreads in [1, 2, 3] {
             let fx = CtxFixture::dense(4, std::slice::from_ref(&flat));
             // Dense lower triangle: each row is its own level.
             let level_ptr: Vec<usize> = (0..=4).collect();
             let deps = |r: usize, out: &mut Vec<usize>| out.extend(0..r);
             let schedule = P2PSchedule::build(4, nthreads, &level_ptr, deps);
-            let workspaces: Vec<_> = (0..nthreads)
-                .map(|_| Mutex::new(RowWorkspace::new(4)))
-                .collect();
             factor_upper_p2p_planned(
                 lanes,
                 &fx.ctx(),
                 &schedule,
                 &Exec::team(nthreads),
                 &ProgressCounters::new(nthreads),
-                &workspaces,
             );
             assert_eq!(
                 fx.lane_bits(0),

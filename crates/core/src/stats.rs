@@ -25,6 +25,11 @@ pub struct FactorStats {
     pub n_waits: usize,
     /// Raw dependency edges before pruning.
     pub n_raw_deps: usize,
+    /// Elimination updates `a[r, j] -= l[r, c]·u[c, j]` of one numeric
+    /// sweep per value-set: the length of the analysis's update list.
+    /// A pattern count, set by the analysis and carried into every
+    /// factor's statistics.
+    pub n_updates: usize,
     /// Pivots replaced under [`crate::ZeroPivotPolicy::Replace`].
     pub replaced_pivots: usize,
     /// Entries zeroed by the τ drop rule.

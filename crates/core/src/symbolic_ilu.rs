@@ -2,11 +2,13 @@
 //!
 //! The paper's pipeline is explicitly phased: ordering, the ILU(k) fill
 //! pattern, level analysis, the two-stage split and the point-to-point
-//! schedules depend only on the *sparsity pattern* of `A`, while the
-//! up-looking elimination depends on its *values*. [`SymbolicIlu`]
-//! captures everything pattern-dependent — the production handle split
-//! of SuperLU/KLU-style interfaces — so time-stepping and transient
-//! workloads pay the symbolic cost once:
+//! schedules depend only on the *sparsity pattern* of `A`, and so does
+//! *which* elimination updates the up-looking kernel performs (resolved
+//! here into the update list); only the arithmetic of those updates
+//! depends on its *values*. [`SymbolicIlu`] captures everything
+//! pattern-dependent — the production handle split of SuperLU/KLU-style
+//! interfaces — so time-stepping and transient workloads pay the
+//! symbolic cost once:
 //!
 //! ```
 //! use javelin_core::{IluOptions, SymbolicIlu};
@@ -27,14 +29,14 @@
 //! factor object — an [`IluFactors`] from [`SymbolicIlu::factor`], a
 //! [`FactorsBatch`](crate::FactorsBatch) from
 //! [`SymbolicIlu::factor_batch`] — keeps one, so the LU pattern, the
-//! solve plan, the persistent worker team and the grow-only scratch
-//! buffers are shared by all factor objects of one analysis; a factor
-//! object owns only its values.
+//! update list, the solve plan, the persistent worker team and the
+//! grow-only scratch buffers are shared by all factor objects of one
+//! analysis; a factor object owns only its values.
 
 use crate::factors::{IluFactors, SolvePlan};
-use crate::numeric::kernel::{LuVals, RowWorkspace};
+use crate::numeric::kernel::{index_u32, update_list, LuVals};
 use crate::numeric::lower::{self, CornerPlan, SrPlan};
-use crate::numeric::parallel::{factor_rows_serial_ws, factor_upper_p2p_planned};
+use crate::numeric::parallel::{factor_rows_serial, factor_upper_p2p_planned};
 use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
@@ -53,19 +55,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Marks an LU position with no corresponding entry in `A` (fill).
-pub(crate) const FILL: usize = usize::MAX;
-
-/// The pattern-only working state of the numeric phase, sized at
-/// analysis time and shared by every factor object of the analysis
-/// under `SymCore::numeric`'s lock: one sparse-accumulator workspace
-/// per participant and the resettable progress counters of the
-/// point-to-point stages. Everything value-carrying — the work buffer,
-/// Segmented-Rows delta slots and τ thresholds, at the factor's width
-/// — lives in the [`FactorsBatch`](crate::FactorsBatch) itself.
-pub(crate) struct NumericScratch {
-    pub(crate) row_ws: Vec<Mutex<RowWorkspace>>,
-    pub(crate) progress: ProgressCounters,
-}
+pub(crate) const FILL: u32 = u32::MAX;
 
 /// Everything pattern-dependent, computed once (see module docs).
 pub(crate) struct SymCore<T> {
@@ -86,7 +76,12 @@ pub(crate) struct SymCore<T> {
     pub(crate) colidx: Vec<usize>,
     pub(crate) diag_pos: Vec<usize>,
     /// Per LU entry: source index into `A.vals()`, or [`FILL`].
-    pub(crate) a_src: Vec<usize>,
+    pub(crate) a_src: Vec<u32>,
+    /// The update list (`numeric/kernel.rs`): LU entry `e`'s
+    /// elimination updates are `upd[upd_ptr[e]..upd_ptr[e + 1]]`, one
+    /// `[dst, src]` entry pair each.
+    pub(crate) upd_ptr: Vec<u32>,
+    pub(crate) upd: Vec<[u32; 2]>,
     pub(crate) perm: Perm,
     pub(crate) plan: SolvePlan,
     /// The lower stage's plans, present iff selected and able to run
@@ -99,7 +94,14 @@ pub(crate) struct SymCore<T> {
     pub(crate) stats: FactorStats,
     pub(crate) exec: Exec,
     pub(crate) scratch: Mutex<SolveScratch<T>>,
-    pub(crate) numeric: Mutex<NumericScratch>,
+    /// The numeric phase's only pattern-side scratch: the
+    /// point-to-point stages' resettable progress counters. Its lock
+    /// also serializes the numeric runs of every factor object of the
+    /// analysis on the shared team; everything value-carrying — the
+    /// work buffer, Segmented-Rows delta slots and τ thresholds, at the
+    /// factor's width — lives in the [`FactorsBatch`](crate::FactorsBatch)
+    /// itself.
+    pub(crate) progress: Mutex<ProgressCounters>,
 }
 
 /// The pattern-dependent phase of an incomplete factorization: ordering,
@@ -156,10 +158,12 @@ fn resolve_lower_method(opts: &IluOptions, n_lower: usize, nthreads: usize) -> L
 impl<T: Scalar> SymbolicIlu<T> {
     /// Runs the symbolic phase of the pipeline on the *pattern* of `a`:
     /// ILU(k) fill, level analysis, two-stage split, permutation, the
-    /// forward/backward point-to-point schedules, the lower stage's
-    /// Segmented-Rows and parallel-corner plans where selected, the
-    /// trailing-block layout, the execution context (a persistent
-    /// worker team) and all reusable numeric/solve scratch.
+    /// update list every numeric walk streams (its length is
+    /// [`FactorStats::n_updates`]), the forward/backward point-to-point
+    /// schedules, the lower stage's Segmented-Rows and parallel-corner
+    /// plans where selected, the trailing-block layout, the execution
+    /// context (a persistent worker team) and all reusable numeric/solve
+    /// scratch.
     ///
     /// The values of `a` are not read; [`SymbolicIlu::factor`] accepts
     /// any matrix with this exact pattern.
@@ -169,7 +173,10 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// * [`SparseError::MissingDiagonal`] when a structural diagonal
     ///   entry is absent;
     /// * [`SparseError::DimensionMismatch`] when a shared worker team's
-    ///   participant count disagrees with `opts.nthreads`.
+    ///   participant count disagrees with `opts.nthreads`;
+    /// * [`SparseError::InvalidStructure`] when `A`'s or the LU
+    ///   pattern's entry count, or the number of elimination updates,
+    ///   exceeds the `u32` index range.
     pub fn analyze(a: &CsrMatrix<T>, opts: &IluOptions) -> Result<Self, SparseError> {
         if !a.is_square() {
             return Err(SparseError::NotSquare {
@@ -222,9 +229,11 @@ impl<T: Scalar> SymbolicIlu<T> {
         let new_to_old = perm.new_to_old();
         let mut rowptr = vec![0usize; n + 1];
         let mut colidx: Vec<usize> = Vec::with_capacity(s.nnz());
-        let mut a_src: Vec<usize> = Vec::with_capacity(s.nnz());
+        let mut a_src: Vec<u32> = Vec::with_capacity(s.nnz());
+        // Every source index is then below `FILL`.
+        index_u32(a.nnz(), "nnz_a")?;
         {
-            let mut merge: Vec<(usize, usize)> = Vec::new();
+            let mut merge: Vec<(usize, u32)> = Vec::new();
             for new_r in 0..n {
                 let old_r = new_to_old[new_r];
                 merge.clear();
@@ -235,7 +244,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 for &old_c in s.row_cols(old_r) {
                     let src = if ai < a_cols.len() && a_cols[ai] == old_c {
                         ai += 1;
-                        a_lo + ai - 1
+                        index_u32(a_lo + ai - 1, "A entry")?
                     } else {
                         FILL
                     };
@@ -258,6 +267,10 @@ impl<T: Scalar> SymbolicIlu<T> {
                         .expect("diagonal survives symmetric permutation")
             })
             .collect();
+        // The copy-fill-in map's numeric counterpart: every elimination
+        // update of the pattern, resolved once for every numeric walk.
+        let (upd_ptr, upd) = update_list(&rowptr, &colidx, &diag_pos)?;
+        stats.n_updates = upd.len();
 
         // Forward schedule over the upper stage. Dependencies are the
         // strictly-lower columns of the *permuted* pattern — always
@@ -341,7 +354,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let can_plan = nthreads > 1 && n_lower > 0;
         let sr = (can_plan && lower_method == LowerMethod::SegmentedRows).then(|| {
             let levels = &plan0.upper_level_ptr;
-            SrPlan::build(&rowptr, &colidx, &diag_pos, n_upper, levels, opts.tile_size)
+            SrPlan::build(&rowptr, &colidx, &upd_ptr, n_upper, levels, opts.tile_size)
         });
         let corner = (can_plan && opts.parallel_corner)
             .then(|| CornerPlan::build(&rowptr, &colidx, &diag_pos, n_upper, nthreads));
@@ -393,12 +406,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             opts.tile_size,
             Some(&exec),
         ));
-        let numeric = Mutex::new(NumericScratch {
-            row_ws: (0..nthreads)
-                .map(|_| Mutex::new(RowWorkspace::new(n)))
-                .collect(),
-            progress: ProgressCounters::new(nthreads),
-        });
         stats.t_analysis = t1.elapsed();
 
         Ok(SymbolicIlu {
@@ -420,6 +427,8 @@ impl<T: Scalar> SymbolicIlu<T> {
                 colidx,
                 diag_pos,
                 a_src,
+                upd_ptr,
+                upd,
                 perm,
                 plan,
                 sr,
@@ -427,7 +436,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 stats,
                 exec,
                 scratch,
-                numeric,
+                progress: Mutex::new(ProgressCounters::new(nthreads)),
             }),
         })
     }
@@ -618,6 +627,8 @@ impl<T: Scalar> SymbolicIlu<T> {
                 rowptr: &c.rowptr,
                 colidx: &c.colidx,
                 diag_pos: &c.diag_pos,
+                upd_ptr: &c.upd_ptr,
+                upd: &c.upd,
                 vals: run.vals,
                 drop_thresh: run.drop_thresh,
                 milu_omega: T::from_f64(c.opts.milu_omega),
@@ -674,7 +685,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 let v = if src == FILL {
                     T::ZERO
                 } else {
-                    mats[lane].vals()[src]
+                    mats[lane].vals()[src as usize]
                 };
                 vals.set(e * k + lane, v);
             }
@@ -733,25 +744,24 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// it did not. All combinations are bit-identical, at every width.
     fn run_engines<L: Lanes>(&self, lanes: L, ctx: &NumericCtx<'_, T>, run: &NumericRun<'_, T>) {
         let c = &*self.core;
-        let (row_ws, progress) = (run.row_ws, run.progress);
         let (n, n_upper) = (c.n, c.plan.n_upper);
         if c.nthreads == 1 {
-            factor_rows_serial_ws(lanes, ctx, 0, n, 0, &mut row_ws[0].lock());
+            factor_rows_serial(lanes, ctx, 0, n, 0);
             return;
         }
-        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, progress, row_ws);
+        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, run.progress);
         if n_upper == n {
             return;
         }
         match &c.sr {
-            Some(sr) => lower::factor_lower_sr(lanes, ctx, sr, run.sr_deltas, &c.exec, row_ws),
-            None => lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec, row_ws),
+            Some(sr) => lower::factor_lower_sr(lanes, ctx, sr, run.sr_deltas, &c.exec),
+            None => lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec),
         }
         match &c.corner {
-            Some(corner) => lower::factor_corner_parallel(
-                lanes, ctx, corner, n_upper, &c.exec, progress, row_ws,
-            ),
-            None => factor_rows_serial_ws(lanes, ctx, n_upper, n, n_upper, &mut row_ws[0].lock()),
+            Some(corner) => {
+                lower::factor_corner_parallel(lanes, ctx, corner, n_upper, &c.exec, run.progress)
+            }
+            None => factor_rows_serial(lanes, ctx, n_upper, n, n_upper),
         }
     }
 }
@@ -771,10 +781,8 @@ pub(crate) struct NumericRun<'a, T> {
     pub sr_deltas: &'a LuVals<T>,
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
     pub drop_thresh: &'a mut [T],
-    /// The analysis's per-participant sparse accumulators and p2p
-    /// counters (pattern-only, shared by every width), borrowed under
-    /// the `SymCore::numeric` lock.
-    pub row_ws: &'a [Mutex<RowWorkspace>],
+    /// The analysis's p2p counters (pattern-only, shared by every
+    /// width), borrowed under the `SymCore::progress` lock.
     pub progress: &'a ProgressCounters,
     /// Kernel counters of the latest sweep.
     pub replaced: &'a [AtomicUsize],
@@ -786,4 +794,79 @@ pub(crate) struct NumericRun<'a, T> {
     pub shifts: &'a mut [f64],
     /// Per-lane outcome.
     pub statuses: &'a mut [Result<(), SparseError>],
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use javelin_synth::circuit::transient_circuit;
+    use javelin_synth::grid::{convection_diffusion_3d, laplace_2d};
+    use javelin_synth::util::bordered;
+
+    /// The update list re-derived the way the probe walk found it: for
+    /// every L entry `(r, c)` of `lu`'s pattern, every `u(c, j)` with
+    /// `j > c`, looked up in row `r` by binary search.
+    fn probe_enumeration(lu: &CsrMatrix<f64>) -> (Vec<u32>, Vec<[u32; 2]>) {
+        let rowptr = lu.rowptr();
+        let (mut ptr, mut list) = (vec![0u32], Vec::new());
+        for r in 0..lu.nrows() {
+            let row = lu.row_cols(r);
+            for &c in row {
+                if c < r {
+                    for (uk, &j) in (rowptr[c]..).zip(lu.row_cols(c)) {
+                        if j <= c {
+                            continue;
+                        }
+                        if let Ok(p) = row.binary_search(&j) {
+                            let dst = u32::try_from(rowptr[r] + p).unwrap();
+                            list.push([dst, u32::try_from(uk).unwrap()]);
+                        }
+                    }
+                }
+                ptr.push(u32::try_from(list.len()).unwrap());
+            }
+        }
+        (ptr, list)
+    }
+
+    #[test]
+    fn update_list_is_the_probe_enumeration_of_the_lu_pattern() {
+        let cases: [(&str, CsrMatrix<f64>); 4] = [
+            ("laplace_2d", laplace_2d(12, 12)),
+            (
+                "convection_diffusion_3d",
+                convection_diffusion_3d(8, 8, 8, (1.0, 0.5, 0.25)),
+            ),
+            ("transient_circuit", transient_circuit(300, 20, false, 7)),
+            ("bordered", bordered(&laplace_2d(14, 14), 6)),
+        ];
+        for (name, a) in &cases {
+            for fill in 0..=2 {
+                for nthreads in [1, 2] {
+                    let mut opts = IluOptions::ilu0(nthreads).with_fill(fill);
+                    if *name == "bordered" {
+                        opts.lower_method = LowerMethod::SegmentedRows;
+                        opts.parallel_corner = true;
+                        opts.tile_size = 4;
+                    }
+                    let what = format!("{name} fill {fill} nthreads {nthreads}");
+                    let sym = SymbolicIlu::analyze(a, &opts).unwrap();
+                    let f = sym.factor(a).unwrap();
+                    let (ptr, list) = probe_enumeration(f.lu());
+                    let c = sym.core();
+                    assert_eq!(c.upd_ptr, ptr, "{what}: update ranges");
+                    assert_eq!(c.upd.len(), list.len(), "{what}: update count");
+                    for (i, (got, want)) in c.upd.iter().zip(&list).enumerate() {
+                        assert_eq!(got, want, "{what}: update pair {i}");
+                    }
+                    assert!(!list.is_empty(), "{what}: nothing eliminated");
+                    assert_eq!(sym.stats().n_updates, list.len(), "{what}");
+                    assert_eq!(f.stats().n_updates, list.len(), "{what}: factor stats");
+                    if *name == "bordered" && nthreads > 1 {
+                        assert!(c.sr.as_ref().unwrap().n_delta_slots() > 0, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }

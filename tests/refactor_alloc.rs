@@ -365,8 +365,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // zero-spawn on the persistent team. The batch walks the schedule
     // once for k = 4 interleaved value sets; after the warm-up (which
     // grows nothing either — every buffer was sized by `factor_batch`),
-    // each step must reuse the interleaved value buffer, the shared row
-    // workspaces and the planned team regions verbatim.
+    // each step must reuse the interleaved value buffer, the analysis's
+    // update list and the planned team regions verbatim.
     let a5 = irregular(300);
     let mut opts5 = IluOptions::ilu0(3).with_drop_tol(1e-4);
     opts5.split.min_rows_per_level = 8;
