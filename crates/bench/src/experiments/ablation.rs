@@ -1,50 +1,24 @@
 //! Ablation study — the pipeline's design choices, quantified on
 //! three representative matrices:
 //!
-//! 1. **Level pattern**: `lower(A+Aᵀ)` (default; SR-capable) vs
-//!    `lower(A)` (more levels for nonsymmetric patterns, ER-only) —
-//!    paper §VII "Levels and lower size";
+//! 1. **Level pattern**: `lower(A+Aᵀ)` (default) vs `lower(A)` (more
+//!    levels for nonsymmetric patterns) — paper §VII "Levels and lower
+//!    size";
 //! 2. **Row→thread mapping**: cyclic (default) vs blocked — the static
 //!    stand-in for OpenMP `DYNAMIC,1` vs `STATIC`;
-//! 3. **SR tile size**: task granularity of the lower stage;
-//! 4. **Split sensitivity**: factorization time across A ∈ {16,24,32}.
+//! 3. **Split sensitivity**: factorization time across A ∈ {16,24,32}.
 //!
 //! All timings are simulated on the Haswell-14 model from the real
 //! schedules; wait counts are exact.
 
 use crate::harness::{prepare, Table};
-use javelin_core::{factorize, IluOptions, LowerMethod};
+use javelin_core::{factorize, IluOptions};
 use javelin_level::{P2PSchedule, RowMapping};
 use javelin_machine::{sim_factor_time, MachineModel};
 use javelin_sparse::pattern::LevelPattern;
 use javelin_synth::suite::{paper_suite, Scale};
 
 const CASES: [&str; 3] = ["tsopf-like", "ecology2-like", "trans4-like"];
-
-/// Longest contiguous (row, level-block) entry run among trailing rows —
-/// the unit Segmented-Rows tiles subdivide.
-fn longest_sr_segment(f: &javelin_core::IluFactors<f64>) -> usize {
-    let lu = f.lu();
-    let plan = f.symbolic().plan();
-    let n_upper = plan.n_upper;
-    let level_ptr = &plan.upper_level_ptr;
-    let mut longest = 0usize;
-    for r in n_upper..lu.nrows() {
-        let cols = lu.row_cols(r);
-        let sub_end = cols.partition_point(|&c| c < n_upper);
-        let mut k = 0usize;
-        let mut lvl = 0usize;
-        while k < sub_end {
-            while level_ptr[lvl + 1] <= cols[k] {
-                lvl += 1;
-            }
-            let seg_end = cols[..sub_end].partition_point(|&c| c < level_ptr[lvl + 1]);
-            longest = longest.max(seg_end - k);
-            k = seg_end;
-        }
-    }
-    longest
-}
 
 /// Regenerates the ablation report.
 pub fn run(scale: Scale) -> String {
@@ -129,36 +103,7 @@ pub fn run(scale: Scale) -> String {
     );
     out.push_str(&t.render());
 
-    // 3. SR tile size.
-    let mut t = Table::new(&["Matrix", "max seg", "tile 16", "tile 64", "tile 256"]);
-    for meta in paper_suite()
-        .into_iter()
-        .filter(|m| CASES.contains(&m.name))
-    {
-        let prep = prepare(meta, scale);
-        let mut cells = vec![prep.meta.name.to_string()];
-        for (i, tile) in [16usize, 64, 256].into_iter().enumerate() {
-            let mut opts = IluOptions::ilu0(1);
-            opts.lower_method = LowerMethod::SegmentedRows;
-            opts.tile_size = tile;
-            let f = factorize(&prep.matrix, &opts).expect("factors");
-            if i == 0 {
-                cells.push(longest_sr_segment(&f).to_string());
-            }
-            let t14 = sim_factor_time(&f, &h14, 14).total_s;
-            cells.push(format!("{:.1}us", t14 * 1e6));
-        }
-        t.row(cells);
-    }
-    out.push_str(
-        "\nAblation 3 — SR tile size (simulated factor time @14 threads).\n\
-         'max seg' = longest (row, level-block) segment: when it is below\n\
-         the smallest tile, granularity cannot matter — the paper saw tile\n\
-         tuning pay off only on matrices with much heavier demoted rows.\n\n",
-    );
-    out.push_str(&t.render());
-
-    // 4. Split sensitivity.
+    // 3. Split sensitivity.
     let mut t = Table::new(&["Matrix", "A=16", "A=24", "A=32", "no split"]);
     for meta in paper_suite()
         .into_iter()
@@ -171,7 +116,6 @@ pub fn run(scale: Scale) -> String {
                 Some(a) => {
                     let mut o = IluOptions::ilu0(1);
                     o.split = javelin_level::SplitOptions::with_min_rows(a);
-                    o.lower_method = LowerMethod::EvenRows;
                     o
                 }
                 None => IluOptions::level_scheduling_only(1),
@@ -182,7 +126,7 @@ pub fn run(scale: Scale) -> String {
         }
         t.row(cells);
     }
-    out.push_str("\nAblation 4 — split sensitivity A (simulated ER factor time @14 threads)\n\n");
+    out.push_str("\nAblation 3 — split sensitivity A (simulated ER factor time @14 threads)\n\n");
     out.push_str(&t.render());
     format!("Ablation study (design choices)\n\n{out}")
 }
@@ -197,7 +141,7 @@ mod tests {
         assert!(r.contains("Ablation 1"));
         assert!(r.contains("Ablation 2"));
         assert!(r.contains("Ablation 3"));
-        assert!(r.contains("Ablation 4"));
+        assert!(!r.contains("Ablation 4"));
         for c in CASES {
             assert!(r.contains(c), "missing {c}");
         }

@@ -1,11 +1,11 @@
 //! Fig. 10 — Javelin ILU(0) speedup on Intel Haswell, 14 and 28 cores.
 //!
 //! Bars: `LS` (level scheduling with point-to-point synchronization
-//! only) and `LS+Lower` (best lower-stage method), speedup relative to
-//! the serial factorization. Scaling curves come from the machine-model
-//! simulator replaying the real schedules (`javelin_machine`); the NUMA
-//! penalty of the two-socket model reproduces the paper's cross-socket
-//! falloff.
+//! only) and `LS+Lower` (the better of LS and the Even-Rows two-stage
+//! split), speedup relative to the serial factorization. Scaling curves
+//! come from the machine-model simulator replaying the real schedules
+//! (`javelin_machine`); the NUMA penalty of the two-socket model
+//! reproduces the paper's cross-socket falloff.
 
 use crate::harness::{factor_variants, geo_mean, prepare, Table};
 use javelin_machine::{sim_factor_time, MachineModel};
@@ -26,12 +26,12 @@ pub fn run(scale: Scale) -> String {
         let low14 = base14
             / sim_factor_time(&f.er, &h14, 14)
                 .total_s
-                .min(sim_factor_time(&f.sr, &h14, 14).total_s);
+                .min(sim_factor_time(&f.ls, &h14, 14).total_s);
         let ls28 = base28 / sim_factor_time(&f.ls, &h28, 28).total_s;
         let low28 = base28
             / sim_factor_time(&f.er, &h28, 28)
                 .total_s
-                .min(sim_factor_time(&f.sr, &h28, 28).total_s);
+                .min(sim_factor_time(&f.ls, &h28, 28).total_s);
         for (k, v) in [ls14, low14, ls28, low28].into_iter().enumerate() {
             g[k].push(v);
         }

@@ -1,11 +1,9 @@
 //! Fig. 11 — Javelin ILU(0) speedup on Intel KNL: 68 cores with one
 //! thread each, and 68 cores × 2 hardware threads (136).
 //!
-//! The KNL model's slower cores, pricier synchronization, and heavier
-//! tasking overhead reproduce the paper's observations: ≈30× for
-//! level-rich matrices, the lower stage helping less than on Haswell
-//! (OpenMP-task-like overhead), and only minor gains — but no collapse —
-//! from oversubscribing with SMT.
+//! The KNL model's slower cores and pricier synchronization reproduce
+//! the paper's observations: ≈30× for level-rich matrices and only
+//! minor gains — but no collapse — from oversubscribing with SMT.
 
 use crate::harness::{factor_variants, geo_mean, prepare, Table};
 use javelin_machine::{sim_factor_time, MachineModel};
@@ -25,12 +23,12 @@ pub fn run(scale: Scale) -> String {
         let low68 = base
             / sim_factor_time(&f.er, &knl, 68)
                 .total_s
-                .min(sim_factor_time(&f.sr, &knl, 68).total_s);
+                .min(sim_factor_time(&f.ls, &knl, 68).total_s);
         let ls136 = base / sim_factor_time(&f.ls, &knl_smt, 136).total_s;
         let low136 = base
             / sim_factor_time(&f.er, &knl_smt, 136)
                 .total_s
-                .min(sim_factor_time(&f.sr, &knl_smt, 136).total_s);
+                .min(sim_factor_time(&f.ls, &knl_smt, 136).total_s);
         for (k, v) in [ls68, low68, ls136, low136].into_iter().enumerate() {
             g[k].push(v);
         }

@@ -52,9 +52,7 @@ pub fn run(scale: Scale) -> String {
                 sim_trisolve_time(&f.ls, mm, p, SolveEngine::PointToPoint)
             });
             let lower = max_speedup(base, m, sweep, |mm, p| {
-                sim_trisolve_time(&f.er, mm, p, SolveEngine::PointToPointLower).min(
-                    sim_trisolve_time(&f.sr, mm, p, SolveEngine::PointToPointLower),
-                )
+                sim_trisolve_time(&f.er, mm, p, SolveEngine::PointToPointLower)
             });
             cells.push(format!("{csrls:.2}"));
             cells.push(format!("{ls:.2}"));

@@ -30,23 +30,12 @@ pub fn run(scale: Scale) -> String {
         let ilu14 = base_ilu
             / sim_factor_time(&rcm.ls, &h14, 14)
                 .total_s
-                .min(sim_factor_time(&rcm.er, &h14, 14).total_s)
-                .min(sim_factor_time(&rcm.sr, &h14, 14).total_s);
+                .min(sim_factor_time(&rcm.er, &h14, 14).total_s);
         let base_stri = sim_trisolve_time(&nd.ls, &h14, 1, SolveEngine::Serial);
         let stri14 = base_stri
-            / sim_trisolve_time(&rcm.ls, &h14, 14, SolveEngine::PointToPoint)
-                .min(sim_trisolve_time(
-                    &rcm.er,
-                    &h14,
-                    14,
-                    SolveEngine::PointToPointLower,
-                ))
-                .min(sim_trisolve_time(
-                    &rcm.sr,
-                    &h14,
-                    14,
-                    SolveEngine::PointToPointLower,
-                ));
+            / sim_trisolve_time(&rcm.ls, &h14, 14, SolveEngine::PointToPoint).min(
+                sim_trisolve_time(&rcm.er, &h14, 14, SolveEngine::PointToPointLower),
+            );
         t.row(vec![
             meta.name.to_string(),
             format!("{ilu14:.2}"),

@@ -47,9 +47,9 @@ pub fn preorder_dm_nd(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
     a.permute_sym(&nd).expect("nd permutation fits")
 }
 
-/// The three factorization configurations the figures compare: pure
-/// level scheduling (`LS`), and the two-stage split with each lower
-/// method (`ER`, `SR`). Numeric phases run serially (results are
+/// The two factorization configurations the figures compare: pure
+/// level scheduling (`LS`) and the two-stage split with the Even-Rows
+/// lower stage (`ER`). Numeric phases run serially (results are
 /// bit-identical anyway); the plans and schedules are what the
 /// simulator consumes.
 pub struct FactorSet {
@@ -57,21 +57,14 @@ pub struct FactorSet {
     pub ls: javelin_core::IluFactors<f64>,
     /// Two-stage split with Even-Rows.
     pub er: javelin_core::IluFactors<f64>,
-    /// Two-stage split with Segmented-Rows.
-    pub sr: javelin_core::IluFactors<f64>,
 }
 
-/// Builds the three standard configurations for one matrix.
+/// Builds the two standard configurations for one matrix.
 pub fn factor_variants(a: &CsrMatrix<f64>) -> FactorSet {
-    use javelin_core::{factorize, IluOptions, LowerMethod};
+    use javelin_core::{factorize, IluOptions};
     let ls = factorize(a, &IluOptions::level_scheduling_only(1)).expect("LS factorization");
-    let mut er_opts = IluOptions::ilu0(1);
-    er_opts.lower_method = LowerMethod::EvenRows;
-    let er = factorize(a, &er_opts).expect("ER factorization");
-    let mut sr_opts = IluOptions::ilu0(1);
-    sr_opts.lower_method = LowerMethod::SegmentedRows;
-    let sr = factorize(a, &sr_opts).expect("SR factorization");
-    FactorSet { ls, er, sr }
+    let er = factorize(a, &IluOptions::ilu0(1)).expect("ER factorization");
+    FactorSet { ls, er }
 }
 
 /// Best-of-`k` wall-clock timing.

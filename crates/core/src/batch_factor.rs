@@ -76,9 +76,6 @@ pub struct FactorsBatch<T> {
     /// latest successful factorization (an identity-safe seed before
     /// its first).
     pub(crate) committed: Vec<T>,
-    /// Interleaved Segmented-Rows delta slots (empty unless the
-    /// analysis planned SR).
-    sr_deltas: LuVals<T>,
     /// Interleaved per-scenario τ thresholds (`r·k + c`); empty when
     /// dropping is off.
     drop_thresh: Vec<T>,
@@ -138,7 +135,6 @@ impl<T: Scalar> FactorsBatch<T> {
             k,
             lu_vals,
             committed,
-            sr_deltas: LuVals::zeroed(c.sr.as_ref().map_or(0, |sr| sr.n_delta_slots() * k)),
             drop_thresh: if c.opts.drop_tol > 0.0 {
                 vec![T::ZERO; c.n * k]
             } else {
@@ -281,7 +277,6 @@ impl<T: Scalar> FactorsBatch<T> {
             let run = NumericRun {
                 mats,
                 vals: &self.lu_vals,
-                sr_deltas: &self.sr_deltas,
                 drop_thresh: &mut self.drop_thresh,
                 progress: &progress,
                 replaced: &self.replaced,

@@ -338,7 +338,7 @@ impl<T: Scalar> IluFactors<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{IluOptions, LowerMethod, ZeroPivotPolicy};
+    use crate::options::{IluOptions, ZeroPivotPolicy};
     use javelin_sparse::lanes::DynLanes;
     use javelin_sparse::pattern::LevelPattern;
     use javelin_sparse::CooMatrix;
@@ -404,28 +404,21 @@ mod tests {
     #[test]
     fn refactor_is_bit_identical_to_fresh_factor() {
         // The tentpole contract: refactor(a2) == analyze-once,
-        // factor(a2), for every engine family and thread count.
+        // factor(a2), at every thread count.
         for a in [laplace_2d(9, 7), irregular(150)] {
             for nthreads in [1usize, 2, 4] {
-                for method in [
-                    LowerMethod::Auto,
-                    LowerMethod::EvenRows,
-                    LowerMethod::SegmentedRows,
-                ] {
-                    let mut opts = IluOptions::ilu0(nthreads);
-                    opts.lower_method = method;
-                    opts.split.min_rows_per_level = 8;
-                    opts.split.location_frac = 0.0;
-                    opts.split.max_lower_frac = 0.4;
-                    let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
-                    let mut f = sym.factor(&a).unwrap();
-                    let a2 = revalue(&a, 0.37);
-                    let fresh = sym.factor(&a2).unwrap();
-                    f.refactor(&a2).unwrap();
-                    let rb: Vec<u64> = f.lu().vals().iter().map(|v| v.to_bits()).collect();
-                    let fb: Vec<u64> = fresh.lu().vals().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(rb, fb, "nthreads={nthreads} method={method}");
-                }
+                let mut opts = IluOptions::ilu0(nthreads);
+                opts.split.min_rows_per_level = 8;
+                opts.split.location_frac = 0.0;
+                opts.split.max_lower_frac = 0.4;
+                let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+                let mut f = sym.factor(&a).unwrap();
+                let a2 = revalue(&a, 0.37);
+                let fresh = sym.factor(&a2).unwrap();
+                f.refactor(&a2).unwrap();
+                let rb: Vec<u64> = f.lu().vals().iter().map(|v| v.to_bits()).collect();
+                let fb: Vec<u64> = fresh.lu().vals().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(rb, fb, "nthreads={nthreads}");
             }
         }
     }
@@ -536,24 +529,18 @@ mod tests {
         for a in [laplace_2d(9, 7), irregular(120)] {
             let serial = compute_factors(&a, &IluOptions::default());
             for nthreads in [2, 4] {
-                for method in [
-                    LowerMethod::Auto,
-                    LowerMethod::EvenRows,
-                    LowerMethod::SegmentedRows,
-                ] {
-                    let mut opts = IluOptions::ilu0(nthreads);
-                    opts.lower_method = method;
-                    // Aggressive split so the lower stage actually runs.
-                    opts.split.min_rows_per_level = 8;
-                    opts.split.location_frac = 0.0;
-                    opts.split.max_lower_frac = 0.4;
-                    let f = compute_factors(&a, &opts);
-                    // Same permutation => directly comparable values.
-                    assert_eq!(serial_perm(&serial), serial_perm(&f));
-                    let sb: Vec<u64> = serial.lu().vals().iter().map(|v| v.to_bits()).collect();
-                    let fb: Vec<u64> = f.lu().vals().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(sb, fb, "nthreads={nthreads} method={method}");
-                }
+                let mut opts = IluOptions::ilu0(nthreads);
+                // Aggressive split so the lower stage actually runs.
+                opts.split.min_rows_per_level = 8;
+                opts.split.location_frac = 0.0;
+                opts.split.max_lower_frac = 0.4;
+                let f = compute_factors(&a, &opts);
+                assert!(f.stats().n_lower_rows > 0, "nthreads={nthreads}");
+                // Same permutation => directly comparable values.
+                assert_eq!(serial_perm(&serial), serial_perm(&f));
+                let sb: Vec<u64> = serial.lu().vals().iter().map(|v| v.to_bits()).collect();
+                let fb: Vec<u64> = f.lu().vals().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(sb, fb, "nthreads={nthreads}");
             }
         }
     }
@@ -970,16 +957,14 @@ mod tests {
     }
 
     #[test]
-    fn lower_a_pattern_falls_back_to_er() {
+    fn lower_a_pattern_two_stage_matches_serial() {
         let a = irregular(140);
         let mut opts = IluOptions::ilu0(2);
         opts.level_pattern = LevelPattern::LowerA;
-        opts.lower_method = LowerMethod::SegmentedRows;
         opts.split.min_rows_per_level = 8;
         opts.split.location_frac = 0.0;
         let f = compute_factors(&a, &opts);
-        assert_eq!(f.stats().lower_method, LowerMethod::EvenRows);
-        // Still bit-identical to serial.
+        assert!(f.stats().n_lower_rows > 0);
         let s = compute_factors(
             &a,
             &IluOptions {
@@ -994,21 +979,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_corner_matches_serial_corner() {
+    fn three_thread_two_stage_factor_and_refactor_match_serial() {
         let a = irregular(160);
-        let mut base = IluOptions::ilu0(3);
-        base.split.min_rows_per_level = 10;
-        base.split.location_frac = 0.1;
-        let mut pc = base.clone();
-        pc.parallel_corner = true;
-        let f1 = compute_factors(&a, &base);
-        let f2 = compute_factors(&a, &pc);
+        let mut opts = IluOptions::ilu0(3);
+        opts.split.min_rows_per_level = 10;
+        opts.split.location_frac = 0.1;
+        let mut serial = opts.clone();
+        serial.nthreads = 1;
+        let f1 = compute_factors(&a, &serial);
+        let f2 = compute_factors(&a, &opts);
+        assert!(f2.stats().n_lower_rows > 0);
         let b1: Vec<u64> = f1.lu().vals().iter().map(|v| v.to_bits()).collect();
         let b2: Vec<u64> = f2.lu().vals().iter().map(|v| v.to_bits()).collect();
         assert_eq!(b1, b2);
-        // And refactor through the parallel-corner analysis (the same
-        // planned walk) matches too.
-        let sym = SymbolicIlu::analyze(&a, &pc).unwrap();
+        // And refactor through the threaded analysis (the same planned
+        // walk) matches too.
+        let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
         let mut f3 = sym.factor(&a).unwrap();
         f3.refactor(&a).unwrap();
         let b3: Vec<u64> = f3.lu().vals().iter().map(|v| v.to_bits()).collect();
@@ -1016,55 +1002,35 @@ mod tests {
     }
 
     #[test]
-    fn lower_stage_plans_are_built_only_when_selected_and_able_to_run() {
+    fn bordered_fixture_demotes_its_border_rows() {
+        // The fixture the lower-stage tests lean on: its dense border
+        // rows land in the lower stage at every thread count, and only
+        // the level-scheduling-only split keeps them out.
         let a = javelin_synth::util::bordered(&laplace_2d(12, 12), 6);
-        let analyze = |nthreads: usize, method, parallel_corner| {
-            let mut opts = IluOptions::ilu0(nthreads);
-            opts.lower_method = method;
-            opts.parallel_corner = parallel_corner;
-            opts.tile_size = 4;
-            SymbolicIlu::analyze(&a, &opts).unwrap()
-        };
-        let planned = analyze(2, LowerMethod::SegmentedRows, true);
-        assert!(planned.stats().n_lower_rows >= 6);
-        let sr = planned.core().sr.as_ref().expect("SR selected, 2 threads");
-        assert!(sr.n_delta_slots() > 0, "border rows must be tiled");
-        assert!(planned.core().corner.is_some());
-        // Not selected, or nothing to run it on: no plan.
-        for sym in [
-            analyze(2, LowerMethod::EvenRows, false),
-            analyze(1, LowerMethod::SegmentedRows, true),
-        ] {
-            assert!(sym.core().sr.is_none() && sym.core().corner.is_none());
+        for nthreads in [1, 2, 3] {
+            let sym = SymbolicIlu::analyze(&a, &IluOptions::ilu0(nthreads)).unwrap();
+            let n_lower = sym.stats().n_lower_rows;
+            assert!(n_lower >= 6, "nthreads={nthreads}: {n_lower} lower rows");
+            assert_eq!(sym.plan().n_upper + n_lower, a.nrows());
         }
-        let mut no_lower = IluOptions::level_scheduling_only(2);
-        no_lower.lower_method = LowerMethod::SegmentedRows;
-        no_lower.parallel_corner = true;
-        let sym = SymbolicIlu::analyze(&a, &no_lower).unwrap();
-        assert!(sym.core().sr.is_none() && sym.core().corner.is_none());
+        let sym = SymbolicIlu::analyze(&a, &IluOptions::level_scheduling_only(2)).unwrap();
+        assert_eq!(sym.stats().n_lower_rows, 0);
     }
 
     #[test]
-    fn every_numeric_entry_point_runs_the_planned_lower_stage_bit_identically() {
-        // Tiled Segmented-Rows + parallel corner vs Even-Rows + serial
-        // corner vs the serial sweep: factor, refactor, shifted refactor
-        // and every lane of a batch, with τ-dropping on.
+    fn every_numeric_entry_point_runs_the_lower_stage_bit_identically() {
+        // Even-Rows + serial corner on 2 and 3 threads vs the serial
+        // sweep: factor, refactor, shifted refactor and every lane of a
+        // batch, with τ-dropping on.
         let a = javelin_synth::util::bordered(&laplace_2d(12, 12), 6);
         let a2 = revalue(&a, 0.37);
         let bits = |f: &IluFactors<f64>| -> Vec<u64> {
             f.lu().vals().iter().map(|v| v.to_bits()).collect()
         };
-        let run = |nthreads: usize, planned: bool| {
+        let run = |nthreads: usize| {
             let mut opts = IluOptions::ilu0(nthreads).with_drop_tol(1e-3);
             opts.tile_size = 4;
-            if planned {
-                opts.lower_method = LowerMethod::SegmentedRows;
-                opts.parallel_corner = true;
-            } else {
-                opts.lower_method = LowerMethod::EvenRows;
-            }
             let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
-            assert_eq!(sym.core().sr.is_some(), planned && nthreads > 1);
             let mut f = sym.factor(&a).unwrap();
             let mut out = vec![bits(&f)];
             f.refactor(&a2).unwrap();
@@ -1077,11 +1043,10 @@ mod tests {
             assert!(f.stats().dropped_entries > 0, "τ must drop something");
             out
         };
-        let reference = run(1, false);
+        let reference = run(1);
         assert_eq!(reference[1], reference[4], "batch lane 1 is refactor(a2)");
         for nthreads in [2usize, 3] {
-            assert_eq!(run(nthreads, false), reference, "ER, {nthreads} threads");
-            assert_eq!(run(nthreads, true), reference, "SR, {nthreads} threads");
+            assert_eq!(run(nthreads), reference, "{nthreads} threads");
         }
     }
 
@@ -1110,7 +1075,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::options::{IluOptions, LowerMethod, SolveEngine};
+    use crate::options::{IluOptions, SolveEngine};
     use javelin_sparse::CooMatrix;
     use proptest::prelude::*;
 
@@ -1156,14 +1121,8 @@ mod proptests {
         fn engines_bitwise_equal_on_random_matrices(
             a in arb_matrix(28),
             nthreads in 2usize..5,
-            use_sr in proptest::bool::ANY,
         ) {
             let mut opts = IluOptions::ilu0(nthreads);
-            opts.lower_method = if use_sr {
-                LowerMethod::SegmentedRows
-            } else {
-                LowerMethod::EvenRows
-            };
             opts.split.min_rows_per_level = 4;
             opts.split.location_frac = 0.0;
             let mut serial = opts.clone();
@@ -1177,25 +1136,19 @@ mod proptests {
 
         /// The refactor satellite contract: `symbolic.factor(&a2)` and
         /// `factors.refactor(&a2)` (same pattern, new values) are
-        /// bit-identical — across lower-stage engines, thread counts and
-        /// panel widths (the refactored factors' panel solves must carry
-        /// exactly the fresh factors' bits too).
+        /// bit-identical — across thread counts and panel widths (the
+        /// refactored factors' panel solves must carry exactly the fresh
+        /// factors' bits too).
         #[test]
         fn refactor_bitwise_equals_fresh_factor(
             a in arb_matrix(24),
             nthreads in 1usize..4,
-            use_sr in proptest::bool::ANY,
             k_idx in 0usize..4,
             seed in 0.1..2.0f64,
         ) {
             let k = [1usize, 2, 3, 8][k_idx];
             let n = a.nrows();
             let mut opts = IluOptions::ilu0(nthreads);
-            opts.lower_method = if use_sr {
-                LowerMethod::SegmentedRows
-            } else {
-                LowerMethod::EvenRows
-            };
             opts.split.min_rows_per_level = 4;
             opts.split.location_frac = 0.0;
             let sym = SymbolicIlu::analyze(&a, &opts).unwrap();

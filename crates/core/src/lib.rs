@@ -14,9 +14,9 @@
 //!    point-to-point schedule.
 //! 3. **Numeric** ([`numeric`]): up-looking factorization of the
 //!    permuted pattern — upper stage under point-to-point progress
-//!    counters, lower stage via Even-Rows or Segmented-Rows, corner
-//!    factored last. Deterministic: every engine produces bit-identical
-//!    factors to the serial kernel.
+//!    counters, lower stage by Even-Rows, corner factored serially
+//!    last. Deterministic: every engine produces bit-identical factors
+//!    to the serial kernel.
 //! 4. **Solves** ([`trisolve`]): forward/backward substitution through
 //!    four engines — serial, barriered level sets (the paper's CSR-LS
 //!    baseline), point-to-point level scheduling, and point-to-point
@@ -37,9 +37,8 @@
 //!   everything pattern-dependent: the ILU(k) fill, level sets, the
 //!   two-stage split and permutation, the update list (every
 //!   elimination update of the numeric phase, resolved once), the
-//!   forward/backward point-to-point schedules, the lower stage's
-//!   Segmented-Rows task graph and parallel-corner schedule where
-//!   selected, the [`factors::SolvePlan`], a reusable [`SolveScratch`]
+//!   forward/backward point-to-point schedules, the
+//!   [`factors::SolvePlan`], a reusable [`SolveScratch`]
 //!   (progress counters, barrier, flat tiled-gather partials, the
 //!   in-place solve buffer), the numeric progress counters, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
@@ -134,7 +133,7 @@ pub mod trisolve;
 
 pub use batch_factor::FactorsBatch;
 pub use factors::{factorize, IluFactors};
-pub use options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
+pub use options::{IluOptions, SolveEngine, ZeroPivotPolicy};
 pub use precond::{ApplyScratch, EnginePinned, Preconditioner};
 pub use spmv::SpmvPlan;
 pub use stats::FactorStats;

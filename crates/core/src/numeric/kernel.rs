@@ -10,8 +10,7 @@
 //! update (the refactorization codes' precomputed elimination, as in
 //! KLU's refactor and NICSLU). [`eliminate_columns`] then divides by
 //! the pivot and streams the entry's pairs: no per-row column map, no
-//! probe of a column that row `r` does not store. Segmented-Rows tiles
-//! read the same list (`lower.rs`).
+//! probe of a column that row `r` does not store.
 //!
 //! ## `LuVals` and the row-ownership protocol
 //!
@@ -24,27 +23,21 @@
 //!   `k` interleaved lanes of them) are written only by the worker that
 //!   currently *owns* the row;
 //! * ownership is handed off through a release-bump of a progress
-//!   counter (`factor_upper_p2p_planned`, `factor_corner_parallel`), a
-//!   task-graph edge (`factor_lower_sr`) or a team-region join (between
-//!   the stages: after the upper stage, after `factor_lower_er_planned`
-//!   or the task graph, before `factor_rows_serial` on the corner)
-//!   after the row's last write, and acquired through the matching
-//!   acquire-wait before any dependent read;
-//! * Segmented-Rows tiles that share a row write disjoint entry
-//!   subranges and disjoint slots of the SR delta buffer (a second
-//!   `LuVals`, read by the block's `Apply` task after a graph edge),
-//!   chained per block, so exclusivity holds at entry granularity
-//!   there too.
+//!   counter (`factor_upper_p2p_planned`) or a team-region join
+//!   (between the stages: after the upper stage, after
+//!   `factor_lower_er_planned`, before `factor_rows_serial` on the
+//!   corner) after the row's last write, and acquired through the
+//!   matching acquire-wait before any dependent read.
 //!
 //! Under that protocol [`eliminate_columns`] and [`finalize_row`] check
-//! out a whole row (or, for an SR tile, a subrange of one) as an
-//! exclusive `&mut [T]` via [`LuVals::view_mut`] and read finalized
+//! out a whole row as an exclusive `&mut [T]` via
+//! [`LuVals::view_mut`] and read finalized
 //! rows as `&[T]` via [`LuVals::view`] — contiguous loads/stores the
 //! compiler can vectorize, instead of per-element atomic round-trips
 //! that block coalescing.
 //!
 //! The safe `get`/`set` accessors remain for cold paths (value load,
-//! diagonal shift, the masked commit, SR `Apply` deltas); they are
+//! diagonal shift, the masked commit); they are
 //! plain reads/writes bound by the same protocol. The straight-copy
 //! commit reads through `values`, which needs `&mut` — no protocol
 //! at all.
@@ -285,8 +278,7 @@ pub(crate) fn update_list(
 ///
 /// Requires every row `c` in the window to be finalized. The caller
 /// must own row `r` exclusively (all engines call this only inside the
-/// row's ownership window; SR tiles that share a row run their own
-/// subrange loop in `lower.rs` instead).
+/// row's ownership window).
 #[inline]
 pub fn eliminate_columns<T: Scalar, L: Lanes>(
     lanes: L,

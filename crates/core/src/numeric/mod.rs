@@ -12,8 +12,8 @@
 //! entry of a finished row updates which entry of the current row — is
 //! resolved by `SymbolicIlu::analyze` into one `u32` update list
 //! ([`NumericCtx::upd`]; see [`kernel`]), which the serial,
-//! point-to-point, Even-Rows, corner and Segmented-Rows walks all
-//! stream. A walk therefore needs no per-thread workspace.
+//! point-to-point and Even-Rows walks all stream. A walk therefore
+//! needs no per-thread workspace.
 //!
 //! Layout: lane `c` of LU entry `e` lives at `e·k + c` (the
 //! `Lanes::idx` convention), per-lane τ thresholds at `r·k + c`.
@@ -21,14 +21,13 @@
 //! Determinism: all engines execute the *same* per-row kernel in the
 //! *same* within-row operation order, and lane arithmetic touches only
 //! lane-`c` positions and lane-`c` counters. So the serial,
-//! point-to-point, Even-Rows and Segmented-Rows paths produce
-//! **bit-identical** factors, and lane `c` of any width is
+//! point-to-point and Even-Rows paths produce **bit-identical**
+//! factors, and lane `c` of any width is
 //! bit-identical to a width-1 run on matrix `c` alone — properties the
 //! test suite enforces. Engine choice affects only who executes which
 //! row when.
 
 pub mod kernel;
-pub mod lower;
 pub mod parallel;
 
 pub use kernel::LuVals;
@@ -79,17 +78,11 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
         self.rowptr[r]..self.rowptr[r + 1]
     }
 
-    /// Update-list positions of the updates entries `entries` perform.
-    #[inline(always)]
-    pub(crate) fn update_span(&self, entries: std::ops::Range<usize>) -> std::ops::Range<usize> {
-        self.upd_ptr[entries.start] as usize..self.upd_ptr[entries.end] as usize
-    }
-
     /// The `[dst, src]` update pairs of L entry `e`, in U-row column
     /// order (empty for diagonal and U entries).
     #[inline(always)]
     pub(crate) fn updates_of(&self, e: usize) -> &'a [[u32; 2]] {
-        &self.upd[self.update_span(e..e + 1)]
+        &self.upd[self.upd_ptr[e] as usize..self.upd_ptr[e + 1] as usize]
     }
 
     /// Matrix dimension.

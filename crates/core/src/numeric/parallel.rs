@@ -1,7 +1,12 @@
-//! The serial row walk and the point-to-point upper stage — each
-//! generic over the lane width and run on caller-owned state (counters,
-//! execution context) plus the analysis's update list, so every call is
-//! allocation- and spawn-free.
+//! The numeric walks: the serial row walk, the point-to-point upper
+//! stage and the Even-Rows lower stage — each generic over the lane
+//! width and run on caller-owned state (counters, execution context)
+//! plus the analysis's update list, so every call is allocation- and
+//! spawn-free.
+//!
+//! The two-stage sweep (paper §III) is the point-to-point upper stage,
+//! then Even-Rows over the trailing rows, then the corner serially
+//! ("for most matrices, serial seems to be good enough", §III-B).
 
 use crate::numeric::kernel::{eliminate_columns, finalize_row};
 use crate::numeric::NumericCtx;
@@ -62,14 +67,138 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     });
 }
 
+/// Even-Rows (paper Figs. 7–8): the `FACTOR_L` sweep of trailing rows
+/// `n_upper..n` against the finished upper stage, as one region on
+/// `exec`. A row demoted to the lower stage depends only on finished
+/// upper-stage rows left of the corner, so threads take contiguous
+/// chunks of whole rows; every lane is retired per row under one
+/// chunking and one update-list stream. The corner is left to
+/// [`factor_rows_serial`] with `col_lo = n_upper`.
+pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
+    lanes: L,
+    ctx: &NumericCtx<'_, T>,
+    n_upper: usize,
+    exec: &Exec,
+) {
+    let n_lower = ctx.n() - n_upper;
+    let nthreads = exec.nthreads();
+    let chunk = n_lower.div_ceil(nthreads.max(1)).max(1);
+    exec.run(|tid| {
+        let start = (tid * chunk).min(n_lower);
+        let end = ((tid + 1) * chunk).min(n_lower);
+        for r in n_upper + start..n_upper + end {
+            // FACTOR_L: everything left of the corner.
+            eliminate_columns(lanes, ctx, r, 0, n_upper);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::numeric::CtxFixture;
     use crate::{IluOptions, SymbolicIlu};
-    use javelin_sparse::lanes::FixedLanes;
+    use javelin_sparse::lanes::{DynLanes, FixedLanes};
     use javelin_sparse::{CooMatrix, CsrMatrix};
     use proptest::prelude::*;
+
+    /// A small system with a wide level-0 block (rows 0..6, diagonal
+    /// plus one coupling to the corner) and two heavy trailing rows
+    /// (6, 7) that depend on all of it plus a 2x2 corner. Upper level
+    /// structure: one level, cols 0..6. One lane per entry of `scales`.
+    fn two_stage_case(scales: &[f64]) -> CtxFixture {
+        let n = 8;
+        let mut rowptr = vec![0usize];
+        let mut colidx = Vec::new();
+        let mut vals = Vec::new();
+        for r in 0..6 {
+            colidx.extend([r, 6 + r % 2]);
+            vals.extend([4.0 + r as f64, 0.25 + r as f64 * 0.5]);
+            rowptr.push(colidx.len());
+        }
+        for r in 6..n {
+            for c in 0..6 {
+                colidx.push(c);
+                vals.push(1.0 + (r * 7 + c) as f64 * 0.1);
+            }
+            if r == 7 {
+                colidx.push(6);
+                vals.push(0.5);
+            }
+            colidx.push(r);
+            vals.push(20.0 + r as f64);
+            if r == 6 {
+                colidx.push(7);
+                vals.push(-0.75);
+            }
+            rowptr.push(colidx.len());
+        }
+        let scenarios: Vec<Vec<f64>> = scales
+            .iter()
+            .map(|s| vals.iter().map(|v| v * s).collect())
+            .collect();
+        CtxFixture::new(rowptr, colidx, &scenarios)
+    }
+
+    /// The two-stage sweep of `two_stage_case` — upper stage serially,
+    /// Even-Rows on `nthreads`, serial corner — or, with `nthreads = 0`,
+    /// the serial reference sweep, at the width of `scales`, with
+    /// per-lane absolute τ thresholds `taus` (empty = no dropping);
+    /// returns every lane's bits.
+    fn sweep<L: Lanes>(lanes: L, nthreads: usize, scales: &[f64], taus: &[f64]) -> Vec<Vec<u64>> {
+        let mut fx = two_stage_case(scales);
+        fx.drop_thresh = (0..8).flat_map(|_| taus.iter().copied()).collect();
+        let ctx = fx.ctx();
+        if nthreads == 0 {
+            factor_rows_serial(lanes, &ctx, 0, 8, 0);
+        } else {
+            factor_rows_serial(lanes, &ctx, 0, 6, 0);
+            factor_lower_er_planned(lanes, &ctx, 6, &Exec::team(nthreads));
+            factor_rows_serial(lanes, &ctx, 6, 8, 6);
+        }
+        (0..scales.len()).map(|c| fx.lane_bits(c)).collect()
+    }
+
+    const ONE: FixedLanes<1> = FixedLanes::<1>;
+
+    #[test]
+    fn er_matches_serial_bitwise() {
+        let reference = sweep(ONE, 0, &[1.0], &[]);
+        for nthreads in [1, 2, 3, 4] {
+            assert_eq!(
+                sweep(ONE, nthreads, &[1.0], &[]),
+                reference,
+                "nthreads={nthreads}"
+            );
+        }
+    }
+
+    #[test]
+    fn er_lanes_match_width_one_bitwise_with_and_without_dropping() {
+        // Every lane of a width-3 two-stage sweep carries the bits of
+        // the width-1 serial sweep of that lane's values. The trailing
+        // rows' multipliers lie in 0.6..1.5 whatever the scale, so with
+        // τ on lane 0 drops part of each row, lane 1 all of it and
+        // lane 2 nothing.
+        let scales = [1.0, 0.013, 7.5];
+        let tau_sets: [&[f64]; 2] = [&[], &[0.8, 1.6, 0.2]];
+        for taus in tau_sets {
+            let got = sweep(DynLanes(3), 2, &scales, taus);
+            for (c, s) in scales.iter().enumerate() {
+                let tau = taus.get(c..c + 1).unwrap_or(&[]);
+                let want = sweep(ONE, 0, &[*s], tau);
+                assert_eq!(got[c], want[0], "lane {c} τ={taus:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_lower_stage_is_noop() {
+        let fx = two_stage_case(&[1.0]);
+        let before = fx.lane_bits(0);
+        factor_lower_er_planned(ONE, &fx.ctx(), 8, &Exec::team(2));
+        assert_eq!(fx.lane_bits(0), before, "values untouched");
+    }
 
     #[test]
     fn p2p_matches_serial_bitwise() {

@@ -5,34 +5,6 @@ use javelin_sparse::pattern::LevelPattern;
 use javelin_sync::WorkerTeam;
 use std::sync::Arc;
 
-/// Which method factors the lower-stage (trailing) rows — paper §III-B.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LowerMethod {
-    /// Choose automatically from the matrix structure (the paper's
-    /// default): Segmented-Rows when the excluded rows are fewer than
-    /// `sr_thread_mult ×` the thread count (too few rows for row-level
-    /// parallelism), Even-Rows otherwise. SR additionally requires the
-    /// symmetrized level pattern; with `LevelPattern::LowerA` the choice
-    /// falls back to ER.
-    #[default]
-    Auto,
-    /// Segmented-Rows: per-(row, level-block) tasks with tiled updates,
-    /// executed on the lightweight task graph.
-    SegmentedRows,
-    /// Even-Rows: contiguous chunks of whole rows per thread.
-    EvenRows,
-}
-
-impl std::fmt::Display for LowerMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LowerMethod::Auto => write!(f, "Auto"),
-            LowerMethod::SegmentedRows => write!(f, "SR"),
-            LowerMethod::EvenRows => write!(f, "ER"),
-        }
-    }
-}
-
 /// What to do when a pivot magnitude falls below the breakdown
 /// threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,13 +107,9 @@ pub struct IluOptions {
     pub level_pattern: LevelPattern,
     /// Two-stage split heuristics.
     pub split: SplitOptions,
-    /// Lower-stage factorization method.
-    pub lower_method: LowerMethod,
-    /// SR auto-selection bound: SR is chosen when
-    /// `n_lower < sr_thread_mult × nthreads`.
-    pub sr_thread_mult: usize,
-    /// Tile size (entries) for Segmented-Rows update tiling and the
-    /// tiled lower-stage solve kernels.
+    /// Tile size (entries) of the tiled lower-stage solve gather
+    /// (`SolveEngine::PointToPointLower`); also the natural tile to
+    /// hand [`crate::SpmvPlan::new`] for the same matrix.
     pub tile_size: usize,
     /// Worker threads (`1` = fully serial pipeline).
     pub nthreads: usize,
@@ -150,10 +118,6 @@ pub struct IluOptions {
     /// Breakdown detection threshold: a pivot counts as collapsed when
     /// its magnitude is below this value.
     pub pivot_threshold: f64,
-    /// Factor the lower-stage corner with point-to-point level
-    /// scheduling instead of serially ("for most matrices, serial seems
-    /// to be good enough" — paper §III-B — so this defaults off).
-    pub parallel_corner: bool,
     /// Pin the factorization's worker team to cores (compact
     /// placement: tid `i` → core `i % n_cores`, see
     /// [`javelin_sync::TeamAffinity::Compact`] for what that does
@@ -184,13 +148,10 @@ impl Default for IluOptions {
             milu_omega: 0.0,
             level_pattern: LevelPattern::LowerSymmetrized,
             split: SplitOptions::default(),
-            lower_method: LowerMethod::Auto,
-            sr_thread_mult: 4,
             tile_size: 64,
             nthreads: 1,
             zero_pivot: ZeroPivotPolicy::default(),
             pivot_threshold: 1e-14,
-            parallel_corner: false,
             pin_threads: false,
             shared_team: None,
         }
@@ -266,7 +227,6 @@ mod tests {
         assert_eq!(o.fill_level, 0);
         assert_eq!(o.drop_tol, 0.0);
         assert_eq!(o.level_pattern, LevelPattern::LowerSymmetrized);
-        assert_eq!(o.lower_method, LowerMethod::Auto);
         assert!(o.split.enabled);
         assert_eq!(o.nthreads, 1);
     }
@@ -295,7 +255,5 @@ mod tests {
         assert_eq!(SolveEngine::BarrierLevel.to_string(), "CSR-LS");
         assert_eq!(SolveEngine::PointToPoint.to_string(), "LS");
         assert_eq!(SolveEngine::PointToPointLower.to_string(), "LS+Lower");
-        assert_eq!(LowerMethod::SegmentedRows.to_string(), "SR");
-        assert_eq!(LowerMethod::EvenRows.to_string(), "ER");
     }
 }

@@ -4,8 +4,8 @@
 //! this module holds the one parallel kernel, [`SpmvPlan`] — a
 //! CSR5-inspired tiled segmented sum: fixed-size tiles over the *entry*
 //! stream (so wildly unbalanced rows cannot skew one thread), per-tile
-//! partial sums, deterministic tile-order combination. This is the
-//! kernel shape the SR layout is co-designed with (paper §II, §III-B).
+//! partial sums, deterministic tile-order combination — the kernel
+//! shape of the paper's Segmented-Rows layout (§II, §III-B).
 //!
 //! It follows the crate's plan/execute split: [`SpmvPlan::new`] derives
 //! every tile descriptor (first row, partial slot range, thread

@@ -1,6 +1,5 @@
 //! Factorization statistics and phase timings.
 
-use crate::options::LowerMethod;
 use std::time::Duration;
 
 /// Statistics collected while computing an [`crate::IluFactors`].
@@ -18,8 +17,6 @@ pub struct FactorStats {
     pub n_upper_levels: usize,
     /// Rows demoted to the lower stage (Table III `R-A`).
     pub n_lower_rows: usize,
-    /// Lower-stage method actually used (resolves `Auto`).
-    pub lower_method: LowerMethod,
     /// Point-to-point wait edges in the factorization schedule after
     /// pruning (the sparsification the paper adopts from Park et al.).
     pub n_waits: usize,

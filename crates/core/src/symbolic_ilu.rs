@@ -35,17 +35,18 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::numeric::kernel::{index_u32, update_list, LuVals};
-use crate::numeric::lower::{self, CornerPlan, SrPlan};
-use crate::numeric::parallel::{factor_rows_serial, factor_upper_p2p_planned};
+use crate::numeric::parallel::{
+    factor_lower_er_planned, factor_rows_serial, factor_upper_p2p_planned,
+};
 use crate::numeric::NumericCtx;
-use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
+use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::pattern::{
-    level_pattern_of, lower_of_pattern, upper_of_pattern, LevelPattern, SparsityPattern,
+    level_pattern_of, lower_of_pattern, upper_of_pattern, SparsityPattern,
 };
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use javelin_sync::{Exec, ProgressCounters};
@@ -62,7 +63,6 @@ pub(crate) struct SymCore<T> {
     pub(crate) n: usize,
     pub(crate) nthreads: usize,
     pub(crate) opts: IluOptions,
-    pub(crate) lower_method: LowerMethod,
     pub(crate) engine_hint: SolveEngine,
     /// Pattern of the analyzed `A`, kept to validate refactor inputs.
     a_rowptr: Vec<usize>,
@@ -84,11 +84,6 @@ pub(crate) struct SymCore<T> {
     pub(crate) upd: Vec<[u32; 2]>,
     pub(crate) perm: Perm,
     pub(crate) plan: SolvePlan,
-    /// The lower stage's plans, present iff selected and able to run
-    /// (a team of more than one, a non-empty lower stage): without
-    /// them the numeric phase runs Even-Rows and the serial corner.
-    pub(crate) sr: Option<SrPlan>,
-    pub(crate) corner: Option<CornerPlan>,
     /// Symbolic/analysis statistics — the template every numeric phase
     /// completes with its own counters and timing.
     pub(crate) stats: FactorStats,
@@ -98,9 +93,8 @@ pub(crate) struct SymCore<T> {
     /// point-to-point stages' resettable progress counters. Its lock
     /// also serializes the numeric runs of every factor object of the
     /// analysis on the shared team; everything value-carrying — the
-    /// work buffer, Segmented-Rows delta slots and τ thresholds, at the
-    /// factor's width — lives in the [`FactorsBatch`](crate::FactorsBatch)
-    /// itself.
+    /// work buffer and τ thresholds, at the factor's width — lives in
+    /// the [`FactorsBatch`](crate::FactorsBatch) itself.
     pub(crate) progress: Mutex<ProgressCounters>,
 }
 
@@ -130,28 +124,7 @@ impl<T> std::fmt::Debug for SymbolicIlu<T> {
             .field("n", &self.core.n)
             .field("nnz_lu", &self.core.colidx.len())
             .field("nthreads", &self.core.nthreads)
-            .field("lower_method", &self.core.lower_method)
             .finish()
-    }
-}
-
-/// Resolves `LowerMethod::Auto` per the paper's guidance: SR when the
-/// demoted rows are too few for row-level parallelism (and the
-/// symmetrized level pattern makes SR's block independence valid),
-/// otherwise ER.
-fn resolve_lower_method(opts: &IluOptions, n_lower: usize, nthreads: usize) -> LowerMethod {
-    let sr_ok = opts.level_pattern == LevelPattern::LowerSymmetrized;
-    match opts.lower_method {
-        LowerMethod::SegmentedRows if sr_ok => LowerMethod::SegmentedRows,
-        LowerMethod::SegmentedRows => LowerMethod::EvenRows, // lower(A): SR invalid
-        LowerMethod::EvenRows => LowerMethod::EvenRows,
-        LowerMethod::Auto => {
-            if sr_ok && n_lower < opts.sr_thread_mult * nthreads {
-                LowerMethod::SegmentedRows
-            } else {
-                LowerMethod::EvenRows
-            }
-        }
     }
 }
 
@@ -160,8 +133,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// ILU(k) fill, level analysis, two-stage split, permutation, the
     /// update list every numeric walk streams (its length is
     /// [`FactorStats::n_updates`]), the forward/backward point-to-point
-    /// schedules, the lower stage's Segmented-Rows and parallel-corner
-    /// plans where selected, the trailing-block layout, the execution
+    /// schedules, the trailing-block layout, the execution
     /// context (a persistent worker team) and all reusable numeric/solve
     /// scratch.
     ///
@@ -346,19 +318,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             block_seg_ptr.push(block_seg_ptr.last().expect("nonempty") + (hi - lo));
         }
 
-        let lower_method = resolve_lower_method(opts, n_lower, nthreads);
-        stats.lower_method = lower_method;
-        // The lower stage's own schedules, planned here like everything
-        // else pattern-dependent — when there is a team and a lower
-        // stage to run them on.
-        let can_plan = nthreads > 1 && n_lower > 0;
-        let sr = (can_plan && lower_method == LowerMethod::SegmentedRows).then(|| {
-            let levels = &plan0.upper_level_ptr;
-            SrPlan::build(&rowptr, &colidx, &upd_ptr, n_upper, levels, opts.tile_size)
-        });
-        let corner = (can_plan && opts.parallel_corner)
-            .then(|| CornerPlan::build(&rowptr, &colidx, &diag_pos, n_upper, nthreads));
-
         let plan = SolvePlan {
             n_upper,
             upper_level_ptr: plan0.upper_level_ptr,
@@ -413,7 +372,6 @@ impl<T: Scalar> SymbolicIlu<T> {
                 n,
                 nthreads,
                 opts: opts.clone(),
-                lower_method,
                 engine_hint,
                 a_fingerprint: javelin_sparse::pattern::fingerprint_parts(
                     a.nrows(),
@@ -431,8 +389,6 @@ impl<T: Scalar> SymbolicIlu<T> {
                 upd,
                 perm,
                 plan,
-                sr,
-                corner,
                 stats,
                 exec,
                 scratch,
@@ -469,12 +425,6 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// The options the analysis was built with.
     pub fn options(&self) -> &IluOptions {
         &self.core.opts
-    }
-
-    /// Lower-stage method every numeric phase of this analysis uses
-    /// (`Auto` resolved at analysis time).
-    pub fn lower_method(&self) -> LowerMethod {
-        self.core.lower_method
     }
 
     /// The engine used by solves when none is named.
@@ -534,9 +484,9 @@ impl<T: Scalar> SymbolicIlu<T> {
     }
 
     /// Numeric factorization of `a` through the precomputed symbolic
-    /// analysis: the full engine set of the paper (point-to-point upper
-    /// stage, Even-Rows or Segmented-Rows lower stage, serial or
-    /// parallel corner) on the analysis's execution context and
+    /// analysis: the point-to-point upper stage, the Even-Rows lower
+    /// stage and the serial corner (paper §III) on the analysis's
+    /// execution context and
     /// preallocated workspaces. `a` must have exactly the analyzed
     /// pattern — only its values are read. This is
     /// [`SymbolicIlu::factor_batch`] of `[a]`, its one scenario's
@@ -737,11 +687,10 @@ impl<T: Scalar> SymbolicIlu<T> {
     }
 
     /// One numeric sweep over the loaded buffer: serial when
-    /// single-threaded, otherwise the point-to-point upper stage, the
-    /// lower-stage sweep and the corner as regions on the analysis's
-    /// execution context — Segmented-Rows and the parallel corner where
-    /// the analysis planned them, Even-Rows and the serial corner where
-    /// it did not. All combinations are bit-identical, at every width.
+    /// single-threaded, otherwise the point-to-point upper stage and the
+    /// Even-Rows lower stage as regions on the analysis's execution
+    /// context, then the corner serially. Bit-identical to the serial
+    /// sweep, at every width.
     fn run_engines<L: Lanes>(&self, lanes: L, ctx: &NumericCtx<'_, T>, run: &NumericRun<'_, T>) {
         let c = &*self.core;
         let (n, n_upper) = (c.n, c.plan.n_upper);
@@ -753,16 +702,8 @@ impl<T: Scalar> SymbolicIlu<T> {
         if n_upper == n {
             return;
         }
-        match &c.sr {
-            Some(sr) => lower::factor_lower_sr(lanes, ctx, sr, run.sr_deltas, &c.exec),
-            None => lower::factor_lower_er_planned(lanes, ctx, n_upper, &c.exec),
-        }
-        match &c.corner {
-            Some(corner) => {
-                lower::factor_corner_parallel(lanes, ctx, corner, n_upper, &c.exec, run.progress)
-            }
-            None => factor_rows_serial(lanes, ctx, n_upper, n, n_upper),
-        }
+        factor_lower_er_planned(lanes, ctx, n_upper, &c.exec);
+        factor_rows_serial(lanes, ctx, n_upper, n, n_upper);
     }
 }
 
@@ -776,9 +717,6 @@ pub(crate) struct NumericRun<'a, T> {
     pub mats: &'a [&'a CsrMatrix<T>],
     /// Lane-interleaved value buffer (`nnz·k`).
     pub vals: &'a LuVals<T>,
-    /// Lane-interleaved Segmented-Rows delta slots
-    /// (`SrPlan::n_delta_slots·k`; empty without an SR plan).
-    pub sr_deltas: &'a LuVals<T>,
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
     pub drop_thresh: &'a mut [T],
     /// The analysis's p2p counters (pattern-only, shared by every
@@ -843,12 +781,7 @@ mod tests {
         for (name, a) in &cases {
             for fill in 0..=2 {
                 for nthreads in [1, 2] {
-                    let mut opts = IluOptions::ilu0(nthreads).with_fill(fill);
-                    if *name == "bordered" {
-                        opts.lower_method = LowerMethod::SegmentedRows;
-                        opts.parallel_corner = true;
-                        opts.tile_size = 4;
-                    }
+                    let opts = IluOptions::ilu0(nthreads).with_fill(fill);
                     let what = format!("{name} fill {fill} nthreads {nthreads}");
                     let sym = SymbolicIlu::analyze(a, &opts).unwrap();
                     let f = sym.factor(a).unwrap();
@@ -862,8 +795,8 @@ mod tests {
                     assert!(!list.is_empty(), "{what}: nothing eliminated");
                     assert_eq!(sym.stats().n_updates, list.len(), "{what}");
                     assert_eq!(f.stats().n_updates, list.len(), "{what}: factor stats");
-                    if *name == "bordered" && nthreads > 1 {
-                        assert!(c.sr.as_ref().unwrap().n_delta_slots() > 0, "{what}");
+                    if *name == "bordered" {
+                        assert!(sym.stats().n_lower_rows > 0, "{what}: empty lower stage");
                     }
                 }
             }

@@ -10,7 +10,7 @@
 //!   when the factors have no lower stage);
 //! * `LS + Lower` (`solve_p2p_fused` with `tiles`): the
 //!   trailing-block rows are evaluated as a tiled segmented gather (the
-//!   spmv-like update the SR layout was designed for) before the small
+//!   spmv-like update of the paper's Segmented-Rows layout) before the small
 //!   corner solve.
 //!
 //! Solution storage is the shared-memory [`LuVals`]: threads check out

@@ -1,9 +1,9 @@
 //! The batched-refactor differential-test layer: every column of a
 //! `factor_batch` / `refactor_batch` must carry **exactly the bits** of
 //! a scalar `refactor` of that column's matrix — across thread counts
-//! (serial and the planned p2p engines), lower-stage plans (Even-Rows
-//! with the serial corner, tiled Segmented-Rows with the parallel
-//! corner), batch widths (the SIMD-specialized `k ∈ {1, 4, 8}` and the
+//! (serial and the planned p2p + Even-Rows engines), matrices with and
+//! without heavy lower-stage rows (the latter with small solve tiles),
+//! batch widths (the SIMD-specialized `k ∈ {1, 4, 8}` and the
 //! `DynLanes` fallback widths in between), pivot policies (plain,
 //! shift-and-retry, drop-tolerance) and, for the batch's own applies
 //! (one pipeline pass over its lane-interleaved values), every
@@ -15,8 +15,7 @@
 //! counts and policies over the same bitwise check.
 
 use javelin_core::{
-    ApplyScratch, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
-    ZeroPivotPolicy,
+    ApplyScratch, IluOptions, Preconditioner, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
 };
 use javelin_sparse::{CooMatrix, CsrMatrix, Panel, PanelMut};
 use javelin_synth::grid::laplace_2d;
@@ -33,16 +32,13 @@ fn corners(a: &CsrMatrix<f64>, k: usize, seed: f64) -> Vec<CsrMatrix<f64>> {
         .collect()
 }
 
-/// The three policy corners the contract names, on either lower-stage
-/// plan: Even-Rows + serial corner, or (`sr`) Segmented-Rows with small
-/// tiles + the parallel corner.
-fn policy_opts(nthreads: usize, policy: usize, sr: bool) -> IluOptions {
+/// The three policy corners the contract names, with the default or
+/// (`small_tiles`) a 4-entry lower-stage solve tile.
+fn policy_opts(nthreads: usize, policy: usize, small_tiles: bool) -> IluOptions {
     let mut opts = IluOptions::ilu0(nthreads);
     opts.split.min_rows_per_level = 4;
     opts.split.location_frac = 0.0;
-    if sr {
-        opts.lower_method = LowerMethod::SegmentedRows;
-        opts.parallel_corner = true;
+    if small_tiles {
         opts.tile_size = 4;
     }
     match policy {
@@ -134,31 +130,34 @@ fn check_batch_vs_looped(
     Ok(())
 }
 
-/// The pinned grid: lower-stage plans {ER + serial corner on a grid,
-/// tiled SR + parallel corner on the grid with heavy border rows} ×
-/// threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies {plain, ShiftRetry,
-/// drop-tolerance}, with the batch's own applies checked on all four
+/// The pinned grid: matrices {a grid, the grid with heavy border rows
+/// and 4-entry solve tiles}, each through Even-Rows + the serial
+/// corner × threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies {plain,
+/// ShiftRetry, drop-tolerance}, with the batch's own applies checked on all four
 /// solve engines in every cell, and a second `refactor_batch` step
 /// (new values, same handle) on top.
 #[test]
 fn pinned_grid_batch_columns_bitwise_equal_scalar_refactor() {
-    for sr in [false, true] {
+    for border in [false, true] {
         let grid = laplace_2d(13, 13);
-        let a = if sr { bordered(&grid, 6) } else { grid };
-        pinned_grid(&a, sr);
+        let a = if border { bordered(&grid, 6) } else { grid };
+        pinned_grid(&a, border);
     }
 }
 
-fn pinned_grid(a: &CsrMatrix<f64>, sr: bool) {
+fn pinned_grid(a: &CsrMatrix<f64>, border: bool) {
     for nthreads in 1..=3usize {
         for k in [1usize, 2, 4, 5, 8] {
             for policy in 0..3 {
-                let opts = policy_opts(nthreads, policy, sr);
+                let opts = policy_opts(nthreads, policy, border);
                 let sym = SymbolicIlu::analyze(a, &opts).unwrap();
+                if border {
+                    assert!(sym.stats().n_lower_rows >= 6, "border rows demoted");
+                }
                 let cs = corners(a, k, 0.3);
                 let mats: Vec<&CsrMatrix<f64>> = cs.iter().collect();
                 check_batch_vs_looped(&sym, &mats, true).unwrap_or_else(|e| {
-                    panic!("sr={sr} nthreads={nthreads} k={k} policy={policy}: {e}")
+                    panic!("border={border} nthreads={nthreads} k={k} policy={policy}: {e}")
                 });
                 // Second step through the same batch handle: the
                 // numeric-only refactor_batch path.
@@ -173,7 +172,7 @@ fn pinned_grid(a: &CsrMatrix<f64>, sr: bool) {
                     assert_eq!(
                         bits(batch.to_factors(c).lu().vals()),
                         bits(scalar.lu().vals()),
-                        "refactor_batch sr={sr} nthreads={nthreads} k={k} policy={policy} column {c}"
+                        "refactor_batch border={border} nthreads={nthreads} k={k} policy={policy} column {c}"
                     );
                 }
             }
@@ -207,24 +206,23 @@ proptest! {
 
     /// Random matrices through the same differential check: batch
     /// column c carries the bits of a scalar refactor of matrix c,
-    /// whatever the width, thread count, lower-stage plan or pivot
-    /// policy.
+    /// whatever the width, thread count, solve tile or pivot policy.
     #[test]
     fn batch_columns_bitwise_equal_scalar_refactor(
         a in arb_matrix(24),
         nthreads in 1usize..4,
         k_idx in 0usize..5,
         policy in 0usize..3,
-        sr in proptest::bool::ANY,
+        small_tiles in proptest::bool::ANY,
         seed in 0.1..2.0f64,
     ) {
         let k = [1usize, 2, 4, 5, 8][k_idx];
-        let opts = policy_opts(nthreads, policy, sr);
+        let opts = policy_opts(nthreads, policy, small_tiles);
         let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
         let cs = corners(&a, k, seed);
         let mats: Vec<&CsrMatrix<f64>> = cs.iter().collect();
         if let Err(e) = check_batch_vs_looped(&sym, &mats, false) {
-            prop_assert!(false, "sr={} nthreads={} k={} policy={}: {}", sr, nthreads, k, policy, e);
+            prop_assert!(false, "small_tiles={} nthreads={} k={} policy={}: {}", small_tiles, nthreads, k, policy, e);
         }
     }
 }

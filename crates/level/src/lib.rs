@@ -9,7 +9,7 @@
 //! `A` or `A + Aᵀ`). Rows within a level are mutually independent and
 //! factor concurrently. When trailing levels become too narrow to feed
 //! all threads, a *two-stage split* moves them into a lower stage solved
-//! by the Segmented-Rows or Even-Rows method.
+//! by the Even-Rows method.
 //!
 //! This crate computes:
 //!

@@ -2,9 +2,8 @@
 //!
 //! Javelin factors wide levels with point-to-point level scheduling (the
 //! *upper stage*) and hands a trailing suffix of narrow or dense levels
-//! to a second method — Segmented-Rows or Even-Rows (the *lower
-//! stage*). Three user options steer the split, exactly as in the
-//! paper:
+//! to a second method, Even-Rows (the *lower stage*). Three user
+//! options steer the split, exactly as in the paper:
 //!
 //! 1. **minimum rows per level** — the Table-III sensitivity parameter
 //!    `A ∈ {16, 24, 32}`;
@@ -83,11 +82,6 @@ pub struct StagePlan {
     pub upper_level_ptr: Vec<usize>,
     /// Number of upper-stage rows (= index where the lower stage begins).
     pub n_upper: usize,
-    /// Level boundaries of the demoted rows over new row indices
-    /// (starting at `n_upper`); preserved so the lower-stage corner can
-    /// still be factored in a valid topological order and so
-    /// Segmented-Rows can form its per-level blocks.
-    pub lower_level_ptr: Vec<usize>,
 }
 
 impl StagePlan {
@@ -164,16 +158,13 @@ pub fn split_levels(levels: &LevelSets, row_nnz: &[usize], opts: &SplitOptions) 
         upper_level_ptr.push(new_to_old.len());
     }
     let n_upper = new_to_old.len();
-    let mut lower_level_ptr = vec![n_upper];
     for l in first_lower_level..nl {
         new_to_old.extend_from_slice(levels.level(l));
-        lower_level_ptr.push(new_to_old.len());
     }
     StagePlan {
         perm: Perm::from_new_to_old(new_to_old).expect("levels partition the rows"),
         upper_level_ptr,
         n_upper,
-        lower_level_ptr,
     }
 }
 
@@ -223,7 +214,6 @@ mod tests {
         let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
         assert_eq!(plan.n_lower(), 5);
         assert_eq!(plan.n_upper_levels(), 2);
-        assert_eq!(plan.lower_level_ptr.len() - 1, 2); // two demoted levels
     }
 
     #[test]

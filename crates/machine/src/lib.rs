@@ -7,10 +7,9 @@
 //! Intel Knights Landing node. Neither is available here, so the
 //! scaling figures are regenerated by *replaying the exact schedules
 //! the real implementation computes* (per-thread task sequences, pruned
-//! point-to-point waits, barrier levels, Segmented-Rows task DAGs,
-//! Even-Rows chunks) on a parameterized machine model: core count and
-//! speed, SMT sharing, synchronization and barrier costs, task-spawn
-//! overhead, and a cross-socket NUMA penalty.
+//! point-to-point waits, barrier levels, Even-Rows chunks) on a
+//! parameterized machine model: core count and speed, SMT sharing,
+//! synchronization and barrier costs, and a cross-socket NUMA penalty.
 //!
 //! Everything that determines the *shape* of the paper's Figs. 9–13 —
 //! level widths, critical-path depth, wait counts, serial fractions —

@@ -33,9 +33,6 @@ pub struct MachineModel {
     pub numa_penalty_ns: f64,
     /// Cost of one full-team barrier (per level in CSR-LS).
     pub barrier_ns: f64,
-    /// Per-task overhead of the tasking runtime (the OpenMP-task cost
-    /// the paper measured with VTune on KNL).
-    pub task_overhead_ns: f64,
 }
 
 impl MachineModel {
@@ -55,7 +52,6 @@ impl MachineModel {
             p2p_block_ns: 90.0,
             numa_penalty_ns: 0.0,
             barrier_ns: 1200.0,
-            task_overhead_ns: 900.0,
         }
     }
 
@@ -73,7 +69,7 @@ impl MachineModel {
     }
 
     /// The paper's KNL 7250 node, 68 cores, one thread per core:
-    /// slower cores, pricier synchronization, heavier tasking.
+    /// slower cores, pricier synchronization.
     pub fn knl68() -> Self {
         MachineModel {
             name: "knl-68",
@@ -89,7 +85,6 @@ impl MachineModel {
             p2p_block_ns: 220.0,
             numa_penalty_ns: 0.0,
             barrier_ns: 5200.0,
-            task_overhead_ns: 2600.0,
         }
     }
 
@@ -120,7 +115,6 @@ impl MachineModel {
             p2p_block_ns: 75.0,
             numa_penalty_ns: 0.0,
             barrier_ns: 1000.0,
-            task_overhead_ns: 800.0,
         }
     }
 
@@ -192,7 +186,6 @@ mod tests {
         let h = MachineModel::haswell14();
         let k = MachineModel::knl68();
         assert!(k.row_factor_cost(10) > 2.0 * h.row_factor_cost(10));
-        assert!(k.task_overhead_ns > h.task_overhead_ns);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The simulator replays the library's *actual* data structures: the
 //! pruned point-to-point schedules (rebuilt for any thread count from
-//! the factor's pattern), the barrier level sets, the Segmented-Rows
-//! task DAG and Even-Rows chunking. Per-row costs use the true
+//! the factor's pattern), the barrier level sets and the Even-Rows
+//! chunking. Per-row costs use the true
 //! elimination work (`nnz(row) + Σ_{c ∈ L(row)} |U(c)|` — the exact
 //! inner-loop trip count of the up-looking kernel), so critical paths,
 //! imbalance, and synchronization counts are the real ones; only the
@@ -11,7 +11,7 @@
 
 use crate::model::MachineModel;
 use javelin_core::factors::IluFactors;
-use javelin_core::options::{LowerMethod, SolveEngine};
+use javelin_core::options::SolveEngine;
 use javelin_level::P2PSchedule;
 use javelin_sparse::Scalar;
 
@@ -22,7 +22,7 @@ pub struct SimBreakdown {
     pub total_s: f64,
     /// Upper-stage (point-to-point) portion.
     pub upper_s: f64,
-    /// Lower-stage (SR/ER + corner) portion.
+    /// Lower-stage (Even-Rows + serial corner) portion.
     pub lower_s: f64,
     /// Waits that actually blocked.
     pub blocked_waits: usize,
@@ -149,30 +149,16 @@ pub fn sim_factor_time<T: Scalar>(
             .iter()
             .map(|&(p, _)| machine.row_factor_base_ns + machine.row_factor_per_nnz_ns * p)
             .collect();
-        let method = if nthreads == 1 {
-            LowerMethod::EvenRows
+        lower_s = if nthreads == 1 {
+            pre_costs.iter().sum::<f64>() * NS + corner_serial
         } else {
-            f.stats().lower_method
-        };
-        lower_s = match method {
-            LowerMethod::EvenRows | LowerMethod::Auto => {
-                if nthreads == 1 {
-                    pre_costs.iter().sum::<f64>() * NS + corner_serial
-                } else {
-                    // Contiguous chunks of trailing rows.
-                    let chunk = splits.len().div_ceil(nthreads);
-                    let mut worst = 0.0f64;
-                    for c in pre_costs.chunks(chunk.max(1)) {
-                        worst = worst.max(c.iter().sum());
-                    }
-                    worst / speed * NS + corner_serial
-                }
+            // Contiguous chunks of trailing rows.
+            let chunk = splits.len().div_ceil(nthreads);
+            let mut worst = 0.0f64;
+            for c in pre_costs.chunks(chunk.max(1)) {
+                worst = worst.max(c.iter().sum());
             }
-            LowerMethod::SegmentedRows => {
-                // Per-(row, block) segments as chains; list-schedule with
-                // per-task overhead (the paper's KNL tasking cost).
-                sim_sr_taskgraph(f, machine, nthreads, &splits) + corner_serial
-            }
+            worst / speed * NS + corner_serial
         };
     }
     SimBreakdown {
@@ -181,95 +167,6 @@ pub fn sim_factor_time<T: Scalar>(
         lower_s,
         blocked_waits: blocked,
     }
-}
-
-/// List-schedules the SR segment chains (one chain per trailing row,
-/// one task per (row, level-block) segment) on `nthreads` workers.
-fn sim_sr_taskgraph<T: Scalar>(
-    f: &IluFactors<T>,
-    machine: &MachineModel,
-    nthreads: usize,
-    _splits: &[(f64, f64)],
-) -> f64 {
-    let tile = f.symbolic().options().tile_size.max(4);
-    let lu = f.lu();
-    let dp = f.diag_positions();
-    let n = lu.nrows();
-    let plan = f.symbolic().plan();
-    let n_upper = plan.n_upper;
-    let level_ptr = &plan.upper_level_ptr;
-    let speed = machine.thread_speed(nthreads);
-    // Build per-row segment cost chains.
-    let mut chains: Vec<Vec<f64>> = Vec::new();
-    for r in n_upper..n {
-        let (rs, re) = (lu.rowptr()[r], lu.rowptr()[r + 1]);
-        let cols = &lu.colidx()[rs..re];
-        let sub_end = cols.partition_point(|&c| c < n_upper);
-        let mut chain = Vec::new();
-        let mut k = 0usize;
-        let mut lvl = 0usize;
-        while k < sub_end {
-            while level_ptr[lvl + 1] <= cols[k] {
-                lvl += 1;
-            }
-            let seg_end = cols[..sub_end].partition_point(|&c| c < level_ptr[lvl + 1]);
-            let mut work = (seg_end - k) as f64;
-            for &c in &cols[k..seg_end] {
-                work += (lu.rowptr()[c + 1] - dp[c]) as f64;
-            }
-            // Fork-join tile model: a segment of `len` entries splits
-            // into ceil(len/tile) tile tasks (parallelizable divide +
-            // delta collection) followed by a serial apply. Smaller
-            // tiles buy intra-segment parallelism at the price of one
-            // task overhead each — the granularity knob of Fig. 6.
-            let len = (seg_end - k) as f64;
-            let n_tiles = (len / tile as f64).ceil().max(1.0);
-            let lanes = n_tiles.min(nthreads as f64);
-            let work_ns = machine.row_factor_per_nnz_ns * work;
-            let elapsed = if n_tiles > 1.0 {
-                machine.task_overhead_ns * (n_tiles / lanes).ceil()
-                    + machine.row_factor_base_ns
-                    + 0.7 * work_ns / lanes   // tiled divide+collect
-                    + 0.3 * work_ns // serial apply
-            } else {
-                machine.task_overhead_ns + machine.row_factor_base_ns + work_ns
-            };
-            chain.push(elapsed);
-            k = seg_end;
-        }
-        if !chain.is_empty() {
-            chains.push(chain);
-        }
-    }
-    // Greedy list scheduling of chain heads onto the earliest thread.
-    let mut thread_clock = vec![0.0f64; nthreads];
-    let mut chain_clock = vec![0.0f64; chains.len()];
-    let mut next_seg = vec![0usize; chains.len()];
-    loop {
-        // Pick the runnable chain whose next segment can start earliest.
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, chain) in chains.iter().enumerate() {
-            if next_seg[ci] < chain.len() {
-                let ready = chain_clock[ci];
-                if best.is_none_or(|(_, t)| ready < t) {
-                    best = Some((ci, ready));
-                }
-            }
-        }
-        let Some((ci, ready)) = best else { break };
-        // Earliest-available thread.
-        let (tid, _) = thread_clock
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("threads exist");
-        let start = ready.max(thread_clock[tid]);
-        let done = start + chains[ci][next_seg[ci]] / speed * NS;
-        thread_clock[tid] = done;
-        chain_clock[ci] = done;
-        next_seg[ci] += 1;
-    }
-    thread_clock.iter().cloned().fold(0.0, f64::max)
 }
 
 /// Simulated wall time of one preconditioner application (forward +

@@ -201,11 +201,10 @@ pub fn value_fingerprint<T: Scalar>(vals: &[T]) -> u64 {
 /// `lower(A)` vs `lower(A + Aᵀ)` option (§III, §VII "Levels and lower
 /// size").
 ///
-/// `lower(A+Aᵀ)` is the default: it is required by the Segmented-Rows
-/// lower stage (same-level columns become mutually independent) and
-/// enables tiling for the triangular solve. `lower(A)` generally yields
-/// more/larger levels for nonsymmetric patterns but restricts the lower
-/// stage to Even-Rows.
+/// `lower(A+Aᵀ)` is the default: same-level columns become mutually
+/// independent, which enables tiling for the triangular solve.
+/// `lower(A)` generally yields more/larger levels for nonsymmetric
+/// patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LevelPattern {
     /// Use the strictly-lower pattern of `A + Aᵀ` (symmetrized).

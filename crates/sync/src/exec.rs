@@ -2,7 +2,7 @@
 //! closures.
 //!
 //! There is one way to run a region: on a persistent [`WorkerTeam`].
-//! Plans (factorizations, spmv plans, task graphs) build or borrow
+//! Plans (factorizations, spmv plans) build or borrow
 //! their [`Exec`] once at construction time and every region afterwards
 //! reuses the same parked threads with stable tids — the paper's single
 //! OpenMP parallel region, amortized across the whole Krylov loop. A

@@ -3,10 +3,8 @@
 //! The concurrency substrate behind Javelin's "lightweight
 //! synchronization" philosophy: the paper deliberately avoids heavy task
 //! runtimes and barriers in favour of point-to-point spin
-//! synchronization, static thread assignments, and (for the lower
-//! stage) small tasking — and names "a specialized light weight tasking
-//! library" as an in-progress improvement. This crate supplies those
-//! pieces:
+//! synchronization and static thread assignments. This crate supplies
+//! those pieces:
 //!
 //! * [`team`] — the persistent [`WorkerTeam`]: parked workers with
 //!   stable tids executing borrowed SPMD regions (the OpenMP parallel
@@ -21,9 +19,6 @@
 //!   baseline the paper compares against);
 //! * [`backoff`] — bounded spinning that escalates to `yield_now`, so
 //!   oversubscribed runs (more threads than cores) always make progress;
-//! * [`taskgraph`] — the lightweight dependency-counting task executor
-//!   (the paper's future-work tasking library): a planned DAG with
-//!   resettable counters, executed as one region on the team;
 //! * [`affinity`] — best-effort core pinning for team participants
 //!   (`OMP_PROC_BIND`-style placement, Linux `sched_setaffinity`).
 //!
@@ -42,7 +37,6 @@ pub mod backoff;
 pub mod barrier;
 pub mod exec;
 pub mod progress;
-pub mod taskgraph;
 pub mod team;
 
 pub use affinity::TeamAffinity;
@@ -50,5 +44,4 @@ pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
 pub use exec::{col_range, Exec};
 pub use progress::ProgressCounters;
-pub use taskgraph::TaskGraph;
 pub use team::WorkerTeam;

@@ -102,9 +102,8 @@ pub fn revalue(a: &CsrMatrix<f64>, seed: f64, amplitude: f64) -> CsrMatrix<f64> 
 /// two thirds of the base columns (`j % 3 != i % 3`), a coupling to
 /// border row `i − 2` and a dominant diagonal; the base rows are
 /// unchanged. Under level scheduling the border rows form a trailing
-/// suffix of two-row levels — the few-but-heavy lower stage (long
-/// per-level segments, a corner of two independent chains) that the
-/// Segmented-Rows sweep and the parallel corner exist for.
+/// suffix of two-row levels — a few-but-heavy lower stage with a
+/// corner of two independent chains.
 pub fn bordered(a: &CsrMatrix<f64>, m: usize) -> CsrMatrix<f64> {
     let n = a.nrows();
     let mut coo = CooMatrix::with_capacity(n + m, n + m, a.nnz() + m * n);

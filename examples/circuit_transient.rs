@@ -58,11 +58,10 @@ fn main() {
         .expect("ILU(0) session");
     let t_first = t0.elapsed();
     println!(
-        "ILU(0) analyze+factor in {:.2?} ({} levels, {} lower-stage rows, method {})",
+        "ILU(0) analyze+factor in {:.2?} ({} levels, {} lower-stage rows)",
         t_first,
         session.stats().n_levels,
-        session.stats().n_lower_rows,
-        session.stats().lower_method
+        session.stats().n_lower_rows
     );
 
     // Time stepping: every step the stamps drift on a fixed pattern, so

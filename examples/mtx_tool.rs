@@ -52,10 +52,9 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut session = Session::builder().build(&a).expect("ILU(0)");
     println!(
-        "ILU(0) in {:.2?}; {} lower-stage rows ({}), {:.0}% of raw deps pruned",
+        "ILU(0) in {:.2?}; {} lower-stage rows, {:.0}% of raw deps pruned",
         t0.elapsed(),
         session.stats().n_lower_rows,
-        session.stats().lower_method,
         100.0 * session.stats().wait_sparsification()
     );
     let n = a.nrows();

@@ -2,7 +2,7 @@
 # Guards the hot numeric/solve kernels against silent memory-ordering
 # creep: the whole design premise is that row ownership is handed off
 # through the *existing* release/acquire edges (progress counters,
-# barriers, task-graph edges, team regions), so per-element accesses
+# barriers, team regions), so per-element accesses
 # stay plain loads/stores. A new `Ordering::SeqCst`, `Acquire` or
 # `AcqRel` inside a hot kernel is either redundant (costs throughput
 # for nothing) or papering over a protocol bug — both deserve a
@@ -53,7 +53,7 @@ if [ "$fail" -ne 0 ]; then
 
 error: unjustified SeqCst/Acquire/AcqRel ordering in a hot kernel.
 Row handoff already happens through the progress-counter /
-barrier / task-graph edges — if this ordering is really needed,
+barrier / team-region edges — if this ordering is really needed,
 say why in a `//` comment on (or just above) the line.
 EOF
     exit 1

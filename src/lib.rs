@@ -64,7 +64,7 @@
 //! * [`synth`] — synthetic matrix generators (incl. the paper test suite)
 //! * [`order`] — RCM, minimum-degree, nested dissection, DM/BTF, coloring
 //! * [`level`] — level-set scheduling, two-stage split, p2p schedules
-//! * [`sync`] — thread pool, worker team, progress counters, task graph
+//! * [`sync`] — worker team, progress counters, spin barrier
 //! * [`core`] — the ILU framework itself (factorization, stri, spmv)
 //! * [`baseline`] — serial ILUT and the heavyweight comparator
 //! * [`solver`] — CG / GMRES / FGMRES / BiCGSTAB and the lockstep
@@ -129,7 +129,7 @@ pub mod prelude {
     pub use crate::session::{Session, SessionBuilder};
     pub use javelin_core::factorize;
     pub use javelin_core::factors::IluFactors;
-    pub use javelin_core::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
+    pub use javelin_core::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
     pub use javelin_core::symbolic_ilu::SymbolicIlu;
     pub use javelin_core::FactorsBatch;
     pub use javelin_solver::{

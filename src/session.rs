@@ -80,7 +80,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Tile size for Segmented-Rows and the tiled solve kernels.
+    /// Tile size of the tiled lower-stage solve gather.
     #[must_use]
     pub fn tile_size(mut self, tile: usize) -> Self {
         self.opts.tile_size = tile;

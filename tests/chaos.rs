@@ -17,7 +17,7 @@
 #![cfg(feature = "fault-injection")]
 
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions, LowerMethod, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{factorize, IluOptions, SymbolicIlu, ZeroPivotPolicy};
 use javelin::sparse::fault::{self, FaultAction};
 use javelin::sparse::io::read_matrix_market_from;
 use javelin::sparse::{CooMatrix, CsrMatrix, SparseError};
@@ -228,56 +228,51 @@ fn numeric_panic_in_the_first_factor_is_contained_and_the_team_recovers() {
     fault::clear();
 }
 
-/// The `refactor` twin of the test above, in the lower stage: a
-/// refactorization runs the analysis's planned Segmented-Rows sweep and
-/// parallel corner as regions on the shared team, so a panic in an SR
-/// task or in a corner row's finalization must unwind out of
-/// `refactor`, poison the team, and leave factors, plans and team fully
+/// The `refactor` twin of the test above, past the upper stage: on a
+/// 2-thread analysis with a lower stage, a refactorization runs the
+/// point-to-point upper stage and Even-Rows as regions on the shared
+/// team and then the corner serially on the caller, so a panic at a
+/// corner row's pivot must unwind out of `refactor` with the team
+/// already joined (not poisoned) and leave factors and plans fully
 /// reusable.
 #[test]
-fn numeric_panic_in_a_refactors_lower_stage_is_contained_and_the_team_recovers() {
+fn numeric_panic_in_a_refactors_corner_is_contained_and_factors_stay_reusable() {
     let _g = scenario();
     let a = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(10, 10), 6);
-    let sr_opts = |team: Arc<WorkerTeam>| {
+    let opts = |team: Arc<WorkerTeam>| {
         let mut opts = IluOptions::ilu0(2).with_shared_team(team);
-        opts.lower_method = LowerMethod::SegmentedRows;
-        opts.parallel_corner = true;
         opts.tile_size = 4;
         opts
     };
     let team = Arc::new(WorkerTeam::new(2));
-    let sym = SymbolicIlu::analyze(&a, &sr_opts(Arc::clone(&team))).unwrap();
+    let sym = SymbolicIlu::analyze(&a, &opts(Arc::clone(&team))).unwrap();
     let n_upper = a.nrows() - sym.stats().n_lower_rows;
     assert!(sym.stats().n_lower_rows >= 6, "border rows must be demoted");
     let mut f = sym.factor(&a).unwrap();
-    let f_fresh = factorize(&a, &sr_opts(Arc::new(WorkerTeam::new(2)))).unwrap();
+    let f_fresh = factorize(&a, &opts(Arc::new(WorkerTeam::new(2)))).unwrap();
 
-    // The upper stage finalizes exactly `n_upper` rows and the SR sweep
-    // none, so pivot hit `n_upper + 1` is a row of the parallel corner;
-    // the SR site fires on the sweep's third task.
-    for (site, skip) in [("numeric.sr_task", 2), ("numeric.pivot", n_upper + 1)] {
-        fault::arm(site, FaultAction::Panic, skip);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = f.refactor(&a);
-        }));
-        assert!(caught.is_err(), "{site}: the injected panic must propagate");
-        assert!(!fault::is_armed(site), "{site}: failpoint is one-shot");
-        assert!(
-            team.is_poisoned(),
-            "{site}: refactor must have unwound out of a region on the shared team"
-        );
+    // The upper stage finalizes exactly `n_upper` rows and Even-Rows
+    // none, so pivot hit `n_upper + 1` is a row of the corner.
+    let site = "numeric.pivot";
+    fault::arm(site, FaultAction::Panic, n_upper + 1);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        let _ = f.refactor(&a);
+    }));
+    assert!(caught.is_err(), "the injected panic must propagate");
+    assert!(!fault::is_armed(site), "failpoint is one-shot");
+    assert!(
+        !team.is_poisoned(),
+        "the corner runs after the team's regions have joined"
+    );
 
-        // `run` auto-repairs at its next entry — no explicit repair —
-        // and the same factors on the same team then refactor
-        // bit-identically to a brand-new team.
-        f.refactor(&a).expect("refactor on the auto-repaired team");
-        assert!(!team.is_poisoned());
-        assert_eq!(
-            bits(f.lu().vals()),
-            bits(f_fresh.lu().vals()),
-            "{site}: post-panic refactor must match a fresh team bit-for-bit"
-        );
-    }
+    // The same factors on the same team then refactor bit-identically
+    // to a brand-new team.
+    f.refactor(&a).expect("refactor after the contained panic");
+    assert_eq!(
+        bits(f.lu().vals()),
+        bits(f_fresh.lu().vals()),
+        "post-panic refactor must match a fresh team bit-for-bit"
+    );
     fault::clear();
 }
 

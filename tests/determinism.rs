@@ -3,7 +3,7 @@
 //! ILU as debuggable as the serial one (contrast with the
 //! nondeterministic fine-grained ILU the paper cites as related work).
 
-use javelin::core::{factorize, IluOptions, LowerMethod};
+use javelin::core::{factorize, IluOptions};
 use javelin::synth::suite::paper_suite;
 use javelin_bench::harness::preorder_dm_nd;
 
@@ -18,23 +18,16 @@ fn all_engines_bitwise_equal_across_suite() {
         let a = preorder_dm_nd(&meta.build_tiny());
         let serial = factor_bits(&a, &IluOptions::default());
         for nthreads in [2usize, 3] {
-            for method in [LowerMethod::EvenRows, LowerMethod::SegmentedRows] {
-                let mut opts = IluOptions::ilu0(nthreads);
-                opts.lower_method = method;
-                opts.split.min_rows_per_level = 12;
-                opts.split.location_frac = 0.1;
-                // The split changes the permutation, so compare against
-                // a serial run under the same split options.
-                let mut serial_opts = opts.clone();
-                serial_opts.nthreads = 1;
-                let want = factor_bits(&a, &serial_opts);
-                let got = factor_bits(&a, &opts);
-                assert_eq!(
-                    got, want,
-                    "{}: nthreads={nthreads} method={method}",
-                    meta.name
-                );
-            }
+            let mut opts = IluOptions::ilu0(nthreads);
+            opts.split.min_rows_per_level = 12;
+            opts.split.location_frac = 0.1;
+            // The split changes the permutation, so compare against a
+            // serial run under the same split options.
+            let mut serial_opts = opts.clone();
+            serial_opts.nthreads = 1;
+            let want = factor_bits(&a, &serial_opts);
+            let got = factor_bits(&a, &opts);
+            assert_eq!(got, want, "{}: nthreads={nthreads}", meta.name);
         }
         // And the default-split parallel run equals the default serial.
         let got = factor_bits(&a, &IluOptions::ilu0(4));
@@ -54,16 +47,18 @@ fn repeated_runs_are_identical() {
 }
 
 #[test]
-fn parallel_corner_is_bitwise_identical() {
+fn three_thread_lower_stage_is_bitwise_identical() {
+    // Even-Rows + the serial corner on three threads vs the serial
+    // sweep under the same split.
     for meta in paper_suite().into_iter().take(8) {
         let a = preorder_dm_nd(&meta.build_tiny());
-        let mut serial_corner = IluOptions::ilu0(3);
-        serial_corner.split.min_rows_per_level = 12;
-        serial_corner.split.location_frac = 0.1;
-        let mut parallel_corner = serial_corner.clone();
-        parallel_corner.parallel_corner = true;
-        let want = factor_bits(&a, &serial_corner);
-        let got = factor_bits(&a, &parallel_corner);
+        let mut threaded = IluOptions::ilu0(3);
+        threaded.split.min_rows_per_level = 12;
+        threaded.split.location_frac = 0.1;
+        let mut serial = threaded.clone();
+        serial.nthreads = 1;
+        let want = factor_bits(&a, &serial);
+        let got = factor_bits(&a, &threaded);
         assert_eq!(got, want, "{}", meta.name);
     }
 }

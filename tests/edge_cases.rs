@@ -4,7 +4,7 @@
 //! option combinations.
 
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions, LowerMethod, ZeroPivotPolicy};
+use javelin::core::{factorize, IluOptions, ZeroPivotPolicy};
 use javelin::sparse::pattern::LevelPattern;
 use javelin::sparse::{CooMatrix, CsrMatrix, SparseError};
 
@@ -194,16 +194,16 @@ fn more_threads_than_rows() {
 }
 
 #[test]
-fn forced_sr_on_matrix_without_lower_stage() {
-    // SR requested but the split demotes nothing: must degrade cleanly.
+fn two_threads_on_matrix_without_lower_stage() {
+    // A team of two but the split demotes nothing: the lower-stage and
+    // corner sweeps must degrade cleanly to no-ops.
     let n = 30;
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
         coo.push(i, i, 3.0).unwrap();
     }
     let a = coo.to_csr();
-    let mut opts = IluOptions::ilu0(2);
-    opts.lower_method = LowerMethod::SegmentedRows;
+    let opts = IluOptions::ilu0(2);
     let f = factorize(&a, &opts).unwrap();
     assert_eq!(f.stats().n_lower_rows, 0);
     solve_roundtrip(&a, &opts);
@@ -245,8 +245,7 @@ fn tiny_tile_size_still_correct() {
     let serial = factorize(&a, &IluOptions::default()).unwrap();
     let want: Vec<u64> = serial.lu().vals().iter().map(|v| v.to_bits()).collect();
     let mut opts = IluOptions::ilu0(3);
-    opts.lower_method = LowerMethod::SegmentedRows;
-    opts.tile_size = 1; // clamped to the minimum internally
+    opts.tile_size = 1; // one-entry solve-gather tiles
     opts.split.min_rows_per_level = 8;
     opts.split.location_frac = 0.0;
     let mut serial_same_split = opts.clone();
@@ -265,9 +264,8 @@ fn failed_refactor_keeps_previous_factor_and_lu_tracks_success() {
     // masked commit: a refactor whose pivot collapses under the strict
     // policy leaves the committed values (and the lazy `lu()` view of
     // them) and every statistic exactly as they were; the next
-    // successful refactor refreshes a view read before it. On both
-    // lower-stage plans: Even-Rows + serial corner, and Segmented-Rows +
-    // parallel corner over heavy border rows.
+    // successful refactor refreshes a view read before it. Serially and
+    // through Even-Rows + the serial corner over heavy border rows.
     let a = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(12, 12), 6);
     let a2 = javelin::synth::util::revalue(&a, 0.37, 0.01);
     // Pattern-identical, every diagonal zero: whatever the ordering, the
@@ -280,31 +278,24 @@ fn failed_refactor_keeps_previous_factor_and_lu_tracks_success() {
         f.lu().vals().iter().map(|v| v.to_bits()).collect()
     };
     for nthreads in [1usize, 2, 3] {
-        for planned in [false, true] {
-            let at = format!("threads={nthreads} planned={planned}");
-            let mut opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
-            opts.tile_size = 4;
-            opts.lower_method = if planned {
-                LowerMethod::SegmentedRows
-            } else {
-                LowerMethod::EvenRows
-            };
-            opts.parallel_corner = planned;
-            let sym = javelin::core::SymbolicIlu::analyze(&a, &opts).unwrap();
-            let mut f = sym.factor(&a).unwrap();
-            let (before, stats) = (bits(&f), format!("{:?}", f.stats()));
-            assert!(
-                matches!(f.refactor(&singular), Err(SparseError::ZeroPivot { .. })),
-                "{at}"
-            );
-            assert_eq!(bits(&f), before, "{at}: failed refactor changed lu()");
-            assert_eq!(format!("{:?}", f.stats()), stats, "{at}: stats changed");
-            f.refactor(&a2).unwrap();
-            assert_eq!(
-                bits(&f),
-                bits(&sym.factor(&a2).unwrap()),
-                "{at}: stale lu()"
-            );
-        }
+        let at = format!("threads={nthreads}");
+        let mut opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
+        opts.tile_size = 4;
+        let sym = javelin::core::SymbolicIlu::analyze(&a, &opts).unwrap();
+        assert!(sym.stats().n_lower_rows > 0, "{at}: lower stage must run");
+        let mut f = sym.factor(&a).unwrap();
+        let (before, stats) = (bits(&f), format!("{:?}", f.stats()));
+        assert!(
+            matches!(f.refactor(&singular), Err(SparseError::ZeroPivot { .. })),
+            "{at}"
+        );
+        assert_eq!(bits(&f), before, "{at}: failed refactor changed lu()");
+        assert_eq!(format!("{:?}", f.stats()), stats, "{at}: stats changed");
+        f.refactor(&a2).unwrap();
+        assert_eq!(
+            bits(&f),
+            bits(&sym.factor(&a2).unwrap()),
+            "{at}: stale lu()"
+        );
     }
 }

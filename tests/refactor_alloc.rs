@@ -12,7 +12,7 @@
 //! path must not allocate on any thread).
 
 use javelin::core::{
-    ApplyScratch, FactorStats, IluOptions, LowerMethod, Preconditioner, SolveEngine, SymbolicIlu,
+    ApplyScratch, FactorStats, IluOptions, Preconditioner, SolveEngine, SymbolicIlu,
     ZeroPivotPolicy,
 };
 use javelin::solver::{
@@ -501,65 +501,46 @@ fn steady_state_refactor_allocates_zero_bytes() {
         "pinned refactor+solve allocated bytes"
     );
 
-    // ---- Phase 7: the planned Segmented-Rows sweep and parallel ----
-    // corner. A grid with heavy border rows on a 2-thread team, small
-    // tiles: the task graph, its counters, the per-tile update targets
-    // and the delta slots are all built by `analyze`, so every numeric
-    // entry point runs them on the team without touching the heap.
+    // ---- Phase 7: the two-stage sweep with a real lower stage. ----
+    // A grid with heavy border rows on a 2-thread team, small tiles,
+    // τ on: the point-to-point upper stage, Even-Rows and the serial
+    // corner run on the team without touching the heap, and every
+    // numeric entry point carries the bits of the 1-thread factor.
     let a7 = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(14, 14), 6);
     let mut opts7 = IluOptions::ilu0(2).with_drop_tol(1e-4);
-    opts7.lower_method = LowerMethod::SegmentedRows;
-    opts7.parallel_corner = true;
     opts7.tile_size = 4;
-    let mut opts7_er = opts7.clone();
-    opts7_er.lower_method = LowerMethod::EvenRows;
-    opts7_er.parallel_corner = false;
-    let sym7 = SymbolicIlu::analyze(&a7, &opts7).expect("analysis (SR)");
-    let sym7_er = SymbolicIlu::analyze(&a7, &opts7_er).expect("analysis (ER)");
-    assert_eq!(sym7.lower_method(), LowerMethod::SegmentedRows);
+    let mut opts7_serial = opts7.clone();
+    opts7_serial.nthreads = 1;
+    let sym7 = SymbolicIlu::analyze(&a7, &opts7).expect("analysis (2 threads)");
+    let sym7_serial = SymbolicIlu::analyze(&a7, &opts7_serial).expect("analysis (serial)");
     assert!(
         sym7.stats().n_lower_rows >= 6,
         "border rows must be demoted"
     );
-    let mut f7 = sym7.factor(&a7).expect("SR factor");
-    let mut f7_er = sym7_er.factor(&a7).expect("ER factor");
-    // The first factorization takes the same walks and allocates only
-    // its result — nothing for the lower stage (no per-call graph, no
-    // spawn). The result is the factor storage at k = 1, which owns its
-    // Segmented-Rows delta slots as every batch does: the SR factor
-    // costs exactly the ER one plus one allocation, those slots (8 B
-    // each).
-    let cost_sr = counted(|| drop(sym7.factor(&a7).expect("SR factor")));
-    let cost_er = counted(|| drop(sym7_er.factor(&a7).expect("ER factor")));
-    let slot_bytes = cost_sr.1 - cost_er.1;
-    assert_eq!(
-        (cost_sr.0, slot_bytes % 8),
-        (cost_er.0 + 1, 0),
-        "SR factor allocated more than its delta slots"
-    );
-    assert!(slot_bytes > 0, "border rows must be tiled");
+    let mut f7 = sym7.factor(&a7).expect("2-thread factor");
+    let mut f7_serial = sym7_serial.factor(&a7).expect("serial factor");
     f7.refactor(&revalue(&a7, 0.37)).expect("warm-up refactor");
     f7.refactor_with_shift(&revalue(&a7, 0.71), 1e-4)
         .expect("warm-up shifted refactor");
     let a7_t = revalue(&a7, 1.9);
-    let cost = counted(|| f7.refactor(&a7_t).expect("steady-state SR refactor"));
-    assert_eq!(cost, (0, 0), "SR + parallel-corner refactor allocated");
-    f7_er.refactor(&a7_t).unwrap();
+    let cost = counted(|| f7.refactor(&a7_t).expect("steady-state refactor"));
+    assert_eq!(cost, (0, 0), "2-thread lower-stage refactor allocated");
+    f7_serial.refactor(&a7_t).unwrap();
     let bits = |f: &javelin::core::IluFactors<f64>| -> Vec<u64> {
         f.lu().vals().iter().map(|v| v.to_bits()).collect()
     };
-    assert_eq!(bits(&f7), bits(&f7_er), "SR refactor vs ER refactor");
+    assert_eq!(bits(&f7), bits(&f7_serial), "2-thread vs serial refactor");
     let cost = counted(|| {
         f7.refactor_with_shift(&a7_t, 1e-4)
-            .expect("steady-state shifted SR refactor")
+            .expect("steady-state shifted refactor")
     });
     assert_eq!(
         cost,
         (0, 0),
-        "SR + parallel-corner shifted refactor allocated"
+        "2-thread lower-stage shifted refactor allocated"
     );
-    f7_er.refactor_with_shift(&a7_t, 1e-4).unwrap();
-    assert_eq!(bits(&f7), bits(&f7_er), "shifted SR vs shifted ER");
+    f7_serial.refactor_with_shift(&a7_t, 1e-4).unwrap();
+    assert_eq!(bits(&f7), bits(&f7_serial), "shifted 2-thread vs serial");
     let k7 = 4usize;
     let corners7 = |seed: f64| -> Vec<CsrMatrix<f64>> {
         (0..k7)
@@ -568,7 +549,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     };
     let warm7 = corners7(0.3);
     let warm7: Vec<&CsrMatrix<f64>> = warm7.iter().collect();
-    let mut batch7 = sym7.factor_batch(&warm7).expect("SR batch factor");
+    let mut batch7 = sym7.factor_batch(&warm7).expect("batch factor");
     batch7
         .refactor_batch(&warm7)
         .expect("warm-up refactor_batch");
@@ -577,20 +558,20 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let cost = counted(|| {
         batch7
             .refactor_batch(&step7)
-            .expect("steady-state SR refactor_batch")
+            .expect("steady-state refactor_batch")
     });
     assert_eq!(
         cost,
         (0, 0),
-        "SR + parallel-corner refactor_batch allocated"
+        "2-thread lower-stage refactor_batch allocated"
     );
     assert!(batch7.all_ok());
     for (c, m) in step7.iter().enumerate() {
-        f7_er.refactor(m).unwrap();
+        f7_serial.refactor(m).unwrap();
         assert_eq!(
             bits(&batch7.to_factors(c)),
-            bits(&f7_er),
-            "SR batch column {c}"
+            bits(&f7_serial),
+            "batch column {c}"
         );
     }
 
