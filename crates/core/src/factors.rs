@@ -615,8 +615,14 @@ mod tests {
         // every engine, thread count and width — fixed-lane widths
         // (1, 4, 8), DynLanes widths (2, 3, 5, 7) and 9, which spans two
         // `LANE_CHUNK` blocks. Wide-first, so 8 → 1 narrows against the
-        // already-grown scratch.
-        let a = irregular(150);
+        // already-grown scratch. On the Serial engine the single-RHS
+        // solve folds the permutation into its sweeps while panels
+        // wider than four gather and scatter, so the permutation must
+        // be a real one for the two paths to differ: the rows are
+        // scattered first, or the chain's level order is the identity.
+        let rows = (0..150).map(|i| i * 7 % 150).collect();
+        let scatter = javelin_sparse::Perm::from_new_to_old(rows).unwrap();
+        let a = irregular(150).permute_sym(&scatter).unwrap();
         let n = a.nrows();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         for nthreads in [1usize, 2, 3] {
@@ -624,6 +630,7 @@ mod tests {
             opts.split.min_rows_per_level = 8;
             opts.split.location_frac = 0.0;
             let f = compute_factors(&a, &opts);
+            assert!(!f.symbolic().perm().is_identity(), "threads={nthreads}");
             for k in [8usize, 1, 2, 3, 4, 5, 7, 9] {
                 let b: Vec<f64> = (0..n * k)
                     .map(|i| ((i * 29 % 41) as f64 - 20.0) * 0.21)

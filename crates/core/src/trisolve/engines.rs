@@ -35,7 +35,9 @@
 //! contiguous for the per-entry inner loops (callers see the
 //! column-major `Panel`/`PanelMut` layout; the apply pipeline's
 //! `gather_permuted` / `scatter_permuted` permute and transpose in one
-//! pass each at the region boundary).
+//! pass each around the region, at every width; only the Serial
+//! engine folds the permutation into its sweeps, and only for narrow
+//! panels).
 //!
 //! Every engine entry point is **width-generic over [`Lanes`]**: the
 //! scalar protocol is literally the `FixedLanes<1>` instantiation of

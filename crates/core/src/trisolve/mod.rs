@@ -9,11 +9,15 @@
 //! row-interleaved and in the factor's permuted ordering; one fused
 //! gather fills it from the caller's column-major panel and one fused
 //! scatter empties it, the same two passes for every engine and every
-//! factor storage (`apply_panel` is the pipeline; `view` is the only
-//! module that knows how factor values are addressed).
+//! factor storage — except the Serial engine on panels of at most
+//! four columns (the scalar apply included), whose forward sweep reads
+//! the right-hand side through the permutation and whose backward
+//! sweep writes the solution through it, so the apply is two passes
+//! over the vectors, not four (`apply_panel` is the pipeline; `view`
+//! is the only module that knows how factor values are addressed).
 //!
 //! * [`serial`] — the Serial engine: lane-generic substitution, one
-//!   stream over the factor for all `k` columns;
+//!   stream over the factor for all `k` columns, folded or in place;
 //! * [`engines`] — the three parallel engines of Fig. 12:
 //!   barriered level sets (`CSR-LS`), point-to-point (`LS`), and
 //!   point-to-point with the tiled lower-stage block (`LS + Lower`).
@@ -38,7 +42,9 @@ use view::{FactorView, LaneValues, PerLane, Shared};
 /// ([`view::PerLane`]). One pass gathers `B` permuted and
 /// row-interleaved into the engine's buffer, the engine retires all
 /// `k` columns in one schedule walk (Serial: one stream over the
-/// factor), one pass scatters the solution into `x`. Widths
+/// factor), one pass scatters the solution into `x` — except on the
+/// Serial engine at `k ≤ 4`, whose sweeps read `B` and write `x`
+/// through the permutation themselves (see `FOLD_MAX_WIDTH`). Widths
 /// `k ∈ {1, 4, 8}` run the monomorphized fixed-lane kernels, every
 /// other width the bit-identical dynamic fallback.
 ///
@@ -82,6 +88,17 @@ pub(crate) fn apply_panel<T: Scalar>(
     Ok(())
 }
 
+/// The widest panel the Serial engine solves with the permutation
+/// folded into its sweeps (`serial::{forward,backward}_lanes_folded`:
+/// two passes over the vectors instead of four). Each folded row reads
+/// and writes `k` cache lines of the caller's column-major panels
+/// through the permutation, where gather and scatter touch one
+/// row-interleaved line. On a 56³ 7-point ILU(0) apply (175 616 rows,
+/// 2-vCPU x86 host) folding was faster at `k = 1` (−8 %), `k = 2..4`
+/// (−25 to −35 %) and `k = 5` (−6 %), a toss-up at 6 and 48 % slower
+/// at 8; the cut-over keeps a margin below the crossing.
+const FOLD_MAX_WIDTH: usize = 4;
+
 /// The lane-generic body of [`apply_panel`]; shapes already checked.
 pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
     core: &SymCore<T>,
@@ -101,10 +118,15 @@ pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
                 buf.resize(len, T::ZERO);
             }
             let z = &mut buf[..len];
-            gather_permuted(lanes, perm.old_to_new(), b, z);
-            serial::forward_lanes_inplace(lanes, f, z);
-            serial::backward_lanes_inplace(lanes, f, z);
-            scatter_permuted(lanes, perm.new_to_old(), z, x);
+            if lanes.width() <= FOLD_MAX_WIDTH {
+                serial::forward_lanes_folded(lanes, f, perm.new_to_old(), b, z);
+                serial::backward_lanes_folded(lanes, f, perm.new_to_old(), z, x);
+            } else {
+                gather_permuted(lanes, perm.old_to_new(), b, z);
+                serial::forward_lanes_inplace(lanes, f, z);
+                serial::backward_lanes_inplace(lanes, f, z);
+                scatter_permuted(lanes, perm.new_to_old(), z, x);
+            }
         }
         SolveEngine::BarrierLevel => in_scratch(core, lanes, b, x, |scratch| {
             let (fwd, bwd) = (&plan.fwd_levels, &plan.bwd_levels);

@@ -8,6 +8,17 @@
 //! row-interleaved buffer (`(r, c) → r·k + c`), so one stream over the
 //! factor serves all `k` right-hand sides — whether the lanes share
 //! one factor or each has its own scenario's values.
+//!
+//! Narrow panels skip the separate permutation passes:
+//! `forward_lanes_folded` reads each row's right-hand sides straight
+//! from the caller's column-major panel through the permutation, and
+//! `backward_lanes_folded` writes each finished row straight into the
+//! caller's solution as well as the buffer — two passes over the
+//! vectors instead of gather, two sweeps and scatter. All four sweeps
+//! share one row dot-product loop, so the folded pair is bit-identical
+//! to the in-place pair between a gather and a scatter; the apply
+//! pipeline picks the pair from the panel width (`trisolve::apply_lanes`).
+//!
 //! The classic scalar entry points [`forward_inplace`] /
 //! [`backward_inplace`] are the `FixedLanes<1>` instantiations over the
 //! shared-value view — at width 1 a plain vector *is* the interleaved
@@ -16,7 +27,8 @@
 
 use super::view::{EntryLanes, FactorView, LaneValues, Shared};
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, Scalar};
+use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use std::ops::Range;
 
 /// In-place lane-generic forward substitution `L·X = Y` with implicit
 /// unit diagonal over a row-interleaved `n × k` buffer: on entry `x`
@@ -32,14 +44,7 @@ pub(crate) fn forward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T
     debug_assert_eq!(x.len(), f.n() * k, "interleaved buffer size");
     for r in 0..f.n() {
         for_each_chunk(0..k, |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in f.lower(r) {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v.lane(c) * x[xb + c];
-                }
-            }
+            let sums = row_sums(lanes, &f, f.lower(r), x, c0, cw);
             let xb = lanes.idx(r, c0);
             for (c, s) in sums[..cw].iter().enumerate() {
                 x[xb + c] -= *s;
@@ -60,20 +65,115 @@ pub(crate) fn backward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = 
     for r in (0..f.n()).rev() {
         for_each_chunk(0..k, |c0, cw| {
             let d = f.pivot(r, c0, cw);
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in f.upper(r) {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v.lane(c) * x[xb + c];
-                }
-            }
+            let sums = row_sums(lanes, &f, f.upper(r), x, c0, cw);
             let xb = lanes.idx(r, c0);
             for (c, s) in sums[..cw].iter().enumerate() {
                 x[xb + c] = (x[xb + c] - *s) / d.lane(c);
             }
         });
     }
+}
+
+/// Forward substitution with the apply's gather folded in: row `r`
+/// takes its right-hand sides straight from the column-major panel `b`
+/// at original row `new_to_old[r]`, and `z` (row-interleaved, contents
+/// ignored on entry) receives the forward solution. Bit-identical to
+/// `gather_permuted` followed by [`forward_lanes_inplace`]. One lane
+/// chunk: `k ≤ LANE_CHUNK`.
+pub(crate) fn forward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+    lanes: L,
+    f: FactorView<'_, V>,
+    new_to_old: &[usize],
+    b: Panel<'_, T>,
+    z: &mut [T],
+) {
+    let k = lanes.width();
+    debug_assert!(k <= LANE_CHUNK, "folded sweeps run one lane chunk");
+    debug_assert_eq!(z.len(), f.n() * k, "interleaved buffer size");
+    // Column slices taken once per sweep; slots past `k` repeat the
+    // last column and are never read.
+    let cols: [&[T]; LANE_CHUNK] = std::array::from_fn(|c| b.col(c.min(k - 1)));
+    for (r, &o) in new_to_old.iter().enumerate() {
+        let sums = row_sums(lanes, &f, f.lower(r), z, 0, k);
+        let zb = lanes.idx(r, 0);
+        for (c, s) in sums[..k].iter().enumerate() {
+            z[zb + c] = cols[c][o] - *s;
+        }
+    }
+}
+
+/// Backward substitution with the apply's scatter folded in: on entry
+/// `z` holds the forward solution, and each finished row is written
+/// both to `z` (later rows read it) and to the column-major panel `x`
+/// at original row `new_to_old[r]`. Bit-identical to
+/// [`backward_lanes_inplace`] followed by `scatter_permuted`. One lane
+/// chunk: `k ≤ LANE_CHUNK`.
+pub(crate) fn backward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+    lanes: L,
+    f: FactorView<'_, V>,
+    new_to_old: &[usize],
+    z: &mut [T],
+    mut x: PanelMut<'_, T>,
+) {
+    debug_assert!(
+        lanes.width() <= LANE_CHUNK,
+        "folded sweeps run one lane chunk"
+    );
+    debug_assert_eq!(z.len(), f.n() * lanes.width(), "interleaved buffer size");
+    if lanes.width() == 1 {
+        // One solution column, borrowed once for the sweep: re-borrowing
+        // it per row cost 8–10 % of a width-1 apply.
+        let x0 = x.col_mut(0);
+        backward_rows_folded(lanes, f, new_to_old, z, |_, o, v| x0[o] = v);
+    } else {
+        backward_rows_folded(lanes, f, new_to_old, z, |c, o, v| x.col_mut(c)[o] = v);
+    }
+}
+
+/// The row loop of [`backward_lanes_folded`]; `put(c, o, v)` stores
+/// lane `c` of original row `o`.
+#[inline(always)]
+fn backward_rows_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+    lanes: L,
+    f: FactorView<'_, V>,
+    new_to_old: &[usize],
+    z: &mut [T],
+    mut put: impl FnMut(usize, usize, T),
+) {
+    let k = lanes.width();
+    for (r, &o) in new_to_old.iter().enumerate().rev() {
+        let d = f.pivot(r, 0, k);
+        let sums = row_sums(lanes, &f, f.upper(r), z, 0, k);
+        let zb = lanes.idx(r, 0);
+        for (c, s) in sums[..k].iter().enumerate() {
+            let v = (z[zb + c] - *s) / d.lane(c);
+            z[zb + c] = v;
+            put(c, o, v);
+        }
+    }
+}
+
+/// A row's dot products `Σ_e v_e(c) · x[col(e)·k + c]` over `entries`
+/// (its L or its U part) for lanes `c0..c0 + cw` — the one inner loop
+/// every Serial sweep, in place or folded, runs.
+#[inline(always)]
+fn row_sums<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+    lanes: L,
+    f: &FactorView<'_, V>,
+    entries: Range<usize>,
+    x: &[T],
+    c0: usize,
+    cw: usize,
+) -> [T; LANE_CHUNK] {
+    let mut sums = [T::ZERO; LANE_CHUNK];
+    for e in entries {
+        let v = f.entry(e, c0, cw);
+        let xb = lanes.idx(f.col(e), c0);
+        for (c, s) in sums[..cw].iter_mut().enumerate() {
+            *s += v.lane(c) * x[xb + c];
+        }
+    }
+    sums
 }
 
 /// The shared-value view of a standalone combined-LU matrix.
@@ -184,6 +284,77 @@ mod tests {
                     want[r].to_bits(),
                     "lane {c} row {r}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn folded_sweeps_match_gather_inplace_scatter_bitwise() {
+        // The folded pair must carry exactly the bits of gather →
+        // in-place forward → in-place backward → scatter, through a
+        // shuffled permutation, at every folded width over the shared
+        // values, and over per-lane values (lanes 2.. of a 4-scenario
+        // buffer, i.e. a batch column and a two-column sub-panel).
+        use super::super::view::PerLane;
+        use super::super::{gather_permuted, scatter_permuted};
+        use javelin_sparse::lanes::DynLanes;
+        use javelin_sparse::Perm;
+        let lu =
+            javelin_synth::grid::laplace_2d(9, 7).map_values(|v| if v < 0.0 { v * 0.9 } else { v });
+        let dp = lu.diag_positions().unwrap();
+        let n = lu.nrows();
+        let mut new_to_old: Vec<usize> = (0..n).collect();
+        let mut s = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..n).rev() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            new_to_old.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        let perm = Perm::from_new_to_old(new_to_old).unwrap();
+        assert!(!perm.is_identity());
+        let scenarios: Vec<f64> = (0..lu.nnz() * 4)
+            .map(|i| lu.vals()[i / 4] * (1.0 + 0.125 * (i % 4) as f64))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+
+        fn both<V: LaneValues<Value = f64>>(
+            k: usize,
+            f: FactorView<'_, V>,
+            perm: &Perm,
+            b: &[f64],
+        ) -> (Vec<f64>, Vec<f64>) {
+            let n = f.n();
+            let (bp, lanes) = (Panel::new(b, n, k), DynLanes(k));
+            let (mut z, mut want) = (vec![0.0; n * k], vec![0.0; n * k]);
+            gather_permuted(lanes, perm.old_to_new(), bp, &mut z);
+            forward_lanes_inplace(lanes, f, &mut z);
+            backward_lanes_inplace(lanes, f, &mut z);
+            scatter_permuted(lanes, perm.new_to_old(), &z, PanelMut::new(&mut want, n, k));
+            let mut got = vec![0.0; n * k];
+            let mut zf = vec![f64::NAN; n * k];
+            javelin_sparse::with_lanes!(k, lanes => {
+                forward_lanes_folded(lanes, f, perm.new_to_old(), bp, &mut zf);
+                backward_lanes_folded(lanes, f, perm.new_to_old(), &mut zf, PanelMut::new(&mut got, n, k));
+            });
+            (got, want)
+        }
+
+        for k in 1..=4 {
+            let b: Vec<f64> = (0..n * k)
+                .map(|i| ((i * 37 % 53) as f64 - 26.0) * 0.17)
+                .collect();
+            let shared = FactorView::new(lu.rowptr(), lu.colidx(), &dp, Shared(lu.vals()));
+            let (got, want) = both(k, shared, &perm, &b);
+            assert_eq!(bits(&got), bits(&want), "shared k={k}");
+            if k <= 2 {
+                let lanes = PerLane {
+                    vals: &scenarios[2..],
+                    k: 4,
+                };
+                let per_lane = FactorView::new(lu.rowptr(), lu.colidx(), &dp, lanes);
+                let (got, want) = both(k, per_lane, &perm, &b);
+                assert_eq!(bits(&got), bits(&want), "per-lane c0=2 k={k}");
             }
         }
     }

@@ -12,7 +12,9 @@
 //! numeric-only refactor when just the values moved), fuses each
 //! group's right-hand sides into `k ∈ {8, 4}` panels for the lockstep
 //! batch Krylov drivers, and scatters solutions back into the
-//! requests' own buffers.
+//! requests' own buffers. A lone column (a width-1 chunk, or the one
+//! broken-down column of a retry) skips the staging panels and solves
+//! straight from its request's `b` into its `x`.
 //!
 //! Grouping by the **value** fingerprint too is what makes coalescing
 //! exact: a fused panel shares one operator and one preconditioner, so
@@ -39,7 +41,9 @@ use javelin_core::IluOptions;
 use javelin_solver::{
     krylov_panel_into, Method, SolverOptions, SolverResult, SolverWorkspace, BREAKDOWN_RETRY_SHIFT,
 };
-use javelin_sparse::{pattern_fingerprint, value_fingerprint, CsrMatrix, PanelBuf, Scalar};
+use javelin_sparse::{
+    pattern_fingerprint, value_fingerprint, CsrMatrix, Panel, PanelBuf, PanelMut, Scalar,
+};
 use std::sync::{Arc, Weak};
 
 /// Fingerprint memo entries kept per engine (matrix handles seen
@@ -158,7 +162,8 @@ pub struct Engine<T: Scalar> {
     results: Vec<SolverResult>,
     keys: Vec<(u64, u64, u8, usize)>,
     outcomes: Vec<Outcome>,
-    retry_idx: Vec<usize>,
+    /// Request indices of the panel being solved (see `solve_cols`).
+    cols: Vec<usize>,
     memo: Vec<MemoEntry<T>>,
     stats: EngineStats,
 }
@@ -195,7 +200,7 @@ impl<T: Scalar> Engine<T> {
             results: Vec::new(),
             keys: Vec::new(),
             outcomes: Vec::new(),
-            retry_idx: Vec::new(),
+            cols: Vec::new(),
             memo: Vec::new(),
             stats: EngineStats::default(),
         }
@@ -377,46 +382,31 @@ impl<T: Scalar> Engine<T> {
                 self.stats.coalesced_columns += w as u64;
             }
 
-            self.bbuf
-                .gather(n, chunk.iter().map(|k| requests[k.3].b.as_slice()));
-            self.xbuf.ensure(n, w);
-            self.xbuf.fill_zero();
+            self.cols.clear();
+            self.cols.extend(chunk.iter().map(|k| k.3));
+            for &i in &self.cols {
+                let x = &mut requests[i].x;
+                x.clear();
+                x.resize(n, T::ZERO);
+            }
             self.results.clear();
             self.results.resize(w, SolverResult::default());
-            {
-                let entry = self.cache.entry_mut(slot);
-                let m = entry.factors.with_engine(entry.engine);
-                krylov_panel_into(
-                    method,
-                    &a,
-                    self.bbuf.panel(),
-                    self.xbuf.panel_mut(),
-                    &m,
-                    &self.cfg.solver,
-                    &mut self.ws,
-                    &mut self.results,
-                );
-            }
-            for (c, k) in chunk.iter().enumerate() {
-                let req = &mut requests[k.3];
-                req.x.resize(n, T::ZERO);
-                self.xbuf.scatter_col(c, &mut req.x);
-            }
+            self.solve_cols(slot, method, &a, requests, 0);
 
             // One automatic retry for broken-down columns: stabilize
             // the shared factors with a forced diagonal shift (once per
             // group — the shifted factors stay, self-healing exactly
             // like `Session::krylov`), then re-run just the broken
             // columns from their frozen finite iterates.
-            self.retry_idx.clear();
-            self.retry_idx.extend(
+            self.cols.clear();
+            self.cols.extend(
                 self.results
                     .iter()
                     .zip(chunk)
                     .filter(|(r, _)| r.broke_down())
                     .map(|(_, k)| k.3),
             );
-            if !self.retry_idx.is_empty() && !shifted {
+            if !self.cols.is_empty() && !shifted {
                 let entry = self.cache.entry_mut(slot);
                 if entry
                     .factors
@@ -424,33 +414,15 @@ impl<T: Scalar> Engine<T> {
                     .is_ok()
                 {
                     shifted = true;
-                    let rw = self.retry_idx.len();
+                    let rw = self.cols.len();
                     self.stats.retries += rw as u64;
-                    self.bbuf
-                        .gather(n, self.retry_idx.iter().map(|&i| requests[i].b.as_slice()));
-                    self.xbuf
-                        .gather(n, self.retry_idx.iter().map(|&i| requests[i].x.as_slice()));
                     let retry_at = self.results.len();
                     self.results.resize(retry_at + rw, SolverResult::default());
-                    {
-                        let m = entry.factors.with_engine(entry.engine);
-                        krylov_panel_into(
-                            method,
-                            &a,
-                            self.bbuf.panel(),
-                            self.xbuf.panel_mut(),
-                            &m,
-                            &self.cfg.solver,
-                            &mut self.ws,
-                            &mut self.results[retry_at..],
-                        );
-                    }
+                    self.solve_cols(slot, method, &a, requests, retry_at);
                     for c in 0..rw {
-                        let idx = self.retry_idx[c];
-                        self.xbuf.scatter_col(c, &mut requests[idx].x);
                         let mut result = self.results[retry_at + c].clone();
                         result.retried = true;
-                        self.outcomes[idx] = Outcome::Solved {
+                        self.outcomes[self.cols[c]] = Outcome::Solved {
                             result,
                             panel_width: w,
                             symbolic_reused,
@@ -471,6 +443,40 @@ impl<T: Scalar> Engine<T> {
                     };
                 }
             }
+        }
+    }
+
+    /// Runs `method` on requests `self.cols` as one panel through the
+    /// cached factors in `slot`, into `self.results[at..]`: each column
+    /// starts from its request's `x` and leaves its solution there. A
+    /// lone column solves straight in its request's own buffers; a wider
+    /// panel is gathered into the staging panels and scattered back.
+    fn solve_cols(
+        &mut self,
+        slot: usize,
+        method: Method,
+        a: &CsrMatrix<T>,
+        requests: &mut [SolveRequest<T>],
+        at: usize,
+    ) {
+        let entry = self.cache.entry_mut(slot);
+        let m = entry.factors.with_engine(entry.engine);
+        let (opts, results) = (&self.cfg.solver, &mut self.results[at..]);
+        if let [i] = self.cols[..] {
+            let SolveRequest { b, x, .. } = &mut requests[i];
+            let (b, x) = (Panel::from_col(b), PanelMut::from_col(x));
+            krylov_panel_into(method, a, b, x, &m, opts, &mut self.ws, results);
+            return;
+        }
+        let n = a.nrows();
+        self.bbuf
+            .gather(n, self.cols.iter().map(|&i| requests[i].b.as_slice()));
+        self.xbuf
+            .gather(n, self.cols.iter().map(|&i| requests[i].x.as_slice()));
+        let (b, x) = (self.bbuf.panel(), self.xbuf.panel_mut());
+        krylov_panel_into(method, a, b, x, &m, opts, &mut self.ws, results);
+        for (c, &i) in self.cols.iter().enumerate() {
+            self.xbuf.scatter_col(c, &mut requests[i].x);
         }
     }
 }
@@ -541,5 +547,44 @@ mod tests {
                 "request solved against a stranger's matrix: {r:e}"
             );
         }
+    }
+
+    #[test]
+    fn lone_columns_solve_in_their_own_buffers_retry_included() {
+        // A width-2 panel whose NaN column breaks down: the retry re-runs
+        // that one column straight in its request's buffers, and the
+        // healthy column carries the bits of the same request served
+        // alone (a width-1 chunk, also solved in place) by a fresh engine.
+        let a = Arc::new(laplace_2d(8, 8));
+        let n = a.nrows();
+        let request = |b: Vec<f64>| SolveRequest {
+            a: Arc::clone(&a),
+            b,
+            x: vec![7.0; n / 2],
+            method: Method::Bicgstab,
+        };
+        let healthy: Vec<f64> = (0..n).map(|r| 1.0 + (r % 5) as f64).collect();
+        let mut poisoned = healthy.clone();
+        poisoned[3] = f64::NAN;
+        let mut engine = Engine::<f64>::new(EngineConfig::default());
+        let mut requests = vec![request(poisoned), request(healthy.clone())];
+        let mut replies = Vec::new();
+        engine.process(&mut requests, &mut replies);
+        let broken = replies[0].as_ref().expect("served");
+        assert!(broken.result.retried && broken.result.broke_down());
+        assert_eq!(broken.x, vec![0.0; n], "frozen at the zero initial guess");
+        let fused = replies[1].as_ref().expect("served");
+        assert!(fused.result.converged && !fused.result.retried);
+        assert_eq!((broken.panel_width, fused.panel_width), (2, 2));
+        assert_eq!(engine.stats().retries, 1);
+
+        let mut alone = Engine::<f64>::new(EngineConfig::default());
+        let mut requests = vec![request(healthy)];
+        let mut solo = Vec::new();
+        alone.process(&mut requests, &mut solo);
+        let solo = solo[0].as_ref().expect("served");
+        assert_eq!(solo.panel_width, 1);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&solo.x), bits(&fused.x));
     }
 }

@@ -300,11 +300,6 @@ impl<T: Scalar> PanelBuf<T> {
         }
     }
 
-    /// Zero-fills the current shape (an initial-guess panel).
-    pub fn fill_zero(&mut self) {
-        self.data[..self.nrows * self.ncols].fill(T::ZERO);
-    }
-
     /// Column `c` of the current shape as a contiguous slice.
     ///
     /// # Panics
@@ -440,8 +435,6 @@ mod tests {
         buf.ensure(2, 1);
         buf.panel_mut().col_mut(0).copy_from_slice(&[9.0, 8.0]);
         assert_eq!(buf.col(0), &[9.0, 8.0]);
-        buf.fill_zero();
-        assert_eq!(buf.col(0), &[0.0, 0.0]);
     }
 
     #[test]
