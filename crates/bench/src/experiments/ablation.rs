@@ -4,16 +4,13 @@
 //! 1. **Level pattern**: `lower(A+Aᵀ)` (default) vs `lower(A)` (more
 //!    levels for nonsymmetric patterns) — paper §VII "Levels and lower
 //!    size";
-//! 2. **Row→thread mapping**: cyclic (default) vs blocked — the static
-//!    stand-in for OpenMP `DYNAMIC,1` vs `STATIC`;
-//! 3. **Split sensitivity**: factorization time across A ∈ {16,24,32}.
+//! 2. **Split sensitivity**: factorization time across A ∈ {16,24,32}.
 //!
 //! All timings are simulated on the Haswell-14 model from the real
-//! schedules; wait counts are exact.
+//! schedules.
 
 use crate::harness::{prepare, Table};
 use javelin_core::{factorize, IluOptions};
-use javelin_level::{P2PSchedule, RowMapping};
 use javelin_machine::{sim_factor_time, MachineModel};
 use javelin_sparse::pattern::LevelPattern;
 use javelin_synth::suite::{paper_suite, Scale};
@@ -59,51 +56,7 @@ pub fn run(scale: Scale) -> String {
     out.push_str("Ablation 1 — level pattern: lower(A+A^T) vs lower(A)\n\n");
     out.push_str(&t.render());
 
-    // 2. Row mapping: wait counts + simulated time.
-    let mut t = Table::new(&["Matrix", "waits cyc", "waits blk", "note"]);
-    for meta in paper_suite()
-        .into_iter()
-        .filter(|m| CASES.contains(&m.name))
-    {
-        let prep = prepare(meta, scale);
-        let f = factorize(&prep.matrix, &IluOptions::level_scheduling_only(1)).expect("factors");
-        let lu = f.lu();
-        let dp = f.diag_positions();
-        let plan = f.symbolic().plan();
-        let n_upper = plan.n_upper;
-        let build = |mapping: RowMapping| {
-            P2PSchedule::build_with_mapping(
-                n_upper,
-                14,
-                &plan.upper_level_ptr,
-                mapping,
-                |r, out| {
-                    for k in lu.rowptr()[r]..dp[r] {
-                        out.push(lu.colidx()[k]);
-                    }
-                },
-            )
-        };
-        let cyc = build(RowMapping::Cyclic);
-        let blk = build(RowMapping::Blocked);
-        let note = if blk.n_waits() < cyc.n_waits() {
-            "blocked prunes more (locality)"
-        } else {
-            "cyclic prunes more (balance)"
-        };
-        t.row(vec![
-            prep.meta.name.to_string(),
-            cyc.n_waits().to_string(),
-            blk.n_waits().to_string(),
-            note.to_string(),
-        ]);
-    }
-    out.push_str(
-        "\nAblation 2 — cyclic vs blocked row->thread mapping (wait edges @14 threads)\n\n",
-    );
-    out.push_str(&t.render());
-
-    // 3. Split sensitivity.
+    // 2. Split sensitivity.
     let mut t = Table::new(&["Matrix", "A=16", "A=24", "A=32", "no split"]);
     for meta in paper_suite()
         .into_iter()
@@ -126,7 +79,7 @@ pub fn run(scale: Scale) -> String {
         }
         t.row(cells);
     }
-    out.push_str("\nAblation 3 — split sensitivity A (simulated ER factor time @14 threads)\n\n");
+    out.push_str("\nAblation 2 — split sensitivity A (simulated ER factor time @14 threads)\n\n");
     out.push_str(&t.render());
     format!("Ablation study (design choices)\n\n{out}")
 }
@@ -140,8 +93,7 @@ mod tests {
         let r = run(Scale::Tiny);
         assert!(r.contains("Ablation 1"));
         assert!(r.contains("Ablation 2"));
-        assert!(r.contains("Ablation 3"));
-        assert!(!r.contains("Ablation 4"));
+        assert!(!r.contains("Ablation 3"));
         for c in CASES {
             assert!(r.contains(c), "missing {c}");
         }

@@ -194,10 +194,11 @@ impl<T: Scalar> IluFactors<T> {
 
     /// The engine used when none is named: LS+Lower when threaded and
     /// the machine actually has the cores, serial otherwise — including
-    /// the oversubscribed case (`nthreads` above
-    /// `std::thread::available_parallelism()` at plan time), where the
-    /// point-to-point spin waits would churn against each other on
-    /// shared cores.
+    /// the oversubscribed case (`nthreads` above the process's core
+    /// count, [`javelin_sync::affinity::n_cores`], at plan time), where
+    /// the point-to-point spin waits would churn against each other on
+    /// shared cores. Pinning does not change the answer: the count is
+    /// recorded before any team pins its caller.
     pub fn default_engine(&self) -> SolveEngine {
         self.batch.sym.default_engine()
     }
@@ -774,9 +775,7 @@ mod tests {
 
     #[test]
     fn oversubscription_falls_back_to_serial_default_engine() {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
+        let cores = javelin_sync::affinity::n_cores();
         let a = irregular(100);
         let n = a.nrows();
         // Requesting more threads than the machine has cores must flip
@@ -797,10 +796,25 @@ mod tests {
         for (g, w) in x_p2p.iter().zip(x_ser.iter()) {
             assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0));
         }
-        // Within the core budget the threaded default survives.
+        // Within the core budget the threaded default survives — pinned
+        // too: a pinned analysis binds its caller to core 0, and neither
+        // it nor a second analysis by the now-pinned caller may read
+        // that one-core mask as the machine (on a scratch thread, so the
+        // test harness keeps its mask).
         if cores > 1 {
             let f2 = compute_factors(&a, &IluOptions::ilu0(2));
             assert_eq!(f2.default_engine(), SolveEngine::PointToPointLower);
+            let a = a.clone();
+            let pinned = std::thread::spawn(move || {
+                let mut opts = IluOptions::ilu0(2);
+                opts.pin_threads = true;
+                let first = SymbolicIlu::analyze(&a, &opts).expect("analyze");
+                let second = SymbolicIlu::analyze(&a, &opts).expect("analyze");
+                [first.default_engine(), second.default_engine()]
+            })
+            .join()
+            .expect("scratch thread");
+            assert_eq!(pinned, [SolveEngine::PointToPointLower; 2], "pinned");
         }
         assert_eq!(
             compute_factors(&a, &IluOptions::default()).default_engine(),

@@ -22,12 +22,16 @@
 //! * every entry belongs to exactly one row, and a row's values (all
 //!   `k` interleaved lanes of them) are written only by the worker that
 //!   currently *owns* the row;
-//! * ownership is handed off through a release-bump of a progress
-//!   counter (`factor_upper_p2p_planned`) or a team-region join
-//!   (between the stages: after the upper stage, after
-//!   `factor_lower_er_planned`, before `factor_rows_serial` on the
-//!   corner) after the row's last write, and acquired through the
-//!   matching acquire-wait before any dependent read.
+//! * ownership is handed off through a release store of the owner's
+//!   progress count (`factor_upper_p2p_planned`: one store per
+//!   contiguous block of rows, or earlier when the owner is about to
+//!   block, so a row is released at the latest when its block ends) or
+//!   a team-region join (between the stages: after the upper stage,
+//!   after `factor_lower_er_planned`, before `factor_rows_serial` on
+//!   the corner) after the row's last write, and acquired through the
+//!   matching acquire-wait before any dependent read. A row stays
+//!   untouched by its owner once finished, so a late release still
+//!   covers exactly its final values.
 //!
 //! Under that protocol [`eliminate_columns`] and [`finalize_row`] check
 //! out a whole row as an exclusive `&mut [T]` via

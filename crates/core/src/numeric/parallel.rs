@@ -35,10 +35,12 @@ pub fn factor_rows_serial<T: Scalar, L: Lanes>(
 }
 
 /// Point-to-point upper-stage factorization: each thread walks its
-/// static task sequence, spin-waits on the pruned `(thread, progress)`
-/// list, factors the row, and release-bumps its counter — the paper's
-/// replacement for inter-level barriers (§III-A). Every row's waits,
-/// update-list stream and bump are performed once for all lanes.
+/// static task sequence — one contiguous block of rows per level —
+/// spin-waits on the pruned `(thread, progress)` list, factors the row,
+/// and publishes its progress once per block
+/// ([`ProgressCounters::walk`]) — the paper's replacement for
+/// inter-level barriers (§III-A). Every row's waits and update-list
+/// stream are performed once for all lanes.
 ///
 /// Rows are the first `schedule.n_tasks()` rows of the permuted matrix
 /// (execution index = row index). The region runs on `exec` (a
@@ -58,12 +60,15 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     progress.reset();
     let n = ctx.n();
     exec.run(|tid| {
-        for &row in schedule.thread_tasks(tid) {
-            progress.wait_all(schedule.waits(row));
-            eliminate_columns(lanes, ctx, row, 0, n);
-            finalize_row(lanes, ctx, row);
-            progress.bump(tid);
-        }
+        progress.walk(
+            tid,
+            schedule.thread_tasks(tid),
+            |row| schedule.waits(row),
+            |row| {
+                eliminate_columns(lanes, ctx, row, 0, n);
+                finalize_row(lanes, ctx, row);
+            },
+        );
     });
 }
 

@@ -249,8 +249,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         // sound, even when `lower(A)` levels let same-level dependencies
         // appear (the point-to-point runtime only needs execution-index
         // order).
-        let mut raw_deps = 0usize;
-        let fwd = P2PSchedule::build(n_upper, nthreads, &plan0.upper_level_ptr, |r, out| {
+        let fwd_deps = |r: usize, out: &mut Vec<usize>| {
             for k in rowptr[r]..rowptr[r + 1] {
                 let c = colidx[k];
                 if c >= r {
@@ -259,6 +258,10 @@ impl<T: Scalar> SymbolicIlu<T> {
                 debug_assert!(c < n_upper, "upper-stage row depends on trailing row");
                 out.push(c);
             }
+        };
+        let mut raw_deps = 0usize;
+        let fwd = P2PSchedule::build(n_upper, nthreads, &plan0.upper_level_ptr, |r, out| {
+            fwd_deps(r, out);
             raw_deps += out.len();
         });
         stats.n_raw_deps = raw_deps;
@@ -286,19 +289,35 @@ impl<T: Scalar> SymbolicIlu<T> {
         for (t, &r) in bwd_row_of_task.iter().enumerate() {
             bwd_task_of_row[r] = t;
         }
-        let bwd = P2PSchedule::build(
-            n_upper,
-            nthreads,
-            bwd_levels_upper.level_ptr(),
-            |task, out| {
-                let r = bwd_row_of_task[task];
-                for k in (diag_pos[r] + 1)..rowptr[r + 1] {
-                    let c = colidx[k];
-                    if c < n_upper {
-                        out.push(bwd_task_of_row[c]);
-                    }
+        let bwd_deps = |task: usize, out: &mut Vec<usize>| {
+            let r = bwd_row_of_task[task];
+            for k in (diag_pos[r] + 1)..rowptr[r + 1] {
+                let c = colidx[k];
+                if c < n_upper {
+                    out.push(bwd_task_of_row[c]);
                 }
-            },
+            }
+        };
+        let bwd = P2PSchedule::build(n_upper, nthreads, bwd_levels_upper.level_ptr(), bwd_deps);
+        // The runtime's per-block publication is deadlock-free and
+        // race-free only on a sound schedule whose threads take one
+        // contiguous block per level: check both, independently of how
+        // `build` produced them.
+        debug_assert!(
+            fwd.validate(fwd_deps),
+            "forward schedule misses a dependency"
+        );
+        debug_assert!(
+            fwd.has_level_blocks(&plan0.upper_level_ptr),
+            "forward schedule is not blocked per level"
+        );
+        debug_assert!(
+            bwd.validate(bwd_deps),
+            "backward schedule misses a dependency"
+        );
+        debug_assert!(
+            bwd.has_level_blocks(bwd_levels_upper.level_ptr()),
+            "backward schedule is not blocked per level"
         );
 
         // Full-matrix levels for the CSR-LS baseline engine.
@@ -349,10 +368,10 @@ impl<T: Scalar> SymbolicIlu<T> {
         // point-to-point engines' spin waits churn against each other on
         // shared cores and lose to plain serial substitution, so the
         // unnamed-engine path falls back. Explicit engines remain
-        // available through `solve_with` for measurements.
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
+        // available through `solve_with` for measurements. The count is
+        // the process's, recorded before any pinning — a caller pinned
+        // by this or an earlier team still sees every core.
+        let cores = javelin_sync::affinity::n_cores();
         let engine_hint = if nthreads == 1 || nthreads > cores {
             SolveEngine::Serial
         } else {

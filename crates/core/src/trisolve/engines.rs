@@ -25,7 +25,7 @@
 //!
 //! Every engine retires a whole **panel** of `k` right-hand sides per
 //! schedule walk: a row's retirement updates all `k` columns before the
-//! row's progress counter is bumped (or its level barrier is crossed),
+//! row's progress is published (or its level barrier is crossed),
 //! so the wait/barrier protocol runs **once per panel, not once per
 //! column** — the schedule traversal the paper's level machinery pays
 //! is amortized across the whole block of vectors. The in-place solve
@@ -270,7 +270,7 @@ fn retire_row_lower<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
             }
             let xb = lanes.idx(r, c0);
             // Safety: this thread owns row `r`'s `cols` window until its
-            // retire-signal (counter bump / barrier / region join).
+            // retire-signal (progress publication / barrier / region join).
             let xr = unsafe { x.view_mut(xb..xb + cw) };
             for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
                 *xv -= *s;
@@ -317,7 +317,8 @@ fn retire_row_upper<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     );
 }
 
-/// One thread's share of the barriered forward level sweep.
+/// One thread's share of the barriered forward level sweep: one
+/// contiguous block of every level.
 #[inline]
 fn forward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
@@ -331,10 +332,9 @@ fn forward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     let k = lanes.width();
     for l in 0..levels.n_levels() {
         let rows = levels.level(l);
-        let mut i = tid;
-        while i < rows.len() {
-            retire_row_lower(lanes, f, x, 0..k, rows[i]);
-            i += nthreads;
+        let chunk = rows.len().div_ceil(nthreads).max(1);
+        for &r in rows.chunks(chunk).nth(tid).unwrap_or_default() {
+            retire_row_lower(lanes, f, x, 0..k, r);
         }
         scratch.barrier.wait();
     }
@@ -354,10 +354,9 @@ fn backward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     let k = lanes.width();
     for l in 0..levels.n_levels() {
         let rows = levels.level(l);
-        let mut i = tid;
-        while i < rows.len() {
-            retire_row_upper(lanes, f, x, 0..k, rows[i]);
-            i += nthreads;
+        let chunk = rows.len().div_ceil(nthreads).max(1);
+        for &r in rows.chunks(chunk).nth(tid).unwrap_or_default() {
+            retire_row_upper(lanes, f, x, 0..k, r);
         }
         scratch.barrier.wait();
     }
@@ -422,14 +421,15 @@ fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     let k = lanes.width();
     let n = f.n();
     let n_upper = plan.n_upper;
-    // Upper stage: point-to-point. A row's counter is bumped once per
-    // panel — after all k columns retire — so the wait protocol is
-    // amortized across the panel.
-    for &row in plan.fwd.thread_tasks(tid) {
-        scratch.progress.wait_all(plan.fwd.waits(row));
-        retire_row_lower(lanes, f, x, 0..k, row);
-        scratch.progress.bump(tid);
-    }
+    // Upper stage: point-to-point, one contiguous block of rows per
+    // level, progress published once per block and panel — after all k
+    // columns of the block's rows retire.
+    scratch.progress.walk(
+        tid,
+        plan.fwd.thread_tasks(tid),
+        |row| plan.fwd.waits(row),
+        |row| retire_row_lower(lanes, f, x, 0..k, row),
+    );
     if n_upper == n {
         return;
     }
@@ -602,11 +602,12 @@ fn backward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     x: &LuVals<T>,
 ) {
     let k = lanes.width();
-    for &task in plan.bwd.thread_tasks(tid) {
-        scratch.bwd_progress.wait_all(plan.bwd.waits(task));
-        retire_row_upper(lanes, f, x, 0..k, plan.bwd_row_of_task[task]);
-        scratch.bwd_progress.bump(tid);
-    }
+    scratch.bwd_progress.walk(
+        tid,
+        plan.bwd.thread_tasks(tid),
+        |task| plan.bwd.waits(task),
+        |task| retire_row_upper(lanes, f, x, 0..k, plan.bwd_row_of_task[task]),
+    );
 }
 
 /// Fused point-to-point solve: forward substitution, corner, and

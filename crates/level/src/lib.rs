@@ -32,5 +32,5 @@ pub mod schedule;
 pub mod split;
 
 pub use levels::{LevelSets, LevelStats};
-pub use schedule::{P2PSchedule, RowMapping};
+pub use schedule::P2PSchedule;
 pub use split::{split_levels, SplitOptions, StagePlan};

@@ -31,7 +31,10 @@ pub struct SimBreakdown {
 const NS: f64 = 1e-9;
 
 /// Core event loop: processes tasks in execution-index order (all waits
-/// reference earlier indices), tracking per-thread clocks.
+/// reference earlier indices), tracking per-thread clocks. A finished
+/// task becomes visible to waiters the way the runtime publishes it
+/// (`javelin_sync::ProgressCounters::walk`): when its owner's contiguous
+/// block ends, or earlier, when the owner blocks on a wait first.
 fn sim_p2p_schedule(
     schedule: &P2PSchedule,
     machine: &MachineModel,
@@ -40,11 +43,15 @@ fn sim_p2p_schedule(
 ) -> (f64, usize) {
     let m = schedule.n_tasks();
     let speed = machine.thread_speed(nthreads);
-    let mut finish = vec![0.0f64; m];
+    let mut visible = vec![f64::INFINITY; m];
     let mut clock = vec![0.0f64; nthreads];
+    // Per thread: position of its first finished-but-unpublished task.
+    let mut unpublished = vec![0usize; nthreads];
     let mut blocked = 0usize;
     for task in 0..m {
         let t = schedule.owner(task);
+        let mine = schedule.thread_tasks(t);
+        let p = schedule.position(task);
         let mut start = clock[t];
         for &(wt, req) in schedule.waits(task) {
             let dep_task = schedule.thread_tasks(wt)[req - 1];
@@ -53,15 +60,27 @@ fn sim_p2p_schedule(
                 check += machine.numa_penalty_ns;
             }
             start += check * NS;
-            let dep_done = finish[dep_task];
-            if dep_done > start {
+            // Blocks are contiguous, so a foreign dependency's block has
+            // ended by the time a later task is processed.
+            let dep_visible = visible[dep_task];
+            debug_assert!(dep_visible.is_finite(), "task {dep_task} never published");
+            if dep_visible > start {
                 blocked += 1;
-                start = dep_done + machine.p2p_block_ns * NS;
+                for &q in &mine[unpublished[t]..p] {
+                    visible[q] = start;
+                }
+                unpublished[t] = p;
+                start = dep_visible + machine.p2p_block_ns * NS;
             }
         }
         let done = start + cost_ns(task) / speed * NS;
-        finish[task] = done;
         clock[t] = done;
+        if mine.get(p + 1) != Some(&(task + 1)) {
+            for &q in &mine[unpublished[t]..=p] {
+                visible[q] = done;
+            }
+            unpublished[t] = p + 1;
+        }
     }
     let makespan = clock.iter().cloned().fold(0.0, f64::max);
     (makespan, blocked)
@@ -199,13 +218,13 @@ pub fn sim_trisolve_time<T: Scalar>(
             ] {
                 for l in 0..levels.n_levels() {
                     let rows = levels.level(l);
-                    // Round-robin distribution within the level.
-                    let lanes = nthreads.min(rows.len()).max(1);
-                    let mut sums = vec![0.0f64; lanes];
-                    for (i, &r) in rows.iter().enumerate() {
-                        sums[i % lanes] += cost(r);
-                    }
-                    let worst = sums.iter().cloned().fold(0.0, f64::max);
+                    // One contiguous block of the level per thread, as
+                    // the engine splits it.
+                    let chunk = rows.len().div_ceil(nthreads).max(1);
+                    let worst = rows
+                        .chunks(chunk)
+                        .map(|b| b.iter().map(|&r| cost(r)).sum::<f64>())
+                        .fold(0.0, f64::max);
                     t += worst / speed * NS + machine.barrier_ns * NS;
                 }
             }

@@ -3,7 +3,7 @@
 //!
 //! The point-to-point waits in this crate ([`crate::progress`],
 //! [`crate::barrier`]) spin until a peer makes progress. If that peer
-//! panics it never bumps its counter, and before this module existed
+//! panics it never publishes its progress, and before this module existed
 //! every other participant would spin forever — the region could not
 //! reach the quiescent state [`crate::team::WorkerTeam::run`] needs
 //! before it can propagate the panic. The fix is a per-region abort

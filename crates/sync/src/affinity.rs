@@ -18,6 +18,8 @@
 //! `extern "C"` declaration against the C library that is already
 //! linked into every std binary.
 
+use std::sync::OnceLock;
+
 /// How a worker team binds its participants to cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TeamAffinity {
@@ -28,16 +30,9 @@ pub enum TeamAffinity {
     /// placement. The calling thread (tid 0) is pinned too when it
     /// enters the team constructor — callers that must keep their main
     /// thread free should construct the team from a worker thread.
-    ///
-    /// Caveat (measured, not yet fixed): the caller is pinned to core 0
-    /// *before* the workers are spawned, so they inherit its one-core
-    /// mask, their own [`n_cores`] answers 1, and `tid % 1` puts
-    /// **every participant on core 0** — a compact team time-shares one
-    /// core today. Reading the core count before any pinning spreads
-    /// the threads, but the point-to-point engines then pay true
-    /// cross-core handoffs and the reference benchmark's `pde3d-team2`
-    /// `solve_s` gets 3.6× slower; placement and handoff granularity
-    /// have to be fixed together (ROADMAP, first open item).
+    /// The core count is the process's, recorded by [`n_cores`] before
+    /// any pinning, so a team built by an already-pinned caller (every
+    /// pinned analysis after the first) still spreads across cores.
     Compact,
 }
 
@@ -52,11 +47,17 @@ impl TeamAffinity {
 }
 
 /// Number of cores visible to this process (affinity-mask aware on
-/// Linux via std). Falls back to 1 if the OS won't say.
+/// Linux via std), read once — on the first call — and recorded, so
+/// that pinning a thread later does not shrink the answer. Falls back
+/// to 1 if the OS won't say. [`crate::WorkerTeam::with_affinity`] makes
+/// the first call before it pins anything.
 pub fn n_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Best-effort pin of the calling thread to `core`. Returns `true` if

@@ -116,6 +116,8 @@ impl WorkerTeam {
     /// unpinned and the team fully functional.
     pub fn with_affinity(nthreads: usize, affinity: TeamAffinity) -> Self {
         assert!(nthreads >= 1, "team needs at least one participant");
+        // `core_for` reads the process's core count, recorded on its
+        // first read — here, before the caller is pinned.
         if let Some(core) = affinity.core_for(0) {
             pin_current_thread(core);
         }
@@ -381,6 +383,44 @@ mod tests {
             });
         }
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 4));
+    }
+
+    /// The calling thread's `Cpus_allowed_list`, as the kernel reports it.
+    #[cfg(target_os = "linux")]
+    fn cpus_allowed_list() -> String {
+        let status = std::fs::read_to_string("/proc/thread-self/status").expect("thread status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+            .expect("Cpus_allowed_list line")
+            .trim()
+            .to_string()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn compact_team_of_a_pinned_caller_spreads_across_cores() {
+        // The process's core count is recorded before anything here is
+        // pinned, as the first pinned team of a process records it. A
+        // caller an earlier team already pinned to core 0 then builds a
+        // compact team: its worker must still get a core of its own.
+        let cores = crate::affinity::n_cores();
+        let allowed = std::thread::spawn(|| {
+            assert!(pin_current_thread(0), "pin the scratch caller");
+            let team = WorkerTeam::with_affinity(2, TeamAffinity::Compact);
+            let lists: Vec<Mutex<String>> = (0..2).map(|_| Mutex::new(String::new())).collect();
+            team.run(|tid| *lists[tid].lock().unwrap() = cpus_allowed_list());
+            lists
+                .into_iter()
+                .map(|l| l.into_inner().unwrap())
+                .collect::<Vec<_>>()
+        })
+        .join()
+        .expect("scratch thread");
+        assert_eq!(allowed[0], "0", "tid 0");
+        if cores >= 2 {
+            assert_eq!(allowed[1], "1", "tid 1 on a {cores}-core host");
+        }
     }
 
     #[test]
