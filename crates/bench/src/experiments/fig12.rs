@@ -7,8 +7,7 @@
 //! of Haswell (p = 14) and KNL (p = 68).
 
 use crate::harness::{factor_variants, prepare, Table};
-use javelin_core::options::SolveEngine;
-use javelin_machine::{sim_trisolve_time, MachineModel};
+use javelin_machine::{sim_trisolve_time, MachineModel, TrisolveModel};
 use javelin_synth::suite::{paper_suite, Scale};
 
 fn max_speedup(
@@ -44,15 +43,15 @@ pub fn run(scale: Scale) -> String {
         let f = factor_variants(&prep.matrix);
         let mut cells = vec![prep.meta.name.to_string()];
         for (m, sweep) in [(&h14, &h_sweep[..]), (&knl, &k_sweep[..])] {
-            let base = sim_trisolve_time(&f.ls, m, 1, SolveEngine::BarrierLevel);
+            let base = sim_trisolve_time(&f.ls, m, 1, TrisolveModel::CsrLs);
             let csrls = max_speedup(base, m, sweep, |mm, p| {
-                sim_trisolve_time(&f.ls, mm, p, SolveEngine::BarrierLevel)
+                sim_trisolve_time(&f.ls, mm, p, TrisolveModel::CsrLs)
             });
             let ls = max_speedup(base, m, sweep, |mm, p| {
-                sim_trisolve_time(&f.ls, mm, p, SolveEngine::PointToPoint)
+                sim_trisolve_time(&f.ls, mm, p, TrisolveModel::Ls)
             });
             let lower = max_speedup(base, m, sweep, |mm, p| {
-                sim_trisolve_time(&f.er, mm, p, SolveEngine::PointToPointLower)
+                sim_trisolve_time(&f.er, mm, p, TrisolveModel::LsLower)
             });
             cells.push(format!("{csrls:.2}"));
             cells.push(format!("{ls:.2}"));

@@ -8,8 +8,7 @@
 //! do I give up by choosing the iteration-friendly ordering?".
 
 use crate::harness::{factor_variants, preorder_dm_nd, Table};
-use javelin_core::options::SolveEngine;
-use javelin_machine::{sim_factor_time, sim_trisolve_time, MachineModel};
+use javelin_machine::{sim_factor_time, sim_trisolve_time, MachineModel, TrisolveModel};
 use javelin_order::{compute_order, Ordering as Ord};
 use javelin_synth::suite::{group_a, Scale};
 
@@ -31,11 +30,14 @@ pub fn run(scale: Scale) -> String {
             / sim_factor_time(&rcm.ls, &h14, 14)
                 .total_s
                 .min(sim_factor_time(&rcm.er, &h14, 14).total_s);
-        let base_stri = sim_trisolve_time(&nd.ls, &h14, 1, SolveEngine::Serial);
+        let base_stri = sim_trisolve_time(&nd.ls, &h14, 1, TrisolveModel::Serial);
         let stri14 = base_stri
-            / sim_trisolve_time(&rcm.ls, &h14, 14, SolveEngine::PointToPoint).min(
-                sim_trisolve_time(&rcm.er, &h14, 14, SolveEngine::PointToPointLower),
-            );
+            / sim_trisolve_time(&rcm.ls, &h14, 14, TrisolveModel::Ls).min(sim_trisolve_time(
+                &rcm.er,
+                &h14,
+                14,
+                TrisolveModel::LsLower,
+            ));
         t.row(vec![
             meta.name.to_string(),
             format!("{ilu14:.2}"),

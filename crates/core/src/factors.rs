@@ -7,13 +7,15 @@ use crate::options::SolveEngine;
 use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use javelin_level::{LevelSets, P2PSchedule};
+use javelin_level::P2PSchedule;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::OnceLock;
 
-/// Everything the triangular-solve engines need, precomputed once at
-/// analysis time — the co-design the paper stresses: the factor
-/// layout *is* the solve layout.
+/// Everything the threaded triangular-solve engine needs, precomputed
+/// once at analysis time — the co-design the paper stresses: the factor
+/// layout *is* the solve layout. Its point-to-point schedules cover the
+/// upper stage only; the trailing-block layout covers the trailing
+/// rows.
 #[derive(Debug)]
 pub struct SolvePlan {
     /// Rows in the upper (point-to-point) stage.
@@ -31,10 +33,6 @@ pub struct SolvePlan {
     /// indices) — kept so simulators can rebuild the schedule for any
     /// thread count.
     pub bwd_level_ptr: Vec<usize>,
-    /// Full-matrix lower-pattern levels (the CSR-LS baseline).
-    pub fwd_levels: LevelSets,
-    /// Full-matrix upper-pattern levels (the CSR-LS baseline).
-    pub bwd_levels: LevelSets,
     /// Per trailing row: entry range `(k_lo, k_hi)` of its sub-corner
     /// prefix (columns `< n_upper`) inside the LU arrays.
     pub block_rows: Vec<(usize, usize)>,
@@ -53,8 +51,8 @@ pub struct SolvePlan {
 /// [`SymbolicIlu`] handle: the pattern-dependent execution state shared
 /// by every factor object of one analysis. That holds the LU pattern
 /// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
-/// the [`SolvePlan`] (schedules, levels, the trailing-block layout),
-/// the threaded engines' reusable solve scratch (counters, barrier,
+/// the [`SolvePlan`] (schedules, the trailing-block layout), the
+/// threaded engine's reusable solve scratch (counters, barrier,
 /// tiled-gather partials, the in-place solve buffer) and an [`Exec`]
 /// — a persistent worker team — so that after the numeric phase
 /// returns, every solve runs with zero heap allocations and zero
@@ -159,14 +157,16 @@ impl<T: Scalar> IluFactors<T> {
         self.batch.statuses()[0].clone()
     }
 
-    /// Pre-grows the threaded engines' solve scratch to panel width
-    /// `k`, so their first width-`k` panel solve is already
+    /// Pre-grows the threaded engine's solve scratch to panel width
+    /// `k`, so its first width-`k` panel solve is already
     /// allocation-free (the Serial engine works in the caller's buffer
     /// instead). Widths are grow-only; narrower panels reuse the wide
     /// buffers.
     pub fn reserve_panel_width(&self, k: usize) {
         if k > 1 {
-            self.batch.sym.core().scratch.lock().ensure_width(k);
+            // Sizes the buffers exactly as a width-`k` apply would.
+            let mut scratch = self.batch.sym.core().scratch.lock();
+            scratch.xbuf_mut(javelin_sparse::lanes::DynLanes(k));
         }
     }
 
@@ -494,12 +494,7 @@ mod tests {
         f.refactor(&a2).unwrap();
         let fresh = compute_factors(&a2, &opts);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
-        for engine in [
-            crate::options::SolveEngine::Serial,
-            crate::options::SolveEngine::BarrierLevel,
-            crate::options::SolveEngine::PointToPoint,
-            crate::options::SolveEngine::PointToPointLower,
-        ] {
+        for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
             let mut xr = vec![0.0; n];
             let mut xf = vec![0.0; n];
             f.solve_with(engine, &b, &mut xr).unwrap();
@@ -560,19 +555,11 @@ mod tests {
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x_ref = vec![0.0; 150];
         f.solve_with(SolveEngine::Serial, &b, &mut x_ref).unwrap();
-        for engine in [
-            SolveEngine::BarrierLevel,
-            SolveEngine::PointToPoint,
-            SolveEngine::PointToPointLower,
-        ] {
-            let mut x = vec![0.0; 150];
-            f.solve_with(engine, &b, &mut x).unwrap();
-            for (g, w) in x.iter().zip(x_ref.iter()) {
-                assert!(
-                    (g - w).abs() <= 1e-12 * w.abs().max(1.0),
-                    "{engine}: {g} vs {w}"
-                );
-            }
+        let mut x = vec![0.0; 150];
+        f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
+            .unwrap();
+        for (g, w) in x.iter().zip(x_ref.iter()) {
+            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
         }
     }
 
@@ -581,7 +568,7 @@ mod tests {
         // Repeated solves through one factorization reuse its scratch
         // (progress counters, barrier, gather partials, xbuf); a second
         // factorization's first solve is the fresh-allocation path.
-        // Both must produce identical bits, for every engine.
+        // Both must produce identical bits.
         let a = irregular(150);
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.31).cos()).collect();
         let mut opts = IluOptions::ilu0(3);
@@ -589,22 +576,17 @@ mod tests {
         opts.split.location_frac = 0.0;
         let reused = compute_factors(&a, &opts);
         let fresh = compute_factors(&a, &opts);
-        for engine in [
-            SolveEngine::BarrierLevel,
-            SolveEngine::PointToPoint,
-            SolveEngine::PointToPointLower,
-        ] {
-            let fresh_bits = {
-                let mut x = vec![0.0; 150];
-                fresh.solve_with(engine, &b, &mut x).unwrap();
-                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            for rep in 0..4 {
-                let mut x = vec![0.0; 150];
-                reused.solve_with(engine, &b, &mut x).unwrap();
-                let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, fresh_bits, "engine={engine} rep={rep}");
-            }
+        let engine = SolveEngine::PointToPointLower;
+        let fresh_bits = {
+            let mut x = vec![0.0; 150];
+            fresh.solve_with(engine, &b, &mut x).unwrap();
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        for rep in 0..4 {
+            let mut x = vec![0.0; 150];
+            reused.solve_with(engine, &b, &mut x).unwrap();
+            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, fresh_bits, "rep={rep}");
         }
     }
 
@@ -613,7 +595,7 @@ mod tests {
         // One panel solve retires k columns under one schedule walk (on
         // the Serial engine: one factor stream); every column must carry
         // exactly the bits of a single-RHS solve of that column, for
-        // every engine, thread count and width — fixed-lane widths
+        // both engines, every thread count and width — fixed-lane widths
         // (1, 4, 8), DynLanes widths (2, 3, 5, 7) and 9, which spans two
         // `LANE_CHUNK` blocks. Wide-first, so 8 → 1 narrows against the
         // already-grown scratch. On the Serial engine the single-RHS
@@ -636,12 +618,7 @@ mod tests {
                 let b: Vec<f64> = (0..n * k)
                     .map(|i| ((i * 29 % 41) as f64 - 20.0) * 0.21)
                     .collect();
-                for engine in [
-                    SolveEngine::Serial,
-                    SolveEngine::BarrierLevel,
-                    SolveEngine::PointToPoint,
-                    SolveEngine::PointToPointLower,
-                ] {
+                for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
                     let at = format!("engine={engine} threads={nthreads} k={k}");
                     let mut xp = vec![0.0; n * k];
                     f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut xp, n, k))
@@ -744,23 +721,18 @@ mod tests {
         let f_owned = compute_factors(&a, &owned);
         let f1 = compute_factors(&a, &shared);
         let f2 = compute_factors(&a, &shared.clone());
-        for engine in [
-            SolveEngine::BarrierLevel,
-            SolveEngine::PointToPoint,
-            SolveEngine::PointToPointLower,
-        ] {
-            let mut x0 = vec![0.0; n];
-            let mut x1 = vec![0.0; n];
-            let mut x2 = vec![0.0; n];
-            f_owned.solve_with(engine, &b, &mut x0).unwrap();
-            f1.solve_with(engine, &b, &mut x1).unwrap();
-            f2.solve_with(engine, &b, &mut x2).unwrap();
-            let b0: Vec<u64> = x0.iter().map(|v| v.to_bits()).collect();
-            let b1: Vec<u64> = x1.iter().map(|v| v.to_bits()).collect();
-            let b2: Vec<u64> = x2.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(b0, b1, "engine={engine}");
-            assert_eq!(b1, b2, "engine={engine}");
-        }
+        let engine = SolveEngine::PointToPointLower;
+        let mut x0 = vec![0.0; n];
+        let mut x1 = vec![0.0; n];
+        let mut x2 = vec![0.0; n];
+        f_owned.solve_with(engine, &b, &mut x0).unwrap();
+        f1.solve_with(engine, &b, &mut x1).unwrap();
+        f2.solve_with(engine, &b, &mut x2).unwrap();
+        let b0: Vec<u64> = x0.iter().map(|v| v.to_bits()).collect();
+        let b1: Vec<u64> = x1.iter().map(|v| v.to_bits()).collect();
+        let b2: Vec<u64> = x2.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(b0, b1);
+        assert_eq!(b1, b2);
         // Both factorizations hold the same team, not copies.
         assert!(Arc::strong_count(&team) >= 3);
         // A team whose participant count disagrees with nthreads is
@@ -1039,6 +1011,57 @@ mod tests {
     }
 
     #[test]
+    fn trailing_stage_without_tiles_is_bitwise_serial() {
+        // A lower stage whose rows have no L entries below the corner:
+        // the tiled gather has zero tiles, and each trailing row sums
+        // its corner L part from zero. A diagonal + superdiagonal chain
+        // (plus L couplings inside the trailing rows only) keeps the
+        // symmetrized levels a chain, so the split demotes its last 20 %
+        // of rows; the permutation is the identity.
+        let n = 60;
+        let first_coupled = 52;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + (i % 5) as f64 * 0.25).unwrap();
+            if i + 1 < n {
+                coo.push(i, i + 1, -1.0 - (i % 3) as f64 * 0.125).unwrap();
+            }
+            if i >= first_coupled {
+                coo.push(i, i - 1, -0.5).unwrap();
+                coo.push(i, i - 2, 0.375).unwrap();
+            }
+        }
+        let a = coo.to_csr();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for nthreads in [2usize, 3] {
+            let mut opts = IluOptions::ilu0(nthreads);
+            opts.split.min_rows_per_level = 2;
+            opts.split.location_frac = 0.0;
+            let f = compute_factors(&a, &opts);
+            let plan = f.symbolic().plan();
+            assert!(f.stats().n_lower_rows > 0, "threads={nthreads}");
+            assert!(plan.n_upper <= first_coupled - 2, "threads={nthreads}");
+            assert_eq!(*plan.block_seg_ptr.last().unwrap(), 0, "threads={nthreads}");
+            for k in [1usize, 4, 5] {
+                let b: Vec<f64> = (0..n * k)
+                    .map(|i| ((i * 37 % 29) as f64 - 14.0) * 0.13)
+                    .collect();
+                let solve = |engine| {
+                    let mut x = vec![0.0; n * k];
+                    f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut x, n, k))
+                        .unwrap();
+                    bits(&x)
+                };
+                assert_eq!(
+                    solve(SolveEngine::PointToPointLower),
+                    solve(SolveEngine::Serial),
+                    "threads={nthreads} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_numeric_entry_point_runs_the_lower_stage_bit_identically() {
         // Even-Rows + serial corner on 2 and 3 threads vs the serial
         // sweep: factor, refactor, shifted refactor and every lane of a
@@ -1209,7 +1232,7 @@ mod proptests {
         /// Panel trisolves are column-for-column bit-identical to `k`
         /// independent single-RHS solves — the panel contract, over
         /// random matrices, widths, thread counts and tile sizes, for
-        /// every engine.
+        /// both engines.
         #[test]
         fn panel_solves_bitwise_match_looped_single_rhs(
             a in arb_matrix(24),
@@ -1227,12 +1250,7 @@ mod proptests {
             let b: Vec<f64> = (0..n * k)
                 .map(|i| ((i * 31 % 23) as f64 - 11.0) * 0.17)
                 .collect();
-            for engine in [
-                SolveEngine::Serial,
-                SolveEngine::BarrierLevel,
-                SolveEngine::PointToPoint,
-                SolveEngine::PointToPointLower,
-            ] {
+            for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
                 let mut xp = vec![0.0; n * k];
                 f.solve_panel_with(
                     engine,
@@ -1251,8 +1269,8 @@ mod proptests {
             }
         }
 
-        /// Forward+backward substitution through any engine equals the
-        /// serial reference.
+        /// Forward+backward substitution through the threaded engine
+        /// equals the serial reference.
         #[test]
         fn solves_agree_on_random_matrices(a in arb_matrix(24), nthreads in 2usize..4) {
             let n = a.nrows();
@@ -1261,16 +1279,10 @@ mod proptests {
             let b: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
             let mut x_ref = vec![0.0; n];
             f.solve_with(SolveEngine::Serial, &b, &mut x_ref).unwrap();
-            for engine in [
-                SolveEngine::BarrierLevel,
-                SolveEngine::PointToPoint,
-                SolveEngine::PointToPointLower,
-            ] {
-                let mut x = vec![0.0; n];
-                f.solve_with(engine, &b, &mut x).unwrap();
-                for (g, w) in x.iter().zip(x_ref.iter()) {
-                    prop_assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0));
-                }
+            let mut x = vec![0.0; n];
+            f.solve_with(SolveEngine::PointToPointLower, &b, &mut x).unwrap();
+            for (g, w) in x.iter().zip(x_ref.iter()) {
+                prop_assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0));
             }
         }
     }

@@ -18,9 +18,9 @@
 //!    last. Deterministic: every engine produces bit-identical factors
 //!    to the serial kernel.
 //! 4. **Solves** ([`trisolve`]): forward/backward substitution through
-//!    four engines — serial, barriered level sets (the paper's CSR-LS
-//!    baseline), point-to-point level scheduling, and point-to-point
-//!    plus the tiled lower-stage block — behind one apply pipeline.
+//!    two engines — serial, and point-to-point level scheduling plus
+//!    the tiled lower-stage block (the paper's LS+Lower) — behind one
+//!    apply pipeline.
 //! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
 //!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
 //!    `javelin-sparse`.
@@ -38,9 +38,9 @@
 //!   two-stage split and permutation, the update list (every
 //!   elimination update of the numeric phase, resolved once), the
 //!   forward/backward point-to-point schedules, the
-//!   [`factors::SolvePlan`], a reusable [`SolveScratch`]
-//!   (progress counters, barrier, flat tiled-gather partials, the
-//!   in-place solve buffer), the numeric progress counters, and a
+//!   [`factors::SolvePlan`], the threaded solve engine's reusable
+//!   scratch (progress counters, barrier, flat tiled-gather partials,
+//!   the in-place solve buffer), the numeric progress counters, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
@@ -138,4 +138,3 @@ pub use precond::{ApplyScratch, EnginePinned, Preconditioner};
 pub use spmv::SpmvPlan;
 pub use stats::FactorStats;
 pub use symbolic_ilu::SymbolicIlu;
-pub use trisolve::engines::SolveScratch;

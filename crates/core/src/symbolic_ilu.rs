@@ -45,9 +45,7 @@ use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
 use javelin_sparse::lanes::Lanes;
-use javelin_sparse::pattern::{
-    level_pattern_of, lower_of_pattern, upper_of_pattern, SparsityPattern,
-};
+use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use javelin_sync::{Exec, ProgressCounters};
 use parking_lot::Mutex;
@@ -320,11 +318,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             "backward schedule is not blocked per level"
         );
 
-        // Full-matrix levels for the CSR-LS baseline engine.
-        let permuted_pattern = SparsityPattern::from_raw(n, n, rowptr.clone(), colidx.clone());
-        let fwd_levels = LevelSets::compute_lower(&lower_of_pattern(&permuted_pattern));
-        let bwd_levels = LevelSets::compute_upper(&upper_of_pattern(&permuted_pattern));
-
         // Trailing-block segment structure for the tiled solve.
         let n_lower = n - n_upper;
         let mut block_rows = Vec::with_capacity(n_lower);
@@ -344,8 +337,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             bwd,
             bwd_row_of_task,
             bwd_level_ptr: bwd_levels_upper.level_ptr().to_vec(),
-            fwd_levels,
-            bwd_levels,
             block_rows,
             block_seg_ptr,
         };
@@ -365,9 +356,9 @@ impl<T: Scalar> SymbolicIlu<T> {
         // Oversubscription-aware default engine, picked at plan time
         // (the only moment the whole execution state is in hand): when
         // the requested thread count exceeds the machine's cores, the
-        // point-to-point engines' spin waits churn against each other on
+        // point-to-point engine's spin waits churn against each other on
         // shared cores and lose to plain serial substitution, so the
-        // unnamed-engine path falls back. Explicit engines remain
+        // unnamed-engine path falls back. The threaded engine remains
         // available through `solve_with` for measurements. The count is
         // the process's, recorded before any pinning — a caller pinned
         // by this or an earlier team still sees every core.

@@ -1,17 +1,12 @@
-//! Parallel triangular-solve engines (paper Fig. 12), generic over the
-//! RHS panel width.
-//!
-//! * `CSR-LS` (`solve_barrier_fused`): the traditional level-set
-//!   solve with a spin barrier between levels — the baseline the paper
-//!   measures against;
-//! * `LS` (`solve_p2p_fused` without tiles): point-to-point level
-//!   scheduling with pruned waits — same schedule machinery as the
-//!   factorization, trailing rows solved serially per column (exact
-//!   when the factors have no lower stage);
-//! * `LS + Lower` (`solve_p2p_fused` with `tiles`): the
-//!   trailing-block rows are evaluated as a tiled segmented gather (the
-//!   spmv-like update of the paper's Segmented-Rows layout) before the small
-//!   corner solve.
+//! The threaded triangular-solve engine (paper Fig. 12's `LS + Lower`),
+//! generic over the RHS panel width: `solve_p2p_fused` walks the upper
+//! stage under point-to-point level scheduling with pruned waits — the
+//! factorization's schedule machinery — then evaluates the trailing-block
+//! rows as a tiled segmented gather (the spmv-like update of the paper's
+//! Segmented-Rows layout) before the small corner solve. The paper's
+//! other two threaded variants, barriered level sets (CSR-LS) and
+//! point-to-point without the tiled block (LS), lose to it and are
+//! modelled only, by the `javelin-machine` simulator.
 //!
 //! Solution storage is the shared-memory [`LuVals`]: threads check out
 //! exclusive column-window slices of the rows they own and shared
@@ -23,14 +18,13 @@
 //!
 //! ## Panels and lanes
 //!
-//! Every engine retires a whole **panel** of `k` right-hand sides per
+//! The engine retires a whole **panel** of `k` right-hand sides per
 //! schedule walk: a row's retirement updates all `k` columns before the
-//! row's progress is published (or its level barrier is crossed),
-//! so the wait/barrier protocol runs **once per panel, not once per
-//! column** — the schedule traversal the paper's level machinery pays
-//! is amortized across the whole block of vectors. The in-place solve
-//! buffer `xbuf` stores the panel *row-interleaved* through the lane
-//! layer ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
+//! row's progress is published, so the wait protocol runs **once per
+//! panel, not once per column** — the schedule traversal the paper's
+//! level machinery pays is amortized across the whole block of vectors.
+//! The in-place solve buffer `xbuf` stores the panel *row-interleaved*
+//! through the lane layer ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
 //! [`Lanes::idx`]`(r, c) = r·k + c`, keeping the `k` columns of a row
 //! contiguous for the per-entry inner loops (callers see the
 //! column-major `Panel`/`PanelMut` layout; the apply pipeline's
@@ -55,33 +49,32 @@
 //! there, so each thread owns a contiguous column range and narrow
 //! panels leave trailing threads idle instead of racing.
 //!
-//! All engines are **allocation-free per call**: every buffer they
-//! touch (progress counters, barrier, tiled-gather partials, the
-//! combination buffer) lives in a [`SolveScratch`] built once per
-//! factorization and resized grow-only when a wider panel first
-//! arrives ([`SolveScratch::ensure_width`]). The parallel region runs
-//! on the persistent team behind the plan's [`Exec`]. The scratch is
-//! reset at engine entry, so one scratch serves any number of solves
-//! at any widths (caller guarantees solves on one scratch are not
-//! concurrent; `IluFactors` does so with a mutex).
+//! The engine is **allocation-free per call**: every buffer it touches
+//! (progress counters, barrier, tiled-gather partials, the combination
+//! buffer) lives in a [`SolveScratch`] built once per analysis and
+//! resized grow-only when a wider panel first arrives
+//! ([`SolveScratch::xbuf_mut`]). The parallel region runs on the
+//! persistent team behind the plan's [`Exec`]. The scratch is reset at
+//! engine entry, so one scratch serves any number of solves at any
+//! widths (caller guarantees solves on one scratch are not concurrent;
+//! the apply pipeline holds the analysis's mutex).
 //!
-//! Both entry points are *fused*: forward and backward substitution
-//! run in one parallel region, so a full preconditioner apply costs a
-//! single team wake-up.
+//! The solve is *fused*: forward and backward substitution run in one
+//! parallel region, so a full preconditioner apply costs a single team
+//! wake-up.
 
 #![allow(unsafe_code)] // LuVals views; protocol documented in numeric/kernel.rs.
 
 use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
 use crate::numeric::LuVals;
-use javelin_level::LevelSets;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::Scalar;
 use javelin_sync::{col_range, Exec, ProgressCounters, SpinBarrier};
 use std::ops::Range;
 
-/// Reusable per-factorization scratch for the parallel solve engines:
-/// every buffer a solve needs, built once from the [`SolvePlan`].
+/// Reusable per-analysis scratch of the threaded solve engine: every
+/// buffer a solve needs, built once from the [`SolvePlan`].
 ///
 /// * forward/backward progress counters and the barrier, reset per
 ///   engine entry;
@@ -90,17 +83,17 @@ use std::ops::Range;
 ///   the per-call `Vec<Mutex<Vec<…>>>` and the per-tile
 ///   `partition_point` searches);
 /// * the trailing-block combination buffer `z`;
-/// * `xbuf`, the in-place solution panel the engines operate on,
+/// * `xbuf`, the in-place solution panel the engine operates on,
 ///   filled and emptied around each region by the apply pipeline
 ///   (`SolveScratch::xbuf_mut`).
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
 /// entries (row-interleaved), `partials` and `z` gain the same column
-/// dimension. [`SolveScratch::ensure_width`] resizes them grow-only —
+/// dimension. [`SolveScratch::xbuf_mut`] resizes them grow-only —
 /// the first `k = 8` solve allocates once, every later solve at width
 /// `≤ 8` (including `k = 1`) reuses the high-water-mark buffers.
 #[derive(Debug)]
-pub struct SolveScratch<T> {
+pub(crate) struct SolveScratch<T> {
     nthreads: usize,
     tile: usize,
     /// Factor dimension (rows per panel column).
@@ -136,13 +129,13 @@ impl<T: Scalar> SolveScratch<T> {
     /// Builds scratch for solving factors of dimension `n` under `plan`
     /// with `nthreads` workers and `tile_size`-entry gather tiles. The
     /// initial panel width is 1; wider solves grow the buffers on first
-    /// use via [`SolveScratch::ensure_width`]. When `exec` is given, the
+    /// use via [`SolveScratch::xbuf_mut`]. When `exec` is given, the
     /// value buffers (`partials`, `z`, `xbuf`) are zero-filled *inside a
     /// parallel region* on `exec`'s own threads — first-touch page
     /// placement for pinned teams (see [`LuVals::zeroed_on`]). Width
     /// regrowth reallocates without first-touch; size panels up front
     /// when placement matters.
-    pub fn new_on(
+    pub(crate) fn new_on(
         plan: &SolvePlan,
         n: usize,
         nthreads: usize,
@@ -197,21 +190,11 @@ impl<T: Scalar> SolveScratch<T> {
         }
     }
 
-    /// Threads the scratch was sized for.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// Gather tile size in entries.
-    pub fn tile_size(&self) -> usize {
-        self.tile
-    }
-
     /// Sets the panel width for subsequent engine calls, growing the
     /// value buffers if `width` exceeds every width seen so far
     /// (grow-only: narrowing back is free and keeps the wider buffers
     /// for the next wide solve).
-    pub fn ensure_width(&mut self, width: usize) {
+    fn ensure_width(&mut self, width: usize) {
         let width = width.max(1);
         if width > self.width_cap {
             let n_slots = *self.slot_ptr.last().expect("nonempty");
@@ -225,7 +208,7 @@ impl<T: Scalar> SolveScratch<T> {
 
     /// The in-place solve panel at width `lanes.width()` (grown first
     /// when wider than any seen): the apply pipeline gathers the
-    /// right-hand sides into it before an engine's region and scatters
+    /// right-hand sides into it before the engine's region and scatters
     /// the solutions out of it afterwards.
     pub(crate) fn xbuf_mut<L: Lanes>(&mut self, lanes: L) -> &mut [T] {
         self.ensure_width(lanes.width());
@@ -317,51 +300,6 @@ fn retire_row_upper<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     );
 }
 
-/// One thread's share of the barriered forward level sweep: one
-/// contiguous block of every level.
-#[inline]
-fn forward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    levels: &LevelSets,
-    scratch: &SolveScratch<T>,
-    nthreads: usize,
-    tid: usize,
-    x: &LuVals<T>,
-) {
-    let k = lanes.width();
-    for l in 0..levels.n_levels() {
-        let rows = levels.level(l);
-        let chunk = rows.len().div_ceil(nthreads).max(1);
-        for &r in rows.chunks(chunk).nth(tid).unwrap_or_default() {
-            retire_row_lower(lanes, f, x, 0..k, r);
-        }
-        scratch.barrier.wait();
-    }
-}
-
-/// One thread's share of the barriered backward level sweep.
-#[inline]
-fn backward_barrier_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    levels: &LevelSets,
-    scratch: &SolveScratch<T>,
-    nthreads: usize,
-    tid: usize,
-    x: &LuVals<T>,
-) {
-    let k = lanes.width();
-    for l in 0..levels.n_levels() {
-        let rows = levels.level(l);
-        let chunk = rows.len().div_ceil(nthreads).max(1);
-        for &r in rows.chunks(chunk).nth(tid).unwrap_or_default() {
-            retire_row_upper(lanes, f, x, 0..k, r);
-        }
-        scratch.barrier.wait();
-    }
-}
-
 /// Chaos hook: fires the `trisolve.region` failpoint from inside a
 /// parallel region (only `Panic` is meaningful here — the site produces
 /// no value). Compiles to nothing without the `fault-injection`
@@ -373,48 +311,19 @@ fn region_failpoint(tid: usize) {
     }
 }
 
-/// Fused CSR-LS solve: forward then backward level sweeps in a single
-/// parallel region (the per-level barriers already order the
-/// transition).
-/// One barrier protocol per panel: a level costs the same wait count
-/// whether it retires 1 or `k` columns — and one kernel body serves
-/// every width through `lanes`.
-pub(crate) fn solve_barrier_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    fwd_levels: &LevelSets,
-    bwd_levels: &LevelSets,
-    scratch: &SolveScratch<T>,
-    exec: &Exec,
-) {
-    let nthreads = exec.nthreads();
-    debug_assert_eq!(nthreads, scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
-    scratch.barrier.reset();
-    let x = &scratch.xbuf;
-    exec.run(|tid| {
-        region_failpoint(tid);
-        forward_barrier_phase(lanes, f, fwd_levels, scratch, nthreads, tid, x);
-        // The barrier after the last forward level orders every forward
-        // write before the first backward read.
-        backward_barrier_phase(lanes, f, bwd_levels, scratch, nthreads, tid, x);
-    });
-}
-
 /// One thread's share of the point-to-point forward solve: upper stage
-/// through the pruned-wait schedule, then (under `use_tiles`) the tiled
-/// trailing-block gather, then the column-split combination + trailing
-/// rows. Ends with every thread past the trailing stage; the caller
-/// decides what synchronization follows.
+/// through the pruned-wait schedule, then the tiled trailing-block
+/// gather (when the trailing rows have sub-corner entries at all), then
+/// the column-split combination + trailing rows. Ends with every thread
+/// past the trailing stage; the caller decides what synchronization
+/// follows.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
     f: FactorView<'_, V>,
     plan: &SolvePlan,
     scratch: &SolveScratch<T>,
     nthreads: usize,
-    use_tiles: bool,
     tid: usize,
     x: &LuVals<T>,
 ) {
@@ -437,7 +346,7 @@ fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     let n_tiles = scratch.n_tiles;
     let tile = scratch.tile;
     scratch.barrier.wait();
-    if use_tiles {
+    if n_tiles > 0 {
         // Tiled segmented gather over the trailing block: each tile
         // writes per-segment partial sums into its disjoint slot range
         // (tile boundaries and first segments precomputed in the
@@ -502,73 +411,67 @@ fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     if cols.is_empty() {
         return;
     }
-    let n_lower = n - n_upper;
-    if use_tiles {
-        // Combine tile partials in tile order (deterministic per
-        // column), then finish each trailing row with its corner part.
-        // Every z/partials/x view below is clipped to this thread's
-        // `cols` window — other threads work the other columns.
-        for off in 0..n_lower {
-            // Safety: column-split — the `cols` window of z is ours.
+    // Combine tile partials in tile order (deterministic per column),
+    // then finish each trailing row with its corner part. Every
+    // z/partials/x view below is clipped to this thread's `cols` window
+    // — other threads work the other columns. Without tiles every row
+    // sums from zero over its whole L part: `retire_row_lower`'s
+    // arithmetic exactly.
+    for off in 0..n - n_upper {
+        // Safety: column-split — the `cols` window of z is ours.
+        let zr = unsafe {
+            scratch
+                .z
+                .view_mut(lanes.idx(off, cols.start)..lanes.idx(off, cols.end))
+        };
+        zr.fill(T::ZERO);
+    }
+    for t in 0..n_tiles {
+        let first_seg = scratch.tile_first_seg[t];
+        for (i, s) in (scratch.slot_ptr[t]..scratch.slot_ptr[t + 1]).enumerate() {
+            let seg = first_seg + i;
+            // Safety: z `cols` window owned as above; the partials are
+            // quiescent after the gather barrier.
             let zr = unsafe {
                 scratch
                     .z
-                    .view_mut(lanes.idx(off, cols.start)..lanes.idx(off, cols.end))
+                    .view_mut(lanes.idx(seg, cols.start)..lanes.idx(seg, cols.end))
             };
-            zr.fill(T::ZERO);
-        }
-        for t in 0..n_tiles {
-            let first_seg = scratch.tile_first_seg[t];
-            for (i, s) in (scratch.slot_ptr[t]..scratch.slot_ptr[t + 1]).enumerate() {
-                let seg = first_seg + i;
-                // Safety: z `cols` window owned as above; the partials
-                // are quiescent after the gather barrier.
-                let zr = unsafe {
-                    scratch
-                        .z
-                        .view_mut(lanes.idx(seg, cols.start)..lanes.idx(seg, cols.end))
-                };
-                let ps = unsafe {
-                    scratch
-                        .partials
-                        .view(lanes.idx(s, cols.start)..lanes.idx(s, cols.end))
-                };
-                for (zv, &pv) in zr.iter_mut().zip(ps) {
-                    *zv += pv;
-                }
+            let ps = unsafe {
+                scratch
+                    .partials
+                    .view(lanes.idx(s, cols.start)..lanes.idx(s, cols.end))
+            };
+            for (zv, &pv) in zr.iter_mut().zip(ps) {
+                *zv += pv;
             }
         }
-        for off in 0..n_lower {
-            let r = n_upper + off;
-            let (_, k_hi) = plan.block_rows[off];
-            for_each_chunk(cols.clone(), |c0, cw| {
-                let mut sums = [T::ZERO; LANE_CHUNK];
-                // Safety: z `cols` window owned by this thread (reads
-                // back the combination written above).
-                let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
-                sums[..cw].copy_from_slice(zs);
-                for e in k_hi..f.lower(r).end {
-                    let v = f.entry(e, c0, cw);
-                    let xb = lanes.idx(f.col(e), c0);
-                    // Safety: corner columns are upper-stage rows,
-                    // retired before the gather barrier.
-                    let xs = unsafe { x.view(xb..xb + cw) };
-                    for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
-                        *s += v.lane(c) * xv;
-                    }
+    }
+    for (off, &(_, k_hi)) in plan.block_rows.iter().enumerate() {
+        let r = n_upper + off;
+        for_each_chunk(cols.clone(), |c0, cw| {
+            let mut sums = [T::ZERO; LANE_CHUNK];
+            // Safety: z `cols` window owned by this thread (reads back
+            // the combination written above).
+            let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
+            sums[..cw].copy_from_slice(zs);
+            for e in k_hi..f.lower(r).end {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
+                // Safety: corner columns are earlier trailing rows,
+                // whose `cols` window this thread finished above.
+                let xs = unsafe { x.view(xb..xb + cw) };
+                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
+                    *s += v.lane(c) * xv;
                 }
-                let xb = lanes.idx(r, c0);
-                // Safety: trailing row `r`'s `cols` window is ours.
-                let xr = unsafe { x.view_mut(xb..xb + cw) };
-                for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-                    *xv -= *s;
-                }
-            });
-        }
-    } else {
-        for r in n_upper..n {
-            retire_row_lower(lanes, f, x, cols.clone(), r);
-        }
+            }
+            let xb = lanes.idx(r, c0);
+            // Safety: trailing row `r`'s `cols` window is ours.
+            let xr = unsafe { x.view_mut(xb..xb + cw) };
+            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
+                *xv -= *s;
+            }
+        });
     }
 }
 
@@ -615,15 +518,14 @@ fn backward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
 /// hot-loop entry point. One team wake-up per preconditioner apply,
 /// zero allocations, no `partition_point` searches; the whole panel
 /// rides a single schedule walk through one width-generic kernel body
-/// (`FixedLanes<1>` *is* the scalar protocol). Under `tiles` the
-/// trailing-block gather runs tiled across all threads ("LS+Lower").
+/// (`FixedLanes<1>` *is* the scalar protocol). The trailing-block
+/// gather runs tiled across all threads ("LS+Lower").
 pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
     f: FactorView<'_, V>,
     plan: &SolvePlan,
     scratch: &SolveScratch<T>,
     exec: &Exec,
-    tiles: bool,
 ) {
     let x = &scratch.xbuf;
     let n = f.n();
@@ -634,11 +536,10 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     scratch.progress.reset();
     scratch.bwd_progress.reset();
     scratch.barrier.reset();
-    let use_tiles = tiles && scratch.n_tiles > 0;
     let k = lanes.width();
     exec.run(|tid| {
         region_failpoint(tid);
-        forward_p2p_phase(lanes, f, plan, scratch, nthreads, use_tiles, tid, x);
+        forward_p2p_phase(lanes, f, plan, scratch, nthreads, tid, x);
         if n_upper < n {
             // The trailing forward rows finish above (column-split);
             // the corner backward solve is column-split the same way.
@@ -660,7 +561,7 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
 #[cfg(test)]
 mod tests {
     //! Engine equivalence is exercised end-to-end in `factors.rs` tests
-    //! (every engine × thread count × panel width against serial
+    //! (the threaded engine × thread count × panel width against serial
     //! substitution); the unit tests here cover the pieces with no
     //! factor pipeline.
     use super::*;

@@ -2,13 +2,13 @@
 //! co-designed around: the factorization is computed once, but `stri`
 //! runs thousands of times inside the Krylov loop.
 //!
-//! All engines solve **in place**: the buffer starts as the right-hand
+//! Both engines solve **in place**: the buffer starts as the right-hand
 //! side and finishes as the solution (classic substitution is safe in
 //! place because each row reads its own slot before writing it and reads
 //! dependency slots only after their final write). The buffer is
 //! row-interleaved and in the factor's permuted ordering; one fused
 //! gather fills it from the caller's column-major panel and one fused
-//! scatter empties it, the same two passes for every engine and every
+//! scatter empties it, the same two passes for both engines and every
 //! factor storage — except the Serial engine on panels of at most
 //! four columns (the scalar apply included), whose forward sweep reads
 //! the right-hand side through the permutation and whose backward
@@ -18,11 +18,13 @@
 //!
 //! * [`serial`] — the Serial engine: lane-generic substitution, one
 //!   stream over the factor for all `k` columns, folded or in place;
-//! * [`engines`] — the three parallel engines of Fig. 12:
-//!   barriered level sets (`CSR-LS`), point-to-point (`LS`), and
-//!   point-to-point with the tiled lower-stage block (`LS + Lower`).
+//! * `engines` — the threaded engine, Fig. 12's `LS + Lower`:
+//!   point-to-point level scheduling with pruned waits plus the tiled
+//!   lower-stage block. The figure's other two variants, barriered
+//!   level sets (`CSR-LS`) and point-to-point alone (`LS`), are
+//!   modelled only, by the `javelin-machine` simulator.
 
-pub mod engines;
+pub(crate) mod engines;
 pub mod serial;
 pub(crate) mod view;
 
@@ -34,7 +36,7 @@ use view::{FactorView, LaneValues, PerLane, Shared};
 
 /// Solves `A·X ≈ B` for an `n × k` panel through the factor values
 /// `vals` of analysis `core` — the one apply pipeline, at every width,
-/// for every engine and every stored factor width. `vals` holds
+/// for both engines and every stored factor width. `vals` holds
 /// `stride` factors lane-interleaved (a [`crate::FactorsBatch`]'s
 /// committed values, from the panel's first scenario on): one stored
 /// factor serves every panel column ([`view::Shared`], what
@@ -49,9 +51,9 @@ use view::{FactorView, LaneValues, PerLane, Shared};
 /// other width the bit-identical dynamic fallback.
 ///
 /// The Serial engine works in `buf` (grown to `n·k` when shorter, never
-/// shrunk) and takes no lock; the threaded engines work in the
+/// shrunk) and takes no lock; the threaded engine works in the
 /// analysis's mutex-guarded scratch (concurrent applies serialize) and
-/// leave `buf` alone.
+/// leaves `buf` alone.
 ///
 /// # Errors
 /// [`SparseError::DimensionMismatch`] on shape mismatches.
@@ -128,36 +130,19 @@ pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
                 scatter_permuted(lanes, perm.new_to_old(), z, x);
             }
         }
-        SolveEngine::BarrierLevel => in_scratch(core, lanes, b, x, |scratch| {
-            let (fwd, bwd) = (&plan.fwd_levels, &plan.bwd_levels);
-            engines::solve_barrier_fused(lanes, f, fwd, bwd, scratch, exec)
-        }),
-        SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
-            let tiles = engine == SolveEngine::PointToPointLower;
-            in_scratch(core, lanes, b, x, |scratch| {
-                engines::solve_p2p_fused(lanes, f, plan, scratch, exec, tiles)
-            })
+        SolveEngine::PointToPointLower => {
+            // The analysis's scratch, locked for the whole apply, its
+            // solve buffer gathered from `b` and scattered to `x` around
+            // the region.
+            let mut scratch = core.scratch.lock();
+            gather_permuted(lanes, perm.old_to_new(), b, scratch.xbuf_mut(lanes));
+            engines::solve_p2p_fused(lanes, f, plan, &scratch, exec);
+            scatter_permuted(lanes, perm.new_to_old(), scratch.xbuf_mut(lanes), x);
         }
     }
 }
 
-/// What the threaded engines share: the analysis's scratch, locked for
-/// the whole apply, its solve buffer gathered from `b` and scattered to
-/// `x` around `region`.
-fn in_scratch<T: Scalar, L: Lanes>(
-    core: &SymCore<T>,
-    lanes: L,
-    b: Panel<'_, T>,
-    x: PanelMut<'_, T>,
-    region: impl FnOnce(&engines::SolveScratch<T>),
-) {
-    let mut scratch = core.scratch.lock();
-    gather_permuted(lanes, core.perm.old_to_new(), b, scratch.xbuf_mut(lanes));
-    region(&scratch);
-    scatter_permuted(lanes, core.perm.new_to_old(), scratch.xbuf_mut(lanes), x);
-}
-
-/// The apply pipeline's way in, for every engine: gathers the
+/// The apply pipeline's way in, for both engines: gathers the
 /// column-major panel `b` into the engine's buffer permuted **and**
 /// row-interleaved in one pass, `z[p(o)·k + c] = b[c][o]` — each row's
 /// `k` lanes are written together, so the buffer is streamed once

@@ -6,8 +6,8 @@
 //! batch widths (the SIMD-specialized `k ∈ {1, 4, 8}` and the
 //! `DynLanes` fallback widths in between), pivot policies (plain,
 //! shift-and-retry, drop-tolerance) and, for the batch's own applies
-//! (one pipeline pass over its lane-interleaved values), every
-//! triangular-solve engine: panel column `c` ≡ the single-column apply
+//! (one pipeline pass over its lane-interleaved values), both
+//! triangular-solve engines: panel column `c` ≡ the single-column apply
 //! of scenario `c` ≡ a scalar `refactor` + `solve_with`.
 //!
 //! A deterministic full grid pins the exact configuration matrix the
@@ -49,15 +49,10 @@ fn policy_opts(nthreads: usize, policy: usize, small_tiles: bool) -> IluOptions 
     opts
 }
 
-const ENGINES: [SolveEngine; 4] = [
-    SolveEngine::Serial,
-    SolveEngine::BarrierLevel,
-    SolveEngine::PointToPoint,
-    SolveEngine::PointToPointLower,
-];
+const ENGINES: [SolveEngine; 2] = [SolveEngine::Serial, SolveEngine::PointToPointLower];
 
 /// Batch columns vs looped scalar refactors, bitwise, plus — under
-/// `check_engines` — the batch's own applies on every engine: the
+/// `check_engines` — the batch's own applies on both engines: the
 /// width-`k` panel apply, a panel narrower than `k` and the
 /// single-column apply must each carry, per column, the bits of a
 /// scalar solve through that scenario's scalar refactor.
@@ -133,7 +128,7 @@ fn check_batch_vs_looped(
 /// The pinned grid: matrices {a grid, the grid with heavy border rows
 /// and 4-entry solve tiles}, each through Even-Rows + the serial
 /// corner × threads {1, 2, 3} × k {1, 2, 4, 5, 8} × policies {plain,
-/// ShiftRetry, drop-tolerance}, with the batch's own applies checked on all four
+/// ShiftRetry, drop-tolerance}, with the batch's own applies checked on both
 /// solve engines in every cell, and a second `refactor_batch` step
 /// (new values, same handle) on top.
 #[test]

@@ -25,4 +25,6 @@ pub mod model;
 pub mod sim;
 
 pub use model::MachineModel;
-pub use sim::{sim_factor_time, sim_heavy_factor_time, sim_trisolve_time, SimBreakdown};
+pub use sim::{
+    sim_factor_time, sim_heavy_factor_time, sim_trisolve_time, SimBreakdown, TrisolveModel,
+};

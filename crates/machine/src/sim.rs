@@ -2,18 +2,55 @@
 //!
 //! The simulator replays the library's *actual* data structures: the
 //! pruned point-to-point schedules (rebuilt for any thread count from
-//! the factor's pattern), the barrier level sets and the Even-Rows
-//! chunking. Per-row costs use the true
+//! the factor's pattern), the full-matrix level sets of the factor
+//! pattern and the Even-Rows chunking. Per-row costs use the true
 //! elimination work (`nnz(row) + Σ_{c ∈ L(row)} |U(c)|` — the exact
 //! inner-loop trip count of the up-looking kernel), so critical paths,
 //! imbalance, and synchronization counts are the real ones; only the
 //! nanosecond coefficients come from the model.
+//!
+//! The triangular solve is modelled under the paper's Fig. 12 labels,
+//! [`TrisolveModel`]. Two of them are the library's engines — serial
+//! substitution and LS+Lower ([`SolveEngine::PointToPointLower`]). The
+//! other two, CSR-LS (barriered level sets) and LS (point-to-point
+//! with the trailing rows solved by one thread), are modelled only:
+//! they lost to LS+Lower, so the library has no engine for them.
 
 use crate::model::MachineModel;
 use javelin_core::factors::IluFactors;
 use javelin_core::options::SolveEngine;
-use javelin_level::P2PSchedule;
+use javelin_level::{LevelSets, P2PSchedule};
+use javelin_sparse::pattern::{lower_pattern, upper_pattern};
 use javelin_sparse::Scalar;
+
+/// The triangular-solve variants of the paper's Fig. 12, as the
+/// simulator models them (see the module docs: `CsrLs` and `Ls` are
+/// modelled only). A [`SolveEngine`] converts to its label, so
+/// [`sim_trisolve_time`] takes either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrisolveModel {
+    /// Serial forward + backward substitution.
+    Serial,
+    /// CSR-LS: full-matrix level sets of the factor pattern, one
+    /// contiguous block of every level per thread, a barrier between
+    /// levels.
+    CsrLs,
+    /// LS: point-to-point over the upper stage; the trailing rows run
+    /// serially on one thread.
+    Ls,
+    /// LS+Lower: point-to-point over the upper stage, then the tiled
+    /// gather over the trailing block and the corner solve.
+    LsLower,
+}
+
+impl From<SolveEngine> for TrisolveModel {
+    fn from(engine: SolveEngine) -> Self {
+        match engine {
+            SolveEngine::Serial => TrisolveModel::Serial,
+            SolveEngine::PointToPointLower => TrisolveModel::LsLower,
+        }
+    }
+}
 
 /// Simulated phase timings (seconds).
 #[derive(Debug, Clone, Default)]
@@ -189,13 +226,15 @@ pub fn sim_factor_time<T: Scalar>(
 }
 
 /// Simulated wall time of one preconditioner application (forward +
-/// backward triangular solve) at `nthreads` threads with `engine`.
+/// backward triangular solve) at `nthreads` threads under `model` (a
+/// [`TrisolveModel`] label, or the [`SolveEngine`] it stands for).
 pub fn sim_trisolve_time<T: Scalar>(
     f: &IluFactors<T>,
     machine: &MachineModel,
     nthreads: usize,
-    engine: SolveEngine,
+    model: impl Into<TrisolveModel>,
 ) -> f64 {
+    let model = model.into();
     let nthreads = nthreads.clamp(1, machine.max_threads());
     let lu = f.lu();
     let dp = f.diag_positions();
@@ -206,15 +245,17 @@ pub fn sim_trisolve_time<T: Scalar>(
     let fwd_cost = |r: usize| machine.row_solve_cost(dp[r] - lu.rowptr()[r]);
     let bwd_cost = |r: usize| machine.row_solve_cost(lu.rowptr()[r + 1] - dp[r]);
 
-    match engine {
-        SolveEngine::Serial => {
+    match model {
+        TrisolveModel::Serial => {
             ((0..n).map(fwd_cost).sum::<f64>() + (0..n).map(bwd_cost).sum::<f64>()) * NS
         }
-        SolveEngine::BarrierLevel => {
+        TrisolveModel::CsrLs => {
+            let fwd_levels = LevelSets::compute_lower(&lower_pattern(lu));
+            let bwd_levels = LevelSets::compute_upper(&upper_pattern(lu));
             let mut t = 0.0;
             for (levels, cost) in [
-                (&plan.fwd_levels, &fwd_cost as &dyn Fn(usize) -> f64),
-                (&plan.bwd_levels, &bwd_cost as &dyn Fn(usize) -> f64),
+                (&fwd_levels, &fwd_cost as &dyn Fn(usize) -> f64),
+                (&bwd_levels, &bwd_cost as &dyn Fn(usize) -> f64),
             ] {
                 for l in 0..levels.n_levels() {
                     let rows = levels.level(l);
@@ -230,9 +271,9 @@ pub fn sim_trisolve_time<T: Scalar>(
             }
             t
         }
-        SolveEngine::PointToPoint | SolveEngine::PointToPointLower => {
+        TrisolveModel::Ls | TrisolveModel::LsLower => {
             if nthreads == 1 {
-                return sim_trisolve_time(f, machine, 1, SolveEngine::Serial);
+                return sim_trisolve_time(f, machine, 1, TrisolveModel::Serial);
             }
             // Forward: p2p over the upper stage.
             let fwd_sched =
@@ -256,7 +297,7 @@ pub fn sim_trisolve_time<T: Scalar>(
                         machine.row_solve_cost(corner_l)
                     })
                     .sum();
-                if engine == SolveEngine::PointToPointLower {
+                if model == TrisolveModel::LsLower {
                     // Tiled gather across all threads, a join barrier,
                     // then the serial corner (matches engines.rs).
                     let gather =
@@ -401,8 +442,8 @@ mod tests {
         let a = grid(30, 30);
         let f = factorize(&a, &IluOptions::default()).unwrap();
         let m = MachineModel::haswell14();
-        let barrier = sim_trisolve_time(&f, &m, 14, SolveEngine::BarrierLevel);
-        let p2p = sim_trisolve_time(&f, &m, 14, SolveEngine::PointToPoint);
+        let barrier = sim_trisolve_time(&f, &m, 14, TrisolveModel::CsrLs);
+        let p2p = sim_trisolve_time(&f, &m, 14, TrisolveModel::Ls);
         assert!(
             p2p < barrier,
             "p2p {p2p} should beat barriered level sets {barrier}"
@@ -459,8 +500,8 @@ mod tests {
         assert!(f.stats().n_lower_rows > 100, "want a real trailing block");
         let m = MachineModel::knl68();
         let serial = sim_trisolve_time(&f, &m, 1, SolveEngine::Serial);
-        let barrier = sim_trisolve_time(&f, &m, 68, SolveEngine::BarrierLevel);
-        let ls = sim_trisolve_time(&f, &m, 68, SolveEngine::PointToPoint);
+        let barrier = sim_trisolve_time(&f, &m, 68, TrisolveModel::CsrLs);
+        let ls = sim_trisolve_time(&f, &m, 68, TrisolveModel::Ls);
         let lower = sim_trisolve_time(&f, &m, 68, SolveEngine::PointToPointLower);
         assert!(
             lower < ls,
@@ -488,7 +529,7 @@ mod tests {
         opts.split.max_lower_frac = 0.3;
         let f = factorize(&a, &opts).unwrap();
         let m = MachineModel::knl68();
-        let ls = sim_trisolve_time(&f, &m, 68, SolveEngine::PointToPoint);
+        let ls = sim_trisolve_time(&f, &m, 68, TrisolveModel::Ls);
         let lower = sim_trisolve_time(&f, &m, 68, SolveEngine::PointToPointLower);
         assert!(
             lower <= ls + 2.0 * m.barrier_ns * 1e-9,
@@ -502,7 +543,7 @@ mod tests {
         let f = factorize(&a, &IluOptions::default()).unwrap();
         let m = MachineModel::knl68();
         let serial = sim_trisolve_time(&f, &m, 1, SolveEngine::Serial);
-        let ls = sim_trisolve_time(&f, &m, 68, SolveEngine::PointToPoint);
+        let ls = sim_trisolve_time(&f, &m, 68, TrisolveModel::Ls);
         assert!(
             ls < serial,
             "LS {ls} must beat serial {serial} on a wide grid"

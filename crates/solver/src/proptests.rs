@@ -1,7 +1,7 @@
 //! Property-based tests for the batched Krylov drivers: the defining
 //! contract — column `c` of any batch solve is **bit-identical** to
 //! the scalar solver run on that column — must hold across random
-//! nonsymmetric matrices, every trisolve engine, thread counts and
+//! nonsymmetric matrices, both trisolve engines, thread counts and
 //! panel widths, for BiCGSTAB, GMRES, FGMRES and PCG alike.
 
 #![cfg(test)]
@@ -16,12 +16,7 @@ use javelin_synth::grid::{convection_diffusion_2d, laplace_2d};
 use javelin_synth::util::revalue;
 use proptest::prelude::*;
 
-const ENGINES: [SolveEngine; 4] = [
-    SolveEngine::Serial,
-    SolveEngine::BarrierLevel,
-    SolveEngine::PointToPoint,
-    SolveEngine::PointToPointLower,
-];
+const ENGINES: [SolveEngine; 2] = [SolveEngine::Serial, SolveEngine::PointToPointLower];
 /// The issue's width matrix: the monomorphized lane widths (1, 4, 8)
 /// and the `DynLanes` fallback widths (2, 3, 5).
 const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
@@ -65,7 +60,7 @@ proptest! {
     #[test]
     fn batch_columns_bitwise_equal_scalar_runs(
         nthreads in 1usize..4,
-        engine_idx in 0usize..4,
+        engine_idx in 0usize..ENGINES.len(),
         k_idx in 0usize..6,
         seed in 1u64..500,
         method_idx in 0usize..4,
@@ -124,7 +119,7 @@ proptest! {
     #[test]
     fn dyn_lane_widths_bitwise_equal_scalar_runs(
         nthreads in 1usize..3,
-        engine_idx in 0usize..4,
+        engine_idx in 0usize..ENGINES.len(),
         k_idx in 0usize..2,
         seed in 1u64..300,
         method_idx in 0usize..4,

@@ -1,11 +1,12 @@
 //! Sense-reversing spin barrier.
 //!
 //! Traditional level-scheduled triangular solves place a barrier between
-//! levels; the paper's CSR-LS baseline (Fig. 12) does exactly that. This
-//! barrier exists so that baseline can be reproduced faithfully *without*
-//! the heavyweight std barrier: it spins with yield escalation like every
-//! other primitive in the crate and is reusable across any number of
-//! phases.
+//! levels (the paper's CSR-LS baseline, Fig. 12); Javelin replaces those
+//! with point-to-point waits and keeps a barrier only for the few
+//! full-team joins around the threaded solve's trailing stage. This one
+//! avoids the heavyweight std barrier: it spins with yield escalation
+//! like every other primitive in the crate and is reusable across any
+//! number of phases.
 
 use crate::backoff::Backoff;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -15,8 +15,8 @@
 //! * [`progress`] — cache-padded monotone progress counters with
 //!   acquire/release semantics: the runtime half of the sparsified
 //!   point-to-point schedule;
-//! * [`barrier`] — a sense-reversing spin barrier (used by the CSR-LS
-//!   baseline the paper compares against);
+//! * [`barrier`] — a sense-reversing spin barrier (the few full-team
+//!   joins of the threaded trisolve's trailing stage);
 //! * [`backoff`] — bounded spinning that escalates to `yield_now`, so
 //!   oversubscribed runs (more threads than cores) always make progress;
 //! * [`affinity`] — best-effort core pinning for team participants

@@ -12,8 +12,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use javelin::core::options::SolveEngine;
-use javelin::machine::{sim_factor_time, sim_trisolve_time, MachineModel};
+use javelin::machine::{sim_factor_time, sim_trisolve_time, MachineModel, TrisolveModel};
 use javelin::prelude::*;
 use javelin::synth::suite::{suite_matrix, Scale};
 use javelin_bench::harness::preorder_dm_nd;
@@ -46,15 +45,15 @@ fn main() {
                 "threads", "ILU speedup", "stri LS", "stri LS+Low"
             );
             let base_f = sim_factor_time(f, m, 1).total_s;
-            let base_s = sim_trisolve_time(f, m, 1, SolveEngine::Serial);
+            let base_s = sim_trisolve_time(f, m, 1, TrisolveModel::Serial);
             let sweep: Vec<usize> = [1usize, 2, 4, 8, 14, 28, 68]
                 .into_iter()
                 .filter(|&p| p <= m.max_threads())
                 .collect();
             for p in sweep {
                 let sf = base_f / sim_factor_time(f, m, p).total_s;
-                let sls = base_s / sim_trisolve_time(f, m, p, SolveEngine::PointToPoint);
-                let slo = base_s / sim_trisolve_time(f, m, p, SolveEngine::PointToPointLower);
+                let sls = base_s / sim_trisolve_time(f, m, p, TrisolveModel::Ls);
+                let slo = base_s / sim_trisolve_time(f, m, p, TrisolveModel::LsLower);
                 println!("{p:>8} {sf:>12.2} {sls:>12.2} {slo:>12.2}");
             }
         }

@@ -149,7 +149,7 @@ fn main() {
 
     let a = Arc::new(convection_diffusion_2d(grid, grid, 0.4, 0.2));
     let n = a.nrows();
-    // The parallel persistent-team engines are where coalescing pays:
+    // The threaded persistent-team engine is where coalescing pays:
     // one point-to-point schedule walk per fused panel amortizes the
     // per-level synchronization across up to 8 tenants' columns, so
     // `--engine p2p` is the configuration the service runs in
@@ -160,7 +160,7 @@ fn main() {
     let engine = match engine_name.as_str() {
         "auto" => None,
         "serial" => Some(javelin::core::options::SolveEngine::Serial),
-        "p2p" => Some(javelin::core::options::SolveEngine::PointToPoint),
+        "p2p" => Some(javelin::core::options::SolveEngine::PointToPointLower),
         other => {
             eprintln!("unknown engine: {other} (want auto|serial|p2p)");
             std::process::exit(2);

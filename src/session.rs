@@ -823,7 +823,9 @@ mod tests {
             .milu(0.0)
             .nthreads(2)
             .tile_size(32)
-            .engine(SolveEngine::BarrierLevel)
+            // Not the analysis's pick for a 2-thread team on a multicore
+            // host, so the knob is visible.
+            .engine(SolveEngine::Serial)
             .panel_width(4)
             .solver_options(SolverOptions {
                 tol: 1e-10,
@@ -831,7 +833,7 @@ mod tests {
             })
             .build(&a)
             .unwrap();
-        assert_eq!(session.engine(), SolveEngine::BarrierLevel);
+        assert_eq!(session.engine(), SolveEngine::Serial);
         assert_eq!(session.symbolic().options().fill_level, 1);
         assert_eq!(session.symbolic().options().tile_size, 32);
         assert_eq!(session.solver_options().tol, 1e-10);

@@ -134,7 +134,7 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
 
     // Healthy reference through the parallel engine.
     let mut x_ref = vec![0.0; n];
-    f.solve_with(SolveEngine::PointToPoint, &b, &mut x_ref)
+    f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_ref)
         .unwrap();
 
     // Inject a panic into the next parallel trisolve region.
@@ -142,7 +142,7 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
     fault::arm("trisolve.region", FaultAction::Panic, 0);
     let mut x_bad = vec![0.0; n];
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let _ = f.solve_with(SolveEngine::PointToPoint, &b, &mut x_bad);
+        let _ = f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_bad);
     }));
     assert!(caught.is_err(), "the injected panic must propagate");
     assert!(team.is_poisoned(), "an unwound region must poison the team");
@@ -158,14 +158,14 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
     f_same.refactor(&a).expect("refactor on the repaired team");
     let mut x_same = vec![0.0; n];
     f_same
-        .solve_with(SolveEngine::PointToPoint, &b, &mut x_same)
+        .solve_with(SolveEngine::PointToPointLower, &b, &mut x_same)
         .unwrap();
 
     let fresh_opts = IluOptions::ilu0(2).with_shared_team(Arc::new(WorkerTeam::new(2)));
     let f_fresh = factorize(&a, &fresh_opts).unwrap();
     let mut x_fresh = vec![0.0; n];
     f_fresh
-        .solve_with(SolveEngine::PointToPoint, &b, &mut x_fresh)
+        .solve_with(SolveEngine::PointToPointLower, &b, &mut x_fresh)
         .unwrap();
 
     assert_eq!(
@@ -440,12 +440,6 @@ fn injected_batch_pivot_fault_is_contained_to_one_scenario_column() {
     fault::clear();
 }
 
-const ENGINES: [SolveEngine; 3] = [
-    SolveEngine::BarrierLevel,
-    SolveEngine::PointToPoint,
-    SolveEngine::PointToPointLower,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -477,23 +471,29 @@ proptest! {
         fault::clear();
     }
 
-    /// Sweep: a panic in any parallel engine's region is contained, the
+    /// Sweep: a panic in the threaded engine's region is contained, the
     /// team repairs, and the next solve on the same factors matches the
-    /// healthy run bit-for-bit.
+    /// healthy run bit-for-bit — with and without a lower stage.
     #[test]
-    fn region_panics_are_contained_for_every_engine(
+    fn region_panics_are_contained_and_auto_repaired(
         nthreads in 2usize..4,
-        engine_idx in 0usize..ENGINES.len(),
+        with_lower in proptest::bool::ANY,
     ) {
         let _g = scenario();
-        let engine = ENGINES[engine_idx];
+        let engine = SolveEngine::PointToPointLower;
         let a = healthy(80);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64).collect();
 
         let team = Arc::new(WorkerTeam::new(nthreads));
-        let opts = IluOptions::ilu0(nthreads).with_shared_team(Arc::clone(&team));
-        let f = factorize(&a, &opts).unwrap();
+        let mut opts = IluOptions::level_scheduling_only(nthreads);
+        if with_lower {
+            opts = IluOptions::ilu0(nthreads);
+            opts.split.min_rows_per_level = 8;
+            opts.split.location_frac = 0.0;
+        }
+        let f = factorize(&a, &opts.with_shared_team(Arc::clone(&team))).unwrap();
+        prop_assert_eq!(f.stats().n_lower_rows > 0, with_lower);
         let mut x_ref = vec![0.0; n];
         f.solve_with(engine, &b, &mut x_ref).unwrap();
 

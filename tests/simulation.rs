@@ -4,7 +4,9 @@
 //! engine ordering).
 
 use javelin::core::options::SolveEngine;
-use javelin::machine::{sim_factor_time, sim_trisolve_time, MachineModel};
+use javelin::level::LevelSets;
+use javelin::machine::{sim_factor_time, sim_trisolve_time, MachineModel, TrisolveModel};
+use javelin::sparse::pattern::{lower_pattern, upper_pattern};
 use javelin::synth::suite::paper_suite;
 use javelin_bench::harness::{factor_variants, prepare};
 use javelin_synth::suite::Scale;
@@ -32,14 +34,20 @@ fn factor_speedups_bounded_by_threads() {
 #[test]
 fn serial_sim_equals_sum_of_costs() {
     // At one thread the simulated time must be engine-independent for
-    // the p2p path (it degenerates to the serial sweep).
+    // the p2p models (they degenerate to the serial sweep).
     let h = MachineModel::haswell14();
     for meta in paper_suite().into_iter().take(4) {
         let prep = prepare(meta, Scale::Tiny);
         let f = factor_variants(&prep.matrix);
         let serial = sim_trisolve_time(&f.ls, &h, 1, SolveEngine::Serial);
-        let p2p1 = sim_trisolve_time(&f.ls, &h, 1, SolveEngine::PointToPoint);
-        assert!((serial - p2p1).abs() < 1e-12, "{}", prep.meta.name);
+        for model in [TrisolveModel::Ls, SolveEngine::PointToPointLower.into()] {
+            let p2p1 = sim_trisolve_time(&f.ls, &h, 1, model);
+            assert!(
+                (serial - p2p1).abs() < 1e-12,
+                "{} {model:?}",
+                prep.meta.name
+            );
+        }
     }
 }
 
@@ -77,12 +85,15 @@ fn barrier_engine_pays_per_level() {
     for meta in paper_suite().into_iter().take(6) {
         let prep = prepare(meta, Scale::Tiny);
         let f = factor_variants(&prep.matrix);
-        let barrier = sim_trisolve_time(&f.ls, &h, 14, SolveEngine::BarrierLevel);
-        // The engine barriers once per forward (lower-pattern) level and
-        // once per backward (upper-pattern) level — these differ from
-        // the scheduling pattern's count on nonsymmetric matrices.
-        let plan = f.ls.symbolic().plan();
-        let n_barriers = (plan.fwd_levels.n_levels() + plan.bwd_levels.n_levels()) as f64;
+        let barrier = sim_trisolve_time(&f.ls, &h, 14, TrisolveModel::CsrLs);
+        // The model barriers once per forward (lower-pattern) level and
+        // once per backward (upper-pattern) level of the factor pattern
+        // — these differ from the scheduling pattern's count on
+        // nonsymmetric matrices.
+        let lu = f.ls.lu();
+        let fwd = LevelSets::compute_lower(&lower_pattern(lu));
+        let bwd = LevelSets::compute_upper(&upper_pattern(lu));
+        let n_barriers = (fwd.n_levels() + bwd.n_levels()) as f64;
         assert!(
             barrier >= n_barriers * h.barrier_ns * 1e-9,
             "{}: barrier {barrier:.3e} vs {} barrier points",
