@@ -3,7 +3,7 @@
 //! Exactly the paper's metric:
 //! `maxspeedup(m, mat, p) = time(CSR-LS, mat, 1) / min_{i<=p} time(m, mat, i)`
 //! for methods CSR-LS (barriered level sets), LS (point-to-point), and
-//! LS+Lower (point-to-point plus tiled trailing block), on one socket
+//! LS+Lower (point-to-point plus Even-Rows trailing rows), on one socket
 //! of Haswell (p = 14) and KNL (p = 68).
 
 use crate::harness::{factor_variants, prepare, Table};

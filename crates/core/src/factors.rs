@@ -14,8 +14,8 @@ use std::sync::OnceLock;
 /// Everything the threaded triangular-solve engine needs, precomputed
 /// once at analysis time — the co-design the paper stresses: the factor
 /// layout *is* the solve layout. Its point-to-point schedules cover the
-/// upper stage only; the trailing-block layout covers the trailing
-/// rows.
+/// upper stage only; the trailing rows run Even-Rows over their
+/// sub-corner prefixes, then a column-split finish through the corner.
 #[derive(Debug)]
 pub struct SolvePlan {
     /// Rows in the upper (point-to-point) stage.
@@ -36,9 +36,6 @@ pub struct SolvePlan {
     /// Per trailing row: entry range `(k_lo, k_hi)` of its sub-corner
     /// prefix (columns `< n_upper`) inside the LU arrays.
     pub block_rows: Vec<(usize, usize)>,
-    /// Cumulative sub-corner entry counts (`n_lower + 1` entries) — the
-    /// segment pointer of the tiled trailing-block gather.
-    pub block_seg_ptr: Vec<usize>,
 }
 
 /// An incomplete LU factorization `P·A·Pᵀ ≈ L·U` packaged for fast
@@ -51,9 +48,10 @@ pub struct SolvePlan {
 /// [`SymbolicIlu`] handle: the pattern-dependent execution state shared
 /// by every factor object of one analysis. That holds the LU pattern
 /// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
-/// the [`SolvePlan`] (schedules, the trailing-block layout), the
-/// threaded engine's reusable solve scratch (counters, barrier,
-/// tiled-gather partials, the in-place solve buffer) and an [`Exec`]
+/// the [`SolvePlan`] (schedules, the trailing rows' sub-corner ranges),
+/// the threaded engine's reusable solve scratch (counters, barrier,
+/// the trailing rows' sub-corner sums, the in-place solve buffer) and
+/// an [`Exec`]
 /// — a persistent worker team — so that after the numeric phase
 /// returns, every solve runs with zero heap allocations and zero
 /// thread spawns. The scratch is mutex-guarded: concurrent threaded
@@ -558,15 +556,14 @@ mod tests {
         let mut x = vec![0.0; 150];
         f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
             .unwrap();
-        for (g, w) in x.iter().zip(x_ref.iter()) {
-            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&x), bits(&x_ref));
     }
 
     #[test]
     fn workspace_reuse_is_bitwise_identical_to_fresh_path() {
         // Repeated solves through one factorization reuse its scratch
-        // (progress counters, barrier, gather partials, xbuf); a second
+        // (progress counters, barrier, sub-corner sums, xbuf); a second
         // factorization's first solve is the fresh-allocation path.
         // Both must produce identical bits.
         let a = irregular(150);
@@ -765,9 +762,8 @@ mod tests {
         let mut x_p2p = vec![0.0; n];
         f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_p2p)
             .unwrap();
-        for (g, w) in x_p2p.iter().zip(x_ser.iter()) {
-            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0));
-        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&x_p2p), bits(&x_ser));
         // Within the core budget the threaded default survives — pinned
         // too: a pinned analysis binds its caller to core 0, and neither
         // it nor a second analysis by the now-pinned caller may read
@@ -1011,10 +1007,10 @@ mod tests {
     }
 
     #[test]
-    fn trailing_stage_without_tiles_is_bitwise_serial() {
+    fn trailing_rows_without_sub_corner_entries_are_bitwise_serial() {
         // A lower stage whose rows have no L entries below the corner:
-        // the tiled gather has zero tiles, and each trailing row sums
-        // its corner L part from zero. A diagonal + superdiagonal chain
+        // the Even-Rows stage writes zero sums, and each trailing row
+        // sums its corner L part from zero. A diagonal + superdiagonal chain
         // (plus L couplings inside the trailing rows only) keeps the
         // symmetrized levels a chain, so the split demotes its last 20 %
         // of rows; the permutation is the identity.
@@ -1041,7 +1037,10 @@ mod tests {
             let plan = f.symbolic().plan();
             assert!(f.stats().n_lower_rows > 0, "threads={nthreads}");
             assert!(plan.n_upper <= first_coupled - 2, "threads={nthreads}");
-            assert_eq!(*plan.block_seg_ptr.last().unwrap(), 0, "threads={nthreads}");
+            assert!(
+                plan.block_rows.iter().all(|&(lo, hi)| lo == hi),
+                "threads={nthreads}"
+            );
             for k in [1usize, 4, 5] {
                 let b: Vec<f64> = (0..n * k)
                     .map(|i| ((i * 37 % 29) as f64 - 14.0) * 0.13)
@@ -1072,8 +1071,7 @@ mod tests {
             f.lu().vals().iter().map(|v| v.to_bits()).collect()
         };
         let run = |nthreads: usize| {
-            let mut opts = IluOptions::ilu0(nthreads).with_drop_tol(1e-3);
-            opts.tile_size = 4;
+            let opts = IluOptions::ilu0(nthreads).with_drop_tol(1e-3);
             let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
             let mut f = sym.factor(&a).unwrap();
             let mut out = vec![bits(&f)];
@@ -1231,25 +1229,24 @@ mod proptests {
 
         /// Panel trisolves are column-for-column bit-identical to `k`
         /// independent single-RHS solves — the panel contract, over
-        /// random matrices, widths, thread counts and tile sizes, for
-        /// both engines.
+        /// random matrices, widths and thread counts, for both engines —
+        /// and the two engines' panels carry the same bits.
         #[test]
         fn panel_solves_bitwise_match_looped_single_rhs(
             a in arb_matrix(24),
             nthreads in 1usize..4,
             k_idx in 0usize..5,
-            tile_idx in 0usize..3,
         ) {
             let k = [1usize, 2, 3, 8, 9][k_idx];
             let n = a.nrows();
             let mut opts = IluOptions::ilu0(nthreads);
-            opts.tile_size = [1usize, 3, 64][tile_idx];
             opts.split.min_rows_per_level = 4;
             opts.split.location_frac = 0.0;
             let f = factorize(&a, &opts).unwrap();
             let b: Vec<f64> = (0..n * k)
                 .map(|i| ((i * 31 % 23) as f64 - 11.0) * 0.17)
                 .collect();
+            let mut panels = Vec::new();
             for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
                 let mut xp = vec![0.0; n * k];
                 f.solve_panel_with(
@@ -1258,19 +1255,20 @@ mod proptests {
                     javelin_sparse::PanelMut::new(&mut xp, n, k),
                 )
                 .unwrap();
+                let pb: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
                 for c in 0..k {
                     let mut x = vec![0.0; n];
                     f.solve_with(engine, &b[c * n..(c + 1) * n], &mut x).unwrap();
-                    let pb: Vec<u64> =
-                        xp[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();
                     let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(pb, sb, "engine={} k={} col={}", engine, k, c);
+                    prop_assert_eq!(&pb[c * n..(c + 1) * n], &sb[..], "engine={} k={} col={}", engine, k, c);
                 }
+                panels.push(pb);
             }
+            prop_assert_eq!(&panels[0], &panels[1], "engines disagree at k={}", k);
         }
 
         /// Forward+backward substitution through the threaded engine
-        /// equals the serial reference.
+        /// equals the serial reference, bitwise.
         #[test]
         fn solves_agree_on_random_matrices(a in arb_matrix(24), nthreads in 2usize..4) {
             let n = a.nrows();
@@ -1281,9 +1279,9 @@ mod proptests {
             f.solve_with(SolveEngine::Serial, &b, &mut x_ref).unwrap();
             let mut x = vec![0.0; n];
             f.solve_with(SolveEngine::PointToPointLower, &b, &mut x).unwrap();
-            for (g, w) in x.iter().zip(x_ref.iter()) {
-                prop_assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0));
-            }
+            let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            let rb: Vec<u64> = x_ref.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(xb, rb);
         }
     }
 }

@@ -19,8 +19,8 @@
 //!    to the serial kernel.
 //! 4. **Solves** ([`trisolve`]): forward/backward substitution through
 //!    two engines — serial, and point-to-point level scheduling plus
-//!    the tiled lower-stage block (the paper's LS+Lower) — behind one
-//!    apply pipeline.
+//!    Even-Rows trailing rows (the paper's LS+Lower), bitwise serial —
+//!    behind one apply pipeline.
 //! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
 //!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
 //!    `javelin-sparse`.
@@ -39,8 +39,8 @@
 //!   elimination update of the numeric phase, resolved once), the
 //!   forward/backward point-to-point schedules, the
 //!   [`factors::SolvePlan`], the threaded solve engine's reusable
-//!   scratch (progress counters, barrier, flat tiled-gather partials,
-//!   the in-place solve buffer), the numeric progress counters, and a
+//!   scratch (progress counters, barrier, the trailing rows' sub-corner
+//!   sums, the in-place solve buffer), the numeric progress counters, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the

@@ -13,7 +13,7 @@ use crate::numeric::NumericCtx;
 use javelin_level::P2PSchedule;
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
-use javelin_sync::{Exec, ProgressCounters};
+use javelin_sync::{col_range, Exec, ProgressCounters};
 
 /// Serial up-looking factorization of rows `lo..hi` against columns
 /// `col_lo..` — one stream of each row's update lists serves all
@@ -75,10 +75,11 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
 /// Even-Rows (paper Figs. 7–8): the `FACTOR_L` sweep of trailing rows
 /// `n_upper..n` against the finished upper stage, as one region on
 /// `exec`. A row demoted to the lower stage depends only on finished
-/// upper-stage rows left of the corner, so threads take contiguous
-/// chunks of whole rows; every lane is retired per row under one
-/// chunking and one update-list stream. The corner is left to
-/// [`factor_rows_serial`] with `col_lo = n_upper`.
+/// upper-stage rows left of the corner, so thread `tid` takes the
+/// contiguous chunk `col_range(n_lower, nthreads, tid)` of whole rows —
+/// the solve's Even-Rows stage uses the same partition. Every lane is
+/// retired per row under one chunking and one update-list stream. The
+/// corner is left to [`factor_rows_serial`] with `col_lo = n_upper`.
 pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
@@ -87,11 +88,9 @@ pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
 ) {
     let n_lower = ctx.n() - n_upper;
     let nthreads = exec.nthreads();
-    let chunk = n_lower.div_ceil(nthreads.max(1)).max(1);
     exec.run(|tid| {
-        let start = (tid * chunk).min(n_lower);
-        let end = ((tid + 1) * chunk).min(n_lower);
-        for r in n_upper + start..n_upper + end {
+        for off in col_range(n_lower, nthreads, tid) {
+            let r = n_upper + off;
             // FACTOR_L: everything left of the corner.
             eliminate_columns(lanes, ctx, r, 0, n_upper);
         }

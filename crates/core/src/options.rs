@@ -61,16 +61,17 @@ impl Default for ZeroPivotPolicy {
 /// Which engine executes the triangular solves: serial substitution or
 /// the one threaded engine. The paper's Fig. 12 also measures a
 /// barriered level-set solve (CSR-LS) and point-to-point scheduling
-/// without the tiled trailing block (LS); both lose to LS+Lower and are
-/// modelled only, by the `javelin-machine` simulator.
+/// with the trailing rows left to one thread (LS); both lose to
+/// LS+Lower and are modelled only, by the `javelin-machine` simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveEngine {
     /// Plain serial substitution.
     Serial,
     /// Point-to-point level scheduling with pruned waits over the upper
-    /// stage, plus the tiled gather over the lower-stage block (the
-    /// paper's "LS + Lower"). Without a lower stage it is plain
-    /// point-to-point scheduling.
+    /// stage, then Even-Rows over the trailing rows (the paper's
+    /// "LS + Lower"). Without a lower stage it is plain point-to-point
+    /// scheduling. Bitwise serial: every row accumulates in
+    /// [`SolveEngine::Serial`]'s entry order.
     #[default]
     PointToPointLower,
 }
@@ -106,9 +107,9 @@ pub struct IluOptions {
     pub level_pattern: LevelPattern,
     /// Two-stage split heuristics.
     pub split: SplitOptions,
-    /// Tile size (entries) of the tiled lower-stage solve gather
-    /// (`SolveEngine::PointToPointLower`); also the natural tile to
-    /// hand [`crate::SpmvPlan::new`] for the same matrix.
+    /// Feeds no analysis: neither the factorization nor the solve
+    /// reads it. It stays only because the reference benchmark passes
+    /// it to [`crate::SpmvPlan::new`] as that plan's tile size.
     pub tile_size: usize,
     /// Worker threads (`1` = fully serial pipeline).
     pub nthreads: usize,

@@ -318,17 +318,14 @@ impl<T: Scalar> SymbolicIlu<T> {
             "backward schedule is not blocked per level"
         );
 
-        // Trailing-block segment structure for the tiled solve.
-        let n_lower = n - n_upper;
-        let mut block_rows = Vec::with_capacity(n_lower);
-        let mut block_seg_ptr = Vec::with_capacity(n_lower + 1);
-        block_seg_ptr.push(0usize);
-        for r in n_upper..n {
-            let lo = rowptr[r];
-            let hi = lo + colidx[lo..rowptr[r + 1]].partition_point(|&c| c < n_upper);
-            block_rows.push((lo, hi));
-            block_seg_ptr.push(block_seg_ptr.last().expect("nonempty") + (hi - lo));
-        }
+        // Each trailing row's sub-corner prefix, for the solve's
+        // Even-Rows stage.
+        let block_rows = (n_upper..n)
+            .map(|r| {
+                let (lo, hi) = (rowptr[r], rowptr[r + 1]);
+                (lo, lo + colidx[lo..hi].partition_point(|&c| c < n_upper))
+            })
+            .collect();
 
         let plan = SolvePlan {
             n_upper,
@@ -338,7 +335,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             bwd_row_of_task,
             bwd_level_ptr: bwd_levels_upper.level_ptr().to_vec(),
             block_rows,
-            block_seg_ptr,
         };
 
         // Solve/refactor execution state, built once: a caller-shared
@@ -368,13 +364,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         } else {
             SolveEngine::PointToPointLower
         };
-        let scratch = Mutex::new(SolveScratch::new_on(
-            &plan,
-            n,
-            nthreads,
-            opts.tile_size,
-            Some(&exec),
-        ));
+        let scratch = Mutex::new(SolveScratch::new_on(&plan, n, nthreads, Some(&exec)));
         stats.t_analysis = t1.elapsed();
 
         Ok(SymbolicIlu {

@@ -1,12 +1,14 @@
 //! The threaded triangular-solve engine (paper Fig. 12's `LS + Lower`),
 //! generic over the RHS panel width: `solve_p2p_fused` walks the upper
 //! stage under point-to-point level scheduling with pruned waits — the
-//! factorization's schedule machinery — then evaluates the trailing-block
-//! rows as a tiled segmented gather (the spmv-like update of the paper's
-//! Segmented-Rows layout) before the small corner solve. The paper's
-//! other two threaded variants, barriered level sets (CSR-LS) and
-//! point-to-point without the tiled block (LS), lose to it and are
-//! modelled only, by the `javelin-machine` simulator.
+//! factorization's schedule machinery — then runs the trailing rows
+//! Even-Rows, on the factorization's lower-stage row partition, before
+//! the small corner solve. Every row accumulates in the serial
+//! substitution's entry order, so the engine is **bitwise serial** at
+//! every width and thread count. The paper's other two threaded
+//! variants, barriered level sets (CSR-LS) and point-to-point with the
+//! trailing rows left to one thread (LS), lose to it and are modelled
+//! only, by the `javelin-machine` simulator.
 //!
 //! Solution storage is the shared-memory [`LuVals`]: threads check out
 //! exclusive column-window slices of the rows they own and shared
@@ -43,15 +45,15 @@
 //! of that column through **any** lane instantiation, and `k = 1` is
 //! bit-identical to the historical single-vector path.
 //!
-//! The trailing-block combination and the corner solve, serial on
+//! The trailing rows' corner part and the corner solve, serial on
 //! thread 0 in the single-RHS path, are **column-split** across the
 //! team for panels (`javelin_sync::col_range`): columns are independent
 //! there, so each thread owns a contiguous column range and narrow
 //! panels leave trailing threads idle instead of racing.
 //!
 //! The engine is **allocation-free per call**: every buffer it touches
-//! (progress counters, barrier, tiled-gather partials, the combination
-//! buffer) lives in a [`SolveScratch`] built once per analysis and
+//! (progress counters, barrier, the trailing rows' sub-corner sums)
+//! lives in a [`SolveScratch`] built once per analysis and
 //! resized grow-only when a wider panel first arrives
 //! ([`SolveScratch::xbuf_mut`]). The parallel region runs on the
 //! persistent team behind the plan's [`Exec`]. The scratch is reset at
@@ -78,24 +80,20 @@ use std::ops::Range;
 ///
 /// * forward/backward progress counters and the barrier, reset per
 ///   engine entry;
-/// * the tiled trailing-block gather layout: per-tile first segment and
-///   a disjoint slot range in one flat partial buffer (replacing both
-///   the per-call `Vec<Mutex<Vec<…>>>` and the per-tile
-///   `partition_point` searches);
-/// * the trailing-block combination buffer `z`;
+/// * `z`, the trailing rows' sub-corner sums, written by the Even-Rows
+///   stage and read by the column-split finish;
 /// * `xbuf`, the in-place solution panel the engine operates on,
 ///   filled and emptied around each region by the apply pipeline
 ///   (`SolveScratch::xbuf_mut`).
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
-/// entries (row-interleaved), `partials` and `z` gain the same column
-/// dimension. [`SolveScratch::xbuf_mut`] resizes them grow-only —
-/// the first `k = 8` solve allocates once, every later solve at width
-/// `≤ 8` (including `k = 1`) reuses the high-water-mark buffers.
+/// entries (row-interleaved), `z` gains the same column dimension.
+/// [`SolveScratch::xbuf_mut`] resizes them grow-only — the first
+/// `k = 8` solve allocates once, every later solve at width `≤ 8`
+/// (including `k = 1`) reuses the high-water-mark buffers.
 #[derive(Debug)]
 pub(crate) struct SolveScratch<T> {
     nthreads: usize,
-    tile: usize,
     /// Factor dimension (rows per panel column).
     n: usize,
     /// Trailing (lower-stage) row count.
@@ -109,17 +107,7 @@ pub(crate) struct SolveScratch<T> {
     /// forward+backward region never resets counters mid-flight.
     bwd_progress: ProgressCounters,
     barrier: SpinBarrier,
-    /// Number of trailing-block gather tiles (0 when no lower stage).
-    n_tiles: usize,
-    /// Per tile: first trailing-block segment it overlaps.
-    tile_first_seg: Vec<usize>,
-    /// Per tile: slot range `slot_ptr[t]..slot_ptr[t + 1]` in `partials`
-    /// (per column; the flat buffer holds `width` values per slot).
-    slot_ptr: Vec<usize>,
-    /// Flat tiled-gather partials, disjointly owned via `slot_ptr`;
-    /// slot `s`, column `c` lives at `s·width + c`.
-    partials: LuVals<T>,
-    /// Per-trailing-row combination buffer (`n_lower × width`).
+    /// Per-trailing-row sub-corner sums (`n_lower × width`).
     z: LuVals<T>,
     /// The in-place solve panel (`n × width`, row-interleaved).
     xbuf: LuVals<T>,
@@ -127,53 +115,20 @@ pub(crate) struct SolveScratch<T> {
 
 impl<T: Scalar> SolveScratch<T> {
     /// Builds scratch for solving factors of dimension `n` under `plan`
-    /// with `nthreads` workers and `tile_size`-entry gather tiles. The
-    /// initial panel width is 1; wider solves grow the buffers on first
-    /// use via [`SolveScratch::xbuf_mut`]. When `exec` is given, the
-    /// value buffers (`partials`, `z`, `xbuf`) are zero-filled *inside a
-    /// parallel region* on `exec`'s own threads — first-touch page
-    /// placement for pinned teams (see [`LuVals::zeroed_on`]). Width
-    /// regrowth reallocates without first-touch; size panels up front
-    /// when placement matters.
-    pub(crate) fn new_on(
-        plan: &SolvePlan,
-        n: usize,
-        nthreads: usize,
-        tile_size: usize,
-        exec: Option<&Exec>,
-    ) -> Self {
+    /// with `nthreads` workers. The initial panel width is 1; wider
+    /// solves grow the buffers on first use via
+    /// [`SolveScratch::xbuf_mut`]. When `exec` is given, the value
+    /// buffers (`z`, `xbuf`) are zero-filled *inside a parallel region*
+    /// on `exec`'s own threads — first-touch page placement for pinned
+    /// teams (see [`LuVals::zeroed_on`]). Width regrowth reallocates
+    /// without first-touch; size panels up front when placement matters.
+    pub(crate) fn new_on(plan: &SolvePlan, n: usize, nthreads: usize, exec: Option<&Exec>) -> Self {
         let zeroed = |len: usize| match exec {
             Some(exec) => LuVals::zeroed_on(len, exec),
             None => LuVals::zeroed(len),
         };
-        let tile = tile_size.max(1);
-        let n_block_entries = *plan.block_seg_ptr.last().unwrap_or(&0);
-        let n_tiles = if n_block_entries > 0 {
-            n_block_entries.div_ceil(tile)
-        } else {
-            0
-        };
-        let mut tile_first_seg = Vec::with_capacity(n_tiles);
-        let mut slot_ptr = Vec::with_capacity(n_tiles + 1);
-        slot_ptr.push(0usize);
-        for t in 0..n_tiles {
-            let lo = t * tile;
-            let hi = ((t + 1) * tile).min(n_block_entries);
-            let first = plan
-                .block_seg_ptr
-                .partition_point(|&p| p <= lo)
-                .saturating_sub(1);
-            let last = plan
-                .block_seg_ptr
-                .partition_point(|&p| p < hi)
-                .saturating_sub(1);
-            tile_first_seg.push(first);
-            slot_ptr.push(slot_ptr[t] + (last - first + 1));
-        }
-        let n_slots = *slot_ptr.last().expect("nonempty");
         SolveScratch {
             nthreads,
-            tile,
             n,
             n_lower: n - plan.n_upper,
             width: 1,
@@ -181,10 +136,6 @@ impl<T: Scalar> SolveScratch<T> {
             progress: ProgressCounters::new(nthreads),
             bwd_progress: ProgressCounters::new(nthreads),
             barrier: SpinBarrier::new(nthreads),
-            n_tiles,
-            tile_first_seg,
-            slot_ptr,
-            partials: zeroed(n_slots),
             z: zeroed(n - plan.n_upper),
             xbuf: zeroed(n),
         }
@@ -197,8 +148,6 @@ impl<T: Scalar> SolveScratch<T> {
     fn ensure_width(&mut self, width: usize) {
         let width = width.max(1);
         if width > self.width_cap {
-            let n_slots = *self.slot_ptr.last().expect("nonempty");
-            self.partials = LuVals::zeroed(n_slots * width);
             self.z = LuVals::zeroed(self.n_lower * width);
             self.xbuf = LuVals::zeroed(self.n * width);
             self.width_cap = width;
@@ -312,11 +261,10 @@ fn region_failpoint(tid: usize) {
 }
 
 /// One thread's share of the point-to-point forward solve: upper stage
-/// through the pruned-wait schedule, then the tiled trailing-block
-/// gather (when the trailing rows have sub-corner entries at all), then
-/// the column-split combination + trailing rows. Ends with every thread
-/// past the trailing stage; the caller decides what synchronization
-/// follows.
+/// through the pruned-wait schedule, then Even-Rows sub-corner sums of
+/// the thread's chunk of trailing rows, then the column-split finish of
+/// every trailing row through the corner. Ends with every thread past
+/// the trailing stage; the caller decides what synchronization follows.
 #[inline]
 fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
@@ -342,66 +290,37 @@ fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     if n_upper == n {
         return;
     }
-    let n_block_entries = *plan.block_seg_ptr.last().unwrap_or(&0);
-    let n_tiles = scratch.n_tiles;
-    let tile = scratch.tile;
     scratch.barrier.wait();
-    if n_tiles > 0 {
-        // Tiled segmented gather over the trailing block: each tile
-        // writes per-segment partial sums into its disjoint slot range
-        // (tile boundaries and first segments precomputed in the
-        // scratch — no searches, no allocation). Lane chunks re-walk
-        // the tile so accumulators stay on the stack.
-        let mut t = tid;
-        while t < n_tiles {
-            let lo = t * tile;
-            let hi = ((t + 1) * tile).min(n_block_entries);
-            let base = scratch.slot_ptr[t];
-            let first_seg = scratch.tile_first_seg[t];
-            // Safety: tile `t` is processed by exactly one thread, and
-            // `slot_ptr` partitions the slots disjointly across tiles.
-            let pt = unsafe {
-                scratch
-                    .partials
-                    .view_mut(base * k..scratch.slot_ptr[t + 1] * k)
-            };
-            // Zero the tile's slots first: segments inside the span
-            // that this walk skips (empty segments) must not leak
-            // values from a previous solve.
-            pt.fill(T::ZERO);
-            for_each_chunk(0..k, |c0, cw| {
-                let mut seg = first_seg;
-                let mut cursor = lo;
-                while cursor < hi {
-                    while plan.block_seg_ptr[seg + 1] <= cursor {
-                        seg += 1;
-                    }
-                    let seg_hi = plan.block_seg_ptr[seg + 1].min(hi);
-                    let (k_lo, _) = plan.block_rows[seg];
-                    let seg_base = plan.block_seg_ptr[seg];
-                    let mut accs = [T::ZERO; LANE_CHUNK];
-                    for v in cursor..seg_hi {
-                        let e = k_lo + (v - seg_base);
-                        let val = f.entry(e, c0, cw);
-                        let xb = lanes.idx(f.col(e), c0);
-                        // Safety: the gathered columns are upper-stage
-                        // rows, all retired before the barrier above.
-                        let xs = unsafe { x.view(xb..xb + cw) };
-                        for (c, (acc, &xv)) in accs[..cw].iter_mut().zip(xs).enumerate() {
-                            *acc += val.lane(c) * xv;
-                        }
-                    }
-                    let slot = seg - first_seg;
-                    for (c, acc) in accs[..cw].iter().enumerate() {
-                        pt[slot * k + c0 + c] = *acc;
-                    }
-                    cursor = seg_hi;
+    // Even-Rows over the trailing rows: thread `tid` sums the
+    // sub-corner prefix of each row in its `col_range` chunk from zero,
+    // in entry order, into its own rows of `z` — `retire_row_lower`'s
+    // accumulation order, so the split below is bitwise serial. Lane
+    // chunks keep the accumulators on the stack.
+    for off in col_range(n - n_upper, nthreads, tid) {
+        let (k_lo, k_hi) = plan.block_rows[off];
+        for_each_chunk(0..k, |c0, cw| {
+            let mut sums = [T::ZERO; LANE_CHUNK];
+            for e in k_lo..k_hi {
+                let v = f.entry(e, c0, cw);
+                let xb = lanes.idx(f.col(e), c0);
+                // Safety: the gathered columns are upper-stage rows, all
+                // retired before the barrier above.
+                let xs = unsafe { x.view(xb..xb + cw) };
+                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
+                    *s += v.lane(c) * xv;
                 }
-            });
-            t += nthreads;
-        }
-        scratch.barrier.wait();
+            }
+            // Safety: z row `off` lies in this thread's `col_range`
+            // chunk; other threads read it only after the barrier below.
+            let zr = unsafe {
+                scratch
+                    .z
+                    .view_mut(lanes.idx(off, c0)..lanes.idx(off, c0) + cw)
+            };
+            zr.copy_from_slice(&sums[..cw]);
+        });
     }
+    scratch.barrier.wait();
     // Trailing stage, column-split: panel columns are independent from
     // here on, so each thread owns a contiguous column range (narrow
     // panels leave trailing tids an empty range — `col_range` never
@@ -411,48 +330,14 @@ fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     if cols.is_empty() {
         return;
     }
-    // Combine tile partials in tile order (deterministic per column),
-    // then finish each trailing row with its corner part. Every
-    // z/partials/x view below is clipped to this thread's `cols` window
-    // — other threads work the other columns. Without tiles every row
-    // sums from zero over its whole L part: `retire_row_lower`'s
-    // arithmetic exactly.
-    for off in 0..n - n_upper {
-        // Safety: column-split — the `cols` window of z is ours.
-        let zr = unsafe {
-            scratch
-                .z
-                .view_mut(lanes.idx(off, cols.start)..lanes.idx(off, cols.end))
-        };
-        zr.fill(T::ZERO);
-    }
-    for t in 0..n_tiles {
-        let first_seg = scratch.tile_first_seg[t];
-        for (i, s) in (scratch.slot_ptr[t]..scratch.slot_ptr[t + 1]).enumerate() {
-            let seg = first_seg + i;
-            // Safety: z `cols` window owned as above; the partials are
-            // quiescent after the gather barrier.
-            let zr = unsafe {
-                scratch
-                    .z
-                    .view_mut(lanes.idx(seg, cols.start)..lanes.idx(seg, cols.end))
-            };
-            let ps = unsafe {
-                scratch
-                    .partials
-                    .view(lanes.idx(s, cols.start)..lanes.idx(s, cols.end))
-            };
-            for (zv, &pv) in zr.iter_mut().zip(ps) {
-                *zv += pv;
-            }
-        }
-    }
+    // Finish each trailing row from its sub-corner sum with its corner
+    // part. Every x view below is clipped to this thread's `cols`
+    // window — other threads work the other columns.
     for (off, &(_, k_hi)) in plan.block_rows.iter().enumerate() {
         let r = n_upper + off;
         for_each_chunk(cols.clone(), |c0, cw| {
             let mut sums = [T::ZERO; LANE_CHUNK];
-            // Safety: z `cols` window owned by this thread (reads back
-            // the combination written above).
+            // Safety: z is quiescent after the Even-Rows barrier.
             let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
             sums[..cw].copy_from_slice(zs);
             for e in k_hi..f.lower(r).end {
@@ -518,8 +403,8 @@ fn backward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
 /// hot-loop entry point. One team wake-up per preconditioner apply,
 /// zero allocations, no `partition_point` searches; the whole panel
 /// rides a single schedule walk through one width-generic kernel body
-/// (`FixedLanes<1>` *is* the scalar protocol). The trailing-block
-/// gather runs tiled across all threads ("LS+Lower").
+/// (`FixedLanes<1>` *is* the scalar protocol). The trailing rows' sub-
+/// corner sums run Even-Rows across all threads ("LS+Lower").
 pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
     f: FactorView<'_, V>,

@@ -19,10 +19,10 @@
 //! * [`serial`] — the Serial engine: lane-generic substitution, one
 //!   stream over the factor for all `k` columns, folded or in place;
 //! * `engines` — the threaded engine, Fig. 12's `LS + Lower`:
-//!   point-to-point level scheduling with pruned waits plus the tiled
-//!   lower-stage block. The figure's other two variants, barriered
-//!   level sets (`CSR-LS`) and point-to-point alone (`LS`), are
-//!   modelled only, by the `javelin-machine` simulator.
+//!   point-to-point level scheduling with pruned waits plus Even-Rows
+//!   trailing rows, bitwise serial. The figure's other two variants,
+//!   barriered level sets (`CSR-LS`) and point-to-point alone (`LS`),
+//!   are modelled only, by the `javelin-machine` simulator.
 
 pub(crate) mod engines;
 pub mod serial;

@@ -1,8 +1,7 @@
 //! [`FactorView`] — the one place that knows how a factor is stored.
 //!
 //! Every sweep kernel (the Serial substitution, the threaded engines'
-//! row retires, the tiled trailing-block gather, the trailing and
-//! corner rows) reads the combined LU factor through this view: the
+//! row retires, the Even-Rows trailing rows, the corner rows) reads the combined LU factor through this view: the
 //! analysis's `rowptr` / `colidx` / `diag_pos` plus a [`LaneValues`]
 //! addressing that says which stored value right-hand-side lane `c`
 //! multiplies entry `e` by. A change of index width, stream order or

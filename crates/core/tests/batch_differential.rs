@@ -32,15 +32,11 @@ fn corners(a: &CsrMatrix<f64>, k: usize, seed: f64) -> Vec<CsrMatrix<f64>> {
         .collect()
 }
 
-/// The three policy corners the contract names, with the default or
-/// (`small_tiles`) a 4-entry lower-stage solve tile.
-fn policy_opts(nthreads: usize, policy: usize, small_tiles: bool) -> IluOptions {
+/// The three policy corners the contract names.
+fn policy_opts(nthreads: usize, policy: usize) -> IluOptions {
     let mut opts = IluOptions::ilu0(nthreads);
     opts.split.min_rows_per_level = 4;
     opts.split.location_frac = 0.0;
-    if small_tiles {
-        opts.tile_size = 4;
-    }
     match policy {
         1 => opts.zero_pivot = ZeroPivotPolicy::shift_retry(),
         2 => opts.drop_tol = 0.05,
@@ -144,7 +140,7 @@ fn pinned_grid(a: &CsrMatrix<f64>, border: bool) {
     for nthreads in 1..=3usize {
         for k in [1usize, 2, 4, 5, 8] {
             for policy in 0..3 {
-                let opts = policy_opts(nthreads, policy, border);
+                let opts = policy_opts(nthreads, policy);
                 let sym = SymbolicIlu::analyze(a, &opts).unwrap();
                 if border {
                     assert!(sym.stats().n_lower_rows >= 6, "border rows demoted");
@@ -201,23 +197,22 @@ proptest! {
 
     /// Random matrices through the same differential check: batch
     /// column c carries the bits of a scalar refactor of matrix c,
-    /// whatever the width, thread count, solve tile or pivot policy.
+    /// whatever the width, thread count or pivot policy.
     #[test]
     fn batch_columns_bitwise_equal_scalar_refactor(
         a in arb_matrix(24),
         nthreads in 1usize..4,
         k_idx in 0usize..5,
         policy in 0usize..3,
-        small_tiles in proptest::bool::ANY,
         seed in 0.1..2.0f64,
     ) {
         let k = [1usize, 2, 4, 5, 8][k_idx];
-        let opts = policy_opts(nthreads, policy, small_tiles);
+        let opts = policy_opts(nthreads, policy);
         let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
         let cs = corners(&a, k, seed);
         let mats: Vec<&CsrMatrix<f64>> = cs.iter().collect();
         if let Err(e) = check_batch_vs_looped(&sym, &mats, false) {
-            prop_assert!(false, "small_tiles={} nthreads={} k={} policy={}: {}", small_tiles, nthreads, k, policy, e);
+            prop_assert!(false, "nthreads={} k={} policy={}: {}", nthreads, k, policy, e);
         }
     }
 }

@@ -38,8 +38,8 @@ pub enum TrisolveModel {
     /// LS: point-to-point over the upper stage; the trailing rows run
     /// serially on one thread.
     Ls,
-    /// LS+Lower: point-to-point over the upper stage, then the tiled
-    /// gather over the trailing block and the corner solve.
+    /// LS+Lower: point-to-point over the upper stage, then Even-Rows
+    /// over the trailing rows' sub-corner entries and the corner solve.
     LsLower,
 }
 
@@ -289,7 +289,10 @@ pub fn sim_trisolve_time<T: Scalar>(
             // Trailing forward part.
             if n_upper < n {
                 fwd_s += machine.barrier_ns * NS;
-                let block_entries = *plan.block_seg_ptr.last().unwrap_or(&0) as f64;
+                let sub_corner = |r: usize| {
+                    let (k_lo, k_hi) = plan.block_rows[r - n_upper];
+                    (k_hi - k_lo) as f64
+                };
                 let corner_cost: f64 = (n_upper..n)
                     .map(|r| {
                         let (k_lo, k_hi) = plan.block_rows[r - n_upper];
@@ -298,14 +301,26 @@ pub fn sim_trisolve_time<T: Scalar>(
                     })
                     .sum();
                 if model == TrisolveModel::LsLower {
-                    // Tiled gather across all threads, a join barrier,
-                    // then the serial corner (matches engines.rs).
-                    let gather =
-                        machine.row_solve_per_nnz_ns * block_entries / (nthreads as f64 * speed);
+                    // Even-Rows over the trailing rows — thread `tid`
+                    // takes `javelin_sync::col_range(n_lower, nthreads,
+                    // tid)`, so the worst chunk's sub-corner entries set
+                    // the pace — a barrier, then the serial corner and
+                    // its barrier (matches engines.rs).
+                    let n_lower = n - n_upper;
+                    let (base, extra) = (n_lower / nthreads, n_lower % nthreads);
+                    let mut lo = n_upper;
+                    let mut worst: f64 = 0.0;
+                    for tid in 0..nthreads {
+                        let hi = lo + base + usize::from(tid < extra);
+                        worst = worst.max((lo..hi).map(sub_corner).sum());
+                        lo = hi;
+                    }
+                    let gather = machine.row_solve_per_nnz_ns * worst / speed;
                     fwd_s += (gather + corner_cost) * NS + 2.0 * machine.barrier_ns * NS;
                 } else {
                     // Thread 0 does the whole trailing part serially,
                     // then the team re-joins.
+                    let block_entries: f64 = (n_upper..n).map(sub_corner).sum();
                     let serial_block = machine.row_solve_per_nnz_ns * block_entries;
                     fwd_s += (serial_block + corner_cost) * NS + machine.barrier_ns * NS;
                 }
@@ -490,7 +505,7 @@ mod tests {
     fn trisolve_engines_ranked_sensibly() {
         // A power-network matrix (TSOPF-like): dense trailing rows with
         // a substantial sub-corner block — where the paper's LS+Lower
-        // tiles pay off for stri.
+        // pays off for stri.
         let a = javelin_synth::circuit::power_grid(1800, 70, 2, 7);
         let mut opts = IluOptions::ilu0(1);
         opts.split.min_rows_per_level = 24;
@@ -518,9 +533,9 @@ mod tests {
     }
 
     #[test]
-    fn lower_tiles_never_hurt_much_on_thin_blocks() {
+    fn lower_stage_never_hurts_much_on_thin_blocks() {
         // Strip matrices park a self-coupled tail in the corner: the
-        // tiled gather has little to chew on (the paper's fem_filter
+        // Even-Rows stage has little to chew on (the paper's fem_filter
         // case). LS+Lower must stay within a barrier or two of LS.
         let a = javelin_synth::fem::shell_strip(60, 3, 4, 7);
         let mut opts = IluOptions::ilu0(1);

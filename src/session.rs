@@ -80,13 +80,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Tile size of the tiled lower-stage solve gather.
-    #[must_use]
-    pub fn tile_size(mut self, tile: usize) -> Self {
-        self.opts.tile_size = tile;
-        self
-    }
-
     /// What the numeric phase does when a pivot collapses (default:
     /// [`ZeroPivotPolicy::Replace`] with a tiny magnitude). With
     /// [`ZeroPivotPolicy::shift_retry`] a breakdown triggers
@@ -822,7 +815,6 @@ mod tests {
             .drop_tol(0.0)
             .milu(0.0)
             .nthreads(2)
-            .tile_size(32)
             // Not the analysis's pick for a 2-thread team on a multicore
             // host, so the knob is visible.
             .engine(SolveEngine::Serial)
@@ -835,7 +827,6 @@ mod tests {
             .unwrap();
         assert_eq!(session.engine(), SolveEngine::Serial);
         assert_eq!(session.symbolic().options().fill_level, 1);
-        assert_eq!(session.symbolic().options().tile_size, 32);
         assert_eq!(session.solver_options().tol, 1e-10);
         assert!(session.stats().nnz_lu >= a.nnz());
     }

@@ -239,11 +239,7 @@ fn numeric_panic_in_the_first_factor_is_contained_and_the_team_recovers() {
 fn numeric_panic_in_a_refactors_corner_is_contained_and_factors_stay_reusable() {
     let _g = scenario();
     let a = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(10, 10), 6);
-    let opts = |team: Arc<WorkerTeam>| {
-        let mut opts = IluOptions::ilu0(2).with_shared_team(team);
-        opts.tile_size = 4;
-        opts
-    };
+    let opts = |team: Arc<WorkerTeam>| IluOptions::ilu0(2).with_shared_team(team);
     let team = Arc::new(WorkerTeam::new(2));
     let sym = SymbolicIlu::analyze(&a, &opts(Arc::clone(&team))).unwrap();
     let n_upper = a.nrows() - sym.stats().n_lower_rows;

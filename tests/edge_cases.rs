@@ -224,8 +224,11 @@ fn dense_small_matrix_all_engines() {
     }
 }
 
+/// A banded matrix whose lower stage gets real work: the 3-thread
+/// factor carries the 1-thread factor's bits, and the threaded apply
+/// carries the Serial apply's.
 #[test]
-fn tiny_tile_size_still_correct() {
+fn banded_lower_stage_factor_and_apply_are_bitwise_serial() {
     let n = 80;
     let mut coo = CooMatrix::<f64>::new(n, n);
     for i in 0..n {
@@ -237,10 +240,7 @@ fn tiny_tile_size_still_correct() {
         }
     }
     let a = coo.to_csr();
-    let serial = factorize(&a, &IluOptions::default()).unwrap();
-    let want: Vec<u64> = serial.lu().vals().iter().map(|v| v.to_bits()).collect();
     let mut opts = IluOptions::ilu0(3);
-    opts.tile_size = 1; // one-entry solve-gather tiles
     opts.split.min_rows_per_level = 8;
     opts.split.location_frac = 0.0;
     let mut serial_same_split = opts.clone();
@@ -250,7 +250,17 @@ fn tiny_tile_size_still_correct() {
     let bs: Vec<u64> = f_ser.lu().vals().iter().map(|v| v.to_bits()).collect();
     let bp: Vec<u64> = f_par.lu().vals().iter().map(|v| v.to_bits()).collect();
     assert_eq!(bs, bp);
-    let _ = want;
+    assert!(f_par.stats().n_lower_rows > 0, "lower stage must run");
+    let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
+    let solve = |engine| {
+        let mut x = vec![0.0; n];
+        f_par.solve_with(engine, &b, &mut x).unwrap();
+        x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+    };
+    assert_eq!(
+        solve(SolveEngine::PointToPointLower),
+        solve(SolveEngine::Serial)
+    );
 }
 
 #[test]
@@ -274,8 +284,7 @@ fn failed_refactor_keeps_previous_factor_and_lu_tracks_success() {
     };
     for nthreads in [1usize, 2, 3] {
         let at = format!("threads={nthreads}");
-        let mut opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
-        opts.tile_size = 4;
+        let opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
         let sym = javelin::core::SymbolicIlu::analyze(&a, &opts).unwrap();
         assert!(sym.stats().n_lower_rows > 0, "{at}: lower stage must run");
         let mut f = sym.factor(&a).unwrap();

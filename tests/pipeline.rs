@@ -25,8 +25,8 @@ fn ilu0_product_identity_across_suite() {
     }
 }
 
-/// The threaded solve engine agrees with serial substitution on every
-/// suite matrix, with multiple thread counts.
+/// The threaded solve engine carries the bits of serial substitution on
+/// every suite matrix, with multiple thread counts.
 #[test]
 fn solve_engines_agree_across_suite() {
     for meta in paper_suite() {
@@ -45,8 +45,9 @@ fn solve_engines_agree_across_suite() {
             f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
                 .expect("parallel solve");
             for (k, (g, w)) in x.iter().zip(x_ref.iter()).enumerate() {
-                assert!(
-                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
                     "{} nthreads {nthreads} row {k}: {g} vs {w}",
                     meta.name
                 );

@@ -502,13 +502,11 @@ fn steady_state_refactor_allocates_zero_bytes() {
     );
 
     // ---- Phase 7: the two-stage sweep with a real lower stage. ----
-    // A grid with heavy border rows on a 2-thread team, small tiles,
-    // τ on: the point-to-point upper stage, Even-Rows and the serial
+    // A grid with heavy border rows on a 2-thread team, τ on: the point-to-point upper stage, Even-Rows and the serial
     // corner run on the team without touching the heap, and every
     // numeric entry point carries the bits of the 1-thread factor.
     let a7 = javelin::synth::util::bordered(&javelin::synth::grid::laplace_2d(14, 14), 6);
-    let mut opts7 = IluOptions::ilu0(2).with_drop_tol(1e-4);
-    opts7.tile_size = 4;
+    let opts7 = IluOptions::ilu0(2).with_drop_tol(1e-4);
     let mut opts7_serial = opts7.clone();
     opts7_serial.nthreads = 1;
     let sym7 = SymbolicIlu::analyze(&a7, &opts7).expect("analysis (2 threads)");

@@ -37,17 +37,14 @@ fn repeated_parallel_solves_are_stable() {
     let mut reference = vec![0.0; n];
     f.solve_with(SolveEngine::Serial, &b, &mut reference)
         .expect("serial");
-    // Hammer the point-to-point engine repeatedly: results must be
-    // identical on every run (no lost updates, no stale reads).
+    // Hammer the point-to-point engine repeatedly: every run must carry
+    // the serial bits (no lost updates, no stale reads).
     for round in 0..10 {
         let mut x = vec![0.0; n];
         f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
             .expect("parallel");
         for (g, w) in x.iter().zip(reference.iter()) {
-            assert!(
-                (g - w).abs() <= 1e-10 * w.abs().max(1.0),
-                "round {round}: {g} vs {w}"
-            );
+            assert_eq!(g.to_bits(), w.to_bits(), "round {round}: {g} vs {w}");
         }
     }
 }
