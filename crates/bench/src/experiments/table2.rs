@@ -9,26 +9,31 @@
 
 use crate::harness::Table;
 use javelin_baseline::{HeavyIlu, HeavyOptions};
-use javelin_core::{factorize, IluOptions};
+use javelin_core::{factorize, IluOptions, Preconditioner};
 use javelin_order::{compute_order, Ordering as Ord};
-use javelin_solver::{pcg, SolverOptions};
+use javelin_solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin_sparse::CsrMatrix;
 use javelin_synth::suite::{group_a, Scale};
+
+/// ILU-preconditioned CG from `x = 0` with `b = 1`: the iteration
+/// count, or `>cap` when it did not converge.
+fn pcg_iterations(a: &CsrMatrix<f64>, f: &impl Preconditioner<f64>) -> String {
+    let b = vec![1.0; a.nrows()];
+    let mut x = vec![0.0; a.nrows()];
+    let (opts, mut ws) = (SolverOptions::default(), SolverWorkspace::new());
+    let res = krylov_with(Method::Pcg, a, &b, &mut x, f, &opts, &mut ws);
+    if res.converged {
+        res.iterations.to_string()
+    } else {
+        format!(">{}", res.iterations)
+    }
+}
 
 fn iterations_plain(a: &CsrMatrix<f64>) -> String {
     // In-order ILU(0) (the heavy baseline factors rows in natural
     // order, no internal permutation).
     match HeavyIlu::factor(a, &HeavyOptions::default()) {
-        Ok(f) => {
-            let b = vec![1.0; a.nrows()];
-            let mut x = vec![0.0; a.nrows()];
-            let res = pcg(a, &b, &mut x, &f, &SolverOptions::default());
-            if res.converged {
-                res.iterations.to_string()
-            } else {
-                format!(">{}", res.iterations)
-            }
-        }
+        Ok(f) => pcg_iterations(a, &f),
         Err(_) => "x".to_string(),
     }
 }
@@ -37,16 +42,7 @@ fn iterations_ls(a: &CsrMatrix<f64>) -> String {
     // Javelin's level-set ordering imposed on top (pure level
     // scheduling, serial numeric).
     match factorize(a, &IluOptions::level_scheduling_only(1)) {
-        Ok(f) => {
-            let b = vec![1.0; a.nrows()];
-            let mut x = vec![0.0; a.nrows()];
-            let res = pcg(a, &b, &mut x, &f, &SolverOptions::default());
-            if res.converged {
-                res.iterations.to_string()
-            } else {
-                format!(">{}", res.iterations)
-            }
-        }
+        Ok(f) => pcg_iterations(a, &f),
         Err(_) => "x".to_string(),
     }
 }

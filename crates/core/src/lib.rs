@@ -76,8 +76,8 @@
 //!   single-vector entries are its width-1 wrappers, so column `c` of
 //!   any panel operation is **bit-identical** to the single-RHS path
 //!   on that column.
-//!   Batched Krylov drivers (`javelin_solver::solve_batch`) build on
-//!   that contract with per-column convergence masking.
+//!   The Krylov drivers (`javelin_solver::krylov_panel_into`) build
+//!   on that contract with per-column convergence masking.
 //!
 //! The one-shot [`factorize`] fuses analyze + factor for callers that
 //! factor a pattern exactly once. Applications should usually sit one

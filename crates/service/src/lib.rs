@@ -24,10 +24,10 @@
 //!    panels for the lockstep batch Krylov drivers: one preconditioner
 //!    schedule walk retires 8 clients' solves at once.
 //! 4. **Panel dispatch** — solves run on the shared persistent
-//!    [`javelin_sync::WorkerTeam`] through the existing
-//!    `solve_batch`/`bicgstab_batch`/`gmres_batch` drivers; column `c`
-//!    of a fused panel is bit-identical to that client's standalone
-//!    solve. Broken-down columns get one automatic retry with a
+//!    [`javelin_sync::WorkerTeam`] through the solver's one panel
+//!    entry, `javelin_solver::krylov_panel_into` (one driver per
+//!    method); column `c` of a fused panel is bit-identical to that
+//!    client's standalone solve. Broken-down columns get one automatic retry with a
 //!    diagonally shifted preconditioner.
 //! 5. **Respond** — admission control bounds the queue
 //!    ([`ServiceError::Overloaded`]), malformed requests are rejected

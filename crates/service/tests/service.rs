@@ -7,7 +7,7 @@ use javelin_service::{
     Engine, EngineConfig, ServiceConfig, ServiceError, SolveRequest, SolveService, TcpFrontend,
     TcpSolveClient,
 };
-use javelin_solver::{krylov, Method, SolverOptions};
+use javelin_solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin_sparse::CsrMatrix;
 use javelin_synth::grid::{convection_diffusion_2d, laplace_2d};
 use javelin_synth::util::rhs_panel;
@@ -60,13 +60,14 @@ fn engine_coalesces_pattern_identical_requests_into_panels_bit_identically() {
         assert!(reply.result.converged, "column {c}");
         assert_eq!(reply.panel_width, 8);
         let mut x_ref = vec![0.0; n];
-        let r_ref = krylov(
+        let r_ref = krylov_with(
             Method::BatchGmres,
             &a,
             &b_ref[c],
             &mut x_ref,
             &factors.with_engine(factors.default_engine()),
             &SolverOptions::default(),
+            &mut SolverWorkspace::new(),
         );
         assert_eq!(reply.result.iterations, r_ref.iterations, "column {c}");
         assert_eq!(bits(&reply.x), bits(&x_ref), "column {c}");
@@ -218,13 +219,14 @@ fn concurrent_clients_get_bit_identical_scalar_answers() {
     for (b, reply) in &outcomes {
         assert!(reply.result.converged);
         let mut x_ref = vec![0.0; n];
-        krylov(
+        krylov_with(
             Method::BatchGmres,
             &a,
             b,
             &mut x_ref,
             &factors.with_engine(factors.default_engine()),
             &SolverOptions::default(),
+            &mut SolverWorkspace::new(),
         );
         assert_eq!(bits(&reply.x), bits(&x_ref));
     }
@@ -374,13 +376,14 @@ fn tcp_front_end_serves_multiple_connections() {
     for h in handles {
         for (b, reply) in h.join().unwrap() {
             let mut x_ref = vec![0.0; n];
-            krylov(
+            krylov_with(
                 Method::BatchGmres,
                 &a,
                 &b,
                 &mut x_ref,
                 &factors.with_engine(factors.default_engine()),
                 &SolverOptions::default(),
+                &mut SolverWorkspace::new(),
             );
             assert_eq!(bits(&reply.x), bits(&x_ref), "wire solve differs");
         }

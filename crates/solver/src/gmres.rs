@@ -1,72 +1,692 @@
-//! Restarted GMRES with right preconditioning.
+//! Restarted GMRES with right preconditioning, and its flexible mode
+//! FGMRES: `k` independent nonsymmetric systems driven through one RHS
+//! panel, one restart cycle at a time ([`crate::Method::Gmres`],
+//! [`crate::Method::Fgmres`]).
 //!
-//! GMRES is the iterative method the paper pairs with ILU for general
-//! (nonsymmetric) systems: `stri` is "the primary call needed for
-//! methods like GMRES that use ILU" (§VI). Right preconditioning keeps
-//! the *true* residual observable: we solve `A·M⁻¹·u = b`, `x = M⁻¹·u`,
-//! so the least-squares residual equals the unpreconditioned one.
+//! The driver extends PCG's lockstep-masking pattern (`crate::pcg`) to
+//! restarted GMRES. Because a GMRES run only ever leaves its restart
+//! cycle at a convergence, breakdown or iteration-cap boundary, every
+//! still-active column of a panel sits at **the same inner step `j` of
+//! the same cycle** — so the dominant per-step cost, the preconditioner
+//! application `z = M⁻¹·vⱼ`, can be one shared
+//! [`javelin_core::Preconditioner::apply_panel_with`] call over the
+//! stacked Arnoldi slot `j`, while the Hessenberg, Givens and
+//! least-squares state stay strictly per column. Column `c` of the
+//! panel is **bit-identical** to a width-1 run on that column: same
+//! iterates, same iteration counts, same residual histories.
 //!
-//! The Arnoldi process lives in one place: the width-generic lockstep
-//! core in [`crate::batch_gmres`]. [`gmres_with`] is its
-//! `FixedLanes<1>` instantiation — a plain vector viewed as a width-1
-//! panel — so restart boundaries, happy breakdown, the non-finite
-//! guards and the iteration-cap exits are the same code for the
-//! scalar, panel and flexible ([`crate::fgmres_with`]) solvers.
+//! ## Masking at restart boundaries
+//!
+//! A column that converges (or exhausts its iteration cap) mid-cycle
+//! finalizes immediately — back-substitution, one single-column
+//! correction apply `x += M⁻¹(V·y)`, exactly where a standalone solve
+//! of that column stops — and then *freezes in its panel slot*: later
+//! shared applies simply carry its stale basis column along without
+//! reading the result. A column that hits the happy-breakdown case
+//! (`h_{j+1,j} = 0` with the residual still above tolerance) finalizes
+//! its cycle the same way and then *pauses* until the panel's next
+//! restart boundary, where it re-enters with a fresh residual — the
+//! arithmetic of an immediate restart, deferred to the shared boundary
+//! so the panel applies keep a single shape.
+//!
+//! ## One Arnoldi process: plain and flexible
+//!
+//! The driver below is the only Arnoldi / Givens / back-substitution
+//! loop in the crate, and FGMRES is its `flexible` mode, which differs
+//! in two places only: step `j`'s shared apply keeps `zⱼ = M⁻¹vⱼ` in a
+//! stacked slot instead of a transient panel, and a column leaving its
+//! cycle updates `x += Z·y` with no trailing apply. FGMRES panels
+//! therefore run in the same lockstep as GMRES panels.
+//!
+//! ## Allocation discipline
+//!
+//! The stacked basis (`restart + 1` panels of `n × k`, plus `restart`
+//! more for FGMRES) and all per-column small state live in the
+//! caller's [`SolverWorkspace`] (`ensure_gmres`, grow-only): after the
+//! first solve at a given `(n, k, restart)` the whole panel runs with
+//! zero steady-state heap allocations, with opt-in residual histories
+//! as the documented exception.
 
-use crate::{SolverOptions, SolverResult, SolverWorkspace};
+use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::{CsrMatrix, Scalar};
+use javelin_sparse::lanes::{LANE_ACTIVE, LANE_DONE, LANE_HALTED, LANE_PENDING};
+use javelin_sparse::{vecops, LaneMask, Panel, PanelMut, Scalar};
 
-/// Right-preconditioned restarted GMRES(m).
+/// The lockstep-restart Arnoldi driver behind
+/// [`crate::krylov_panel_into`] — the only Arnoldi / Givens /
+/// back-substitution loop in the crate.
 ///
-/// Iterations counted in [`SolverResult::iterations`] are *inner*
-/// Arnoldi steps (one matvec + one preconditioner application each),
-/// matching how iteration counts are reported in the paper's Table II.
-///
-/// Allocates a fresh [`SolverWorkspace`]; repeated callers should hold
-/// one and use [`gmres_with`].
+/// `flexible` selects FGMRES, which differs in exactly two places: the
+/// shared apply of step `j` stores `zⱼ = M⁻¹vⱼ` in the stacked slot
+/// `z_basis[j]` instead of the transient `pz` panel, and a column
+/// leaving its cycle updates `x += Z·y` instead of `x += M⁻¹(V·y)`.
 ///
 /// # Panics
-/// On dimension mismatches.
-pub fn gmres<T: Scalar, P: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    x: &mut [T],
-    m: &P,
-    opts: &SolverOptions,
-) -> SolverResult {
-    gmres_with(a, b, x, m, opts, &mut SolverWorkspace::new())
-}
-
-/// [`gmres`] with caller-owned working memory (Arnoldi basis,
-/// Hessenberg/Givens state, preconditioner scratch): allocation-free
-/// once the workspace has seen this `(n, restart)` size, and from the
-/// first solve after [`SolverWorkspace::reserve`].
-///
-/// This is the `FixedLanes<1>` instantiation of the lockstep Arnoldi
-/// core ([`crate::gmres_batch_with`] at width 1) — bit-identical
-/// iterates, iteration counts, histories and statuses.
-///
-/// # Panics
-/// On dimension mismatches.
-pub fn gmres_with<T: Scalar, P: Preconditioner<T>>(
-    a: &CsrMatrix<T>,
-    b: &[T],
-    x: &mut [T],
+/// On panel shape mismatches or when `results.len() != b.ncols()`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
+    flexible: bool,
+    a: &A,
+    b: Panel<'_, T>,
+    mut x: PanelMut<'_, T>,
     m: &P,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace<T>,
-) -> SolverResult {
-    crate::batch_gmres::gmres_scalar(false, a, b, x, m, opts, ws)
+    results: &mut [SolverResult],
+) {
+    let n = a.nrows();
+    let k = b.ncols();
+    assert_eq!(b.nrows(), n, "gmres: rhs panel rows");
+    assert_eq!(x.nrows(), n, "gmres: solution panel rows");
+    assert_eq!(x.ncols(), k, "gmres: panel widths differ");
+    assert_eq!(results.len(), k, "gmres: results length");
+    if k == 0 {
+        return;
+    }
+    for r in results.iter_mut() {
+        *r = SolverResult::default();
+    }
+    let restart = opts.restart.max(1).min(n.max(1));
+    ws.ensure_gmres(n, k, restart, flexible);
+    // Rearm every lane to ACTIVE for this solve (storage pre-sized).
+    ws.mask.reset(k);
+    let SolverWorkspace {
+        precond,
+        pz,
+        pq,
+        pu,
+        v_basis,
+        z_basis,
+        ph,
+        pcs,
+        psn,
+        pg,
+        pyk,
+        col_bnorm,
+        col_relres,
+        mask,
+        col_iters,
+        ..
+    } = ws;
+    let nk = n * k;
+    // Per-column strides into the flat small-state arrays.
+    let hs = (restart + 1) * restart;
+    let gs = restart + 1;
+
+    // ---- Per-column setup. ------------------------------------------
+    for c in 0..k {
+        col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
+        col_iters[c] = 0;
+        if col_bnorm[c] != 0.0 && col_bnorm[c].is_finite() {
+            mask.set(c, LANE_PENDING);
+            continue;
+        }
+        // The column never enters a cycle; zero its basis slots so the
+        // shared applies carry finite data along.
+        for slot in v_basis[..=restart].iter_mut() {
+            slot[c * n..(c + 1) * n].fill(T::ZERO);
+        }
+        if col_bnorm[c] == 0.0 {
+            // Trivial column: x = 0, converged in 0 iterations.
+            x.col_mut(c).fill(T::ZERO);
+            mask.set(c, LANE_DONE);
+            results[c].converged = true;
+            results[c].status = SolverStatus::Converged;
+        } else {
+            // Hostile RHS (NaN/∞): freeze at the initial guess.
+            retire(c, 0, f64::NAN, opts, mask, results);
+        }
+    }
+
+    // ---- Lockstep restart cycles. -----------------------------------
+    loop {
+        // Cycle start: every pending column computes its true residual
+        // and either finishes or (re-)enters the shared cycle.
+        for c in 0..k {
+            if !mask.is(c, LANE_PENDING) {
+                continue;
+            }
+            let rc = c * n..(c + 1) * n;
+            // r = b - A x (into u).
+            let u = &mut pu[rc.clone()];
+            a.col_matrix(c).spmv_into(x.col(c), u);
+            for (ui, bi) in u.iter_mut().zip(b.col(c)) {
+                *ui = *bi - *ui;
+            }
+            let beta = vecops::norm2(u);
+            col_relres[c] = beta.to_f64() / col_bnorm[c];
+            if opts.record_history && results[c].history.is_empty() {
+                results[c].history.push(col_relres[c]);
+            }
+            // Converged, out of iterations, or the per-restart guard:
+            // the true residual turned NaN/∞ (poisoned preconditioner
+            // or matrix values) — freeze the column instead of spinning
+            // every remaining cycle on NaNs.
+            if !col_relres[c].is_finite()
+                || col_relres[c] < opts.tol
+                || col_iters[c] >= opts.max_iters
+            {
+                retire(c, col_iters[c], col_relres[c], opts, mask, results);
+                continue;
+            }
+            // v₀ = r / β; reset the rotated RHS g.
+            let v0 = &mut v_basis[0][rc];
+            v0.copy_from_slice(u);
+            vecops::scale(T::ONE / beta, v0);
+            let g = &mut pg[c * gs..(c + 1) * gs];
+            g.fill(T::ZERO);
+            g[0] = beta;
+            mask.set(c, LANE_ACTIVE);
+        }
+        if !mask.any_active() {
+            break; // every column is DONE or HALTED
+        }
+
+        // Inner Arnoldi steps, in lockstep across the panel.
+        for j in 0..restart {
+            if !mask.any_active() {
+                break;
+            }
+            // zⱼ = M⁻¹ vⱼ: ONE panel apply over the stacked basis slot j
+            // serves every active column; masked columns carry stale
+            // (finite-or-not, column-independent) data along.
+            let zj = if flexible { &mut z_basis[j] } else { &mut *pz };
+            m.apply_panel_with(
+                precond,
+                Panel::new(&v_basis[j][..nk], n, k),
+                PanelMut::new(&mut zj[..nk], n, k),
+            );
+            for c in 0..k {
+                if !mask.is_active(c) {
+                    continue;
+                }
+                col_iters[c] += 1;
+                let rc = c * n..(c + 1) * n;
+                let h = &mut ph[c * hs..(c + 1) * hs];
+                let cs = &mut pcs[c * restart..(c + 1) * restart];
+                let sn = &mut psn[c * restart..(c + 1) * restart];
+                let g = &mut pg[c * gs..(c + 1) * gs];
+                // w = A zⱼ (w lives in this column's pq slot).
+                let zc = if flexible { &z_basis[j] } else { &*pz };
+                let w = &mut pq[rc.clone()];
+                a.col_matrix(c).spmv_into(&zc[rc.clone()], w);
+                // Modified Gram–Schmidt against this column's basis.
+                for i in 0..=j {
+                    let vi = &v_basis[i][rc.clone()];
+                    let hij = vecops::dot(w, vi);
+                    h[i * restart + j] = hij;
+                    vecops::axpy(-hij, vi, w);
+                }
+                let hjp = vecops::norm2(w);
+                h[(j + 1) * restart + j] = hjp;
+                // Apply existing Givens rotations to the new column.
+                for i in 0..j {
+                    let hi = h[i * restart + j];
+                    let hi1 = h[(i + 1) * restart + j];
+                    h[i * restart + j] = cs[i] * hi + sn[i] * hi1;
+                    h[(i + 1) * restart + j] = -sn[i] * hi + cs[i] * hi1;
+                }
+                // New rotation to kill h[j+1, j].
+                let hjj = h[j * restart + j];
+                let denom = (hjj * hjj + hjp * hjp).sqrt();
+                let (cj, sj) = if denom == T::ZERO {
+                    (T::ONE, T::ZERO)
+                } else {
+                    (hjj / denom, hjp / denom)
+                };
+                cs[j] = cj;
+                sn[j] = sj;
+                h[j * restart + j] = cj * hjj + sj * hjp;
+                h[(j + 1) * restart + j] = T::ZERO;
+                g[j + 1] = -sj * g[j];
+                g[j] = cj * g[j];
+                col_relres[c] = g[j + 1].abs().to_f64() / col_bnorm[c];
+                if opts.record_history {
+                    results[c].history.push(col_relres[c]);
+                }
+                // The column stays in the cycle unless it converged,
+                // broke down happily (h_{j+1,j} = 0: the Krylov space
+                // closed), ran out of iterations, or the cycle is full.
+                let capped = col_iters[c] >= opts.max_iters;
+                if !(col_relres[c] < opts.tol || hjp == T::ZERO || capped) {
+                    // v_{j+1} = w / h_{j+1,j}.
+                    let vnext = &mut v_basis[j + 1][rc.clone()];
+                    vnext.copy_from_slice(w);
+                    vecops::scale(T::ONE / hjp, vnext);
+                    if j + 1 < restart {
+                        continue;
+                    }
+                }
+                // Leaving the cycle, exactly where this column's
+                // standalone recurrence does: back-substitute y from the
+                // triangularized Hessenberg and correct x.
+                let yk = &mut pyk[c * restart..(c + 1) * restart];
+                for i in (0..=j).rev() {
+                    let mut s = g[i];
+                    for kk in (i + 1)..=j {
+                        s -= h[i * restart + kk] * yk[kk];
+                    }
+                    yk[i] = s / h[i * restart + i];
+                }
+                if flexible {
+                    // x += Z y — Z already holds the preconditioned
+                    // directions (the "flexible" difference).
+                    for (kk, y) in yk[..=j].iter().enumerate() {
+                        vecops::axpy(*y, &z_basis[kk][rc.clone()], x.col_mut(c));
+                    }
+                } else {
+                    // x += M⁻¹ (V y): one single-column apply into
+                    // this column's pz slot.
+                    let u = &mut pu[rc.clone()];
+                    u.fill(T::ZERO);
+                    for (kk, y) in yk[..=j].iter().enumerate() {
+                        vecops::axpy(*y, &v_basis[kk][rc.clone()], u);
+                    }
+                    let z = &mut pz[rc];
+                    m.apply_column_with(precond, c, u, z);
+                    for (xi, zi) in x.col_mut(c).iter_mut().zip(z.iter()) {
+                        *xi += *zi;
+                    }
+                }
+                if col_relres[c] < opts.tol || capped {
+                    retire(c, col_iters[c], col_relres[c], opts, mask, results);
+                } else {
+                    // Re-enter at the panel's next restart boundary,
+                    // where the cycle-start residual check decides: an
+                    // immediate restart, deferred to the shared
+                    // boundary so the applies keep one shape.
+                    mask.set(c, LANE_PENDING);
+                }
+            }
+        }
+    }
+}
+
+/// Freezes column `c` with its final statistics. The status follows
+/// from the last residual estimate: below tolerance → converged;
+/// non-finite → breakdown; otherwise the iteration cap ran out.
+fn retire(
+    c: usize,
+    iterations: usize,
+    relres: f64,
+    opts: &SolverOptions,
+    mask: &mut LaneMask,
+    results: &mut [SolverResult],
+) {
+    let converged = relres < opts.tol;
+    mask.set(c, if converged { LANE_DONE } else { LANE_HALTED });
+    results[c].converged = converged;
+    results[c].iterations = iterations;
+    results[c].relative_residual = relres;
+    results[c].status = if converged {
+        SolverStatus::Converged
+    } else if relres.is_finite() {
+        SolverStatus::MaxIters
+    } else {
+        SolverStatus::NumericalBreakdown
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolverStatus;
-    use javelin_core::precond::IdentityPrecond;
-    use javelin_core::{factorize, IluOptions};
-    use javelin_sparse::CooMatrix;
+    use crate::{krylov_panel_with, krylov_with, Method, ScenarioMatrices};
+    use javelin_core::precond::{IdentityPrecond, SsorPrecond};
+    use javelin_core::{factorize, IluOptions, SolveEngine, SymbolicIlu};
+    use javelin_sparse::{CooMatrix, CsrMatrix};
+    use javelin_synth::grid::convection_diffusion_2d;
+    use javelin_synth::util::{revalue, rhs_panel};
+    use parking_lot::Mutex;
+
+    /// Both flavours of the one core: every lockstep test below runs
+    /// GMRES and FGMRES through the same assertions.
+    const FLAVOURS: [Method; 2] = [Method::Gmres, Method::Fgmres];
+
+    fn panel_solve(
+        method: Method,
+        a: &impl PanelMatrices<f64>,
+        b: &[f64],
+        k: usize,
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) -> (Vec<f64>, Vec<SolverResult>) {
+        let n = a.nrows();
+        let mut x = vec![0.0; n * k];
+        let results = krylov_panel_with(
+            method,
+            a,
+            Panel::new(b, n, k),
+            PanelMut::new(&mut x, n, k),
+            m,
+            opts,
+            &mut SolverWorkspace::new(),
+        );
+        (x, results)
+    }
+
+    /// One right-hand side in a fresh workspace.
+    fn solve_one(
+        method: Method,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        x: &mut [f64],
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) -> SolverResult {
+        krylov_with(method, a, b, x, m, opts, &mut SolverWorkspace::new())
+    }
+
+    /// Column `c` of the panel solve ≡ the width-1 solve of column `c`
+    /// (`a(c)` / `m(c)` name that column's operator and preconditioner).
+    fn assert_column_bitwise(
+        method: Method,
+        c: usize,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        (batch_x, batch_res): &(Vec<f64>, Vec<SolverResult>),
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) {
+        let n = a.nrows();
+        let mut x = vec![0.0; n];
+        let bc = &b[c * n..(c + 1) * n];
+        let r = krylov_with(method, a, bc, &mut x, m, opts, &mut SolverWorkspace::new());
+        let br = &batch_res[c];
+        assert_eq!(br.converged, r.converged, "{method} col {c}");
+        assert_eq!(br.status, r.status, "{method} col {c}");
+        assert_eq!(br.iterations, r.iterations, "{method} col {c}");
+        assert_eq!(
+            br.relative_residual.to_bits(),
+            r.relative_residual.to_bits(),
+            "{method} col {c}"
+        );
+        assert_eq!(br.history, r.history, "{method} col {c}");
+        let bb: Vec<u64> = batch_x[c * n..(c + 1) * n]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bb, sb, "{method} col {c}");
+    }
+
+    fn assert_columns_bitwise(
+        method: Method,
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        k: usize,
+        batch: &(Vec<f64>, Vec<SolverResult>),
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) {
+        for c in 0..k {
+            assert_column_bitwise(method, c, a, b, batch, m, opts);
+        }
+    }
+
+    #[test]
+    fn batch_is_bitwise_identical_to_independent_scalar_runs() {
+        let a = convection_diffusion_2d(13, 11, 0.4, 0.2);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
+        let opts = SolverOptions::default();
+        for method in FLAVOURS {
+            for k in [1usize, 3, 4, 8] {
+                let b = rhs_panel(n, k, 23);
+                let batch = panel_solve(method, &a, &b, k, &f, &opts);
+                assert!(batch.1.iter().all(|r| r.converged), "{method} k={k}");
+                assert_columns_bitwise(method, &a, &b, k, &batch, &f, &opts);
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_restarts_preserve_bitwise_identity() {
+        // A short restart length forces several full cycles per column
+        // — the lockstep-restart boundary is where block GMRES variants
+        // usually diverge from the scalar recurrence, so pin it with an
+        // unpreconditioned run (many cycles) and histories on.
+        let a = convection_diffusion_2d(12, 12, 0.6, 0.3);
+        let n = a.nrows();
+        let opts = SolverOptions {
+            restart: 7,
+            record_history: true,
+            ..Default::default()
+        };
+        for method in FLAVOURS {
+            for k in [2usize, 5, 8] {
+                let b = rhs_panel(n, k, 31);
+                let batch = panel_solve(method, &a, &b, k, &IdentityPrecond, &opts);
+                assert!(batch.1.iter().all(|r| r.converged), "{method} k={k}");
+                assert!(
+                    batch.1.iter().any(|r| r.iterations > 7),
+                    "{method} k={k}: want at least one column past the first restart"
+                );
+                assert_columns_bitwise(method, &a, &b, k, &batch, &IdentityPrecond, &opts);
+            }
+        }
+    }
+
+    #[test]
+    fn scenario_columns_iterate_on_their_own_operator_and_factors() {
+        // One matrix and one preconditioner per column: every
+        // single-column apply of the core (the GMRES correction) must
+        // dispatch on the column too.
+        let base = convection_diffusion_2d(9, 8, 0.4, 0.2);
+        let n = base.nrows();
+        let k = 4;
+        let mats: Vec<_> = (0..k)
+            .map(|c| revalue(&base, 0.1 + c as f64, 0.05))
+            .collect();
+        let refs: Vec<_> = mats.iter().collect();
+        let sym = SymbolicIlu::analyze(&base, &IluOptions::ilu0(1)).unwrap();
+        let factors = sym.factor_batch(&refs).unwrap();
+        let m = factors.precond(SolveEngine::Serial);
+        let opts = SolverOptions {
+            restart: 5,
+            ..Default::default()
+        };
+        let b = rhs_panel(n, k, 41);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &ScenarioMatrices(&refs), &b, k, &m, &opts);
+            assert!(batch.1.iter().all(|r| r.converged), "{method}");
+            for c in 0..k {
+                let fc = factors.to_factors(c);
+                let fc = fc.with_engine(SolveEngine::Serial);
+                assert_column_bitwise(method, c, &mats[c], &b, &batch, &fc, &opts);
+            }
+        }
+    }
+
+    #[test]
+    fn masking_freezes_converged_columns_independently() {
+        let a = convection_diffusion_2d(14, 14, 0.5, 0.1);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::default()).unwrap();
+        let opts = SolverOptions::default();
+        let mut b = vec![0.0; n * 2];
+        b[0] = 1e-3; // nearly-aligned easy column
+        for i in 0..n {
+            b[n + i] = ((i * 17 % 31) as f64 - 15.0) * 0.4;
+        }
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &f, &opts);
+            let res = &batch.1;
+            assert!(res[0].converged && res[1].converged);
+            assert!(
+                res[0].iterations <= res[1].iterations,
+                "{method}: easy column {} vs hard column {}",
+                res[0].iterations,
+                res[1].iterations
+            );
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &f, &opts);
+        }
+    }
+
+    #[test]
+    fn zero_and_nan_rhs_columns_freeze_without_touching_their_neighbours() {
+        let a = convection_diffusion_2d(6, 6, 0.3, 0.3);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::default()).unwrap();
+        let opts = SolverOptions::default();
+        // Columns: zero, healthy, NaN, healthy.
+        let mut b = vec![0.0; n * 4];
+        for i in 0..n {
+            b[n + i] = 1.0;
+            b[2 * n + i] = 0.5;
+            b[3 * n + i] = ((i * 7 % 11) as f64) - 5.0;
+        }
+        b[2 * n + 4] = f64::NAN;
+        for method in FLAVOURS {
+            // The frozen columns start from a visible guess; the healthy
+            // ones from zero, like the scalar reference runs.
+            let mut x = vec![0.0; n * 4];
+            x[..n].fill(5.0);
+            x[2 * n..3 * n].fill(5.0);
+            let res = krylov_panel_with(
+                method,
+                &a,
+                Panel::new(&b, n, 4),
+                PanelMut::new(&mut x, n, 4),
+                &f,
+                &opts,
+                &mut SolverWorkspace::new(),
+            );
+            assert!(res[0].converged && res[0].iterations == 0, "{method}");
+            assert!(x[..n].iter().all(|&v| v == 0.0), "{method}");
+            assert_eq!(res[2].status, SolverStatus::NumericalBreakdown);
+            assert_eq!(res[2].iterations, 0, "{method}");
+            assert!(
+                x[2 * n..3 * n].iter().all(|&v| v == 5.0),
+                "{method}: a NaN column stays at its initial guess"
+            );
+            let batch = (x, res);
+            for c in [1usize, 3] {
+                assert!(batch.1[c].iterations > 0, "{method} col {c}");
+                assert_column_bitwise(method, c, &a, &b, &batch, &f, &opts);
+            }
+        }
+    }
+
+    #[test]
+    fn exact_preconditioner_converges_in_one_step_per_column() {
+        // ILU with full fill = exact LU: every column needs ≤ 2 inner
+        // steps, and the batch must agree with the scalar runs exactly.
+        let a = convection_diffusion_2d(7, 7, 0.4, 0.2);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::default().with_fill(n)).unwrap();
+        let opts = SolverOptions::default();
+        let k = 4;
+        let b = rhs_panel(n, k, 13);
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, k, &f, &opts);
+            for r in &batch.1 {
+                assert!(r.converged);
+                assert!(r.iterations <= 2, "took {} iterations", r.iterations);
+            }
+            assert_columns_bitwise(method, &a, &b, k, &batch, &f, &opts);
+        }
+    }
+
+    #[test]
+    fn iteration_cap_matches_scalar_exactly() {
+        let a = convection_diffusion_2d(14, 14, 0.6, 0.2);
+        let n = a.nrows();
+        let b = rhs_panel(n, 2, 3);
+        let opts = SolverOptions {
+            max_iters: 5,
+            tol: 1e-14,
+            restart: 3, // cap lands mid-cycle: 5 = 3 + 2
+            record_history: true,
+        };
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &IdentityPrecond, &opts);
+            for r in &batch.1 {
+                assert!(!r.converged);
+                assert_eq!(r.iterations, 5);
+            }
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &IdentityPrecond, &opts);
+        }
+    }
+
+    #[test]
+    fn happy_breakdown_pauses_one_column_until_the_shared_boundary() {
+        // Column 0 closes its Krylov space exactly (b = β·e₄ on a
+        // diagonal operator; reachable only with tol = 0) while column 1
+        // keeps iterating: column 0 pauses to the next shared restart
+        // boundary and re-enters there, bit for bit the scalar run.
+        let n = 6;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 3.0 + i as f64).unwrap();
+        }
+        let a = coo.to_csr();
+        let mut b = vec![0.0; 2 * n];
+        b[4] = 0.9;
+        for i in 0..n {
+            b[n + i] = 1.0 + i as f64;
+        }
+        let opts = SolverOptions {
+            tol: 0.0,
+            max_iters: 2,
+            restart: 4,
+            record_history: true,
+        };
+        for method in FLAVOURS {
+            let batch = panel_solve(method, &a, &b, 2, &IdentityPrecond, &opts);
+            assert_eq!(batch.1[0].iterations, 2, "{method}");
+            assert_columns_bitwise(method, &a, &b, 2, &batch, &IdentityPrecond, &opts);
+        }
+    }
+
+    #[test]
+    fn workspace_reuse_across_widths_is_bitwise_stable() {
+        let a = convection_diffusion_2d(10, 9, 0.2, 0.4);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
+        let opts = SolverOptions {
+            restart: 9,
+            ..Default::default()
+        };
+        let b3 = rhs_panel(n, 3, 5);
+        let reference = {
+            let mut x = vec![0.0; n * 3];
+            krylov_panel_with(
+                Method::Gmres,
+                &a,
+                Panel::new(&b3, n, 3),
+                PanelMut::new(&mut x, n, 3),
+                &f,
+                &opts,
+                &mut SolverWorkspace::new(),
+            );
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let mut ws = SolverWorkspace::new();
+        for rep in 0..3 {
+            let mut x = vec![0.0; n * 3];
+            krylov_panel_with(
+                Method::Gmres,
+                &a,
+                Panel::new(&b3, n, 3),
+                PanelMut::new(&mut x, n, 3),
+                &f,
+                &opts,
+                &mut ws,
+            );
+            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, reference, "rep {rep}");
+            let mut x1 = vec![0.0; n];
+            krylov_panel_with(
+                Method::Gmres,
+                &a,
+                Panel::new(&b3[..n], n, 1),
+                PanelMut::new(&mut x1, n, 1),
+                &f,
+                &opts,
+                &mut ws,
+            );
+        }
+    }
 
     fn convection(nx: usize, ny: usize) -> CsrMatrix<f64> {
         let n = nx * ny;
@@ -101,7 +721,14 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) * 0.1 - 0.5).collect();
         let b = a.spmv(&x_true);
         let mut x = vec![0.0; n];
-        let res = gmres(&a, &b, &mut x, &IdentityPrecond, &SolverOptions::default());
+        let res = solve_one(
+            Method::Gmres,
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &SolverOptions::default(),
+        );
         assert!(res.converged, "relres = {}", res.relative_residual);
         let ax = a.spmv(&x);
         let err: f64 = b
@@ -121,12 +748,19 @@ mod tests {
         let b = vec![1.0; n];
         let plain = {
             let mut x = vec![0.0; n];
-            gmres(&a, &b, &mut x, &IdentityPrecond, &SolverOptions::default())
+            solve_one(
+                Method::Gmres,
+                &a,
+                &b,
+                &mut x,
+                &IdentityPrecond,
+                &SolverOptions::default(),
+            )
         };
         let f = factorize(&a, &IluOptions::default()).unwrap();
         let pre = {
             let mut x = vec![0.0; n];
-            gmres(&a, &b, &mut x, &f, &SolverOptions::default())
+            solve_one(Method::Gmres, &a, &b, &mut x, &f, &SolverOptions::default())
         };
         assert!(plain.converged && pre.converged);
         assert!(
@@ -148,7 +782,7 @@ mod tests {
             max_iters: 10000,
             ..Default::default()
         };
-        let res = gmres(&a, &b, &mut x, &IdentityPrecond, &opts);
+        let res = solve_one(Method::Gmres, &a, &b, &mut x, &IdentityPrecond, &opts);
         assert!(res.converged, "relres = {}", res.relative_residual);
     }
 
@@ -160,7 +794,7 @@ mod tests {
         let f = factorize(&a, &IluOptions::default().with_fill(n)).unwrap();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
         let mut x = vec![0.0; n];
-        let res = gmres(&a, &b, &mut x, &f, &SolverOptions::default());
+        let res = solve_one(Method::Gmres, &a, &b, &mut x, &f, &SolverOptions::default());
         assert!(res.converged);
         assert!(res.iterations <= 2, "took {} iterations", res.iterations);
     }
@@ -170,7 +804,14 @@ mod tests {
         let a = convection(4, 4);
         let b = vec![0.0; 16];
         let mut x = vec![3.0; 16];
-        let res = gmres(&a, &b, &mut x, &IdentityPrecond, &SolverOptions::default());
+        let res = solve_one(
+            Method::Gmres,
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &SolverOptions::default(),
+        );
         assert!(res.converged);
         assert!(x.iter().all(|&v| v == 0.0));
     }
@@ -185,35 +826,18 @@ mod tests {
             tol: 1e-14,
             ..Default::default()
         };
-        let res = gmres(&a, &b, &mut x, &IdentityPrecond, &opts);
+        let res = solve_one(Method::Gmres, &a, &b, &mut x, &IdentityPrecond, &opts);
         assert!(!res.converged);
         assert_eq!(res.iterations, 5);
     }
 
     // ---- Golden pin -------------------------------------------------
-    // Recorded from the hand-written scalar `gmres_with` / `fgmres_with`
-    // at the commit before they became `FixedLanes<1>` instantiations of
-    // the lockstep core. The panel-vs-scalar bitwise grids now compare
-    // one implementation with itself, so the historical bits are pinned
-    // here: (iterations, status, relative_residual bits, history
-    // length, FNV-1a over the bits of x).
-    type Golden = (usize, SolverStatus, u64, usize, u64);
-
-    fn fnv1a(x: &[f64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for byte in x.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    /// Integer-arithmetic right-hand side (no libm, so the pins do not
-    /// depend on the platform's `sin`).
-    fn rhs(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| ((i * 13 % 29) as f64 - 14.0) * 0.21)
-            .collect()
-    }
+    // Recorded from the hand-written scalar GMRES / FGMRES solvers at
+    // the commit before they became width-1 runs of the lockstep
+    // driver. The panel-vs-scalar bitwise grids compare one
+    // implementation with itself, so the historical bits are pinned
+    // here (see `crate::golden` for the tuple).
+    use crate::golden::{self, Golden};
 
     fn run<P: Preconditioner<f64>>(
         flexible: bool,
@@ -223,20 +847,12 @@ mod tests {
         m: &P,
         opts: SolverOptions,
     ) -> Golden {
-        let mut x = vec![x0; a.nrows()];
-        let solver = if flexible {
-            crate::fgmres_with
+        let method = if flexible {
+            Method::Fgmres
         } else {
-            gmres_with
+            Method::Gmres
         };
-        let res = solver(a, b, &mut x, m, &opts, &mut SolverWorkspace::new());
-        (
-            res.iterations,
-            res.status,
-            res.relative_residual.to_bits(),
-            res.history.len(),
-            fnv1a(&x),
-        )
+        golden::run(method, a, b, x0, m, opts)
     }
 
     fn golden_run(fixture: usize, flexible: bool) -> Golden {
@@ -252,13 +868,27 @@ mod tests {
             // ILU(0), default restart 50, history on.
             0 => {
                 let a = cd(13, 11, 0.4, 0.2);
-                run(flexible, &a, &rhs(a.nrows()), 0.0, &ilu(&a, 0), hist)
+                run(
+                    flexible,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.0,
+                    &ilu(&a, 0),
+                    hist,
+                )
             }
             // Unpreconditioned, several full cycles of 7, warm start.
             1 => {
                 let a = cd(12, 12, 0.6, 0.3);
                 let opts = SolverOptions { restart: 7, ..hist };
-                run(flexible, &a, &rhs(a.nrows()), 0.5, &IdentityPrecond, opts)
+                run(
+                    flexible,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.5,
+                    &IdentityPrecond,
+                    opts,
+                )
             }
             // GMRES(1): a restart boundary after every step.
             2 => {
@@ -268,7 +898,14 @@ mod tests {
                     max_iters: 10_000,
                     ..Default::default()
                 };
-                run(flexible, &a, &rhs(a.nrows()), 0.0, &IdentityPrecond, opts)
+                run(
+                    flexible,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.0,
+                    &IdentityPrecond,
+                    opts,
+                )
             }
             // ILU(0) with a short restart and a tight tolerance.
             3 => {
@@ -278,7 +915,14 @@ mod tests {
                     tol: 1e-12,
                     ..hist
                 };
-                run(flexible, &a, &rhs(a.nrows()), 0.0, &ilu(&a, 0), opts)
+                run(
+                    flexible,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.0,
+                    &ilu(&a, 0),
+                    opts,
+                )
             }
             // Iteration cap lands mid-cycle: 5 = 3 + 2.
             4 => {
@@ -289,7 +933,14 @@ mod tests {
                     restart: 3,
                     record_history: true,
                 };
-                run(flexible, &a, &rhs(a.nrows()), 0.0, &IdentityPrecond, opts)
+                run(
+                    flexible,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.0,
+                    &IdentityPrecond,
+                    opts,
+                )
             }
             // Full fill = exact LU: the Krylov space closes at once.
             5 => {
@@ -297,7 +948,7 @@ mod tests {
                 run(
                     flexible,
                     &a,
-                    &rhs(a.nrows()),
+                    &golden::rhs(a.nrows()),
                     0.0,
                     &ilu(&a, a.nrows()),
                     hist,
@@ -311,7 +962,7 @@ mod tests {
             // NaN right-hand side: frozen at the initial guess.
             7 => {
                 let a = cd(5, 4, 0.3, 0.3);
-                let mut b = rhs(a.nrows());
+                let mut b = golden::rhs(a.nrows());
                 b[7] = f64::NAN;
                 run(flexible, &a, &b, 0.25, &IdentityPrecond, hist)
             }
@@ -338,7 +989,7 @@ mod tests {
         }
     }
 
-    /// `[fixture] = (gmres_with, fgmres_with)`, see `golden_run`.
+    /// `[fixture] = (GMRES, FGMRES)`, see `golden_run`.
     const GOLDEN: [(Golden, Golden); 9] = [
         // 0: ILU(0), restart 50
         (
@@ -509,5 +1160,108 @@ mod tests {
                 "fgmres fixture {fixture}"
             );
         }
+    }
+
+    #[test]
+    fn fgmres_matches_gmres_with_fixed_preconditioner() {
+        let a = convection(10, 10);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::default()).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
+        let opts = SolverOptions {
+            tol: 1e-10,
+            ..Default::default()
+        };
+        let mut xg = vec![0.0; n];
+        let rg = solve_one(Method::Gmres, &a, &b, &mut xg, &f, &opts);
+        let mut xf = vec![0.0; n];
+        let rf = solve_one(Method::Fgmres, &a, &b, &mut xf, &f, &opts);
+        assert!(rg.converged && rf.converged);
+        // With a fixed preconditioner FGMRES spans the same space.
+        assert_eq!(rg.iterations, rf.iterations);
+        for (g, w) in xf.iter().zip(xg.iter()) {
+            assert!((g - w).abs() < 1e-8, "{g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn fgmres_tolerates_a_varying_preconditioner() {
+        // A preconditioner that alternates between SSOR(1.0) and
+        // SSOR(1.5) per application — invalid for plain GMRES's final
+        // M^{-1}(V y) step, fine for FGMRES.
+        struct Alternating {
+            a: SsorPrecond<f64>,
+            b: SsorPrecond<f64>,
+            flip: Mutex<bool>,
+        }
+        impl Preconditioner<f64> for Alternating {
+            fn apply(&self, r: &[f64], z: &mut [f64]) {
+                let mut flip = self.flip.lock();
+                if *flip {
+                    self.a.apply(r, z);
+                } else {
+                    self.b.apply(r, z);
+                }
+                *flip = !*flip;
+            }
+        }
+        let a = convection(12, 12);
+        let n = a.nrows();
+        let pre = Alternating {
+            a: SsorPrecond::new(&a, 1.0).unwrap(),
+            b: SsorPrecond::new(&a, 1.5).unwrap(),
+            flip: Mutex::new(false),
+        };
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut x = vec![0.0; n];
+        let res = solve_one(
+            Method::Fgmres,
+            &a,
+            &b,
+            &mut x,
+            &pre,
+            &SolverOptions::default(),
+        );
+        assert!(res.converged, "relres {}", res.relative_residual);
+        // True residual.
+        let ax = a.spmv(&x);
+        let err: f64 = b
+            .iter()
+            .zip(&ax)
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum::<f64>()
+            .sqrt();
+        let bn: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        assert!(err / bn < 1e-5, "true relres {}", err / bn);
+    }
+
+    #[test]
+    fn fgmres_unpreconditioned_equals_gmres() {
+        let a = convection(8, 8);
+        let b = vec![1.0; 64];
+        let opts = SolverOptions::default();
+        let mut xg = vec![0.0; 64];
+        let rg = solve_one(Method::Gmres, &a, &b, &mut xg, &IdentityPrecond, &opts);
+        let mut xf = vec![0.0; 64];
+        let rf = solve_one(Method::Fgmres, &a, &b, &mut xf, &IdentityPrecond, &opts);
+        assert_eq!(rg.iterations, rf.iterations);
+        assert!(rg.converged && rf.converged);
+    }
+
+    #[test]
+    fn zero_rhs_trivial() {
+        let a = convection(4, 4);
+        let b = vec![0.0; 16];
+        let mut x = vec![2.0; 16];
+        let res = solve_one(
+            Method::Fgmres,
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            &SolverOptions::default(),
+        );
+        assert!(res.converged);
+        assert_eq!(res.iterations, 0);
     }
 }

@@ -4,76 +4,53 @@
 //! and the measurement instrument of the paper's Table II (iterations
 //! to a 1e-6 relative residual under different orderings).
 //!
-//! * [`fn@cg`] — (preconditioned) conjugate gradients for SPD systems;
-//! * [`fn@gmres`] — restarted GMRES with right preconditioning and Givens
-//!   least-squares;
-//! * [`fn@fgmres`] — flexible GMRES for iteration-varying preconditioners;
-//! * [`fn@bicgstab`] — BiCGSTAB for nonsymmetric systems;
-//! * [`solve_batch`] — `k` independent PCG systems in lockstep over one
-//!   RHS panel, sharing one preconditioner schedule walk per iteration
-//!   with per-column convergence masking (the serving-scale multi-RHS
-//!   driver);
-//! * [`bicgstab_batch`] / [`gmres_batch`] — the nonsymmetric batch
-//!   drivers: lockstep BiCGSTAB with per-column breakdown masking, and
-//!   lockstep-restart GMRES with per-column Hessenberg/Givens state
-//!   (FGMRES panels run the same core through [`Method::Fgmres`]).
+//! [`Method`] names the four methods: preconditioned CG, restarted
+//! GMRES, flexible GMRES and BiCGSTAB. Each is **one lockstep panel
+//! driver**: `k` systems advance together through one RHS panel,
+//! sharing one preconditioner schedule walk per apply, with per-column
+//! convergence and breakdown masking. A single right-hand side is the
+//! `k = 1` panel.
 //!
-//! All solvers share [`SolverOptions`] / [`SolverResult`] and take any
-//! [`javelin_core::Preconditioner`]; the [`Method`] enum plus
-//! [`krylov_with`] / [`krylov_panel_with`] / [`krylov_panel_into`]
-//! give a single dispatched entry over all of them — the method axis
-//! of the `javelin::Session` façade.
+//! ## Three entries, one driver per method
 //!
-//! Every solver comes in two forms: the plain entry point (`pcg`,
-//! `gmres`, …) that allocates its own working vectors, and a `_with`
-//! variant threading a caller-owned [`SolverWorkspace`] through the
-//! iteration — including the [`javelin_core::ApplyScratch`] handed to
-//! [`javelin_core::Preconditioner::apply_with`]. The batch drivers add
-//! a third, `_into`, writing results into a caller slice for fully
-//! allocation-free solves. After the workspace's first use at a given
-//! size, a full solve performs **zero heap allocations**
-//! (residual-history recording, off by default, is the one documented
-//! exception), pairing with the factorization's persistent worker team
-//! for an allocation-free, spawn-free Krylov hot loop.
+//! * [`krylov_panel_into`] — the one [`Method`] dispatch: a panel, with
+//!   per-column results written into a caller slice (the fully
+//!   allocation-free form, the solve service's hot path);
+//! * [`krylov_panel_with`] — the same, returning a `Vec<SolverResult>`;
+//! * [`krylov_with`] — one right-hand side, run as a width-1 panel
+//!   with its result on the stack.
 //!
-//! ## One convergence loop per method — the lane layer
+//! All three take any [`javelin_core::Preconditioner`], share
+//! [`SolverOptions`] / [`SolverResult`], and thread a caller-owned
+//! [`SolverWorkspace`] through the iteration — including the
+//! [`javelin_core::ApplyScratch`] handed to the preconditioner. After
+//! the workspace's first use at a given size, a full solve performs
+//! **zero heap allocations** (residual-history recording, off by
+//! default, is the one documented exception), pairing with the
+//! factorization's persistent worker team for an allocation-free,
+//! spawn-free Krylov hot loop. `javelin::Session` is the façade over
+//! them.
 //!
-//! Every driver is **width-generic** over
-//! [`javelin_sparse::lanes::Lanes`], and every scalar solver is the
-//! `FixedLanes<1>` instantiation of its lockstep core: [`fn@pcg`] of
-//! [`solve_batch`], [`fn@bicgstab`] of [`bicgstab_batch`], and
-//! [`fn@gmres`] / [`fn@fgmres`] of the one Arnoldi core in
-//! [`batch_gmres`] (FGMRES is its `flexible` mode). There is no
-//! separate scalar convergence loop to keep in sync — restart
-//! boundaries, happy breakdown, the non-finite guards and the
-//! iteration-cap exits exist once. Panel widths `k ∈ {4, 8}`
-//! monomorphize the drivers' per-lane bookkeeping loops, and every
-//! other width runs the bit-identical `DynLanes` fallback. (The
-//! SIMD-relevant inner loops live below the drivers, in the
-//! preconditioner's trisolve and spmv kernels, which pick their own
-//! fixed-lane instantiation from the panel width.) Column `c` of any
-//! width is bit-identical to the scalar solve of that column.
+//! ## No lane generic
+//!
+//! The drivers are not generic over a lane width: every per-column
+//! loop is `for c in 0..k` over column-major `n`-vectors, and the
+//! preconditioner's trisolve and spmv kernels pick their own lane
+//! instantiation from the panel width. Restart boundaries, happy
+//! breakdown, the non-finite guards and the iteration-cap exits exist
+//! once per method, and column `c` of any width is bit-identical to
+//! the width-1 solve of that column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod batch_bicgstab;
-pub mod batch_gmres;
-pub mod bicgstab;
-pub mod cg;
-pub mod fgmres;
-pub mod gmres;
+mod bicgstab;
+mod gmres;
+mod golden;
+mod pcg;
 mod proptests;
 pub mod workspace;
 
-pub use batch::{solve_batch, solve_batch_into, solve_batch_with};
-pub use batch_bicgstab::{bicgstab_batch, bicgstab_batch_into, bicgstab_batch_with};
-pub use batch_gmres::{gmres_batch, gmres_batch_into, gmres_batch_with};
-pub use bicgstab::{bicgstab, bicgstab_with};
-pub use cg::{cg, pcg, pcg_with};
-pub use fgmres::{fgmres, fgmres_with};
-pub use gmres::{gmres, gmres_with};
 pub use workspace::SolverWorkspace;
 
 use javelin_core::Preconditioner;
@@ -142,54 +119,68 @@ impl<T: Scalar> PanelMatrices<T> for ScenarioMatrices<'_, T> {
     }
 }
 
-/// Which Krylov method a dispatched solve runs — the method axis of the
-/// unified `javelin::Session` façade.
+/// Which Krylov method a solve runs — the method axis of the
+/// [`krylov_panel_into`] dispatch and of the `javelin::Session` façade.
 ///
-/// Every variant is a lockstep panel driver: [`krylov_panel_into`]
-/// advances all `k` columns together and [`krylov_with`] runs the same
-/// driver at width 1. The scalar names and their `Batch*` synonyms are
-/// therefore the same code (kept as separate variants for callers that
-/// name one or the other); [`Method::Fgmres`] is the flexible mode of
-/// the GMRES core and is its own panel entry.
+/// Every variant is a lockstep panel driver; [`krylov_with`] runs it at
+/// width 1. The `Batch*` variants are synonyms of their scalar names
+/// (the same driver, kept for callers that name them).
 ///
 /// ```
 /// use javelin_core::{factorize, IluOptions};
-/// use javelin_solver::{krylov, Method, SolverOptions};
+/// use javelin_solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
 ///
 /// let a = javelin_synth::grid::convection_diffusion_2d(10, 10, 0.4, 0.2);
 /// let f = factorize(&a, &IluOptions::ilu0(1)).unwrap();
 /// let b = vec![1.0; a.nrows()];
+/// let mut ws = SolverWorkspace::new();
 /// for method in [Method::Gmres, Method::Fgmres, Method::Bicgstab] {
 ///     let mut x = vec![0.0; a.nrows()];
-///     let res = krylov(method, &a, &b, &mut x, &f, &SolverOptions::default());
+///     let res = krylov_with(method, &a, &b, &mut x, &f, &SolverOptions::default(), &mut ws);
 ///     assert!(res.converged, "{method}");
 /// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
-    /// Preconditioned conjugate gradients ([`pcg`] / [`solve_batch`]) —
-    /// SPD systems.
+    /// Preconditioned conjugate gradients for SPD systems, with a
+    /// (symmetric positive) preconditioner `M` applied as `z = M⁻¹·r`.
+    /// With `M = L·U` from ILU(0) of an SPD matrix this is the classic
+    /// IC-preconditioned CG the paper's iteration study drives; plain CG
+    /// is this method with `javelin_core::precond::IdentityPrecond`.
+    /// Iterations count matrix–vector products (one matvec and one
+    /// preconditioner application each).
     Pcg,
-    /// Restarted GMRES with right preconditioning ([`fn@gmres`] /
-    /// [`gmres_batch`]).
+    /// Restarted GMRES(m) with right preconditioning, `m` =
+    /// [`SolverOptions::restart`]. GMRES is the method the paper pairs
+    /// with ILU for general (nonsymmetric) systems: `stri` is "the
+    /// primary call needed for methods like GMRES that use ILU" (§VI).
+    /// Right preconditioning keeps the *true* residual observable: the
+    /// driver solves `A·M⁻¹·u = b`, `x = M⁻¹·u`, so the least-squares
+    /// residual equals the unpreconditioned one. Iterations count
+    /// *inner* Arnoldi steps (one matvec and one preconditioner
+    /// application each), as the paper's Table II reports them.
     Gmres,
-    /// Flexible GMRES ([`fn@fgmres`]) — iteration-varying
-    /// preconditioners; on a panel, `k` FGMRES systems in lockstep with
-    /// one shared apply per inner step, each column bit-identical to
-    /// [`fgmres_with`].
+    /// Flexible GMRES (FGMRES, Saad 1993): GMRES with a preconditioner
+    /// that may *change between iterations* — the standard pairing for
+    /// preconditioners that are themselves iterative or
+    /// nondeterministic (τ/MILU factors refreshed mid-solve, polynomial
+    /// or SSOR preconditioning with varying sweep counts). It applies
+    /// `M⁻¹` through a stored basis `Z = M⁻¹·V`, which is its cost over
+    /// GMRES. It is the GMRES driver's flexible mode: a panel runs `k`
+    /// FGMRES systems in lockstep with one shared apply per inner step.
+    /// Iterations count as for [`Method::Gmres`].
     Fgmres,
-    /// BiCGSTAB ([`fn@bicgstab`] / [`bicgstab_batch`]) — nonsymmetric
-    /// systems.
+    /// BiCGSTAB with right preconditioning — the low-memory alternative
+    /// to GMRES for nonsymmetric systems (circuit-style matrices in the
+    /// paper's group B often pair with it). Iterations count full
+    /// BiCGSTAB steps (two matvecs and two preconditioner applications
+    /// each).
     Bicgstab,
-    /// Synonym of [`Method::Pcg`] (lockstep batched PCG,
-    /// [`solve_batch`]).
+    /// Synonym of [`Method::Pcg`].
     BatchPcg,
-    /// Synonym of [`Method::Bicgstab`] (lockstep batched BiCGSTAB with
-    /// per-column convergence/breakdown masking, [`bicgstab_batch`]).
+    /// Synonym of [`Method::Bicgstab`].
     BatchBicgstab,
-    /// Synonym of [`Method::Gmres`] (lockstep-restart batched GMRES —
-    /// shared panel applies per inner step, per-column
-    /// Hessenberg/Givens state, [`gmres_batch`]).
+    /// Synonym of [`Method::Gmres`].
     BatchGmres,
 }
 
@@ -211,9 +202,7 @@ impl std::fmt::Display for Method {
 /// caller-owned working memory — the dispatch behind
 /// `javelin::Session::krylov`. This is [`krylov_panel_into`] over the
 /// vector viewed as a width-1 panel (a stack `[SolverResult; 1]`, so
-/// nothing is allocated on the way): every method's scalar solver *is*
-/// its lockstep driver at `FixedLanes<1>`, so the result is
-/// bit-identical to the dedicated `_with` entry point.
+/// nothing is allocated on the way).
 ///
 /// # Panics
 /// On dimension mismatches.
@@ -244,24 +233,33 @@ pub fn krylov_with<T: Scalar, P: Preconditioner<T>>(
     res
 }
 
-/// [`krylov_with`] allocating a fresh workspace — convenience for
-/// one-shot solves.
-pub fn krylov<T: Scalar, P: Preconditioner<T>>(
-    method: Method,
-    a: &CsrMatrix<T>,
-    b: &[T],
-    x: &mut [T],
-    m: &P,
-    opts: &SolverOptions,
-) -> SolverResult {
-    krylov_with(method, a, b, x, m, opts, &mut SolverWorkspace::new())
-}
-
 /// Runs the chosen Krylov [`Method`] over a whole RHS panel with
 /// caller-owned working memory — the dispatch behind
 /// `javelin::Session::krylov_panel`; [`krylov_panel_into`] with a
 /// freshly allocated result vector. Returns one [`SolverResult`] per
 /// column.
+///
+/// ```
+/// use javelin_core::{factorize, IluOptions};
+/// use javelin_solver::{krylov_panel_with, Method, SolverOptions, SolverWorkspace};
+/// use javelin_sparse::{Panel, PanelMut};
+///
+/// let a = javelin_synth::grid::convection_diffusion_2d(12, 12, 0.4, 0.2);
+/// let n = a.nrows();
+/// let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
+/// let (k, b) = (3, javelin_synth::util::rhs_panel(n, 3, 7));
+/// let mut x = vec![0.0; n * k];
+/// let results = krylov_panel_with(
+///     Method::Bicgstab,
+///     &a,
+///     Panel::new(&b, n, k),
+///     PanelMut::new(&mut x, n, k),
+///     &f,
+///     &SolverOptions::default(),
+///     &mut SolverWorkspace::new(),
+/// );
+/// assert!(results.iter().all(|r| r.converged));
+/// ```
 ///
 /// # Panics
 /// On panel shape mismatches.
@@ -282,21 +280,16 @@ pub fn krylov_panel_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 /// The one [`Method`] dispatch of the crate: runs the chosen method
 /// over an RHS panel, writing per-column results into a caller slice —
 /// the fully allocation-free entry (the service hot path), which
-/// [`krylov_with`] and [`krylov_panel_with`] wrap.
+/// [`krylov_with`] and [`krylov_panel_with`] wrap. With the workspace
+/// reserved via [`SolverWorkspace::reserve_gmres_basis`], even the
+/// first GMRES panel solve performs zero heap allocations.
 ///
 /// Every method is a lockstep panel driver: `k` systems advance
 /// together, sharing one preconditioner schedule walk per apply, with
-/// per-column convergence/breakdown masking. The scalar names and
-/// their `Batch*` synonyms run the same driver ([`Method::Pcg`] ≡
-/// [`Method::BatchPcg`] → [`solve_batch_into`], [`Method::Bicgstab`] ≡
-/// [`Method::BatchBicgstab`] → [`bicgstab_batch_into`],
-/// [`Method::Gmres`] ≡ [`Method::BatchGmres`] → [`gmres_batch_into`]),
-/// and [`Method::Fgmres`] runs the same Arnoldi core as GMRES in its
-/// flexible mode. Panel widths `k ∈ {1, 4, 8}` pick the monomorphized
-/// fixed-lane instantiations (and the preconditioner's trisolve/spmv
-/// kernels pick theirs from the same width); every other width runs
-/// the bit-identical dynamic fallback. Either way column `c` of the
-/// result is bit-identical to the scalar solve of column `c`.
+/// per-column convergence/breakdown masking. The `Batch*` synonyms run
+/// the driver of their scalar name, and [`Method::Fgmres`] runs the
+/// GMRES driver in its flexible mode. Column `c` of the result is
+/// bit-identical to the width-1 solve of column `c`.
 ///
 /// Each result slot is reset to [`SolverResult::default`] before the
 /// solve, so stale state (including a previous `retried` stamp) never
@@ -316,26 +309,11 @@ pub fn krylov_panel_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     results: &mut [SolverResult],
 ) {
     match method {
-        Method::Pcg | Method::BatchPcg => solve_batch_into(a, b, x, m, opts, ws, results),
-        Method::Bicgstab | Method::BatchBicgstab => {
-            bicgstab_batch_into(a, b, x, m, opts, ws, results)
-        }
-        Method::Gmres | Method::BatchGmres => gmres_batch_into(a, b, x, m, opts, ws, results),
-        Method::Fgmres => batch_gmres::gmres_panel_into(true, a, b, x, m, opts, ws, results),
+        Method::Pcg | Method::BatchPcg => pcg::solve(a, b, x, m, opts, ws, results),
+        Method::Bicgstab | Method::BatchBicgstab => bicgstab::solve(a, b, x, m, opts, ws, results),
+        Method::Gmres | Method::BatchGmres => gmres::solve(false, a, b, x, m, opts, ws, results),
+        Method::Fgmres => gmres::solve(true, a, b, x, m, opts, ws, results),
     }
-}
-
-/// [`krylov_panel_with`] allocating a fresh workspace — convenience for
-/// one-shot panel solves.
-pub fn krylov_panel<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
-    method: Method,
-    a: &A,
-    b: Panel<'_, T>,
-    x: PanelMut<'_, T>,
-    m: &P,
-    opts: &SolverOptions,
-) -> Vec<SolverResult> {
-    krylov_panel_with(method, a, b, x, m, opts, &mut SolverWorkspace::new())
 }
 
 /// Iteration controls shared by all solvers.
@@ -387,8 +365,8 @@ pub enum SolverStatus {
 }
 
 /// Outcome of a solve. The `Default` value (unconverged, zero
-/// iterations, empty history) is the reset state the `*_into` batch
-/// entry points write over.
+/// iterations, empty history) is the reset state [`krylov_panel_into`]
+/// writes over.
 #[derive(Debug, Clone, Default)]
 pub struct SolverResult {
     /// Whether the tolerance was met within the iteration cap.
@@ -477,14 +455,9 @@ mod tests {
         b[7] = f64::NAN;
         for method in ALL_METHODS {
             let mut x = vec![0.0; 30];
-            let res = krylov(
-                method,
-                &a,
-                &b,
-                &mut x,
-                &IdentityPrecond,
-                &SolverOptions::default(),
-            );
+            let opts = SolverOptions::default();
+            let mut ws = SolverWorkspace::new();
+            let res = krylov_with(method, &a, &b, &mut x, &IdentityPrecond, &opts, &mut ws);
             assert!(!res.converged, "{method}");
             assert_eq!(res.status, SolverStatus::NumericalBreakdown, "{method}");
             assert_eq!(res.iterations, 0, "{method}");
@@ -510,7 +483,8 @@ mod tests {
         let opts = SolverOptions::default();
         for method in ALL_METHODS {
             let mut x = vec![0.0; n];
-            let res = krylov(method, &a, &b, &mut x, &IdentityPrecond, &opts);
+            let mut ws = SolverWorkspace::new();
+            let res = krylov_with(method, &a, &b, &mut x, &IdentityPrecond, &opts, &mut ws);
             assert!(!res.converged, "{method}");
             assert_eq!(res.status, SolverStatus::NumericalBreakdown, "{method}");
             assert!(
@@ -558,13 +532,14 @@ mod tests {
                 assert!(res[c].converged, "{method} col {c}");
                 assert_eq!(res[c].status, SolverStatus::Converged, "{method} col {c}");
                 let mut xs = vec![0.0; n];
-                let scalar = krylov(
+                let scalar = krylov_with(
                     method,
                     &a,
                     &b[c * n..(c + 1) * n],
                     &mut xs,
                     &IdentityPrecond,
                     &opts,
+                    &mut SolverWorkspace::new(),
                 );
                 assert_eq!(scalar.iterations, res[c].iterations, "{method} col {c}");
                 let pb: Vec<u64> = xb[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();

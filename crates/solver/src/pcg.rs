@@ -1,22 +1,15 @@
-//! Batched PCG: `k` independent SPD systems solved in lockstep through
-//! one RHS panel.
+//! Preconditioned conjugate gradients: `k` independent SPD systems
+//! solved in lockstep through one RHS panel ([`crate::Method::Pcg`]).
 //!
-//! [`solve_batch`] runs `k` preconditioned-CG recurrences side by side,
+//! The driver runs `k` preconditioned-CG recurrences side by side,
 //! sharing one [`javelin_core::Preconditioner::apply_panel_with`] call
 //! per iteration: the preconditioner's schedule walk — the dominant
 //! per-iteration cost the paper's triangular solves pay — is traversed
 //! **once per panel**, not once per column. Per-column scalar state
-//! (α, β, ρ, residual norms) stays independent, so each column follows
-//! exactly the arithmetic of a standalone [`crate::pcg_with`] run:
-//! column `c` of the batch is **bit-identical** to solving column `c`
-//! alone, iteration counts included.
-//!
-//! Since the lane refactor the relationship is literal: the driver body
-//! is one width-generic core over [`javelin_sparse::lanes::Lanes`], and
-//! [`crate::pcg_with`] *is* its `FixedLanes<1>` instantiation — there
-//! is no separate scalar convergence loop to keep in sync. Widths
-//! `k ∈ {1, 4, 8}` run monomorphized, all others through the
-//! bit-identical dynamic fallback.
+//! (α, β, ρ, residual norms) stays independent, so column `c` of the
+//! panel is **bit-identical** to solving column `c` alone at width 1,
+//! iteration counts included. There is no separate scalar loop: a
+//! single right-hand side is the `k = 1` panel.
 //!
 //! ## Convergence masking
 //!
@@ -33,107 +26,23 @@
 //! All panel buffers live in the caller's [`SolverWorkspace`]
 //! (`ensure_panel`, grow-only). After the first solve at a given
 //! `(n, k)` — and with a warmed preconditioner scratch — an entire
-//! batched solve performs **zero steady-state heap allocations**: the
+//! solve performs **zero steady-state heap allocations**: the
 //! per-iteration loop is matvecs, dots, axpys and one panel apply. The
-//! `Vec<SolverResult>` assembled on entry and the optional residual
-//! histories (`record_history`, off by default) are the documented
-//! exceptions, mirroring the single-RHS solvers.
+//! optional residual histories (`record_history`, off by default) are
+//! the documented exception.
 
 use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::lanes::{Lanes, LANE_DONE, LANE_HALTED};
-use javelin_sparse::{vecops, with_lanes, Panel, PanelMut, Scalar};
+use javelin_sparse::lanes::{LANE_DONE, LANE_HALTED};
+use javelin_sparse::{vecops, Panel, PanelMut, Scalar};
 
-/// Batched PCG over an RHS panel, allocating a fresh workspace.
-/// Repeated callers should hold a [`SolverWorkspace`] and use
-/// [`solve_batch_with`].
-///
-/// ```
-/// use javelin_core::{factorize, IluOptions};
-/// use javelin_solver::{solve_batch, SolverOptions};
-/// use javelin_sparse::{Panel, PanelMut};
-///
-/// let a = javelin_synth::grid::laplace_2d(16, 16);
-/// let n = a.nrows();
-/// let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
-/// let (k, b) = (4, javelin_synth::util::rhs_panel(n, 4, 42));
-/// let mut x = vec![0.0; n * k];
-/// let results = solve_batch(
-///     &a,
-///     Panel::new(&b, n, k),
-///     PanelMut::new(&mut x, n, k),
-///     &f,
-///     &SolverOptions::default(),
-/// );
-/// assert!(results.iter().all(|r| r.converged));
-/// ```
-///
-/// # Panics
-/// On panel shape mismatches.
-pub fn solve_batch<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
-    a: &A,
-    b: Panel<'_, T>,
-    x: PanelMut<'_, T>,
-    m: &P,
-    opts: &SolverOptions,
-) -> Vec<SolverResult> {
-    solve_batch_with(a, b, x, m, opts, &mut SolverWorkspace::new())
-}
-
-/// [`solve_batch`] with caller-owned working memory (see module docs
-/// for the lockstep/masking contract). Returns one [`SolverResult`]
-/// per panel column, in column order. Widths `k ∈ {1, 4, 8}` dispatch
-/// to the monomorphized fixed-lane driver, everything else to the
-/// bit-identical dynamic-width fallback.
-///
-/// # Panics
-/// On panel shape mismatches.
-pub fn solve_batch_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
-    a: &A,
-    b: Panel<'_, T>,
-    x: PanelMut<'_, T>,
-    m: &P,
-    opts: &SolverOptions,
-    ws: &mut SolverWorkspace<T>,
-) -> Vec<SolverResult> {
-    let mut results = vec![SolverResult::default(); b.ncols()];
-    solve_batch_into(a, b, x, m, opts, ws, &mut results);
-    results
-}
-
-/// [`solve_batch_with`] writing into a caller-provided result slice —
-/// the fully allocation-free form (the `Vec<SolverResult>` the other
-/// entry points assemble is their one documented allocation).
+/// The PCG driver behind [`crate::krylov_panel_into`]: per-column
+/// scalar state keeps every column on exactly the standalone-PCG
+/// recurrence, so column `c` is bit-identical at every width.
 ///
 /// # Panics
 /// On panel shape mismatches or when `results.len() != b.ncols()`.
-pub fn solve_batch_into<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
-    a: &A,
-    b: Panel<'_, T>,
-    x: PanelMut<'_, T>,
-    m: &P,
-    opts: &SolverOptions,
-    ws: &mut SolverWorkspace<T>,
-    results: &mut [SolverResult],
-) {
-    let k = b.ncols();
-    assert_eq!(b.nrows(), a.nrows(), "solve_batch: rhs panel rows");
-    assert_eq!(x.nrows(), a.nrows(), "solve_batch: solution panel rows");
-    assert_eq!(x.ncols(), k, "solve_batch: panel widths differ");
-    assert_eq!(results.len(), k, "solve_batch: results length");
-    if k == 0 {
-        return;
-    }
-    with_lanes!(k, lanes => solve_batch_lanes(lanes, a, b, x, m, opts, ws, results));
-}
-
-/// The width-generic PCG driver core: `pcg_with` *is* this function at
-/// `FixedLanes<1>`, `solve_batch_*` dispatch it per width. Per-lane
-/// scalar state keeps every lane on exactly the standalone-PCG
-/// recurrence, so lane `c` is bit-identical across instantiations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>, L: Lanes>(
-    lanes: L,
+pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     a: &A,
     b: Panel<'_, T>,
     mut x: PanelMut<'_, T>,
@@ -143,12 +52,14 @@ pub(crate) fn solve_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditione
     results: &mut [SolverResult],
 ) {
     let n = a.nrows();
-    let k = lanes.width();
-    assert_eq!(b.ncols(), k, "solve_batch: rhs panel width vs lanes");
-    assert_eq!(b.nrows(), n, "solve_batch: rhs panel rows");
-    assert_eq!(x.nrows(), n, "solve_batch: solution panel rows");
-    assert_eq!(x.ncols(), k, "solve_batch: panel widths differ");
-    assert_eq!(results.len(), k, "solve_batch: results length");
+    let k = b.ncols();
+    assert_eq!(b.nrows(), n, "pcg: rhs panel rows");
+    assert_eq!(x.nrows(), n, "pcg: solution panel rows");
+    assert_eq!(x.ncols(), k, "pcg: panel widths differ");
+    assert_eq!(results.len(), k, "pcg: results length");
+    if k == 0 {
+        return;
+    }
     for r in results.iter_mut() {
         *r = SolverResult::default();
     }
@@ -168,7 +79,7 @@ pub(crate) fn solve_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditione
         ..
     } = ws;
 
-    // ---- Per-lane setup, the historical `pcg_with` prologue. --------
+    // ---- Per-column setup. -----------------------------------------
     for c in 0..k {
         col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
         if col_bnorm[c] == 0.0 {
@@ -305,31 +216,11 @@ pub(crate) fn solve_batch_lanes<T: Scalar, A: PanelMatrices<T>, P: Preconditione
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pcg_with;
+    use crate::{krylov_panel_with, krylov_with, Method};
+    use javelin_core::precond::IdentityPrecond;
     use javelin_core::{factorize, IluOptions};
-    use javelin_sparse::CooMatrix;
     use javelin_sparse::CsrMatrix;
-
-    fn laplace_2d(nx: usize, ny: usize) -> CsrMatrix<f64> {
-        let n = nx * ny;
-        let idx = |i: usize, j: usize| i * ny + j;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..nx {
-            for j in 0..ny {
-                let r = idx(i, j);
-                coo.push(r, r, 4.0).unwrap();
-                if i + 1 < nx {
-                    coo.push(r, idx(i + 1, j), -1.0).unwrap();
-                    coo.push(idx(i + 1, j), r, -1.0).unwrap();
-                }
-                if j + 1 < ny {
-                    coo.push(r, idx(i, j + 1), -1.0).unwrap();
-                    coo.push(idx(i, j + 1), r, -1.0).unwrap();
-                }
-            }
-        }
-        coo.to_csr()
-    }
+    use javelin_synth::grid::laplace_2d;
 
     fn rhs_panel(n: usize, k: usize) -> Vec<f64> {
         (0..n * k)
@@ -337,11 +228,36 @@ mod tests {
             .collect()
     }
 
+    /// A `k`-column PCG solve from `x`, in the caller's workspace.
+    fn panel_solve(
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        x: &mut [f64],
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+        ws: &mut SolverWorkspace<f64>,
+    ) -> Vec<SolverResult> {
+        let (n, k) = (a.nrows(), b.len() / a.nrows());
+        let (b, x) = (Panel::new(b, n, k), PanelMut::new(x, n, k));
+        krylov_panel_with(Method::Pcg, a, b, x, m, opts, ws)
+    }
+
+    /// One right-hand side in a fresh workspace.
+    fn solve_one(
+        a: &CsrMatrix<f64>,
+        b: &[f64],
+        x: &mut [f64],
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) -> SolverResult {
+        krylov_with(Method::Pcg, a, b, x, m, opts, &mut SolverWorkspace::new())
+    }
+
     #[test]
     fn batch_is_bitwise_identical_to_independent_pcg() {
         // The defining contract: column c of a batched solve carries
         // exactly the bits (and the iteration count) of a standalone
-        // pcg_with run on that column.
+        // width-1 run on that column.
         let a = laplace_2d(12, 11);
         let n = a.nrows();
         let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
@@ -349,23 +265,10 @@ mod tests {
         for k in [1usize, 3, 8] {
             let b = rhs_panel(n, k);
             let mut xb = vec![0.0; n * k];
-            let results = solve_batch(
-                &a,
-                Panel::new(&b, n, k),
-                PanelMut::new(&mut xb, n, k),
-                &f,
-                &opts,
-            );
+            let results = panel_solve(&a, &b, &mut xb, &f, &opts, &mut SolverWorkspace::new());
             for c in 0..k {
                 let mut x = vec![0.0; n];
-                let r = pcg_with(
-                    &a,
-                    &b[c * n..(c + 1) * n],
-                    &mut x,
-                    &f,
-                    &opts,
-                    &mut SolverWorkspace::new(),
-                );
+                let r = solve_one(&a, &b[c * n..(c + 1) * n], &mut x, &f, &opts);
                 assert_eq!(results[c].converged, r.converged, "k={k} col={c}");
                 assert_eq!(results[c].iterations, r.iterations, "k={k} col={c}");
                 assert_eq!(
@@ -395,13 +298,7 @@ mod tests {
             b[n + i] = ((i * 17 % 31) as f64 - 15.0) * 0.4;
         }
         let mut x = vec![0.0; n * 2];
-        let res = solve_batch(
-            &a,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-            &f,
-            &opts,
-        );
+        let res = panel_solve(&a, &b, &mut x, &f, &opts, &mut SolverWorkspace::new());
         assert!(res[0].converged && res[1].converged);
         assert!(
             res[0].iterations < res[1].iterations,
@@ -436,13 +333,8 @@ mod tests {
             b[n + i] = 1.0; // only the middle column is nontrivial
         }
         let mut x = vec![5.0; n * 3];
-        let res = solve_batch(
-            &a,
-            Panel::new(&b, n, 3),
-            PanelMut::new(&mut x, n, 3),
-            &f,
-            &SolverOptions::default(),
-        );
+        let opts = SolverOptions::default();
+        let res = panel_solve(&a, &b, &mut x, &f, &opts, &mut SolverWorkspace::new());
         assert!(res[0].converged && res[0].iterations == 0);
         assert!(res[2].converged && res[2].iterations == 0);
         assert!(x[..n].iter().all(|&v| v == 0.0));
@@ -461,38 +353,18 @@ mod tests {
         let b3 = rhs_panel(n, 3);
         let reference = {
             let mut x = vec![0.0; n * 3];
-            solve_batch(
-                &a,
-                Panel::new(&b3, n, 3),
-                PanelMut::new(&mut x, n, 3),
-                &f,
-                &opts,
-            );
+            panel_solve(&a, &b3, &mut x, &f, &opts, &mut SolverWorkspace::new());
             x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         let mut ws = SolverWorkspace::new();
         for rep in 0..3 {
             let mut x = vec![0.0; n * 3];
-            solve_batch_with(
-                &a,
-                Panel::new(&b3, n, 3),
-                PanelMut::new(&mut x, n, 3),
-                &f,
-                &opts,
-                &mut ws,
-            );
+            panel_solve(&a, &b3, &mut x, &f, &opts, &mut ws);
             let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, reference, "rep {rep}");
             // Interleave a narrower solve to stress the width change.
             let mut x1 = vec![0.0; n];
-            solve_batch_with(
-                &a,
-                Panel::new(&b3[..n], n, 1),
-                PanelMut::new(&mut x1, n, 1),
-                &f,
-                &opts,
-                &mut ws,
-            );
+            panel_solve(&a, &b3[..n], &mut x1, &f, &opts, &mut ws);
         }
     }
 
@@ -508,17 +380,251 @@ mod tests {
             ..Default::default()
         };
         let mut x = vec![0.0; n * 2];
-        let res = solve_batch(
-            &a,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-            &f,
-            &opts,
-        );
+        let res = panel_solve(&a, &b, &mut x, &f, &opts, &mut SolverWorkspace::new());
         for r in &res {
             assert!(!r.converged);
             assert_eq!(r.iterations, 2);
             assert_eq!(r.history.len(), 3); // initial + 2 iterations
+        }
+    }
+
+    #[test]
+    fn cg_converges_on_laplacian() {
+        let a = laplace_2d(12, 12);
+        let n = a.nrows();
+        let x_true: Vec<f64> = (0..n).map(|i| ((i % 11) as f64 - 5.0) * 0.3).collect();
+        let b = a.spmv(&x_true);
+        let mut x = vec![0.0; n];
+        let res = solve_one(&a, &b, &mut x, &IdentityPrecond, &SolverOptions::default());
+        assert!(res.converged, "relres = {}", res.relative_residual);
+        // True residual check, not just the recurrence.
+        let ax = a.spmv(&x);
+        let err: f64 = b
+            .iter()
+            .zip(ax.iter())
+            .map(|(p, q)| (p - q) * (p - q))
+            .sum::<f64>()
+            .sqrt();
+        assert!(err / b.iter().map(|v| v * v).sum::<f64>().sqrt() < 1e-5);
+    }
+
+    #[test]
+    fn ilu_preconditioning_reduces_iterations() {
+        let a = laplace_2d(16, 16);
+        let n = a.nrows();
+        let b = vec![1.0; n];
+        let opts = SolverOptions::default();
+        let plain = solve_one(&a, &b, &mut vec![0.0; n], &IdentityPrecond, &opts);
+        let f = factorize(&a, &IluOptions::default()).unwrap();
+        let pre = solve_one(&a, &b, &mut vec![0.0; n], &f, &opts);
+        assert!(plain.converged && pre.converged);
+        assert!(
+            pre.iterations < plain.iterations,
+            "ILU(0) PCG {} should beat CG {}",
+            pre.iterations,
+            plain.iterations
+        );
+    }
+
+    #[test]
+    fn workspace_reuse_matches_fresh_solves() {
+        // One workspace across repeated solves (and across a size
+        // change) must give bit-identical results to fresh workspaces.
+        let a = laplace_2d(14, 14);
+        let n = a.nrows();
+        let f = factorize(&a, &IluOptions::ilu0(2)).unwrap();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let opts = SolverOptions::default();
+        let mut x_ref = vec![0.0; n];
+        let r_ref = solve_one(&a, &b, &mut x_ref, &f, &opts);
+        let bits_ref: Vec<u64> = x_ref.iter().map(|v| v.to_bits()).collect();
+        let mut ws = SolverWorkspace::new();
+        // Warm the workspace on a different (smaller) system first.
+        let a_small = laplace_2d(5, 5);
+        let mut xs = vec![0.0; 25];
+        let one = vec![1.0; 25];
+        krylov_with(
+            Method::Pcg,
+            &a_small,
+            &one,
+            &mut xs,
+            &IdentityPrecond,
+            &opts,
+            &mut ws,
+        );
+        for rep in 0..3 {
+            let mut x = vec![0.0; n];
+            let r = krylov_with(Method::Pcg, &a, &b, &mut x, &f, &opts, &mut ws);
+            assert_eq!(r.iterations, r_ref.iterations, "rep {rep}");
+            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, bits_ref, "rep {rep}");
+        }
+    }
+
+    #[test]
+    fn zero_rhs_is_trivial() {
+        let a = laplace_2d(4, 4);
+        let b = vec![0.0; 16];
+        let mut x = vec![5.0; 16];
+        let res = solve_one(&a, &b, &mut x, &IdentityPrecond, &SolverOptions::default());
+        assert!(res.converged);
+        assert_eq!(res.iterations, 0);
+        assert!(x.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn iteration_cap_respected() {
+        let a = laplace_2d(20, 20);
+        let b = vec![1.0; 400];
+        let mut x = vec![0.0; 400];
+        let opts = SolverOptions {
+            max_iters: 3,
+            ..Default::default()
+        };
+        let res = solve_one(&a, &b, &mut x, &IdentityPrecond, &opts);
+        assert!(!res.converged);
+        assert_eq!(res.iterations, 3);
+    }
+
+    #[test]
+    fn history_recorded_when_requested() {
+        let a = laplace_2d(6, 6);
+        let b = vec![1.0; 36];
+        let mut x = vec![0.0; 36];
+        let opts = SolverOptions {
+            record_history: true,
+            ..Default::default()
+        };
+        let res = solve_one(&a, &b, &mut x, &IdentityPrecond, &opts);
+        assert!(res.converged);
+        assert_eq!(res.history.len(), res.iterations + 1); // initial + per-iter
+        assert!(res.history.windows(2).filter(|w| w[1] < w[0]).count() > res.history.len() / 2);
+    }
+
+    // ---- Golden pin -------------------------------------------------
+    // Recorded from the PCG driver at the commit before it lost its lane
+    // generic; see `crate::golden` for the tuple.
+    use crate::golden::{self, Golden};
+
+    fn golden_run(fixture: usize) -> Golden {
+        use javelin_synth::grid::laplace_2d as lap;
+        let hist = SolverOptions {
+            record_history: true,
+            ..Default::default()
+        };
+        match fixture {
+            // ILU(0), history on.
+            0 => {
+                let a = lap(13, 11);
+                let f = factorize(&a, &IluOptions::ilu0(1)).unwrap();
+                golden::run(Method::Pcg, &a, &golden::rhs(a.nrows()), 0.0, &f, hist)
+            }
+            // ILU(1) on two threads, tight tolerance.
+            1 => {
+                let a = lap(14, 9);
+                let f = factorize(&a, &IluOptions::ilu0(2).with_fill(1)).unwrap();
+                let opts = SolverOptions { tol: 1e-12, ..hist };
+                golden::run(Method::Pcg, &a, &golden::rhs(a.nrows()), 0.0, &f, opts)
+            }
+            // Unpreconditioned CG from a warm start.
+            2 => {
+                let a = lap(12, 12);
+                golden::run(
+                    Method::Pcg,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.5,
+                    &IdentityPrecond,
+                    hist,
+                )
+            }
+            // Iteration cap.
+            3 => {
+                let a = lap(20, 20);
+                let opts = SolverOptions {
+                    max_iters: 3,
+                    ..hist
+                };
+                golden::run(
+                    Method::Pcg,
+                    &a,
+                    &golden::rhs(a.nrows()),
+                    0.0,
+                    &IdentityPrecond,
+                    opts,
+                )
+            }
+            // Zero right-hand side: x is overwritten with zeros.
+            4 => {
+                let a = lap(4, 4);
+                golden::run(Method::Pcg, &a, &[0.0; 16], 3.0, &IdentityPrecond, hist)
+            }
+            // NaN right-hand side: frozen at the initial guess.
+            5 => {
+                let a = lap(5, 4);
+                let mut b = golden::rhs(a.nrows());
+                b[7] = f64::NAN;
+                golden::run(Method::Pcg, &a, &b, 0.25, &IdentityPrecond, hist)
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    const GOLDEN: [Golden; 6] = [
+        // 0: ILU(0)
+        (
+            12,
+            SolverStatus::Converged,
+            0x3ea29e5c1b8f3d6a,
+            13,
+            0xe9a84878c326b931,
+        ),
+        // 1: ILU(1), two threads, tol 1e-12
+        (
+            14,
+            SolverStatus::Converged,
+            0x3d394f42fe82e235,
+            15,
+            0x0a0e839ab23d3d39,
+        ),
+        // 2: identity, warm start
+        (
+            33,
+            SolverStatus::Converged,
+            0x3ea691df6d376155,
+            34,
+            0x002cbefe3eb6ac37,
+        ),
+        // 3: cap
+        (
+            3,
+            SolverStatus::MaxIters,
+            0x3fcc3e7b9c3e0fd0,
+            4,
+            0xedbd88217931d0c7,
+        ),
+        // 4: zero rhs
+        (
+            0,
+            SolverStatus::Converged,
+            0x0000000000000000,
+            0,
+            0x8421ae126c7ced25,
+        ),
+        // 5: NaN rhs
+        (
+            0,
+            SolverStatus::NumericalBreakdown,
+            0x7ff8000000000000,
+            0,
+            0xe1ca3f76156a6965,
+        ),
+    ];
+
+    #[test]
+    fn pcg_reproduces_the_recorded_bits() {
+        for (fixture, want) in GOLDEN.iter().enumerate() {
+            assert_eq!(golden_run(fixture), *want, "pcg fixture {fixture}");
         }
     }
 }

@@ -1,15 +1,12 @@
-//! Property-based tests for the batched Krylov drivers: the defining
-//! contract — column `c` of any batch solve is **bit-identical** to
-//! the scalar solver run on that column — must hold across random
+//! Property-based tests for the lockstep Krylov drivers: the defining
+//! contract — column `c` of any panel solve is **bit-identical** to
+//! the width-1 solve of that column — must hold across random
 //! nonsymmetric matrices, both trisolve engines, thread counts and
 //! panel widths, for BiCGSTAB, GMRES, FGMRES and PCG alike.
 
 #![cfg(test)]
 
-use crate::{
-    bicgstab_with, fgmres_with, gmres_with, krylov_panel_with, pcg_with, Method, SolverOptions,
-    SolverResult, SolverWorkspace,
-};
+use crate::{krylov_panel_with, krylov_with, Method, SolverOptions, SolverResult, SolverWorkspace};
 use javelin_core::{factorize, IluOptions, SolveEngine};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut};
 use javelin_synth::grid::{convection_diffusion_2d, laplace_2d};
@@ -17,11 +14,11 @@ use javelin_synth::util::revalue;
 use proptest::prelude::*;
 
 const ENGINES: [SolveEngine; 2] = [SolveEngine::Serial, SolveEngine::PointToPointLower];
-/// The issue's width matrix: the monomorphized lane widths (1, 4, 8)
-/// and the `DynLanes` fallback widths (2, 3, 5).
-const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
-/// Every lockstep driver (`Fgmres` is the flexible mode of the GMRES
-/// core; it has no `Batch*` synonym).
+/// Panel widths: 1, the preconditioner kernels' fixed lane widths 4
+/// and 8, and the widths between and beyond them.
+const WIDTHS: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+/// Every driver, named by its `Batch*` synonym where it has one
+/// (`Fgmres` is the flexible mode of the GMRES driver).
 const METHODS: [Method; 4] = [
     Method::BatchBicgstab,
     Method::BatchGmres,
@@ -34,6 +31,7 @@ fn panel(n: usize, k: usize, seed: u64) -> Vec<f64> {
     javelin_synth::util::rhs_panel(n, k, seed)
 }
 
+/// The width-1 solve of one column, under the method's canonical name.
 fn scalar_reference(
     method: Method,
     a: &CsrMatrix<f64>,
@@ -42,14 +40,13 @@ fn scalar_reference(
     m: &javelin_core::EnginePinned<'_, f64>,
     opts: &SolverOptions,
 ) -> SolverResult {
-    let mut ws = SolverWorkspace::new();
-    match method {
-        Method::BatchBicgstab => bicgstab_with(a, b, x, m, opts, &mut ws),
-        Method::BatchGmres => gmres_with(a, b, x, m, opts, &mut ws),
-        Method::Fgmres => fgmres_with(a, b, x, m, opts, &mut ws),
-        Method::BatchPcg => pcg_with(a, b, x, m, opts, &mut ws),
-        _ => unreachable!("METHODS only"),
-    }
+    let canonical = match method {
+        Method::BatchBicgstab => Method::Bicgstab,
+        Method::BatchGmres => Method::Gmres,
+        Method::BatchPcg => Method::Pcg,
+        other => other,
+    };
+    krylov_with(canonical, a, b, x, m, opts, &mut SolverWorkspace::new())
 }
 
 proptest! {
@@ -61,7 +58,7 @@ proptest! {
     fn batch_columns_bitwise_equal_scalar_runs(
         nthreads in 1usize..4,
         engine_idx in 0usize..ENGINES.len(),
-        k_idx in 0usize..6,
+        k_idx in 0usize..WIDTHS.len(),
         seed in 1u64..500,
         method_idx in 0usize..4,
     ) {
@@ -112,54 +109,8 @@ proptest! {
         }
     }
 
-    /// The `DynLanes` fallback widths (5, 7) — which the dispatch table
-    /// never monomorphizes — are pinned bitwise per column to the
-    /// scalar path, so the fallback is as trusted as the fixed-width
-    /// specializations.
-    #[test]
-    fn dyn_lane_widths_bitwise_equal_scalar_runs(
-        nthreads in 1usize..3,
-        engine_idx in 0usize..ENGINES.len(),
-        k_idx in 0usize..2,
-        seed in 1u64..300,
-        method_idx in 0usize..4,
-    ) {
-        let engine = ENGINES[engine_idx];
-        let k = [5usize, 7][k_idx];
-        let method = METHODS[method_idx];
-        let a = if method == Method::BatchPcg {
-            laplace_2d(8, 9)
-        } else {
-            revalue(&convection_diffusion_2d(8, 9, 0.3, 0.4), seed as f64 * 0.01, 0.05)
-        };
-        let n = a.nrows();
-        let f = factorize(&a, &IluOptions::ilu0(nthreads)).unwrap();
-        let m = f.with_engine(engine);
-        let opts = SolverOptions { restart: 9, ..Default::default() };
-        let b = panel(n, k, seed);
-        let mut xb = vec![0.0; n * k];
-        let results = krylov_panel_with(
-            method,
-            &a,
-            Panel::new(&b, n, k),
-            PanelMut::new(&mut xb, n, k),
-            &m,
-            &opts,
-            &mut SolverWorkspace::new(),
-        );
-        for c in 0..k {
-            let mut x = vec![0.0; n];
-            let r = scalar_reference(method, &a, &b[c * n..(c + 1) * n], &mut x, &m, &opts);
-            prop_assert_eq!(results[c].converged, r.converged, "{} k={} col {}", method, k, c);
-            prop_assert_eq!(results[c].iterations, r.iterations, "{} k={} col {}", method, k, c);
-            let bb: Vec<u64> = xb[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();
-            let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(bb, sb, "{} k={} col {}", method, k, c);
-        }
-    }
-
-    /// Width 1 of every batch method is bit-identical to the scalar
-    /// entry point through the `krylov_with` dispatch as well.
+    /// Every `Batch*` synonym runs its canonical method's driver: a
+    /// width-1 solve is bit-identical under both names.
     #[test]
     fn width_one_dispatch_matches_scalar(
         nthreads in 1usize..3,
@@ -178,7 +129,7 @@ proptest! {
         let opts = SolverOptions { restart: 13, ..Default::default() };
         let b = panel(n, 1, seed);
         let mut xb = vec![0.0; n];
-        let rb = crate::krylov_with(method, &a, &b, &mut xb, &m, &opts, &mut SolverWorkspace::new());
+        let rb = krylov_with(method, &a, &b, &mut xb, &m, &opts, &mut SolverWorkspace::new());
         let mut xs = vec![0.0; n];
         let rs = scalar_reference(method, &a, &b, &mut xs, &m, &opts);
         prop_assert_eq!(rb.iterations, rs.iterations);

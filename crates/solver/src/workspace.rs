@@ -14,11 +14,10 @@
 //! widths and sizes; it keeps the high-water-mark buffers alive, and a
 //! steady-state solve allocates nothing.
 //!
-//! Every scalar driver is the `FixedLanes<1>` instantiation of its
-//! lockstep panel driver ([`crate::pcg_with`], [`crate::bicgstab_with`],
-//! [`crate::gmres_with`], [`crate::fgmres_with`]), so there is one
-//! buffer family per method and one sizing rule for every width: the
-//! scalar solvers run out of the same panels at `k = 1`.
+//! There is one driver per method, and a single right-hand side is its
+//! width-1 panel ([`crate::krylov_with`]), so there is one buffer
+//! family per method and one sizing rule for every width: scalar
+//! solves run out of the same panels at `k = 1`.
 
 use javelin_core::ApplyScratch;
 use javelin_sparse::{LaneMask, Scalar};
@@ -28,10 +27,10 @@ use javelin_sparse::{LaneMask, Scalar};
 pub struct SolverWorkspace<T> {
     /// Scratch handed to `Preconditioner::apply_with`.
     pub precond: ApplyScratch<T>,
-    // Lane-driver panels: column-major `n × k` blocks (stride `n`) for
+    // Driver panels: column-major `n × k` blocks (stride `n`) for
     // residuals/preconditioned residuals/directions/matvecs, plus
-    // per-column iteration state. Sized by `ensure_panel`; the scalar
-    // drivers use them at width 1.
+    // per-column iteration state. Sized by `ensure_panel`; scalar
+    // solves use them at width 1.
     pub(crate) pr: Vec<T>,
     pub(crate) pz: Vec<T>,
     pub(crate) pp: Vec<T>,
@@ -42,7 +41,7 @@ pub struct SolverWorkspace<T> {
     /// Per-column convergence/breakdown masking state of the lockstep
     /// drivers (the lane layer's masking vocabulary).
     pub(crate) mask: LaneMask,
-    // Nonsymmetric lane extensions (`bicgstab_batch`): the shadow
+    // BiCGSTAB extensions: the shadow
     // residual, the two preconditioned directions and `A·z`, plus the
     // per-column BiCGSTAB scalar recurrences.
     pub(crate) prhat: Vec<T>,
@@ -96,13 +95,13 @@ impl<T: Scalar> SolverWorkspace<T> {
     /// Pre-grows every buffer family a session-style caller may hit —
     /// the scalar Arnoldi state for `restart` (GMRES and FGMRES at
     /// width 1: `restart + 1` plus `restart` basis vectors of length
-    /// `n`) and the lane panels (PCG and BiCGSTAB) for `k` columns —
+    /// `n`) and the PCG and BiCGSTAB panels for `k` columns —
     /// plus the preconditioner scratch at panel width, so the first
     /// solve of those kinds is already allocation-free. The panel
-    /// GMRES drivers' stacked `(restart + 1) × n × k` Arnoldi basis is
+    /// GMRES driver's stacked `(restart + 1) × n × k` Arnoldi basis is
     /// deliberately **not** pre-grown to width `k` here: it dwarfs
     /// every other buffer (gigabytes for large `n·k`) and would tax
-    /// every session whether or not it ever runs batched GMRES — opt in
+    /// every session whether or not it ever runs GMRES panels — opt in
     /// with [`SolverWorkspace::reserve_gmres_basis`] when the workload
     /// does, otherwise the first panel solve widens the slots
     /// (grow-only; allocation-free from the second solve on). Growing
@@ -114,9 +113,9 @@ impl<T: Scalar> SolverWorkspace<T> {
         self.precond.buffer(n * k);
     }
 
-    /// Opt-in pre-growth of the batched-GMRES state — the stacked
+    /// Opt-in pre-growth of the GMRES panel state — the stacked
     /// `(restart + 1) × n × k` Arnoldi basis plus the per-column
-    /// least-squares arrays — so even the **first** `gmres_batch` solve
+    /// least-squares arrays — so even the **first** GMRES panel solve
     /// at `(n, restart, k)` performs zero heap allocations (enforced by
     /// `tests/refactor_alloc.rs`). The restart length is clamped the
     /// way the driver clamps it (`max(1).min(n)`), so reserving with
@@ -128,8 +127,8 @@ impl<T: Scalar> SolverWorkspace<T> {
         self.precond.buffer(n * k);
     }
 
-    /// Sizes the lane-driver panel buffers for `k` columns of `n`
-    /// entries (`solve_batch`, and `pcg_with` at `k = 1`).
+    /// Sizes the panel buffers for `k` columns of `n` entries (PCG,
+    /// and the base of every other driver).
     pub(crate) fn ensure_panel(&mut self, n: usize, k: usize) {
         for buf in [&mut self.pr, &mut self.pz, &mut self.pp, &mut self.pq] {
             ensure(buf, n * k);
@@ -145,8 +144,8 @@ impl<T: Scalar> SolverWorkspace<T> {
         }
     }
 
-    /// Sizes the extra panels/per-column scalars `bicgstab_batch` (and
-    /// `bicgstab_with` at `k = 1`) needs on top of
+    /// Sizes the extra panels/per-column scalars BiCGSTAB needs on top
+    /// of
     /// [`SolverWorkspace::ensure_panel`].
     pub(crate) fn ensure_panel_bicgstab(&mut self, n: usize, k: usize) {
         self.ensure_panel(n, k);
@@ -159,7 +158,7 @@ impl<T: Scalar> SolverWorkspace<T> {
     }
 
     /// Sizes the Arnoldi family for `k` columns at restart length `m`
-    /// — the one GMRES sizing rule, scalar solvers included (`k = 1`).
+    /// — the one GMRES sizing rule, width-1 solves included (`k = 1`).
     /// `flexible` additionally sizes the stored preconditioned basis
     /// FGMRES needs.
     pub(crate) fn ensure_gmres(&mut self, n: usize, k: usize, m: usize, flexible: bool) {

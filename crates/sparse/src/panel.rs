@@ -2,8 +2,8 @@
 //!
 //! Serving-scale workloads retire many simultaneous solves through one
 //! preconditioner; the execution layers (`SpmvPlan::execute_panel`, the
-//! panel trisolve engines, `solve_batch`) are generic over the panel
-//! width `k` so one schedule traversal serves a whole block of vectors.
+//! panel trisolve engines, the Krylov drivers) take any panel width `k`
+//! so one schedule traversal serves a whole block of vectors.
 //! [`Panel`] and [`PanelMut`] are the borrowed views those layers
 //! consume: column-major, each column a contiguous length-`nrows`
 //! slice, consecutive columns `col_stride` apart.

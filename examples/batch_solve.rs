@@ -1,5 +1,5 @@
 //! Batched multi-RHS solving: one ILU(0) preconditioner serving a
-//! whole panel of right-hand sides through `solve_batch`.
+//! whole panel of right-hand sides through `krylov_panel_with`.
 //!
 //! ```text
 //! cargo run --release --example batch_solve
@@ -7,18 +7,18 @@
 //!
 //! Demonstrates (and asserts) the panel-execution contract end to end:
 //!
-//! 1. `solve_batch` converges `k` systems in lockstep, each column
+//! 1. PCG on a panel converges `k` systems in lockstep, each column
 //!    carrying exactly the bits (and iteration count) of a standalone
-//!    `pcg_with` run on that column;
+//!    `krylov_with` run on that column;
 //! 2. columns converge independently (masking): faster columns retire
 //!    at earlier iterations while the rest keep iterating;
-//! 3. after a warm-up solve, a steady-state `solve_batch` at `k = 8`
+//! 3. after a warm-up solve, a steady-state panel solve at `k = 8`
 //!    performs **zero heap allocations** — measured with a counting
 //!    global allocator, not assumed;
 //! 4. malformed panels are rejected with an error, not a panic.
 
 use javelin::core::{factorize, IluOptions};
-use javelin::solver::{pcg_with, solve_batch_with, SolverOptions, SolverWorkspace};
+use javelin::solver::{krylov_panel_with, krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin::sparse::{Panel, PanelMut};
 use javelin::synth::grid::laplace_2d;
 use javelin::synth::util::rhs_panel;
@@ -69,7 +69,8 @@ fn main() {
     // Warm-up solve: grows every buffer (workspace panels, the
     // preconditioner's permutation buffer, the engines' width-k
     // scratch) to its steady-state size.
-    let results = solve_batch_with(
+    let results = krylov_panel_with(
+        Method::Pcg,
         &a,
         Panel::new(&b, n, k),
         PanelMut::new(&mut x, n, k),
@@ -98,7 +99,8 @@ fn main() {
     // standalone single-RHS PCG run of that column.
     for c in 0..k {
         let mut xc = vec![0.0; n];
-        let r = pcg_with(
+        let r = krylov_with(
+            Method::Pcg,
             &a,
             &b[c * n..(c + 1) * n],
             &mut xc,
@@ -117,7 +119,8 @@ fn main() {
     x.fill(0.0);
     ALLOCS.store(0, Ordering::Relaxed);
     ARMED.store(true, Ordering::Relaxed);
-    let results2 = solve_batch_with(
+    let results2 = krylov_panel_with(
+        Method::Pcg,
         &a,
         Panel::new(&b, n, k),
         PanelMut::new(&mut x, n, k),
@@ -130,7 +133,7 @@ fn main() {
     // the caller on entry (documented); the iteration loop itself —
     // matvecs, dots, panel preconditioner applies — must be clean.
     let n_allocs = ALLOCS.load(Ordering::Relaxed);
-    println!("steady-state solve_batch(k = {k}): {n_allocs} allocation(s) (result vec only)");
+    println!("steady-state PCG panel solve (k = {k}): {n_allocs} allocation(s) (result vec only)");
     assert!(
         n_allocs <= 1,
         "steady-state batched solve must not allocate (saw {n_allocs})"

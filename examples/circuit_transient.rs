@@ -20,7 +20,7 @@
 use javelin::core::precond::IdentityPrecond;
 use javelin::order::{dm::dm_row_permutation, nested_dissection_order};
 use javelin::prelude::*;
-use javelin::solver::gmres;
+use javelin::solver::krylov_with;
 use javelin::synth::circuit::transient_circuit;
 use javelin::synth::util::revalue;
 use std::time::{Duration, Instant};
@@ -51,6 +51,8 @@ fn main() {
         tol: 1e-8,
         ..Default::default()
     };
+    // Working memory of the unpreconditioned comparison solves.
+    let mut plain_ws = SolverWorkspace::new();
     let t0 = Instant::now();
     let mut session = Session::builder()
         .solver_options(opts)
@@ -100,7 +102,15 @@ fn main() {
         let mut x = vec![0.0; n];
         let pre = session.krylov(Method::Gmres, &b, &mut x).expect("krylov");
         let mut x2 = vec![0.0; n];
-        let plain = gmres(&a_t, &b, &mut x2, &IdentityPrecond, &opts);
+        let plain = krylov_with(
+            Method::Gmres,
+            &a_t,
+            &b,
+            &mut x2,
+            &IdentityPrecond,
+            &opts,
+            &mut plain_ws,
+        );
         assert!(pre.converged, "step {step} failed to converge");
         total_pre += pre.iterations;
         total_plain += plain.iterations;

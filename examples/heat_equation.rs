@@ -19,7 +19,7 @@ use javelin::core::{factorize, IluOptions};
 use javelin::level::LevelSets;
 use javelin::order::{compute_order, Ordering};
 use javelin::prelude::{Method, Session};
-use javelin::solver::{pcg, SolverOptions};
+use javelin::solver::{krylov_with, SolverOptions, SolverWorkspace};
 use javelin::sparse::pattern::lower_symmetrized_pattern;
 use javelin::sparse::{CooMatrix, CsrMatrix};
 use javelin::synth::grid::laplace_3d;
@@ -44,6 +44,7 @@ fn main() {
     println!("heat system: n = {n}, nnz = {}", a.nnz());
 
     // Ordering study in miniature (paper §VII).
+    let mut ws = SolverWorkspace::new();
     for ord in [Ordering::Rcm, Ordering::Nd, Ordering::Natural] {
         let p = compute_order(&a, ord);
         let ax = a.permute_sym(&p).expect("perm");
@@ -52,7 +53,8 @@ fn main() {
         let f = factorize(&ax, &IluOptions::default()).expect("ILU");
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let res = pcg(&ax, &b, &mut x, &f, &SolverOptions::default());
+        let opts = SolverOptions::default();
+        let res = krylov_with(Method::Pcg, &ax, &b, &mut x, &f, &opts, &mut ws);
         println!(
             "{ord:>4}: {:>3} iters | {:>3} levels (median width {:>4}) | {} waits",
             res.iterations,

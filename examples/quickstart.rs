@@ -7,8 +7,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use javelin::core::precond::IdentityPrecond;
 use javelin::prelude::*;
-use javelin::solver::cg;
+use javelin::solver::krylov_with;
 use javelin::synth::grid::laplace_2d;
 
 fn main() {
@@ -39,7 +40,16 @@ fn main() {
     // 3. Solve A x = b with and without the preconditioner.
     let b = vec![1.0; n];
     let mut x_plain = vec![0.0; n];
-    let plain = cg(&a, &b, &mut x_plain, &SolverOptions::default());
+    // Plain CG is PCG with the identity preconditioner.
+    let plain = krylov_with(
+        Method::Pcg,
+        &a,
+        &b,
+        &mut x_plain,
+        &IdentityPrecond,
+        &SolverOptions::default(),
+        &mut SolverWorkspace::new(),
+    );
     let mut x_pre = vec![0.0; n];
     let pre = session
         .krylov(Method::Pcg, &b, &mut x_pre)

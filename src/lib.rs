@@ -67,8 +67,9 @@
 //! * [`sync`] — worker team, progress counters, spin barrier
 //! * [`core`] — the ILU framework itself (factorization, stri, spmv)
 //! * [`baseline`] — serial ILUT and the heavyweight comparator
-//! * [`solver`] — CG / GMRES / FGMRES / BiCGSTAB and the lockstep
-//!   batched drivers (`solve_batch`, `bicgstab_batch`, `gmres_batch`)
+//! * [`solver`] — PCG / GMRES / FGMRES / BiCGSTAB: three entries
+//!   (`krylov_with`, `krylov_panel_with`, `krylov_panel_into`) over one
+//!   lockstep panel driver per method, no lane generic
 //! * [`machine`] — machine models and the schedule simulator
 //!
 //! ## Multi-RHS panels and the lane layer
@@ -78,9 +79,10 @@
 //! serves the scalar path (`FixedLanes<1>`), the SIMD-specialized
 //! widths (`k ∈ {4, 8}`, monomorphized) and arbitrary dynamic widths.
 //! One preconditioner schedule walk retires all `k` columns, and the
-//! batched Krylov drivers run `k` systems in lockstep with per-column
-//! convergence (and breakdown) masking — column `c` always carries
-//! exactly the bits of the scalar solve of column `c`:
+//! Krylov drivers (plain column-major loops above the lane kernels)
+//! run `k` systems in lockstep with per-column convergence (and
+//! breakdown) masking — column `c` always carries exactly the bits of
+//! the scalar solve of column `c`:
 //!
 //! ```
 //! use javelin::prelude::*;
@@ -133,9 +135,8 @@ pub mod prelude {
     pub use javelin_core::symbolic_ilu::SymbolicIlu;
     pub use javelin_core::FactorsBatch;
     pub use javelin_solver::{
-        bicgstab, bicgstab_batch, cg, fgmres, gmres, gmres_batch, krylov, krylov_panel, pcg,
-        solve_batch, Method, PanelMatrices, ScenarioMatrices, SolverOptions, SolverResult,
-        SolverStatus, SolverWorkspace,
+        Method, PanelMatrices, ScenarioMatrices, SolverOptions, SolverResult, SolverStatus,
+        SolverWorkspace,
     };
     pub use javelin_sparse::{
         CooMatrix, CsrMatrix, DynLanes, FixedLanes, Lanes, Panel, PanelMut, Perm, Scalar,

@@ -533,7 +533,6 @@ impl<T: Scalar> Session<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use javelin_solver::pcg;
     use javelin_synth::grid::laplace_2d;
 
     fn b_vec(n: usize) -> Vec<f64> {
@@ -549,11 +548,19 @@ mod tests {
         let mut xs = vec![0.0; n];
         let res = session.krylov(Method::Pcg, &b, &mut xs).unwrap();
         assert!(res.converged);
-        // Reference: plain pcg with the same factors and engine.
+        // Reference: a direct PCG solve with the same factors and engine.
         let opts = IluOptions::ilu0(2);
         let factors = javelin_core::factorize(&a, &opts).unwrap();
         let mut xr = vec![0.0; n];
-        let reference = pcg(&a, &b, &mut xr, &factors, &SolverOptions::default());
+        let reference = krylov_with(
+            Method::Pcg,
+            &a,
+            &b,
+            &mut xr,
+            &factors,
+            &SolverOptions::default(),
+            &mut SolverWorkspace::new(),
+        );
         assert_eq!(res.iterations, reference.iterations);
         for (g, w) in xs.iter().zip(xr.iter()) {
             assert!((g - w).abs() <= 1e-10 * w.abs().max(1.0), "{g} vs {w}");

@@ -4,6 +4,7 @@
 
 use javelin::core::options::SolveEngine;
 use javelin::core::{factorize, IluOptions};
+use javelin::solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin::synth::suite::paper_suite;
 use javelin_bench::harness::preorder_dm_nd;
 
@@ -83,12 +84,14 @@ fn preconditioner_quality_across_suite() {
             "{}: ||b - A M^-1 b|| = {r:.3} blown up vs ||b|| = {bn:.3}",
             meta.name
         );
-        let res = javelin::solver::gmres(
+        let res = krylov_with(
+            Method::Gmres,
             &a,
             &b,
             &mut x,
             &f,
-            &javelin::solver::SolverOptions::default(),
+            &SolverOptions::default(),
+            &mut SolverWorkspace::new(),
         );
         assert!(
             res.converged && res.iterations <= 200,

@@ -1,10 +1,10 @@
 //! Steady-state `refactor` performs **zero heap allocations**, and a
-//! **first** `gmres_batch` solve through a reserved workspace
+//! **first** GMRES panel solve through a reserved workspace
 //! ([`SolverWorkspace::reserve`] + [`SolverWorkspace::reserve_gmres_basis`])
-//! performs zero heap allocations too, as do the first scalar
-//! `gmres_with` / `fgmres_with` solves after `reserve` alone — the
-//! acceptance contracts of the two-phase API and the lane-layer reserve
-//! path — and the apply pipeline allocates nothing across panel widths
+//! performs zero heap allocations too, as do the first width-1
+//! GMRES / FGMRES solves after `reserve` alone — the acceptance
+//! contracts of the two-phase API and the workspace reserve path —
+//! and the apply pipeline allocates nothing across panel widths
 //! (phase 8). A counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -16,8 +16,7 @@ use javelin::core::{
     ZeroPivotPolicy,
 };
 use javelin::solver::{
-    fgmres_with, gmres_batch_into, gmres_with, krylov_panel_into, Method, SolverOptions,
-    SolverResult, SolverWorkspace,
+    krylov_panel_into, krylov_with, Method, SolverOptions, SolverResult, SolverWorkspace,
 };
 use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut, SparseError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -133,8 +132,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let fb: Vec<u64> = fresh.lu().vals().iter().map(|v| v.to_bits()).collect();
     assert_eq!(rb, fb);
 
-    // ---- Phase 2: a FIRST `gmres_batch` solve through a reserved ----
-    // workspace allocates zero bytes. `reserve` covers the lane panels
+    // ---- Phase 2: a FIRST GMRES panel solve through a reserved ----
+    // workspace allocates zero bytes. `reserve` covers the PCG/BiCGSTAB panels
     // and the preconditioner scratch; `reserve_gmres_basis` opts into
     // the stacked Arnoldi basis — the one buffer `reserve` leaves lazy.
     let n = last.nrows();
@@ -153,7 +152,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let mut x = vec![0.0; n * k];
     let mut results = vec![SolverResult::default(); k];
     let (allocs_mid, bytes_mid) = snapshot();
-    gmres_batch_into(
+    krylov_panel_into(
+        Method::BatchGmres,
         &last,
         Panel::new(&b, n, k),
         PanelMut::new(&mut x, n, k),
@@ -166,36 +166,41 @@ fn steady_state_refactor_allocates_zero_bytes() {
     assert_eq!(
         allocs_after - allocs_mid,
         0,
-        "first reserved gmres_batch solve performed heap allocations"
+        "first reserved GMRES panel solve performed heap allocations"
     );
     assert_eq!(
         bytes_after - bytes_mid,
         0,
-        "first reserved gmres_batch solve allocated bytes"
+        "first reserved GMRES panel solve allocated bytes"
     );
     assert!(
         results.iter().all(|r| r.converged),
-        "reserved gmres_batch must still converge: {results:?}"
+        "reserved GMRES panel must still converge: {results:?}"
     );
 
-    // ---- Phase 2b: the scalar Arnoldi solvers are the width-1 ----
-    // instantiations of the same core, and `reserve` alone (no
-    // `reserve_gmres_basis`) covers them: the FIRST `gmres_with` and
-    // the FIRST `fgmres_with` through a reserved workspace allocate
+    // ---- Phase 2b: width-1 GMRES and FGMRES run the same driver, ----
+    // and `reserve` alone (no `reserve_gmres_basis`) covers them: the
+    // FIRST width-1 GMRES and the FIRST width-1 FGMRES solve through a
+    // reserved workspace allocate
     // zero bytes. A `Method::Fgmres` panel widens the stacked `Z`
     // basis on first use and is allocation-free from its second solve.
     let mut ws1 = SolverWorkspace::new();
     ws1.reserve(n, opts_s.restart, 1);
     let mut x1 = vec![0.0; n];
-    for (name, flexible) in [("gmres_with", false), ("fgmres_with", true)] {
-        let scalar = if flexible { fgmres_with } else { gmres_with };
+    for method in [Method::Gmres, Method::Fgmres] {
         x1.fill(0.0);
         let mut converged = false;
         let cost = counted(|| {
-            converged = scalar(&last, &b[..n], &mut x1, &factors, &opts_s, &mut ws1).converged;
+            let b1 = &b[..n];
+            converged =
+                krylov_with(method, &last, b1, &mut x1, &factors, &opts_s, &mut ws1).converged;
         });
-        assert_eq!(cost, (0, 0), "first reserved {name} solve allocated");
-        assert!(converged, "reserved {name} must still converge");
+        assert_eq!(
+            cost,
+            (0, 0),
+            "first reserved width-1 {method} solve allocated"
+        );
+        assert!(converged, "reserved width-1 {method} must still converge");
     }
     let mut fgmres_panel = |x: &mut [f64], results: &mut [SolverResult]| {
         x.fill(0.0);

@@ -2,11 +2,24 @@
 //! the reproduced suite, including the Table-II orderings machinery.
 
 use javelin::core::precond::IdentityPrecond;
-use javelin::core::{factorize, IluOptions};
+use javelin::core::{factorize, IluOptions, Preconditioner};
 use javelin::order::{compute_order, Ordering};
-use javelin::solver::{bicgstab, gmres, pcg, SolverOptions};
+use javelin::solver::{krylov_with, Method, SolverOptions, SolverResult, SolverWorkspace};
+use javelin::sparse::CsrMatrix;
 use javelin::synth::suite::{group_a, paper_suite, SuiteGroup};
 use javelin_bench::harness::preorder_dm_nd;
+
+/// One right-hand side through `method` in a fresh workspace.
+fn solve(
+    method: Method,
+    a: &CsrMatrix<f64>,
+    b: &[f64],
+    x: &mut [f64],
+    m: &impl Preconditioner<f64>,
+    opts: &SolverOptions,
+) -> SolverResult {
+    krylov_with(method, a, b, x, m, opts, &mut SolverWorkspace::new())
+}
 
 #[test]
 fn group_a_pcg_converges_under_all_orderings() {
@@ -24,7 +37,7 @@ fn group_a_pcg_converges_under_all_orderings() {
             let n = ax.nrows();
             let b = vec![1.0; n];
             let mut x = vec![0.0; n];
-            let res = pcg(&ax, &b, &mut x, &f, &SolverOptions::default());
+            let res = solve(Method::Pcg, &ax, &b, &mut x, &f, &SolverOptions::default());
             assert!(
                 res.converged,
                 "{} under {ord}: relres {:.2e} after {} iters",
@@ -45,7 +58,7 @@ fn gmres_with_ilu_converges_on_nonsymmetric_suite() {
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut x = vec![0.0; n];
-        let res = gmres(&a, &b, &mut x, &f, &SolverOptions::default());
+        let res = solve(Method::Gmres, &a, &b, &mut x, &f, &SolverOptions::default());
         assert!(
             res.converged,
             "{}: GMRES relres {:.2e} after {}",
@@ -81,9 +94,9 @@ fn bicgstab_matches_gmres_solutions() {
         ..Default::default()
     };
     let mut xg = vec![0.0; n];
-    let rg = gmres(&a, &b, &mut xg, &f, &opts);
+    let rg = solve(Method::Gmres, &a, &b, &mut xg, &f, &opts);
     let mut xb = vec![0.0; n];
-    let rb = bicgstab(&a, &b, &mut xb, &f, &opts);
+    let rb = solve(Method::Bicgstab, &a, &b, &mut xb, &f, &opts);
     assert!(rg.converged && rb.converged);
     for (g, w) in xg.iter().zip(xb.iter()) {
         assert!((g - w).abs() < 1e-6 * w.abs().max(1.0), "{g} vs {w}");
@@ -103,9 +116,9 @@ fn preconditioning_never_hurts_iteration_counts_much() {
         let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 29 % 7) as f64) * 0.5).collect();
         let opts = SolverOptions::default();
         let mut x0 = vec![0.0; n];
-        let plain = gmres(&a, &b, &mut x0, &IdentityPrecond, &opts);
+        let plain = solve(Method::Gmres, &a, &b, &mut x0, &IdentityPrecond, &opts);
         let mut x1 = vec![0.0; n];
-        let pre = gmres(&a, &b, &mut x1, &f, &opts);
+        let pre = solve(Method::Gmres, &a, &b, &mut x1, &f, &opts);
         assert!(pre.converged, "{}", meta.name);
         assert!(
             pre.iterations <= plain.iterations,
@@ -121,11 +134,10 @@ fn preconditioning_never_hurts_iteration_counts_much() {
 fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
     // The PR-4 acceptance surface end to end: a nonsymmetric suite
     // matrix solved through `Session::krylov_panel` with every
-    // nonsymmetric method must reproduce, bit for bit, the scalar
-    // solver run on each column with the same pinned-engine
+    // nonsymmetric method must reproduce, bit for bit, the width-1
+    // solve of each column with the same pinned-engine
     // preconditioner.
     use javelin::prelude::*;
-    use javelin::solver::{bicgstab_with, fgmres_with, gmres_with};
 
     let meta = &paper_suite()[5]; // trans4-like (group B)
     let a = preorder_dm_nd(&meta.build_tiny());
@@ -155,13 +167,8 @@ fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
         let m = f.with_engine(engine);
         for c in 0..k {
             let mut x = vec![0.0; n];
-            let scalar = match method {
-                Method::BatchBicgstab => bicgstab_with,
-                Method::Fgmres => fgmres_with,
-                _ => gmres_with,
-            };
             let bc = &b[c * n..(c + 1) * n];
-            let r = scalar(&a, bc, &mut x, &m, &opts, &mut SolverWorkspace::new());
+            let r = solve(method, &a, bc, &mut x, &m, &opts);
             assert_eq!(results[c].iterations, r.iterations, "{method} col {c}");
             assert_eq!(
                 xp[c * n..(c + 1) * n]
@@ -191,7 +198,7 @@ fn milu_and_tau_variants_still_converge() {
     ] {
         let f = factorize(&a, &opts).expect("ILU variant");
         let mut x = vec![0.0; n];
-        let res = pcg(&a, &b, &mut x, &f, &SolverOptions::default());
+        let res = solve(Method::Pcg, &a, &b, &mut x, &f, &SolverOptions::default());
         assert!(
             res.converged,
             "variant k={} tau={}",
