@@ -50,7 +50,7 @@ pub struct SolvePlan {
 /// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
 /// the [`SolvePlan`] (schedules, the trailing rows' sub-corner ranges),
 /// the threaded engine's reusable solve scratch (counters, barrier,
-/// the trailing rows' sub-corner sums, the in-place solve buffer) and
+/// the trailing rows' sub-corner sums, the solve buffer) and
 /// an [`Exec`]
 /// — a persistent worker team — so that after the numeric phase
 /// returns, every solve runs with zero heap allocations and zero
@@ -163,8 +163,7 @@ impl<T: Scalar> IluFactors<T> {
     pub fn reserve_panel_width(&self, k: usize) {
         if k > 1 {
             // Sizes the buffers exactly as a width-`k` apply would.
-            let mut scratch = self.batch.sym.core().scratch.lock();
-            scratch.xbuf_mut(javelin_sparse::lanes::DynLanes(k));
+            self.batch.sym.core().scratch.lock().ensure_width(k);
         }
     }
 

@@ -40,7 +40,7 @@
 //!   forward/backward point-to-point schedules, the
 //!   [`factors::SolvePlan`], the threaded solve engine's reusable
 //!   scratch (progress counters, barrier, the trailing rows' sub-corner
-//!   sums, the in-place solve buffer), the numeric progress counters, and a
+//!   sums, the solve buffer), the numeric progress counters, and a
 //!   `javelin_sync::Exec` — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
@@ -136,5 +136,5 @@ pub use factors::{factorize, IluFactors};
 pub use options::{IluOptions, SolveEngine, ZeroPivotPolicy};
 pub use precond::{ApplyScratch, EnginePinned, Preconditioner};
 pub use spmv::SpmvPlan;
-pub use stats::FactorStats;
+pub use stats::{FactorStats, Work};
 pub use symbolic_ilu::SymbolicIlu;

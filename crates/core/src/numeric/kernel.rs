@@ -24,8 +24,8 @@
 //!   currently *owns* the row;
 //! * ownership is handed off through a release store of the owner's
 //!   progress count (`factor_upper_p2p_planned`: one store per
-//!   contiguous block of rows, or earlier when the owner is about to
-//!   block, so a row is released at the latest when its block ends) or
+//!   contiguous block of rows, so a row is released when its block
+//!   ends) or
 //!   a team-region join (between the stages: after the upper stage,
 //!   after `factor_lower_er_planned`, before `factor_rows_serial` on
 //!   the corner) after the row's last write, and acquired through the

@@ -35,12 +35,12 @@ pub fn factor_rows_serial<T: Scalar, L: Lanes>(
 }
 
 /// Point-to-point upper-stage factorization: each thread walks its
-/// static task sequence — one contiguous block of rows per level —
-/// spin-waits on the pruned `(thread, progress)` list, factors the row,
-/// and publishes its progress once per block
+/// static block sequence — one contiguous block of rows per level —
+/// spin-waits once per block on its pruned `(thread, blocks_done)`
+/// list, factors the block's rows, and publishes its progress once
 /// ([`ProgressCounters::walk`]) — the paper's replacement for
-/// inter-level barriers (§III-A). Every row's waits and update-list
-/// stream are performed once for all lanes.
+/// inter-level barriers (§III-A). Every row's update-list stream is
+/// performed once for all lanes.
 ///
 /// Rows are the first `schedule.n_tasks()` rows of the permuted matrix
 /// (execution index = row index). The region runs on `exec` (a
@@ -60,15 +60,12 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     progress.reset();
     let n = ctx.n();
     exec.run(|tid| {
-        progress.walk(
-            tid,
-            schedule.thread_tasks(tid),
-            |row| schedule.waits(row),
-            |row| {
+        progress.walk(tid, schedule.thread_blocks(tid), |rows| {
+            for row in rows {
                 eliminate_columns(lanes, ctx, row, 0, n);
                 finalize_row(lanes, ctx, row);
-            },
-        );
+            }
+        });
     });
 }
 

@@ -2,6 +2,30 @@
 
 use std::time::Duration;
 
+/// The exact synchronization and bookkeeping work of one apply through
+/// the threaded engine ([`crate::SolveEngine::PointToPointLower`]) —
+/// [`crate::SymbolicIlu::work`]: a pure function of the analysis's
+/// plans, with no counter in the hot loops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Work {
+    /// Passes over the vectors the caller runs outside the engine's
+    /// region (a gather into or a scatter out of the solve buffer).
+    pub caller_vector_passes: usize,
+    /// Bytes of schedule metadata the two point-to-point walks read:
+    /// each block's task range and wait-list bounds, each wait entry,
+    /// and the backward walk's row of each task.
+    pub schedule_bytes: usize,
+    /// Wait-list entries checked, summed over threads.
+    pub wait_checks: usize,
+    /// Progress publications (one per schedule block), summed over
+    /// threads.
+    pub publications: usize,
+    /// Barrier episodes the team passes through.
+    pub barriers: usize,
+    /// Team regions (wake-ups).
+    pub regions: usize,
+}
+
 /// Statistics collected while computing an [`crate::IluFactors`].
 #[derive(Debug, Clone, Default)]
 pub struct FactorStats {

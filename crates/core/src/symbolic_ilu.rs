@@ -40,7 +40,7 @@ use crate::numeric::parallel::{
 };
 use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
-use crate::stats::FactorStats;
+use crate::stats::{FactorStats, Work};
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
@@ -297,22 +297,17 @@ impl<T: Scalar> SymbolicIlu<T> {
             }
         };
         let bwd = P2PSchedule::build(n_upper, nthreads, bwd_levels_upper.level_ptr(), bwd_deps);
-        // The runtime's per-block publication is deadlock-free and
-        // race-free only on a sound schedule whose threads take one
-        // contiguous block per level: check both, independently of how
-        // `build` produced them.
-        debug_assert!(
-            fwd.validate(fwd_deps),
-            "forward schedule misses a dependency"
-        );
+        // The block walks are race-free and deadlock-free only on a
+        // sound schedule (waits dominate every dependency and target
+        // blocks that end before the waiter starts), and publish once
+        // per thread and level only on one block per level: check
+        // both, independently of how `build` produced them.
+        debug_assert!(fwd.validate(fwd_deps), "forward schedule is unsound");
         debug_assert!(
             fwd.has_level_blocks(&plan0.upper_level_ptr),
             "forward schedule is not blocked per level"
         );
-        debug_assert!(
-            bwd.validate(bwd_deps),
-            "backward schedule misses a dependency"
-        );
+        debug_assert!(bwd.validate(bwd_deps), "backward schedule is unsound");
         debug_assert!(
             bwd.has_level_blocks(bwd_levels_upper.level_ptr()),
             "backward schedule is not blocked per level"
@@ -364,7 +359,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         } else {
             SolveEngine::PointToPointLower
         };
-        let scratch = Mutex::new(SolveScratch::new_on(&plan, n, nthreads, Some(&exec)));
+        let scratch = Mutex::new(SolveScratch::new(&plan, n, nthreads));
         stats.t_analysis = t1.elapsed();
 
         Ok(SymbolicIlu {
@@ -430,6 +425,32 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// The engine used by solves when none is named.
     pub fn default_engine(&self) -> SolveEngine {
         self.core.engine_hint
+    }
+
+    /// The exact work of one apply of a width-`k` panel through the
+    /// threaded engine on these plans (see [`Work`]). The region walks
+    /// the forward and backward schedules once each for the whole
+    /// panel and reads and writes the caller's panels itself, so
+    /// nothing here grows with `k`; a width-0 apply returns before any
+    /// work. The Serial engine reads no schedule and runs no region.
+    pub fn work(&self, k: usize) -> Work {
+        if k == 0 {
+            return Work::default();
+        }
+        let plan = &self.core.plan;
+        let trailing = plan.n_upper < self.core.n;
+        Work {
+            caller_vector_passes: 0,
+            schedule_bytes: plan.fwd.walk_bytes()
+                + plan.bwd.walk_bytes()
+                + plan.bwd_row_of_task.len() * std::mem::size_of::<usize>(),
+            wait_checks: plan.fwd.n_waits() + plan.bwd.n_waits(),
+            publications: plan.fwd.n_blocks() + plan.bwd.n_blocks(),
+            // Forward → backward; with trailing rows also around the
+            // Even-Rows stage and after the corner's backward solve.
+            barriers: if trailing { 4 } else { 1 },
+            regions: 1,
+        }
     }
 
     /// The execution context numeric refactorizations and solves run on

@@ -3,77 +3,69 @@
 //! stage under point-to-point level scheduling with pruned waits — the
 //! factorization's schedule machinery — then runs the trailing rows
 //! Even-Rows, on the factorization's lower-stage row partition, before
-//! the small corner solve. Every row accumulates in the serial
-//! substitution's entry order, so the engine is **bitwise serial** at
-//! every width and thread count. The paper's other two threaded
-//! variants, barriered level sets (CSR-LS) and point-to-point with the
-//! trailing rows left to one thread (LS), lose to it and are modelled
-//! only, by the `javelin-machine` simulator.
+//! the small corner solve. Every row accumulates through Serial's own
+//! inner loop (`serial::row_sums`) in the serial substitution's entry
+//! order, so the engine is **bitwise serial** at every width and thread
+//! count. The paper's other two threaded variants, barriered level sets
+//! (CSR-LS) and point-to-point with the trailing rows left to one thread
+//! (LS), lose to it and are modelled only, by the `javelin-machine`
+//! simulator.
 //!
-//! Solution storage is the shared-memory [`LuVals`]: threads check out
-//! exclusive column-window slices of the rows they own and shared
-//! slices of already-retired rows (`numeric/kernel.rs` documents the
-//! ownership protocol); ordering comes from the progress counters /
-//! barriers. In the column-split trailing stages different threads own
-//! different column windows of the *same* row, so every view here is
-//! clipped to the thread's window — never the whole row.
+//! ## The region streams its own rows
 //!
-//! ## Panels and lanes
+//! Each thread walks its schedule **blocks** (`P2PSchedule`: its share
+//! of a level, one contiguous range of execution indices): it checks
+//! the block's waits once, retires the block's rows, and publishes once
+//! (`ProgressCounters::walk`). The permutation is folded into the walks:
+//! a forward retire of row `r` starts from the caller's right-hand side
+//! at original row `new_to_old[r]`, and a backward retire also stores
+//! the finished row into the caller's solution there. So the caller runs
+//! no pass over the vectors around the region; each thread reads and
+//! writes the caller's panels only at the rows it retires.
+//!
+//! ## Panels, lanes and the shared buffers
 //!
 //! The engine retires a whole **panel** of `k` right-hand sides per
-//! schedule walk: a row's retirement updates all `k` columns before the
-//! row's progress is published, so the wait protocol runs **once per
-//! panel, not once per column** — the schedule traversal the paper's
-//! level machinery pays is amortized across the whole block of vectors.
-//! The in-place solve buffer `xbuf` stores the panel *row-interleaved*
-//! through the lane layer ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
+//! schedule walk: a block's retirement updates all `k` columns of its
+//! rows before the block is published, so the wait protocol runs **once
+//! per panel, not once per column**. The solve buffer `xbuf` stores the
+//! panel *row-interleaved* through the lane layer
+//! ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
 //! [`Lanes::idx`]`(r, c) = r·k + c`, keeping the `k` columns of a row
-//! contiguous for the per-entry inner loops (callers see the
-//! column-major `Panel`/`PanelMut` layout; the apply pipeline's
-//! `gather_permuted` / `scatter_permuted` permute and transpose in one
-//! pass each around the region, at every width; only the Serial
-//! engine folds the permutation into its sweeps, and only for narrow
-//! panels).
+//! contiguous for the per-entry inner loops. The caller's panels stay
+//! column-major. `FixedLanes<1>` *is* the scalar protocol, `FixedLanes<4>`
+//! / `FixedLanes<8>` monomorphize the per-lane loops, and
+//! [`javelin_sparse::DynLanes`] runs the same code at any other width;
+//! column `c` of a panel solve is bit-identical to a single-RHS solve of
+//! that column.
 //!
-//! Every engine entry point is **width-generic over [`Lanes`]**: the
-//! scalar protocol is literally the `FixedLanes<1>` instantiation of
-//! the panel protocol, `FixedLanes<4>`/`FixedLanes<8>` monomorphize the
-//! per-lane inner loops with compile-time trip counts (the
-//! vectorizer-friendly form), and [`javelin_sparse::DynLanes`] runs the same
-//! code at any other width. Column arithmetic is fully independent —
-//! column `c` of a panel solve is bit-identical to a single-RHS solve
-//! of that column through **any** lane instantiation, and `k = 1` is
-//! bit-identical to the historical single-vector path.
-//!
-//! The trailing rows' corner part and the corner solve, serial on
-//! thread 0 in the single-RHS path, are **column-split** across the
-//! team for panels (`javelin_sync::col_range`): columns are independent
-//! there, so each thread owns a contiguous column range and narrow
-//! panels leave trailing threads idle instead of racing.
+//! The region's threads share `xbuf`, the trailing rows' sub-corner sums
+//! `z` and the caller's solution panel as [`Cell`] slices, taken once per
+//! region (`RegionCells`): plain loads and stores, ordered by the
+//! progress counters and barriers under the row-ownership protocol of
+//! `docs/ARCHITECTURE.md` §7. In the column-split trailing stages
+//! different threads own different columns of the *same* row, so every
+//! access there stays inside the thread's column range.
 //!
 //! The engine is **allocation-free per call**: every buffer it touches
-//! (progress counters, barrier, the trailing rows' sub-corner sums)
-//! lives in a [`SolveScratch`] built once per analysis and
-//! resized grow-only when a wider panel first arrives
-//! ([`SolveScratch::xbuf_mut`]). The parallel region runs on the
-//! persistent team behind the plan's [`Exec`]. The scratch is reset at
-//! engine entry, so one scratch serves any number of solves at any
-//! widths (caller guarantees solves on one scratch are not concurrent;
-//! the apply pipeline holds the analysis's mutex).
-//!
-//! The solve is *fused*: forward and backward substitution run in one
-//! parallel region, so a full preconditioner apply costs a single team
-//! wake-up.
+//! lives in a [`SolveScratch`] built once per analysis and resized
+//! grow-only when a wider panel first arrives. The parallel region runs
+//! on the persistent team behind the plan's [`Exec`], forward and
+//! backward substitution in one region, so a full preconditioner apply
+//! costs a single team wake-up.
 
-#![allow(unsafe_code)] // LuVals views; protocol documented in numeric/kernel.rs.
+#![allow(unsafe_code)] // RegionCells' Sync; protocol in docs/ARCHITECTURE.md §7.
 
+use super::serial::{row_sums, row_sums_from};
 use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
-use crate::numeric::LuVals;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::Scalar;
+use javelin_sparse::{Panel, PanelMut, Scalar};
 use javelin_sync::{col_range, Exec, ProgressCounters, SpinBarrier};
+use std::cell::Cell;
 use std::ops::Range;
+#[cfg(debug_assertions)]
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Reusable per-analysis scratch of the threaded solve engine: every
 /// buffer a solve needs, built once from the [`SolvePlan`].
@@ -82,14 +74,11 @@ use std::ops::Range;
 ///   engine entry;
 /// * `z`, the trailing rows' sub-corner sums, written by the Even-Rows
 ///   stage and read by the column-split finish;
-/// * `xbuf`, the in-place solution panel the engine operates on,
-///   filled and emptied around each region by the apply pipeline
-///   (`SolveScratch::xbuf_mut`).
+/// * `xbuf`, the row-interleaved solve buffer the walks retire rows in.
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
-/// entries (row-interleaved), `z` gains the same column dimension.
-/// [`SolveScratch::xbuf_mut`] resizes them grow-only — the first
-/// `k = 8` solve allocates once, every later solve at width `≤ 8`
+/// entries, `z` gains the same column dimension. They grow only — the
+/// first `k = 8` solve allocates once, every later solve at width `≤ 8`
 /// (including `k = 1`) reuses the high-water-mark buffers.
 #[derive(Debug)]
 pub(crate) struct SolveScratch<T> {
@@ -98,8 +87,6 @@ pub(crate) struct SolveScratch<T> {
     n: usize,
     /// Trailing (lower-stage) row count.
     n_lower: usize,
-    /// Current panel width `k`; governs the interleaved indexing.
-    width: usize,
     /// High-water-mark width the buffers are sized for.
     width_cap: usize,
     progress: ProgressCounters,
@@ -108,145 +95,260 @@ pub(crate) struct SolveScratch<T> {
     bwd_progress: ProgressCounters,
     barrier: SpinBarrier,
     /// Per-trailing-row sub-corner sums (`n_lower × width`).
-    z: LuVals<T>,
-    /// The in-place solve panel (`n × width`, row-interleaved).
-    xbuf: LuVals<T>,
+    z: Vec<T>,
+    /// The solve panel (`n × width`, row-interleaved).
+    xbuf: Vec<T>,
+    /// Debug builds: the apply that last wrote each caller solution
+    /// entry (`c·n + original row`), checked to be written exactly once
+    /// per apply.
+    #[cfg(debug_assertions)]
+    written: Vec<AtomicU64>,
+    #[cfg(debug_assertions)]
+    epoch: u64,
 }
 
 impl<T: Scalar> SolveScratch<T> {
     /// Builds scratch for solving factors of dimension `n` under `plan`
-    /// with `nthreads` workers. The initial panel width is 1; wider
-    /// solves grow the buffers on first use via
-    /// [`SolveScratch::xbuf_mut`]. When `exec` is given, the value
-    /// buffers (`z`, `xbuf`) are zero-filled *inside a parallel region*
-    /// on `exec`'s own threads — first-touch page placement for pinned
-    /// teams (see [`LuVals::zeroed_on`]). Width regrowth reallocates
-    /// without first-touch; size panels up front when placement matters.
-    pub(crate) fn new_on(plan: &SolvePlan, n: usize, nthreads: usize, exec: Option<&Exec>) -> Self {
-        let zeroed = |len: usize| match exec {
-            Some(exec) => LuVals::zeroed_on(len, exec),
-            None => LuVals::zeroed(len),
-        };
+    /// with `nthreads` workers, at panel width 1; wider solves grow the
+    /// buffers on first use ([`SolveScratch::ensure_width`]).
+    pub(crate) fn new(plan: &SolvePlan, n: usize, nthreads: usize) -> Self {
         SolveScratch {
             nthreads,
             n,
             n_lower: n - plan.n_upper,
-            width: 1,
             width_cap: 1,
             progress: ProgressCounters::new(nthreads),
             bwd_progress: ProgressCounters::new(nthreads),
             barrier: SpinBarrier::new(nthreads),
-            z: zeroed(n - plan.n_upper),
-            xbuf: zeroed(n),
+            z: vec![T::ZERO; n - plan.n_upper],
+            xbuf: vec![T::ZERO; n],
+            #[cfg(debug_assertions)]
+            written: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            #[cfg(debug_assertions)]
+            epoch: 0,
         }
     }
 
-    /// Sets the panel width for subsequent engine calls, growing the
-    /// value buffers if `width` exceeds every width seen so far
-    /// (grow-only: narrowing back is free and keeps the wider buffers
-    /// for the next wide solve).
-    fn ensure_width(&mut self, width: usize) {
-        let width = width.max(1);
+    /// Grows the value buffers if `width` exceeds every width seen so
+    /// far (grow-only: narrowing back is free and keeps the wider
+    /// buffers for the next wide solve).
+    pub(crate) fn ensure_width(&mut self, width: usize) {
         if width > self.width_cap {
-            self.z = LuVals::zeroed(self.n_lower * width);
-            self.xbuf = LuVals::zeroed(self.n * width);
+            self.z = vec![T::ZERO; self.n_lower * width];
+            self.xbuf = vec![T::ZERO; self.n * width];
+            #[cfg(debug_assertions)]
+            {
+                self.written = (0..self.n * width).map(|_| AtomicU64::new(0)).collect();
+            }
             self.width_cap = width;
         }
-        self.width = width;
-    }
-
-    /// The in-place solve panel at width `lanes.width()` (grown first
-    /// when wider than any seen): the apply pipeline gathers the
-    /// right-hand sides into it before the engine's region and scatters
-    /// the solutions out of it afterwards.
-    pub(crate) fn xbuf_mut<L: Lanes>(&mut self, lanes: L) -> &mut [T] {
-        self.ensure_width(lanes.width());
-        // Safety: `&mut self` — no region is running on this scratch —
-        // and `ensure_width` sized `xbuf` for `n × width`.
-        unsafe { self.xbuf.view_mut(0..self.n * self.width) }
     }
 }
 
-/// Retires the strictly-lower part of row `r` for panel lanes `cols`:
-/// `x[r, c] ← x[r, c] − Σ_{j<r} L[r, j] · x[j, c]`. Lane chunks of
-/// [`LANE_CHUNK`] keep the accumulators on the stack (one constant-trip
-/// block at a fixed width ≤ 8); per lane the entry order (and therefore
-/// the bits) matches the single-RHS kernel — which *is* this function
-/// at `FixedLanes<1>`.
-#[inline(always)]
-fn retire_row_lower<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    x: &LuVals<T>,
-    cols: Range<usize>,
-    r: usize,
-) {
-    // The chunk body must be inlined into the sweep: left to the
-    // heuristic it was outlined at k = 1 (a call per row with a spilled
-    // capture block) and the p2p apply measured 5–10 % slower.
-    for_each_chunk(
-        cols,
-        #[inline(always)]
-        |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in f.lower(r) {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                // Safety: row f.col(e) retired before this row was released
-                // (schedule order), and the view stays inside this thread's
-                // column window.
-                let xs = unsafe { x.view(xb..xb + cw) };
-                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
-                    *s += v.lane(c) * xv;
-                }
-            }
-            let xb = lanes.idx(r, c0);
-            // Safety: this thread owns row `r`'s `cols` window until its
-            // retire-signal (progress publication / barrier / region join).
-            let xr = unsafe { x.view_mut(xb..xb + cw) };
-            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-                *xv -= *s;
-            }
-        },
-    );
+/// A buffer the region's threads share as plain cells, taken once per
+/// region from an exclusive borrow.
+#[derive(Clone, Copy)]
+struct RegionCells<'a, T>(&'a [Cell<T>]);
+
+// Safety: the cells are accessed under the row-ownership protocol
+// (docs/ARCHITECTURE.md §7): a slot is written only by the thread that
+// owns its row (and, in the column-split stages, its column) at that
+// stage, and every read of another thread's slot is ordered after the
+// write by a progress-counter release/acquire pair, a barrier or the
+// region join. Concurrent accesses therefore touch disjoint slots.
+unsafe impl<T: Send> Sync for RegionCells<'_, T> {}
+
+impl<'a, T> RegionCells<'a, T> {
+    fn new(buf: &'a mut [T]) -> Self {
+        RegionCells(Cell::from_mut(buf).as_slice_of_cells())
+    }
 }
 
-/// Retires the upper part of row `r` for panel lanes `cols`:
-/// `x[r, c] ← (x[r, c] − Σ_{j>r} U[r, j] · x[j, c]) / U[r, r]`.
-#[inline(always)]
-fn retire_row_upper<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+/// The caller's column-major solution panel, written through the
+/// permutation by whichever thread retires a row.
+struct Solution<'a, T> {
+    cells: RegionCells<'a, T>,
+    col_stride: usize,
+    #[cfg(debug_assertions)]
+    n: usize,
+    #[cfg(debug_assertions)]
+    written: &'a [AtomicU64],
+    #[cfg(debug_assertions)]
+    epoch: u64,
+}
+
+impl<T: Scalar> Solution<'_, T> {
+    /// Stores lane `c` of original row `o`.
+    #[inline(always)]
+    fn put(&self, c: usize, o: usize, v: T) {
+        // A swap is one read-modify-write of the stamp, so of two writes
+        // of one entry in one apply the later sees the earlier's epoch,
+        // whatever the ordering; the region join orders the final check.
+        #[cfg(debug_assertions)]
+        {
+            let before = self.written[c * self.n + o].swap(self.epoch, Ordering::Relaxed);
+            assert_ne!(before, self.epoch, "solution ({o}, {c}) written twice");
+        }
+        self.cells.0[c * self.col_stride + o].set(v);
+    }
+}
+
+/// Everything one thread's share of the region reads.
+struct Region<'a, T, L, V> {
     lanes: L,
-    f: FactorView<'_, V>,
-    x: &LuVals<T>,
-    cols: Range<usize>,
-    r: usize,
-) {
-    // Forced inline: see `retire_row_lower`.
-    for_each_chunk(
-        cols,
-        #[inline(always)]
-        |c0, cw| {
-            let d = f.pivot(r, c0, cw);
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in f.upper(r) {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                // Safety: row f.col(e) retired first (backward schedule
-                // order); the view stays inside this thread's column window.
-                let xs = unsafe { x.view(xb..xb + cw) };
-                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
-                    *s += v.lane(c) * xv;
+    f: FactorView<'a, V>,
+    plan: &'a SolvePlan,
+    new_to_old: &'a [usize],
+    nthreads: usize,
+    b: Panel<'a, T>,
+    x: Solution<'a, T>,
+    xbuf: RegionCells<'a, T>,
+    z: RegionCells<'a, T>,
+    progress: &'a ProgressCounters,
+    bwd_progress: &'a ProgressCounters,
+    barrier: &'a SpinBarrier,
+}
+
+impl<'a, T: Scalar, L: Lanes, V: LaneValues<Value = T>> Region<'a, T, L, V> {
+    /// The right-hand-side columns of lanes `c0..c0 + cw`, taken once
+    /// per block, not per row; slots past `cw` repeat the last column
+    /// and are never read.
+    #[inline(always)]
+    fn rhs_cols(&self, c0: usize, cw: usize) -> [&'a [T]; LANE_CHUNK] {
+        std::array::from_fn(|c| self.b.col(c0 + c.min(cw - 1)))
+    }
+
+    /// Forward retire of row `r`, lanes `c0..c0 + cw` (right-hand sides
+    /// `rhs`): `xbuf[r, c] ← rhs[c][new_to_old[r]] − sums[c]`, where
+    /// `sums` is the dot product over `entries` continued from `init`.
+    #[inline(always)]
+    fn retire_lower(
+        &self,
+        r: usize,
+        entries: Range<usize>,
+        init: [T; LANE_CHUNK],
+        rhs: &[&[T]; LANE_CHUNK],
+        c0: usize,
+        cw: usize,
+    ) {
+        let xs = self.xbuf.0;
+        let sums = row_sums_from(init, self.lanes, &self.f, entries, xs, c0, cw);
+        let (o, xb) = (self.new_to_old[r], self.lanes.idx(r, c0));
+        for (c, s) in sums[..cw].iter().enumerate() {
+            xs[xb + c].set(rhs[c][o] - *s);
+        }
+    }
+
+    /// Backward retire of row `r`, lanes `c0..c0 + cw`:
+    /// `v ← (xbuf[r, c] − Σ_{j>r} U[r, j] · xbuf[j, c]) / U[r, r]`, stored
+    /// to the solve buffer and to the caller's solution.
+    #[inline(always)]
+    fn retire_upper(&self, r: usize, c0: usize, cw: usize) {
+        let xs = self.xbuf.0;
+        let d = self.f.pivot(r, c0, cw);
+        let sums = row_sums(self.lanes, &self.f, self.f.upper(r), xs, c0, cw);
+        let (o, xb) = (self.new_to_old[r], self.lanes.idx(r, c0));
+        for (c, s) in sums[..cw].iter().enumerate() {
+            let v = (xs[xb + c].get() - *s) / d.lane(c);
+            xs[xb + c].set(v);
+            self.x.put(c0 + c, o, v);
+        }
+    }
+
+    /// One thread's share of the forward solve: the upper stage through
+    /// its schedule blocks, then Even-Rows sub-corner sums of the
+    /// thread's chunk of trailing rows, then the column-split finish of
+    /// every trailing row through the corner.
+    #[inline(always)]
+    fn forward(&self, tid: usize) {
+        let (k, n_upper, n) = (self.lanes.width(), self.plan.n_upper, self.f.n());
+        // The chunk bodies must be inlined into the sweep: left to the
+        // heuristic they were outlined at k = 1 (a call per row with a
+        // spilled capture block), 5–10 % slower.
+        self.progress
+            .walk(tid, self.plan.fwd.thread_blocks(tid), |rows| {
+                for_each_chunk(
+                    0..k,
+                    #[inline(always)]
+                    |c0, cw| {
+                        let rhs = self.rhs_cols(c0, cw);
+                        for r in rows.clone() {
+                            let zero = [T::ZERO; LANE_CHUNK];
+                            self.retire_lower(r, self.f.lower(r), zero, &rhs, c0, cw);
+                        }
+                    },
+                );
+            });
+        if n_upper == n {
+            return;
+        }
+        self.barrier.wait();
+        // Even-Rows over the trailing rows: thread `tid` sums the
+        // sub-corner prefix of each row in its `col_range` chunk from
+        // zero, in entry order, into its own rows of `z` — the forward
+        // retire's accumulation order, so the split below is bitwise
+        // serial.
+        let zs = self.z.0;
+        for off in col_range(n - n_upper, self.nthreads, tid) {
+            let (k_lo, k_hi) = self.plan.block_rows[off];
+            for_each_chunk(0..k, |c0, cw| {
+                let sums = row_sums(self.lanes, &self.f, k_lo..k_hi, self.xbuf.0, c0, cw);
+                let zb = self.lanes.idx(off, c0);
+                for (c, s) in sums[..cw].iter().enumerate() {
+                    zs[zb + c].set(*s);
                 }
-            }
-            let xb = lanes.idx(r, c0);
-            // Safety: exclusive `cols` window of row `r` (as in the lower
-            // retire).
-            let xr = unsafe { x.view_mut(xb..xb + cw) };
-            for (c, (xv, s)) in xr.iter_mut().zip(&sums[..cw]).enumerate() {
-                *xv = (*xv - *s) / d.lane(c);
-            }
-        },
-    );
+            });
+        }
+        self.barrier.wait();
+        // Trailing stage, column-split: panel columns are independent
+        // from here on, so each thread owns a contiguous column range
+        // (narrow panels leave trailing tids an empty range). At k = 1
+        // this is tid 0 finishing each row from its sub-corner sum with
+        // its corner part, as the serial substitution does.
+        let cols = col_range(k, self.nthreads, tid);
+        for (off, &(_, k_hi)) in self.plan.block_rows.iter().enumerate() {
+            let r = n_upper + off;
+            for_each_chunk(cols.clone(), |c0, cw| {
+                let zb = self.lanes.idx(off, c0);
+                let init = std::array::from_fn(|c| if c < cw { zs[zb + c].get() } else { T::ZERO });
+                let rhs = self.rhs_cols(c0, cw);
+                self.retire_lower(r, k_hi..self.f.lower(r).end, init, &rhs, c0, cw);
+            });
+        }
+    }
+
+    /// Backward solve of the trailing corner for this thread's columns
+    /// (self-contained: trailing rows only reference corner columns in
+    /// their U parts, and panel columns are mutually independent).
+    #[inline(always)]
+    fn corner_backward(&self, tid: usize) {
+        let cols = col_range(self.lanes.width(), self.nthreads, tid);
+        if cols.is_empty() {
+            return;
+        }
+        for r in (self.plan.n_upper..self.f.n()).rev() {
+            for_each_chunk(cols.clone(), |c0, cw| self.retire_upper(r, c0, cw));
+        }
+    }
+
+    /// One thread's share of the backward upper stage.
+    #[inline(always)]
+    fn backward(&self, tid: usize) {
+        let k = self.lanes.width();
+        let row_of_task = &self.plan.bwd_row_of_task;
+        self.bwd_progress
+            .walk(tid, self.plan.bwd.thread_blocks(tid), |tasks| {
+                for_each_chunk(
+                    0..k,
+                    #[inline(always)]
+                    |c0, cw| {
+                        for task in tasks.clone() {
+                            self.retire_upper(row_of_task[task], c0, cw);
+                        }
+                    },
+                );
+            });
+    }
 }
 
 /// Chaos hook: fires the `trisolve.region` failpoint from inside a
@@ -260,187 +362,81 @@ fn region_failpoint(tid: usize) {
     }
 }
 
-/// One thread's share of the point-to-point forward solve: upper stage
-/// through the pruned-wait schedule, then Even-Rows sub-corner sums of
-/// the thread's chunk of trailing rows, then the column-split finish of
-/// every trailing row through the corner. Ends with every thread past
-/// the trailing stage; the caller decides what synchronization follows.
-#[inline]
-fn forward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    plan: &SolvePlan,
-    scratch: &SolveScratch<T>,
-    nthreads: usize,
-    tid: usize,
-    x: &LuVals<T>,
-) {
-    let k = lanes.width();
-    let n = f.n();
-    let n_upper = plan.n_upper;
-    // Upper stage: point-to-point, one contiguous block of rows per
-    // level, progress published once per block and panel — after all k
-    // columns of the block's rows retire.
-    scratch.progress.walk(
-        tid,
-        plan.fwd.thread_tasks(tid),
-        |row| plan.fwd.waits(row),
-        |row| retire_row_lower(lanes, f, x, 0..k, row),
-    );
-    if n_upper == n {
-        return;
-    }
-    scratch.barrier.wait();
-    // Even-Rows over the trailing rows: thread `tid` sums the
-    // sub-corner prefix of each row in its `col_range` chunk from zero,
-    // in entry order, into its own rows of `z` — `retire_row_lower`'s
-    // accumulation order, so the split below is bitwise serial. Lane
-    // chunks keep the accumulators on the stack.
-    for off in col_range(n - n_upper, nthreads, tid) {
-        let (k_lo, k_hi) = plan.block_rows[off];
-        for_each_chunk(0..k, |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in k_lo..k_hi {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                // Safety: the gathered columns are upper-stage rows, all
-                // retired before the barrier above.
-                let xs = unsafe { x.view(xb..xb + cw) };
-                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
-                    *s += v.lane(c) * xv;
-                }
-            }
-            // Safety: z row `off` lies in this thread's `col_range`
-            // chunk; other threads read it only after the barrier below.
-            let zr = unsafe {
-                scratch
-                    .z
-                    .view_mut(lanes.idx(off, c0)..lanes.idx(off, c0) + cw)
-            };
-            zr.copy_from_slice(&sums[..cw]);
-        });
-    }
-    scratch.barrier.wait();
-    // Trailing stage, column-split: panel columns are independent from
-    // here on, so each thread owns a contiguous column range (narrow
-    // panels leave trailing tids an empty range — `col_range` never
-    // hands out degenerate work). At k = 1 this degenerates to tid 0
-    // performing exactly the single-RHS serial combination.
-    let cols = col_range(k, nthreads, tid);
-    if cols.is_empty() {
-        return;
-    }
-    // Finish each trailing row from its sub-corner sum with its corner
-    // part. Every x view below is clipped to this thread's `cols`
-    // window — other threads work the other columns.
-    for (off, &(_, k_hi)) in plan.block_rows.iter().enumerate() {
-        let r = n_upper + off;
-        for_each_chunk(cols.clone(), |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            // Safety: z is quiescent after the Even-Rows barrier.
-            let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
-            sums[..cw].copy_from_slice(zs);
-            for e in k_hi..f.lower(r).end {
-                let v = f.entry(e, c0, cw);
-                let xb = lanes.idx(f.col(e), c0);
-                // Safety: corner columns are earlier trailing rows,
-                // whose `cols` window this thread finished above.
-                let xs = unsafe { x.view(xb..xb + cw) };
-                for (c, (s, &xv)) in sums[..cw].iter_mut().zip(xs).enumerate() {
-                    *s += v.lane(c) * xv;
-                }
-            }
-            let xb = lanes.idx(r, c0);
-            // Safety: trailing row `r`'s `cols` window is ours.
-            let xr = unsafe { x.view_mut(xb..xb + cw) };
-            for (xv, s) in xr.iter_mut().zip(&sums[..cw]) {
-                *xv -= *s;
-            }
-        });
-    }
-}
-
-/// Backward solve of the trailing corner restricted to panel columns
-/// `cols` (self-contained: trailing rows only reference corner columns
-/// in their U parts, and panel columns are mutually independent).
-#[inline]
-fn corner_backward_cols<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    n_upper: usize,
-    x: &LuVals<T>,
-    cols: Range<usize>,
-) {
-    if cols.is_empty() {
-        return;
-    }
-    for r in (n_upper..f.n()).rev() {
-        retire_row_upper(lanes, f, x, cols.clone(), r);
-    }
-}
-
-/// One thread's share of the backward point-to-point upper stage.
-#[inline]
-fn backward_p2p_phase<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
-    lanes: L,
-    f: FactorView<'_, V>,
-    plan: &SolvePlan,
-    scratch: &SolveScratch<T>,
-    tid: usize,
-    x: &LuVals<T>,
-) {
-    let k = lanes.width();
-    scratch.bwd_progress.walk(
-        tid,
-        plan.bwd.thread_tasks(tid),
-        |task| plan.bwd.waits(task),
-        |task| retire_row_upper(lanes, f, x, 0..k, plan.bwd_row_of_task[task]),
-    );
-}
-
-/// Fused point-to-point solve: forward substitution, corner, and
-/// backward substitution in **one** parallel region — the Krylov
-/// hot-loop entry point. One team wake-up per preconditioner apply,
-/// zero allocations, no `partition_point` searches; the whole panel
-/// rides a single schedule walk through one width-generic kernel body
-/// (`FixedLanes<1>` *is* the scalar protocol). The trailing rows' sub-
-/// corner sums run Even-Rows across all threads ("LS+Lower").
+/// Fused point-to-point solve of `A·X ≈ B`: forward substitution from
+/// `b` (read through the permutation), the trailing rows, the corner
+/// and backward substitution into `x` (written through it) in **one**
+/// parallel region — the Krylov hot-loop entry point. One team wake-up
+/// per preconditioner apply, zero allocations, no caller-side pass over
+/// the vectors; the whole panel rides a single schedule walk. The
+/// trailing rows' sub-corner sums run Even-Rows across all threads
+/// ("LS+Lower"). Shapes are the caller's to check.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     lanes: L,
     f: FactorView<'_, V>,
     plan: &SolvePlan,
-    scratch: &SolveScratch<T>,
+    new_to_old: &[usize],
+    scratch: &mut SolveScratch<T>,
     exec: &Exec,
+    b: Panel<'_, T>,
+    mut x: PanelMut<'_, T>,
 ) {
-    let x = &scratch.xbuf;
-    let n = f.n();
-    let n_upper = plan.n_upper;
-    let nthreads = exec.nthreads();
+    let (n, k, nthreads) = (f.n(), lanes.width(), exec.nthreads());
     debug_assert_eq!(nthreads, scratch.nthreads);
-    debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
+    scratch.ensure_width(k);
     scratch.progress.reset();
     scratch.bwd_progress.reset();
     scratch.barrier.reset();
-    let k = lanes.width();
+    #[cfg(debug_assertions)]
+    {
+        scratch.epoch += 1;
+    }
+    let col_stride = x.col_stride();
+    let region = Region {
+        lanes,
+        f,
+        plan,
+        new_to_old,
+        nthreads,
+        b,
+        x: Solution {
+            cells: RegionCells::new(x.data_mut()),
+            col_stride,
+            #[cfg(debug_assertions)]
+            n,
+            #[cfg(debug_assertions)]
+            written: &scratch.written,
+            #[cfg(debug_assertions)]
+            epoch: scratch.epoch,
+        },
+        xbuf: RegionCells::new(&mut scratch.xbuf[..n * k]),
+        z: RegionCells::new(&mut scratch.z[..(n - plan.n_upper) * k]),
+        progress: &scratch.progress,
+        bwd_progress: &scratch.bwd_progress,
+        barrier: &scratch.barrier,
+    };
     exec.run(|tid| {
         region_failpoint(tid);
-        forward_p2p_phase(lanes, f, plan, scratch, nthreads, tid, x);
-        if n_upper < n {
-            // The trailing forward rows finish above (column-split);
-            // the corner backward solve is column-split the same way.
-            // The barrier pair publishes the forward solution to
-            // everyone and the corner to the backward stage.
-            scratch.barrier.wait();
-            corner_backward_cols(lanes, f, n_upper, x, col_range(k, nthreads, tid));
-            scratch.barrier.wait();
-        } else {
-            // Order every forward write before any backward read: the
-            // forward and backward schedules may place the same row on
-            // different threads.
-            scratch.barrier.wait();
+        region.forward(tid);
+        // Order every forward write before any backward read: the
+        // forward and backward schedules may place the same row on
+        // different threads. With trailing rows, the corner backward
+        // solve runs column-split between a barrier pair.
+        region.barrier.wait();
+        if plan.n_upper < n {
+            region.corner_backward(tid);
+            region.barrier.wait();
         }
-        backward_p2p_phase(lanes, f, plan, scratch, tid, x);
+        region.backward(tid);
     });
+    #[cfg(debug_assertions)]
+    {
+        let epoch = scratch.epoch;
+        let missed = scratch.written[..n * k]
+            .iter()
+            .position(|w| w.load(Ordering::Relaxed) != epoch);
+        assert!(missed.is_none(), "solution entry {missed:?} never written");
+    }
 }
 
 #[cfg(test)]

@@ -2,19 +2,19 @@
 //! co-designed around: the factorization is computed once, but `stri`
 //! runs thousands of times inside the Krylov loop.
 //!
-//! Both engines solve **in place**: the buffer starts as the right-hand
-//! side and finishes as the solution (classic substitution is safe in
-//! place because each row reads its own slot before writing it and reads
-//! dependency slots only after their final write). The buffer is
-//! row-interleaved and in the factor's permuted ordering; one fused
-//! gather fills it from the caller's column-major panel and one fused
-//! scatter empties it, the same two passes for both engines and every
-//! factor storage — except the Serial engine on panels of at most
-//! four columns (the scalar apply included), whose forward sweep reads
-//! the right-hand side through the permutation and whose backward
-//! sweep writes the solution through it, so the apply is two passes
-//! over the vectors, not four (`apply_panel` is the pipeline; `view`
-//! is the only module that knows how factor values are addressed).
+//! Both engines solve in a row-interleaved buffer in the factor's
+//! permuted ordering (classic substitution is safe in place because each
+//! row reads its own slot before writing it and reads dependency slots
+//! only after their final write). Neither needs a pass over the vectors
+//! of its own on narrow panels: the forward sweep reads the caller's
+//! column-major right-hand sides through the permutation and the
+//! backward sweep writes the solution through it. The threaded engine
+//! does this at every width, each thread at the rows it retires inside
+//! the region; the Serial engine up to four columns (the scalar apply
+//! included), while wider Serial panels gather into the buffer and
+//! scatter out of it in one fused pass each (`apply_panel` is the
+//! pipeline; `view` is the only module that knows how factor values are
+//! addressed).
 //!
 //! * [`serial`] — the Serial engine: lane-generic substitution, one
 //!   stream over the factor for all `k` columns, folded or in place;
@@ -41,13 +41,13 @@ use view::{FactorView, LaneValues, PerLane, Shared};
 /// committed values, from the panel's first scenario on): one stored
 /// factor serves every panel column ([`view::Shared`], what
 /// [`crate::IluFactors`] is), otherwise column `c` reads factor `c`
-/// ([`view::PerLane`]). One pass gathers `B` permuted and
-/// row-interleaved into the engine's buffer, the engine retires all
-/// `k` columns in one schedule walk (Serial: one stream over the
-/// factor), one pass scatters the solution into `x` — except on the
-/// Serial engine at `k ≤ 4`, whose sweeps read `B` and write `x`
-/// through the permutation themselves (see `FOLD_MAX_WIDTH`). Widths
-/// `k ∈ {1, 4, 8}` run the monomorphized fixed-lane kernels, every
+/// ([`view::PerLane`]). The engine retires all `k` columns in one
+/// schedule walk (Serial: one stream over the factor), reading `B` and
+/// writing `x` through the permutation itself — except the Serial
+/// engine at `k > 4`, which gathers `B` permuted and row-interleaved
+/// into its buffer first and scatters the solution afterwards (see
+/// `FOLD_MAX_WIDTH`). Widths `k ∈ {1, 4, 8}` run the monomorphized
+/// fixed-lane kernels, every
 /// other width the bit-identical dynamic fallback.
 ///
 /// The Serial engine works in `buf` (grown to `n·k` when shorter, never
@@ -98,7 +98,11 @@ pub(crate) fn apply_panel<T: Scalar>(
 /// row-interleaved line. On a 56³ 7-point ILU(0) apply (175 616 rows,
 /// 2-vCPU x86 host) folding was faster at `k = 1` (−8 %), `k = 2..4`
 /// (−25 to −35 %) and `k = 5` (−6 %), a toss-up at 6 and 48 % slower
-/// at 8; the cut-over keeps a margin below the crossing.
+/// at 8; the cut-over keeps a margin below the crossing. The threaded
+/// engine folds at every width: each thread reads and writes only the
+/// rows it retires, and its traced `k = 8` apply on the same system
+/// (2 pinned threads) took ≈ 7.5 ms folded against ≈ 12 ms for the
+/// gather, region and scatter it replaced.
 const FOLD_MAX_WIDTH: usize = 4;
 
 /// The lane-generic body of [`apply_panel`]; shapes already checked.
@@ -131,18 +135,15 @@ pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
             }
         }
         SolveEngine::PointToPointLower => {
-            // The analysis's scratch, locked for the whole apply, its
-            // solve buffer gathered from `b` and scattered to `x` around
-            // the region.
+            // The analysis's scratch, locked for the whole apply; the
+            // region reads `b` and writes `x` through the permutation.
             let mut scratch = core.scratch.lock();
-            gather_permuted(lanes, perm.old_to_new(), b, scratch.xbuf_mut(lanes));
-            engines::solve_p2p_fused(lanes, f, plan, &scratch, exec);
-            scatter_permuted(lanes, perm.new_to_old(), scratch.xbuf_mut(lanes), x);
+            engines::solve_p2p_fused(lanes, f, plan, perm.new_to_old(), &mut scratch, exec, b, x);
         }
     }
 }
 
-/// The apply pipeline's way in, for both engines: gathers the
+/// The wide Serial apply's way in: gathers the
 /// column-major panel `b` into the engine's buffer permuted **and**
 /// row-interleaved in one pass, `z[p(o)·k + c] = b[c][o]` — each row's
 /// `k` lanes are written together, so the buffer is streamed once
@@ -166,7 +167,7 @@ pub(crate) fn gather_permuted<T: Scalar, L: Lanes>(
     });
 }
 
-/// The apply pipeline's way out: scatters the row-interleaved solution
+/// The wide Serial apply's way out: scatters the row-interleaved solution
 /// `z` back through the permutation into the column-major panel `x` in
 /// one pass, `x[c][o(i)] = z[i·k + c]`.
 pub(crate) fn scatter_permuted<T: Scalar, L: Lanes>(

@@ -28,6 +28,7 @@
 use super::view::{EntryLanes, FactorView, LaneValues, Shared};
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// In-place lane-generic forward substitution `L·X = Y` with implicit
@@ -153,24 +154,65 @@ fn backward_rows_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
     }
 }
 
+/// Read access to a row-interleaved solve buffer: the Serial engine's
+/// own slice, or the cells the threaded engine's region shares
+/// (`engines.rs`), so both engines run one inner loop.
+pub(super) trait SolveSlots<T> {
+    /// Entry `i`.
+    fn at(&self, i: usize) -> T;
+}
+
+impl<T: Copy> SolveSlots<T> for [T] {
+    #[inline(always)]
+    fn at(&self, i: usize) -> T {
+        self[i]
+    }
+}
+
+impl<T: Copy> SolveSlots<T> for [Cell<T>] {
+    #[inline(always)]
+    fn at(&self, i: usize) -> T {
+        self[i].get()
+    }
+}
+
 /// A row's dot products `Σ_e v_e(c) · x[col(e)·k + c]` over `entries`
 /// (its L or its U part) for lanes `c0..c0 + cw` — the one inner loop
-/// every Serial sweep, in place or folded, runs.
+/// every sweep of both engines runs.
 #[inline(always)]
-fn row_sums<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(super) fn row_sums<T: Scalar, L: Lanes, V: LaneValues<Value = T>, X: SolveSlots<T> + ?Sized>(
     lanes: L,
     f: &FactorView<'_, V>,
     entries: Range<usize>,
-    x: &[T],
+    x: &X,
     c0: usize,
     cw: usize,
 ) -> [T; LANE_CHUNK] {
-    let mut sums = [T::ZERO; LANE_CHUNK];
+    row_sums_from([T::ZERO; LANE_CHUNK], lanes, f, entries, x, c0, cw)
+}
+
+/// [`row_sums`] continuing from the partial sums `sums` — how the
+/// threaded engine finishes a trailing row from its Even-Rows prefix.
+#[inline(always)]
+pub(super) fn row_sums_from<
+    T: Scalar,
+    L: Lanes,
+    V: LaneValues<Value = T>,
+    X: SolveSlots<T> + ?Sized,
+>(
+    mut sums: [T; LANE_CHUNK],
+    lanes: L,
+    f: &FactorView<'_, V>,
+    entries: Range<usize>,
+    x: &X,
+    c0: usize,
+    cw: usize,
+) -> [T; LANE_CHUNK] {
     for e in entries {
         let v = f.entry(e, c0, cw);
         let xb = lanes.idx(f.col(e), c0);
         for (c, s) in sums[..cw].iter_mut().enumerate() {
-            *s += v.lane(c) * x[xb + c];
+            *s += v.lane(c) * x.at(xb + c);
         }
     }
     sums

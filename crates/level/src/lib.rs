@@ -18,11 +18,11 @@
 //! * [`split::StagePlan`] — the two-stage partition driven by the
 //!   paper's three heuristics (minimum rows per level, row density,
 //!   relative location);
-//! * [`schedule::P2PSchedule`] — per-thread task sequences with
+//! * [`schedule::P2PSchedule`] — per-thread block sequences with
 //!   *sparsified point-to-point synchronization*: dependencies pruned to
-//!   at most one `(thread, progress)` wait per foreign thread, executed
-//!   with monotone progress counters instead of barriers (after Park et
-//!   al., adapted to factorization).
+//!   at most one `(thread, progress)` wait per foreign thread and block,
+//!   executed with monotone progress counters instead of barriers (after
+//!   Park et al., adapted to factorization).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,50 +2,56 @@
 //!
 //! Traditional level scheduling separates levels with barriers; Javelin
 //! instead maps rows to threads *statically* (each thread takes one
-//! contiguous block of every level), which induces an implied execution
-//! order per thread, and then
-//! **prunes** the dependency set: a dependency on a row owned by the
-//! same thread is satisfied by program order, and among dependencies on
-//! rows owned by a foreign thread only the latest (largest sequence
-//! position) must be waited for. What remains is at most one
-//! `(thread, position)` wait per foreign thread per task, implemented at
-//! runtime with cache-padded monotone progress counters and spin-waits
-//! — the paper's "inexpensive spinlocks [that allow] certain threads to
-//! speed ahead of others".
+//! contiguous **block** of every level), which induces an implied
+//! execution order per thread, and then **prunes** the dependency set:
+//! a dependency on a row owned by the same thread is satisfied by
+//! program order, and among dependencies on rows owned by a foreign
+//! thread only the latest must be waited for. What remains is at most
+//! one `(thread, progress)` wait per foreign thread per block,
+//! implemented at runtime with cache-padded monotone progress counters
+//! and spin-waits — the paper's "inexpensive spinlocks [that allow]
+//! certain threads to speed ahead of others".
 //!
-//! Contiguous blocks are what let the runtime publish progress once per
-//! block instead of once per row (`javelin_sync::ProgressCounters::walk`):
-//! a thread's tasks within a level are consecutive execution indices,
-//! and where a thread's blocks of consecutive levels touch (width-1
-//! levels, say) they merge into one. [`P2PSchedule::has_level_blocks`]
-//! checks that invariant independently of how it was built.
+//! The schedule is stored in that block form: per thread, its blocks in
+//! execution order, each a contiguous range of execution indices with
+//! one wait list — the per-thread maximum over its tasks' dependencies,
+//! less what an earlier block of the same thread already awaited.
+//! Progress counts *finished blocks*: the runtime
+//! (`javelin_sync::ProgressCounters::walk`) checks a block's waits once,
+//! runs its tasks, and publishes once. Where a thread's blocks of
+//! consecutive levels touch (a width-1 level, say) they merge into one.
+//! [`P2PSchedule::validate`] proves the waits dominate every task's
+//! dependencies and target only blocks that end before the waiting
+//! block starts; [`P2PSchedule::has_level_blocks`] checks the
+//! one-block-per-level cut.
 //!
 //! The same machinery schedules the up-looking factorization (this was
 //! the paper's observation: up-looking ILU has exactly the dependency
 //! structure of a sparse lower-triangular solve) and both triangular
 //! solves.
 
-/// A point-to-point schedule over `m` tasks for `nthreads` threads.
+use std::ops::Range;
+
+/// A point-to-point schedule over `m` tasks for `nthreads` threads, in
+/// block form (see module docs).
 ///
 /// Tasks are identified by their *execution index* `0..m` — the caller
 /// arranges that execution indices are topologically sorted and grouped
 /// into levels (`level_ptr`). For a forward sweep over a level-permuted
 /// matrix the execution index is simply the (new) row index; for a
-/// backward sweep the caller maps row `r` to index `m-1-r`.
+/// backward sweep the caller maps each execution index to its row.
 #[derive(Debug, Clone)]
 pub struct P2PSchedule {
     nthreads: usize,
-    /// Concatenated per-thread task lists; thread `t` executes
-    /// `tasks[thread_ptr[t]..thread_ptr[t+1]]` in order.
-    thread_ptr: Vec<usize>,
-    tasks: Vec<usize>,
-    /// Owning thread of each task.
-    owner: Vec<usize>,
-    /// Position of each task within its owner's list.
-    pos: Vec<usize>,
-    /// Pruned waits per task, CSR layout over task ids:
-    /// `(thread, required_progress)` — the task may start once
-    /// `progress[thread] >= required_progress`.
+    n_tasks: usize,
+    /// Thread `t`'s blocks are `blocks[block_ptr[t]..block_ptr[t + 1]]`,
+    /// in execution order.
+    block_ptr: Vec<usize>,
+    /// Each block's execution indices.
+    blocks: Vec<Range<usize>>,
+    /// Block `b` may start once every pair of
+    /// `waits[wait_ptr[b]..wait_ptr[b + 1]]`, `(thread, blocks_done)`,
+    /// holds: `thread` has finished at least `blocks_done` blocks.
     wait_ptr: Vec<usize>,
     waits: Vec<(usize, usize)>,
 }
@@ -58,7 +64,8 @@ impl P2PSchedule {
     /// * `level_ptr` — level boundaries over execution indices
     ///   (`level_ptr[0] == 0`, last element = `m`, monotone);
     /// * `deps_of(task, out)` — fills `out` with the task's dependency
-    ///   execution indices (all strictly smaller than `task`).
+    ///   execution indices (all strictly smaller than `task`). Called
+    ///   once per task.
     ///
     /// Each level is cut into contiguous blocks of
     /// `ceil(width / nthreads)` tasks, block `t` going to thread `t`
@@ -74,68 +81,63 @@ impl P2PSchedule {
         assert!(!level_ptr.is_empty() && level_ptr[0] == 0);
         assert_eq!(*level_ptr.last().expect("nonempty"), m);
 
-        let mut owner = vec![0usize; m];
-        let mut pos = vec![0usize; m];
-        let mut thread_tasks: Vec<Vec<usize>> = vec![Vec::new(); nthreads];
+        let mut lists: Vec<Vec<Range<usize>>> = vec![Vec::new(); nthreads];
         for lvl in level_ptr.windows(2) {
             let chunk = (lvl[1] - lvl[0]).div_ceil(nthreads);
-            for (t, list) in thread_tasks.iter_mut().enumerate() {
+            for (t, list) in lists.iter_mut().enumerate() {
                 let lo = (lvl[0] + t * chunk).min(lvl[1]);
-                for task in lo..(lo + chunk).min(lvl[1]) {
-                    owner[task] = t;
-                    pos[task] = list.len();
-                    list.push(task);
+                let hi = (lo + chunk).min(lvl[1]);
+                match list.last_mut() {
+                    _ if lo == hi => {}
+                    Some(prev) if prev.end == lo => prev.end = hi,
+                    _ => list.push(lo..hi),
                 }
             }
         }
+        let (owner, block_of) = task_blocks(m, &lists);
 
-        // Prune dependencies: keep, per foreign thread, only the largest
-        // position; same-thread deps vanish (program order).
-        let mut wait_ptr = vec![0usize; m + 1];
+        // Prune: per block and foreign thread, keep the largest block
+        // count its tasks need, and drop it when an earlier block of the
+        // same thread already waited for as much; same-thread
+        // dependencies vanish (program order).
+        let mut block_ptr = vec![0usize; nthreads + 1];
+        let mut wait_ptr = vec![0usize];
         let mut waits: Vec<(usize, usize)> = Vec::new();
         let mut dep_buf: Vec<usize> = Vec::new();
-        // needed[t] = required progress of thread t for the current task;
-        // stamped to avoid clearing.
         let mut needed = vec![0usize; nthreads];
-        let mut stamp = vec![usize::MAX; nthreads];
-        for task in 0..m {
-            dep_buf.clear();
-            deps_of(task, &mut dep_buf);
-            let me = owner[task];
-            for &d in &dep_buf {
-                debug_assert!(d < task, "dependency {d} not before task {task}");
-                let t = owner[d];
-                if t == me {
-                    debug_assert!(pos[d] < pos[task], "program order violated");
-                    continue;
+        let mut awaited = vec![0usize; nthreads];
+        for (me, list) in lists.iter().enumerate() {
+            awaited.fill(0);
+            for (b, block) in list.iter().enumerate() {
+                needed.fill(0);
+                for task in block.clone() {
+                    dep_buf.clear();
+                    deps_of(task, &mut dep_buf);
+                    for &d in &dep_buf {
+                        debug_assert!(d < task, "dependency {d} not before task {task}");
+                        let t = owner[d];
+                        if t == me {
+                            debug_assert!(block_of[d] <= b, "program order violated");
+                            continue;
+                        }
+                        needed[t] = needed[t].max(block_of[d] + 1);
+                    }
                 }
-                let req = pos[d] + 1; // progress counts completed tasks
-                if stamp[t] != task {
-                    stamp[t] = task;
-                    needed[t] = req;
-                } else if req > needed[t] {
-                    needed[t] = req;
+                for t in 0..nthreads {
+                    if needed[t] > awaited[t] {
+                        awaited[t] = needed[t];
+                        waits.push((t, needed[t]));
+                    }
                 }
+                wait_ptr.push(waits.len());
             }
-            for t in 0..nthreads {
-                if stamp[t] == task {
-                    waits.push((t, needed[t]));
-                }
-            }
-            wait_ptr[task + 1] = waits.len();
+            block_ptr[me + 1] = block_ptr[me] + list.len();
         }
-
-        let mut thread_ptr = vec![0usize; nthreads + 1];
-        for t in 0..nthreads {
-            thread_ptr[t + 1] = thread_ptr[t] + thread_tasks[t].len();
-        }
-        let tasks = thread_tasks.concat();
         P2PSchedule {
             nthreads,
-            thread_ptr,
-            tasks,
-            owner,
-            pos,
+            n_tasks: m,
+            block_ptr,
+            blocks: lists.concat(),
             wait_ptr,
             waits,
         }
@@ -148,87 +150,132 @@ impl P2PSchedule {
 
     /// Total number of tasks.
     pub fn n_tasks(&self) -> usize {
-        self.owner.len()
+        self.n_tasks
     }
 
-    /// Ordered task list of thread `t`.
-    pub fn thread_tasks(&self, t: usize) -> &[usize] {
-        &self.tasks[self.thread_ptr[t]..self.thread_ptr[t + 1]]
+    /// Thread `t`'s blocks in execution order, each with its wait list
+    /// of `(thread, blocks_done)` pairs — the sequence
+    /// `javelin_sync::ProgressCounters::walk` runs.
+    pub fn thread_blocks(
+        &self,
+        t: usize,
+    ) -> impl ExactSizeIterator<Item = (Range<usize>, &[(usize, usize)])> + Clone + '_ {
+        (self.block_ptr[t]..self.block_ptr[t + 1]).map(move |b| {
+            (
+                self.blocks[b].clone(),
+                &self.waits[self.wait_ptr[b]..self.wait_ptr[b + 1]],
+            )
+        })
     }
 
-    /// Owning thread of a task.
-    pub fn owner(&self, task: usize) -> usize {
-        self.owner[task]
+    /// Total number of blocks — one progress publication each per walk.
+    pub fn n_blocks(&self) -> usize {
+        self.blocks.len()
     }
 
-    /// Position of a task within its owner's sequence.
-    pub fn position(&self, task: usize) -> usize {
-        self.pos[task]
-    }
-
-    /// Pruned waits of a task: `(thread, required_progress)` pairs.
-    pub fn waits(&self, task: usize) -> &[(usize, usize)] {
-        &self.waits[self.wait_ptr[task]..self.wait_ptr[task + 1]]
-    }
-
-    /// Total number of wait edges after pruning (the schedule's
-    /// synchronization cost; compare against raw dependency counts to
-    /// quantify the sparsification, as Park et al. do).
+    /// Total number of wait entries after pruning — the wait checks one
+    /// walk of the schedule performs (its synchronization cost; compare
+    /// against raw dependency counts to quantify the sparsification, as
+    /// Park et al. do).
     pub fn n_waits(&self) -> usize {
         self.waits.len()
     }
 
-    /// Confirms the pruned wait lists still dominate the full
-    /// dependency set: a same-thread dependency comes earlier in program
-    /// order, a foreign one is covered by a wait on its owner, and every
-    /// wait targets a task earlier in execution order (what makes the
-    /// runtime's waits cycle-free). Test/debug helper — O(total deps).
+    /// Bytes of schedule metadata one walk reads: each block's task
+    /// range and wait-list bounds, and each wait entry.
+    pub fn walk_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.blocks.len() * (size_of::<Range<usize>>() + 2 * size_of::<usize>())
+            + self.waits.len() * size_of::<(usize, usize)>()
+    }
+
+    /// Confirms the schedule is sound for the block runtime: the blocks
+    /// partition the tasks and ascend per thread; every wait targets
+    /// another thread's block that ends before the waiting block starts
+    /// (which makes the runtime's waits cycle-free); and every task's
+    /// dependencies are dominated — a same-thread one comes earlier in
+    /// program order, a foreign one is covered by a wait of this block
+    /// or an earlier block of the same thread. Test/debug helper —
+    /// O(m + total deps).
     pub fn validate(&self, mut deps_of: impl FnMut(usize, &mut Vec<usize>)) -> bool {
-        let m = self.n_tasks();
+        let lists: Vec<Vec<Range<usize>>> = (0..self.nthreads)
+            .map(|t| self.thread_blocks(t).map(|(r, _)| r).collect())
+            .collect();
+        let ascending = lists.iter().all(|list| {
+            list.iter().all(|r| !r.is_empty()) && list.windows(2).all(|w| w[0].end <= w[1].start)
+        });
+        let covered: usize = self.blocks.iter().map(|r| r.len()).sum();
+        if !ascending || covered != self.n_tasks || self.blocks.iter().any(|r| r.end > self.n_tasks)
+        {
+            return false;
+        }
+        let (owner, block_of) = task_blocks(self.n_tasks, &lists);
+        if owner.contains(&usize::MAX) {
+            return false;
+        }
         let mut dep_buf = Vec::new();
-        for task in 0..m {
-            let earlier = self.waits(task).iter().all(|&(wt, req)| {
-                let list = self.thread_tasks(wt);
-                req >= 1 && req <= list.len() && list[req - 1] < task
-            });
-            if !earlier {
-                return false;
-            }
-            dep_buf.clear();
-            deps_of(task, &mut dep_buf);
-            for &d in &dep_buf {
-                let t = self.owner[d];
-                if t == self.owner[task] {
-                    if self.pos[d] >= self.pos[task] {
+        let mut awaited = vec![0usize; self.nthreads];
+        for me in 0..self.nthreads {
+            awaited.fill(0);
+            for (b, (block, waits)) in self.thread_blocks(me).enumerate() {
+                for &(t, req) in waits {
+                    let ok = t != me
+                        && t < self.nthreads
+                        && req >= 1
+                        && req <= lists[t].len()
+                        && lists[t][req - 1].end <= block.start;
+                    if !ok {
                         return false;
                     }
-                    continue;
+                    awaited[t] = awaited[t].max(req);
                 }
-                // Some wait on thread t must cover position pos[d].
-                let covered = self
-                    .waits(task)
-                    .iter()
-                    .any(|&(wt, req)| wt == t && req > self.pos[d]);
-                if !covered {
-                    return false;
+                for task in block {
+                    dep_buf.clear();
+                    deps_of(task, &mut dep_buf);
+                    for &d in &dep_buf {
+                        let ok = if owner[d] == me {
+                            block_of[d] < b || (block_of[d] == b && d < task)
+                        } else {
+                            awaited[owner[d]] > block_of[d]
+                        };
+                        if !ok {
+                            return false;
+                        }
+                    }
                 }
             }
         }
         true
     }
 
-    /// `true` when every thread's list ascends in execution order and
-    /// its tasks within each level of `level_ptr` are one contiguous run
-    /// of execution indices — the block invariant per-block progress
-    /// publication relies on. Test/debug helper — O(m log levels).
+    /// `true` when no thread has two blocks meeting one level of
+    /// `level_ptr` — the cut that makes a walk publish once per thread
+    /// and level. Test/debug helper — O(blocks · log levels).
     pub fn has_level_blocks(&self, level_ptr: &[usize]) -> bool {
         let level = |task: usize| level_ptr.partition_point(|&p| p <= task);
         (0..self.nthreads).all(|t| {
-            self.thread_tasks(t)
+            let blocks: Vec<Range<usize>> = self.thread_blocks(t).map(|(r, _)| r).collect();
+            blocks
                 .windows(2)
-                .all(|w| w[0] < w[1] && (level(w[0]) != level(w[1]) || w[1] == w[0] + 1))
+                .all(|w| w[0].end <= w[1].start && level(w[0].end - 1) < level(w[1].start))
         })
     }
+}
+
+/// Owning thread and block number (within the owner's list) of every
+/// task of `lists`; `usize::MAX` marks a task no block covers.
+fn task_blocks(m: usize, lists: &[Vec<Range<usize>>]) -> (Vec<usize>, Vec<usize>) {
+    let mut owner = vec![usize::MAX; m];
+    let mut block_of = vec![usize::MAX; m];
+    for (t, list) in lists.iter().enumerate() {
+        for (b, block) in list.iter().enumerate() {
+            for task in block.clone() {
+                owner[task] = t;
+                block_of[task] = b;
+            }
+        }
+    }
+    (owner, block_of)
 }
 
 #[cfg(test)]
@@ -246,12 +293,22 @@ mod tests {
         (0..=m).collect()
     }
 
+    /// Thread `t`'s blocks as `(tasks, waits)` pairs.
+    fn blocks(s: &P2PSchedule, t: usize) -> Vec<(Range<usize>, Vec<(usize, usize)>)> {
+        s.thread_blocks(t).map(|(r, w)| (r, w.to_vec())).collect()
+    }
+
+    /// Thread `t`'s block ranges.
+    fn ranges(s: &P2PSchedule, t: usize) -> Vec<Range<usize>> {
+        s.thread_blocks(t).map(|(r, _)| r).collect()
+    }
+
     #[test]
     fn single_thread_has_no_waits() {
         let m = 10;
         let s = P2PSchedule::build(m, 1, &chain_levels(m), chain_deps);
         assert_eq!(s.n_waits(), 0);
-        assert_eq!(s.thread_tasks(0).len(), m);
+        assert_eq!(ranges(&s, 0), vec![0..m; 1]);
         assert!(s.validate(chain_deps));
     }
 
@@ -263,11 +320,10 @@ mod tests {
         // Levels of size 1 ⇒ every task is the first block of its level
         // and lands on thread 0, whose blocks touch and merge: all deps
         // are same-thread, no waits.
-        assert_eq!(s.thread_tasks(0), &[0, 1, 2, 3, 4, 5]);
-        assert!(s.thread_tasks(1).is_empty());
-        assert_eq!(s.n_waits(), 0);
+        assert_eq!(ranges(&s, 0), vec![0..6; 1]);
+        assert!(ranges(&s, 1).is_empty());
+        assert_eq!((s.n_blocks(), s.n_waits()), (1, 0));
         assert!(s.validate(chain_deps));
-        assert!(s.has_level_blocks(&levels));
     }
 
     #[test]
@@ -281,23 +337,17 @@ mod tests {
             }
         };
         let s = P2PSchedule::build(8, 2, &level_ptr, deps);
-        // Blocks: lvl0 t0:{0,1} t1:{2,3}; lvl1 t0:{4,5} t1:{6,7}.
-        assert_eq!(s.thread_tasks(0), &[0, 1, 4, 5]);
-        assert_eq!(s.thread_tasks(1), &[2, 3, 6, 7]);
-        // Tasks 4, 5 (t0): foreign deps {2,3} on t1, pruned to
-        // pos(3)+1 = 2.
-        assert_eq!(s.waits(4), &[(1, 2)]);
-        assert_eq!(s.waits(5), &[(1, 2)]);
-        // Tasks 6, 7 (t1): foreign deps {0,1} on t0, pruned to
-        // pos(1)+1 = 2.
-        assert_eq!(s.waits(6), &[(0, 2)]);
-        assert_eq!(s.waits(7), &[(0, 2)]);
+        // Blocks: lvl0 t0:{0,1} t1:{2,3}; lvl1 t0:{4,5} t1:{6,7}. Each
+        // level-1 block's foreign deps are the other thread's first
+        // block: one wait on one finished block.
+        assert_eq!(blocks(&s, 0), [(0..2, vec![]), (4..6, vec![(1, 1)])]);
+        assert_eq!(blocks(&s, 1), [(2..4, vec![]), (6..8, vec![(0, 1)])]);
         assert!(s.validate(deps));
         assert!(s.has_level_blocks(&level_ptr));
     }
 
     #[test]
-    fn pruning_keeps_max_position_only() {
+    fn pruning_keeps_max_block_only() {
         // One level of 6 tasks, then a task depending on all six.
         let level_ptr = vec![0, 6, 7];
         let deps = |i: usize, out: &mut Vec<usize>| {
@@ -308,8 +358,28 @@ mod tests {
         let s = P2PSchedule::build(7, 3, &level_ptr, deps);
         // Blocks {0,1} {2,3} {4,5}; task 6 on thread 0; deps per thread
         // pruned to a single wait for each foreign thread.
-        let w = s.waits(6);
-        assert_eq!(w, &[(1, 2), (2, 2)], "one wait per foreign thread");
+        assert_eq!(blocks(&s, 0)[1], (6..7, vec![(1, 1), (2, 1)]));
+        assert!(s.validate(deps));
+    }
+
+    #[test]
+    fn a_wait_an_earlier_block_made_is_not_repeated() {
+        // Three levels of four on two threads; every level-1 and
+        // level-2 task depends on task 2 (thread 1's first block).
+        // Thread 0's level-1 block waits for it; its level-2 block
+        // needs nothing new.
+        let level_ptr = vec![0, 4, 8, 12];
+        let deps = |i: usize, out: &mut Vec<usize>| {
+            if i >= 4 {
+                out.push(2);
+            }
+        };
+        let s = P2PSchedule::build(12, 2, &level_ptr, deps);
+        assert_eq!(
+            blocks(&s, 0),
+            [(0..2, vec![]), (4..6, vec![(1, 1)]), (8..10, vec![])]
+        );
+        assert_eq!(s.n_waits(), 1, "thread 1 owns task 2: no waits of its own");
         assert!(s.validate(deps));
     }
 
@@ -323,10 +393,10 @@ mod tests {
         };
         let s = P2PSchedule::build(4, 8, &level_ptr, deps);
         // Only threads 0 and 1 ever receive work.
-        assert_eq!(s.thread_tasks(0).len(), 2);
-        assert_eq!(s.thread_tasks(1).len(), 2);
+        assert_eq!(ranges(&s, 0), [0..1, 2..3]);
+        assert_eq!(ranges(&s, 1), [1..2, 3..4]);
         for t in 2..8 {
-            assert!(s.thread_tasks(t).is_empty());
+            assert!(ranges(&s, t).is_empty());
         }
         assert!(s.validate(deps));
     }
@@ -342,23 +412,24 @@ mod tests {
             }
         };
         let s = P2PSchedule::build(9, 3, &level_ptr, deps);
-        for task in 0..9 {
-            for &(t, req) in s.waits(task) {
-                assert!(t < 3);
-                assert!(req >= 1 && req <= s.thread_tasks(t).len());
-            }
-        }
         assert!(s.validate(deps));
-        // Every level-1+ task waits on exactly the 2 foreign threads.
-        for task in 3..9 {
-            assert_eq!(s.waits(task).len(), 2);
+        // Every level-1+ block waits on exactly the 2 foreign threads,
+        // for their previous level's block.
+        for t in 0..3 {
+            let b = blocks(&s, t);
+            assert!(b[0].1.is_empty());
+            for (lvl, (_, waits)) in b.iter().enumerate().skip(1) {
+                let want: Vec<(usize, usize)> =
+                    (0..3).filter(|&u| u != t).map(|u| (u, lvl)).collect();
+                assert_eq!(*waits, want, "thread {t} level {lvl}");
+            }
         }
     }
 
     #[test]
     fn validate_catches_missing_waits() {
         // Build with a deps_of that hides the dependencies, then validate
-        // with the true deps: must fail.
+        // with the true deps: a cross-thread dependency must fail.
         let level_ptr = vec![0, 4, 8];
         let no_deps = |_: usize, _: &mut Vec<usize>| {};
         let true_deps = |i: usize, out: &mut Vec<usize>| {
@@ -367,9 +438,9 @@ mod tests {
             }
         };
         let s = P2PSchedule::build(8, 4, &level_ptr, no_deps);
-        // Task 4 depends on task 0: same thread (both first blocks) ⇒ fine;
-        // but task 5 depends on 1 (thread 1, same) ⇒ also fine. Use a
-        // rotated dep to force cross-thread: i depends on i-3.
+        // Task i depends on i-4: same thread (both levels' block t) ⇒
+        // fine. Rotated to i-3, task 4 (thread 0) needs task 1 (thread
+        // 1), which nothing waits for.
         let rotated = |i: usize, out: &mut Vec<usize>| {
             if i >= 4 {
                 out.push(i - 3);
@@ -381,10 +452,31 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_wait_on_an_unfinished_block() {
+        // A hand-made schedule whose thread-0 block waits on thread 1's
+        // block that starts after it: the walk could deadlock.
+        let s = P2PSchedule {
+            nthreads: 2,
+            n_tasks: 4,
+            block_ptr: vec![0, 1, 2],
+            blocks: vec![0..2, 2..4],
+            wait_ptr: vec![0, 1, 1],
+            waits: vec![(1, 1)],
+        };
+        assert!(!s.validate(|_, _| {}));
+        let sound = P2PSchedule {
+            wait_ptr: vec![0, 0, 1],
+            waits: vec![(0, 1)],
+            ..s
+        };
+        assert!(sound.validate(|i, out| out.extend((i >= 2).then_some(0))));
+    }
+
+    #[test]
     fn empty_schedule() {
         let s = P2PSchedule::build(0, 4, &[0], |_, _| {});
         assert_eq!(s.n_tasks(), 0);
-        assert_eq!(s.n_waits(), 0);
+        assert_eq!((s.n_blocks(), s.n_waits(), s.walk_bytes()), (0, 0, 0));
     }
 
     #[test]
@@ -392,10 +484,11 @@ mod tests {
         let level_ptr = vec![0usize, 8, 13];
         let s = P2PSchedule::build(13, 3, &level_ptr, |_, _| {});
         // Level 0 (8 tasks): blocks of 3, 3, 2; level 1 (5): 2, 2, 1.
-        assert_eq!(s.thread_tasks(0), &[0, 1, 2, 8, 9]);
-        assert_eq!(s.thread_tasks(1), &[3, 4, 5, 10, 11]);
-        assert_eq!(s.thread_tasks(2), &[6, 7, 12]);
+        assert_eq!(ranges(&s, 0), [0..3, 8..10]);
+        assert_eq!(ranges(&s, 1), [3..6, 10..12]);
+        assert_eq!(ranges(&s, 2), [6..8, 12..13]);
         assert!(s.has_level_blocks(&level_ptr));
+        assert_eq!(s.n_blocks(), 6);
     }
 
     #[test]
@@ -413,10 +506,11 @@ mod tests {
 
     #[test]
     fn block_check_rejects_a_thread_split_inside_a_level() {
-        // Built on two levels of two, thread 0 owns {0, 2}: one block per
-        // level. Read against a single level of four, that is a gap.
+        // Built on two levels of two, thread 0 owns {0} and {2}: one
+        // block per level. Read against a single level of four, that is
+        // two blocks in one level.
         let s = P2PSchedule::build(4, 2, &[0, 2, 4], |_, _| {});
-        assert_eq!(s.thread_tasks(0), &[0, 2]);
+        assert_eq!(ranges(&s, 0), [0..1, 2..3]);
         assert!(s.has_level_blocks(&[0, 2, 4]));
         assert!(!s.has_level_blocks(&[0, 4]));
     }
@@ -454,8 +548,8 @@ mod proptests {
     }
 
     /// One schedule of `m` tasks over `level_ptr`: pruning dominates
-    /// the full dependency set, every thread takes one contiguous block
-    /// per level, the lists partition the tasks, and there are never
+    /// the full dependency set, every thread takes at most one block
+    /// per level, the blocks partition the tasks, and there are never
     /// more waits than raw dependencies.
     fn check_schedule(
         m: usize,
@@ -468,13 +562,15 @@ mod proptests {
         prop_assert!(s.has_level_blocks(level_ptr), "nthreads {}", nthreads);
         let mut seen = vec![false; m];
         for t in 0..nthreads {
-            for &task in s.thread_tasks(t) {
-                prop_assert!(!seen[task]);
-                seen[task] = true;
-                prop_assert_eq!(s.owner(task), t);
+            for (block, _) in s.thread_blocks(t) {
+                for task in block {
+                    prop_assert!(!seen[task]);
+                    seen[task] = true;
+                }
             }
         }
         prop_assert!(seen.iter().all(|&b| b));
+        prop_assert!(s.n_blocks() <= (level_ptr.len() - 1) * nthreads);
         let mut raw = 0usize;
         let mut buf = Vec::new();
         for task in 0..m {

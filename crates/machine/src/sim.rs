@@ -67,57 +67,57 @@ pub struct SimBreakdown {
 
 const NS: f64 = 1e-9;
 
-/// Core event loop: processes tasks in execution-index order (all waits
-/// reference earlier indices), tracking per-thread clocks. A finished
-/// task becomes visible to waiters the way the runtime publishes it
-/// (`javelin_sync::ProgressCounters::walk`): when its owner's contiguous
-/// block ends, or earlier, when the owner blocks on a wait first.
+/// Core event loop: processes the schedule's blocks in execution order
+/// of their first task (every wait targets a block that ends before the
+/// waiting block starts), tracking per-thread clocks. A block checks its
+/// waits once, runs its tasks, and becomes visible to waiters when it
+/// ends — the way the runtime publishes it
+/// (`javelin_sync::ProgressCounters::walk`).
 fn sim_p2p_schedule(
     schedule: &P2PSchedule,
     machine: &MachineModel,
     nthreads: usize,
     cost_ns: impl Fn(usize) -> f64,
 ) -> (f64, usize) {
-    let m = schedule.n_tasks();
     let speed = machine.thread_speed(nthreads);
-    let mut visible = vec![f64::INFINITY; m];
+    let blocks: Vec<Vec<_>> = (0..nthreads)
+        .map(|t| schedule.thread_blocks(t).collect())
+        .collect();
+    let mut order: Vec<(usize, usize, usize)> = blocks
+        .iter()
+        .enumerate()
+        .flat_map(|(t, list)| {
+            list.iter()
+                .enumerate()
+                .map(move |(b, (r, _))| (r.start, t, b))
+        })
+        .collect();
+    order.sort_unstable();
+    let mut visible: Vec<Vec<f64>> = blocks
+        .iter()
+        .map(|l| vec![f64::INFINITY; l.len()])
+        .collect();
     let mut clock = vec![0.0f64; nthreads];
-    // Per thread: position of its first finished-but-unpublished task.
-    let mut unpublished = vec![0usize; nthreads];
     let mut blocked = 0usize;
-    for task in 0..m {
-        let t = schedule.owner(task);
-        let mine = schedule.thread_tasks(t);
-        let p = schedule.position(task);
+    for (_, t, b) in order {
+        let (tasks, waits) = &blocks[t][b];
         let mut start = clock[t];
-        for &(wt, req) in schedule.waits(task) {
-            let dep_task = schedule.thread_tasks(wt)[req - 1];
+        for &(wt, req) in *waits {
             let mut check = machine.p2p_check_ns;
             if machine.socket_of(wt) != machine.socket_of(t) {
                 check += machine.numa_penalty_ns;
             }
             start += check * NS;
-            // Blocks are contiguous, so a foreign dependency's block has
-            // ended by the time a later task is processed.
-            let dep_visible = visible[dep_task];
-            debug_assert!(dep_visible.is_finite(), "task {dep_task} never published");
+            let dep_visible = visible[wt][req - 1];
+            debug_assert!(dep_visible.is_finite(), "block {wt}/{req} never published");
             if dep_visible > start {
                 blocked += 1;
-                for &q in &mine[unpublished[t]..p] {
-                    visible[q] = start;
-                }
-                unpublished[t] = p;
                 start = dep_visible + machine.p2p_block_ns * NS;
             }
         }
-        let done = start + cost_ns(task) / speed * NS;
-        clock[t] = done;
-        if mine.get(p + 1) != Some(&(task + 1)) {
-            for &q in &mine[unpublished[t]..=p] {
-                visible[q] = done;
-            }
-            unpublished[t] = p + 1;
-        }
+        let work: f64 = tasks.clone().map(&cost_ns).sum();
+        clock[t] = start + work / speed * NS;
+        visible[t][b] = clock[t];
     }
     let makespan = clock.iter().cloned().fold(0.0, f64::max);
     (makespan, blocked)

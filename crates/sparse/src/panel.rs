@@ -192,6 +192,14 @@ impl<'a, T: Scalar> PanelMut<'a, T> {
         &self.data[lo..lo + self.nrows]
     }
 
+    /// The whole backing buffer, gap entries included: entry `(r, c)`
+    /// at `c · col_stride + r`. For kernels that address the panel
+    /// themselves, such as the threaded apply, whose threads write
+    /// rows of every column at once.
+    pub fn data_mut(&mut self) -> &mut [T] {
+        self.data
+    }
+
     /// Column `c` as a contiguous mutable slice.
     ///
     /// # Panics

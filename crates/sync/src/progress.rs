@@ -2,20 +2,20 @@
 //! sparsified point-to-point schedule.
 //!
 //! Each worker owns one cache-padded counter and is its only writer: it
-//! publishes its completed-task count there with a release store. A
-//! consumer that must observe "thread `t` has completed ≥ `k` tasks"
-//! spins (acquire) on `t`'s counter. The release/acquire pair makes
-//! every memory write performed by the first `k` tasks of `t` visible
-//! to the waiter — exactly the happens-before edge the factorization
+//! publishes its count of completed tasks (for the schedule walks:
+//! completed blocks) there with a release store. A consumer that must
+//! observe "thread `t` has completed ≥ `k` of them" spins (acquire) on
+//! `t`'s counter. The release/acquire pair makes every memory write
+//! performed by the first `k` of `t`'s tasks visible to the waiter — exactly the happens-before edge the factorization
 //! and triangular solves need; no locks, no barriers.
 //!
-//! [`ProgressCounters::walk`] runs one thread's static task sequence
-//! under **per-block publication**: the count is stored once at the end
-//! of each contiguous run of execution indices (a thread's share of a
-//! level is one such run) and once before any wait that is not already
-//! satisfied — not after every task. A thread that blocks has therefore
-//! published everything it finished, and every wait of a schedule
-//! targets a task earlier in execution order, so no wait cycle can form
+//! [`ProgressCounters::walk`] runs one thread's static sequence of
+//! **blocks** — contiguous runs of tasks, a thread's share of a level —
+//! under per-block publication: a block's waits are checked once before
+//! it starts, and the count of finished blocks is stored once when it
+//! ends. A thread that blocks has therefore published everything it
+//! finished, and every wait of a sound schedule targets a block that
+//! ends before the waiting block starts, so no wait cycle can form
 //! (`docs/ARCHITECTURE.md` §7 has the argument).
 
 use crate::backoff::Backoff;
@@ -98,34 +98,24 @@ impl ProgressCounters {
         }
     }
 
-    /// Runs thread `tid`'s static task sequence `tasks` (ascending
-    /// execution indices) under per-block publication (see module
-    /// docs): before `run(task)`, every `(thread, required)` pair of
-    /// `waits_of(task)` is awaited — publishing `tid`'s own count first
-    /// if the wait is not already satisfied — and after it, the count
-    /// is published only where the next task is not `task + 1`.
-    /// Expects `tid`'s counter to start at zero ([`Self::reset`]).
+    /// Runs thread `tid`'s static block sequence (see module docs):
+    /// before `run(block)`, every `(thread, required)` pair of the
+    /// block's wait list is awaited; after it, `tid`'s count of finished
+    /// blocks is published. Expects `tid`'s counter to start at zero
+    /// ([`Self::reset`]).
     #[inline(always)]
-    pub fn walk<'w>(
+    pub fn walk<'w, B>(
         &self,
         tid: usize,
-        tasks: &[usize],
-        waits_of: impl Fn(usize) -> &'w [(usize, usize)],
-        mut run: impl FnMut(usize),
+        blocks: impl IntoIterator<Item = (B, &'w [(usize, usize)])>,
+        mut run: impl FnMut(B),
     ) {
-        for (done, &task) in tasks.iter().enumerate() {
-            for &(t, required) in waits_of(task) {
-                if self.load(t) < required {
-                    // About to block: a peer may need what this thread
-                    // has finished but not yet published.
-                    self.publish(tid, done);
-                    self.wait_for(t, required);
-                }
+        for (done, (block, waits)) in blocks.into_iter().enumerate() {
+            for &(t, required) in waits {
+                self.wait_for(t, required);
             }
-            run(task);
-            if tasks.get(done + 1) != Some(&(task + 1)) {
-                self.publish(tid, done + 1);
-            }
+            run(block);
+            self.publish(tid, done + 1);
         }
     }
 }
@@ -207,26 +197,26 @@ mod tests {
     #[test]
     fn walk_publishes_once_per_contiguous_block() {
         // Blocks [0, 1, 2], [5, 6], [9]: the count a task sees published
-        // is the size of all earlier blocks, never a mid-block value.
+        // is the number of earlier blocks, never a mid-block value.
         let p = ProgressCounters::new(1);
         let mut seen = Vec::new();
-        p.walk(
-            0,
-            &[0, 1, 2, 5, 6, 9],
-            |_| &[],
-            |task| seen.push((task, p.load(0))),
-        );
-        assert_eq!(seen, [(0, 0), (1, 0), (2, 0), (5, 3), (6, 3), (9, 5)]);
-        assert_eq!(p.load(0), 6);
+        let none: &[(usize, usize)] = &[];
+        p.walk(0, [(0..3, none), (5..7, none), (9..10, none)], |block| {
+            for task in block {
+                seen.push((task, p.load(0)));
+            }
+        });
+        assert_eq!(seen, [(0, 0), (1, 0), (2, 0), (5, 1), (6, 1), (9, 2)]);
+        assert_eq!(p.load(0), 3);
     }
 
     #[test]
     fn blocked_walker_publishes_finished_work_first() {
-        // Thread 0 walks one block [0, 1]; its task 1 waits for thread
-        // 1's only task, which waits for thread 0's task 0 — finished
-        // but, mid-block, not yet published. Only the publication before
-        // thread 0's blocking wait releases thread 1; without it the
-        // pair deadlocks, which the watchdog turns into a failure (the
+        // Thread 0 walks blocks [0] and [1]; block [1] waits for thread
+        // 1's only block, which waits for thread 0's block [0]. The
+        // publication at the end of block [0] — before block [1]'s wait
+        // is checked — is what releases thread 1; without it the pair
+        // deadlocks, which the watchdog turns into a failure (the
         // region-abort flag unwinds both spinning walkers).
         let waits0: [&[(usize, usize)]; 2] = [&[], &[(1, 1)]];
         let waits1: &[(usize, usize)] = &[(0, 1)];
@@ -239,17 +229,14 @@ mod tests {
                 let (h0, h1) = (
                     s.spawn(|| {
                         let _g = abort::enter(Arc::clone(&flag));
-                        p.walk(
-                            0,
-                            &[0, 1],
-                            |task| waits0[task],
-                            |task| order.lock().push(task),
-                        );
+                        p.walk(0, [(0, waits0[0]), (1, waits0[1])], |task| {
+                            order.lock().push(task)
+                        });
                         tx.send(()).unwrap();
                     }),
                     s.spawn(|| {
                         let _g = abort::enter(Arc::clone(&flag));
-                        p.walk(1, &[7], |_| waits1, |task| order.lock().push(task));
+                        p.walk(1, [(7, waits1)], |task| order.lock().push(task));
                         tx.send(()).unwrap();
                     }),
                 );

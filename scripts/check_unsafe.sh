@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # file  count
 TABLE="
-crates/core/src/trisolve/engines.rs 10
+crates/core/src/trisolve/engines.rs 1
 crates/core/src/numeric/kernel.rs 11
 crates/sync/src/team.rs 3
 crates/core/src/spmv.rs 1

@@ -5,7 +5,11 @@
 use javelin::core::options::SolveEngine;
 use javelin::core::{factorize, IluOptions};
 use javelin::solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
+use javelin::sparse::{Panel, PanelMut};
+use javelin::synth::circuit::transient_circuit;
+use javelin::synth::grid::laplace_2d;
 use javelin::synth::suite::paper_suite;
+use javelin::synth::util::{bordered, rhs_panel};
 use javelin_bench::harness::preorder_dm_nd;
 
 /// The ILU(0) defining identity holds on every suite matrix:
@@ -52,6 +56,70 @@ fn solve_engines_agree_across_suite() {
                     "{} nthreads {nthreads} row {k}: {g} vs {w}",
                     meta.name
                 );
+            }
+        }
+    }
+}
+
+/// The threaded apply reads `B` and writes `X` through the permutation
+/// inside its region, each thread at the rows it retires. It must carry
+/// Serial's bits at every width and thread count, on a nonsymmetric
+/// circuit pattern whose backward blocks are not contiguous row ranges
+/// and on a bordered grid with a lower stage, into strided solution
+/// panels whose gap entries it never touches.
+#[test]
+fn folded_threaded_apply_is_bitwise_serial_on_strided_panels() {
+    let cases = [
+        ("circuit", transient_circuit(3_000, 40, false, 7)),
+        ("bordered", bordered(&laplace_2d(16, 16), 6)),
+    ];
+    let sentinel = f64::NAN.to_bits() ^ 0x5a5a;
+    for (name, a) in &cases {
+        let n = a.nrows();
+        for nthreads in [2, 3] {
+            let f = factorize(a, &IluOptions::ilu0(nthreads)).expect("factor");
+            let plan = f.symbolic().plan();
+            if *name == "circuit" {
+                let scattered = (0..nthreads).any(|t| {
+                    plan.bwd.thread_blocks(t).any(|(tasks, _)| {
+                        let rows = &plan.bwd_row_of_task[tasks];
+                        rows.windows(2).any(|w| w[1] != w[0] + 1)
+                    })
+                });
+                assert!(scattered, "circuit: every backward block is a row range");
+            } else {
+                assert!(f.stats().n_lower_rows > 0, "bordered: empty lower stage");
+            }
+            for k in [1, 2, 3, 5, 8] {
+                let b = rhs_panel(n, k, 5);
+                let mut want = vec![0.0; n * k];
+                f.solve_panel_with(
+                    SolveEngine::Serial,
+                    Panel::new(&b, n, k),
+                    PanelMut::new(&mut want, n, k),
+                )
+                .expect("serial");
+                let stride = n + 3;
+                let mut got = vec![f64::from_bits(sentinel); stride * k];
+                f.solve_panel_with(
+                    SolveEngine::PointToPointLower,
+                    Panel::new(&b, n, k),
+                    PanelMut::with_stride(&mut got, n, k, stride),
+                )
+                .expect("threaded");
+                for (i, v) in got.iter().enumerate() {
+                    let (c, r) = (i / stride, i % stride);
+                    let want_bits = if r < n {
+                        want[c * n + r].to_bits()
+                    } else {
+                        sentinel
+                    };
+                    assert_eq!(
+                        v.to_bits(),
+                        want_bits,
+                        "{name} nthreads {nthreads} k {k}: column {c} row {r}"
+                    );
+                }
             }
         }
     }
