@@ -62,8 +62,6 @@ pub struct HeavyIlu<T> {
     /// Gather/scatter traffic in entries moved — the "data movement per
     /// flop" the paper blames; exposed so benches can report it.
     pub moved_entries: usize,
-    /// Elimination flops performed.
-    pub flops: usize,
 }
 
 impl<T: Scalar> HeavyIlu<T> {
@@ -94,7 +92,6 @@ impl<T: Scalar> HeavyIlu<T> {
             Vec::new()
         };
         let moved = Mutex::new(0usize);
-        let flops = Mutex::new(0usize);
 
         // Dense panel scratch: one dense row buffer + translation table
         // per panel row, rebuilt per panel (the supernodal overhead).
@@ -106,7 +103,6 @@ impl<T: Scalar> HeavyIlu<T> {
         while p_lo < n && failed.is_none() {
             let p_hi = (p_lo + panel).min(n);
             let mut local_moved = 0usize;
-            let mut local_flops = 0usize;
             for r in p_lo..p_hi {
                 // GATHER: copy the row into dense storage (+ mark map).
                 for k in rowptr[r]..rowptr[r + 1] {
@@ -120,7 +116,6 @@ impl<T: Scalar> HeavyIlu<T> {
                     let c = colidx[k];
                     let piv = vals[diag_pos[c]];
                     let l = dense[c] / piv;
-                    local_flops += 1;
                     if !thresh.is_empty() && l.abs() < thresh[r] {
                         dense[c] = T::ZERO;
                         continue;
@@ -130,7 +125,6 @@ impl<T: Scalar> HeavyIlu<T> {
                         let j = colidx[kk];
                         if in_panel_row[j] {
                             dense[j] -= l * vals[kk];
-                            local_flops += 2;
                         }
                     }
                 }
@@ -152,7 +146,6 @@ impl<T: Scalar> HeavyIlu<T> {
             // Panel "assembly" critical section: the contention point a
             // supernodal code serializes on.
             *moved.lock() += local_moved;
-            *flops.lock() += local_flops;
             p_lo = p_hi;
         }
         if let Some(r) = failed {
@@ -162,7 +155,6 @@ impl<T: Scalar> HeavyIlu<T> {
             lu: CsrMatrix::from_raw_unchecked(n, n, rowptr, colidx, vals),
             diag_pos,
             moved_entries: moved.into_inner(),
-            flops: flops.into_inner(),
         })
     }
 
@@ -190,16 +182,6 @@ impl<T: Scalar> HeavyIlu<T> {
             x[r] = (x[r] - sum) / vals[self.diag_pos[r]];
         }
         x
-    }
-
-    /// Data-movement operations per flop — the paper's explanation for
-    /// the magnitude gap in Fig. 9.
-    pub fn movement_per_flop(&self) -> f64 {
-        if self.flops == 0 {
-            0.0
-        } else {
-            self.moved_entries as f64 / self.flops as f64
-        }
     }
 }
 
@@ -259,26 +241,6 @@ mod tests {
         for (h, j) in hx.iter().zip(jx.iter()) {
             assert!((h - j).abs() < 1e-10, "{h} vs {j}");
         }
-    }
-
-    #[test]
-    fn movement_dominates_flops() {
-        let a = test_matrix(200);
-        let heavy = HeavyIlu::factor(
-            &a,
-            &HeavyOptions {
-                panel_size: 16,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Sparse ILU(0) on a ~7-entry-per-row matrix: gather+scatter
-        // traffic comfortably exceeds useful flops.
-        assert!(
-            heavy.movement_per_flop() > 1.0,
-            "movement/flop = {}",
-            heavy.movement_per_flop()
-        );
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> String {
             let opts = match a_param {
                 Some(a) => {
                     let mut o = IluOptions::ilu0(1);
-                    o.split = javelin_level::SplitOptions::with_min_rows(a);
+                    o.split = javelin_core::level::SplitOptions::with_min_rows(a);
                     o
                 }
                 None => IluOptions::level_scheduling_only(1),

@@ -8,7 +8,7 @@
 //! SuiteSparse matrices are printed alongside the synthetic analogues'.
 
 use crate::harness::{prepare, Table};
-use javelin_level::LevelSets;
+use javelin_core::level::LevelSets;
 use javelin_sparse::pattern::lower_symmetrized_pattern;
 use javelin_synth::suite::{paper_suite, Scale};
 

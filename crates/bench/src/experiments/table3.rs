@@ -7,7 +7,7 @@
 //! A ∈ {16, 24, 32} (minimum rows per level).
 
 use crate::harness::{prepare, Table};
-use javelin_level::{split_levels, LevelSets, SplitOptions};
+use javelin_core::level::{split_levels, LevelSets, SplitOptions};
 use javelin_sparse::pattern::lower_symmetrized_pattern;
 use javelin_synth::suite::{paper_suite, Scale};
 

@@ -7,7 +7,7 @@
 //! drive the conclusion — the medians grow, but rarely enough to matter.
 
 use crate::harness::{prepare, Table};
-use javelin_level::LevelSets;
+use javelin_core::level::LevelSets;
 use javelin_sparse::pattern::{lower_pattern, lower_symmetrized_pattern};
 use javelin_synth::suite::{paper_suite, Scale};
 

@@ -68,7 +68,7 @@ pub fn factor_variants(a: &CsrMatrix<f64>) -> FactorSet {
 }
 
 /// Best-of-`k` wall-clock timing.
-pub fn time_best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
+pub(crate) fn time_best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     let mut best = Duration::MAX;
     let mut out = None;
     for _ in 0..k.max(1) {
@@ -85,7 +85,7 @@ pub fn time_best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
 
 /// Geometric mean of positive values (the paper reports geometric-mean
 /// speedups).
-pub fn geo_mean(values: &[f64]) -> f64 {
+pub(crate) fn geo_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -115,7 +115,7 @@ impl Table {
     }
 
     /// Renders with padded columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncol = self.headers.len();
         let mut width = vec![0usize; ncol];
         for (c, h) in self.headers.iter().enumerate() {

@@ -31,4 +31,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{geo_mean, prepare, write_report, PreparedMatrix, Table};
+pub use harness::{prepare, write_report, PreparedMatrix, Table};

@@ -3,11 +3,11 @@
 //! one-shot [`factorize`] entry.
 
 use crate::batch_factor::FactorsBatch;
+use crate::level::P2PSchedule;
 use crate::options::SolveEngine;
 use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use javelin_level::P2PSchedule;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::OnceLock;
 
@@ -67,7 +67,7 @@ pub struct SolvePlan {
 /// the numeric phase in place when the values change but the pattern
 /// does not.
 ///
-/// [`Exec`]: javelin_sync::Exec
+/// [`Exec`]: crate::sync::Exec
 pub struct IluFactors<T> {
     batch: FactorsBatch<T>,
     lu: OnceLock<CsrMatrix<T>>,
@@ -192,7 +192,7 @@ impl<T: Scalar> IluFactors<T> {
     /// The engine used when none is named: LS+Lower when threaded and
     /// the machine actually has the cores, serial otherwise — including
     /// the oversubscribed case (`nthreads` above the process's core
-    /// count, [`javelin_sync::affinity::n_cores`], at plan time), where
+    /// count, [`crate::sync::affinity::n_cores`], at plan time), where
     /// the point-to-point spin waits would churn against each other on
     /// shared cores. Pinning does not change the answer: the count is
     /// recorded before any team pins its caller.
@@ -704,7 +704,7 @@ mod tests {
 
     #[test]
     fn shared_team_serves_many_factorizations() {
-        use javelin_sync::WorkerTeam;
+        use crate::sync::WorkerTeam;
         use std::sync::Arc;
         let a = irregular(140);
         let n = a.nrows();
@@ -743,7 +743,7 @@ mod tests {
 
     #[test]
     fn oversubscription_falls_back_to_serial_default_engine() {
-        let cores = javelin_sync::affinity::n_cores();
+        let cores = crate::sync::affinity::n_cores();
         let a = irregular(100);
         let n = a.nrows();
         // Requesting more threads than the machine has cores must flip

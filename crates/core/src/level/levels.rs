@@ -108,7 +108,7 @@ impl LevelSets {
     }
 
     /// Number of rows in level `l`.
-    pub fn level_size(&self, l: usize) -> usize {
+    pub(crate) fn level_size(&self, l: usize) -> usize {
         self.level_ptr[l + 1] - self.level_ptr[l]
     }
 
@@ -118,12 +118,12 @@ impl LevelSets {
     }
 
     /// Boundaries of the level groups within the level-ordered row list.
-    pub fn level_ptr(&self) -> &[usize] {
+    pub(crate) fn level_ptr(&self) -> &[usize] {
         &self.level_ptr
     }
 
     /// All rows in level order (the concatenation of the levels).
-    pub fn rows_in_level_order(&self) -> &[usize] {
+    pub(crate) fn rows_in_level_order(&self) -> &[usize] {
         &self.rows
     }
 

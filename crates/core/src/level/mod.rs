@@ -1,5 +1,3 @@
-//! # javelin-level
-//!
 //! Level-set scheduling — the structural core of Javelin (§III of the
 //! paper).
 //!
@@ -11,7 +9,7 @@
 //! all threads, a *two-stage split* moves them into a lower stage solved
 //! by the Even-Rows method.
 //!
-//! This crate computes:
+//! This module computes:
 //!
 //! * [`levels::LevelSets`] — the level structure and its statistics
 //!   (the paper's Tables I, III, IV);
@@ -24,8 +22,8 @@
 //!   executed with monotone progress counters instead of barriers (after
 //!   Park et al., adapted to factorization).
 
+// Stricter than the crate's `deny`: no submodule may opt back in.
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod levels;
 pub mod schedule;

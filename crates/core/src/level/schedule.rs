@@ -17,12 +17,12 @@
 //! one wait list — the per-thread maximum over its tasks' dependencies,
 //! less what an earlier block of the same thread already awaited.
 //! Progress counts *finished blocks*: the runtime
-//! (`javelin_sync::ProgressCounters::walk`) checks a block's waits once,
+//! (`crate::sync::ProgressCounters::walk`) checks a block's waits once,
 //! runs its tasks, and publishes once. Where a thread's blocks of
 //! consecutive levels touch (a width-1 level, say) they merge into one.
 //! [`P2PSchedule::validate`] proves the waits dominate every task's
 //! dependencies and target only blocks that end before the waiting
-//! block starts; [`P2PSchedule::has_level_blocks`] checks the
+//! block starts; `P2PSchedule::has_level_blocks` checks the
 //! one-block-per-level cut.
 //!
 //! The same machinery schedules the up-looking factorization (this was
@@ -149,13 +149,14 @@ impl P2PSchedule {
     }
 
     /// Total number of tasks.
-    pub fn n_tasks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_tasks(&self) -> usize {
         self.n_tasks
     }
 
     /// Thread `t`'s blocks in execution order, each with its wait list
     /// of `(thread, blocks_done)` pairs — the sequence
-    /// `javelin_sync::ProgressCounters::walk` runs.
+    /// `crate::sync::ProgressCounters::walk` runs.
     pub fn thread_blocks(
         &self,
         t: usize,
@@ -169,7 +170,7 @@ impl P2PSchedule {
     }
 
     /// Total number of blocks — one progress publication each per walk.
-    pub fn n_blocks(&self) -> usize {
+    pub(crate) fn n_blocks(&self) -> usize {
         self.blocks.len()
     }
 
@@ -183,7 +184,7 @@ impl P2PSchedule {
 
     /// Bytes of schedule metadata one walk reads: each block's task
     /// range and wait-list bounds, and each wait entry.
-    pub fn walk_bytes(&self) -> usize {
+    pub(crate) fn walk_bytes(&self) -> usize {
         use std::mem::size_of;
         self.blocks.len() * (size_of::<Range<usize>>() + 2 * size_of::<usize>())
             + self.waits.len() * size_of::<(usize, usize)>()
@@ -251,7 +252,7 @@ impl P2PSchedule {
     /// `true` when no thread has two blocks meeting one level of
     /// `level_ptr` — the cut that makes a walk publish once per thread
     /// and level. Test/debug helper — O(blocks · log levels).
-    pub fn has_level_blocks(&self, level_ptr: &[usize]) -> bool {
+    pub(crate) fn has_level_blocks(&self, level_ptr: &[usize]) -> bool {
         let level = |task: usize| level_ptr.partition_point(|&p| p <= task);
         (0..self.nthreads).all(|t| {
             let blocks: Vec<Range<usize>> = self.thread_blocks(t).map(|(r, _)| r).collect();
@@ -519,7 +520,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::levels::LevelSets;
+    use crate::level::levels::LevelSets;
     use javelin_sparse::pattern::{
         lower_pattern, lower_symmetrized_pattern, upper_pattern, SparsityPattern,
     };

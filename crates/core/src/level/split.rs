@@ -15,7 +15,7 @@
 //!    (Fig. 3) stays in the upper stage, where point-to-point
 //!    synchronization absorbs it without a barrier.
 
-use crate::levels::LevelSets;
+use crate::level::levels::LevelSets;
 use javelin_sparse::Perm;
 
 /// Options controlling the two-stage split.
@@ -100,9 +100,36 @@ impl StagePlan {
         self.upper_level_ptr.len() - 1
     }
 
-    /// Level `l` of the upper stage as a range of new row indices.
-    pub fn upper_level(&self, l: usize) -> std::ops::Range<usize> {
-        self.upper_level_ptr[l]..self.upper_level_ptr[l + 1]
+    /// Whether the upper levels and the trailing rows' Even-Rows chunks
+    /// cover every row exactly once: each level range lies in
+    /// `0..n_upper`, `chunk(tid)` for `tid < nthreads` is the chunk of
+    /// trailing offsets `0..n_lower()` thread `tid` takes, and together
+    /// they hit each of the `n()` rows once.
+    pub(crate) fn covers_rows_once(
+        &self,
+        nthreads: usize,
+        chunk: impl Fn(usize) -> std::ops::Range<usize>,
+    ) -> bool {
+        let mut hits = vec![0u8; self.n()];
+        let mut hit = |rows: std::ops::Range<usize>| {
+            for r in rows {
+                hits[r] = hits[r].saturating_add(1);
+            }
+        };
+        for w in self.upper_level_ptr.windows(2) {
+            if w[0] > w[1] || w[1] > self.n_upper {
+                return false;
+            }
+            hit(w[0]..w[1]);
+        }
+        for tid in 0..nthreads {
+            let c = chunk(tid);
+            if c.start > c.end || c.end > self.n_lower() {
+                return false;
+            }
+            hit(self.n_upper + c.start..self.n_upper + c.end);
+        }
+        hits.iter().all(|&h| h == 1)
     }
 }
 
@@ -214,6 +241,24 @@ mod tests {
         let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
         assert_eq!(plan.n_lower(), 5);
         assert_eq!(plan.n_upper_levels(), 2);
+    }
+
+    #[test]
+    fn coverage_check_rejects_a_dropped_or_doubled_trailing_row() {
+        let (lv, nnz) = staircase(&[50, 50, 3, 2]);
+        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
+        assert_eq!(plan.n_lower(), 5);
+        let even = |tid: usize| crate::sync::col_range(5, 2, tid);
+        assert!(plan.covers_rows_once(2, even));
+        // Thread 1 stops one row short: the last trailing row is lost.
+        assert!(!plan.covers_rows_once(2, |tid| {
+            let c = even(tid);
+            c.start..c.end - tid
+        }));
+        // Both threads take thread 0's chunk: rows doubled and lost.
+        assert!(!plan.covers_rows_once(2, |_| even(0)));
+        // A chunk past the trailing rows.
+        assert!(!plan.covers_rows_once(2, |tid| even(tid).start..6));
     }
 
     #[test]

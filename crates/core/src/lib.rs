@@ -7,12 +7,12 @@
 //!
 //! ## Pipeline
 //!
-//! 1. **Symbolic** ([`symbolic`]): the ILU(k) fill pattern of `A`, by
+//! 1. **Symbolic** (`symbolic`): the ILU(k) fill pattern of `A`, by
 //!    the serial row-merge recurrence.
-//! 2. **Level analysis** (`javelin-level`): level sets of `lower(S)` or
+//! 2. **Level analysis** ([`level`]): level sets of `lower(S)` or
 //!    `lower(S+Sᵀ)`, the two-stage split, and the sparsified
 //!    point-to-point schedule.
-//! 3. **Numeric** ([`numeric`]): up-looking factorization of the
+//! 3. **Numeric** (`numeric`): up-looking factorization of the
 //!    permuted pattern — upper stage under point-to-point progress
 //!    counters, lower stage by Even-Rows, corner factored serially
 //!    last. Deterministic: every engine produces bit-identical factors
@@ -24,6 +24,11 @@
 //! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
 //!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
 //!    `javelin-sparse`.
+//!
+//! Under all of them sits [`sync`], the concurrency substrate: the
+//! persistent worker team every region runs on, monotone progress
+//! counters (the runtime half of the point-to-point schedule), the
+//! spin barrier and core pinning.
 //!
 //! ## The two-phase API: analyze → factor → refactor → solve
 //!
@@ -41,7 +46,7 @@
 //!   [`factors::SolvePlan`], the threaded solve engine's reusable
 //!   scratch (progress counters, barrier, the trailing rows' sub-corner
 //!   sums, the solve buffer), the numeric progress counters, and a
-//!   `javelin_sync::Exec` — the persistent worker team every later
+//!   [`sync::Exec`] — the persistent worker team every later
 //!   region runs on, its threads parked between calls.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
 //!   numeric up-looking elimination through the planned engines and
@@ -120,15 +125,17 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch_factor;
+pub(crate) mod batch_factor;
 pub mod factors;
-pub mod numeric;
+pub mod level;
+pub(crate) mod numeric;
 pub mod options;
 pub mod precond;
 pub mod spmv;
 pub mod stats;
-pub mod symbolic;
+pub(crate) mod symbolic;
 pub mod symbolic_ilu;
+pub mod sync;
 pub mod trisolve;
 
 pub use batch_factor::FactorsBatch;

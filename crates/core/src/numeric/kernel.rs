@@ -8,7 +8,7 @@
 //! `(r, j)` of row `r` — depends on the pattern only. `update_list`
 //! resolves it once, at `SymbolicIlu::analyze`, into one `u32` pair per
 //! update (the refactorization codes' precomputed elimination, as in
-//! KLU's refactor and NICSLU). [`eliminate_columns`] then divides by
+//! KLU's refactor and NICSLU). `eliminate_columns` then divides by
 //! the pivot and streams the entry's pairs: no per-row column map, no
 //! probe of a column that row `r` does not store.
 //!
@@ -33,10 +33,10 @@
 //!   untouched by its owner once finished, so a late release still
 //!   covers exactly its final values.
 //!
-//! Under that protocol [`eliminate_columns`] and [`finalize_row`] check
+//! Under that protocol `eliminate_columns` and `finalize_row` check
 //! out a whole row as an exclusive `&mut [T]` via
-//! [`LuVals::view_mut`] and read finalized
-//! rows as `&[T]` via [`LuVals::view`] — contiguous loads/stores the
+//! `LuVals::view_mut` and read finalized
+//! rows as `&[T]` via `LuVals::view` — contiguous loads/stores the
 //! compiler can vectorize, instead of per-element atomic round-trips
 //! that block coalescing.
 //!
@@ -72,7 +72,7 @@ unsafe impl<T: Send + Sync> Sync for ValCell<T> {}
 
 /// Concurrently accessible factor values (see the module docs for the
 /// ownership protocol that makes the shared-reference API race-free).
-pub struct LuVals<T> {
+pub(crate) struct LuVals<T> {
     cells: Vec<ValCell<T>>,
 }
 
@@ -88,7 +88,7 @@ impl<T: Scalar> LuVals<T> {
     /// `n` zero-valued entries — the shape used by reusable plan/
     /// workspace buffers, which are loaded per call instead of built
     /// from a value slice.
-    pub fn zeroed(n: usize) -> Self {
+    pub(crate) fn zeroed(n: usize) -> Self {
         LuVals {
             cells: (0..n).map(|_| ValCell(UnsafeCell::new(T::ZERO))).collect(),
         }
@@ -98,7 +98,7 @@ impl<T: Scalar> LuVals<T> {
     /// first touch) is performed by the participants of `exec`, each
     /// initializing a contiguous chunk — so on first-touch NUMA systems
     /// a buffer's pages land near the workers that will stream it.
-    pub fn zeroed_on(n: usize, exec: &javelin_sync::Exec) -> Self {
+    pub(crate) fn zeroed_on(n: usize, exec: &crate::sync::Exec) -> Self {
         let nthreads = exec.nthreads();
         if nthreads <= 1 || n == 0 {
             return Self::zeroed(n);
@@ -133,12 +133,13 @@ impl<T: Scalar> LuVals<T> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
     }
 
     /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
 
@@ -153,7 +154,7 @@ impl<T: Scalar> LuVals<T> {
     /// concurrent write of the same entry (the ownership protocol
     /// guarantees this everywhere the engines call it).
     #[inline(always)]
-    pub fn get(&self, i: usize) -> T {
+    pub(crate) fn get(&self, i: usize) -> T {
         // Safety: in-bounds (indexing the Vec checks), and same-entry
         // write/read pairs are ordered per the module docs.
         unsafe { *self.cells[i].0.get() }
@@ -161,7 +162,7 @@ impl<T: Scalar> LuVals<T> {
 
     /// Writes entry `i`. A plain store; same contract as [`LuVals::get`].
     #[inline(always)]
-    pub fn set(&self, i: usize, v: T) {
+    pub(crate) fn set(&self, i: usize, v: T) {
         // Safety: see `get`.
         unsafe { *self.cells[i].0.get() = v }
     }
@@ -173,7 +174,7 @@ impl<T: Scalar> LuVals<T> {
     /// lifetime of the returned slice (the entries must be finalized or
     /// otherwise quiescent under the row-ownership protocol).
     #[inline(always)]
-    pub unsafe fn view(&self, range: Range<usize>) -> &[T] {
+    pub(crate) unsafe fn view(&self, range: Range<usize>) -> &[T] {
         debug_assert!(range.end <= self.cells.len());
         std::slice::from_raw_parts(
             self.cells.as_ptr().cast::<T>().add(range.start),
@@ -190,7 +191,7 @@ impl<T: Scalar> LuVals<T> {
     /// retire-signal).
     #[inline(always)]
     #[allow(clippy::mut_from_ref)] // checked-out row ownership; see Safety
-    pub unsafe fn view_mut(&self, range: Range<usize>) -> &mut [T] {
+    pub(crate) unsafe fn view_mut(&self, range: Range<usize>) -> &mut [T] {
         debug_assert!(range.end <= self.cells.len());
         std::slice::from_raw_parts_mut(
             self.cells.as_ptr().cast::<T>().cast_mut().add(range.start),
@@ -284,7 +285,7 @@ pub(crate) fn update_list(
 /// must own row `r` exclusively (all engines call this only inside the
 /// row's ownership window).
 #[inline]
-pub fn eliminate_columns<T: Scalar, L: Lanes>(
+pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     r: usize,
@@ -371,7 +372,7 @@ pub fn eliminate_columns<T: Scalar, L: Lanes>(
 /// neighbours finalize untouched. The `numeric.pivot` failpoint fires
 /// once per lane, so chaos tests can poison a single scenario column.
 #[inline]
-pub fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T>, r: usize) {
+pub(crate) fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T>, r: usize) {
     let k = lanes.width();
     let dp = ctx.diag_pos[r];
     let dropping = !ctx.drop_thresh.is_empty();

@@ -11,7 +11,7 @@
 //! No walk searches the pattern: every elimination update — which
 //! entry of a finished row updates which entry of the current row — is
 //! resolved by `SymbolicIlu::analyze` into one `u32` update list
-//! ([`NumericCtx::upd`]; see [`kernel`]), which the serial,
+//! (`NumericCtx::upd`; see [`kernel`]), which the serial,
 //! point-to-point and Even-Rows walks all stream. A walk therefore
 //! needs no per-thread workspace.
 //!
@@ -27,10 +27,10 @@
 //! test suite enforces. Engine choice affects only who executes which
 //! row when.
 
-pub mod kernel;
-pub mod parallel;
+pub(crate) mod kernel;
+pub(crate) mod parallel;
 
-pub use kernel::LuVals;
+pub(crate) use kernel::LuVals;
 
 use crate::options::ZeroPivotPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Shared state of one numeric sweep: the lane-interleaved values plus
 /// **per-lane** counters, so one scenario's breakdown or drop
 /// statistics never bleed into its neighbours.
-pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
+pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     /// Combined-LU pattern row pointers (permuted).
     pub rowptr: &'a [usize],
     /// Combined-LU pattern column indices (permuted).
@@ -74,7 +74,7 @@ pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
 impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
     /// Entry range of a row.
     #[inline(always)]
-    pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
+    pub(crate) fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.rowptr[r]..self.rowptr[r + 1]
     }
 
@@ -93,7 +93,7 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
 
     /// Records a pivot breakdown of `lane` at `row`.
     #[inline]
-    pub fn record_failure(&self, lane: usize, row: usize) {
+    pub(crate) fn record_failure(&self, lane: usize, row: usize) {
         // Keep the smallest failing row for a deterministic error.
         self.failed_row[lane].fetch_min(row + 1, Ordering::AcqRel);
     }
@@ -122,7 +122,7 @@ pub(crate) struct CtxFixture {
 impl CtxFixture {
     /// Fixture over the CSR pattern `(rowptr, colidx)` with one lane per
     /// value-set in `scenarios`.
-    pub fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
+    pub(crate) fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
         let k = scenarios.len();
         let diag_pos: Vec<usize> = (0..rowptr.len() - 1)
             .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
@@ -152,13 +152,13 @@ impl CtxFixture {
     }
 
     /// Dense `n×n` pattern, one lane per flattened row-major value-set.
-    pub fn dense(n: usize, scenarios: &[Vec<f64>]) -> Self {
+    pub(crate) fn dense(n: usize, scenarios: &[Vec<f64>]) -> Self {
         let rowptr = (0..=n).map(|i| i * n).collect();
         let colidx = (0..n).flat_map(|_| 0..n).collect();
         Self::new(rowptr, colidx, scenarios)
     }
 
-    pub fn ctx(&self) -> NumericCtx<'_, f64> {
+    pub(crate) fn ctx(&self) -> NumericCtx<'_, f64> {
         NumericCtx {
             rowptr: &self.rowptr,
             colidx: &self.colidx,
@@ -177,7 +177,7 @@ impl CtxFixture {
     }
 
     /// Lane `c`'s values, de-interleaved.
-    pub fn lane(&self, c: usize) -> Vec<f64> {
+    pub(crate) fn lane(&self, c: usize) -> Vec<f64> {
         let k = self.replaced.len();
         (0..self.colidx.len())
             .map(|e| self.vals.get(e * k + c))
@@ -185,7 +185,7 @@ impl CtxFixture {
     }
 
     /// Lane `c`'s values as bit patterns.
-    pub fn lane_bits(&self, c: usize) -> Vec<u64> {
+    pub(crate) fn lane_bits(&self, c: usize) -> Vec<u64> {
         self.lane(c).iter().map(|v| v.to_bits()).collect()
     }
 }

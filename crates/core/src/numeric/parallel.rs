@@ -8,19 +8,19 @@
 //! then Even-Rows over the trailing rows, then the corner serially
 //! ("for most matrices, serial seems to be good enough", §III-B).
 
+use crate::level::P2PSchedule;
 use crate::numeric::kernel::{eliminate_columns, finalize_row};
 use crate::numeric::NumericCtx;
-use javelin_level::P2PSchedule;
+use crate::sync::{col_range, Exec, ProgressCounters};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
-use javelin_sync::{col_range, Exec, ProgressCounters};
 
 /// Serial up-looking factorization of rows `lo..hi` against columns
 /// `col_lo..` — one stream of each row's update lists serves all
 /// lanes. Over `0..n` this is the reference every parallel engine must
 /// match bit-for-bit; over `n_upper..n` with `col_lo = n_upper` it is
 /// `FACTOR_LU` on the corner.
-pub fn factor_rows_serial<T: Scalar, L: Lanes>(
+pub(crate) fn factor_rows_serial<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     lo: usize,
@@ -47,7 +47,7 @@ pub fn factor_rows_serial<T: Scalar, L: Lanes>(
 /// persistent worker team by default) with the progress counters reset
 /// and reused; `exec` and `progress` must both carry
 /// `schedule.nthreads()` participants.
-pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
+pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     schedule: &P2PSchedule,
@@ -77,7 +77,7 @@ pub fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
 /// the solve's Even-Rows stage uses the same partition. Every lane is
 /// retired per row under one chunking and one update-list stream. The
 /// corner is left to [`factor_rows_serial`] with `col_lo = n_upper`.
-pub fn factor_lower_er_planned<T: Scalar, L: Lanes>(
+pub(crate) fn factor_lower_er_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     n_upper: usize,

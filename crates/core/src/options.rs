@@ -1,8 +1,8 @@
 //! Configuration of the factorization and solve pipeline.
 
-use javelin_level::SplitOptions;
+use crate::level::SplitOptions;
+use crate::sync::WorkerTeam;
 use javelin_sparse::pattern::LevelPattern;
-use javelin_sync::WorkerTeam;
 use std::sync::Arc;
 
 /// What to do when a pivot magnitude falls below the breakdown
@@ -120,7 +120,7 @@ pub struct IluOptions {
     pub pivot_threshold: f64,
     /// Pin the factorization's worker team to cores (compact
     /// placement: tid `i` → core `i % n_cores`, see
-    /// [`javelin_sync::TeamAffinity::Compact`] for what that does
+    /// [`crate::sync::TeamAffinity::Compact`] for what that does
     /// today) and first-touch the factor-value pages from the pinned
     /// threads, so page placement follows the threads that traverse the
     /// pages in the Krylov loop. Best-effort — ignored when the kernel
@@ -198,12 +198,6 @@ impl IluOptions {
     /// Pivot breakdown policy (see [`ZeroPivotPolicy`]).
     pub fn with_zero_pivot(mut self, policy: ZeroPivotPolicy) -> Self {
         self.zero_pivot = policy;
-        self
-    }
-
-    /// Pivot breakdown detection threshold.
-    pub fn with_pivot_threshold(mut self, threshold: f64) -> Self {
-        self.pivot_threshold = threshold;
         self
     }
 

@@ -95,33 +95,6 @@ impl<T: Scalar> Preconditioner<T> for IdentityPrecond {
     }
 }
 
-/// Jacobi (diagonal) preconditioning: `M = diag(A)`.
-#[derive(Debug, Clone)]
-pub struct JacobiPrecond<T> {
-    inv_diag: Vec<T>,
-}
-
-impl<T: Scalar> JacobiPrecond<T> {
-    /// Builds from the diagonal of `a`; zero diagonals fall back to 1.
-    pub fn new(a: &CsrMatrix<T>) -> Self {
-        let inv_diag = a
-            .diag()
-            .into_iter()
-            .map(|d| if d == T::ZERO { T::ONE } else { T::ONE / d })
-            .collect();
-        JacobiPrecond { inv_diag }
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for JacobiPrecond<T> {
-    fn apply(&self, r: &[T], z: &mut [T]) {
-        assert_eq!(r.len(), self.inv_diag.len(), "jacobi: length mismatch");
-        for ((zi, &ri), &di) in z.iter_mut().zip(r.iter()).zip(self.inv_diag.iter()) {
-            *zi = ri * di;
-        }
-    }
-}
-
 impl<T: Scalar> Preconditioner<T> for IluFactors<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
         self.with_engine(self.default_engine()).apply(r, z);
@@ -279,30 +252,6 @@ mod tests {
         let mut z = vec![0.0; 3];
         Preconditioner::<f64>::apply(&p, &r, &mut z);
         assert_eq!(z, r);
-    }
-
-    #[test]
-    fn jacobi_divides_by_diagonal() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 2.0).unwrap();
-        coo.push(1, 1, 4.0).unwrap();
-        coo.push(0, 1, 9.0).unwrap();
-        let p = JacobiPrecond::new(&coo.to_csr());
-        let mut z = vec![0.0; 2];
-        p.apply(&[2.0, 2.0], &mut z);
-        assert_eq!(z, vec![1.0, 0.5]);
-    }
-
-    #[test]
-    fn jacobi_handles_zero_diag() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 2.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(1, 1, 0.0).unwrap();
-        let p = JacobiPrecond::new(&coo.to_csr());
-        let mut z = vec![0.0; 2];
-        p.apply(&[4.0, 3.0], &mut z);
-        assert_eq!(z, vec![2.0, 3.0]);
     }
 
     #[test]

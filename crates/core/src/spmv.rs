@@ -24,9 +24,9 @@
 #![allow(unsafe_code)] // LuVals tile views; protocol documented in numeric/kernel.rs.
 
 use crate::numeric::LuVals;
+use crate::sync::Exec;
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
-use javelin_sync::Exec;
 
 /// A precomputed execution plan for the CSR5-inspired tiled spmv.
 ///
@@ -104,11 +104,6 @@ impl<T: Scalar> SpmvPlan<T> {
     /// Tile size in entries.
     pub fn tile_size(&self) -> usize {
         self.tile
-    }
-
-    /// Number of entry-stream tiles.
-    pub fn n_tiles(&self) -> usize {
-        self.n_tiles
     }
 
     /// Executes `y = A·x` through the plan: allocation-free, results

@@ -1,6 +1,6 @@
 //! Symbolic ILU(k): computing the fill pattern.
 //!
-//! [`iluk_pattern_serial`] is the classic row-merge recurrence
+//! `iluk_pattern_serial` is the classic row-merge recurrence
 //! `lev(i,j) = min over c < min(i,j) of lev(i,c) + lev(c,j) + 1`
 //! (levels of original entries are 0; entries with `lev ≤ k` are kept),
 //! processed row by row with a sorted linked-list workspace; `ILU(0)`
@@ -22,7 +22,7 @@ use javelin_sparse::{CsrMatrix, Scalar, SparseError};
 ///
 /// # Errors
 /// [`SparseError::NotSquare`] / [`SparseError::MissingDiagonal`].
-pub fn iluk_pattern_serial<T: Scalar>(
+pub(crate) fn iluk_pattern_serial<T: Scalar>(
     a: &CsrMatrix<T>,
     k: usize,
 ) -> Result<SparsityPattern, SparseError> {

@@ -34,6 +34,7 @@
 //! analysis; a factor object owns only its values.
 
 use crate::factors::{IluFactors, SolvePlan};
+use crate::level::{split_levels, LevelSets, P2PSchedule};
 use crate::numeric::kernel::{index_u32, update_list, LuVals};
 use crate::numeric::parallel::{
     factor_lower_er_planned, factor_rows_serial, factor_upper_p2p_planned,
@@ -42,12 +43,11 @@ use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
+use crate::sync::{col_range, Exec, ProgressCounters};
 use crate::trisolve::engines::SolveScratch;
-use javelin_level::{split_levels, LevelSets, P2PSchedule};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
-use javelin_sync::{Exec, ProgressCounters};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -312,6 +312,13 @@ impl<T: Scalar> SymbolicIlu<T> {
             bwd.has_level_blocks(bwd_levels_upper.level_ptr()),
             "backward schedule is not blocked per level"
         );
+        // The numeric and solve walks each touch a row once only if the
+        // upper levels and the trailing rows' Even-Rows chunks (the
+        // same `col_range` partition both walks take) cover it once.
+        debug_assert!(
+            plan0.covers_rows_once(nthreads, |tid| col_range(plan0.n_lower(), nthreads, tid)),
+            "two-stage split and Even-Rows chunks do not cover every row once"
+        );
 
         // Each trailing row's sub-corner prefix, for the solve's
         // Even-Rows stage.
@@ -353,7 +360,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         // available through `solve_with` for measurements. The count is
         // the process's, recorded before any pinning — a caller pinned
         // by this or an earlier team still sees every core.
-        let cores = javelin_sync::affinity::n_cores();
+        let cores = crate::sync::affinity::n_cores();
         let engine_hint = if nthreads == 1 || nthreads > cores {
             SolveEngine::Serial
         } else {
@@ -455,7 +462,7 @@ impl<T: Scalar> SymbolicIlu<T> {
 
     /// The execution context numeric refactorizations and solves run on
     /// (a persistent worker team).
-    pub fn exec(&self) -> &Exec {
+    pub(crate) fn exec(&self) -> &Exec {
         &self.core.exec
     }
 
@@ -758,9 +765,13 @@ pub(crate) struct NumericRun<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use javelin_synth::circuit::transient_circuit;
-    use javelin_synth::grid::{convection_diffusion_3d, laplace_2d};
-    use javelin_synth::util::bordered;
+    use javelin_synth::circuit::{power_grid, transient_circuit};
+    use javelin_synth::fem::shell_strip;
+    use javelin_synth::grid::{
+        convection_diffusion_2d, convection_diffusion_3d, laplace_2d, laplace_3d,
+    };
+    use javelin_synth::util::{bordered, drop_random_offdiag};
+    use proptest::prelude::*;
 
     /// The update list re-derived the way the probe walk found it: for
     /// every L entry `(r, c)` of `lu`'s pattern, every `u(c, j)` with
@@ -788,6 +799,31 @@ mod tests {
         (ptr, list)
     }
 
+    /// `analyze`'s update list against the probe enumeration of the
+    /// factored LU pattern, at one fill level and thread count.
+    fn assert_update_list_is_the_probe_enumeration(
+        what: &str,
+        a: &CsrMatrix<f64>,
+        fill: usize,
+        nthreads: usize,
+    ) -> FactorStats {
+        let what = format!("{what} fill {fill} nthreads {nthreads}");
+        let opts = IluOptions::ilu0(nthreads).with_fill(fill);
+        let sym = SymbolicIlu::analyze(a, &opts).unwrap();
+        let f = sym.factor(a).unwrap();
+        let (ptr, list) = probe_enumeration(f.lu());
+        let c = sym.core();
+        assert_eq!(c.upd_ptr, ptr, "{what}: update ranges");
+        assert_eq!(c.upd.len(), list.len(), "{what}: update count");
+        for (i, (got, want)) in c.upd.iter().zip(&list).enumerate() {
+            assert_eq!(got, want, "{what}: update pair {i}");
+        }
+        assert!(!list.is_empty(), "{what}: nothing eliminated");
+        assert_eq!(sym.stats().n_updates, list.len(), "{what}");
+        assert_eq!(f.stats().n_updates, list.len(), "{what}: factor stats");
+        sym.stats().clone()
+    }
+
     #[test]
     fn update_list_is_the_probe_enumeration_of_the_lu_pattern() {
         let cases: [(&str, CsrMatrix<f64>); 4] = [
@@ -801,26 +837,60 @@ mod tests {
         ];
         for (name, a) in &cases {
             for fill in 0..=2 {
-                for nthreads in [1, 2] {
-                    let opts = IluOptions::ilu0(nthreads).with_fill(fill);
-                    let what = format!("{name} fill {fill} nthreads {nthreads}");
-                    let sym = SymbolicIlu::analyze(a, &opts).unwrap();
-                    let f = sym.factor(a).unwrap();
-                    let (ptr, list) = probe_enumeration(f.lu());
-                    let c = sym.core();
-                    assert_eq!(c.upd_ptr, ptr, "{what}: update ranges");
-                    assert_eq!(c.upd.len(), list.len(), "{what}: update count");
-                    for (i, (got, want)) in c.upd.iter().zip(&list).enumerate() {
-                        assert_eq!(got, want, "{what}: update pair {i}");
-                    }
-                    assert!(!list.is_empty(), "{what}: nothing eliminated");
-                    assert_eq!(sym.stats().n_updates, list.len(), "{what}");
-                    assert_eq!(f.stats().n_updates, list.len(), "{what}: factor stats");
+                for nthreads in 1..=3 {
+                    let stats =
+                        assert_update_list_is_the_probe_enumeration(name, a, fill, nthreads);
                     if *name == "bordered" {
-                        assert!(sym.stats().n_lower_rows > 0, "{what}: empty lower stage");
+                        assert!(
+                            stats.n_lower_rows > 0,
+                            "{name} fill {fill} nthreads {nthreads}: empty lower stage"
+                        );
                     }
                 }
             }
+        }
+    }
+
+    /// One of the `javelin-synth` generators at a drawn size and seed,
+    /// bordered (a heavy lower stage) when `border > 0`.
+    fn generated_matrix() -> impl Strategy<Value = (String, CsrMatrix<f64>)> {
+        (0usize..8, 3usize..9, 0u64..1 << 20, 0usize..5).prop_map(|(g, s, seed, border)| {
+            let (name, a) = match g {
+                0 => ("laplace_2d", laplace_2d(s, s + 1)),
+                1 => ("laplace_3d", laplace_3d(s / 2 + 2, 3, 3)),
+                2 => (
+                    "convection_diffusion_2d",
+                    convection_diffusion_2d(s, s, 0.4, -0.3),
+                ),
+                3 => (
+                    "convection_diffusion_3d",
+                    convection_diffusion_3d(s / 2 + 2, 3, 3, (1.0, 0.5, 0.25)),
+                ),
+                4 => (
+                    "transient_circuit",
+                    transient_circuit(20 * s, s, seed % 2 == 0, seed),
+                ),
+                5 => ("power_grid", power_grid(20 * s, s, 2, seed)),
+                6 => ("shell_strip", shell_strip(s, 3, 2, seed)),
+                _ => (
+                    "drop_random_offdiag",
+                    drop_random_offdiag(&laplace_2d(s, s), 0.3, seed),
+                ),
+            };
+            let a = if border > 0 { bordered(&a, border) } else { a };
+            (format!("{name} s {s} seed {seed} border {border}"), a)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn update_list_is_the_probe_enumeration_on_generated_patterns(
+            m in generated_matrix(),
+            fill in 0usize..3,
+            nthreads in 1usize..4,
+        ) {
+            assert_update_list_is_the_probe_enumeration(&m.0, &m.1, fill, nthreads);
         }
     }
 }

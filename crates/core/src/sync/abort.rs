@@ -1,15 +1,15 @@
 //! Region-abort protocol: turns a panic in one SPMD participant into a
 //! prompt unwind of every participant instead of a deadlock.
 //!
-//! The point-to-point waits in this crate ([`crate::progress`],
-//! [`crate::barrier`]) spin until a peer makes progress. If that peer
+//! The point-to-point waits in this crate ([`crate::sync::progress`],
+//! [`crate::sync::barrier`]) spin until a peer makes progress. If that peer
 //! panics it never publishes its progress, and before this module existed
 //! every other participant would spin forever — the region could not
-//! reach the quiescent state [`crate::team::WorkerTeam::run`] needs
+//! reach the quiescent state [`crate::sync::team::WorkerTeam::run`] needs
 //! before it can propagate the panic. The fix is a per-region abort
 //! flag:
 //!
-//! 1. the executor ([`crate::team`]) installs the region's flag in a
+//! 1. the executor ([`crate::sync::team`]) installs the region's flag in a
 //!    thread-local for each participant;
 //! 2. whichever participant panics has its unwind caught at the region
 //!    edge, which sets the flag before recording completion;
@@ -28,33 +28,33 @@ use std::sync::Arc;
 
 /// Panic message used by [`check`] when a region is aborted. Executors
 /// match on it to distinguish the abort echo from a root-cause panic.
-pub const ABORT_PANIC_MSG: &str = "javelin parallel region aborted by a peer panic";
+pub(crate) const ABORT_PANIC_MSG: &str = "javelin parallel region aborted by a peer panic";
 
 /// A per-region abort flag shared by all participants.
 #[derive(Debug, Default)]
-pub struct RegionAbort {
+pub(crate) struct RegionAbort {
     flag: AtomicBool,
 }
 
 impl RegionAbort {
     /// Fresh, un-set flag.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RegionAbort::default()
     }
 
     /// Orders every participant polling this flag to unwind.
-    pub fn set(&self) {
+    pub(crate) fn set(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
     /// `true` once the region is aborting.
-    pub fn is_set(&self) -> bool {
+    pub(crate) fn is_set(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 
     /// Re-arms the flag for a new region. Caller must guarantee
     /// quiescence (no participant inside the previous region).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.flag.store(false, Ordering::Release);
     }
 }
@@ -67,7 +67,7 @@ thread_local! {
 
 /// Installs `flag` as this thread's current region flag until the
 /// returned guard drops.
-pub fn enter(flag: Arc<RegionAbort>) -> RegionGuard {
+pub(crate) fn enter(flag: Arc<RegionAbort>) -> RegionGuard {
     CURRENT.with(|c| c.borrow_mut().push(flag));
     RegionGuard { _priv: () }
 }
@@ -76,7 +76,7 @@ pub fn enter(flag: Arc<RegionAbort>) -> RegionGuard {
 /// including during an unwind, so a panicking participant leaves no
 /// stale flag behind.
 #[must_use]
-pub struct RegionGuard {
+pub(crate) struct RegionGuard {
     _priv: (),
 }
 
@@ -91,7 +91,7 @@ impl Drop for RegionGuard {
 /// Polled by spin waits: panics with [`ABORT_PANIC_MSG`] when the
 /// current region (if any) is aborting. No-op outside a region.
 #[inline]
-pub fn check() {
+pub(crate) fn check() {
     let aborting = CURRENT.with(|c| c.borrow().last().map(|f| f.is_set()).unwrap_or(false));
     if aborting {
         panic!("{ABORT_PANIC_MSG}");
@@ -100,7 +100,7 @@ pub fn check() {
 
 /// `true` when `payload` (a caught panic payload) is the abort echo
 /// raised by [`check`] rather than a root-cause panic.
-pub fn is_abort_payload(payload: &(dyn std::any::Any + Send)) -> bool {
+pub(crate) fn is_abort_payload(payload: &(dyn std::any::Any + Send)) -> bool {
     payload
         .downcast_ref::<&'static str>()
         .is_some_and(|s| *s == ABORT_PANIC_MSG)

@@ -4,7 +4,7 @@
 //! (`OMP_PROC_BIND`-style) so that level-scheduled point-to-point waits
 //! hit warm caches and first-touch page placement stays aligned with
 //! the threads that later traverse the pages. This module is the
-//! equivalent knob: a [`TeamAffinity`] policy that [`crate::WorkerTeam`]
+//! equivalent knob: a [`TeamAffinity`] policy that [`crate::sync::WorkerTeam`]
 //! applies to each participant at startup.
 //!
 //! Pinning is *best-effort*: on non-Linux targets, or when the kernel
@@ -38,7 +38,7 @@ pub enum TeamAffinity {
 
 impl TeamAffinity {
     /// The core this policy assigns to participant `tid`, if any.
-    pub fn core_for(self, tid: usize) -> Option<usize> {
+    pub(crate) fn core_for(self, tid: usize) -> Option<usize> {
         match self {
             TeamAffinity::None => None,
             TeamAffinity::Compact => Some(tid % n_cores()),
@@ -49,7 +49,7 @@ impl TeamAffinity {
 /// Number of cores visible to this process (affinity-mask aware on
 /// Linux via std), read once — on the first call — and recorded, so
 /// that pinning a thread later does not shrink the answer. Falls back
-/// to 1 if the OS won't say. [`crate::WorkerTeam::with_affinity`] makes
+/// to 1 if the OS won't say. [`crate::sync::WorkerTeam::with_affinity`] makes
 /// the first call before it pins anything.
 pub fn n_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();

@@ -12,7 +12,7 @@ use std::thread;
 
 /// Exponential spin backoff that escalates to `thread::yield_now`.
 #[derive(Debug, Default)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     step: u32,
 }
 
@@ -21,14 +21,14 @@ impl Backoff {
     const SPIN_LIMIT: u32 = 6;
 
     /// Fresh backoff.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Backoff { step: 0 }
     }
 
     /// One wait step: spins `2^step` times while below the spin limit,
     /// afterwards yields the thread.
     #[inline]
-    pub fn snooze(&mut self) {
+    pub(crate) fn snooze(&mut self) {
         if self.step <= Self::SPIN_LIMIT {
             for _ in 0..(1u32 << self.step) {
                 hint::spin_loop();
@@ -41,12 +41,12 @@ impl Backoff {
 
     /// `true` once the backoff has escalated past pure spinning —
     /// callers that want to park can use this as the trigger.
-    pub fn is_yielding(&self) -> bool {
+    pub(crate) fn is_yielding(&self) -> bool {
         self.step > Self::SPIN_LIMIT
     }
 
     /// Resets to pure spinning.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.step = 0;
     }
 }

@@ -8,7 +8,7 @@
 //! like every other primitive in the crate and is reusable across any
 //! number of phases.
 
-use crate::backoff::Backoff;
+use crate::sync::backoff::Backoff;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A reusable spin barrier for a fixed number of participants.
@@ -49,7 +49,7 @@ impl SpinBarrier {
     /// `true` on exactly one participant per phase (the "leader").
     ///
     /// # Panics
-    /// With [`crate::abort::ABORT_PANIC_MSG`] if the enclosing parallel
+    /// With `crate::sync::abort::ABORT_PANIC_MSG` if the enclosing parallel
     /// region aborts (a peer panicked) while waiting — a panicked peer
     /// never arrives, so the phase can never complete.
     pub fn wait(&self) -> bool {
@@ -64,7 +64,7 @@ impl SpinBarrier {
         } else {
             let mut backoff = Backoff::new();
             while self.sense.load(Ordering::Acquire) == phase_sense {
-                crate::abort::check();
+                crate::sync::abort::check();
                 backoff.snooze();
             }
             false

@@ -14,7 +14,7 @@
 //! caller participating as tid 0 and full fork-join semantics (all
 //! memory writes of the region happen-before `run` returns).
 
-use crate::team::WorkerTeam;
+use crate::sync::team::WorkerTeam;
 use std::sync::Arc;
 
 /// A cloneable handle on the persistent team a plan's parallel regions
@@ -31,16 +31,16 @@ impl Exec {
 
     /// Like [`Exec::team`], with compact core pinning: participant
     /// `tid` binds to core `tid % n_cores` (best-effort; see
-    /// [`crate::affinity`]). The calling thread is pinned as tid 0.
-    pub fn team_pinned(nthreads: usize) -> Self {
+    /// [`crate::sync::affinity`]). The calling thread is pinned as tid 0.
+    pub(crate) fn team_pinned(nthreads: usize) -> Self {
         Exec(Arc::new(WorkerTeam::with_affinity(
             nthreads,
-            crate::affinity::TeamAffinity::Compact,
+            crate::sync::affinity::TeamAffinity::Compact,
         )))
     }
 
     /// Wraps an existing team.
-    pub fn with_team(team: Arc<WorkerTeam>) -> Self {
+    pub(crate) fn with_team(team: Arc<WorkerTeam>) -> Self {
         Exec(team)
     }
 

@@ -1,15 +1,13 @@
-//! # javelin-sync
-//!
 //! The concurrency substrate behind Javelin's "lightweight
 //! synchronization" philosophy: the paper deliberately avoids heavy task
 //! runtimes and barriers in favour of point-to-point spin
-//! synchronization and static thread assignments. This crate supplies
+//! synchronization and static thread assignments. This module supplies
 //! those pieces:
 //!
 //! * [`team`] — the persistent [`WorkerTeam`]: parked workers with
 //!   stable tids executing borrowed SPMD regions (the OpenMP parallel
 //!   region, amortized across the whole Krylov loop);
-//! * [`exec`] — [`Exec`], the cloneable handle on the team a plan's
+//! * `exec` — [`Exec`], the cloneable handle on the team a plan's
 //!   regions run on (the one way to run a region), and [`col_range`],
 //!   the in-region column partitioner;
 //! * [`progress`] — cache-padded monotone progress counters with
@@ -28,19 +26,15 @@
 //! protocol), and [`affinity`] makes one FFI call into the
 //! already-linked C library.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod abort;
+pub(crate) mod abort;
 pub mod affinity;
 pub mod backoff;
 pub mod barrier;
-pub mod exec;
+pub(crate) mod exec;
 pub mod progress;
 pub mod team;
 
 pub use affinity::TeamAffinity;
-pub use backoff::Backoff;
 pub use barrier::SpinBarrier;
 pub use exec::{col_range, Exec};
 pub use progress::ProgressCounters;

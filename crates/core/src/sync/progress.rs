@@ -18,7 +18,7 @@
 //! ends before the waiting block starts, so no wait cycle can form
 //! (`docs/ARCHITECTURE.md` §7 has the argument).
 
-use crate::backoff::Backoff;
+use crate::sync::backoff::Backoff;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -83,7 +83,7 @@ impl ProgressCounters {
     /// at least `required` completed tasks.
     ///
     /// # Panics
-    /// With [`crate::abort::ABORT_PANIC_MSG`] if the enclosing parallel
+    /// With `crate::sync::abort::ABORT_PANIC_MSG` if the enclosing parallel
     /// region aborts (a peer panicked) while waiting — the wait would
     /// otherwise spin forever on a counter nobody will publish.
     #[inline]
@@ -93,7 +93,7 @@ impl ProgressCounters {
         }
         let mut backoff = Backoff::new();
         while self.load(t) < required {
-            crate::abort::check();
+            crate::sync::abort::check();
             backoff.snooze();
         }
     }
@@ -123,7 +123,7 @@ impl ProgressCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abort::{self, RegionAbort};
+    use crate::sync::abort::{self, RegionAbort};
     use std::sync::atomic::AtomicUsize;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;

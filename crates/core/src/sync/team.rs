@@ -26,15 +26,15 @@
 //! same happens-before edge `std::thread::scope` provides.
 //!
 //! Workers wait for a region with bounded spinning (see
-//! [`crate::backoff::Backoff`]) and escalate to a condvar park, so idle
+//! `crate::sync::backoff::Backoff`) and escalate to a condvar park, so idle
 //! teams consume no CPU — many live factorizations (each owning a team)
 //! can coexist in one process.
 
 #![allow(unsafe_code)]
 
-use crate::abort::{self, RegionAbort};
-use crate::affinity::{pin_current_thread, TeamAffinity};
-use crate::backoff::Backoff;
+use crate::sync::abort::{self, RegionAbort};
+use crate::sync::affinity::{pin_current_thread, TeamAffinity};
+use crate::sync::backoff::Backoff;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,7 +63,7 @@ struct Shared {
     panicked: AtomicBool,
     /// Per-region abort flag: set when any participant (worker or
     /// caller) panics, so peers blocked in spin waits unwind instead of
-    /// deadlocking (see [`crate::abort`]). Cleared at region start.
+    /// deadlocking (see [`crate::sync::abort`]). Cleared at region start.
     region_abort: Arc<RegionAbort>,
     /// Sticky panic marker: set when a region ends by unwind, cleared
     /// by [`WorkerTeam::repair`] (which `run` invokes automatically).
@@ -112,7 +112,7 @@ impl WorkerTeam {
     /// every participant: each worker pins itself as the first thing it
     /// does on its own thread, and the calling thread (tid 0) is pinned
     /// here, before the constructor returns. Pinning is best-effort
-    /// (see [`crate::affinity`]) — a rejected mask leaves the thread
+    /// (see [`crate::sync::affinity`]) — a rejected mask leaves the thread
     /// unpinned and the team fully functional.
     pub fn with_affinity(nthreads: usize, affinity: TeamAffinity) -> Self {
         assert!(nthreads >= 1, "team needs at least one participant");
@@ -375,7 +375,7 @@ mod tests {
     fn pinned_team_runs_all_tids() {
         // Pinning is best-effort; whatever the kernel decided, the
         // region protocol must be unaffected.
-        let team = WorkerTeam::with_affinity(3, crate::affinity::TeamAffinity::Compact);
+        let team = WorkerTeam::with_affinity(3, crate::sync::affinity::TeamAffinity::Compact);
         let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
         for _ in 0..4 {
             team.run(|tid| {
@@ -404,7 +404,7 @@ mod tests {
         // pinned, as the first pinned team of a process records it. A
         // caller an earlier team already pinned to core 0 then builds a
         // compact team: its worker must still get a core of its own.
-        let cores = crate::affinity::n_cores();
+        let cores = crate::sync::affinity::n_cores();
         let allowed = std::thread::spawn(|| {
             assert!(pin_current_thread(0), "pin the scratch caller");
             let team = WorkerTeam::with_affinity(2, TeamAffinity::Compact);
@@ -486,7 +486,7 @@ mod tests {
         // tid 1 panics before bumping the counter tids 0 and 2 wait on.
         // Without the region-abort protocol this deadlocks forever.
         let team = WorkerTeam::new(3);
-        let progress = crate::progress::ProgressCounters::new(3);
+        let progress = crate::sync::progress::ProgressCounters::new(3);
         let r = catch_unwind(AssertUnwindSafe(|| {
             team.run(|tid| {
                 if tid == 1 {
@@ -511,7 +511,7 @@ mod tests {
         // Tid 0 (the caller) panics before bumping the counter the
         // workers wait on — the symmetric deadlock.
         let team = WorkerTeam::new(3);
-        let progress = crate::progress::ProgressCounters::new(3);
+        let progress = crate::sync::progress::ProgressCounters::new(3);
         let r = catch_unwind(AssertUnwindSafe(|| {
             team.run(|tid| {
                 if tid == 0 {
@@ -534,7 +534,7 @@ mod tests {
     #[test]
     fn barrier_waiters_unwind_on_peer_panic() {
         let team = WorkerTeam::new(3);
-        let barrier = crate::barrier::SpinBarrier::new(3);
+        let barrier = crate::sync::barrier::SpinBarrier::new(3);
         let r = catch_unwind(AssertUnwindSafe(|| {
             team.run(|tid| {
                 if tid == 2 {

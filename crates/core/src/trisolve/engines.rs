@@ -59,9 +59,9 @@
 use super::serial::{row_sums, row_sums_from};
 use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
+use crate::sync::{col_range, Exec, ProgressCounters, SpinBarrier};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{Panel, PanelMut, Scalar};
-use javelin_sync::{col_range, Exec, ProgressCounters, SpinBarrier};
 use std::cell::Cell;
 use std::ops::Range;
 #[cfg(debug_assertions)]

@@ -124,7 +124,7 @@ impl MachineModel {
     }
 
     /// Per-thread speed factor at a given thread count (SMT sharing).
-    pub fn thread_speed(&self, nthreads: usize) -> f64 {
+    pub(crate) fn thread_speed(&self, nthreads: usize) -> f64 {
         if nthreads > self.n_cores {
             self.smt_efficiency
         } else {
@@ -133,7 +133,7 @@ impl MachineModel {
     }
 
     /// Socket of a thread id under block assignment.
-    pub fn socket_of(&self, tid: usize) -> usize {
+    pub(crate) fn socket_of(&self, tid: usize) -> usize {
         if self.sockets <= 1 {
             return 0;
         }
@@ -142,13 +142,8 @@ impl MachineModel {
         physical / per_socket
     }
 
-    /// Cost (ns) of factoring a row with `nnz` stored entries.
-    pub fn row_factor_cost(&self, nnz: usize) -> f64 {
-        self.row_factor_base_ns + self.row_factor_per_nnz_ns * nnz as f64
-    }
-
     /// Cost (ns) of one triangular-solve row sweep over `nnz` entries.
-    pub fn row_solve_cost(&self, nnz: usize) -> f64 {
+    pub(crate) fn row_solve_cost(&self, nnz: usize) -> f64 {
         self.row_solve_base_ns + self.row_solve_per_nnz_ns * nnz as f64
     }
 
@@ -179,13 +174,6 @@ mod tests {
         assert_eq!(MachineModel::knl136().max_threads(), 136);
         assert!(MachineModel::haswell28().numa_penalty_ns > 0.0);
         assert_eq!(MachineModel::haswell14().numa_penalty_ns, 0.0);
-    }
-
-    #[test]
-    fn knl_cores_slower_than_haswell() {
-        let h = MachineModel::haswell14();
-        let k = MachineModel::knl68();
-        assert!(k.row_factor_cost(10) > 2.0 * h.row_factor_cost(10));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use crate::model::MachineModel;
 use javelin_core::factors::IluFactors;
+use javelin_core::level::{LevelSets, P2PSchedule};
 use javelin_core::options::SolveEngine;
-use javelin_level::{LevelSets, P2PSchedule};
 use javelin_sparse::pattern::{lower_pattern, upper_pattern};
 use javelin_sparse::Scalar;
 
@@ -72,7 +72,7 @@ const NS: f64 = 1e-9;
 /// waiting block starts), tracking per-thread clocks. A block checks its
 /// waits once, runs its tasks, and becomes visible to waiters when it
 /// ends — the way the runtime publishes it
-/// (`javelin_sync::ProgressCounters::walk`).
+/// (`javelin_core::sync::ProgressCounters::walk`).
 fn sim_p2p_schedule(
     schedule: &P2PSchedule,
     machine: &MachineModel,
@@ -302,7 +302,7 @@ pub fn sim_trisolve_time<T: Scalar>(
                     .sum();
                 if model == TrisolveModel::LsLower {
                     // Even-Rows over the trailing rows — thread `tid`
-                    // takes `javelin_sync::col_range(n_lower, nthreads,
+                    // takes `javelin_core::sync::col_range(n_lower, nthreads,
                     // tid)`, so the worst chunk's sub-corner entries set
                     // the pace — a barrier, then the serial corner and
                     // its barrier (matches engines.rs).

@@ -10,7 +10,7 @@ use crate::graph::Graph;
 use javelin_sparse::{CsrMatrix, Perm, Scalar};
 
 /// Greedy largest-degree-first coloring; returns `(color_of, n_colors)`.
-pub fn greedy_coloring(g: &Graph) -> (Vec<usize>, usize) {
+pub(crate) fn greedy_coloring(g: &Graph) -> (Vec<usize>, usize) {
     let n = g.n();
     let mut verts: Vec<usize> = (0..n).collect();
     verts.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
@@ -37,7 +37,7 @@ pub fn greedy_coloring(g: &Graph) -> (Vec<usize>, usize) {
 }
 
 /// Ordering that groups vertices by color class (color 0 first).
-pub fn coloring_order<T: Scalar>(a: &CsrMatrix<T>) -> Perm {
+pub(crate) fn coloring_order<T: Scalar>(a: &CsrMatrix<T>) -> Perm {
     let g = Graph::from_matrix(a);
     let (color, n_colors) = greedy_coloring(&g);
     let n = g.n();

@@ -1,13 +1,10 @@
-//! Dulmage–Mendelsohn-style preprocessing: maximum transversal and
-//! block triangular form.
+//! Dulmage–Mendelsohn-style preprocessing: the maximum transversal.
 //!
 //! The paper's evaluation pipeline begins with "a Dulmage-Mendelsohn
 //! ordering … to move nonzeros to the diagonal of the matrix" (§IV).
 //! The operative piece is the *maximum transversal* (a maximum matching
 //! of rows to columns, MC21-style): permuting rows so every diagonal
-//! position is structurally nonzero, which ILU requires. The full DM /
-//! block-triangular decomposition (Tarjan SCCs of the matched digraph)
-//! is provided as well.
+//! position is structurally nonzero, which ILU requires.
 
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 
@@ -21,7 +18,7 @@ use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 ///
 /// # Errors
 /// [`SparseError::NotSquare`] for rectangular inputs.
-pub fn maximum_transversal<T: Scalar>(a: &CsrMatrix<T>) -> Result<Perm, SparseError> {
+pub(crate) fn maximum_transversal<T: Scalar>(a: &CsrMatrix<T>) -> Result<Perm, SparseError> {
     if !a.is_square() {
         return Err(SparseError::NotSquare {
             nrows: a.nrows(),
@@ -93,96 +90,13 @@ fn augment<T: Scalar>(
     false
 }
 
-/// Block triangular form: given a matrix with a zero-free diagonal
-/// (apply [`maximum_transversal`] first), computes the strongly
-/// connected components of the directed graph `i → j` for each stored
-/// `A[i,j]`, in topological order.
-///
-/// Returns `(perm, block_ptr)`: permuting symmetrically by `perm` puts
-/// `A` in block *lower* triangular form with diagonal blocks delimited
-/// by `block_ptr` (length = #blocks + 1).
-pub fn block_triangular_form<T: Scalar>(a: &CsrMatrix<T>) -> (Perm, Vec<usize>) {
-    assert!(a.is_square(), "BTF requires a square matrix");
-    let n = a.nrows();
-    // Iterative Tarjan SCC.
-    const UNSEEN: usize = usize::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    // Explicit DFS stack: (vertex, edge cursor).
-    let mut dfs: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSEEN {
-            continue;
-        }
-        dfs.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-        while let Some(&mut (v, ref mut cursor)) = dfs.last_mut() {
-            let cols = a.row_cols(v);
-            if *cursor < cols.len() {
-                let w = cols[*cursor];
-                *cursor += 1;
-                if w == v {
-                    continue;
-                }
-                if index[w] == UNSEEN {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    dfs.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                dfs.pop();
-                if let Some(&mut (parent, _)) = dfs.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack nonempty");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    // Tarjan emits SCCs in reverse topological order of the condensation:
-    // for any inter-block edge `i → j` (entry A[i,j]), j's SCC is emitted
-    // before i's. Numbering blocks in emission order therefore places
-    // every entry on or below the block diagonal — block lower triangular.
-    let mut perm_vec: Vec<usize> = Vec::with_capacity(n);
-    let mut block_ptr = vec![0usize];
-    for comp in sccs.iter() {
-        perm_vec.extend(comp.iter().copied());
-        block_ptr.push(perm_vec.len());
-    }
-    let perm = Perm::from_new_to_old(perm_vec).expect("SCCs partition the vertices");
-    (perm, block_ptr)
-}
-
 /// Convenience: maximum transversal followed by the identity column
 /// permutation — the paper's "move nonzeros to the diagonal" step.
 /// Returns the row permutation to apply as `P·A` (via
 /// [`CsrMatrix::permute`] with the identity column perm).
 ///
 /// # Errors
-/// Propagates [`maximum_transversal`] errors.
+/// Propagates `maximum_transversal` errors.
 pub fn dm_row_permutation<T: Scalar>(a: &CsrMatrix<T>) -> Result<Perm, SparseError> {
     maximum_transversal(a)
 }
@@ -259,64 +173,5 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         let a = coo.to_csr();
         assert!(maximum_transversal(&a).is_err());
-    }
-
-    #[test]
-    fn btf_finds_scc_blocks() {
-        // Two 2-cycles and a singleton, with one-way coupling:
-        // {0,1} -> {2} -> {3,4}
-        let mut coo = CooMatrix::new(5, 5);
-        for i in 0..5 {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(1, 2, 1.0).unwrap();
-        coo.push(2, 3, 1.0).unwrap();
-        coo.push(3, 4, 1.0).unwrap();
-        coo.push(4, 3, 1.0).unwrap();
-        let a = coo.to_csr();
-        let (p, blocks) = block_triangular_form(&a);
-        assert_eq!(blocks.len() - 1, 3, "expected 3 blocks: {blocks:?}");
-        let sizes: Vec<usize> = blocks.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut sorted = sizes.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![1, 2, 2]);
-        // Block lower-triangular: no entries above the block diagonal.
-        let b = a.permute_sym(&p).unwrap();
-        let block_of = {
-            let mut bo = vec![0usize; 5];
-            for blk in 0..blocks.len() - 1 {
-                for i in blocks[blk]..blocks[blk + 1] {
-                    bo[i] = blk;
-                }
-            }
-            bo
-        };
-        for (r, c, _) in b.iter() {
-            assert!(
-                block_of[r] >= block_of[c],
-                "entry ({r},{c}) above block diagonal"
-            );
-        }
-    }
-
-    #[test]
-    fn btf_identity_gives_n_blocks() {
-        let a = CsrMatrix::<f64>::identity(4);
-        let (_, blocks) = block_triangular_form(&a);
-        assert_eq!(blocks.len() - 1, 4);
-    }
-
-    #[test]
-    fn btf_full_cycle_is_one_block() {
-        let n = 5;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 1.0).unwrap();
-            coo.push(i, (i + 1) % n, 1.0).unwrap();
-        }
-        let (_, blocks) = block_triangular_form(&coo.to_csr());
-        assert_eq!(blocks.len() - 1, 1);
     }
 }

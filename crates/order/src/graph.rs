@@ -5,7 +5,7 @@ use javelin_sparse::{CsrMatrix, Scalar};
 /// An undirected graph in adjacency-array (CSR-like) form: the pattern
 /// of `A + Aᵀ` with the diagonal removed.
 #[derive(Debug, Clone)]
-pub struct Graph {
+pub(crate) struct Graph {
     n: usize,
     xadj: Vec<usize>,
     adjncy: Vec<usize>,
@@ -16,7 +16,7 @@ impl Graph {
     ///
     /// # Panics
     /// When the matrix is not square.
-    pub fn from_matrix<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+    pub(crate) fn from_matrix<T: Scalar>(a: &CsrMatrix<T>) -> Self {
         assert!(a.is_square(), "Graph requires a square matrix");
         let n = a.nrows();
         let mut counts = vec![0usize; n];
@@ -65,24 +65,25 @@ impl Graph {
 
     /// Number of vertices.
     #[inline(always)]
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Number of undirected edges (each counted once).
-    pub fn n_edges(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_edges(&self) -> usize {
         self.adjncy.len() / 2
     }
 
     /// Neighbours of `v`, sorted ascending, self excluded.
     #[inline(always)]
-    pub fn neighbors(&self, v: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, v: usize) -> &[usize] {
         &self.adjncy[self.xadj[v]..self.xadj[v + 1]]
     }
 
     /// Degree of `v`.
     #[inline(always)]
-    pub fn degree(&self, v: usize) -> usize {
+    pub(crate) fn degree(&self, v: usize) -> usize {
         self.xadj[v + 1] - self.xadj[v]
     }
 
@@ -90,7 +91,7 @@ impl Graph {
     /// vertices where `mask` is true. Returns `(levels, level_of)` where
     /// `levels[l]` lists the vertices at distance `l` and
     /// `level_of[v] == usize::MAX` for unreached vertices.
-    pub fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<Vec<usize>>, Vec<usize>) {
+    pub(crate) fn bfs_levels(&self, root: usize, mask: &[bool]) -> (Vec<Vec<usize>>, Vec<usize>) {
         debug_assert!(mask[root]);
         let mut level_of = vec![usize::MAX; self.n];
         let mut levels: Vec<Vec<usize>> = Vec::new();
@@ -116,7 +117,7 @@ impl Graph {
 
     /// George–Liu pseudo-peripheral vertex within the masked subgraph,
     /// starting the search from `start`.
-    pub fn pseudo_peripheral(&self, start: usize, mask: &[bool]) -> usize {
+    pub(crate) fn pseudo_peripheral(&self, start: usize, mask: &[bool]) -> usize {
         let (mut levels, _) = self.bfs_levels(start, mask);
         let mut ecc = levels.len();
         loop {
@@ -138,7 +139,7 @@ impl Graph {
 
     /// Connected components of the masked subgraph; each component is a
     /// vertex list headed by its discovery root.
-    pub fn components(&self, mask: &[bool]) -> Vec<Vec<usize>> {
+    pub(crate) fn components(&self, mask: &[bool]) -> Vec<Vec<usize>> {
         let mut seen = vec![false; self.n];
         let mut comps = Vec::new();
         for v in 0..self.n {

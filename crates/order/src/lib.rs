@@ -8,17 +8,16 @@
 //! Reverse Cuthill–McKee, SYMAMD and the natural order. This crate
 //! reimplements each component natively:
 //!
-//! * [`graph::Graph`] — symmetrized adjacency used by all orderings;
-//! * [`rcm`] — Reverse Cuthill–McKee with George–Liu pseudo-peripheral
+//! * `graph::Graph` — symmetrized adjacency used by all orderings;
+//! * `rcm` — Reverse Cuthill–McKee with George–Liu pseudo-peripheral
 //!   root finding;
-//! * [`mindeg`] — quotient-graph minimum degree with approximate degrees
+//! * `mindeg` — quotient-graph minimum degree with approximate degrees
 //!   and element absorption (the SYMAMD stand-in);
-//! * [`nd`] — recursive-bisection nested dissection with BFS separators
+//! * `nd` — recursive-bisection nested dissection with BFS separators
 //!   (the METIS stand-in);
-//! * [`coloring`] — greedy largest-first coloring (the paper mentions
+//! * `coloring` — greedy largest-first coloring (the paper mentions
 //!   Coloring orderings as a known-worse-convergence baseline);
-//! * [`dm`] — maximum transversal (MC21-style augmenting paths) plus
-//!   Tarjan SCC block-triangular decomposition.
+//! * [`dm`] — maximum transversal (MC21-style augmenting paths).
 //!
 //! All orderings return a [`javelin_sparse::Perm`] in new-to-old form,
 //! directly usable with `CsrMatrix::permute_sym`.
@@ -26,20 +25,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coloring;
+pub(crate) mod coloring;
 pub mod dm;
-pub mod graph;
-pub mod mindeg;
-pub mod nd;
+pub(crate) mod graph;
+pub(crate) mod mindeg;
+pub(crate) mod nd;
 mod proptests;
-pub mod rcm;
+pub(crate) mod rcm;
 
-pub use coloring::coloring_order;
-pub use dm::{block_triangular_form, maximum_transversal};
-pub use graph::Graph;
-pub use mindeg::min_degree_order;
+use coloring::coloring_order;
+use mindeg::min_degree_order;
 pub use nd::nested_dissection_order;
-pub use rcm::{cuthill_mckee_order, rcm_order};
+use rcm::rcm_order;
 
 use javelin_sparse::{CsrMatrix, Perm, Scalar};
 

@@ -12,7 +12,7 @@ use crate::graph::Graph;
 use javelin_sparse::{CsrMatrix, Perm, Scalar};
 
 /// Minimum-degree ordering of a square matrix's symmetrized pattern.
-pub fn min_degree_order<T: Scalar>(a: &CsrMatrix<T>) -> Perm {
+pub(crate) fn min_degree_order<T: Scalar>(a: &CsrMatrix<T>) -> Perm {
     let g = Graph::from_matrix(a);
     let n = g.n();
     // Quotient graph state. `avars[v]`: variable neighbours still
@@ -106,7 +106,8 @@ pub fn min_degree_order<T: Scalar>(a: &CsrMatrix<T>) -> Perm {
 /// of the symmetrized pattern would create under permutation `perm`.
 /// O(n · bandwidth²) reference implementation used to compare ordering
 /// quality in tests and benches.
-pub fn fill_in_count<T: Scalar>(a: &CsrMatrix<T>, perm: &Perm) -> usize {
+#[cfg(test)]
+pub(crate) fn fill_in_count<T: Scalar>(a: &CsrMatrix<T>, perm: &Perm) -> usize {
     let b = a.permute_sym(perm).expect("valid permutation");
     let g = Graph::from_matrix(&b);
     let n = g.n();

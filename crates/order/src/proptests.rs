@@ -1,12 +1,12 @@
 //! Property-based tests across all orderings: every algorithm must
 //! produce a valid permutation on arbitrary graphs, and the
 //! structure-specific guarantees (coloring properness, transversal
-//! maximality, BTF block ordering) must hold.
+//! maximality) must hold.
 
 #![cfg(test)]
 
 use crate::coloring::{coloring_order, greedy_coloring};
-use crate::dm::{block_triangular_form, maximum_transversal};
+use crate::dm::maximum_transversal;
 use crate::graph::Graph;
 use crate::mindeg::{fill_in_count, min_degree_order};
 use crate::nd::nested_dissection_order;
@@ -85,26 +85,6 @@ proptest! {
         let b = a.permute(&p, &Perm::identity(a.ncols())).unwrap();
         let after = (0..b.nrows()).filter(|&i| b.get(i, i).is_some()).count();
         prop_assert!(after >= before, "matching lost diagonal: {before} -> {after}");
-    }
-
-    /// BTF produces a block lower-triangular matrix whose blocks
-    /// partition the index range.
-    #[test]
-    fn btf_blocks_are_lower_triangular(a in arb_square(32)) {
-        let (p, blocks) = block_triangular_form(&a);
-        prop_assert_eq!(*blocks.first().unwrap(), 0);
-        prop_assert_eq!(*blocks.last().unwrap(), a.nrows());
-        prop_assert!(blocks.windows(2).all(|w| w[0] < w[1]));
-        let b = a.permute_sym(&p).unwrap();
-        let mut block_of = vec![0usize; a.nrows()];
-        for blk in 0..blocks.len() - 1 {
-            for i in blocks[blk]..blocks[blk + 1] {
-                block_of[i] = blk;
-            }
-        }
-        for (r, c, _) in b.iter() {
-            prop_assert!(block_of[r] >= block_of[c], "entry ({r},{c}) above block diag");
-        }
     }
 
     /// RCM on a connected graph keeps the first vertex peripheral-ish:

@@ -24,7 +24,7 @@ use javelin_core::{IluFactors, IluOptions, SolveEngine, SymbolicIlu};
 use javelin_sparse::{CsrMatrix, Scalar};
 
 /// One cached tenant: an analyzed pattern with its current factors.
-pub struct CacheEntry<T: Scalar> {
+pub(crate) struct CacheEntry<T: Scalar> {
     /// The structural fingerprint this entry is filed under (normally
     /// `pattern_fingerprint(a)`; collision tests may file entries under
     /// forced keys).
@@ -62,7 +62,7 @@ pub struct CacheStats {
 }
 
 /// Bounded LRU of analyzed patterns, keyed by structural fingerprint.
-pub struct PatternCache<T: Scalar> {
+pub(crate) struct PatternCache<T: Scalar> {
     entries: Vec<CacheEntry<T>>,
     capacity: usize,
     tick: u64,
@@ -74,7 +74,7 @@ impl<T: Scalar> PatternCache<T> {
     ///
     /// # Panics
     /// When `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pattern cache: zero capacity");
         PatternCache {
             entries: Vec::with_capacity(capacity),
@@ -85,23 +85,14 @@ impl<T: Scalar> PatternCache<T> {
     }
 
     /// Cache behaviour counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Number of cached patterns.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The cached fingerprints, in slot order (test introspection).
-    pub fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.pattern_fp)
     }
 
     /// Looks up `pattern_fp`, verifying every fingerprint match against
@@ -112,7 +103,7 @@ impl<T: Scalar> PatternCache<T> {
     /// The fingerprint is a parameter (rather than recomputed from `a`)
     /// so callers can memoize it per matrix handle — and so collision
     /// tests can force two distinct patterns onto one key.
-    pub fn lookup(&mut self, pattern_fp: u64, a: &CsrMatrix<T>) -> Option<usize> {
+    pub(crate) fn lookup(&mut self, pattern_fp: u64, a: &CsrMatrix<T>) -> Option<usize> {
         self.tick += 1;
         for (i, e) in self.entries.iter_mut().enumerate() {
             if e.pattern_fp != pattern_fp {
@@ -140,7 +131,7 @@ impl<T: Scalar> PatternCache<T> {
     /// # Errors
     /// [`ServiceError::Solve`] when analysis or factorization fails
     /// (the cache is left unchanged).
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         pattern_fp: u64,
         value_fp: u64,
@@ -185,7 +176,7 @@ impl<T: Scalar> PatternCache<T> {
     /// # Errors
     /// [`ServiceError::Solve`] when the refactor fails; the entry keeps
     /// its previous (still consistent) factors and value fingerprint.
-    pub fn sync_values(
+    pub(crate) fn sync_values(
         &mut self,
         i: usize,
         value_fp: u64,
@@ -203,7 +194,7 @@ impl<T: Scalar> PatternCache<T> {
 
     /// Slot access for dispatch (mutable: the retry path refactors the
     /// entry's factors with a diagonal shift in place).
-    pub fn entry_mut(&mut self, i: usize) -> &mut CacheEntry<T> {
+    pub(crate) fn entry_mut(&mut self, i: usize) -> &mut CacheEntry<T> {
         &mut self.entries[i]
     }
 }

@@ -216,11 +216,6 @@ impl<T: Scalar> Engine<T> {
         self.stats
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     fn fingerprints(&mut self, a: &Arc<CsrMatrix<T>>) -> (u64, u64) {
         let ptr = Arc::as_ptr(a);
         for e in &self.memo {

@@ -14,7 +14,7 @@
 //!    engine memoizes fingerprints per `Arc` handle so streaming
 //!    clients never re-hash.
 //! 2. **Cache** — completed [`javelin_core::SymbolicIlu`] analyses and
-//!    their factors live in a pattern-keyed LRU ([`PatternCache`]);
+//!    their factors live in a pattern-keyed LRU (`PatternCache`);
 //!    every fingerprint match is verified against the full pattern, so
 //!    collisions degrade to counted misses, never wrong answers. A
 //!    cached pattern costs zero symbolic work; changed values cost one
@@ -24,7 +24,7 @@
 //!    panels for the lockstep batch Krylov drivers: one preconditioner
 //!    schedule walk retires 8 clients' solves at once.
 //! 4. **Panel dispatch** — solves run on the shared persistent
-//!    [`javelin_sync::WorkerTeam`] through the solver's one panel
+//!    [`javelin_core::sync::WorkerTeam`] through the solver's one panel
 //!    entry, `javelin_solver::krylov_panel_into` (one driver per
 //!    method); column `c` of a fused panel is bit-identical to that
 //!    client's standalone solve. Broken-down columns get one automatic retry with a
@@ -68,10 +68,10 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod service;
-pub mod tcp;
+pub(crate) mod tcp;
 pub mod wire;
 
-pub use cache::{CacheEntry, CacheStats, PatternCache};
+pub use cache::CacheStats;
 pub use engine::{Engine, EngineConfig, EngineStats, SolveReply, SolveRequest};
 pub use error::ServiceError;
 pub use service::{ServiceClient, ServiceConfig, ServiceSnapshot, ServiceStats, SolveService};

@@ -17,9 +17,9 @@ use std::io::{self, Read, Write};
 
 /// Hard cap on any single frame body (1 GiB) — bounds allocation from
 /// untrusted length claims.
-pub const MAX_FRAME: u64 = 1 << 30;
+pub(crate) const MAX_FRAME: u64 = 1 << 30;
 /// Hard cap on a wire matrix dimension / entry count.
-pub const MAX_DIM: u64 = 1 << 28;
+pub(crate) const MAX_DIM: u64 = 1 << 28;
 
 /// Frame tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,21 +53,21 @@ impl Tag {
 /// Wire error codes for [`Tag::ReplyErr`] bodies.
 pub mod code {
     /// Admission queue full.
-    pub const OVERLOADED: u16 = 1;
+    pub(crate) const OVERLOADED: u16 = 1;
     /// Malformed request.
-    pub const REJECTED: u16 = 2;
+    pub(crate) const REJECTED: u16 = 2;
     /// Service draining.
-    pub const SHUTTING_DOWN: u16 = 3;
+    pub(crate) const SHUTTING_DOWN: u16 = 3;
     /// Solver-stack failure.
     pub const SOLVE: u16 = 4;
     /// Dispatcher gone.
-    pub const DISCONNECTED: u16 = 5;
+    pub(crate) const DISCONNECTED: u16 = 5;
     /// Protocol violation (bad tag, length, or state).
-    pub const PROTOCOL: u16 = 6;
+    pub(crate) const PROTOCOL: u16 = 6;
 }
 
 /// Method ↔ wire tag.
-pub fn method_to_wire(m: Method) -> u8 {
+pub(crate) fn method_to_wire(m: Method) -> u8 {
     match m {
         Method::Pcg => 0,
         Method::Gmres => 1,
@@ -80,7 +80,7 @@ pub fn method_to_wire(m: Method) -> u8 {
 }
 
 /// Wire tag ↔ method.
-pub fn method_from_wire(v: u8) -> Option<Method> {
+pub(crate) fn method_from_wire(v: u8) -> Option<Method> {
     match v {
         0 => Some(Method::Pcg),
         1 => Some(Method::Gmres),
@@ -130,7 +130,7 @@ impl<'a> BodyReader<'a> {
     }
 
     /// Next `u16` (LE).
-    pub fn u16(&mut self) -> io::Result<u16> {
+    pub(crate) fn u16(&mut self) -> io::Result<u16> {
         let s = self.take(2)?;
         Ok(u16::from_le_bytes([s[0], s[1]]))
     }
@@ -187,7 +187,7 @@ impl<'a> BodyReader<'a> {
 }
 
 /// Reads one frame: its tag and body. Length claims beyond
-/// [`MAX_FRAME`] are refused before any allocation; `body` is a reused
+/// `MAX_FRAME` are refused before any allocation; `body` is a reused
 /// caller buffer.
 pub fn read_frame<R: Read>(r: &mut R, body: &mut Vec<u8>) -> io::Result<Tag> {
     let mut head = [0u8; 9];
@@ -265,7 +265,7 @@ pub fn encode_reply_ok(body: &mut Vec<u8>, result: &SolverResult, x: &[f64]) {
 }
 
 /// Encodes a [`Tag::ReplyErr`] body.
-pub fn encode_reply_err(body: &mut Vec<u8>, code: u16, message: &str) {
+pub(crate) fn encode_reply_err(body: &mut Vec<u8>, code: u16, message: &str) {
     body.clear();
     body.extend_from_slice(&code.to_le_bytes());
     put_u64(body, message.len() as u64);

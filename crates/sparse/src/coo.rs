@@ -147,33 +147,6 @@ impl<T: Scalar> CooMatrix<T> {
         }
         CsrMatrix::from_raw_unchecked(self.nrows, self.ncols, out_rowptr, out_colidx, out_vals)
     }
-
-    /// Builds a COO matrix from parallel triplet slices.
-    ///
-    /// # Errors
-    /// Returns an error when slice lengths differ or any index is out of
-    /// bounds.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: &[usize],
-        cols: &[usize],
-        vals: &[T],
-    ) -> Result<Self, SparseError> {
-        if rows.len() != cols.len() || rows.len() != vals.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "triplet slice lengths differ: {} rows, {} cols, {} vals",
-                rows.len(),
-                cols.len(),
-                vals.len()
-            )));
-        }
-        let mut coo = CooMatrix::with_capacity(nrows, ncols, vals.len());
-        for k in 0..rows.len() {
-            coo.push(rows[k], cols[k], vals[k])?;
-        }
-        Ok(coo)
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +192,6 @@ mod tests {
         let csr = coo.to_csr();
         assert_eq!(csr.row_cols(0), &[0, 1, 2, 3, 4]);
         assert_eq!(csr.row_vals(0), &[0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn from_triplets_validates() {
-        let r = CooMatrix::<f64>::from_triplets(2, 2, &[0], &[0, 1], &[1.0]);
-        assert!(r.is_err());
-        let coo = CooMatrix::from_triplets(2, 2, &[0, 1], &[1, 0], &[1.0, 2.0]).unwrap();
-        assert_eq!(coo.nnz(), 2);
-        let got: Vec<_> = coo.iter().collect();
-        assert_eq!(got, vec![(0, 1, 1.0), (1, 0, 2.0)]);
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Transposed copy (CSR of `Aᵀ`), O(nnz + n).
-    pub fn transpose(&self) -> CsrMatrix<T> {
+    pub(crate) fn transpose(&self) -> CsrMatrix<T> {
         let mut rowptr = vec![0usize; self.ncols + 1];
         for &c in &self.colidx {
             rowptr[c + 1] += 1;
@@ -396,16 +396,6 @@ impl<T: Scalar> CsrMatrix<T> {
         })
     }
 
-    /// Strictly-lower / lower-with-diagonal triangular part.
-    pub fn lower_triangular(&self, include_diag: bool) -> CsrMatrix<T> {
-        self.filter(|r, c| if include_diag { c <= r } else { c < r })
-    }
-
-    /// Strictly-upper / upper-with-diagonal triangular part.
-    pub fn upper_triangular(&self, include_diag: bool) -> CsrMatrix<T> {
-        self.filter(|r, c| if include_diag { c >= r } else { c > r })
-    }
-
     /// Keeps entries for which `keep(row, col)` holds.
     pub fn filter(&self, keep: impl Fn(usize, usize) -> bool) -> CsrMatrix<T> {
         let mut rowptr = vec![0usize; self.nrows + 1];
@@ -464,15 +454,6 @@ impl<T: Scalar> CsrMatrix<T> {
         y
     }
 
-    /// Dense copy for small tests and debugging. Row-major `nrows × ncols`.
-    pub fn to_dense(&self) -> Vec<Vec<T>> {
-        let mut d = vec![vec![T::ZERO; self.ncols]; self.nrows];
-        for (r, c, v) in self.iter() {
-            d[r][c] = v;
-        }
-        d
-    }
-
     /// `true` when `self` and `other` share a pattern and all values agree
     /// within absolute tolerance `tol`.
     pub fn approx_eq(&self, other: &CsrMatrix<T>, tol: T) -> bool {
@@ -485,23 +466,6 @@ impl<T: Scalar> CsrMatrix<T> {
                 .iter()
                 .zip(other.vals.iter())
                 .all(|(&a, &b)| (a - b).abs() <= tol)
-    }
-
-    /// Maximum absolute value difference over the union pattern (entries
-    /// missing from one side count with value zero). Useful for comparing
-    /// factorizations with slightly different drop outcomes.
-    pub fn max_abs_diff(&self, other: &CsrMatrix<T>) -> T {
-        let mut worst = T::ZERO;
-        for (r, c, v) in self.iter() {
-            let o = other.get(r, c).unwrap_or(T::ZERO);
-            worst = worst.max((v - o).abs());
-        }
-        for (r, c, v) in other.iter() {
-            if self.get(r, c).is_none() {
-                worst = worst.max(v.abs());
-            }
-        }
-        worst
     }
 }
 
@@ -660,22 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn triangular_extraction() {
-        let a = small();
-        let l = a.lower_triangular(true);
-        assert_eq!(l.nnz(), 5);
-        assert_eq!(l.get(0, 1), None);
-        let lstrict = a.lower_triangular(false);
-        assert_eq!(lstrict.nnz(), 2);
-        let u = a.upper_triangular(true);
-        assert_eq!(u.nnz(), 5);
-        let ustrict = a.upper_triangular(false);
-        assert_eq!(ustrict.nnz(), 2);
-        // L_strict + diag + U_strict == A (as patterns and values).
-        assert_eq!(lstrict.nnz() + ustrict.nnz() + 3, a.nnz());
-    }
-
-    #[test]
     fn spmv_matches_dense() {
         let a = small();
         let x = vec![1.0, 2.0, 3.0];
@@ -690,16 +638,6 @@ mod tests {
         assert_eq!(b.get(0, 0), Some(8.0));
         let d = a.filter(|r, c| r == c);
         assert_eq!(d.nnz(), 3);
-    }
-
-    #[test]
-    fn max_abs_diff_covers_union() {
-        let a = small();
-        let b = a.map_values(|v| v + 0.5);
-        assert!((a.max_abs_diff(&b) - 0.5).abs() < 1e-12);
-        let l = a.lower_triangular(true);
-        // Entries missing from `l` count at their absolute value (=1).
-        assert!((a.max_abs_diff(&l) - 1.0).abs() < 1e-12);
     }
 
     #[test]

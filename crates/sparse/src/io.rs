@@ -16,7 +16,7 @@ use std::path::Path;
 
 /// Symmetry declared in a Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmSymmetry {
+pub(crate) enum MmSymmetry {
     /// All entries stored explicitly.
     General,
     /// Lower triangle stored; `(j,i)` implied equal to `(i,j)`.
@@ -27,7 +27,7 @@ pub enum MmSymmetry {
 
 /// Value field declared in a Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmField {
+pub(crate) enum MmField {
     /// Floating-point values.
     Real,
     /// Integer values (read as floats).

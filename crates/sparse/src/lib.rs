@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod coo;
-pub mod csr;
+pub(crate) mod csr;
 pub mod error;
 pub mod fault;
 pub mod io;

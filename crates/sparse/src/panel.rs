@@ -232,7 +232,8 @@ impl<'a, T: Scalar> PanelMut<'a, T> {
     }
 
     /// Reborrows as a shared [`Panel`].
-    pub fn as_panel(&self) -> Panel<'_, T> {
+    #[cfg(test)]
+    pub(crate) fn as_panel(&self) -> Panel<'_, T> {
         Panel {
             data: self.data,
             nrows: self.nrows,

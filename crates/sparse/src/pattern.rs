@@ -126,25 +126,25 @@ fn mix64(mut z: u64) -> u64 {
 /// Incremental word hasher behind the fingerprint functions (word-wise
 /// FNV-1a core + `mix64` finalizer).
 #[derive(Debug, Clone, Copy)]
-pub struct FingerprintHasher {
+pub(crate) struct FingerprintHasher {
     state: u64,
 }
 
 impl FingerprintHasher {
     /// Fresh hasher (FNV-1a offset basis).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FingerprintHasher { state: FNV_OFFSET }
     }
 
     /// Absorbs one 64-bit word.
     #[inline]
-    pub fn write(&mut self, word: u64) {
+    pub(crate) fn write(&mut self, word: u64) {
         self.state = (self.state ^ word).wrapping_mul(FNV_PRIME);
     }
 
     /// Absorbs a slice of index words.
     #[inline]
-    pub fn write_usizes(&mut self, words: &[usize]) {
+    pub(crate) fn write_usizes(&mut self, words: &[usize]) {
         for &w in words {
             self.write(w as u64);
         }
@@ -152,7 +152,7 @@ impl FingerprintHasher {
 
     /// Finalized 64-bit digest.
     #[inline]
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         mix64(self.state)
     }
 }
@@ -319,7 +319,7 @@ pub fn upper_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
 }
 
 /// Strictly-lower part of an existing pattern.
-pub fn lower_of_pattern(p: &SparsityPattern) -> SparsityPattern {
+pub(crate) fn lower_of_pattern(p: &SparsityPattern) -> SparsityPattern {
     let n = p.nrows();
     let mut rowptr = vec![0usize; n + 1];
     let mut colidx = Vec::new();
@@ -336,7 +336,8 @@ pub fn lower_of_pattern(p: &SparsityPattern) -> SparsityPattern {
 }
 
 /// Strictly-upper part of an existing pattern.
-pub fn upper_of_pattern(p: &SparsityPattern) -> SparsityPattern {
+#[cfg(test)]
+pub(crate) fn upper_of_pattern(p: &SparsityPattern) -> SparsityPattern {
     let n = p.nrows();
     let mut rowptr = vec![0usize; n + 1];
     let mut colidx = Vec::new();
@@ -352,7 +353,7 @@ pub fn upper_of_pattern(p: &SparsityPattern) -> SparsityPattern {
 }
 
 /// Strictly-lower part of the symmetrization `P + Pᵀ` of a pattern.
-pub fn lower_symmetrized_of_pattern(p: &SparsityPattern) -> SparsityPattern {
+pub(crate) fn lower_symmetrized_of_pattern(p: &SparsityPattern) -> SparsityPattern {
     assert_eq!(
         p.nrows(),
         p.ncols(),

@@ -9,7 +9,6 @@
 //! `B[i,j] = A[p[i], p[j]]`.
 
 use crate::error::SparseError;
-use crate::scalar::Scalar;
 
 /// A permutation of `0..n` with its inverse precomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +59,8 @@ impl Perm {
     ///
     /// # Errors
     /// [`SparseError::InvalidPermutation`] when not a bijection.
-    pub fn from_old_to_new(old_to_new: Vec<usize>) -> Result<Self, SparseError> {
+    #[cfg(test)]
+    pub(crate) fn from_old_to_new(old_to_new: Vec<usize>) -> Result<Self, SparseError> {
         let p = Perm::from_new_to_old(old_to_new)?;
         Ok(p.inverse())
     }
@@ -121,7 +121,8 @@ impl Perm {
     ///
     /// # Panics
     /// When `x.len() != self.len()`.
-    pub fn apply_vec<T: Scalar>(&self, x: &[T]) -> Vec<T> {
+    #[cfg(test)]
+    pub(crate) fn apply_vec<T: crate::Scalar>(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.len(), "apply_vec: length mismatch");
         self.new_to_old.iter().map(|&o| x[o]).collect()
     }
@@ -130,7 +131,8 @@ impl Perm {
     ///
     /// # Panics
     /// When `x.len() != self.len()`.
-    pub fn apply_inv_vec<T: Scalar>(&self, x: &[T]) -> Vec<T> {
+    #[cfg(test)]
+    pub(crate) fn apply_inv_vec<T: crate::Scalar>(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.len(), "apply_inv_vec: length mismatch");
         let mut out = vec![T::ZERO; x.len()];
         for (i, &o) in self.new_to_old.iter().enumerate() {

@@ -60,8 +60,7 @@ pub trait Scalar:
     fn max(self, other: Self) -> Self;
     /// Smaller of two values.
     fn min(self, other: Self) -> Self;
-    /// Raw bit pattern widened to 64 bits; used by the atomic-accumulate
-    /// helpers in `javelin-sync`.
+    /// Raw bit pattern widened to 64 bits.
     fn to_bits64(self) -> u64;
     /// Inverse of [`Scalar::to_bits64`].
     fn from_bits64(bits: u64) -> Self;

@@ -20,7 +20,8 @@ pub fn norm2<T: Scalar>(x: &[T]) -> T {
 }
 
 /// Infinity norm `‖x‖∞`.
-pub fn norm_inf<T: Scalar>(x: &[T]) -> T {
+#[cfg(test)]
+pub(crate) fn norm_inf<T: Scalar>(x: &[T]) -> T {
     x.iter().fold(T::ZERO, |m, &v| m.max(v.abs()))
 }
 

@@ -19,7 +19,7 @@ use rand::Rng;
 /// * `symmetric_pattern` — when false, each edge is kept one-sided with
 ///   probability `one_sided`, modelling nonsymmetric device stamps;
 /// * diagonally dominant values (no pivoting hazards).
-pub fn preferential_attachment(
+pub(crate) fn preferential_attachment(
     n: usize,
     m: usize,
     symmetric_pattern: bool,
@@ -79,7 +79,7 @@ pub fn preferential_attachment(
 /// `dense_frac` fraction of all nodes — the supply-rail rows that give
 /// `ASIC_320ks`-class matrices their huge maximum level width and tiny
 /// minimum.
-pub fn asic_like(
+pub(crate) fn asic_like(
     n: usize,
     base_degree: usize,
     n_dense: usize,
@@ -155,7 +155,7 @@ pub fn power_grid(n: usize, block: usize, tie_per_row: usize, seed: u64) -> CsrM
 /// Grid-backed circuit matrix (`G3_circuit` analogue): a 2D grid where a
 /// random `drop` fraction of the stencil edges is deleted, lowering RD
 /// below 5 while keeping the pattern symmetric.
-pub fn thinned_grid_circuit(nx: usize, ny: usize, drop: f64, seed: u64) -> CsrMatrix<f64> {
+pub(crate) fn thinned_grid_circuit(nx: usize, ny: usize, drop: f64, seed: u64) -> CsrMatrix<f64> {
     let n = nx * ny;
     let idx = |i: usize, j: usize| i * ny + j;
     let mut rng = util::rng(seed);

@@ -17,7 +17,7 @@ use rand::Rng;
 /// Vertices couple to up to 6 neighbours plus themselves (RD ≈ 7,
 /// matching `thermal2`/`tmt_sym`). Values form a graph Laplacian with a
 /// `mass` term on the diagonal, hence SPD.
-pub fn triangle_mesh_2d(nx: usize, ny: usize, mass: f64) -> CsrMatrix<f64> {
+pub(crate) fn triangle_mesh_2d(nx: usize, ny: usize, mass: f64) -> CsrMatrix<f64> {
     let n = nx * ny;
     let idx = |i: usize, j: usize| i * ny + j;
     let mut coo = CooMatrix::with_capacity(n, n, 7 * n);
@@ -59,7 +59,13 @@ pub fn triangle_mesh_2d(nx: usize, ny: usize, mass: f64) -> CsrMatrix<f64> {
 /// Setting `asymmetry > 0` randomly drops that fraction of one-sided
 /// off-diagonal entries, breaking pattern symmetry the way real tet
 /// meshes assembled with nonsymmetric stabilization terms do.
-pub fn tet_mesh_3d(nx: usize, ny: usize, nz: usize, asymmetry: f64, seed: u64) -> CsrMatrix<f64> {
+pub(crate) fn tet_mesh_3d(
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    asymmetry: f64,
+    seed: u64,
+) -> CsrMatrix<f64> {
     let n = nx * ny * nz;
     let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
     let mut coo = CooMatrix::with_capacity(n, n, 11 * n);

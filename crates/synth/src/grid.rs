@@ -69,60 +69,6 @@ pub fn laplace_3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix<f64> {
     coo.to_csr()
 }
 
-/// 2D 9-point Laplacian (includes diagonal neighbours); RD ≤ 9.
-pub fn laplace_2d_9pt(nx: usize, ny: usize) -> CsrMatrix<f64> {
-    let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut coo = CooMatrix::with_capacity(n, n, 9 * n);
-    for i in 0..nx {
-        for j in 0..ny {
-            let r = idx(i, j);
-            coo.push_unchecked(r, r, 8.0);
-            for di in -1i64..=1 {
-                for dj in -1i64..=1 {
-                    if di == 0 && dj == 0 {
-                        continue;
-                    }
-                    let (ni, nj) = (i as i64 + di, j as i64 + dj);
-                    if ni >= 0 && nj >= 0 && (ni as usize) < nx && (nj as usize) < ny {
-                        coo.push_unchecked(r, idx(ni as usize, nj as usize), -1.0);
-                    }
-                }
-            }
-        }
-    }
-    coo.to_csr()
-}
-
-/// Anisotropic 2D 5-point operator: `-eps·u_xx - u_yy`.
-///
-/// Strong anisotropy (`eps ≪ 1`) produces long one-directional
-/// dependency chains — useful for stressing level-schedule depth.
-pub fn anisotropic_2d(nx: usize, ny: usize, eps: f64) -> CsrMatrix<f64> {
-    let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
-    for i in 0..nx {
-        for j in 0..ny {
-            let r = idx(i, j);
-            coo.push_unchecked(r, r, 2.0 * eps + 2.0);
-            if i > 0 {
-                coo.push_unchecked(r, idx(i - 1, j), -eps);
-            }
-            if i + 1 < nx {
-                coo.push_unchecked(r, idx(i + 1, j), -eps);
-            }
-            if j > 0 {
-                coo.push_unchecked(r, idx(i, j - 1), -1.0);
-            }
-            if j + 1 < ny {
-                coo.push_unchecked(r, idx(i, j + 1), -1.0);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// 2D convection–diffusion with first-order upwinding:
 /// `-Δu + w·∇u`. Symmetric pattern, nonsymmetric values.
 pub fn convection_diffusion_2d(nx: usize, ny: usize, wx: f64, wy: f64) -> CsrMatrix<f64> {
@@ -238,20 +184,6 @@ mod tests {
         assert_eq!(a.nrows(), 60);
         assert!(a.is_symmetric(0.0));
         assert_eq!(a.row_nnz((4 + 2) * 5 + 2), 7);
-    }
-
-    #[test]
-    fn laplace_9pt_density() {
-        let a = laplace_2d_9pt(10, 10);
-        assert!(a.is_pattern_symmetric());
-        assert!(a.row_density() > 7.0 && a.row_density() <= 9.0);
-    }
-
-    #[test]
-    fn anisotropic_values() {
-        let a = anisotropic_2d(4, 4, 0.01);
-        assert!(a.is_symmetric(1e-15));
-        assert_eq!(a.get(0, 0), Some(2.02));
     }
 
     #[test]

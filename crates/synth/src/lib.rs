@@ -15,13 +15,11 @@
 //! explicit seed.
 //!
 //! * [`grid`] — finite-difference stencils (2D/3D Poisson, convection–
-//!   diffusion, anisotropy)
+//!   diffusion)
 //! * [`fem`] — finite-element-flavoured meshes (triangle, tetrahedral,
 //!   shell strips with multiple DOFs per node)
 //! * [`circuit`] — circuit-simulation-flavoured irregular graphs
 //!   (preferential attachment, dense power-network rows)
-//! * [`random`] — uniform/banded random patterns with controlled row
-//!   density
 //! * [`suite`] — the Table-I test suite
 
 #![forbid(unsafe_code)]
@@ -30,7 +28,6 @@
 pub mod circuit;
 pub mod fem;
 pub mod grid;
-pub mod random;
 pub mod suite;
 pub mod util;
 

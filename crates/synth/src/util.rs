@@ -18,7 +18,11 @@ pub fn rng(seed: u64) -> SmallRng {
 ///
 /// Diagonal dominance guarantees ILU(0) cannot hit a zero pivot and
 /// keeps iteration counts of the Krylov studies finite.
-pub fn make_diagonally_dominant(a: &CsrMatrix<f64>, margin: f64, seed: u64) -> CsrMatrix<f64> {
+pub(crate) fn make_diagonally_dominant(
+    a: &CsrMatrix<f64>,
+    margin: f64,
+    seed: u64,
+) -> CsrMatrix<f64> {
     let mut r = rng(seed);
     let n = a.nrows();
     let mut coo = CooMatrix::with_capacity(n, n, a.nnz());
@@ -37,22 +41,6 @@ pub fn make_diagonally_dominant(a: &CsrMatrix<f64>, margin: f64, seed: u64) -> C
         coo.push_unchecked(row, row, margin + offsum);
         for (c, v) in entries {
             coo.push_unchecked(row, c, v);
-        }
-    }
-    coo.to_csr()
-}
-
-/// Ensures every diagonal position is structurally present, inserting
-/// `diag_value` where absent. Required by ILU.
-pub fn ensure_diagonal(a: &CsrMatrix<f64>, diag_value: f64) -> CsrMatrix<f64> {
-    let n = a.nrows();
-    let mut coo = CooMatrix::with_capacity(n, a.ncols(), a.nnz() + n);
-    for (r, c, v) in a.iter() {
-        coo.push_unchecked(r, c, v);
-    }
-    for r in 0..n.min(a.ncols()) {
-        if a.get(r, r).is_none() {
-            coo.push_unchecked(r, r, diag_value);
         }
     }
     coo.to_csr()
@@ -207,20 +195,6 @@ mod tests {
         assert!(a.approx_eq(&b, 0.0));
         let c = make_diagonally_dominant(&ring(10), 1.0, 43);
         assert!(!a.approx_eq(&c, 1e-12));
-    }
-
-    #[test]
-    fn ensure_diagonal_inserts_missing() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 1.0).unwrap();
-        coo.push(2, 2, 5.0).unwrap();
-        let a = coo.to_csr();
-        let b = ensure_diagonal(&a, 9.0);
-        assert_eq!(b.get(0, 0), Some(9.0));
-        assert_eq!(b.get(1, 1), Some(9.0));
-        assert_eq!(b.get(2, 2), Some(5.0)); // untouched
-        assert_eq!(b.nnz(), 5);
     }
 
     #[test]

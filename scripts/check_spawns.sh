@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALLOWED=(
-    crates/sync/src/team.rs
+    crates/core/src/sync/team.rs
     crates/service/src/service.rs
     crates/service/src/tcp.rs
 )
@@ -57,7 +57,7 @@ if [ "$fail" -ne 0 ]; then
     cat >&2 <<'EOF'
 
 error: thread spawn outside the persistent team and the service front-end.
-Run the work as a region on an `Exec` (crates/sync/src/exec.rs) instead;
+Run the work as a region on an `Exec` (crates/core/src/sync/exec.rs) instead;
 tests that need raw threads belong in a `#[cfg(test)]` module.
 EOF
     exit 1

@@ -17,9 +17,9 @@ cd "$(dirname "$0")/.."
 TABLE="
 crates/core/src/trisolve/engines.rs 1
 crates/core/src/numeric/kernel.rs 11
-crates/sync/src/team.rs 3
+crates/core/src/sync/team.rs 3
 crates/core/src/spmv.rs 1
-crates/sync/src/affinity.rs 1
+crates/core/src/sync/affinity.rs 1
 "
 
 fail=0

@@ -62,11 +62,12 @@
 //!
 //! * [`sparse`] — CSR/CSC/COO formats, permutations, Matrix Market I/O
 //! * [`synth`] — synthetic matrix generators (incl. the paper test suite)
-//! * [`order`] — RCM, minimum-degree, nested dissection, DM/BTF, coloring
-//! * [`level`] — level-set scheduling, two-stage split, p2p schedules
-//! * [`sync`] — worker team, progress counters, spin barrier
-//! * [`core`] — the ILU framework itself (factorization, stri, spmv)
-//! * [`baseline`] — serial ILUT and the heavyweight comparator
+//! * [`order`] — RCM, minimum-degree, nested dissection, DM, coloring
+//! * [`core`] — the ILU framework itself (factorization, stri, spmv),
+//!   with two of its modules also re-exported at the top level:
+//!   [`level`] (level-set scheduling, two-stage split, p2p schedules)
+//!   and [`sync`] (worker team, progress counters, spin barrier)
+//! * [`baseline`] — the heavyweight comparator
 //! * [`solver`] — PCG / GMRES / FGMRES / BiCGSTAB: three entries
 //!   (`krylov_with`, `krylov_panel_with`, `krylov_panel_into`) over one
 //!   lockstep panel driver per method, no lane generic
@@ -113,13 +114,12 @@
 
 pub use javelin_baseline as baseline;
 pub use javelin_core as core;
-pub use javelin_level as level;
+pub use javelin_core::{level, sync};
 pub use javelin_machine as machine;
 pub use javelin_order as order;
 pub use javelin_service as service;
 pub use javelin_solver as solver;
 pub use javelin_sparse as sparse;
-pub use javelin_sync as sync;
 pub use javelin_synth as synth;
 
 pub mod session;

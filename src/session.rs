@@ -25,6 +25,7 @@
 //! session.refactor(&a).unwrap();
 //! ```
 
+use javelin_core::sync::WorkerTeam;
 use javelin_core::{
     FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
 };
@@ -34,7 +35,6 @@ use javelin_solver::{
     BREAKDOWN_RETRY_SHIFT,
 };
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
-use javelin_sync::WorkerTeam;
 use std::sync::Arc;
 
 /// Builder for a [`Session`] (see [`Session::builder`]).
