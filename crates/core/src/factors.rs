@@ -30,8 +30,8 @@ pub struct SolvePlan {
     /// Row solved by each backward execution index.
     pub bwd_row_of_task: Vec<usize>,
     /// Level boundaries of the backward upper-stage schedule (execution
-    /// indices) — kept so simulators can rebuild the schedule for any
-    /// thread count.
+    /// indices) — kept so [`SymbolicIlu::p2p_schedules`] can rebuild the
+    /// schedule for any thread count.
     pub bwd_level_ptr: Vec<usize>,
     /// Per trailing row: entry range `(k_lo, k_hi)` of its sub-corner
     /// prefix (columns `< n_upper`) inside the LU arrays.

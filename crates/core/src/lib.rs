@@ -21,9 +21,9 @@
 //!    two engines — serial, and point-to-point level scheduling plus
 //!    Even-Rows trailing rows (the paper's LS+Lower), bitwise serial —
 //!    behind one apply pipeline.
-//! 5. **spmv** ([`spmv`]): one planned kernel, the CSR5-inspired tiled
-//!    segmented sum ([`SpmvPlan`]); the plain CSR loop lives in
-//!    `javelin-sparse`.
+//! 5. **spmv** ([`spmv`]): one planned kernel ([`SpmvPlan`]), the
+//!    plain CSR row loop of `javelin-sparse` run on nnz-balanced row
+//!    blocks, one per thread, bitwise the serial loop.
 //!
 //! Under all of them sits [`sync`], the concurrency substrate: the
 //! persistent worker team every region runs on, monotone progress

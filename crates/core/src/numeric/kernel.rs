@@ -85,9 +85,8 @@ impl<T> std::fmt::Debug for LuVals<T> {
 }
 
 impl<T: Scalar> LuVals<T> {
-    /// `n` zero-valued entries — the shape used by reusable plan/
-    /// workspace buffers, which are loaded per call instead of built
-    /// from a value slice.
+    /// `n` zero-valued entries: the one-thread case of
+    /// [`LuVals::zeroed_on`], and the test fixtures' buffers.
     pub(crate) fn zeroed(n: usize) -> Self {
         LuVals {
             cells: (0..n).map(|_| ValCell(UnsafeCell::new(T::ZERO))).collect(),
@@ -133,6 +132,7 @@ impl<T: Scalar> LuVals<T> {
     }
 
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.cells.len()
     }

@@ -107,9 +107,10 @@ pub struct IluOptions {
     pub level_pattern: LevelPattern,
     /// Two-stage split heuristics.
     pub split: SplitOptions,
-    /// Feeds no analysis: neither the factorization nor the solve
-    /// reads it. It stays only because the reference benchmark passes
-    /// it to [`crate::SpmvPlan::new`] as that plan's tile size.
+    /// Ignored: no analysis, solve or spmv reads it. It stays only
+    /// because the reference benchmark passes it to
+    /// [`crate::SpmvPlan::new`], which ignores it too; the change that
+    /// stops passing it deletes the field (ROADMAP item 10).
     pub tile_size: usize,
     /// Worker threads (`1` = fully serial pipeline).
     pub nthreads: usize,

@@ -1,18 +1,18 @@
-//! Sparse matrix–vector products: the planned tiled kernel.
+//! Sparse matrix–vector products: the planned threaded kernel.
 //!
 //! The plain CSR loop is [`CsrMatrix::spmv_into`] in `javelin-sparse`;
-//! this module holds the one parallel kernel, [`SpmvPlan`] — a
-//! CSR5-inspired tiled segmented sum: fixed-size tiles over the *entry*
-//! stream (so wildly unbalanced rows cannot skew one thread), per-tile
-//! partial sums, deterministic tile-order combination — the kernel
-//! shape of the paper's Segmented-Rows layout (§II, §III-B).
+//! [`SpmvPlan`] runs that same row loop on a worker team. The plan
+//! splits the rows into one contiguous block per thread, balanced on
+//! rows + entries (the nnz-balanced row blocks of Williams et al., SC
+//! 2007), and each thread retires its block's rows in entry order: per
+//! row and lane, `acc = 0; acc += v·x[j]`. No thread shares a row, so
+//! nothing is combined afterwards, and every column is **bitwise**
+//! `spmv_into` at every thread count and panel width.
 //!
-//! It follows the crate's plan/execute split: [`SpmvPlan::new`] derives
-//! every tile descriptor (first row, partial slot range, thread
-//! ownership) from the sparsity pattern once and builds the worker
-//! team, and [`SpmvPlan::execute`] then runs without heap allocation,
-//! thread spawns or searches — the per-iteration shape the Krylov loop
-//! needs.
+//! It follows the crate's plan/execute split: [`SpmvPlan::new`] builds
+//! the row blocks and the worker team once, and the executes then run
+//! without heap allocation, thread spawns or searches — the
+//! per-iteration shape the Krylov loop needs.
 //!
 //! Both execution entry points are thin wrappers over **one**
 //! width-generic lane core (`execute_lanes`): [`SpmvPlan::execute`] is
@@ -21,23 +21,20 @@
 //! and every other width to the bit-identical `DynLanes` fallback (see
 //! [`javelin_sparse::lanes`]).
 
-#![allow(unsafe_code)] // LuVals tile views; protocol documented in numeric/kernel.rs.
-
-use crate::numeric::LuVals;
-use crate::sync::Exec;
+use crate::sync::{Exec, RegionCells};
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
+use std::marker::PhantomData;
 
-/// A precomputed execution plan for the CSR5-inspired tiled spmv.
+/// A precomputed execution plan for the threaded spmv.
 ///
 /// Built once per sparsity pattern, executed arbitrarily many times:
-/// construction derives, per entry-stream tile, the first row it
-/// touches and a disjoint range inside one flat partial-sum buffer;
-/// execution writes tile partials into those ranges (each slot owned by
-/// exactly one thread — no locks) and combines them in deterministic
-/// tile order. After construction, [`execute`](SpmvPlan::execute)
-/// performs **zero heap allocations** and **zero thread spawns** (the
-/// plan's team parks between executes).
+/// construction splits the rows into one contiguous block per team
+/// thread; execution has each thread write its own rows of `y`. After
+/// construction, [`execute`](SpmvPlan::execute) and
+/// [`execute_panel`](SpmvPlan::execute_panel) perform **zero heap
+/// allocations** and **zero thread spawns** (the plan's team parks
+/// between executes).
 ///
 /// The plan is tied to the *pattern* of the matrix it was built from
 /// (`nrows`/`nnz` are checked; entry values are read fresh on every
@@ -47,52 +44,41 @@ pub struct SpmvPlan<T> {
     nrows: usize,
     ncols: usize,
     nnz: usize,
-    tile: usize,
-    n_tiles: usize,
-    /// Row containing the first entry of each tile.
-    first_row: Vec<usize>,
-    /// Partial-slot range of tile `t`: `slot_ptr[t]..slot_ptr[t + 1]`.
-    slot_ptr: Vec<usize>,
-    /// Flat per-tile partial sums, disjointly indexed via `slot_ptr`.
-    partials: LuVals<T>,
+    /// Thread `t` owns rows `bounds[t]..bounds[t + 1]`.
+    bounds: Vec<usize>,
     exec: Exec,
+    _scalar: PhantomData<T>,
 }
 
 impl<T: Scalar> SpmvPlan<T> {
-    /// Plans the tiled spmv for `a` on a persistent worker team of
-    /// `nthreads` (spawned here, parked between executes; one thread
-    /// spawns nothing). `tile_size` is in entries.
-    pub fn new(a: &CsrMatrix<T>, nthreads: usize, tile_size: usize) -> Self {
+    /// Plans the spmv for `a` on a persistent worker team of `nthreads`
+    /// (spawned here, parked between executes; one thread spawns
+    /// nothing). Thread `t`'s block ends at the first row boundary where
+    /// the rows plus entries before it reach `t + 1` equal shares.
+    ///
+    /// `tile_size` is accepted and ignored: the row blocks need no
+    /// tile. The parameter goes with `IluOptions::tile_size`, its last
+    /// source (ROADMAP item 10).
+    pub fn new(a: &CsrMatrix<T>, nthreads: usize, _tile_size: usize) -> Self {
         let exec = Exec::team(nthreads.max(1));
-        let nnz = a.nnz();
-        let tile = tile_size.max(1);
-        let n_tiles = nnz.div_ceil(tile);
-        let rowptr = a.rowptr();
-        let mut first_row = Vec::with_capacity(n_tiles);
-        let mut slot_ptr = Vec::with_capacity(n_tiles + 1);
-        slot_ptr.push(0usize);
-        for t in 0..n_tiles {
-            let lo = t * tile;
-            let hi = ((t + 1) * tile).min(nnz);
-            // Rows containing the tile's first and last entry (empty
-            // rows before a boundary are skipped, matching the walk in
-            // `execute`).
-            let fr = rowptr.partition_point(|&p| p <= lo).saturating_sub(1);
-            let lr = rowptr.partition_point(|&p| p < hi).saturating_sub(1);
-            first_row.push(fr);
-            slot_ptr.push(slot_ptr[t] + (lr - fr + 1));
+        let nt = exec.nthreads();
+        let (nrows, rowptr) = (a.nrows(), a.rowptr());
+        let total = nrows + a.nnz();
+        let mut bounds = vec![0; nt + 1];
+        let mut r = 0;
+        for (t, b) in bounds.iter_mut().enumerate().skip(1) {
+            while r < nrows && r + rowptr[r] < total * t / nt {
+                r += 1;
+            }
+            *b = r;
         }
-        let partials = LuVals::zeroed(*slot_ptr.last().expect("nonempty"));
         SpmvPlan {
-            nrows: a.nrows(),
+            nrows,
             ncols: a.ncols(),
-            nnz,
-            tile,
-            n_tiles,
-            first_row,
-            slot_ptr,
-            partials,
+            nnz: a.nnz(),
+            bounds,
             exec,
+            _scalar: PhantomData,
         }
     }
 
@@ -101,14 +87,8 @@ impl<T: Scalar> SpmvPlan<T> {
         self.exec.nthreads()
     }
 
-    /// Tile size in entries.
-    pub fn tile_size(&self) -> usize {
-        self.tile
-    }
-
-    /// Executes `y = A·x` through the plan: allocation-free, results
-    /// bit-identical for every thread count (fixed tile-order
-    /// combination).
+    /// Executes `y = A·x` through the plan: allocation-free, and bitwise
+    /// [`CsrMatrix::spmv_into`] at every thread count.
     ///
     /// This *is* the width-generic lane core instantiated at
     /// `FixedLanes<1>` — the scalar path and the panel path share one
@@ -126,22 +106,17 @@ impl<T: Scalar> SpmvPlan<T> {
         self.execute_lanes(FixedLanes::<1>, a, x, &mut y);
     }
 
-    /// Executes `Y = A·X` for a whole RHS panel through the plan: the
-    /// tile descriptors are walked **once per panel** (per column
-    /// chunk), with the partial-sum buffer gaining a column dimension
-    /// (slot `s`, column `c` at `s·k + c`). The buffer grows, grow-only,
-    /// the first time a wider panel arrives — hence `&mut self`; at any
-    /// already-seen width the execution is allocation-free, and the
-    /// `k = 1` path never grows at all.
+    /// Executes `Y = A·X` for a whole RHS panel through the plan, with
+    /// one pass over `A` per panel (per [`LANE_CHUNK`] columns). It
+    /// mutates nothing; `&mut self` stays for its callers.
     ///
     /// Widths `k ∈ {1, 4, 8}` dispatch to the monomorphized
     /// [`FixedLanes`] kernels (compile-time lane trip counts — the
     /// SIMD-friendly form); every other width runs the bit-identical
     /// [`javelin_sparse::DynLanes`] fallback.
     ///
-    /// Column `c` of the result is bit-identical to
-    /// [`SpmvPlan::execute`] on column `c`: same tiles, same segment
-    /// order, same deterministic tile-order combination.
+    /// Column `c` of the result is bitwise [`SpmvPlan::execute`] and
+    /// [`CsrMatrix::spmv_into`] on column `c`.
     ///
     /// # Panics
     /// When `a`'s shape/nnz do not match the planned matrix, or on
@@ -151,7 +126,6 @@ impl<T: Scalar> SpmvPlan<T> {
         if k == 0 {
             return;
         }
-        self.grow_partials(k);
         with_lanes!(k, lanes => self.execute_lanes(lanes, a, x, &mut y));
     }
 
@@ -168,22 +142,11 @@ impl<T: Scalar> SpmvPlan<T> {
         x.ncols()
     }
 
-    /// Grow-only resize of the partial buffer to width `k`.
-    fn grow_partials(&mut self, k: usize) {
-        let n_slots = *self.slot_ptr.last().expect("nonempty");
-        if self.partials.len() < n_slots * k {
-            self.partials = LuVals::zeroed(n_slots * k);
-        }
-    }
-
     /// The width-generic kernel core behind both [`SpmvPlan::execute`]
     /// (`FixedLanes<1>`) and [`SpmvPlan::execute_panel`] (dispatched):
-    /// one tile walk retires all `k` lanes, with per-tile partials
-    /// row-interleaved at `(slot, c) → slot·k + c` and a deterministic
-    /// per-lane tile-order combination. Requires the partial buffer to
-    /// already span `n_slots · k` entries (see
-    /// `grow_partials`); lane arithmetic is entry-ordered
-    /// and lane-independent, so lane `c` carries identical bits through
+    /// each thread runs `spmv_into`'s row loop over its row block, all
+    /// lanes of a chunk per entry. Lane arithmetic is entry-ordered and
+    /// lane-independent, so lane `c` carries identical bits through
     /// every `L`.
     fn execute_lanes<L: Lanes>(
         &self,
@@ -196,93 +159,35 @@ impl<T: Scalar> SpmvPlan<T> {
         // path; only the lane/width pairing is this function's own.
         let k = lanes.width();
         assert_eq!(x.ncols(), k, "spmv: panel width vs lanes");
-        if self.nnz == 0 {
-            for c in 0..k {
-                y.col_mut(c).fill(T::ZERO);
-            }
-            return;
-        }
-        let n_slots = *self.slot_ptr.last().expect("nonempty");
-        debug_assert!(self.partials.len() >= n_slots * k, "partials not grown");
-        let rowptr = a.rowptr();
-        let vals = a.vals();
-        let colidx = a.colidx();
-        let nthreads = self.exec.nthreads();
-        let tiles_per_thread = self.n_tiles.div_ceil(nthreads).max(1);
-        let partials = &self.partials;
+        let (rowptr, colidx, vals) = (a.rowptr(), a.colidx(), a.vals());
+        let stride = y.col_stride();
+        let ys = RegionCells::new(y.data_mut());
         self.exec.run(|tid| {
-            let t_lo = (tid * tiles_per_thread).min(self.n_tiles);
-            let t_hi = ((tid + 1) * tiles_per_thread).min(self.n_tiles);
-            for t in t_lo..t_hi {
-                let lo = t * self.tile;
-                let hi = ((t + 1) * self.tile).min(self.nnz);
-                let base = self.slot_ptr[t];
-                // Safety: tiles are partitioned contiguously across
-                // threads and `slot_ptr` assigns each tile a disjoint
-                // slot range — this thread owns every lane of tile `t`.
-                let pt = unsafe { partials.view_mut(base * k..self.slot_ptr[t + 1] * k) };
-                // Lane chunks re-walk the tile so the accumulators stay
-                // on the stack; per lane the walk (and the bits) match
-                // the single-RHS execute exactly. At a fixed width the
-                // chunk is one constant-trip block — the form the
-                // vectorizer wants. The chunk's column slices are
-                // hoisted out of the entry loop so the inner FMA
-                // indexes plain slices.
-                for_each_chunk(0..k, |c0, cw| {
-                    let mut xcols: [&[T]; LANE_CHUNK] = [&[]; LANE_CHUNK];
-                    for (c, xc) in xcols[..cw].iter_mut().enumerate() {
-                        *xc = x.col(c0 + c);
-                    }
-                    let mut row = self.first_row[t];
-                    let mut slot = 0usize;
+            // Capture the `Sync` wrapper whole, not its `Cell` field.
+            let ys = &ys;
+            let rows = self.bounds[tid]..self.bounds[tid + 1];
+            // The chunk's column slices are hoisted out of the row loop
+            // so the inner multiply-add indexes plain slices; at a fixed width
+            // the chunk is one constant-trip block.
+            for_each_chunk(0..k, |c0, cw| {
+                let mut xcols: [&[T]; LANE_CHUNK] = [&[]; LANE_CHUNK];
+                for (c, xc) in xcols[..cw].iter_mut().enumerate() {
+                    *xc = x.col(c0 + c);
+                }
+                for r in rows.clone() {
                     let mut accs = [T::ZERO; LANE_CHUNK];
-                    let mut cursor = lo;
-                    while cursor < hi {
-                        while rowptr[row + 1] <= cursor {
-                            for (c, acc) in accs[..cw].iter_mut().enumerate() {
-                                pt[slot * k + c0 + c] = *acc;
-                                *acc = T::ZERO;
-                            }
-                            slot += 1;
-                            row += 1;
+                    for e in rowptr[r]..rowptr[r + 1] {
+                        let (v, j) = (vals[e], colidx[e]);
+                        for (acc, xc) in accs[..cw].iter_mut().zip(&xcols[..cw]) {
+                            *acc += v * xc[j];
                         }
-                        let stop = rowptr[row + 1].min(hi);
-                        for e in cursor..stop {
-                            let v = vals[e];
-                            let j = colidx[e];
-                            for (acc, xc) in accs[..cw].iter_mut().zip(xcols[..cw].iter()) {
-                                *acc += v * xc[j];
-                            }
-                        }
-                        cursor = stop;
                     }
                     for (c, acc) in accs[..cw].iter().enumerate() {
-                        pt[slot * k + c0 + c] = *acc;
-                    }
-                    debug_assert_eq!(base + slot + 1, self.slot_ptr[t + 1]);
-                });
-            }
-        });
-        // Deterministic combination in tile order, lane by lane (tile
-        // order per lane matches the single-RHS execute, so the bits do
-        // too). This reduction stays on the safe `get` accessor on
-        // purpose: it reads one scattered strided element per slot (no
-        // contiguous run to vectorize), and a whole-buffer `view` here
-        // measured ~40% slower at k = 1 — only the tile writers above
-        // profit from slices.
-        for c in 0..k {
-            let yc = y.col_mut(c);
-            yc.fill(T::ZERO);
-            for t in 0..self.n_tiles {
-                let first_row = self.first_row[t];
-                for (i, s) in (self.slot_ptr[t]..self.slot_ptr[t + 1]).enumerate() {
-                    let r = first_row + i;
-                    if r < self.nrows {
-                        yc[r] += partials.get(lanes.idx(s, c));
+                        ys.0[(c0 + c) * stride + r].set(*acc);
                     }
                 }
-            }
-        }
+            });
+        });
     }
 }
 
@@ -507,6 +412,29 @@ mod proptests {
                 let pb: Vec<u64> = y[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();
                 let sb: Vec<u64> = yc.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(pb, sb, "k={} nthreads={} tile={} col={}", k, nthreads, tile, c);
+            }
+        }
+
+        /// Panel column `c` is bitwise `spmv_into` on column `c` at every
+        /// thread count and width, including empty rows and matrices:
+        /// the row blocks run `spmv_into`'s own row loop.
+        #[test]
+        fn panel_column_is_bitwise_spmv_into(a in arb_matrix(40)) {
+            let n = a.nrows();
+            let x: Vec<f64> = (0..n * 8).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut want = vec![0.0; n * 8];
+            for (xc, wc) in x.chunks(n).zip(want.chunks_mut(n)) {
+                a.spmv_into(xc, wc);
+            }
+            for nthreads in [1usize, 2, 3, 8] {
+                let mut plan = SpmvPlan::new(&a, nthreads, 64);
+                for k in [1usize, 2, 3, 4, 5, 7, 8] {
+                    let mut y = vec![f64::NAN; n * k];
+                    plan.execute_panel(&a, Panel::new(&x[..n * k], n, k), PanelMut::new(&mut y, n, k));
+                    let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                    let exp: Vec<u64> = want[..n * k].iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(got, exp, "nthreads={} k={}", nthreads, k);
+                }
             }
         }
 

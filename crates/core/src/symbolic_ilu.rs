@@ -98,7 +98,7 @@ pub(crate) struct SymCore<T> {
 
 /// The pattern-dependent phase of an incomplete factorization: ordering,
 /// ILU(k) fill pattern, level schedule, two-stage split decision,
-/// trisolve/spmv execution plans and all reusable scratch (see module
+/// trisolve execution plans and all reusable scratch (see module
 /// docs). Produce numeric factors with [`SymbolicIlu::factor`]; redo the
 /// numeric phase in place with [`IluFactors::refactor`].
 ///
@@ -242,30 +242,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let (upd_ptr, upd) = update_list(&rowptr, &colidx, &diag_pos)?;
         stats.n_updates = upd.len();
 
-        // Forward schedule over the upper stage. Dependencies are the
-        // strictly-lower columns of the *permuted* pattern — always
-        // sound, even when `lower(A)` levels let same-level dependencies
-        // appear (the point-to-point runtime only needs execution-index
-        // order).
-        let fwd_deps = |r: usize, out: &mut Vec<usize>| {
-            for k in rowptr[r]..rowptr[r + 1] {
-                let c = colidx[k];
-                if c >= r {
-                    break;
-                }
-                debug_assert!(c < n_upper, "upper-stage row depends on trailing row");
-                out.push(c);
-            }
-        };
-        let mut raw_deps = 0usize;
-        let fwd = P2PSchedule::build(n_upper, nthreads, &plan0.upper_level_ptr, |r, out| {
-            fwd_deps(r, out);
-            raw_deps += out.len();
-        });
-        stats.n_raw_deps = raw_deps;
-        stats.n_waits = fwd.n_waits();
-
-        // Backward schedule over the upper stage (upper-pattern deps
+        // Backward levels over the upper stage (upper-pattern deps
         // restricted to columns < n_upper; corner columns are solved
         // before the parallel region starts).
         let bwd_levels_upper = {
@@ -283,35 +260,16 @@ impl<T: Scalar> SymbolicIlu<T> {
             LevelSets::compute_upper(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc))
         };
         let bwd_row_of_task: Vec<usize> = bwd_levels_upper.rows_in_level_order().to_vec();
-        let mut bwd_task_of_row = vec![0usize; n_upper];
-        for (t, &r) in bwd_row_of_task.iter().enumerate() {
-            bwd_task_of_row[r] = t;
-        }
-        let bwd_deps = |task: usize, out: &mut Vec<usize>| {
-            let r = bwd_row_of_task[task];
-            for k in (diag_pos[r] + 1)..rowptr[r + 1] {
-                let c = colidx[k];
-                if c < n_upper {
-                    out.push(bwd_task_of_row[c]);
-                }
-            }
-        };
-        let bwd = P2PSchedule::build(n_upper, nthreads, bwd_levels_upper.level_ptr(), bwd_deps);
-        // The block walks are race-free and deadlock-free only on a
-        // sound schedule (waits dominate every dependency and target
-        // blocks that end before the waiter starts), and publish once
-        // per thread and level only on one block per level: check
-        // both, independently of how `build` produced them.
-        debug_assert!(fwd.validate(fwd_deps), "forward schedule is unsound");
-        debug_assert!(
-            fwd.has_level_blocks(&plan0.upper_level_ptr),
-            "forward schedule is not blocked per level"
+        let (fwd, bwd) = p2p_schedules(
+            (&rowptr, &colidx, &diag_pos),
+            [&plan0.upper_level_ptr, bwd_levels_upper.level_ptr()],
+            &bwd_row_of_task,
+            nthreads,
         );
-        debug_assert!(bwd.validate(bwd_deps), "backward schedule is unsound");
-        debug_assert!(
-            bwd.has_level_blocks(bwd_levels_upper.level_ptr()),
-            "backward schedule is not blocked per level"
-        );
+        // Every strictly-lower entry of an upper-stage row is one raw
+        // forward dependency.
+        stats.n_raw_deps = (0..n_upper).map(|r| diag_pos[r] - rowptr[r]).sum();
+        stats.n_waits = fwd.n_waits();
         // The numeric and solve walks each touch a row once only if the
         // upper levels and the trailing rows' Even-Rows chunks (the
         // same `col_range` partition both walks take) cover it once.
@@ -397,6 +355,21 @@ impl<T: Scalar> SymbolicIlu<T> {
                 progress: Mutex::new(ProgressCounters::new(nthreads)),
             }),
         })
+    }
+
+    /// The upper stage's point-to-point schedules, forward and
+    /// backward, rebuilt for `nthreads` threads from this analysis's
+    /// pattern and levels: the rule [`SymbolicIlu::analyze`] builds
+    /// [`SolvePlan::fwd`] and [`SolvePlan::bwd`] with, for simulating
+    /// other thread counts.
+    pub fn p2p_schedules(&self, nthreads: usize) -> (P2PSchedule, P2PSchedule) {
+        let c = &*self.core;
+        p2p_schedules(
+            (&c.rowptr, &c.colidx, &c.diag_pos),
+            [&c.plan.upper_level_ptr, &c.plan.bwd_level_ptr],
+            &c.plan.bwd_row_of_task,
+            nthreads.max(1),
+        )
     }
 
     /// Matrix dimension the analysis was built for.
@@ -733,6 +706,65 @@ impl<T: Scalar> SymbolicIlu<T> {
         factor_lower_er_planned(lanes, ctx, n_upper, &c.exec);
         factor_rows_serial(lanes, ctx, n_upper, n, n_upper);
     }
+}
+
+/// The upper stage's point-to-point schedules at `nthreads` threads,
+/// over the permuted LU pattern `(rowptr, colidx, diag_pos)` and the
+/// forward and backward level pointers: the one dependency rule behind
+/// [`SymbolicIlu::analyze`] and [`SymbolicIlu::p2p_schedules`].
+///
+/// Forward, row `r` waits on its strictly-lower columns — always sound,
+/// even when `lower(A)` levels let same-level dependencies appear (the
+/// point-to-point runtime only needs execution-index order). Backward,
+/// execution index `t` solves row `bwd_row_of_task[t]` and waits on the
+/// tasks of its strictly-upper columns below `n_upper`; the corner is
+/// solved before the region starts.
+fn p2p_schedules(
+    (rowptr, colidx, diag_pos): (&[usize], &[usize], &[usize]),
+    [fwd_level_ptr, bwd_level_ptr]: [&[usize]; 2],
+    bwd_row_of_task: &[usize],
+    nthreads: usize,
+) -> (P2PSchedule, P2PSchedule) {
+    let n_upper = bwd_row_of_task.len();
+    let mut bwd_task_of_row = vec![0usize; n_upper];
+    for (t, &r) in bwd_row_of_task.iter().enumerate() {
+        bwd_task_of_row[r] = t;
+    }
+    let fwd_deps = |r: usize, out: &mut Vec<usize>| {
+        debug_assert!(
+            colidx[rowptr[r]..diag_pos[r]].iter().all(|&c| c < n_upper),
+            "upper-stage row depends on trailing row"
+        );
+        out.extend_from_slice(&colidx[rowptr[r]..diag_pos[r]]);
+    };
+    let bwd_deps = |task: usize, out: &mut Vec<usize>| {
+        let r = bwd_row_of_task[task];
+        let upper = &colidx[diag_pos[r] + 1..rowptr[r + 1]];
+        out.extend(
+            upper
+                .iter()
+                .filter(|&&c| c < n_upper)
+                .map(|&c| bwd_task_of_row[c]),
+        );
+    };
+    let fwd = P2PSchedule::build(n_upper, nthreads, fwd_level_ptr, fwd_deps);
+    let bwd = P2PSchedule::build(n_upper, nthreads, bwd_level_ptr, bwd_deps);
+    // The block walks are race-free and deadlock-free only on a sound
+    // schedule (waits dominate every dependency and target blocks that
+    // end before the waiter starts), and publish once per thread and
+    // level only on one block per level: check both, independently of
+    // how `build` produced them.
+    debug_assert!(fwd.validate(fwd_deps), "forward schedule is unsound");
+    debug_assert!(
+        fwd.has_level_blocks(fwd_level_ptr),
+        "forward schedule is not blocked per level"
+    );
+    debug_assert!(bwd.validate(bwd_deps), "backward schedule is unsound");
+    debug_assert!(
+        bwd.has_level_blocks(bwd_level_ptr),
+        "backward schedule is not blocked per level"
+    );
+    (fwd, bwd)
 }
 
 /// Everything one [`SymbolicIlu::run_numeric`] call works on, all

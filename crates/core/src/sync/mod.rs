@@ -18,24 +18,29 @@
 //! * [`backoff`] — bounded spinning that escalates to `yield_now`, so
 //!   oversubscribed runs (more threads than cores) always make progress;
 //! * [`affinity`] — best-effort core pinning for team participants
-//!   (`OMP_PROC_BIND`-style placement, Linux `sched_setaffinity`).
+//!   (`OMP_PROC_BIND`-style placement, Linux `sched_setaffinity`);
+//! * `cells` — `RegionCells`, a buffer a region's threads share as
+//!   plain `Cell` slots (the threaded apply's and the spmv plan's).
 //!
 //! Almost everything is safe Rust built on `std::sync::atomic`. The
-//! two exceptions: [`team`] erases a closure lifetime so persistent
+//! three exceptions: [`team`] erases a closure lifetime so persistent
 //! workers can execute borrowed regions (behind a documented fork-join
-//! protocol), and [`affinity`] makes one FFI call into the
+//! protocol), `cells` claims `Sync` for its slots under the
+//! row-ownership protocol, and [`affinity`] makes one FFI call into the
 //! already-linked C library.
 
 pub(crate) mod abort;
 pub mod affinity;
 pub mod backoff;
 pub mod barrier;
+mod cells;
 pub(crate) mod exec;
 pub mod progress;
 pub mod team;
 
 pub use affinity::TeamAffinity;
 pub use barrier::SpinBarrier;
+pub(crate) use cells::RegionCells;
 pub use exec::{col_range, Exec};
 pub use progress::ProgressCounters;
 pub use team::WorkerTeam;

@@ -40,12 +40,13 @@
 //! that column.
 //!
 //! The region's threads share `xbuf`, the trailing rows' sub-corner sums
-//! `z` and the caller's solution panel as [`Cell`] slices, taken once per
-//! region (`RegionCells`): plain loads and stores, ordered by the
-//! progress counters and barriers under the row-ownership protocol of
-//! `docs/ARCHITECTURE.md` §7. In the column-split trailing stages
-//! different threads own different columns of the *same* row, so every
-//! access there stays inside the thread's column range.
+//! `z` and the caller's solution panel as [`Cell`](std::cell::Cell)
+//! slices, taken once per region (`RegionCells`): plain loads and
+//! stores, ordered by the progress counters and barriers under the
+//! row-ownership protocol of `docs/ARCHITECTURE.md` §7. In the
+//! column-split trailing stages different threads own different columns
+//! of the *same* row, so every access there stays inside the thread's
+//! column range.
 //!
 //! The engine is **allocation-free per call**: every buffer it touches
 //! lives in a [`SolveScratch`] built once per analysis and resized
@@ -54,15 +55,12 @@
 //! backward substitution in one region, so a full preconditioner apply
 //! costs a single team wake-up.
 
-#![allow(unsafe_code)] // RegionCells' Sync; protocol in docs/ARCHITECTURE.md §7.
-
 use super::serial::{row_sums, row_sums_from};
 use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
-use crate::sync::{col_range, Exec, ProgressCounters, SpinBarrier};
+use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{Panel, PanelMut, Scalar};
-use std::cell::Cell;
 use std::ops::Range;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,25 +140,6 @@ impl<T: Scalar> SolveScratch<T> {
             }
             self.width_cap = width;
         }
-    }
-}
-
-/// A buffer the region's threads share as plain cells, taken once per
-/// region from an exclusive borrow.
-#[derive(Clone, Copy)]
-struct RegionCells<'a, T>(&'a [Cell<T>]);
-
-// Safety: the cells are accessed under the row-ownership protocol
-// (docs/ARCHITECTURE.md §7): a slot is written only by the thread that
-// owns its row (and, in the column-split stages, its column) at that
-// stage, and every read of another thread's slot is ordered after the
-// write by a progress-counter release/acquire pair, a barrier or the
-// region join. Concurrent accesses therefore touch disjoint slots.
-unsafe impl<T: Send> Sync for RegionCells<'_, T> {}
-
-impl<'a, T> RegionCells<'a, T> {
-    fn new(buf: &'a mut [T]) -> Self {
-        RegionCells(Cell::from_mut(buf).as_slice_of_cells())
     }
 }
 

@@ -1,8 +1,9 @@
 //! Discrete-event simulation of Javelin's schedules on a machine model.
 //!
 //! The simulator replays the library's *actual* data structures: the
-//! pruned point-to-point schedules (rebuilt for any thread count from
-//! the factor's pattern), the full-matrix level sets of the factor
+//! pruned point-to-point schedules (rebuilt for any thread count by
+//! `SymbolicIlu::p2p_schedules`, the rule the analysis builds its own
+//! with), the full-matrix level sets of the factor
 //! pattern and the Even-Rows chunking. Per-row costs use the true
 //! elimination work (`nnz(row) + Σ_{c ∈ L(row)} |U(c)|` — the exact
 //! inner-loop trip count of the up-looking kernel), so critical paths,
@@ -184,11 +185,7 @@ pub fn sim_factor_time<T: Scalar>(
     let (upper_s, blocked) = if nthreads == 1 {
         ((0..n_upper).map(&cost).sum::<f64>() * NS, 0)
     } else {
-        let schedule = P2PSchedule::build(n_upper, nthreads, &plan.upper_level_ptr, |r, out| {
-            for k in lu.rowptr()[r]..f.diag_positions()[r] {
-                out.push(lu.colidx()[k]);
-            }
-        });
+        let (schedule, _) = f.symbolic().p2p_schedules(nthreads);
         sim_p2p_schedule(&schedule, machine, nthreads, cost)
     };
 
@@ -276,15 +273,7 @@ pub fn sim_trisolve_time<T: Scalar>(
                 return sim_trisolve_time(f, machine, 1, TrisolveModel::Serial);
             }
             // Forward: p2p over the upper stage.
-            let fwd_sched =
-                P2PSchedule::build(n_upper, nthreads, &plan.upper_level_ptr, |r, out| {
-                    for k in lu.rowptr()[r]..dp[r] {
-                        let c = lu.colidx()[k];
-                        if c < n_upper {
-                            out.push(c);
-                        }
-                    }
-                });
+            let (fwd_sched, bwd_sched) = f.symbolic().p2p_schedules(nthreads);
             let (mut fwd_s, _) = sim_p2p_schedule(&fwd_sched, machine, nthreads, fwd_cost);
             // Trailing forward part.
             if n_upper < n {
@@ -327,22 +316,6 @@ pub fn sim_trisolve_time<T: Scalar>(
             }
             // Backward: corner first (serial), then p2p.
             let corner_bwd: f64 = (n_upper..n).map(bwd_cost).sum::<f64>() * NS;
-            let bwd_sched =
-                P2PSchedule::build(n_upper, nthreads, &plan.bwd_level_ptr, |task, out| {
-                    let r = plan.bwd_row_of_task[task];
-                    for k in (dp[r] + 1)..lu.rowptr()[r + 1] {
-                        let c = lu.colidx()[k];
-                        if c < n_upper {
-                            // Map row -> backward execution index.
-                            let dep_task = plan
-                                .bwd_row_of_task
-                                .iter()
-                                .position(|&x| x == c)
-                                .expect("row present");
-                            out.push(dep_task);
-                        }
-                    }
-                });
             let (bwd_s, _) = sim_p2p_schedule(&bwd_sched, machine, nthreads, |task| {
                 bwd_cost(plan.bwd_row_of_task[task])
             });

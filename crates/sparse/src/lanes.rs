@@ -1,8 +1,8 @@
 //! The width-generic **lane layer**: one kernel core for scalar and
 //! panel execution paths.
 //!
-//! The kernels that stream a sparse matrix or factor — the tiled spmv,
-//! the triangular-solve engines (serial and threaded), the numeric
+//! The kernels that stream a sparse matrix or factor — the planned
+//! spmv, the triangular-solve engines (serial and threaded), the numeric
 //! factorization — retire a block of `k` *lanes* (right-hand sides, or
 //! scenario value sets) per traversal. A [`Lanes`] value makes each of
 //! them one generic core instead of a scalar copy plus a panel copy:
@@ -28,8 +28,7 @@
 //! * **Row-interleaved element access**: lane `c` of row `r` lives at
 //!   [`Lanes::idx`]`(r, c) = r·k + c`, keeping a row's `k` lanes
 //!   contiguous for the per-entry inner loops (the layout of the solve
-//!   engines' buffers, the spmv plan's panel partials and the batched
-//!   factor values).
+//!   engines' buffers and the batched factor values).
 //! * **Column chunking**: [`for_each_chunk`] walks lane ranges in
 //!   blocks of at most [`LANE_CHUNK`] so accumulators stay in
 //!   fixed-size stack arrays for any runtime width; for `FixedLanes<K>`

@@ -216,19 +216,7 @@ pub enum LevelPattern {
 
 /// Strictly-lower-triangular pattern of `A` (no diagonal).
 pub fn lower_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
-    let n = a.nrows();
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for r in 0..n {
-        for &c in a.row_cols(r) {
-            if c >= r {
-                break; // columns are sorted
-            }
-            colidx.push(c);
-        }
-        rowptr[r + 1] = colidx.len();
-    }
-    SparsityPattern::from_raw(n, a.ncols(), rowptr, colidx)
+    lower_of(a.ncols(), a.rowptr(), a.colidx())
 }
 
 /// Strictly-lower-triangular pattern of `A + Aᵀ`.
@@ -236,158 +224,94 @@ pub fn lower_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
 /// Entry `(i,j)` with `j < i` is present when either `A[i,j]` or
 /// `A[j,i]` is stored.
 pub fn lower_symmetrized_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
-    assert!(
-        a.is_square(),
-        "symmetrized pattern requires a square matrix"
-    );
-    let n = a.nrows();
-    // Count contributions: (i,j) from lower(A) and (j,i) mirrored from
-    // upper(A).
-    let mut counts = vec![0usize; n];
-    for r in 0..n {
-        for &c in a.row_cols(r) {
-            use std::cmp::Ordering;
-            match c.cmp(&r) {
-                Ordering::Less => counts[r] += 1,
-                Ordering::Greater => counts[c] += 1,
-                Ordering::Equal => {}
-            }
-        }
-    }
-    let mut rowptr = vec![0usize; n + 1];
-    for i in 0..n {
-        rowptr[i + 1] = rowptr[i] + counts[i];
-    }
-    let mut colidx = vec![0usize; rowptr[n]];
-    let mut next = rowptr.clone();
-    for r in 0..n {
-        for &c in a.row_cols(r) {
-            use std::cmp::Ordering;
-            match c.cmp(&r) {
-                Ordering::Less => {
-                    colidx[next[r]] = c;
-                    next[r] += 1;
-                }
-                Ordering::Greater => {
-                    colidx[next[c]] = r;
-                    next[c] += 1;
-                }
-                Ordering::Equal => {}
-            }
-        }
-    }
-    // Each target row receives its lower(A) entries first (sorted) then
-    // mirrored entries in ascending source row order; merge-sort and
-    // dedup per row.
-    let mut out_colidx = Vec::with_capacity(colidx.len());
-    let mut out_rowptr = vec![0usize; n + 1];
-    let mut scratch: Vec<usize> = Vec::new();
-    for r in 0..n {
-        scratch.clear();
-        scratch.extend_from_slice(&colidx[rowptr[r]..rowptr[r + 1]]);
-        scratch.sort_unstable();
-        scratch.dedup();
-        out_colidx.extend_from_slice(&scratch);
-        out_rowptr[r + 1] = out_colidx.len();
-    }
-    SparsityPattern::from_raw(n, n, out_rowptr, out_colidx)
-}
-
-/// Dispatches on [`LevelPattern`].
-pub fn level_pattern<T: Scalar>(a: &CsrMatrix<T>, which: LevelPattern) -> SparsityPattern {
-    match which {
-        LevelPattern::LowerSymmetrized => lower_symmetrized_pattern(a),
-        LevelPattern::LowerA => lower_pattern(a),
-    }
+    lower_symmetrized_of(a.ncols(), a.rowptr(), a.colidx())
 }
 
 /// Strictly-upper-triangular pattern of `A` (used to schedule backward
 /// triangular solves).
 pub fn upper_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
-    let n = a.nrows();
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for r in 0..n {
-        for &c in a.row_cols(r) {
-            if c > r {
-                colidx.push(c);
-            }
-        }
-        rowptr[r + 1] = colidx.len();
-    }
-    SparsityPattern::from_raw(n, a.ncols(), rowptr, colidx)
-}
-
-/// Strictly-lower part of an existing pattern.
-pub(crate) fn lower_of_pattern(p: &SparsityPattern) -> SparsityPattern {
-    let n = p.nrows();
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for r in 0..n {
-        for &c in p.row_cols(r) {
-            if c >= r {
-                break;
-            }
-            colidx.push(c);
-        }
-        rowptr[r + 1] = colidx.len();
-    }
-    SparsityPattern::from_raw(n, p.ncols(), rowptr, colidx)
-}
-
-/// Strictly-upper part of an existing pattern.
-#[cfg(test)]
-pub(crate) fn upper_of_pattern(p: &SparsityPattern) -> SparsityPattern {
-    let n = p.nrows();
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for r in 0..n {
-        for &c in p.row_cols(r) {
-            if c > r {
-                colidx.push(c);
-            }
-        }
-        rowptr[r + 1] = colidx.len();
-    }
-    SparsityPattern::from_raw(n, p.ncols(), rowptr, colidx)
-}
-
-/// Strictly-lower part of the symmetrization `P + Pᵀ` of a pattern.
-pub(crate) fn lower_symmetrized_of_pattern(p: &SparsityPattern) -> SparsityPattern {
-    assert_eq!(
-        p.nrows(),
-        p.ncols(),
-        "symmetrization requires a square pattern"
-    );
-    let n = p.nrows();
-    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in 0..n {
-        for &c in p.row_cols(r) {
-            use std::cmp::Ordering;
-            match c.cmp(&r) {
-                Ordering::Less => rows[r].push(c),
-                Ordering::Greater => rows[c].push(r),
-                Ordering::Equal => {}
-            }
-        }
-    }
-    let mut rowptr = vec![0usize; n + 1];
-    let mut colidx = Vec::new();
-    for (r, row) in rows.iter_mut().enumerate() {
-        row.sort_unstable();
-        row.dedup();
-        colidx.extend_from_slice(row);
-        rowptr[r + 1] = colidx.len();
-    }
-    SparsityPattern::from_raw(n, n, rowptr, colidx)
+    upper_of(a.ncols(), a.rowptr(), a.colidx())
 }
 
 /// Dispatches on [`LevelPattern`] for value-less patterns.
 pub fn level_pattern_of(p: &SparsityPattern, which: LevelPattern) -> SparsityPattern {
     match which {
-        LevelPattern::LowerSymmetrized => lower_symmetrized_of_pattern(p),
-        LevelPattern::LowerA => lower_of_pattern(p),
+        LevelPattern::LowerSymmetrized => lower_symmetrized_of(p.ncols, &p.rowptr, &p.colidx),
+        LevelPattern::LowerA => lower_of(p.ncols, &p.rowptr, &p.colidx),
     }
+}
+
+// The one body of each triangle, over the CSR index arrays of a matrix
+// or a pattern (`rowptr.len() - 1` rows, sorted columns per row).
+
+fn lower_of(ncols: usize, rowptr: &[usize], colidx: &[usize]) -> SparsityPattern {
+    triangle_of(ncols, rowptr, colidx, |r, c| c < r)
+}
+
+fn upper_of(ncols: usize, rowptr: &[usize], colidx: &[usize]) -> SparsityPattern {
+    triangle_of(ncols, rowptr, colidx, |r, c| c > r)
+}
+
+/// The entries `(r, c)` of the structure that `keep` accepts.
+fn triangle_of(
+    ncols: usize,
+    rowptr: &[usize],
+    colidx: &[usize],
+    keep: impl Fn(usize, usize) -> bool,
+) -> SparsityPattern {
+    let n = rowptr.len() - 1;
+    let mut out_rowptr = vec![0usize; n + 1];
+    let mut out_colidx = Vec::new();
+    for r in 0..n {
+        let row = &colidx[rowptr[r]..rowptr[r + 1]];
+        out_colidx.extend(row.iter().copied().filter(|&c| keep(r, c)));
+        out_rowptr[r + 1] = out_colidx.len();
+    }
+    SparsityPattern::from_raw(n, ncols, out_rowptr, out_colidx)
+}
+
+fn lower_symmetrized_of(ncols: usize, rowptr: &[usize], colidx: &[usize]) -> SparsityPattern {
+    let n = rowptr.len() - 1;
+    assert_eq!(n, ncols, "symmetrized pattern requires a square matrix");
+    // Scatter every off-diagonal entry into its lower-triangle row:
+    // (r, c) with c < r stays, (r, c) with c > r lands as (c, r).
+    let entries = || {
+        (0..n).flat_map(move |r| {
+            colidx[rowptr[r]..rowptr[r + 1]]
+                .iter()
+                .filter(move |&&c| c != r)
+                .map(move |&c| (r.max(c), r.min(c)))
+        })
+    };
+    let mut ptr = vec![0usize; n + 1];
+    for (i, _) in entries() {
+        ptr[i + 1] += 1;
+    }
+    for i in 0..n {
+        ptr[i + 1] += ptr[i];
+    }
+    let mut cols = vec![0usize; ptr[n]];
+    let mut next = ptr.clone();
+    for (i, j) in entries() {
+        cols[next[i]] = j;
+        next[i] += 1;
+    }
+    // A row holds its own lower entries (sorted), then mirrored ones in
+    // ascending source row: sort and dedup per row.
+    let mut out_rowptr = vec![0usize; n + 1];
+    let mut out_colidx = Vec::with_capacity(cols.len());
+    for r in 0..n {
+        let row = &mut cols[ptr[r]..ptr[r + 1]];
+        row.sort_unstable();
+        let start = out_colidx.len();
+        for &c in row.iter() {
+            if out_colidx[start..].last() != Some(&c) {
+                out_colidx.push(c);
+            }
+        }
+        out_rowptr[r + 1] = out_colidx.len();
+    }
+    SparsityPattern::from_raw(n, n, out_rowptr, out_colidx)
 }
 
 #[cfg(test)]
@@ -473,25 +397,9 @@ mod tests {
     }
 
     #[test]
-    fn level_pattern_dispatch() {
-        let a = nonsym();
-        assert_eq!(level_pattern(&a, LevelPattern::LowerA), lower_pattern(&a));
-        assert_eq!(
-            level_pattern(&a, LevelPattern::LowerSymmetrized),
-            lower_symmetrized_pattern(&a)
-        );
-    }
-
-    #[test]
-    fn pattern_level_helpers_match_matrix_versions() {
+    fn level_pattern_of_dispatches_on_the_pattern() {
         let a = nonsym();
         let p = SparsityPattern::of(&a);
-        assert_eq!(lower_of_pattern(&p), lower_pattern(&a));
-        assert_eq!(upper_of_pattern(&p), upper_pattern(&a));
-        assert_eq!(
-            lower_symmetrized_of_pattern(&p),
-            lower_symmetrized_pattern(&a)
-        );
         assert_eq!(
             level_pattern_of(&p, LevelPattern::LowerA),
             lower_pattern(&a)

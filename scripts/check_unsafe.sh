@@ -15,10 +15,9 @@ cd "$(dirname "$0")/.."
 
 # file  count
 TABLE="
-crates/core/src/trisolve/engines.rs 1
+crates/core/src/sync/cells.rs 1
 crates/core/src/numeric/kernel.rs 11
 crates/core/src/sync/team.rs 3
-crates/core/src/spmv.rs 1
 crates/core/src/sync/affinity.rs 1
 "
 

@@ -4,15 +4,15 @@
 //! performs zero heap allocations too, as do the first width-1
 //! GMRES / FGMRES solves after `reserve` alone — the acceptance
 //! contracts of the two-phase API and the workspace reserve path —
-//! and the apply pipeline allocates nothing across panel widths
-//! (phase 8). A counting global
+//! and the apply pipeline and the spmv plan allocate nothing across
+//! panel widths (phases 8 and 9). A counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
 //! threads are counted too, which is the point: the planned numeric
 //! path must not allocate on any thread).
 
 use javelin::core::{
-    ApplyScratch, FactorStats, IluOptions, Preconditioner, SolveEngine, SymbolicIlu,
+    ApplyScratch, FactorStats, IluOptions, Preconditioner, SolveEngine, SpmvPlan, SymbolicIlu,
     ZeroPivotPolicy,
 };
 use javelin::solver::{
@@ -626,4 +626,18 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let returned = 8 * std::mem::size_of::<SolverResult>();
     assert_eq!(cost, (1, returned), "first Serial krylov_panel at width 8");
     assert!(results.iter().all(|r| r.converged), "{results:?}");
+
+    // ---- Phase 9: the spmv plan across widths. Its row blocks ----
+    // are built in `new`, and no execute has a buffer to grow: after
+    // one scalar execute wakes the fresh team (each worker's first
+    // region sets up its thread-locals), widths 8 → 1 → 3 → 8 touch
+    // the heap on no thread.
+    let mut plan = SpmvPlan::new(&a6, 2, 64);
+    plan.execute(&a6, &r8[..n8], &mut z8[..n8]);
+    let mut spmv = |k: usize| {
+        let (x, y) = (&r8[..n8 * k], &mut z8[..n8 * k]);
+        plan.execute_panel(&a6, Panel::new(x, n8, k), PanelMut::new(y, n8, k));
+    };
+    let cost = counted(|| [8, 1, 3, 8].into_iter().for_each(&mut spmv));
+    assert_eq!(cost, (0, 0), "spmv plan: executes at widths 8, 1, 3, 8");
 }
