@@ -22,8 +22,12 @@
 //!    Even-Rows trailing rows (the paper's LS+Lower), bitwise serial —
 //!    behind one apply pipeline.
 //! 5. **spmv** ([`spmv`]): one planned kernel ([`SpmvPlan`]), the
-//!    plain CSR row loop of `javelin-sparse` run on nnz-balanced row
-//!    blocks, one per thread, bitwise the serial loop.
+//!    plain CSR row loop of `javelin-sparse`
+//!    ([`CsrMatrix::spmv_rows`](javelin_sparse::CsrMatrix::spmv_rows))
+//!    run on nnz-balanced row blocks, one per thread, bitwise the
+//!    serial loop. [`SymbolicIlu::spmv_plan`] builds it on the
+//!    analysis's own team, so a threaded `javelin::Session` runs its
+//!    Krylov matvecs on the same (pinned) threads as its applies.
 //!
 //! Under all of them sits [`sync`], the concurrency substrate: the
 //! persistent worker team every region runs on, monotone progress

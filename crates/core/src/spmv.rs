@@ -9,20 +9,24 @@
 //! nothing is combined afterwards, and every column is **bitwise**
 //! `spmv_into` at every thread count and panel width.
 //!
-//! It follows the crate's plan/execute split: [`SpmvPlan::new`] builds
-//! the row blocks and the worker team once, and the executes then run
-//! without heap allocation, thread spawns or searches — the
-//! per-iteration shape the Krylov loop needs.
+//! It follows the crate's plan/execute split: the row blocks are built
+//! once, on a team of the plan's own ([`SpmvPlan::new`]) or on an
+//! analysis's team ([`crate::SymbolicIlu::spmv_plan`], the plan a
+//! threaded `javelin::Session` runs every Krylov matvec through), and
+//! the executes then run without heap allocation, thread spawns or
+//! searches — the per-iteration shape the Krylov loop needs.
 //!
-//! Both execution entry points are thin wrappers over **one**
-//! width-generic lane core (`execute_lanes`): [`SpmvPlan::execute`] is
-//! the `FixedLanes<1>` instantiation, [`SpmvPlan::execute_panel`]
-//! dispatches `k ∈ {1, 4, 8}` to the monomorphized fixed-width kernels
-//! and every other width to the bit-identical `DynLanes` fallback (see
+//! A single vector ([`SpmvPlan::execute`], and a width-1
+//! [`SpmvPlan::execute_panel`]) runs `spmv_into`'s own row loop,
+//! [`CsrMatrix::spmv_rows`], on each block; a one-thread plan calls
+//! `spmv_into` itself, on the caller. Wider panels run one
+//! width-generic lane core (`execute_lanes`), dispatching `k ∈ {4, 8}`
+//! to the monomorphized fixed-width kernels and every other width to
+//! the bit-identical `DynLanes` fallback (see
 //! [`javelin_sparse::lanes`]).
 
 use crate::sync::{Exec, RegionCells};
-use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
+use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
 use std::marker::PhantomData;
 
@@ -53,14 +57,19 @@ pub struct SpmvPlan<T> {
 impl<T: Scalar> SpmvPlan<T> {
     /// Plans the spmv for `a` on a persistent worker team of `nthreads`
     /// (spawned here, parked between executes; one thread spawns
-    /// nothing). Thread `t`'s block ends at the first row boundary where
-    /// the rows plus entries before it reach `t + 1` equal shares.
+    /// nothing).
     ///
     /// `tile_size` is accepted and ignored: the row blocks need no
     /// tile. The parameter goes with `IluOptions::tile_size`, its last
     /// source (ROADMAP item 10).
     pub fn new(a: &CsrMatrix<T>, nthreads: usize, _tile_size: usize) -> Self {
-        let exec = Exec::team(nthreads.max(1));
+        Self::on(Exec::team(nthreads.max(1)), a)
+    }
+
+    /// Plans the spmv for `a` on `exec`'s team, one row block per
+    /// participant. Thread `t`'s block ends at the first row boundary
+    /// where the rows plus entries before it reach `t + 1` equal shares.
+    pub(crate) fn on(exec: Exec, a: &CsrMatrix<T>) -> Self {
         let nt = exec.nthreads();
         let (nrows, rowptr) = (a.nrows(), a.rowptr());
         let total = nrows + a.nnz();
@@ -88,11 +97,10 @@ impl<T: Scalar> SpmvPlan<T> {
     }
 
     /// Executes `y = A·x` through the plan: allocation-free, and bitwise
-    /// [`CsrMatrix::spmv_into`] at every thread count.
-    ///
-    /// This *is* the width-generic lane core instantiated at
-    /// `FixedLanes<1>` — the scalar path and the panel path share one
-    /// kernel body (`execute_lanes`).
+    /// [`CsrMatrix::spmv_into`] at every thread count. Each thread runs
+    /// [`CsrMatrix::spmv_rows`] — `spmv_into`'s own row loop — on its
+    /// block; a one-thread plan calls `spmv_into` on the caller and
+    /// opens no region.
     ///
     /// # Panics
     /// When `a`'s shape/nnz do not match the planned matrix, or on
@@ -100,20 +108,28 @@ impl<T: Scalar> SpmvPlan<T> {
     pub fn execute(&self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        let x = Panel::from_col(x);
-        let mut y = PanelMut::from_col(y);
-        self.check_panel_shapes(a, &x, &y);
-        self.execute_lanes(FixedLanes::<1>, a, x, &mut y);
+        self.check_panel_shapes(a, &Panel::from_col(x), &PanelMut::from_col(y));
+        if self.exec.nthreads() == 1 {
+            a.spmv_into(x, y);
+            return;
+        }
+        let ys = RegionCells::new(y);
+        self.exec.run(|tid| {
+            // Capture the `Sync` wrapper whole, not its `Cell` field.
+            let ys = &ys;
+            a.spmv_rows(self.bounds[tid]..self.bounds[tid + 1], x, ys.0);
+        });
     }
 
     /// Executes `Y = A·X` for a whole RHS panel through the plan, with
     /// one pass over `A` per panel (per [`LANE_CHUNK`] columns). It
     /// mutates nothing; `&mut self` stays for its callers.
     ///
-    /// Widths `k ∈ {1, 4, 8}` dispatch to the monomorphized
-    /// [`FixedLanes`] kernels (compile-time lane trip counts — the
-    /// SIMD-friendly form); every other width runs the bit-identical
-    /// [`javelin_sparse::DynLanes`] fallback.
+    /// Width 1 is [`SpmvPlan::execute`]; widths 4 and 8 dispatch to the
+    /// monomorphized [`javelin_sparse::FixedLanes`] kernels
+    /// (compile-time lane trip counts — the SIMD-friendly form); every
+    /// other width runs the bit-identical [`javelin_sparse::DynLanes`]
+    /// fallback.
     ///
     /// Column `c` of the result is bitwise [`SpmvPlan::execute`] and
     /// [`CsrMatrix::spmv_into`] on column `c`.
@@ -122,11 +138,11 @@ impl<T: Scalar> SpmvPlan<T> {
     /// When `a`'s shape/nnz do not match the planned matrix, or on
     /// panel shape mismatches.
     pub fn execute_panel(&mut self, a: &CsrMatrix<T>, x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
-        let k = self.check_panel_shapes(a, &x, &y);
-        if k == 0 {
-            return;
+        match self.check_panel_shapes(a, &x, &y) {
+            0 => {}
+            1 => self.execute(a, x.col(0), y.col_mut(0)),
+            k => with_lanes!(k, lanes => self.execute_lanes(lanes, a, x, &mut y)),
         }
-        with_lanes!(k, lanes => self.execute_lanes(lanes, a, x, &mut y));
     }
 
     /// The single shape validator behind every execute entry point
@@ -142,12 +158,11 @@ impl<T: Scalar> SpmvPlan<T> {
         x.ncols()
     }
 
-    /// The width-generic kernel core behind both [`SpmvPlan::execute`]
-    /// (`FixedLanes<1>`) and [`SpmvPlan::execute_panel`] (dispatched):
-    /// each thread runs `spmv_into`'s row loop over its row block, all
-    /// lanes of a chunk per entry. Lane arithmetic is entry-ordered and
-    /// lane-independent, so lane `c` carries identical bits through
-    /// every `L`.
+    /// The width-generic panel kernel behind [`SpmvPlan::execute_panel`]
+    /// at widths above 1: each thread runs `spmv_into`'s row loop over
+    /// its row block, all lanes of a chunk per entry. Lane arithmetic is
+    /// entry-ordered and lane-independent, so lane `c` carries identical
+    /// bits through every `L`.
     fn execute_lanes<L: Lanes>(
         &self,
         lanes: L,
@@ -198,8 +213,8 @@ mod tests {
     use javelin_sparse::CooMatrix;
 
     fn skewed(n: usize) -> CsrMatrix<f64> {
-        // One dense row amid sparse ones — the case row-chunking
-        // balances poorly and tiling balances well.
+        // One dense row amid sparse ones: its block holds few rows, and
+        // the blocks around it many.
         let mut coo = CooMatrix::new(n, n);
         for i in 0..n {
             coo.push(i, i, 2.0).unwrap();
@@ -216,29 +231,38 @@ mod tests {
     }
 
     /// One planned execute of `y = A·x`.
-    fn planned(a: &CsrMatrix<f64>, x: &[f64], nthreads: usize, tile: usize) -> Vec<f64> {
+    fn planned(a: &CsrMatrix<f64>, x: &[f64], nthreads: usize) -> Vec<f64> {
         let mut y = vec![f64::NAN; a.nrows()];
-        SpmvPlan::new(a, nthreads, tile).execute(a, x, &mut y);
+        SpmvPlan::new(a, nthreads, 0).execute(a, x, &mut y);
         y
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn plan_matches_serial_for_many_tilings() {
+    fn plan_is_bitwise_spmv_into() {
         let a = skewed(64);
         let x: Vec<f64> = (0..64).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut y_ref = vec![0.0; 64];
         a.spmv_into(&x, &mut y_ref);
-        for nthreads in [1, 3] {
-            for tile in [1, 3, 8, 64, 1024] {
-                let y = planned(&a, &x, nthreads, tile);
-                for (g, w) in y.iter().zip(y_ref.iter()) {
-                    assert!(
-                        (g - w).abs() < 1e-12,
-                        "tile={tile} nthreads={nthreads}: {g} vs {w}"
-                    );
-                }
-            }
+        for nthreads in [1, 2, 3] {
+            let y = planned(&a, &x, nthreads);
+            assert_eq!(bits(&y), bits(&y_ref), "nthreads={nthreads}");
         }
+    }
+
+    #[test]
+    fn grid_row_blocks_are_pinned() {
+        // The 14³ grid's blocks, balanced on rows + entries: each is
+        // the first row boundary at or past its share of n + nnz.
+        let a = javelin_synth::grid::convection_diffusion_3d(14, 14, 14, (30.0, 20.0, 10.0));
+        assert_eq!((a.nrows(), a.nnz()), (2_744, 18_032));
+        let bounds = |nthreads| SpmvPlan::new(&a, nthreads, 0).bounds;
+        assert_eq!(bounds(1), [0, 2_744]);
+        assert_eq!(bounds(2), [0, 1_372, 2_744]);
+        assert_eq!(bounds(3), [0, 923, 1_822, 2_744]);
     }
 
     #[test]
@@ -247,9 +271,9 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(4, 4, 2.0).unwrap();
         let a = coo.to_csr();
-        assert_eq!(planned(&a, &[1.0; 5], 2, 1), vec![1.0, 0.0, 0.0, 0.0, 2.0]);
+        assert_eq!(planned(&a, &[1.0; 5], 2), vec![1.0, 0.0, 0.0, 0.0, 2.0]);
         let empty = CooMatrix::<f64>::new(3, 3).to_csr();
-        assert_eq!(planned(&empty, &[1.0; 3], 2, 4), vec![0.0; 3]);
+        assert_eq!(planned(&empty, &[1.0; 3], 2), vec![0.0; 3]);
     }
 
     #[test]
@@ -267,21 +291,21 @@ mod tests {
             let bits2: Vec<u64> = y2.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits1, bits2);
         }
-        // And identical to a plan built from scratch (same tile order).
-        let y_once = planned(&a, &x, 3, 16);
+        // And identical to a plan built from scratch.
+        let y_once = planned(&a, &x, 3);
         let bits0: Vec<u64> = y_once.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits0, bits1);
     }
 
     #[test]
-    fn panel_execute_grows_once_and_stays_bitwise_stable() {
+    fn panel_execute_is_bitwise_stable_across_widths() {
         let a = skewed(70);
         let n = a.nrows();
         let mut plan = SpmvPlan::new(&a, 3, 16);
         let x: Vec<f64> = (0..n * 8).map(|i| (i as f64 * 0.11).cos()).collect();
-        // Wide panel first (grows the partials), then narrow reuse, then
-        // wide again — every column must match the single-RHS execute
-        // bitwise at every step. Covers both the fixed (1, 4, 8) and
+        // Wide panel first, then narrow reuse, then wide again — every
+        // column must match the single-RHS execute bitwise at every
+        // step. Covers the width-1 row loop, the fixed (4, 8) and the
         // dynamic (3, 5) dispatch arms.
         for k in [8usize, 1, 3, 4, 5, 8] {
             let mut y = vec![0.0; n * k];
@@ -316,8 +340,8 @@ mod tests {
     #[test]
     fn dyn_lanes_match_dispatched_kernels_bitwise() {
         // The DynLanes instantiation of the lane core must be
-        // bit-identical to whatever the dispatch table picks, at the
-        // monomorphized widths especially.
+        // bit-identical to whatever the dispatch table picks: the row
+        // loop at width 1, the monomorphized kernels at 4 and 8.
         let a = skewed(66);
         let n = a.nrows();
         for k in [1usize, 4, 5, 8] {
@@ -326,7 +350,6 @@ mod tests {
             let mut y_fixed = vec![0.0; n * k];
             plan.execute_panel(&a, Panel::new(&x, n, k), PanelMut::new(&mut y_fixed, n, k));
             let mut y_dyn = vec![0.0; n * k];
-            // `execute_panel` above already grew the partials to width k.
             plan.execute_lanes(
                 DynLanes(k),
                 &a,
@@ -386,24 +409,23 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Panel execution is column-for-column bit-identical to `k`
-        /// single-RHS executes for the issue's widths, across thread
-        /// counts and tile sizes, including empty rows/matrices.
+        /// single-RHS executes across widths and thread counts,
+        /// including empty rows/matrices.
         #[test]
         fn panel_spmv_bitwise_matches_looped_single_rhs(
             a in arb_matrix(40),
             k_idx in 0usize..7,
             nthreads_idx in 0usize..4,
-            tile_idx in 0usize..5,
         ) {
-            // Fixed widths (1, 4, 8) and DynLanes widths (2, 3, 5, 7).
+            // The row loop (1), fixed widths (4, 8) and DynLanes widths
+            // (2, 3, 5, 7).
             let k = [1usize, 2, 3, 4, 5, 7, 8][k_idx];
             let nthreads = [1usize, 2, 3, 8][nthreads_idx];
-            let tile = [1usize, 3, 8, 64, 1024][tile_idx];
             let n = a.nrows();
             let x: Vec<f64> = (0..n * k)
                 .map(|i| 0.25 + ((i * 7) % 11) as f64 * 0.3)
                 .collect();
-            let mut plan = SpmvPlan::new(&a, nthreads, tile);
+            let mut plan = SpmvPlan::new(&a, nthreads, 0);
             let mut y = vec![f64::NAN; n * k];
             plan.execute_panel(&a, Panel::new(&x, n, k), PanelMut::new(&mut y, n, k));
             for c in 0..k {
@@ -411,7 +433,7 @@ mod proptests {
                 plan.execute(&a, &x[c * n..(c + 1) * n], &mut yc);
                 let pb: Vec<u64> = y[c * n..(c + 1) * n].iter().map(|v| v.to_bits()).collect();
                 let sb: Vec<u64> = yc.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(pb, sb, "k={} nthreads={} tile={} col={}", k, nthreads, tile, c);
+                prop_assert_eq!(pb, sb, "k={} nthreads={} col={}", k, nthreads, c);
             }
         }
 
@@ -438,27 +460,22 @@ mod proptests {
             }
         }
 
-        /// Planned execution equals the serial kernel for every
-        /// (threads × tile) combination the issue calls out, including
-        /// matrices with empty rows and fully empty matrices.
+        /// Planned execution is bitwise the serial kernel at every
+        /// thread count, including matrices with empty rows and fully
+        /// empty matrices.
         #[test]
         fn planned_spmv_matches_serial(a in arb_matrix(40)) {
             let n = a.nrows();
             let x: Vec<f64> = (0..n).map(|i| 0.25 + (i % 5) as f64).collect();
             let mut y_ref = vec![0.0; n];
             a.spmv_into(&x, &mut y_ref);
+            let want: Vec<u64> = y_ref.iter().map(|v| v.to_bits()).collect();
             for nthreads in [1usize, 2, 3, 8] {
-                for tile in [1usize, 3, 8, 64, 1024] {
-                    let plan = SpmvPlan::new(&a, nthreads, tile);
-                    let mut y = vec![f64::NAN; n];
-                    plan.execute(&a, &x, &mut y);
-                    for (g, w) in y.iter().zip(y_ref.iter()) {
-                        prop_assert!(
-                            (g - w).abs() < 1e-10 * w.abs().max(1.0),
-                            "nthreads={} tile={}: {} vs {}", nthreads, tile, g, w
-                        );
-                    }
-                }
+                let plan = SpmvPlan::new(&a, nthreads, 0);
+                let mut y = vec![f64::NAN; n];
+                plan.execute(&a, &x, &mut y);
+                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want.clone(), "nthreads={}", nthreads);
             }
         }
     }

@@ -41,6 +41,7 @@ use crate::numeric::parallel::{
 };
 use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
+use crate::spmv::SpmvPlan;
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
 use crate::sync::{col_range, Exec, ProgressCounters};
@@ -437,6 +438,15 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// (a persistent worker team).
     pub(crate) fn exec(&self) -> &Exec {
         &self.core.exec
+    }
+
+    /// An spmv plan for `a` on this analysis's own team — the team its
+    /// factorizations and applies run on, pinned when the analysis is —
+    /// so the plan spawns nothing. Its executes are bitwise
+    /// [`CsrMatrix::spmv_into`]; a one-thread analysis's plan calls
+    /// `spmv_into` on the caller.
+    pub fn spmv_plan(&self, a: &CsrMatrix<T>) -> SpmvPlan<T> {
+        SpmvPlan::on(self.core.exec.clone(), a)
     }
 
     /// Symbolic/analysis statistics (numeric fields are zero; each

@@ -132,7 +132,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             continue;
         }
         // r = b - A x (matvec into q, subtract into r); r_hat = r.
-        a.col_matrix(c).spmv_into(x.col(c), &mut pq[rc.clone()]);
+        a.spmv_col(c, x.col(c), &mut pq[rc.clone()]);
         let bc = b.col(c);
         for i in 0..n {
             pr[c * n + i] = bc[i] - pq[c * n + i];
@@ -203,8 +203,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let rc = c * n..(c + 1) * n;
-            a.col_matrix(c)
-                .spmv_into(&py[rc.clone()], &mut pq[rc.clone()]);
+            a.spmv_col(c, &py[rc.clone()], &mut pq[rc.clone()]);
             col_alpha[c] = col_rho[c] / vecops::dot(&prhat[rc.clone()], &pq[rc.clone()]);
             // s = r - alpha v  (reuse r)
             vecops::axpy(-col_alpha[c], &pq[rc.clone()], &mut pr[rc.clone()]);
@@ -245,8 +244,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let rc = c * n..(c + 1) * n;
-            a.col_matrix(c)
-                .spmv_into(&pz[rc.clone()], &mut pt[rc.clone()]);
+            a.spmv_col(c, &pz[rc.clone()], &mut pt[rc.clone()]);
             let tt = vecops::dot(&pt[rc.clone()], &pt[rc.clone()]);
             if tt == T::ZERO || !tt.is_finite() {
                 mask.set(c, LANE_HALTED);

@@ -149,7 +149,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             let rc = c * n..(c + 1) * n;
             // r = b - A x (into u).
             let u = &mut pu[rc.clone()];
-            a.col_matrix(c).spmv_into(x.col(c), u);
+            a.spmv_col(c, x.col(c), u);
             for (ui, bi) in u.iter_mut().zip(b.col(c)) {
                 *ui = *bi - *ui;
             }
@@ -209,7 +209,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 // w = A zⱼ (w lives in this column's pq slot).
                 let zc = if flexible { &z_basis[j] } else { &*pz };
                 let w = &mut pq[rc.clone()];
-                a.col_matrix(c).spmv_into(&zc[rc.clone()], w);
+                a.spmv_col(c, &zc[rc.clone()], w);
                 // Modified Gram–Schmidt against this column's basis.
                 for i in 0..=j {
                     let vi = &v_basis[i][rc.clone()];

@@ -40,6 +40,15 @@
 //! breakdown, the non-finite guards and the iteration-cap exits exist
 //! once per method, and column `c` of any width is bit-identical to
 //! the width-1 solve of that column.
+//!
+//! ## The operator and the work table
+//!
+//! The drivers reach `A` only through [`PanelMatrices::spmv_col`], one
+//! call per column per matvec, so the caller picks where the product
+//! runs (the caller's core by default; the analysis's team under
+//! `javelin::Session`). What each method issues per iteration — spmvs,
+//! preconditioner applies, reductions and vector-update passes — is
+//! the table behind [`Method::ops`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +56,12 @@
 mod bicgstab;
 mod gmres;
 mod golden;
+mod ops;
 mod pcg;
 mod proptests;
 pub mod workspace;
 
+pub use ops::{ConvergedAt, KrylovOps};
 pub use workspace::SolverWorkspace;
 
 use javelin_core::Preconditioner;
@@ -64,14 +75,22 @@ use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
 /// Scenario sweeps — `k` pattern-identical systems, one per panel
 /// column — use [`ScenarioMatrices`] so each column iterates on its own
 /// operator while still sharing the lockstep loop and the panel
-/// preconditioner applies. The batch drivers only ever touch the
-/// operator through per-column `spmv`s, so the single-matrix case
-/// compiles to exactly the historical code and stays bit-identical.
+/// preconditioner applies. The drivers only ever touch the operator
+/// through [`PanelMatrices::spmv_col`], one call per column per
+/// matvec, so an implementation decides *where* each `A·x` runs:
+/// the default is the caller's [`CsrMatrix::spmv_into`], and
+/// `javelin::Session` runs it on the analysis's worker team through a
+/// [`javelin_core::SpmvPlan`] — bitwise the same product either way.
 pub trait PanelMatrices<T: Scalar>: Sync {
     /// Row dimension (shared by every column's matrix).
     fn nrows(&self) -> usize;
     /// The matrix driving panel column `c`.
     fn col_matrix(&self, c: usize) -> &CsrMatrix<T>;
+    /// `y = A_c·x` for panel column `c`. Implementations must carry the
+    /// bits of the default, `col_matrix(c).spmv_into(x, y)`.
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
+        self.col_matrix(c).spmv_into(x, y);
+    }
 }
 
 impl<T: Scalar> PanelMatrices<T> for CsrMatrix<T> {
@@ -93,6 +112,9 @@ impl<T: Scalar, A: PanelMatrices<T> + ?Sized> PanelMatrices<T> for &A {
     fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
         (**self).col_matrix(c)
     }
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
+        (**self).spmv_col(c, x, y);
+    }
 }
 
 impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::sync::Arc<A> {
@@ -101,6 +123,9 @@ impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::s
     }
     fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
         (**self).col_matrix(c)
+    }
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
+        (**self).spmv_col(c, x, y);
     }
 }
 
@@ -206,9 +231,9 @@ impl std::fmt::Display for Method {
 ///
 /// # Panics
 /// On dimension mismatches.
-pub fn krylov_with<T: Scalar, P: Preconditioner<T>>(
+pub fn krylov_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     method: Method,
-    a: &CsrMatrix<T>,
+    a: &A,
     b: &[T],
     x: &mut [T],
     m: &P,

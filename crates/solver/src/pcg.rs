@@ -104,8 +104,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             results[c].status = SolverStatus::NumericalBreakdown;
         } else {
             // r = b - A x (matvec into q, subtract into r).
-            a.col_matrix(c)
-                .spmv_into(x.col(c), &mut pq[c * n..(c + 1) * n]);
+            a.spmv_col(c, x.col(c), &mut pq[c * n..(c + 1) * n]);
             let bc = b.col(c);
             for i in 0..n {
                 pr[c * n + i] = bc[i] - pq[c * n + i];
@@ -150,8 +149,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let rc = c * n..(c + 1) * n;
-            a.col_matrix(c)
-                .spmv_into(&pp[rc.clone()], &mut pq[rc.clone()]);
+            a.spmv_col(c, &pp[rc.clone()], &mut pq[rc.clone()]);
             let pq_dot = vecops::dot(&pp[rc.clone()], &pq[rc.clone()]);
             if pq_dot == T::ZERO || !pq_dot.is_finite() {
                 mask.set(c, LANE_HALTED);

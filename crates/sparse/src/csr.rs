@@ -10,6 +10,8 @@
 use crate::error::SparseError;
 use crate::perm::Perm;
 use crate::scalar::Scalar;
+use std::cell::Cell;
+use std::ops::Range;
 
 /// An immutable sparse matrix in CSR format.
 ///
@@ -431,19 +433,37 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Serial sparse matrix–vector product `y = A·x`.
+    /// Serial sparse matrix–vector product `y = A·x`: [`spmv_rows`]
+    /// over every row.
+    ///
+    /// [`spmv_rows`]: CsrMatrix::spmv_rows
     ///
     /// # Panics
     /// When `x.len() != ncols` or `y.len() != nrows`.
     pub fn spmv_into(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        for r in 0..self.nrows {
+        self.spmv_rows(0..self.nrows, x, Cell::from_mut(y).as_slice_of_cells());
+    }
+
+    /// Rows `rows` of `y = A·x` — the one spmv row loop. Per row,
+    /// `acc = 0; acc += v·x[j]` runs in entry order, so any split of
+    /// the rows carries the bits of [`spmv_into`]. `y` is the whole
+    /// output as cells, so threads that own disjoint row ranges can
+    /// share it; only rows `rows` are written.
+    ///
+    /// [`spmv_into`]: CsrMatrix::spmv_into
+    ///
+    /// # Panics
+    /// When a row of `rows` is out of range or indexes past `x` / `y`.
+    #[inline]
+    pub fn spmv_rows(&self, rows: Range<usize>, x: &[T], y: &[Cell<T>]) {
+        for r in rows {
             let mut acc = T::ZERO;
             for k in self.row_range(r) {
                 acc += self.vals[k] * x[self.colidx[k]];
             }
-            y[r] = acc;
+            y[r].set(acc);
         }
     }
 

@@ -27,12 +27,13 @@
 
 use javelin_core::sync::WorkerTeam;
 use javelin_core::{
-    FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
+    FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SpmvPlan, SymbolicIlu,
+    ZeroPivotPolicy,
 };
 use javelin_solver::SolverWorkspace;
 use javelin_solver::{
-    krylov_panel_with, krylov_with, Method, ScenarioMatrices, SolverOptions, SolverResult,
-    BREAKDOWN_RETRY_SHIFT,
+    krylov_panel_with, krylov_with, Method, PanelMatrices, ScenarioMatrices, SolverOptions,
+    SolverResult, BREAKDOWN_RETRY_SHIFT,
 };
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::Arc;
@@ -187,7 +188,9 @@ impl SessionBuilder {
     }
 
     /// Analyzes and factors `a`, returning a ready [`Session`]. The
-    /// session keeps its own copy of the matrix for the Krylov matvecs.
+    /// session keeps its own copy of the matrix for the Krylov matvecs,
+    /// and an spmv plan of it on the analysis's team
+    /// ([`SymbolicIlu::spmv_plan`]) that runs them.
     ///
     /// # Errors
     /// Everything [`SymbolicIlu::analyze`] / [`SymbolicIlu::factor`]
@@ -209,6 +212,7 @@ impl SessionBuilder {
         }
         Ok(Session {
             a: a.clone(),
+            spmv: factors.symbolic().spmv_plan(a),
             factors,
             batch: None,
             engine,
@@ -224,6 +228,9 @@ impl SessionBuilder {
 /// docs). Created by [`Session::builder`].
 pub struct Session<T: Scalar> {
     a: CsrMatrix<T>,
+    /// Row blocks of `a` on the analysis's team: every Krylov matvec of
+    /// `krylov`, `krylov_panel` and `sweep` runs through it.
+    spmv: SpmvPlan<T>,
     factors: IluFactors<T>,
     batch: Option<FactorsBatch<T>>,
     engine: SolveEngine,
@@ -306,9 +313,10 @@ impl<T: Scalar> Session<T> {
                 n
             )));
         }
+        let a = Planned(&self.a, &self.spmv);
         let first = {
             let m = self.factors.with_engine(self.engine);
-            krylov_with(method, &self.a, b, x, &m, &self.solver, &mut self.workspace)
+            krylov_with(method, &a, b, x, &m, &self.solver, &mut self.workspace)
         };
         if !first.broke_down() {
             return Ok(first);
@@ -325,7 +333,7 @@ impl<T: Scalar> Session<T> {
             return Ok(first);
         }
         let m = self.factors.with_engine(self.engine);
-        let mut retry = krylov_with(method, &self.a, b, x, &m, &self.solver, &mut self.workspace);
+        let mut retry = krylov_with(method, &a, b, x, &m, &self.solver, &mut self.workspace);
         retry.retried = true;
         Ok(retry)
     }
@@ -380,7 +388,7 @@ impl<T: Scalar> Session<T> {
         let m = self.factors.with_engine(self.engine);
         Ok(krylov_panel_with(
             method,
-            &self.a,
+            &Planned(&self.a, &self.spmv),
             b,
             x,
             &m,
@@ -454,10 +462,12 @@ impl<T: Scalar> Session<T> {
         {
             return Err(err);
         }
+        // `refactor_batch` / `factor_batch` pattern-checked every
+        // scenario against the analysis, so `a`'s plan serves them all.
         let m = batch.precond(self.engine);
         Ok(krylov_panel_with(
             method,
-            &ScenarioMatrices(mats),
+            &Planned(ScenarioMatrices(mats), &self.spmv),
             b,
             x,
             &m,
@@ -527,6 +537,22 @@ impl<T: Scalar> Session<T> {
     /// the tolerance between time steps).
     pub fn solver_options_mut(&mut self) -> &mut SolverOptions {
         &mut self.solver
+    }
+}
+
+/// The session's operator: `A` (or one scenario matrix per panel
+/// column) with every matvec run through the session's spmv plan.
+struct Planned<'p, A, T>(A, &'p SpmvPlan<T>);
+
+impl<T: Scalar, A: PanelMatrices<T>> PanelMatrices<T> for Planned<'_, A, T> {
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
+        self.0.col_matrix(c)
+    }
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
+        self.1.execute(self.0.col_matrix(c), x, y);
     }
 }
 

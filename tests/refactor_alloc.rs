@@ -5,7 +5,9 @@
 //! GMRES / FGMRES solves after `reserve` alone — the acceptance
 //! contracts of the two-phase API and the workspace reserve path —
 //! and the apply pipeline and the spmv plan allocate nothing across
-//! panel widths (phases 8 and 9). A counting global
+//! panel widths (phases 8 and 9), nor does a 2-thread session's
+//! second Krylov solve, whose matvecs run on its team (phase 10). A
+//! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
 //! threads are counted too, which is the point: the planned numeric
@@ -640,4 +642,23 @@ fn steady_state_refactor_allocates_zero_bytes() {
     };
     let cost = counted(|| [8, 1, 3, 8].into_iter().for_each(&mut spmv));
     assert_eq!(cost, (0, 0), "spmv plan: executes at widths 8, 1, 3, 8");
+
+    // ---- Phase 10: a threaded session's Krylov matvecs. A 2-thread ----
+    // session runs every spmv in row blocks on the analysis's own team
+    // (`SymbolicIlu::spmv_plan`), beside the threaded applies: once a
+    // first solve has woken the team, a second BiCGSTAB solve touches
+    // the heap on no thread.
+    let mut session = javelin::Session::builder()
+        .nthreads(2)
+        .build(&a6)
+        .expect("2-thread session");
+    let (b1, x1) = (&r8[..n8], &mut z8[..n8]);
+    x1.fill(0.0);
+    let first = session.krylov(Method::Bicgstab, b1, x1).expect("first");
+    assert!(first.converged, "{first:?}");
+    x1.fill(0.0);
+    let mut second = SolverResult::default();
+    let cost = counted(|| second = session.krylov(Method::Bicgstab, b1, x1).expect("second"));
+    assert_eq!(cost, (0, 0), "2-thread session: second BiCGSTAB solve");
+    assert_eq!(second.iterations, first.iterations);
 }

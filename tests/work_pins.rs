@@ -5,9 +5,21 @@
 //! wait pruning or the region's structure moves a pin here. A recording
 //! walk over the same schedules must see exactly the wait checks and
 //! publications `work` states.
+//!
+//! The Krylov drivers' op table (`Method::ops`) is pinned the same way:
+//! a counting operator (through the `spmv_col` hook) and a counting
+//! preconditioner wrap real solves on a fixed 14³ grid, and the spmvs
+//! and applies they see must equal the table's for every method and
+//! both exits. Its reductions and update passes are pinned values.
 
-use javelin::core::{IluOptions, SymbolicIlu, Work};
-use javelin::sparse::CsrMatrix;
+use javelin::core::{
+    factorize, ApplyScratch, IluOptions, Preconditioner, SolveEngine, SymbolicIlu, Work,
+};
+use javelin::solver::{
+    krylov_with, ConvergedAt, KrylovOps, Method, PanelMatrices, SolverOptions, SolverResult,
+    SolverWorkspace,
+};
+use javelin::sparse::{CsrMatrix, Panel, PanelMut};
 use javelin::sync::{Exec, ProgressCounters};
 use javelin::synth::circuit::transient_circuit;
 use javelin::synth::grid::convection_diffusion_3d;
@@ -88,5 +100,143 @@ fn work(schedule_bytes: usize, wait_checks: usize, publications: usize, barriers
         publications,
         barriers,
         regions: 1,
+    }
+}
+
+/// Counts the drivers' matvecs through the `spmv_col` hook.
+struct CountingMatrix<'a> {
+    a: &'a CsrMatrix<f64>,
+    spmvs: AtomicUsize,
+}
+
+impl PanelMatrices<f64> for CountingMatrix<'_> {
+    fn nrows(&self) -> usize {
+        self.a.nrows()
+    }
+    fn col_matrix(&self, _c: usize) -> &CsrMatrix<f64> {
+        self.a
+    }
+    fn spmv_col(&self, c: usize, x: &[f64], y: &mut [f64]) {
+        self.spmvs.fetch_add(1, Ordering::Relaxed);
+        self.col_matrix(c).spmv_into(x, y);
+    }
+}
+
+/// Counts preconditioner applies, one per column.
+struct CountingPrecond<'a, P> {
+    inner: &'a P,
+    applies: AtomicUsize,
+}
+
+impl<P: Preconditioner<f64>> Preconditioner<f64> for CountingPrecond<'_, P> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply(r, z);
+    }
+    fn apply_with(&self, scratch: &mut ApplyScratch<f64>, r: &[f64], z: &mut [f64]) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply_with(scratch, r, z);
+    }
+    fn apply_column_with(&self, s: &mut ApplyScratch<f64>, col: usize, r: &[f64], z: &mut [f64]) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply_column_with(s, col, r, z);
+    }
+    fn apply_panel_with(&self, s: &mut ApplyScratch<f64>, r: Panel<'_, f64>, z: PanelMut<'_, f64>) {
+        self.applies.fetch_add(r.ncols(), Ordering::Relaxed);
+        self.inner.apply_panel_with(s, r, z);
+    }
+}
+
+/// One counted solve of `method` from `x`: its result and the spmvs
+/// and applies the drivers issued.
+fn counted_solve(
+    method: Method,
+    a: &CsrMatrix<f64>,
+    m: &impl Preconditioner<f64>,
+    opts: &SolverOptions,
+    x: &mut [f64],
+) -> (SolverResult, usize, usize) {
+    let counted_a = CountingMatrix {
+        a,
+        spmvs: AtomicUsize::new(0),
+    };
+    let counted_m = CountingPrecond {
+        inner: m,
+        applies: AtomicUsize::new(0),
+    };
+    let b: Vec<f64> = (0..a.nrows())
+        .map(|i| 1.0 + (i % 7) as f64 * 0.25)
+        .collect();
+    let mut ws = SolverWorkspace::new();
+    let res = krylov_with(method, &counted_a, &b, x, &counted_m, opts, &mut ws);
+    (
+        res,
+        counted_a.spmvs.into_inner(),
+        counted_m.applies.into_inner(),
+    )
+}
+
+#[test]
+fn krylov_op_table_matches_counted_solves() {
+    use ConvergedAt::{Closing, Early};
+    // (method, tol, restart, iterations, exit, the table's ops). The
+    // 14³ Laplacian is SPD, so PCG runs too. BiCGSTAB at 1e-6 meets
+    // the tolerance at its half-step; GMRES at restart 4 runs several
+    // cycles, and at 1e-2 converges on a cycle's last step.
+    let a = javelin::synth::grid::laplace_3d(14, 14, 14);
+    let f = factorize(&a, &IluOptions::ilu0(1)).expect("factor");
+    let m = f.with_engine(SolveEngine::Serial);
+    let cases = [
+        (Method::Pcg, 1e-6, 50, 16, Closing, ops(17, 16, 50, 49)),
+        (Method::Bicgstab, 1e-6, 50, 11, Early, ops(22, 21, 65, 57)),
+        (Method::Bicgstab, 1e-4, 50, 7, Closing, ops(15, 14, 44, 39)),
+        (Method::Gmres, 1e-6, 50, 15, Closing, ops(16, 16, 137, 168)),
+        (Method::Gmres, 1e-6, 4, 25, Closing, ops(32, 32, 94, 169)),
+        (Method::Fgmres, 1e-6, 4, 25, Closing, ops(32, 25, 94, 155)),
+        (Method::Fgmres, 1e-2, 4, 8, Closing, ops(10, 8, 31, 48)),
+    ];
+    for (method, tol, restart, iterations, exit, want) in cases {
+        let opts = SolverOptions {
+            tol,
+            restart,
+            ..SolverOptions::default()
+        };
+        let mut x = vec![0.0; a.nrows()];
+        let (res, spmvs, applies) = counted_solve(method, &a, &m, &opts, &mut x);
+        let case = format!("{method} tol {tol:e} restart {restart}");
+        assert!(res.converged, "{case}");
+        assert_eq!(res.iterations, iterations, "{case}");
+        let table = method.ops(iterations, restart, exit);
+        assert_eq!(table, Some(want), "{case}: table");
+        assert_eq!(
+            (spmvs, applies),
+            (want.spmvs, want.applies),
+            "{case}: counted"
+        );
+        // Warm-started from its own solution, GMRES meets the tolerance
+        // at its first true residual; BiCGSTAB at its first half-step.
+        if matches!(method, Method::Gmres | Method::Bicgstab) {
+            let (res, spmvs, applies) = counted_solve(method, &a, &m, &opts, &mut x);
+            let (it, exit) = match method {
+                Method::Gmres => (0, Early),
+                _ => (1, Early),
+            };
+            assert_eq!(res.iterations, it, "{case}: warm start");
+            let table = method.ops(it, restart, exit).expect("a converged path");
+            assert_eq!(
+                (spmvs, applies),
+                (table.spmvs, table.applies),
+                "{case}: warm start"
+            );
+        }
+    }
+}
+
+fn ops(spmvs: usize, applies: usize, reductions: usize, updates: usize) -> KrylovOps {
+    KrylovOps {
+        spmvs,
+        applies,
+        reductions,
+        updates,
     }
 }
