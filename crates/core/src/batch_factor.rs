@@ -48,7 +48,7 @@
 //! engines × threads × k × pivot policies.
 
 use crate::factors::IluFactors;
-use crate::numeric::kernel::LuVals;
+use crate::numeric::kernel::zeroed_on;
 use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
@@ -71,7 +71,7 @@ pub struct FactorsBatch<T> {
     k: usize,
     /// The numeric engines' work buffer: scenario `c` of LU entry `e`
     /// at `e·k + c`.
-    lu_vals: LuVals<T>,
+    lu_vals: Vec<T>,
     /// The values applies read, in the same layout: every scenario's
     /// latest successful factorization (an identity-safe seed before
     /// its first).
@@ -123,9 +123,9 @@ impl<T: Scalar> FactorsBatch<T> {
         let c = sym.core();
         let nnz = c.colidx.len();
         // First-touch on the factorization's own threads (see
-        // `LuVals::zeroed_on`), so page placement matches the workers
-        // that fill it.
-        let lu_vals = LuVals::zeroed_on(nnz * k, sym.exec());
+        // `zeroed_on`), so page placement matches the workers that fill
+        // it.
+        let lu_vals = zeroed_on(nnz * k, sym.exec());
         let mut committed = vec![T::ZERO; nnz * k];
         for &dp in c.diag_pos.iter() {
             committed[dp * k..(dp + 1) * k].fill(T::ONE);
@@ -276,7 +276,7 @@ impl<T: Scalar> FactorsBatch<T> {
             let progress = c.progress.lock();
             let run = NumericRun {
                 mats,
-                vals: &self.lu_vals,
+                vals: &mut self.lu_vals,
                 drop_thresh: &mut self.drop_thresh,
                 progress: &progress,
                 replaced: &self.replaced,
@@ -294,14 +294,12 @@ impl<T: Scalar> FactorsBatch<T> {
         // factor that succeeded — this is one straight copy.
         let t_numeric = t2.elapsed();
         if self.all_ok() {
-            for (slot, v) in self.committed.iter_mut().zip(self.lu_vals.values()) {
-                *slot = v;
-            }
+            self.committed.copy_from_slice(&self.lu_vals);
         } else {
             for (e, lanes) in self.committed.chunks_exact_mut(self.k).enumerate() {
                 for (lane, slot) in lanes.iter_mut().enumerate() {
                     if self.statuses[lane].is_ok() {
-                        *slot = self.lu_vals.get(e * self.k + lane);
+                        *slot = self.lu_vals[e * self.k + lane];
                     }
                 }
             }

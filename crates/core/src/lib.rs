@@ -122,10 +122,11 @@
 //! factors.refactor(&a).unwrap();
 //! ```
 
-// `deny`, not `forbid`: the numeric kernels and lane-structured solve
-// paths opt back in per-module (`numeric/kernel.rs` documents the
-// row-ownership protocol that makes the exclusive-slice views sound);
-// everything else stays unsafe-free.
+// `deny`, not `forbid`: three `sync` modules opt back in — the team's
+// borrowed regions, `RegionCells`' `Sync` claim (the one shared-buffer
+// type of the apply, the spmv and the numeric factorization, argued in
+// docs/ARCHITECTURE.md §7) and the affinity FFI call; everything else
+// stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -10,14 +10,17 @@
 //! update (the refactorization codes' precomputed elimination, as in
 //! KLU's refactor and NICSLU). `eliminate_columns` then divides by
 //! the pivot and streams the entry's pairs: no per-row column map, no
-//! probe of a column that row `r` does not store.
+//! probe of a column that row `r` does not store. Debug builds check
+//! the list against `probe_enumeration`, the search it replaces.
 //!
-//! ## `LuVals` and the row-ownership protocol
+//! ## The value buffer and the row-ownership protocol
 //!
-//! `LuVals` stores factor values in plain (`UnsafeCell`) memory that
-//! several threads access concurrently — on **disjoint entries**. The
-//! engines' synchronization protocols guarantee race freedom (see
-//! `docs/ARCHITECTURE.md` §7 "Memory model"):
+//! The engines share the lane-interleaved factor values as
+//! [`RegionCells`](crate::sync::RegionCells) — the one shared-buffer
+//! type of the crate, also behind the threaded apply and the spmv plan
+//! — and several threads access them concurrently, on **disjoint
+//! rows**. The engines' synchronization protocols order every
+//! cross-thread access (see `docs/ARCHITECTURE.md` §7 "Memory model"):
 //!
 //! * every entry belongs to exactly one row, and a row's values (all
 //!   `k` interleaved lanes of them) are written only by the worker that
@@ -33,171 +36,40 @@
 //!   untouched by its owner once finished, so a late release still
 //!   covers exactly its final values.
 //!
-//! Under that protocol `eliminate_columns` and `finalize_row` check
-//! out a whole row as an exclusive `&mut [T]` via
-//! `LuVals::view_mut` and read finalized
-//! rows as `&[T]` via `LuVals::view` — contiguous loads/stores the
-//! compiler can vectorize, instead of per-element atomic round-trips
-//! that block coalescing.
-//!
-//! The safe `get`/`set` accessors remain for cold paths (value load,
-//! diagonal shift, the masked commit); they are
-//! plain reads/writes bound by the same protocol. The straight-copy
-//! commit reads through `values`, which needs `&mut` — no protocol
-//! at all.
-
-#![allow(unsafe_code)] // LuVals views; soundness argument in the module docs above.
+//! `eliminate_columns` and `finalize_row` take row `r`'s cells and the
+//! pivot row's U cells as per-row subslices, so an update pair that
+//! strays outside either row panics at the row bound instead of
+//! touching another row. The fused lane update loads every lane it
+//! reads before it stores any — the shape of the solves' `row_sums` —
+//! so the compiler can vectorize the cell loads and stores like plain
+//! slice code.
 
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
-use javelin_sparse::lanes::{lane_fnma, Lanes};
+use crate::sync::{Exec, RegionCells};
+use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{Scalar, SparseError};
-use std::cell::UnsafeCell;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 
-/// One factor value in engine-shared plain memory.
-///
-/// `#[repr(transparent)]` guarantees a `[ValCell<T>]` has exactly the
-/// layout of `[T]`, which is what lets [`LuVals::view`] /
-/// [`LuVals::view_mut`] hand out real value slices.
-#[repr(transparent)]
-struct ValCell<T>(UnsafeCell<T>);
-
-// Safety: cross-thread access to a cell is externally synchronized by
-// the engines' row-ownership protocol (module docs): concurrent
-// accesses always target disjoint entries, and same-entry accesses are
-// ordered by a release/acquire edge.
-unsafe impl<T: Send + Sync> Sync for ValCell<T> {}
-
-/// Concurrently accessible factor values (see the module docs for the
-/// ownership protocol that makes the shared-reference API race-free).
-pub(crate) struct LuVals<T> {
-    cells: Vec<ValCell<T>>,
-}
-
-impl<T> std::fmt::Debug for LuVals<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LuVals")
-            .field("len", &self.cells.len())
-            .finish()
-    }
-}
-
-impl<T: Scalar> LuVals<T> {
-    /// `n` zero-valued entries: the one-thread case of
-    /// [`LuVals::zeroed_on`], and the test fixtures' buffers.
-    pub(crate) fn zeroed(n: usize) -> Self {
-        LuVals {
-            cells: (0..n).map(|_| ValCell(UnsafeCell::new(T::ZERO))).collect(),
-        }
-    }
-
-    /// Like [`LuVals::zeroed`], but the zero-fill (the pages'
-    /// first touch) is performed by the participants of `exec`, each
-    /// initializing a contiguous chunk — so on first-touch NUMA systems
-    /// a buffer's pages land near the workers that will stream it.
-    pub(crate) fn zeroed_on(n: usize, exec: &crate::sync::Exec) -> Self {
-        let nthreads = exec.nthreads();
-        if nthreads <= 1 || n == 0 {
-            return Self::zeroed(n);
-        }
-        let mut cells: Vec<ValCell<T>> = Vec::with_capacity(n);
-        let base = cells.as_mut_ptr();
+/// `n` zero-valued entries whose first touch is made by the
+/// participants of `exec`, each writing a contiguous chunk — so on
+/// first-touch NUMA systems a buffer's pages land near the workers that
+/// will stream it. The zeroed allocation leaves fresh pages untouched
+/// until those writes.
+pub(crate) fn zeroed_on<T: Scalar>(n: usize, exec: &Exec) -> Vec<T> {
+    let mut vals = vec![T::ZERO; n];
+    let nthreads = exec.nthreads();
+    if nthreads > 1 {
+        let cells = RegionCells::new(&mut vals);
         let chunk = n.div_ceil(nthreads);
-        // Wrap the raw pointer so the region closure can share it (the
-        // method keeps the 2021-edition closure capturing the whole
-        // Sync wrapper, not the non-Sync pointer field).
-        struct Ptr<T>(*mut ValCell<T>);
-        unsafe impl<T> Sync for Ptr<T> {}
-        impl<T> Ptr<T> {
-            fn get(&self) -> *mut ValCell<T> {
-                self.0
-            }
-        }
-        let ptr = Ptr(base);
         exec.run(|tid| {
-            let lo = (tid * chunk).min(n);
-            let hi = ((tid + 1) * chunk).min(n);
-            for i in lo..hi {
-                // Safety: chunks are disjoint per tid and lie within the
-                // reserved capacity; every index is written exactly once.
-                unsafe { ptr.get().add(i).write(ValCell(UnsafeCell::new(T::ZERO))) };
-            }
+            // Capture the `Sync` wrapper whole, not its `Cell` field.
+            let cells = &cells;
+            let mine = &cells.0[(tid * chunk).min(n)..((tid + 1) * chunk).min(n)];
+            mine.iter().for_each(|v| v.set(T::ZERO));
         });
-        // Safety: all `n` elements were initialized in the region above,
-        // and the region join happens-before this call.
-        unsafe { cells.set_len(n) };
-        LuVals { cells }
     }
-
-    /// Number of entries.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when empty.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Every entry in order. Exclusive access rules out a concurrent
-    /// writer, so these are plain reads the compiler can stream (the
-    /// factor storage's commit copies through this).
-    pub(crate) fn values(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.cells.iter_mut().map(|c| *c.0.get_mut())
-    }
-
-    /// Reads entry `i`. A plain load; the caller must not race a
-    /// concurrent write of the same entry (the ownership protocol
-    /// guarantees this everywhere the engines call it).
-    #[inline(always)]
-    pub(crate) fn get(&self, i: usize) -> T {
-        // Safety: in-bounds (indexing the Vec checks), and same-entry
-        // write/read pairs are ordered per the module docs.
-        unsafe { *self.cells[i].0.get() }
-    }
-
-    /// Writes entry `i`. A plain store; same contract as [`LuVals::get`].
-    #[inline(always)]
-    pub(crate) fn set(&self, i: usize, v: T) {
-        // Safety: see `get`.
-        unsafe { *self.cells[i].0.get() = v }
-    }
-
-    /// A shared view of `range`.
-    ///
-    /// # Safety
-    /// No entry in `range` may be written by any thread for the
-    /// lifetime of the returned slice (the entries must be finalized or
-    /// otherwise quiescent under the row-ownership protocol).
-    #[inline(always)]
-    pub(crate) unsafe fn view(&self, range: Range<usize>) -> &[T] {
-        debug_assert!(range.end <= self.cells.len());
-        std::slice::from_raw_parts(
-            self.cells.as_ptr().cast::<T>().add(range.start),
-            range.len(),
-        )
-    }
-
-    /// An exclusive view of `range`.
-    ///
-    /// # Safety
-    /// The caller must exclusively own every entry in `range` for the
-    /// lifetime of the returned slice: no other thread may read *or*
-    /// write them (the row-ownership window between a row's ready- and
-    /// retire-signal).
-    #[inline(always)]
-    #[allow(clippy::mut_from_ref)] // checked-out row ownership; see Safety
-    pub(crate) unsafe fn view_mut(&self, range: Range<usize>) -> &mut [T] {
-        debug_assert!(range.end <= self.cells.len());
-        std::slice::from_raw_parts_mut(
-            self.cells.as_ptr().cast::<T>().cast_mut().add(range.start),
-            range.len(),
-        )
-    }
+    vals
 }
 
 /// Converts a pattern index or count to the `u32` the analysis stores
@@ -272,6 +144,37 @@ pub(crate) fn update_list(
     Ok((ptr, list))
 }
 
+/// The update list re-derived the way the probe walk found it: for
+/// every L entry `(r, c)` of the pattern `(rowptr, colidx, diag_pos)`,
+/// every `u(c, j)` with `j > c`, looked up in row `r` by binary search
+/// — the independent check `SymbolicIlu::analyze` asserts
+/// [`update_list`] against in debug builds, since the kernel's row
+/// bounds rest on every `dst` lying in row `r` and every `src` in row
+/// `c`.
+#[cfg(any(debug_assertions, test))]
+pub(crate) fn probe_enumeration(
+    rowptr: &[usize],
+    colidx: &[usize],
+    diag_pos: &[usize],
+) -> (Vec<u32>, Vec<[u32; 2]>) {
+    let entry = |i: usize| u32::try_from(i).expect("entry index fits u32");
+    let (mut ptr, mut list) = (vec![0u32], Vec::new());
+    for r in 0..rowptr.len() - 1 {
+        let row = &colidx[rowptr[r]..rowptr[r + 1]];
+        for &c in row {
+            if c < r {
+                for uk in diag_pos[c] + 1..rowptr[c + 1] {
+                    if let Ok(p) = row.binary_search(&colidx[uk]) {
+                        list.push([entry(rowptr[r] + p), entry(uk)]);
+                    }
+                }
+            }
+            ptr.push(entry(list.len()));
+        }
+    }
+    (ptr, list)
+}
+
 /// Processes the L-columns of row `r` with `col_lo <= c < min(col_hi, r)`
 /// — the up-looking elimination steps of the paper's Fig. 1, restricted
 /// to a column window so the two-stage engines can split a row's work —
@@ -284,6 +187,10 @@ pub(crate) fn update_list(
 /// Requires every row `c` in the window to be finalized. The caller
 /// must own row `r` exclusively (all engines call this only inside the
 /// row's ownership window).
+///
+/// # Panics
+/// When an update pair's `dst` lies outside row `r` or its `src`
+/// outside the U part of row `c`.
 #[inline]
 pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
     lanes: L,
@@ -297,10 +204,9 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
     let dropping = !ctx.drop_thresh.is_empty();
     let erange = ctx.row_range(r);
     let base = erange.start;
-    // Safety: row `r` is exclusively owned by this worker between its
-    // ready- and retire-signal (function contract above), so its `k`
-    // interleaved lanes are private.
-    let vr = unsafe { ctx.vals.view_mut(base * k..erange.end * k) };
+    // Row `r`'s `k` interleaved lanes: private to this worker between
+    // the row's ready- and retire-signal (function contract above).
+    let vr = &ctx.vals.0[base * k..erange.end * k];
     for e in erange {
         let c = ctx.colidx[e];
         if c >= hi {
@@ -310,10 +216,10 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
             continue;
         }
         let dp = ctx.diag_pos[c];
-        // Safety: row `c < r` is finalized (function contract), hence
-        // quiescent for the remainder of the factorization; its lanes
-        // (diagonal included) are read-only from here on.
-        let uc = unsafe { ctx.vals.view(dp * k..ctx.rowptr[c + 1] * k) };
+        // Row `c`'s diagonal and U lanes: `c < r` is finalized
+        // (function contract), hence read-only for the remainder of the
+        // factorization.
+        let uc = &ctx.vals.0[dp * k..ctx.rowptr[c + 1] * k];
         // a[r, j] -= l * u[c, j] for every j > c stored in both rows:
         // `dst` is (r, j), `src` is u(c, j).
         let upd = ctx.updates_of(e);
@@ -323,43 +229,52 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
             // independently whether to zero the entry and skip its
             // sweep), so walk lane-major.
             for lane in 0..k {
-                let l = vr[le + lane] / uc[lane];
+                let l = vr[le + lane].get() / uc[lane].get();
                 if l.abs() < ctx.drop_thresh[lanes.idx(r, lane)] {
                     // Treat as zero immediately: skip the update sweep.
                     // The position stays in the (shared) pattern so
                     // schedules remain valid.
-                    vr[le + lane] = T::ZERO;
+                    vr[le + lane].set(T::ZERO);
                     ctx.dropped[lane].fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                vr[le + lane] = l;
+                vr[le + lane].set(l);
                 for &[dst, src] in upd {
                     let (p, u) = (dst as usize - base, src as usize - dp);
-                    vr[p * k + lane] -= l * uc[u * k + lane];
+                    let y = &vr[p * k + lane];
+                    y.set(y.get() - l * uc[u * k + lane].get());
                 }
             }
         } else {
-            // Fused path: no lane can drop, so compute every lane's
-            // multiplier first, then retire the update sweep one entry
-            // at a time through the k-lane `lane_fnma` micro-op.
-            // Entry-major vs lane-major is bit-identical: each
-            // (entry, lane) location is updated exactly once per
-            // eliminated column, in the same per-location order, with
-            // the same multiply-then-subtract expression.
-            //
-            // Columns are sorted within a row, so every `dst` lies
-            // strictly past entry `e`; splitting at the end of `e`'s
-            // lane block lets the stored multipliers serve as
-            // `lane_fnma`'s per-lane coefficients.
-            let (head, tail) = vr.split_at_mut(le + k);
-            let lrow = &mut head[le..];
-            for lane in 0..k {
-                lrow[lane] /= uc[lane];
-            }
-            for &[dst, src] in upd {
-                let (p, u) = (dst as usize - e - 1, src as usize - dp);
-                lane_fnma(lanes, lrow, &uc[u * k..][..k], &mut tail[p * k..][..k]);
-            }
+            // Fused path: no lane can drop, so compute a lane chunk's
+            // multipliers first, then retire the update sweep one entry
+            // at a time for the whole chunk. Entry-major vs lane-major
+            // is bit-identical: each (entry, lane) location is updated
+            // exactly once per eliminated column, in the same
+            // per-location order, with the same multiply-then-subtract
+            // expression. Each update loads the chunk's lanes of `y`
+            // and `x` before it stores any: the two rows never overlap,
+            // and the split lets the compiler vectorize the lane loops.
+            for_each_chunk(0..k, |c0, cw| {
+                let mut l = [T::ZERO; LANE_CHUNK];
+                let (lrow, piv) = (&vr[le + c0..][..cw], &uc[c0..][..cw]);
+                for c in 0..cw {
+                    l[c] = lrow[c].get() / piv[c].get();
+                    lrow[c].set(l[c]);
+                }
+                for &[dst, src] in upd {
+                    let (p, u) = (dst as usize - base, src as usize - dp);
+                    let y = &vr[p * k + c0..][..cw];
+                    let x = &uc[u * k + c0..][..cw];
+                    let mut out = [T::ZERO; LANE_CHUNK];
+                    for c in 0..cw {
+                        out[c] = y[c].get() - l[c] * x[c].get();
+                    }
+                    for c in 0..cw {
+                        y[c].set(out[c]);
+                    }
+                }
+            });
         }
     }
 }
@@ -376,22 +291,24 @@ pub(crate) fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T
     let k = lanes.width();
     let dp = ctx.diag_pos[r];
     let dropping = !ctx.drop_thresh.is_empty();
-    // Safety: finalize runs exactly once per row, inside row `r`'s
-    // exclusive ownership window, before any dependent row reads it.
-    let vr = unsafe { ctx.vals.view_mut(dp * k..ctx.rowptr[r + 1] * k) };
+    // Row `r`'s diagonal and U lanes: finalize runs exactly once per
+    // row, inside its ownership window, before any dependent row reads
+    // it.
+    let vr = &ctx.vals.0[dp * k..ctx.rowptr[r + 1] * k];
     for lane in 0..k {
         let mut dropped_sum = T::ZERO;
         if dropping {
             let thresh = ctx.drop_thresh[lanes.idx(r, lane)];
-            for v in vr.iter_mut().skip(k + lane).step_by(k) {
-                if *v != T::ZERO && v.abs() < thresh {
-                    dropped_sum += *v;
-                    *v = T::ZERO;
+            for v in vr.iter().skip(k + lane).step_by(k) {
+                let x = v.get();
+                if x != T::ZERO && x.abs() < thresh {
+                    dropped_sum += x;
+                    v.set(T::ZERO);
                     ctx.dropped[lane].fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        let mut d = vr[lane];
+        let mut d = vr[lane].get();
         if ctx.milu_omega != T::ZERO {
             d += ctx.milu_omega * dropped_sum;
         }
@@ -420,7 +337,7 @@ pub(crate) fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T
                 }
             }
         }
-        vr[lane] = d;
+        vr[lane].set(d);
     }
 }
 
@@ -429,27 +346,6 @@ mod tests {
     use super::*;
     use crate::numeric::CtxFixture;
     use javelin_sparse::lanes::{DynLanes, FixedLanes};
-
-    #[test]
-    fn luvals_roundtrip_f64() {
-        let v = LuVals::<f64>::zeroed(3);
-        assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
-        v.set(1, -2.25);
-        assert_eq!(v.get(1), -2.25);
-        v.set(1, 7.0);
-        assert_eq!(
-            (0..3).map(|i| v.get(i)).collect::<Vec<_>>(),
-            [0.0, 7.0, 0.0]
-        );
-    }
-
-    #[test]
-    fn luvals_roundtrip_f32() {
-        let v = LuVals::<f32>::zeroed(2);
-        v.set(0, -1.25);
-        assert_eq!([v.get(0), v.get(1)], [-1.25f32, 0.0]);
-    }
 
     #[test]
     fn index_conversion_accepts_u32_max_and_rejects_past_it() {
@@ -519,7 +415,7 @@ mod tests {
         fx.zero_pivot = ZeroPivotPolicy::Replace { replacement: 1e-6 };
         finalize_row(ONE, &fx.ctx(), 0);
         assert_eq!(fx.replaced[0].load(Ordering::Relaxed), 1);
-        assert_eq!(fx.vals.get(0), 1e-6);
+        assert_eq!(fx.vals[0].get(), 1e-6);
     }
 
     #[test]
@@ -537,9 +433,9 @@ mod tests {
         fx.milu_omega = 1.0;
         finalize_row(ONE, &fx.ctx(), 0);
         assert_eq!(fx.dropped[0].load(Ordering::Relaxed), 1);
-        assert_eq!(fx.vals.get(1), 0.0);
+        assert_eq!(fx.vals[1].get(), 0.0);
         // MILU: diag absorbed the dropped value.
-        assert_eq!(fx.vals.get(0), 2.0 + 1e-9);
+        assert_eq!(fx.vals[0].get(), 2.0 + 1e-9);
     }
 
     /// Dense 4x4 nonsymmetric value-set, perturbed per `scale`.
@@ -599,6 +495,67 @@ mod tests {
         assert_eq!(failed, [usize::MAX, 3, usize::MAX]); // lane 1: row 2 + 1
         for c in [0usize, 2] {
             assert_eq!(got.lane_bits(c), reference.lane_bits(c), "lane {c}");
+        }
+    }
+
+    /// Poisoned values in one lane (NaN, ±∞, signed zero, a subnormal;
+    /// `-0·∞ → NaN` included) must propagate through the fused lane
+    /// update exactly as through the width-1 kernel — at a dynamic
+    /// width, the fixed width 8 and a two-chunk dynamic width — and
+    /// never reach the other lanes.
+    #[test]
+    fn poisoned_lane_matches_the_width_one_kernel_bitwise() {
+        for k in [3usize, 8, 9] {
+            let mut scenarios: Vec<Vec<f64>> =
+                (0..k).map(|c| dense4(1.0 + 0.125 * c as f64)).collect();
+            let bad = k / 2;
+            // u(0, 1) = ∞ and a(1, 0) = -0, so l(1, 0)·u(0, 1) is NaN.
+            let poison = [
+                (1, f64::INFINITY),
+                (4, -0.0),
+                (6, f64::NEG_INFINITY),
+                (9, 1.0e-310),
+                (11, f64::NAN),
+            ];
+            for (e, v) in poison {
+                scenarios[bad][e] = v;
+            }
+            let got = javelin_sparse::with_lanes!(k, lanes => sweep(lanes, &scenarios));
+            assert!(got.lane(bad).iter().any(|v| v.is_nan()), "k={k}: no NaN");
+            for (c, s) in scenarios.iter().enumerate() {
+                let scalar = sweep(ONE, std::slice::from_ref(s));
+                assert_eq!(got.lane_bits(c), scalar.lane_bits(0), "k={k} lane {c}");
+                assert_eq!(
+                    got.failed_row[c].load(Ordering::Relaxed),
+                    scalar.failed_row[0].load(Ordering::Relaxed),
+                    "k={k} lane {c} breakdown flag"
+                );
+            }
+        }
+    }
+
+    /// An update pair whose `dst` leaves row `r`, or whose `src` leaves
+    /// the pivot row's U part, panics at the row bound before it
+    /// touches another row.
+    #[test]
+    fn stray_update_pairs_panic_at_the_row_bound() {
+        let a = vec![4.0, 1.0, 2.0, 1.0, 5.0, 1.0, 2.0, 1.0, 6.0];
+        // L entry (1, 0) is entry 3; its first pair updates (1, 1)
+        // (entry 4) from u(0, 1) (entry 1). Aim its `dst` at row 2's
+        // (2, 2), then its `src` at row 1's (1, 1).
+        for stray in [[8, 1], [4, 4]] {
+            let mut fx = CtxFixture::dense(3, std::slice::from_ref(&a));
+            let first = fx.upd_ptr[3] as usize;
+            assert_eq!(fx.upd[first], [4, 1]);
+            fx.upd[first] = stray;
+            let before = fx.lane_bits(0);
+            let ctx = fx.ctx();
+            finalize_row(ONE, &ctx, 0);
+            let run = std::panic::AssertUnwindSafe(|| eliminate_columns(ONE, &ctx, 1, 0, 3));
+            assert!(std::panic::catch_unwind(run).is_err(), "{stray:?}");
+            let after = fx.lane_bits(0);
+            assert_eq!(after[..3], before[..3], "{stray:?}: row 0 touched");
+            assert_eq!(after[6..], before[6..], "{stray:?}: row 2 touched");
         }
     }
 }

@@ -30,9 +30,8 @@
 pub(crate) mod kernel;
 pub(crate) mod parallel;
 
-pub(crate) use kernel::LuVals;
-
 use crate::options::ZeroPivotPolicy;
+use crate::sync::RegionCells;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared state of one numeric sweep: the lane-interleaved values plus
@@ -51,8 +50,9 @@ pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     /// entries of `a[r, j] -= l[r, c]·u[c, j]`.
     pub upd: &'a [[u32; 2]],
     /// Lane-interleaved values (initialized from `A`, overwritten in
-    /// place): lane `c` of entry `e` at `e·k + c`.
-    pub vals: &'a LuVals<T>,
+    /// place): lane `c` of entry `e` at `e·k + c`, shared by the
+    /// sweep's threads under the row-ownership protocol ([`kernel`]).
+    pub vals: RegionCells<'a, T>,
     /// Lane-interleaved per-row τ drop thresholds (`r·k + c`); an empty
     /// slice disables dropping for every lane.
     pub drop_thresh: &'a [T],
@@ -109,7 +109,7 @@ pub(crate) struct CtxFixture {
     pub diag_pos: Vec<usize>,
     pub upd_ptr: Vec<u32>,
     pub upd: Vec<[u32; 2]>,
-    pub vals: LuVals<f64>,
+    pub vals: Vec<std::cell::Cell<f64>>,
     pub drop_thresh: Vec<f64>,
     pub milu_omega: f64,
     pub zero_pivot: ZeroPivotPolicy,
@@ -128,12 +128,9 @@ impl CtxFixture {
             .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
             .collect();
         let (upd_ptr, upd) = kernel::update_list(&rowptr, &colidx, &diag_pos).unwrap();
-        let vals = LuVals::zeroed(colidx.len() * k);
-        for (c, s) in scenarios.iter().enumerate() {
-            for (e, &v) in s.iter().enumerate() {
-                vals.set(e * k + c, v);
-            }
-        }
+        let vals = (0..colidx.len() * k)
+            .map(|i| std::cell::Cell::new(scenarios[i % k][i / k]))
+            .collect();
         let counters = |init| (0..k).map(|_| AtomicUsize::new(init)).collect();
         CtxFixture {
             rowptr,
@@ -165,7 +162,7 @@ impl CtxFixture {
             diag_pos: &self.diag_pos,
             upd_ptr: &self.upd_ptr,
             upd: &self.upd,
-            vals: &self.vals,
+            vals: RegionCells(&self.vals),
             drop_thresh: &self.drop_thresh,
             milu_omega: self.milu_omega,
             pivot_threshold: 1e-14,
@@ -180,7 +177,7 @@ impl CtxFixture {
     pub(crate) fn lane(&self, c: usize) -> Vec<f64> {
         let k = self.replaced.len();
         (0..self.colidx.len())
-            .map(|e| self.vals.get(e * k + c))
+            .map(|e| self.vals[e * k + c].get())
             .collect()
     }
 

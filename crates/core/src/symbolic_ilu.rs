@@ -35,7 +35,7 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::level::{split_levels, LevelSets, P2PSchedule};
-use crate::numeric::kernel::{index_u32, update_list, LuVals};
+use crate::numeric::kernel::{index_u32, update_list};
 use crate::numeric::parallel::{
     factor_lower_er_planned, factor_rows_serial, factor_upper_p2p_planned,
 };
@@ -44,7 +44,7 @@ use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
 use crate::spmv::SpmvPlan;
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
-use crate::sync::{col_range, Exec, ProgressCounters};
+use crate::sync::{col_range, Exec, ProgressCounters, RegionCells};
 use crate::trisolve::engines::SolveScratch;
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
@@ -241,6 +241,17 @@ impl<T: Scalar> SymbolicIlu<T> {
         // The copy-fill-in map's numeric counterpart: every elimination
         // update of the pattern, resolved once for every numeric walk.
         let (upd_ptr, upd) = update_list(&rowptr, &colidx, &diag_pos)?;
+        // The kernel's row bounds rest on every `dst` lying in its L
+        // entry's row and every `src` in the pivot row's U part.
+        #[cfg(debug_assertions)]
+        {
+            let (ptr, list) =
+                crate::numeric::kernel::probe_enumeration(&rowptr, &colidx, &diag_pos);
+            debug_assert!(
+                upd_ptr == ptr && upd == list,
+                "update list differs from the probe enumeration of the LU pattern"
+            );
+        }
         stats.n_updates = upd.len();
 
         // Backward levels over the upper stage (upper-pattern deps
@@ -590,7 +601,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 diag_pos: &c.diag_pos,
                 upd_ptr: &c.upd_ptr,
                 upd: &c.upd,
-                vals: run.vals,
+                vals: RegionCells::new(run.vals),
                 drop_thresh: run.drop_thresh,
                 milu_omega: T::from_f64(c.opts.milu_omega),
                 pivot_threshold: T::from_f64(c.opts.pivot_threshold),
@@ -599,7 +610,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 dropped: run.dropped,
                 failed_row: run.failed,
             };
-            self.run_engines(lanes, &ctx, &run);
+            self.run_engines(lanes, &ctx, run.progress);
             let mut retry = false;
             for lane in 0..k {
                 let failed = run.failed[lane].load(Ordering::Relaxed);
@@ -635,20 +646,19 @@ impl<T: Scalar> SymbolicIlu<T> {
         &self,
         lanes: L,
         mats: &[&CsrMatrix<T>],
-        vals: &LuVals<T>,
+        vals: &mut [T],
         drop_thresh: &mut [T],
     ) {
         let c = &*self.core;
         let k = lanes.width();
         assert_eq!(mats.len(), k);
-        for (e, &src) in c.a_src.iter().enumerate() {
-            for lane in 0..k {
-                let v = if src == FILL {
+        for (lanes_of_e, &src) in vals.chunks_exact_mut(k).zip(&c.a_src) {
+            for (v, a) in lanes_of_e.iter_mut().zip(mats) {
+                *v = if src == FILL {
                     T::ZERO
                 } else {
-                    mats[lane].vals()[src as usize]
+                    a.vals()[src as usize]
                 };
-                vals.set(e * k + lane, v);
             }
         }
         // τ drop thresholds, relative to the original row norms (Saad's
@@ -672,27 +682,24 @@ impl<T: Scalar> SymbolicIlu<T> {
     fn shift_lane<L: Lanes>(
         &self,
         lanes: L,
-        vals: &LuVals<T>,
+        vals: &mut [T],
         lane: usize,
         relative_shift: f64,
     ) -> f64 {
         let diag = || self.core.diag_pos.iter().map(|&dp| lanes.idx(dp, lane));
-        let mut scale = diag().fold(0.0f64, |m, i| m.max(vals.get(i).abs().to_f64()));
+        let mut scale = diag().fold(0.0f64, |m, i| m.max(vals[i].abs().to_f64()));
         if scale == 0.0 {
             scale = 1.0;
         }
         let shift = relative_shift * scale;
         let shift_t = T::from_f64(shift);
         for i in diag() {
-            let d = vals.get(i);
-            vals.set(
-                i,
-                if d < T::ZERO {
-                    d - shift_t
-                } else {
-                    d + shift_t
-                },
-            );
+            let d = &mut vals[i];
+            *d = if *d < T::ZERO {
+                *d - shift_t
+            } else {
+                *d + shift_t
+            };
         }
         shift
     }
@@ -702,14 +709,19 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// Even-Rows lower stage as regions on the analysis's execution
     /// context, then the corner serially. Bit-identical to the serial
     /// sweep, at every width.
-    fn run_engines<L: Lanes>(&self, lanes: L, ctx: &NumericCtx<'_, T>, run: &NumericRun<'_, T>) {
+    fn run_engines<L: Lanes>(
+        &self,
+        lanes: L,
+        ctx: &NumericCtx<'_, T>,
+        progress: &ProgressCounters,
+    ) {
         let c = &*self.core;
         let (n, n_upper) = (c.n, c.plan.n_upper);
         if c.nthreads == 1 {
             factor_rows_serial(lanes, ctx, 0, n, 0);
             return;
         }
-        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, run.progress);
+        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, progress);
         if n_upper == n {
             return;
         }
@@ -786,7 +798,7 @@ pub(crate) struct NumericRun<'a, T> {
     /// One pattern-checked matrix per lane.
     pub mats: &'a [&'a CsrMatrix<T>],
     /// Lane-interleaved value buffer (`nnz·k`).
-    pub vals: &'a LuVals<T>,
+    pub vals: &'a mut [T],
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
     pub drop_thresh: &'a mut [T],
     /// The analysis's p2p counters (pattern-only, shared by every
@@ -807,6 +819,7 @@ pub(crate) struct NumericRun<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numeric::kernel::probe_enumeration;
     use javelin_synth::circuit::{power_grid, transient_circuit};
     use javelin_synth::fem::shell_strip;
     use javelin_synth::grid::{
@@ -814,32 +827,6 @@ mod tests {
     };
     use javelin_synth::util::{bordered, drop_random_offdiag};
     use proptest::prelude::*;
-
-    /// The update list re-derived the way the probe walk found it: for
-    /// every L entry `(r, c)` of `lu`'s pattern, every `u(c, j)` with
-    /// `j > c`, looked up in row `r` by binary search.
-    fn probe_enumeration(lu: &CsrMatrix<f64>) -> (Vec<u32>, Vec<[u32; 2]>) {
-        let rowptr = lu.rowptr();
-        let (mut ptr, mut list) = (vec![0u32], Vec::new());
-        for r in 0..lu.nrows() {
-            let row = lu.row_cols(r);
-            for &c in row {
-                if c < r {
-                    for (uk, &j) in (rowptr[c]..).zip(lu.row_cols(c)) {
-                        if j <= c {
-                            continue;
-                        }
-                        if let Ok(p) = row.binary_search(&j) {
-                            let dst = u32::try_from(rowptr[r] + p).unwrap();
-                            list.push([dst, u32::try_from(uk).unwrap()]);
-                        }
-                    }
-                }
-                ptr.push(u32::try_from(list.len()).unwrap());
-            }
-        }
-        (ptr, list)
-    }
 
     /// `analyze`'s update list against the probe enumeration of the
     /// factored LU pattern, at one fill level and thread count.
@@ -853,7 +840,9 @@ mod tests {
         let opts = IluOptions::ilu0(nthreads).with_fill(fill);
         let sym = SymbolicIlu::analyze(a, &opts).unwrap();
         let f = sym.factor(a).unwrap();
-        let (ptr, list) = probe_enumeration(f.lu());
+        let lu = f.lu();
+        let diag_pos = lu.diag_positions().unwrap();
+        let (ptr, list) = probe_enumeration(lu.rowptr(), lu.colidx(), &diag_pos);
         let c = sym.core();
         assert_eq!(c.upd_ptr, ptr, "{what}: update ranges");
         assert_eq!(c.upd.len(), list.len(), "{what}: update count");

@@ -1,6 +1,7 @@
 //! [`RegionCells`]: a buffer the threads of one region share as plain
-//! cells — the threaded apply's solve buffers and solution panel, and
-//! the spmv plan's output panel.
+//! cells — the numeric factorization's value buffer, the threaded
+//! apply's solve buffers and solution panel, and the spmv plan's output
+//! panel. It is the crate's one way to share a buffer across threads.
 
 #![allow(unsafe_code)] // RegionCells' Sync; protocol in docs/ARCHITECTURE.md §7.
 
@@ -16,8 +17,14 @@ pub(crate) struct RegionCells<'a, T>(pub(crate) &'a [Cell<T>]);
 // owns its row (and, in the column-split stages, its column) at that
 // stage, and every read of another thread's slot is ordered after the
 // write by a progress-counter release/acquire pair, a barrier or the
-// region join. The spmv plan's threads write disjoint row ranges.
-// Concurrent accesses therefore touch disjoint slots.
+// region join. A factor row is owned by one numeric walk at a time:
+// from its block's wait (point-to-point upper stage), its region's
+// fork (Even-Rows chunk) or the last region's join (serial corner)
+// until that stage is done with it; a finalized row is never written
+// again, and a dependent row reads it only after the block-end release
+// or the region join. The spmv plan's threads
+// write disjoint row ranges. Concurrent accesses therefore touch
+// disjoint slots.
 unsafe impl<T: Send> Sync for RegionCells<'_, T> {}
 
 impl<'a, T> RegionCells<'a, T> {

@@ -35,14 +35,12 @@
 //!   with `K ≤ LANE_CHUNK` the walk collapses to a single
 //!   constant-width block.
 //!
-//! On top sit [`lane_fnma`], the per-lane elimination update of the
-//! numeric factorization, and [`LaneMask`] — the per-column masking
-//! vocabulary of the lockstep batch solvers (a converged or broken-down
-//! lane freezes in place; the panel never changes shape). Those Krylov
-//! drivers keep their vectors **column-major** ([`crate::Panel`]) and
-//! run `vecops` per column; only the kernels above interleave.
+//! On top sits [`LaneMask`] — the per-column masking vocabulary of the
+//! lockstep batch solvers (a converged or broken-down lane freezes in
+//! place; the panel never changes shape). Those Krylov drivers keep
+//! their vectors **column-major** ([`crate::Panel`]) and run `vecops`
+//! per column; only the kernels above interleave.
 
-use crate::scalar::Scalar;
 use std::ops::Range;
 
 /// Columns per stack-resident accumulator block: the chunk width lane
@@ -154,32 +152,6 @@ pub fn for_each_chunk(cols: Range<usize>, mut f: impl FnMut(usize, usize)) {
         let cw = (cols.end - c0).min(LANE_CHUNK);
         f(c0, cw);
         c0 += cw;
-    }
-}
-
-/// Per-lane fused negative multiply-add over row-interleaved buffers:
-/// `y[r·k + c] -= l[c] · x[r·k + c]` for every row and lane — the
-/// elimination inner-loop update `a[r,j] -= l·u[c,j]` with per-lane
-/// multipliers. "Fused" refers to the one-pass shape, **not** to
-/// hardware FMA: like [`Scalar::mul_add`], the body computes
-/// multiply-then-subtract in two rounded steps, so every lane stays
-/// bit-identical to the scalar kernels.
-///
-/// Always inlined: the numeric factorization calls this once per
-/// updated entry with a single `k`-lane row, so at `FixedLanes<1>` an
-/// out-of-line call (which a downstream crate's codegen-unit split
-/// otherwise produces, `#[inline]` hint or not — measured at +13% on a
-/// whole width-1 sweep) costs more than the one multiply-subtract.
-#[inline(always)]
-pub fn lane_fnma<T: Scalar, L: Lanes>(lanes: L, l: &[T], x: &[T], y: &mut [T]) {
-    let k = lanes.width();
-    debug_assert_eq!(l.len(), k, "lane_fnma: multiplier length");
-    debug_assert_eq!(x.len(), y.len(), "lane_fnma: buffer lengths");
-    debug_assert_eq!(x.len() % k.max(1), 0, "lane_fnma: ragged buffer");
-    for (r, yrow) in y.chunks_exact_mut(k).enumerate() {
-        for c in 0..k {
-            yrow[c] -= l[c] * x[lanes.idx(r, c)];
-        }
     }
 }
 
@@ -305,68 +277,6 @@ mod tests {
                 seen.extend(c0..c0 + cw);
             });
             assert_eq!(seen, (lo..hi).collect::<Vec<_>>(), "range {lo}..{hi}");
-        }
-    }
-
-    /// The defining bitwise contract: lane `c` of [`lane_fnma`] is
-    /// bit-identical between the dynamic fallback and the scalar
-    /// (`FixedLanes<1>`) run of that lane.
-    #[test]
-    fn fnma_dyn_and_scalar_agree_bitwise() {
-        let n = 13usize;
-        for k in [1usize, 4, 5, 8] {
-            let x: Vec<f64> = (0..n * k).map(|i| 0.3 + (i as f64 * 0.7).sin()).collect();
-            let y0: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.11).cos()).collect();
-            let l: Vec<f64> = (0..k).map(|c| 0.5 - c as f64 * 0.125).collect();
-            let mut y = y0.clone();
-            lane_fnma(DynLanes(k), &l, &x, &mut y);
-            for c in 0..k {
-                let xc: Vec<f64> = (0..n).map(|r| x[r * k + c]).collect();
-                let mut yc: Vec<f64> = (0..n).map(|r| y0[r * k + c]).collect();
-                lane_fnma(FixedLanes::<1>, &l[c..c + 1], &xc, &mut yc);
-                for r in 0..n {
-                    assert_eq!(
-                        yc[r].to_bits(),
-                        y[r * k + c].to_bits(),
-                        "k={k} lane {c} row {r}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Poisoned inputs (NaN, ±∞, signed zero, subnormals): the fixed
-    /// widths 4 and 8 — constant-trip loops the compiler is free to
-    /// vectorize — must propagate specials bit-identically to the
-    /// dynamic fallback, `∞·0 → NaN` lanes included.
-    #[test]
-    fn fnma_with_nan_and_inf_agrees_bitwise() {
-        let n = 11usize;
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-            1.0e-310, // subnormal
-            2.5,
-            -7.25,
-        ];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for k in [4usize, 8] {
-            let x: Vec<f64> = (0..n * k).map(|i| specials[i % specials.len()]).collect();
-            let y0: Vec<f64> = (0..n * k)
-                .map(|i| specials[(i * 3 + 1) % specials.len()])
-                .collect();
-            let l: Vec<f64> = (0..k).map(|c| specials[(c + 2) % specials.len()]).collect();
-            let mut y_dyn = y0.clone();
-            lane_fnma(DynLanes(k), &l, &x, &mut y_dyn);
-            let mut y_fixed = y0.clone();
-            with_lanes!(k, lanes => lane_fnma(lanes, &l, &x, &mut y_fixed));
-            assert_eq!(bits(&y_fixed), bits(&y_dyn), "k={k}");
-            // And the poison actually reached the outputs: NaN lanes
-            // must exist, or this test proves nothing.
-            assert!(y_fixed.iter().any(|v| v.is_nan()), "k={k} no NaN?");
         }
     }
 

@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The hot paths: numeric elimination, triangular solves, spmv tiles.
+# The hot paths: numeric elimination, triangular solves, the spmv plan.
 HOT_PATHS=(
     crates/core/src/numeric
     crates/core/src/trisolve

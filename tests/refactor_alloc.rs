@@ -468,10 +468,10 @@ fn steady_state_refactor_allocates_zero_bytes() {
         "factor_batch(k = 1) bytes: two value buffers + τ + bookkeeping"
     );
 
-    // ---- Phase 6: exclusive-slice kernels on a PINNED team. ----
+    // ---- Phase 6: the region-cell kernels on a PINNED team. ----
     // `pin_threads` changes placement only (core binding + first-touch
     // zero-fill at analyze time); steady-state refactors and repeated
-    // solves through the row-view (`LuVals::view_mut`) eliminate/retire
+    // solves through the per-row cell (`RegionCells`) eliminate/retire
     // paths must stay allocation-free on the pinned team too.
     let a6 = irregular(300);
     let mut opts6 = IluOptions::ilu0(3);
