@@ -11,10 +11,12 @@
 //! [`crate::numeric`] at width `k`). [`IluFactors`] is this type at
 //! `k = 1` plus the scalar error contract: [`SymbolicIlu::factor`],
 //! [`IluFactors::refactor`], [`IluFactors::refactor_with_shift`] and
-//! [`FactorsBatch::refactor_batch`] all run the same load → walk →
-//! masked commit → statistics code. Refreshing redoes the numeric
-//! phase with **zero heap allocations and zero thread spawns** on the
-//! persistent team.
+//! [`FactorsBatch::refactor_batch`] all run the same code: the O(1)
+//! shape checks on the caller, then one load region on the team that
+//! compares every matrix's pattern with the analyzed one and gathers
+//! the values, the walk, the commit and the statistics. Refreshing
+//! redoes the numeric phase with **zero heap allocations and zero
+//! thread spawns** on the persistent team.
 //!
 //! Storage: the factor is stored **once**, in the layout it is applied
 //! from. All scenarios share the analysis's `rowptr` / `colidx`; their
@@ -23,7 +25,10 @@
 //! engines fill, and the committed buffer applies read through the
 //! crate's one apply pipeline (at `k = 1` one factor under every panel
 //! column, at `k > 1` panel column `c` against scenario `c`; one stream
-//! over `colidx` + values for the whole panel either way). There is no
+//! over `colidx` + values for the whole panel either way). A refactor
+//! whose every scenario factored swaps the two buffers; otherwise the
+//! scenarios that factored are copied lane by lane. A pattern mismatch
+//! is found before the engines run and commits nothing. There is no
 //! per-scenario CSR; [`FactorsBatch::to_factors`] copies one out on
 //! demand, [`IluFactors::lu`] builds one lazily for diagnostics.
 //!
@@ -48,7 +53,6 @@
 //! engines × threads × k × pivot policies.
 
 use crate::factors::IluFactors;
-use crate::numeric::kernel::zeroed_on;
 use crate::precond::EnginePinned;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
@@ -122,10 +126,7 @@ impl<T: Scalar> FactorsBatch<T> {
     fn new(sym: &SymbolicIlu<T>, k: usize) -> Self {
         let c = sym.core();
         let nnz = c.colidx.len();
-        // First-touch on the factorization's own threads (see
-        // `zeroed_on`), so page placement matches the workers that fill
-        // it.
-        let lu_vals = zeroed_on(nnz * k, sym.exec());
+        let lu_vals = vec![T::ZERO; nnz * k];
         let mut committed = vec![T::ZERO; nnz * k];
         for &dp in c.diag_pos.iter() {
             committed[dp * k..(dp + 1) * k].fill(T::ONE);
@@ -250,8 +251,9 @@ impl<T: Scalar> FactorsBatch<T> {
     }
 
     /// The one numeric entry of every factor object, at every width:
-    /// load → planned walk ([`SymbolicIlu::run_numeric`], with
-    /// `forced_shift` applied to every lane when set) → masked commit →
+    /// shape checks → load region and planned walk
+    /// ([`SymbolicIlu::run_numeric`], with `forced_shift` applied to
+    /// every lane when set) → commit (swap or masked copy) →
     /// statistics. Errs only globally (see
     /// [`FactorsBatch::refactor_batch`]); per-scenario outcomes land in
     /// [`FactorsBatch::statuses`].
@@ -267,8 +269,9 @@ impl<T: Scalar> FactorsBatch<T> {
                 self.k
             )));
         }
+        // The O(1) checks; the load region compares the patterns.
         for a in mats {
-            self.sym.check_pattern(a)?;
+            self.sym.check_shape(a)?;
         }
         let t2 = Instant::now();
         let c = self.sym.core();
@@ -286,15 +289,17 @@ impl<T: Scalar> FactorsBatch<T> {
                 shifts: &mut self.shifts,
                 statuses: &mut self.statuses,
             };
-            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, forced_shift));
+            with_lanes!(self.k, lanes => self.sym.run_numeric(lanes, run, forced_shift))?;
         }
         // Commit phase: the lanes that succeeded take the work buffer's
         // values and complete their statistics; failed scenarios keep
         // the previous factorization. With every lane ok — a scalar
-        // factor that succeeded — this is one straight copy.
+        // factor that succeeded — the two buffers swap: the next load
+        // overwrites every entry of the new work buffer, so its stale
+        // values are never read.
         let t_numeric = t2.elapsed();
         if self.all_ok() {
-            self.committed.copy_from_slice(&self.lu_vals);
+            std::mem::swap(&mut self.committed, &mut self.lu_vals);
         } else {
             for (e, lanes) in self.committed.chunks_exact_mut(self.k).enumerate() {
                 for (lane, slot) in lanes.iter_mut().enumerate() {
@@ -320,8 +325,9 @@ impl<T: Scalar> FactorsBatch<T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::options::IluOptions;
+    use crate::options::{IluOptions, ZeroPivotPolicy};
     use crate::symbolic_ilu::SymbolicIlu;
+    use crate::sync::col_range;
     use javelin_sparse::{CsrMatrix, SparseError};
     use javelin_synth::grid::laplace_2d;
     use javelin_synth::util::revalue;
@@ -399,5 +405,66 @@ mod tests {
         let after = all_bits(&batch);
         assert_eq!(before, after, "global errors must leave factors untouched");
         assert!(sym.factor_batch(&[]).is_err());
+    }
+
+    /// `a` with one column index moved inside its row, at an entry in
+    /// the second participant's share of `colidx` of a `nthreads` load
+    /// region: same dimensions, same `rowptr`, same entry count.
+    fn moved_in_second_share(a: &CsrMatrix<f64>, nthreads: usize) -> CsrMatrix<f64> {
+        let (nr, nc, rp, mut ci, vs) = a.clone().into_parts();
+        let share = col_range(ci.len(), nthreads, 1);
+        let e = (share.start + share.len() / 2..share.end)
+            .find(|&e| rp.contains(&(e + 1)) && ci[e] - 1 > ci[e - 1])
+            .expect("a row end that can move left");
+        ci[e] -= 1;
+        CsrMatrix::try_from_parts(nr, nc, rp, ci, vs).unwrap()
+    }
+
+    #[test]
+    fn mismatch_in_the_second_threads_share_commits_nothing() {
+        let a = laplace_2d(12, 12);
+        for nthreads in [2usize, 3] {
+            let what = format!("nthreads {nthreads}");
+            let opts = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
+            let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+            let bad = moved_in_second_share(&revalue(&a, 2.1, 0.2), nthreads);
+            assert_eq!(bad.nnz(), a.nnz(), "{what}");
+
+            // Scalar: the previous refactor's bits, unread before the
+            // failed refactor so no cached copy can hide a change.
+            let a2 = revalue(&a, 1.3, 0.1);
+            let mut f = sym.factor(&a).unwrap();
+            f.refactor(&a2).unwrap();
+            let stats = format!("{:?}", f.stats());
+            assert!(matches!(
+                f.refactor(&bad),
+                Err(SparseError::PatternMismatch(_))
+            ));
+            assert_eq!(bits(&f), bits(&sym.factor(&a2).unwrap()), "{what}: bits");
+            assert_eq!(format!("{:?}", f.stats()), stats, "{what}: stats");
+
+            // Batch: lane 1 of three mismatches; lane 2 failed before.
+            let mut mats = corners(&a, 3);
+            for &dp in mats[2].diag_positions().unwrap().iter() {
+                mats[2].vals_mut()[dp] = 0.0;
+            }
+            let refs: Vec<&CsrMatrix<f64>> = mats.iter().collect();
+            let mut batch = sym.factor_batch(&refs).unwrap();
+            assert!(matches!(
+                batch.statuses(),
+                [Ok(()), Ok(()), Err(SparseError::ZeroPivot { .. })]
+            ));
+            let (before, statuses) = (all_bits(&batch), batch.statuses().to_vec());
+            let stats: Vec<String> = (0..3).map(|c| format!("{:?}", batch.stats(c))).collect();
+            assert!(matches!(
+                batch.refactor_batch(&[&a2, &bad, &a2]),
+                Err(SparseError::PatternMismatch(_))
+            ));
+            assert_eq!(all_bits(&batch), before, "{what}: batch bits");
+            assert_eq!(batch.statuses(), statuses, "{what}: statuses");
+            for (c, s) in stats.iter().enumerate() {
+                assert_eq!(&format!("{:?}", batch.stats(c)), s, "{what}: stats {c}");
+            }
+        }
     }
 }

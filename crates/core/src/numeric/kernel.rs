@@ -46,31 +46,9 @@
 
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
-use crate::sync::{Exec, RegionCells};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{Scalar, SparseError};
 use std::sync::atomic::Ordering;
-
-/// `n` zero-valued entries whose first touch is made by the
-/// participants of `exec`, each writing a contiguous chunk — so on
-/// first-touch NUMA systems a buffer's pages land near the workers that
-/// will stream it. The zeroed allocation leaves fresh pages untouched
-/// until those writes.
-pub(crate) fn zeroed_on<T: Scalar>(n: usize, exec: &Exec) -> Vec<T> {
-    let mut vals = vec![T::ZERO; n];
-    let nthreads = exec.nthreads();
-    if nthreads > 1 {
-        let cells = RegionCells::new(&mut vals);
-        let chunk = n.div_ceil(nthreads);
-        exec.run(|tid| {
-            // Capture the `Sync` wrapper whole, not its `Cell` field.
-            let cells = &cells;
-            let mine = &cells.0[(tid * chunk).min(n)..((tid + 1) * chunk).min(n)];
-            mine.iter().for_each(|v| v.set(T::ZERO));
-        });
-    }
-    vals
-}
 
 /// Converts a pattern index or count to the `u32` the analysis stores
 /// it as.

@@ -122,9 +122,8 @@ pub struct IluOptions {
     /// Pin the factorization's worker team to cores (compact
     /// placement: tid `i` → core `i % n_cores`, see
     /// [`crate::sync::TeamAffinity::Compact`] for what that does
-    /// today) and first-touch the factor-value pages from the pinned
-    /// threads, so page placement follows the threads that traverse the
-    /// pages in the Krylov loop. Best-effort — ignored when the kernel
+    /// today), so each participant keeps its core and the caches it
+    /// warms between regions. Best-effort — ignored when the kernel
     /// rejects the mask, when `nthreads == 1` (a serial analysis never
     /// pins its caller), and when a `shared_team` is given (its owner
     /// chose its placement). Placement never affects results:

@@ -4,12 +4,14 @@ use std::time::Duration;
 
 /// The exact synchronization and bookkeeping work of one apply through
 /// the threaded engine ([`crate::SolveEngine::PointToPointLower`]) —
-/// [`crate::SymbolicIlu::work`]: a pure function of the analysis's
-/// plans, with no counter in the hot loops.
+/// [`crate::SymbolicIlu::work`] — or of one refactor sweep —
+/// [`crate::SymbolicIlu::refactor_work`]: a pure function of the
+/// analysis's plans, with no counter in the hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Work {
-    /// Passes over the vectors the caller runs outside the engine's
-    /// region (a gather into or a scatter out of the solve buffer).
+    /// Passes over the vectors the caller runs outside the engines'
+    /// regions (an apply's gather into or scatter out of the solve
+    /// buffer; a refactor's pattern check, value load or commit copy).
     pub caller_vector_passes: usize,
     /// Bytes of schedule metadata the two point-to-point walks read:
     /// each block's task range and wait-list bounds, each wait entry,

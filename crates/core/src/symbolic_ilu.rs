@@ -46,16 +46,26 @@ use crate::stats::{FactorStats, Work};
 use crate::symbolic;
 use crate::sync::{col_range, Exec, ProgressCounters, RegionCells};
 use crate::trisolve::engines::SolveScratch;
-use javelin_sparse::lanes::Lanes;
+use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Marks an LU position with no corresponding entry in `A` (fill).
 pub(crate) const FILL: u32 = u32::MAX;
+
+/// The error of a matrix whose `rowptr` or `colidx` differs from the
+/// analyzed pattern.
+fn pattern_differs() -> SparseError {
+    SparseError::PatternMismatch(
+        "matrix sparsity differs from the analyzed pattern \
+         (re-run SymbolicIlu::analyze for a new pattern)"
+            .to_string(),
+    )
+}
 
 /// Everything pattern-dependent, computed once (see module docs).
 pub(crate) struct SymCore<T> {
@@ -445,10 +455,31 @@ impl<T: Scalar> SymbolicIlu<T> {
         }
     }
 
-    /// The execution context numeric refactorizations and solves run on
-    /// (a persistent worker team).
-    pub(crate) fn exec(&self) -> &Exec {
-        &self.core.exec
+    /// The exact work of one numeric sweep of a width-`k` refactor on
+    /// these plans (see [`Work`]): the load region (which checks the
+    /// pattern on the first sweep), then the point-to-point upper stage
+    /// and, with trailing rows, the Even-Rows stage, each one region;
+    /// the corner runs on the caller after the joins, and the commit
+    /// swaps buffers. No nnz-length pass runs on the caller, no walk
+    /// passes a barrier, and nothing here grows with `k`. A one-thread
+    /// analysis runs the same load and the serial walk inline: no
+    /// region wakes a worker and no schedule is read. Each `ShiftRetry`
+    /// re-sweep repeats this work. A width-0 call is no work, as for
+    /// [`SymbolicIlu::work`].
+    pub fn refactor_work(&self, k: usize) -> Work {
+        let c = &*self.core;
+        if k == 0 || c.nthreads == 1 {
+            return Work::default();
+        }
+        let fwd = &c.plan.fwd;
+        Work {
+            caller_vector_passes: 0,
+            schedule_bytes: fwd.walk_bytes(),
+            wait_checks: fwd.n_waits(),
+            publications: fwd.n_blocks(),
+            barriers: 0,
+            regions: if c.plan.n_upper < c.n { 3 } else { 2 },
+        }
     }
 
     /// An spmv plan for `a` on this analysis's own team — the team its
@@ -486,6 +517,22 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// [`SparseError::PatternMismatch`] otherwise.
     pub fn check_pattern(&self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         let c = &*self.core;
+        self.check_shape(a)?;
+        if a.rowptr() != c.a_rowptr.as_slice() || a.colidx() != c.a_colidx.as_slice() {
+            return Err(pattern_differs());
+        }
+        Ok(())
+    }
+
+    /// The O(1) half of [`SymbolicIlu::check_pattern`]: `a`'s dimensions
+    /// and entry count. A matrix that passes has a `rowptr` and a
+    /// `colidx` as long as the analyzed ones, so the load region can
+    /// compare them and gather through `a_src` inside `a`'s values.
+    ///
+    /// # Errors
+    /// [`SparseError::PatternMismatch`] otherwise.
+    pub(crate) fn check_shape(&self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
+        let c = &*self.core;
         if a.nrows() != c.n || a.ncols() != c.n {
             return Err(SparseError::PatternMismatch(format!(
                 "matrix is {}x{}, analysis was built for {}x{}",
@@ -495,12 +542,8 @@ impl<T: Scalar> SymbolicIlu<T> {
                 c.n
             )));
         }
-        if a.rowptr() != c.a_rowptr.as_slice() || a.colidx() != c.a_colidx.as_slice() {
-            return Err(SparseError::PatternMismatch(
-                "matrix sparsity differs from the analyzed pattern \
-                 (re-run SymbolicIlu::analyze for a new pattern)"
-                    .to_string(),
-            ));
+        if a.nnz() != c.a_colidx.len() {
+            return Err(pattern_differs());
         }
         Ok(())
     }
@@ -531,9 +574,10 @@ impl<T: Scalar> SymbolicIlu<T> {
         Ok(IluFactors::from_batch(batch))
     }
 
-    /// The one numeric driver: load through `a_src` → per-lane sticky
-    /// shift → engines → per-lane outcome, for `lanes.width()`
-    /// pattern-checked matrices at once. Every numeric entry point —
+    /// The one numeric driver: load region (which also checks the
+    /// patterns) → per-lane sticky shift → engines → per-lane outcome,
+    /// for `lanes.width()` shape-checked ([`SymbolicIlu::check_shape`])
+    /// matrices at once. Every numeric entry point —
     /// [`SymbolicIlu::factor`], [`IluFactors::refactor`],
     /// [`IluFactors::refactor_with_shift`],
     /// [`FactorsBatch::refactor_batch`](crate::FactorsBatch::refactor_batch)
@@ -550,19 +594,26 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// [`SparseError::Breakdown`]. Deterministic engines make re-sweeps
     /// of healthy lanes bit-identical, so the loop cannot perturb them.
     ///
-    /// On return `run.statuses[c]` holds lane `c`'s outcome; for `Ok`
+    /// On `Ok`, `run.statuses[c]` holds lane `c`'s outcome; for `Ok`
     /// lanes the factor is in `run.vals` and `run.replaced` /
     /// `run.dropped` / `run.failures` (failed sweeps; attempts − 1) /
     /// `run.shifts` describe the successful sweep.
+    ///
+    /// # Errors
+    /// [`SparseError::PatternMismatch`] when a matrix's `rowptr` or
+    /// `colidx` differs from the analyzed pattern, decided right after
+    /// the first load and before any engine runs. Only `run.vals` and
+    /// `run.drop_thresh` have then been written.
     pub(crate) fn run_numeric<L: Lanes>(
         &self,
         lanes: L,
         run: NumericRun<'_, T>,
         forced_shift: Option<f64>,
-    ) {
+    ) -> Result<(), SparseError> {
         let c = &*self.core;
         let k = lanes.width();
         assert_eq!(run.mats.len(), k, "one matrix per lane");
+        self.load_values(lanes, run.mats, run.vals, run.drop_thresh, true)?;
         run.failures.fill(0);
         run.shifts.fill(0.0);
         run.statuses.fill(Ok(()));
@@ -575,9 +626,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             _ => None,
         };
         loop {
-            // (Re)load: a failed sweep left the buffer partially
-            // factored.
-            self.load_values(lanes, run.mats, run.vals, run.drop_thresh);
             for lane in 0..k {
                 let relative = match (forced_shift, retry_policy) {
                     (Some(relative), _) => Some(relative),
@@ -634,44 +682,100 @@ impl<T: Scalar> SymbolicIlu<T> {
                 }
             }
             if !retry {
-                return;
+                return Ok(());
             }
+            // Reload: the failed sweep left the buffer partially
+            // factored. The patterns were checked by the first load.
+            self.load_values(lanes, run.mats, run.vals, run.drop_thresh, false)?;
         }
     }
 
-    /// Loads every lane's matrix values into the interleaved buffer
-    /// through the precomputed source map (fill positions get zero) and
-    /// recomputes the per-lane τ drop thresholds in place.
+    /// The load region: loads every lane's matrix values into the
+    /// interleaved buffer through the precomputed source map (fill
+    /// positions get zero) and recomputes the per-lane τ drop
+    /// thresholds, as one region on the analysis's team. Participant
+    /// `tid` owns the `col_range` share of three ranges: the LU entries
+    /// (the `a_src` gather, every lane of each), the rows (their τ
+    /// thresholds) and — when `check` is set — `0..=n` of `rowptr` and
+    /// `0..nnz_A` of `colidx`, which it compares with the analyzed
+    /// pattern. The matrices must have passed
+    /// [`SymbolicIlu::check_shape`], so every source index lies inside
+    /// their values whatever their pattern. Bit-identical at every
+    /// thread count: each slot is one copy or one row norm.
+    ///
+    /// # Errors
+    /// [`SparseError::PatternMismatch`] when `check` is set and a
+    /// matrix's pattern differs; the buffers are then fully written
+    /// from its values all the same.
     fn load_values<L: Lanes>(
         &self,
         lanes: L,
         mats: &[&CsrMatrix<T>],
         vals: &mut [T],
         drop_thresh: &mut [T],
-    ) {
+        check: bool,
+    ) -> Result<(), SparseError> {
         let c = &*self.core;
-        let k = lanes.width();
-        assert_eq!(mats.len(), k);
-        for (lanes_of_e, &src) in vals.chunks_exact_mut(k).zip(&c.a_src) {
-            for (v, a) in lanes_of_e.iter_mut().zip(mats) {
-                *v = if src == FILL {
-                    T::ZERO
-                } else {
-                    a.vals()[src as usize]
-                };
-            }
-        }
+        assert_eq!(mats.len(), lanes.width());
+        let nthreads = c.nthreads;
+        let new_to_old = c.perm.new_to_old();
         // τ drop thresholds, relative to the original row norms (Saad's
         // ILUT convention).
-        if c.opts.drop_tol > 0.0 {
-            let new_to_old = c.perm.new_to_old();
-            for (new_r, &old_r) in new_to_old.iter().enumerate() {
-                for (lane, a) in mats.iter().enumerate() {
-                    let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
-                    drop_thresh[lanes.idx(new_r, lane)] = T::from_f64(c.opts.drop_tol) * norm;
+        let tau = (c.opts.drop_tol > 0.0).then(|| T::from_f64(c.opts.drop_tol));
+        let vals = RegionCells::new(vals);
+        let drop_thresh = RegionCells::new(drop_thresh);
+        let mismatch = AtomicBool::new(false);
+        c.exec.run(|tid| {
+            // Capture the `Sync` wrappers whole, not their `Cell` fields,
+            // and read the width here, where a fixed width is a constant.
+            let (vals, drop_thresh, k) = (&vals, &drop_thresh, lanes.width());
+            if check {
+                let ptrs = col_range(c.a_rowptr.len(), nthreads, tid);
+                let cols = col_range(c.a_colidx.len(), nthreads, tid);
+                let differs = mats.iter().any(|a| {
+                    a.rowptr()[ptrs.clone()] != c.a_rowptr[ptrs.clone()]
+                        || a.colidx()[cols.clone()] != c.a_colidx[cols.clone()]
+                });
+                if differs {
+                    mismatch.store(true, Ordering::Relaxed);
                 }
             }
+            let entries = col_range(c.a_src.len(), nthreads, tid);
+            let mine = &vals.0[entries.start * k..entries.end * k];
+            for_each_chunk(0..k, |c0, cw| {
+                // The lanes' value slices are hoisted out of the entry
+                // loop: a cell store may alias anything read through
+                // `mats`, so the loop would reload each slice per entry.
+                let mut srcs: [&[T]; LANE_CHUNK] = [&[]; LANE_CHUNK];
+                for (s, a) in srcs.iter_mut().zip(&mats[c0..c0 + cw]) {
+                    *s = a.vals();
+                }
+                for (lanes_of_e, &src) in mine.chunks_exact(k).zip(&c.a_src[entries.clone()]) {
+                    for (v, a) in lanes_of_e[c0..c0 + cw].iter().zip(&srcs) {
+                        v.set(if src == FILL {
+                            T::ZERO
+                        } else {
+                            a[src as usize]
+                        });
+                    }
+                }
+            });
+            if let Some(tau) = tau {
+                for new_r in col_range(c.n, nthreads, tid) {
+                    let old_r = new_to_old[new_r];
+                    for (lane, a) in mats.iter().enumerate() {
+                        let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
+                        drop_thresh.0[lanes.idx(new_r, lane)].set(tau * norm);
+                    }
+                }
+            }
+        });
+        // The region join orders every participant's store before this
+        // load.
+        if mismatch.into_inner() {
+            return Err(pattern_differs());
         }
+        Ok(())
     }
 
     /// Boosts `lane`'s freshly loaded diagonal away from zero by

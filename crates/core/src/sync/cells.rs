@@ -1,7 +1,8 @@
 //! [`RegionCells`]: a buffer the threads of one region share as plain
-//! cells — the numeric factorization's value buffer, the threaded
-//! apply's solve buffers and solution panel, and the spmv plan's output
-//! panel. It is the crate's one way to share a buffer across threads.
+//! cells — the numeric factorization's value buffer and τ thresholds
+//! (load region and walks), the threaded apply's solve buffers and
+//! solution panel, and the spmv plan's output panel. It is the crate's
+//! one way to share a buffer across threads.
 
 #![allow(unsafe_code)] // RegionCells' Sync; protocol in docs/ARCHITECTURE.md §7.
 
@@ -22,7 +23,10 @@ pub(crate) struct RegionCells<'a, T>(pub(crate) &'a [Cell<T>]);
 // fork (Even-Rows chunk) or the last region's join (serial corner)
 // until that stage is done with it; a finalized row is never written
 // again, and a dependent row reads it only after the block-end release
-// or the region join. The spmv plan's threads
+// or the region join. Before the walks, the load region's threads each
+// own a disjoint `col_range` share of the LU entries and of the rows'
+// τ thresholds from the region's fork to its join, and the walks read
+// the loaded values only after that join. The spmv plan's threads
 // write disjoint row ranges. Concurrent accesses therefore touch
 // disjoint slots.
 unsafe impl<T: Send> Sync for RegionCells<'_, T> {}

@@ -1,10 +1,13 @@
-//! Exact per-apply work of the threaded engine, pinned at 0 % tolerance.
+//! Exact per-apply and per-refactor work of the threaded engines, pinned
+//! at 0 % tolerance.
 //!
 //! `SymbolicIlu::work` is a pure function of the analysis's plans, so
 //! its counts are exact: any change to the schedules, the block cut, the
 //! wait pruning or the region's structure moves a pin here. A recording
 //! walk over the same schedules must see exactly the wait checks and
-//! publications `work` states.
+//! publications `work` states. `SymbolicIlu::refactor_work` states one
+//! refactor sweep's work the same way, checked against a recording walk
+//! of the forward schedule the upper stage walks.
 //!
 //! The Krylov drivers' op table (`Method::ops`) is pinned the same way:
 //! a counting operator (through the `spmv_col` hook) and a counting
@@ -15,6 +18,7 @@
 use javelin::core::{
     factorize, ApplyScratch, IluOptions, Preconditioner, SolveEngine, SymbolicIlu, Work,
 };
+use javelin::level::P2PSchedule;
 use javelin::solver::{
     krylov_with, ConvergedAt, KrylovOps, Method, PanelMatrices, SolverOptions, SolverResult,
     SolverWorkspace,
@@ -37,15 +41,15 @@ fn analyze(a: &CsrMatrix<f64>, nthreads: usize) -> SymbolicIlu<f64> {
     SymbolicIlu::analyze(a, &IluOptions::ilu0(nthreads)).expect("analyze")
 }
 
-/// Walks both schedules of `sym` on a team of its size, recording every
+/// Walks `schedules` of `sym` on a team of its size, recording every
 /// wait-list entry checked and every progress publication: at the
 /// start of its `i`-th block a walker must have published exactly `i`
 /// times, and its final count is its last publication.
-fn recorded(sym: &SymbolicIlu<f64>) -> (usize, usize) {
-    let (plan, nthreads) = (sym.plan(), sym.nthreads());
+fn recorded(sym: &SymbolicIlu<f64>, schedules: &[&P2PSchedule]) -> (usize, usize) {
+    let nthreads = sym.nthreads();
     let team = Exec::team(nthreads);
     let (checks, publications) = (AtomicUsize::new(0), AtomicUsize::new(0));
-    for schedule in [&plan.fwd, &plan.bwd] {
+    for schedule in schedules {
         let progress = ProgressCounters::new(nthreads);
         team.run(|tid| {
             let blocks = schedule.thread_blocks(tid).inspect(|(_, waits)| {
@@ -84,7 +88,7 @@ fn work_pins_and_recorded_walks() {
             "{name}: a width-0 apply is no work"
         );
         assert_eq!(
-            recorded(&sym),
+            recorded(&sym, &[&sym.plan().fwd, &sym.plan().bwd]),
             (want.wait_checks, want.publications),
             "{name} nthreads {nthreads}: recorded walk"
         );
@@ -100,6 +104,52 @@ fn work(schedule_bytes: usize, wait_checks: usize, publications: usize, barriers
         publications,
         barriers,
         regions: 1,
+    }
+}
+
+#[test]
+fn refactor_work_pins() {
+    // (matrix, nthreads, one refactor sweep's work at k = 1 and k = 8):
+    // no nnz-length pass on the caller at any thread count; at t ≥ 2
+    // the load region, the upper stage's walk of the forward schedule
+    // and the Even-Rows stage, and at t = 1 no region at all.
+    let cases: [(&str, fn() -> CsrMatrix<f64>, usize, Work); 6] = [
+        ("grid", grid, 1, Work::default()),
+        ("grid", grid, 2, refactor_work(3_216, 65, 68)),
+        ("grid", grid, 3, refactor_work(5_328, 129, 102)),
+        ("circuit", circuit, 1, Work::default()),
+        ("circuit", circuit, 2, refactor_work(2_992, 51, 68)),
+        ("circuit", circuit, 3, refactor_work(5_440, 140, 100)),
+    ];
+    for (name, matrix, nthreads, want) in cases {
+        let sym = analyze(&matrix(), nthreads);
+        for k in [1, 8] {
+            assert_eq!(
+                sym.refactor_work(k),
+                want,
+                "{name} nthreads {nthreads} k {k}"
+            );
+        }
+        if nthreads > 1 {
+            assert_eq!(
+                recorded(&sym, &[&sym.plan().fwd]),
+                (want.wait_checks, want.publications),
+                "{name} nthreads {nthreads}: recorded forward walk"
+            );
+        }
+    }
+}
+
+/// One refactor sweep's [`Work`] on a team: no caller-side pass, no
+/// barrier, three regions.
+fn refactor_work(schedule_bytes: usize, wait_checks: usize, publications: usize) -> Work {
+    Work {
+        caller_vector_passes: 0,
+        schedule_bytes,
+        wait_checks,
+        publications,
+        barriers: 0,
+        regions: 3,
     }
 }
 
