@@ -2,25 +2,27 @@
 //!
 //! The paper's economics are "pay the symbolic/setup phase once,
 //! amortize it across many numeric solves". A multi-tenant service
-//! realizes that by keying completed [`SymbolicIlu`] analyses (plus
-//! their numeric factors) on a **structural fingerprint** of the CSR
-//! pattern ([`javelin_sparse::pattern::pattern_fingerprint`]): a
-//! request whose pattern was seen before reuses the cached analysis —
-//! zero symbolic work — and pays at most a numeric
-//! [`IluFactors::refactor`] when its *values* differ from the cached
-//! factorization.
+//! realizes that by keying completed analyses — each held, with its
+//! numeric factors, by an [`IluSolver`] — on a **structural
+//! fingerprint** of the CSR pattern
+//! ([`javelin_sparse::pattern::pattern_fingerprint`]): a request whose
+//! pattern was seen before reuses the cached analysis — zero symbolic
+//! work — and pays at most a numeric
+//! [`IluFactors::refactor`](javelin_core::IluFactors::refactor) when
+//! its *values* differ from the cached factorization.
 //!
 //! The fingerprint is a fast filter, not an identity proof: every
 //! fingerprint match is verified with the full
-//! [`SymbolicIlu::check_pattern`] comparison before reuse, so hash
-//! collisions degrade to a counted miss instead of silently solving
-//! with the wrong analysis. Eviction is least-recently-used over a
-//! small bounded slot vector (tenant counts are small; a linear scan
-//! over ≤ a few dozen entries is cheaper and simpler than a hash map
-//! plus intrusive list).
+//! [`SymbolicIlu::check_pattern`](javelin_core::SymbolicIlu::check_pattern)
+//! comparison before reuse, so hash collisions degrade to a counted
+//! miss instead of silently solving with the wrong analysis. Eviction
+//! is least-recently-used over a small bounded slot vector (tenant
+//! counts are small; a linear scan over ≤ a few dozen entries is
+//! cheaper and simpler than a hash map plus intrusive list).
 
 use crate::error::ServiceError;
-use javelin_core::{IluFactors, IluOptions, SolveEngine, SymbolicIlu};
+use javelin_core::{IluOptions, SolveEngine};
+use javelin_solver::IluSolver;
 use javelin_sparse::{CsrMatrix, Scalar};
 
 /// One cached tenant: an analyzed pattern with its current factors.
@@ -34,12 +36,9 @@ pub(crate) struct CacheEntry<T: Scalar> {
     /// fingerprint matches share the factors as-is, a differing one
     /// triggers a numeric-only refactor.
     pub value_fp: u64,
-    /// The cached symbolic analysis (Arc-backed, cheap to clone).
-    pub sym: SymbolicIlu<T>,
-    /// Numeric factors over `sym`, refactored in place as values churn.
-    pub factors: IluFactors<T>,
-    /// The engine solves through these factors use.
-    pub engine: SolveEngine,
+    /// The analysis, its numeric factors (refactored in place as
+    /// values churn), their engine and spmv plan.
+    pub solver: IluSolver<T>,
     /// LRU tick of the last use.
     last_used: u64,
 }
@@ -67,6 +66,9 @@ pub(crate) struct PatternCache<T: Scalar> {
     capacity: usize,
     tick: u64,
     stats: CacheStats,
+    /// The engine every inserted solver pins (`None`: each analysis's
+    /// own choice).
+    pub(crate) engine: Option<SolveEngine>,
 }
 
 impl<T: Scalar> PatternCache<T> {
@@ -81,6 +83,7 @@ impl<T: Scalar> PatternCache<T> {
             capacity,
             tick: 0,
             stats: CacheStats::default(),
+            engine: None,
         }
     }
 
@@ -109,7 +112,7 @@ impl<T: Scalar> PatternCache<T> {
             if e.pattern_fp != pattern_fp {
                 continue;
             }
-            if e.sym.check_pattern(a).is_err() {
+            if e.solver.factors().symbolic().check_pattern(a).is_err() {
                 self.stats.collisions += 1;
                 continue;
             }
@@ -125,8 +128,8 @@ impl<T: Scalar> PatternCache<T> {
     /// and returns its slot index — evicting the least recently used
     /// entry when full. `value_fp` is `value_fingerprint(a.vals())`, a
     /// parameter for the same reason as in [`PatternCache::lookup`]:
-    /// the caller has it memoized per matrix handle. The entry's engine
-    /// is the analysis' default.
+    /// the caller has it memoized per matrix handle. The entry's solver
+    /// pins the cache's `engine`.
     ///
     /// # Errors
     /// [`ServiceError::Solve`] when analysis or factorization fails
@@ -138,16 +141,12 @@ impl<T: Scalar> PatternCache<T> {
         a: &CsrMatrix<T>,
         opts: &IluOptions,
     ) -> Result<usize, ServiceError> {
-        let sym = SymbolicIlu::analyze(a, opts)?;
-        let factors = sym.factor(a)?;
-        let engine = factors.default_engine();
+        let solver = IluSolver::new(a, opts, self.engine)?;
         self.tick += 1;
         let entry = CacheEntry {
             pattern_fp,
             value_fp,
-            sym,
-            factors,
-            engine,
+            solver,
             last_used: self.tick,
         };
         if self.entries.len() == self.capacity {
@@ -170,7 +169,7 @@ impl<T: Scalar> PatternCache<T> {
     /// Brings slot `i`'s factors up to date with `a`'s values
     /// (`value_fp` is their memoized fingerprint): a no-op when the
     /// entry's value fingerprint already matches, a numeric-only
-    /// [`IluFactors::refactor`] (zero symbolic work, zero allocations)
+    /// [`IluFactors::refactor`](javelin_core::IluFactors::refactor) (zero symbolic work, zero allocations)
     /// otherwise.
     ///
     /// # Errors
@@ -186,14 +185,14 @@ impl<T: Scalar> PatternCache<T> {
         if e.value_fp == value_fp {
             return Ok(());
         }
-        e.factors.refactor(a)?;
+        e.solver.refactor(a)?;
         e.value_fp = value_fp;
         self.stats.refactors += 1;
         Ok(())
     }
 
-    /// Slot access for dispatch (mutable: the retry path refactors the
-    /// entry's factors with a diagonal shift in place).
+    /// Slot access for dispatch (mutable: a breakdown retry refactors
+    /// the entry's factors with a diagonal shift in place).
     pub(crate) fn entry_mut(&mut self, i: usize) -> &mut CacheEntry<T> {
         &mut self.entries[i]
     }

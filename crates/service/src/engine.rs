@@ -12,9 +12,12 @@
 //! numeric-only refactor when just the values moved), fuses each
 //! group's right-hand sides into `k ∈ {8, 4}` panels for the lockstep
 //! batch Krylov drivers, and scatters solutions back into the
-//! requests' own buffers. A lone column (a width-1 chunk, or the one
-//! broken-down column of a retry) skips the staging panels and solves
-//! straight from its request's `b` into its `x`.
+//! requests' own buffers. A width-1 chunk skips the staging panels and
+//! solves straight from its request's `b` into its `x`. Each cached
+//! pattern's [`IluSolver`](javelin_solver::IluSolver) runs the panel
+//! solve: every matvec on the analysis's team, and the one breakdown
+//! retry, which re-runs each broken-down column of a chunk where it
+//! sits (in the staging panel or the request's own buffers).
 //!
 //! Grouping by the **value** fingerprint too is what makes coalescing
 //! exact: a fused panel shares one operator and one preconditioner, so
@@ -38,9 +41,7 @@ use crate::cache::{CacheStats, PatternCache};
 use crate::error::ServiceError;
 use javelin_core::options::SolveEngine;
 use javelin_core::IluOptions;
-use javelin_solver::{
-    krylov_panel_into, Method, SolverOptions, SolverResult, SolverWorkspace, BREAKDOWN_RETRY_SHIFT,
-};
+use javelin_solver::{Method, SolverOptions, SolverResult, SolverWorkspace};
 use javelin_sparse::{
     pattern_fingerprint, value_fingerprint, CsrMatrix, Panel, PanelBuf, PanelMut, Scalar,
 };
@@ -126,7 +127,8 @@ pub struct EngineStats {
     pub coalesced_panels: u64,
     /// Columns solved through width-> 1 panels.
     pub coalesced_columns: u64,
-    /// Requests re-run once after a numerical breakdown.
+    /// Requests re-run once after a numerical breakdown (replies whose
+    /// result is `retried`).
     pub retries: u64,
     /// Requests rejected before reaching the solver stack.
     pub rejected: u64,
@@ -190,7 +192,8 @@ fn same_matrix<T: Scalar>(x: &Arc<CsrMatrix<T>>, y: &Arc<CsrMatrix<T>>) -> bool 
 impl<T: Scalar> Engine<T> {
     /// A fresh engine (empty cache, cold buffers).
     pub fn new(cfg: EngineConfig) -> Self {
-        let cache = PatternCache::new(cfg.cache_capacity);
+        let mut cache = PatternCache::new(cfg.cache_capacity);
+        cache.engine = cfg.engine;
         Engine {
             cfg,
             cache,
@@ -335,12 +338,7 @@ impl<T: Scalar> Engine<T> {
         let (slot, symbolic_reused) = match self.cache.lookup(pattern_fp, &a) {
             Some(slot) => (slot, true),
             None => match self.cache.insert(pattern_fp, value_fp, &a, &self.cfg.ilu) {
-                Ok(slot) => {
-                    if let Some(engine) = self.cfg.engine {
-                        self.cache.entry_mut(slot).engine = engine;
-                    }
-                    (slot, false)
-                }
+                Ok(slot) => (slot, false),
                 Err(e) => {
                     for k in group {
                         self.outcomes[k.3] = Outcome::Failed(e.clone());
@@ -358,17 +356,10 @@ impl<T: Scalar> Engine<T> {
 
         // Fuse the group's right-hand sides into panels, widest (most
         // SIMD-friendly) chunks first: 8s, then a 4, then the tail.
-        let mut shifted = false;
         let mut offset = 0;
         while offset < group.len() {
             let rem = group.len() - offset;
-            let preferred = if rem >= 8 {
-                8
-            } else if rem >= 4 {
-                4
-            } else {
-                rem
-            };
+            let preferred = [8, 4].into_iter().find(|&p| rem >= p).unwrap_or(rem);
             let w = preferred.min(self.cfg.max_panel_width.max(1));
             let chunk = &group[offset..offset + w];
             offset += w;
@@ -386,81 +377,37 @@ impl<T: Scalar> Engine<T> {
             }
             self.results.clear();
             self.results.resize(w, SolverResult::default());
-            self.solve_cols(slot, method, &a, requests, 0);
-
-            // One automatic retry for broken-down columns: stabilize
-            // the shared factors with a forced diagonal shift (once per
-            // group — the shifted factors stay, self-healing exactly
-            // like `Session::krylov`), then re-run just the broken
-            // columns from their frozen finite iterates.
-            self.cols.clear();
-            self.cols.extend(
-                self.results
-                    .iter()
-                    .zip(chunk)
-                    .filter(|(r, _)| r.broke_down())
-                    .map(|(_, k)| k.3),
-            );
-            if !self.cols.is_empty() && !shifted {
-                let entry = self.cache.entry_mut(slot);
-                if entry
-                    .factors
-                    .refactor_with_shift(&a, BREAKDOWN_RETRY_SHIFT)
-                    .is_ok()
-                {
-                    shifted = true;
-                    let rw = self.cols.len();
-                    self.stats.retries += rw as u64;
-                    let retry_at = self.results.len();
-                    self.results.resize(retry_at + rw, SolverResult::default());
-                    self.solve_cols(slot, method, &a, requests, retry_at);
-                    for c in 0..rw {
-                        let mut result = self.results[retry_at + c].clone();
-                        result.retried = true;
-                        self.outcomes[self.cols[c]] = Outcome::Solved {
-                            result,
-                            panel_width: w,
-                            symbolic_reused,
-                        };
-                    }
-                    self.results.truncate(retry_at);
-                }
-            }
-
-            // First-attempt outcomes for everything not overwritten by
-            // the retry pass above.
-            for (c, k) in chunk.iter().enumerate() {
-                if matches!(self.outcomes[k.3], Outcome::Pending) {
-                    self.outcomes[k.3] = Outcome::Solved {
-                        result: self.results[c].clone(),
-                        panel_width: w,
-                        symbolic_reused,
-                    };
-                }
+            self.solve_cols(slot, method, &a, requests);
+            for (result, k) in self.results.iter_mut().zip(chunk) {
+                self.stats.retries += u64::from(result.retried);
+                self.outcomes[k.3] = Outcome::Solved {
+                    result: std::mem::take(result),
+                    panel_width: w,
+                    symbolic_reused,
+                };
             }
         }
     }
 
     /// Runs `method` on requests `self.cols` as one panel through the
-    /// cached factors in `slot`, into `self.results[at..]`: each column
-    /// starts from its request's `x` and leaves its solution there. A
-    /// lone column solves straight in its request's own buffers; a wider
-    /// panel is gathered into the staging panels and scattered back.
+    /// cached solver in `slot` (retry included), into `self.results`:
+    /// each column starts from its request's `x` and leaves its
+    /// solution there. A lone column solves straight in its request's
+    /// own buffers; a wider panel is gathered into the staging panels
+    /// and scattered back.
     fn solve_cols(
         &mut self,
         slot: usize,
         method: Method,
         a: &CsrMatrix<T>,
         requests: &mut [SolveRequest<T>],
-        at: usize,
     ) {
-        let entry = self.cache.entry_mut(slot);
-        let m = entry.factors.with_engine(entry.engine);
-        let (opts, results) = (&self.cfg.solver, &mut self.results[at..]);
+        let solver = &mut self.cache.entry_mut(slot).solver;
+        let (opts, ws, results) = (&self.cfg.solver, &mut self.ws, &mut self.results[..]);
         if let [i] = self.cols[..] {
             let SolveRequest { b, x, .. } = &mut requests[i];
             let (b, x) = (Panel::from_col(b), PanelMut::from_col(x));
-            krylov_panel_into(method, a, b, x, &m, opts, &mut self.ws, results);
+            solver.krylov_into(method, a, b, x, opts, ws, results);
             return;
         }
         let n = a.nrows();
@@ -469,7 +416,7 @@ impl<T: Scalar> Engine<T> {
         self.xbuf
             .gather(n, self.cols.iter().map(|&i| requests[i].x.as_slice()));
         let (b, x) = (self.bbuf.panel(), self.xbuf.panel_mut());
-        krylov_panel_into(method, a, b, x, &m, opts, &mut self.ws, results);
+        solver.krylov_into(method, a, b, x, opts, ws, results);
         for (c, &i) in self.cols.iter().enumerate() {
             self.xbuf.scatter_col(c, &mut requests[i].x);
         }
@@ -581,5 +528,73 @@ mod tests {
         assert_eq!(solo.panel_width, 1);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&solo.x), bits(&fused.x));
+    }
+
+    #[test]
+    fn every_chunk_retries_its_broken_columns() {
+        // A width-13 group runs as chunks of 8, 4 and 1, with a NaN
+        // column in the 8-chunk and one in the 4-chunk. Each chunk's
+        // solve carries its own retry, so both broken columns are
+        // retried. Healthy columns of the 8-chunk carry the bits of the
+        // unshifted factors; those after it carry the bits of the
+        // factors the first retry shifted (by the pipeline's 1e-4).
+        let a = Arc::new(laplace_2d(8, 8));
+        let n = a.nrows();
+        let rhs =
+            |i: usize| -> Vec<f64> { (0..n).map(|r| 1.0 + ((r + 3 * i) % 7) as f64).collect() };
+        let broken = [2, 9];
+        let mut requests: Vec<SolveRequest<f64>> = (0..13)
+            .map(|i| {
+                let mut b = rhs(i);
+                if broken.contains(&i) {
+                    b[5] = f64::NAN;
+                }
+                SolveRequest {
+                    a: Arc::clone(&a),
+                    b,
+                    x: Vec::new(),
+                    method: Method::Bicgstab,
+                }
+            })
+            .collect();
+        let mut engine = Engine::<f64>::new(EngineConfig::default());
+        let mut replies = Vec::new();
+        engine.process(&mut requests, &mut replies);
+        assert_eq!(engine.stats().retries, 2);
+
+        let opts = SolverOptions::default();
+        let plain = javelin_core::factorize(&a, &IluOptions::default()).unwrap();
+        let mut shifted = javelin_core::factorize(&a, &IluOptions::default()).unwrap();
+        shifted.refactor_with_shift(&a, 1e-4).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, reply) in replies.iter().enumerate() {
+            let reply = reply.as_ref().expect("served");
+            let width = [8, 4, 1][(i >= 8) as usize + (i >= 12) as usize];
+            assert_eq!(reply.panel_width, width, "request {i}");
+            if broken.contains(&i) {
+                assert!(
+                    reply.result.retried && reply.result.broke_down(),
+                    "request {i}"
+                );
+                continue;
+            }
+            assert!(
+                reply.result.converged && !reply.result.retried,
+                "request {i}"
+            );
+            let f = if i < 8 { &plain } else { &shifted };
+            let mut x = vec![0.0; n];
+            let want = javelin_solver::krylov_with(
+                Method::Bicgstab,
+                &*a,
+                &rhs(i),
+                &mut x,
+                f,
+                &opts,
+                &mut SolverWorkspace::new(),
+            );
+            assert_eq!(reply.result.iterations, want.iterations, "request {i}");
+            assert_eq!(bits(&reply.x), bits(&x), "request {i}");
+        }
     }
 }

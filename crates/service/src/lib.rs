@@ -13,22 +13,24 @@
 //!    structurally ([`javelin_sparse::pattern_fingerprint`]); the
 //!    engine memoizes fingerprints per `Arc` handle so streaming
 //!    clients never re-hash.
-//! 2. **Cache** — completed [`javelin_core::SymbolicIlu`] analyses and
-//!    their factors live in a pattern-keyed LRU (`PatternCache`);
-//!    every fingerprint match is verified against the full pattern, so
-//!    collisions degrade to counted misses, never wrong answers. A
-//!    cached pattern costs zero symbolic work; changed values cost one
-//!    numeric-only refactor.
+//! 2. **Cache** — completed [`javelin_core::SymbolicIlu`] analyses,
+//!    each with its factors, engine and spmv plan in one
+//!    [`javelin_solver::IluSolver`], live in a pattern-keyed LRU
+//!    (`PatternCache`); every fingerprint match is verified against
+//!    the full pattern, so collisions degrade to counted misses, never
+//!    wrong answers. A cached pattern costs zero symbolic work; changed
+//!    values cost one numeric-only refactor.
 //! 3. **Coalesce** — requests that are pattern-, value- and
 //!    method-identical are fused into `k ∈ {8, 4}` right-hand-side
 //!    panels for the lockstep batch Krylov drivers: one preconditioner
 //!    schedule walk retires 8 clients' solves at once.
-//! 4. **Panel dispatch** — solves run on the shared persistent
-//!    [`javelin_core::sync::WorkerTeam`] through the solver's one panel
-//!    entry, `javelin_solver::krylov_panel_into` (one driver per
-//!    method); column `c` of a fused panel is bit-identical to that
-//!    client's standalone solve. Broken-down columns get one automatic retry with a
-//!    diagonally shifted preconditioner.
+//! 4. **Panel dispatch** — each panel runs through the cached
+//!    pattern's `IluSolver` (one driver per method), whose applies and
+//!    matvecs run on the analysis's persistent
+//!    [`javelin_core::sync::WorkerTeam`]; column `c` of a fused panel
+//!    is bit-identical to that client's standalone solve. Broken-down
+//!    columns get the solver's one automatic retry with a diagonally
+//!    shifted preconditioner, in every chunk.
 //! 5. **Respond** — admission control bounds the queue
 //!    ([`ServiceError::Overloaded`]), malformed requests are rejected
 //!    before the solver stack, shutdown drains gracefully, and every

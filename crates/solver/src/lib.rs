@@ -15,7 +15,7 @@
 //!
 //! * [`krylov_panel_into`] — the one [`Method`] dispatch: a panel, with
 //!   per-column results written into a caller slice (the fully
-//!   allocation-free form, the solve service's hot path);
+//!   allocation-free form, the one [`IluSolver`] runs);
 //! * [`krylov_panel_with`] — the same, returning a `Vec<SolverResult>`;
 //! * [`krylov_with`] — one right-hand side, run as a width-1 panel
 //!   with its result on the stack.
@@ -28,8 +28,14 @@
 //! **zero heap allocations** (residual-history recording, off by
 //! default, is the one documented exception), pairing with the
 //! factorization's persistent worker team for an allocation-free,
-//! spawn-free Krylov hot loop. `javelin::Session` is the façade over
-//! them.
+//! spawn-free Krylov hot loop.
+//!
+//! ## One solve pipeline
+//!
+//! [`IluSolver`] packages the ILU factors with their engine, an spmv
+//! plan on the analysis's team and the one breakdown-retry rule.
+//! `javelin::Session` and the solve service run every Krylov solve
+//! through it.
 //!
 //! ## No lane generic
 //!
@@ -46,7 +52,7 @@
 //! The drivers reach `A` only through [`PanelMatrices::spmv_col`], one
 //! call per column per matvec, so the caller picks where the product
 //! runs (the caller's core by default; the analysis's team under
-//! `javelin::Session`). What each method issues per iteration — spmvs,
+//! [`IluSolver`]). What each method issues per iteration — spmvs,
 //! preconditioner applies, reductions and vector-update passes — is
 //! the table behind [`Method::ops`].
 
@@ -56,11 +62,13 @@
 mod bicgstab;
 mod gmres;
 mod golden;
+mod ilu_solver;
 mod ops;
 mod pcg;
 mod proptests;
 pub mod workspace;
 
+pub use ilu_solver::IluSolver;
 pub use ops::{ConvergedAt, KrylovOps};
 pub use workspace::SolverWorkspace;
 
@@ -79,7 +87,7 @@ use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
 /// through [`PanelMatrices::spmv_col`], one call per column per
 /// matvec, so an implementation decides *where* each `A·x` runs:
 /// the default is the caller's [`CsrMatrix::spmv_into`], and
-/// `javelin::Session` runs it on the analysis's worker team through a
+/// [`IluSolver`] runs it on the analysis's worker team through a
 /// [`javelin_core::SpmvPlan`] — bitwise the same product either way.
 pub trait PanelMatrices<T: Scalar>: Sync {
     /// Row dimension (shared by every column's matrix).
@@ -224,8 +232,7 @@ impl std::fmt::Display for Method {
 }
 
 /// Runs the chosen Krylov [`Method`] on one right-hand side with
-/// caller-owned working memory — the dispatch behind
-/// `javelin::Session::krylov`. This is [`krylov_panel_into`] over the
+/// caller-owned working memory. This is [`krylov_panel_into`] over the
 /// vector viewed as a width-1 panel (a stack `[SolverResult; 1]`, so
 /// nothing is allocated on the way).
 ///
@@ -259,8 +266,7 @@ pub fn krylov_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 }
 
 /// Runs the chosen Krylov [`Method`] over a whole RHS panel with
-/// caller-owned working memory — the dispatch behind
-/// `javelin::Session::krylov_panel`; [`krylov_panel_into`] with a
+/// caller-owned working memory: [`krylov_panel_into`] with a
 /// freshly allocated result vector. Returns one [`SolverResult`] per
 /// column.
 ///
@@ -304,7 +310,7 @@ pub fn krylov_panel_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 
 /// The one [`Method`] dispatch of the crate: runs the chosen method
 /// over an RHS panel, writing per-column results into a caller slice —
-/// the fully allocation-free entry (the service hot path), which
+/// the fully allocation-free entry (the one [`IluSolver`] runs), which
 /// [`krylov_with`] and [`krylov_panel_with`] wrap. With the workspace
 /// reserved via [`SolverWorkspace::reserve_gmres_basis`], even the
 /// first GMRES panel solve performs zero heap allocations.
@@ -404,21 +410,13 @@ pub struct SolverResult {
     pub history: Vec<f64>,
     /// Structured termination reason (see [`SolverStatus`]).
     pub status: SolverStatus,
-    /// Whether this result came from an automatic breakdown-retry (the
+    /// Whether this result came from the automatic breakdown retry (the
     /// first attempt hit [`SolverStatus::NumericalBreakdown`] and the
-    /// caller re-ran the solve with a stabilized preconditioner).
-    /// Drivers never set this themselves — retry layers
-    /// (`Session::krylov`, the solve service) stamp it.
+    /// column re-ran with a diagonally shifted preconditioner). The
+    /// drivers never set it: [`IluSolver::krylov_into`] is its only
+    /// stamper.
     pub retried: bool,
 }
-
-/// Relative diagonal shift a breakdown-retry layer (`Session::krylov`,
-/// the solve service) applies before re-running a solve that hit
-/// [`SolverStatus::NumericalBreakdown`]: the preconditioner is
-/// refactored with every diagonal boosted by `1e-4 · max|aᵢᵢ|`, trading
-/// a little accuracy (a few more Krylov iterations) for the stability
-/// the first attempt lacked.
-pub const BREAKDOWN_RETRY_SHIFT: f64 = 1e-4;
 
 impl SolverResult {
     /// True when the solve halted on a numerical breakdown rather than

@@ -30,7 +30,7 @@
 //! [`javelin_core::Preconditioner::apply_panel_with`] call that counts
 //! once per column.
 //!
-//! In a threaded `javelin::Session` every spmv and every threaded
+//! In a threaded [`crate::IluSolver`] every spmv and every threaded
 //! apply is one region on the analysis's team (`SymbolicIlu::work`
 //! states an apply's own synchronization), so a width-1 BiCGSTAB
 //! iteration opens 4 regions: 2 spmvs and 2 applies.

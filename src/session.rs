@@ -6,6 +6,13 @@
 //! multi-RHS form of the latter) — plus [`Session::refactor`] for time
 //! stepping.
 //!
+//! The session wraps one [`IluSolver`], the solve pipeline it shares
+//! with the solve service: the factors, the engine, and an spmv plan
+//! that runs every Krylov matvec on the analysis's team. Its breakdown
+//! retry covers [`Session::krylov`] and [`Session::krylov_panel`], one
+//! shifted refactor per call; [`Session::sweep`] has no retry, because
+//! a scenario batch has no shifted refactor.
+//!
 //! ```
 //! use javelin::prelude::*;
 //!
@@ -27,14 +34,9 @@
 
 use javelin_core::sync::WorkerTeam;
 use javelin_core::{
-    FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SpmvPlan, SymbolicIlu,
-    ZeroPivotPolicy,
+    FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
 };
-use javelin_solver::SolverWorkspace;
-use javelin_solver::{
-    krylov_panel_with, krylov_with, Method, PanelMatrices, ScenarioMatrices, SolverOptions,
-    SolverResult, BREAKDOWN_RETRY_SHIFT,
-};
+use javelin_solver::{IluSolver, Method, SolverOptions, SolverResult, SolverWorkspace};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::Arc;
 
@@ -189,21 +191,18 @@ impl SessionBuilder {
 
     /// Analyzes and factors `a`, returning a ready [`Session`]. The
     /// session keeps its own copy of the matrix for the Krylov matvecs,
-    /// and an spmv plan of it on the analysis's team
-    /// ([`SymbolicIlu::spmv_plan`]) that runs them.
+    /// which its [`IluSolver`] runs on the analysis's team.
     ///
     /// # Errors
     /// Everything [`SymbolicIlu::analyze`] / [`SymbolicIlu::factor`]
     /// can return.
     pub fn build<T: Scalar>(&self, a: &CsrMatrix<T>) -> Result<Session<T>, SparseError> {
-        let sym = SymbolicIlu::analyze(a, &self.opts)?;
-        let factors = sym.factor(a)?;
-        let engine = self.engine.unwrap_or_else(|| factors.default_engine());
+        let solver = IluSolver::new(a, &self.opts, self.engine)?;
         // The threaded engines work in the analysis's scratch; the
         // Serial pipeline works in the workspace's apply buffer, which
         // `reserve` below grows to the panel width.
-        if engine != SolveEngine::Serial {
-            factors.reserve_panel_width(self.panel_width);
+        if solver.engine() != SolveEngine::Serial {
+            solver.factors().reserve_panel_width(self.panel_width);
         }
         let mut workspace = SolverWorkspace::new();
         workspace.reserve(a.nrows(), self.solver.restart, self.panel_width.max(1));
@@ -212,11 +211,9 @@ impl SessionBuilder {
         }
         Ok(Session {
             a: a.clone(),
-            spmv: factors.symbolic().spmv_plan(a),
-            factors,
+            solver,
             batch: None,
-            engine,
-            solver: self.solver,
+            options: self.solver,
             workspace,
         })
     }
@@ -228,13 +225,11 @@ impl SessionBuilder {
 /// docs). Created by [`Session::builder`].
 pub struct Session<T: Scalar> {
     a: CsrMatrix<T>,
-    /// Row blocks of `a` on the analysis's team: every Krylov matvec of
-    /// `krylov`, `krylov_panel` and `sweep` runs through it.
-    spmv: SpmvPlan<T>,
-    factors: IluFactors<T>,
+    /// The factors, the engine and the spmv plan every solve runs
+    /// through.
+    solver: IluSolver<T>,
     batch: Option<FactorsBatch<T>>,
-    engine: SolveEngine,
-    solver: SolverOptions,
+    options: SolverOptions,
     workspace: SolverWorkspace<T>,
 }
 
@@ -259,8 +254,7 @@ impl<T: Scalar> Session<T> {
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve(&mut self, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        let buf = self.workspace.precond.buffer(0);
-        self.factors.solve_with_buffer(self.engine, buf, b, x)
+        self.solve_panel(Panel::from_col(b), PanelMut::from_col(x))
     }
 
     /// Panel analogue of [`Session::solve`]: one schedule walk (Serial
@@ -271,14 +265,14 @@ impl<T: Scalar> Session<T> {
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
     pub fn solve_panel(&mut self, b: Panel<'_, T>, x: PanelMut<'_, T>) -> Result<(), SparseError> {
-        let buf = self.workspace.precond.buffer(0);
-        self.factors.solve_panel_with_buffer(self.engine, buf, b, x)
+        let (factors, engine) = (self.solver.factors(), self.solver.engine());
+        factors.solve_panel_with_buffer(engine, self.workspace.precond.buffer(0), b, x)
     }
 
     /// Full preconditioned iterative solve of `A·x = b` with the chosen
     /// Krylov [`Method`], the session's ILU factors as the
     /// preconditioner and its reusable workspace — allocation-free in
-    /// the steady state.
+    /// the steady state. It is [`Session::krylov_panel`] at width 1.
     ///
     /// ## Breakdown-aware retry
     ///
@@ -286,13 +280,13 @@ impl<T: Scalar> Session<T> {
     /// [`SolverStatus::NumericalBreakdown`](javelin_solver::SolverStatus::NumericalBreakdown)
     /// — typically a finite but wildly ill-conditioned preconditioner
     /// overflowing during its apply — the session performs **one
-    /// automatic retry**: the factors are refactored with a small
-    /// forced diagonal shift (`1e-4 · max|aᵢᵢ|`, the
-    /// [`ZeroPivotPolicy::shift_retry`]-style boost of
-    /// [`IluFactors::refactor_with_shift`]) and the solve re-runs from
-    /// the frozen finite iterate. A result produced this way carries
-    /// `retried == true`. On success the session *keeps* the shifted
-    /// factors (self-healing: subsequent solves reuse the stable
+    /// automatic retry** ([`IluSolver::krylov_into`]): the factors are
+    /// refactored with a small forced diagonal shift (`1e-4 · max|aᵢᵢ|`,
+    /// a [`ZeroPivotPolicy::shift_retry`]-style boost) and the solve
+    /// re-runs from the frozen finite iterate. A result produced this
+    /// way carries `retried == true`. On success the session *keeps*
+    /// the shifted factors until the next [`Session::refactor`]
+    /// (self-healing: subsequent solves reuse the stable
     /// preconditioner); if the shifted refactor itself fails, the
     /// original breakdown result is returned unchanged.
     ///
@@ -304,38 +298,11 @@ impl<T: Scalar> Session<T> {
         b: &[T],
         x: &mut [T],
     ) -> Result<SolverResult, SparseError> {
-        let n = self.a.nrows();
-        if b.len() != n || x.len() != n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "krylov: rhs/solution lengths ({}, {}) != {}",
-                b.len(),
-                x.len(),
-                n
-            )));
-        }
-        let a = Planned(&self.a, &self.spmv);
-        let first = {
-            let m = self.factors.with_engine(self.engine);
-            krylov_with(method, &a, b, x, &m, &self.solver, &mut self.workspace)
-        };
-        if !first.broke_down() {
-            return Ok(first);
-        }
-        // One automatic retry with a stabilized (diagonally shifted)
-        // preconditioner; the iterate is frozen finite, so it doubles
-        // as the warm start. A failed shifted refactor leaves the old
-        // factors untouched — surface the original breakdown then.
-        if self
-            .factors
-            .refactor_with_shift(&self.a, BREAKDOWN_RETRY_SHIFT)
-            .is_err()
-        {
-            return Ok(first);
-        }
-        let m = self.factors.with_engine(self.engine);
-        let mut retry = krylov_with(method, &a, b, x, &m, &self.solver, &mut self.workspace);
-        retry.retried = true;
-        Ok(retry)
+        let mut results = [SolverResult::default()];
+        let (b, x) = (Panel::from_col(b), PanelMut::from_col(x));
+        self.krylov_into(method, b, x, &mut results)?;
+        let [res] = results;
+        Ok(res)
     }
 
     /// Batched Krylov solve: `k` systems of the chosen [`Method`] in
@@ -347,6 +314,11 @@ impl<T: Scalar> Session<T> {
     /// core (in its plain and flexible mode). Column `c` of the
     /// result is always bit-identical to the scalar solve of column
     /// `c`. Returns one result per column.
+    ///
+    /// Broken-down columns get [`Session::krylov`]'s one retry: one
+    /// shifted refactor for the panel, then each broken column re-runs
+    /// alone from its frozen iterate and is stamped `retried`; the
+    /// other columns keep their first-attempt results.
     ///
     /// ```
     /// use javelin::prelude::*;
@@ -374,27 +346,35 @@ impl<T: Scalar> Session<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<Vec<SolverResult>, SparseError> {
+        let mut results = vec![SolverResult::default(); b.ncols()];
+        self.krylov_into(method, b, x, &mut results)?;
+        Ok(results)
+    }
+
+    /// The solver's panel solve (retry included) behind
+    /// [`Session::krylov`] and [`Session::krylov_panel`], after the
+    /// shape check that turns a mismatch into an error.
+    fn krylov_into(
+        &mut self,
+        method: Method,
+        b: Panel<'_, T>,
+        x: PanelMut<'_, T>,
+        results: &mut [SolverResult],
+    ) -> Result<(), SparseError> {
         let n = self.a.nrows();
         if b.nrows() != n || x.nrows() != n || x.ncols() != b.ncols() {
             return Err(SparseError::DimensionMismatch(format!(
-                "krylov_panel: rhs {}x{} / solution {}x{} against a system of dimension {}",
+                "krylov: rhs {}x{} / solution {}x{} against a system of dimension {n}",
                 b.nrows(),
                 b.ncols(),
                 x.nrows(),
                 x.ncols(),
-                n
             )));
         }
-        let m = self.factors.with_engine(self.engine);
-        Ok(krylov_panel_with(
-            method,
-            &Planned(&self.a, &self.spmv),
-            b,
-            x,
-            &m,
-            &self.solver,
-            &mut self.workspace,
-        ))
+        let (opts, ws) = (&self.options, &mut self.workspace);
+        self.solver
+            .krylov_into(method, &self.a, b, x, opts, ws, results);
+        Ok(())
     }
 
     /// Scenario sweep: solves `k` pattern-identical systems — one per
@@ -407,7 +387,9 @@ impl<T: Scalar> Session<T> {
     /// sets; see [`FactorsBatch::refactor_batch`]), its factors
     /// precondition column `c`, and its matvec drives column `c` of
     /// the batched Krylov iteration. Each column's bits are identical
-    /// to a scalar `refactor` + `krylov` of that scenario alone.
+    /// to a scalar `refactor` + `krylov` of that scenario alone. A
+    /// sweep has no breakdown retry: a broken-down scenario's result is
+    /// its first attempt.
     ///
     /// The batch is stored once, lane-interleaved (two `nnz_lu·k` value
     /// buffers beside the analysis's shared index arrays — no
@@ -452,7 +434,7 @@ impl<T: Scalar> Session<T> {
         }
         match &mut self.batch {
             Some(batch) if batch.k() == k => batch.refactor_batch(mats)?,
-            slot => *slot = Some(self.factors.symbolic().factor_batch(mats)?),
+            slot => *slot = Some(self.solver.factors().symbolic().factor_batch(mats)?),
         }
         let batch = self.batch.as_ref().expect("sweep: batch just installed");
         if let Some(err) = batch
@@ -464,16 +446,11 @@ impl<T: Scalar> Session<T> {
         }
         // `refactor_batch` / `factor_batch` pattern-checked every
         // scenario against the analysis, so `a`'s plan serves them all.
-        let m = batch.precond(self.engine);
-        Ok(krylov_panel_with(
-            method,
-            &Planned(ScenarioMatrices(mats), &self.spmv),
-            b,
-            x,
-            &m,
-            &self.solver,
-            &mut self.workspace,
-        ))
+        let mut results = vec![SolverResult::default(); k];
+        let (opts, ws) = (&self.options, &mut self.workspace);
+        self.solver
+            .sweep_into(method, batch, mats, b, x, opts, ws, &mut results);
+        Ok(results)
     }
 
     /// The cached scenario batch of the most recent [`Session::sweep`]
@@ -498,7 +475,7 @@ impl<T: Scalar> Session<T> {
     /// * [`SparseError::ZeroPivot`] when a pivot collapses under the
     ///   error policy.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
-        self.factors.refactor(a)?;
+        self.solver.refactor(a)?;
         self.a.vals_mut().copy_from_slice(a.vals());
         Ok(())
     }
@@ -510,55 +487,40 @@ impl<T: Scalar> Session<T> {
 
     /// The numeric factors (also this session's preconditioner).
     pub fn factors(&self) -> &IluFactors<T> {
-        &self.factors
+        self.solver.factors()
     }
 
     /// The shared symbolic analysis handle.
     pub fn symbolic(&self) -> &SymbolicIlu<T> {
-        self.factors.symbolic()
+        self.factors().symbolic()
     }
 
     /// Factorization statistics of the most recent factor/refactor.
     pub fn stats(&self) -> &FactorStats {
-        self.factors.stats()
+        self.factors().stats()
     }
 
     /// The triangular-solve engine every apply in this session uses.
     pub fn engine(&self) -> SolveEngine {
-        self.engine
+        self.solver.engine()
     }
 
     /// The Krylov iteration controls.
     pub fn solver_options(&self) -> &SolverOptions {
-        &self.solver
+        &self.options
     }
 
     /// Mutable access to the Krylov iteration controls (e.g. to tighten
     /// the tolerance between time steps).
     pub fn solver_options_mut(&mut self) -> &mut SolverOptions {
-        &mut self.solver
-    }
-}
-
-/// The session's operator: `A` (or one scenario matrix per panel
-/// column) with every matvec run through the session's spmv plan.
-struct Planned<'p, A, T>(A, &'p SpmvPlan<T>);
-
-impl<T: Scalar, A: PanelMatrices<T>> PanelMatrices<T> for Planned<'_, A, T> {
-    fn nrows(&self) -> usize {
-        self.0.nrows()
-    }
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
-        self.0.col_matrix(c)
-    }
-    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
-        self.1.execute(self.0.col_matrix(c), x, y);
+        &mut self.options
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use javelin_solver::{krylov_panel_with, krylov_with};
     use javelin_synth::grid::laplace_2d;
 
     fn b_vec(n: usize) -> Vec<f64> {
@@ -838,6 +800,56 @@ mod tests {
         let res = session.krylov(Method::Gmres, &b, &mut x).unwrap();
         assert!(res.converged);
         assert!(!res.retried);
+    }
+
+    #[test]
+    fn panel_breakdown_retries_only_the_broken_column() {
+        // Column 1 of a width-3 panel carries a NaN: the panel's one
+        // retry refactors with the shift and re-runs that column alone,
+        // while columns 0 and 2 keep their first-attempt bits — those
+        // of the plain panel solve with the unshifted factors.
+        let a = laplace_2d(10, 10);
+        let (n, k) = (a.nrows(), 3);
+        let mut b: Vec<f64> = (0..n * k).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
+        b[n + 3] = f64::NAN;
+        let mut session = Session::builder()
+            .nthreads(2)
+            .panel_width(k)
+            .build(&a)
+            .unwrap();
+        let factors = javelin_core::factorize(&a, &IluOptions::ilu0(2)).unwrap();
+        let m = factors.with_engine(session.engine());
+        let mut want_x = vec![0.0; n * k];
+        let want = krylov_panel_with(
+            Method::Bicgstab,
+            &a,
+            Panel::new(&b, n, k),
+            PanelMut::new(&mut want_x, n, k),
+            &m,
+            session.solver_options(),
+            &mut SolverWorkspace::new(),
+        );
+        let mut x = vec![0.0; n * k];
+        let got = session
+            .krylov_panel(
+                Method::Bicgstab,
+                Panel::new(&b, n, k),
+                PanelMut::new(&mut x, n, k),
+            )
+            .unwrap();
+        assert!(got[1].retried && got[1].broke_down(), "{:?}", got[1]);
+        for c in [0, 2] {
+            assert!(got[c].converged && !got[c].retried, "col {c}: {:?}", got[c]);
+            assert_eq!(got[c].iterations, want[c].iterations, "col {c}");
+            let col = |v: &[f64]| {
+                v[c * n..(c + 1) * n]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(col(&x), col(&want_x), "col {c}");
+        }
+        assert!(session.stats().diag_shift > 0.0);
     }
 
     #[test]

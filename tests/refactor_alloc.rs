@@ -6,7 +6,8 @@
 //! contracts of the two-phase API and the workspace reserve path —
 //! and the apply pipeline and the spmv plan allocate nothing across
 //! panel widths (phases 8 and 9), nor does a 2-thread session's
-//! second Krylov solve, whose matvecs run on its team (phase 10). A
+//! second Krylov solve, whose matvecs run on its team (phase 10), nor
+//! a warmed service batch on a 2-thread analysis (phase 11). A
 //! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -661,4 +662,39 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let cost = counted(|| second = session.krylov(Method::Bicgstab, b1, x1).expect("second"));
     assert_eq!(cost, (0, 0), "2-thread session: second BiCGSTAB solve");
     assert_eq!(second.iterations, first.iterations);
+
+    // ---- Phase 11: phase 4's coalesced service dispatch on a ----
+    // 2-thread analysis. The cached solver runs the width-8 panel's
+    // matvecs and applies as regions on the analysis's team; after two
+    // warm-up batches a third touches the heap on no thread.
+    let mut engine = javelin::service::Engine::new(javelin::service::EngineConfig {
+        ilu: IluOptions::ilu0(2),
+        ..javelin::service::EngineConfig::default()
+    });
+    let request = |b: Vec<f64>, x: Vec<f64>| javelin::service::SolveRequest {
+        a: std::sync::Arc::clone(&a4),
+        b,
+        x,
+        method: Method::BatchGmres,
+    };
+    let mut requests: Vec<_> = (0..k4)
+        .map(|c| {
+            request(
+                javelin::synth::util::rhs_panel(n4, 1, c as u64),
+                vec![0.0; n4],
+            )
+        })
+        .collect();
+    let mut round = |requests: &mut Vec<_>, replies: &mut Vec<_>| {
+        engine.process(requests, replies);
+        for reply in replies.drain(..) {
+            let reply: javelin::service::SolveReply<f64> = reply.expect("2-thread dispatch");
+            assert!(reply.result.converged && reply.panel_width == k4);
+            requests.push(request(reply.b, reply.x));
+        }
+    };
+    round(&mut requests, &mut replies);
+    round(&mut requests, &mut replies);
+    let cost = counted(|| round(&mut requests, &mut replies));
+    assert_eq!(cost, (0, 0), "2-thread service: warmed width-8 batch");
 }

@@ -1,15 +1,19 @@
-//! A threaded `Session` runs every Krylov matvec on the analysis's own
-//! team, in nnz-balanced row blocks (`SymbolicIlu::spmv_plan`). That
-//! must change no bit: at 2 and 3 threads, pinned and unpinned, every
-//! solve, panel and sweep carries the bits and iteration counts of the
-//! same driver over the plain `&CsrMatrix`, whose matvecs are the
-//! caller's `spmv_into`, with the same factors and engine.
+//! A threaded `Session` and a threaded solve service run every Krylov
+//! matvec on the analysis's own team, in nnz-balanced row blocks
+//! (`IluSolver`, through `SymbolicIlu::spmv_plan`). That must change no
+//! bit: at 2 and 3 threads, pinned and unpinned, every session solve,
+//! panel and sweep, and at 2 threads every service reply, carries the
+//! bits and iteration counts of the same driver over the plain
+//! `&CsrMatrix`, whose matvecs are the caller's `spmv_into`, with the
+//! same factors and engine.
 
 use javelin::prelude::*;
+use javelin::service::{Engine, EngineConfig, SolveRequest};
 use javelin::solver::{krylov_panel_with, krylov_with, ScenarioMatrices, SolverWorkspace};
 use javelin::synth::circuit::transient_circuit;
 use javelin::synth::grid::laplace_3d;
 use javelin::synth::util::{revalue, rhs_panel};
+use std::sync::Arc;
 
 const METHODS: [Method; 4] = [Method::Pcg, Method::Bicgstab, Method::Gmres, Method::Fgmres];
 
@@ -146,6 +150,60 @@ fn threaded_session_sweep_is_bitwise_the_plain_sweep() {
                 assert_eq!(g.iterations, w.iterations, "{case} scenario {c}");
             }
             assert_eq!(bits(&x), bits(&want_x), "{case}");
+        }
+    }
+}
+
+#[test]
+fn threaded_service_replies_are_bitwise_the_plain_panels() {
+    for (matrix, a) in matrices() {
+        let n = a.nrows();
+        let shared = Arc::new(a);
+        for pin_threads in [false, true] {
+            let ilu = IluOptions {
+                pin_threads,
+                ..IluOptions::ilu0(2)
+            };
+            let f = factorize(&shared, &ilu).expect("factorize");
+            let mut engine = Engine::new(EngineConfig {
+                ilu,
+                ..EngineConfig::default()
+            });
+            for method in METHODS {
+                for k in [1, 3, 8] {
+                    let case = format!("{matrix} pinned {pin_threads} {method} k {k}");
+                    let b = rhs_panel(n, k, 23);
+                    let mut requests: Vec<_> = b
+                        .chunks(n)
+                        .map(|col| SolveRequest {
+                            a: Arc::clone(&shared),
+                            b: col.to_vec(),
+                            x: Vec::new(),
+                            method,
+                        })
+                        .collect();
+                    let mut replies = Vec::new();
+                    engine.process(&mut requests, &mut replies);
+                    let mut want_x = vec![0.0; n * k];
+                    let want = krylov_panel_with(
+                        method,
+                        &*shared,
+                        Panel::new(&b, n, k),
+                        PanelMut::new(&mut want_x, n, k),
+                        &f,
+                        &EngineConfig::default().solver,
+                        &mut SolverWorkspace::new(),
+                    );
+                    for (c, (reply, w)) in replies.iter().zip(&want).enumerate() {
+                        let reply = reply.as_ref().expect("served");
+                        assert_eq!(reply.panel_width, k, "{case} col {c}");
+                        assert!(reply.result.converged, "{case} col {c}");
+                        assert_eq!(reply.result.iterations, w.iterations, "{case} col {c}");
+                        let want_col = &want_x[c * n..(c + 1) * n];
+                        assert_eq!(bits(&reply.x), bits(want_col), "{case} col {c}");
+                    }
+                }
+            }
         }
     }
 }
