@@ -24,11 +24,24 @@
 //! to the monomorphized fixed-width kernels and every other width to
 //! the bit-identical `DynLanes` fallback (see
 //! [`javelin_sparse::lanes`]).
+//!
+//! The plan also runs the Krylov drivers' vector passes on its team
+//! ([`SpmvPlan::dot`], [`SpmvPlan::map`], [`SpmvPlan::zip`],
+//! [`SpmvPlan::zip3`]), block-aligned: participant `tid` owns the whole
+//! [`vecops::DOT_BLOCK`]-entry blocks `col_range(n_blocks, nthreads,
+//! tid)` of the vector, writes its entries and its blocks' sums, and
+//! the caller adds the sums in block order after the join. Each is
+//! bitwise its `vecops` body at every thread count; a one-thread plan,
+//! or a vector of a single block, runs that body on the caller and
+//! opens no region.
 
-use crate::sync::{Exec, RegionCells};
+use crate::sync::{col_range, Exec, RegionCells};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
+use javelin_sparse::vecops::{self, DOT_BLOCK};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
+use std::cell::Cell;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// A precomputed execution plan for the threaded spmv.
 ///
@@ -202,6 +215,113 @@ impl<T: Scalar> SpmvPlan<T> {
                     }
                 }
             });
+        });
+    }
+}
+
+/// The Krylov drivers' vector passes on the plan's team (see module
+/// docs): bitwise their `vecops` bodies, allocation-free.
+impl<T: Scalar> SpmvPlan<T> {
+    /// Whether a pass over an `n`-vector opens a region: only with two
+    /// threads and two blocks to share.
+    fn splits(&self, n: usize) -> bool {
+        self.exec.nthreads() > 1 && vecops::n_blocks(n) > 1
+    }
+
+    /// Runs `pass(cells, entries)` on the team over `y`: participant
+    /// `tid` gets the entries of its whole blocks `col_range(n_blocks,
+    /// nthreads, tid)` and their cells of `y`, which it alone writes
+    /// from the region's fork to its join.
+    fn on_blocks(&self, y: &mut [T], pass: impl Fn(&[Cell<T>], Range<usize>) + Sync) {
+        let n = y.len();
+        let (nb, nt) = (vecops::n_blocks(n), self.exec.nthreads());
+        let ys = RegionCells::new(y);
+        self.exec.run(|tid| {
+            // Capture the `Sync` wrapper whole, not its `Cell` field.
+            let ys = &ys;
+            let blocks = col_range(nb, nt, tid);
+            let span = (blocks.start * DOT_BLOCK).min(n)..(blocks.end * DOT_BLOCK).min(n);
+            pass(&ys.0[span.clone()], span);
+        });
+    }
+
+    /// `xᵀ·y`, bitwise [`vecops::dot`] at every thread count. Each
+    /// participant writes its blocks' [`vecops::block_dot`]s into
+    /// `sums`, one slot per block, and the caller adds the first
+    /// `n_blocks(n)` slots in block order after the join; slots past
+    /// them are never read. A one-thread plan or a single-block vector
+    /// runs `vecops::dot` on the caller.
+    ///
+    /// # Panics
+    /// When lengths differ, or when a split dot gets fewer than
+    /// [`vecops::n_blocks`] slots.
+    pub fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
+        assert_eq!(x.len(), y.len(), "dot: length mismatch");
+        let n = x.len();
+        if !self.splits(n) {
+            return vecops::dot(x, y);
+        }
+        let nb = vecops::n_blocks(n);
+        assert!(sums.len() >= nb, "dot: {nb} block-sum slots needed");
+        let sums = &mut sums[..nb];
+        let cells = RegionCells::new(sums);
+        let nt = self.exec.nthreads();
+        self.exec.run(|tid| {
+            // Capture the `Sync` wrapper whole, not its `Cell` field.
+            let cells = &cells;
+            for b in col_range(nb, nt, tid) {
+                let block = b * DOT_BLOCK..((b + 1) * DOT_BLOCK).min(n);
+                cells.0[b].set(vecops::block_dot(&x[block.clone()], &y[block]));
+            }
+        });
+        sums.iter().fold(T::ZERO, |sum, &block| sum + block)
+    }
+
+    /// `yᵢ ← f(yᵢ)`, bitwise [`vecops::map`]; a one-thread plan or a
+    /// single-block vector runs it on the caller.
+    pub fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
+        if !self.splits(y.len()) {
+            return vecops::map(y, f);
+        }
+        self.on_blocks(y, |ys, _| {
+            for yi in ys {
+                yi.set(f(yi.get()));
+            }
+        });
+    }
+
+    /// `yᵢ ← f(yᵢ, xᵢ)`, bitwise [`vecops::zip`]; a one-thread plan or
+    /// a single-block vector runs it on the caller.
+    ///
+    /// # Panics
+    /// When lengths differ.
+    pub fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
+        if !self.splits(y.len()) {
+            return vecops::zip(y, x, f);
+        }
+        assert_eq!(x.len(), y.len(), "zip: length mismatch");
+        self.on_blocks(y, |ys, span| {
+            for (yi, &xi) in ys.iter().zip(&x[span]) {
+                yi.set(f(yi.get(), xi));
+            }
+        });
+    }
+
+    /// `yᵢ ← f(yᵢ, uᵢ, vᵢ)`, bitwise [`vecops::zip3`]; a one-thread plan
+    /// or a single-block vector runs it on the caller.
+    ///
+    /// # Panics
+    /// When lengths differ.
+    pub fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
+        if !self.splits(y.len()) {
+            return vecops::zip3(y, u, v, f);
+        }
+        assert_eq!(u.len(), y.len(), "zip3: length mismatch");
+        assert_eq!(v.len(), y.len(), "zip3: length mismatch");
+        self.on_blocks(y, |ys, span| {
+            for ((yi, &ui), &vi) in ys.iter().zip(&u[span.clone()]).zip(&v[span]) {
+                yi.set(f(yi.get(), ui, vi));
+            }
         });
     }
 }
@@ -478,5 +598,59 @@ mod proptests {
                 prop_assert_eq!(got, want.clone(), "nthreads={}", nthreads);
             }
         }
+
+        /// Every team vector pass is bitwise its `vecops` body at 1, 2, 3
+        /// and 8 threads, at lengths one below, at and one above 0–9
+        /// whole blocks; a split dot reads only its own slots of a
+        /// longer slot buffer of stale NaNs.
+        #[test]
+        fn team_vector_passes_are_bitwise_their_vecops_bodies(
+            blocks_idx in 0usize..7,
+            offset in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            let blocks = [0usize, 1, 2, 3, 4, 8, 9][blocks_idx];
+            let n = (blocks * DOT_BLOCK + offset).saturating_sub(1);
+            let vector = |salt: u64| -> Vec<f64> {
+                let mut s = seed * 3 + salt;
+                (0..n)
+                    .map(|_| {
+                        s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                        (s >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                    })
+                    .collect()
+            };
+            let (x, u, v) = (vector(0), vector(1), vector(2));
+            let map = |y: f64| y * 0.37 - 1.0;
+            let zip = |y: f64, x: f64| y + -0.61 * x;
+            let zip3 = |p: f64, r: f64, q: f64| r + 0.3 * (p - 1.7 * q);
+            let want_dot = vecops::dot(&x, &u).to_bits();
+            let mut want_map = x.clone();
+            vecops::map(&mut want_map, map);
+            let mut want_zip = x.clone();
+            vecops::zip(&mut want_zip, &u, zip);
+            let mut want_zip3 = x.clone();
+            vecops::zip3(&mut want_zip3, &u, &v, zip3);
+            let a = CooMatrix::<f64>::new(1, 1).to_csr();
+            for nthreads in [1usize, 2, 3, 8] {
+                let plan = SpmvPlan::new(&a, nthreads, 0);
+                let mut sums = vec![f64::NAN; vecops::n_blocks(n) + 3];
+                let got = plan.dot(&x, &u, &mut sums).to_bits();
+                prop_assert_eq!(got, want_dot, "dot n={} nthreads={}", n, nthreads);
+                let mut y = x.clone();
+                plan.map(&mut y, map);
+                prop_assert_eq!(bits(&y), bits(&want_map), "map n={} nthreads={}", n, nthreads);
+                let mut y = x.clone();
+                plan.zip(&mut y, &u, zip);
+                prop_assert_eq!(bits(&y), bits(&want_zip), "zip n={} nthreads={}", n, nthreads);
+                let mut y = x.clone();
+                plan.zip3(&mut y, &u, &v, zip3);
+                prop_assert_eq!(bits(&y), bits(&want_zip3), "zip3 n={} nthreads={}", n, nthreads);
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
     }
 }

@@ -1,8 +1,9 @@
 //! [`RegionCells`]: a buffer the threads of one region share as plain
 //! cells — the numeric factorization's value buffer and τ thresholds
 //! (load region and walks), the threaded apply's solve buffers and
-//! solution panel, and the spmv plan's output panel. It is the crate's
-//! one way to share a buffer across threads.
+//! solution panel, the spmv plan's output panel, and the Krylov vector
+//! passes' output vector and block sums. It is the crate's one way to
+//! share a buffer across threads.
 
 #![allow(unsafe_code)] // RegionCells' Sync; protocol in docs/ARCHITECTURE.md §7.
 
@@ -27,8 +28,12 @@ pub(crate) struct RegionCells<'a, T>(pub(crate) &'a [Cell<T>]);
 // own a disjoint `col_range` share of the LU entries and of the rows'
 // τ thresholds from the region's fork to its join, and the walks read
 // the loaded values only after that join. The spmv plan's threads
-// write disjoint row ranges. Concurrent accesses therefore touch
-// disjoint slots.
+// write disjoint row ranges. A vector pass's thread owns whole
+// reduction blocks, `col_range(n_blocks, nthreads, tid)`, from the
+// region's fork to its join: it writes only its blocks' entries and
+// block-sum slots, reads no other thread's, and the caller reads the
+// slots after the join. Concurrent accesses therefore touch disjoint
+// slots.
 unsafe impl<T: Send> Sync for RegionCells<'_, T> {}
 
 impl<'a, T> RegionCells<'a, T> {

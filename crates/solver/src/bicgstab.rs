@@ -35,10 +35,10 @@
 //! two panel applies — zero steady-state heap allocations, with opt-in
 //! residual histories as the documented exception.
 
-use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
+use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
 use javelin_sparse::lanes::{LANE_DONE, LANE_HALTED};
-use javelin_sparse::{vecops, Panel, PanelMut, Scalar};
+use javelin_sparse::{Panel, PanelMut, Scalar};
 
 /// The BiCGSTAB driver behind [`crate::krylov_panel_into`]: per-column
 /// ρ/α/ω state keeps every column on exactly the standalone recurrence,
@@ -82,6 +82,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         col_rho,
         col_alpha,
         col_omega,
+        block_sums,
         col_bnorm,
         col_relres,
         mask,
@@ -91,7 +92,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     // ---- Per-column setup. -----------------------------------------
     for c in 0..k {
         let rc = c * n..(c + 1) * n;
-        col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
+        col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
         if col_bnorm[c] == 0.0 {
             // Trivial lane: x = 0, converged in 0 iterations. Zero its
             // working columns so the shared panel applies stay finite.
@@ -131,21 +132,20 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             results[c].status = SolverStatus::NumericalBreakdown;
             continue;
         }
-        // r = b - A x (matvec into q, subtract into r); r_hat = r.
-        a.spmv_col(c, x.col(c), &mut pq[rc.clone()]);
-        let bc = b.col(c);
-        for i in 0..n {
-            pr[c * n + i] = bc[i] - pq[c * n + i];
-        }
-        prhat[rc.clone()].copy_from_slice(&pr[rc.clone()]);
+        // r = b - A x (matvec into r, subtracted from b in place);
+        // r_hat = r.
+        let r = &mut pr[rc.clone()];
+        a.spmv_col(c, x.col(c), r);
+        a.zip(r, b.col(c), |ax, b| b - ax);
+        a.zip(&mut prhat[rc.clone()], r, |_, r| r);
         col_rho[c] = T::ONE;
         col_alpha[c] = T::ONE;
         col_omega[c] = T::ONE;
         // q plays the role of `v = A·y`; z of the second preconditioned
         // direction; t of `A·z` — all zeroed.
-        pq[rc.clone()].fill(T::ZERO);
-        pp[rc.clone()].fill(T::ZERO);
-        col_relres[c] = vecops::norm2(&pr[rc.clone()]).to_f64() / col_bnorm[c];
+        a.map(&mut pq[rc.clone()], |_| T::ZERO);
+        a.map(&mut pp[rc.clone()], |_| T::ZERO);
+        col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
         if opts.record_history {
             results[c].history.push(col_relres[c]);
         }
@@ -168,7 +168,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let rc = c * n..(c + 1) * n;
-            let rho_new = vecops::dot(&prhat[rc.clone()], &pr[rc.clone()]);
+            let rho_new = a.dot(&prhat[rc.clone()], &pr[rc.clone()], block_sums);
             if rho_new == T::ZERO || !rho_new.is_finite() {
                 // ρ-breakdown: mask this lane where a width-1 solve
                 // would have returned; the panel keeps iterating.
@@ -182,9 +182,8 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             col_rho[c] = rho_new;
             // p = r + beta (p - omega v)
             let omega = col_omega[c];
-            for i in rc {
-                pp[i] = pr[i] + beta * (pp[i] - omega * pq[i]);
-            }
+            let (r, q) = (&pr[rc.clone()], &pq[rc.clone()]);
+            a.zip3(&mut pp[rc], r, q, |p, r, q| r + beta * (p - omega * q));
         }
         if !mask.any_active() {
             break;
@@ -204,13 +203,14 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             }
             let rc = c * n..(c + 1) * n;
             a.spmv_col(c, &py[rc.clone()], &mut pq[rc.clone()]);
-            col_alpha[c] = col_rho[c] / vecops::dot(&prhat[rc.clone()], &pq[rc.clone()]);
+            let alpha = col_rho[c] / a.dot(&prhat[rc.clone()], &pq[rc.clone()], block_sums);
+            col_alpha[c] = alpha;
             // s = r - alpha v  (reuse r)
-            vecops::axpy(-col_alpha[c], &pq[rc.clone()], &mut pr[rc.clone()]);
-            let s_norm = vecops::norm2(&pr[rc.clone()]).to_f64() / col_bnorm[c];
+            a.zip(&mut pr[rc.clone()], &pq[rc.clone()], |r, q| r + -alpha * q);
+            let s_norm = norm2(a, &pr[rc.clone()], block_sums).to_f64() / col_bnorm[c];
             col_relres[c] = s_norm;
             if s_norm < opts.tol {
-                vecops::axpy(col_alpha[c], &py[rc.clone()], x.col_mut(c));
+                a.zip(x.col_mut(c), &py[rc], |x, y| x + alpha * y);
                 if opts.record_history {
                     results[c].history.push(s_norm);
                 }
@@ -245,7 +245,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             }
             let rc = c * n..(c + 1) * n;
             a.spmv_col(c, &pz[rc.clone()], &mut pt[rc.clone()]);
-            let tt = vecops::dot(&pt[rc.clone()], &pt[rc.clone()]);
+            let tt = a.dot(&pt[rc.clone()], &pt[rc.clone()], block_sums);
             if tt == T::ZERO || !tt.is_finite() {
                 mask.set(c, LANE_HALTED);
                 results[c].iterations = it;
@@ -253,13 +253,15 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 results[c].status = SolverStatus::NumericalBreakdown;
                 continue;
             }
-            col_omega[c] = vecops::dot(&pt[rc.clone()], &pr[rc.clone()]) / tt;
+            let omega = a.dot(&pt[rc.clone()], &pr[rc.clone()], block_sums) / tt;
+            col_omega[c] = omega;
+            let alpha = col_alpha[c];
             // x += alpha y + omega z
-            vecops::axpy(col_alpha[c], &py[rc.clone()], x.col_mut(c));
-            vecops::axpy(col_omega[c], &pz[rc.clone()], x.col_mut(c));
+            a.zip(x.col_mut(c), &py[rc.clone()], |x, y| x + alpha * y);
+            a.zip(x.col_mut(c), &pz[rc.clone()], |x, z| x + omega * z);
             // r = s - omega t
-            vecops::axpy(-col_omega[c], &pt[rc.clone()], &mut pr[rc.clone()]);
-            col_relres[c] = vecops::norm2(&pr[rc.clone()]).to_f64() / col_bnorm[c];
+            a.zip(&mut pr[rc.clone()], &pt[rc.clone()], |r, t| r + -omega * t);
+            col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
             if opts.record_history {
                 results[c].history.push(col_relres[c]);
             }
@@ -703,33 +705,33 @@ mod tests {
         (
             9,
             SolverStatus::Converged,
-            0x3e86dcf5fbc8157b,
+            0x3e86dcf5fbc81959,
             10,
-            0x2b44e1836edc1ed4,
+            0x723c0d89f9767632,
         ),
         // 1: ILU(1), two threads, tol 1e-12
         (
             8,
             SolverStatus::Converged,
-            0x3d714d5ace6550f6,
+            0x3d714d5acea34f55,
             9,
-            0x1d812388287889a0,
+            0x451ea17ec1106aa2,
         ),
         // 2: identity, warm start
         (
             25,
             SolverStatus::Converged,
-            0x3ea1edec0c7ec932,
+            0x3ea1edec0c4ff0e0,
             26,
-            0x57b9d445c5715ac1,
+            0x85b7d4dc37178aa7,
         ),
         // 3: cap
         (
             2,
             SolverStatus::MaxIters,
-            0x3fac204cf26d1858,
+            0x3fac204cf26d1852,
             3,
-            0x183f48a4d36f5e82,
+            0xaaeaff68307c15d9,
         ),
         // 4: zero rhs
         (

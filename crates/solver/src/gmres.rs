@@ -47,10 +47,10 @@
 //! zero steady-state heap allocations, with opt-in residual histories
 //! as the documented exception.
 
-use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
+use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
 use javelin_sparse::lanes::{LANE_ACTIVE, LANE_DONE, LANE_HALTED, LANE_PENDING};
-use javelin_sparse::{vecops, LaneMask, Panel, PanelMut, Scalar};
+use javelin_sparse::{LaneMask, Panel, PanelMut, Scalar};
 
 /// The lockstep-restart Arnoldi driver behind
 /// [`crate::krylov_panel_into`] — the only Arnoldi / Givens /
@@ -102,6 +102,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         psn,
         pg,
         pyk,
+        block_sums,
         col_bnorm,
         col_relres,
         mask,
@@ -115,7 +116,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 
     // ---- Per-column setup. ------------------------------------------
     for c in 0..k {
-        col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
+        col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
         col_iters[c] = 0;
         if col_bnorm[c] != 0.0 && col_bnorm[c].is_finite() {
             mask.set(c, LANE_PENDING);
@@ -150,10 +151,8 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             // r = b - A x (into u).
             let u = &mut pu[rc.clone()];
             a.spmv_col(c, x.col(c), u);
-            for (ui, bi) in u.iter_mut().zip(b.col(c)) {
-                *ui = *bi - *ui;
-            }
-            let beta = vecops::norm2(u);
+            a.zip(u, b.col(c), |ax, b| b - ax);
+            let beta = norm2(a, u, block_sums);
             col_relres[c] = beta.to_f64() / col_bnorm[c];
             if opts.record_history && results[c].history.is_empty() {
                 results[c].history.push(col_relres[c]);
@@ -171,8 +170,9 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             }
             // v₀ = r / β; reset the rotated RHS g.
             let v0 = &mut v_basis[0][rc];
-            v0.copy_from_slice(u);
-            vecops::scale(T::ONE / beta, v0);
+            a.zip(v0, u, |_, u| u);
+            let inv = T::ONE / beta;
+            a.map(v0, |v| v * inv);
             let g = &mut pg[c * gs..(c + 1) * gs];
             g.fill(T::ZERO);
             g[0] = beta;
@@ -213,11 +213,11 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 // Modified Gram–Schmidt against this column's basis.
                 for i in 0..=j {
                     let vi = &v_basis[i][rc.clone()];
-                    let hij = vecops::dot(w, vi);
+                    let hij = a.dot(w, vi, block_sums);
                     h[i * restart + j] = hij;
-                    vecops::axpy(-hij, vi, w);
+                    a.zip(w, vi, |w, v| w + -hij * v);
                 }
-                let hjp = vecops::norm2(w);
+                let hjp = norm2(a, w, block_sums);
                 h[(j + 1) * restart + j] = hjp;
                 // Apply existing Givens rotations to the new column.
                 for i in 0..j {
@@ -251,8 +251,9 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 if !(col_relres[c] < opts.tol || hjp == T::ZERO || capped) {
                     // v_{j+1} = w / h_{j+1,j}.
                     let vnext = &mut v_basis[j + 1][rc.clone()];
-                    vnext.copy_from_slice(w);
-                    vecops::scale(T::ONE / hjp, vnext);
+                    a.zip(vnext, w, |_, w| w);
+                    let inv = T::ONE / hjp;
+                    a.map(vnext, |v| v * inv);
                     if j + 1 < restart {
                         continue;
                     }
@@ -271,22 +272,20 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 if flexible {
                     // x += Z y — Z already holds the preconditioned
                     // directions (the "flexible" difference).
-                    for (kk, y) in yk[..=j].iter().enumerate() {
-                        vecops::axpy(*y, &z_basis[kk][rc.clone()], x.col_mut(c));
+                    for (kk, &y) in yk[..=j].iter().enumerate() {
+                        a.zip(x.col_mut(c), &z_basis[kk][rc.clone()], |x, z| x + y * z);
                     }
                 } else {
                     // x += M⁻¹ (V y): one single-column apply into
                     // this column's pz slot.
                     let u = &mut pu[rc.clone()];
-                    u.fill(T::ZERO);
-                    for (kk, y) in yk[..=j].iter().enumerate() {
-                        vecops::axpy(*y, &v_basis[kk][rc.clone()], u);
+                    a.map(u, |_| T::ZERO);
+                    for (kk, &y) in yk[..=j].iter().enumerate() {
+                        a.zip(u, &v_basis[kk][rc.clone()], |u, v| u + y * v);
                     }
                     let z = &mut pz[rc];
                     m.apply_column_with(precond, c, u, z);
-                    for (xi, zi) in x.col_mut(c).iter_mut().zip(z.iter()) {
-                        *xi += *zi;
-                    }
+                    a.zip(x.col_mut(c), z, |x, z| x + z);
                 }
                 if col_relres[c] < opts.tol || capped {
                     retire(c, col_iters[c], col_relres[c], opts, mask, results);
@@ -996,16 +995,16 @@ mod tests {
             (
                 12,
                 SolverStatus::Converged,
-                0x3ea09285c76dc091,
+                0x3ea09285c76dc0b2,
                 13,
-                0x7d7cc91c226ece0f,
+                0xebfd6679479039d6,
             ),
             (
                 12,
                 SolverStatus::Converged,
-                0x3ea09285c76dc091,
+                0x3ea09285c76dc0b2,
                 13,
-                0x3c5340b49c9231a5,
+                0x5c3599006c049620,
             ),
         ),
         // 1: identity, restart 7, warm start
@@ -1013,16 +1012,16 @@ mod tests {
             (
                 67,
                 SolverStatus::Converged,
-                0x3eacdb077625d416,
+                0x3eacdb07762872ee,
                 68,
-                0x8b2d8a29fdd0f006,
+                0xca0d385a1796da5c,
             ),
             (
                 67,
                 SolverStatus::Converged,
-                0x3eacdb077626ad5b,
+                0x3eacdb077625f2e8,
                 68,
-                0xff494c3088ab8b20,
+                0xbbb1ba34685e19cd,
             ),
         ),
         // 2: identity, restart 1
@@ -1030,16 +1029,16 @@ mod tests {
             (
                 98,
                 SolverStatus::Converged,
-                0x3eb029998500ed04,
+                0x3eb02999850027e2,
                 0,
-                0xbf9d2e707545d16a,
+                0xf25a9f6d4b36827e,
             ),
             (
                 98,
                 SolverStatus::Converged,
-                0x3eb029998500ed04,
+                0x3eb02999850027e2,
                 0,
-                0xbf9d2e707545d16a,
+                0xf25a9f6d4b36827e,
             ),
         ),
         // 3: ILU(0), restart 3, tol 1e-12
@@ -1047,16 +1046,16 @@ mod tests {
             (
                 37,
                 SolverStatus::Converged,
-                0x3d6bbc8f84d82fd0,
+                0x3d6bbcf3bd717c94,
                 38,
-                0xd189f11116df8d54,
+                0xcdcacdc38e864ad5,
             ),
             (
                 37,
                 SolverStatus::Converged,
-                0x3d6bbca1ff1fa5df,
+                0x3d6bbccf358b8ccd,
                 38,
-                0x9bfe3ba1d04d189d,
+                0x2137a0d45cf43a0b,
             ),
         ),
         // 4: cap mid-cycle
@@ -1064,16 +1063,16 @@ mod tests {
             (
                 5,
                 SolverStatus::MaxIters,
-                0x3fadc7cda575e773,
+                0x3fadc7cda575e78e,
                 6,
-                0x6b8bc295fb417bbd,
+                0x05f30978a3040cb6,
             ),
             (
                 5,
                 SolverStatus::MaxIters,
-                0x3fadc7cda575e773,
+                0x3fadc7cda575e78e,
                 6,
-                0x7071a48463bbf684,
+                0x4902b7d9ba21d54f,
             ),
         ),
         // 5: full-fill ILU
@@ -1081,16 +1080,16 @@ mod tests {
             (
                 1,
                 SolverStatus::Converged,
-                0x3cb3158802b7ddf5,
+                0x3cc29e85f472f32f,
                 2,
-                0xa6d8857a39d31bf9,
+                0x53e2e7f30c9d1f18,
             ),
             (
                 1,
                 SolverStatus::Converged,
-                0x3cb3158802b7ddf5,
+                0x3cc29e85f472f32f,
                 2,
-                0xce0a43b483cecb8d,
+                0xf6bcfd2a6cef667b,
             ),
         ),
         // 6: zero rhs

@@ -179,8 +179,9 @@ impl<T: Scalar> IluSolver<T> {
 }
 
 /// The solver's operator: `A` (or one scenario matrix per panel column,
-/// each on the analyzed pattern) with every matvec run through the
-/// plan — bitwise [`CsrMatrix::spmv_into`].
+/// each on the analyzed pattern) with every matvec and every vector
+/// pass run through the plan, on the analysis's team — bitwise
+/// [`CsrMatrix::spmv_into`] and the `vecops` bodies.
 struct OnPlan<'p, A, T>(A, &'p SpmvPlan<T>);
 
 impl<T: Scalar, A: PanelMatrices<T>> PanelMatrices<T> for OnPlan<'_, A, T> {
@@ -192,5 +193,17 @@ impl<T: Scalar, A: PanelMatrices<T>> PanelMatrices<T> for OnPlan<'_, A, T> {
     }
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         self.1.execute(self.0.col_matrix(c), x, y);
+    }
+    fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
+        self.1.dot(x, y, sums)
+    }
+    fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
+        self.1.map(y, f);
+    }
+    fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
+        self.1.zip(y, x, f);
+    }
+    fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
+        self.1.zip3(y, u, v, f);
     }
 }

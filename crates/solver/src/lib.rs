@@ -50,11 +50,17 @@
 //! ## The operator and the work table
 //!
 //! The drivers reach `A` only through [`PanelMatrices::spmv_col`], one
-//! call per column per matvec, so the caller picks where the product
-//! runs (the caller's core by default; the analysis's team under
-//! [`IluSolver`]). What each method issues per iteration — spmvs,
-//! preconditioner applies, reductions and vector-update passes — is
-//! the table behind [`Method::ops`].
+//! call per column per matvec, and every `n`-vector only through the
+//! operator's vector hooks: [`PanelMatrices::dot`] for each dot and
+//! 2-norm, [`PanelMatrices::map`], [`PanelMatrices::zip`] and
+//! [`PanelMatrices::zip3`] for each update pass. So the caller picks
+//! where the whole solve runs: on the caller's core by default (the
+//! `vecops` bodies), on the analysis's team under [`IluSolver`], whose
+//! plan splits each pass into whole reduction blocks per thread. The
+//! dot is [`vecops::dot`]'s blocked sum either way, so a solve carries
+//! the same bits at every thread count. What each method issues per
+//! iteration — spmvs, preconditioner applies, reductions and
+//! vector-update passes — is the table behind [`Method::ops`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +79,7 @@ pub use ops::{ConvergedAt, KrylovOps};
 pub use workspace::SolverWorkspace;
 
 use javelin_core::Preconditioner;
-use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use javelin_sparse::{vecops, CsrMatrix, Panel, PanelMut, Scalar};
 
 /// The operator axis of a batched panel solve: which matrix drives
 /// panel column `c`'s recurrence.
@@ -85,10 +91,12 @@ use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
 /// operator while still sharing the lockstep loop and the panel
 /// preconditioner applies. The drivers only ever touch the operator
 /// through [`PanelMatrices::spmv_col`], one call per column per
-/// matvec, so an implementation decides *where* each `A·x` runs:
-/// the default is the caller's [`CsrMatrix::spmv_into`], and
-/// [`IluSolver`] runs it on the analysis's worker team through a
-/// [`javelin_core::SpmvPlan`] — bitwise the same product either way.
+/// matvec, and their `n`-vectors through the hooks after it, one call
+/// per pass, so an implementation decides *where* each `A·x`, dot and
+/// update runs: the defaults are the caller's
+/// [`CsrMatrix::spmv_into`] and the [`vecops`] bodies, and
+/// [`IluSolver`] runs them on the analysis's worker team through a
+/// [`javelin_core::SpmvPlan`] — bitwise the same results either way.
 pub trait PanelMatrices<T: Scalar>: Sync {
     /// Row dimension (shared by every column's matrix).
     fn nrows(&self) -> usize;
@@ -98,6 +106,32 @@ pub trait PanelMatrices<T: Scalar>: Sync {
     /// bits of the default, `col_matrix(c).spmv_into(x, y)`.
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         self.col_matrix(c).spmv_into(x, y);
+    }
+    /// `xᵀ·y`, every dot and 2-norm of the drivers. `sums` is the
+    /// workspace's block-sum scratch: at least
+    /// [`vecops::n_blocks`]`(x.len())` slots of stale values, which a
+    /// threaded dot may overwrite. Implementations must carry the bits
+    /// of the default, [`vecops::dot`].
+    fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
+        let _ = sums;
+        vecops::dot(x, y)
+    }
+    /// `yᵢ ← f(yᵢ)`: the drivers' fills and scales. Implementations
+    /// must carry the bits of the default, [`vecops::map`].
+    fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
+        vecops::map(y, f);
+    }
+    /// `yᵢ ← f(yᵢ, xᵢ)`: the drivers' axpys, xpbys, copies and
+    /// residuals. Implementations must carry the bits of the default,
+    /// [`vecops::zip`].
+    fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
+        vecops::zip(y, x, f);
+    }
+    /// `yᵢ ← f(yᵢ, uᵢ, vᵢ)`: BiCGSTAB's direction update.
+    /// Implementations must carry the bits of the default,
+    /// [`vecops::zip3`].
+    fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
+        vecops::zip3(y, u, v, f);
     }
 }
 
@@ -123,6 +157,18 @@ impl<T: Scalar, A: PanelMatrices<T> + ?Sized> PanelMatrices<T> for &A {
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         (**self).spmv_col(c, x, y);
     }
+    fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
+        (**self).dot(x, y, sums)
+    }
+    fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
+        (**self).map(y, f);
+    }
+    fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
+        (**self).zip(y, x, f);
+    }
+    fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
+        (**self).zip3(y, u, v, f);
+    }
 }
 
 impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::sync::Arc<A> {
@@ -135,6 +181,24 @@ impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::s
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         (**self).spmv_col(c, x, y);
     }
+    fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
+        (**self).dot(x, y, sums)
+    }
+    fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
+        (**self).map(y, f);
+    }
+    fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
+        (**self).zip(y, x, f);
+    }
+    fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
+        (**self).zip3(y, u, v, f);
+    }
+}
+
+/// `‖x‖₂` through the operator's dot hook: `a.dot(x, x, sums).sqrt()`,
+/// bitwise [`vecops::norm2`].
+fn norm2<T: Scalar, A: PanelMatrices<T>>(a: &A, x: &[T], sums: &mut [T]) -> T {
+    a.dot(x, x, sums).sqrt()
 }
 
 /// One matrix per panel column — the scenario-sweep consumer shape

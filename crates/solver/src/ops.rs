@@ -30,10 +30,16 @@
 //! [`javelin_core::Preconditioner::apply_panel_with`] call that counts
 //! once per column.
 //!
-//! In a threaded [`crate::IluSolver`] every spmv and every threaded
-//! apply is one region on the analysis's team (`SymbolicIlu::work`
-//! states an apply's own synchronization), so a width-1 BiCGSTAB
-//! iteration opens 4 regions: 2 spmvs and 2 applies.
+//! Every reduction is one [`crate::PanelMatrices::dot`] call and every
+//! update one `map`/`zip`/`zip3` call, so the drivers' passes are
+//! exactly what an operator's hooks see (`tests/work_pins.rs` counts
+//! them). In a threaded [`crate::IluSolver`] every spmv, every threaded
+//! apply and every pass over a vector of more than one reduction block
+//! is one region on the analysis's team (`SymbolicIlu::work` states an
+//! apply's own synchronization), so at t ≥ 2, on a system of more than
+//! one block, a width-1 BiCGSTAB iteration opens 15 regions: 2 spmvs,
+//! 2 applies, 6 reductions and 5 updates, and no vector pass stays on
+//! the caller.
 
 use crate::Method;
 use std::ops::{Add, Mul};

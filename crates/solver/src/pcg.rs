@@ -31,10 +31,10 @@
 //! optional residual histories (`record_history`, off by default) are
 //! the documented exception.
 
-use crate::{PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
+use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
 use javelin_sparse::lanes::{LANE_DONE, LANE_HALTED};
-use javelin_sparse::{vecops, Panel, PanelMut, Scalar};
+use javelin_sparse::{Panel, PanelMut, Scalar};
 
 /// The PCG driver behind [`crate::krylov_panel_into`]: per-column
 /// scalar state keeps every column on exactly the standalone-PCG
@@ -73,6 +73,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         pp,
         pq,
         col_rz,
+        block_sums,
         col_bnorm,
         col_relres,
         mask,
@@ -81,7 +82,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 
     // ---- Per-column setup. -----------------------------------------
     for c in 0..k {
-        col_bnorm[c] = vecops::norm2(b.col(c)).to_f64();
+        col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
         if col_bnorm[c] == 0.0 {
             // Trivial lane: x = 0, converged in 0 iterations. Zero its
             // working columns so the shared panel applies stay finite.
@@ -103,12 +104,10 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             results[c].relative_residual = f64::NAN;
             results[c].status = SolverStatus::NumericalBreakdown;
         } else {
-            // r = b - A x (matvec into q, subtract into r).
-            a.spmv_col(c, x.col(c), &mut pq[c * n..(c + 1) * n]);
-            let bc = b.col(c);
-            for i in 0..n {
-                pr[c * n + i] = bc[i] - pq[c * n + i];
-            }
+            // r = b - A x (matvec into r, subtracted from b in place).
+            let r = &mut pr[c * n..(c + 1) * n];
+            a.spmv_col(c, x.col(c), r);
+            a.zip(r, b.col(c), |ax, b| b - ax);
         }
     }
     if !mask.any_active() {
@@ -124,9 +123,10 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         if !mask.is_active(c) {
             continue;
         }
-        pp[c * n..(c + 1) * n].copy_from_slice(&pz[c * n..(c + 1) * n]);
-        col_rz[c] = vecops::dot(&pr[c * n..(c + 1) * n], &pz[c * n..(c + 1) * n]);
-        col_relres[c] = vecops::norm2(&pr[c * n..(c + 1) * n]).to_f64() / col_bnorm[c];
+        let rc = c * n..(c + 1) * n;
+        a.zip(&mut pp[rc.clone()], &pz[rc.clone()], |_, z| z);
+        col_rz[c] = a.dot(&pr[rc.clone()], &pz[rc.clone()], block_sums);
+        col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
         if opts.record_history {
             results[c].history.push(col_relres[c]);
         }
@@ -150,7 +150,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             }
             let rc = c * n..(c + 1) * n;
             a.spmv_col(c, &pp[rc.clone()], &mut pq[rc.clone()]);
-            let pq_dot = vecops::dot(&pp[rc.clone()], &pq[rc.clone()]);
+            let pq_dot = a.dot(&pp[rc.clone()], &pq[rc.clone()], block_sums);
             if pq_dot == T::ZERO || !pq_dot.is_finite() {
                 mask.set(c, LANE_HALTED);
                 results[c].iterations = it - 1;
@@ -159,9 +159,9 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let alpha = col_rz[c] / pq_dot;
-            vecops::axpy(alpha, &pp[rc.clone()], x.col_mut(c));
-            vecops::axpy(-alpha, &pq[rc.clone()], &mut pr[rc.clone()]);
-            col_relres[c] = vecops::norm2(&pr[rc.clone()]).to_f64() / col_bnorm[c];
+            a.zip(x.col_mut(c), &pp[rc.clone()], |x, p| x + alpha * p);
+            a.zip(&mut pr[rc.clone()], &pq[rc.clone()], |r, q| r + -alpha * q);
+            col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
             if opts.record_history {
                 results[c].history.push(col_relres[c]);
             }
@@ -196,10 +196,10 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 continue;
             }
             let rc = c * n..(c + 1) * n;
-            let rz_new = vecops::dot(&pr[rc.clone()], &pz[rc.clone()]);
+            let rz_new = a.dot(&pr[rc.clone()], &pz[rc.clone()], block_sums);
             let beta = rz_new / col_rz[c];
             col_rz[c] = rz_new;
-            vecops::xpby(&pz[rc.clone()], beta, &mut pp[rc.clone()]);
+            a.zip(&mut pp[rc.clone()], &pz[rc], |p, z| z + beta * p);
         }
     }
     // Lanes still active at the cap: not converged.
@@ -573,33 +573,33 @@ mod tests {
         (
             12,
             SolverStatus::Converged,
-            0x3ea29e5c1b8f3d6a,
+            0x3ea29e5c1b8f3d69,
             13,
-            0xe9a84878c326b931,
+            0x2e69fd7b19ef5993,
         ),
         // 1: ILU(1), two threads, tol 1e-12
         (
             14,
             SolverStatus::Converged,
-            0x3d394f42fe82e235,
+            0x3d394f42fe7f7247,
             15,
-            0x0a0e839ab23d3d39,
+            0xf2de6e75af7f7657,
         ),
         // 2: identity, warm start
         (
             33,
             SolverStatus::Converged,
-            0x3ea691df6d376155,
+            0x3ea691df6d376146,
             34,
-            0x002cbefe3eb6ac37,
+            0x74db64d70b2eaa3c,
         ),
         // 3: cap
         (
             3,
             SolverStatus::MaxIters,
-            0x3fcc3e7b9c3e0fd0,
+            0x3fcc3e7b9c3e0fd4,
             4,
-            0xedbd88217931d0c7,
+            0x31dfeebe5837626d,
         ),
         // 4: zero rhs
         (

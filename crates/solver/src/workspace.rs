@@ -2,7 +2,8 @@
 //!
 //! A [`SolverWorkspace`] holds every buffer a Krylov solver needs —
 //! residual/direction panels, the stacked Arnoldi bases, the small
-//! per-column Hessenberg/Givens arrays, the per-column [`LaneMask`] —
+//! per-column Hessenberg/Givens arrays, the per-column [`LaneMask`],
+//! the block-sum slots of a threaded dot —
 //! plus the [`ApplyScratch`] forwarded to
 //! [`javelin_core::Preconditioner::apply_with`]. Every buffer is
 //! **grow-only**: it is extended (zero-filled) when a solve needs more
@@ -20,7 +21,7 @@
 //! solves run out of the same panels at `k = 1`.
 
 use javelin_core::ApplyScratch;
-use javelin_sparse::{LaneMask, Scalar};
+use javelin_sparse::{vecops, LaneMask, Scalar};
 
 /// Reusable working memory for the Krylov solvers (see module docs).
 #[derive(Debug, Clone, Default)]
@@ -36,6 +37,10 @@ pub struct SolverWorkspace<T> {
     pub(crate) pp: Vec<T>,
     pub(crate) pq: Vec<T>,
     pub(crate) col_rz: Vec<T>,
+    /// Block-sum slots of the threaded dot
+    /// ([`crate::PanelMatrices::dot`]), `n_blocks(n)` of them, sized
+    /// with the panel so no solve grows them.
+    pub(crate) block_sums: Vec<T>,
     pub(crate) col_bnorm: Vec<f64>,
     pub(crate) col_relres: Vec<f64>,
     /// Per-column convergence/breakdown masking state of the lockstep
@@ -134,6 +139,7 @@ impl<T: Scalar> SolverWorkspace<T> {
             ensure(buf, n * k);
         }
         ensure(&mut self.col_rz, k);
+        ensure(&mut self.block_sums, vecops::n_blocks(n));
         ensure(&mut self.col_bnorm, k);
         ensure(&mut self.col_relres, k);
         // Size the mask storage only, so the drivers' explicit

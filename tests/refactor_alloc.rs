@@ -7,7 +7,10 @@
 //! and the apply pipeline and the spmv plan allocate nothing across
 //! panel widths (phases 8 and 9), nor does a 2-thread session's
 //! second Krylov solve, whose matvecs run on its team (phase 10), nor
-//! a warmed service batch on a 2-thread analysis (phase 11). A
+//! a warmed service batch on a 2-thread analysis (phase 11), nor a
+//! 2-thread session's second solve of each method, or its warmed
+//! width-8 panel past the returned results, with every vector pass on
+//! the team too (phase 12). A
 //! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -697,4 +700,47 @@ fn steady_state_refactor_allocates_zero_bytes() {
     round(&mut requests, &mut replies);
     let cost = counted(|| round(&mut requests, &mut replies));
     assert_eq!(cost, (0, 0), "2-thread service: warmed width-8 batch");
+
+    // ---- Phase 12: a threaded session's vector passes. A 2-thread ----
+    // session runs every dot, norm and vector update of its drivers on
+    // the analysis's team as well, in whole blocks per thread (the 20³
+    // grid's vectors are two blocks), with the block sums in slots
+    // `build` reserved: after a first solve of each method the second
+    // touches the heap on no thread, and a warmed width-8 panel only
+    // allocates the result vector it returns.
+    let a12 = javelin::synth::grid::laplace_3d(20, 20, 20);
+    let n12 = a12.nrows();
+    let mut session = javelin::Session::builder()
+        .nthreads(2)
+        .panel_width(8)
+        .build(&a12)
+        .expect("2-thread session");
+    let b12 = javelin::synth::util::rhs_panel(n12, 8, 5);
+    let mut x12 = vec![0.0; n12 * 8];
+    for method in [Method::Pcg, Method::Bicgstab, Method::Gmres, Method::Fgmres] {
+        let (b, x) = (&b12[..n12], &mut x12[..n12]);
+        x.fill(0.0);
+        let first = session.krylov(method, b, x).expect("first");
+        assert!(first.converged, "{method}: {first:?}");
+        x.fill(0.0);
+        let mut second = SolverResult::default();
+        let cost = counted(|| second = session.krylov(method, b, x).expect("second"));
+        assert_eq!(cost, (0, 0), "2-thread session: second {method} solve");
+        assert_eq!(second.iterations, first.iterations, "{method}");
+    }
+    let panel = |session: &mut javelin::Session<f64>, x: &mut [f64]| {
+        x.fill(0.0);
+        let (b, x) = (Panel::new(&b12, n12, 8), PanelMut::new(x, n12, 8));
+        session
+            .krylov_panel(Method::Bicgstab, b, x)
+            .expect("krylov_panel")
+    };
+    panel(&mut session, &mut x12);
+    let cost = counted(|| results = panel(&mut session, &mut x12));
+    assert_eq!(
+        cost,
+        (1, returned),
+        "2-thread session: warmed width-8 panel"
+    );
+    assert!(results.iter().all(|r| r.converged), "{results:?}");
 }

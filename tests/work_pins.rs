@@ -10,10 +10,12 @@
 //! of the forward schedule the upper stage walks.
 //!
 //! The Krylov drivers' op table (`Method::ops`) is pinned the same way:
-//! a counting operator (through the `spmv_col` hook) and a counting
-//! preconditioner wrap real solves on a fixed 14³ grid, and the spmvs
-//! and applies they see must equal the table's for every method and
-//! both exits. Its reductions and update passes are pinned values.
+//! a counting operator and a counting preconditioner wrap real solves on
+//! a fixed 14³ grid, and the spmvs, applies, reductions and update
+//! passes they see must equal the table's for every method and both
+//! exits. The operator counts through its hooks (`spmv_col`, `dot`,
+//! `map`, `zip`, `zip3`), the only way the drivers reach a vector, so
+//! the table is every pass a threaded solve runs on its team.
 
 use javelin::core::{
     factorize, ApplyScratch, IluOptions, Preconditioner, SolveEngine, SymbolicIlu, Work,
@@ -23,7 +25,7 @@ use javelin::solver::{
     krylov_with, ConvergedAt, KrylovOps, Method, PanelMatrices, SolverOptions, SolverResult,
     SolverWorkspace,
 };
-use javelin::sparse::{CsrMatrix, Panel, PanelMut};
+use javelin::sparse::{vecops, CsrMatrix, Panel, PanelMut};
 use javelin::sync::{Exec, ProgressCounters};
 use javelin::synth::circuit::transient_circuit;
 use javelin::synth::grid::convection_diffusion_3d;
@@ -153,10 +155,13 @@ fn refactor_work(schedule_bytes: usize, wait_checks: usize, publications: usize)
     }
 }
 
-/// Counts the drivers' matvecs through the `spmv_col` hook.
+/// Counts the drivers' matvecs, reductions and update passes through
+/// the operator's hooks.
 struct CountingMatrix<'a> {
     a: &'a CsrMatrix<f64>,
     spmvs: AtomicUsize,
+    reductions: AtomicUsize,
+    updates: AtomicUsize,
 }
 
 impl PanelMatrices<f64> for CountingMatrix<'_> {
@@ -169,6 +174,25 @@ impl PanelMatrices<f64> for CountingMatrix<'_> {
     fn spmv_col(&self, c: usize, x: &[f64], y: &mut [f64]) {
         self.spmvs.fetch_add(1, Ordering::Relaxed);
         self.col_matrix(c).spmv_into(x, y);
+    }
+    fn dot(&self, x: &[f64], y: &[f64], _sums: &mut [f64]) -> f64 {
+        self.reductions.fetch_add(1, Ordering::Relaxed);
+        vecops::dot(x, y)
+    }
+    fn map<F: Fn(f64) -> f64 + Sync>(&self, y: &mut [f64], f: F) {
+        self.updates.fetch_add(1, Ordering::Relaxed);
+        vecops::map(y, f);
+    }
+    fn zip<F: Fn(f64, f64) -> f64 + Sync>(&self, y: &mut [f64], x: &[f64], f: F) {
+        self.updates.fetch_add(1, Ordering::Relaxed);
+        vecops::zip(y, x, f);
+    }
+    fn zip3<F>(&self, y: &mut [f64], u: &[f64], v: &[f64], f: F)
+    where
+        F: Fn(f64, f64, f64) -> f64 + Sync,
+    {
+        self.updates.fetch_add(1, Ordering::Relaxed);
+        vecops::zip3(y, u, v, f);
     }
 }
 
@@ -197,18 +221,20 @@ impl<P: Preconditioner<f64>> Preconditioner<f64> for CountingPrecond<'_, P> {
     }
 }
 
-/// One counted solve of `method` from `x`: its result and the spmvs
-/// and applies the drivers issued.
+/// One counted solve of `method` from `x`: its result and the spmvs,
+/// applies, reductions and update passes the drivers issued.
 fn counted_solve(
     method: Method,
     a: &CsrMatrix<f64>,
     m: &impl Preconditioner<f64>,
     opts: &SolverOptions,
     x: &mut [f64],
-) -> (SolverResult, usize, usize) {
+) -> (SolverResult, KrylovOps) {
     let counted_a = CountingMatrix {
         a,
         spmvs: AtomicUsize::new(0),
+        reductions: AtomicUsize::new(0),
+        updates: AtomicUsize::new(0),
     };
     let counted_m = CountingPrecond {
         inner: m,
@@ -219,11 +245,13 @@ fn counted_solve(
         .collect();
     let mut ws = SolverWorkspace::new();
     let res = krylov_with(method, &counted_a, &b, x, &counted_m, opts, &mut ws);
-    (
-        res,
+    let counted = ops(
         counted_a.spmvs.into_inner(),
         counted_m.applies.into_inner(),
-    )
+        counted_a.reductions.into_inner(),
+        counted_a.updates.into_inner(),
+    );
+    (res, counted)
 }
 
 #[test]
@@ -252,32 +280,24 @@ fn krylov_op_table_matches_counted_solves() {
             ..SolverOptions::default()
         };
         let mut x = vec![0.0; a.nrows()];
-        let (res, spmvs, applies) = counted_solve(method, &a, &m, &opts, &mut x);
+        let (res, counted) = counted_solve(method, &a, &m, &opts, &mut x);
         let case = format!("{method} tol {tol:e} restart {restart}");
         assert!(res.converged, "{case}");
         assert_eq!(res.iterations, iterations, "{case}");
         let table = method.ops(iterations, restart, exit);
         assert_eq!(table, Some(want), "{case}: table");
-        assert_eq!(
-            (spmvs, applies),
-            (want.spmvs, want.applies),
-            "{case}: counted"
-        );
+        assert_eq!(counted, want, "{case}: counted");
         // Warm-started from its own solution, GMRES meets the tolerance
         // at its first true residual; BiCGSTAB at its first half-step.
         if matches!(method, Method::Gmres | Method::Bicgstab) {
-            let (res, spmvs, applies) = counted_solve(method, &a, &m, &opts, &mut x);
+            let (res, counted) = counted_solve(method, &a, &m, &opts, &mut x);
             let (it, exit) = match method {
                 Method::Gmres => (0, Early),
                 _ => (1, Early),
             };
             assert_eq!(res.iterations, it, "{case}: warm start");
             let table = method.ops(it, restart, exit).expect("a converged path");
-            assert_eq!(
-                (spmvs, applies),
-                (table.spmvs, table.applies),
-                "{case}: warm start"
-            );
+            assert_eq!(counted, table, "{case}: warm start");
         }
     }
 }
