@@ -25,7 +25,9 @@
 //! trisolve processes columns independently, so even a non-finite
 //! frozen column cannot perturb its neighbours — the caller can then
 //! restart just the masked column (e.g. with [`crate::Method::Gmres`])
-//! while keeping the converged ones.
+//! while keeping the converged ones. Each breakdown retires its column
+//! as `NumericalBreakdown` through the drivers' one column frame
+//! (`crate::columns`), even when the residual is still finite.
 //!
 //! ## Allocation discipline
 //!
@@ -35,9 +37,9 @@
 //! two panel applies — zero steady-state heap allocations, with opt-in
 //! residual histories as the documented exception.
 
+use crate::columns::{self, Columns};
 use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::lanes::{LANE_DONE, LANE_HALTED};
 use javelin_sparse::{Panel, PanelMut, Scalar};
 
 /// The BiCGSTAB driver behind [`crate::krylov_panel_into`]: per-column
@@ -56,20 +58,11 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     results: &mut [SolverResult],
 ) {
     let n = a.nrows();
-    let k = b.ncols();
-    assert_eq!(b.nrows(), n, "bicgstab: rhs panel rows");
-    assert_eq!(x.nrows(), n, "bicgstab: solution panel rows");
-    assert_eq!(x.ncols(), k, "bicgstab: panel widths differ");
-    assert_eq!(results.len(), k, "bicgstab: results length");
+    let k = columns::panel_width("bicgstab", n, &b, &x, results);
     if k == 0 {
         return;
     }
-    for r in results.iter_mut() {
-        *r = SolverResult::default();
-    }
     ws.ensure_panel_bicgstab(n, k);
-    // Rearm every lane to ACTIVE for this solve (storage pre-sized).
-    ws.mask.reset(k);
     let SolverWorkspace {
         precond,
         pr,
@@ -85,18 +78,16 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         block_sums,
         col_bnorm,
         col_relres,
-        mask,
+        lanes,
         ..
     } = ws;
+    let mut cols = Columns::open(lanes, results, opts);
 
     // ---- Per-column setup. -----------------------------------------
     for c in 0..k {
         let rc = c * n..(c + 1) * n;
         col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
-        if col_bnorm[c] == 0.0 {
-            // Trivial lane: x = 0, converged in 0 iterations. Zero its
-            // working columns so the shared panel applies stay finite.
-            x.col_mut(c).fill(T::ZERO);
+        if !cols.start(c, col_bnorm[c], &mut x) {
             for buf in [
                 &mut *pr,
                 &mut *pz,
@@ -108,28 +99,6 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             ] {
                 buf[rc.clone()].fill(T::ZERO);
             }
-            mask.set(c, LANE_DONE);
-            results[c].converged = true;
-            results[c].status = SolverStatus::Converged;
-            continue;
-        }
-        if !col_bnorm[c].is_finite() {
-            // Hostile RHS (NaN/∞): freeze the lane at the initial guess
-            // with zeroed working columns (shared applies stay finite).
-            for buf in [
-                &mut *pr,
-                &mut *pz,
-                &mut *pp,
-                &mut *pq,
-                &mut *prhat,
-                &mut *py,
-                &mut *pt,
-            ] {
-                buf[rc.clone()].fill(T::ZERO);
-            }
-            mask.set(c, LANE_HALTED);
-            results[c].relative_residual = f64::NAN;
-            results[c].status = SolverStatus::NumericalBreakdown;
             continue;
         }
         // r = b - A x (matvec into r, subtracted from b in place);
@@ -146,25 +115,21 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         a.map(&mut pq[rc.clone()], |_| T::ZERO);
         a.map(&mut pp[rc.clone()], |_| T::ZERO);
         col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
-        if opts.record_history {
-            results[c].history.push(col_relres[c]);
-        }
+        cols.record(c, col_relres[c]);
         if !col_relres[c].is_finite() {
             // First-iteration guard: non-finite initial residual.
-            mask.set(c, LANE_HALTED);
-            results[c].relative_residual = col_relres[c];
-            results[c].status = SolverStatus::NumericalBreakdown;
+            cols.retire(c, SolverStatus::NumericalBreakdown, 0, col_relres[c]);
         }
     }
 
     // ---- Lockstep iteration with per-lane masking. ------------------
     for it in 1..=opts.max_iters {
-        if !mask.any_active() {
+        if !cols.any_active() {
             break;
         }
         // Phase 1 (per lane): the ρ recurrence and the new direction.
         for c in 0..k {
-            if !mask.is_active(c) {
+            if !cols.is_active(c) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
@@ -172,10 +137,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             if rho_new == T::ZERO || !rho_new.is_finite() {
                 // ρ-breakdown: mask this lane where a width-1 solve
                 // would have returned; the panel keeps iterating.
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it - 1;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it - 1, col_relres[c]);
                 continue;
             }
             let beta = (rho_new / col_rho[c]) * (col_alpha[c] / col_omega[c]);
@@ -185,7 +147,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             let (r, q) = (&pr[rc.clone()], &pq[rc.clone()]);
             a.zip3(&mut pp[rc], r, q, |p, r, q| r + beta * (p - omega * q));
         }
-        if !mask.any_active() {
+        if !cols.any_active() {
             break;
         }
         // y = M⁻¹ p: one panel apply for every lane (masked lanes ride
@@ -198,7 +160,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         // Phase 2 (per lane): v = A·y, α, the intermediate residual s
         // and its early convergence check.
         for c in 0..k {
-            if !mask.is_active(c) {
+            if !cols.is_active(c) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
@@ -211,25 +173,16 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             col_relres[c] = s_norm;
             if s_norm < opts.tol {
                 a.zip(x.col_mut(c), &py[rc], |x, y| x + alpha * y);
-                if opts.record_history {
-                    results[c].history.push(s_norm);
-                }
-                mask.set(c, LANE_DONE);
-                results[c].converged = true;
-                results[c].iterations = it;
-                results[c].relative_residual = s_norm;
-                results[c].status = SolverStatus::Converged;
+                cols.record(c, s_norm);
+                cols.retire(c, SolverStatus::Converged, it, s_norm);
             } else if !s_norm.is_finite() {
                 // α turned non-finite (r̂ᵀv collapse) or hostile values
                 // poisoned s: halt before the stabilization half-step
                 // touches x with NaNs.
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it;
-                results[c].relative_residual = s_norm;
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it, s_norm);
             }
         }
-        if !mask.any_active() {
+        if !cols.any_active() {
             break;
         }
         // z = M⁻¹ s: the second shared panel apply of the step.
@@ -240,17 +193,14 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         );
         // Phase 3 (per lane): the stabilization half-step.
         for c in 0..k {
-            if !mask.is_active(c) {
+            if !cols.is_active(c) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
             a.spmv_col(c, &pz[rc.clone()], &mut pt[rc.clone()]);
             let tt = a.dot(&pt[rc.clone()], &pt[rc.clone()], block_sums);
             if tt == T::ZERO || !tt.is_finite() {
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it, col_relres[c]);
                 continue;
             }
             let omega = a.dot(&pt[rc.clone()], &pr[rc.clone()], block_sums) / tt;
@@ -262,30 +212,15 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             // r = s - omega t
             a.zip(&mut pr[rc.clone()], &pt[rc.clone()], |r, t| r + -omega * t);
             col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
-            if opts.record_history {
-                results[c].history.push(col_relres[c]);
-            }
+            cols.record(c, col_relres[c]);
             if col_relres[c] < opts.tol {
-                mask.set(c, LANE_DONE);
-                results[c].converged = true;
-                results[c].iterations = it;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::Converged;
+                cols.retire(c, SolverStatus::Converged, it, col_relres[c]);
             } else if col_omega[c] == T::ZERO || !col_relres[c].is_finite() {
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it, col_relres[c]);
             }
         }
     }
-    // Lanes still active at the cap: not converged.
-    for c in 0..k {
-        if mask.is_active(c) {
-            results[c].iterations = opts.max_iters;
-            results[c].relative_residual = col_relres[c];
-        }
-    }
+    cols.retire_capped(opts.max_iters, col_relres);
 }
 
 #[cfg(test)]

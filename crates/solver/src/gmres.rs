@@ -27,7 +27,9 @@
 //! its cycle the same way and then *pauses* until the panel's next
 //! restart boundary, where it re-enters with a fresh residual — the
 //! arithmetic of an immediate restart, deferred to the shared boundary
-//! so the panel applies keep a single shape.
+//! so the panel applies keep a single shape. That wait is the
+//! `Pending` lane of the drivers' one column frame (`crate::columns`);
+//! a leaving column's status follows from its residual estimate.
 //!
 //! ## One Arnoldi process: plain and flexible
 //!
@@ -47,10 +49,10 @@
 //! zero steady-state heap allocations, with opt-in residual histories
 //! as the documented exception.
 
+use crate::columns::{self, Columns, Lane};
 use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::lanes::{LANE_ACTIVE, LANE_DONE, LANE_HALTED, LANE_PENDING};
-use javelin_sparse::{LaneMask, Panel, PanelMut, Scalar};
+use javelin_sparse::{Panel, PanelMut, Scalar};
 
 /// The lockstep-restart Arnoldi driver behind
 /// [`crate::krylov_panel_into`] — the only Arnoldi / Givens /
@@ -75,21 +77,12 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     results: &mut [SolverResult],
 ) {
     let n = a.nrows();
-    let k = b.ncols();
-    assert_eq!(b.nrows(), n, "gmres: rhs panel rows");
-    assert_eq!(x.nrows(), n, "gmres: solution panel rows");
-    assert_eq!(x.ncols(), k, "gmres: panel widths differ");
-    assert_eq!(results.len(), k, "gmres: results length");
+    let k = columns::panel_width("gmres", n, &b, &x, results);
     if k == 0 {
         return;
     }
-    for r in results.iter_mut() {
-        *r = SolverResult::default();
-    }
     let restart = opts.restart.max(1).min(n.max(1));
     ws.ensure_gmres(n, k, restart, flexible);
-    // Rearm every lane to ACTIVE for this solve (storage pre-sized).
-    ws.mask.reset(k);
     let SolverWorkspace {
         precond,
         pz,
@@ -105,10 +98,11 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         block_sums,
         col_bnorm,
         col_relres,
-        mask,
+        lanes,
         col_iters,
         ..
     } = ws;
+    let mut cols = Columns::open(lanes, results, opts);
     let nk = n * k;
     // Per-column strides into the flat small-state arrays.
     let hs = (restart + 1) * restart;
@@ -118,24 +112,14 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     for c in 0..k {
         col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
         col_iters[c] = 0;
-        if col_bnorm[c] != 0.0 && col_bnorm[c].is_finite() {
-            mask.set(c, LANE_PENDING);
+        if cols.start(c, col_bnorm[c], &mut x) {
+            cols.set(c, Lane::Pending);
             continue;
         }
         // The column never enters a cycle; zero its basis slots so the
         // shared applies carry finite data along.
         for slot in v_basis[..=restart].iter_mut() {
             slot[c * n..(c + 1) * n].fill(T::ZERO);
-        }
-        if col_bnorm[c] == 0.0 {
-            // Trivial column: x = 0, converged in 0 iterations.
-            x.col_mut(c).fill(T::ZERO);
-            mask.set(c, LANE_DONE);
-            results[c].converged = true;
-            results[c].status = SolverStatus::Converged;
-        } else {
-            // Hostile RHS (NaN/∞): freeze at the initial guess.
-            retire(c, 0, f64::NAN, opts, mask, results);
         }
     }
 
@@ -144,7 +128,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         // Cycle start: every pending column computes its true residual
         // and either finishes or (re-)enters the shared cycle.
         for c in 0..k {
-            if !mask.is(c, LANE_PENDING) {
+            if cols.lane(c) != Lane::Pending {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
@@ -154,8 +138,9 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             a.zip(u, b.col(c), |ax, b| b - ax);
             let beta = norm2(a, u, block_sums);
             col_relres[c] = beta.to_f64() / col_bnorm[c];
-            if opts.record_history && results[c].history.is_empty() {
-                results[c].history.push(col_relres[c]);
+            if col_iters[c] == 0 {
+                // The first cycle start records the initial residual.
+                cols.record(c, col_relres[c]);
             }
             // Converged, out of iterations, or the per-restart guard:
             // the true residual turned NaN/∞ (poisoned preconditioner
@@ -165,7 +150,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 || col_relres[c] < opts.tol
                 || col_iters[c] >= opts.max_iters
             {
-                retire(c, col_iters[c], col_relres[c], opts, mask, results);
+                retire(&mut cols, c, col_iters[c], col_relres[c], opts);
                 continue;
             }
             // v₀ = r / β; reset the rotated RHS g.
@@ -176,15 +161,15 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             let g = &mut pg[c * gs..(c + 1) * gs];
             g.fill(T::ZERO);
             g[0] = beta;
-            mask.set(c, LANE_ACTIVE);
+            cols.set(c, Lane::Active);
         }
-        if !mask.any_active() {
-            break; // every column is DONE or HALTED
+        if !cols.any_active() {
+            break; // every column is retired
         }
 
         // Inner Arnoldi steps, in lockstep across the panel.
         for j in 0..restart {
-            if !mask.any_active() {
+            if !cols.any_active() {
                 break;
             }
             // zⱼ = M⁻¹ vⱼ: ONE panel apply over the stacked basis slot j
@@ -197,7 +182,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 PanelMut::new(&mut zj[..nk], n, k),
             );
             for c in 0..k {
-                if !mask.is_active(c) {
+                if !cols.is_active(c) {
                     continue;
                 }
                 col_iters[c] += 1;
@@ -241,9 +226,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 g[j + 1] = -sj * g[j];
                 g[j] = cj * g[j];
                 col_relres[c] = g[j + 1].abs().to_f64() / col_bnorm[c];
-                if opts.record_history {
-                    results[c].history.push(col_relres[c]);
-                }
+                cols.record(c, col_relres[c]);
                 // The column stays in the cycle unless it converged,
                 // broke down happily (h_{j+1,j} = 0: the Krylov space
                 // closed), ran out of iterations, or the cycle is full.
@@ -288,42 +271,31 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                     a.zip(x.col_mut(c), z, |x, z| x + z);
                 }
                 if col_relres[c] < opts.tol || capped {
-                    retire(c, col_iters[c], col_relres[c], opts, mask, results);
+                    retire(&mut cols, c, col_iters[c], col_relres[c], opts);
                 } else {
                     // Re-enter at the panel's next restart boundary,
                     // where the cycle-start residual check decides: an
                     // immediate restart, deferred to the shared
                     // boundary so the applies keep one shape.
-                    mask.set(c, LANE_PENDING);
+                    cols.set(c, Lane::Pending);
                 }
             }
         }
     }
 }
 
-/// Freezes column `c` with its final statistics. The status follows
-/// from the last residual estimate: below tolerance → converged;
-/// non-finite → breakdown; otherwise the iteration cap ran out.
-fn retire(
-    c: usize,
-    iterations: usize,
-    relres: f64,
-    opts: &SolverOptions,
-    mask: &mut LaneMask,
-    results: &mut [SolverResult],
-) {
-    let converged = relres < opts.tol;
-    mask.set(c, if converged { LANE_DONE } else { LANE_HALTED });
-    results[c].converged = converged;
-    results[c].iterations = iterations;
-    results[c].relative_residual = relres;
-    results[c].status = if converged {
+/// Retires column `c` with the status its last residual estimate
+/// implies: below tolerance → converged; non-finite → breakdown;
+/// otherwise the iteration cap ran out.
+fn retire(cols: &mut Columns<'_>, c: usize, iterations: usize, relres: f64, opts: &SolverOptions) {
+    let status = if relres < opts.tol {
         SolverStatus::Converged
     } else if relres.is_finite() {
         SolverStatus::MaxIters
     } else {
         SolverStatus::NumericalBreakdown
     };
+    cols.retire(c, status, iterations, relres);
 }
 
 #[cfg(test)]

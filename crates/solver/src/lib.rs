@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 mod bicgstab;
+mod columns;
 mod gmres;
 mod golden;
 mod ilu_solver;

@@ -19,7 +19,9 @@
 //! layout (and the panel preconditioner apply) never changes shape.
 //! Applying `M⁻¹` to a frozen column is redundant work, but it is
 //! exactly what keeps the remaining columns on a single shared schedule
-//! walk; the batch terminates as soon as every column is masked.
+//! walk; the batch terminates as soon as every column is masked. The
+//! lanes, the zero and non-finite right-hand sides and every retire go
+//! through the drivers' one column frame (`crate::columns`).
 //!
 //! ## Allocation discipline
 //!
@@ -31,9 +33,9 @@
 //! optional residual histories (`record_history`, off by default) are
 //! the documented exception.
 
+use crate::columns::{self, Columns};
 use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
-use javelin_sparse::lanes::{LANE_DONE, LANE_HALTED};
 use javelin_sparse::{Panel, PanelMut, Scalar};
 
 /// The PCG driver behind [`crate::krylov_panel_into`]: per-column
@@ -52,20 +54,11 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     results: &mut [SolverResult],
 ) {
     let n = a.nrows();
-    let k = b.ncols();
-    assert_eq!(b.nrows(), n, "pcg: rhs panel rows");
-    assert_eq!(x.nrows(), n, "pcg: solution panel rows");
-    assert_eq!(x.ncols(), k, "pcg: panel widths differ");
-    assert_eq!(results.len(), k, "pcg: results length");
+    let k = columns::panel_width("pcg", n, &b, &x, results);
     if k == 0 {
         return;
     }
-    for r in results.iter_mut() {
-        *r = SolverResult::default();
-    }
     ws.ensure_panel(n, k);
-    // Rearm every lane to ACTIVE for this solve (storage pre-sized).
-    ws.mask.reset(k);
     let SolverWorkspace {
         precond,
         pr,
@@ -76,41 +69,26 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         block_sums,
         col_bnorm,
         col_relres,
-        mask,
+        lanes,
         ..
     } = ws;
+    let mut cols = Columns::open(lanes, results, opts);
 
     // ---- Per-column setup. -----------------------------------------
     for c in 0..k {
         col_bnorm[c] = norm2(a, b.col(c), block_sums).to_f64();
-        if col_bnorm[c] == 0.0 {
-            // Trivial lane: x = 0, converged in 0 iterations. Zero its
-            // working columns so the shared panel applies stay finite.
-            x.col_mut(c).fill(T::ZERO);
+        if !cols.start(c, col_bnorm[c], &mut x) {
             for buf in [&mut *pr, &mut *pz, &mut *pp, &mut *pq] {
                 buf[c * n..(c + 1) * n].fill(T::ZERO);
             }
-            mask.set(c, LANE_DONE);
-            results[c].converged = true;
-            results[c].status = SolverStatus::Converged;
-        } else if !col_bnorm[c].is_finite() {
-            // Hostile RHS (NaN/∞): freeze the lane at the initial guess
-            // instead of iterating on poisoned arithmetic. Working
-            // columns are zeroed so the shared applies stay finite.
-            for buf in [&mut *pr, &mut *pz, &mut *pp, &mut *pq] {
-                buf[c * n..(c + 1) * n].fill(T::ZERO);
-            }
-            mask.set(c, LANE_HALTED);
-            results[c].relative_residual = f64::NAN;
-            results[c].status = SolverStatus::NumericalBreakdown;
-        } else {
-            // r = b - A x (matvec into r, subtracted from b in place).
-            let r = &mut pr[c * n..(c + 1) * n];
-            a.spmv_col(c, x.col(c), r);
-            a.zip(r, b.col(c), |ax, b| b - ax);
+            continue;
         }
+        // r = b - A x (matvec into r, subtracted from b in place).
+        let r = &mut pr[c * n..(c + 1) * n];
+        a.spmv_col(c, x.col(c), r);
+        a.zip(r, b.col(c), |ax, b| b - ax);
     }
-    if !mask.any_active() {
+    if !cols.any_active() {
         return;
     }
     // z = M⁻¹ r: one panel apply for all lanes.
@@ -120,68 +98,52 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
         PanelMut::new(&mut pz[..n * k], n, k),
     );
     for c in 0..k {
-        if !mask.is_active(c) {
+        if !cols.is_active(c) {
             continue;
         }
         let rc = c * n..(c + 1) * n;
         a.zip(&mut pp[rc.clone()], &pz[rc.clone()], |_, z| z);
         col_rz[c] = a.dot(&pr[rc.clone()], &pz[rc.clone()], block_sums);
         col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
-        if opts.record_history {
-            results[c].history.push(col_relres[c]);
-        }
+        cols.record(c, col_relres[c]);
         if !col_relres[c].is_finite() {
             // First-iteration guard: a non-finite initial residual
             // (hostile matrix values, poisoned x₀) halts the lane now.
-            mask.set(c, LANE_HALTED);
-            results[c].relative_residual = col_relres[c];
-            results[c].status = SolverStatus::NumericalBreakdown;
+            cols.retire(c, SolverStatus::NumericalBreakdown, 0, col_relres[c]);
         }
     }
 
     // ---- Lockstep iteration with per-lane masking. ------------------
     for it in 1..=opts.max_iters {
-        if !mask.any_active() {
+        if !cols.any_active() {
             break;
         }
         for c in 0..k {
-            if !mask.is_active(c) {
+            if !cols.is_active(c) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
             a.spmv_col(c, &pp[rc.clone()], &mut pq[rc.clone()]);
             let pq_dot = a.dot(&pp[rc.clone()], &pq[rc.clone()], block_sums);
             if pq_dot == T::ZERO || !pq_dot.is_finite() {
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it - 1;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it - 1, col_relres[c]);
                 continue;
             }
             let alpha = col_rz[c] / pq_dot;
             a.zip(x.col_mut(c), &pp[rc.clone()], |x, p| x + alpha * p);
             a.zip(&mut pr[rc.clone()], &pq[rc.clone()], |r, q| r + -alpha * q);
             col_relres[c] = norm2(a, &pr[rc], block_sums).to_f64() / col_bnorm[c];
-            if opts.record_history {
-                results[c].history.push(col_relres[c]);
-            }
+            cols.record(c, col_relres[c]);
             if col_relres[c] < opts.tol {
-                mask.set(c, LANE_DONE);
-                results[c].converged = true;
-                results[c].iterations = it;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::Converged;
+                cols.retire(c, SolverStatus::Converged, it, col_relres[c]);
             } else if !col_relres[c].is_finite() {
                 // Per-iteration containment: a residual that turned
                 // NaN/∞ never recovers; freeze the lane here instead of
                 // dragging poisoned panels to the iteration cap.
-                mask.set(c, LANE_HALTED);
-                results[c].iterations = it;
-                results[c].relative_residual = col_relres[c];
-                results[c].status = SolverStatus::NumericalBreakdown;
+                cols.retire(c, SolverStatus::NumericalBreakdown, it, col_relres[c]);
             }
         }
-        if !mask.any_active() {
+        if !cols.any_active() {
             break;
         }
         // One panel apply serves every still-active lane; masked lanes
@@ -192,7 +154,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             PanelMut::new(&mut pz[..n * k], n, k),
         );
         for c in 0..k {
-            if !mask.is_active(c) {
+            if !cols.is_active(c) {
                 continue;
             }
             let rc = c * n..(c + 1) * n;
@@ -202,13 +164,7 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             a.zip(&mut pp[rc.clone()], &pz[rc], |p, z| z + beta * p);
         }
     }
-    // Lanes still active at the cap: not converged.
-    for c in 0..k {
-        if mask.is_active(c) {
-            results[c].iterations = opts.max_iters;
-            results[c].relative_residual = col_relres[c];
-        }
-    }
+    cols.retire_capped(opts.max_iters, col_relres);
 }
 
 #[cfg(test)]

@@ -17,6 +17,9 @@ const ENGINES: [SolveEngine; 2] = [SolveEngine::Serial, SolveEngine::PointToPoin
 /// Panel widths: 1, the preconditioner kernels' fixed lane widths 4
 /// and 8, and the widths between and beyond them.
 const WIDTHS: [usize; 7] = [1, 2, 3, 4, 5, 7, 8];
+/// Stopping rules `(tol, max_iters)`: the default target, and `tol = 0`,
+/// which no residual meets, at a cap of 7.
+const STOPS: [(f64, usize); 2] = [(1e-6, 5000), (0.0, 7)];
 /// Every driver, named by its `Batch*` synonym where it has one
 /// (`Fgmres` is the flexible mode of the GMRES driver).
 const METHODS: [Method; 4] = [
@@ -52,8 +55,12 @@ fn scalar_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The acceptance contract of the nonsymmetric batch drivers:
-    /// bitwise column identity across engines × threads × widths.
+    /// The acceptance contract of the batch drivers: bitwise column
+    /// identity — outcome included — across engines × threads ×
+    /// widths. From `k = 3` on, one column has a zero right-hand side
+    /// and the next a NaN, and the `tol = 0` axis runs every column
+    /// into the iteration cap, so the frame's start, retire and cap
+    /// paths meet every width.
     #[test]
     fn batch_columns_bitwise_equal_scalar_runs(
         nthreads in 1usize..4,
@@ -61,6 +68,7 @@ proptest! {
         k_idx in 0usize..WIDTHS.len(),
         seed in 1u64..500,
         method_idx in 0usize..4,
+        stop_idx in 0usize..STOPS.len(),
     ) {
         let engine = ENGINES[engine_idx];
         let k = WIDTHS[k_idx];
@@ -80,8 +88,15 @@ proptest! {
         let n = a.nrows();
         let f = factorize(&a, &IluOptions::ilu0(nthreads)).unwrap();
         let m = f.with_engine(engine);
-        let opts = SolverOptions { restart: 11, ..Default::default() };
-        let b = panel(n, k, seed);
+        let (tol, max_iters) = STOPS[stop_idx];
+        let opts = SolverOptions { restart: 11, tol, max_iters, ..Default::default() };
+        let mut b = panel(n, k, seed);
+        if k >= 3 {
+            let zero = seed as usize % k;
+            b[zero * n..(zero + 1) * n].fill(0.0);
+            let poisoned = (zero + 1) % k;
+            b[poisoned * n + seed as usize % n] = f64::NAN;
+        }
         let mut xb = vec![0.0; n * k];
         let results = krylov_panel_with(
             method,
@@ -96,6 +111,7 @@ proptest! {
             let mut x = vec![0.0; n];
             let r = scalar_reference(method, &a, &b[c * n..(c + 1) * n], &mut x, &m, &opts);
             prop_assert_eq!(results[c].converged, r.converged, "{} col {}", method, c);
+            prop_assert_eq!(results[c].status, r.status, "{} col {}", method, c);
             prop_assert_eq!(results[c].iterations, r.iterations, "{} col {}", method, c);
             prop_assert_eq!(
                 results[c].relative_residual.to_bits(),

@@ -2,8 +2,9 @@
 //!
 //! A [`SolverWorkspace`] holds every buffer a Krylov solver needs —
 //! residual/direction panels, the stacked Arnoldi bases, the small
-//! per-column Hessenberg/Givens arrays, the per-column [`LaneMask`],
-//! the block-sum slots of a threaded dot —
+//! per-column Hessenberg/Givens arrays, the per-column lanes of the
+//! drivers' one column frame (`crate::columns`), the block-sum slots
+//! of a threaded dot —
 //! plus the [`ApplyScratch`] forwarded to
 //! [`javelin_core::Preconditioner::apply_with`]. Every buffer is
 //! **grow-only**: it is extended (zero-filled) when a solve needs more
@@ -20,8 +21,9 @@
 //! family per method and one sizing rule for every width: scalar
 //! solves run out of the same panels at `k = 1`.
 
+use crate::columns::Lane;
 use javelin_core::ApplyScratch;
-use javelin_sparse::{vecops, LaneMask, Scalar};
+use javelin_sparse::{vecops, Scalar};
 
 /// Reusable working memory for the Krylov solvers (see module docs).
 #[derive(Debug, Clone, Default)]
@@ -43,9 +45,9 @@ pub struct SolverWorkspace<T> {
     pub(crate) block_sums: Vec<T>,
     pub(crate) col_bnorm: Vec<f64>,
     pub(crate) col_relres: Vec<f64>,
-    /// Per-column convergence/breakdown masking state of the lockstep
-    /// drivers (the lane layer's masking vocabulary).
-    pub(crate) mask: LaneMask,
+    /// Per-column lane of the lockstep drivers, rearmed by
+    /// `Columns::open` at every solve entry.
+    pub(crate) lanes: Vec<Lane>,
     // BiCGSTAB extensions: the shadow
     // residual, the two preconditioned directions and `A·z`, plus the
     // per-column BiCGSTAB scalar recurrences.
@@ -142,12 +144,9 @@ impl<T: Scalar> SolverWorkspace<T> {
         ensure(&mut self.block_sums, vecops::n_blocks(n));
         ensure(&mut self.col_bnorm, k);
         ensure(&mut self.col_relres, k);
-        // Size the mask storage only, so the drivers' explicit
-        // `mask.reset(k)` at solve entry — the one semantic rearm —
-        // never allocates after a reserve.
-        if self.mask.len() < k {
-            self.mask.reset(k);
-        }
+        // Size the lane storage only, so the rearm at solve entry
+        // (`Columns::open`) never allocates after a reserve.
+        ensure(&mut self.lanes, k);
     }
 
     /// Sizes the extra panels/per-column scalars BiCGSTAB needs on top
@@ -189,7 +188,7 @@ mod tests {
     use crate::{krylov_panel_with, Method, SolverOptions};
     use javelin_core::{factorize, IluOptions};
     use javelin_sparse::{Panel, PanelMut};
-    use javelin_synth::grid::convection_diffusion_2d;
+    use javelin_synth::grid::{convection_diffusion_2d, laplace_2d};
     use javelin_synth::util::rhs_panel;
 
     #[test]
@@ -272,6 +271,7 @@ mod tests {
         extents.push(extent(&ws.col_bnorm));
         extents.push(extent(&ws.col_relres));
         extents.push(extent(&ws.col_iters));
+        extents.push(extent(&ws.lanes));
         extents
     }
 
@@ -280,33 +280,38 @@ mod tests {
         // One workspace driven wide → narrow → wide over two different
         // n, every method: each solve must return the bits of a
         // fresh-workspace solve (nothing may depend on a buffer having
-        // been re-zeroed or being exactly n·k long), and once the
-        // high-water mark is reached no buffer moves or shrinks again —
-        // not even after the narrowest solve, which ends each round.
+        // been re-zeroed or being exactly n·k long, nor on lane state a
+        // wider panel left behind), and once the high-water mark is
+        // reached no buffer moves or shrinks again — not even after the
+        // narrowest solve, which ends each round. PCG needs SPD
+        // systems, so its rounds run on Laplacians of the same sizes.
         let big = convection_diffusion_2d(11, 10, 0.4, 0.2);
         let small = convection_diffusion_2d(7, 6, 0.3, 0.5);
-        let f_big = factorize(&big, &IluOptions::ilu0(1)).unwrap();
-        let f_small = factorize(&small, &IluOptions::ilu0(1)).unwrap();
+        let spd_big = laplace_2d(11, 10);
+        let spd_small = laplace_2d(7, 6);
+        let factor = |a| factorize(a, &IluOptions::ilu0(1)).unwrap();
+        let (f_big, f_small) = (factor(&big), factor(&small));
+        let (f_spd_big, f_spd_small) = (factor(&spd_big), factor(&spd_small));
         let opts = SolverOptions {
             restart: 9,
             ..Default::default()
         };
-        let schedule = [
-            (&big, &f_big, 8usize),
-            (&small, &f_small, 1),
-            (&big, &f_big, 3),
-            (&small, &f_small, 8),
-            (&big, &f_big, 8),
-            (&small, &f_small, 1),
-        ];
-        let methods = [Method::Gmres, Method::Fgmres, Method::Bicgstab];
+        let widths = [8usize, 1, 3, 8, 8, 1];
+        let methods = [Method::Gmres, Method::Fgmres, Method::Bicgstab, Method::Pcg];
         let mut ws = SolverWorkspace::new();
         let mut high_water = Vec::new();
         for round in 0..2 {
-            for (step, &(a, f, k)) in schedule.iter().enumerate() {
-                let n = a.nrows();
-                let b = rhs_panel(n, k, 17 + step as u64);
+            for (step, &k) in widths.iter().enumerate() {
+                let wide = step % 2 == 0;
                 for method in methods {
+                    let (a, f) = match (method == Method::Pcg, wide) {
+                        (false, true) => (&big, &f_big),
+                        (false, false) => (&small, &f_small),
+                        (true, true) => (&spd_big, &f_spd_big),
+                        (true, false) => (&spd_small, &f_spd_small),
+                    };
+                    let n = a.nrows();
+                    let b = rhs_panel(n, k, 17 + step as u64);
                     let solve = |ws: &mut SolverWorkspace<f64>| {
                         let mut x = vec![0.0; n * k];
                         let res = krylov_panel_with(

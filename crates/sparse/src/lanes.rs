@@ -34,12 +34,6 @@
 //!   fixed-size stack arrays for any runtime width; for `FixedLanes<K>`
 //!   with `K ≤ LANE_CHUNK` the walk collapses to a single
 //!   constant-width block.
-//!
-//! On top sits [`LaneMask`] — the per-column masking vocabulary of the
-//! lockstep batch solvers (a converged or broken-down lane freezes in
-//! place; the panel never changes shape). Those Krylov drivers keep
-//! their vectors **column-major** ([`crate::Panel`]) and run `vecops`
-//! per column; only the kernels above interleave.
 
 use std::ops::Range;
 
@@ -155,79 +149,6 @@ pub fn for_each_chunk(cols: Range<usize>, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// Lane is still iterating.
-pub const LANE_ACTIVE: u8 = 0;
-/// Lane met its convergence target (result frozen in place).
-pub const LANE_DONE: u8 = 1;
-/// Lane hit a breakdown (result frozen where the scalar solver would
-/// have returned).
-pub const LANE_HALTED: u8 = 2;
-/// Lane finished a restart cycle and waits, masked, for the panel's
-/// next shared boundary (lockstep-restart GMRES).
-pub const LANE_PENDING: u8 = 3;
-
-/// Per-column masking state of a lockstep batch solve: each lane is
-/// [`LANE_ACTIVE`], [`LANE_DONE`], [`LANE_HALTED`] or [`LANE_PENDING`].
-/// Masked lanes keep their panel slot — the shared panel applies never
-/// change shape — so freezing one lane cannot perturb a bit of its
-/// neighbours.
-#[derive(Debug, Clone, Default)]
-pub struct LaneMask {
-    state: Vec<u8>,
-}
-
-impl LaneMask {
-    /// Resets to `k` lanes, all [`LANE_ACTIVE`] (grow-only storage).
-    pub fn reset(&mut self, k: usize) {
-        self.state.clear();
-        self.state.resize(k, LANE_ACTIVE);
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// `true` when the mask covers zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty()
-    }
-
-    /// Lane `c`'s state.
-    #[inline(always)]
-    pub fn get(&self, c: usize) -> u8 {
-        self.state[c]
-    }
-
-    /// Sets lane `c`'s state.
-    #[inline(always)]
-    pub fn set(&mut self, c: usize, s: u8) {
-        self.state[c] = s;
-    }
-
-    /// `true` while lane `c` is [`LANE_ACTIVE`].
-    #[inline(always)]
-    pub fn is_active(&self, c: usize) -> bool {
-        self.state[c] == LANE_ACTIVE
-    }
-
-    /// `true` while lane `c` is in state `s`.
-    #[inline(always)]
-    pub fn is(&self, c: usize, s: u8) -> bool {
-        self.state[c] == s
-    }
-
-    /// `true` while any lane is still [`LANE_ACTIVE`].
-    pub fn any_active(&self) -> bool {
-        self.state.contains(&LANE_ACTIVE)
-    }
-
-    /// `true` while any lane is in state `s`.
-    pub fn any(&self, s: u8) -> bool {
-        self.state.contains(&s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,25 +199,5 @@ mod tests {
             });
             assert_eq!(seen, (lo..hi).collect::<Vec<_>>(), "range {lo}..{hi}");
         }
-    }
-
-    #[test]
-    fn mask_tracks_lane_states() {
-        let mut m = LaneMask::default();
-        assert!(m.is_empty());
-        m.reset(3);
-        assert_eq!(m.len(), 3);
-        assert!(m.any_active() && m.is_active(1));
-        m.set(0, LANE_DONE);
-        m.set(1, LANE_HALTED);
-        assert!(m.any_active());
-        m.set(2, LANE_PENDING);
-        assert!(!m.any_active());
-        assert!(m.any(LANE_PENDING) && m.is(2, LANE_PENDING));
-        assert!(!m.any(LANE_ACTIVE));
-        assert_eq!(m.get(1), LANE_HALTED);
-        // Reset rearms every lane.
-        m.reset(2);
-        assert!(m.is_active(0) && m.is_active(1));
     }
 }

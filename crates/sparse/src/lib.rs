@@ -52,7 +52,7 @@ pub mod vecops;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use lanes::{DynLanes, FixedLanes, LaneMask, Lanes};
+pub use lanes::{DynLanes, FixedLanes, Lanes};
 pub use panel::{Panel, PanelBuf, PanelMut};
 pub use pattern::{pattern_fingerprint, value_fingerprint};
 pub use perm::Perm;
