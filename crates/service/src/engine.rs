@@ -34,8 +34,10 @@
 //! In the steady state (all patterns cached, buffers warmed) a
 //! `process` call performs **zero heap allocations** on the solve path:
 //! the gather/scatter staging panels are grow-only, the workspace is
-//! reused, sorting is in-place, and request/reply buffers travel by
-//! ownership. The counting-allocator suite asserts this.
+//! reused (its Arnoldi slots grow with the deepest GMRES cycle a batch
+//! has run, so warm means that cycle has run once), sorting is
+//! in-place, and request/reply buffers travel by ownership. The
+//! counting-allocator suite asserts this.
 
 use crate::cache::{CacheStats, PatternCache};
 use crate::error::ServiceError;

@@ -42,17 +42,32 @@
 //!
 //! ## Allocation discipline
 //!
-//! The stacked basis (`restart + 1` panels of `n × k`, plus `restart`
-//! more for FGMRES) and all per-column small state live in the
-//! caller's [`SolverWorkspace`] (`ensure_gmres`, grow-only): after the
-//! first solve at a given `(n, k, restart)` the whole panel runs with
+//! The stacked basis (up to `restart` panels of `n × k`, as many more
+//! for FGMRES) and all per-column small state live in the caller's
+//! [`SolverWorkspace`], grow-only. The slots grow with the deepest
+//! cycle: `ensure_gmres` sizes `v_0` and the small arrays, and the
+//! driver grows slot `j + 1` of `V` just before the first column
+//! writes `v_{j+1}`, and slot `j` of `Z` just before step `j`'s shared
+//! apply. A column that fills its cycle leaves it without writing
+//! `v_restart`, which nothing would read. So a solve allocates only
+//! when it runs a cycle deeper than any earlier solve on the
+//! workspace, and once the deepest solve has run the panel runs with
 //! zero steady-state heap allocations, with opt-in residual histories
 //! as the documented exception.
+//! [`SolverWorkspace::reserve_gmres_basis`] warms the whole cycle for
+//! an allocation-free first solve.
 
 use crate::columns::{self, Columns, Lane};
+use crate::workspace::ensure_slots;
 use crate::{norm2, PanelMatrices, SolverOptions, SolverResult, SolverStatus, SolverWorkspace};
 use javelin_core::precond::Preconditioner;
 use javelin_sparse::{Panel, PanelMut, Scalar};
+
+/// The restart length the driver runs for `restart` on an `n`-row
+/// system: at least 1, at most `n`.
+pub(crate) fn cycle_len(restart: usize, n: usize) -> usize {
+    restart.max(1).min(n.max(1))
+}
 
 /// The lockstep-restart Arnoldi driver behind
 /// [`crate::krylov_panel_into`] — the only Arnoldi / Givens /
@@ -81,8 +96,8 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
     if k == 0 {
         return;
     }
-    let restart = opts.restart.max(1).min(n.max(1));
-    ws.ensure_gmres(n, k, restart, flexible);
+    let restart = cycle_len(opts.restart, n);
+    ws.ensure_gmres(n, k, restart);
     let SolverWorkspace {
         precond,
         pz,
@@ -116,10 +131,14 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             cols.set(c, Lane::Pending);
             continue;
         }
-        // The column never enters a cycle; zero its basis slots so the
-        // shared applies carry finite data along.
-        for slot in v_basis[..=restart].iter_mut() {
-            slot[c * n..(c + 1) * n].fill(T::ZERO);
+        // The column never enters a cycle; zero its part of every slot
+        // there is, so the shared applies carry finite data along (a
+        // slot grown later in this solve arrives zero-filled).
+        for slot in v_basis.iter_mut().take(restart) {
+            let end = slot.len().min((c + 1) * n);
+            if let Some(col) = slot.get_mut(c * n..end) {
+                col.fill(T::ZERO);
+            }
         }
     }
 
@@ -175,7 +194,12 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
             // zⱼ = M⁻¹ vⱼ: ONE panel apply over the stacked basis slot j
             // serves every active column; masked columns carry stale
             // (finite-or-not, column-independent) data along.
-            let zj = if flexible { &mut z_basis[j] } else { &mut *pz };
+            let zj = if flexible {
+                ensure_slots(z_basis, j + 1, nk);
+                &mut z_basis[j]
+            } else {
+                &mut *pz
+            };
             m.apply_panel_with(
                 precond,
                 Panel::new(&v_basis[j][..nk], n, k),
@@ -229,17 +253,19 @@ pub(crate) fn solve<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
                 cols.record(c, col_relres[c]);
                 // The column stays in the cycle unless it converged,
                 // broke down happily (h_{j+1,j} = 0: the Krylov space
-                // closed), ran out of iterations, or the cycle is full.
+                // closed), ran out of iterations, or the cycle is full
+                // (the next cycle starts from the true residual, so
+                // v_restart would never be read).
                 let capped = col_iters[c] >= opts.max_iters;
-                if !(col_relres[c] < opts.tol || hjp == T::ZERO || capped) {
-                    // v_{j+1} = w / h_{j+1,j}.
+                if !(col_relres[c] < opts.tol || hjp == T::ZERO || capped) && j + 1 < restart {
+                    // v_{j+1} = w / h_{j+1,j}, in a slot grown on the
+                    // first step that reaches it.
+                    ensure_slots(v_basis, j + 2, nk);
                     let vnext = &mut v_basis[j + 1][rc.clone()];
                     a.zip(vnext, w, |_, w| w);
                     let inv = T::ONE / hjp;
                     a.map(vnext, |v| v * inv);
-                    if j + 1 < restart {
-                        continue;
-                    }
+                    continue;
                 }
                 // Leaving the cycle, exactly where this column's
                 // standalone recurrence does: back-substitute y from the

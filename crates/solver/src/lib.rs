@@ -376,9 +376,12 @@ pub fn krylov_panel_with<T: Scalar, A: PanelMatrices<T>, P: Preconditioner<T>>(
 /// The one [`Method`] dispatch of the crate: runs the chosen method
 /// over an RHS panel, writing per-column results into a caller slice —
 /// the fully allocation-free entry (the one [`IluSolver`] runs), which
-/// [`krylov_with`] and [`krylov_panel_with`] wrap. With the workspace
-/// reserved via [`SolverWorkspace::reserve_gmres_basis`], even the
-/// first GMRES panel solve performs zero heap allocations.
+/// [`krylov_with`] and [`krylov_panel_with`] wrap. The Arnoldi slots
+/// grow with the deepest cycle a solve runs; [`SolverWorkspace::reserve`]
+/// warms the PCG/BiCGSTAB panels only, and with the workspace also
+/// reserved via [`SolverWorkspace::reserve_gmres_basis`] for the
+/// method, even the first GMRES or FGMRES panel solve performs zero
+/// heap allocations.
 ///
 /// Every method is a lockstep panel driver: `k` systems advance
 /// together, sharing one preconditioner schedule walk per apply, with

@@ -20,12 +20,15 @@
 //! | | restart-cycle start | 1 | 0 | 1 | 3 |
 //! | | converging cycle start | 1 | 0 | 1 | 1 |
 //! | | Arnoldi step `j` (0-based) | 1 | 1 | `j + 2` | `j + 3` |
-//! | | converging Arnoldi step `j` | 1 | 1 | `j + 2` | `j + 1` |
+//! | | Arnoldi step `j` that ends its cycle (converging, or `j + 1 = m`) | 1 | 1 | `j + 2` | `j + 1` |
 //! | GMRES | cycle end after `t` steps | 0 | 1 | 0 | `t + 2` |
 //! | FGMRES | cycle end after `t` steps | 0 | 0 | 0 | `t` |
 //!
 //! An iteration is what [`crate::SolverResult::iterations`] counts: a
-//! CG or BiCGSTAB step, or one Arnoldi step. In a panel every column
+//! CG or BiCGSTAB step, or one Arnoldi step. An Arnoldi step that stays
+//! in its cycle writes the next basis vector (2 updates); the step that
+//! ends a cycle of `m = restart` steps does not, since the next cycle
+//! starts from the true residual. In a panel every column
 //! pays its own rows; the applies of one step are one shared
 //! [`javelin_core::Preconditioner::apply_panel_with`] call that counts
 //! once per column.
@@ -138,11 +141,11 @@ impl Method {
                     return None;
                 }
                 let flexible = self == Method::Fgmres;
-                // One restart cycle of `t` steps; `converges` says whether
-                // its last step is the one that meets the tolerance.
-                let cycle = |t: usize, converges: bool| {
+                // One restart cycle of `t` steps; its last step, which
+                // converges or fills the cycle, writes no next vector.
+                let cycle = |t: usize| {
                     let steps = (0..t).fold(KrylovOps::default(), |sum, j| {
-                        let leaving = converges && j + 1 == t;
+                        let leaving = j + 1 == t;
                         sum + ops(1, 1, j + 2, if leaving { j + 1 } else { j + 3 })
                     });
                     let end = if flexible {
@@ -154,11 +157,9 @@ impl Method {
                 };
                 let setup = ops(0, 0, 1, 0);
                 Some(match (exit, tail) {
-                    (ConvergedAt::Early, _) => setup + cycle(m, false) * full + ops(1, 0, 1, 1),
-                    (ConvergedAt::Closing, 0) => {
-                        setup + cycle(m, false) * (full - 1) + cycle(m, true)
-                    }
-                    (ConvergedAt::Closing, _) => setup + cycle(m, false) * full + cycle(tail, true),
+                    (ConvergedAt::Early, _) => setup + cycle(m) * full + ops(1, 0, 1, 1),
+                    (ConvergedAt::Closing, 0) => setup + cycle(m) * full,
+                    (ConvergedAt::Closing, _) => setup + cycle(m) * full + cycle(tail),
                 })
             }
         }

@@ -16,12 +16,22 @@
 //! widths and sizes; it keeps the high-water-mark buffers alive, and a
 //! steady-state solve allocates nothing.
 //!
+//! The Arnoldi slots grow with the deepest cycle: the GMRES driver
+//! grows slot `j` of `V` (and, for FGMRES, of `Z`) on the step that
+//! first writes it, so a workspace holds as many slots as the most
+//! Arnoldi steps one cycle has run, never the whole restart length up
+//! front. [`SolverWorkspace::reserve`] warms the PCG and BiCGSTAB
+//! panels only; [`SolverWorkspace::reserve_gmres_basis`] is the opt-in
+//! that warms the GMRES or FGMRES basis for an allocation-free first
+//! solve.
+//!
 //! There is one driver per method, and a single right-hand side is its
 //! width-1 panel ([`crate::krylov_with`]), so there is one buffer
 //! family per method and one sizing rule for every width: scalar
 //! solves run out of the same panels at `k = 1`.
 
 use crate::columns::Lane;
+use crate::{gmres, Method};
 use javelin_core::ApplyScratch;
 use javelin_sparse::{vecops, Scalar};
 
@@ -58,9 +68,10 @@ pub struct SolverWorkspace<T> {
     pub(crate) col_alpha: Vec<T>,
     pub(crate) col_omega: Vec<T>,
     // The Arnoldi family (GMRES and FGMRES, every width): the stacked
-    // bases as one `n × k` panel per Arnoldi slot — `restart + 1` slots
-    // of `V`, and for FGMRES `restart` slots of `Z = M⁻¹V` — so step
-    // `j`'s vectors form one contiguous panel for the shared apply; a
+    // bases as one `n × k` panel per Arnoldi slot — up to `restart`
+    // slots of `V`, and for FGMRES of `Z = M⁻¹V`, grown by the driver
+    // on the step that first writes each — so step `j`'s vectors form
+    // one contiguous panel for the shared apply; a
     // residual/correction panel; and per-column Hessenberg / Givens /
     // rotated-rhs / least-squares-solution arrays.
     pub(crate) v_basis: Vec<Vec<T>>,
@@ -84,7 +95,7 @@ fn ensure<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
 
 /// [`ensure`] for a stacked basis: at least `slots` panels of at least
 /// `len` entries each.
-fn ensure_slots<T: Copy + Default>(basis: &mut Vec<Vec<T>>, slots: usize, len: usize) {
+pub(crate) fn ensure_slots<T: Copy + Default>(basis: &mut Vec<Vec<T>>, slots: usize, len: usize) {
     if basis.len() < slots {
         basis.resize_with(slots, Vec::new);
     }
@@ -99,38 +110,44 @@ impl<T: Scalar> SolverWorkspace<T> {
         Self::default()
     }
 
-    /// Pre-grows every buffer family a session-style caller may hit —
-    /// the scalar Arnoldi state for `restart` (GMRES and FGMRES at
-    /// width 1: `restart + 1` plus `restart` basis vectors of length
-    /// `n`) and the PCG and BiCGSTAB panels for `k` columns —
-    /// plus the preconditioner scratch at panel width, so the first
-    /// solve of those kinds is already allocation-free. The panel
-    /// GMRES driver's stacked `(restart + 1) × n × k` Arnoldi basis is
-    /// deliberately **not** pre-grown to width `k` here: it dwarfs
-    /// every other buffer (gigabytes for large `n·k`) and would tax
-    /// every session whether or not it ever runs GMRES panels — opt in
-    /// with [`SolverWorkspace::reserve_gmres_basis`] when the workload
-    /// does, otherwise the first panel solve widens the slots
-    /// (grow-only; allocation-free from the second solve on). Growing
-    /// is idempotent; steady-state callers never need this.
-    pub fn reserve(&mut self, n: usize, restart: usize, k: usize) {
+    /// Pre-grows the PCG and BiCGSTAB panels for `k` columns of `n`
+    /// entries, plus the preconditioner scratch at panel width, so the
+    /// first PCG or BiCGSTAB solve at width ≤ `k` is already
+    /// allocation-free. The Arnoldi basis is **not** pre-grown: its
+    /// slots grow with the deepest cycle a GMRES or FGMRES solve runs
+    /// (grow-only; allocation-free once the deepest solve has run), so
+    /// a session that never runs GMRES never pays for it — opt in with
+    /// [`SolverWorkspace::reserve_gmres_basis`] for an allocation-free
+    /// first GMRES solve. Growing is idempotent; steady-state callers
+    /// never need this.
+    pub fn reserve(&mut self, n: usize, k: usize) {
         let k = k.max(1);
         self.ensure_panel_bicgstab(n, k);
-        self.ensure_gmres(n, 1, restart.max(1), true);
         self.precond.buffer(n * k);
     }
 
-    /// Opt-in pre-growth of the GMRES panel state — the stacked
-    /// `(restart + 1) × n × k` Arnoldi basis plus the per-column
-    /// least-squares arrays — so even the **first** GMRES panel solve
-    /// at `(n, restart, k)` performs zero heap allocations (enforced by
-    /// `tests/refactor_alloc.rs`). The restart length is clamped the
-    /// way the driver clamps it (`max(1).min(n)`), so reserving with
-    /// the solve's `SolverOptions::restart` always matches.
-    pub fn reserve_gmres_basis(&mut self, n: usize, restart: usize, k: usize) {
+    /// Opt-in pre-growth of the Arnoldi state `method` runs on — the
+    /// stacked `restart × n × k` basis `V` (GMRES), or `V` and `Z`
+    /// (FGMRES), plus the per-column least-squares arrays — so even the
+    /// **first** such solve at `(n, restart, k)` performs zero heap
+    /// allocations (enforced by `tests/refactor_alloc.rs`). Every other
+    /// method has no Arnoldi state, and this is a no-op for it. The
+    /// restart length is clamped the way the driver clamps it
+    /// (`max(1).min(n)`), so reserving with the solve's
+    /// `SolverOptions::restart` always matches.
+    pub fn reserve_gmres_basis(&mut self, method: Method, n: usize, restart: usize, k: usize) {
+        let flexible = match method {
+            Method::Gmres | Method::BatchGmres => false,
+            Method::Fgmres => true,
+            _ => return,
+        };
         let k = k.max(1);
-        let m = restart.max(1).min(n.max(1));
-        self.ensure_gmres(n, k, m, false);
+        let m = gmres::cycle_len(restart, n);
+        self.ensure_gmres(n, k, m);
+        ensure_slots(&mut self.v_basis, m, n * k);
+        if flexible {
+            ensure_slots(&mut self.z_basis, m, n * k);
+        }
         self.precond.buffer(n * k);
     }
 
@@ -162,16 +179,14 @@ impl<T: Scalar> SolverWorkspace<T> {
         ensure(&mut self.col_omega, k);
     }
 
-    /// Sizes the Arnoldi family for `k` columns at restart length `m`
-    /// — the one GMRES sizing rule, width-1 solves included (`k = 1`).
-    /// `flexible` additionally sizes the stored preconditioned basis
-    /// FGMRES needs.
-    pub(crate) fn ensure_gmres(&mut self, n: usize, k: usize, m: usize, flexible: bool) {
+    /// Sizes the Arnoldi family's fixed part for `k` columns at
+    /// restart length `m` — the one GMRES sizing rule, width-1 solves
+    /// included (`k = 1`): the first basis slot `v_0` and the
+    /// per-column small arrays. The driver grows every later slot of
+    /// `V` and `Z` on the step that first writes it.
+    pub(crate) fn ensure_gmres(&mut self, n: usize, k: usize, m: usize) {
         self.ensure_panel(n, k);
-        ensure_slots(&mut self.v_basis, m + 1, n * k);
-        if flexible {
-            ensure_slots(&mut self.z_basis, m, n * k);
-        }
+        ensure_slots(&mut self.v_basis, 1, n * k);
         ensure(&mut self.pu, n * k);
         ensure(&mut self.ph, (m + 1) * m * k);
         ensure(&mut self.pcs, m * k);
@@ -185,9 +200,9 @@ impl<T: Scalar> SolverWorkspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{krylov_panel_with, Method, SolverOptions};
-    use javelin_core::{factorize, IluOptions};
-    use javelin_sparse::{Panel, PanelMut};
+    use crate::{krylov_panel_with, SolverOptions, SolverResult};
+    use javelin_core::{factorize, IluOptions, Preconditioner};
+    use javelin_sparse::{CsrMatrix, Panel, PanelMut};
     use javelin_synth::grid::{convection_diffusion_2d, laplace_2d};
     use javelin_synth::util::rhs_panel;
 
@@ -200,43 +215,112 @@ mod tests {
         ws.ensure_panel(10, 1); // same size: no reallocation
         ws.ensure_panel(6, 1); // smaller: a prefix of the same buffer
         assert_eq!((ws.pr.as_ptr(), ws.pr.len()), (ptr, 10));
-        ws.ensure_gmres(10, 1, 5, true);
-        assert_eq!(ws.v_basis.len(), 6);
-        assert_eq!(ws.z_basis.len(), 5);
+        ws.ensure_gmres(10, 1, 5);
+        // The fixed part only: `v_0` and the small arrays; the driver
+        // grows every later slot.
+        assert_eq!((ws.v_basis.len(), ws.z_basis.len()), (1, 0));
         assert_eq!(ws.ph.len(), 30);
     }
 
     #[test]
-    fn reserve_keeps_the_scalar_arnoldi_bases_as_separate_n_vectors() {
-        // What `reserve` pre-grows at width 1 is measured, not guessed
-        // (it doubles as `Session::build`'s resident free pool): the
-        // GMRES and FGMRES bases as `restart + 1` plus `restart`
-        // separate n-vectors, whatever panel width the caller names.
-        let (n, restart, k) = (40usize, 7usize, 8usize);
+    fn reserve_leaves_the_arnoldi_slots_empty() {
+        // `reserve` warms the PCG/BiCGSTAB panels at width `k` and no
+        // Arnoldi slot: a session that never runs GMRES holds none.
+        let (n, k) = (40usize, 8usize);
         let mut ws = SolverWorkspace::<f64>::new();
-        ws.reserve(n, restart, k);
-        assert_eq!(ws.v_basis.len(), restart + 1);
-        assert_eq!(ws.z_basis.len(), restart);
-        assert!(ws.v_basis.iter().chain(&ws.z_basis).all(|s| s.len() == n));
+        ws.reserve(n, k);
+        assert!(ws.v_basis.is_empty() && ws.z_basis.is_empty());
         assert_eq!(ws.pr.len(), n * k);
         assert_eq!(ws.pt.len(), n * k);
     }
 
+    /// One solve of `method` at width `k` through `ws`.
+    fn solve_into(
+        ws: &mut SolverWorkspace<f64>,
+        method: Method,
+        a: &CsrMatrix<f64>,
+        k: usize,
+        m: &impl Preconditioner<f64>,
+        opts: &SolverOptions,
+    ) -> Vec<SolverResult> {
+        let n = a.nrows();
+        let b = rhs_panel(n, k, 29);
+        let mut x = vec![0.0; n * k];
+        let (b, x) = (Panel::new(&b, n, k), PanelMut::new(&mut x, n, k));
+        krylov_panel_with(method, a, b, x, m, opts, ws)
+    }
+
+    #[test]
+    fn arnoldi_slots_grow_to_the_deepest_cycle() {
+        // At restart 50 each solve below converges inside its first
+        // cycle, so the slots it grew are exactly its step count: `V`
+        // for both flavours, `Z` for FGMRES only. A restart-4 solve
+        // then fills every cycle and needs 4 slots, not 5: the step
+        // that fills a cycle writes no `v_restart`.
+        let a = convection_diffusion_2d(11, 10, 0.4, 0.2);
+        let f = factorize(&a, &IluOptions::ilu0(1)).unwrap();
+        let opts = SolverOptions {
+            restart: 50,
+            ..Default::default()
+        };
+        let slots = |ws: &SolverWorkspace<f64>| (ws.v_basis.len(), ws.z_basis.len());
+        for (method, flexible) in [(Method::Gmres, false), (Method::Fgmres, true)] {
+            let want = |t: usize| (t, if flexible { t } else { 0 });
+            let mut ws = SolverWorkspace::new();
+            let res = solve_into(&mut ws, method, &a, 1, &f, &opts);
+            let steps = res[0].iterations;
+            assert!(
+                res[0].converged && steps > 4 && steps < 50,
+                "{method}: {steps}"
+            );
+            assert_eq!(slots(&ws), want(steps), "{method}");
+            // A narrower restart on the same workspace grows nothing.
+            let short = SolverOptions { restart: 4, ..opts };
+            let res = solve_into(&mut ws, method, &a, 1, &f, &short);
+            assert!(res[0].converged && res[0].iterations > 4, "{method}");
+            assert_eq!(slots(&ws), want(steps), "{method}");
+            let mut ws = SolverWorkspace::new();
+            solve_into(&mut ws, method, &a, 1, &f, &short);
+            assert_eq!(slots(&ws), want(4), "{method}");
+        }
+    }
+
     #[test]
     fn reserve_gmres_basis_matches_driver_sizing() {
-        let (n, restart, k) = (20usize, 50usize, 3usize);
-        let mut ws = SolverWorkspace::<f64>::new();
-        ws.reserve_gmres_basis(n, restart, k);
         // The driver clamps restart to n; the reserved basis must cover
-        // that clamped shape so the first solve never regrows.
+        // that clamped shape exactly, so the first solve that runs a
+        // whole cycle (tol = 0, capped at one cycle) moves and grows no
+        // buffer — and leaves no reserved slot unused.
+        let a = convection_diffusion_2d(5, 4, 0.4, 0.2);
+        let f = factorize(&a, &IluOptions::ilu0(1)).unwrap();
+        let (n, restart, k) = (a.nrows(), 50usize, 3usize);
         let m = restart.min(n);
-        assert_eq!(ws.v_basis.len(), m + 1);
-        assert!(ws.v_basis.iter().all(|s| s.len() == n * k));
+        let mut ws = SolverWorkspace::<f64>::new();
+        for method in [Method::Bicgstab, Method::Pcg] {
+            ws.reserve_gmres_basis(method, n, restart, k);
+            assert!(ws.v_basis.is_empty() && ws.pr.is_empty(), "{method}");
+        }
+        ws.reserve_gmres_basis(Method::Fgmres, n, restart, k);
+        assert_eq!((ws.v_basis.len(), ws.z_basis.len()), (m, m));
+        assert!(ws
+            .v_basis
+            .iter()
+            .chain(&ws.z_basis)
+            .all(|s| s.len() == n * k));
         assert_eq!(ws.ph.len(), (m + 1) * m * k);
-        let ptrs: Vec<_> = ws.v_basis.iter().map(|s| s.as_ptr()).collect();
-        ws.ensure_gmres(n, k, m, false);
-        let after: Vec<_> = ws.v_basis.iter().map(|s| s.as_ptr()).collect();
-        assert_eq!(ptrs, after, "reserve must pre-grow the basis");
+        let reserved = buffer_extents(&ws);
+        let opts = SolverOptions {
+            tol: 0.0,
+            max_iters: m,
+            restart,
+            record_history: false,
+        };
+        let res = solve_into(&mut ws, Method::Fgmres, &a, k, &f, &opts);
+        assert!(res.iter().all(|r| r.iterations == m), "{res:?}");
+        assert_eq!(buffer_extents(&ws), reserved, "the first solve regrew");
+        let mut fresh = SolverWorkspace::new();
+        solve_into(&mut fresh, Method::Fgmres, &a, k, &f, &opts);
+        assert_eq!((fresh.v_basis.len(), fresh.z_basis.len()), (m, m));
     }
 
     /// Address and length of every buffer a solve can touch.
@@ -285,6 +369,9 @@ mod tests {
         // reached no buffer moves or shrinks again — not even after the
         // narrowest solve, which ends each round. PCG needs SPD
         // systems, so its rounds run on Laplacians of the same sizes.
+        // The sixth step runs a longer cycle to a tighter tolerance,
+        // deeper than every step before it, so the reused workspace
+        // grows Arnoldi slots in the middle of a solve.
         let big = convection_diffusion_2d(11, 10, 0.4, 0.2);
         let small = convection_diffusion_2d(7, 6, 0.3, 0.5);
         let spd_big = laplace_2d(11, 10);
@@ -296,13 +383,26 @@ mod tests {
             restart: 9,
             ..Default::default()
         };
-        let widths = [8usize, 1, 3, 8, 8, 1];
+        let deep = SolverOptions {
+            restart: 30,
+            tol: 1e-12,
+            ..opts
+        };
+        // (width, wide system, options)
+        let steps = [
+            (8usize, true, opts),
+            (1, false, opts),
+            (3, true, opts),
+            (8, false, opts),
+            (8, true, opts),
+            (8, true, deep),
+            (1, false, opts),
+        ];
         let methods = [Method::Gmres, Method::Fgmres, Method::Bicgstab, Method::Pcg];
         let mut ws = SolverWorkspace::new();
         let mut high_water = Vec::new();
         for round in 0..2 {
-            for (step, &k) in widths.iter().enumerate() {
-                let wide = step % 2 == 0;
+            for (step, &(k, wide, opts)) in steps.iter().enumerate() {
                 for method in methods {
                     let (a, f) = match (method == Method::Pcg, wide) {
                         (false, true) => (&big, &f_big),
@@ -327,9 +427,14 @@ mod tests {
                         let iters: Vec<usize> = res.iter().map(|r| r.iterations).collect();
                         (x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), iters)
                     };
+                    let slots = ws.v_basis.len();
                     let reused = solve(&mut ws);
                     let fresh = solve(&mut SolverWorkspace::new());
                     assert_eq!(reused, fresh, "{method} round {round} step {step}");
+                    let deepest = opts.restart == deep.restart;
+                    if round == 0 && deepest && method == Method::Gmres {
+                        assert!(ws.v_basis.len() > slots, "step {step} grew no slot");
+                    }
                 }
             }
             if round == 0 {

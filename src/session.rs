@@ -136,29 +136,29 @@ impl SessionBuilder {
         self
     }
 
-    /// Pre-warms panel scratch and solver panels to width `k`, so the
-    /// first [`Session::solve_panel`] / [`Session::krylov_panel`] at
-    /// width ≤ `k` is already allocation-free (default 1). Exception:
-    /// the batched-GMRES stacked Arnoldi basis — by far the largest
-    /// buffer, `(restart + 1) × n × k` — is grown on the first GMRES
-    /// or FGMRES panel solve instead of at build time, so sessions
-    /// that never batch GMRES never pay for it; opt in with
-    /// [`SessionBuilder::warm_gmres_basis`] when the workload does
-    /// batch GMRES, otherwise from the second such solve on it too is
-    /// allocation-free.
+    /// Pre-warms panel scratch and the PCG / BiCGSTAB panels to width
+    /// `k`, so the first [`Session::solve_panel`] and the first PCG or
+    /// BiCGSTAB [`Session::krylov_panel`] at width ≤ `k` are already
+    /// allocation-free (default 1). The GMRES and FGMRES Arnoldi basis
+    /// — by far the largest buffer, up to `restart × n × k` — is not
+    /// warmed at build time: its slots grow with the deepest cycle a
+    /// solve runs, so sessions that never run GMRES never pay for it,
+    /// and once the deepest solve has run it too is allocation-free;
+    /// opt in with [`SessionBuilder::warm_gmres_basis`] for an
+    /// allocation-free first GMRES solve.
     #[must_use]
     pub fn panel_width(mut self, k: usize) -> Self {
         self.panel_width = k;
         self
     }
 
-    /// Opt-in: also pre-grow the batched-GMRES stacked Arnoldi basis
-    /// (`(restart + 1) × n × k` at the builder's
+    /// Opt-in: also pre-grow the GMRES stacked Arnoldi basis
+    /// (`restart × n × k` at the builder's
     /// [`panel_width`](SessionBuilder::panel_width) and the solver
     /// options' restart length) at build time, so even the session's
-    /// **first** `BatchGmres` panel solve performs zero heap
-    /// allocations. Off by default because the basis dwarfs every other
-    /// buffer.
+    /// **first** GMRES panel solve performs zero heap allocations. Off
+    /// by default because the basis dwarfs every other buffer; without
+    /// it the slots grow with the deepest cycle a solve runs.
     #[must_use]
     pub fn warm_gmres_basis(mut self) -> Self {
         self.warm_gmres_basis = true;
@@ -205,9 +205,10 @@ impl SessionBuilder {
             solver.factors().reserve_panel_width(self.panel_width);
         }
         let mut workspace = SolverWorkspace::new();
-        workspace.reserve(a.nrows(), self.solver.restart, self.panel_width.max(1));
+        let (n, k) = (a.nrows(), self.panel_width.max(1));
+        workspace.reserve(n, k);
         if self.warm_gmres_basis {
-            workspace.reserve_gmres_basis(a.nrows(), self.solver.restart, self.panel_width.max(1));
+            workspace.reserve_gmres_basis(Method::Gmres, n, self.solver.restart, k);
         }
         Ok(Session {
             a: a.clone(),

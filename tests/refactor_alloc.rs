@@ -2,7 +2,9 @@
 //! **first** GMRES panel solve through a reserved workspace
 //! ([`SolverWorkspace::reserve`] + [`SolverWorkspace::reserve_gmres_basis`])
 //! performs zero heap allocations too, as do the first width-1
-//! GMRES / FGMRES solves after `reserve` alone — the acceptance
+//! BiCGSTAB / PCG solves after `reserve` alone and the first width-1
+//! GMRES / FGMRES solves after `reserve` plus the method's
+//! `reserve_gmres_basis` — the acceptance
 //! contracts of the two-phase API and the workspace reserve path —
 //! and the apply pipeline and the spmv plan allocate nothing across
 //! panel widths (phases 8 and 9), nor does a 2-thread session's
@@ -141,7 +143,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // ---- Phase 2: a FIRST GMRES panel solve through a reserved ----
     // workspace allocates zero bytes. `reserve` covers the PCG/BiCGSTAB panels
     // and the preconditioner scratch; `reserve_gmres_basis` opts into
-    // the stacked Arnoldi basis — the one buffer `reserve` leaves lazy.
+    // the stacked Arnoldi basis — which otherwise grows with the
+    // deepest cycle a solve runs.
     let n = last.nrows();
     let k = 3usize;
     let opts_s = SolverOptions {
@@ -149,8 +152,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
         ..Default::default()
     };
     let mut ws = SolverWorkspace::new();
-    ws.reserve(n, opts_s.restart, k);
-    ws.reserve_gmres_basis(n, opts_s.restart, k);
+    ws.reserve(n, k);
+    ws.reserve_gmres_basis(Method::BatchGmres, n, opts_s.restart, k);
     factors.reserve_panel_width(k);
     let b: Vec<f64> = (0..n * k)
         .map(|i| ((i * 13 % 29) as f64) * 0.2 - 2.5)
@@ -184,16 +187,19 @@ fn steady_state_refactor_allocates_zero_bytes() {
         "reserved GMRES panel must still converge: {results:?}"
     );
 
-    // ---- Phase 2b: width-1 GMRES and FGMRES run the same driver, ----
-    // and `reserve` alone (no `reserve_gmres_basis`) covers them: the
-    // FIRST width-1 GMRES and the FIRST width-1 FGMRES solve through a
-    // reserved workspace allocate
-    // zero bytes. A `Method::Fgmres` panel widens the stacked `Z`
+    // ---- Phase 2b: width-1 solves. `reserve` alone covers the ----
+    // BiCGSTAB and PCG panels (`reserve_gmres_basis` is a no-op for
+    // them): their FIRST width-1 solves allocate zero bytes. Width-1
+    // GMRES and FGMRES run the panel driver, and `reserve_gmres_basis`
+    // for the method warms its basis (`V`, and `Z` for FGMRES): the
+    // FIRST width-1 GMRES and the FIRST width-1 FGMRES solve allocate
+    // zero bytes too. A `Method::Fgmres` panel grows the stacked `Z`
     // basis on first use and is allocation-free from its second solve.
     let mut ws1 = SolverWorkspace::new();
-    ws1.reserve(n, opts_s.restart, 1);
+    ws1.reserve(n, 1);
     let mut x1 = vec![0.0; n];
-    for method in [Method::Gmres, Method::Fgmres] {
+    for method in [Method::Bicgstab, Method::Pcg, Method::Gmres, Method::Fgmres] {
+        ws1.reserve_gmres_basis(method, n, opts_s.restart, 1);
         x1.fill(0.0);
         let mut converged = false;
         let cost = counted(|| {
