@@ -16,4 +16,4 @@
 
 pub mod heavy;
 
-pub use heavy::{HeavyIlu, HeavyOptions};
+pub use heavy::{product_error_on_pattern, HeavyIlu, HeavyOptions};

@@ -125,10 +125,11 @@ impl<T: Scalar> FactorsBatch<T> {
     /// still leaves a usable — if weak — preconditioner.
     fn new(sym: &SymbolicIlu<T>, k: usize) -> Self {
         let c = sym.core();
-        let nnz = c.colidx.len();
+        let nnz = c.lu.nnz();
         let lu_vals = vec![T::ZERO; nnz * k];
         let mut committed = vec![T::ZERO; nnz * k];
-        for &dp in c.diag_pos.iter() {
+        for &dp in c.lu.diag_pos.iter() {
+            let dp = dp as usize;
             committed[dp * k..(dp + 1) * k].fill(T::ONE);
         }
         FactorsBatch {

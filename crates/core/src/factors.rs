@@ -38,6 +38,20 @@ pub struct SolvePlan {
     pub block_rows: Vec<(usize, usize)>,
 }
 
+impl SolvePlan {
+    /// Bytes of the plan's arrays, schedules included: `len × size_of`
+    /// each.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.upper_level_ptr[..])
+            + self.fwd.heap_bytes()
+            + self.bwd.heap_bytes()
+            + size_of_val(&self.bwd_row_of_task[..])
+            + size_of_val(&self.bwd_level_ptr[..])
+            + size_of_val(&self.block_rows[..])
+    }
+}
+
 /// An incomplete LU factorization `P·A·Pᵀ ≈ L·U` packaged for fast
 /// repeated triangular solves: the crate's one factor storage,
 /// [`FactorsBatch`], at width 1, plus the scalar error contract
@@ -70,7 +84,9 @@ pub struct SolvePlan {
 /// [`Exec`]: crate::sync::Exec
 pub struct IluFactors<T> {
     batch: FactorsBatch<T>,
-    lu: OnceLock<CsrMatrix<T>>,
+    /// The diagnostic `usize` copy [`IluFactors::lu`] and
+    /// [`IluFactors::diag_positions`] return, built on first call.
+    lu: OnceLock<(CsrMatrix<T>, Vec<usize>)>,
 }
 
 /// Runs the full pipeline in one call: symbolic analysis plus numeric
@@ -169,19 +185,29 @@ impl<T: Scalar> IluFactors<T> {
 
     /// The combined LU factor (unit L diagonal implicit) in the
     /// permuted ordering — a diagnostic copy, built on first call from
-    /// the analysis's pattern and the committed values and dropped by
-    /// the next refactor.
+    /// the analysis's pattern (widened to `usize`) and the committed
+    /// values and dropped by the next refactor.
     pub fn lu(&self) -> &CsrMatrix<T> {
-        self.lu.get_or_init(|| {
-            let c = self.batch.sym.core();
-            let vals = self.batch.committed.clone();
-            CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals)
-        })
+        &self.lu_copy().0
     }
 
-    /// Diagonal entry positions within the LU arrays.
+    /// Diagonal entry positions within the LU arrays: part of the
+    /// diagnostic copy [`IluFactors::lu`] builds.
     pub fn diag_positions(&self) -> &[usize] {
-        &self.batch.sym.core().diag_pos
+        &self.lu_copy().1
+    }
+
+    /// The `usize` copy behind [`IluFactors::lu`] and
+    /// [`IluFactors::diag_positions`], built on first call; solves
+    /// stream the analysis's `u32` pattern and never read it.
+    fn lu_copy(&self) -> &(CsrMatrix<T>, Vec<usize>) {
+        self.lu.get_or_init(|| {
+            let (n, lu) = (self.batch.sym.n(), &self.batch.sym.core().lu);
+            let wide = |v: &[u32]| v.iter().map(|&i| i as usize).collect::<Vec<usize>>();
+            let vals = self.batch.committed.clone();
+            let m = CsrMatrix::from_raw_unchecked(n, n, wide(&lu.rowptr), wide(&lu.colidx), vals);
+            (m, wide(&lu.diag_pos))
+        })
     }
 
     /// Factorization statistics.
@@ -283,54 +309,6 @@ impl<T: Scalar> IluFactors<T> {
     ) -> Result<(), SparseError> {
         self.batch.solve(engine, 0, buf, b, x)
     }
-
-    /// Maximum absolute deviation of `(L·U)ᵢⱼ` from `(P·A·Pᵀ)ᵢⱼ` over the
-    /// factor pattern — the defining identity of ILU (zero up to
-    /// roundoff for ILU(k) without dropping). Test/diagnostic helper,
-    /// O(Σ nnz(L row) · nnz(U row)).
-    pub fn product_error_on_pattern(&self, a: &CsrMatrix<T>) -> T {
-        let lu = self.lu();
-        let n = lu.nrows();
-        let diag_pos = self.diag_positions();
-        let pa = a
-            .permute_sym(self.symbolic().perm())
-            .expect("factor perm fits A");
-        let mut acc: Vec<T> = vec![T::ZERO; n];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut worst = T::ZERO;
-        for i in 0..n {
-            // (LU)(i, :) = Σ_{c < i} L[i,c]·U(c,:) + U(i,:)
-            for k in lu.rowptr()[i]..diag_pos[i] {
-                let c = lu.colidx()[k];
-                let lic = lu.vals()[k];
-                for kk in diag_pos[c]..lu.rowptr()[c + 1] {
-                    let j = lu.colidx()[kk];
-                    if acc[j] == T::ZERO {
-                        touched.push(j);
-                    }
-                    acc[j] += lic * lu.vals()[kk];
-                }
-            }
-            for kk in diag_pos[i]..lu.rowptr()[i + 1] {
-                let j = lu.colidx()[kk];
-                if acc[j] == T::ZERO {
-                    touched.push(j);
-                }
-                acc[j] += lu.vals()[kk];
-            }
-            // Compare on the pattern of row i only.
-            for k in lu.rowptr()[i]..lu.rowptr()[i + 1] {
-                let j = lu.colidx()[k];
-                let aij = pa.get(i, j).unwrap_or(T::ZERO);
-                worst = worst.max((acc[j] - aij).abs());
-            }
-            for &j in &touched {
-                acc[j] = T::ZERO;
-            }
-            touched.clear();
-        }
-        worst
-    }
 }
 
 #[cfg(test)]
@@ -388,11 +366,17 @@ mod tests {
         javelin_synth::util::revalue(a, seed, 0.01)
     }
 
+    /// `javelin_baseline::product_error_on_pattern` of `f` against `a`.
+    pub(super) fn product_error(f: &IluFactors<f64>, a: &CsrMatrix<f64>) -> f64 {
+        let pa = a.permute_sym(f.symbolic().perm()).unwrap();
+        javelin_baseline::product_error_on_pattern(f.lu(), f.diag_positions(), &pa)
+    }
+
     #[test]
     fn ilu0_product_identity_on_pattern() {
         let a = laplace_2d(8, 8);
         let f = compute_factors(&a, &IluOptions::default());
-        assert!(f.product_error_on_pattern(&a) < 1e-12);
+        assert!(product_error(&f, &a) < 1e-12);
     }
 
     fn compute_factors(a: &CsrMatrix<f64>, o: &IluOptions) -> IluFactors<f64> {
@@ -1115,6 +1099,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::product_error;
     use super::*;
     use crate::options::{IluOptions, SolveEngine};
     use javelin_sparse::CooMatrix;
@@ -1153,7 +1138,7 @@ mod proptests {
         #[test]
         fn ilu0_identity_on_random_matrices(a in arb_matrix(28)) {
             let f = factorize(&a, &IluOptions::default()).unwrap();
-            prop_assert!(f.product_error_on_pattern(&a) < 1e-9);
+            prop_assert!(product_error(&f, &a) < 1e-9);
         }
 
         /// Parallel == serial, bitwise, on random matrices and random

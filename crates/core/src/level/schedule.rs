@@ -190,6 +190,15 @@ impl P2PSchedule {
             + self.waits.len() * size_of::<(usize, usize)>()
     }
 
+    /// Bytes of the schedule's four arrays, `len × size_of` each.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.block_ptr[..])
+            + size_of_val(&self.blocks[..])
+            + size_of_val(&self.wait_ptr[..])
+            + size_of_val(&self.waits[..])
+    }
+
     /// Confirms the schedule is sound for the block runtime: the blocks
     /// partition the tasks and ascend per thread; every wait targets
     /// another thread's block that ends before the waiting block starts

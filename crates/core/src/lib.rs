@@ -23,10 +23,11 @@
 //!    behind one apply pipeline.
 //! 5. **spmv** ([`spmv`]): one planned kernel ([`SpmvPlan`]), the
 //!    plain CSR row loop of `javelin-sparse`
-//!    ([`CsrMatrix::spmv_rows`](javelin_sparse::CsrMatrix::spmv_rows))
-//!    run on nnz-balanced row blocks, one per thread, bitwise the
-//!    serial loop. [`SymbolicIlu::spmv_plan`] builds it on the
-//!    analysis's own team, so a threaded `javelin::Session` runs its
+//!    ([`spmv_csr_rows`](javelin_sparse::spmv_csr_rows)) run over a
+//!    `u32` copy of the pattern on nnz-balanced row blocks, one per
+//!    thread, bitwise the serial loop. [`SymbolicIlu::spmv_plan`]
+//!    builds it on the analysis's own team and its copy of the
+//!    analyzed pattern, so a threaded `javelin::Session` runs its
 //!    Krylov matvecs on the same (pinned) threads as its applies.
 //!
 //! Under all of them sits [`sync`], the concurrency substrate: the
@@ -135,6 +136,7 @@ pub mod factors;
 pub mod level;
 pub(crate) mod numeric;
 pub mod options;
+pub(crate) mod pattern;
 pub mod precond;
 pub mod spmv;
 pub mod stats;

@@ -47,6 +47,8 @@
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
+#[cfg(any(debug_assertions, test))]
+use javelin_sparse::SpIndex;
 use javelin_sparse::{Scalar, SparseError};
 use std::sync::atomic::Ordering;
 
@@ -78,9 +80,9 @@ pub(crate) fn index_u32(i: usize, what: &str) -> Result<u32, SparseError> {
 /// [`SparseError::InvalidStructure`] when the entry count or the update
 /// count does not fit in `u32`.
 pub(crate) fn update_list(
-    rowptr: &[usize],
-    colidx: &[usize],
-    diag_pos: &[usize],
+    rowptr: &[u32],
+    colidx: &[u32],
+    diag_pos: &[u32],
 ) -> Result<(Vec<u32>, Vec<[u32; 2]>), SparseError> {
     const NONE: u32 = u32::MAX;
     let n = rowptr.len() - 1;
@@ -93,28 +95,27 @@ pub(crate) fn update_list(
     let mut len = 0usize;
     for r in 0..n {
         let (lo, dp, hi) = (rowptr[r], diag_pos[r], rowptr[r + 1]);
-        for (e, &c) in (index_u32(lo, "entry")?..).zip(&colidx[lo..hi]) {
-            pos[c] = e;
+        let (lower, row) = (lo as usize..dp as usize, lo as usize..hi as usize);
+        for (e, &c) in (lo..hi).zip(&colidx[row.clone()]) {
+            pos[c as usize] = e;
         }
-        let candidates: usize = colidx[lo..dp]
+        let candidates: usize = colidx[lower.clone()]
             .iter()
-            .map(|&c| rowptr[c + 1] - diag_pos[c] - 1)
+            .map(|&c| (rowptr[c as usize + 1] - diag_pos[c as usize] - 1) as usize)
             .sum();
         list.resize(len + candidates, [0; 2]);
-        for &c in &colidx[lo..dp] {
-            let u_lo = index_u32(diag_pos[c] + 1, "entry")?;
-            let u_hi = index_u32(rowptr[c + 1], "entry")?;
-            for src in u_lo..u_hi {
-                let dst = pos[colidx[src as usize]];
+        for &c in &colidx[lower] {
+            for src in diag_pos[c as usize] + 1..rowptr[c as usize + 1] {
+                let dst = pos[colidx[src as usize] as usize];
                 list[len] = [dst, src];
                 len += usize::from(dst != NONE);
             }
             ptr.push(index_u32(len, "n_updates")?);
         }
         // The diagonal and U entries eliminate nothing.
-        ptr.resize(ptr.len() + hi - dp, index_u32(len, "n_updates")?);
-        for &c in &colidx[lo..hi] {
-            pos[c] = NONE;
+        ptr.resize(ptr.len() + (hi - dp) as usize, index_u32(len, "n_updates")?);
+        for &c in &colidx[row] {
+            pos[c as usize] = NONE;
         }
     }
     list.truncate(len);
@@ -130,20 +131,21 @@ pub(crate) fn update_list(
 /// bounds rest on every `dst` lying in row `r` and every `src` in row
 /// `c`.
 #[cfg(any(debug_assertions, test))]
-pub(crate) fn probe_enumeration(
-    rowptr: &[usize],
-    colidx: &[usize],
-    diag_pos: &[usize],
+pub(crate) fn probe_enumeration<I: SpIndex>(
+    rowptr: &[I],
+    colidx: &[I],
+    diag_pos: &[I],
 ) -> (Vec<u32>, Vec<[u32; 2]>) {
     let entry = |i: usize| u32::try_from(i).expect("entry index fits u32");
     let (mut ptr, mut list) = (vec![0u32], Vec::new());
     for r in 0..rowptr.len() - 1 {
-        let row = &colidx[rowptr[r]..rowptr[r + 1]];
+        let row = &colidx[rowptr[r].ix()..rowptr[r + 1].ix()];
         for &c in row {
+            let c = c.ix();
             if c < r {
-                for uk in diag_pos[c] + 1..rowptr[c + 1] {
+                for uk in diag_pos[c].ix() + 1..rowptr[c + 1].ix() {
                     if let Ok(p) = row.binary_search(&colidx[uk]) {
-                        list.push([entry(rowptr[r] + p), entry(uk)]);
+                        list.push([entry(rowptr[r].ix() + p), entry(uk)]);
                     }
                 }
             }
@@ -186,18 +188,18 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
     // the row's ready- and retire-signal (function contract above).
     let vr = &ctx.vals.0[base * k..erange.end * k];
     for e in erange {
-        let c = ctx.colidx[e];
+        let c = ctx.colidx[e] as usize;
         if c >= hi {
             break;
         }
         if c < col_lo {
             continue;
         }
-        let dp = ctx.diag_pos[c];
+        let dp = ctx.diag_pos[c] as usize;
         // Row `c`'s diagonal and U lanes: `c < r` is finalized
         // (function contract), hence read-only for the remainder of the
         // factorization.
-        let uc = &ctx.vals.0[dp * k..ctx.rowptr[c + 1] * k];
+        let uc = &ctx.vals.0[dp * k..ctx.rowptr[c + 1] as usize * k];
         // a[r, j] -= l * u[c, j] for every j > c stored in both rows:
         // `dst` is (r, j), `src` is u(c, j).
         let upd = ctx.updates_of(e);
@@ -267,12 +269,12 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
 #[inline]
 pub(crate) fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T>, r: usize) {
     let k = lanes.width();
-    let dp = ctx.diag_pos[r];
+    let dp = ctx.diag_pos[r] as usize;
     let dropping = !ctx.drop_thresh.is_empty();
     // Row `r`'s diagonal and U lanes: finalize runs exactly once per
     // row, inside its ownership window, before any dependent row reads
     // it.
-    let vr = &ctx.vals.0[dp * k..ctx.rowptr[r + 1] * k];
+    let vr = &ctx.vals.0[dp * k..ctx.rowptr[r + 1] as usize * k];
     for lane in 0..k {
         let mut dropped_sum = T::ZERO;
         if dropping {

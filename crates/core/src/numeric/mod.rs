@@ -12,8 +12,9 @@
 //! entry of a finished row updates which entry of the current row — is
 //! resolved by `SymbolicIlu::analyze` into one `u32` update list
 //! (`NumericCtx::upd`; see [`kernel`]), which the serial,
-//! point-to-point and Even-Rows walks all stream. A walk therefore
-//! needs no per-thread workspace.
+//! point-to-point and Even-Rows walks all stream next to the analysis's
+//! one `u32` LU pattern (`crate::pattern::CsrPattern`). A walk
+//! therefore needs no per-thread workspace.
 //!
 //! Layout: lane `c` of LU entry `e` lives at `e·k + c` (the
 //! `Lanes::idx` convention), per-lane τ thresholds at `r·k + c`.
@@ -39,11 +40,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// statistics never bleed into its neighbours.
 pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     /// Combined-LU pattern row pointers (permuted).
-    pub rowptr: &'a [usize],
+    pub rowptr: &'a [u32],
     /// Combined-LU pattern column indices (permuted).
-    pub colidx: &'a [usize],
+    pub colidx: &'a [u32],
     /// Diagonal entry position of each row.
-    pub diag_pos: &'a [usize],
+    pub diag_pos: &'a [u32],
     /// Update-list range of each LU entry (`nnz + 1` offsets).
     pub upd_ptr: &'a [u32],
     /// The update list: per elimination update, the `[dst, src]`
@@ -75,7 +76,7 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
     /// Entry range of a row.
     #[inline(always)]
     pub(crate) fn row_range(&self, r: usize) -> std::ops::Range<usize> {
-        self.rowptr[r]..self.rowptr[r + 1]
+        self.rowptr[r] as usize..self.rowptr[r + 1] as usize
     }
 
     /// The `[dst, src]` update pairs of L entry `e`, in U-row column
@@ -104,9 +105,7 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
 /// counters.
 #[cfg(test)]
 pub(crate) struct CtxFixture {
-    pub rowptr: Vec<usize>,
-    pub colidx: Vec<usize>,
-    pub diag_pos: Vec<usize>,
+    pub lu: crate::pattern::CsrPattern,
     pub upd_ptr: Vec<u32>,
     pub upd: Vec<[u32; 2]>,
     pub vals: Vec<std::cell::Cell<f64>>,
@@ -124,18 +123,22 @@ impl CtxFixture {
     /// value-set in `scenarios`.
     pub(crate) fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
         let k = scenarios.len();
-        let diag_pos: Vec<usize> = (0..rowptr.len() - 1)
+        let diag_pos = (0..rowptr.len() - 1)
             .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
             .collect();
-        let (upd_ptr, upd) = kernel::update_list(&rowptr, &colidx, &diag_pos).unwrap();
-        let vals = (0..colidx.len() * k)
+        let narrow = |v: Vec<usize>| v.into_iter().map(|i| i as u32).collect();
+        let lu = crate::pattern::CsrPattern {
+            rowptr: narrow(rowptr),
+            colidx: narrow(colidx),
+            diag_pos: narrow(diag_pos),
+        };
+        let (upd_ptr, upd) = kernel::update_list(&lu.rowptr, &lu.colidx, &lu.diag_pos).unwrap();
+        let vals = (0..lu.nnz() * k)
             .map(|i| std::cell::Cell::new(scenarios[i % k][i / k]))
             .collect();
         let counters = |init| (0..k).map(|_| AtomicUsize::new(init)).collect();
         CtxFixture {
-            rowptr,
-            colidx,
-            diag_pos,
+            lu,
             upd_ptr,
             upd,
             vals,
@@ -157,9 +160,9 @@ impl CtxFixture {
 
     pub(crate) fn ctx(&self) -> NumericCtx<'_, f64> {
         NumericCtx {
-            rowptr: &self.rowptr,
-            colidx: &self.colidx,
-            diag_pos: &self.diag_pos,
+            rowptr: &self.lu.rowptr,
+            colidx: &self.lu.colidx,
+            diag_pos: &self.lu.diag_pos,
             upd_ptr: &self.upd_ptr,
             upd: &self.upd,
             vals: RegionCells(&self.vals),
@@ -176,7 +179,7 @@ impl CtxFixture {
     /// Lane `c`'s values, de-interleaved.
     pub(crate) fn lane(&self, c: usize) -> Vec<f64> {
         let k = self.replaced.len();
-        (0..self.colidx.len())
+        (0..self.lu.nnz())
             .map(|e| self.vals[e * k + c].get())
             .collect()
     }

@@ -9,6 +9,16 @@
 //! nothing is combined afterwards, and every column is **bitwise**
 //! `spmv_into` at every thread count and panel width.
 //!
+//! The plan streams a `u32` copy of the matrix's pattern
+//! (`crate::pattern::CsrPattern`) with the matrix's values: 12 bytes per
+//! stored entry instead of the 16 of a `usize` CSR, the index
+//! compression Williams et al. count among the first-order spmv
+//! optimizations. A plan built by [`crate::SymbolicIlu::spmv_plan`]
+//! shares the analysis's copy of `A`'s pattern; [`SpmvPlan::new`] makes
+//! a copy of its own. So an execute reads only the *values* of the
+//! matrix it is handed, which must carry the planned pattern: release
+//! builds check its shape (O(1)), debug builds its whole pattern.
+//!
 //! It follows the crate's plan/execute split: the row blocks are built
 //! once, on a team of the plan's own ([`SpmvPlan::new`]) or on an
 //! analysis's team ([`crate::SymbolicIlu::spmv_plan`], the plan a
@@ -18,11 +28,11 @@
 //!
 //! A single vector ([`SpmvPlan::execute`], and a width-1
 //! [`SpmvPlan::execute_panel`]) runs `spmv_into`'s own row loop,
-//! [`CsrMatrix::spmv_rows`], on each block; a one-thread plan calls
-//! `spmv_into` itself, on the caller. Wider panels run one
-//! width-generic lane core (`execute_lanes`), dispatching `k ∈ {4, 8}`
-//! to the monomorphized fixed-width kernels and every other width to
-//! the bit-identical `DynLanes` fallback (see
+//! [`javelin_sparse::spmv_csr_rows`], at `u32` on each block; a
+//! one-thread plan runs it over every row on the caller. Wider panels
+//! run one width-generic lane core (`execute_lanes`), dispatching
+//! `k ∈ {4, 8}` to the monomorphized fixed-width kernels and every
+//! other width to the bit-identical `DynLanes` fallback (see
 //! [`javelin_sparse::lanes`]).
 //!
 //! The plan also runs the Krylov drivers' vector passes on its team
@@ -35,13 +45,15 @@
 //! or a vector of a single block, runs that body on the caller and
 //! opens no region.
 
+use crate::pattern::CsrPattern;
 use crate::sync::{col_range, Exec, RegionCells};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::vecops::{self, DOT_BLOCK};
-use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
+use javelin_sparse::{spmv_csr_rows, with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A precomputed execution plan for the threaded spmv.
 ///
@@ -53,14 +65,21 @@ use std::ops::Range;
 /// allocations** and **zero thread spawns** (the plan's team parks
 /// between executes).
 ///
-/// The plan is tied to the *pattern* of the matrix it was built from
-/// (`nrows`/`nnz` are checked; entry values are read fresh on every
-/// execute, so numeric refactorizations reuse the plan unchanged).
+/// The plan is tied to the *pattern* of the matrix it was built from:
+/// it keeps that pattern (at `u32` indices) and multiplies with it,
+/// reading only the values of the matrix an execute is handed — fresh
+/// on every execute, so numeric refactorizations reuse the plan
+/// unchanged. That matrix must carry the planned pattern. Every execute
+/// checks its dimensions and entry count; debug builds also check that
+/// its `rowptr` and `colidx` equal the planned ones. A release build
+/// multiplies a same-shape matrix of another pattern with the planned
+/// pattern.
 #[derive(Debug)]
 pub struct SpmvPlan<T> {
-    nrows: usize,
     ncols: usize,
-    nnz: usize,
+    /// The planned pattern: an analysis's copy of `A`'s, or the plan's
+    /// own.
+    pattern: Arc<CsrPattern>,
     /// Thread `t` owns rows `bounds[t]..bounds[t + 1]`.
     bounds: Vec<usize>,
     exec: Exec,
@@ -74,30 +93,35 @@ impl<T: Scalar> SpmvPlan<T> {
     ///
     /// `tile_size` is accepted and ignored: the row blocks need no
     /// tile. The parameter goes with `IluOptions::tile_size`, its last
-    /// source (ROADMAP item 10).
+    /// source (ROADMAP item 10). The plan keeps a `u32` copy of `a`'s
+    /// pattern.
+    ///
+    /// # Panics
+    /// When `a`'s entry or column count exceeds the `u32` index range.
     pub fn new(a: &CsrMatrix<T>, nthreads: usize, _tile_size: usize) -> Self {
-        Self::on(Exec::team(nthreads.max(1)), a)
+        let pattern = CsrPattern::of_matrix(a).unwrap_or_else(|e| panic!("spmv plan: {e}"));
+        Self::on(Exec::team(nthreads.max(1)), Arc::new(pattern), a.ncols())
     }
 
-    /// Plans the spmv for `a` on `exec`'s team, one row block per
-    /// participant. Thread `t`'s block ends at the first row boundary
-    /// where the rows plus entries before it reach `t + 1` equal shares.
-    pub(crate) fn on(exec: Exec, a: &CsrMatrix<T>) -> Self {
+    /// Plans the spmv of the `ncols`-column pattern `pattern` on
+    /// `exec`'s team, one row block per participant. Thread `t`'s block
+    /// ends at the first row boundary where the rows plus entries before
+    /// it reach `t + 1` equal shares.
+    pub(crate) fn on(exec: Exec, pattern: Arc<CsrPattern>, ncols: usize) -> Self {
         let nt = exec.nthreads();
-        let (nrows, rowptr) = (a.nrows(), a.rowptr());
-        let total = nrows + a.nnz();
+        let (nrows, rowptr) = (pattern.nrows(), &pattern.rowptr);
+        let total = nrows + pattern.nnz();
         let mut bounds = vec![0; nt + 1];
         let mut r = 0;
         for (t, b) in bounds.iter_mut().enumerate().skip(1) {
-            while r < nrows && r + rowptr[r] < total * t / nt {
+            while r < nrows && r + (rowptr[r] as usize) < total * t / nt {
                 r += 1;
             }
             *b = r;
         }
         SpmvPlan {
-            nrows,
-            ncols: a.ncols(),
-            nnz: a.nnz(),
+            ncols,
+            pattern,
             bounds,
             exec,
             _scalar: PhantomData,
@@ -111,26 +135,25 @@ impl<T: Scalar> SpmvPlan<T> {
 
     /// Executes `y = A·x` through the plan: allocation-free, and bitwise
     /// [`CsrMatrix::spmv_into`] at every thread count. Each thread runs
-    /// [`CsrMatrix::spmv_rows`] — `spmv_into`'s own row loop — on its
-    /// block; a one-thread plan calls `spmv_into` on the caller and
-    /// opens no region.
+    /// `spmv_into`'s own row loop, [`javelin_sparse::spmv_csr_rows`],
+    /// over the planned `u32` pattern and `a`'s values on its block; a
+    /// one-thread plan runs it on the caller and opens no region.
     ///
     /// # Panics
-    /// When `a`'s shape/nnz do not match the planned matrix, or on
-    /// vector length mismatches.
+    /// When `a`'s shape/nnz do not match the planned matrix (debug
+    /// builds: when its pattern does not), or on vector length
+    /// mismatches.
     pub fn execute(&self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
+        assert_eq!(y.len(), self.pattern.nrows(), "spmv: y length mismatch");
         self.check_panel_shapes(a, &Panel::from_col(x), &PanelMut::from_col(y));
-        if self.exec.nthreads() == 1 {
-            a.spmv_into(x, y);
-            return;
-        }
+        let (p, vals) = (&*self.pattern, a.vals());
         let ys = RegionCells::new(y);
         self.exec.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
             let ys = &ys;
-            a.spmv_rows(self.bounds[tid]..self.bounds[tid + 1], x, ys.0);
+            let rows = self.bounds[tid]..self.bounds[tid + 1];
+            spmv_csr_rows(&p.rowptr, &p.colidx, vals, rows, x, ys.0);
         });
     }
 
@@ -148,8 +171,8 @@ impl<T: Scalar> SpmvPlan<T> {
     /// [`CsrMatrix::spmv_into`] on column `c`.
     ///
     /// # Panics
-    /// When `a`'s shape/nnz do not match the planned matrix, or on
-    /// panel shape mismatches.
+    /// When `a`'s shape/nnz do not match the planned matrix (debug
+    /// builds: when its pattern does not), or on panel shape mismatches.
     pub fn execute_panel(&mut self, a: &CsrMatrix<T>, x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
         match self.check_panel_shapes(a, &x, &y) {
             0 => {}
@@ -160,22 +183,29 @@ impl<T: Scalar> SpmvPlan<T> {
 
     /// The single shape validator behind every execute entry point
     /// (also reached for zero-width panels, which are otherwise a
-    /// no-op). Returns the panel width.
+    /// no-op): O(1) on `a`'s shape, plus — in debug builds — its whole
+    /// pattern against the planned one, since an execute reads only
+    /// `a`'s values. Returns the panel width.
     fn check_panel_shapes(&self, a: &CsrMatrix<T>, x: &Panel<'_, T>, y: &PanelMut<'_, T>) -> usize {
-        assert_eq!(a.nrows(), self.nrows, "spmv plan: row count changed");
+        let nrows = self.pattern.nrows();
+        assert_eq!(a.nrows(), nrows, "spmv plan: row count changed");
         assert_eq!(a.ncols(), self.ncols, "spmv plan: col count changed");
-        assert_eq!(a.nnz(), self.nnz, "spmv plan: nnz changed");
+        assert_eq!(a.nnz(), self.pattern.nnz(), "spmv plan: nnz changed");
+        debug_assert!(
+            self.pattern.matches(a),
+            "spmv plan: the matrix's pattern differs from the planned one"
+        );
         assert_eq!(x.nrows(), self.ncols, "spmv: x panel rows mismatch");
-        assert_eq!(y.nrows(), self.nrows, "spmv: y panel rows mismatch");
+        assert_eq!(y.nrows(), nrows, "spmv: y panel rows mismatch");
         assert_eq!(x.ncols(), y.ncols(), "spmv: panel widths differ");
         x.ncols()
     }
 
     /// The width-generic panel kernel behind [`SpmvPlan::execute_panel`]
     /// at widths above 1: each thread runs `spmv_into`'s row loop over
-    /// its row block, all lanes of a chunk per entry. Lane arithmetic is
-    /// entry-ordered and lane-independent, so lane `c` carries identical
-    /// bits through every `L`.
+    /// its row block of the planned pattern, all lanes of a chunk per
+    /// entry. Lane arithmetic is entry-ordered and lane-independent, so
+    /// lane `c` carries identical bits through every `L`.
     fn execute_lanes<L: Lanes>(
         &self,
         lanes: L,
@@ -187,7 +217,7 @@ impl<T: Scalar> SpmvPlan<T> {
         // path; only the lane/width pairing is this function's own.
         let k = lanes.width();
         assert_eq!(x.ncols(), k, "spmv: panel width vs lanes");
-        let (rowptr, colidx, vals) = (a.rowptr(), a.colidx(), a.vals());
+        let (p, vals) = (&*self.pattern, a.vals());
         let stride = y.col_stride();
         let ys = RegionCells::new(y.data_mut());
         self.exec.run(|tid| {
@@ -204,8 +234,8 @@ impl<T: Scalar> SpmvPlan<T> {
                 }
                 for r in rows.clone() {
                     let mut accs = [T::ZERO; LANE_CHUNK];
-                    for e in rowptr[r]..rowptr[r + 1] {
-                        let (v, j) = (vals[e], colidx[e]);
+                    for e in p.row(r) {
+                        let (v, j) = (vals[e], p.colidx[e] as usize);
                         for (acc, xc) in accs[..cw].iter_mut().zip(&xcols[..cw]) {
                             *acc += v * xc[j];
                         }
@@ -441,6 +471,37 @@ mod tests {
                 let sb: Vec<u64> = yc.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(pb, sb, "k={k} col={c}");
             }
+        }
+    }
+
+    /// The plan multiplies with its own copy of the pattern, so a debug
+    /// build rejects a matrix of the planned shape whose pattern differs
+    /// — here one entry moved to another column — at every thread count
+    /// and through both execute entry points.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn moved_column_breaks_the_plan_contract_in_debug() {
+        let a = skewed(12);
+        let (rowptr, mut colidx) = (a.rowptr().to_vec(), a.colidx().to_vec());
+        // Row 0 stores only its diagonal: move it one column right.
+        assert_eq!(&colidx[rowptr[0]..rowptr[1]], [0]);
+        colidx[0] = 1;
+        let moved = CsrMatrix::try_from_parts(12, 12, rowptr, colidx, a.vals().to_vec()).unwrap();
+        let x = vec![1.0; 12];
+        for nthreads in [1, 2] {
+            let mut plan = SpmvPlan::new(&a, nthreads, 0);
+            let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan.execute(&moved, &x, &mut [0.0; 12])
+            }));
+            assert!(single.is_err(), "execute, nthreads={nthreads}");
+            let panel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut y = vec![0.0; 24];
+                let xs = vec![1.0; 24];
+                plan.execute_panel(&moved, Panel::new(&xs, 12, 2), PanelMut::new(&mut y, 12, 2))
+            }));
+            assert!(panel.is_err(), "execute_panel, nthreads={nthreads}");
+            // The planned matrix itself still multiplies.
+            plan.execute(&a, &x, &mut [0.0; 12]);
         }
     }
 

@@ -41,6 +41,7 @@ use crate::numeric::parallel::{
 };
 use crate::numeric::NumericCtx;
 use crate::options::{IluOptions, SolveEngine, ZeroPivotPolicy};
+use crate::pattern::CsrPattern;
 use crate::spmv::SpmvPlan;
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
@@ -73,17 +74,15 @@ pub(crate) struct SymCore<T> {
     pub(crate) nthreads: usize,
     pub(crate) opts: IluOptions,
     pub(crate) engine_hint: SolveEngine,
-    /// Pattern of the analyzed `A`, kept to validate refactor inputs.
-    a_rowptr: Vec<usize>,
-    a_colidx: Vec<usize>,
+    /// Pattern of the analyzed `A`: it validates refactor inputs, and
+    /// the analysis's spmv plans stream it.
+    a: Arc<CsrPattern>,
     /// Structural fingerprint of the analyzed `A` pattern (the cheap
     /// cache key of pattern-keyed symbolic caches; see
     /// [`javelin_sparse::pattern::pattern_fingerprint`]).
     a_fingerprint: u64,
-    /// Permuted combined-LU pattern.
-    pub(crate) rowptr: Vec<usize>,
-    pub(crate) colidx: Vec<usize>,
-    pub(crate) diag_pos: Vec<usize>,
+    /// Permuted combined-LU pattern, with its diagonal positions.
+    pub(crate) lu: CsrPattern,
     /// Per LU entry: source index into `A.vals()`, or [`FILL`].
     pub(crate) a_src: Vec<u32>,
     /// The update list (`numeric/kernel.rs`): LU entry `e`'s
@@ -131,7 +130,7 @@ impl<T> std::fmt::Debug for SymbolicIlu<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SymbolicIlu")
             .field("n", &self.core.n)
-            .field("nnz_lu", &self.core.colidx.len())
+            .field("nnz_lu", &self.core.lu.nnz())
             .field("nthreads", &self.core.nthreads)
             .finish()
     }
@@ -208,13 +207,17 @@ impl<T: Scalar> SymbolicIlu<T> {
         // matrix without re-merging.
         let old_to_new = perm.old_to_new();
         let new_to_old = perm.new_to_old();
-        let mut rowptr = vec![0usize; n + 1];
-        let mut colidx: Vec<usize> = Vec::with_capacity(s.nnz());
-        let mut a_src: Vec<u32> = Vec::with_capacity(s.nnz());
         // Every source index is then below `FILL`.
         index_u32(a.nnz(), "nnz_a")?;
+        // Every LU row pointer, diagonal position and column (`n` is at
+        // most `nnz_a`: every row stores its diagonal) then fits a `u32`,
+        // so the pattern is built at that width directly.
+        index_u32(s.nnz(), "nnz_lu")?;
+        let mut rowptr = vec![0u32; n + 1];
+        let mut colidx: Vec<u32> = Vec::with_capacity(s.nnz());
+        let mut a_src: Vec<u32> = Vec::with_capacity(s.nnz());
         {
-            let mut merge: Vec<(usize, u32)> = Vec::new();
+            let mut merge: Vec<(u32, u32)> = Vec::new();
             for new_r in 0..n {
                 let old_r = new_to_old[new_r];
                 merge.clear();
@@ -229,7 +232,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                     } else {
                         FILL
                     };
-                    merge.push((old_to_new[old_c], src));
+                    merge.push((old_to_new[old_c] as u32, src));
                 }
                 debug_assert_eq!(ai, a_cols.len(), "A row not contained in pattern row");
                 merge.sort_unstable_by_key(|&(c, _)| c);
@@ -237,26 +240,32 @@ impl<T: Scalar> SymbolicIlu<T> {
                     colidx.push(c);
                     a_src.push(src);
                 }
-                rowptr[new_r + 1] = colidx.len();
+                rowptr[new_r + 1] = colidx.len() as u32;
             }
         }
-        let diag_pos: Vec<usize> = (0..n)
+        let diag_pos: Vec<u32> = (0..n)
             .map(|r| {
-                rowptr[r]
-                    + colidx[rowptr[r]..rowptr[r + 1]]
-                        .binary_search(&r)
-                        .expect("diagonal survives symmetric permutation")
+                let row = &colidx[rowptr[r] as usize..rowptr[r + 1] as usize];
+                let at = row
+                    .binary_search(&(r as u32))
+                    .expect("diagonal survives symmetric permutation");
+                rowptr[r] + at as u32
             })
             .collect();
+        let lu = CsrPattern {
+            rowptr,
+            colidx,
+            diag_pos,
+        };
         // The copy-fill-in map's numeric counterpart: every elimination
         // update of the pattern, resolved once for every numeric walk.
-        let (upd_ptr, upd) = update_list(&rowptr, &colidx, &diag_pos)?;
+        let (upd_ptr, upd) = update_list(&lu.rowptr, &lu.colidx, &lu.diag_pos)?;
         // The kernel's row bounds rest on every `dst` lying in its L
         // entry's row and every `src` in the pivot row's U part.
         #[cfg(debug_assertions)]
         {
             let (ptr, list) =
-                crate::numeric::kernel::probe_enumeration(&rowptr, &colidx, &diag_pos);
+                crate::numeric::kernel::probe_enumeration(&lu.rowptr, &lu.colidx, &lu.diag_pos);
             debug_assert!(
                 upd_ptr == ptr && upd == list,
                 "update list differs from the probe enumeration of the LU pattern"
@@ -271,26 +280,24 @@ impl<T: Scalar> SymbolicIlu<T> {
             let mut bp = vec![0usize; n_upper + 1];
             let mut bc = Vec::new();
             for r in 0..n_upper {
-                for k in (diag_pos[r] + 1)..rowptr[r + 1] {
-                    let c = colidx[k];
-                    if c < n_upper {
-                        bc.push(c);
-                    }
-                }
+                let upper = &lu.colidx[lu.diag_pos[r] as usize + 1..lu.rowptr[r + 1] as usize];
+                bc.extend(upper.iter().map(|&c| c as usize).filter(|&c| c < n_upper));
                 bp[r + 1] = bc.len();
             }
             LevelSets::compute_upper(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc))
         };
         let bwd_row_of_task: Vec<usize> = bwd_levels_upper.rows_in_level_order().to_vec();
         let (fwd, bwd) = p2p_schedules(
-            (&rowptr, &colidx, &diag_pos),
+            &lu,
             [&plan0.upper_level_ptr, bwd_levels_upper.level_ptr()],
             &bwd_row_of_task,
             nthreads,
         );
         // Every strictly-lower entry of an upper-stage row is one raw
         // forward dependency.
-        stats.n_raw_deps = (0..n_upper).map(|r| diag_pos[r] - rowptr[r]).sum();
+        stats.n_raw_deps = (0..n_upper)
+            .map(|r| (lu.diag_pos[r] - lu.rowptr[r]) as usize)
+            .sum();
         stats.n_waits = fwd.n_waits();
         // The numeric and solve walks each touch a row once only if the
         // upper levels and the trailing rows' Even-Rows chunks (the
@@ -304,8 +311,9 @@ impl<T: Scalar> SymbolicIlu<T> {
         // Even-Rows stage.
         let block_rows = (n_upper..n)
             .map(|r| {
-                let (lo, hi) = (rowptr[r], rowptr[r + 1]);
-                (lo, lo + colidx[lo..hi].partition_point(|&c| c < n_upper))
+                let row = lu.row(r);
+                let prefix = lu.colidx[row.clone()].partition_point(|&c| (c as usize) < n_upper);
+                (row.start, row.start + prefix)
             })
             .collect();
 
@@ -361,11 +369,8 @@ impl<T: Scalar> SymbolicIlu<T> {
                     a.rowptr(),
                     a.colidx(),
                 ),
-                a_rowptr: a.rowptr().to_vec(),
-                a_colidx: a.colidx().to_vec(),
-                rowptr,
-                colidx,
-                diag_pos,
+                a: Arc::new(CsrPattern::of_matrix(a)?),
+                lu,
                 a_src,
                 upd_ptr,
                 upd,
@@ -387,7 +392,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub fn p2p_schedules(&self, nthreads: usize) -> (P2PSchedule, P2PSchedule) {
         let c = &*self.core;
         p2p_schedules(
-            (&c.rowptr, &c.colidx, &c.diag_pos),
+            &c.lu,
             [&c.plan.upper_level_ptr, &c.plan.bwd_level_ptr],
             &c.plan.bwd_row_of_task,
             nthreads.max(1),
@@ -401,7 +406,7 @@ impl<T: Scalar> SymbolicIlu<T> {
 
     /// Stored entries of the combined LU pattern (incl. fill).
     pub fn nnz(&self) -> usize {
-        self.core.colidx.len()
+        self.core.lu.nnz()
     }
 
     /// Threads the plans were built for.
@@ -484,11 +489,39 @@ impl<T: Scalar> SymbolicIlu<T> {
 
     /// An spmv plan for `a` on this analysis's own team — the team its
     /// factorizations and applies run on, pinned when the analysis is —
-    /// so the plan spawns nothing. Its executes are bitwise
-    /// [`CsrMatrix::spmv_into`]; a one-thread analysis's plan calls
-    /// `spmv_into` on the caller.
+    /// so the plan spawns nothing. It shares the analysis's `u32` copy
+    /// of the analyzed pattern instead of copying `a`'s, so `a` must
+    /// carry that pattern, as must every matrix its executes are handed
+    /// (see [`SpmvPlan`]). Its executes are bitwise
+    /// [`CsrMatrix::spmv_into`]; a one-thread analysis's plan runs on
+    /// the caller.
+    ///
+    /// # Panics
+    /// Debug builds: when `a`'s pattern differs from the analyzed one.
     pub fn spmv_plan(&self, a: &CsrMatrix<T>) -> SpmvPlan<T> {
-        SpmvPlan::on(self.core.exec.clone(), a)
+        let c = &*self.core;
+        debug_assert!(c.a.matches(a), "spmv_plan: `a` is not the analyzed pattern");
+        SpmvPlan::on(c.exec.clone(), Arc::clone(&c.a), c.n)
+    }
+
+    /// The bytes of every index array the analysis owns, exactly:
+    /// `len × size_of` summed over its copy of `A`'s pattern and the LU
+    /// pattern (`u32` each: 4 B·(3n + 2 + nnz_A + nnz_LU) together), the
+    /// `a_src` map, the update list, the permutation and the
+    /// [`SolvePlan`], schedules included. Not counted: the worker team,
+    /// the progress counters and the threaded engine's solve scratch,
+    /// whose value buffers grow with the widest panel applied.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let c = &*self.core;
+        c.a.heap_bytes()
+            + c.lu.heap_bytes()
+            + size_of_val(&c.a_src[..])
+            + size_of_val(&c.upd_ptr[..])
+            + size_of_val(&c.upd[..])
+            + size_of_val(c.perm.new_to_old())
+            + size_of_val(c.perm.old_to_new())
+            + c.plan.heap_bytes()
     }
 
     /// Symbolic/analysis statistics (numeric fields are zero; each
@@ -518,7 +551,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub fn check_pattern(&self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         let c = &*self.core;
         self.check_shape(a)?;
-        if a.rowptr() != c.a_rowptr.as_slice() || a.colidx() != c.a_colidx.as_slice() {
+        if !c.a.matches(a) {
             return Err(pattern_differs());
         }
         Ok(())
@@ -542,7 +575,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 c.n
             )));
         }
-        if a.nnz() != c.a_colidx.len() {
+        if a.nnz() != c.a.nnz() {
             return Err(pattern_differs());
         }
         Ok(())
@@ -644,9 +677,9 @@ impl<T: Scalar> SymbolicIlu<T> {
                 run.failed[lane].store(usize::MAX, Ordering::Relaxed);
             }
             let ctx = NumericCtx {
-                rowptr: &c.rowptr,
-                colidx: &c.colidx,
-                diag_pos: &c.diag_pos,
+                rowptr: &c.lu.rowptr,
+                colidx: &c.lu.colidx,
+                diag_pos: &c.lu.diag_pos,
                 upd_ptr: &c.upd_ptr,
                 upd: &c.upd,
                 vals: RegionCells::new(run.vals),
@@ -730,12 +763,11 @@ impl<T: Scalar> SymbolicIlu<T> {
             // and read the width here, where a fixed width is a constant.
             let (vals, drop_thresh, k) = (&vals, &drop_thresh, lanes.width());
             if check {
-                let ptrs = col_range(c.a_rowptr.len(), nthreads, tid);
-                let cols = col_range(c.a_colidx.len(), nthreads, tid);
-                let differs = mats.iter().any(|a| {
-                    a.rowptr()[ptrs.clone()] != c.a_rowptr[ptrs.clone()]
-                        || a.colidx()[cols.clone()] != c.a_colidx[cols.clone()]
-                });
+                let ptrs = col_range(c.a.rowptr.len(), nthreads, tid);
+                let cols = col_range(c.a.nnz(), nthreads, tid);
+                let differs = mats
+                    .iter()
+                    .any(|a| !c.a.same_ranges(a, ptrs.clone(), cols.clone()));
                 if differs {
                     mismatch.store(true, Ordering::Relaxed);
                 }
@@ -790,7 +822,10 @@ impl<T: Scalar> SymbolicIlu<T> {
         lane: usize,
         relative_shift: f64,
     ) -> f64 {
-        let diag = || self.core.diag_pos.iter().map(|&dp| lanes.idx(dp, lane));
+        let diag = || {
+            let diag_pos = self.core.lu.diag_pos.iter();
+            diag_pos.map(|&dp| lanes.idx(dp as usize, lane))
+        };
         let mut scale = diag().fold(0.0f64, |m, i| m.max(vals[i].abs().to_f64()));
         if scale == 0.0 {
             scale = 1.0;
@@ -835,8 +870,8 @@ impl<T: Scalar> SymbolicIlu<T> {
 }
 
 /// The upper stage's point-to-point schedules at `nthreads` threads,
-/// over the permuted LU pattern `(rowptr, colidx, diag_pos)` and the
-/// forward and backward level pointers: the one dependency rule behind
+/// over the permuted LU pattern `lu` and the forward and backward
+/// level pointers: the one dependency rule behind
 /// [`SymbolicIlu::analyze`] and [`SymbolicIlu::p2p_schedules`].
 ///
 /// Forward, row `r` waits on its strictly-lower columns — always sound,
@@ -846,7 +881,7 @@ impl<T: Scalar> SymbolicIlu<T> {
 /// tasks of its strictly-upper columns below `n_upper`; the corner is
 /// solved before the region starts.
 fn p2p_schedules(
-    (rowptr, colidx, diag_pos): (&[usize], &[usize], &[usize]),
+    lu: &CsrPattern,
     [fwd_level_ptr, bwd_level_ptr]: [&[usize]; 2],
     bwd_row_of_task: &[usize],
     nthreads: usize,
@@ -856,21 +891,23 @@ fn p2p_schedules(
     for (t, &r) in bwd_row_of_task.iter().enumerate() {
         bwd_task_of_row[r] = t;
     }
+    let lower = |r: usize| &lu.colidx[lu.rowptr[r] as usize..lu.diag_pos[r] as usize];
+    let upper = |r: usize| &lu.colidx[lu.diag_pos[r] as usize + 1..lu.rowptr[r + 1] as usize];
     let fwd_deps = |r: usize, out: &mut Vec<usize>| {
         debug_assert!(
-            colidx[rowptr[r]..diag_pos[r]].iter().all(|&c| c < n_upper),
+            lower(r).iter().all(|&c| (c as usize) < n_upper),
             "upper-stage row depends on trailing row"
         );
-        out.extend_from_slice(&colidx[rowptr[r]..diag_pos[r]]);
+        out.extend(lower(r).iter().map(|&c| c as usize));
     };
     let bwd_deps = |task: usize, out: &mut Vec<usize>| {
-        let r = bwd_row_of_task[task];
-        let upper = &colidx[diag_pos[r] + 1..rowptr[r + 1]];
+        let upper = upper(bwd_row_of_task[task]);
         out.extend(
             upper
                 .iter()
-                .filter(|&&c| c < n_upper)
-                .map(|&c| bwd_task_of_row[c]),
+                .map(|&c| c as usize)
+                .filter(|&c| c < n_upper)
+                .map(|c| bwd_task_of_row[c]),
         );
     };
     let fwd = P2PSchedule::build(n_upper, nthreads, fwd_level_ptr, fwd_deps);
@@ -1015,6 +1052,134 @@ mod tests {
             let a = if border > 0 { bordered(&a, border) } else { a };
             (format!("{name} s {s} seed {seed} border {border}"), a)
         })
+    }
+
+    /// FNV-1a over indices widened to `u64`, so the width an array is
+    /// stored at cannot change its hash.
+    fn fnv1a<I: Into<u64>>(words: impl IntoIterator<Item = I>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.into_iter().flat_map(|w| w.into().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every index `analyze` produces, hashed per array: the LU pattern
+    /// (`rowptr`, `colidx`), `diag_pos`, `a_src`, the update list
+    /// (`upd_ptr`, `upd`), `block_rows`, `bwd_row_of_task`, and the
+    /// forward and backward schedules' walks (per thread, each block's
+    /// task range and wait pairs).
+    fn analysis_hashes(a: &CsrMatrix<f64>, opts: &IluOptions) -> [u64; 10] {
+        let sym = SymbolicIlu::analyze(a, opts).unwrap();
+        let f = sym.factor(a).unwrap();
+        let (lu, c, plan) = (f.lu(), sym.core(), sym.plan());
+        let wide = |v: usize| v as u64;
+        let walk = |s: &P2PSchedule| {
+            let mut words = Vec::new();
+            for tid in 0..s.nthreads() {
+                words.push(s.thread_blocks(tid).len());
+                for (rows, waits) in s.thread_blocks(tid) {
+                    words.extend([rows.start, rows.end, waits.len()]);
+                    words.extend(waits.iter().flat_map(|&(t, done)| [t, done]));
+                }
+            }
+            fnv1a(words.into_iter().map(wide))
+        };
+        [
+            fnv1a(lu.rowptr().iter().map(|&v| wide(v))),
+            fnv1a(lu.colidx().iter().map(|&v| wide(v))),
+            fnv1a(f.diag_positions().iter().map(|&v| wide(v))),
+            fnv1a(c.a_src.iter().copied()),
+            fnv1a(c.upd_ptr.iter().copied()),
+            fnv1a(c.upd.iter().flatten().copied()),
+            fnv1a(
+                plan.block_rows
+                    .iter()
+                    .flat_map(|&(lo, hi)| [lo, hi])
+                    .map(wide),
+            ),
+            fnv1a(plan.bwd_row_of_task.iter().map(|&v| wide(v))),
+            walk(&plan.fwd),
+            walk(&plan.bwd),
+        ]
+    }
+
+    /// `analyze`'s output pinned as hashes recorded before the analysis
+    /// stored its patterns as `u32`: a change of storage must not move
+    /// one index, at any thread count.
+    #[test]
+    fn analyze_output_matches_committed_pins() {
+        let grid = convection_diffusion_3d(14, 14, 14, (30.0, 20.0, 10.0));
+        let circuit = transient_circuit(1500, 40, false, 11);
+        // Per matrix: the eight thread-independent hashes, then the
+        // forward and backward walks at t = 1, 2, 3.
+        #[rustfmt::skip]
+        let pins: [(&str, &CsrMatrix<f64>, usize, [u64; 8], [[u64; 2]; 3]); 2] = [
+            (
+                "grid", &grid, 0,
+                [
+                    0xd26f578e0180af5b, 0x8b39c73428dafaf1, 0xc10eb0c0fbac5c21, 0x1f8c2cec19d870c1,
+                    0x0e1c20461c4397c6, 0x7217dfaae70a8d19, 0x92ebf6e6d6d15ec9, 0x7fd2526b5a175c9b,
+                ],
+                [
+                    [0x547ab9d34b79fa53, 0x547ab9d34b79fa53],
+                    [0xd1fd697106b74b2e, 0x834c41751fe7af08],
+                    [0xd1ce231e8f9bca2d, 0x7051f8bd596ce44f],
+                ],
+            ),
+            (
+                "circuit", &circuit, 1,
+                [
+                    0x93d918cd9ec966b1, 0x1e255b4d6037e378, 0xa6c84d14ba3d6ada, 0xce8809734ab6edac,
+                    0xa76d8fb9797b8ac9, 0x6d5533f2f5a1e0c6, 0xa3d4aa2454de2133, 0x26ed351504ef37d4,
+                ],
+                [
+                    [0xa2c5ae811d302851, 0xa2c5ae811d302851],
+                    [0x2add86e343afa150, 0xc9f1cc6869892e51],
+                    [0xa48fa7126aad9f0e, 0x4c1449470e5ae9be],
+                ],
+            ),
+        ];
+        let names = [
+            "rowptr",
+            "colidx",
+            "diag_pos",
+            "a_src",
+            "upd_ptr",
+            "upd",
+            "block_rows",
+            "bwd_row_of_task",
+            "fwd walk",
+            "bwd walk",
+        ];
+        for (name, a, fill, arrays, walks) in pins {
+            for (nthreads, walks) in (1..).zip(walks) {
+                let got = analysis_hashes(a, &IluOptions::ilu0(nthreads).with_fill(fill));
+                let want = arrays.iter().chain(&walks);
+                for ((what, got), want) in names.iter().zip(got).zip(want) {
+                    assert_eq!(got, *want, "{name} fill {fill} t{nthreads}: {what} moved");
+                }
+            }
+        }
+    }
+
+    /// The analysis keeps its two patterns at 4 bytes per index: `A`'s
+    /// copy (`n + 1` row pointers, `nnz_A` columns) and the LU pattern
+    /// with its diagonal positions (`2n + 1` and `nnz_LU`).
+    #[test]
+    fn pattern_bytes_are_four_per_index() {
+        let grid = convection_diffusion_3d(14, 14, 14, (30.0, 20.0, 10.0));
+        let circuit = transient_circuit(1500, 40, false, 11);
+        for (a, fill) in [(&grid, 0), (&circuit, 1)] {
+            for nthreads in [1, 2] {
+                let sym = SymbolicIlu::analyze(a, &IluOptions::ilu0(nthreads).with_fill(fill));
+                let sym = sym.unwrap();
+                let (c, n) = (sym.core(), a.nrows());
+                let want = 4 * (3 * n + 2 + a.nnz() + sym.nnz());
+                assert_eq!(c.a.heap_bytes() + c.lu.heap_bytes(), want, "fill {fill}");
+                assert!(sym.heap_bytes() > want, "fill {fill}: the rest counted");
+            }
+        }
     }
 
     proptest! {

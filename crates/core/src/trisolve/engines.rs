@@ -60,7 +60,7 @@ use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
 use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::{Panel, PanelMut, Scalar};
+use javelin_sparse::{Panel, PanelMut, Scalar, SpIndex};
 use std::ops::Range;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,9 +173,9 @@ impl<T: Scalar> Solution<'_, T> {
 }
 
 /// Everything one thread's share of the region reads.
-struct Region<'a, T, L, V> {
+struct Region<'a, T, L, I, V> {
     lanes: L,
-    f: FactorView<'a, V>,
+    f: FactorView<'a, I, V>,
     plan: &'a SolvePlan,
     new_to_old: &'a [usize],
     nthreads: usize,
@@ -188,7 +188,7 @@ struct Region<'a, T, L, V> {
     barrier: &'a SpinBarrier,
 }
 
-impl<'a, T: Scalar, L: Lanes, V: LaneValues<Value = T>> Region<'a, T, L, V> {
+impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T, L, I, V> {
     /// The right-hand-side columns of lanes `c0..c0 + cw`, taken once
     /// per block, not per row; slots past `cw` repeat the last column
     /// and are never read.
@@ -350,9 +350,9 @@ fn region_failpoint(tid: usize) {
 /// trailing rows' sub-corner sums run Even-Rows across all threads
 /// ("LS+Lower"). Shapes are the caller's to check.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     plan: &SolvePlan,
     new_to_old: &[usize],
     scratch: &mut SolveScratch<T>,

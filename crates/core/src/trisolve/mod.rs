@@ -115,7 +115,8 @@ pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
     b: Panel<'_, T>,
     x: PanelMut<'_, T>,
 ) {
-    let f = FactorView::new(&core.rowptr, &core.colidx, &core.diag_pos, vals);
+    let lu = &core.lu;
+    let f = FactorView::new(&lu.rowptr, &lu.colidx, &lu.diag_pos, vals);
     let (plan, exec, perm) = (&core.plan, &core.exec, &core.perm);
     match engine {
         SolveEngine::Serial => {

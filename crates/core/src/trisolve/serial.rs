@@ -27,7 +27,7 @@
 
 use super::view::{EntryLanes, FactorView, LaneValues, Shared};
 use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SpIndex};
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -36,9 +36,9 @@ use std::ops::Range;
 /// holds the right-hand sides, on exit the solutions. Lane `c` carries
 /// exactly the bits of a scalar [`forward_inplace`] run on that lane
 /// against that lane's values.
-pub(crate) fn forward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(crate) fn forward_lanes_inplace<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     x: &mut [T],
 ) {
     let k = lanes.width();
@@ -56,9 +56,9 @@ pub(crate) fn forward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T
 
 /// In-place lane-generic backward substitution `U·X = Y` over a
 /// row-interleaved buffer (see [`forward_lanes_inplace`]).
-pub(crate) fn backward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(crate) fn backward_lanes_inplace<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     x: &mut [T],
 ) {
     let k = lanes.width();
@@ -81,9 +81,9 @@ pub(crate) fn backward_lanes_inplace<T: Scalar, L: Lanes, V: LaneValues<Value = 
 /// ignored on entry) receives the forward solution. Bit-identical to
 /// `gather_permuted` followed by [`forward_lanes_inplace`]. One lane
 /// chunk: `k ≤ LANE_CHUNK`.
-pub(crate) fn forward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(crate) fn forward_lanes_folded<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     new_to_old: &[usize],
     b: Panel<'_, T>,
     z: &mut [T],
@@ -109,9 +109,9 @@ pub(crate) fn forward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>
 /// at original row `new_to_old[r]`. Bit-identical to
 /// [`backward_lanes_inplace`] followed by `scatter_permuted`. One lane
 /// chunk: `k ≤ LANE_CHUNK`.
-pub(crate) fn backward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+pub(crate) fn backward_lanes_folded<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     new_to_old: &[usize],
     z: &mut [T],
     mut x: PanelMut<'_, T>,
@@ -134,9 +134,9 @@ pub(crate) fn backward_lanes_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T
 /// The row loop of [`backward_lanes_folded`]; `put(c, o, v)` stores
 /// lane `c` of original row `o`.
 #[inline(always)]
-fn backward_rows_folded<T: Scalar, L: Lanes, V: LaneValues<Value = T>>(
+fn backward_rows_folded<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
     lanes: L,
-    f: FactorView<'_, V>,
+    f: FactorView<'_, I, V>,
     new_to_old: &[usize],
     z: &mut [T],
     mut put: impl FnMut(usize, usize, T),
@@ -180,9 +180,15 @@ impl<T: Copy> SolveSlots<T> for [Cell<T>] {
 /// (its L or its U part) for lanes `c0..c0 + cw` — the one inner loop
 /// every sweep of both engines runs.
 #[inline(always)]
-pub(super) fn row_sums<T: Scalar, L: Lanes, V: LaneValues<Value = T>, X: SolveSlots<T> + ?Sized>(
+pub(super) fn row_sums<
+    T: Scalar,
+    L: Lanes,
+    I: SpIndex,
+    V: LaneValues<Value = T>,
+    X: SolveSlots<T> + ?Sized,
+>(
     lanes: L,
-    f: &FactorView<'_, V>,
+    f: &FactorView<'_, I, V>,
     entries: Range<usize>,
     x: &X,
     c0: usize,
@@ -197,12 +203,13 @@ pub(super) fn row_sums<T: Scalar, L: Lanes, V: LaneValues<Value = T>, X: SolveSl
 pub(super) fn row_sums_from<
     T: Scalar,
     L: Lanes,
+    I: SpIndex,
     V: LaneValues<Value = T>,
     X: SolveSlots<T> + ?Sized,
 >(
     mut sums: [T; LANE_CHUNK],
     lanes: L,
-    f: &FactorView<'_, V>,
+    f: &FactorView<'_, I, V>,
     entries: Range<usize>,
     x: &X,
     c0: usize,
@@ -222,7 +229,7 @@ pub(super) fn row_sums_from<
 fn shared_view<'a, T: Scalar>(
     lu: &'a CsrMatrix<T>,
     diag_pos: &'a [usize],
-) -> FactorView<'a, Shared<'a, T>> {
+) -> FactorView<'a, usize, Shared<'a, T>> {
     FactorView::new(lu.rowptr(), lu.colidx(), diag_pos, Shared(lu.vals()))
 }
 
@@ -360,9 +367,9 @@ mod tests {
             .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
 
-        fn both<V: LaneValues<Value = f64>>(
+        fn both<I: SpIndex, V: LaneValues<Value = f64>>(
             k: usize,
-            f: FactorView<'_, V>,
+            f: FactorView<'_, I, V>,
             perm: &Perm,
             b: &[f64],
         ) -> (Vec<f64>, Vec<f64>) {

@@ -1,13 +1,22 @@
 //! [`FactorView`] — the one place that knows how a factor is stored.
 //!
 //! Every sweep kernel (the Serial substitution, the threaded engines'
-//! row retires, the Even-Rows trailing rows, the corner rows) reads the combined LU factor through this view: the
-//! analysis's `rowptr` / `colidx` / `diag_pos` plus a [`LaneValues`]
-//! addressing that says which stored value right-hand-side lane `c`
-//! multiplies entry `e` by. A change of index width, stream order or
-//! value layout is a change in this file.
+//! row retires, the Even-Rows trailing rows, the corner rows) reads the
+//! combined LU factor through this view: a pattern's `rowptr` /
+//! `colidx` / `diag_pos` plus a [`LaneValues`] addressing that says
+//! which stored value right-hand-side lane `c` multiplies entry `e` by.
+//!
+//! The index width is the view's type parameter `I`, one body with two
+//! instantiations, the way the lane layer handles width: the
+//! analysis's apply streams its `u32` pattern
+//! (`crate::pattern::CsrPattern`, 4 bytes per index), and the public
+//! `serial::{forward_inplace, backward_inplace}` read a standalone
+//! combined-LU [`javelin_sparse::CsrMatrix`] at `usize`. The
+//! arithmetic does not see the width, so both carry the same bits. A
+//! change of index width, stream order or value layout is a change in
+//! this file.
 
-use javelin_sparse::Scalar;
+use javelin_sparse::{Scalar, SpIndex};
 use std::ops::Range;
 
 /// One factor entry as a kernel's lane loop sees it.
@@ -82,22 +91,17 @@ impl<'a, T: Scalar> LaneValues for PerLane<'a, T> {
 }
 
 /// The combined LU factor (unit L diagonal implicit, permuted ordering)
-/// as the sweep kernels read it.
+/// as the sweep kernels read it, its pattern stored at index width `I`.
 #[derive(Clone, Copy)]
-pub(crate) struct FactorView<'a, V> {
-    rowptr: &'a [usize],
-    colidx: &'a [usize],
-    diag_pos: &'a [usize],
+pub(crate) struct FactorView<'a, I, V> {
+    rowptr: &'a [I],
+    colidx: &'a [I],
+    diag_pos: &'a [I],
     vals: V,
 }
 
-impl<'a, V: LaneValues> FactorView<'a, V> {
-    pub(crate) fn new(
-        rowptr: &'a [usize],
-        colidx: &'a [usize],
-        diag_pos: &'a [usize],
-        vals: V,
-    ) -> Self {
+impl<'a, I: SpIndex, V: LaneValues> FactorView<'a, I, V> {
+    pub(crate) fn new(rowptr: &'a [I], colidx: &'a [I], diag_pos: &'a [I], vals: V) -> Self {
         FactorView {
             rowptr,
             colidx,
@@ -115,19 +119,19 @@ impl<'a, V: LaneValues> FactorView<'a, V> {
     /// Entries of row `r`'s strictly-lower (L) part.
     #[inline(always)]
     pub(crate) fn lower(&self, r: usize) -> Range<usize> {
-        self.rowptr[r]..self.diag_pos[r]
+        self.rowptr[r].ix()..self.diag_pos[r].ix()
     }
 
     /// Entries of row `r`'s strictly-upper (U) part.
     #[inline(always)]
     pub(crate) fn upper(&self, r: usize) -> Range<usize> {
-        self.diag_pos[r] + 1..self.rowptr[r + 1]
+        self.diag_pos[r].ix() + 1..self.rowptr[r + 1].ix()
     }
 
     /// Column of entry `e`.
     #[inline(always)]
     pub(crate) fn col(&self, e: usize) -> usize {
-        self.colidx[e]
+        self.colidx[e].ix()
     }
 
     /// Entry `e`'s values for lanes `c0..c0 + cw`.
@@ -139,6 +143,6 @@ impl<'a, V: LaneValues> FactorView<'a, V> {
     /// Row `r`'s pivot `U[r, r]` for lanes `c0..c0 + cw`.
     #[inline(always)]
     pub(crate) fn pivot(&self, r: usize, c0: usize, cw: usize) -> V::Entry {
-        self.vals.entry(self.diag_pos[r], c0, cw)
+        self.vals.entry(self.diag_pos[r].ix(), c0, cw)
     }
 }

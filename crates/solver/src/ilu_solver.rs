@@ -99,7 +99,10 @@ impl<T: Scalar> IluSolver<T> {
     /// Runs `method` over the panel `b` from the initial guesses in `x`
     /// against `a`, which must hold the values the factors were last
     /// refactored from, one result per column into `results`
-    /// ([`krylov_panel_into`], every matvec through the plan). It
+    /// ([`krylov_panel_into`], every matvec through the plan). `a` must
+    /// carry the analyzed pattern: the plan multiplies `a`'s values
+    /// with the analysis's copy of that pattern, so it checks `a`'s
+    /// shape, and debug builds its whole pattern ([`SpmvPlan`]). It
     /// carries the pipeline's one breakdown retry:
     ///
     /// 1. run the panel;
@@ -156,7 +159,9 @@ impl<T: Scalar> IluSolver<T> {
     /// The scenario sweep's solve: column `c` of `b`/`x` iterates on
     /// `mats[c]`, preconditioned by scenario `c` of `batch` (which must
     /// have been factored from `mats`), every matvec through the plan.
-    /// It has no retry, because a batch has no shifted refactor.
+    /// Every scenario matrix must carry the analyzed pattern, as `a`
+    /// must for [`IluSolver::krylov_into`]. It has no retry, because a
+    /// batch has no shifted refactor.
     ///
     /// # Panics
     /// On shape mismatches or a wrong `results` length.

@@ -13,6 +13,55 @@ use crate::scalar::Scalar;
 use std::cell::Cell;
 use std::ops::Range;
 
+/// The width a CSR pattern stores its indices at: `usize` for a
+/// [`CsrMatrix`]'s own arrays, `u32` for the 4-byte copies an analysis
+/// keeps once it has checked that every index fits.
+pub trait SpIndex: Copy + Ord + Send + Sync + 'static {
+    /// The index as a `usize` (a zero extension).
+    fn ix(self) -> usize;
+}
+
+impl SpIndex for usize {
+    #[inline(always)]
+    fn ix(self) -> usize {
+        self
+    }
+}
+
+impl SpIndex for u32 {
+    #[inline(always)]
+    fn ix(self) -> usize {
+        self as usize
+    }
+}
+
+/// Rows `rows` of `y = A·x` for the CSR matrix `(rowptr, colidx, vals)`
+/// — the one spmv row loop, at either index width. Per row,
+/// `acc = 0; acc += v·x[j]` runs in entry order, so the product's bits
+/// depend neither on the index width nor on how the rows are split.
+/// `y` is the whole output as cells; only rows `rows` are written.
+///
+/// # Panics
+/// When a row of `rows` is out of range or indexes past `vals`, `x` or
+/// `y`.
+#[inline]
+pub fn spmv_csr_rows<T: Scalar, I: SpIndex>(
+    rowptr: &[I],
+    colidx: &[I],
+    vals: &[T],
+    rows: Range<usize>,
+    x: &[T],
+    y: &[Cell<T>],
+) {
+    for r in rows {
+        let mut acc = T::ZERO;
+        for k in rowptr[r].ix()..rowptr[r + 1].ix() {
+            acc += vals[k] * x[colidx[k].ix()];
+        }
+        y[r].set(acc);
+    }
+}
+
 /// An immutable sparse matrix in CSR format.
 ///
 /// Invariants (enforced by [`CsrMatrix::try_from_parts`], assumed
@@ -433,38 +482,16 @@ impl<T: Scalar> CsrMatrix<T> {
         }
     }
 
-    /// Serial sparse matrix–vector product `y = A·x`: [`spmv_rows`]
-    /// over every row.
-    ///
-    /// [`spmv_rows`]: CsrMatrix::spmv_rows
+    /// Serial sparse matrix–vector product `y = A·x`: the `usize`
+    /// instantiation of [`spmv_csr_rows`] over every row.
     ///
     /// # Panics
     /// When `x.len() != ncols` or `y.len() != nrows`.
     pub fn spmv_into(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
-        self.spmv_rows(0..self.nrows, x, Cell::from_mut(y).as_slice_of_cells());
-    }
-
-    /// Rows `rows` of `y = A·x` — the one spmv row loop. Per row,
-    /// `acc = 0; acc += v·x[j]` runs in entry order, so any split of
-    /// the rows carries the bits of [`spmv_into`]. `y` is the whole
-    /// output as cells, so threads that own disjoint row ranges can
-    /// share it; only rows `rows` are written.
-    ///
-    /// [`spmv_into`]: CsrMatrix::spmv_into
-    ///
-    /// # Panics
-    /// When a row of `rows` is out of range or indexes past `x` / `y`.
-    #[inline]
-    pub fn spmv_rows(&self, rows: Range<usize>, x: &[T], y: &[Cell<T>]) {
-        for r in rows {
-            let mut acc = T::ZERO;
-            for k in self.row_range(r) {
-                acc += self.vals[k] * x[self.colidx[k]];
-            }
-            y[r].set(acc);
-        }
+        let y = Cell::from_mut(y).as_slice_of_cells();
+        spmv_csr_rows(&self.rowptr, &self.colidx, &self.vals, 0..self.nrows, x, y);
     }
 
     /// Convenience allocating spmv.

@@ -50,7 +50,7 @@ pub mod scalar;
 pub mod vecops;
 
 pub use coo::CooMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{spmv_csr_rows, CsrMatrix, SpIndex};
 pub use error::SparseError;
 pub use lanes::{DynLanes, FixedLanes, Lanes};
 pub use panel::{Panel, PanelBuf, PanelMut};

@@ -2,6 +2,7 @@
 //! preordering → factorization → solves, on every matrix of the
 //! reproduced test suite (tiny scale).
 
+use javelin::baseline::product_error_on_pattern;
 use javelin::core::options::SolveEngine;
 use javelin::core::{factorize, IluOptions};
 use javelin::solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
@@ -21,7 +22,8 @@ fn ilu0_product_identity_across_suite() {
         let f =
             factorize(&a, &IluOptions::default()).unwrap_or_else(|e| panic!("{}: {e}", meta.name));
         let scale: f64 = a.vals().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let err = f.product_error_on_pattern(&a);
+        let pa = a.permute_sym(f.symbolic().perm()).unwrap();
+        let err = product_error_on_pattern(f.lu(), f.diag_positions(), &pa);
         assert!(
             err <= 1e-10 * scale.max(1.0),
             "{}: product error {err:.3e} (scale {scale:.3e})",

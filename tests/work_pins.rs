@@ -97,6 +97,31 @@ fn work_pins_and_recorded_walks() {
     }
 }
 
+/// The exact bytes of the analysis's index arrays
+/// (`SymbolicIlu::heap_bytes`): the two `u32` patterns, `a_src`, the
+/// update list, the permutation and the solve plan with its schedules.
+/// The matrices are `analyze`'s pin matrices in core.
+#[test]
+fn analysis_heap_bytes_pins() {
+    let (grid, pin_circuit) = (grid(), transient_circuit(1_500, 40, false, 11));
+    // (matrix, fill, nthreads, heap bytes).
+    let cases: [(&str, &CsrMatrix<f64>, usize, usize, usize); 4] = [
+        ("grid", &grid, 0, 1, 449_412),
+        ("grid", &grid, 0, 2, 454_764),
+        ("circuit", &pin_circuit, 1, 1, 889_260),
+        ("circuit", &pin_circuit, 1, 2, 899_748),
+    ];
+    for (name, a, fill, nthreads, want) in cases {
+        let opts = IluOptions::ilu0(nthreads).with_fill(fill);
+        let sym = SymbolicIlu::analyze(a, &opts).expect("analyze");
+        assert_eq!(
+            sym.heap_bytes(),
+            want,
+            "{name} fill {fill} nthreads {nthreads}"
+        );
+    }
+}
+
 /// One apply's [`Work`]: no caller-side vector pass and one region.
 fn work(schedule_bytes: usize, wait_checks: usize, publications: usize, barriers: usize) -> Work {
     Work {
