@@ -53,7 +53,7 @@
 //! engines × threads × k × pivot policies.
 
 use crate::factors::IluFactors;
-use crate::precond::EnginePinned;
+use crate::precond::{ApplyScratch, EnginePinned};
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
 use crate::trisolve::apply_panel;
@@ -216,7 +216,7 @@ impl<T: Scalar> FactorsBatch<T> {
         &self,
         engine: SolveEngine,
         c0: usize,
-        buf: &mut Vec<T>,
+        scratch: &mut ApplyScratch<T>,
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
@@ -226,7 +226,7 @@ impl<T: Scalar> FactorsBatch<T> {
             "panel wider than the batch"
         );
         let vals = &self.committed[c0..];
-        apply_panel(self.sym.core(), vals, self.k, engine, buf, b, x)
+        apply_panel(self.sym.core(), vals, self.k, engine, scratch, b, x)
     }
 
     /// Redoes the numeric phase of **all** `k` scenarios in one batched
@@ -277,12 +277,12 @@ impl<T: Scalar> FactorsBatch<T> {
         let t2 = Instant::now();
         let c = self.sym.core();
         {
-            let progress = c.progress.lock();
+            let sync = c.sync.lock();
             let run = NumericRun {
                 mats,
                 vals: &mut self.lu_vals,
                 drop_thresh: &mut self.drop_thresh,
-                progress: &progress,
+                progress: &sync.fwd,
                 replaced: &self.replaced,
                 dropped: &self.dropped,
                 failed: &self.failed,

@@ -5,7 +5,7 @@
 use crate::batch_factor::FactorsBatch;
 use crate::level::P2PSchedule;
 use crate::options::SolveEngine;
-use crate::precond::EnginePinned;
+use crate::precond::{ApplyScratch, EnginePinned};
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
@@ -63,14 +63,13 @@ impl SolvePlan {
 /// by every factor object of one analysis. That holds the LU pattern
 /// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
 /// the [`SolvePlan`] (schedules, the trailing rows' sub-corner ranges),
-/// the threaded engine's reusable solve scratch (counters, barrier,
-/// the trailing rows' sub-corner sums, the solve buffer) and
-/// an [`Exec`]
-/// — a persistent worker team — so that after the numeric phase
-/// returns, every solve runs with zero heap allocations and zero
-/// thread spawns. The scratch is mutex-guarded: concurrent threaded
-/// applies serialize instead of racing. The Serial engine touches none
-/// of it — it works in the caller's buffer, so concurrent Serial
+/// the walks' progress counters and barrier, and an [`Exec`] — a
+/// persistent worker team. Both engines solve in the caller's
+/// [`ApplyScratch`] buffer, so after the numeric phase returns, every
+/// solve through a warmed scratch runs with zero heap allocations and
+/// zero thread spawns. The counters are mutex-guarded: concurrent
+/// threaded applies (and refactors) of one analysis serialize instead
+/// of racing. The Serial engine takes no lock, so concurrent Serial
 /// applies run side by side.
 ///
 /// [`IluFactors::lu`] is a diagnostic CSR copy of the factor, built
@@ -117,7 +116,7 @@ impl<T: Scalar> IluFactors<T> {
 
     /// The symbolic analysis these factors were produced from. Cloning
     /// the handle is cheap and shares the plans, worker team and
-    /// scratch.
+    /// counters.
     pub fn symbolic(&self) -> &SymbolicIlu<T> {
         &self.batch.sym
     }
@@ -125,8 +124,8 @@ impl<T: Scalar> IluFactors<T> {
     /// Redoes the **numeric phase only**, in place, for a matrix with
     /// exactly the analyzed sparsity pattern but new values — the
     /// time-stepping entry point. The symbolic analysis, level
-    /// schedules, trisolve/spmv plans, permutation, worker team and all
-    /// scratch buffers are reused verbatim: in the steady state this
+    /// schedules, trisolve/spmv plans, permutation, worker team and
+    /// value buffers are reused verbatim: in the steady state this
     /// performs **zero heap allocations and zero thread spawns** (the
     /// planned engines run as regions on the persistent team).
     ///
@@ -169,18 +168,6 @@ impl<T: Scalar> IluFactors<T> {
         self.batch.refactor_lanes(&[a], shift)?;
         self.lu.take();
         self.batch.statuses()[0].clone()
-    }
-
-    /// Pre-grows the threaded engine's solve scratch to panel width
-    /// `k`, so its first width-`k` panel solve is already
-    /// allocation-free (the Serial engine works in the caller's buffer
-    /// instead). Widths are grow-only; narrower panels reuse the wide
-    /// buffers.
-    pub fn reserve_panel_width(&self, k: usize) {
-        if k > 1 {
-            // Sizes the buffers exactly as a width-`k` apply would.
-            self.batch.sym.core().scratch.lock().ensure_width(k);
-        }
     }
 
     /// The combined LU factor (unit L diagonal implicit) in the
@@ -242,12 +229,14 @@ impl<T: Scalar> IluFactors<T> {
         self.solve_with(self.default_engine(), b, x)
     }
 
-    /// Solves `A·x ≈ b` with an explicit engine.
+    /// Solves `A·x ≈ b` with an explicit engine (it allocates its
+    /// buffer; repeated callers should use
+    /// [`IluFactors::solve_with_buffer`]).
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve_with(&self, engine: SolveEngine, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        self.solve_with_buffer(engine, &mut Vec::new(), b, x)
+        self.solve_with_buffer(engine, &mut ApplyScratch::new(), b, x)
     }
 
     /// [`IluFactors::solve_panel_with_buffer`] at width 1 — a vector is
@@ -258,15 +247,15 @@ impl<T: Scalar> IluFactors<T> {
     pub fn solve_with_buffer(
         &self,
         engine: SolveEngine,
-        buf: &mut Vec<T>,
+        scratch: &mut ApplyScratch<T>,
         b: &[T],
         x: &mut [T],
     ) -> Result<(), SparseError> {
-        self.solve_panel_with_buffer(engine, buf, Panel::from_col(b), PanelMut::from_col(x))
+        self.solve_panel_with_buffer(engine, scratch, Panel::from_col(b), PanelMut::from_col(x))
     }
 
-    /// Panel solve with an explicit engine (a Serial solve allocates
-    /// its buffer; repeated callers should use
+    /// Panel solve with an explicit engine (it allocates its buffer;
+    /// repeated callers should use
     /// [`IluFactors::solve_panel_with_buffer`]).
     ///
     /// # Errors
@@ -277,23 +266,24 @@ impl<T: Scalar> IluFactors<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        self.solve_panel_with_buffer(engine, &mut Vec::new(), b, x)
+        self.solve_panel_with_buffer(engine, &mut ApplyScratch::new(), b, x)
     }
 
     /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides through
     /// the crate's one apply pipeline (`trisolve::apply_panel`, one
-    /// factor under every column): one pass gathers `B` permuted and
-    /// row-interleaved into the engine's buffer, the engine retires all
-    /// `k` columns in one schedule walk (Serial: one stream over the
-    /// factor), one pass scatters the solution into `x`. Widths
-    /// `k ∈ {1, 4, 8}` run the monomorphized fixed-lane kernels, every
-    /// other width the bit-identical dynamic fallback.
+    /// factor under every column): the engine retires all `k` columns
+    /// in one schedule walk (Serial: one stream over the factor),
+    /// reading `B` and writing `x` through the permutation (the Serial
+    /// engine at `k > 4` gathers and scatters in one pass each
+    /// instead). Widths `k ∈ {1, 4, 8}` run the monomorphized
+    /// fixed-lane kernels, every other width the bit-identical dynamic
+    /// fallback.
     ///
-    /// The Serial engine works in `buf` (grown to `n·k` when shorter,
-    /// never shrunk) and takes no lock; the threaded engines work in
-    /// the analysis's mutex-guarded scratch and leave `buf` alone. With
-    /// the buffer in use warmed at this width the whole solve is
-    /// allocation-free.
+    /// Both engines work in `scratch`'s buffer, grown to `n·k` entries
+    /// when shorter and never shrunk. The Serial engine takes no lock;
+    /// the threaded engine holds the analysis's counter lock for the
+    /// whole apply. With `scratch` warmed at this width (e.g. by
+    /// `SolverWorkspace::reserve`) the whole solve is allocation-free.
     ///
     /// Column `c` of the result is bit-identical to a single-RHS solve
     /// of column `c`, through any engine.
@@ -303,11 +293,11 @@ impl<T: Scalar> IluFactors<T> {
     pub fn solve_panel_with_buffer(
         &self,
         engine: SolveEngine,
-        buf: &mut Vec<T>,
+        scratch: &mut ApplyScratch<T>,
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<(), SparseError> {
-        self.batch.solve(engine, 0, buf, b, x)
+        self.batch.solve(engine, 0, scratch, b, x)
     }
 }
 
@@ -545,8 +535,8 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_bitwise_identical_to_fresh_path() {
-        // Repeated solves through one factorization reuse its scratch
-        // (progress counters, barrier, sub-corner sums, xbuf); a second
+        // Repeated solves through one factorization reuse its analysis's
+        // progress counters and barrier; a second
         // factorization's first solve is the fresh-allocation path.
         // Both must produce identical bits.
         let a = irregular(150);
@@ -617,7 +607,7 @@ mod tests {
                         crate::trisolve::view::Shared(f.lu().vals()),
                         DynLanes(k),
                         engine,
-                        &mut Vec::new(),
+                        &mut ApplyScratch::new(),
                         Panel::new(&b, n, k),
                         PanelMut::new(&mut x_dyn, n, k),
                     );
@@ -632,38 +622,29 @@ mod tests {
         let a = laplace_2d(9, 9);
         let n = a.nrows();
         let f = compute_factors(&a, &IluOptions::ilu0(2));
-        f.reserve_panel_width(2);
         let b: Vec<f64> = (0..n * 2).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut buf = Vec::new();
         let mut x = vec![0.0; n * 2];
-        f.solve_panel_with_buffer(
-            SolveEngine::Serial,
-            &mut buf,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-        )
-        .unwrap();
-        assert_eq!(buf.len(), n * 2);
-        // Narrower reuse keeps the wide buffer (grow-only).
-        f.solve_panel_with_buffer(
-            SolveEngine::Serial,
-            &mut buf,
-            Panel::new(&b[..n], n, 1),
-            PanelMut::new(&mut x[..n], n, 1),
-        )
-        .unwrap();
-        assert_eq!(buf.len(), n * 2);
-        // The threaded engines work in the analysis's scratch and leave
-        // the caller's buffer alone.
-        let mut unused = Vec::new();
-        f.solve_panel_with_buffer(
-            SolveEngine::PointToPointLower,
-            &mut unused,
-            Panel::new(&b, n, 2),
-            PanelMut::new(&mut x, n, 2),
-        )
-        .unwrap();
-        assert!(unused.is_empty());
+        for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
+            // Both engines work in the caller's buffer, grown to n·k.
+            let mut scratch = ApplyScratch::new();
+            f.solve_panel_with_buffer(
+                engine,
+                &mut scratch,
+                Panel::new(&b, n, 2),
+                PanelMut::new(&mut x, n, 2),
+            )
+            .unwrap();
+            assert_eq!(scratch.buf.len(), n * 2, "{engine}");
+            // Narrower reuse keeps the wide buffer (grow-only).
+            f.solve_panel_with_buffer(
+                engine,
+                &mut scratch,
+                Panel::new(&b[..n], n, 1),
+                PanelMut::new(&mut x[..n], n, 1),
+            )
+            .unwrap();
+            assert_eq!(scratch.buf.len(), n * 2, "{engine}");
+        }
         // Shape mismatches are reported, not panicked.
         let engine = f.default_engine();
         let short = vec![0.0; n];

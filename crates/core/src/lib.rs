@@ -48,11 +48,11 @@
 //!   two-stage split and permutation, the update list (every
 //!   elimination update of the numeric phase, resolved once), the
 //!   forward/backward point-to-point schedules, the
-//!   [`factors::SolvePlan`], the threaded solve engine's reusable
-//!   scratch (progress counters, barrier, the trailing rows' sub-corner
-//!   sums, the solve buffer), the numeric progress counters, and a
-//!   [`sync::Exec`] — the persistent worker team every later
-//!   region runs on, its threads parked between calls.
+//!   [`factors::SolvePlan`], the walks' progress counters and barrier
+//!   (pattern-only, under one lock shared by refactors and threaded
+//!   applies), and a [`sync::Exec`] — the persistent worker team every
+//!   later region runs on, its threads parked between calls. It holds
+//!   no value buffer.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
 //!   numeric up-looking elimination through the planned engines and
 //!   returns [`IluFactors`], which shares the analysis handle.
@@ -67,11 +67,12 @@
 //!   thread spawn, no `partition_point` searches — just loads, FMAs,
 //!   and point-to-point waits. Engine results stay bit-identical to
 //!   their serial references at every thread count.
-//! * **Workspaces.** Callers that need scratch (the Serial engine's
-//!   solve buffer, a Krylov solver's vectors) own it explicitly:
-//!   [`ApplyScratch`] for preconditioner applies, `SolverWorkspace` in
-//!   `javelin-solver` for whole solves. Buffers are grow-only: sized
-//!   on first use, reused verbatim afterwards, at every narrower width
+//! * **Workspaces.** Callers own every width-sized buffer explicitly:
+//!   [`ApplyScratch`] holds the `n·k` solve buffer both engines apply
+//!   in, `SolverWorkspace` in `javelin-solver` a Krylov solver's
+//!   vectors and that scratch, so one `SolverWorkspace::reserve` warms
+//!   every engine. Buffers are grow-only: sized on first use (or by
+//!   the reserve), reused verbatim afterwards, at every narrower width
 //!   too.
 //! * **Panels (multi-RHS).** Every execute path is generic over an RHS
 //!   panel width `k`: [`IluFactors::solve_panel_with_buffer`] /
@@ -79,8 +80,10 @@
 //!   [`SpmvPlan::execute_panel`] retire a whole `k`-wide block of
 //!   vectors under **one** schedule walk (on the Serial engine: one
 //!   stream over the factor). The factor apply is one pipeline for
-//!   every engine and width — gather permuted and row-interleaved →
-//!   lane engine → scatter — shared by [`IluFactors`] (one factor
+//!   every engine and width — the lane engine reads `B` and writes `X`
+//!   through the permutation, solving in the caller's row-interleaved
+//!   buffer (wide Serial panels gather and scatter instead) — shared
+//!   by [`IluFactors`] (one factor
 //!   under every column) and [`FactorsBatch`] (column `c` against
 //!   scenario `c` of its lane-interleaved values), and the
 //!   single-vector entries are its width-1 wrappers, so column `c` of

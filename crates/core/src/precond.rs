@@ -4,28 +4,44 @@ use crate::batch_factor::FactorsBatch;
 use crate::factors::IluFactors;
 use crate::options::SolveEngine;
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicU64;
 
 /// Caller-owned scratch for [`Preconditioner::apply_with`]: a buffer an
-/// application may work in instead of allocating (the ILU factors'
-/// Serial engine solves in it). Grow-only — sized by the widest apply
-/// seen, reused verbatim by every narrower one — so a Krylov solver
-/// keeps one of these (inside its `SolverWorkspace`) across solves of
-/// any widths.
-#[derive(Debug, Clone, Default)]
+/// application may work in instead of allocating. The ILU factors'
+/// engines, Serial and threaded alike, solve an `n × k` panel in its
+/// first `n·k` entries, so this is the only place an apply keeps
+/// width-sized state. Grow-only — sized by the widest apply seen,
+/// reused verbatim by every narrower one — so a Krylov solver keeps one
+/// of these (inside its `SolverWorkspace`) across solves of any widths.
+#[derive(Debug, Default)]
 pub struct ApplyScratch<T> {
-    buf: Vec<T>,
+    pub(crate) buf: Vec<T>,
+    /// Debug builds: the threaded apply that last wrote each solution
+    /// entry (`c·n + original row`), checked to be written exactly once
+    /// per apply; one stamp per buffer entry.
+    #[cfg(debug_assertions)]
+    pub(crate) written: Vec<AtomicU64>,
+    /// Debug builds: the epoch of the latest threaded apply.
+    #[cfg(debug_assertions)]
+    pub(crate) epoch: u64,
 }
 
 impl<T: Scalar> ApplyScratch<T> {
     /// Fresh, empty scratch.
     pub fn new() -> Self {
-        ApplyScratch { buf: Vec::new() }
+        Self::default()
     }
 
-    /// A buffer of at least `n` entries (contents unspecified).
+    /// A buffer of at least `n` entries (contents unspecified); debug
+    /// builds grow the write stamps with it.
     pub fn buffer(&mut self, n: usize) -> &mut Vec<T> {
         if self.buf.len() < n {
             self.buf.resize(n, T::ZERO);
+        }
+        #[cfg(debug_assertions)]
+        if self.written.len() < n {
+            self.written.resize_with(n, AtomicU64::default);
         }
         &mut self.buf
     }
@@ -147,18 +163,17 @@ impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
         self.apply_column_with(scratch, 0, r, z);
     }
 
-    // `buffer(0)`: the apply pipeline sizes the buffer itself, and only
-    // on the engine that works in it.
+    // The apply pipeline grows `scratch` to the panel's size itself.
     fn apply_column_with(&self, scratch: &mut ApplyScratch<T>, col: usize, r: &[T], z: &mut [T]) {
         let (r, z) = (Panel::from_col(r), PanelMut::from_col(z));
         self.batch
-            .solve(self.engine, col, scratch.buffer(0), r, z)
+            .solve(self.engine, col, scratch, r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 
     fn apply_panel_with(&self, scratch: &mut ApplyScratch<T>, r: Panel<'_, T>, z: PanelMut<'_, T>) {
         self.batch
-            .solve(self.engine, 0, scratch.buffer(0), r, z)
+            .solve(self.engine, 0, scratch, r, z)
             .expect("preconditioner buffers sized by the solver");
     }
 }

@@ -158,8 +158,7 @@ impl<T: Scalar> SpmvPlan<T> {
     }
 
     /// Executes `Y = A·X` for a whole RHS panel through the plan, with
-    /// one pass over `A` per panel (per [`LANE_CHUNK`] columns). It
-    /// mutates nothing; `&mut self` stays for its callers.
+    /// one pass over `A` per panel (per [`LANE_CHUNK`] columns).
     ///
     /// Width 1 is [`SpmvPlan::execute`]; widths 4 and 8 dispatch to the
     /// monomorphized [`javelin_sparse::FixedLanes`] kernels
@@ -173,7 +172,7 @@ impl<T: Scalar> SpmvPlan<T> {
     /// # Panics
     /// When `a`'s shape/nnz do not match the planned matrix (debug
     /// builds: when its pattern does not), or on panel shape mismatches.
-    pub fn execute_panel(&mut self, a: &CsrMatrix<T>, x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
+    pub fn execute_panel(&self, a: &CsrMatrix<T>, x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
         match self.check_panel_shapes(a, &x, &y) {
             0 => {}
             1 => self.execute(a, x.col(0), y.col_mut(0)),
@@ -451,7 +450,7 @@ mod tests {
     fn panel_execute_is_bitwise_stable_across_widths() {
         let a = skewed(70);
         let n = a.nrows();
-        let mut plan = SpmvPlan::new(&a, 3, 16);
+        let plan = SpmvPlan::new(&a, 3, 16);
         let x: Vec<f64> = (0..n * 8).map(|i| (i as f64 * 0.11).cos()).collect();
         // Wide panel first, then narrow reuse, then wide again — every
         // column must match the single-RHS execute bitwise at every
@@ -489,7 +488,7 @@ mod tests {
         let moved = CsrMatrix::try_from_parts(12, 12, rowptr, colidx, a.vals().to_vec()).unwrap();
         let x = vec![1.0; 12];
         for nthreads in [1, 2] {
-            let mut plan = SpmvPlan::new(&a, nthreads, 0);
+            let plan = SpmvPlan::new(&a, nthreads, 0);
             let single = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 plan.execute(&moved, &x, &mut [0.0; 12])
             }));
@@ -514,7 +513,7 @@ mod tests {
         let n = a.nrows();
         let x: [f64; 0] = [];
         let mut y = vec![0.0; n * 3];
-        let mut plan = SpmvPlan::new(&a, 1, 16);
+        let plan = SpmvPlan::new(&a, 1, 16);
         plan.execute_panel(&a, Panel::new(&x, n, 0), PanelMut::new(&mut y, n, 3));
     }
 
@@ -527,7 +526,7 @@ mod tests {
         let n = a.nrows();
         for k in [1usize, 4, 5, 8] {
             let x: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.23).sin()).collect();
-            let mut plan = SpmvPlan::new(&a, 2, 16);
+            let plan = SpmvPlan::new(&a, 2, 16);
             let mut y_fixed = vec![0.0; n * k];
             plan.execute_panel(&a, Panel::new(&x, n, k), PanelMut::new(&mut y_fixed, n, k));
             let mut y_dyn = vec![0.0; n * k];
@@ -606,7 +605,7 @@ mod proptests {
             let x: Vec<f64> = (0..n * k)
                 .map(|i| 0.25 + ((i * 7) % 11) as f64 * 0.3)
                 .collect();
-            let mut plan = SpmvPlan::new(&a, nthreads, 0);
+            let plan = SpmvPlan::new(&a, nthreads, 0);
             let mut y = vec![f64::NAN; n * k];
             plan.execute_panel(&a, Panel::new(&x, n, k), PanelMut::new(&mut y, n, k));
             for c in 0..k {
@@ -630,7 +629,7 @@ mod proptests {
                 a.spmv_into(xc, wc);
             }
             for nthreads in [1usize, 2, 3, 8] {
-                let mut plan = SpmvPlan::new(&a, nthreads, 64);
+                let plan = SpmvPlan::new(&a, nthreads, 64);
                 for k in [1usize, 2, 3, 4, 5, 7, 8] {
                     let mut y = vec![f64::NAN; n * k];
                     plan.execute_panel(&a, Panel::new(&x[..n * k], n, k), PanelMut::new(&mut y, n, k));

@@ -30,8 +30,10 @@
 //! [`FactorsBatch`](crate::FactorsBatch) from
 //! [`SymbolicIlu::factor_batch`] — keeps one, so the LU pattern, the
 //! update list, the solve plan, the persistent worker team and the
-//! grow-only scratch buffers are shared by all factor objects of one
-//! analysis; a factor object owns only its values.
+//! walks' counters and barrier are shared by all factor objects of one
+//! analysis; a factor object owns only its values, and an apply's
+//! width-sized buffer is the caller's
+//! [`ApplyScratch`](crate::ApplyScratch).
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::level::{split_levels, LevelSets, P2PSchedule};
@@ -45,12 +47,12 @@ use crate::pattern::CsrPattern;
 use crate::spmv::SpmvPlan;
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
-use crate::sync::{col_range, Exec, ProgressCounters, RegionCells};
-use crate::trisolve::engines::SolveScratch;
+use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use parking_lot::Mutex;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,7 +71,7 @@ fn pattern_differs() -> SparseError {
 }
 
 /// Everything pattern-dependent, computed once (see module docs).
-pub(crate) struct SymCore<T> {
+pub(crate) struct SymCore {
     pub(crate) n: usize,
     pub(crate) nthreads: usize,
     pub(crate) opts: IluOptions,
@@ -96,32 +98,47 @@ pub(crate) struct SymCore<T> {
     /// completes with its own counters and timing.
     pub(crate) stats: FactorStats,
     pub(crate) exec: Exec,
-    pub(crate) scratch: Mutex<SolveScratch<T>>,
-    /// The numeric phase's only pattern-side scratch: the
-    /// point-to-point stages' resettable progress counters. Its lock
-    /// also serializes the numeric runs of every factor object of the
-    /// analysis on the shared team; everything value-carrying — the
-    /// work buffer and τ thresholds, at the factor's width — lives in
-    /// the [`FactorsBatch`](crate::FactorsBatch) itself.
-    pub(crate) progress: Mutex<ProgressCounters>,
+    /// The analysis's only mutable state. Its lock serializes the
+    /// numeric runs and the threaded applies of every factor object of
+    /// the analysis on the shared team; everything value-carrying — the
+    /// work buffer and τ thresholds at the factor's width, an apply's
+    /// solve buffer at the panel's — lives with the factor object or
+    /// the caller.
+    pub(crate) sync: Mutex<SyncState>,
+}
+
+/// The point-to-point walks' resettable progress counters and the
+/// threaded apply's barrier, one slot per thread: pattern-only, so no
+/// width grows them.
+pub(crate) struct SyncState {
+    /// The forward walk's counters: the threaded apply's and the
+    /// numeric sweep's upper stage.
+    pub(crate) fwd: ProgressCounters,
+    /// The backward walk's, so the fused forward+backward apply never
+    /// resets counters mid-flight.
+    pub(crate) bwd: ProgressCounters,
+    pub(crate) barrier: SpinBarrier,
 }
 
 /// The pattern-dependent phase of an incomplete factorization: ordering,
 /// ILU(k) fill pattern, level schedule, two-stage split decision,
-/// trisolve execution plans and all reusable scratch (see module
+/// trisolve execution plans and the walks' counters (see module
 /// docs). Produce numeric factors with [`SymbolicIlu::factor`]; redo the
 /// numeric phase in place with [`IluFactors::refactor`].
 ///
 /// Cloning is cheap (an `Arc` bump) and shares the underlying plans,
-/// worker team and scratch.
+/// worker team and counters. The scalar type ties the analysis to the
+/// matrices its factors, spmv plans and pattern checks take.
 pub struct SymbolicIlu<T> {
-    core: Arc<SymCore<T>>,
+    core: Arc<SymCore>,
+    _scalar: PhantomData<T>,
 }
 
 impl<T> Clone for SymbolicIlu<T> {
     fn clone(&self) -> Self {
         SymbolicIlu {
             core: Arc::clone(&self.core),
+            _scalar: PhantomData,
         }
     }
 }
@@ -142,8 +159,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// update list every numeric walk streams (its length is
     /// [`FactorStats::n_updates`]), the forward/backward point-to-point
     /// schedules, the trailing-block layout, the execution
-    /// context (a persistent worker team) and all reusable numeric/solve
-    /// scratch.
+    /// context (a persistent worker team) and the walks' counters and
+    /// barrier.
     ///
     /// The values of `a` are not read; [`SymbolicIlu::factor`] accepts
     /// any matrix with this exact pattern.
@@ -329,8 +346,7 @@ impl<T: Scalar> SymbolicIlu<T> {
 
         // Solve/refactor execution state, built once: a caller-shared
         // team if one was provided, else a team of this analysis's own
-        // (a one-participant team spawns nothing), plus the
-        // allocation-free engine and numeric scratch. A serial analysis
+        // (a one-participant team spawns nothing). A serial analysis
         // never pins: `team_pinned` would bind the *caller* to core 0.
         let exec = if let Some(team) = &opts.shared_team {
             Exec::with_team(Arc::clone(team))
@@ -354,7 +370,6 @@ impl<T: Scalar> SymbolicIlu<T> {
         } else {
             SolveEngine::PointToPointLower
         };
-        let scratch = Mutex::new(SolveScratch::new(&plan, n, nthreads));
         stats.t_analysis = t1.elapsed();
 
         Ok(SymbolicIlu {
@@ -378,9 +393,13 @@ impl<T: Scalar> SymbolicIlu<T> {
                 plan,
                 stats,
                 exec,
-                scratch,
-                progress: Mutex::new(ProgressCounters::new(nthreads)),
+                sync: Mutex::new(SyncState {
+                    fwd: ProgressCounters::new(nthreads),
+                    bwd: ProgressCounters::new(nthreads),
+                    barrier: SpinBarrier::new(nthreads),
+                }),
             }),
+            _scalar: PhantomData,
         })
     }
 
@@ -508,9 +527,10 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// `len × size_of` summed over its copy of `A`'s pattern and the LU
     /// pattern (`u32` each: 4 B·(3n + 2 + nnz_A + nnz_LU) together), the
     /// `a_src` map, the update list, the permutation and the
-    /// [`SolvePlan`], schedules included. Not counted: the worker team,
-    /// the progress counters and the threaded engine's solve scratch,
-    /// whose value buffers grow with the widest panel applied.
+    /// [`SolvePlan`], schedules included. Not counted: the worker team
+    /// and the walks' counters and barrier, a few words per thread. The
+    /// analysis holds no value buffer: an apply solves in the caller's
+    /// [`ApplyScratch`](crate::ApplyScratch).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let c = &*self.core;
@@ -530,7 +550,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         &self.core.stats
     }
 
-    pub(crate) fn core(&self) -> &SymCore<T> {
+    pub(crate) fn core(&self) -> &SymCore {
         &self.core
     }
 
@@ -591,7 +611,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// breakdown returned as the error.
     ///
     /// The returned factors share this handle's pattern, plans, worker
-    /// team and scratch; call [`IluFactors::refactor`] on them for
+    /// team and counters; call [`IluFactors::refactor`] on them for
     /// subsequent value sets.
     ///
     /// # Errors
@@ -932,8 +952,8 @@ fn p2p_schedules(
 
 /// Everything one [`SymbolicIlu::run_numeric`] call works on, all
 /// owned by the calling [`FactorsBatch`](crate::FactorsBatch) (its
-/// width-`k` buffers and per-lane state) or by the analysis (the
-/// pattern-only scratch), so no width allocates. Per-lane slices have
+/// width-`k` buffers and per-lane state) or by the analysis (its
+/// pattern-only counters), so no width allocates. Per-lane slices have
 /// one element per lane.
 pub(crate) struct NumericRun<'a, T> {
     /// One pattern-checked matrix per lane.
@@ -942,8 +962,8 @@ pub(crate) struct NumericRun<'a, T> {
     pub vals: &'a mut [T],
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).
     pub drop_thresh: &'a mut [T],
-    /// The analysis's p2p counters (pattern-only, shared by every
-    /// width), borrowed under the `SymCore::progress` lock.
+    /// The analysis's forward p2p counters (pattern-only, shared by
+    /// every width), borrowed under the `SymCore::sync` lock.
     pub progress: &'a ProgressCounters,
     /// Kernel counters of the latest sweep.
     pub replaced: &'a [AtomicUsize],

@@ -1,6 +1,6 @@
 //! [`RegionCells`]: a buffer the threads of one region share as plain
 //! cells — the numeric factorization's value buffer and τ thresholds
-//! (load region and walks), the threaded apply's solve buffers and
+//! (load region and walks), the threaded apply's solve buffer and
 //! solution panel, the spmv plan's output panel, and the Krylov vector
 //! passes' output vector and block sums. It is the crate's one way to
 //! share a buffer across threads.

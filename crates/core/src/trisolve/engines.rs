@@ -28,7 +28,8 @@
 //! The engine retires a whole **panel** of `k` right-hand sides per
 //! schedule walk: a block's retirement updates all `k` columns of its
 //! rows before the block is published, so the wait protocol runs **once
-//! per panel, not once per column**. The solve buffer `xbuf` stores the
+//! per panel, not once per column**. It solves in the caller's
+//! [`ApplyScratch`] buffer, as the Serial engine does, which stores the
 //! panel *row-interleaved* through the lane layer
 //! ([`javelin_sparse::lanes`]): entry `(r, c)` lives at
 //! [`Lanes::idx`]`(r, c) = r·k + c`, keeping the `k` columns of a row
@@ -39,109 +40,35 @@
 //! column `c` of a panel solve is bit-identical to a single-RHS solve of
 //! that column.
 //!
-//! The region's threads share `xbuf`, the trailing rows' sub-corner sums
-//! `z` and the caller's solution panel as [`Cell`](std::cell::Cell)
-//! slices, taken once per region (`RegionCells`): plain loads and
-//! stores, ordered by the progress counters and barriers under the
-//! row-ownership protocol of `docs/ARCHITECTURE.md` §7. In the
-//! column-split trailing stages different threads own different columns
-//! of the *same* row, so every access there stays inside the thread's
-//! column range.
+//! The region's threads share that buffer and the caller's solution
+//! panel as [`Cell`](std::cell::Cell) slices, taken once per region
+//! (`RegionCells`): plain loads and stores, ordered by the progress
+//! counters and barriers under the row-ownership protocol of
+//! `docs/ARCHITECTURE.md` §7. A trailing row's own slots hold its
+//! sub-corner sums between the Even-Rows stage and the column-split
+//! finish: nothing reads them in between. In the column-split trailing
+//! stages different threads own different columns of the *same* row,
+//! so every access there stays inside the thread's column range.
 //!
-//! The engine is **allocation-free per call**: every buffer it touches
-//! lives in a [`SolveScratch`] built once per analysis and resized
-//! grow-only when a wider panel first arrives. The parallel region runs
-//! on the persistent team behind the plan's [`Exec`], forward and
-//! backward substitution in one region, so a full preconditioner apply
-//! costs a single team wake-up.
+//! The engine is **allocation-free per call**: the counters and the
+//! barrier are the analysis's, built once, and the buffer is the
+//! caller's, grown before the region when a wider panel first arrives.
+//! The parallel region runs on the persistent team behind the
+//! analysis's [`Exec`](crate::sync::Exec), forward and backward
+//! substitution in one region, so a full preconditioner apply costs a
+//! single team wake-up.
 
 use super::serial::{row_sums, row_sums_from};
 use super::view::{EntryLanes, FactorView, LaneValues};
 use crate::factors::SolvePlan;
-use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
+use crate::precond::ApplyScratch;
+use crate::symbolic_ilu::{SymCore, SyncState};
+use crate::sync::{col_range, RegionCells};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{Panel, PanelMut, Scalar, SpIndex};
 use std::ops::Range;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Reusable per-analysis scratch of the threaded solve engine: every
-/// buffer a solve needs, built once from the [`SolvePlan`].
-///
-/// * forward/backward progress counters and the barrier, reset per
-///   engine entry;
-/// * `z`, the trailing rows' sub-corner sums, written by the Even-Rows
-///   stage and read by the column-split finish;
-/// * `xbuf`, the row-interleaved solve buffer the walks retire rows in.
-///
-/// The value buffers carry a **panel width**: `xbuf` holds `n × width`
-/// entries, `z` gains the same column dimension. They grow only — the
-/// first `k = 8` solve allocates once, every later solve at width `≤ 8`
-/// (including `k = 1`) reuses the high-water-mark buffers.
-#[derive(Debug)]
-pub(crate) struct SolveScratch<T> {
-    nthreads: usize,
-    /// Factor dimension (rows per panel column).
-    n: usize,
-    /// Trailing (lower-stage) row count.
-    n_lower: usize,
-    /// High-water-mark width the buffers are sized for.
-    width_cap: usize,
-    progress: ProgressCounters,
-    /// Separate counters for the backward schedule so the fused
-    /// forward+backward region never resets counters mid-flight.
-    bwd_progress: ProgressCounters,
-    barrier: SpinBarrier,
-    /// Per-trailing-row sub-corner sums (`n_lower × width`).
-    z: Vec<T>,
-    /// The solve panel (`n × width`, row-interleaved).
-    xbuf: Vec<T>,
-    /// Debug builds: the apply that last wrote each caller solution
-    /// entry (`c·n + original row`), checked to be written exactly once
-    /// per apply.
-    #[cfg(debug_assertions)]
-    written: Vec<AtomicU64>,
-    #[cfg(debug_assertions)]
-    epoch: u64,
-}
-
-impl<T: Scalar> SolveScratch<T> {
-    /// Builds scratch for solving factors of dimension `n` under `plan`
-    /// with `nthreads` workers, at panel width 1; wider solves grow the
-    /// buffers on first use ([`SolveScratch::ensure_width`]).
-    pub(crate) fn new(plan: &SolvePlan, n: usize, nthreads: usize) -> Self {
-        SolveScratch {
-            nthreads,
-            n,
-            n_lower: n - plan.n_upper,
-            width_cap: 1,
-            progress: ProgressCounters::new(nthreads),
-            bwd_progress: ProgressCounters::new(nthreads),
-            barrier: SpinBarrier::new(nthreads),
-            z: vec![T::ZERO; n - plan.n_upper],
-            xbuf: vec![T::ZERO; n],
-            #[cfg(debug_assertions)]
-            written: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            #[cfg(debug_assertions)]
-            epoch: 0,
-        }
-    }
-
-    /// Grows the value buffers if `width` exceeds every width seen so
-    /// far (grow-only: narrowing back is free and keeps the wider
-    /// buffers for the next wide solve).
-    pub(crate) fn ensure_width(&mut self, width: usize) {
-        if width > self.width_cap {
-            self.z = vec![T::ZERO; self.n_lower * width];
-            self.xbuf = vec![T::ZERO; self.n * width];
-            #[cfg(debug_assertions)]
-            {
-                self.written = (0..self.n * width).map(|_| AtomicU64::new(0)).collect();
-            }
-            self.width_cap = width;
-        }
-    }
-}
 
 /// The caller's column-major solution panel, written through the
 /// permutation by whichever thread retires a row.
@@ -181,11 +108,10 @@ struct Region<'a, T, L, I, V> {
     nthreads: usize,
     b: Panel<'a, T>,
     x: Solution<'a, T>,
-    xbuf: RegionCells<'a, T>,
-    z: RegionCells<'a, T>,
-    progress: &'a ProgressCounters,
-    bwd_progress: &'a ProgressCounters,
-    barrier: &'a SpinBarrier,
+    /// The caller's solve buffer (`n × k`, row-interleaved).
+    buf: RegionCells<'a, T>,
+    /// The analysis's counters and barrier, locked for the apply.
+    sync: &'a SyncState,
 }
 
 impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T, L, I, V> {
@@ -198,7 +124,7 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
     }
 
     /// Forward retire of row `r`, lanes `c0..c0 + cw` (right-hand sides
-    /// `rhs`): `xbuf[r, c] ← rhs[c][new_to_old[r]] − sums[c]`, where
+    /// `rhs`): `buf[r, c] ← rhs[c][new_to_old[r]] − sums[c]`, where
     /// `sums` is the dot product over `entries` continued from `init`.
     #[inline(always)]
     fn retire_lower(
@@ -210,7 +136,7 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
         c0: usize,
         cw: usize,
     ) {
-        let xs = self.xbuf.0;
+        let xs = self.buf.0;
         let sums = row_sums_from(init, self.lanes, &self.f, entries, xs, c0, cw);
         let (o, xb) = (self.new_to_old[r], self.lanes.idx(r, c0));
         for (c, s) in sums[..cw].iter().enumerate() {
@@ -219,11 +145,11 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
     }
 
     /// Backward retire of row `r`, lanes `c0..c0 + cw`:
-    /// `v ← (xbuf[r, c] − Σ_{j>r} U[r, j] · xbuf[j, c]) / U[r, r]`, stored
+    /// `v ← (buf[r, c] − Σ_{j>r} U[r, j] · buf[j, c]) / U[r, r]`, stored
     /// to the solve buffer and to the caller's solution.
     #[inline(always)]
     fn retire_upper(&self, r: usize, c0: usize, cw: usize) {
-        let xs = self.xbuf.0;
+        let xs = self.buf.0;
         let d = self.f.pivot(r, c0, cw);
         let sums = row_sums(self.lanes, &self.f, self.f.upper(r), xs, c0, cw);
         let (o, xb) = (self.new_to_old[r], self.lanes.idx(r, c0));
@@ -244,7 +170,8 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
         // The chunk bodies must be inlined into the sweep: left to the
         // heuristic they were outlined at k = 1 (a call per row with a
         // spilled capture block), 5–10 % slower.
-        self.progress
+        self.sync
+            .fwd
             .walk(tid, self.plan.fwd.thread_blocks(tid), |rows| {
                 for_each_chunk(
                     0..k,
@@ -261,35 +188,38 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
         if n_upper == n {
             return;
         }
-        self.barrier.wait();
+        self.sync.barrier.wait();
         // Even-Rows over the trailing rows: thread `tid` sums the
         // sub-corner prefix of each row in its `col_range` chunk from
-        // zero, in entry order, into its own rows of `z` — the forward
+        // zero, in entry order, into that row's own slots — the forward
         // retire's accumulation order, so the split below is bitwise
-        // serial.
-        let zs = self.z.0;
+        // serial. The prefix reads only upper-stage rows, and no thread
+        // reads a trailing row's slots before the finish below.
+        let xs = self.buf.0;
         for off in col_range(n - n_upper, self.nthreads, tid) {
             let (k_lo, k_hi) = self.plan.block_rows[off];
             for_each_chunk(0..k, |c0, cw| {
-                let sums = row_sums(self.lanes, &self.f, k_lo..k_hi, self.xbuf.0, c0, cw);
-                let zb = self.lanes.idx(off, c0);
+                let sums = row_sums(self.lanes, &self.f, k_lo..k_hi, xs, c0, cw);
+                let xb = self.lanes.idx(n_upper + off, c0);
                 for (c, s) in sums[..cw].iter().enumerate() {
-                    zs[zb + c].set(*s);
+                    xs[xb + c].set(*s);
                 }
             });
         }
-        self.barrier.wait();
+        self.sync.barrier.wait();
         // Trailing stage, column-split: panel columns are independent
         // from here on, so each thread owns a contiguous column range
         // (narrow panels leave trailing tids an empty range). At k = 1
-        // this is tid 0 finishing each row from its sub-corner sum with
-        // its corner part, as the serial substitution does.
+        // this is tid 0 finishing each row from the sub-corner sum in
+        // its slots with its corner part, as the serial substitution
+        // does; the corner part reads only earlier trailing rows, which
+        // this thread has already finished in its columns.
         let cols = col_range(k, self.nthreads, tid);
         for (off, &(_, k_hi)) in self.plan.block_rows.iter().enumerate() {
             let r = n_upper + off;
             for_each_chunk(cols.clone(), |c0, cw| {
-                let zb = self.lanes.idx(off, c0);
-                let init = std::array::from_fn(|c| if c < cw { zs[zb + c].get() } else { T::ZERO });
+                let xb = self.lanes.idx(r, c0);
+                let init = std::array::from_fn(|c| if c < cw { xs[xb + c].get() } else { T::ZERO });
                 let rhs = self.rhs_cols(c0, cw);
                 self.retire_lower(r, k_hi..self.f.lower(r).end, init, &rhs, c0, cw);
             });
@@ -315,7 +245,8 @@ impl<'a, T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>> Region<'a, T
     fn backward(&self, tid: usize) {
         let k = self.lanes.width();
         let row_of_task = &self.plan.bwd_row_of_task;
-        self.bwd_progress
+        self.sync
+            .bwd
             .walk(tid, self.plan.bwd.thread_blocks(tid), |tasks| {
                 for_each_chunk(
                     0..k,
@@ -341,31 +272,32 @@ fn region_failpoint(tid: usize) {
     }
 }
 
-/// Fused point-to-point solve of `A·X ≈ B`: forward substitution from
-/// `b` (read through the permutation), the trailing rows, the corner
-/// and backward substitution into `x` (written through it) in **one**
-/// parallel region — the Krylov hot-loop entry point. One team wake-up
-/// per preconditioner apply, zero allocations, no caller-side pass over
-/// the vectors; the whole panel rides a single schedule walk. The
-/// trailing rows' sub-corner sums run Even-Rows across all threads
-/// ("LS+Lower"). Shapes are the caller's to check.
-#[allow(clippy::too_many_arguments)]
+/// Fused point-to-point solve of `A·X ≈ B` through analysis `core`:
+/// forward substitution from `b` (read through the permutation), the
+/// trailing rows, the corner and backward substitution into `x`
+/// (written through it) in **one** parallel region — the Krylov
+/// hot-loop entry point. One team wake-up per preconditioner apply,
+/// zero allocations, no caller-side pass over the vectors; the whole
+/// panel rides a single schedule walk. The trailing rows' sub-corner
+/// sums run Even-Rows across all threads ("LS+Lower"). The region
+/// solves in `scratch`'s buffer, which the caller has grown to `n·k`,
+/// and holds the analysis's sync lock for the whole apply. Shapes are
+/// the caller's to check.
 pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Value = T>>(
+    core: &SymCore,
     lanes: L,
     f: FactorView<'_, I, V>,
-    plan: &SolvePlan,
-    new_to_old: &[usize],
-    scratch: &mut SolveScratch<T>,
-    exec: &Exec,
+    scratch: &mut ApplyScratch<T>,
     b: Panel<'_, T>,
     mut x: PanelMut<'_, T>,
 ) {
-    let (n, k, nthreads) = (f.n(), lanes.width(), exec.nthreads());
-    debug_assert_eq!(nthreads, scratch.nthreads);
-    scratch.ensure_width(k);
-    scratch.progress.reset();
-    scratch.bwd_progress.reset();
-    scratch.barrier.reset();
+    let (n, k, nthreads) = (f.n(), lanes.width(), core.exec.nthreads());
+    let plan = &core.plan;
+    let sync = core.sync.lock();
+    debug_assert_eq!(nthreads, sync.fwd.len());
+    sync.fwd.reset();
+    sync.bwd.reset();
+    sync.barrier.reset();
     #[cfg(debug_assertions)]
     {
         scratch.epoch += 1;
@@ -375,7 +307,7 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Val
         lanes,
         f,
         plan,
-        new_to_old,
+        new_to_old: core.perm.new_to_old(),
         nthreads,
         b,
         x: Solution {
@@ -388,23 +320,20 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Val
             #[cfg(debug_assertions)]
             epoch: scratch.epoch,
         },
-        xbuf: RegionCells::new(&mut scratch.xbuf[..n * k]),
-        z: RegionCells::new(&mut scratch.z[..(n - plan.n_upper) * k]),
-        progress: &scratch.progress,
-        bwd_progress: &scratch.bwd_progress,
-        barrier: &scratch.barrier,
+        buf: RegionCells::new(&mut scratch.buf[..n * k]),
+        sync: &sync,
     };
-    exec.run(|tid| {
+    core.exec.run(|tid| {
         region_failpoint(tid);
         region.forward(tid);
         // Order every forward write before any backward read: the
         // forward and backward schedules may place the same row on
         // different threads. With trailing rows, the corner backward
         // solve runs column-split between a barrier pair.
-        region.barrier.wait();
+        region.sync.barrier.wait();
         if plan.n_upper < n {
             region.corner_backward(tid);
-            region.barrier.wait();
+            region.sync.barrier.wait();
         }
         region.backward(tid);
     });

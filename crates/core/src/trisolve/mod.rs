@@ -2,10 +2,11 @@
 //! co-designed around: the factorization is computed once, but `stri`
 //! runs thousands of times inside the Krylov loop.
 //!
-//! Both engines solve in a row-interleaved buffer in the factor's
-//! permuted ordering (classic substitution is safe in place because each
-//! row reads its own slot before writing it and reads dependency slots
-//! only after their final write). Neither needs a pass over the vectors
+//! Both engines solve in the caller's row-interleaved buffer (an
+//! [`ApplyScratch`]) in the factor's permuted ordering (classic
+//! substitution is safe in place because each row reads its own slot
+//! before writing it and reads dependency slots only after their final
+//! write). Neither needs a pass over the vectors
 //! of its own on narrow panels: the forward sweep reads the caller's
 //! column-major right-hand sides through the permutation and the
 //! backward sweep writes the solution through it. The threaded engine
@@ -29,6 +30,7 @@ pub mod serial;
 pub(crate) mod view;
 
 use crate::options::SolveEngine;
+use crate::precond::ApplyScratch;
 use crate::symbolic_ilu::SymCore;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{with_lanes, Panel, PanelMut, Scalar, SparseError};
@@ -50,19 +52,19 @@ use view::{FactorView, LaneValues, PerLane, Shared};
 /// fixed-lane kernels, every
 /// other width the bit-identical dynamic fallback.
 ///
-/// The Serial engine works in `buf` (grown to `n·k` when shorter, never
-/// shrunk) and takes no lock; the threaded engine works in the
-/// analysis's mutex-guarded scratch (concurrent applies serialize) and
-/// leaves `buf` alone.
+/// Both engines work in `scratch`'s buffer, grown to `n·k` entries when
+/// shorter and never shrunk. The Serial engine takes no lock; the
+/// threaded engine holds the analysis's sync lock for the whole apply,
+/// so concurrent threaded applies of one analysis serialize.
 ///
 /// # Errors
 /// [`SparseError::DimensionMismatch`] on shape mismatches.
 pub(crate) fn apply_panel<T: Scalar>(
-    core: &SymCore<T>,
+    core: &SymCore,
     vals: &[T],
     stride: usize,
     engine: SolveEngine,
-    buf: &mut Vec<T>,
+    scratch: &mut ApplyScratch<T>,
     b: Panel<'_, T>,
     x: PanelMut<'_, T>,
 ) -> Result<(), SparseError> {
@@ -82,10 +84,10 @@ pub(crate) fn apply_panel<T: Scalar>(
     }
     if stride == 1 {
         let vals = Shared(vals);
-        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, buf, b, x));
+        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, scratch, b, x));
     } else {
         let vals = PerLane { vals, k: stride };
-        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, buf, b, x));
+        with_lanes!(k, lanes => apply_lanes(core, vals, lanes, engine, scratch, b, x));
     }
     Ok(())
 }
@@ -107,24 +109,21 @@ const FOLD_MAX_WIDTH: usize = 4;
 
 /// The lane-generic body of [`apply_panel`]; shapes already checked.
 pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
-    core: &SymCore<T>,
+    core: &SymCore,
     vals: V,
     lanes: L,
     engine: SolveEngine,
-    buf: &mut Vec<T>,
+    scratch: &mut ApplyScratch<T>,
     b: Panel<'_, T>,
     x: PanelMut<'_, T>,
 ) {
-    let lu = &core.lu;
+    let (lu, perm) = (&core.lu, &core.perm);
     let f = FactorView::new(&lu.rowptr, &lu.colidx, &lu.diag_pos, vals);
-    let (plan, exec, perm) = (&core.plan, &core.exec, &core.perm);
+    let len = core.n * lanes.width();
+    scratch.buffer(len);
     match engine {
         SolveEngine::Serial => {
-            let len = core.n * lanes.width();
-            if buf.len() < len {
-                buf.resize(len, T::ZERO);
-            }
-            let z = &mut buf[..len];
+            let z = &mut scratch.buf[..len];
             if lanes.width() <= FOLD_MAX_WIDTH {
                 serial::forward_lanes_folded(lanes, f, perm.new_to_old(), b, z);
                 serial::backward_lanes_folded(lanes, f, perm.new_to_old(), z, x);
@@ -135,12 +134,7 @@ pub(crate) fn apply_lanes<T: Scalar, V: LaneValues<Value = T>, L: Lanes>(
                 scatter_permuted(lanes, perm.new_to_old(), z, x);
             }
         }
-        SolveEngine::PointToPointLower => {
-            // The analysis's scratch, locked for the whole apply; the
-            // region reads `b` and writes `x` through the permutation.
-            let mut scratch = core.scratch.lock();
-            engines::solve_p2p_fused(lanes, f, plan, perm.new_to_old(), &mut scratch, exec, b, x);
-        }
+        SolveEngine::PointToPointLower => engines::solve_p2p_fused(core, lanes, f, scratch, b, x),
     }
 }
 

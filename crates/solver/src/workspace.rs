@@ -36,7 +36,7 @@ use javelin_core::ApplyScratch;
 use javelin_sparse::{vecops, Scalar};
 
 /// Reusable working memory for the Krylov solvers (see module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SolverWorkspace<T> {
     /// Scratch handed to `Preconditioner::apply_with`.
     pub precond: ApplyScratch<T>,
@@ -111,9 +111,10 @@ impl<T: Scalar> SolverWorkspace<T> {
     }
 
     /// Pre-grows the PCG and BiCGSTAB panels for `k` columns of `n`
-    /// entries, plus the preconditioner scratch at panel width, so the
-    /// first PCG or BiCGSTAB solve at width ≤ `k` is already
-    /// allocation-free. The Arnoldi basis is **not** pre-grown: its
+    /// entries, plus the preconditioner scratch at panel width — the
+    /// buffer every ILU engine, Serial or threaded, applies in — so the
+    /// first PCG or BiCGSTAB solve, or ILU apply, at width ≤ `k` is
+    /// already allocation-free. The Arnoldi basis is **not** pre-grown: its
     /// slots grow with the deepest cycle a GMRES or FGMRES solve runs
     /// (grow-only; allocation-free once the deepest solve has run), so
     /// a session that never runs GMRES never pays for it — opt in with

@@ -31,8 +31,8 @@
 //!
 //! * [`SymbolicIlu::analyze`](core::SymbolicIlu::analyze) does all
 //!   pattern-dependent work once — ordering, ILU(k) fill, level
-//!   schedules, the two-stage split, trisolve/spmv plans, scratch and
-//!   the worker team;
+//!   schedules, the two-stage split, trisolve/spmv plans, the walks'
+//!   counters and the worker team;
 //! * [`SymbolicIlu::factor`](core::SymbolicIlu::factor) runs the
 //!   numeric phase for one value set;
 //! * [`IluFactors::refactor`](core::IluFactors::refactor) redoes the

@@ -198,12 +198,8 @@ impl SessionBuilder {
     /// can return.
     pub fn build<T: Scalar>(&self, a: &CsrMatrix<T>) -> Result<Session<T>, SparseError> {
         let solver = IluSolver::new(a, &self.opts, self.engine)?;
-        // The threaded engines work in the analysis's scratch; the
-        // Serial pipeline works in the workspace's apply buffer, which
-        // `reserve` below grows to the panel width.
-        if solver.engine() != SolveEngine::Serial {
-            solver.factors().reserve_panel_width(self.panel_width);
-        }
+        // Every engine solves in the workspace's apply buffer, which
+        // `reserve` grows to the panel width.
         let mut workspace = SolverWorkspace::new();
         let (n, k) = (a.nrows(), self.panel_width.max(1));
         workspace.reserve(n, k);
@@ -267,7 +263,7 @@ impl<T: Scalar> Session<T> {
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
     pub fn solve_panel(&mut self, b: Panel<'_, T>, x: PanelMut<'_, T>) -> Result<(), SparseError> {
         let (factors, engine) = (self.solver.factors(), self.solver.engine());
-        factors.solve_panel_with_buffer(engine, self.workspace.precond.buffer(0), b, x)
+        factors.solve_panel_with_buffer(engine, &mut self.workspace.precond, b, x)
     }
 
     /// Full preconditioned iterative solve of `A·x = b` with the chosen

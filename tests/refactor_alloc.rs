@@ -12,7 +12,8 @@
 //! a warmed service batch on a 2-thread analysis (phase 11), nor a
 //! 2-thread session's second solve of each method, or its warmed
 //! width-8 panel past the returned results, with every vector pass on
-//! the team too (phase 12). A
+//! the team too (phase 12), nor a first width-8 threaded apply after
+//! one `SolverWorkspace::reserve` (phase 13). A
 //! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -154,7 +155,6 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let mut ws = SolverWorkspace::new();
     ws.reserve(n, k);
     ws.reserve_gmres_basis(Method::BatchGmres, n, opts_s.restart, k);
-    factors.reserve_panel_width(k);
     let b: Vec<f64> = (0..n * k)
         .map(|i| ((i * 13 % 29) as f64) * 0.2 - 2.5)
         .collect();
@@ -494,7 +494,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let engine6 = f6.default_engine();
     let b6: Vec<f64> = (0..n6).map(|i| (i as f64 * 0.17).cos() + 2.0).collect();
     let mut x6 = vec![0.0; n6];
-    let mut perm6: Vec<f64> = Vec::new();
+    let mut perm6 = ApplyScratch::new();
     f6.refactor(&revalue(&a6, 0.4)).expect("warm-up refactor");
     f6.solve_with_buffer(engine6, &mut perm6, &b6, &mut x6)
         .expect("warm-up solve");
@@ -593,9 +593,8 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // ---- Phase 8: the apply pipeline across widths. One ----
     // `ApplyScratch`, one warm-up at the widest panel, then widths
     // 8 → 1 → 5 → 8 (fixed lanes, the scalar path, `DynLanes`): the
-    // Serial engine's caller buffer and the threaded engines' internal
-    // scratch are both grow-only, so narrowing and re-widening touch
-    // the heap on no thread.
+    // caller buffer both engines solve in is grow-only, so narrowing
+    // and re-widening touch the heap on no thread.
     let n8 = a6.nrows();
     let r8 = javelin::synth::util::rhs_panel(n8, 8, 3);
     let mut z8 = vec![0.0; n8 * 8];
@@ -644,7 +643,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // one scalar execute wakes the fresh team (each worker's first
     // region sets up its thread-locals), widths 8 → 1 → 3 → 8 touch
     // the heap on no thread.
-    let mut plan = SpmvPlan::new(&a6, 2, 64);
+    let plan = SpmvPlan::new(&a6, 2, 64);
     plan.execute(&a6, &r8[..n8], &mut z8[..n8]);
     let mut spmv = |k: usize| {
         let (x, y) = (&r8[..n8 * k], &mut z8[..n8 * k]);
@@ -749,4 +748,28 @@ fn steady_state_refactor_allocates_zero_bytes() {
         "2-thread session: warmed width-8 panel"
     );
     assert!(results.iter().all(|r| r.converged), "{results:?}");
+
+    // ---- Phase 13: one reserve warms every engine. Both engines ----
+    // solve in the caller's `ApplyScratch`, so `SolverWorkspace::reserve`
+    // alone makes the FIRST width-8 apply through the named threaded
+    // engine allocation-free — on a 2-thread analysis with trailing
+    // rows, so the Even-Rows stage and the column-split finish run too.
+    let a13 = irregular(400);
+    let mut opts13 = IluOptions::ilu0(2);
+    opts13.split.min_rows_per_level = 8;
+    opts13.split.location_frac = 0.0;
+    let sym13 = SymbolicIlu::analyze(&a13, &opts13).expect("analysis (2 threads)");
+    assert!(sym13.stats().n_lower_rows > 0, "trailing rows must exist");
+    let f13 = sym13.factor(&a13).expect("2-thread factor");
+    let n13 = a13.nrows();
+    let mut ws13 = SolverWorkspace::new();
+    ws13.reserve(n13, 8);
+    let r13 = javelin::synth::util::rhs_panel(n13, 8, 13);
+    let mut z13 = vec![0.0; n13 * 8];
+    let m13 = f13.with_engine(SolveEngine::PointToPointLower);
+    let cost = counted(|| {
+        let (r, z) = (Panel::new(&r13, n13, 8), PanelMut::new(&mut z13, n13, 8));
+        m13.apply_panel_with(&mut ws13.precond, r, z);
+    });
+    assert_eq!(cost, (0, 0), "first threaded width-8 apply after reserve");
 }
