@@ -1,6 +1,7 @@
 //! Level-set computation on triangular patterns.
 
-use javelin_sparse::pattern::SparsityPattern;
+use crate::pattern::CsrPattern;
+use javelin_sparse::pattern::{LevelPattern, SparsityPattern};
 use javelin_sparse::Perm;
 
 /// The level structure of a triangular dependency pattern.
@@ -70,6 +71,61 @@ impl LevelSets {
         Self::from_level_of(level_of, n_levels)
     }
 
+    /// The forward levels of a factor pattern `s` (with its diagonal
+    /// positions) under `which`: the levels
+    /// [`LevelSets::compute_lower`] gives on
+    /// `level_pattern_of(s, which)`, in one pass over `s` that builds
+    /// no triangle. Row `i` depends on the columns of its lower part
+    /// and, under [`LevelPattern::LowerSymmetrized`], on every earlier
+    /// row whose upper part names it: each finished row raises the
+    /// pending level of the later rows its upper part names.
+    ///
+    /// O(nnz + n).
+    pub(crate) fn compute_forward(s: &CsrPattern, which: LevelPattern) -> Self {
+        let n = s.nrows();
+        let symmetrized = which == LevelPattern::LowerSymmetrized;
+        // Row i's level once i is reached; a later row's pending level.
+        let mut level_of = vec![0usize; n];
+        let mut n_levels = 0usize;
+        for i in 0..n {
+            let (row, diag) = (s.row(i), s.diag_pos[i] as usize);
+            let lev = s.colidx[row.start..diag]
+                .iter()
+                .fold(level_of[i], |lev, &j| lev.max(level_of[j as usize] + 1));
+            level_of[i] = lev;
+            n_levels = n_levels.max(lev + 1);
+            if symmetrized {
+                for &j in &s.colidx[diag + 1..row.end] {
+                    let pending = &mut level_of[j as usize];
+                    *pending = (*pending).max(lev + 1);
+                }
+            }
+        }
+        Self::from_level_of(level_of, n_levels)
+    }
+
+    /// The backward levels of the first `n_upper` rows of a factor
+    /// pattern `lu` (with its diagonal positions): row `r` depends on
+    /// the columns of its upper part below `n_upper`. These are the
+    /// levels [`LevelSets::compute_upper`] gives on that restricted
+    /// upper pattern, read straight from `lu`.
+    pub(crate) fn compute_backward(lu: &CsrPattern, n_upper: usize) -> Self {
+        let mut level_of = vec![0usize; n_upper];
+        let mut n_levels = 0usize;
+        for r in (0..n_upper).rev() {
+            let upper = &lu.colidx[lu.diag_pos[r] as usize + 1..lu.row(r).end];
+            // Columns ascend, so the ones below `n_upper` are a prefix.
+            let lev = upper
+                .iter()
+                .map(|&c| c as usize)
+                .take_while(|&c| c < n_upper)
+                .fold(0, |lev, c| lev.max(level_of[c] + 1));
+            level_of[r] = lev;
+            n_levels = n_levels.max(lev + 1);
+        }
+        Self::from_level_of(level_of, n_levels)
+    }
+
     fn from_level_of(level_of: Vec<usize>, n_levels: usize) -> Self {
         let n = level_of.len();
         let mut level_ptr = vec![0usize; n_levels + 1];
@@ -118,11 +174,18 @@ impl LevelSets {
     }
 
     /// Boundaries of the level groups within the level-ordered row list.
+    #[cfg(test)]
     pub(crate) fn level_ptr(&self) -> &[usize] {
         &self.level_ptr
     }
 
+    /// The level boundaries and the rows in level order, moved out.
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<usize>) {
+        (self.level_ptr, self.rows)
+    }
+
     /// All rows in level order (the concatenation of the levels).
+    #[cfg(test)]
     pub(crate) fn rows_in_level_order(&self) -> &[usize] {
         &self.rows
     }

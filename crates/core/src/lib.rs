@@ -8,10 +8,11 @@
 //! ## Pipeline
 //!
 //! 1. **Symbolic** (`symbolic`): the ILU(k) fill pattern of `A`, by
-//!    the serial row-merge recurrence.
+//!    the serial row-merge recurrence, at `u32` indices.
 //! 2. **Level analysis** ([`level`]): level sets of `lower(S)` or
-//!    `lower(S+Sᵀ)`, the two-stage split, and the sparsified
-//!    point-to-point schedule.
+//!    `lower(S+Sᵀ)` (read from the fill in one pass, no triangle
+//!    built), the two-stage split, and the sparsified point-to-point
+//!    schedule.
 //! 3. **Numeric** (`numeric`): up-looking factorization of the
 //!    permuted pattern — upper stage under point-to-point progress
 //!    counters, lower stage by Even-Rows, corner factored serially
@@ -146,6 +147,8 @@ pub mod stats;
 pub(crate) mod symbolic;
 pub mod symbolic_ilu;
 pub mod sync;
+#[cfg(test)]
+mod test_matrices;
 pub mod trisolve;
 
 pub use batch_factor::FactorsBatch;

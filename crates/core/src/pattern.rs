@@ -9,7 +9,9 @@
 //! which checks refactor inputs and which its spmv plans stream (shared
 //! by `Arc`), and the permuted LU pattern, which every numeric walk and
 //! every apply streams. A stored entry then costs 12 bytes (an `f64`
-//! value and a `u32` column) instead of 16.
+//! value and a `u32` column) instead of 16. A third, the unpermuted
+//! ILU(k) fill, lives only until `analyze` has read its levels and
+//! permuted it.
 
 use crate::numeric::kernel::index_u32;
 use javelin_sparse::{CsrMatrix, Scalar, SparseError};
@@ -98,6 +100,21 @@ impl CsrPattern {
         size_of_val(&self.rowptr[..])
             + size_of_val(&self.colidx[..])
             + size_of_val(&self.diag_pos[..])
+    }
+}
+
+#[cfg(test)]
+impl CsrPattern {
+    /// A `usize` copy, for comparing with the `usize` references.
+    pub(crate) fn to_sparsity(&self) -> javelin_sparse::pattern::SparsityPattern {
+        let wide = |v: &[u32]| v.iter().map(|&i| i as usize).collect();
+        let n = self.nrows();
+        javelin_sparse::pattern::SparsityPattern::from_raw(
+            n,
+            n,
+            wide(&self.rowptr),
+            wide(&self.colidx),
+        )
     }
 }
 

@@ -36,8 +36,8 @@
 //! [`ApplyScratch`](crate::ApplyScratch).
 
 use crate::factors::{IluFactors, SolvePlan};
-use crate::level::{split_levels, LevelSets, P2PSchedule};
-use crate::numeric::kernel::{index_u32, update_list};
+use crate::level::{split_levels, LevelSets, P2PSchedule, StagePlan};
+use crate::numeric::kernel::update_list;
 use crate::numeric::parallel::{
     factor_lower_er_planned, factor_rows_serial, factor_upper_p2p_planned,
 };
@@ -49,7 +49,6 @@ use crate::stats::{FactorStats, Work};
 use crate::symbolic;
 use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::pattern::{level_pattern_of, SparsityPattern};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -199,39 +198,48 @@ impl<T: Scalar> SymbolicIlu<T> {
         };
 
         // ---- Symbolic: the ILU(k) pattern (paper: "predetermining the
-        // sparsity pattern"). -------------------------------------------
+        // sparsity pattern"), built at `u32` with its diagonal positions;
+        // the fill checks that `A`'s and its own entry counts fit. ------
         let t0 = Instant::now();
-        let s: SparsityPattern = symbolic::iluk_pattern_serial(a, opts.fill_level)?;
+        let s = symbolic::iluk_pattern_serial(a, opts.fill_level)?;
         stats.t_symbolic = t0.elapsed();
         stats.nnz_lu = s.nnz();
 
         // ---- Analysis: levels, two-stage split, permutation, schedules.
+        // The forward levels read the fill in one pass: no triangle of
+        // it is built.
         let t1 = Instant::now();
-        let lvl_pattern = level_pattern_of(&s, opts.level_pattern);
-        let levels0 = LevelSets::compute_lower(&lvl_pattern);
+        let levels0 = LevelSets::compute_forward(&s, opts.level_pattern);
         stats.n_levels = levels0.n_levels();
-        let row_nnz: Vec<usize> = (0..n).map(|r| s.rowptr()[r + 1] - s.rowptr()[r]).collect();
+        let row_nnz: Vec<usize> = (0..n).map(|r| s.row(r).len()).collect();
         let plan0 = split_levels(&levels0, &row_nnz, &opts.split);
         stats.n_upper_levels = plan0.n_upper_levels();
         stats.n_lower_rows = plan0.n_lower();
-        let perm = plan0.perm.clone();
-        let n_upper = plan0.n_upper;
+        // The numeric and solve walks each touch a row once only if the
+        // upper levels and the trailing rows' Even-Rows chunks (the
+        // same `col_range` partition both walks take) cover it once.
+        debug_assert!(
+            plan0.covers_rows_once(nthreads, |tid| col_range(plan0.n_lower(), nthreads, tid)),
+            "two-stage split and Even-Rows chunks do not cover every row once"
+        );
+        let StagePlan {
+            perm,
+            upper_level_ptr,
+            n_upper,
+        } = plan0;
 
         // Permute the pattern and record, for every LU position, which
         // entry of `A` seeds it (fill positions start at zero) — the
         // paper's "copy-fill-in phase" reduced to an index map so the
         // numeric phase can reload values from any pattern-identical
-        // matrix without re-merging.
+        // matrix without re-merging. `A`'s entry count fits a `u32`, so
+        // every source index is below `FILL`, and the fill's entry count
+        // bounds every LU row pointer, diagonal position and column.
         let old_to_new = perm.old_to_new();
         let new_to_old = perm.new_to_old();
-        // Every source index is then below `FILL`.
-        index_u32(a.nnz(), "nnz_a")?;
-        // Every LU row pointer, diagonal position and column (`n` is at
-        // most `nnz_a`: every row stores its diagonal) then fits a `u32`,
-        // so the pattern is built at that width directly.
-        index_u32(s.nnz(), "nnz_lu")?;
         let mut rowptr = vec![0u32; n + 1];
         let mut colidx: Vec<u32> = Vec::with_capacity(s.nnz());
+        let mut diag_pos: Vec<u32> = Vec::with_capacity(n);
         let mut a_src: Vec<u32> = Vec::with_capacity(s.nnz());
         {
             let mut merge: Vec<(u32, u32)> = Vec::new();
@@ -242,10 +250,11 @@ impl<T: Scalar> SymbolicIlu<T> {
                 let a_cols = a.row_cols(old_r);
                 let a_lo = a.rowptr()[old_r];
                 let mut ai = 0usize;
-                for &old_c in s.row_cols(old_r) {
+                for &old_c in &s.colidx[s.row(old_r)] {
+                    let old_c = old_c as usize;
                     let src = if ai < a_cols.len() && a_cols[ai] == old_c {
                         ai += 1;
-                        index_u32(a_lo + ai - 1, "A entry")?
+                        (a_lo + ai - 1) as u32
                     } else {
                         FILL
                     };
@@ -254,21 +263,19 @@ impl<T: Scalar> SymbolicIlu<T> {
                 debug_assert_eq!(ai, a_cols.len(), "A row not contained in pattern row");
                 merge.sort_unstable_by_key(|&(c, _)| c);
                 for &(c, src) in merge.iter() {
+                    if c as usize == new_r {
+                        diag_pos.push(colidx.len() as u32);
+                    }
                     colidx.push(c);
                     a_src.push(src);
                 }
                 rowptr[new_r + 1] = colidx.len() as u32;
             }
         }
-        let diag_pos: Vec<u32> = (0..n)
-            .map(|r| {
-                let row = &colidx[rowptr[r] as usize..rowptr[r + 1] as usize];
-                let at = row
-                    .binary_search(&(r as u32))
-                    .expect("diagonal survives symmetric permutation");
-                rowptr[r] + at as u32
-            })
-            .collect();
+        // Nothing reads the fill again: free it before the update list
+        // is built.
+        drop(s);
+        assert_eq!(diag_pos.len(), n, "diagonal lost in the permutation");
         let lu = CsrPattern {
             rowptr,
             colidx,
@@ -292,21 +299,12 @@ impl<T: Scalar> SymbolicIlu<T> {
 
         // Backward levels over the upper stage (upper-pattern deps
         // restricted to columns < n_upper; corner columns are solved
-        // before the parallel region starts).
-        let bwd_levels_upper = {
-            let mut bp = vec![0usize; n_upper + 1];
-            let mut bc = Vec::new();
-            for r in 0..n_upper {
-                let upper = &lu.colidx[lu.diag_pos[r] as usize + 1..lu.rowptr[r + 1] as usize];
-                bc.extend(upper.iter().map(|&c| c as usize).filter(|&c| c < n_upper));
-                bp[r + 1] = bc.len();
-            }
-            LevelSets::compute_upper(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc))
-        };
-        let bwd_row_of_task: Vec<usize> = bwd_levels_upper.rows_in_level_order().to_vec();
+        // before the parallel region starts), read from the LU pattern.
+        let (bwd_level_ptr, bwd_row_of_task) =
+            LevelSets::compute_backward(&lu, n_upper).into_parts();
         let (fwd, bwd) = p2p_schedules(
             &lu,
-            [&plan0.upper_level_ptr, bwd_levels_upper.level_ptr()],
+            [&upper_level_ptr, &bwd_level_ptr],
             &bwd_row_of_task,
             nthreads,
         );
@@ -316,13 +314,6 @@ impl<T: Scalar> SymbolicIlu<T> {
             .map(|r| (lu.diag_pos[r] - lu.rowptr[r]) as usize)
             .sum();
         stats.n_waits = fwd.n_waits();
-        // The numeric and solve walks each touch a row once only if the
-        // upper levels and the trailing rows' Even-Rows chunks (the
-        // same `col_range` partition both walks take) cover it once.
-        debug_assert!(
-            plan0.covers_rows_once(nthreads, |tid| col_range(plan0.n_lower(), nthreads, tid)),
-            "two-stage split and Even-Rows chunks do not cover every row once"
-        );
 
         // Each trailing row's sub-corner prefix, for the solve's
         // Even-Rows stage.
@@ -336,11 +327,11 @@ impl<T: Scalar> SymbolicIlu<T> {
 
         let plan = SolvePlan {
             n_upper,
-            upper_level_ptr: plan0.upper_level_ptr,
+            upper_level_ptr,
             fwd,
             bwd,
             bwd_row_of_task,
-            bwd_level_ptr: bwd_levels_upper.level_ptr().to_vec(),
+            bwd_level_ptr,
             block_rows,
         };
 
@@ -981,12 +972,11 @@ pub(crate) struct NumericRun<'a, T> {
 mod tests {
     use super::*;
     use crate::numeric::kernel::probe_enumeration;
-    use javelin_synth::circuit::{power_grid, transient_circuit};
-    use javelin_synth::fem::shell_strip;
-    use javelin_synth::grid::{
-        convection_diffusion_2d, convection_diffusion_3d, laplace_2d, laplace_3d,
-    };
-    use javelin_synth::util::{bordered, drop_random_offdiag};
+    use crate::test_matrices::generated_matrix;
+    use javelin_sparse::pattern::{level_pattern_of, LevelPattern, SparsityPattern};
+    use javelin_synth::circuit::transient_circuit;
+    use javelin_synth::grid::{convection_diffusion_3d, laplace_2d};
+    use javelin_synth::util::bordered;
     use proptest::prelude::*;
 
     /// `analyze`'s update list against the probe enumeration of the
@@ -1041,37 +1031,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// One of the `javelin-synth` generators at a drawn size and seed,
-    /// bordered (a heavy lower stage) when `border > 0`.
-    fn generated_matrix() -> impl Strategy<Value = (String, CsrMatrix<f64>)> {
-        (0usize..8, 3usize..9, 0u64..1 << 20, 0usize..5).prop_map(|(g, s, seed, border)| {
-            let (name, a) = match g {
-                0 => ("laplace_2d", laplace_2d(s, s + 1)),
-                1 => ("laplace_3d", laplace_3d(s / 2 + 2, 3, 3)),
-                2 => (
-                    "convection_diffusion_2d",
-                    convection_diffusion_2d(s, s, 0.4, -0.3),
-                ),
-                3 => (
-                    "convection_diffusion_3d",
-                    convection_diffusion_3d(s / 2 + 2, 3, 3, (1.0, 0.5, 0.25)),
-                ),
-                4 => (
-                    "transient_circuit",
-                    transient_circuit(20 * s, s, seed % 2 == 0, seed),
-                ),
-                5 => ("power_grid", power_grid(20 * s, s, 2, seed)),
-                6 => ("shell_strip", shell_strip(s, 3, 2, seed)),
-                _ => (
-                    "drop_random_offdiag",
-                    drop_random_offdiag(&laplace_2d(s, s), 0.3, seed),
-                ),
-            };
-            let a = if border > 0 { bordered(&a, border) } else { a };
-            (format!("{name} s {s} seed {seed} border {border}"), a)
-        })
     }
 
     /// FNV-1a over indices widened to `u64`, so the width an array is
@@ -1202,8 +1161,62 @@ mod tests {
         }
     }
 
+    /// The one-pass levels against the patterns they replaced, at one
+    /// fill level and thread count: under both [`LevelPattern`]s the
+    /// forward levels of the fill equal `compute_lower` of
+    /// `level_pattern_of`, and the analysis's backward levels equal
+    /// `compute_upper` of its upper pattern restricted to the upper
+    /// stage.
+    fn assert_levels_match_the_built_patterns(
+        what: &str,
+        a: &CsrMatrix<f64>,
+        fill: usize,
+        nthreads: usize,
+    ) {
+        let s = crate::symbolic::iluk_pattern_serial(a, fill).unwrap();
+        let wide = s.to_sparsity();
+        for which in [LevelPattern::LowerSymmetrized, LevelPattern::LowerA] {
+            let what = format!("{what} fill {fill} nthreads {nthreads} {which:?}");
+            let fwd = LevelSets::compute_forward(&s, which);
+            let want = LevelSets::compute_lower(&level_pattern_of(&wide, which));
+            assert_eq!(fwd, want, "{what}: forward levels");
+
+            let mut opts = IluOptions::ilu0(nthreads).with_fill(fill);
+            opts.level_pattern = which;
+            let sym = SymbolicIlu::analyze(a, &opts).unwrap();
+            assert_eq!(sym.stats().n_levels, fwd.n_levels(), "{what}");
+            let (lu, plan) = (&sym.core().lu, sym.plan());
+            let n_upper = plan.n_upper;
+            let mut bp = vec![0usize; n_upper + 1];
+            let mut bc = Vec::new();
+            for r in 0..n_upper {
+                let upper = &lu.colidx[lu.diag_pos[r] as usize + 1..lu.row(r).end];
+                bc.extend(upper.iter().map(|&c| c as usize).filter(|&c| c < n_upper));
+                bp[r + 1] = bc.len();
+            }
+            let want =
+                LevelSets::compute_upper(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc));
+            assert_eq!(
+                LevelSets::compute_backward(lu, n_upper),
+                want,
+                "{what}: backward levels"
+            );
+            assert_eq!(plan.bwd_level_ptr, want.level_ptr(), "{what}");
+            assert_eq!(plan.bwd_row_of_task, want.rows_in_level_order(), "{what}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn one_pass_levels_match_the_built_patterns(
+            m in generated_matrix(),
+            fill in 0usize..4,
+            nthreads in 1usize..4,
+        ) {
+            assert_levels_match_the_built_patterns(&m.0, &m.1, fill, nthreads);
+        }
+
         #[test]
         fn update_list_is_the_probe_enumeration_on_generated_patterns(
             m in generated_matrix(),

@@ -13,7 +13,8 @@
 //! 2-thread session's second solve of each method, or its warmed
 //! width-8 panel past the returned results, with every vector pass on
 //! the team too (phase 12), nor a first width-8 threaded apply after
-//! one `SolverWorkspace::reserve` (phase 13). A
+//! one `SolverWorkspace::reserve` (phase 13). Phase 14 pins the exact
+//! allocations and bytes of a one-thread `SymbolicIlu::analyze`. A
 //! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -772,4 +773,34 @@ fn steady_state_refactor_allocates_zero_bytes() {
         m13.apply_panel_with(&mut ws13.precond, r, z);
     });
     assert_eq!(cost, (0, 0), "first threaded width-8 apply after reserve");
+
+    // ---- Phase 14: `analyze` itself, counted exactly. At t = 1 on ----
+    // the analyze-pin fixtures (the 14³ grid at fill 0, the circuit at
+    // fill 1). The fill and the levels are built at `u32` with no
+    // intermediate pattern; a pin may fall, and must not rise. Debug
+    // builds count more: their `analyze` also checks the update list
+    // against its probe enumeration and the split's row cover.
+    let grid = javelin::synth::grid::convection_diffusion_3d(14, 14, 14, (30.0, 20.0, 10.0));
+    let circuit = javelin::synth::circuit::transient_circuit(1500, 40, false, 11);
+    let pick = |release, debug| {
+        if cfg!(debug_assertions) {
+            debug
+        } else {
+            release
+        }
+    };
+    for (what, a, fill, want) in [
+        ("grid", &grid, 0, pick((79, 906_016), (121, 1_388_812))),
+        (
+            "circuit",
+            &circuit,
+            1,
+            pick((90, 3_137_680), (143, 4_498_240)),
+        ),
+    ] {
+        let opts = IluOptions::ilu0(1).with_fill(fill);
+        let mut sym = None;
+        let cost = counted(|| sym = Some(SymbolicIlu::analyze(a, &opts).expect("analysis")));
+        assert_eq!(cost, want, "{what}: analyze at t = 1 (allocations, bytes)");
+    }
 }
