@@ -1,59 +1,61 @@
 //! Fig. 10 — Javelin ILU(0) speedup on Intel Haswell, 14 and 28 cores.
 //!
 //! Bars: `LS` (level scheduling with point-to-point synchronization
-//! only) and `LS+Lower` (the better of LS and the Even-Rows two-stage
-//! split), speedup relative to the serial factorization. Scaling curves
-//! come from the machine-model simulator replaying the real schedules
-//! (`javelin_machine`); the NUMA penalty of the two-socket model
-//! reproduces the paper's cross-socket falloff.
+//! only) and `LS+Lower` (the two-stage split with the Even-Rows lower
+//! stage). Neither machine is available, so each bar is the counted
+//! bound `span(1) / span(t)` of one refactor sweep
+//! (`SymbolicIlu::refactor_span`): the critical path of the analysis's
+//! own schedules at `t` threads, each row weighted by its updates plus
+//! its entries, synchronization free. A bound has no memory system, so
+//! the paper's cross-socket falloff at 28 cores cannot show in it.
+//! Beside the bounds, the measured 1- and 2-thread refactor times of
+//! the `LS+Lower` analysis on this host.
 
-use crate::harness::{factor_variants, geo_mean, prepare, Table};
-use javelin_machine::{sim_factor_time, MachineModel};
+use crate::harness::{
+    bound, factor_variants, geo_mean, host_note, measured_refactor, micros, prepare, Table,
+};
+use javelin_core::IluOptions;
 use javelin_synth::suite::{paper_suite, Scale};
 
-/// Regenerates Fig. 10 as a table of speedups.
+/// Regenerates Fig. 10 as a table of counted bounds and measured times.
 pub fn run(scale: Scale) -> String {
-    let h14 = MachineModel::haswell14();
-    let h28 = MachineModel::haswell28();
-    let mut t = Table::new(&["Matrix", "LS@14", "LS+Low@14", "LS@28", "LS+Low@28"]);
+    let mut t = Table::new(&[
+        "Matrix",
+        "LS@14",
+        "LS+Low@14",
+        "LS@28",
+        "LS+Low@28",
+        "meas t1 us",
+        "meas t2 us",
+    ]);
     let mut g = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     for meta in paper_suite() {
         let prep = prepare(meta, scale);
         let f = factor_variants(&prep.matrix);
-        let base14 = sim_factor_time(&f.ls, &h14, 1).total_s;
-        let base28 = sim_factor_time(&f.ls, &h28, 1).total_s;
-        let ls14 = base14 / sim_factor_time(&f.ls, &h14, 14).total_s;
-        let low14 = base14
-            / sim_factor_time(&f.er, &h14, 14)
-                .total_s
-                .min(sim_factor_time(&f.ls, &h14, 14).total_s);
-        let ls28 = base28 / sim_factor_time(&f.ls, &h28, 28).total_s;
-        let low28 = base28
-            / sim_factor_time(&f.er, &h28, 28)
-                .total_s
-                .min(sim_factor_time(&f.ls, &h28, 28).total_s);
-        for (k, v) in [ls14, low14, ls28, low28].into_iter().enumerate() {
-            g[k].push(v);
+        let mut cells = vec![prep.meta.name.to_string()];
+        let mut k = 0;
+        for threads in [14, 28] {
+            for sym in [f.ls.symbolic(), f.er.symbolic()] {
+                let b = bound(|t| sym.refactor_span(t), threads);
+                g[k].push(b);
+                k += 1;
+                cells.push(format!("{b:.2}"));
+            }
         }
-        t.row(vec![
-            prep.meta.name.to_string(),
-            format!("{ls14:.2}"),
-            format!("{low14:.2}"),
-            format!("{ls28:.2}"),
-            format!("{low28:.2}"),
-        ]);
+        cells.extend(measured_refactor(&prep.matrix, &IluOptions::ilu0(1)).map(micros));
+        t.row(cells);
     }
-    t.row(vec![
-        "geomean".to_string(),
-        format!("{:.2}", geo_mean(&g[0])),
-        format!("{:.2}", geo_mean(&g[1])),
-        format!("{:.2}", geo_mean(&g[2])),
-        format!("{:.2}", geo_mean(&g[3])),
-    ]);
+    let mut cells = vec!["geomean".to_string()];
+    cells.extend(g.iter().map(|v| format!("{:.2}", geo_mean(v))));
+    cells.extend(["-".to_string(), "-".to_string()]);
+    t.row(cells);
     format!(
-        "Fig. 10 — ILU(0) factorization speedup on Haswell (simulated from\n\
-         real schedules; speedup = time(1 thread) / time(p threads))\n\n{}",
-        t.render()
+        "Fig. 10 — ILU(0) factorization speedup at Haswell's 14 and 28 cores\n\
+         (LS/LS+Low columns counted: span(1) / span(t) of one refactor sweep,\n\
+         synchronization free; meas columns measured on this host: one\n\
+         LS+Lower refactor at 1 and 2 threads, best of 3)\n\n{}{}",
+        t.render(),
+        host_note()
     )
 }
 
@@ -62,18 +64,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn speedups_plausible_and_present() {
+    fn bounds_lie_between_one_and_the_thread_count() {
         let r = run(Scale::Tiny);
         assert!(r.contains("geomean"));
+        let mut rows = 0;
         for line in r.lines().filter(|l| l.contains("-like")) {
             let vals: Vec<f64> = line
                 .split_whitespace()
                 .skip(1)
                 .map(|c| c.parse().unwrap())
                 .collect();
-            for v in &vals {
-                assert!(*v > 0.1 && *v <= 28.0, "implausible speedup {v}: {line}");
+            for (v, t) in vals[..4].iter().zip([14.0, 14.0, 28.0, 28.0]) {
+                assert!(*v >= 1.0 && *v <= t + 0.005, "bound {v} at {t}: {line}");
             }
+            assert!(vals[4..].iter().all(|&us| us > 0.0), "{line}");
+            rows += 1;
         }
+        assert_eq!(rows, 18);
     }
 }

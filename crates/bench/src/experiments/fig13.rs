@@ -2,55 +2,55 @@
 //! instead of nested dissection.
 //!
 //! The paper's framing: RCM costs level-structure width (fewer, longer
-//! levels) but buys iteration count (Table II); Fig. 13 shows the
-//! factorization still speeds up respectably, with the base taken as
-//! the *serial run of the ND-ordered system* — so the bars answer "what
-//! do I give up by choosing the iteration-friendly ordering?".
+//! levels) but buys iteration count (Table II). Each bar here is the
+//! counted bound `span(1) / span(14)` of the RCM-ordered two-stage
+//! analysis, for one refactor sweep (`SymbolicIlu::refactor_span`) and
+//! one apply (`SymbolicIlu::apply_span`); the level counts of both
+//! orderings explain the gap to Fig. 10. Beside the bounds, the
+//! measured 1- and 2-thread refactor times of the RCM-ordered system on
+//! this host.
 
-use crate::harness::{factor_variants, preorder_dm_nd, Table};
-use javelin_machine::{sim_factor_time, sim_trisolve_time, MachineModel, TrisolveModel};
+use crate::harness::{bound, host_note, measured_refactor, micros, preorder_dm_nd, Table};
+use javelin_core::{IluOptions, SymbolicIlu};
 use javelin_order::{compute_order, Ordering as Ord};
 use javelin_synth::suite::{group_a, Scale};
 
-/// Regenerates Fig. 13 as a table (ILU and stri speedups at 14 cores).
+/// Regenerates Fig. 13 as a table (ILU and stri bounds at 14 threads).
 pub fn run(scale: Scale) -> String {
-    let h14 = MachineModel::haswell14();
-    let mut t = Table::new(&["Matrix", "ILU spd@14", "stri spd@14", "n_levels RCM", "ND"]);
+    let mut t = Table::new(&[
+        "Matrix",
+        "ILU@14",
+        "stri@14",
+        "lvls RCM",
+        "lvls ND",
+        "meas t1 us",
+        "meas t2 us",
+    ]);
+    let opts = IluOptions::ilu0(1);
     for meta in group_a() {
         let a = meta.build_at(scale);
-        // ND pipeline (the Fig. 10 configuration) for the base time.
-        let nd_prep = preorder_dm_nd(&a);
-        let nd = factor_variants(&nd_prep);
-        // RCM preorder for the measured bars.
+        let nd = SymbolicIlu::analyze(&preorder_dm_nd(&a), &opts).expect("nd analysis");
         let p = compute_order(&a, Ord::Rcm);
         let rcm_mat = a.permute_sym(&p).expect("rcm fits");
-        let rcm = factor_variants(&rcm_mat);
-        let base_ilu = sim_factor_time(&nd.ls, &h14, 1).total_s;
-        let ilu14 = base_ilu
-            / sim_factor_time(&rcm.ls, &h14, 14)
-                .total_s
-                .min(sim_factor_time(&rcm.er, &h14, 14).total_s);
-        let base_stri = sim_trisolve_time(&nd.ls, &h14, 1, TrisolveModel::Serial);
-        let stri14 = base_stri
-            / sim_trisolve_time(&rcm.ls, &h14, 14, TrisolveModel::Ls).min(sim_trisolve_time(
-                &rcm.er,
-                &h14,
-                14,
-                TrisolveModel::LsLower,
-            ));
-        t.row(vec![
+        let rcm = SymbolicIlu::analyze(&rcm_mat, &opts).expect("rcm analysis");
+        let mut cells = vec![
             meta.name.to_string(),
-            format!("{ilu14:.2}"),
-            format!("{stri14:.2}"),
-            rcm.ls.stats().n_levels.to_string(),
-            nd.ls.stats().n_levels.to_string(),
-        ]);
+            format!("{:.2}", bound(|t| rcm.refactor_span(t), 14)),
+            format!("{:.2}", bound(|t| rcm.apply_span(t), 14)),
+            rcm.stats().n_levels.to_string(),
+            nd.stats().n_levels.to_string(),
+        ];
+        cells.extend(measured_refactor(&rcm_mat, &opts).map(micros));
+        t.row(cells);
     }
     format!(
         "Fig. 13 — group-A speedup at 14 Haswell cores with RCM preordering\n\
-         (base = serial time of the ND-ordered system; simulated from real\n\
-         schedules; level counts shown to explain the gap)\n\n{}",
-        t.render()
+         (ILU/stri columns counted: span(1) / span(14) of one refactor sweep\n\
+         and one apply of the RCM-ordered analysis, synchronization free;\n\
+         level counts shown to explain the gap; meas columns measured on\n\
+         this host: one refactor at 1 and 2 threads, best of 3)\n\n{}{}",
+        t.render(),
+        host_note()
     )
 }
 
@@ -67,9 +67,13 @@ mod tests {
             let rcm: usize = cells[3].parse().unwrap();
             let nd: usize = cells[4].parse().unwrap();
             assert!(rcm >= 1 && nd >= 1, "degenerate level counts: {line}");
-            let ilu: f64 = cells[1].parse().unwrap();
-            let stri: f64 = cells[2].parse().unwrap();
-            assert!(ilu > 0.1 && stri > 0.1, "degenerate speedup: {line}");
+            for c in &cells[1..3] {
+                let b: f64 = c.parse().unwrap();
+                assert!((1.0..=14.005).contains(&b), "bound {b}: {line}");
+            }
+            for c in &cells[5..] {
+                assert!(c.parse::<f64>().unwrap() > 0.0, "{line}");
+            }
             checked += 1;
         }
         assert_eq!(checked, 6);

@@ -1,6 +1,7 @@
 //! Shared infrastructure: suite preparation (the paper's DM + ND
 //! preordering pipeline), timing, text tables, and report output.
 
+use javelin_core::{factorize, ApplyScratch, IluFactors, IluOptions, SolveEngine};
 use javelin_order::{dm::dm_row_permutation, nested_dissection_order};
 use javelin_sparse::{CsrMatrix, Perm};
 use javelin_synth::suite::{Scale, SuiteMatrix};
@@ -10,7 +11,7 @@ use std::time::{Duration, Instant};
 /// A suite matrix taken through the paper's preprocessing pipeline:
 /// maximum transversal (zero-free diagonal) followed by nested
 /// dissection.
-pub struct PreparedMatrix {
+pub(crate) struct PreparedMatrix {
     /// Suite metadata (names, group, paper statistics).
     pub meta: SuiteMatrix,
     /// The preordered matrix handed to the factorization.
@@ -28,7 +29,7 @@ pub fn scale_from_env() -> Scale {
 
 /// Builds and preorders one suite matrix (paper §IV "Preordering":
 /// Dulmage–Mendelsohn to the diagonal, then nested dissection).
-pub fn prepare(meta: SuiteMatrix, scale: Scale) -> PreparedMatrix {
+pub(crate) fn prepare(meta: SuiteMatrix, scale: Scale) -> PreparedMatrix {
     let a = meta.build_at(scale);
     let matrix = preorder_dm_nd(&a);
     PreparedMatrix { meta, matrix }
@@ -50,18 +51,17 @@ pub fn preorder_dm_nd(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
 /// The two factorization configurations the figures compare: pure
 /// level scheduling (`LS`) and the two-stage split with the Even-Rows
 /// lower stage (`ER`). Numeric phases run serially (results are
-/// bit-identical anyway); the plans and schedules are what the
-/// simulator consumes.
-pub struct FactorSet {
+/// bit-identical anyway); the figures count spans of their analyses
+/// at any thread count.
+pub(crate) struct FactorSet {
     /// Pure level scheduling (split disabled).
-    pub ls: javelin_core::IluFactors<f64>,
+    pub(crate) ls: IluFactors<f64>,
     /// Two-stage split with Even-Rows.
-    pub er: javelin_core::IluFactors<f64>,
+    pub(crate) er: IluFactors<f64>,
 }
 
 /// Builds the two standard configurations for one matrix.
-pub fn factor_variants(a: &CsrMatrix<f64>) -> FactorSet {
-    use javelin_core::{factorize, IluOptions};
+pub(crate) fn factor_variants(a: &CsrMatrix<f64>) -> FactorSet {
     let ls = factorize(a, &IluOptions::level_scheduling_only(1)).expect("LS factorization");
     let er = factorize(a, &IluOptions::ilu0(1)).expect("ER factorization");
     FactorSet { ls, er }
@@ -81,6 +81,58 @@ pub(crate) fn time_best_of<R>(k: usize, mut f: impl FnMut() -> R) -> (Duration, 
         out = Some(r);
     }
     (best, out.expect("k >= 1"))
+}
+
+/// The counted speedup bound `span(1) / span(t)` of a span function.
+pub(crate) fn bound(span: impl Fn(usize) -> usize, t: usize) -> f64 {
+    span(1) as f64 / span(t).max(1) as f64
+}
+
+/// `a`'s analysis under `opts` at `t` threads, factored.
+fn factored(a: &CsrMatrix<f64>, opts: &IluOptions, t: usize) -> IluFactors<f64> {
+    let mut opts = opts.clone();
+    opts.nthreads = t;
+    factorize(a, &opts).expect("factors")
+}
+
+/// Measured wall time (best of 3, this host) of one refactor of `a`
+/// under `opts` at 1 and at 2 threads.
+pub(crate) fn measured_refactor(a: &CsrMatrix<f64>, opts: &IluOptions) -> [Duration; 2] {
+    [1, 2].map(|t| {
+        let mut f = factored(a, opts, t);
+        time_best_of(3, || f.refactor(a).expect("refactor")).0
+    })
+}
+
+/// Measured wall time (best of 5, this host) of one apply of `a`'s
+/// factors under `opts`: Serial at 1 thread, the threaded engine at 2.
+pub(crate) fn measured_apply(a: &CsrMatrix<f64>, opts: &IluOptions) -> [Duration; 2] {
+    let b = vec![1.0; a.nrows()];
+    let mut x = vec![0.0; a.nrows()];
+    let mut scratch = ApplyScratch::new();
+    [
+        (1, SolveEngine::Serial),
+        (2, SolveEngine::PointToPointLower),
+    ]
+    .map(|(t, engine)| {
+        let f = factored(a, opts, t);
+        time_best_of(5, || {
+            f.solve_with_buffer(engine, &mut scratch, &b, &mut x)
+                .expect("apply")
+        })
+        .0
+    })
+}
+
+/// The host line under every report with measured 2-thread columns.
+pub(crate) fn host_note() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("\nmeasured on a host with available_parallelism = {cores}\n")
+}
+
+/// A measured time as a table cell, in microseconds.
+pub(crate) fn micros(d: Duration) -> String {
+    format!("{:.1}", d.as_secs_f64() * 1e6)
 }
 
 /// Geometric mean of positive values (the paper reports geometric-mean

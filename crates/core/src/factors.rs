@@ -63,8 +63,8 @@ impl SolvePlan {
 /// by every factor object of one analysis. That holds the LU pattern
 /// (`rowptr` / `colidx` / diagonal positions, never copied per factor),
 /// the [`SolvePlan`] (schedules, the trailing rows' sub-corner ranges),
-/// the walks' progress counters and barrier, and an [`Exec`] — a
-/// persistent worker team. Both engines solve in the caller's
+/// the walks' progress counters and barrier, and the persistent
+/// [`WorkerTeam`] its regions run on. Both engines solve in the caller's
 /// [`ApplyScratch`] buffer, so after the numeric phase returns, every
 /// solve through a warmed scratch runs with zero heap allocations and
 /// zero thread spawns. The counters are mutex-guarded: concurrent
@@ -80,7 +80,7 @@ impl SolvePlan {
 /// the numeric phase in place when the values change but the pattern
 /// does not.
 ///
-/// [`Exec`]: crate::sync::Exec
+/// [`WorkerTeam`]: crate::sync::WorkerTeam
 pub struct IluFactors<T> {
     batch: FactorsBatch<T>,
     /// The diagnostic `usize` copy [`IluFactors::lu`] and

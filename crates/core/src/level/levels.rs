@@ -52,25 +52,6 @@ impl LevelSets {
         Self::from_level_of(level_of, n_levels)
     }
 
-    /// Levels of a strictly-upper triangular dependency pattern: row `i`
-    /// depends on every `j > i` in its pattern row. Used to schedule
-    /// backward substitution.
-    pub fn compute_upper(pattern: &SparsityPattern) -> Self {
-        let n = pattern.nrows();
-        let mut level_of = vec![0usize; n];
-        let mut n_levels = 0usize;
-        for i in (0..n).rev() {
-            let mut lev = 0usize;
-            for &j in pattern.row_cols(i) {
-                debug_assert!(j > i, "upper pattern must be strictly upper");
-                lev = lev.max(level_of[j] + 1);
-            }
-            level_of[i] = lev;
-            n_levels = n_levels.max(lev + 1);
-        }
-        Self::from_level_of(level_of, n_levels)
-    }
-
     /// The forward levels of a factor pattern `s` (with its diagonal
     /// positions) under `which`: the levels
     /// [`LevelSets::compute_lower`] gives on
@@ -106,9 +87,9 @@ impl LevelSets {
 
     /// The backward levels of the first `n_upper` rows of a factor
     /// pattern `lu` (with its diagonal positions): row `r` depends on
-    /// the columns of its upper part below `n_upper`. These are the
-    /// levels [`LevelSets::compute_upper`] gives on that restricted
-    /// upper pattern, read straight from `lu`.
+    /// the columns of its upper part below `n_upper`, read straight from
+    /// `lu`. Level `0` rows depend on no row, as for
+    /// [`LevelSets::compute_lower`] with the rows taken in reverse.
     pub(crate) fn compute_backward(lu: &CsrPattern, n_upper: usize) -> Self {
         let mut level_of = vec![0usize; n_upper];
         let mut n_levels = 0usize;
@@ -154,7 +135,7 @@ impl LevelSets {
     }
 
     /// Number of rows covered.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.rows.len()
     }
 
@@ -221,7 +202,7 @@ impl LevelSets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use javelin_sparse::pattern::{lower_pattern, lower_symmetrized_pattern, upper_pattern};
+    use javelin_sparse::pattern::{lower_pattern, lower_symmetrized_pattern};
     use javelin_sparse::CooMatrix;
 
     /// Bidiagonal: row i depends on i-1 → n levels of 1 row each.
@@ -314,22 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn upper_levels_mirror_lower() {
-        // Upper bidiagonal: row i depends on i+1.
-        let n = 6;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 1.0).unwrap();
-            if i + 1 < n {
-                coo.push(i, i + 1, 1.0).unwrap();
-            }
-        }
-        let u = upper_pattern(&coo.to_csr());
-        let l = LevelSets::compute_upper(&u);
-        assert_eq!(l.n_levels(), n);
+    fn backward_levels_of_an_upper_chain() {
+        // Upper bidiagonal: row i depends on i+1. With n_upper = 4 the
+        // last two rows are trailing: row 3's dependency on row 4 is
+        // left out.
+        let lu = CsrPattern {
+            rowptr: vec![0, 2, 4, 6, 8, 10, 11],
+            colidx: vec![0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
+            diag_pos: vec![0, 2, 4, 6, 8, 10],
+        };
+        let l = LevelSets::compute_backward(&lu, 6);
+        assert_eq!(l.n_levels(), 6);
         // Last row is level 0; first row deepest.
-        assert_eq!(l.level_of()[n - 1], 0);
-        assert_eq!(l.level_of()[0], n - 1);
+        assert_eq!(l.level_of(), &[5, 4, 3, 2, 1, 0]);
+        let l = LevelSets::compute_backward(&lu, 4);
+        assert_eq!(l.level_of(), &[3, 2, 1, 0]);
     }
 
     #[test]

@@ -182,6 +182,38 @@ impl P2PSchedule {
         self.waits.len()
     }
 
+    /// The weighted makespan of one walk when task `i` costs
+    /// `weight(i)` and synchronization is free: the heaviest chain of
+    /// block weights through each thread's program order and its
+    /// waits. A block starts once its thread's previous block and every
+    /// block it waits on have finished, so the result lies between
+    /// `max(total / nthreads, heaviest dependency chain)` and `total`,
+    /// and at one thread it is `total`.
+    pub fn makespan(&self, weight: impl Fn(usize) -> usize) -> usize {
+        // Every wait targets a block that ends before the waiting block
+        // starts, so blocks in order of their first task are in
+        // dependency order.
+        let mut order: Vec<(usize, usize)> = (0..self.nthreads)
+            .flat_map(|t| (self.block_ptr[t]..self.block_ptr[t + 1]).map(move |b| (t, b)))
+            .collect();
+        order.sort_unstable_by_key(|&(_, b)| self.blocks[b].start);
+        let mut finish = vec![0usize; self.blocks.len()];
+        for (t, b) in order {
+            let after_own = if b > self.block_ptr[t] {
+                finish[b - 1]
+            } else {
+                0
+            };
+            let start = self.waits[self.wait_ptr[b]..self.wait_ptr[b + 1]]
+                .iter()
+                .fold(after_own, |s, &(u, done)| {
+                    s.max(finish[self.block_ptr[u] + done - 1])
+                });
+            finish[b] = start + self.blocks[b].clone().map(&weight).sum::<usize>();
+        }
+        finish.into_iter().max().unwrap_or(0)
+    }
+
     /// Bytes of schedule metadata one walk reads: each block's task
     /// range and wait-list bounds, and each wait entry.
     pub(crate) fn walk_bytes(&self) -> usize {
@@ -483,10 +515,35 @@ mod tests {
     }
 
     #[test]
+    fn makespan_follows_program_order_and_waits() {
+        // Level 0: tasks 0..4; level 1: tasks 4..8, each depending on
+        // all of level 0. Blocks {0,1} {2,3} then {4,5} {6,7}: each
+        // level-1 block waits on the other thread's level-0 block.
+        let level_ptr = vec![0, 4, 8];
+        let deps = |i: usize, out: &mut Vec<usize>| {
+            if i >= 4 {
+                out.extend(0..4);
+            }
+        };
+        let s = P2PSchedule::build(8, 2, &level_ptr, deps);
+        // Task i costs i + 1: level 0 blocks 3 and 7, level 1 blocks 11
+        // and 15. Thread 0's level-1 block starts when thread 1's first
+        // block ends (7), thread 1's at its own (7): 7 + 15 = 22.
+        assert_eq!(s.makespan(|i| i + 1), 22);
+        assert_eq!(s.makespan(|_| 0), 0);
+        let one = P2PSchedule::build(8, 1, &level_ptr, deps);
+        assert_eq!(one.makespan(|i| i + 1), 36);
+        // A chain stays on thread 0: its makespan is its total.
+        let chain = P2PSchedule::build(6, 3, &chain_levels(6), chain_deps);
+        assert_eq!(chain.makespan(|_| 2), 12);
+    }
+
+    #[test]
     fn empty_schedule() {
         let s = P2PSchedule::build(0, 4, &[0], |_, _| {});
         assert_eq!(s.n_tasks(), 0);
         assert_eq!((s.n_blocks(), s.n_waits(), s.walk_bytes()), (0, 0, 0));
+        assert_eq!(s.makespan(|_| 1), 0);
     }
 
     #[test]
@@ -530,10 +587,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::level::levels::LevelSets;
-    use javelin_sparse::pattern::{
-        lower_pattern, lower_symmetrized_pattern, upper_pattern, SparsityPattern,
-    };
-    use javelin_sparse::CooMatrix;
+    use javelin_sparse::pattern::{lower_pattern, lower_symmetrized_pattern, SparsityPattern};
+    use javelin_sparse::{CooMatrix, Perm};
     use javelin_synth::circuit::transient_circuit;
     use javelin_synth::grid::laplace_2d;
     use javelin_synth::util::bordered;
@@ -589,6 +644,28 @@ mod proptests {
             raw += buf.len();
         }
         prop_assert!(s.n_waits() <= raw);
+        // The weighted makespan lies between the two lower bounds —
+        // an even share of the work and the heaviest dependency chain —
+        // and the total work.
+        let weight = |task: usize| (task * 31 + 7) % 11;
+        let total: usize = (0..m).map(weight).sum();
+        let mut chain = vec![0usize; m];
+        for task in 0..m {
+            buf.clear();
+            deps(task, &mut buf);
+            chain[task] = weight(task) + buf.iter().map(|&d| chain[d]).max().unwrap_or(0);
+        }
+        let heaviest = chain.iter().copied().max().unwrap_or(0);
+        let span = s.makespan(weight);
+        prop_assert!(
+            span * nthreads >= total,
+            "{} < {} / {}",
+            span,
+            total,
+            nthreads
+        );
+        prop_assert!(span >= heaviest, "{} < chain {}", span, heaviest);
+        prop_assert!(span <= total, "{} > total {}", span, total);
     }
 
     /// Schedules the strictly-triangular dependency pattern `deps` in
@@ -620,7 +697,8 @@ mod proptests {
         /// The same on the `javelin-synth` generators the factor tests
         /// use — a grid, a circuit and a bordered grid — for the forward
         /// schedule (levels of `lower(A + Aᵀ)`, dependencies `lower(A)`)
-        /// and the backward one (`upper(A)`), at 1–4 threads.
+        /// and the backward one (`upper(A)`: the lower pattern of `A` with
+        /// rows and columns reversed), at 1–4 threads.
         #[test]
         fn synth_schedules_are_sound_and_blocked(
             kind in 0usize..3,
@@ -633,8 +711,9 @@ mod proptests {
                 _ => bordered(&laplace_2d(size, size), 6),
             };
             let fwd_levels = LevelSets::compute_lower(&lower_symmetrized_pattern(&a));
-            let upper = upper_pattern(&a);
-            let bwd_levels = LevelSets::compute_upper(&upper);
+            let reverse = Perm::from_new_to_old((0..a.nrows()).rev().collect()).unwrap();
+            let upper = lower_pattern(&a.permute_sym(&reverse).unwrap());
+            let bwd_levels = LevelSets::compute_lower(&upper);
             for nthreads in 1..=4 {
                 check_levels(&lower_pattern(&a), &fwd_levels, nthreads);
                 check_levels(&upper, &bwd_levels, nthreads);

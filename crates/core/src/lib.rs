@@ -51,8 +51,8 @@
 //!   forward/backward point-to-point schedules, the
 //!   [`factors::SolvePlan`], the walks' progress counters and barrier
 //!   (pattern-only, under one lock shared by refactors and threaded
-//!   applies), and a [`sync::Exec`] — the persistent worker team every
-//!   later region runs on, its threads parked between calls. It holds
+//!   applies), and an `Arc` of a [`sync::WorkerTeam`] — the persistent
+//!   team every later region runs on, its threads parked between calls. It holds
 //!   no value buffer.
 //! * **Factor (once per value set).** [`SymbolicIlu::factor`] runs the
 //!   numeric up-looking elimination through the planned engines and

@@ -11,7 +11,7 @@
 use crate::level::P2PSchedule;
 use crate::numeric::kernel::{eliminate_columns, finalize_row};
 use crate::numeric::NumericCtx;
-use crate::sync::{col_range, Exec, ProgressCounters};
+use crate::sync::{col_range, ProgressCounters, WorkerTeam};
 use javelin_sparse::lanes::Lanes;
 use javelin_sparse::Scalar;
 
@@ -43,23 +43,22 @@ pub(crate) fn factor_rows_serial<T: Scalar, L: Lanes>(
 /// performed once for all lanes.
 ///
 /// Rows are the first `schedule.n_tasks()` rows of the permuted matrix
-/// (execution index = row index). The region runs on `exec` (a
-/// persistent worker team by default) with the progress counters reset
-/// and reused; `exec` and `progress` must both carry
-/// `schedule.nthreads()` participants.
+/// (execution index = row index). The region runs on `team` with the
+/// progress counters reset and reused; `team` and `progress` must both
+/// carry `schedule.nthreads()` participants.
 pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     schedule: &P2PSchedule,
-    exec: &Exec,
+    team: &WorkerTeam,
     progress: &ProgressCounters,
 ) {
     let nthreads = schedule.nthreads();
-    debug_assert_eq!(exec.nthreads(), nthreads);
+    debug_assert_eq!(team.nthreads(), nthreads);
     debug_assert_eq!(progress.len(), nthreads);
     progress.reset();
     let n = ctx.n();
-    exec.run(|tid| {
+    team.run(|tid| {
         progress.walk(tid, schedule.thread_blocks(tid), |rows| {
             for row in rows {
                 eliminate_columns(lanes, ctx, row, 0, n);
@@ -71,7 +70,7 @@ pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
 
 /// Even-Rows (paper Figs. 7–8): the `FACTOR_L` sweep of trailing rows
 /// `n_upper..n` against the finished upper stage, as one region on
-/// `exec`. A row demoted to the lower stage depends only on finished
+/// `team`. A row demoted to the lower stage depends only on finished
 /// upper-stage rows left of the corner, so thread `tid` takes the
 /// contiguous chunk `col_range(n_lower, nthreads, tid)` of whole rows —
 /// the solve's Even-Rows stage uses the same partition. Every lane is
@@ -81,11 +80,11 @@ pub(crate) fn factor_lower_er_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &NumericCtx<'_, T>,
     n_upper: usize,
-    exec: &Exec,
+    team: &WorkerTeam,
 ) {
     let n_lower = ctx.n() - n_upper;
-    let nthreads = exec.nthreads();
-    exec.run(|tid| {
+    let nthreads = team.nthreads();
+    team.run(|tid| {
         for off in col_range(n_lower, nthreads, tid) {
             let r = n_upper + off;
             // FACTOR_L: everything left of the corner.
@@ -154,7 +153,7 @@ mod tests {
             factor_rows_serial(lanes, &ctx, 0, 8, 0);
         } else {
             factor_rows_serial(lanes, &ctx, 0, 6, 0);
-            factor_lower_er_planned(lanes, &ctx, 6, &Exec::team(nthreads));
+            factor_lower_er_planned(lanes, &ctx, 6, &WorkerTeam::new(nthreads));
             factor_rows_serial(lanes, &ctx, 6, 8, 6);
         }
         (0..scales.len()).map(|c| fx.lane_bits(c)).collect()
@@ -197,7 +196,7 @@ mod tests {
     fn empty_lower_stage_is_noop() {
         let fx = two_stage_case(&[1.0]);
         let before = fx.lane_bits(0);
-        factor_lower_er_planned(ONE, &fx.ctx(), 8, &Exec::team(2));
+        factor_lower_er_planned(ONE, &fx.ctx(), 8, &WorkerTeam::new(2));
         assert_eq!(fx.lane_bits(0), before, "values untouched");
     }
 
@@ -223,7 +222,7 @@ mod tests {
                 lanes,
                 &fx.ctx(),
                 &schedule,
-                &Exec::team(nthreads),
+                &WorkerTeam::new(nthreads),
                 &ProgressCounters::new(nthreads),
             );
             assert_eq!(

@@ -62,7 +62,10 @@ impl Default for ZeroPivotPolicy {
 /// the one threaded engine. The paper's Fig. 12 also measures a
 /// barriered level-set solve (CSR-LS) and point-to-point scheduling
 /// with the trailing rows left to one thread (LS); both lose to
-/// LS+Lower and are modelled only, by the `javelin-machine` simulator.
+/// LS+Lower and are counted only: Fig. 12 of `javelin-bench` prints
+/// the level-synchronous span of CSR-LS and
+/// [`SymbolicIlu::apply_span`](crate::SymbolicIlu::apply_span) of an
+/// analysis without the split for LS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveEngine {
     /// Plain serial substitution.

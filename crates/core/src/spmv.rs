@@ -46,7 +46,7 @@
 //! opens no region.
 
 use crate::pattern::CsrPattern;
-use crate::sync::{col_range, Exec, RegionCells};
+use crate::sync::{col_range, RegionCells, WorkerTeam};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::vecops::{self, DOT_BLOCK};
 use javelin_sparse::{spmv_csr_rows, with_lanes, CsrMatrix, Panel, PanelMut, Scalar};
@@ -82,7 +82,7 @@ pub struct SpmvPlan<T> {
     pattern: Arc<CsrPattern>,
     /// Thread `t` owns rows `bounds[t]..bounds[t + 1]`.
     bounds: Vec<usize>,
-    exec: Exec,
+    team: Arc<WorkerTeam>,
     _scalar: PhantomData<T>,
 }
 
@@ -100,15 +100,19 @@ impl<T: Scalar> SpmvPlan<T> {
     /// When `a`'s entry or column count exceeds the `u32` index range.
     pub fn new(a: &CsrMatrix<T>, nthreads: usize, _tile_size: usize) -> Self {
         let pattern = CsrPattern::of_matrix(a).unwrap_or_else(|e| panic!("spmv plan: {e}"));
-        Self::on(Exec::team(nthreads.max(1)), Arc::new(pattern), a.ncols())
+        Self::on(
+            Arc::new(WorkerTeam::new(nthreads.max(1))),
+            Arc::new(pattern),
+            a.ncols(),
+        )
     }
 
     /// Plans the spmv of the `ncols`-column pattern `pattern` on
-    /// `exec`'s team, one row block per participant. Thread `t`'s block
+    /// `team`, one row block per participant. Thread `t`'s block
     /// ends at the first row boundary where the rows plus entries before
     /// it reach `t + 1` equal shares.
-    pub(crate) fn on(exec: Exec, pattern: Arc<CsrPattern>, ncols: usize) -> Self {
-        let nt = exec.nthreads();
+    pub(crate) fn on(team: Arc<WorkerTeam>, pattern: Arc<CsrPattern>, ncols: usize) -> Self {
+        let nt = team.nthreads();
         let (nrows, rowptr) = (pattern.nrows(), &pattern.rowptr);
         let total = nrows + pattern.nnz();
         let mut bounds = vec![0; nt + 1];
@@ -123,14 +127,14 @@ impl<T: Scalar> SpmvPlan<T> {
             ncols,
             pattern,
             bounds,
-            exec,
+            team,
             _scalar: PhantomData,
         }
     }
 
     /// Threads used per execute.
     pub fn nthreads(&self) -> usize {
-        self.exec.nthreads()
+        self.team.nthreads()
     }
 
     /// Executes `y = A·x` through the plan: allocation-free, and bitwise
@@ -149,7 +153,7 @@ impl<T: Scalar> SpmvPlan<T> {
         self.check_panel_shapes(a, &Panel::from_col(x), &PanelMut::from_col(y));
         let (p, vals) = (&*self.pattern, a.vals());
         let ys = RegionCells::new(y);
-        self.exec.run(|tid| {
+        self.team.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
             let ys = &ys;
             let rows = self.bounds[tid]..self.bounds[tid + 1];
@@ -219,7 +223,7 @@ impl<T: Scalar> SpmvPlan<T> {
         let (p, vals) = (&*self.pattern, a.vals());
         let stride = y.col_stride();
         let ys = RegionCells::new(y.data_mut());
-        self.exec.run(|tid| {
+        self.team.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
             let ys = &ys;
             let rows = self.bounds[tid]..self.bounds[tid + 1];
@@ -254,7 +258,7 @@ impl<T: Scalar> SpmvPlan<T> {
     /// Whether a pass over an `n`-vector opens a region: only with two
     /// threads and two blocks to share.
     fn splits(&self, n: usize) -> bool {
-        self.exec.nthreads() > 1 && vecops::n_blocks(n) > 1
+        self.team.nthreads() > 1 && vecops::n_blocks(n) > 1
     }
 
     /// Runs `pass(cells, entries)` on the team over `y`: participant
@@ -263,9 +267,9 @@ impl<T: Scalar> SpmvPlan<T> {
     /// from the region's fork to its join.
     fn on_blocks(&self, y: &mut [T], pass: impl Fn(&[Cell<T>], Range<usize>) + Sync) {
         let n = y.len();
-        let (nb, nt) = (vecops::n_blocks(n), self.exec.nthreads());
+        let (nb, nt) = (vecops::n_blocks(n), self.team.nthreads());
         let ys = RegionCells::new(y);
-        self.exec.run(|tid| {
+        self.team.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
             let ys = &ys;
             let blocks = col_range(nb, nt, tid);
@@ -294,8 +298,8 @@ impl<T: Scalar> SpmvPlan<T> {
         assert!(sums.len() >= nb, "dot: {nb} block-sum slots needed");
         let sums = &mut sums[..nb];
         let cells = RegionCells::new(sums);
-        let nt = self.exec.nthreads();
-        self.exec.run(|tid| {
+        let nt = self.team.nthreads();
+        self.team.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
             let cells = &cells;
             for b in col_range(nb, nt, tid) {

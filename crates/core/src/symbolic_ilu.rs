@@ -47,11 +47,14 @@ use crate::pattern::CsrPattern;
 use crate::spmv::SpmvPlan;
 use crate::stats::{FactorStats, Work};
 use crate::symbolic;
-use crate::sync::{col_range, Exec, ProgressCounters, RegionCells, SpinBarrier};
+use crate::sync::{
+    col_range, ProgressCounters, RegionCells, SpinBarrier, TeamAffinity, WorkerTeam,
+};
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
 use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,7 +99,8 @@ pub(crate) struct SymCore {
     /// Symbolic/analysis statistics — the template every numeric phase
     /// completes with its own counters and timing.
     pub(crate) stats: FactorStats,
-    pub(crate) exec: Exec,
+    /// The persistent team every region of the analysis runs on.
+    pub(crate) team: Arc<WorkerTeam>,
     /// The analysis's only mutable state. Its lock serializes the
     /// numeric runs and the threaded applies of every factor object of
     /// the analysis on the shared team; everything value-carrying — the
@@ -338,13 +342,13 @@ impl<T: Scalar> SymbolicIlu<T> {
         // Solve/refactor execution state, built once: a caller-shared
         // team if one was provided, else a team of this analysis's own
         // (a one-participant team spawns nothing). A serial analysis
-        // never pins: `team_pinned` would bind the *caller* to core 0.
-        let exec = if let Some(team) = &opts.shared_team {
-            Exec::with_team(Arc::clone(team))
+        // never pins: a compact team would bind the *caller* to core 0.
+        let team = if let Some(team) = &opts.shared_team {
+            Arc::clone(team)
         } else if opts.pin_threads && nthreads > 1 {
-            Exec::team_pinned(nthreads)
+            Arc::new(WorkerTeam::with_affinity(nthreads, TeamAffinity::Compact))
         } else {
-            Exec::team(nthreads)
+            Arc::new(WorkerTeam::new(nthreads))
         };
         // Oversubscription-aware default engine, picked at plan time
         // (the only moment the whole execution state is in hand): when
@@ -383,7 +387,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 perm,
                 plan,
                 stats,
-                exec,
+                team,
                 sync: Mutex::new(SyncState {
                     fwd: ProgressCounters::new(nthreads),
                     bwd: ProgressCounters::new(nthreads),
@@ -397,8 +401,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// The upper stage's point-to-point schedules, forward and
     /// backward, rebuilt for `nthreads` threads from this analysis's
     /// pattern and levels: the rule [`SymbolicIlu::analyze`] builds
-    /// [`SolvePlan::fwd`] and [`SolvePlan::bwd`] with, for simulating
-    /// other thread counts.
+    /// [`SolvePlan::fwd`] and [`SolvePlan::bwd`] with, for counting
+    /// spans at other thread counts.
     pub fn p2p_schedules(&self, nthreads: usize) -> (P2PSchedule, P2PSchedule) {
         let c = &*self.core;
         p2p_schedules(
@@ -497,6 +501,70 @@ impl<T: Scalar> SymbolicIlu<T> {
         }
     }
 
+    /// The counted span of one refactor sweep at `nthreads` threads:
+    /// its critical path when a row costs its elimination updates plus
+    /// its entries and synchronization is free. It follows the walk
+    /// `run_engines` runs: the makespan of the upper stage's forward
+    /// schedule at `nthreads` ([`P2PSchedule::makespan`]), plus the
+    /// heaviest Even-Rows share of the trailing rows' work left of the
+    /// corner, plus the corner, which runs serially. At one thread it
+    /// is the serial work, [`FactorStats::n_updates`] plus the LU
+    /// entries, so `refactor_span(1) / refactor_span(t)` bounds the
+    /// sweep's speedup on `t` cores.
+    pub fn refactor_span(&self, nthreads: usize) -> usize {
+        let c = &*self.core;
+        let cost = |e: Range<usize>| e.len() + (c.upd_ptr[e.end] - c.upd_ptr[e.start]) as usize;
+        let (fwd, _) = self.p2p_schedules(nthreads);
+        fwd.makespan(|r| cost(c.lu.row(r))) + self.trailing_span(nthreads, cost)
+    }
+
+    /// The counted span of one apply at `nthreads` threads: its
+    /// critical path when a row costs the LU entries each sweep streams
+    /// (the forward sweep its strictly lower part, the backward sweep
+    /// its diagonal and upper part) and synchronization is free. It
+    /// follows the walk `solve_p2p_fused` runs: the forward makespan,
+    /// the heaviest Even-Rows share of the trailing rows' sub-corner
+    /// entries, the corner's forward and backward solves, serial, and
+    /// the backward makespan. At one thread it is the serial work, the
+    /// LU entries.
+    pub fn apply_span(&self, nthreads: usize) -> usize {
+        let c = &*self.core;
+        let (lu, plan) = (&c.lu, &c.plan);
+        let diag = |r: usize| lu.diag_pos[r] as usize;
+        let (fwd, bwd) = self.p2p_schedules(nthreads);
+        fwd.makespan(|r| diag(r) - lu.row(r).start)
+            + self.trailing_span(nthreads, |e| e.len())
+            + bwd.makespan(|task| {
+                let r = plan.bwd_row_of_task[task];
+                lu.row(r).end - diag(r)
+            })
+    }
+
+    /// The trailing rows' part of a span at `nthreads` threads, `cost`
+    /// pricing a range of LU entries: the heaviest Even-Rows chunk
+    /// (`col_range` of the trailing rows, as both walks cut it) of
+    /// their entries left of the corner, plus the rest of each row,
+    /// serially.
+    fn trailing_span(&self, nthreads: usize, cost: impl Fn(Range<usize>) -> usize) -> usize {
+        let c = &*self.core;
+        let rows = &c.plan.block_rows;
+        let nthreads = nthreads.max(1);
+        let even_rows = (0..nthreads)
+            .map(|tid| {
+                col_range(rows.len(), nthreads, tid)
+                    .map(|off| cost(rows[off].0..rows[off].1))
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        let corner: usize = rows
+            .iter()
+            .enumerate()
+            .map(|(off, &(_, k_hi))| cost(k_hi..c.lu.row(c.plan.n_upper + off).end))
+            .sum();
+        even_rows + corner
+    }
+
     /// An spmv plan for `a` on this analysis's own team — the team its
     /// factorizations and applies run on, pinned when the analysis is —
     /// so the plan spawns nothing. It shares the analysis's `u32` copy
@@ -511,7 +579,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub fn spmv_plan(&self, a: &CsrMatrix<T>) -> SpmvPlan<T> {
         let c = &*self.core;
         debug_assert!(c.a.matches(a), "spmv_plan: `a` is not the analyzed pattern");
-        SpmvPlan::on(c.exec.clone(), Arc::clone(&c.a), c.n)
+        SpmvPlan::on(Arc::clone(&c.team), Arc::clone(&c.a), c.n)
     }
 
     /// The bytes of every index array the analysis owns, exactly:
@@ -769,7 +837,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let vals = RegionCells::new(vals);
         let drop_thresh = RegionCells::new(drop_thresh);
         let mismatch = AtomicBool::new(false);
-        c.exec.run(|tid| {
+        c.team.run(|tid| {
             // Capture the `Sync` wrappers whole, not their `Cell` fields,
             // and read the width here, where a fixed width is a constant.
             let (vals, drop_thresh, k) = (&vals, &drop_thresh, lanes.width());
@@ -871,11 +939,11 @@ impl<T: Scalar> SymbolicIlu<T> {
             factor_rows_serial(lanes, ctx, 0, n, 0);
             return;
         }
-        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.exec, progress);
+        factor_upper_p2p_planned(lanes, ctx, &c.plan.fwd, &c.team, progress);
         if n_upper == n {
             return;
         }
-        factor_lower_er_planned(lanes, ctx, n_upper, &c.exec);
+        factor_lower_er_planned(lanes, ctx, n_upper, &c.team);
         factor_rows_serial(lanes, ctx, n_upper, n, n_upper);
     }
 }
@@ -1165,8 +1233,8 @@ mod tests {
     /// fill level and thread count: under both [`LevelPattern`]s the
     /// forward levels of the fill equal `compute_lower` of
     /// `level_pattern_of`, and the analysis's backward levels equal
-    /// `compute_upper` of its upper pattern restricted to the upper
-    /// stage.
+    /// `compute_lower` of its upper pattern restricted to the upper
+    /// stage, with rows and columns reversed.
     fn assert_levels_match_the_built_patterns(
         what: &str,
         a: &CsrMatrix<f64>,
@@ -1187,22 +1255,42 @@ mod tests {
             assert_eq!(sym.stats().n_levels, fwd.n_levels(), "{what}");
             let (lu, plan) = (&sym.core().lu, sym.plan());
             let n_upper = plan.n_upper;
+            // Reversed row `n_upper - 1 - r` depends on the reversed
+            // columns of row `r`'s upper part below `n_upper`.
+            let rev = |i: usize| n_upper - 1 - i;
             let mut bp = vec![0usize; n_upper + 1];
             let mut bc = Vec::new();
-            for r in 0..n_upper {
+            for i in 0..n_upper {
+                let r = rev(i);
                 let upper = &lu.colidx[lu.diag_pos[r] as usize + 1..lu.row(r).end];
-                bc.extend(upper.iter().map(|&c| c as usize).filter(|&c| c < n_upper));
-                bp[r + 1] = bc.len();
+                let start = bc.len();
+                bc.extend(
+                    upper
+                        .iter()
+                        .map(|&c| c as usize)
+                        .filter(|&c| c < n_upper)
+                        .map(rev),
+                );
+                bc[start..].sort_unstable();
+                bp[i + 1] = bc.len();
             }
-            let want =
-                LevelSets::compute_upper(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc));
-            assert_eq!(
-                LevelSets::compute_backward(lu, n_upper),
-                want,
-                "{what}: backward levels"
-            );
-            assert_eq!(plan.bwd_level_ptr, want.level_ptr(), "{what}");
-            assert_eq!(plan.bwd_row_of_task, want.rows_in_level_order(), "{what}");
+            let reversed =
+                LevelSets::compute_lower(&SparsityPattern::from_raw(n_upper, n_upper, bp, bc));
+            let level_of: Vec<usize> = (0..n_upper).map(|r| reversed.level_of()[rev(r)]).collect();
+            let got = LevelSets::compute_backward(lu, n_upper);
+            assert_eq!(got.level_of(), level_of, "{what}: backward levels");
+            // Grouped by level, ascending rows within each.
+            let mut rows: Vec<usize> = (0..n_upper).collect();
+            rows.sort_by_key(|&r| (level_of[r], r));
+            let mut level_ptr = vec![0usize; got.n_levels() + 1];
+            for &l in &level_of {
+                level_ptr[l + 1] += 1;
+            }
+            for l in 0..got.n_levels() {
+                level_ptr[l + 1] += level_ptr[l];
+            }
+            assert_eq!(plan.bwd_level_ptr, level_ptr, "{what}");
+            assert_eq!(plan.bwd_row_of_task, rows, "{what}");
         }
     }
 

@@ -7,9 +7,9 @@
 //! * [`team`] — the persistent [`WorkerTeam`]: parked workers with
 //!   stable tids executing borrowed SPMD regions (the OpenMP parallel
 //!   region, amortized across the whole Krylov loop);
-//! * `exec` — [`Exec`], the cloneable handle on the team a plan's
-//!   regions run on (the one way to run a region), and [`col_range`],
-//!   the in-region column partitioner;
+//!   A plan holds or borrows the `Arc<WorkerTeam>` its regions run
+//!   on; that is the one way to run a region;
+//! * `partition` — [`col_range`], the in-region column partitioner;
 //! * [`progress`] — cache-padded monotone progress counters with
 //!   acquire/release semantics: the runtime half of the sparsified
 //!   point-to-point schedule;
@@ -34,13 +34,13 @@ pub mod affinity;
 pub mod backoff;
 pub mod barrier;
 mod cells;
-pub(crate) mod exec;
+mod partition;
 pub mod progress;
 pub mod team;
 
 pub use affinity::TeamAffinity;
 pub use barrier::SpinBarrier;
 pub(crate) use cells::RegionCells;
-pub use exec::{col_range, Exec};
+pub use partition::col_range;
 pub use progress::ProgressCounters;
 pub use team::WorkerTeam;

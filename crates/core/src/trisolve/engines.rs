@@ -8,8 +8,8 @@
 //! order, so the engine is **bitwise serial** at every width and thread
 //! count. The paper's other two threaded variants, barriered level sets
 //! (CSR-LS) and point-to-point with the trailing rows left to one thread
-//! (LS), lose to it and are modelled only, by the `javelin-machine`
-//! simulator.
+//! (LS), lose to it and are counted only (`SymbolicIlu::apply_span`
+//! and Fig. 12 of `javelin-bench`).
 //!
 //! ## The region streams its own rows
 //!
@@ -53,8 +53,8 @@
 //! The engine is **allocation-free per call**: the counters and the
 //! barrier are the analysis's, built once, and the buffer is the
 //! caller's, grown before the region when a wider panel first arrives.
-//! The parallel region runs on the persistent team behind the
-//! analysis's [`Exec`](crate::sync::Exec), forward and backward
+//! The parallel region runs on the analysis's persistent
+//! [`WorkerTeam`](crate::sync::WorkerTeam), forward and backward
 //! substitution in one region, so a full preconditioner apply costs a
 //! single team wake-up.
 
@@ -291,7 +291,7 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Val
     b: Panel<'_, T>,
     mut x: PanelMut<'_, T>,
 ) {
-    let (n, k, nthreads) = (f.n(), lanes.width(), core.exec.nthreads());
+    let (n, k, nthreads) = (f.n(), lanes.width(), core.team.nthreads());
     let plan = &core.plan;
     let sync = core.sync.lock();
     debug_assert_eq!(nthreads, sync.fwd.len());
@@ -323,7 +323,7 @@ pub(crate) fn solve_p2p_fused<T: Scalar, L: Lanes, I: SpIndex, V: LaneValues<Val
         buf: RegionCells::new(&mut scratch.buf[..n * k]),
         sync: &sync,
     };
-    core.exec.run(|tid| {
+    core.team.run(|tid| {
         region_failpoint(tid);
         region.forward(tid);
         // Order every forward write before any backward read: the

@@ -23,7 +23,8 @@
 //!   point-to-point level scheduling with pruned waits plus Even-Rows
 //!   trailing rows, bitwise serial. The figure's other two variants,
 //!   barriered level sets (`CSR-LS`) and point-to-point alone (`LS`),
-//!   are modelled only, by the `javelin-machine` simulator.
+//!   are counted only (`SymbolicIlu::apply_span` and Fig. 12 of
+//!   `javelin-bench`).
 
 pub(crate) mod engines;
 pub mod serial;

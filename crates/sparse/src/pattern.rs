@@ -227,12 +227,6 @@ pub fn lower_symmetrized_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern
     lower_symmetrized_of(a.ncols(), a.rowptr(), a.colidx())
 }
 
-/// Strictly-upper-triangular pattern of `A` (used to schedule backward
-/// triangular solves).
-pub fn upper_pattern<T: Scalar>(a: &CsrMatrix<T>) -> SparsityPattern {
-    upper_of(a.ncols(), a.rowptr(), a.colidx())
-}
-
 /// Dispatches on [`LevelPattern`] for value-less patterns.
 pub fn level_pattern_of(p: &SparsityPattern, which: LevelPattern) -> SparsityPattern {
     match which {
@@ -246,10 +240,6 @@ pub fn level_pattern_of(p: &SparsityPattern, which: LevelPattern) -> SparsityPat
 
 fn lower_of(ncols: usize, rowptr: &[usize], colidx: &[usize]) -> SparsityPattern {
     triangle_of(ncols, rowptr, colidx, |r, c| c < r)
-}
-
-fn upper_of(ncols: usize, rowptr: &[usize], colidx: &[usize]) -> SparsityPattern {
-    triangle_of(ncols, rowptr, colidx, |r, c| c > r)
 }
 
 /// The entries `(r, c)` of the structure that `keep` accepts.
@@ -343,14 +333,6 @@ mod tests {
         assert_eq!(l.nnz(), 1);
         assert_eq!(l.row_cols(2), &[1]);
         assert_eq!(l.row_cols(0), &[] as &[usize]);
-    }
-
-    #[test]
-    fn upper_pattern_strict() {
-        let a = nonsym();
-        let u = upper_pattern(&a);
-        assert_eq!(u.nnz(), 1);
-        assert_eq!(u.row_cols(0), &[2]);
     }
 
     #[test]

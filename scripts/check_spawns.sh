@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Guards "one region executor": every parallel region of the library
-# runs on a persistent `WorkerTeam` (through `Exec`), so product code
+# runs on a persistent `WorkerTeam`, so product code
 # starts OS threads in exactly two places — the team's constructor and
 # the solve service's own dispatcher / connection threads. A
 # `std::thread::spawn`, `scope` or `Builder` anywhere else is a second
@@ -57,7 +57,7 @@ if [ "$fail" -ne 0 ]; then
     cat >&2 <<'EOF'
 
 error: thread spawn outside the persistent team and the service front-end.
-Run the work as a region on an `Exec` (crates/core/src/sync/exec.rs) instead;
+Run the work as a region on a `WorkerTeam` (crates/core/src/sync/team.rs) instead;
 tests that need raw threads belong in a `#[cfg(test)]` module.
 EOF
     exit 1

@@ -71,7 +71,8 @@
 //! * [`solver`] — PCG / GMRES / FGMRES / BiCGSTAB: three entries
 //!   (`krylov_with`, `krylov_panel_with`, `krylov_panel_into`) over one
 //!   lockstep panel driver per method, no lane generic
-//! * [`machine`] — machine models and the schedule simulator
+//! * [`machine`] — the apply simulator behind the reference benchmark's
+//!   `machine.*` metrics (the paper's figures count spans instead)
 //!
 //! ## Multi-RHS panels and the lane layer
 //!

@@ -9,6 +9,12 @@
 //! refactor sweep's work the same way, checked against a recording walk
 //! of the forward schedule the upper stage walks.
 //!
+//! The counted spans (`SymbolicIlu::refactor_span`,
+//! `SymbolicIlu::apply_span`) — the critical path of each walk at any
+//! thread count with synchronization free, the bounds the paper's
+//! scaling figures print — are pinned the same way, at one thread equal
+//! to the serial work.
+//!
 //! The Krylov drivers' op table (`Method::ops`) is pinned the same way:
 //! a counting operator and a counting preconditioner wrap real solves on
 //! a fixed 14³ grid, and the spmvs, applies, reductions and update
@@ -26,7 +32,7 @@ use javelin::solver::{
     SolverWorkspace,
 };
 use javelin::sparse::{vecops, CsrMatrix, Panel, PanelMut};
-use javelin::sync::{Exec, ProgressCounters};
+use javelin::sync::{ProgressCounters, WorkerTeam};
 use javelin::synth::circuit::transient_circuit;
 use javelin::synth::grid::convection_diffusion_3d;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,7 +55,7 @@ fn analyze(a: &CsrMatrix<f64>, nthreads: usize) -> SymbolicIlu<f64> {
 /// times, and its final count is its last publication.
 fn recorded(sym: &SymbolicIlu<f64>, schedules: &[&P2PSchedule]) -> (usize, usize) {
     let nthreads = sym.nthreads();
-    let team = Exec::team(nthreads);
+    let team = WorkerTeam::new(nthreads);
     let (checks, publications) = (AtomicUsize::new(0), AtomicUsize::new(0));
     for schedule in schedules {
         let progress = ProgressCounters::new(nthreads);
@@ -119,6 +125,53 @@ fn analysis_heap_bytes_pins() {
             want,
             "{name} fill {fill} nthreads {nthreads}"
         );
+    }
+}
+
+/// The counted spans of one refactor sweep and one apply
+/// (`SymbolicIlu::refactor_span`, `SymbolicIlu::apply_span`) at 1, 2, 3
+/// and 8 threads, on `analyze`'s pin matrices. At one thread each is
+/// the serial work: the updates plus the LU entries for the refactor,
+/// the LU entries for the apply. No span grows with the thread count
+/// here, and none beats the thread count.
+#[test]
+fn span_pins() {
+    let (grid, pin_circuit) = (grid(), transient_circuit(1_500, 40, false, 11));
+    // (matrix, fill, refactor spans, apply spans) at t = 1, 2, 3, 8.
+    let cases: [(&str, &CsrMatrix<f64>, usize, [usize; 4], [usize; 4]); 2] = [
+        (
+            "grid",
+            &grid,
+            0,
+            [25_676, 13_142, 9_089, 3_714],
+            [18_032, 9_217, 6_365, 2_616],
+        ),
+        (
+            "circuit",
+            &pin_circuit,
+            1,
+            [87_638, 60_010, 48_685, 33_680],
+            [24_252, 13_977, 10_406, 5_923],
+        ),
+    ];
+    for (name, a, fill, refactor, apply) in cases {
+        let opts = IluOptions::ilu0(1).with_fill(fill);
+        let sym = SymbolicIlu::analyze(a, &opts).expect("analyze");
+        let got = |span: &dyn Fn(usize) -> usize| [1, 2, 3, 8].map(span);
+        let (got_refactor, got_apply) =
+            (got(&|t| sym.refactor_span(t)), got(&|t| sym.apply_span(t)));
+        assert_eq!(got_refactor, refactor, "{name}: refactor spans");
+        assert_eq!(got_apply, apply, "{name}: apply spans");
+        assert_eq!(refactor[0], sym.stats().n_updates + sym.nnz(), "{name}");
+        assert_eq!(apply[0], sym.nnz(), "{name}");
+        for (spans, what) in [(refactor, "refactor"), (apply, "apply")] {
+            for (span, t) in spans.into_iter().zip([1, 2, 3, 8]) {
+                assert!(
+                    span <= spans[0] && span * t >= spans[0],
+                    "{name} {what} t {t}"
+                );
+            }
+        }
     }
 }
 
