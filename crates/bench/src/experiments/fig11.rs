@@ -8,74 +8,27 @@
 //! saw only minor gains there. Beside the bounds, the measured 1- and
 //! 2-thread refactor times of the `LS+Lower` analysis on this host.
 
-use crate::harness::{
-    bound, factor_variants, geo_mean, host_note, measured_refactor, micros, prepare, Table,
-};
-use javelin_core::IluOptions;
-use javelin_synth::suite::{paper_suite, Scale};
+use super::fig10::refactor_bounds;
+use javelin_synth::suite::Scale;
 
 /// Regenerates Fig. 11 as a table of counted bounds and measured times.
 pub fn run(scale: Scale) -> String {
-    let mut t = Table::new(&[
-        "Matrix",
-        "LS@68",
-        "LS+Low@68",
-        "LS@136",
-        "LS+Low@136",
-        "meas t1 us",
-        "meas t2 us",
-    ]);
-    let mut g = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for meta in paper_suite() {
-        let prep = prepare(meta, scale);
-        let f = factor_variants(&prep.matrix);
-        let mut cells = vec![prep.meta.name.to_string()];
-        let mut k = 0;
-        for threads in [68, 136] {
-            for sym in [f.ls.symbolic(), f.er.symbolic()] {
-                let b = bound(|t| sym.refactor_span(t), threads);
-                g[k].push(b);
-                k += 1;
-                cells.push(format!("{b:.2}"));
-            }
-        }
-        cells.extend(measured_refactor(&prep.matrix, &IluOptions::ilu0(1)).map(micros));
-        t.row(cells);
-    }
-    let mut cells = vec!["geomean".to_string()];
-    cells.extend(g.iter().map(|v| format!("{:.2}", geo_mean(v))));
-    cells.extend(["-".to_string(), "-".to_string()]);
-    t.row(cells);
     format!(
         "Fig. 11 — ILU(0) factorization speedup at KNL's 68 cores x 1 and x 2\n\
          threads (LS/LS+Low columns counted: span(1) / span(t) of one\n\
          refactor sweep, synchronization free; meas columns measured on this\n\
-         host: one LS+Lower refactor at 1 and 2 threads, best of 3)\n\n{}{}",
-        t.render(),
-        host_note()
+         host: one LS+Lower refactor at 1 and 2 threads, best of 3)\n\n{}",
+        refactor_bounds(scale, [68, 136])
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig10::check_refactor_bounds;
 
     #[test]
     fn bounds_lie_between_one_and_the_thread_count() {
-        let r = run(Scale::Tiny);
-        let mut rows = 0;
-        for line in r.lines().filter(|l| l.contains("-like")) {
-            let vals: Vec<f64> = line
-                .split_whitespace()
-                .skip(1)
-                .map(|c| c.parse().unwrap())
-                .collect();
-            for (v, t) in vals[..4].iter().zip([68.0, 68.0, 136.0, 136.0]) {
-                assert!(*v >= 1.0 && *v <= t + 0.005, "bound {v} at {t}: {line}");
-            }
-            assert!(vals[4..].iter().all(|&us| us > 0.0), "{line}");
-            rows += 1;
-        }
-        assert_eq!(rows, 18);
+        check_refactor_bounds(&run(Scale::Tiny), [68, 136]);
     }
 }
