@@ -6,12 +6,16 @@
 //! The pattern intersection the kernel needs — for L entry `(r, c)`,
 //! which entries `u(c, j)` of the finished row `c` update which entries
 //! `(r, j)` of row `r` — depends on the pattern only. `update_list`
-//! resolves it once, at `SymbolicIlu::analyze`, into one `u32` pair per
-//! update (the refactorization codes' precomputed elimination, as in
-//! KLU's refactor and NICSLU). `eliminate_columns` then divides by
-//! the pivot and streams the entry's pairs: no per-row column map, no
-//! probe of a column that row `r` does not store. Debug builds check
-//! the list against `probe_enumeration`, the search it replaces.
+//! resolves it once, at `SymbolicIlu::analyze`, into one pair of
+//! in-row offsets per update (the refactorization codes' precomputed
+//! elimination, as in KLU's refactor and NICSLU): the slot of `(r, j)`
+//! in row `r` and the slot of `u(c, j)` in row `c`'s diagonal and U
+//! part. The offsets are `u16` when every LU row has at most 65 536
+//! entries — 4 B per update — and `u32` otherwise ([`UpdateList`]).
+//! `eliminate_columns` then divides by the pivot and streams the
+//! entry's pairs: no per-row column map, no probe of a column that row
+//! `r` does not store, no index arithmetic. Debug builds check the list
+//! against `probe_enumeration`, the search it replaces.
 //!
 //! ## The value buffer and the row-ownership protocol
 //!
@@ -46,10 +50,9 @@
 
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
+use crate::pattern::CsrPattern;
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-#[cfg(any(debug_assertions, test))]
-use javelin_sparse::SpIndex;
-use javelin_sparse::{Scalar, SparseError};
+use javelin_sparse::{Scalar, SpIndex, SparseError};
 use std::sync::atomic::Ordering;
 
 /// Converts a pattern index or count to the `u32` the analysis stores
@@ -63,51 +66,146 @@ pub(crate) fn index_u32(i: usize, what: &str) -> Result<u32, SparseError> {
     })
 }
 
+/// The width of an update list's in-row offsets.
+pub(crate) trait UpdateIndex: SpIndex {
+    /// The longest row whose every in-row offset fits this width.
+    const MAX_ROW_LEN: usize;
+
+    /// `i` at this width; the caller has checked that it fits.
+    fn narrow(i: u32) -> Self;
+}
+
+impl UpdateIndex for u16 {
+    const MAX_ROW_LEN: usize = 1 << 16;
+
+    #[inline(always)]
+    fn narrow(i: u32) -> Self {
+        i as u16
+    }
+}
+
+impl UpdateIndex for u32 {
+    const MAX_ROW_LEN: usize = u32::MAX as usize;
+
+    #[inline(always)]
+    fn narrow(i: u32) -> Self {
+        i
+    }
+}
+
+/// An analysis's update list ([`update_list`]), at the narrowest offset
+/// width its LU pattern's longest row allows.
+pub(crate) enum UpdateList {
+    /// Every LU row has at most 65 536 entries.
+    U16(Vec<[u16; 2]>),
+    /// Some LU row is longer.
+    U32(Vec<[u32; 2]>),
+}
+
+impl UpdateList {
+    /// The update ranges and the update list of the LU pattern `lu`,
+    /// the width picked from its longest row.
+    ///
+    /// # Errors
+    /// As [`update_list`].
+    pub(crate) fn of(lu: &CsrPattern) -> Result<(Vec<u32>, Self), SparseError> {
+        let (rowptr, colidx, diag_pos) = (&lu.rowptr, &lu.colidx, &lu.diag_pos);
+        let longest = rowptr.windows(2).map(|w| w[1] - w[0]).max();
+        if longest.unwrap_or(0) as usize <= u16::MAX_ROW_LEN {
+            let (ptr, list) = update_list(rowptr, colidx, diag_pos)?;
+            Ok((ptr, UpdateList::U16(list)))
+        } else {
+            let (ptr, list) = update_list(rowptr, colidx, diag_pos)?;
+            Ok((ptr, UpdateList::U32(list)))
+        }
+    }
+
+    /// The number of updates.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            UpdateList::U16(list) => list.len(),
+            UpdateList::U32(list) => list.len(),
+        }
+    }
+
+    /// The bytes of the list, `len × size_of` of its pairs.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            UpdateList::U16(list) => std::mem::size_of_val(&list[..]),
+            UpdateList::U32(list) => std::mem::size_of_val(&list[..]),
+        }
+    }
+
+    /// The pairs widened to `u32`, in list order, for comparison with
+    /// [`probe_enumeration`]; allocation-free.
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = [u32; 2]> + '_ {
+        let (narrow, wide): (&[[u16; 2]], &[[u32; 2]]) = match self {
+            UpdateList::U16(list) => (list, &[]),
+            UpdateList::U32(list) => (&[], list),
+        };
+        let narrow = narrow.iter().map(|p| p.map(u32::from));
+        narrow.chain(wide.iter().copied())
+    }
+}
+
 /// The update list of an LU pattern: every elimination update the
 /// up-looking kernel performs, resolved once from the pattern.
 ///
 /// For LU entry `e = (r, c)` with `c < r`, `list[ptr[e]..ptr[e + 1]]`
 /// holds one `[dst, src]` pair per column `j > c` stored in both rows
-/// `r` and `c`, in U-row column order: `dst` is the entry `(r, j)`,
-/// `src` the entry `u(c, j)`. Every other entry's range is empty, so
-/// the list is ordered by L entry in row order.
+/// `r` and `c`, in U-row column order: `dst` is the offset of the entry
+/// `(r, j)` in row `r` (from `rowptr[r]`), `src` the offset of `u(c, j)`
+/// in row `c`'s diagonal and U part (from `diag_pos[c]`). Every other
+/// entry's range is empty, so the list is ordered by L entry in row
+/// order.
 ///
-/// One branch-free pass: a column → entry map of row `r` with a `NONE`
+/// One branch-free pass: a column → offset map of row `r` with a `NONE`
 /// sentinel, every candidate written and the cursor advanced by
 /// whether it hit; the map is reset after the row.
 ///
 /// # Errors
 /// [`SparseError::InvalidStructure`] when the entry count or the update
 /// count does not fit in `u32`.
-pub(crate) fn update_list(
+///
+/// # Panics
+/// When a row has more than `I::MAX_ROW_LEN` entries, so that its
+/// offsets would not fit `I`.
+pub(crate) fn update_list<I: UpdateIndex>(
     rowptr: &[u32],
     colidx: &[u32],
     diag_pos: &[u32],
-) -> Result<(Vec<u32>, Vec<[u32; 2]>), SparseError> {
+) -> Result<(Vec<u32>, Vec<[I; 2]>), SparseError> {
     const NONE: u32 = u32::MAX;
     let n = rowptr.len() - 1;
-    // Every entry index is then below `NONE`.
+    // Every in-row offset is then below `NONE`.
     index_u32(colidx.len(), "nnz_lu")?;
     let mut pos = vec![NONE; n];
     let mut ptr = Vec::with_capacity(colidx.len() + 1);
     ptr.push(0u32);
-    let mut list: Vec<[u32; 2]> = Vec::new();
+    let mut list: Vec<[I; 2]> = Vec::new();
     let mut len = 0usize;
     for r in 0..n {
         let (lo, dp, hi) = (rowptr[r], diag_pos[r], rowptr[r + 1]);
+        assert!(
+            (hi - lo) as usize <= I::MAX_ROW_LEN,
+            "row {r} has {} entries, too many for the update list's offset width",
+            hi - lo
+        );
         let (lower, row) = (lo as usize..dp as usize, lo as usize..hi as usize);
-        for (e, &c) in (lo..hi).zip(&colidx[row.clone()]) {
-            pos[c as usize] = e;
+        for (off, &c) in (0..).zip(&colidx[row.clone()]) {
+            pos[c as usize] = off;
         }
         let candidates: usize = colidx[lower.clone()]
             .iter()
             .map(|&c| (rowptr[c as usize + 1] - diag_pos[c as usize] - 1) as usize)
             .sum();
-        list.resize(len + candidates, [0; 2]);
+        list.resize(len + candidates, [I::narrow(0); 2]);
         for &c in &colidx[lower] {
-            for src in diag_pos[c as usize] + 1..rowptr[c as usize + 1] {
+            let (dc, hc) = (diag_pos[c as usize], rowptr[c as usize + 1]);
+            for src in dc + 1..hc {
                 let dst = pos[colidx[src as usize] as usize];
-                list[len] = [dst, src];
+                list[len] = [I::narrow(dst), I::narrow(src - dc)];
                 len += usize::from(dst != NONE);
             }
             ptr.push(index_u32(len, "n_updates")?);
@@ -125,11 +223,11 @@ pub(crate) fn update_list(
 
 /// The update list re-derived the way the probe walk found it: for
 /// every L entry `(r, c)` of the pattern `(rowptr, colidx, diag_pos)`,
-/// every `u(c, j)` with `j > c`, looked up in row `r` by binary search
-/// — the independent check `SymbolicIlu::analyze` asserts
-/// [`update_list`] against in debug builds, since the kernel's row
-/// bounds rest on every `dst` lying in row `r` and every `src` in row
-/// `c`.
+/// every `u(c, j)` with `j > c`, looked up in row `r` by binary search,
+/// as the in-row offsets [`update_list`] stores — the independent check
+/// `SymbolicIlu::analyze` asserts the list against in debug builds,
+/// since the kernel's row bounds rest on every `dst` lying in row `r`
+/// and every `src` in row `c`'s diagonal and U part.
 #[cfg(any(debug_assertions, test))]
 pub(crate) fn probe_enumeration<I: SpIndex>(
     rowptr: &[I],
@@ -143,9 +241,10 @@ pub(crate) fn probe_enumeration<I: SpIndex>(
         for &c in row {
             let c = c.ix();
             if c < r {
-                for uk in diag_pos[c].ix() + 1..rowptr[c + 1].ix() {
+                let dc = diag_pos[c].ix();
+                for uk in dc + 1..rowptr[c + 1].ix() {
                     if let Ok(p) = row.binary_search(&colidx[uk]) {
-                        list.push([entry(rowptr[r].ix() + p), entry(uk)]);
+                        list.push([entry(p), entry(uk - dc)]);
                     }
                 }
             }
@@ -159,8 +258,9 @@ pub(crate) fn probe_enumeration<I: SpIndex>(
 /// — the up-looking elimination steps of the paper's Fig. 1, restricted
 /// to a column window so the two-stage engines can split a row's work —
 /// with the per-entry arithmetic looped over the `k` lanes. Per L entry
-/// it divides by the pivot and streams that entry's pairs of the
-/// analysis's update list (module docs): no pattern search, no miss.
+/// it divides by the pivot and streams that entry's offset pairs of the
+/// analysis's update list (module docs), at its width `I`: no pattern
+/// search, no miss.
 /// The list walk serves every lane; at `FixedLanes<1>` the lane loops
 /// fold away and this *is* the scalar kernel.
 ///
@@ -170,11 +270,11 @@ pub(crate) fn probe_enumeration<I: SpIndex>(
 ///
 /// # Panics
 /// When an update pair's `dst` lies outside row `r` or its `src`
-/// outside the U part of row `c`.
+/// outside the diagonal and U part of row `c`.
 #[inline]
-pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
+pub(crate) fn eliminate_columns<T: Scalar, L: Lanes, I: SpIndex>(
     lanes: L,
-    ctx: &NumericCtx<'_, T>,
+    ctx: &NumericCtx<'_, T, I>,
     r: usize,
     col_lo: usize,
     col_hi: usize,
@@ -201,7 +301,7 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
         // factorization.
         let uc = &ctx.vals.0[dp * k..ctx.rowptr[c + 1] as usize * k];
         // a[r, j] -= l * u[c, j] for every j > c stored in both rows:
-        // `dst` is (r, j), `src` is u(c, j).
+        // `dst` is (r, j)'s slot in `vr`, `src` u(c, j)'s in `uc`.
         let upd = ctx.updates_of(e);
         let le = (e - base) * k;
         if dropping {
@@ -220,7 +320,7 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
                 }
                 vr[le + lane].set(l);
                 for &[dst, src] in upd {
-                    let (p, u) = (dst as usize - base, src as usize - dp);
+                    let (p, u) = (dst.ix(), src.ix());
                     let y = &vr[p * k + lane];
                     y.set(y.get() - l * uc[u * k + lane].get());
                 }
@@ -243,7 +343,7 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
                     lrow[c].set(l[c]);
                 }
                 for &[dst, src] in upd {
-                    let (p, u) = (dst as usize - base, src as usize - dp);
+                    let (p, u) = (dst.ix(), src.ix());
                     let y = &vr[p * k + c0..][..cw];
                     let x = &uc[u * k + c0..][..cw];
                     let mut out = [T::ZERO; LANE_CHUNK];
@@ -267,7 +367,11 @@ pub(crate) fn eliminate_columns<T: Scalar, L: Lanes>(
 /// neighbours finalize untouched. The `numeric.pivot` failpoint fires
 /// once per lane, so chaos tests can poison a single scenario column.
 #[inline]
-pub(crate) fn finalize_row<T: Scalar, L: Lanes>(lanes: L, ctx: &NumericCtx<'_, T>, r: usize) {
+pub(crate) fn finalize_row<T: Scalar, L: Lanes, I: SpIndex>(
+    lanes: L,
+    ctx: &NumericCtx<'_, T, I>,
+    r: usize,
+) {
     let k = lanes.width();
     let dp = ctx.diag_pos[r] as usize;
     let dropping = !ctx.drop_thresh.is_empty();
@@ -341,12 +445,63 @@ mod tests {
     fn update_list_pairs_each_l_entry_with_its_shared_u_columns() {
         // Rows: 0 = {0, 2}, 1 = {1, 2}, 2 = {0, 1, 2}. L entry (2, 0)
         // is updated through u(0, 2) into (2, 2); L entry (2, 1)
-        // through u(1, 2) into (2, 2). No other entry eliminates.
+        // through u(1, 2) into (2, 2). No other entry eliminates. (2, 2)
+        // is slot 2 of row 2; u(0, 2) and u(1, 2) are slot 1 of their
+        // rows' diagonal and U parts.
         let (rowptr, colidx) = (vec![0, 2, 4, 7], vec![0, 2, 1, 2, 0, 1, 2]);
         let diag_pos = vec![0, 2, 6];
-        let (ptr, list) = update_list(&rowptr, &colidx, &diag_pos).unwrap();
+        let (ptr, list) = update_list::<u16>(&rowptr, &colidx, &diag_pos).unwrap();
         assert_eq!(ptr, [0, 0, 0, 0, 0, 1, 2, 2]);
-        assert_eq!(list, [[6, 1], [6, 3]]);
+        assert_eq!(list, [[2, 1], [2, 1]]);
+        let (ptr, list) = update_list::<u32>(&rowptr, &colidx, &diag_pos).unwrap();
+        assert_eq!(ptr, [0, 0, 0, 0, 0, 1, 2, 2]);
+        assert_eq!(list, [[2, 1], [2, 1]]);
+    }
+
+    /// An arrow pattern of `n` rows: the diagonal, plus a dense last row
+    /// and column.
+    fn arrow(n: u32) -> CsrPattern {
+        let mut rowptr = vec![0u32];
+        let mut colidx = Vec::new();
+        for r in 0..n - 1 {
+            colidx.extend([r, n - 1]);
+            rowptr.push(colidx.len() as u32);
+        }
+        colidx.extend(0..n);
+        rowptr.push(colidx.len() as u32);
+        let mut diag_pos: Vec<u32> = (0..n - 1).map(|r| 2 * r).collect();
+        diag_pos.push(colidx.len() as u32 - 1);
+        CsrPattern {
+            rowptr,
+            colidx,
+            diag_pos,
+        }
+    }
+
+    /// A 65 536-entry row keeps the `u16` list, one entry more takes
+    /// the `u32` list, and building that pattern at `u16` panics
+    /// before an offset wraps.
+    #[test]
+    fn offset_width_follows_the_longest_row() {
+        let fits = arrow(1 << 16);
+        let (_, list) = UpdateList::of(&fits).unwrap();
+        assert!(matches!(list, UpdateList::U16(_)));
+        assert_eq!(list.len(), (1 << 16) - 1);
+        assert_eq!(list.heap_bytes(), 4 * list.len());
+
+        let long = arrow((1 << 16) + 1);
+        let (ptr, list) = UpdateList::of(&long).unwrap();
+        assert!(matches!(list, UpdateList::U32(_)));
+        assert_eq!(list.heap_bytes(), 8 * list.len());
+        let (rowptr, colidx, diag_pos) = (&long.rowptr, &long.colidx, &long.diag_pos);
+        let (probe_ptr, probe) = probe_enumeration(rowptr, colidx, diag_pos);
+        assert_eq!(ptr, probe_ptr);
+        assert!(
+            list.pairs().eq(probe),
+            "u32 list differs from the probe enumeration"
+        );
+        let narrow = std::panic::catch_unwind(|| update_list::<u16>(rowptr, colidx, diag_pos));
+        assert!(narrow.is_err(), "a 65 537-entry row built at u16");
     }
 
     const ONE: FixedLanes<1> = FixedLanes::<1>;
@@ -433,10 +588,11 @@ mod tests {
             .collect()
     }
 
-    /// Full serial sweep of `scenarios` at width `lanes`.
-    fn sweep<L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> CtxFixture {
+    /// Full serial sweep of `scenarios` at width `lanes`, over the
+    /// update list at offset width `I`.
+    fn sweep_at<I: UpdateIndex, L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> CtxFixture<I> {
         assert_eq!(scenarios.len(), lanes.width());
-        let fx = CtxFixture::dense(4, scenarios);
+        let fx = CtxFixture::<I>::dense_at(4, scenarios);
         for r in 0..4 {
             eliminate_columns(lanes, &fx.ctx(), r, 0, 4);
             finalize_row(lanes, &fx.ctx(), r);
@@ -444,16 +600,31 @@ mod tests {
         fx
     }
 
+    /// [`sweep_at`] over the `u16` list.
+    fn sweep<L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> CtxFixture {
+        sweep_at(lanes, scenarios)
+    }
+
+    /// Every lane of a width-4 sweep carries the bits of the width-1
+    /// sweep of its values, over a `u16` and a `u32` list alike.
     #[test]
     fn every_lane_matches_the_width_one_kernel_bitwise() {
         let scenarios: Vec<Vec<f64>> = [1.0, 1.25, 0.8, 2.0].map(dense4).to_vec();
         let fixed = sweep(FixedLanes::<4>, &scenarios);
         let dynamic = sweep(DynLanes(4), &scenarios);
+        let wide = sweep_at::<u32, _>(DynLanes(4), &scenarios);
         for (c, s) in scenarios.iter().enumerate() {
             let scalar = sweep(ONE, std::slice::from_ref(s));
+            let scalar_wide = sweep_at::<u32, _>(ONE, std::slice::from_ref(s));
             assert_eq!(scalar.failed_row[0].load(Ordering::Relaxed), usize::MAX);
             assert_eq!(fixed.lane_bits(c), scalar.lane_bits(0), "fixed lane {c}");
             assert_eq!(dynamic.lane_bits(c), scalar.lane_bits(0), "dyn lane {c}");
+            assert_eq!(wide.lane_bits(c), scalar.lane_bits(0), "u32 lane {c}");
+            assert_eq!(
+                scalar_wide.lane_bits(0),
+                scalar.lane_bits(0),
+                "u32 scalar {c}"
+            );
         }
     }
 
@@ -515,19 +686,20 @@ mod tests {
     }
 
     /// An update pair whose `dst` leaves row `r`, or whose `src` leaves
-    /// the pivot row's U part, panics at the row bound before it
-    /// touches another row.
-    #[test]
-    fn stray_update_pairs_panic_at_the_row_bound() {
+    /// the pivot row's diagonal and U part, panics at the row bound
+    /// before it touches another row, at either offset width.
+    fn assert_stray_pairs_panic_at_the_row_bound<I: UpdateIndex>() {
         let a = vec![4.0, 1.0, 2.0, 1.0, 5.0, 1.0, 2.0, 1.0, 6.0];
-        // L entry (1, 0) is entry 3; its first pair updates (1, 1)
-        // (entry 4) from u(0, 1) (entry 1). Aim its `dst` at row 2's
-        // (2, 2), then its `src` at row 1's (1, 1).
-        for stray in [[8, 1], [4, 4]] {
-            let mut fx = CtxFixture::dense(3, std::slice::from_ref(&a));
+        // L entry (1, 0) is entry 3; its first pair updates (1, 1) (slot
+        // 1 of row 1) from u(0, 1) (slot 1 of row 0's diagonal and U
+        // part). Aim its `dst` at row 2's (2, 2), slot 5 from row 1's
+        // start, then its `src` at row 1's (1, 1), slot 4 from row 0's
+        // diagonal.
+        for stray in [[5, 1], [1, 4]] {
+            let mut fx = CtxFixture::<I>::dense_at(3, std::slice::from_ref(&a));
             let first = fx.upd_ptr[3] as usize;
-            assert_eq!(fx.upd[first], [4, 1]);
-            fx.upd[first] = stray;
+            assert_eq!(fx.upd[first].map(|i| i.ix()), [1, 1]);
+            fx.upd[first] = stray.map(I::narrow);
             let before = fx.lane_bits(0);
             let ctx = fx.ctx();
             finalize_row(ONE, &ctx, 0);
@@ -537,5 +709,11 @@ mod tests {
             assert_eq!(after[..3], before[..3], "{stray:?}: row 0 touched");
             assert_eq!(after[6..], before[6..], "{stray:?}: row 2 touched");
         }
+    }
+
+    #[test]
+    fn stray_update_pairs_panic_at_the_row_bound() {
+        assert_stray_pairs_panic_at_the_row_bound::<u16>();
+        assert_stray_pairs_panic_at_the_row_bound::<u32>();
     }
 }

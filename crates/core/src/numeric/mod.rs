@@ -10,11 +10,13 @@
 //!
 //! No walk searches the pattern: every elimination update — which
 //! entry of a finished row updates which entry of the current row — is
-//! resolved by `SymbolicIlu::analyze` into one `u32` update list
-//! (`NumericCtx::upd`; see [`kernel`]), which the serial,
-//! point-to-point and Even-Rows walks all stream next to the analysis's
-//! one `u32` LU pattern (`crate::pattern::CsrPattern`). A walk
-//! therefore needs no per-thread workspace.
+//! resolved by `SymbolicIlu::analyze` into one update list of in-row
+//! offset pairs, `u16` or `u32` by the longest LU row (`NumericCtx::upd`;
+//! see [`kernel`]), which the serial, point-to-point and Even-Rows walks
+//! all stream next to the analysis's one `u32` LU pattern
+//! (`crate::pattern::CsrPattern`). The walks are generic over the
+//! offset width, and the analysis picks the instantiation once per
+//! sweep. A walk therefore needs no per-thread workspace.
 //!
 //! Layout: lane `c` of LU entry `e` lives at `e·k + c` (the
 //! `Lanes::idx` convention), per-lane τ thresholds at `r·k + c`.
@@ -33,12 +35,14 @@ pub(crate) mod parallel;
 
 use crate::options::ZeroPivotPolicy;
 use crate::sync::RegionCells;
+use javelin_sparse::SpIndex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Shared state of one numeric sweep: the lane-interleaved values plus
 /// **per-lane** counters, so one scenario's breakdown or drop
-/// statistics never bleed into its neighbours.
-pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
+/// statistics never bleed into its neighbours. `I` is the update list's
+/// offset width.
+pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar, I: SpIndex> {
     /// Combined-LU pattern row pointers (permuted).
     pub rowptr: &'a [u32],
     /// Combined-LU pattern column indices (permuted).
@@ -47,9 +51,10 @@ pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub diag_pos: &'a [u32],
     /// Update-list range of each LU entry (`nnz + 1` offsets).
     pub upd_ptr: &'a [u32],
-    /// The update list: per elimination update, the `[dst, src]`
-    /// entries of `a[r, j] -= l[r, c]·u[c, j]`.
-    pub upd: &'a [[u32; 2]],
+    /// The update list: per elimination update of
+    /// `a[r, j] -= l[r, c]·u[c, j]`, the `[dst, src]` offsets of
+    /// `(r, j)` from `rowptr[r]` and of `u(c, j)` from `diag_pos[c]`.
+    pub upd: &'a [[I; 2]],
     /// Lane-interleaved values (initialized from `A`, overwritten in
     /// place): lane `c` of entry `e` at `e·k + c`, shared by the
     /// sweep's threads under the row-ownership protocol ([`kernel`]).
@@ -72,17 +77,17 @@ pub(crate) struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub failed_row: &'a [AtomicUsize],
 }
 
-impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
+impl<'a, T: javelin_sparse::Scalar, I: SpIndex> NumericCtx<'a, T, I> {
     /// Entry range of a row.
     #[inline(always)]
     pub(crate) fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.rowptr[r] as usize..self.rowptr[r + 1] as usize
     }
 
-    /// The `[dst, src]` update pairs of L entry `e`, in U-row column
+    /// The `[dst, src]` update offsets of L entry `e`, in U-row column
     /// order (empty for diagonal and U entries).
     #[inline(always)]
-    pub(crate) fn updates_of(&self, e: usize) -> &'a [[u32; 2]] {
+    pub(crate) fn updates_of(&self, e: usize) -> &'a [[I; 2]] {
         &self.upd[self.upd_ptr[e] as usize..self.upd_ptr[e + 1] as usize]
     }
 
@@ -102,12 +107,12 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
 
 /// Test fixture owning everything a [`NumericCtx`] borrows: `k`
 /// value-sets over one pattern, interleaved, with fresh per-lane
-/// counters.
+/// counters, and the pattern's update list at offset width `I`.
 #[cfg(test)]
-pub(crate) struct CtxFixture {
+pub(crate) struct CtxFixture<I = u16> {
     pub lu: crate::pattern::CsrPattern,
     pub upd_ptr: Vec<u32>,
-    pub upd: Vec<[u32; 2]>,
+    pub upd: Vec<[I; 2]>,
     pub vals: Vec<std::cell::Cell<f64>>,
     pub drop_thresh: Vec<f64>,
     pub milu_omega: f64,
@@ -119,9 +124,22 @@ pub(crate) struct CtxFixture {
 
 #[cfg(test)]
 impl CtxFixture {
+    /// [`CtxFixture::new_at`] over a `u16` update list.
+    pub(crate) fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
+        Self::new_at(rowptr, colidx, scenarios)
+    }
+
+    /// [`CtxFixture::dense_at`] over a `u16` update list.
+    pub(crate) fn dense(n: usize, scenarios: &[Vec<f64>]) -> Self {
+        Self::dense_at(n, scenarios)
+    }
+}
+
+#[cfg(test)]
+impl<I: kernel::UpdateIndex> CtxFixture<I> {
     /// Fixture over the CSR pattern `(rowptr, colidx)` with one lane per
     /// value-set in `scenarios`.
-    pub(crate) fn new(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
+    pub(crate) fn new_at(rowptr: Vec<usize>, colidx: Vec<usize>, scenarios: &[Vec<f64>]) -> Self {
         let k = scenarios.len();
         let diag_pos = (0..rowptr.len() - 1)
             .map(|r| rowptr[r] + colidx[rowptr[r]..rowptr[r + 1]].binary_search(&r).unwrap())
@@ -152,13 +170,13 @@ impl CtxFixture {
     }
 
     /// Dense `n×n` pattern, one lane per flattened row-major value-set.
-    pub(crate) fn dense(n: usize, scenarios: &[Vec<f64>]) -> Self {
+    pub(crate) fn dense_at(n: usize, scenarios: &[Vec<f64>]) -> Self {
         let rowptr = (0..=n).map(|i| i * n).collect();
         let colidx = (0..n).flat_map(|_| 0..n).collect();
-        Self::new(rowptr, colidx, scenarios)
+        Self::new_at(rowptr, colidx, scenarios)
     }
 
-    pub(crate) fn ctx(&self) -> NumericCtx<'_, f64> {
+    pub(crate) fn ctx(&self) -> NumericCtx<'_, f64, I> {
         NumericCtx {
             rowptr: &self.lu.rowptr,
             colidx: &self.lu.colidx,

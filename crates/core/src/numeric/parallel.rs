@@ -1,8 +1,8 @@
 //! The numeric walks: the serial row walk, the point-to-point upper
 //! stage and the Even-Rows lower stage — each generic over the lane
-//! width and run on caller-owned state (counters, execution context)
-//! plus the analysis's update list, so every call is allocation- and
-//! spawn-free.
+//! width and the update list's offset width, and run on caller-owned
+//! state (counters, execution context) plus the analysis's update list,
+//! so every call is allocation- and spawn-free.
 //!
 //! The two-stage sweep (paper §III) is the point-to-point upper stage,
 //! then Even-Rows over the trailing rows, then the corner serially
@@ -13,16 +13,16 @@ use crate::numeric::kernel::{eliminate_columns, finalize_row};
 use crate::numeric::NumericCtx;
 use crate::sync::{col_range, ProgressCounters, WorkerTeam};
 use javelin_sparse::lanes::Lanes;
-use javelin_sparse::Scalar;
+use javelin_sparse::{Scalar, SpIndex};
 
 /// Serial up-looking factorization of rows `lo..hi` against columns
 /// `col_lo..` — one stream of each row's update lists serves all
 /// lanes. Over `0..n` this is the reference every parallel engine must
 /// match bit-for-bit; over `n_upper..n` with `col_lo = n_upper` it is
 /// `FACTOR_LU` on the corner.
-pub(crate) fn factor_rows_serial<T: Scalar, L: Lanes>(
+pub(crate) fn factor_rows_serial<T: Scalar, L: Lanes, I: SpIndex>(
     lanes: L,
-    ctx: &NumericCtx<'_, T>,
+    ctx: &NumericCtx<'_, T, I>,
     lo: usize,
     hi: usize,
     col_lo: usize,
@@ -46,9 +46,9 @@ pub(crate) fn factor_rows_serial<T: Scalar, L: Lanes>(
 /// (execution index = row index). The region runs on `team` with the
 /// progress counters reset and reused; `team` and `progress` must both
 /// carry `schedule.nthreads()` participants.
-pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
+pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes, I: SpIndex>(
     lanes: L,
-    ctx: &NumericCtx<'_, T>,
+    ctx: &NumericCtx<'_, T, I>,
     schedule: &P2PSchedule,
     team: &WorkerTeam,
     progress: &ProgressCounters,
@@ -76,9 +76,9 @@ pub(crate) fn factor_upper_p2p_planned<T: Scalar, L: Lanes>(
 /// the solve's Even-Rows stage uses the same partition. Every lane is
 /// retired per row under one chunking and one update-list stream. The
 /// corner is left to [`factor_rows_serial`] with `col_lo = n_upper`.
-pub(crate) fn factor_lower_er_planned<T: Scalar, L: Lanes>(
+pub(crate) fn factor_lower_er_planned<T: Scalar, L: Lanes, I: SpIndex>(
     lanes: L,
-    ctx: &NumericCtx<'_, T>,
+    ctx: &NumericCtx<'_, T, I>,
     n_upper: usize,
     team: &WorkerTeam,
 ) {

@@ -37,7 +37,7 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::level::{split_levels, LevelSets, P2PSchedule, StagePlan};
-use crate::numeric::kernel::update_list;
+use crate::numeric::kernel::UpdateList;
 use crate::numeric::parallel::{
     factor_lower_er_planned, factor_rows_serial, factor_upper_p2p_planned,
 };
@@ -51,7 +51,7 @@ use crate::sync::{
     col_range, ProgressCounters, RegionCells, SpinBarrier, TeamAffinity, WorkerTeam,
 };
 use javelin_sparse::lanes::{for_each_chunk, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, Perm, Scalar, SparseError};
+use javelin_sparse::{CsrMatrix, Perm, Scalar, SpIndex, SparseError};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -91,9 +91,10 @@ pub(crate) struct SymCore {
     pub(crate) a_src: Vec<u32>,
     /// The update list (`numeric/kernel.rs`): LU entry `e`'s
     /// elimination updates are `upd[upd_ptr[e]..upd_ptr[e + 1]]`, one
-    /// `[dst, src]` entry pair each.
+    /// `[dst, src]` pair of in-row offsets each, `u16` when the longest
+    /// LU row allows it.
     pub(crate) upd_ptr: Vec<u32>,
-    pub(crate) upd: Vec<[u32; 2]>,
+    pub(crate) upd: UpdateList,
     pub(crate) perm: Perm,
     pub(crate) plan: SolvePlan,
     /// Symbolic/analysis statistics — the template every numeric phase
@@ -286,16 +287,18 @@ impl<T: Scalar> SymbolicIlu<T> {
             diag_pos,
         };
         // The copy-fill-in map's numeric counterpart: every elimination
-        // update of the pattern, resolved once for every numeric walk.
-        let (upd_ptr, upd) = update_list(&lu.rowptr, &lu.colidx, &lu.diag_pos)?;
+        // update of the pattern, resolved once for every numeric walk,
+        // at the offset width the longest LU row allows.
+        let (upd_ptr, upd) = UpdateList::of(&lu)?;
         // The kernel's row bounds rest on every `dst` lying in its L
-        // entry's row and every `src` in the pivot row's U part.
+        // entry's row and every `src` in the pivot row's diagonal and U
+        // part.
         #[cfg(debug_assertions)]
         {
             let (ptr, list) =
                 crate::numeric::kernel::probe_enumeration(&lu.rowptr, &lu.colidx, &lu.diag_pos);
             debug_assert!(
-                upd_ptr == ptr && upd == list,
+                upd_ptr == ptr && upd.pairs().eq(list),
                 "update list differs from the probe enumeration of the LU pattern"
             );
         }
@@ -585,11 +588,12 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// The bytes of every index array the analysis owns, exactly:
     /// `len × size_of` summed over its copy of `A`'s pattern and the LU
     /// pattern (`u32` each: 4 B·(3n + 2 + nnz_A + nnz_LU) together), the
-    /// `a_src` map, the update list, the permutation and the
-    /// [`SolvePlan`], schedules included. Not counted: the worker team
-    /// and the walks' counters and barrier, a few words per thread. The
-    /// analysis holds no value buffer: an apply solves in the caller's
-    /// [`ApplyScratch`](crate::ApplyScratch).
+    /// `a_src` map, the update list (its `u32` ranges, and 4 B per
+    /// update — 8 B when an LU row has more than 65 536 entries), the
+    /// permutation and the [`SolvePlan`], schedules included. Not
+    /// counted: the worker team and the walks' counters and barrier, a
+    /// few words per thread. The analysis holds no value buffer: an
+    /// apply solves in the caller's [`ApplyScratch`](crate::ApplyScratch).
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let c = &*self.core;
@@ -597,7 +601,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             + c.lu.heap_bytes()
             + size_of_val(&c.a_src[..])
             + size_of_val(&c.upd_ptr[..])
-            + size_of_val(&c.upd[..])
+            + c.upd.heap_bytes()
             + size_of_val(c.perm.new_to_old())
             + size_of_val(c.perm.old_to_new())
             + c.plan.heap_bytes()
@@ -719,7 +723,7 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub(crate) fn run_numeric<L: Lanes>(
         &self,
         lanes: L,
-        run: NumericRun<'_, T>,
+        mut run: NumericRun<'_, T>,
         forced_shift: Option<f64>,
     ) -> Result<(), SparseError> {
         let c = &*self.core;
@@ -755,22 +759,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 run.dropped[lane].store(0, Ordering::Relaxed);
                 run.failed[lane].store(usize::MAX, Ordering::Relaxed);
             }
-            let ctx = NumericCtx {
-                rowptr: &c.lu.rowptr,
-                colidx: &c.lu.colidx,
-                diag_pos: &c.lu.diag_pos,
-                upd_ptr: &c.upd_ptr,
-                upd: &c.upd,
-                vals: RegionCells::new(run.vals),
-                drop_thresh: run.drop_thresh,
-                milu_omega: T::from_f64(c.opts.milu_omega),
-                pivot_threshold: T::from_f64(c.opts.pivot_threshold),
-                zero_pivot: c.opts.zero_pivot,
-                replaced: run.replaced,
-                dropped: run.dropped,
-                failed_row: run.failed,
-            };
-            self.run_engines(lanes, &ctx, run.progress);
+            self.run_engines(lanes, &mut run);
             let mut retry = false;
             for lane in 0..k {
                 let failed = run.failed[lane].load(Ordering::Relaxed);
@@ -922,15 +911,26 @@ impl<T: Scalar> SymbolicIlu<T> {
         shift
     }
 
-    /// One numeric sweep over the loaded buffer: serial when
-    /// single-threaded, otherwise the point-to-point upper stage and the
-    /// Even-Rows lower stage as regions on the analysis's execution
-    /// context, then the corner serially. Bit-identical to the serial
-    /// sweep, at every width.
-    fn run_engines<L: Lanes>(
+    /// One numeric sweep over `run`'s loaded buffer, on the update list
+    /// at the width the analysis picked: the one place that width is
+    /// dispatched.
+    fn run_engines<L: Lanes>(&self, lanes: L, run: &mut NumericRun<'_, T>) {
+        let c = &*self.core;
+        let progress = run.progress;
+        match &c.upd {
+            UpdateList::U16(upd) => self.sweep(lanes, &c.numeric_ctx(upd, run), progress),
+            UpdateList::U32(upd) => self.sweep(lanes, &c.numeric_ctx(upd, run), progress),
+        }
+    }
+
+    /// One numeric sweep: serial when single-threaded, otherwise the
+    /// point-to-point upper stage and the Even-Rows lower stage as
+    /// regions on the analysis's execution context, then the corner
+    /// serially. Bit-identical to the serial sweep, at every width.
+    fn sweep<L: Lanes, I: SpIndex>(
         &self,
         lanes: L,
-        ctx: &NumericCtx<'_, T>,
+        ctx: &NumericCtx<'_, T, I>,
         progress: &ProgressCounters,
     ) {
         let c = &*self.core;
@@ -945,6 +945,32 @@ impl<T: Scalar> SymbolicIlu<T> {
         }
         factor_lower_er_planned(lanes, ctx, n_upper, &c.team);
         factor_rows_serial(lanes, ctx, n_upper, n, n_upper);
+    }
+}
+
+impl SymCore {
+    /// The numeric context of one sweep over `run`'s buffers, with the
+    /// analysis's pattern, options and the update list `upd`.
+    fn numeric_ctx<'a, T: Scalar, I: SpIndex>(
+        &'a self,
+        upd: &'a [[I; 2]],
+        run: &'a mut NumericRun<'_, T>,
+    ) -> NumericCtx<'a, T, I> {
+        NumericCtx {
+            rowptr: &self.lu.rowptr,
+            colidx: &self.lu.colidx,
+            diag_pos: &self.lu.diag_pos,
+            upd_ptr: &self.upd_ptr,
+            upd,
+            vals: RegionCells::new(run.vals),
+            drop_thresh: run.drop_thresh,
+            milu_omega: T::from_f64(self.opts.milu_omega),
+            pivot_threshold: T::from_f64(self.opts.pivot_threshold),
+            zero_pivot: self.opts.zero_pivot,
+            replaced: run.replaced,
+            dropped: run.dropped,
+            failed_row: run.failed,
+        }
     }
 }
 
@@ -1065,7 +1091,7 @@ mod tests {
         let c = sym.core();
         assert_eq!(c.upd_ptr, ptr, "{what}: update ranges");
         assert_eq!(c.upd.len(), list.len(), "{what}: update count");
-        for (i, (got, want)) in c.upd.iter().zip(&list).enumerate() {
+        for (i, (got, want)) in c.upd.pairs().zip(list.iter().copied()).enumerate() {
             assert_eq!(got, want, "{what}: update pair {i}");
         }
         assert!(!list.is_empty(), "{what}: nothing eliminated");
@@ -1101,6 +1127,24 @@ mod tests {
         }
     }
 
+    /// The update list as the absolute `[dst, src]` entry pairs its
+    /// offsets stand for: `dst` from L entry `(r, c)`'s row start,
+    /// `src` from row `c`'s diagonal.
+    fn absolute_updates(c: &SymCore) -> Vec<[u32; 2]> {
+        let (lu, offsets) = (&c.lu, c.upd.pairs().collect::<Vec<_>>());
+        let mut pairs = Vec::with_capacity(offsets.len());
+        for r in 0..c.n {
+            for e in lu.row(r) {
+                let col = lu.colidx[e] as usize;
+                let (lo, hi) = (c.upd_ptr[e] as usize, c.upd_ptr[e + 1] as usize);
+                for &[dst, src] in &offsets[lo..hi] {
+                    pairs.push([lu.rowptr[r] + dst, lu.diag_pos[col] + src]);
+                }
+            }
+        }
+        pairs
+    }
+
     /// FNV-1a over indices widened to `u64`, so the width an array is
     /// stored at cannot change its hash.
     fn fnv1a<I: Into<u64>>(words: impl IntoIterator<Item = I>) -> u64 {
@@ -1113,7 +1157,8 @@ mod tests {
 
     /// Every index `analyze` produces, hashed per array: the LU pattern
     /// (`rowptr`, `colidx`), `diag_pos`, `a_src`, the update list
-    /// (`upd_ptr`, `upd`), `block_rows`, `bwd_row_of_task`, and the
+    /// (`upd_ptr`, and `upd` as absolute entry pairs), `block_rows`,
+    /// `bwd_row_of_task`, and the
     /// forward and backward schedules' walks (per thread, each block's
     /// task range and wait pairs).
     fn analysis_hashes(a: &CsrMatrix<f64>, opts: &IluOptions) -> [u64; 10] {
@@ -1138,7 +1183,7 @@ mod tests {
             fnv1a(f.diag_positions().iter().map(|&v| wide(v))),
             fnv1a(c.a_src.iter().copied()),
             fnv1a(c.upd_ptr.iter().copied()),
-            fnv1a(c.upd.iter().flatten().copied()),
+            fnv1a(absolute_updates(c).into_iter().flatten()),
             fnv1a(
                 plan.block_rows
                     .iter()
@@ -1152,8 +1197,9 @@ mod tests {
     }
 
     /// `analyze`'s output pinned as hashes recorded before the analysis
-    /// stored its patterns as `u32`: a change of storage must not move
-    /// one index, at any thread count.
+    /// stored its patterns as `u32` and its update list as in-row
+    /// offsets: a change of storage must not move one index, at any
+    /// thread count.
     #[test]
     fn analyze_output_matches_committed_pins() {
         let grid = convection_diffusion_3d(14, 14, 14, (30.0, 20.0, 10.0));
@@ -1226,6 +1272,42 @@ mod tests {
                 assert_eq!(c.a.heap_bytes() + c.lu.heap_bytes(), want, "fill {fill}");
                 assert!(sym.heap_bytes() > want, "fill {fill}: the rest counted");
             }
+        }
+    }
+
+    /// An LU row of more than 65 536 entries — the dense last row of a
+    /// 70 000-row arrow matrix, at ILU(0) — takes the `u32` update list,
+    /// which is still the probe enumeration and still factors: `L·U`
+    /// equals `P·A·Pᵀ` on the pattern, at one and two threads, up to the
+    /// `n` roundings the last pivot takes (`n·ε·a_nn`).
+    #[test]
+    fn a_row_past_65536_entries_takes_the_u32_update_list() {
+        let n = 70_000;
+        let mut coo = javelin_sparse::CooMatrix::new(n, n);
+        for i in 0..n - 1 {
+            coo.push(i, i, 4.0 + (i % 7) as f64).unwrap();
+            coo.push(i, n - 1, 1.0 / (1 + i % 5) as f64).unwrap();
+            coo.push(n - 1, i, -1.0 / (1 + i % 3) as f64).unwrap();
+        }
+        let a_nn = n as f64;
+        coo.push(n - 1, n - 1, a_nn).unwrap();
+        let a = coo.to_csr();
+        for nthreads in [1, 2] {
+            let stats = assert_update_list_is_the_probe_enumeration("arrow", &a, 0, nthreads);
+            assert_eq!(stats.n_updates, n - 1, "t{nthreads}");
+            let opts = IluOptions::ilu0(nthreads);
+            let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+            assert!(
+                matches!(sym.core().upd, UpdateList::U32(_)),
+                "t{nthreads}: a {n}-entry row took the u16 list"
+            );
+            let f = sym.factor(&a).unwrap();
+            let pa = a.permute_sym(sym.perm()).unwrap();
+            let err = javelin_baseline::product_error_on_pattern(f.lu(), f.diag_positions(), &pa);
+            assert!(
+                err < n as f64 * f64::EPSILON * a_nn,
+                "t{nthreads}: product error {err}"
+            );
         }
     }
 

@@ -15,7 +15,8 @@ use std::ops::Range;
 
 /// The width a CSR pattern stores its indices at: `usize` for a
 /// [`CsrMatrix`]'s own arrays, `u32` for the 4-byte copies an analysis
-/// keeps once it has checked that every index fits.
+/// keeps once it has checked that every index fits, and `u16` for
+/// in-row offsets of rows of at most 65 536 entries.
 pub trait SpIndex: Copy + Ord + Send + Sync + 'static {
     /// The index as a `usize` (a zero extension).
     fn ix(self) -> usize;
@@ -32,6 +33,13 @@ impl SpIndex for u32 {
     #[inline(always)]
     fn ix(self) -> usize {
         self as usize
+    }
+}
+
+impl SpIndex for u16 {
+    #[inline(always)]
+    fn ix(self) -> usize {
+        usize::from(self)
     }
 }
 

@@ -790,12 +790,12 @@ fn steady_state_refactor_allocates_zero_bytes() {
         }
     };
     for (what, a, fill, want) in [
-        ("grid", &grid, 0, pick((79, 906_016), (121, 1_388_812))),
+        ("grid", &grid, 0, pick((79, 809_928), (121, 1_292_724))),
         (
             "circuit",
             &circuit,
             1,
-            pick((90, 3_137_680), (143, 4_498_240)),
+            pick((90, 2_040_540), (143, 3_401_100)),
         ),
     ] {
         let opts = IluOptions::ilu0(1).with_fill(fill);

@@ -105,17 +105,18 @@ fn work_pins_and_recorded_walks() {
 
 /// The exact bytes of the analysis's index arrays
 /// (`SymbolicIlu::heap_bytes`): the two `u32` patterns, `a_src`, the
-/// update list, the permutation and the solve plan with its schedules.
+/// update list (4 B per update: every row here fits `u16` offsets), the
+/// permutation and the solve plan with its schedules.
 /// The matrices are `analyze`'s pin matrices in core.
 #[test]
 fn analysis_heap_bytes_pins() {
     let (grid, pin_circuit) = (grid(), transient_circuit(1_500, 40, false, 11));
     // (matrix, fill, nthreads, heap bytes).
     let cases: [(&str, &CsrMatrix<f64>, usize, usize, usize); 4] = [
-        ("grid", &grid, 0, 1, 449_412),
-        ("grid", &grid, 0, 2, 454_764),
-        ("circuit", &pin_circuit, 1, 1, 889_260),
-        ("circuit", &pin_circuit, 1, 2, 899_748),
+        ("grid", &grid, 0, 1, 418_836),
+        ("grid", &grid, 0, 2, 424_188),
+        ("circuit", &pin_circuit, 1, 1, 635_716),
+        ("circuit", &pin_circuit, 1, 2, 646_204),
     ];
     for (name, a, fill, nthreads, want) in cases {
         let opts = IluOptions::ilu0(nthreads).with_fill(fill);
