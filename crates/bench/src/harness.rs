@@ -1,7 +1,7 @@
 //! Shared infrastructure: suite preparation (the paper's DM + ND
 //! preordering pipeline), timing, text tables, and report output.
 
-use javelin_core::{factorize, ApplyScratch, IluFactors, IluOptions, SolveEngine};
+use javelin_core::{factorize, ApplyScratch, IluFactors, IluOptions, Preconditioner, SolveEngine};
 use javelin_order::{dm::dm_row_permutation, nested_dissection_order};
 use javelin_sparse::{CsrMatrix, Perm};
 use javelin_synth::suite::{Scale, SuiteMatrix};
@@ -117,8 +117,7 @@ pub(crate) fn measured_apply(a: &CsrMatrix<f64>, opts: &IluOptions) -> [Duration
     .map(|(t, engine)| {
         let f = factored(a, opts, t);
         time_best_of(5, || {
-            f.solve_with_buffer(engine, &mut scratch, &b, &mut x)
-                .expect("apply")
+            f.with_engine(engine).apply_with(&mut scratch, &b, &mut x)
         })
         .0
     })

@@ -220,55 +220,6 @@ impl<T: Scalar> IluFactors<T> {
         self.batch.precond(engine)
     }
 
-    /// Solves `A·x ≈ b` through the factors with the default engine
-    /// (see [`IluFactors::default_engine`]).
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on length mismatches.
-    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        self.solve_with(self.default_engine(), b, x)
-    }
-
-    /// Solves `A·x ≈ b` with an explicit engine (it allocates its
-    /// buffer; repeated callers should use
-    /// [`IluFactors::solve_with_buffer`]).
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on length mismatches.
-    pub fn solve_with(&self, engine: SolveEngine, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        self.solve_with_buffer(engine, &mut ApplyScratch::new(), b, x)
-    }
-
-    /// [`IluFactors::solve_panel_with_buffer`] at width 1 — a vector is
-    /// a one-column panel.
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on length mismatches.
-    pub fn solve_with_buffer(
-        &self,
-        engine: SolveEngine,
-        scratch: &mut ApplyScratch<T>,
-        b: &[T],
-        x: &mut [T],
-    ) -> Result<(), SparseError> {
-        self.solve_panel_with_buffer(engine, scratch, Panel::from_col(b), PanelMut::from_col(x))
-    }
-
-    /// Panel solve with an explicit engine (it allocates its buffer;
-    /// repeated callers should use
-    /// [`IluFactors::solve_panel_with_buffer`]).
-    ///
-    /// # Errors
-    /// [`SparseError::DimensionMismatch`] on shape mismatches.
-    pub fn solve_panel_with(
-        &self,
-        engine: SolveEngine,
-        b: Panel<'_, T>,
-        x: PanelMut<'_, T>,
-    ) -> Result<(), SparseError> {
-        self.solve_panel_with_buffer(engine, &mut ApplyScratch::new(), b, x)
-    }
-
     /// Solves `A·X ≈ B` for an `n × k` panel of right-hand sides through
     /// the crate's one apply pipeline (`trisolve::apply_panel`, one
     /// factor under every column): the engine retires all `k` columns
@@ -286,7 +237,13 @@ impl<T: Scalar> IluFactors<T> {
     /// `SolverWorkspace::reserve`) the whole solve is allocation-free.
     ///
     /// Column `c` of the result is bit-identical to a single-RHS solve
-    /// of column `c`, through any engine.
+    /// of column `c`, through any engine; a vector is a one-column
+    /// panel ([`Panel::from_col`]).
+    ///
+    /// This is the one fallible apply. Callers whose shapes are right by
+    /// construction use the [`Preconditioner`](crate::Preconditioner)
+    /// trait instead (`f.apply(..)`, `f.with_engine(e).apply_with(..)`),
+    /// which runs this same pipeline and panics on a mismatch.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on shape mismatches.
@@ -305,6 +262,7 @@ impl<T: Scalar> IluFactors<T> {
 mod tests {
     use super::*;
     use crate::options::{IluOptions, ZeroPivotPolicy};
+    use crate::Preconditioner;
     use javelin_sparse::lanes::DynLanes;
     use javelin_sparse::pattern::LevelPattern;
     use javelin_sparse::CooMatrix;
@@ -468,8 +426,8 @@ mod tests {
         for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
             let mut xr = vec![0.0; n];
             let mut xf = vec![0.0; n];
-            f.solve_with(engine, &b, &mut xr).unwrap();
-            fresh.solve_with(engine, &b, &mut xf).unwrap();
+            f.with_engine(engine).apply(&b, &mut xr);
+            fresh.with_engine(engine).apply(&b, &mut xf);
             let rb: Vec<u64> = xr.iter().map(|v| v.to_bits()).collect();
             let fb: Vec<u64> = xf.iter().map(|v| v.to_bits()).collect();
             assert_eq!(rb, fb, "engine={engine}");
@@ -525,10 +483,10 @@ mod tests {
         let f = compute_factors(&a, &opts);
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x_ref = vec![0.0; 150];
-        f.solve_with(SolveEngine::Serial, &b, &mut x_ref).unwrap();
+        f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ref);
         let mut x = vec![0.0; 150];
-        f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
-            .unwrap();
+        f.with_engine(SolveEngine::PointToPointLower)
+            .apply(&b, &mut x);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&x), bits(&x_ref));
     }
@@ -549,12 +507,12 @@ mod tests {
         let engine = SolveEngine::PointToPointLower;
         let fresh_bits = {
             let mut x = vec![0.0; 150];
-            fresh.solve_with(engine, &b, &mut x).unwrap();
+            fresh.with_engine(engine).apply(&b, &mut x);
             x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         for rep in 0..4 {
             let mut x = vec![0.0; 150];
-            reused.solve_with(engine, &b, &mut x).unwrap();
+            reused.with_engine(engine).apply(&b, &mut x);
             let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, fresh_bits, "rep={rep}");
         }
@@ -591,12 +549,14 @@ mod tests {
                 for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
                     let at = format!("engine={engine} threads={nthreads} k={k}");
                     let mut xp = vec![0.0; n * k];
-                    f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut xp, n, k))
-                        .unwrap();
+                    f.with_engine(engine).apply_panel_with(
+                        &mut ApplyScratch::new(),
+                        Panel::new(&b, n, k),
+                        PanelMut::new(&mut xp, n, k),
+                    );
                     for c in 0..k {
                         let mut x = vec![0.0; n];
-                        f.solve_with(engine, &b[c * n..(c + 1) * n], &mut x)
-                            .unwrap();
+                        f.with_engine(engine).apply(&b[c * n..(c + 1) * n], &mut x);
                         assert_eq!(bits(&xp[c * n..(c + 1) * n]), bits(&x), "{at} col={c}");
                     }
                     // The dynamic-width lane fallback is bit-identical to
@@ -650,8 +610,9 @@ mod tests {
         let short = vec![0.0; n];
         let mut xs = vec![0.0; n * 2];
         assert!(f
-            .solve_panel_with(
+            .solve_panel_with_buffer(
                 engine,
+                &mut ApplyScratch::new(),
                 Panel::new(&short, n, 1),
                 PanelMut::new(&mut xs, n, 2)
             )
@@ -659,8 +620,9 @@ mod tests {
         // Zero-width panels are a no-op.
         let empty: [f64; 0] = [];
         let mut empty_x: [f64; 0] = [];
-        f.solve_panel_with(
+        f.solve_panel_with_buffer(
             engine,
+            &mut ApplyScratch::new(),
             Panel::new(&empty, n, 0),
             PanelMut::new(&mut empty_x, n, 0),
         )
@@ -686,9 +648,9 @@ mod tests {
         let mut x0 = vec![0.0; n];
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
-        f_owned.solve_with(engine, &b, &mut x0).unwrap();
-        f1.solve_with(engine, &b, &mut x1).unwrap();
-        f2.solve_with(engine, &b, &mut x2).unwrap();
+        f_owned.with_engine(engine).apply(&b, &mut x0);
+        f1.with_engine(engine).apply(&b, &mut x1);
+        f2.with_engine(engine).apply(&b, &mut x2);
         let b0: Vec<u64> = x0.iter().map(|v| v.to_bits()).collect();
         let b1: Vec<u64> = x1.iter().map(|v| v.to_bits()).collect();
         let b2: Vec<u64> = x2.iter().map(|v| v.to_bits()).collect();
@@ -720,12 +682,12 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 17) as f64) - 8.0).collect();
         let mut x_def = vec![0.0; n];
         let mut x_ser = vec![0.0; n];
-        f.solve_into(&b, &mut x_def).unwrap();
-        f.solve_with(SolveEngine::Serial, &b, &mut x_ser).unwrap();
+        f.apply(&b, &mut x_def);
+        f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ser);
         assert_eq!(x_def, x_ser);
         let mut x_p2p = vec![0.0; n];
-        f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_p2p)
-            .unwrap();
+        f.with_engine(SolveEngine::PointToPointLower)
+            .apply(&b, &mut x_p2p);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&x_p2p), bits(&x_ser));
         // Within the core budget the threaded default survives — pinned
@@ -784,7 +746,7 @@ mod tests {
         let n = a.nrows();
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        f.solve_into(&b, &mut x).unwrap();
+        f.apply(&b, &mut x);
         // r = b - A x should be noticeably smaller than b for a useful
         // preconditioner.
         let ax = a.spmv(&x);
@@ -810,7 +772,7 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let b = a.spmv(&x_true);
         let mut x = vec![0.0; n];
-        f.solve_into(&b, &mut x).unwrap();
+        f.apply(&b, &mut x);
         for (g, w) in x.iter().zip(x_true.iter()) {
             assert!((g - w).abs() < 1e-8, "{g} vs {w}");
         }
@@ -877,11 +839,27 @@ mod tests {
 
     #[test]
     fn solve_rejects_bad_lengths() {
+        // The one fallible apply reports every shape mismatch — wrong
+        // `b` rows, wrong `x` rows, wrong `x` columns — as an error on
+        // both engines.
         let a = laplace_2d(4, 4);
-        let f = compute_factors(&a, &IluOptions::default());
-        let b = vec![1.0; 16];
-        let mut x = vec![0.0; 15];
-        assert!(f.solve_into(&b, &mut x).is_err());
+        let f = compute_factors(&a, &IluOptions::ilu0(2));
+        let (b, mut x) = (vec![1.0; 32], vec![0.0; 32]);
+        for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
+            let mut scratch = ApplyScratch::new();
+            // (b rows, x rows, x columns) against n = 16 at width 2.
+            for (nb, nx, kx) in [(15, 16, 2), (16, 15, 2), (16, 16, 1)] {
+                let b = Panel::new(&b[..nb * 2], nb, 2);
+                let x = PanelMut::new(&mut x[..nx * kx], nx, kx);
+                assert!(
+                    matches!(
+                        f.solve_panel_with_buffer(engine, &mut scratch, b, x),
+                        Err(SparseError::DimensionMismatch(_))
+                    ),
+                    "{engine}: b rows {nb}, x {nx}x{kx}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1011,8 +989,11 @@ mod tests {
                     .collect();
                 let solve = |engine| {
                     let mut x = vec![0.0; n * k];
-                    f.solve_panel_with(engine, Panel::new(&b, n, k), PanelMut::new(&mut x, n, k))
-                        .unwrap();
+                    f.with_engine(engine).apply_panel_with(
+                        &mut ApplyScratch::new(),
+                        Panel::new(&b, n, k),
+                        PanelMut::new(&mut x, n, k),
+                    );
                     bits(&x)
                 };
                 assert_eq!(
@@ -1073,7 +1054,7 @@ mod tests {
         f.refactor(&a).unwrap();
         let b = vec![1.0f32; n];
         let mut x = vec![0.0f32; n];
-        f.solve_into(&b, &mut x).unwrap();
+        f.apply(&b, &mut x);
         assert!(x.iter().all(|v| v.is_finite()));
     }
 }
@@ -1083,6 +1064,7 @@ mod proptests {
     use super::tests::product_error;
     use super::*;
     use crate::options::{IluOptions, SolveEngine};
+    use crate::Preconditioner;
     use javelin_sparse::CooMatrix;
     use proptest::prelude::*;
 
@@ -1174,19 +1156,16 @@ mod proptests {
             let mut xr = vec![0.0; n * k];
             let mut xf = vec![0.0; n * k];
             let engine = f.default_engine();
-            f.solve_panel_with(
-                engine,
+            f.with_engine(engine).apply_panel_with(
+                &mut ApplyScratch::new(),
                 javelin_sparse::Panel::new(&b, n, k),
                 javelin_sparse::PanelMut::new(&mut xr, n, k),
-            )
-            .unwrap();
-            fresh
-                .solve_panel_with(
-                    engine,
-                    javelin_sparse::Panel::new(&b, n, k),
-                    javelin_sparse::PanelMut::new(&mut xf, n, k),
-                )
-                .unwrap();
+            );
+            fresh.with_engine(engine).apply_panel_with(
+                &mut ApplyScratch::new(),
+                javelin_sparse::Panel::new(&b, n, k),
+                javelin_sparse::PanelMut::new(&mut xf, n, k),
+            );
             let xrb: Vec<u64> = xr.iter().map(|v| v.to_bits()).collect();
             let xfb: Vec<u64> = xf.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(xrb, xfb, "panel width {}", k);
@@ -1214,16 +1193,15 @@ mod proptests {
             let mut panels = Vec::new();
             for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
                 let mut xp = vec![0.0; n * k];
-                f.solve_panel_with(
-                    engine,
+                f.with_engine(engine).apply_panel_with(
+                    &mut ApplyScratch::new(),
                     javelin_sparse::Panel::new(&b, n, k),
                     javelin_sparse::PanelMut::new(&mut xp, n, k),
-                )
-                .unwrap();
+                );
                 let pb: Vec<u64> = xp.iter().map(|v| v.to_bits()).collect();
                 for c in 0..k {
                     let mut x = vec![0.0; n];
-                    f.solve_with(engine, &b[c * n..(c + 1) * n], &mut x).unwrap();
+                    f.with_engine(engine).apply(&b[c * n..(c + 1) * n], &mut x);
                     let sb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
                     prop_assert_eq!(&pb[c * n..(c + 1) * n], &sb[..], "engine={} k={} col={}", engine, k, c);
                 }
@@ -1241,9 +1219,9 @@ mod proptests {
             let f = factorize(&a, &opts).unwrap();
             let b: Vec<f64> = (0..n).map(|i| ((i * 31 % 17) as f64) - 8.0).collect();
             let mut x_ref = vec![0.0; n];
-            f.solve_with(SolveEngine::Serial, &b, &mut x_ref).unwrap();
+            f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ref);
             let mut x = vec![0.0; n];
-            f.solve_with(SolveEngine::PointToPointLower, &b, &mut x).unwrap();
+            f.with_engine(SolveEngine::PointToPointLower).apply(&b, &mut x);
             let xb: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
             let rb: Vec<u64> = x_ref.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(xb, rb);

@@ -62,8 +62,9 @@
 //!   zero heap allocations, zero thread spawns (the planned engines run
 //!   as regions on the persistent team), bit-identical to a fresh
 //!   [`SymbolicIlu::factor`] of the same values.
-//! * **Execute (every iteration).** [`IluFactors::solve_with`] /
-//!   [`Preconditioner::apply_with`] and [`SpmvPlan::execute`] run fused
+//! * **Execute (every iteration).** [`Preconditioner::apply_with`]
+//!   (through the default engine, or one pinned by
+//!   [`IluFactors::with_engine`]) and [`SpmvPlan::execute`] run fused
 //!   parallel regions on the planned team: no heap allocation, no
 //!   thread spawn, no `partition_point` searches — just loads, FMAs,
 //!   and point-to-point waits. Engine results stay bit-identical to
@@ -76,8 +77,10 @@
 //!   the reserve), reused verbatim afterwards, at every narrower width
 //!   too.
 //! * **Panels (multi-RHS).** Every execute path is generic over an RHS
-//!   panel width `k`: [`IluFactors::solve_panel_with_buffer`] /
-//!   [`Preconditioner::apply_panel_with`] and
+//!   panel width `k`: [`Preconditioner::apply_panel_with`] /
+//!   [`IluFactors::solve_panel_with_buffer`] (the one fallible apply:
+//!   it reports a shape mismatch as an error, where the trait panics)
+//!   and
 //!   [`SpmvPlan::execute_panel`] retire a whole `k`-wide block of
 //!   vectors under **one** schedule walk (on the Serial engine: one
 //!   stream over the factor). The factor apply is one pipeline for
@@ -86,10 +89,9 @@
 //!   buffer (wide Serial panels gather and scatter instead) — shared
 //!   by [`IluFactors`] (one factor
 //!   under every column) and [`FactorsBatch`] (column `c` against
-//!   scenario `c` of its lane-interleaved values), and the
-//!   single-vector entries are its width-1 wrappers, so column `c` of
-//!   any panel operation is **bit-identical** to the single-RHS path
-//!   on that column.
+//!   scenario `c` of its lane-interleaved values), and a single vector
+//!   is a one-column panel, so column `c` of any panel operation is
+//!   **bit-identical** to the single-RHS path on that column.
 //!   The Krylov drivers (`javelin_solver::krylov_panel_into`) build
 //!   on that contract with per-column convergence masking.
 //!
@@ -101,7 +103,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use javelin_core::{options::IluOptions, SymbolicIlu};
+//! use javelin_core::{options::IluOptions, Preconditioner, SymbolicIlu};
 //! use javelin_sparse::CooMatrix;
 //!
 //! // A small SPD tridiagonal system.
@@ -121,7 +123,7 @@
 //! let mut factors = sym.factor(&a).unwrap();
 //! let b = vec![1.0f64; n];
 //! let mut x = vec![0.0f64; n];
-//! factors.solve_into(&b, &mut x).unwrap();
+//! factors.apply(&b, &mut x);
 //! assert!(x.iter().all(|v| v.is_finite()));
 //! // … and when the values change on the same pattern, numeric-only:
 //! factors.refactor(&a).unwrap();

@@ -149,6 +149,10 @@ impl UpdateList {
     }
 }
 
+/// Least entry count of one block [`update_list`] writes its candidates
+/// into.
+const UPDATE_BLOCK: usize = 8192;
+
 /// The update list of an LU pattern: every elimination update the
 /// up-looking kernel performs, resolved once from the pattern.
 ///
@@ -162,7 +166,10 @@ impl UpdateList {
 ///
 /// One branch-free pass: a column → offset map of row `r` with a `NONE`
 /// sentinel, every candidate written and the cursor advanced by
-/// whether it hit; the map is reset after the row.
+/// whether it hit; the map is reset after the row. The candidates go
+/// into blocks of at least [`UPDATE_BLOCK`] entries, and the hits are
+/// copied once into a list of exactly their count, so the transient
+/// bytes stay near twice the list's.
 ///
 /// # Errors
 /// [`SparseError::InvalidStructure`] when the entry count or the update
@@ -183,8 +190,11 @@ pub(crate) fn update_list<I: UpdateIndex>(
     let mut pos = vec![NONE; n];
     let mut ptr = Vec::with_capacity(colidx.len() + 1);
     ptr.push(0u32);
-    let mut list: Vec<[I; 2]> = Vec::new();
-    let mut len = 0usize;
+    // Each row's candidates are written into the current block, which
+    // they never straddle; the hits are then copied once into a list of
+    // exactly their count.
+    let mut blocks: Vec<(Vec<[I; 2]>, usize)> = Vec::new();
+    let (mut block, mut used, mut len) = (Vec::new(), 0usize, 0usize);
     for r in 0..n {
         let (lo, dp, hi) = (rowptr[r], diag_pos[r], rowptr[r + 1]);
         assert!(
@@ -200,13 +210,18 @@ pub(crate) fn update_list<I: UpdateIndex>(
             .iter()
             .map(|&c| (rowptr[c as usize + 1] - diag_pos[c as usize] - 1) as usize)
             .sum();
-        list.resize(len + candidates, [I::narrow(0); 2]);
+        if used + candidates > block.len() {
+            let fresh = vec![[I::narrow(0); 2]; candidates.max(UPDATE_BLOCK)];
+            blocks.push((std::mem::replace(&mut block, fresh), used));
+            used = 0;
+        }
         for &c in &colidx[lower] {
             let (dc, hc) = (diag_pos[c as usize], rowptr[c as usize + 1]);
             for src in dc + 1..hc {
                 let dst = pos[colidx[src as usize] as usize];
-                list[len] = [I::narrow(dst), I::narrow(src - dc)];
-                len += usize::from(dst != NONE);
+                block[used] = [I::narrow(dst), I::narrow(src - dc)];
+                let hit = usize::from(dst != NONE);
+                (used, len) = (used + hit, len + hit);
             }
             ptr.push(index_u32(len, "n_updates")?);
         }
@@ -216,8 +231,11 @@ pub(crate) fn update_list<I: UpdateIndex>(
             pos[c as usize] = NONE;
         }
     }
-    list.truncate(len);
-    list.shrink_to_fit();
+    blocks.push((block, used));
+    let mut list = Vec::with_capacity(len);
+    for (block, used) in &blocks {
+        list.extend_from_slice(&block[..*used]);
+    }
     Ok((ptr, list))
 }
 

@@ -3,7 +3,7 @@
 use crate::batch_factor::FactorsBatch;
 use crate::factors::IluFactors;
 use crate::options::SolveEngine;
-use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar};
+use javelin_sparse::{Panel, PanelMut, Scalar};
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicU64;
 
@@ -178,83 +178,6 @@ impl<T: Scalar> Preconditioner<T> for EnginePinned<'_, T> {
     }
 }
 
-/// Symmetric successive over-relaxation (SSOR) preconditioning:
-/// `M = (D/ω + L)·(D/ω)⁻¹·(D/ω + U) · ω/(2-ω)`.
-///
-/// The paper names spmv-driven preconditioners like successive
-/// over-relaxation as the future work its spmv kernels target (§VI);
-/// this implements that preconditioner on the same CSR substrate —
-/// forward sweep with the strict lower part, diagonal scaling, backward
-/// sweep with the strict upper part, no factorization at all.
-#[derive(Debug, Clone)]
-pub struct SsorPrecond<T> {
-    a: CsrMatrix<T>,
-    diag_pos: Vec<usize>,
-    omega: T,
-}
-
-impl<T: Scalar> SsorPrecond<T> {
-    /// Builds SSOR with relaxation factor `omega ∈ (0, 2)`.
-    ///
-    /// # Errors
-    /// Propagates [`javelin_sparse::SparseError`] when the matrix is not
-    /// square or misses structural diagonal entries.
-    pub fn new(a: &CsrMatrix<T>, omega: f64) -> Result<Self, javelin_sparse::SparseError> {
-        assert!(omega > 0.0 && omega < 2.0, "SSOR needs omega in (0, 2)");
-        let diag_pos = a.diag_positions()?;
-        Ok(SsorPrecond {
-            a: a.clone(),
-            diag_pos,
-            omega: T::from_f64(omega),
-        })
-    }
-
-    /// The relaxation factor.
-    pub fn omega(&self) -> f64 {
-        self.omega.to_f64()
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for SsorPrecond<T> {
-    fn apply(&self, r: &[T], z: &mut [T]) {
-        let n = self.a.nrows();
-        assert_eq!(r.len(), n, "ssor: length mismatch");
-        assert_eq!(z.len(), n, "ssor: length mismatch");
-        let vals = self.a.vals();
-        let colidx = self.a.colidx();
-        let rowptr = self.a.rowptr();
-        let w = self.omega;
-        // Forward sweep: (D/ω + L) y = r.
-        for i in 0..n {
-            let mut sum = r[i];
-            for k in rowptr[i]..self.diag_pos[i] {
-                sum -= vals[k] * z[colidx[k]];
-            }
-            z[i] = sum * w / vals[self.diag_pos[i]];
-        }
-        // Scale: y ← (D/ω) y.
-        for i in 0..n {
-            z[i] = z[i] * vals[self.diag_pos[i]] / w;
-        }
-        // Backward sweep: (D/ω + U) z = y.
-        for i in (0..n).rev() {
-            let mut sum = z[i];
-            for k in (self.diag_pos[i] + 1)..rowptr[i + 1] {
-                sum -= vals[k] * z[colidx[k]];
-            }
-            z[i] = sum * w / vals[self.diag_pos[i]];
-        }
-        // Symmetrizing scale ω/(2-ω) ≈ folded into the sweeps above for
-        // preconditioning purposes (a constant scaling of M does not
-        // change Krylov convergence for CG/GMRES with exact arithmetic,
-        // but keep it for fidelity).
-        let scale = (T::from_f64(2.0) - w) / w;
-        for zi in z.iter_mut() {
-            *zi *= scale;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,100 +239,5 @@ mod tests {
         );
         assert_eq!(wide(&mut scratch), fresh, "reused vs fresh scratch");
         assert_eq!(scratch.buffer(0).as_ptr(), ptr);
-    }
-
-    fn tridiag(n: usize) -> CsrMatrix<f64> {
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0).unwrap();
-            if i + 1 < n {
-                coo.push(i, i + 1, -1.0).unwrap();
-                coo.push(i + 1, i, -1.0).unwrap();
-            }
-        }
-        coo.to_csr()
-    }
-
-    #[test]
-    fn ssor_diagonal_matrix_is_jacobi_like() {
-        // On a pure diagonal, SSOR(ω=1) reduces to exact inversion.
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push(0, 0, 2.0).unwrap();
-        coo.push(1, 1, 4.0).unwrap();
-        coo.push(2, 2, 8.0).unwrap();
-        let p = SsorPrecond::new(&coo.to_csr(), 1.0).unwrap();
-        let mut z = vec![0.0; 3];
-        p.apply(&[2.0, 4.0, 8.0], &mut z);
-        assert_eq!(z, vec![1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn ssor_gauss_seidel_identity_on_tridiag() {
-        // ω = 1 (symmetric Gauss–Seidel): M = (D+L) D^{-1} (D+U); verify
-        // by applying M to the computed z and comparing with r.
-        let a = tridiag(12);
-        let p = SsorPrecond::new(&a, 1.0).unwrap();
-        let n = a.nrows();
-        let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
-        let mut z = vec![0.0; n];
-        p.apply(&r, &mut z);
-        // M z: backward op first... reconstruct M z = (D+L) D^{-1} (D+U) z.
-        let dp = a.diag_positions().unwrap();
-        let mut t = vec![0.0; n]; // t = (D+U) z
-        for i in 0..n {
-            let mut s = 0.0;
-            for k in dp[i]..a.rowptr()[i + 1] {
-                s += a.vals()[k] * z[a.colidx()[k]];
-            }
-            t[i] = s;
-        }
-        for ti in t.iter_mut().zip(dp.iter()) {
-            *ti.0 /= a.vals()[*ti.1]; // D^{-1}
-        }
-        let mut mz = vec![0.0; n]; // (D+L) t
-        for i in 0..n {
-            let mut s = 0.0;
-            for k in a.rowptr()[i]..=dp[i] {
-                s += a.vals()[k] * t[a.colidx()[k]];
-            }
-            mz[i] = s;
-        }
-        for (got, want) in mz.iter().zip(r.iter()) {
-            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn ssor_preconditions_cg_style_iteration() {
-        // Richardson iteration with SSOR must contract on an SPD system.
-        let a = tridiag(30);
-        let p = SsorPrecond::new(&a, 1.2).unwrap();
-        let n = a.nrows();
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let mut z = vec![0.0; n];
-        let first = (n as f64).sqrt(); // ||b - A·0||
-        let mut last = f64::INFINITY;
-        for _ in 0..60 {
-            let ax = a.spmv(&x);
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(p, q)| p - q).collect();
-            let rn: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-            assert!(rn <= last * 1.001, "not contracting: {rn} > {last}");
-            last = rn;
-            p.apply(&r, &mut z);
-            for (xi, zi) in x.iter_mut().zip(&z) {
-                *xi += zi;
-            }
-        }
-        // SSOR-Richardson on a 1D Laplacian converges slowly but must
-        // clearly make progress: halve the residual over 60 sweeps.
-        assert!(last < 0.5 * first, "Richardson stalled: {last} vs {first}");
-    }
-
-    #[test]
-    #[should_panic(expected = "omega")]
-    fn ssor_rejects_bad_omega() {
-        let a = tridiag(4);
-        let _ = SsorPrecond::new(&a, 2.5);
     }
 }

@@ -9,10 +9,6 @@ use std::time::Duration;
 /// analysis's plans, with no counter in the hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Work {
-    /// Passes over the vectors the caller runs outside the engines'
-    /// regions (an apply's gather into or scatter out of the solve
-    /// buffer; a refactor's pattern check, value load or commit copy).
-    pub caller_vector_passes: usize,
     /// Bytes of schedule metadata the two point-to-point walks read:
     /// each block's task range and wait-list bounds, each wait entry,
     /// and the backward walk's row of each task.

@@ -66,9 +66,11 @@ pub(crate) fn iluk_pattern_serial<T: Scalar>(
     let k = k.min(n.saturating_sub(1)) as u32;
     if k == 0 {
         let mut p = CsrPattern::of_matrix(a)?;
-        p.diag_pos = (0..n)
-            .map(|i| Ok((a.rowptr()[i] + diag_in_row(a, i)?) as u32))
-            .collect::<Result<_, SparseError>>()?;
+        // Sized up front: a collected `Result` carries no length hint.
+        p.diag_pos = Vec::with_capacity(n);
+        for i in 0..n {
+            p.diag_pos.push((a.rowptr()[i] + diag_in_row(a, i)?) as u32);
+        }
         return Ok(p);
     }
     let mut rowptr = vec![0u32; n + 1];

@@ -359,7 +359,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         // point-to-point engine's spin waits churn against each other on
         // shared cores and lose to plain serial substitution, so the
         // unnamed-engine path falls back. The threaded engine remains
-        // available through `solve_with` for measurements. The count is
+        // available through `with_engine` for measurements. The count is
         // the process's, recorded before any pinning — a caller pinned
         // by this or an earlier team still sees every core.
         let cores = crate::sync::affinity::n_cores();
@@ -464,7 +464,6 @@ impl<T: Scalar> SymbolicIlu<T> {
         let plan = &self.core.plan;
         let trailing = plan.n_upper < self.core.n;
         Work {
-            caller_vector_passes: 0,
             schedule_bytes: plan.fwd.walk_bytes()
                 + plan.bwd.walk_bytes()
                 + plan.bwd_row_of_task.len() * std::mem::size_of::<usize>(),
@@ -495,7 +494,6 @@ impl<T: Scalar> SymbolicIlu<T> {
         }
         let fwd = &c.plan.fwd;
         Work {
-            caller_vector_passes: 0,
             schedule_bytes: fwd.walk_bytes(),
             wait_checks: fwd.n_waits(),
             publications: fwd.n_blocks(),

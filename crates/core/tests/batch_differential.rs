@@ -8,7 +8,7 @@
 //! shift-and-retry, drop-tolerance) and, for the batch's own applies
 //! (one pipeline pass over its lane-interleaved values), both
 //! triangular-solve engines: panel column `c` ≡ the single-column apply
-//! of scenario `c` ≡ a scalar `refactor` + `solve_with`.
+//! of scenario `c` ≡ a scalar `refactor` + `solve_panel_with_buffer`.
 //!
 //! A deterministic full grid pins the exact configuration matrix the
 //! contract names; a proptest sweeps random matrices, widths, thread
@@ -98,8 +98,12 @@ fn check_batch_vs_looped(
         let col = c * n..(c + 1) * n;
         for (engine, full, part) in &panels {
             let mut xs = vec![0.0; n];
+            let (bp, xp) = (
+                Panel::from_col(&b[col.clone()]),
+                PanelMut::from_col(&mut xs),
+            );
             scalar
-                .solve_with(*engine, &b[col.clone()], &mut xs)
+                .solve_panel_with_buffer(*engine, &mut ApplyScratch::new(), bp, xp)
                 .map_err(|e| format!("{e:?}"))?;
             let mut xc = vec![0.0; n];
             batch

@@ -328,8 +328,8 @@ fn retire(cols: &mut Columns<'_>, c: usize, iterations: usize, relres: f64, opts
 mod tests {
     use super::*;
     use crate::{krylov_panel_with, krylov_with, Method, ScenarioMatrices};
-    use javelin_core::precond::{IdentityPrecond, SsorPrecond};
-    use javelin_core::{factorize, IluOptions, SolveEngine, SymbolicIlu};
+    use javelin_core::precond::IdentityPrecond;
+    use javelin_core::{factorize, IluFactors, IluOptions, SolveEngine, SymbolicIlu};
     use javelin_sparse::{CooMatrix, CsrMatrix};
     use javelin_synth::grid::convection_diffusion_2d;
     use javelin_synth::util::{revalue, rhs_panel};
@@ -1183,12 +1183,12 @@ mod tests {
 
     #[test]
     fn fgmres_tolerates_a_varying_preconditioner() {
-        // A preconditioner that alternates between SSOR(1.0) and
-        // SSOR(1.5) per application — invalid for plain GMRES's final
-        // M^{-1}(V y) step, fine for FGMRES.
+        // A preconditioner that alternates between the ILU(0) and the
+        // ILU(1) factors of the matrix per application — invalid for
+        // plain GMRES's final M^{-1}(V y) step, fine for FGMRES.
         struct Alternating {
-            a: SsorPrecond<f64>,
-            b: SsorPrecond<f64>,
+            a: IluFactors<f64>,
+            b: IluFactors<f64>,
             flip: Mutex<bool>,
         }
         impl Preconditioner<f64> for Alternating {
@@ -1205,8 +1205,8 @@ mod tests {
         let a = convection(12, 12);
         let n = a.nrows();
         let pre = Alternating {
-            a: SsorPrecond::new(&a, 1.0).unwrap(),
-            b: SsorPrecond::new(&a, 1.5).unwrap(),
+            a: factorize(&a, &IluOptions::default()).unwrap(),
+            b: factorize(&a, &IluOptions::default().with_fill(1)).unwrap(),
             flip: Mutex::new(false),
         };
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();

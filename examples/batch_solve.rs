@@ -17,7 +17,7 @@
 //!    global allocator, not assumed;
 //! 4. malformed panels are rejected with an error, not a panic.
 
-use javelin::core::{factorize, IluOptions};
+use javelin::core::{factorize, ApplyScratch, IluOptions};
 use javelin::solver::{krylov_panel_with, krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin::sparse::{Panel, PanelMut};
 use javelin::synth::grid::laplace_2d;
@@ -148,8 +148,9 @@ fn main() {
     let short = vec![0.0; n];
     let mut bad_x = vec![0.0; n * 2];
     assert!(factors
-        .solve_panel_with(
+        .solve_panel_with_buffer(
             factors.default_engine(),
+            &mut ApplyScratch::new(),
             Panel::new(&short, n, 1),
             PanelMut::new(&mut bad_x, n, 2)
         )
@@ -163,7 +164,7 @@ fn main() {
     let nn = an.nrows();
     let bn = rhs_panel(nn, k, 7);
     let mut session = javelin::Session::builder()
-        .nthreads(2)
+        .ilu_options(IluOptions::ilu0(2))
         .panel_width(k)
         .build(&an)
         .expect("session");

@@ -40,7 +40,7 @@ fn main() {
 
     let session = || {
         Session::builder()
-            .nthreads(nthreads)
+            .ilu_options(IluOptions::ilu0(nthreads))
             .panel_width(k)
             .solver_options(SolverOptions {
                 tol: 1e-8,

@@ -17,7 +17,10 @@
 //!
 //! // 2D Poisson problem, ILU(0) preconditioner, solve with PCG.
 //! let a = javelin::synth::grid::laplace_2d(16, 16);
-//! let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+//! let mut session = Session::builder()
+//!     .ilu_options(IluOptions::ilu0(2))
+//!     .build(&a)
+//!     .unwrap();
 //! let b = vec![1.0; a.nrows()];
 //! let mut x = vec![0.0; a.nrows()];
 //! let res = session.krylov(Method::Pcg, &b, &mut x).unwrap();
@@ -124,6 +127,12 @@ pub use javelin_sparse as sparse;
 pub use javelin_synth as synth;
 
 pub mod session;
+
+/// The README's ```` ```rust ```` blocks, compiled and run as doctests so
+/// they cannot go stale.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use session::{Session, SessionBuilder};
 

@@ -18,8 +18,7 @@
 //!
 //! let a = javelin::synth::grid::laplace_2d(16, 16);
 //! let mut session = Session::builder()
-//!     .fill_level(0)
-//!     .nthreads(2)
+//!     .ilu_options(IluOptions::ilu0(2).with_fill(0))
 //!     .panel_width(4)
 //!     .build(&a)
 //!     .unwrap();
@@ -32,19 +31,17 @@
 //! session.refactor(&a).unwrap();
 //! ```
 
-use javelin_core::sync::WorkerTeam;
-use javelin_core::{
-    FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
-};
+use javelin_core::{FactorStats, FactorsBatch, IluFactors, IluOptions, SolveEngine, SymbolicIlu};
 use javelin_solver::{IluSolver, Method, SolverOptions, SolverResult, SolverWorkspace};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
-use std::sync::Arc;
 
 /// Builder for a [`Session`] (see [`Session::builder`]).
 ///
-/// The common factorization and solver knobs have dedicated setters;
-/// [`SessionBuilder::ilu_options`] / [`SessionBuilder::solver_options`]
-/// are the escape hatches for everything else.
+/// The analysis is configured by one value, an [`IluOptions`] passed
+/// to [`SessionBuilder::ilu_options`] (fill level, drop tolerance,
+/// MILU, threads or a shared team, the pivot policy, …); the other
+/// setters cover what the session adds on top: the engine, the panel
+/// width, the GMRES basis warm-up and the Krylov controls.
 #[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
     opts: IluOptions,
@@ -55,37 +52,12 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Fill level `k` of ILU(k) (default 0).
-    #[must_use]
-    pub fn fill_level(mut self, k: usize) -> Self {
-        self.opts.fill_level = k;
-        self
-    }
-
-    /// Drop tolerance τ of ILU(k, τ) (default 0: no dropping).
-    #[must_use]
-    pub fn drop_tol(mut self, tau: f64) -> Self {
-        self.opts.drop_tol = tau;
-        self
-    }
-
-    /// Modified-ILU diagonal compensation ω (default 0).
-    #[must_use]
-    pub fn milu(mut self, omega: f64) -> Self {
-        self.opts.milu_omega = omega;
-        self
-    }
-
-    /// Worker threads (default 1: fully serial pipeline).
-    #[must_use]
-    pub fn nthreads(mut self, nthreads: usize) -> Self {
-        self.opts.nthreads = nthreads;
-        self
-    }
-
-    /// What the numeric phase does when a pivot collapses (default:
-    /// [`ZeroPivotPolicy::Replace`] with a tiny magnitude). With
-    /// [`ZeroPivotPolicy::shift_retry`] a breakdown triggers
+    /// The analysis's option set (default [`IluOptions::default`]: serial
+    /// ILU(0)). Build it with [`IluOptions::ilu0`] and the `with_*`
+    /// setters; [`IluOptions::with_shared_team`] runs the session's
+    /// regions on a caller-owned team that many sessions can share.
+    ///
+    /// With [`ZeroPivotPolicy::shift_retry`] a breakdown triggers
     /// allocation-free numeric re-runs under an escalating diagonal
     /// shift instead of failing the build:
     ///
@@ -100,31 +72,26 @@ impl SessionBuilder {
     /// coo.push(1, 0, 1.0).unwrap();
     /// coo.push(1, 1, 0.0).unwrap();
     /// let a = coo.to_csr();
+    /// let with_policy = |p| IluOptions::default().with_zero_pivot(p);
     /// // Under the strict policy the zero pivot aborts the build.
     /// assert!(Session::builder()
-    ///     .zero_pivot(ZeroPivotPolicy::Error)
+    ///     .ilu_options(with_policy(ZeroPivotPolicy::Error))
     ///     .build(&a)
     ///     .is_err());
     /// // Shift-and-retry: the factorization recovers by re-running the
     /// // numeric phase with a boosted diagonal, and reports how.
     /// let session = Session::builder()
-    ///     .zero_pivot(ZeroPivotPolicy::shift_retry())
+    ///     .ilu_options(with_policy(ZeroPivotPolicy::shift_retry()))
     ///     .build(&a)
     ///     .unwrap();
     /// assert!(session.stats().shift_attempts > 1);
     /// assert!(session.stats().diag_shift > 0.0);
     /// ```
+    ///
+    /// [`ZeroPivotPolicy::shift_retry`]: javelin_core::ZeroPivotPolicy::shift_retry
     #[must_use]
-    pub fn zero_pivot(mut self, policy: ZeroPivotPolicy) -> Self {
-        self.opts.zero_pivot = policy;
-        self
-    }
-
-    /// Magnitude below which a pivot counts as broken down (default
-    /// 1e-14); the trigger for whichever [`ZeroPivotPolicy`] is set.
-    #[must_use]
-    pub fn pivot_threshold(mut self, threshold: f64) -> Self {
-        self.opts.pivot_threshold = threshold;
+    pub fn ilu_options(mut self, opts: IluOptions) -> Self {
+        self.opts = opts;
         self
     }
 
@@ -165,27 +132,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Runs this session's parallel regions on a caller-owned worker
-    /// team (`nthreads` is taken from the team) — one process-wide team
-    /// can serve many sessions.
-    #[must_use]
-    pub fn shared_team(mut self, team: Arc<WorkerTeam>) -> Self {
-        self.opts = self.opts.with_shared_team(team);
-        self
-    }
-
     /// Krylov iteration controls (tolerance, caps, restart length).
     #[must_use]
     pub fn solver_options(mut self, solver: SolverOptions) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Replaces the full factorization option set (escape hatch; the
-    /// dedicated setters cover the common knobs).
-    #[must_use]
-    pub fn ilu_options(mut self, opts: IluOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -289,6 +239,8 @@ impl<T: Scalar> Session<T> {
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
+    ///
+    /// [`ZeroPivotPolicy::shift_retry`]: javelin_core::ZeroPivotPolicy::shift_retry
     pub fn krylov(
         &mut self,
         method: Method,
@@ -506,19 +458,16 @@ impl<T: Scalar> Session<T> {
     pub fn solver_options(&self) -> &SolverOptions {
         &self.options
     }
-
-    /// Mutable access to the Krylov iteration controls (e.g. to tighten
-    /// the tolerance between time steps).
-    pub fn solver_options_mut(&mut self) -> &mut SolverOptions {
-        &mut self.options
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use javelin_core::sync::WorkerTeam;
+    use javelin_core::{Preconditioner, ZeroPivotPolicy};
     use javelin_solver::{krylov_panel_with, krylov_with};
     use javelin_synth::grid::laplace_2d;
+    use std::sync::Arc;
 
     fn b_vec(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect()
@@ -529,7 +478,10 @@ mod tests {
         let a = laplace_2d(14, 14);
         let n = a.nrows();
         let b = b_vec(n);
-        let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         let mut xs = vec![0.0; n];
         let res = session.krylov(Method::Pcg, &b, &mut xs).unwrap();
         assert!(res.converged);
@@ -557,7 +509,10 @@ mod tests {
         let a = laplace_2d(12, 12);
         let n = a.nrows();
         let b = b_vec(n);
-        let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         for method in [
             Method::Pcg,
             Method::Gmres,
@@ -587,12 +542,15 @@ mod tests {
         let a = laplace_2d(10, 10);
         let n = a.nrows();
         let b = b_vec(n);
-        let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         let engine = session.engine();
         let mut xs = vec![0.0; n];
         session.solve(&b, &mut xs).unwrap();
         let mut xr = vec![0.0; n];
-        session.factors().solve_with(engine, &b, &mut xr).unwrap();
+        session.factors().with_engine(engine).apply(&b, &mut xr);
         assert_eq!(
             xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             xr.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -608,7 +566,7 @@ mod tests {
             .map(|i| ((i * 7 % 31) as f64) * 0.11 - 1.5)
             .collect();
         let mut session = Session::builder()
-            .nthreads(2)
+            .ilu_options(IluOptions::ilu0(2))
             .panel_width(k)
             .build(&a)
             .unwrap();
@@ -645,7 +603,10 @@ mod tests {
         let a = laplace_2d(10, 10);
         let n = a.nrows();
         let b = b_vec(n);
-        let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         // Scale the whole system: same pattern, new values.
         let (nr, nc, rp, ci, vs) = a.clone().into_parts();
         let vs2: Vec<f64> = vs.iter().map(|v| v * 2.0).collect();
@@ -657,7 +618,10 @@ mod tests {
         assert!(res.converged);
         // A·x = b with A doubled means x is halved relative to the
         // original system's solution.
-        let mut session1 = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session1 = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         let mut x1 = vec![0.0; n];
         session1.krylov(Method::Pcg, &b, &mut x1).unwrap();
         for (two, one) in x.iter().zip(x1.iter()) {
@@ -678,7 +642,7 @@ mod tests {
             .map(|i| ((i * 7 % 29) as f64) * 0.13 - 1.7)
             .collect();
         let mut session = Session::builder()
-            .nthreads(2)
+            .ilu_options(IluOptions::ilu0(2))
             .panel_width(k)
             .build(&a)
             .unwrap();
@@ -700,7 +664,10 @@ mod tests {
         // Reference: an independent session per scenario, scalar
         // refactor + scalar krylov. Same bits, same iteration counts.
         for (c, m) in corners.iter().enumerate() {
-            let mut single = Session::builder().nthreads(2).build(&a).unwrap();
+            let mut single = Session::builder()
+                .ilu_options(IluOptions::ilu0(2))
+                .build(&a)
+                .unwrap();
             single.refactor(m).unwrap();
             let mut x = vec![0.0; n];
             let r = single
@@ -780,7 +747,10 @@ mod tests {
         // of an error. The shifted refactor must land in the stats.
         let a = laplace_2d(10, 10);
         let n = a.nrows();
-        let mut session = Session::builder().nthreads(2).build(&a).unwrap();
+        let mut session = Session::builder()
+            .ilu_options(IluOptions::ilu0(2))
+            .build(&a)
+            .unwrap();
         assert_eq!(session.stats().diag_shift, 0.0);
         let mut b = b_vec(n);
         b[3] = f64::NAN;
@@ -810,7 +780,7 @@ mod tests {
         let mut b: Vec<f64> = (0..n * k).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
         b[n + 3] = f64::NAN;
         let mut session = Session::builder()
-            .nthreads(2)
+            .ilu_options(IluOptions::ilu0(2))
             .panel_width(k)
             .build(&a)
             .unwrap();
@@ -851,12 +821,21 @@ mod tests {
 
     #[test]
     fn builder_knobs_are_applied() {
+        // One config surface: every analysis knob travels inside the
+        // `IluOptions` value and reaches the analysis unchanged, beside
+        // the session's own knobs.
         let a = laplace_2d(8, 8);
-        let session = Session::builder()
-            .fill_level(1)
-            .drop_tol(0.0)
-            .milu(0.0)
-            .nthreads(2)
+        let opts = IluOptions::ilu0(2)
+            .with_fill(1)
+            .with_drop_tol(1e-3)
+            .with_milu(0.5)
+            .with_zero_pivot(ZeroPivotPolicy::shift_retry());
+        let opts = IluOptions {
+            pivot_threshold: 1e-12,
+            ..opts
+        };
+        let mut session = Session::builder()
+            .ilu_options(opts.clone())
             // Not the analysis's pick for a 2-thread team on a multicore
             // host, so the knob is visible.
             .engine(SolveEngine::Serial)
@@ -867,9 +846,17 @@ mod tests {
             })
             .build(&a)
             .unwrap();
+        let got = session.symbolic().options();
+        assert_eq!(got.fill_level, 1);
+        assert_eq!(got.drop_tol, 1e-3);
+        assert_eq!(got.milu_omega, 0.5);
+        assert_eq!(got.nthreads, 2);
+        assert_eq!(got.zero_pivot, opts.zero_pivot);
+        assert_eq!(got.pivot_threshold, 1e-12);
         assert_eq!(session.engine(), SolveEngine::Serial);
-        assert_eq!(session.symbolic().options().fill_level, 1);
         assert_eq!(session.solver_options().tol, 1e-10);
+        // The panel width warmed the apply buffer both engines solve in.
+        assert!(session.workspace.precond.buffer(0).len() >= 4 * a.nrows());
         assert!(session.stats().nnz_lu >= a.nnz());
     }
 
@@ -918,11 +905,11 @@ mod tests {
         let a = laplace_2d(8, 8);
         let team = Arc::new(WorkerTeam::new(2));
         let mut s1 = Session::builder()
-            .shared_team(Arc::clone(&team))
+            .ilu_options(IluOptions::default().with_shared_team(Arc::clone(&team)))
             .build(&a)
             .unwrap();
         let mut s2 = Session::builder()
-            .shared_team(Arc::clone(&team))
+            .ilu_options(IluOptions::default().with_shared_team(Arc::clone(&team)))
             .build(&a)
             .unwrap();
         let n = a.nrows();

@@ -17,10 +17,12 @@
 #![cfg(feature = "fault-injection")]
 
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{
+    factorize, ApplyScratch, IluOptions, Preconditioner, SymbolicIlu, ZeroPivotPolicy,
+};
 use javelin::sparse::fault::{self, FaultAction};
 use javelin::sparse::io::read_matrix_market_from;
-use javelin::sparse::{CooMatrix, CsrMatrix, SparseError};
+use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut, SparseError};
 use javelin::sync::WorkerTeam;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,7 +86,7 @@ fn injected_zero_pivot_errors_strictly_and_shift_retry_recovers() {
     let n = a.nrows();
     let b = vec![1.0; n];
     let mut x = vec![0.0; n];
-    f.solve_into(&b, &mut x).unwrap();
+    f.apply(&b, &mut x);
     assert!(x.iter().all(|v| v.is_finite()));
     fault::clear();
 }
@@ -134,15 +136,17 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
 
     // Healthy reference through the parallel engine.
     let mut x_ref = vec![0.0; n];
-    f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_ref)
-        .unwrap();
+    f.with_engine(SolveEngine::PointToPointLower)
+        .apply(&b, &mut x_ref);
 
     // Inject a panic into the next parallel trisolve region.
     let gen_before = team.generation();
     fault::arm("trisolve.region", FaultAction::Panic, 0);
     let mut x_bad = vec![0.0; n];
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        let _ = f.solve_with(SolveEngine::PointToPointLower, &b, &mut x_bad);
+        let (bp, xp) = (Panel::from_col(&b), PanelMut::from_col(&mut x_bad));
+        let engine = SolveEngine::PointToPointLower;
+        let _ = f.solve_panel_with_buffer(engine, &mut ApplyScratch::new(), bp, xp);
     }));
     assert!(caught.is_err(), "the injected panic must propagate");
     assert!(team.is_poisoned(), "an unwound region must poison the team");
@@ -158,15 +162,15 @@ fn panicked_region_poisons_the_team_and_repair_restores_bit_identity() {
     f_same.refactor(&a).expect("refactor on the repaired team");
     let mut x_same = vec![0.0; n];
     f_same
-        .solve_with(SolveEngine::PointToPointLower, &b, &mut x_same)
-        .unwrap();
+        .with_engine(SolveEngine::PointToPointLower)
+        .apply(&b, &mut x_same);
 
     let fresh_opts = IluOptions::ilu0(2).with_shared_team(Arc::new(WorkerTeam::new(2)));
     let f_fresh = factorize(&a, &fresh_opts).unwrap();
     let mut x_fresh = vec![0.0; n];
     f_fresh
-        .solve_with(SolveEngine::PointToPointLower, &b, &mut x_fresh)
-        .unwrap();
+        .with_engine(SolveEngine::PointToPointLower)
+        .apply(&b, &mut x_fresh);
 
     assert_eq!(
         bits(f_same.lu().vals()),
@@ -491,19 +495,20 @@ proptest! {
         let f = factorize(&a, &opts.with_shared_team(Arc::clone(&team))).unwrap();
         prop_assert_eq!(f.stats().n_lower_rows > 0, with_lower);
         let mut x_ref = vec![0.0; n];
-        f.solve_with(engine, &b, &mut x_ref).unwrap();
+        f.with_engine(engine).apply(&b, &mut x_ref);
 
         fault::arm("trisolve.region", FaultAction::Panic, 0);
         let mut x_bad = vec![0.0; n];
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _ = f.solve_with(engine, &b, &mut x_bad);
+            let (bp, xp) = (Panel::from_col(&b), PanelMut::from_col(&mut x_bad));
+            let _ = f.solve_panel_with_buffer(engine, &mut ApplyScratch::new(), bp, xp);
         }));
         prop_assert!(caught.is_err());
         prop_assert!(team.is_poisoned());
 
         // `run` auto-repairs at its next entry — no explicit repair.
         let mut x_again = vec![0.0; n];
-        f.solve_with(engine, &b, &mut x_again).unwrap();
+        f.with_engine(engine).apply(&b, &mut x_again);
         prop_assert!(!team.is_poisoned());
         prop_assert_eq!(bits(&x_again), bits(&x_ref));
         fault::clear();

@@ -4,7 +4,7 @@
 //! option combinations.
 
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions, ZeroPivotPolicy};
+use javelin::core::{factorize, IluOptions, Preconditioner, ZeroPivotPolicy};
 use javelin::sparse::pattern::LevelPattern;
 use javelin::sparse::{CooMatrix, CsrMatrix, SparseError};
 
@@ -14,7 +14,7 @@ fn solve_roundtrip(a: &CsrMatrix<f64>, opts: &IluOptions) {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
     for engine in [SolveEngine::Serial, SolveEngine::PointToPointLower] {
         let mut x = vec![0.0; n];
-        f.solve_with(engine, &b, &mut x).expect("solve");
+        f.with_engine(engine).apply(&b, &mut x);
         assert!(x.iter().all(|v| v.is_finite()), "{engine}");
     }
 }
@@ -26,7 +26,7 @@ fn empty_matrix_factorizes_and_solves() {
     for nthreads in [1usize, 3] {
         let f = factorize(&a, &IluOptions::ilu0(nthreads)).expect("empty factorization");
         let mut x: Vec<f64> = vec![];
-        f.solve_into(&[], &mut x).expect("empty solve");
+        f.apply(&[], &mut x);
         assert!(x.is_empty());
         solve_roundtrip(&a, &IluOptions::ilu0(nthreads));
     }
@@ -117,7 +117,7 @@ fn one_by_one_system() {
     for nthreads in [1usize, 4] {
         let f = factorize(&a, &IluOptions::ilu0(nthreads)).unwrap();
         let mut x = vec![0.0];
-        f.solve_into(&[10.0], &mut x).unwrap();
+        f.apply(&[10.0], &mut x);
         assert_eq!(x, vec![2.0]);
     }
 }
@@ -254,7 +254,7 @@ fn banded_lower_stage_factor_and_apply_are_bitwise_serial() {
     let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
     let solve = |engine| {
         let mut x = vec![0.0; n];
-        f_par.solve_with(engine, &b, &mut x).unwrap();
+        f_par.with_engine(engine).apply(&b, &mut x);
         x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
     };
     assert_eq!(

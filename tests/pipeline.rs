@@ -4,7 +4,7 @@
 
 use javelin::baseline::product_error_on_pattern;
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions};
+use javelin::core::{factorize, ApplyScratch, IluOptions, Preconditioner};
 use javelin::solver::{krylov_with, Method, SolverOptions, SolverWorkspace};
 use javelin::sparse::{Panel, PanelMut};
 use javelin::synth::circuit::transient_circuit;
@@ -46,11 +46,10 @@ fn solve_engines_agree_across_suite() {
             opts.split.location_frac = 0.1;
             let f = factorize(&a, &opts).unwrap_or_else(|e| panic!("{}: {e}", meta.name));
             let mut x_ref = vec![0.0; n];
-            f.solve_with(SolveEngine::Serial, &b, &mut x_ref)
-                .expect("serial solve");
+            f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ref);
             let mut x = vec![0.0; n];
-            f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
-                .expect("parallel solve");
+            f.with_engine(SolveEngine::PointToPointLower)
+                .apply(&b, &mut x);
             for (k, (g, w)) in x.iter().zip(x_ref.iter()).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -95,20 +94,19 @@ fn folded_threaded_apply_is_bitwise_serial_on_strided_panels() {
             for k in [1, 2, 3, 5, 8] {
                 let b = rhs_panel(n, k, 5);
                 let mut want = vec![0.0; n * k];
-                f.solve_panel_with(
-                    SolveEngine::Serial,
+                f.with_engine(SolveEngine::Serial).apply_panel_with(
+                    &mut ApplyScratch::new(),
                     Panel::new(&b, n, k),
                     PanelMut::new(&mut want, n, k),
-                )
-                .expect("serial");
+                );
                 let stride = n + 3;
                 let mut got = vec![f64::from_bits(sentinel); stride * k];
-                f.solve_panel_with(
-                    SolveEngine::PointToPointLower,
-                    Panel::new(&b, n, k),
-                    PanelMut::with_stride(&mut got, n, k, stride),
-                )
-                .expect("threaded");
+                f.with_engine(SolveEngine::PointToPointLower)
+                    .apply_panel_with(
+                        &mut ApplyScratch::new(),
+                        Panel::new(&b, n, k),
+                        PanelMut::with_stride(&mut got, n, k, stride),
+                    );
                 for (i, v) in got.iter().enumerate() {
                     let (c, r) = (i / stride, i % stride);
                     let want_bits = if r < n {
@@ -140,7 +138,7 @@ fn preconditioner_quality_across_suite() {
         let f = factorize(&a, &IluOptions::default()).expect("factors");
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        f.solve_into(&b, &mut x).expect("solve");
+        f.apply(&b, &mut x);
         let ax = a.spmv(&x);
         let r: f64 = b
             .iter()

@@ -497,16 +497,13 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let mut x6 = vec![0.0; n6];
     let mut perm6 = ApplyScratch::new();
     f6.refactor(&revalue(&a6, 0.4)).expect("warm-up refactor");
-    f6.solve_with_buffer(engine6, &mut perm6, &b6, &mut x6)
-        .expect("warm-up solve");
+    f6.with_engine(engine6).apply_with(&mut perm6, &b6, &mut x6);
     f6.refactor(&revalue(&a6, 0.9)).expect("second warm-up");
-    f6.solve_with_buffer(engine6, &mut perm6, &b6, &mut x6)
-        .expect("second warm-up solve");
+    f6.with_engine(engine6).apply_with(&mut perm6, &b6, &mut x6);
     let a6_t = revalue(&a6, 3.3);
     let (allocs_mid, bytes_mid) = snapshot();
     f6.refactor(&a6_t).expect("steady-state pinned refactor");
-    f6.solve_with_buffer(engine6, &mut perm6, &b6, &mut x6)
-        .expect("steady-state pinned solve");
+    f6.with_engine(engine6).apply_with(&mut perm6, &b6, &mut x6);
     let (allocs_after, bytes_after) = snapshot();
     assert_eq!(
         allocs_after - allocs_mid,
@@ -659,7 +656,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // first solve has woken the team, a second BiCGSTAB solve touches
     // the heap on no thread.
     let mut session = javelin::Session::builder()
-        .nthreads(2)
+        .ilu_options(IluOptions::ilu0(2))
         .build(&a6)
         .expect("2-thread session");
     let (b1, x1) = (&r8[..n8], &mut z8[..n8]);
@@ -717,7 +714,7 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let a12 = javelin::synth::grid::laplace_3d(20, 20, 20);
     let n12 = a12.nrows();
     let mut session = javelin::Session::builder()
-        .nthreads(2)
+        .ilu_options(IluOptions::ilu0(2))
         .panel_width(8)
         .build(&a12)
         .expect("2-thread session");
@@ -790,12 +787,12 @@ fn steady_state_refactor_allocates_zero_bytes() {
         }
     };
     for (what, a, fill, want) in [
-        ("grid", &grid, 0, pick((79, 809_928), (121, 1_292_724))),
+        ("grid", &grid, 0, pick((59, 755_528), (101, 1_238_324))),
         (
             "circuit",
             &circuit,
             1,
-            pick((90, 2_040_540), (143, 3_401_100)),
+            pick((88, 1_459_976), (141, 2_820_536)),
         ),
     ] {
         let opts = IluOptions::ilu0(1).with_fill(fill);

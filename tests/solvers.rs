@@ -147,7 +147,7 @@ fn session_batched_nonsymmetric_krylov_is_columnwise_scalar_identical() {
         .map(|i| ((i * 13 % 29) as f64 - 14.0) * 0.21)
         .collect();
     let mut session = Session::builder()
-        .nthreads(2)
+        .ilu_options(IluOptions::ilu0(2))
         .panel_width(k)
         .build(&a)
         .unwrap();

@@ -7,7 +7,7 @@
 //! dependency needs).
 
 use javelin::core::options::SolveEngine;
-use javelin::core::{factorize, IluOptions, SymbolicIlu};
+use javelin::core::{factorize, ApplyScratch, IluOptions, Preconditioner, SymbolicIlu};
 use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut};
 use javelin::synth::grid::laplace_2d;
 use javelin::synth::suite::suite_matrix;
@@ -35,14 +35,13 @@ fn repeated_parallel_solves_are_stable() {
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 - 6.0).collect();
     let mut reference = vec![0.0; n];
-    f.solve_with(SolveEngine::Serial, &b, &mut reference)
-        .expect("serial");
+    f.with_engine(SolveEngine::Serial).apply(&b, &mut reference);
     // Hammer the point-to-point engine repeatedly: every run must carry
     // the serial bits (no lost updates, no stale reads).
     for round in 0..10 {
         let mut x = vec![0.0; n];
-        f.solve_with(SolveEngine::PointToPointLower, &b, &mut x)
-            .expect("parallel");
+        f.with_engine(SolveEngine::PointToPointLower)
+            .apply(&b, &mut x);
         for (g, w) in x.iter().zip(reference.iter()) {
             assert_eq!(g.to_bits(), w.to_bits(), "round {round}: {g} vs {w}");
         }
@@ -113,12 +112,12 @@ fn p2p_outcome(sym: &SymbolicIlu<f64>, a: &CsrMatrix<f64>, a2: &CsrMatrix<f64>) 
     for k in [1, 4] {
         let b = rhs_panel(n, k, 11);
         let mut x = vec![0.0; n * k];
-        f.solve_panel_with(
-            SolveEngine::PointToPointLower,
-            Panel::new(&b, n, k),
-            PanelMut::new(&mut x, n, k),
-        )
-        .expect("p2p apply");
+        f.with_engine(SolveEngine::PointToPointLower)
+            .apply_panel_with(
+                &mut ApplyScratch::new(),
+                Panel::new(&b, n, k),
+                PanelMut::new(&mut x, n, k),
+            );
         out.push(bits(&x));
     }
     out

@@ -29,7 +29,7 @@ fn transient_sweep_matches_committed_fixtures() {
     let a = a.permute_sym(&nested_dissection_order(&a, 64)).unwrap();
     let session = || {
         Session::builder()
-            .nthreads(2)
+            .ilu_options(IluOptions::ilu0(2))
             .panel_width(k)
             .solver_options(SolverOptions {
                 tol: 1e-8,

@@ -176,10 +176,9 @@ fn span_pins() {
     }
 }
 
-/// One apply's [`Work`]: no caller-side vector pass and one region.
+/// One apply's [`Work`]: one region.
 fn work(schedule_bytes: usize, wait_checks: usize, publications: usize, barriers: usize) -> Work {
     Work {
-        caller_vector_passes: 0,
         schedule_bytes,
         wait_checks,
         publications,
@@ -191,9 +190,8 @@ fn work(schedule_bytes: usize, wait_checks: usize, publications: usize, barriers
 #[test]
 fn refactor_work_pins() {
     // (matrix, nthreads, one refactor sweep's work at k = 1 and k = 8):
-    // no nnz-length pass on the caller at any thread count; at t ≥ 2
-    // the load region, the upper stage's walk of the forward schedule
-    // and the Even-Rows stage, and at t = 1 no region at all.
+    // at t ≥ 2 the load region, the upper stage's walk of the forward
+    // schedule and the Even-Rows stage, and at t = 1 no region at all.
     let cases: [(&str, fn() -> CsrMatrix<f64>, usize, Work); 6] = [
         ("grid", grid, 1, Work::default()),
         ("grid", grid, 2, refactor_work(3_216, 65, 68)),
@@ -221,11 +219,9 @@ fn refactor_work_pins() {
     }
 }
 
-/// One refactor sweep's [`Work`] on a team: no caller-side pass, no
-/// barrier, three regions.
+/// One refactor sweep's [`Work`] on a team: no barrier, three regions.
 fn refactor_work(schedule_bytes: usize, wait_checks: usize, publications: usize) -> Work {
     Work {
-        caller_vector_passes: 0,
         schedule_bytes,
         wait_checks,
         publications,
