@@ -10,11 +10,12 @@
 //! arithmetic loops over the `k` value-sets (the numeric engine of
 //! [`crate::numeric`] at width `k`). [`IluFactors`] is this type at
 //! `k = 1` plus the scalar error contract: [`SymbolicIlu::factor`],
-//! [`IluFactors::refactor`], [`IluFactors::refactor_with_shift`] and
-//! [`FactorsBatch::refactor_batch`] all run the same code: the O(1)
+//! [`IluFactors::refactor`], [`IluFactors::refactor_vals_with_shift`]
+//! and [`FactorsBatch::refactor_batch`] all run the same code: the O(1)
 //! shape checks on the caller, then one load region on the team that
-//! compares every matrix's pattern with the analyzed one and gathers
-//! the values, the walk, the commit and the statistics. Refreshing
+//! compares every matrix's pattern with the analyzed one (values alone
+//! were checked when they came in) and gathers the values, the walk,
+//! the commit and the statistics. Refreshing
 //! redoes the numeric phase with **zero heap allocations and zero
 //! thread spawns** on the persistent team.
 //!
@@ -55,7 +56,7 @@
 use crate::factors::IluFactors;
 use crate::precond::{ApplyScratch, EnginePinned};
 use crate::stats::FactorStats;
-use crate::symbolic_ilu::{NumericRun, SymbolicIlu};
+use crate::symbolic_ilu::{NumericRun, Sources, SymbolicIlu};
 use crate::trisolve::apply_panel;
 use crate::SolveEngine;
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Scalar, SparseError};
@@ -113,7 +114,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             ));
         }
         let mut batch = FactorsBatch::new(self, mats.len());
-        batch.refactor_lanes(mats, None)?;
+        batch.refactor_lanes(Sources::Matrices(mats), None)?;
         Ok(batch)
     }
 }
@@ -248,11 +249,12 @@ impl<T: Scalar> FactorsBatch<T> {
     ///   differs from the analyzed one. In both cases no factor is
     ///   touched.
     pub fn refactor_batch(&mut self, mats: &[&CsrMatrix<T>]) -> Result<(), SparseError> {
-        self.refactor_lanes(mats, None)
+        self.refactor_lanes(Sources::Matrices(mats), None)
     }
 
     /// The one numeric entry of every factor object, at every width:
-    /// shape checks → load region and planned walk
+    /// shape checks (each matrix's dimensions and entry count, each
+    /// value slice's length) → load region and planned walk
     /// ([`SymbolicIlu::run_numeric`], with `forced_shift` applied to
     /// every lane when set) → commit (swap or masked copy) →
     /// statistics. Errs only globally (see
@@ -260,26 +262,35 @@ impl<T: Scalar> FactorsBatch<T> {
     /// [`FactorsBatch::statuses`].
     pub(crate) fn refactor_lanes(
         &mut self,
-        mats: &[&CsrMatrix<T>],
+        sources: Sources<'_, T>,
         forced_shift: Option<f64>,
     ) -> Result<(), SparseError> {
-        if mats.len() != self.k {
+        if sources.width() != self.k {
             return Err(SparseError::DimensionMismatch(format!(
                 "refactor_batch got {} matrices, batch was built for k = {}",
-                mats.len(),
+                sources.width(),
                 self.k
             )));
         }
         // The O(1) checks; the load region compares the patterns.
-        for a in mats {
-            self.sym.check_shape(a)?;
+        match sources {
+            Sources::Matrices(mats) => {
+                for a in mats {
+                    self.sym.check_shape(a)?;
+                }
+            }
+            Sources::Values(vals) => {
+                for v in vals {
+                    self.sym.check_vals(v)?;
+                }
+            }
         }
         let t2 = Instant::now();
         let c = self.sym.core();
         {
             let sync = c.sync.lock();
             let run = NumericRun {
-                mats,
+                sources,
                 vals: &mut self.lu_vals,
                 drop_thresh: &mut self.drop_thresh,
                 progress: &sync.fwd,

@@ -7,7 +7,7 @@ use crate::level::P2PSchedule;
 use crate::options::SolveEngine;
 use crate::precond::{ApplyScratch, EnginePinned};
 use crate::stats::FactorStats;
-use crate::symbolic_ilu::SymbolicIlu;
+use crate::symbolic_ilu::{Sources, SymbolicIlu};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
 use std::sync::OnceLock;
 
@@ -141,7 +141,7 @@ impl<T: Scalar> IluFactors<T> {
     ///   factor values and statistics then keep the previous successful
     ///   factorization, so the old preconditioner stays usable.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
-        self.refactor_scalar(a, None)
+        self.refactor_scalar(Sources::Matrices(&[a]), None)
     }
 
     /// Like [`IluFactors::refactor`], but unconditionally boosts the
@@ -149,23 +149,50 @@ impl<T: Scalar> IluFactors<T> {
     /// trading a little preconditioner accuracy for stability — the
     /// engine behind breakdown-aware solve retries, where the unshifted
     /// factorization completed but produced factors too ill-conditioned
-    /// to apply. Same zero-allocation planned path as `refactor`; the
-    /// applied absolute shift lands in `stats().diag_shift`.
+    /// to apply. It checks `a`'s whole pattern against the analyzed one,
+    /// then runs [`IluFactors::refactor_vals_with_shift`] on `a`'s
+    /// values.
     ///
     /// # Errors
-    /// See [`IluFactors::refactor`].
+    /// See [`IluFactors::refactor`]; on a pattern mismatch nothing is
+    /// touched.
     pub fn refactor_with_shift(
         &mut self,
         a: &CsrMatrix<T>,
         relative_shift: f64,
     ) -> Result<(), SparseError> {
-        self.refactor_scalar(a, Some(relative_shift))
+        self.symbolic().check_pattern(a)?;
+        self.refactor_vals_with_shift(a.vals(), relative_shift)
+    }
+
+    /// [`IluFactors::refactor_with_shift`] from `A`'s values alone: `vals`
+    /// holds one value per entry of the analyzed pattern, in its order —
+    /// values whose pattern the caller has checked (a solve's breakdown
+    /// retry refactors from the values its factors came from). Same
+    /// zero-allocation planned path as `refactor`; the applied absolute
+    /// shift lands in `stats().diag_shift`.
+    ///
+    /// # Errors
+    /// * [`SparseError::DimensionMismatch`] when `vals` does not hold one
+    ///   value per analyzed entry (nothing is touched);
+    /// * [`SparseError::ZeroPivot`] when a pivot still collapses; the
+    ///   previous factorization is kept.
+    pub fn refactor_vals_with_shift(
+        &mut self,
+        vals: &[T],
+        relative_shift: f64,
+    ) -> Result<(), SparseError> {
+        self.refactor_scalar(Sources::Values(&[vals]), Some(relative_shift))
     }
 
     /// The batch's refactor at width 1, its one status surfaced as the
     /// result.
-    fn refactor_scalar(&mut self, a: &CsrMatrix<T>, shift: Option<f64>) -> Result<(), SparseError> {
-        self.batch.refactor_lanes(&[a], shift)?;
+    fn refactor_scalar(
+        &mut self,
+        sources: Sources<'_, T>,
+        shift: Option<f64>,
+    ) -> Result<(), SparseError> {
+        self.batch.refactor_lanes(sources, shift)?;
         self.lu.take();
         self.batch.statuses()[0].clone()
     }

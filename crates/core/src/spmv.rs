@@ -10,14 +10,17 @@
 //! `spmv_into` at every thread count and panel width.
 //!
 //! The plan streams a `u32` copy of the matrix's pattern
-//! (`crate::pattern::CsrPattern`) with the matrix's values: 12 bytes per
-//! stored entry instead of the 16 of a `usize` CSR, the index
+//! (`crate::pattern::CsrPattern`) with the values it is handed: 12
+//! bytes per stored entry instead of the 16 of a `usize` CSR, the index
 //! compression Williams et al. count among the first-order spmv
 //! optimizations. A plan built by [`crate::SymbolicIlu::spmv_plan`]
 //! shares the analysis's copy of `A`'s pattern; [`SpmvPlan::new`] makes
-//! a copy of its own. So an execute reads only the *values* of the
-//! matrix it is handed, which must carry the planned pattern: release
-//! builds check its shape (O(1)), debug builds its whole pattern.
+//! a copy of its own. The plan multiplies that one pattern with a value
+//! slice: [`SpmvPlan::execute_vals`] takes the values alone (one per
+//! planned entry, in the pattern's order), and the matrix entries
+//! [`SpmvPlan::execute`] and [`SpmvPlan::execute_panel`] check the
+//! matrix they are handed — its shape always (O(1)), its whole pattern
+//! in debug builds — and pass its values on.
 //!
 //! It follows the crate's plan/execute split: the row blocks are built
 //! once, on a team of the plan's own ([`SpmvPlan::new`]) or on an
@@ -26,8 +29,7 @@
 //! the executes then run without heap allocation, thread spawns or
 //! searches — the per-iteration shape the Krylov loop needs.
 //!
-//! A single vector ([`SpmvPlan::execute`], and a width-1
-//! [`SpmvPlan::execute_panel`]) runs `spmv_into`'s own row loop,
+//! A single vector (a width-1 panel) runs `spmv_into`'s own row loop,
 //! [`javelin_sparse::spmv_csr_rows`], at `u32` on each block; a
 //! one-thread plan runs it over every row on the caller. Wider panels
 //! run one width-generic lane core (`execute_lanes`), dispatching
@@ -66,14 +68,15 @@ use std::sync::Arc;
 /// between executes).
 ///
 /// The plan is tied to the *pattern* of the matrix it was built from:
-/// it keeps that pattern (at `u32` indices) and multiplies with it,
-/// reading only the values of the matrix an execute is handed — fresh
-/// on every execute, so numeric refactorizations reuse the plan
-/// unchanged. That matrix must carry the planned pattern. Every execute
-/// checks its dimensions and entry count; debug builds also check that
-/// its `rowptr` and `colidx` equal the planned ones. A release build
-/// multiplies a same-shape matrix of another pattern with the planned
-/// pattern.
+/// it keeps that pattern (at `u32` indices) and multiplies it with the
+/// values each execute is handed — fresh on every execute, so numeric
+/// refactorizations reuse the plan unchanged.
+/// [`execute_vals`](SpmvPlan::execute_vals) takes a value slice, which
+/// must hold one value per planned entry. The matrix entries must be
+/// handed a matrix of the planned pattern: they check its dimensions and
+/// entry count, and debug builds also check that its `rowptr` and
+/// `colidx` equal the planned ones. A release build multiplies a
+/// same-shape matrix of another pattern with the planned pattern.
 #[derive(Debug)]
 pub struct SpmvPlan<T> {
     ncols: usize,
@@ -137,21 +140,86 @@ impl<T: Scalar> SpmvPlan<T> {
         self.team.nthreads()
     }
 
+    /// Rows of the planned pattern (the length of `y`).
+    pub fn nrows(&self) -> usize {
+        self.pattern.nrows()
+    }
+
     /// Executes `y = A·x` through the plan: allocation-free, and bitwise
-    /// [`CsrMatrix::spmv_into`] at every thread count. Each thread runs
-    /// `spmv_into`'s own row loop, [`javelin_sparse::spmv_csr_rows`],
-    /// over the planned `u32` pattern and `a`'s values on its block; a
-    /// one-thread plan runs it on the caller and opens no region.
+    /// [`CsrMatrix::spmv_into`] at every thread count. This is
+    /// [`SpmvPlan::execute_panel`] at width 1.
     ///
     /// # Panics
     /// When `a`'s shape/nnz do not match the planned matrix (debug
     /// builds: when its pattern does not), or on vector length
     /// mismatches.
     pub fn execute(&self, a: &CsrMatrix<T>, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
-        assert_eq!(y.len(), self.pattern.nrows(), "spmv: y length mismatch");
-        self.check_panel_shapes(a, &Panel::from_col(x), &PanelMut::from_col(y));
-        let (p, vals) = (&*self.pattern, a.vals());
+        self.execute_panel(a, Panel::from_col(x), PanelMut::from_col(y));
+    }
+
+    /// Executes `Y = A·X` for a whole RHS panel through the plan: the
+    /// checks on `a` (its shape; in debug builds its whole pattern
+    /// against the planned one, since only its values are read), then
+    /// [`SpmvPlan::execute_vals`] with `a`'s values.
+    ///
+    /// # Panics
+    /// When `a`'s shape/nnz do not match the planned matrix (debug
+    /// builds: when its pattern does not), or on panel shape mismatches.
+    pub fn execute_panel(&self, a: &CsrMatrix<T>, x: Panel<'_, T>, y: PanelMut<'_, T>) {
+        assert_eq!(
+            a.nrows(),
+            self.pattern.nrows(),
+            "spmv plan: row count changed"
+        );
+        assert_eq!(a.ncols(), self.ncols, "spmv plan: col count changed");
+        assert_eq!(a.nnz(), self.pattern.nnz(), "spmv plan: nnz changed");
+        debug_assert!(
+            self.pattern.matches(a),
+            "spmv plan: the matrix's pattern differs from the planned one"
+        );
+        self.execute_vals(a.vals(), x, y);
+    }
+
+    /// Executes `Y = A·X` through the plan with `vals` as `A`'s values,
+    /// one per planned entry in the planned pattern's order, with one
+    /// pass over the pattern per panel (per [`LANE_CHUNK`] columns): the
+    /// one kernel behind every execute.
+    ///
+    /// Width 1 has each thread run `spmv_into`'s own row loop,
+    /// [`javelin_sparse::spmv_csr_rows`], over the planned `u32`
+    /// pattern on its block; a one-thread plan runs it on the caller
+    /// and opens no region. Widths 4 and 8 dispatch to the
+    /// monomorphized [`javelin_sparse::FixedLanes`] kernels
+    /// (compile-time lane trip counts — the SIMD-friendly form); every
+    /// other width runs the bit-identical [`javelin_sparse::DynLanes`]
+    /// fallback. Column `c` of the result is bitwise
+    /// [`CsrMatrix::spmv_into`] on column `c` of a matrix of the
+    /// planned pattern with these values.
+    ///
+    /// # Panics
+    /// When `vals` does not hold one value per planned entry, or on
+    /// panel shape mismatches.
+    pub fn execute_vals(&self, vals: &[T], x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
+        let nrows = self.pattern.nrows();
+        assert_eq!(
+            vals.len(),
+            self.pattern.nnz(),
+            "spmv plan: one value per planned entry"
+        );
+        assert_eq!(x.nrows(), self.ncols, "spmv: x panel rows mismatch");
+        assert_eq!(y.nrows(), nrows, "spmv: y panel rows mismatch");
+        assert_eq!(x.ncols(), y.ncols(), "spmv: panel widths differ");
+        match x.ncols() {
+            0 => {}
+            1 => self.execute_rows(vals, x.col(0), y.col_mut(0)),
+            k => with_lanes!(k, lanes => self.execute_lanes(lanes, vals, x, &mut y)),
+        }
+    }
+
+    /// The width-1 kernel behind [`SpmvPlan::execute_vals`]: each
+    /// thread runs `spmv_into`'s row loop over its row block.
+    fn execute_rows(&self, vals: &[T], x: &[T], y: &mut [T]) {
+        let p = &*self.pattern;
         let ys = RegionCells::new(y);
         self.team.run(|tid| {
             // Capture the `Sync` wrapper whole, not its `Cell` field.
@@ -161,50 +229,7 @@ impl<T: Scalar> SpmvPlan<T> {
         });
     }
 
-    /// Executes `Y = A·X` for a whole RHS panel through the plan, with
-    /// one pass over `A` per panel (per [`LANE_CHUNK`] columns).
-    ///
-    /// Width 1 is [`SpmvPlan::execute`]; widths 4 and 8 dispatch to the
-    /// monomorphized [`javelin_sparse::FixedLanes`] kernels
-    /// (compile-time lane trip counts — the SIMD-friendly form); every
-    /// other width runs the bit-identical [`javelin_sparse::DynLanes`]
-    /// fallback.
-    ///
-    /// Column `c` of the result is bitwise [`SpmvPlan::execute`] and
-    /// [`CsrMatrix::spmv_into`] on column `c`.
-    ///
-    /// # Panics
-    /// When `a`'s shape/nnz do not match the planned matrix (debug
-    /// builds: when its pattern does not), or on panel shape mismatches.
-    pub fn execute_panel(&self, a: &CsrMatrix<T>, x: Panel<'_, T>, mut y: PanelMut<'_, T>) {
-        match self.check_panel_shapes(a, &x, &y) {
-            0 => {}
-            1 => self.execute(a, x.col(0), y.col_mut(0)),
-            k => with_lanes!(k, lanes => self.execute_lanes(lanes, a, x, &mut y)),
-        }
-    }
-
-    /// The single shape validator behind every execute entry point
-    /// (also reached for zero-width panels, which are otherwise a
-    /// no-op): O(1) on `a`'s shape, plus — in debug builds — its whole
-    /// pattern against the planned one, since an execute reads only
-    /// `a`'s values. Returns the panel width.
-    fn check_panel_shapes(&self, a: &CsrMatrix<T>, x: &Panel<'_, T>, y: &PanelMut<'_, T>) -> usize {
-        let nrows = self.pattern.nrows();
-        assert_eq!(a.nrows(), nrows, "spmv plan: row count changed");
-        assert_eq!(a.ncols(), self.ncols, "spmv plan: col count changed");
-        assert_eq!(a.nnz(), self.pattern.nnz(), "spmv plan: nnz changed");
-        debug_assert!(
-            self.pattern.matches(a),
-            "spmv plan: the matrix's pattern differs from the planned one"
-        );
-        assert_eq!(x.nrows(), self.ncols, "spmv: x panel rows mismatch");
-        assert_eq!(y.nrows(), nrows, "spmv: y panel rows mismatch");
-        assert_eq!(x.ncols(), y.ncols(), "spmv: panel widths differ");
-        x.ncols()
-    }
-
-    /// The width-generic panel kernel behind [`SpmvPlan::execute_panel`]
+    /// The width-generic panel kernel behind [`SpmvPlan::execute_vals`]
     /// at widths above 1: each thread runs `spmv_into`'s row loop over
     /// its row block of the planned pattern, all lanes of a chunk per
     /// entry. Lane arithmetic is entry-ordered and lane-independent, so
@@ -212,15 +237,15 @@ impl<T: Scalar> SpmvPlan<T> {
     fn execute_lanes<L: Lanes>(
         &self,
         lanes: L,
-        a: &CsrMatrix<T>,
+        vals: &[T],
         x: Panel<'_, T>,
         y: &mut PanelMut<'_, T>,
     ) {
-        // Shapes were validated by `check_panel_shapes` on every entry
-        // path; only the lane/width pairing is this function's own.
+        // Shapes were validated by `execute_vals`; only the lane/width
+        // pairing is this function's own.
         let k = lanes.width();
         assert_eq!(x.ncols(), k, "spmv: panel width vs lanes");
-        let (p, vals) = (&*self.pattern, a.vals());
+        let p = &*self.pattern;
         let stride = y.col_stride();
         let ys = RegionCells::new(y.data_mut());
         self.team.run(|tid| {
@@ -508,6 +533,63 @@ mod tests {
         }
     }
 
+    /// The values core multiplies the planned pattern with the values it
+    /// is handed, not the planned matrix's: bitwise `spmv_into` on the
+    /// matrix of those values at 1 and 2 threads and widths 1, 3 and 8.
+    /// A value count other than the planned nnz panics through every
+    /// entry point, in release and debug builds alike.
+    #[test]
+    fn values_core_is_bitwise_spmv_into_and_checks_the_value_count() {
+        let a = skewed(40);
+        let n = a.nrows();
+        let vals: Vec<f64> = (0..a.nnz()).map(|e| 1.5 - (e % 9) as f64 * 0.37).collect();
+        let (rowptr, colidx) = (a.rowptr().to_vec(), a.colidx().to_vec());
+        let b = CsrMatrix::try_from_parts(n, n, rowptr, colidx, vals.clone()).unwrap();
+        let x: Vec<f64> = (0..n * 8).map(|i| (i as f64 * 0.29).cos()).collect();
+        // Same shape, other entry count: a diagonal.
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 1.0).unwrap();
+        }
+        let other = coo.to_csr();
+        for nthreads in [1, 2] {
+            let plan = SpmvPlan::new(&a, nthreads, 0);
+            for k in [1, 3, 8] {
+                let mut y = vec![f64::NAN; n * k];
+                let xs = Panel::new(&x[..n * k], n, k);
+                plan.execute_vals(&vals, xs, PanelMut::new(&mut y, n, k));
+                for c in 0..k {
+                    let mut want = vec![0.0; n];
+                    b.spmv_into(&x[c * n..(c + 1) * n], &mut want);
+                    let got = &y[c * n..(c + 1) * n];
+                    assert_eq!(bits(got), bits(&want), "nthreads={nthreads} k={k} col={c}");
+                }
+            }
+            let panics =
+                |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+            for len in [a.nnz() - 1, a.nnz() + 1] {
+                assert!(
+                    panics(&|| {
+                        let (xs, mut y) = (Panel::new(&x[..n], n, 1), vec![0.0; n]);
+                        plan.execute_vals(&vec![1.0; len], xs, PanelMut::new(&mut y, n, 1))
+                    }),
+                    "execute_vals, {len} values, nthreads={nthreads}"
+                );
+            }
+            assert!(
+                panics(&|| plan.execute(&other, &x[..n], &mut vec![0.0; n])),
+                "execute, nthreads={nthreads}"
+            );
+            assert!(
+                panics(&|| {
+                    let (xs, mut y) = (Panel::new(&x[..n * 3], n, 3), vec![0.0; n * 3]);
+                    plan.execute_panel(&other, xs, PanelMut::new(&mut y, n, 3))
+                }),
+                "execute_panel, nthreads={nthreads}"
+            );
+        }
+    }
+
     #[test]
     #[should_panic(expected = "panel widths differ")]
     fn zero_width_panel_with_mismatched_output_is_rejected() {
@@ -536,7 +618,7 @@ mod tests {
             let mut y_dyn = vec![0.0; n * k];
             plan.execute_lanes(
                 DynLanes(k),
-                &a,
+                a.vals(),
                 Panel::new(&x, n, k),
                 &mut PanelMut::new(&mut y_dyn, n, k),
             );

@@ -662,6 +662,22 @@ impl<T: Scalar> SymbolicIlu<T> {
         Ok(())
     }
 
+    /// The values-alone counterpart of [`SymbolicIlu::check_shape`]:
+    /// `vals` holds one value per entry of the analyzed `A`.
+    ///
+    /// # Errors
+    /// [`SparseError::DimensionMismatch`] otherwise.
+    pub(crate) fn check_vals(&self, vals: &[T]) -> Result<(), SparseError> {
+        let nnz = self.core.a.nnz();
+        if vals.len() != nnz {
+            return Err(SparseError::DimensionMismatch(format!(
+                "{} values, the analyzed pattern has {nnz} entries",
+                vals.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Numeric factorization of `a` through the precomputed symbolic
     /// analysis: the point-to-point upper stage, the Even-Rows lower
     /// stage and the serial corner (paper §III) on the analysis's
@@ -689,11 +705,11 @@ impl<T: Scalar> SymbolicIlu<T> {
     }
 
     /// The one numeric driver: load region (which also checks the
-    /// patterns) → per-lane sticky shift → engines → per-lane outcome,
-    /// for `lanes.width()` shape-checked ([`SymbolicIlu::check_shape`])
-    /// matrices at once. Every numeric entry point —
+    /// patterns of [`Sources::Matrices`]) → per-lane sticky shift →
+    /// engines → per-lane outcome, for `lanes.width()` sources at once.
+    /// Every numeric entry point —
     /// [`SymbolicIlu::factor`], [`IluFactors::refactor`],
-    /// [`IluFactors::refactor_with_shift`],
+    /// [`IluFactors::refactor_vals_with_shift`],
     /// [`FactorsBatch::refactor_batch`](crate::FactorsBatch::refactor_batch)
     /// — is this function at some width, called by the factor storage's
     /// one refactor. Allocation-free.
@@ -714,10 +730,10 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// `run.shifts` describe the successful sweep.
     ///
     /// # Errors
-    /// [`SparseError::PatternMismatch`] when a matrix's `rowptr` or
-    /// `colidx` differs from the analyzed pattern, decided right after
-    /// the first load and before any engine runs. Only `run.vals` and
-    /// `run.drop_thresh` have then been written.
+    /// [`SparseError::PatternMismatch`] when a source matrix's `rowptr`
+    /// or `colidx` differs from the analyzed pattern, decided right
+    /// after the first load and before any engine runs. Only `run.vals`
+    /// and `run.drop_thresh` have then been written.
     pub(crate) fn run_numeric<L: Lanes>(
         &self,
         lanes: L,
@@ -726,8 +742,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     ) -> Result<(), SparseError> {
         let c = &*self.core;
         let k = lanes.width();
-        assert_eq!(run.mats.len(), k, "one matrix per lane");
-        self.load_values(lanes, run.mats, run.vals, run.drop_thresh, true)?;
+        assert_eq!(run.sources.width(), k, "one source per lane");
+        self.load_values(lanes, run.sources, run.vals, run.drop_thresh, true)?;
         run.failures.fill(0);
         run.shifts.fill(0.0);
         run.statuses.fill(Ok(()));
@@ -785,22 +801,23 @@ impl<T: Scalar> SymbolicIlu<T> {
             }
             // Reload: the failed sweep left the buffer partially
             // factored. The patterns were checked by the first load.
-            self.load_values(lanes, run.mats, run.vals, run.drop_thresh, false)?;
+            self.load_values(lanes, run.sources, run.vals, run.drop_thresh, false)?;
         }
     }
 
-    /// The load region: loads every lane's matrix values into the
+    /// The load region: loads every lane's values of `A` into the
     /// interleaved buffer through the precomputed source map (fill
     /// positions get zero) and recomputes the per-lane τ drop
     /// thresholds, as one region on the analysis's team. Participant
     /// `tid` owns the `col_range` share of three ranges: the LU entries
     /// (the `a_src` gather, every lane of each), the rows (their τ
-    /// thresholds) and — when `check` is set — `0..=n` of `rowptr` and
+    /// thresholds, over the analyzed row ranges) and — when `check` is
+    /// set and the sources are matrices — `0..=n` of `rowptr` and
     /// `0..nnz_A` of `colidx`, which it compares with the analyzed
-    /// pattern. The matrices must have passed
-    /// [`SymbolicIlu::check_shape`], so every source index lies inside
-    /// their values whatever their pattern. Bit-identical at every
-    /// thread count: each slot is one copy or one row norm.
+    /// pattern. Every source holds `nnz_A` values
+    /// ([`SymbolicIlu::check_shape`] for matrices), so every source
+    /// index lies inside them whatever their pattern. Bit-identical at
+    /// every thread count: each slot is one copy or one row norm.
     ///
     /// # Errors
     /// [`SparseError::PatternMismatch`] when `check` is set and a
@@ -809,13 +826,13 @@ impl<T: Scalar> SymbolicIlu<T> {
     fn load_values<L: Lanes>(
         &self,
         lanes: L,
-        mats: &[&CsrMatrix<T>],
+        sources: Sources<'_, T>,
         vals: &mut [T],
         drop_thresh: &mut [T],
         check: bool,
     ) -> Result<(), SparseError> {
         let c = &*self.core;
-        assert_eq!(mats.len(), lanes.width());
+        assert_eq!(sources.width(), lanes.width());
         let nthreads = c.nthreads;
         let new_to_old = c.perm.new_to_old();
         // τ drop thresholds, relative to the original row norms (Saad's
@@ -828,7 +845,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             // Capture the `Sync` wrappers whole, not their `Cell` fields,
             // and read the width here, where a fixed width is a constant.
             let (vals, drop_thresh, k) = (&vals, &drop_thresh, lanes.width());
-            if check {
+            if let (true, Sources::Matrices(mats)) = (check, sources) {
                 let ptrs = col_range(c.a.rowptr.len(), nthreads, tid);
                 let cols = col_range(c.a.nnz(), nthreads, tid);
                 let differs = mats
@@ -843,10 +860,10 @@ impl<T: Scalar> SymbolicIlu<T> {
             for_each_chunk(0..k, |c0, cw| {
                 // The lanes' value slices are hoisted out of the entry
                 // loop: a cell store may alias anything read through
-                // `mats`, so the loop would reload each slice per entry.
+                // `sources`, so the loop would reload each slice per entry.
                 let mut srcs: [&[T]; LANE_CHUNK] = [&[]; LANE_CHUNK];
-                for (s, a) in srcs.iter_mut().zip(&mats[c0..c0 + cw]) {
-                    *s = a.vals();
+                for (s, lane) in srcs.iter_mut().zip(c0..c0 + cw) {
+                    *s = sources.vals(lane);
                 }
                 for (lanes_of_e, &src) in mine.chunks_exact(k).zip(&c.a_src[entries.clone()]) {
                     for (v, a) in lanes_of_e[c0..c0 + cw].iter().zip(&srcs) {
@@ -860,9 +877,13 @@ impl<T: Scalar> SymbolicIlu<T> {
             });
             if let Some(tau) = tau {
                 for new_r in col_range(c.n, nthreads, tid) {
-                    let old_r = new_to_old[new_r];
-                    for (lane, a) in mats.iter().enumerate() {
-                        let norm = a.row_vals(old_r).iter().map(|&v| v * v).sum::<T>().sqrt();
+                    let row = c.a.row(new_to_old[new_r]);
+                    for lane in 0..k {
+                        let norm = sources.vals(lane)[row.clone()]
+                            .iter()
+                            .map(|&v| v * v)
+                            .sum::<T>()
+                            .sqrt();
                         drop_thresh.0[lanes.idx(new_r, lane)].set(tau * norm);
                     }
                 }
@@ -1033,14 +1054,44 @@ fn p2p_schedules(
     (fwd, bwd)
 }
 
+/// The values of `A` one [`SymbolicIlu::run_numeric`] call loads, one
+/// source per lane.
+#[derive(Clone, Copy)]
+pub(crate) enum Sources<'a, T> {
+    /// Shape-checked ([`SymbolicIlu::check_shape`]) matrices, whose
+    /// patterns the first load compares with the analyzed one.
+    Matrices(&'a [&'a CsrMatrix<T>]),
+    /// `nnz_A` values per lane, in the analyzed pattern's order: values
+    /// whose pattern was checked when they came in.
+    Values(&'a [&'a [T]]),
+}
+
+impl<'a, T: Scalar> Sources<'a, T> {
+    /// The number of lanes.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            Sources::Matrices(mats) => mats.len(),
+            Sources::Values(vals) => vals.len(),
+        }
+    }
+
+    /// Lane `lane`'s values.
+    fn vals(self, lane: usize) -> &'a [T] {
+        match self {
+            Sources::Matrices(mats) => mats[lane].vals(),
+            Sources::Values(vals) => vals[lane],
+        }
+    }
+}
+
 /// Everything one [`SymbolicIlu::run_numeric`] call works on, all
 /// owned by the calling [`FactorsBatch`](crate::FactorsBatch) (its
 /// width-`k` buffers and per-lane state) or by the analysis (its
 /// pattern-only counters), so no width allocates. Per-lane slices have
 /// one element per lane.
 pub(crate) struct NumericRun<'a, T> {
-    /// One pattern-checked matrix per lane.
-    pub mats: &'a [&'a CsrMatrix<T>],
+    /// The values of `A`, one source per lane.
+    pub sources: Sources<'a, T>,
     /// Lane-interleaved value buffer (`nnz·k`).
     pub vals: &'a mut [T],
     /// Lane-interleaved τ thresholds (`n·k`; empty when dropping is off).

@@ -396,7 +396,9 @@ impl<T: Scalar> Engine<T> {
     /// each column starts from its request's `x` and leaves its
     /// solution there. A lone column solves straight in its request's
     /// own buffers; a wider panel is gathered into the staging panels
-    /// and scattered back.
+    /// and scattered back. The solver multiplies its analysis's pattern
+    /// with `a`'s values alone: the cache lookup checked `a`'s pattern
+    /// (an inserted entry was analyzed from `a`).
     fn solve_cols(
         &mut self,
         slot: usize,
@@ -409,7 +411,7 @@ impl<T: Scalar> Engine<T> {
         if let [i] = self.cols[..] {
             let SolveRequest { b, x, .. } = &mut requests[i];
             let (b, x) = (Panel::from_col(b), PanelMut::from_col(x));
-            solver.krylov_into(method, a, b, x, opts, ws, results);
+            solver.krylov_into(method, a.vals(), b, x, opts, ws, results);
             return;
         }
         let n = a.nrows();
@@ -418,7 +420,7 @@ impl<T: Scalar> Engine<T> {
         self.xbuf
             .gather(n, self.cols.iter().map(|&i| requests[i].x.as_slice()));
         let (b, x) = (self.bbuf.panel(), self.xbuf.panel_mut());
-        solver.krylov_into(method, a, b, x, opts, ws, results);
+        solver.krylov_into(method, a.vals(), b, x, opts, ws, results);
         for (c, &i) in self.cols.iter().enumerate() {
             self.xbuf.scatter_col(c, &mut requests[i].x);
         }

@@ -6,12 +6,14 @@
 //! triangular-solve engine resolved once at construction, and an spmv
 //! plan of the system on the analysis's own team
 //! ([`SymbolicIlu::spmv_plan`]), through which every matvec runs. The
-//! caller keeps the [`SolverWorkspace`] and the [`SolverOptions`] and
-//! lends them per call, so one workspace can serve many solvers.
+//! plan holds the analysis's one `u32` copy of the pattern, so a solve
+//! needs only the system's values: the caller keeps them, the
+//! [`SolverWorkspace`] and the [`SolverOptions`] and lends them per
+//! call, so one workspace can serve many solvers and no solver holds a
+//! copy of its matrix.
 
 use crate::{
-    krylov_panel_into, Method, PanelMatrices, ScenarioMatrices, SolverOptions, SolverResult,
-    SolverWorkspace,
+    krylov_panel_into, Method, PanelMatrices, SolverOptions, SolverResult, SolverWorkspace,
 };
 use javelin_core::{FactorsBatch, IluFactors, IluOptions, SolveEngine, SpmvPlan, SymbolicIlu};
 use javelin_sparse::{CsrMatrix, Panel, PanelMut, Scalar, SparseError};
@@ -39,7 +41,7 @@ const BREAKDOWN_RETRY_SHIFT: f64 = 1e-4;
 /// let mut results = [SolverResult::default()];
 /// solver.krylov_into(
 ///     Method::Pcg,
-///     &a,
+///     a.vals(),
 ///     Panel::from_col(&b),
 ///     PanelMut::from_col(&mut x),
 ///     &SolverOptions::default(),
@@ -97,19 +99,23 @@ impl<T: Scalar> IluSolver<T> {
     }
 
     /// Runs `method` over the panel `b` from the initial guesses in `x`
-    /// against `a`, which must hold the values the factors were last
-    /// refactored from, one result per column into `results`
-    /// ([`krylov_panel_into`], every matvec through the plan). `a` must
-    /// carry the analyzed pattern: the plan multiplies `a`'s values
-    /// with the analysis's copy of that pattern, so it checks `a`'s
-    /// shape, and debug builds its whole pattern ([`SpmvPlan`]). It
-    /// carries the pipeline's one breakdown retry:
+    /// against the system whose values are `vals`, one result per
+    /// column into `results` ([`krylov_panel_into`], every matvec
+    /// through the plan). `vals` must be the values the factors were
+    /// last refactored from, one per entry of the analyzed pattern in
+    /// its order: the plan multiplies them with the analysis's copy of
+    /// that pattern ([`SpmvPlan::execute_vals`]), which checks their
+    /// number, not where they came from. A caller checks the pattern
+    /// when the values come in, as `javelin::Session::refactor` and the
+    /// service's cache lookup do. It carries the pipeline's one
+    /// breakdown retry:
     ///
     /// 1. run the panel;
     /// 2. if any column ended in
     ///    [`SolverStatus::NumericalBreakdown`](crate::SolverStatus::NumericalBreakdown),
-    ///    refactor from `a` with a small forced diagonal shift
-    ///    ([`IluFactors::refactor_with_shift`]), at most once per call;
+    ///    refactor from `vals` with a small forced diagonal shift
+    ///    ([`IluFactors::refactor_vals_with_shift`]), at most once per
+    ///    call;
     /// 3. if that refactor succeeds, re-run exactly the broken columns,
     ///    one at a time, from their frozen finite iterates, and stamp
     ///    their results `retried`. A width-1 re-run carries the bits of
@@ -120,19 +126,23 @@ impl<T: Scalar> IluSolver<T> {
     ///    first-attempt results stand.
     ///
     /// # Panics
-    /// On shape mismatches or a wrong `results` length.
+    /// On shape mismatches, a wrong number of values or a wrong
+    /// `results` length.
     #[allow(clippy::too_many_arguments)]
     pub fn krylov_into(
         &mut self,
         method: Method,
-        a: &CsrMatrix<T>,
+        vals: &[T],
         b: Panel<'_, T>,
         mut x: PanelMut<'_, T>,
         opts: &SolverOptions,
         ws: &mut SolverWorkspace<T>,
         results: &mut [SolverResult],
     ) {
-        let op = OnPlan(a, &self.spmv);
+        let op = OnPlan {
+            plan: &self.spmv,
+            vals: |_| vals,
+        };
         let (n, k, stride) = (x.nrows(), x.ncols(), x.col_stride());
         let first = PanelMut::with_stride(x.data_mut(), n, k, stride);
         let m = self.factors.with_engine(self.engine);
@@ -142,7 +152,10 @@ impl<T: Scalar> IluSolver<T> {
         }
         // A failed shifted refactor leaves the factors as they were, and
         // the first-attempt results stand.
-        let Ok(()) = self.factors.refactor_with_shift(a, BREAKDOWN_RETRY_SHIFT) else {
+        let Ok(()) = self
+            .factors
+            .refactor_vals_with_shift(vals, BREAKDOWN_RETRY_SHIFT)
+        else {
             return;
         };
         let m = self.factors.with_engine(self.engine);
@@ -158,10 +171,10 @@ impl<T: Scalar> IluSolver<T> {
 
     /// The scenario sweep's solve: column `c` of `b`/`x` iterates on
     /// `mats[c]`, preconditioned by scenario `c` of `batch` (which must
-    /// have been factored from `mats`), every matvec through the plan.
-    /// Every scenario matrix must carry the analyzed pattern, as `a`
-    /// must for [`IluSolver::krylov_into`]. It has no retry, because a
-    /// batch has no shifted refactor.
+    /// have been factored from `mats`), every matvec through the plan
+    /// on `mats[c]`'s values. Every scenario matrix must carry the
+    /// analyzed pattern, as [`FactorsBatch::refactor_batch`] checks. It
+    /// has no retry, because a batch has no shifted refactor.
     ///
     /// # Panics
     /// On shape mismatches or a wrong `results` length.
@@ -178,37 +191,42 @@ impl<T: Scalar> IluSolver<T> {
         results: &mut [SolverResult],
     ) {
         let m = batch.precond(self.engine);
-        let op = OnPlan(ScenarioMatrices(mats), &self.spmv);
+        let op = OnPlan {
+            plan: &self.spmv,
+            vals: |c: usize| mats[c].vals(),
+        };
         krylov_panel_into(method, &op, b, x, &m, opts, ws, results);
     }
 }
 
-/// The solver's operator: `A` (or one scenario matrix per panel column,
-/// each on the analyzed pattern) with every matvec and every vector
-/// pass run through the plan, on the analysis's team — bitwise
-/// [`CsrMatrix::spmv_into`] and the `vecops` bodies.
-struct OnPlan<'p, A, T>(A, &'p SpmvPlan<T>);
+/// The solver's operator: the plan's one pattern multiplied with
+/// `vals(c)`, the values of panel column `c`'s matrix — one shared slice
+/// for a system, one slice per scenario for a sweep — with every matvec
+/// and every vector pass run through the plan, on the analysis's team:
+/// bitwise [`CsrMatrix::spmv_into`] and the `vecops` bodies.
+struct OnPlan<'p, T, V> {
+    plan: &'p SpmvPlan<T>,
+    vals: V,
+}
 
-impl<T: Scalar, A: PanelMatrices<T>> PanelMatrices<T> for OnPlan<'_, A, T> {
+impl<'p, T: Scalar, V: Fn(usize) -> &'p [T] + Sync> PanelMatrices<T> for OnPlan<'p, T, V> {
     fn nrows(&self) -> usize {
-        self.0.nrows()
-    }
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
-        self.0.col_matrix(c)
+        self.plan.nrows()
     }
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
-        self.1.execute(self.0.col_matrix(c), x, y);
+        let (x, y) = (Panel::from_col(x), PanelMut::from_col(y));
+        self.plan.execute_vals((self.vals)(c), x, y);
     }
     fn dot(&self, x: &[T], y: &[T], sums: &mut [T]) -> T {
-        self.1.dot(x, y, sums)
+        self.plan.dot(x, y, sums)
     }
     fn map<F: Fn(T) -> T + Sync>(&self, y: &mut [T], f: F) {
-        self.1.map(y, f);
+        self.plan.map(y, f);
     }
     fn zip<F: Fn(T, T) -> T + Sync>(&self, y: &mut [T], x: &[T], f: F) {
-        self.1.zip(y, x, f);
+        self.plan.zip(y, x, f);
     }
     fn zip3<F: Fn(T, T, T) -> T + Sync>(&self, y: &mut [T], u: &[T], v: &[T], f: F) {
-        self.1.zip3(y, u, v, f);
+        self.plan.zip3(y, u, v, f);
     }
 }

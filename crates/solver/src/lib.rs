@@ -93,21 +93,19 @@ use javelin_sparse::{vecops, CsrMatrix, Panel, PanelMut, Scalar};
 /// preconditioner applies. The drivers only ever touch the operator
 /// through [`PanelMatrices::spmv_col`], one call per column per
 /// matvec, and their `n`-vectors through the hooks after it, one call
-/// per pass, so an implementation decides *where* each `A·x`, dot and
-/// update runs: the defaults are the caller's
-/// [`CsrMatrix::spmv_into`] and the [`vecops`] bodies, and
-/// [`IluSolver`] runs them on the analysis's worker team through a
-/// [`javelin_core::SpmvPlan`] — bitwise the same results either way.
+/// per pass, so an implementation decides *where* and *from what* each
+/// `A·x`, dot and update runs: a `CsrMatrix` runs
+/// [`CsrMatrix::spmv_into`] and the default [`vecops`] bodies on the
+/// caller, and [`IluSolver`] multiplies the analysis's one pattern with
+/// the system's values through a [`javelin_core::SpmvPlan`] on the
+/// analysis's worker team — bitwise the same results either way.
 pub trait PanelMatrices<T: Scalar>: Sync {
     /// Row dimension (shared by every column's matrix).
     fn nrows(&self) -> usize;
-    /// The matrix driving panel column `c`.
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T>;
-    /// `y = A_c·x` for panel column `c`. Implementations must carry the
-    /// bits of the default, `col_matrix(c).spmv_into(x, y)`.
-    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
-        self.col_matrix(c).spmv_into(x, y);
-    }
+    /// `y = A_c·x` for panel column `c`: the drivers' one matvec hook.
+    /// Implementations must carry the bits of
+    /// [`CsrMatrix::spmv_into`] on column `c`'s matrix.
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]);
     /// `xᵀ·y`, every dot and 2-norm of the drivers. `sums` is the
     /// workspace's block-sum scratch: at least
     /// [`vecops::n_blocks`]`(x.len())` slots of stale values, which a
@@ -140,8 +138,8 @@ impl<T: Scalar> PanelMatrices<T> for CsrMatrix<T> {
     fn nrows(&self) -> usize {
         CsrMatrix::nrows(self)
     }
-    fn col_matrix(&self, _c: usize) -> &CsrMatrix<T> {
-        self
+    fn spmv_col(&self, _c: usize, x: &[T], y: &mut [T]) {
+        self.spmv_into(x, y);
     }
 }
 
@@ -151,9 +149,6 @@ impl<T: Scalar> PanelMatrices<T> for CsrMatrix<T> {
 impl<T: Scalar, A: PanelMatrices<T> + ?Sized> PanelMatrices<T> for &A {
     fn nrows(&self) -> usize {
         (**self).nrows()
-    }
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
-        (**self).col_matrix(c)
     }
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         (**self).spmv_col(c, x, y);
@@ -175,9 +170,6 @@ impl<T: Scalar, A: PanelMatrices<T> + ?Sized> PanelMatrices<T> for &A {
 impl<T: Scalar, A: PanelMatrices<T> + Send + ?Sized> PanelMatrices<T> for std::sync::Arc<A> {
     fn nrows(&self) -> usize {
         (**self).nrows()
-    }
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
-        (**self).col_matrix(c)
     }
     fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
         (**self).spmv_col(c, x, y);
@@ -212,8 +204,8 @@ impl<T: Scalar> PanelMatrices<T> for ScenarioMatrices<'_, T> {
     fn nrows(&self) -> usize {
         self.0[0].nrows()
     }
-    fn col_matrix(&self, c: usize) -> &CsrMatrix<T> {
-        self.0[c]
+    fn spmv_col(&self, c: usize, x: &[T], y: &mut [T]) {
+        self.0[c].spmv_into(x, y);
     }
 }
 

@@ -1,5 +1,5 @@
-//! The unified `Session` façade: one object owning the matrix, the
-//! two-phase factorization, the worker team and every workspace, with
+//! The unified `Session` façade: one object owning the system's values,
+//! the two-phase factorization, the worker team and every workspace, with
 //! the whole solve surface collapsed to three verbs —
 //! [`Session::solve`], [`Session::solve_panel`] and
 //! [`Session::krylov`] (with [`Session::krylov_panel`] as the batched
@@ -8,10 +8,13 @@
 //!
 //! The session wraps one [`IluSolver`], the solve pipeline it shares
 //! with the solve service: the factors, the engine, and an spmv plan
-//! that runs every Krylov matvec on the analysis's team. Its breakdown
-//! retry covers [`Session::krylov`] and [`Session::krylov_panel`], one
-//! shifted refactor per call; [`Session::sweep`] has no retry, because
-//! a scenario batch has no shifted refactor.
+//! that runs every Krylov matvec on the analysis's team. The pattern
+//! lives once, in the analysis (at `u32`); the session keeps only the
+//! values of the matrix it was built or last refactored from, and the
+//! plan multiplies the two. Its breakdown retry covers
+//! [`Session::krylov`] and [`Session::krylov_panel`], one shifted
+//! refactor from those values per call; [`Session::sweep`] has no
+//! retry, because a scenario batch has no shifted refactor.
 //!
 //! ```
 //! use javelin::prelude::*;
@@ -140,8 +143,9 @@ impl SessionBuilder {
     }
 
     /// Analyzes and factors `a`, returning a ready [`Session`]. The
-    /// session keeps its own copy of the matrix for the Krylov matvecs,
-    /// which its [`IluSolver`] runs on the analysis's team.
+    /// session keeps a copy of `a`'s values, not of the matrix: its
+    /// [`IluSolver`] multiplies them with the analysis's copy of the
+    /// pattern in every Krylov matvec, on the analysis's team.
     ///
     /// # Errors
     /// Everything [`SymbolicIlu::analyze`] / [`SymbolicIlu::factor`]
@@ -157,7 +161,8 @@ impl SessionBuilder {
             workspace.reserve_gmres_basis(Method::Gmres, n, self.solver.restart, k);
         }
         Ok(Session {
-            a: a.clone(),
+            n,
+            vals: a.vals().to_vec(),
             solver,
             batch: None,
             options: self.solver,
@@ -167,11 +172,17 @@ impl SessionBuilder {
 }
 
 /// A single owner for everything one linear system needs across its
-/// lifetime: the matrix, the symbolic analysis, the numeric factors,
-/// the persistent worker team and all solve workspaces (see module
-/// docs). Created by [`Session::builder`].
+/// lifetime: the system's values, the symbolic analysis (which holds
+/// the pattern), the numeric factors, the persistent worker team and
+/// all solve workspaces (see module docs). Created by
+/// [`Session::builder`].
 pub struct Session<T: Scalar> {
-    a: CsrMatrix<T>,
+    /// The system's dimension.
+    n: usize,
+    /// The values of the matrix the factors were built or last
+    /// refactored from, on the analyzed pattern: the Krylov matvecs and
+    /// the breakdown retry's shifted refactor read them.
+    vals: Vec<T>,
     /// The factors, the engine and the spmv plan every solve runs
     /// through.
     solver: IluSolver<T>,
@@ -310,7 +321,7 @@ impl<T: Scalar> Session<T> {
         x: PanelMut<'_, T>,
         results: &mut [SolverResult],
     ) -> Result<(), SparseError> {
-        let n = self.a.nrows();
+        let n = self.n;
         if b.nrows() != n || x.nrows() != n || x.ncols() != b.ncols() {
             return Err(SparseError::DimensionMismatch(format!(
                 "krylov: rhs {}x{} / solution {}x{} against a system of dimension {n}",
@@ -322,7 +333,7 @@ impl<T: Scalar> Session<T> {
         }
         let (opts, ws) = (&self.options, &mut self.workspace);
         self.solver
-            .krylov_into(method, &self.a, b, x, opts, ws, results);
+            .krylov_into(method, &self.vals, b, x, opts, ws, results);
         Ok(())
     }
 
@@ -370,7 +381,7 @@ impl<T: Scalar> Session<T> {
         b: Panel<'_, T>,
         x: PanelMut<'_, T>,
     ) -> Result<Vec<SolverResult>, SparseError> {
-        let n = self.a.nrows();
+        let n = self.n;
         let k = mats.len();
         if k == 0 || b.nrows() != n || x.nrows() != n || b.ncols() != k || x.ncols() != k {
             return Err(SparseError::DimensionMismatch(format!(
@@ -413,10 +424,10 @@ impl<T: Scalar> Session<T> {
     }
 
     /// Numeric-only refactorization for a pattern-identical matrix with
-    /// new values (see [`IluFactors::refactor`]): the session's stored
-    /// matrix is updated in place and every plan, team and workspace is
-    /// reused — zero allocations, zero thread spawns in the steady
-    /// state.
+    /// new values (see [`IluFactors::refactor`], which checks `a`'s
+    /// pattern): on success the session's values are overwritten with
+    /// `a`'s in place and every plan, team and workspace is reused —
+    /// zero allocations, zero thread spawns in the steady state.
     ///
     /// # Errors
     /// * [`SparseError::PatternMismatch`] when `a`'s pattern differs
@@ -425,13 +436,8 @@ impl<T: Scalar> Session<T> {
     ///   error policy.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         self.solver.refactor(a)?;
-        self.a.vals_mut().copy_from_slice(a.vals());
+        self.vals.copy_from_slice(a.vals());
         Ok(())
-    }
-
-    /// The system matrix the session solves against.
-    pub fn matrix(&self) -> &CsrMatrix<T> {
-        &self.a
     }
 
     /// The numeric factors (also this session's preconditioner).
@@ -612,10 +618,27 @@ mod tests {
         let vs2: Vec<f64> = vs.iter().map(|v| v * 2.0).collect();
         let a2 = CsrMatrix::from_raw_unchecked(nr, nc, rp, ci, vs2);
         session.refactor(&a2).unwrap();
-        assert_eq!(session.matrix().vals(), a2.vals());
         let mut x = vec![0.0; n];
         let res = session.krylov(Method::Pcg, &b, &mut x).unwrap();
         assert!(res.converged);
+        // The solve multiplies with `a2`'s values: it carries the bits
+        // of a plain solve on `a2` with `a2`'s factors.
+        let f2 = javelin_core::factorize(&a2, &IluOptions::ilu0(2)).unwrap();
+        let mut x2 = vec![0.0; n];
+        let want = krylov_with(
+            Method::Pcg,
+            &a2,
+            &b,
+            &mut x2,
+            &f2.with_engine(session.engine()),
+            session.solver_options(),
+            &mut SolverWorkspace::new(),
+        );
+        assert_eq!(res.iterations, want.iterations);
+        assert_eq!(
+            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            x2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         // A·x = b with A doubled means x is halved relative to the
         // original system's solution.
         let mut session1 = Session::builder()
@@ -767,6 +790,40 @@ mod tests {
         let res = session.krylov(Method::Gmres, &b, &mut x).unwrap();
         assert!(res.converged);
         assert!(!res.retried);
+    }
+
+    #[test]
+    fn breakdown_retry_refactors_from_the_current_values() {
+        // After a refactor to `a2`, a forced breakdown's shifted refactor
+        // must start from `a2`'s values, not from the matrix the session
+        // was built from: its factors carry the bits of `a`'s factors
+        // refactored to `a2` with the retry's shift.
+        let a = laplace_2d(10, 10);
+        let a2 = javelin_synth::util::revalue(&a, 0.83, 0.2);
+        let n = a.nrows();
+        for t in [1, 2] {
+            let opts = IluOptions::ilu0(t);
+            let mut session = Session::builder()
+                .ilu_options(opts.clone())
+                .build(&a)
+                .unwrap();
+            session.refactor(&a2).unwrap();
+            let mut b = b_vec(n);
+            b[3] = f64::NAN;
+            let mut x = vec![0.0; n];
+            let res = session.krylov(Method::Gmres, &b, &mut x).unwrap();
+            assert!(res.retried && res.broke_down(), "t = {t}: {res:?}");
+            let mut want = javelin_core::factorize(&a, &opts).unwrap();
+            want.refactor_with_shift(&a2, 1e-4).unwrap();
+            let bits = |f: &IluFactors<f64>| {
+                f.lu()
+                    .vals()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(session.factors()), bits(&want), "t = {t}");
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! width-8 panel past the returned results, with every vector pass on
 //! the team too (phase 12), nor a first width-8 threaded apply after
 //! one `SolverWorkspace::reserve` (phase 13). Phase 14 pins the exact
-//! allocations and bytes of a one-thread `SymbolicIlu::analyze`. A
+//! allocations and bytes of a one-thread `SymbolicIlu::analyze`, and
+//! phase 15 those of a one-thread `Session::build`. A
 //! counting global
 //! allocator wraps the system allocator; this file holds exactly one
 //! test so no concurrent test can pollute the counters (worker-team
@@ -799,5 +800,28 @@ fn steady_state_refactor_allocates_zero_bytes() {
         let mut sym = None;
         let cost = counted(|| sym = Some(SymbolicIlu::analyze(a, &opts).expect("analysis")));
         assert_eq!(cost, want, "{what}: analyze at t = 1 (allocations, bytes)");
+    }
+
+    // ---- Phase 15: `Session::build` at t = 1, counted exactly, on ----
+    // phase 14's fixtures: the analysis, the factors, the spmv plan,
+    // the workspace, and the values the session keeps of the system
+    // (not a copy of the matrix: the plan multiplies the analysis's
+    // `u32` pattern). A pin may fall, and must not rise.
+    for (what, a, fill, want) in [
+        ("grid", &grid, 0, pick((86, 1_364_392), (129, 1_869_140))),
+        (
+            "circuit",
+            &circuit,
+            1,
+            pick((115, 2_014_936), (169, 3_387_496)),
+        ),
+    ] {
+        let builder = javelin::Session::builder().ilu_options(IluOptions::ilu0(1).with_fill(fill));
+        let mut session = None;
+        let cost = counted(|| session = Some(builder.build(a).expect("session")));
+        assert_eq!(
+            cost, want,
+            "{what}: Session::build at t = 1 (allocations, bytes)"
+        );
     }
 }

@@ -70,7 +70,7 @@ fn threaded_session_krylov_is_bitwise_the_plain_solve() {
                 let mut want_x = vec![0.0; n];
                 let want = krylov_with(
                     method,
-                    session.matrix(),
+                    &a,
                     &b,
                     &mut want_x,
                     &m,
@@ -101,7 +101,7 @@ fn threaded_session_panels_are_bitwise_the_plain_panels() {
                     let mut want_x = vec![0.0; n * k];
                     let want = krylov_panel_with(
                         method,
-                        session.matrix(),
+                        &a,
                         Panel::new(&b, n, k),
                         PanelMut::new(&mut want_x, n, k),
                         &m,
@@ -338,7 +338,7 @@ fn one_workspace_serves_a_larger_system_first_without_changing_a_bit() {
                 let mut got = [SolverResult::default()];
                 solver.krylov_into(
                     method,
-                    a,
+                    a.vals(),
                     Panel::from_col(b),
                     PanelMut::from_col(&mut x),
                     &opts,

@@ -243,12 +243,9 @@ impl PanelMatrices<f64> for CountingMatrix<'_> {
     fn nrows(&self) -> usize {
         self.a.nrows()
     }
-    fn col_matrix(&self, _c: usize) -> &CsrMatrix<f64> {
-        self.a
-    }
-    fn spmv_col(&self, c: usize, x: &[f64], y: &mut [f64]) {
+    fn spmv_col(&self, _c: usize, x: &[f64], y: &mut [f64]) {
         self.spmvs.fetch_add(1, Ordering::Relaxed);
-        self.col_matrix(c).spmv_into(x, y);
+        self.a.spmv_into(x, y);
     }
     fn dot(&self, x: &[f64], y: &[f64], _sums: &mut [f64]) -> f64 {
         self.reductions.fetch_add(1, Ordering::Relaxed);
