@@ -61,20 +61,17 @@ pub fn run(scale: Scale) -> String {
         cells.extend(measured_refactor(a, &IluOptions::level_scheduling_only(1)).map(micros));
         t.row(cells);
 
-        // 2. Split sensitivity.
-        let split = |a_param: Option<usize>| match a_param {
-            Some(rows) => IluOptions {
-                split: SplitOptions::with_min_rows(rows),
-                ..IluOptions::ilu0(1)
-            },
-            None => IluOptions::level_scheduling_only(1),
+        // 2. Split sensitivity; A = 0 is no split.
+        let split = |min_rows_per_level| IluOptions {
+            split: SplitOptions { min_rows_per_level },
+            ..IluOptions::ilu0(1)
         };
         let mut cells = vec![prep.meta.name.to_string()];
-        for a_param in [Some(16usize), Some(24), Some(32), None] {
+        for a_param in [16, 24, 32, 0] {
             let sym = SymbolicIlu::analyze(a, &split(a_param)).expect("analysis");
             cells.push(format!("{:.2}", bound(|t| sym.refactor_span(t), 14)));
         }
-        cells.extend(measured_refactor(a, &split(Some(16))).map(micros));
+        cells.extend(measured_refactor(a, &split(16)).map(micros));
         t2.row(cells);
     }
     out.push_str("Ablation 1 — level pattern: lower(A+A^T) vs lower(A)\n\n");

@@ -19,9 +19,8 @@ pub fn run(scale: Scale) -> String {
         let a = &prep.matrix;
         let levels = LevelSets::compute_lower(&lower_symmetrized_pattern(a));
         let s = levels.stats();
-        let row_nnz: Vec<usize> = (0..a.nrows()).map(|r| a.row_nnz(r)).collect();
-        let r_of = |min_rows: usize| {
-            split_levels(&levels, &row_nnz, &SplitOptions::with_min_rows(min_rows)).n_lower()
+        let r_of = |min_rows_per_level: usize| {
+            split_levels(&levels, &[], &SplitOptions { min_rows_per_level }).n_lower()
         };
         t.row(vec![
             prep.meta.name.to_string(),
@@ -44,6 +43,68 @@ pub fn run(scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::preorder_dm_nd;
+    use javelin_core::{IluOptions, SymbolicIlu};
+    use javelin_synth::suite::suite_matrix;
+
+    /// `(n_levels, n_upper_levels, n_lower_rows)` of `SymbolicIlu::analyze`
+    /// on one tiny suite matrix after DM + ND, at fill `k` and split `A`.
+    fn split_of(name: &str, k: usize, a_param: usize) -> (usize, usize, usize) {
+        let a = preorder_dm_nd(
+            &suite_matrix(name)
+                .expect("suite name")
+                .build_at(Scale::Tiny),
+        );
+        let mut opts = IluOptions::ilu0(1).with_fill(k);
+        opts.split.min_rows_per_level = a_param;
+        let sym = SymbolicIlu::analyze(&a, &opts).expect("analysis");
+        let s = sym.stats();
+        (s.n_levels, s.n_upper_levels, s.n_lower_rows)
+    }
+
+    /// The split of every tiny suite matrix, pinned: ILU(0) at
+    /// A = 16, 24, 32, then the fill-1 cases where the location guard
+    /// binds (asic680-like, g3circuit-like at A = 32). The tiny
+    /// tsopf-like and femfilter-like cases at A = 16 are where the
+    /// 20 % row cap binds.
+    #[test]
+    fn suite_splits_match_pins() {
+        #[rustfmt::skip]
+        const ILU0: [(&str, [(usize, usize, usize); 3]); 18] = [
+            ("wang3-like", [(12, 4, 49), (12, 4, 49), (12, 4, 49)]),
+            ("tsopf-like", [(66, 44, 71), (66, 44, 71), (66, 44, 71)]),
+            ("tetra3d-like", [(30, 15, 67), (30, 15, 67), (30, 15, 67)]),
+            ("ibm-like", [(32, 29, 9), (32, 24, 102), (32, 22, 151)]),
+            ("femfilter-like", [(64, 48, 96), (64, 48, 96), (64, 48, 96)]),
+            ("trans4-like", [(45, 21, 121), (45, 17, 174), (45, 17, 174)]),
+            ("scircuit-like", [(42, 16, 147), (42, 11, 238), (42, 11, 238)]),
+            ("transient-like", [(36, 25, 69), (36, 16, 208), (36, 16, 208)]),
+            ("offshore-like", [(32, 16, 64), (32, 16, 64), (32, 16, 64)]),
+            ("asic320-like", [(17, 9, 35), (17, 9, 35), (17, 8, 63)]),
+            ("afshell-like", [(32, 23, 63), (32, 20, 129), (32, 20, 129)]),
+            ("parabolic-like", [(37, 13, 131), (37, 12, 154), (37, 12, 154)]),
+            ("asic680-like", [(41, 15, 93), (41, 11, 174), (41, 11, 174)]),
+            ("apache2-like", [(16, 7, 39), (16, 6, 57), (16, 6, 57)]),
+            ("tmtsym-like", [(41, 13, 152), (41, 13, 152), (41, 13, 152)]),
+            ("ecology2-like", [(15, 10, 40), (15, 10, 40), (15, 8, 82)]),
+            ("thermal2-like", [(46, 19, 102), (46, 13, 198), (46, 12, 228)]),
+            ("g3circuit-like", [(14, 8, 43), (14, 8, 43), (14, 8, 43)]),
+        ];
+        let names: Vec<&str> = paper_suite().iter().map(|m| m.name).collect();
+        assert_eq!(names, ILU0.map(|(name, _)| name), "suite changed");
+        for (name, pins) in ILU0 {
+            for (a_param, pin) in [16, 24, 32].into_iter().zip(pins) {
+                assert_eq!(
+                    split_of(name, 0, a_param),
+                    pin,
+                    "{name} ILU(0) A = {a_param}"
+                );
+            }
+        }
+        // Fill 1, A = 32: the upper stage stops at ceil(levels / 4).
+        assert_eq!(split_of("asic680-like", 1, 32), (167, 42, 314));
+        assert_eq!(split_of("g3circuit-like", 1, 32), (51, 13, 174));
+    }
 
     #[test]
     fn sensitivity_is_monotone() {

@@ -366,9 +366,8 @@ mod tests {
             for nthreads in [1usize, 2, 4] {
                 let mut opts = IluOptions::ilu0(nthreads);
                 opts.split.min_rows_per_level = 8;
-                opts.split.location_frac = 0.0;
-                opts.split.max_lower_frac = 0.4;
                 let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+                assert!(sym.stats().n_lower_rows > 0, "nthreads={nthreads}");
                 let mut f = sym.factor(&a).unwrap();
                 let a2 = revalue(&a, 0.37);
                 let fresh = sym.factor(&a2).unwrap();
@@ -443,8 +442,8 @@ mod tests {
         let n = a.nrows();
         let mut opts = IluOptions::ilu0(3);
         opts.split.min_rows_per_level = 8;
-        opts.split.location_frac = 0.0;
         let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
+        assert!(sym.stats().n_lower_rows > 0);
         let mut f = sym.factor(&a).unwrap();
         let a2 = revalue(&a, 1.3);
         f.refactor(&a2).unwrap();
@@ -484,8 +483,6 @@ mod tests {
                 let mut opts = IluOptions::ilu0(nthreads);
                 // Aggressive split so the lower stage actually runs.
                 opts.split.min_rows_per_level = 8;
-                opts.split.location_frac = 0.0;
-                opts.split.max_lower_frac = 0.4;
                 let f = compute_factors(&a, &opts);
                 assert!(f.stats().n_lower_rows > 0, "nthreads={nthreads}");
                 // Same permutation => directly comparable values.
@@ -506,8 +503,8 @@ mod tests {
         let a = irregular(150);
         let mut opts = IluOptions::ilu0(3);
         opts.split.min_rows_per_level = 8;
-        opts.split.location_frac = 0.0;
         let f = compute_factors(&a, &opts);
+        assert!(f.stats().n_lower_rows > 0);
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x_ref = vec![0.0; 150];
         f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ref);
@@ -528,8 +525,8 @@ mod tests {
         let b: Vec<f64> = (0..150).map(|i| (i as f64 * 0.31).cos()).collect();
         let mut opts = IluOptions::ilu0(3);
         opts.split.min_rows_per_level = 8;
-        opts.split.location_frac = 0.0;
         let reused = compute_factors(&a, &opts);
+        assert!(reused.stats().n_lower_rows > 0);
         let fresh = compute_factors(&a, &opts);
         let engine = SolveEngine::PointToPointLower;
         let fresh_bits = {
@@ -566,9 +563,9 @@ mod tests {
         for nthreads in [1usize, 2, 3] {
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 8;
-            opts.split.location_frac = 0.0;
             let f = compute_factors(&a, &opts);
             assert!(!f.symbolic().perm().is_identity(), "threads={nthreads}");
+            assert!(f.stats().n_lower_rows > 0, "threads={nthreads}");
             for k in [8usize, 1, 2, 3, 4, 5, 7, 9] {
                 let b: Vec<f64> = (0..n * k)
                     .map(|i| ((i * 29 % 41) as f64 - 20.0) * 0.21)
@@ -665,10 +662,10 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 29) as f64) - 14.0).collect();
         let mut owned = IluOptions::ilu0(3);
         owned.split.min_rows_per_level = 8;
-        owned.split.location_frac = 0.0;
         let team = Arc::new(WorkerTeam::new(3));
         let shared = owned.clone().with_shared_team(Arc::clone(&team));
         let f_owned = compute_factors(&a, &owned);
+        assert!(f_owned.stats().n_lower_rows > 0);
         let f1 = compute_factors(&a, &shared);
         let f2 = compute_factors(&a, &shared.clone());
         let engine = SolveEngine::PointToPointLower;
@@ -894,7 +891,6 @@ mod tests {
         let a = laplace_2d(12, 12);
         let mut opts = IluOptions::ilu0(2);
         opts.split.min_rows_per_level = 6;
-        opts.split.location_frac = 0.0;
         let f = compute_factors(&a, &opts);
         let s = f.stats();
         assert_eq!(s.n, 144);
@@ -902,6 +898,7 @@ mod tests {
         assert_eq!(s.nnz_lu, a.nnz()); // ILU(0): same pattern
         assert!(s.n_levels > 1);
         assert!(s.n_upper_levels <= s.n_levels);
+        assert!(s.n_lower_rows > 0);
         assert!(s.n_waits <= s.n_raw_deps);
         assert_eq!(s.fill_ratio(), 1.0);
     }
@@ -920,7 +917,6 @@ mod tests {
         let mut opts = IluOptions::ilu0(2);
         opts.level_pattern = LevelPattern::LowerA;
         opts.split.min_rows_per_level = 8;
-        opts.split.location_frac = 0.0;
         let f = compute_factors(&a, &opts);
         assert!(f.stats().n_lower_rows > 0);
         let s = compute_factors(
@@ -941,7 +937,6 @@ mod tests {
         let a = irregular(160);
         let mut opts = IluOptions::ilu0(3);
         opts.split.min_rows_per_level = 10;
-        opts.split.location_frac = 0.1;
         let mut serial = opts.clone();
         serial.nthreads = 1;
         let f1 = compute_factors(&a, &serial);
@@ -1001,7 +996,6 @@ mod tests {
         for nthreads in [2usize, 3] {
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 2;
-            opts.split.location_frac = 0.0;
             let f = compute_factors(&a, &opts);
             let plan = f.symbolic().plan();
             assert!(f.stats().n_lower_rows > 0, "threads={nthreads}");
@@ -1140,7 +1134,6 @@ mod proptests {
         ) {
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 4;
-            opts.split.location_frac = 0.0;
             let mut serial = opts.clone();
             serial.nthreads = 1;
             let fp = factorize(&a, &opts).unwrap();
@@ -1166,7 +1159,6 @@ mod proptests {
             let n = a.nrows();
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 4;
-            opts.split.location_frac = 0.0;
             let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
             let mut f = sym.factor(&a).unwrap();
             let a2 = revalue(&a, seed);
@@ -1212,7 +1204,6 @@ mod proptests {
             let n = a.nrows();
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 4;
-            opts.split.location_frac = 0.0;
             let f = factorize(&a, &opts).unwrap();
             let b: Vec<f64> = (0..n * k)
                 .map(|i| ((i * 31 % 23) as f64 - 11.0) * 0.17)

@@ -13,9 +13,9 @@
 //!
 //! * [`levels::LevelSets`] — the level structure and its statistics
 //!   (the paper's Tables I, III, IV);
-//! * [`split::StagePlan`] — the two-stage partition driven by the
-//!   paper's three heuristics (minimum rows per level, row density,
-//!   relative location);
+//! * [`split::StagePlan`] — the two-stage partition: trailing levels
+//!   narrower than the paper's `A` move to the lower stage, behind a
+//!   relative-location guard and a row cap;
 //! * [`schedule::P2PSchedule`] — per-thread block sequences with
 //!   *sparsified point-to-point synchronization*: dependencies pruned to
 //!   at most one `(thread, progress)` wait per foreign thread and block,

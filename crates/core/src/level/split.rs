@@ -1,51 +1,58 @@
 //! The two-stage split (paper §III-A, Figs. 2–3).
 //!
 //! Javelin factors wide levels with point-to-point level scheduling (the
-//! *upper stage*) and hands a trailing suffix of narrow or dense levels
-//! to a second method, Even-Rows (the *lower stage*). Three user
-//! options steer the split, exactly as in the paper:
+//! *upper stage*) and hands a trailing suffix of narrow levels to a
+//! second method, Even-Rows (the *lower stage*). The paper names three
+//! criteria for the cut. One is a knob, one a constant, one is gone:
 //!
-//! 1. **minimum rows per level** — the Table-III sensitivity parameter
-//!    `A ∈ {16, 24, 32}`;
-//! 2. **row density** — levels whose mean nnz/row exceeds a multiple of
-//!    the matrix average are demoted (dense rows serialize the p2p
-//!    pipeline);
-//! 3. **relative location** — only levels in the trailing portion of the
-//!    ordering are eligible: a narrow level wedged *between* wide ones
-//!    (Fig. 3) stays in the upper stage, where point-to-point
-//!    synchronization absorbs it without a barrier.
+//! 1. **minimum rows per level** — the knob, [`SplitOptions`]' only
+//!    field: the Table-III sensitivity parameter `A ∈ {16, 24, 32}`.
+//!    Trailing levels narrower than `A` are demoted;
+//! 2. **relative location** — a constant: only levels in the trailing
+//!    three quarters of the ordering are eligible, so a narrow level
+//!    wedged *between* wide ones (Fig. 3) stays in the upper stage,
+//!    where point-to-point synchronization absorbs it without a
+//!    barrier;
+//! 3. **row density** — deleted. It demoted levels whose mean nnz/row
+//!    exceeded 8× the matrix average, and changed no split in 515
+//!    analyses: the 18 suite matrices at both scales after DM + ND
+//!    (A ∈ {16, 24, 32}, both level patterns, fill 0 and 1; 456
+//!    analyses), the six group-A matrices in RCM and natural order, and
+//!    the reference benchmark's grid and circuits.
+//!
+//! A second constant caps the lower stage at a fifth of the rows. The
+//! two constants do change splits in those analyses (their docs say
+//! where), so they stay; no study varies them, so neither is an option.
 
 use crate::level::levels::LevelSets;
 use javelin_sparse::Perm;
 
-/// Options controlling the two-stage split.
+/// Levels before `ceil(LOCATION_FRAC · n_levels)` are never demoted
+/// (the paper's relative-location criterion). It changed 22 of the 456
+/// suite splits (asic680-, g3circuit- and scircuit-like, mostly at
+/// fill 1), whose narrow levels reach back into the first quarter of
+/// the ordering.
+const LOCATION_FRAC: f64 = 0.25;
+
+/// The lower stage takes at most `MAX_LOWER_FRAC · n` rows. It changed
+/// 6 of the 456 suite splits, all at A = 16: tsopf-like at both
+/// scales; tetra3d-, femfilter-, offshore- and tmtsym-like at tiny
+/// scale.
+const MAX_LOWER_FRAC: f64 = 0.2;
+
+/// The two-stage split's one option.
 #[derive(Debug, Clone, Copy)]
 pub struct SplitOptions {
-    /// Enable the lower stage at all. Disabled = pure level scheduling
-    /// (the paper's "LS" configuration).
-    pub enabled: bool,
-    /// Levels with fewer rows than this are candidates for demotion —
-    /// the paper's sensitivity parameter `A` (Table III uses 16/24/32).
+    /// Trailing levels with fewer rows than this are demoted to the
+    /// lower stage — the paper's sensitivity parameter `A` (Table III
+    /// uses 16/24/32). `0` demotes nothing: pure level scheduling.
     pub min_rows_per_level: usize,
-    /// Levels whose mean row density exceeds `density_mult ×` the matrix
-    /// average are candidates for demotion.
-    pub density_mult: f64,
-    /// Only levels whose index is ≥ `location_frac · n_levels` are
-    /// eligible (the "relative location" option); `0.0` makes every
-    /// trailing-suffix level eligible.
-    pub location_frac: f64,
-    /// Hard cap on the fraction of rows the lower stage may absorb.
-    pub max_lower_frac: f64,
 }
 
 impl Default for SplitOptions {
     fn default() -> Self {
         SplitOptions {
-            enabled: true,
             min_rows_per_level: 16,
-            density_mult: 8.0,
-            location_frac: 0.25,
-            max_lower_frac: 0.2,
         }
     }
 }
@@ -54,17 +61,7 @@ impl SplitOptions {
     /// The paper's pure level-scheduling configuration (no lower stage).
     pub fn level_scheduling_only() -> Self {
         SplitOptions {
-            enabled: false,
-            ..Default::default()
-        }
-    }
-
-    /// Convenience: split with sensitivity parameter `a` (the Table-III
-    /// `R-16` / `R-24` / `R-32` study).
-    pub fn with_min_rows(a: usize) -> Self {
-        SplitOptions {
-            min_rows_per_level: a,
-            ..Default::default()
+            min_rows_per_level: 0,
         }
     }
 }
@@ -133,46 +130,30 @@ impl StagePlan {
     }
 }
 
-/// Computes the two-stage split.
+/// Computes the two-stage split: walking back from the last level, it
+/// demotes each level narrower than `opts.min_rows_per_level` and stops
+/// at the first wider one, at the first quarter of the levels, or where
+/// the lower stage would pass a fifth of the rows.
 ///
-/// * `levels` — level sets of the chosen triangular pattern;
-/// * `row_nnz` — per-row stored-entry counts of the full matrix (drives
-///   the density heuristic);
-/// * `opts` — split options.
-pub fn split_levels(levels: &LevelSets, row_nnz: &[usize], opts: &SplitOptions) -> StagePlan {
+/// `row_nnz` is accepted and ignored: it fed the deleted row-density
+/// criterion. The parameter goes with the reference benchmark's call,
+/// its last user (ROADMAP item 12).
+pub fn split_levels(levels: &LevelSets, _row_nnz: &[usize], opts: &SplitOptions) -> StagePlan {
     let n = levels.n_rows();
-    assert_eq!(row_nnz.len(), n, "row_nnz length mismatch");
     let nl = levels.n_levels();
-    let avg_rd = if n == 0 {
-        0.0
-    } else {
-        row_nnz.iter().sum::<usize>() as f64 / n as f64
-    };
 
     // Decide the first demoted level: scan the trailing suffix.
+    let eligible_from = ((nl as f64) * LOCATION_FRAC).ceil() as usize;
+    let max_lower_rows = ((n as f64) * MAX_LOWER_FRAC) as usize;
     let mut first_lower_level = nl;
-    if opts.enabled && nl > 1 {
-        let eligible_from = ((nl as f64) * opts.location_frac).ceil() as usize;
-        let max_lower_rows = ((n as f64) * opts.max_lower_frac) as usize;
-        let mut lower_rows = 0usize;
-        for l in (0..nl).rev() {
-            if l < eligible_from.max(1) {
-                break;
-            }
-            let size = levels.level_size(l);
-            let mean_rd =
-                levels.level(l).iter().map(|&r| row_nnz[r]).sum::<usize>() as f64 / size as f64;
-            let narrow = size < opts.min_rows_per_level;
-            let dense = avg_rd > 0.0 && mean_rd > opts.density_mult * avg_rd;
-            if !(narrow || dense) {
-                break;
-            }
-            if lower_rows + size > max_lower_rows {
-                break;
-            }
-            lower_rows += size;
-            first_lower_level = l;
+    let mut lower_rows = 0usize;
+    while first_lower_level > eligible_from {
+        let size = levels.level_size(first_lower_level - 1);
+        if size >= opts.min_rows_per_level || lower_rows + size > max_lower_rows {
+            break;
         }
+        lower_rows += size;
+        first_lower_level -= 1;
     }
 
     // Build the permutation: upper levels in order, then demoted levels
@@ -204,7 +185,7 @@ mod tests {
     /// Level sizes by construction: a "staircase" dependency pattern.
     /// `widths[l]` rows in level l; each row of level l>0 depends on one
     /// row of level l-1.
-    fn staircase(widths: &[usize]) -> (LevelSets, Vec<usize>) {
+    fn staircase(widths: &[usize]) -> LevelSets {
         let n: usize = widths.iter().sum();
         let mut coo = CooMatrix::new(n, n);
         let mut level_start = vec![0usize];
@@ -221,32 +202,37 @@ mod tests {
                 coo.push(row, dep, 1.0).unwrap();
             }
         }
-        let a = coo.to_csr();
-        let lv = LevelSets::compute_lower(&lower_pattern(&a));
-        let nnz: Vec<usize> = (0..n).map(|r| a.row_nnz(r)).collect();
-        (lv, nnz)
+        LevelSets::compute_lower(&lower_pattern(&coo.to_csr()))
+    }
+
+    fn split_at(lv: &LevelSets, a: usize) -> StagePlan {
+        split_levels(
+            lv,
+            &[],
+            &SplitOptions {
+                min_rows_per_level: a,
+            },
+        )
     }
 
     #[test]
     fn no_split_when_disabled() {
-        let (lv, nnz) = staircase(&[50, 50, 2, 2]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::level_scheduling_only());
+        let lv = staircase(&[50, 50, 2, 2]);
+        let plan = split_levels(&lv, &[], &SplitOptions::level_scheduling_only());
         assert_eq!(plan.n_lower(), 0);
         assert_eq!(plan.n_upper_levels(), 4);
     }
 
     #[test]
     fn trailing_narrow_levels_are_demoted() {
-        let (lv, nnz) = staircase(&[50, 50, 3, 2]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
+        let plan = split_at(&staircase(&[50, 50, 3, 2]), 16);
         assert_eq!(plan.n_lower(), 5);
         assert_eq!(plan.n_upper_levels(), 2);
     }
 
     #[test]
     fn coverage_check_rejects_a_dropped_or_doubled_trailing_row() {
-        let (lv, nnz) = staircase(&[50, 50, 3, 2]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
+        let plan = split_at(&staircase(&[50, 50, 3, 2]), 16);
         assert_eq!(plan.n_lower(), 5);
         let even = |tid: usize| crate::sync::col_range(5, 2, tid);
         assert!(plan.covers_rows_once(2, even));
@@ -264,8 +250,7 @@ mod tests {
     #[test]
     fn middle_narrow_level_stays_upper() {
         // Fig. 3 of the paper: narrow level between two wide ones.
-        let (lv, nnz) = staircase(&[40, 2, 40, 2]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
+        let plan = split_at(&staircase(&[40, 2, 40, 2]), 16);
         // Only the final level is demoted; the middle [2] survives in the
         // upper stage.
         assert_eq!(plan.n_lower(), 2);
@@ -274,17 +259,11 @@ mod tests {
 
     #[test]
     fn sensitivity_parameter_moves_more_rows() {
-        let (lv, nnz) = staircase(&[100, 30, 20, 10, 5]);
-        let with_a = |a: usize| SplitOptions {
-            min_rows_per_level: a,
-            location_frac: 0.0,
-            max_lower_frac: 0.5,
-            ..Default::default()
-        };
-        let r16 = split_levels(&lv, &nnz, &with_a(16)).n_lower();
-        let r24 = split_levels(&lv, &nnz, &with_a(24)).n_lower();
-        let r32 = split_levels(&lv, &nnz, &with_a(32)).n_lower();
-        assert!(r16 <= r24 && r24 <= r32, "{r16} {r24} {r32}");
+        // 665 rows (cap 133); levels 2.. are eligible.
+        let lv = staircase(&[300, 300, 30, 20, 10, 5]);
+        let r16 = split_at(&lv, 16).n_lower();
+        let r24 = split_at(&lv, 24).n_lower();
+        let r32 = split_at(&lv, 32).n_lower();
         assert_eq!(r16, 15); // levels of 10 and 5
         assert_eq!(r24, 35); // + level of 20
         assert_eq!(r32, 65); // + level of 30
@@ -292,69 +271,26 @@ mod tests {
 
     #[test]
     fn location_guard_protects_early_levels() {
-        // All levels narrow; location_frac keeps the leading portion.
-        let (lv, nnz) = staircase(&[4, 4, 4, 4, 4, 4, 4, 4]);
-        let opts = SplitOptions {
-            min_rows_per_level: 16,
-            location_frac: 0.5,
-            max_lower_frac: 1.0,
-            ..Default::default()
-        };
-        let plan = split_levels(&lv, &nnz, &opts);
-        // Levels 4..8 (second half) demoted, 0..4 kept.
-        assert_eq!(plan.n_upper_levels(), 4);
-        assert_eq!(plan.n_lower(), 16);
+        // 8 levels: levels 0 and 1 are the first quarter. Level 1 is
+        // narrow and its 2 rows fit the cap (114 rows, cap 22), yet it
+        // stays: only levels 2..8 are demoted.
+        let plan = split_at(&staircase(&[100, 2, 2, 2, 2, 2, 2, 2]), 16);
+        assert_eq!(plan.n_upper_levels(), 2);
+        assert_eq!(plan.n_lower(), 12);
     }
 
     #[test]
     fn max_lower_frac_caps_demotion() {
-        let (lv, nnz) = staircase(&[100, 10, 10, 10, 10]);
-        let opts = SplitOptions {
-            min_rows_per_level: 16,
-            location_frac: 0.0,
-            max_lower_frac: 0.15, // at most 21 rows
-            ..Default::default()
-        };
-        let plan = split_levels(&lv, &nnz, &opts);
-        assert!(plan.n_lower() <= 21);
-        assert_eq!(plan.n_lower(), 20);
-    }
-
-    #[test]
-    fn dense_trailing_level_is_demoted() {
-        // Wide-but-dense trailing level: demoted by the density rule.
-        let n = 120;
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 1.0).unwrap();
-        }
-        // Level 0: rows 0..100 (sparse). Level 1: rows 100..120, each
-        // depending on row 0 and carrying ~30 extra entries.
-        for r in 100..n {
-            coo.push(r, 0, 1.0).unwrap();
-            for c in 1..30 {
-                coo.push(r, c, 1.0).unwrap();
-            }
-        }
-        let a = coo.to_csr();
-        let lv = LevelSets::compute_lower(&lower_pattern(&a));
-        assert_eq!(lv.n_levels(), 2);
-        let nnz: Vec<usize> = (0..n).map(|r| a.row_nnz(r)).collect();
-        let opts = SplitOptions {
-            min_rows_per_level: 4, // size rule alone would keep it
-            density_mult: 3.0,
-            location_frac: 0.0,
-            max_lower_frac: 0.5,
-            ..Default::default()
-        };
-        let plan = split_levels(&lv, &nnz, &opts);
-        assert_eq!(plan.n_lower(), 20);
+        // 170 rows: at most 34 demoted. Levels 2..8 are eligible and
+        // narrow, but a fourth level of 10 would make 40.
+        let plan = split_at(&staircase(&[100, 10, 10, 10, 10, 10, 10, 10]), 16);
+        assert_eq!(plan.n_lower(), 30);
+        assert_eq!(plan.n_upper_levels(), 5);
     }
 
     #[test]
     fn permutation_places_lower_rows_last_in_level_order() {
-        let (lv, nnz) = staircase(&[30, 20, 3, 2]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(16));
+        let plan = split_at(&staircase(&[30, 20, 3, 2]), 16);
         assert_eq!(plan.n_lower(), 5);
         let p = plan.perm.new_to_old();
         // Upper rows keep their level order (here: natural order).
@@ -365,8 +301,7 @@ mod tests {
 
     #[test]
     fn single_level_never_splits() {
-        let (lv, nnz) = staircase(&[8]);
-        let plan = split_levels(&lv, &nnz, &SplitOptions::with_min_rows(32));
+        let plan = split_at(&staircase(&[8]), 32);
         assert_eq!(plan.n_lower(), 0);
         assert_eq!(plan.n_upper_levels(), 1);
     }

@@ -307,7 +307,6 @@ mod tests {
             for nthreads in 1..=3usize {
                 let mut opts = IluOptions::ilu0(nthreads).with_fill(a.nrows());
                 opts.split.min_rows_per_level = 2;
-                opts.split.location_frac = 0.0;
                 let sym = SymbolicIlu::analyze(&a, &opts).unwrap();
                 let mut f = sym.factor(&a).unwrap();
                 assert_is_dense_lu(&f, &a, "factor");

@@ -108,12 +108,14 @@ pub struct IluOptions {
     pub milu_omega: f64,
     /// Which triangular pattern drives level scheduling.
     pub level_pattern: LevelPattern,
-    /// Two-stage split heuristics.
+    /// The two-stage split's sensitivity parameter `A` (minimum rows per
+    /// level; `0` = pure level scheduling). Its location guard and row
+    /// cap are constants of [`crate::level::split_levels`].
     pub split: SplitOptions,
     /// Ignored: no analysis, solve or spmv reads it. It stays only
     /// because the reference benchmark passes it to
     /// [`crate::SpmvPlan::new`], which ignores it too; the change that
-    /// stops passing it deletes the field (ROADMAP item 10).
+    /// stops passing it deletes the field (ROADMAP item 12).
     pub tile_size: usize,
     /// Worker threads (`1` = fully serial pipeline).
     pub nthreads: usize,
@@ -224,7 +226,7 @@ mod tests {
         assert_eq!(o.fill_level, 0);
         assert_eq!(o.drop_tol, 0.0);
         assert_eq!(o.level_pattern, LevelPattern::LowerSymmetrized);
-        assert!(o.split.enabled);
+        assert_eq!(o.split.min_rows_per_level, 16);
         assert_eq!(o.nthreads, 1);
     }
 
@@ -243,7 +245,7 @@ mod tests {
     #[test]
     fn ls_only_disables_split() {
         let o = IluOptions::level_scheduling_only(8);
-        assert!(!o.split.enabled);
+        assert_eq!(o.split.min_rows_per_level, 0);
         assert_eq!(o.nthreads, 8);
     }
 

@@ -96,7 +96,7 @@ impl<T: Scalar> SpmvPlan<T> {
     ///
     /// `tile_size` is accepted and ignored: the row blocks need no
     /// tile. The parameter goes with `IluOptions::tile_size`, its last
-    /// source (ROADMAP item 10). The plan keeps a `u32` copy of `a`'s
+    /// source (ROADMAP item 12). The plan keeps a `u32` copy of `a`'s
     /// pattern.
     ///
     /// # Panics

@@ -216,8 +216,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let t1 = Instant::now();
         let levels0 = LevelSets::compute_forward(&s, opts.level_pattern);
         stats.n_levels = levels0.n_levels();
-        let row_nnz: Vec<usize> = (0..n).map(|r| s.row(r).len()).collect();
-        let plan0 = split_levels(&levels0, &row_nnz, &opts.split);
+        let plan0 = split_levels(&levels0, &[], &opts.split);
         stats.n_upper_levels = plan0.n_upper_levels();
         stats.n_lower_rows = plan0.n_lower();
         // The numeric and solve walks each touch a row once only if the

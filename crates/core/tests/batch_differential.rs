@@ -36,7 +36,6 @@ fn corners(a: &CsrMatrix<f64>, k: usize, seed: f64) -> Vec<CsrMatrix<f64>> {
 fn policy_opts(nthreads: usize, policy: usize) -> IluOptions {
     let mut opts = IluOptions::ilu0(nthreads);
     opts.split.min_rows_per_level = 4;
-    opts.split.location_frac = 0.0;
     match policy {
         1 => opts.zero_pivot = ZeroPivotPolicy::shift_retry(),
         2 => opts.drop_tol = 0.05,

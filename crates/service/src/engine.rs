@@ -61,9 +61,6 @@ pub struct EngineConfig {
     pub ilu: IluOptions,
     /// Krylov iteration controls shared by all requests.
     pub solver: SolverOptions,
-    /// Widest fused panel (8 and 4 are the SIMD-specialized lane
-    /// widths; chunking prefers 8, then 4, then the remainder).
-    pub max_panel_width: usize,
     /// Analyzed patterns kept in the LRU cache.
     pub cache_capacity: usize,
     /// Trisolve engine for every preconditioner apply; `None` defers to
@@ -77,7 +74,6 @@ impl Default for EngineConfig {
         EngineConfig {
             ilu: IluOptions::default(),
             solver: SolverOptions::default(),
-            max_panel_width: 8,
             cache_capacity: 16,
             engine: None,
         }
@@ -361,8 +357,7 @@ impl<T: Scalar> Engine<T> {
         let mut offset = 0;
         while offset < group.len() {
             let rem = group.len() - offset;
-            let preferred = [8, 4].into_iter().find(|&p| rem >= p).unwrap_or(rem);
-            let w = preferred.min(self.cfg.max_panel_width.max(1));
+            let w = [8, 4].into_iter().find(|&p| rem >= p).unwrap_or(rem);
             let chunk = &group[offset..offset + w];
             offset += w;
             if w > 1 {

@@ -490,7 +490,6 @@ proptest! {
         if with_lower {
             opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 8;
-            opts.split.location_frac = 0.0;
         }
         let f = factorize(&a, &opts.with_shared_team(Arc::clone(&team))).unwrap();
         prop_assert_eq!(f.stats().n_lower_rows > 0, with_lower);

@@ -20,7 +20,6 @@ fn all_engines_bitwise_equal_across_suite() {
         for nthreads in [2usize, 3] {
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 12;
-            opts.split.location_frac = 0.1;
             // The split changes the permutation, so compare against a
             // serial run under the same split options.
             let mut serial_opts = opts.clone();
@@ -54,7 +53,6 @@ fn three_thread_lower_stage_is_bitwise_identical() {
         let a = preorder_dm_nd(&meta.build_tiny());
         let mut threaded = IluOptions::ilu0(3);
         threaded.split.min_rows_per_level = 12;
-        threaded.split.location_frac = 0.1;
         let mut serial = threaded.clone();
         serial.nthreads = 1;
         let want = factor_bits(&a, &serial);

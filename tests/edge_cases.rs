@@ -157,8 +157,8 @@ fn pure_chain_every_row_its_own_level() {
 
 #[test]
 fn everything_demoted_to_lower_stage_is_prevented() {
-    // Even with absurd split settings, level 0 must stay in the upper
-    // stage (the split never demotes everything).
+    // Even when every level is narrower than A, level 0 must stay in
+    // the upper stage (the split never demotes everything).
     let n = 40;
     let mut coo = CooMatrix::new(n, n);
     for i in 0..n {
@@ -170,10 +170,12 @@ fn everything_demoted_to_lower_stage_is_prevented() {
     let a = coo.to_csr();
     let mut opts = IluOptions::ilu0(2);
     opts.split.min_rows_per_level = usize::MAX;
-    opts.split.location_frac = 0.0;
-    opts.split.max_lower_frac = 1.0;
     let f = factorize(&a, &opts).unwrap();
     assert!(f.symbolic().plan().n_upper >= 1, "level 0 must survive");
+    assert!(
+        f.stats().n_lower_rows > 0,
+        "the trailing levels are demoted"
+    );
     solve_roundtrip(&a, &opts);
 }
 
@@ -242,7 +244,6 @@ fn banded_lower_stage_factor_and_apply_are_bitwise_serial() {
     let a = coo.to_csr();
     let mut opts = IluOptions::ilu0(3);
     opts.split.min_rows_per_level = 8;
-    opts.split.location_frac = 0.0;
     let mut serial_same_split = opts.clone();
     serial_same_split.nthreads = 1;
     let f_ser = factorize(&a, &serial_same_split).unwrap();

@@ -43,7 +43,6 @@ fn solve_engines_agree_across_suite() {
         for nthreads in [2usize, 4] {
             let mut opts = IluOptions::ilu0(nthreads);
             opts.split.min_rows_per_level = 12;
-            opts.split.location_frac = 0.1;
             let f = factorize(&a, &opts).unwrap_or_else(|e| panic!("{}: {e}", meta.name));
             let mut x_ref = vec![0.0; n];
             f.with_engine(SolveEngine::Serial).apply(&b, &mut x_ref);

@@ -101,7 +101,6 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let a = irregular(400);
     let mut opts = IluOptions::ilu0(3).with_fill(1).with_drop_tol(1e-4);
     opts.split.min_rows_per_level = 8;
-    opts.split.location_frac = 0.0;
     let sym = SymbolicIlu::analyze(&a, &opts).expect("analysis");
     let mut factors = sym.factor(&a).expect("numeric phase");
 
@@ -389,7 +388,6 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let a5 = irregular(300);
     let mut opts5 = IluOptions::ilu0(3).with_drop_tol(1e-4);
     opts5.split.min_rows_per_level = 8;
-    opts5.split.location_frac = 0.0;
     let sym5 = SymbolicIlu::analyze(&a5, &opts5).expect("analysis (batch)");
     let k5 = 4usize;
     let corners: Vec<CsrMatrix<f64>> = (0..k5)
@@ -489,7 +487,6 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let mut opts6 = IluOptions::ilu0(3);
     opts6.pin_threads = true;
     opts6.split.min_rows_per_level = 8;
-    opts6.split.location_frac = 0.0;
     let sym6 = SymbolicIlu::analyze(&a6, &opts6).expect("analysis (pinned)");
     let mut f6 = sym6.factor(&a6).expect("pinned factor");
     let n6 = a6.nrows();
@@ -756,7 +753,6 @@ fn steady_state_refactor_allocates_zero_bytes() {
     let a13 = irregular(400);
     let mut opts13 = IluOptions::ilu0(2);
     opts13.split.min_rows_per_level = 8;
-    opts13.split.location_frac = 0.0;
     let sym13 = SymbolicIlu::analyze(&a13, &opts13).expect("analysis (2 threads)");
     assert!(sym13.stats().n_lower_rows > 0, "trailing rows must exist");
     let f13 = sym13.factor(&a13).expect("2-thread factor");
@@ -788,12 +784,12 @@ fn steady_state_refactor_allocates_zero_bytes() {
         }
     };
     for (what, a, fill, want) in [
-        ("grid", &grid, 0, pick((59, 755_528), (101, 1_238_324))),
+        ("grid", &grid, 0, pick((58, 733_544), (100, 1_216_340))),
         (
             "circuit",
             &circuit,
             1,
-            pick((88, 1_459_976), (141, 2_820_536)),
+            pick((87, 1_447_944), (140, 2_808_504)),
         ),
     ] {
         let opts = IluOptions::ilu0(1).with_fill(fill);
@@ -808,12 +804,12 @@ fn steady_state_refactor_allocates_zero_bytes() {
     // (not a copy of the matrix: the plan multiplies the analysis's
     // `u32` pattern). A pin may fall, and must not rise.
     for (what, a, fill, want) in [
-        ("grid", &grid, 0, pick((86, 1_364_392), (129, 1_869_140))),
+        ("grid", &grid, 0, pick((85, 1_342_408), (128, 1_847_156))),
         (
             "circuit",
             &circuit,
             1,
-            pick((115, 2_014_936), (169, 3_387_496)),
+            pick((114, 2_002_904), (168, 3_375_464)),
         ),
     ] {
         let builder = javelin::Session::builder().ilu_options(IluOptions::ilu0(1).with_fill(fill));
